@@ -22,7 +22,7 @@
 //!
 //! The snapshot lands in `BENCH_server.json`: pairs/second (QPS) and
 //! request latency percentiles (p50/p99) per connection count, plus
-//! the serving backend, pipelining depth, and write mix.
+//! the pipelining depth and write mix.
 //!
 //! Gates (any failure exits non-zero):
 //!
@@ -40,7 +40,7 @@
 //!
 //! ```text
 //! BENCH_SCALE=small cargo run --release -p bench --bin serverperf -- \
-//!     --backend epoll --conns 4 --batch 256 --pipeline 8 --slow-conns 2 \
+//!     --conns 4 --batch 256 --pipeline 8 --slow-conns 2 \
 //!     --update-conns 2 --durability batch --min-qps 150000 \
 //!     --max-p99-us 50000 --max-write-p99-us 80000 -o BENCH_server.json
 //! ```
@@ -53,7 +53,7 @@ use bench::Scale;
 use graphgen::{glp, GlpParams};
 use hopdb::{build_prelabeled, HopDbConfig};
 use hopdb_server::client::Session;
-use hopdb_server::{serve, Backend, Client, ServerConfig};
+use hopdb_server::{serve, Client, ServerConfig};
 use hoplabels::disk::DiskIndex;
 use hoplabels::flat::FlatIndex;
 use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
@@ -298,7 +298,6 @@ fn verify_compaction_under_load(
 /// in-process `FlatIndex`, measure QPS/p99 through the router, and —
 /// replica mode — kill one backend under fire and require zero lost
 /// queries. The snapshot lands in `BENCH_router.json`.
-#[cfg(target_os = "linux")]
 #[allow(clippy::too_many_lines)]
 fn router_main(args: &[String], modes: &str) {
     use hopdb_server::{serve_router, RouteMode, RouterConfig};
@@ -530,11 +529,6 @@ fn router_main(args: &[String], modes: &str) {
     }
 }
 
-#[cfg(not(target_os = "linux"))]
-fn router_main(_args: &[String], _modes: &str) {
-    panic!("--router requires the linux epoll backend");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(modes) = arg_value(&args, "--router") {
@@ -543,12 +537,7 @@ fn main() {
     }
     let scale = Scale::from_env();
     let out_path = arg_value(&args, "-o").unwrap_or_else(|| "BENCH_server.json".to_string());
-    let backend: Backend = arg_value(&args, "--backend")
-        .map_or_else(Backend::default, |v| v.parse().expect("bad --backend"));
-    let threads: usize =
-        arg_value(&args, "--threads").map_or(4, |v| v.parse().expect("bad --threads"));
-    let conns: usize =
-        arg_value(&args, "--conns").map_or(threads, |v| v.parse().expect("bad --conns"));
+    let conns: usize = arg_value(&args, "--conns").map_or(4, |v| v.parse().expect("bad --conns"));
     let batch: usize = arg_value(&args, "--batch").map_or(256, |v| v.parse().expect("bad --batch"));
     assert!(batch >= 1, "--batch must be at least 1 pair");
     let pipeline: usize =
@@ -578,8 +567,8 @@ fn main() {
         Scale::Large => (40_000, 4.0, 4_000),
     };
     eprintln!(
-        "serverperf: GLP n={n} d={density} (scale {scale:?}, {cores} cores, backend {backend:?}, \
-         {threads} server threads, batch {batch}, pipeline {pipeline}, {slow_conns} slow conns)"
+        "serverperf: GLP n={n} d={density} (scale {scale:?}, {cores} cores, batch {batch}, \
+         pipeline {pipeline}, {slow_conns} slow conns)"
     );
     let g = glp(&GlpParams::with_density(n, density, 42));
     let ranking = rank_vertices(&g, &RankBy::Degree);
@@ -609,8 +598,6 @@ fn main() {
         std::fs::remove_dir_all(dir).ok();
     }
     let config = ServerConfig {
-        backend,
-        threads,
         batch_threads: 1,
         source_graph: Some(graph_path.clone()),
         compact_threshold: 0, // compaction fires on demand, below
@@ -725,7 +712,7 @@ fn main() {
     let json = format!(
         concat!(
             r#"{{"workload":{{"model":"glp","vertices":{},"density":{},"seed":42}},"#,
-            r#""scale":"{:?}","cores":{},"backend":"{}","server_threads":{},"batch":{},"#,
+            r#""scale":"{:?}","cores":{},"batch":{},"#,
             r#""pipeline":{},"slow_conns":{},"update_conns":{},"durability":"{}","#,
             r#""compaction_under_load_verified":{},"#,
             r#""index":{{"entries":{},"resident_bytes":{}}},"#,
@@ -735,8 +722,6 @@ fn main() {
         density,
         scale,
         cores,
-        format!("{backend:?}").to_lowercase(),
-        threads,
         batch,
         pipeline,
         slow_conns,

@@ -14,7 +14,7 @@
 //! hopdb-cli query -x graph.idx 17 4242 [more pairs…]
 //! hopdb-cli query -x graph.idx --pairs batch.txt --threads 4
 //! hopdb-cli shard -x graph.idx --shards 4 [-o prefix]
-//! hopdb-cli serve -x graph.idx --addr 127.0.0.1:7654 [--backend epoll|threads]
+//! hopdb-cli serve -x graph.idx --addr 127.0.0.1:7654 [--batch-threads 1]
 //!                 [--flush-us 100] [--coalesce-pairs 4096] [--max-inflight 128]
 //!                 [--swap-path next.idx] [--max-resident-bytes N]
 //!                 [--graph graph.txt] [--compact-threshold N]
@@ -184,19 +184,19 @@ commands:
           range sidecar at PREFIX.shard<i>.shard, and the .rank sidecar
           is copied alongside when present; every shard is a complete
           index a stock `serve` daemon can load)
-  serve  -x INDEX [--addr HOST:PORT] [--backend epoll|threads]
-         [--threads N] [--batch-threads N] [--max-batch PAIRS]
+  serve  -x INDEX [--addr HOST:PORT] [--batch-threads N] [--max-batch PAIRS]
          [--flush-us US] [--coalesce-pairs P] [--max-inflight N]
          [--idle-timeout-ms MS] [--max-resident-bytes B] [--swap-path FILE]
          [--graph EDGELIST] [--compact-threshold EDGES]
          [--wal-dir DIR] [--durability off|batch|always] [--wal-max-bytes B]
          [--announce-file FILE] [--allow-remote-shutdown]
          (long-running TCP daemon; HOPQ wire protocol + HTTP/JSON on the
-          same port under the epoll backend; swap promotes --swap-path;
+          same port; one readiness loop, epoll on Linux and poll(2) on
+          other unix hosts; swap promotes --swap-path;
           --flush-us/--coalesce-pairs tune micro-batching, --max-inflight
-          caps pipelining per connection, --threads applies to the
-          threads backend; --graph names the edge list the index was
-          built from and enables compaction — the overlay folds into a
+          caps pipelining per connection, --batch-threads fans one query
+          batch across N workers; --graph names the edge list the index
+          was built from and enables compaction — the overlay folds into a
           fresh frozen index when it reaches --compact-threshold edges,
           0 = only on `admin compact`; --wal-dir enables the write-ahead
           log: accepted updates are logged there before they are
@@ -487,7 +487,6 @@ fn parse_backends(spec: &str) -> Result<Vec<std::net::SocketAddr>, CliError> {
     Ok(backends)
 }
 
-#[cfg(target_os = "linux")]
 fn cmd_serve_router(args: &Args, route: &str, out: &mut dyn Write) -> Result<(), CliError> {
     let mode = route.parse::<hopdb_server::RouteMode>().map_err(err)?;
     let backends = parse_backends(args.required("--backends")?)?;
@@ -526,11 +525,6 @@ fn cmd_serve_router(args: &Args, route: &str, out: &mut dyn Write) -> Result<(),
     Ok(())
 }
 
-#[cfg(not(target_os = "linux"))]
-fn cmd_serve_router(_args: &Args, _route: &str, _out: &mut dyn Write) -> Result<(), CliError> {
-    Err(err("serve --route requires the linux epoll backend"))
-}
-
 fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if let Some(route) = args.opt("--route") {
         return cmd_serve_router(args, route, out);
@@ -538,13 +532,7 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let target = args.required("-x")?;
     let addr = args.opt("--addr").unwrap_or("127.0.0.1:7654");
     let defaults = hopdb_server::ServerConfig::default();
-    let backend = match args.opt("--backend") {
-        None => defaults.backend,
-        Some(v) => v.parse::<hopdb_server::Backend>().map_err(err)?,
-    };
     let config = hopdb_server::ServerConfig {
-        backend,
-        threads: args.parsed("--threads")?.unwrap_or(0),
         batch_threads: args.parsed("--batch-threads")?.unwrap_or(1),
         max_batch: args.parsed("--max-batch")?.unwrap_or(hopdb_server::proto::DEFAULT_MAX_BATCH),
         max_resident_bytes: args.parsed("--max-resident-bytes")?,

@@ -98,7 +98,7 @@ fn spawn_daemon(
         .arg(&fx.graph_path)
         .arg("--wal-dir")
         .arg(wal_dir)
-        .args(["--durability", "always", "--addr", "127.0.0.1:0", "--backend", "threads"])
+        .args(["--durability", "always", "--addr", "127.0.0.1:0"])
         .arg("--announce-file")
         .arg(&announce)
         .stdout(Stdio::null())

@@ -27,7 +27,6 @@
 //!   smaller images whose per-shard answers min-merge back to the
 //!   unsharded answer, for scale-out serving;
 //! * [`bitparallel`] — the bit-parallel post-processing of Section 6;
-//! * [`path`] — shortest-path reconstruction on top of any oracle;
 //! * [`verify`] — brute-force exactness/minimality checkers for tests.
 //!
 //! ## Rank convention
@@ -43,7 +42,6 @@ pub mod entry;
 pub mod flat;
 pub mod index;
 pub mod overlay;
-pub mod path;
 pub mod query;
 pub mod shard;
 pub mod stats;

@@ -227,7 +227,7 @@ impl LiveGeneration {
     }
 
     /// [`LiveGeneration::query_many`] appending into a caller-owned
-    /// buffer — the reactor's micro-batcher answers many coalesced
+    /// buffer — the executor answers many coalesced micro-batched
     /// frames into one result vector. On error nothing is appended.
     pub fn query_many_into(
         &self,

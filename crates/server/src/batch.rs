@@ -1,6 +1,6 @@
-//! Adaptive micro-batching for the epoll backend.
+//! Adaptive micro-batching between the front and its executor.
 //!
-//! The reactor thread never runs queries. It cuts query frames off
+//! The front thread never runs queries. It cuts query frames off
 //! connections and [`Batcher::submit`]s them; a dedicated executor
 //! thread pulls *batches* with [`Batcher::next_batch`], coalescing the
 //! query pairs of many connections into one `FlatIndex::query_many`
@@ -15,18 +15,23 @@
 //!   the knob that bounds the latency a lonely request pays for the
 //!   chance of company.
 //!
-//! `epoll_wait` has millisecond granularity, so sub-millisecond
-//! deadlines live here instead: the executor parks on a condition
-//! variable with `wait_timeout` against the oldest job's deadline.
+//! The poller's timeout has millisecond granularity, so
+//! sub-millisecond deadlines live here instead: the executor parks on a
+//! condition variable with `wait_timeout` against the oldest job's
+//! deadline.
 //!
 //! Results travel back through [`Completions`]: the executor pushes
 //! encoded response bytes keyed by connection token and wakes the
-//! reactor's eventfd; the reactor drains the pile and queues the bytes
-//! onto the right connections.
+//! front's wakeup fd; the front drains the pile and queues the bytes
+//! onto the right connections. How an answer is encoded — `HOPR` frame
+//! or HTTP response — is decided here, by [`RespondAs`] and
+//! [`UpdateRespond`], for the index node and the router alike.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use crate::http;
+use crate::proto::{Response, ResponseBody};
 use crate::reactor::WakeFd;
 
 /// How a job's answer should be encoded once the distances are known.
@@ -49,6 +54,33 @@ pub enum RespondAs {
     },
 }
 
+impl RespondAs {
+    /// Encode the answers to `pairs`: the response bytes and whether
+    /// the connection closes after them.
+    pub fn distances(self, pairs: &[(u32, u32)], dists: &[u32]) -> (Vec<u8>, bool) {
+        match self {
+            RespondAs::Hopq { id } => {
+                (Response { id, body: ResponseBody::Distances(dists.to_vec()) }.encode(), false)
+            }
+            RespondAs::HttpOne { close } => {
+                (http::render_query_one(pairs[0].0, pairs[0].1, dists[0], close), close)
+            }
+            RespondAs::HttpMany { close } => (http::render_query_many(dists, close), close),
+        }
+    }
+
+    /// Encode a failed query: an error frame that keeps a `HOPQ`
+    /// connection, a `400` that closes an HTTP one.
+    pub fn error(self, msg: &str) -> (Vec<u8>, bool) {
+        match self {
+            RespondAs::Hopq { id } => (Response::error(id, msg).encode(), false),
+            RespondAs::HttpOne { .. } | RespondAs::HttpMany { .. } => {
+                (http::render_error(400, msg), true)
+            }
+        }
+    }
+}
+
 /// How an update job's ack should be encoded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UpdateRespond {
@@ -64,7 +96,33 @@ pub enum UpdateRespond {
     },
 }
 
-/// One unit of work cut off a connection by the reactor.
+impl UpdateRespond {
+    /// Encode an update's `(generation, overlay_edges)` ack or its
+    /// failure: the response bytes and whether the connection closes.
+    pub fn outcome(self, result: Result<(u64, u64), String>) -> (Vec<u8>, bool) {
+        match (self, result) {
+            (UpdateRespond::Hopq { id }, Ok((generation, overlay_edges))) => {
+                let body = ResponseBody::Updated { generation, overlay_edges };
+                (Response { id, body }.encode(), false)
+            }
+            (UpdateRespond::Hopq { id }, Err(e)) => {
+                (Response::error(id, &format!("update failed: {e}")).encode(), false)
+            }
+            (UpdateRespond::Http { close }, Ok((generation, overlay_edges))) => {
+                (http::render_update(generation, overlay_edges, close), close)
+            }
+            (UpdateRespond::Http { .. }, Err(e)) => {
+                (http::render_error(400, &format!("update failed: {e}")), true)
+            }
+        }
+    }
+}
+
+/// One executable query job: (connection token, response encoding,
+/// query pairs).
+pub type QueryJob = (u64, RespondAs, Vec<(u32, u32)>);
+
+/// One unit of work cut off a connection by the front.
 #[derive(Debug)]
 pub enum Job {
     /// A batch of distance queries from one request frame.
@@ -77,7 +135,7 @@ pub enum Job {
         pairs: Vec<(u32, u32)>,
     },
     /// A hot-swap request (runs on the executor so the disk load never
-    /// blocks the reactor).
+    /// blocks the front).
     Swap {
         /// Connection token the answer goes back to.
         conn: u64,
@@ -99,6 +157,17 @@ pub enum Job {
 }
 
 impl Job {
+    /// The request id to echo when this job is answered with a `HOPR`
+    /// frame; `None` for a job that arrived over HTTP.
+    pub fn hopq_id(&self) -> Option<u64> {
+        match self {
+            Job::Query { respond: RespondAs::Hopq { id }, .. }
+            | Job::Update { respond: UpdateRespond::Hopq { id }, .. }
+            | Job::Swap { id, .. } => Some(*id),
+            Job::Query { .. } | Job::Update { .. } => None,
+        }
+    }
+
     fn pairs(&self) -> usize {
         match self {
             Job::Query { pairs, .. } => pairs.len(),
@@ -118,7 +187,7 @@ struct Queue {
     stopped: bool,
 }
 
-/// The shared reactor→executor job queue with coalescing flush rules.
+/// The shared front→executor job queue with coalescing flush rules.
 pub struct Batcher {
     queue: Mutex<Queue>,
     ready: Condvar,
@@ -199,21 +268,20 @@ impl Default for Batcher {
     }
 }
 
-/// One finished job: response bytes bound for a connection.
+/// One finished job: the answer to one in-flight request of a
+/// connection.
 #[derive(Debug)]
 pub struct Completion {
     /// Connection token.
     pub conn: u64,
     /// Encoded response (HOPR frame or HTTP response).
     pub bytes: Vec<u8>,
-    /// How many in-flight requests this completes on that connection.
-    pub answered: usize,
     /// Close the connection once these bytes flush.
     pub close_after: bool,
 }
 
-/// The executor→reactor completion pile, coupled to the reactor's
-/// wakeup eventfd.
+/// The executor→front completion pile, coupled to the front's wakeup
+/// fd.
 pub struct Completions {
     pile: Mutex<Vec<Completion>>,
     wake: Arc<WakeFd>,
@@ -225,15 +293,16 @@ impl Completions {
         Completions { pile: Mutex::new(Vec::new()), wake }
     }
 
-    /// Push one completion and wake the reactor.
-    pub fn push(&self, completion: Completion) {
+    /// Push the `(bytes, close_after)` answer to one request of `conn`
+    /// and wake the front.
+    pub fn answer(&self, conn: u64, (bytes, close_after): (Vec<u8>, bool)) {
         if let Ok(mut pile) = self.pile.lock() {
-            pile.push(completion);
+            pile.push(Completion { conn, bytes, close_after });
         }
         self.wake.wake();
     }
 
-    /// Take everything queued (reactor side).
+    /// Take everything queued (front side).
     pub fn drain(&self) -> Vec<Completion> {
         self.pile.lock().map(|mut pile| std::mem::take(&mut *pile)).unwrap_or_default()
     }
@@ -291,12 +360,7 @@ mod tests {
         let mut poller = Poller::new(4).unwrap();
         poller.register(&*wake, EV_READ, 1).unwrap();
         let completions = Completions::new(Arc::clone(&wake));
-        completions.push(Completion {
-            conn: 7,
-            bytes: vec![1, 2, 3],
-            answered: 1,
-            close_after: false,
-        });
+        completions.answer(7, (vec![1, 2, 3], false));
         let mut woke = false;
         poller.wait(Some(1000), |ev| woke = ev.token == 1).unwrap();
         assert!(woke);

@@ -1,4 +1,4 @@
-//! Per-connection state for the epoll backend.
+//! Per-connection state for the serving loop.
 //!
 //! A [`Conn`] owns one nonblocking `TcpStream` plus the read and write
 //! buffers that turn readiness events into whole protocol requests:
@@ -18,7 +18,7 @@
 //! permanent.
 //!
 //! The connection itself never decides *policy* — in-flight caps, write
-//! high-water backpressure, and idle timeouts are judged by the reactor
+//! high-water backpressure, and idle timeouts are judged by the serving
 //! loop reading [`Conn`] fields; this module only does mechanics.
 
 use std::io::{Read, Write};
@@ -28,7 +28,7 @@ use std::time::Instant;
 use crate::http::{self, HttpDecoded};
 use crate::proto::{decode_request, Decoded, Request};
 
-/// Bytes read from a socket per readiness pass. Level-triggered epoll
+/// Bytes read from a socket per readiness pass. A level-triggered poller
 /// re-reports a socket with leftover bytes, so a bounded pass keeps one
 /// fire-hose connection from starving the rest.
 const READ_PASS_BUDGET: usize = 256 << 10;
@@ -90,7 +90,7 @@ pub enum ConnState {
         /// Remaining discard budget in bytes.
         budget: usize,
     },
-    /// Fully done — the reactor should deregister and drop it.
+    /// Fully done — the loop should deregister and drop it.
     Dead,
 }
 
@@ -102,7 +102,7 @@ pub struct Conn {
     pub mode: Mode,
     /// Lifecycle state.
     pub state: ConnState,
-    /// Unanswered requests handed to the batcher. The reactor stops
+    /// Unanswered requests handed to the batcher. The loop stops
     /// *reading* (not answering) past its cap.
     pub inflight: usize,
     /// Peer closed its write side (EOF seen); finish in-flight work,

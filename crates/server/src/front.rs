@@ -1,0 +1,603 @@
+//! The one serving loop: a readiness-driven front end shared by the
+//! index node ([`crate::server`]) and the router ([`crate::router`]).
+//!
+//! ```text
+//! front thread                        service threads
+//!   Poller::wait ──► accept / read      Batcher::next_batch
+//!   cut frames (HOPQ or HTTP)  ──────►    node: executor, one query_many
+//!   answer stats/shutdown and             router: dispatcher + workers
+//!   parse errors inline               ◄── Completions + WakeFd wake
+//!   queue + flush responses
+//! ```
+//!
+//! The front never blocks on a socket and never runs a query; what sits
+//! behind the [`Batcher`] never touches a socket. In-flight caps and
+//! the write high-water mark turn misbehaving peers into *paused* peers
+//! (their readable interest is dropped) instead of unbounded memory.
+//!
+//! Everything the two endpoints do identically lives here: connection
+//! lifecycle, framing, the error discipline of `proto`, backpressure,
+//! idle eviction, graceful drain, request counters, and the answers to
+//! `query`, `stats` and `shutdown`. What differs is behind [`Service`].
+
+use std::collections::HashMap;
+use std::io::Read;
+use std::net::{Shutdown, TcpListener};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+use crate::batch::{Batcher, Completions, Job, RespondAs, UpdateRespond};
+use crate::conn::{Conn, ConnRequest, ConnState, Mode};
+use crate::http::{self, HttpRequest};
+use crate::proto::{RequestBody, Response, ResponseBody, StatsReply};
+use crate::reactor::{Event, Poller, WakeFd, EV_READ, EV_WRITE};
+
+const TOKEN_LISTENER: u64 = 0;
+const TOKEN_WAKER: u64 = 1;
+const FIRST_CONN_TOKEN: u64 = 2;
+/// Loop tick: upper bound on how stale idle/drain bookkeeping can get;
+/// all real work is event-driven.
+const POLL_TICK_MS: i32 = 25;
+/// Graceful-drain budget after a stop: owed responses get this long to
+/// flush before connections are cut.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(3);
+/// Post-error discard budget (bytes, and seconds of patience) so a
+/// close doesn't RST away the final error frame.
+const DISCARD_BUDGET: usize = 1 << 20;
+const DISCARD_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// The per-endpoint knobs the loop enforces.
+pub(crate) struct Limits {
+    /// Pairs (or edges) accepted per request frame.
+    pub(crate) max_batch: usize,
+    /// Unanswered `HOPQ` frames per connection before reads pause.
+    pub(crate) max_inflight: usize,
+    /// Evict connections idle this long (0 = never).
+    pub(crate) idle_timeout_ms: u64,
+    /// Honour remote shutdown frames.
+    pub(crate) allow_shutdown: bool,
+}
+
+/// The loop's request counters, as of the request being answered.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Traffic {
+    /// Requests cut off connections since boot (all kinds, errors
+    /// included).
+    pub(crate) requests: u64,
+    /// Malformed frames seen since boot (recoverable and fatal).
+    pub(crate) protocol_errors: u64,
+}
+
+/// The `HOPQ` kinds an index node and a router treat differently.
+pub(crate) enum Admin {
+    /// Promote the swap path.
+    Swap,
+    /// Fold the overlay into a fresh frozen generation.
+    Compact,
+    /// Extended serving statistics.
+    Info,
+    /// Serving-topology description.
+    RouteInfo,
+}
+
+/// What a service does with an [`Admin`] request.
+pub(crate) enum Outcome {
+    /// Answer now with this body.
+    Reply(ResponseBody),
+    /// Queue this job; its answer arrives through [`Completions`].
+    Submit(Job),
+    /// The service queued the work itself; the answer arrives through
+    /// [`Completions`].
+    Deferred,
+}
+
+/// What an endpoint supplies to the shared loop. Two impls: the index
+/// node and the router.
+pub(crate) trait Service: Send + Sync + 'static {
+    /// How the loop's own refusals name this endpoint.
+    const NAME: &'static str;
+
+    /// The knobs the loop enforces (read once, at spawn).
+    fn limits(&self) -> Limits;
+
+    /// Stop the whole endpoint (an accepted shutdown frame). Must end
+    /// in [`FrontHandle::begin_stop`].
+    fn begin_stop(&self);
+
+    /// Why this endpoint takes no update batches; `None` = it does.
+    fn refuses_updates(&self) -> Option<&'static str>;
+
+    /// Handle `kind`, sent as request `id` on connection `conn`.
+    fn admin(&self, traffic: Traffic, conn: u64, id: u64, kind: Admin) -> Outcome;
+
+    /// The `stats` reply.
+    fn stats_reply(&self, traffic: Traffic) -> StatsReply;
+
+    /// The `GET /stats` JSON body.
+    fn stats_json(&self, traffic: Traffic) -> String;
+}
+
+/// How the rest of an endpoint reaches its running loop: the job queue
+/// in, the completion pile back, and the stop switch.
+#[derive(Clone)]
+pub(crate) struct FrontHandle {
+    wake: Arc<WakeFd>,
+    pub(crate) batcher: Arc<Batcher>,
+    pub(crate) completions: Arc<Completions>,
+    stop: Arc<AtomicBool>,
+}
+
+impl FrontHandle {
+    pub(crate) fn new() -> std::io::Result<FrontHandle> {
+        let wake = Arc::new(WakeFd::new()?);
+        Ok(FrontHandle {
+            completions: Arc::new(Completions::new(Arc::clone(&wake))),
+            wake,
+            batcher: Arc::new(Batcher::new()),
+            stop: Arc::new(AtomicBool::new(false)),
+        })
+    }
+
+    /// Flip the stop flag, refuse further jobs, and wake the loop so it
+    /// stops accepting, flushes what is owed, and exits. Returns `true`
+    /// only for the call that flipped the flag.
+    pub(crate) fn begin_stop(&self) -> bool {
+        if self.stop.swap(true, Ordering::SeqCst) {
+            return false;
+        }
+        self.batcher.stop();
+        self.wake.wake();
+        true
+    }
+
+    pub(crate) fn stopping(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+}
+
+/// Start the loop for `service` on `listener`; the thread exits after
+/// [`FrontHandle::begin_stop`] once owed responses have drained.
+pub(crate) fn spawn<S: Service>(
+    listener: TcpListener,
+    service: Arc<S>,
+    handle: FrontHandle,
+) -> std::io::Result<JoinHandle<()>> {
+    listener.set_nonblocking(true)?;
+    let mut poller = Poller::new(256)?;
+    poller.register(&listener, EV_READ, TOKEN_LISTENER)?;
+    poller.register(&*handle.wake, EV_READ, TOKEN_WAKER)?;
+    let front = Front {
+        limits: service.limits(),
+        service,
+        handle,
+        poller,
+        listener,
+        conns: HashMap::new(),
+        next_token: FIRST_CONN_TOKEN,
+        draining_since: None,
+        traffic: Traffic::default(),
+    };
+    Ok(std::thread::spawn(move || front.run()))
+}
+
+struct Front<S: Service> {
+    service: Arc<S>,
+    limits: Limits,
+    handle: FrontHandle,
+    poller: Poller,
+    listener: TcpListener,
+    conns: HashMap<u64, Conn>,
+    next_token: u64,
+    draining_since: Option<Instant>,
+    traffic: Traffic,
+}
+
+impl<S: Service> Front<S> {
+    fn run(mut self) {
+        let mut events: Vec<Event> = Vec::new();
+        loop {
+            if self.handle.stopping() && self.draining_since.is_none() {
+                self.begin_drain();
+            }
+            if let Some(since) = self.draining_since {
+                let owed =
+                    self.conns.values().any(|c| c.inflight > 0 || c.pending_write_bytes() > 0);
+                if !owed || since.elapsed() > DRAIN_DEADLINE {
+                    break;
+                }
+            }
+            events.clear();
+            if self.poller.wait(Some(POLL_TICK_MS), |ev| events.push(ev)).is_err() {
+                break;
+            }
+            for ev in &events {
+                match ev.token {
+                    TOKEN_LISTENER => self.accept_ready(),
+                    TOKEN_WAKER => self.handle.wake.drain(),
+                    token => {
+                        if ev.readable() {
+                            self.conn_readable(token);
+                        }
+                        if ev.writable() {
+                            self.conn_writable(token);
+                        }
+                    }
+                }
+            }
+            self.apply_completions();
+            self.advance_all();
+        }
+        // Dropping the map closes every socket; dropping the listener
+        // closes the port.
+    }
+
+    fn begin_drain(&mut self) {
+        self.draining_since = Some(Instant::now());
+        let _ = self.poller.deregister(&self.listener);
+        for conn in self.conns.values_mut() {
+            if conn.state == ConnState::Open {
+                conn.state = ConnState::CloseAfterFlush;
+            }
+        }
+    }
+
+    fn accept_ready(&mut self) {
+        if self.draining_since.is_some() {
+            return;
+        }
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let _ = stream.set_nodelay(true);
+                    let token = self.next_token;
+                    self.next_token += 1;
+                    if self.poller.register(&stream, EV_READ, token).is_ok() {
+                        let mut conn = Conn::new(stream, Instant::now());
+                        conn.registered = EV_READ;
+                        self.conns.insert(token, conn);
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+    }
+
+    fn conn_readable(&mut self, token: u64) {
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        let cap = inflight_cap(&self.limits, conn.mode);
+        match conn.state {
+            ConnState::Open => {
+                // Backpressure: a capped or backed-up connection is
+                // simply not read. The level-triggered poller
+                // re-reports it once interest returns.
+                if conn.inflight >= cap || conn.write_backed_up() {
+                    return;
+                }
+                if conn.fill(Instant::now()).is_err() {
+                    conn.state = ConnState::Dead;
+                    return;
+                }
+                self.parse_conn(token);
+            }
+            ConnState::Draining { budget } => {
+                let mut left = budget;
+                let mut chunk = [0u8; 4096];
+                loop {
+                    if left == 0 {
+                        conn.state = ConnState::Dead;
+                        break;
+                    }
+                    match conn.stream.read(&mut chunk) {
+                        Ok(0) => {
+                            conn.state = ConnState::Dead;
+                            break;
+                        }
+                        Ok(n) => left = left.saturating_sub(n),
+                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                            conn.state = ConnState::Draining { budget: left };
+                            break;
+                        }
+                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                        Err(_) => {
+                            conn.state = ConnState::Dead;
+                            break;
+                        }
+                    }
+                }
+            }
+            ConnState::CloseAfterFlush | ConnState::Dead => {}
+        }
+    }
+
+    fn conn_writable(&mut self, token: u64) {
+        if let Some(conn) = self.conns.get_mut(&token) {
+            if conn.pending_write_bytes() > 0 && conn.flush().is_err() {
+                conn.state = ConnState::Dead;
+            }
+        }
+    }
+
+    /// Cut and dispatch every whole request buffered on `token`,
+    /// stopping at the in-flight cap.
+    fn parse_conn(&mut self, token: u64) {
+        loop {
+            let request = {
+                let Some(conn) = self.conns.get_mut(&token) else { return };
+                let cap = inflight_cap(&self.limits, conn.mode);
+                if conn.state != ConnState::Open || conn.inflight >= cap || conn.write_backed_up() {
+                    return;
+                }
+                match conn.next_request(self.limits.max_batch) {
+                    Some(request) => request,
+                    None => {
+                        // EOF with a partial frame still buffered: the
+                        // peer can never complete it.
+                        if conn.peer_eof && conn.pending_read_bytes() > 0 {
+                            self.traffic.protocol_errors += 1;
+                            let bye = Response::error(0, "truncated frame");
+                            conn.queue_write(&bye.encode(), Instant::now());
+                            conn.state = ConnState::CloseAfterFlush;
+                        }
+                        return;
+                    }
+                }
+            };
+            self.dispatch(token, request);
+        }
+    }
+
+    fn dispatch(&mut self, token: u64, request: ConnRequest) {
+        match request {
+            ConnRequest::Hopq(req) => {
+                self.traffic.requests += 1;
+                let id = req.id;
+                match req.body {
+                    RequestBody::Query(pairs) => {
+                        let respond = RespondAs::Hopq { id };
+                        self.submit(token, Job::Query { conn: token, respond, pairs });
+                    }
+                    RequestBody::Update(edges) => {
+                        self.submit_update(token, UpdateRespond::Hopq { id }, edges);
+                    }
+                    RequestBody::Swap => self.admin(token, id, Admin::Swap),
+                    RequestBody::Compact => self.admin(token, id, Admin::Compact),
+                    RequestBody::Info => self.admin(token, id, Admin::Info),
+                    RequestBody::RouteInfo => self.admin(token, id, Admin::RouteInfo),
+                    RequestBody::Stats => {
+                        let body = ResponseBody::Stats(self.service.stats_reply(self.traffic));
+                        self.queue_response(token, Response { id, body }, false);
+                    }
+                    RequestBody::Shutdown => {
+                        if self.limits.allow_shutdown {
+                            let resp = Response { id, body: ResponseBody::Bye };
+                            self.queue_response(token, resp, false);
+                            self.service.begin_stop();
+                        } else {
+                            let msg = format!("remote shutdown is disabled on this {}", S::NAME);
+                            self.queue_response(token, Response::error(id, &msg), false);
+                        }
+                    }
+                }
+            }
+            ConnRequest::HopqBad { id, msg } => {
+                self.traffic.requests += 1;
+                self.traffic.protocol_errors += 1;
+                self.queue_response(token, Response::error(id, &msg), false);
+            }
+            ConnRequest::HopqFatal(msg) => {
+                self.traffic.protocol_errors += 1;
+                self.queue_response(token, Response::error(0, &msg), true);
+            }
+            ConnRequest::Http { request, close } => {
+                self.traffic.requests += 1;
+                match request {
+                    HttpRequest::QueryOne { s, t } => {
+                        let respond = RespondAs::HttpOne { close };
+                        self.submit(
+                            token,
+                            Job::Query { conn: token, respond, pairs: vec![(s, t)] },
+                        );
+                    }
+                    HttpRequest::QueryMany(pairs) => {
+                        let respond = RespondAs::HttpMany { close };
+                        self.submit(token, Job::Query { conn: token, respond, pairs });
+                    }
+                    HttpRequest::Update(edges) => {
+                        self.submit_update(token, UpdateRespond::Http { close }, edges);
+                    }
+                    HttpRequest::Stats => {
+                        let body = self.service.stats_json(self.traffic);
+                        let bytes = http::render_response(200, &body, close);
+                        self.queue_bytes(token, &bytes, close);
+                    }
+                }
+            }
+            ConnRequest::HttpError(resp) => {
+                self.traffic.protocol_errors += 1;
+                self.queue_bytes(token, &resp, true);
+            }
+        }
+    }
+
+    fn admin(&mut self, token: u64, id: u64, kind: Admin) {
+        match self.service.admin(self.traffic, token, id, kind) {
+            Outcome::Reply(body) => self.queue_response(token, Response { id, body }, false),
+            Outcome::Submit(job) => self.submit(token, job),
+            Outcome::Deferred => self.owe(token),
+        }
+    }
+
+    fn submit_update(&mut self, token: u64, respond: UpdateRespond, edges: Vec<(u32, u32, u32)>) {
+        match (self.service.refuses_updates(), respond) {
+            (None, _) => self.submit(token, Job::Update { conn: token, respond, edges }),
+            (Some(why), UpdateRespond::Hopq { id }) => {
+                self.queue_response(token, Response::error(id, why), false);
+            }
+            (Some(why), UpdateRespond::Http { .. }) => {
+                self.queue_bytes(token, &http::render_error(400, why), true);
+            }
+        }
+    }
+
+    /// Hand `job` to the batcher, or — once the endpoint is stopping —
+    /// refuse it in the encoding its answer would have had.
+    fn submit(&mut self, token: u64, job: Job) {
+        let hopq_id = job.hopq_id();
+        if self.handle.batcher.submit(job) {
+            self.owe(token);
+            return;
+        }
+        let msg = format!("{} is stopping", S::NAME);
+        match hopq_id {
+            Some(id) => self.queue_response(token, Response::error(id, &msg), false),
+            None => self.queue_bytes(token, &http::render_error(503, &msg), true),
+        }
+    }
+
+    /// One more answer to `token` is on its way through `Completions`.
+    fn owe(&mut self, token: u64) {
+        if let Some(conn) = self.conns.get_mut(&token) {
+            conn.inflight += 1;
+        }
+    }
+
+    fn queue_response(&mut self, token: u64, resp: Response, close_after: bool) {
+        self.queue_bytes(token, &resp.encode(), close_after);
+    }
+
+    fn queue_bytes(&mut self, token: u64, bytes: &[u8], close_after: bool) {
+        if let Some(conn) = self.conns.get_mut(&token) {
+            conn.queue_write(bytes, Instant::now());
+            if close_after && conn.state == ConnState::Open {
+                conn.state = ConnState::CloseAfterFlush;
+            }
+        }
+    }
+
+    fn apply_completions(&mut self) {
+        for done in self.handle.completions.drain() {
+            if let Some(conn) = self.conns.get_mut(&done.conn) {
+                conn.inflight = conn.inflight.saturating_sub(1);
+                conn.queue_write(&done.bytes, Instant::now());
+                if done.close_after && conn.state == ConnState::Open {
+                    conn.state = ConnState::CloseAfterFlush;
+                }
+            }
+        }
+    }
+
+    /// Advance every connection's state machine: parse leftovers
+    /// (capacity may have freed), flush, transition, re-arm.
+    fn advance_all(&mut self) {
+        let now = Instant::now();
+        let tokens: Vec<u64> = self.conns.keys().copied().collect();
+        for token in tokens {
+            self.advance_conn(token, now);
+        }
+    }
+
+    fn advance_conn(&mut self, token: u64, now: Instant) {
+        self.parse_conn(token);
+        let idle = match self.limits.idle_timeout_ms {
+            0 => None,
+            ms => Some(Duration::from_millis(ms)),
+        };
+        let drain_mode = self.draining_since.is_some();
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        let cap = inflight_cap(&self.limits, conn.mode);
+        if conn.pending_write_bytes() > 0 && conn.flush().is_err() {
+            conn.state = ConnState::Dead;
+        }
+        match conn.state {
+            ConnState::Open => {
+                if conn.peer_eof
+                    && conn.inflight == 0
+                    && conn.pending_write_bytes() == 0
+                    && conn.pending_read_bytes() == 0
+                {
+                    conn.state = ConnState::Dead;
+                } else if let Some(idle) = idle {
+                    if conn.inflight == 0
+                        && conn.pending_write_bytes() == 0
+                        && now.duration_since(conn.last_activity) >= idle
+                    {
+                        conn.state = ConnState::Dead;
+                    }
+                }
+            }
+            ConnState::CloseAfterFlush => {
+                if conn.inflight == 0 && conn.pending_write_bytes() == 0 {
+                    // Half-close, then linger (bounded) discarding what
+                    // the peer already sent, so the close can't RST
+                    // away the frames just flushed.
+                    let _ = conn.stream.shutdown(Shutdown::Write);
+                    conn.state = if conn.peer_eof {
+                        ConnState::Dead
+                    } else {
+                        ConnState::Draining { budget: DISCARD_BUDGET }
+                    };
+                    conn.last_activity = now;
+                }
+            }
+            ConnState::Draining { .. } => {
+                if conn.peer_eof || now.duration_since(conn.last_activity) > DISCARD_TIMEOUT {
+                    conn.state = ConnState::Dead;
+                }
+            }
+            ConnState::Dead => {}
+        }
+        let mut dead = conn.state == ConnState::Dead;
+        if !dead {
+            let desired = desired_interest(conn, cap, drain_mode);
+            if desired != conn.registered {
+                match self.poller.rearm(&conn.stream, desired, token) {
+                    Ok(()) => conn.registered = desired,
+                    Err(_) => dead = true,
+                }
+            }
+        }
+        if dead {
+            if let Some(conn) = self.conns.remove(&token) {
+                let _ = self.poller.deregister(&conn.stream);
+            }
+        }
+    }
+}
+
+/// Per-connection cap on unanswered requests: HTTP answers must stay in
+/// order, so HTTP connections run one at a time.
+fn inflight_cap(limits: &Limits, mode: Mode) -> usize {
+    if mode == Mode::Http {
+        1
+    } else {
+        limits.max_inflight.max(1)
+    }
+}
+
+/// The interest mask a connection's state calls for.
+fn desired_interest(conn: &Conn, cap: usize, drain_mode: bool) -> u32 {
+    let mut mask = 0;
+    match conn.state {
+        ConnState::Open => {
+            let paused =
+                conn.inflight >= cap || conn.write_backed_up() || conn.peer_eof || drain_mode;
+            if !paused {
+                mask |= EV_READ;
+            }
+            if conn.pending_write_bytes() > 0 {
+                mask |= EV_WRITE;
+            }
+        }
+        ConnState::CloseAfterFlush => mask |= EV_WRITE,
+        ConnState::Draining { .. } => mask |= EV_READ,
+        ConnState::Dead => {}
+    }
+    mask
+}

@@ -1,6 +1,6 @@
 //! A minimal HTTP/1.1 + JSON front for browser and dashboard clients.
 //!
-//! The epoll backend speaks two protocols on one port: the binary
+//! The serving loop speaks two protocols on one port: the binary
 //! `HOPQ` framing and this HTTP front, distinguished by the first bytes
 //! a connection sends. The HTTP surface is deliberately small:
 //!

@@ -16,7 +16,13 @@
 //! * [`proto`] — the `HOPQ`/`HOPR` wire format and its codec;
 //! * [`backend`] — one immutable index generation (resident or
 //!   disk-cached) plus optional `.rank` id translation;
-//! * [`server`] — accept loop, connection worker pool, dispatch, swap;
+//! * `front` — the one readiness-driven serving loop (framing,
+//!   pipelining, backpressure, HOPQ and HTTP on one port), shared by
+//!   the index node and the router; [`reactor`] picks its poller at
+//!   build time (epoll on Linux, `poll(2)` on other unix);
+//! * [`server`] — the index node: boot/recovery, query executor, live
+//!   updates, swap, compaction;
+//! * [`router`] — the replica/shard fan-out endpoint;
 //! * [`client`] — a blocking client used by `hopdb-cli admin`, the
 //!   `serverperf` harness, and the end-to-end tests.
 //!
@@ -43,22 +49,18 @@
 //! ```
 
 pub mod backend;
-#[cfg(target_os = "linux")]
 pub mod batch;
 pub mod client;
-#[cfg(target_os = "linux")]
 pub mod conn;
+mod front;
 pub mod http;
 pub mod proto;
-#[cfg(target_os = "linux")]
 pub mod reactor;
-#[cfg(target_os = "linux")]
 pub mod router;
 pub mod server;
 pub mod wal;
 
 pub use backend::{Generation, LiveGeneration};
 pub use client::Client;
-#[cfg(target_os = "linux")]
 pub use router::{serve_router, RouteMode, RouterConfig, RouterHandle};
-pub use server::{serve, Backend, ServerConfig, ServerHandle};
+pub use server::{serve, ServerConfig, ServerHandle};

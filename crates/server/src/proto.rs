@@ -64,12 +64,11 @@
 //!
 //! * Every well-formed request gets exactly one response carrying its
 //!   id (recoverable violations get an error response with the id).
-//! * Responses may arrive **out of order**: the epoll backend coalesces
-//!   query frames from many connections into shared micro-batches, and
-//!   batches complete independently. Clients must correlate by id
-//!   (see `client::Session`), never by arrival order.
-//! * The threaded backend happens to answer in order; clients must not
-//!   rely on that.
+//! * Responses may arrive **out of order**: the server coalesces query
+//!   frames from many connections into shared micro-batches, batches
+//!   complete independently, and parse-level errors are answered
+//!   without queueing at all. Clients must correlate by id (see
+//!   `client::Session`), never by arrival order.
 //! * Servers cap the number of unanswered query frames per connection
 //!   (default 128) and stop *reading* — not answering — beyond the cap,
 //!   so a well-behaved pipelined client just sees backpressure.
@@ -90,11 +89,11 @@
 //! stream unsynchronizable: the server sends a final error frame (id 0)
 //! and closes. Nothing in this module panics on malformed input.
 //!
-//! Two decoding front ends share one payload parser: [`read_request`]
-//! blocks on a stream (the threaded backend), while [`decode_request`]
-//! consumes a byte buffer incrementally and reports `Incomplete` until
-//! a whole frame has arrived (the epoll backend's per-connection read
-//! buffer, where frames arrive split at arbitrary byte boundaries).
+//! Requests are decoded by [`decode_request`], which consumes a byte
+//! buffer incrementally and reports `Incomplete` until a whole frame
+//! has arrived (the server's per-connection read buffer, where frames
+//! arrive split at arbitrary byte boundaries). Responses are decoded by
+//! [`read_response`], which blocks on a stream (the client).
 
 use extmem::wire;
 use std::io::Read;
@@ -357,16 +356,6 @@ impl ResponseBody {
 pub enum ProtoError {
     /// Clean EOF at a frame boundary: the peer closed the connection.
     Closed,
-    /// The header was valid and the payload fully consumed, but its
-    /// contents violate the protocol. The stream is still
-    /// frame-aligned; the connection can continue after an error
-    /// response carrying the echoed `id`.
-    Bad {
-        /// Request id from the offending frame's header.
-        id: u64,
-        /// What was wrong with the payload.
-        msg: String,
-    },
     /// The stream cannot be trusted to be frame-aligned any more (bad
     /// magic/version, oversized declared length, EOF mid-frame). The
     /// connection must be closed.
@@ -379,7 +368,6 @@ impl std::fmt::Display for ProtoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ProtoError::Closed => write!(f, "connection closed"),
-            ProtoError::Bad { id, msg } => write!(f, "bad request {id}: {msg}"),
             ProtoError::Fatal(msg) => write!(f, "protocol violation: {msg}"),
             ProtoError::Io(e) => write!(f, "i/o error: {e}"),
         }
@@ -455,6 +443,11 @@ impl Request {
 }
 
 impl Response {
+    /// An error response to request `id`.
+    pub fn error(id: u64, msg: &str) -> Response {
+        Response { id, body: ResponseBody::Error(msg.to_string()) }
+    }
+
     /// Serialize this response into one wire frame.
     pub fn encode(&self) -> Vec<u8> {
         let (status, payload): (u8, Vec<u8>) = match &self.body {
@@ -550,13 +543,10 @@ impl Response {
     }
 }
 
-/// Read one frame header + payload. Returns
-/// `(version, kind, id, payload)`; `Closed` only on EOF before the
+/// Read one response frame header + payload. Returns
+/// `(version, status, id, payload)`; `Closed` only on EOF before the
 /// first header byte.
-fn read_frame(
-    r: &mut impl Read,
-    expect_magic: [u8; 4],
-) -> Result<(u8, u8, u64, Vec<u8>), ProtoError> {
+fn read_frame(r: &mut impl Read) -> Result<(u8, u8, u64, Vec<u8>), ProtoError> {
     let mut header = [0u8; HEADER_LEN];
     // Distinguish "no next frame" (clean close) from "EOF mid-header".
     match r.read(&mut header) {
@@ -572,15 +562,13 @@ fn read_frame(
                 }
             }
         }
-        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-            return read_frame(r, expect_magic)
-        }
+        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => return read_frame(r),
         Err(e) => return Err(ProtoError::Io(e)),
     }
     // Irrefutable split of the 18 header bytes: magic, version, kind,
     // id, declared payload length. No indexing, so no panic path.
     let [m0, m1, m2, m3, version, kind, i0, i1, i2, i3, i4, i5, i6, i7, l0, l1, l2, l3] = header;
-    if [m0, m1, m2, m3] != expect_magic {
+    if [m0, m1, m2, m3] != RESP_MAGIC {
         return Err(ProtoError::Fatal("bad frame magic".into()));
     }
     if !(MIN_VERSION..=VERSION).contains(&version) {
@@ -693,19 +681,8 @@ fn parse_request_payload(
     }
 }
 
-/// Decode one request frame from `r`, enforcing `max_batch` pairs per
-/// query. Payload-level violations come back as recoverable
-/// [`ProtoError::Bad`] values carrying the request id.
-pub fn read_request(r: &mut impl Read, max_batch: usize) -> Result<Request, ProtoError> {
-    let (version, kind, id, payload) = read_frame(r, REQ_MAGIC)?;
-    match parse_request_payload(version, kind, &payload, max_batch) {
-        Ok(body) => Ok(Request { id, body }),
-        Err(msg) => Err(ProtoError::Bad { id, msg }),
-    }
-}
-
 /// Outcome of trying to decode one request frame from the front of a
-/// byte buffer (the nonblocking read path).
+/// byte buffer.
 #[derive(Debug)]
 pub enum Decoded {
     /// The buffer does not yet hold a whole frame; read more bytes and
@@ -733,10 +710,10 @@ pub enum Decoded {
     Fatal(String),
 }
 
-/// Incrementally decode one request frame from the front of `buf`.
+/// Incrementally decode one request frame from the front of `buf`,
+/// enforcing `max_batch` pairs per query.
 ///
-/// Mirrors [`read_request`]'s error discipline exactly, but never
-/// blocks: with fewer bytes than one whole frame it returns
+/// Never blocks: with fewer bytes than one whole frame it returns
 /// [`Decoded::Incomplete`] and consumes nothing. Header-level
 /// violations (magic, version, declared length over [`MAX_PAYLOAD`])
 /// are detected as soon as the relevant bytes are present, before the
@@ -780,7 +757,7 @@ pub fn decode_request(buf: &[u8], max_batch: usize) -> Decoded {
 /// Decode one response frame from `r`. Malformed responses are always
 /// fatal on the client side — a client has no one to report them to.
 pub fn read_response(r: &mut impl Read) -> Result<Response, ProtoError> {
-    let (_version, status, id, payload) = read_frame(r, RESP_MAGIC)?;
+    let (_version, status, id, payload) = read_frame(r)?;
     let bad = |msg: &str| ProtoError::Fatal(msg.to_string());
     let body = match status {
         STATUS_ERROR => ResponseBody::Error(String::from_utf8_lossy(&payload).into_owned()),
@@ -892,8 +869,13 @@ mod tests {
         ] {
             let req = Request { id: 0xDEAD_BEEF_0BAD_CAFE, body };
             let bytes = req.encode();
-            let got = read_request(&mut Cursor::new(&bytes), 1 << 16).unwrap();
-            assert_eq!(got, req);
+            match decode_request(&bytes, 1 << 16) {
+                Decoded::Request { request, used } => {
+                    assert_eq!(request, req);
+                    assert_eq!(used, bytes.len());
+                }
+                other => panic!("want Request, got {other:?}"),
+            }
         }
     }
 
@@ -956,20 +938,26 @@ mod tests {
 
     #[test]
     fn eof_at_boundary_is_closed_mid_header_is_fatal() {
-        assert!(matches!(read_request(&mut Cursor::new(&[]), 16), Err(ProtoError::Closed)));
-        let frame = Request { id: 1, body: RequestBody::Stats }.encode();
+        // The blocking reader that remains is the client's.
+        assert!(matches!(read_response(&mut Cursor::new(&[])), Err(ProtoError::Closed)));
+        let frame = Response { id: 1, body: ResponseBody::Bye }.encode();
         for cut in 1..HEADER_LEN {
-            let r = read_request(&mut Cursor::new(&frame[..cut]), 16);
+            let r = read_response(&mut Cursor::new(&frame[..cut]));
             assert!(matches!(r, Err(ProtoError::Fatal(_))), "cut at {cut}: {r:?}");
         }
     }
 
     #[test]
     fn zero_pair_batch_is_recoverable() {
-        let frame = Request { id: 7, body: RequestBody::Query(vec![]) }.encode();
-        match read_request(&mut Cursor::new(&frame), 16) {
-            Err(ProtoError::Bad { id: 7, msg }) => assert!(msg.contains("zero pairs"), "{msg}"),
-            other => panic!("want Bad, got {other:?}"),
+        for (body, what) in [
+            (RequestBody::Query(vec![]), "zero pairs"),
+            (RequestBody::Update(vec![]), "zero edges"),
+        ] {
+            let frame = Request { id: 7, body }.encode();
+            match decode_request(&frame, 16) {
+                Decoded::Bad { id: 7, msg, .. } => assert!(msg.contains(what), "{msg}"),
+                other => panic!("want Bad, got {other:?}"),
+            }
         }
     }
 
@@ -1031,12 +1019,6 @@ mod tests {
             let mut frame = Request { id: 11, body }.encode();
             assert_eq!(frame[4], 2, "v2 kinds must be marked v2");
             frame[4] = 1;
-            match read_request(&mut Cursor::new(&frame), 16) {
-                Err(ProtoError::Bad { id: 11, msg }) => {
-                    assert!(msg.contains("unsupported kind"), "{msg}")
-                }
-                other => panic!("want recoverable Bad, got {other:?}"),
-            }
             match decode_request(&frame, 16) {
                 Decoded::Bad { id: 11, msg, used } => {
                     assert!(msg.contains("unsupported kind"), "{msg}");
@@ -1053,12 +1035,6 @@ mod tests {
         assert_eq!(frame[4], 4, "route_info must be marked v4");
         for older in 1..4u8 {
             frame[4] = older;
-            match read_request(&mut Cursor::new(&frame), 16) {
-                Err(ProtoError::Bad { id: 21, msg }) => {
-                    assert!(msg.contains("unsupported kind"), "{msg}")
-                }
-                other => panic!("v{older}: want recoverable Bad, got {other:?}"),
-            }
             match decode_request(&frame, 16) {
                 Decoded::Bad { id: 21, msg, used } => {
                     assert!(msg.contains("unsupported kind"), "{msg}");

@@ -1,7 +1,7 @@
 //! The scale-out router: one `HOPQ`/HTTP endpoint fanning query batches
 //! across N backend daemons.
 //!
-//! Two modes, one reactor:
+//! Two modes, one front:
 //!
 //! * **replica** — every backend serves the *same* index image. Query
 //!   batches are load-balanced to the least-loaded backend (round-robin
@@ -25,43 +25,39 @@
 //!   [`hoplabels::shard::min_merge`] semantics. Shard routers reject
 //!   updates: mutate the source graph and re-shard instead.
 //!
-//! The front end reuses the epoll machinery of the single-node daemon —
-//! [`crate::reactor`] for readiness, [`crate::conn`] for framing (HOPQ
-//! and HTTP alike), [`crate::batch`] for adaptive micro-batching — so a
-//! router endpoint is wire-compatible with a plain daemon for queries,
-//! stats, `route_info`, and (replica mode) updates. Topology is probed
+//! The front end *is* the single-node daemon's — the same
+//! `crate::front` loop, instantiated with the router's `Service` impl —
+//! so a router endpoint is wire-compatible with a plain daemon for
+//! queries, stats, `route_info`, and (replica mode) updates: framing
+//! (HOPQ and HTTP alike), error discipline, backpressure and
+//! micro-batching are one implementation. Topology is probed
 //! once at startup via the protocol-v4 `route_info` frame and validated
 //! hard: replicas must agree on vertex count and direction; shards must
 //! tile the pivot space exactly.
 //!
 //! ```text
-//! reactor thread          dispatcher thread           worker threads (1/backend)
-//!   epoll_wait              Batcher::next_batch          own Client per backend
+//! front thread           dispatcher thread           worker threads (1/backend)
+//!   wait for readiness      Batcher::next_batch          own Client per backend
 //!   cut frames     ──────►    coalesce + range-check      (plus failover clients)
 //!   answer stats/             replica: least-inflight ──► query / failover
 //!   route_info inline         shard: split + ShardMerge ► query part, min-merge
-//!   flush responses ◄──────────── Completions + eventfd wake ◄──┘
+//!   flush responses ◄──────────── Completions + WakeFd wake ◄───┘
 //! ```
 
-use std::collections::HashMap;
-use std::io::Read;
-use std::net::{Shutdown, SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use sfgraph::{Dist, INF_DIST};
 
-use crate::batch::{Batcher, Completion, Completions, Job, RespondAs, UpdateRespond};
+use crate::batch::{Completions, Job, QueryJob, UpdateRespond};
 use crate::client::Client;
-use crate::conn::{Conn, ConnRequest, ConnState, Mode};
-use crate::http::{self, HttpRequest};
+use crate::front::{self, Admin, FrontHandle, Limits, Outcome, Service, Traffic};
 use crate::proto::{
-    RequestBody, Response, ResponseBody, RouteReply, StatsReply, ROUTE_REPLICA, ROUTE_SHARD,
-    ROUTE_SINGLE,
+    Response, ResponseBody, RouteReply, StatsReply, ROUTE_REPLICA, ROUTE_SHARD, ROUTE_SINGLE,
 };
-use crate::reactor::{Event, Poller, WakeFd, EV_READ, EV_WRITE};
 use crate::server::validate_update_edges;
 
 /// How the router spreads work across its backends.
@@ -86,7 +82,7 @@ impl std::str::FromStr for RouteMode {
 }
 
 /// Tunables for [`serve_router`]. The serving knobs mirror
-/// [`crate::ServerConfig`]'s epoll knobs; the connect knobs govern the
+/// [`crate::ServerConfig`]'s; the connect knobs govern the
 /// startup probe and per-worker backend connections.
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
@@ -158,35 +154,15 @@ struct Topology {
     slots: Vec<BackendSlot>,
 }
 
-/// Hooks `begin_stop` uses to reach the running reactor.
-struct RouterCtl {
-    wake: Arc<WakeFd>,
-    batcher: Arc<Batcher>,
-}
-
 struct RouterShared {
     config: RouterConfig,
     topology: Topology,
     local_addr: SocketAddr,
-    stop: AtomicBool,
-    requests: AtomicU64,
-    protocol_errors: AtomicU64,
+    /// The serving loop's job queue, completion pile, and stop switch.
+    front: FrontHandle,
     /// Batches answered by a replica other than the first pick, plus
     /// shard-part retries — the kill-one-replica observable.
     failovers: AtomicU64,
-    ctl: OnceLock<RouterCtl>,
-}
-
-impl RouterShared {
-    fn begin_stop(&self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        if let Some(ctl) = self.ctl.get() {
-            ctl.batcher.stop();
-            ctl.wake.wake();
-        }
-    }
 }
 
 /// A running router. Dropping the handle does not stop it; call
@@ -211,7 +187,7 @@ impl RouterHandle {
     /// Ask the router to stop and wait for every thread to exit.
     /// Backends keep running.
     pub fn shutdown(mut self) {
-        self.shared.begin_stop();
+        self.shared.front.begin_stop();
         self.join_all();
     }
 
@@ -231,13 +207,10 @@ fn other(msg: String) -> std::io::Error {
     std::io::Error::other(msg)
 }
 
-fn error(id: u64, msg: &str) -> Response {
-    Response { id, body: ResponseBody::Error(msg.to_string()) }
-}
-
 /// Bind `addr`, probe and validate the backend topology, and start
 /// routing. Returns once the listener is bound and every backend
-/// answered the `route_info` probe.
+/// answered the `route_info` probe. Fails with `ErrorKind::Unsupported`
+/// on targets without a readiness API (anything but unix).
 pub fn serve_router(
     addr: impl ToSocketAddrs,
     config: RouterConfig,
@@ -248,27 +221,18 @@ pub fn serve_router(
             "a router needs at least one --backends address",
         ));
     }
+    let front = FrontHandle::new()?;
     let topology = probe_topology(&config)?;
     let listener = TcpListener::bind(addr)?;
     let local_addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let poller = Poller::new(256)?;
-    let wake = Arc::new(WakeFd::new()?);
-    let batcher = Arc::new(Batcher::new());
-    let completions = Arc::new(Completions::new(Arc::clone(&wake)));
-    poller.register(&listener, EV_READ, TOKEN_LISTENER)?;
-    poller.register(&*wake, EV_READ, TOKEN_WAKER)?;
     let shared = Arc::new(RouterShared {
         config,
         topology,
         local_addr,
-        stop: AtomicBool::new(false),
-        requests: AtomicU64::new(0),
-        protocol_errors: AtomicU64::new(0),
+        front: front.clone(),
         failovers: AtomicU64::new(0),
-        ctl: OnceLock::new(),
     });
-    let _ = shared.ctl.set(RouterCtl { wake: Arc::clone(&wake), batcher: Arc::clone(&batcher) });
+    let reactor = front::spawn(listener, Arc::clone(&shared), front)?;
 
     let mut workers = Vec::new();
     let mut ports = Vec::new();
@@ -276,32 +240,12 @@ pub fn serve_router(
         let (tx, rx) = mpsc::channel::<WorkItem>();
         let depth = Arc::new(AtomicUsize::new(0));
         ports.push(WorkerPort { tx, depth: Arc::clone(&depth) });
-        let (shared, completions) = (Arc::clone(&shared), Arc::clone(&completions));
-        workers.push(std::thread::spawn(move || {
-            worker_loop(&shared, &completions, index, &depth, &rx)
-        }));
+        let shared = Arc::clone(&shared);
+        workers.push(std::thread::spawn(move || worker_loop(&shared, index, &depth, &rx)));
     }
     let dispatcher = {
-        let (shared, batcher, completions) =
-            (Arc::clone(&shared), Arc::clone(&batcher), Arc::clone(&completions));
-        std::thread::spawn(move || dispatcher_loop(&shared, &batcher, &completions, ports))
-    };
-    let reactor = {
         let shared = Arc::clone(&shared);
-        std::thread::spawn(move || {
-            Reactor {
-                shared,
-                poller,
-                wake,
-                batcher,
-                completions,
-                listener,
-                conns: HashMap::new(),
-                next_token: FIRST_CONN_TOKEN,
-                draining_since: None,
-            }
-            .run()
-        })
+        std::thread::spawn(move || dispatcher_loop(&shared, ports))
     };
     let mut all = vec![reactor, dispatcher];
     all.extend(workers);
@@ -407,10 +351,6 @@ fn probe_topology(config: &RouterConfig) -> std::io::Result<Topology> {
 // Dispatcher + workers
 // ---------------------------------------------------------------------
 
-/// One executable query job: (connection token, response encoding,
-/// query pairs).
-type QueryJob = (u64, RespondAs, Vec<(u32, u32)>);
-
 /// A coalesced batch ready to fan out: per-job plan entries index into
 /// the combined pair vector, exactly like the single-node executor.
 struct BatchWork {
@@ -492,12 +432,8 @@ impl ShardMerge {
     }
 }
 
-fn dispatcher_loop(
-    shared: &Arc<RouterShared>,
-    batcher: &Batcher,
-    completions: &Arc<Completions>,
-    ports: Vec<WorkerPort>,
-) {
+fn dispatcher_loop(shared: &Arc<RouterShared>, ports: Vec<WorkerPort>) {
+    let (batcher, completions) = (&shared.front.batcher, &shared.front.completions);
     let flush_after = Duration::from_micros(shared.config.flush_us.max(1));
     let coalesce = shared.config.coalesce_pairs.max(1);
     let mut rr = 0usize;
@@ -520,13 +456,9 @@ fn dispatcher_loop(
                     dispatch_update(shared, completions, &ports, conn, respond, edges);
                 }
                 Job::Swap { conn, id } => {
-                    // The reactor answers swaps inline; defensive only.
-                    completions.push(Completion {
-                        conn,
-                        bytes: error(id, MSG_SWAP_NOT_ROUTED).encode(),
-                        answered: 1,
-                        close_after: false,
-                    });
+                    // `admin` answers swaps inline; defensive only.
+                    let refusal = Response::error(id, MSG_SWAP_NOT_ROUTED);
+                    completions.answer(conn, (refusal.encode(), false));
                 }
             }
         }
@@ -552,7 +484,7 @@ fn dispatch_queries(
         match pairs.iter().find(|&&(s, t)| u64::from(s) >= n || u64::from(t) >= n) {
             Some(&(s, t)) => {
                 let msg = format!("vertex out of range: ({s}, {t}) on a {n}-vertex index");
-                push_error(completions, *conn, *respond, &msg);
+                completions.answer(*conn, respond.error(&msg));
             }
             None => {
                 plan.push((i, combined.len(), pairs.len()));
@@ -636,7 +568,7 @@ fn dispatch_update(
     // a batch that would be nacked must be nacked *everywhere or
     // nowhere*, never half-applied across replicas.
     if let Err(msg) = validate_update_edges(&edges) {
-        push_update_result(completions, conn, respond, Err(msg));
+        completions.answer(conn, respond.outcome(Err(msg)));
         return;
     }
     let n = shared.topology.vertices;
@@ -644,7 +576,7 @@ fn dispatch_update(
         edges.iter().find(|&&(s, t, _)| u64::from(s) >= n || u64::from(t) >= n)
     {
         let msg = format!("vertex out of range: ({s}, {t}) on a {n}-vertex index");
-        push_update_result(completions, conn, respond, Err(msg));
+        completions.answer(conn, respond.outcome(Err(msg)));
         return;
     }
     let edges = Arc::new(edges);
@@ -681,16 +613,16 @@ fn dispatch_update(
     } else {
         Err(failed.join("; "))
     };
-    push_update_result(completions, conn, respond, result);
+    completions.answer(conn, respond.outcome(result));
 }
 
 fn worker_loop(
     shared: &Arc<RouterShared>,
-    completions: &Arc<Completions>,
     index: usize,
     depth: &AtomicUsize,
     rx: &mpsc::Receiver<WorkItem>,
 ) {
+    let completions = &shared.front.completions;
     let mut clients: Vec<Option<Client>> = (0..shared.topology.slots.len()).map(|_| None).collect();
     while let Ok(item) = rx.recv() {
         match item {
@@ -819,72 +751,20 @@ fn run_update(
 fn complete_queries(completions: &Completions, work: &BatchWork, dists: &[Dist]) {
     for &(i, offset, len) in &work.plan {
         let (conn, respond, pairs) = &work.jobs[i];
-        let slice = &dists[offset..offset + len];
-        let (bytes, close_after) = match *respond {
-            RespondAs::Hopq { id } => {
-                (Response { id, body: ResponseBody::Distances(slice.to_vec()) }.encode(), false)
-            }
-            RespondAs::HttpOne { close } => {
-                (http::render_query_one(pairs[0].0, pairs[0].1, slice[0], close), close)
-            }
-            RespondAs::HttpMany { close } => (http::render_query_many(slice, close), close),
-        };
-        completions.push(Completion { conn: *conn, bytes, answered: 1, close_after });
+        completions.answer(*conn, respond.distances(pairs, &dists[offset..offset + len]));
     }
 }
 
 fn fail_queries(completions: &Completions, work: &BatchWork, msg: &str) {
     for &(i, _, _) in &work.plan {
         let (conn, respond, _) = &work.jobs[i];
-        push_error(completions, *conn, *respond, msg);
+        completions.answer(*conn, respond.error(msg));
     }
 }
 
-fn push_error(completions: &Completions, conn: u64, respond: RespondAs, msg: &str) {
-    let (bytes, close_after) = match respond {
-        RespondAs::Hopq { id } => (error(id, msg).encode(), false),
-        RespondAs::HttpOne { .. } | RespondAs::HttpMany { .. } => {
-            (http::render_error(400, msg), true)
-        }
-    };
-    completions.push(Completion { conn, bytes, answered: 1, close_after });
-}
-
-fn push_update_result(
-    completions: &Completions,
-    conn: u64,
-    respond: UpdateRespond,
-    result: Result<(u64, u64), String>,
-) {
-    let (bytes, close_after) = match respond {
-        UpdateRespond::Hopq { id } => {
-            let body = match result {
-                Ok((generation, overlay_edges)) => {
-                    ResponseBody::Updated { generation, overlay_edges }
-                }
-                Err(e) => ResponseBody::Error(format!("update failed: {e}")),
-            };
-            (Response { id, body }.encode(), false)
-        }
-        UpdateRespond::Http { close } => match result {
-            Ok((generation, overlay)) => (http::render_update(generation, overlay, close), close),
-            Err(e) => (http::render_error(400, &format!("update failed: {e}")), true),
-        },
-    };
-    completions.push(Completion { conn, bytes, answered: 1, close_after });
-}
-
 // ---------------------------------------------------------------------
-// Reactor (front end)
+// Service (what the shared front asks of a router)
 // ---------------------------------------------------------------------
-
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKER: u64 = 1;
-const FIRST_CONN_TOKEN: u64 = 2;
-const POLL_TICK_MS: i32 = 25;
-const DRAIN_DEADLINE: Duration = Duration::from_secs(3);
-const DISCARD_BUDGET: usize = 1 << 20;
-const DISCARD_TIMEOUT: Duration = Duration::from_secs(2);
 
 const MSG_SWAP_NOT_ROUTED: &str =
     "swap is not routed: point `admin swap` at each backend in turn (rolling swap)";
@@ -895,423 +775,50 @@ const MSG_INFO_NOT_ROUTED: &str =
 const MSG_SHARD_NO_UPDATES: &str =
     "a shard router does not take updates: rebuild and re-shard the image, or use --route replica";
 
-struct Reactor {
-    shared: Arc<RouterShared>,
-    poller: Poller,
-    wake: Arc<WakeFd>,
-    batcher: Arc<Batcher>,
-    completions: Arc<Completions>,
-    listener: TcpListener,
-    conns: HashMap<u64, Conn>,
-    next_token: u64,
-    draining_since: Option<Instant>,
-}
+impl Service for RouterShared {
+    const NAME: &'static str = "router";
 
-impl Reactor {
-    fn run(mut self) {
-        let mut events: Vec<Event> = Vec::new();
-        loop {
-            if self.shared.stop.load(Ordering::SeqCst) && self.draining_since.is_none() {
-                self.begin_drain();
-            }
-            if let Some(since) = self.draining_since {
-                let owed =
-                    self.conns.values().any(|c| c.inflight > 0 || c.pending_write_bytes() > 0);
-                if !owed || since.elapsed() > DRAIN_DEADLINE {
-                    break;
-                }
-            }
-            events.clear();
-            if self.poller.wait(Some(POLL_TICK_MS), |ev| events.push(ev)).is_err() {
-                break;
-            }
-            for ev in &events {
-                match ev.token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKER => self.wake.drain(),
-                    token => {
-                        if ev.readable() {
-                            self.conn_readable(token);
-                        }
-                        if ev.writable() {
-                            self.conn_writable(token);
-                        }
-                    }
-                }
-            }
-            self.apply_completions();
-            self.advance_all();
+    fn limits(&self) -> Limits {
+        Limits {
+            max_batch: self.config.max_batch,
+            max_inflight: self.config.max_inflight,
+            idle_timeout_ms: self.config.idle_timeout_ms,
+            allow_shutdown: self.config.allow_shutdown,
         }
     }
 
-    fn begin_drain(&mut self) {
-        self.draining_since = Some(Instant::now());
-        let _ = self.poller.deregister(&self.listener);
-        for conn in self.conns.values_mut() {
-            if conn.state == ConnState::Open {
-                conn.state = ConnState::CloseAfterFlush;
-            }
-        }
+    fn begin_stop(&self) {
+        self.front.begin_stop();
     }
 
-    fn accept_ready(&mut self) {
-        if self.draining_since.is_some() {
-            return;
-        }
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if self.poller.register(&stream, EV_READ, token).is_ok() {
-                        let mut conn = Conn::new(stream, Instant::now());
-                        conn.registered = EV_READ;
-                        self.conns.insert(token, conn);
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
-        }
+    fn refuses_updates(&self) -> Option<&'static str> {
+        (self.config.mode == RouteMode::Shard).then_some(MSG_SHARD_NO_UPDATES)
     }
 
-    /// HTTP answers must stay in order, so HTTP connections run one
-    /// request at a time.
-    fn inflight_cap(&self, mode: Mode) -> usize {
-        if mode == Mode::Http {
-            1
-        } else {
-            self.shared.config.max_inflight.max(1)
-        }
+    fn admin(&self, _: Traffic, _conn: u64, _id: u64, kind: Admin) -> Outcome {
+        Outcome::Reply(match kind {
+            Admin::Swap => ResponseBody::Error(MSG_SWAP_NOT_ROUTED.to_string()),
+            Admin::Compact => ResponseBody::Error(MSG_COMPACT_NOT_ROUTED.to_string()),
+            Admin::Info => ResponseBody::Error(MSG_INFO_NOT_ROUTED.to_string()),
+            Admin::RouteInfo => ResponseBody::RouteInfo(route_reply(self)),
+        })
     }
 
-    fn conn_readable(&mut self, token: u64) {
-        let cap = match self.conns.get(&token) {
-            Some(conn) => self.inflight_cap(conn.mode),
-            None => return,
-        };
-        let Some(conn) = self.conns.get_mut(&token) else { return };
-        match conn.state {
-            ConnState::Open => {
-                if conn.inflight >= cap || conn.write_backed_up() {
-                    return;
-                }
-                if conn.fill(Instant::now()).is_err() {
-                    conn.state = ConnState::Dead;
-                    return;
-                }
-                self.parse_conn(token);
-            }
-            ConnState::Draining { budget } => {
-                let mut left = budget;
-                let mut chunk = [0u8; 4096];
-                loop {
-                    if left == 0 {
-                        conn.state = ConnState::Dead;
-                        break;
-                    }
-                    match conn.stream.read(&mut chunk) {
-                        Ok(0) => {
-                            conn.state = ConnState::Dead;
-                            break;
-                        }
-                        Ok(n) => left = left.saturating_sub(n),
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            conn.state = ConnState::Draining { budget: left };
-                            break;
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            conn.state = ConnState::Dead;
-                            break;
-                        }
-                    }
-                }
-            }
-            ConnState::CloseAfterFlush | ConnState::Dead => {}
-        }
-    }
-
-    fn conn_writable(&mut self, token: u64) {
-        if let Some(conn) = self.conns.get_mut(&token) {
-            if conn.pending_write_bytes() > 0 && conn.flush().is_err() {
-                conn.state = ConnState::Dead;
-            }
-        }
-    }
-
-    fn parse_conn(&mut self, token: u64) {
-        loop {
-            let request = {
-                let cap = match self.conns.get(&token) {
-                    Some(conn) => self.inflight_cap(conn.mode),
-                    None => return,
-                };
-                let Some(conn) = self.conns.get_mut(&token) else { return };
-                if conn.state != ConnState::Open {
-                    return;
-                }
-                if conn.inflight >= cap || conn.write_backed_up() {
-                    return;
-                }
-                match conn.next_request(self.shared.config.max_batch) {
-                    Some(request) => request,
-                    None => {
-                        if conn.peer_eof && conn.pending_read_bytes() > 0 {
-                            self.shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                            let bye = Response {
-                                id: 0,
-                                body: ResponseBody::Error("truncated frame".into()),
-                            };
-                            conn.queue_write(&bye.encode(), Instant::now());
-                            conn.state = ConnState::CloseAfterFlush;
-                        }
-                        return;
-                    }
-                }
-            };
-            self.dispatch(token, request);
-        }
-    }
-
-    fn dispatch(&mut self, token: u64, request: ConnRequest) {
-        match request {
-            ConnRequest::Hopq(req) => {
-                self.shared.requests.fetch_add(1, Ordering::Relaxed);
-                let id = req.id;
-                match req.body {
-                    RequestBody::Query(pairs) => {
-                        self.submit_query(token, RespondAs::Hopq { id }, pairs);
-                    }
-                    RequestBody::Update(edges) => {
-                        if self.shared.config.mode == RouteMode::Shard {
-                            self.queue_response(token, error(id, MSG_SHARD_NO_UPDATES), false);
-                        } else {
-                            self.submit_update(token, UpdateRespond::Hopq { id }, edges);
-                        }
-                    }
-                    RequestBody::Swap => {
-                        self.queue_response(token, error(id, MSG_SWAP_NOT_ROUTED), false);
-                    }
-                    RequestBody::Compact => {
-                        self.queue_response(token, error(id, MSG_COMPACT_NOT_ROUTED), false);
-                    }
-                    RequestBody::Info => {
-                        self.queue_response(token, error(id, MSG_INFO_NOT_ROUTED), false);
-                    }
-                    RequestBody::RouteInfo => {
-                        let body = ResponseBody::RouteInfo(route_reply(&self.shared));
-                        self.queue_response(token, Response { id, body }, false);
-                    }
-                    RequestBody::Stats => {
-                        let body = ResponseBody::Stats(self.stats_reply());
-                        self.queue_response(token, Response { id, body }, false);
-                    }
-                    RequestBody::Shutdown => {
-                        if self.shared.config.allow_shutdown {
-                            self.queue_response(
-                                token,
-                                Response { id, body: ResponseBody::Bye },
-                                false,
-                            );
-                            self.shared.begin_stop();
-                        } else {
-                            let resp = error(id, "remote shutdown is disabled on this router");
-                            self.queue_response(token, resp, false);
-                        }
-                    }
-                }
-            }
-            ConnRequest::HopqBad { id, msg } => {
-                self.shared.requests.fetch_add(1, Ordering::Relaxed);
-                self.shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                self.queue_response(token, error(id, &msg), false);
-            }
-            ConnRequest::HopqFatal(msg) => {
-                self.shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                self.queue_response(token, error(0, &msg), true);
-            }
-            ConnRequest::Http { request, close } => {
-                self.shared.requests.fetch_add(1, Ordering::Relaxed);
-                match request {
-                    HttpRequest::QueryOne { s, t } => {
-                        self.submit_query(token, RespondAs::HttpOne { close }, vec![(s, t)]);
-                    }
-                    HttpRequest::QueryMany(pairs) => {
-                        self.submit_query(token, RespondAs::HttpMany { close }, pairs);
-                    }
-                    HttpRequest::Update(edges) => {
-                        if self.shared.config.mode == RouteMode::Shard {
-                            let bytes = http::render_error(400, MSG_SHARD_NO_UPDATES);
-                            self.queue_bytes(token, &bytes, true);
-                        } else {
-                            self.submit_update(token, UpdateRespond::Http { close }, edges);
-                        }
-                    }
-                    HttpRequest::Stats => {
-                        let body = self.stats_json();
-                        let bytes = http::render_response(200, &body, close);
-                        self.queue_bytes(token, &bytes, close);
-                    }
-                }
-            }
-            ConnRequest::HttpError(resp) => {
-                self.shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                self.queue_bytes(token, &resp, true);
-            }
-        }
-    }
-
-    fn submit_query(&mut self, token: u64, respond: RespondAs, pairs: Vec<(u32, u32)>) {
-        if self.batcher.submit(Job::Query { conn: token, respond, pairs }) {
-            if let Some(c) = self.conns.get_mut(&token) {
-                c.inflight += 1;
-            }
-        } else {
-            let (bytes, close) = match respond {
-                RespondAs::Hopq { id } => (error(id, "router is stopping").encode(), false),
-                RespondAs::HttpOne { .. } | RespondAs::HttpMany { .. } => {
-                    (http::render_error(503, "router is stopping"), true)
-                }
-            };
-            self.queue_bytes(token, &bytes, close);
-        }
-    }
-
-    fn submit_update(&mut self, token: u64, respond: UpdateRespond, edges: Vec<(u32, u32, u32)>) {
-        if self.batcher.submit(Job::Update { conn: token, respond, edges }) {
-            if let Some(c) = self.conns.get_mut(&token) {
-                c.inflight += 1;
-            }
-        } else {
-            let (bytes, close) = match respond {
-                UpdateRespond::Hopq { id } => (error(id, "router is stopping").encode(), false),
-                UpdateRespond::Http { .. } => (http::render_error(503, "router is stopping"), true),
-            };
-            self.queue_bytes(token, &bytes, close);
-        }
-    }
-
-    fn queue_response(&mut self, token: u64, resp: Response, close_after: bool) {
-        self.queue_bytes(token, &resp.encode(), close_after);
-    }
-
-    fn queue_bytes(&mut self, token: u64, bytes: &[u8], close_after: bool) {
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.queue_write(bytes, Instant::now());
-            if close_after && conn.state == ConnState::Open {
-                conn.state = ConnState::CloseAfterFlush;
-            }
-        }
-    }
-
-    fn apply_completions(&mut self) {
-        for done in self.completions.drain() {
-            if let Some(conn) = self.conns.get_mut(&done.conn) {
-                conn.inflight = conn.inflight.saturating_sub(done.answered);
-                conn.queue_write(&done.bytes, Instant::now());
-                if done.close_after && conn.state == ConnState::Open {
-                    conn.state = ConnState::CloseAfterFlush;
-                }
-            }
-        }
-    }
-
-    fn advance_all(&mut self) {
-        let now = Instant::now();
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for token in tokens {
-            self.advance_conn(token, now);
-        }
-    }
-
-    fn advance_conn(&mut self, token: u64, now: Instant) {
-        self.parse_conn(token);
-        let idle = match self.shared.config.idle_timeout_ms {
-            0 => None,
-            ms => Some(Duration::from_millis(ms)),
-        };
-        let cap = {
-            let Some(conn) = self.conns.get(&token) else { return };
-            self.inflight_cap(conn.mode)
-        };
-        let drain_mode = self.draining_since.is_some();
-        let Some(conn) = self.conns.get_mut(&token) else { return };
-        if conn.pending_write_bytes() > 0 && conn.flush().is_err() {
-            conn.state = ConnState::Dead;
-        }
-        match conn.state {
-            ConnState::Open => {
-                if conn.peer_eof
-                    && conn.inflight == 0
-                    && conn.pending_write_bytes() == 0
-                    && conn.pending_read_bytes() == 0
-                {
-                    conn.state = ConnState::Dead;
-                } else if let Some(idle) = idle {
-                    if conn.inflight == 0
-                        && conn.pending_write_bytes() == 0
-                        && now.duration_since(conn.last_activity) >= idle
-                    {
-                        conn.state = ConnState::Dead;
-                    }
-                }
-            }
-            ConnState::CloseAfterFlush => {
-                if conn.inflight == 0 && conn.pending_write_bytes() == 0 {
-                    let _ = conn.stream.shutdown(Shutdown::Write);
-                    conn.state = if conn.peer_eof {
-                        ConnState::Dead
-                    } else {
-                        ConnState::Draining { budget: DISCARD_BUDGET }
-                    };
-                    conn.last_activity = now;
-                }
-            }
-            ConnState::Draining { .. } => {
-                if conn.peer_eof || now.duration_since(conn.last_activity) > DISCARD_TIMEOUT {
-                    conn.state = ConnState::Dead;
-                }
-            }
-            ConnState::Dead => {}
-        }
-        let mut dead = conn.state == ConnState::Dead;
-        if !dead {
-            let desired = desired_interest(conn, cap, drain_mode);
-            if desired != conn.registered {
-                match self.poller.rearm(&conn.stream, desired, token) {
-                    Ok(()) => conn.registered = desired,
-                    Err(_) => dead = true,
-                }
-            }
-        }
-        if dead {
-            if let Some(conn) = self.conns.remove(&token) {
-                let _ = self.poller.deregister(&conn.stream);
-            }
-        }
-    }
-
-    fn stats_reply(&self) -> StatsReply {
-        let t = &self.shared.topology;
+    fn stats_reply(&self, traffic: Traffic) -> StatsReply {
+        let t = &self.topology;
         StatsReply {
             generation: t.generation,
             vertices: t.vertices,
             directed: t.directed,
             resident: true,
-            requests: self.shared.requests.load(Ordering::Relaxed),
-            protocol_errors: self.shared.protocol_errors.load(Ordering::Relaxed),
+            requests: traffic.requests,
+            protocol_errors: traffic.protocol_errors,
         }
     }
 
-    fn stats_json(&self) -> String {
-        let t = &self.shared.topology;
-        let mode = match self.shared.config.mode {
+    fn stats_json(&self, traffic: Traffic) -> String {
+        let t = &self.topology;
+        let mode = match self.config.mode {
             RouteMode::Replica => "replica",
             RouteMode::Shard => "shard",
         };
@@ -1324,9 +831,9 @@ impl Reactor {
             t.directed,
             t.generation,
             t.rank_pruned,
-            self.shared.requests.load(Ordering::Relaxed),
-            self.shared.protocol_errors.load(Ordering::Relaxed),
-            self.shared.failovers.load(Ordering::Relaxed),
+            traffic.requests,
+            traffic.protocol_errors,
+            self.failovers.load(Ordering::Relaxed),
         )
     }
 }
@@ -1358,25 +865,4 @@ fn route_reply(shared: &RouterShared) -> RouteReply {
             rank_pruned: t.rank_pruned,
         },
     }
-}
-
-/// The interest mask a connection's state calls for.
-fn desired_interest(conn: &Conn, cap: usize, drain_mode: bool) -> u32 {
-    let mut mask = 0;
-    match conn.state {
-        ConnState::Open => {
-            let paused =
-                conn.inflight >= cap || conn.write_backed_up() || conn.peer_eof || drain_mode;
-            if !paused {
-                mask |= EV_READ;
-            }
-            if conn.pending_write_bytes() > 0 {
-                mask |= EV_WRITE;
-            }
-        }
-        ConnState::CloseAfterFlush => mask |= EV_WRITE,
-        ConnState::Draining { .. } => mask |= EV_READ,
-        ConnState::Dead => {}
-    }
-    mask
 }

@@ -1,80 +1,47 @@
-//! The TCP daemon: accept loop, connection worker pool, dispatch, and
-//! hot index swap.
+//! The index node: boot and recovery, the query executor, live updates,
+//! hot index swap, and background compaction.
 //!
 //! Architecture (all `std`, no async runtime):
 //!
 //! ```text
-//! accept thread ──► mpsc queue ──► N connection workers
-//!                                    │  read_request → dispatch → write response
-//!                                    ▼
-//!                        RwLock<Arc<Generation>>  ◄── swap (admin frame
-//!                        (clone per request)           or ServerHandle::swap)
+//! front thread (crate::front)          executor thread
+//!   cut frames off every socket ────►    Batcher::next_batch
+//!   answer stats/info inline             coalesce pairs across conns
+//!   flush responses          ◄────────   ONE Generation clone per batch
+//!          ▲   (Completions + wake)      query_many → encode responses
+//!          │                             swaps and updates run here too
+//!   compactor thread                               │
+//!     rebuild + checkpoint, off both               ▼
+//!     hot paths                        RwLock<Arc<Generation>>
 //! ```
 //!
-//! Each query request clones the current [`Generation`] `Arc` once and
-//! answers the whole batch from it via `FlatIndex::query_many`, so a
+//! Each query batch clones the current [`Generation`] `Arc` once and
+//! answers every pair from it via `FlatIndex::query_many`, so a
 //! concurrent swap never mixes two indexes inside one response and
 //! never drops a connection: the new generation is loaded *outside* the
 //! write lock and promoted with a single pointer swap.
 
-use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::BufReader;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use crate::backend::Generation;
+use crate::batch::{Completions, Job, QueryJob};
+use crate::front::{self, Admin, FrontHandle, Limits, Outcome, Service, Traffic};
 use crate::proto::{
-    read_request, InfoReply, ProtoError, Request, RequestBody, Response, ResponseBody, RouteReply,
-    StatsReply, DEFAULT_MAX_BATCH, DURABILITY_DISABLED, ROUTE_SINGLE,
+    InfoReply, Response, ResponseBody, RouteReply, StatsReply, DEFAULT_MAX_BATCH,
+    DURABILITY_DISABLED, ROUTE_SINGLE,
 };
 use crate::wal::{self, Durability, Manifest, Wal};
 use extmem::stats::IoStats;
 
-/// Which serving backend answers connections.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// Blocking thread-per-connection worker pool: one worker owns a
-    /// connection for its whole life, requests are answered in order.
-    Threads,
-    /// Readiness-driven epoll reactor (Linux only): nonblocking
-    /// sockets, pipelined out-of-order responses, adaptive
-    /// micro-batching across connections, and the HTTP/JSON front.
-    Epoll,
-}
-
-impl Default for Backend {
-    fn default() -> Backend {
-        if cfg!(target_os = "linux") {
-            Backend::Epoll
-        } else {
-            Backend::Threads
-        }
-    }
-}
-
-impl std::str::FromStr for Backend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Backend, String> {
-        match s {
-            "threads" => Ok(Backend::Threads),
-            "epoll" => Ok(Backend::Epoll),
-            other => Err(format!("unknown backend '{other}' (want threads or epoll)")),
-        }
-    }
-}
-
 /// Tunables for [`serve`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Serving backend (defaults to [`Backend::Epoll`] on Linux).
-    pub backend: Backend,
-    /// Connection worker threads (0 = one per core). Threads backend
-    /// only; the epoll backend runs one reactor and one executor.
-    pub threads: usize,
     /// Threads `query_many` may fan one batch across (0 = all cores).
     /// Leave at 1 when many concurrent connections already saturate the
     /// cores; raise it for few-connection, huge-batch workloads.
@@ -95,17 +62,17 @@ pub struct ServerConfig {
     /// Honour remote shutdown frames. Off by default: a query port
     /// should not double as a kill switch unless explicitly enabled.
     pub allow_shutdown: bool,
-    /// Epoll backend: longest a queued query waits (µs) for company
-    /// before its micro-batch flushes anyway.
+    /// Longest a queued query waits (µs) for company before its
+    /// micro-batch flushes anyway.
     pub flush_us: u64,
-    /// Epoll backend: queued pair count that flushes a micro-batch
-    /// immediately, without waiting out `flush_us`.
+    /// Queued pair count that flushes a micro-batch immediately,
+    /// without waiting out `flush_us`.
     pub coalesce_pairs: usize,
-    /// Epoll backend: unanswered query frames per connection before the
-    /// server stops *reading* that connection (pipelining backpressure).
+    /// Unanswered query frames per connection before the server stops
+    /// *reading* that connection (pipelining backpressure).
     pub max_inflight: usize,
-    /// Epoll backend: evict connections idle longer than this many
-    /// milliseconds (0 = never).
+    /// Evict connections idle longer than this many milliseconds
+    /// (0 = never).
     pub idle_timeout_ms: u64,
     /// Source edge list of the boot index, in original vertex ids.
     /// Required for compaction: the compactor re-reads it, applies the
@@ -142,8 +109,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            backend: Backend::default(),
-            threads: 0,
             batch_threads: 1,
             max_batch: DEFAULT_MAX_BATCH,
             max_resident_bytes: None,
@@ -172,13 +137,15 @@ struct DurableState {
     stats: Arc<IoStats>,
 }
 
-/// State shared by the accept thread, workers, and the handle.
+/// State shared by the front, the executor, the compactor, and the
+/// handle.
 struct Shared {
     current: RwLock<Arc<Generation>>,
     config: ServerConfig,
     index_path: PathBuf,
     local_addr: SocketAddr,
-    stop: AtomicBool,
+    /// The serving loop's job queue, completion pile, and stop switch.
+    front: FrontHandle,
     /// Serializes mutations of the serving pointer — swaps, update
     /// batches, and compaction promotions (queries are never blocked by
     /// this; they only take the brief `current` read lock).
@@ -206,50 +173,6 @@ struct Shared {
     checkpoints: AtomicU64,
     aborted_compactions: AtomicU64,
     generation_seq: AtomicU64,
-    conn_seq: AtomicU64,
-    /// Live connections (cloned handles) so shutdown can unblock
-    /// workers parked in `read`.
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    requests: AtomicU64,
-    protocol_errors: AtomicU64,
-    /// Epoll backend wiring, set once by `serve_epoll` so `begin_stop`
-    /// (and the in-process swap) can reach the reactor and batcher.
-    #[cfg(target_os = "linux")]
-    epoll_ctl: std::sync::OnceLock<epoll_backend::EpollCtl>,
-}
-
-impl Shared {
-    /// Flip the stop flag and wake whichever backend is serving so it
-    /// can drain and exit. Idempotent.
-    fn begin_stop(&self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Stop the compactor; dropping the sender ends its recv loop
-        // even if the Stop message races a queued threshold poke.
-        if let Ok(mut tx) = self.compact_tx.lock() {
-            if let Some(tx) = tx.take() {
-                let _ = tx.send(CompactMsg::Stop);
-            }
-        }
-        #[cfg(target_os = "linux")]
-        if let Some(ctl) = self.epoll_ctl.get() {
-            // The reactor observes the flag, stops accepting/reading,
-            // flushes what is owed, and exits; the batcher drains.
-            ctl.batcher.stop();
-            ctl.wake.wake();
-            return;
-        }
-        // Threads backend: close every live connection to unpark
-        // workers blocked in `read`...
-        if let Ok(conns) = self.conns.lock() {
-            for conn in conns.values() {
-                let _ = conn.shutdown(Shutdown::Both);
-            }
-        }
-        // ...and unblock `accept` with a throwaway connection.
-        let _ = TcpStream::connect(self.local_addr);
-    }
 }
 
 /// A running server. Dropping the handle does *not* stop the daemon;
@@ -257,7 +180,6 @@ impl Shared {
 /// it) and then [`ServerHandle::wait`].
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -295,9 +217,6 @@ impl ServerHandle {
     }
 
     fn join_all(&mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -308,12 +227,14 @@ impl ServerHandle {
 ///
 /// Returns as soon as the listener is bound and the index is loaded;
 /// accepting and answering happens on background threads owned by the
-/// returned handle.
+/// returned handle. Fails with `ErrorKind::Unsupported` on targets
+/// without a readiness API (anything but unix).
 pub fn serve(
     addr: impl ToSocketAddrs,
     index_path: &Path,
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
+    let front = FrontHandle::new()?;
     let listener = TcpListener::bind(addr)?;
     let local_addr = listener.local_addr()?;
     let recovery = recover_durable(index_path, &config)?;
@@ -323,14 +244,13 @@ pub fn serve(
         // exactly like the crashed one did after its last ack.
         boot = boot.with_updates(&recovery.log).map_err(std::io::Error::other)?;
     }
-    let backend = config.backend;
     let (compact_tx, compact_rx) = mpsc::channel::<CompactMsg>();
     let shared = Arc::new(Shared {
         current: RwLock::new(Arc::new(boot)),
         config,
         index_path: index_path.to_path_buf(),
         local_addr,
-        stop: AtomicBool::new(false),
+        front: front.clone(),
         mutate_serial: Mutex::new(()),
         update_log: Mutex::new(recovery.log),
         swap_epoch: AtomicU64::new(0),
@@ -345,31 +265,17 @@ pub fn serve(
         aborted_compactions: AtomicU64::new(0),
         durable: recovery.durable.map(Mutex::new),
         generation_seq: AtomicU64::new(1),
-        conn_seq: AtomicU64::new(0),
-        conns: Mutex::new(HashMap::new()),
-        requests: AtomicU64::new(0),
-        protocol_errors: AtomicU64::new(0),
-        #[cfg(target_os = "linux")]
-        epoll_ctl: std::sync::OnceLock::new(),
     });
-    let mut handle = match backend {
-        Backend::Threads => serve_threads(listener, shared)?,
-        #[cfg(target_os = "linux")]
-        Backend::Epoll => epoll_backend::serve_epoll(listener, shared)?,
-        #[cfg(not(target_os = "linux"))]
-        Backend::Epoll => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "the epoll backend requires Linux; use Backend::Threads",
-            ))
-        }
+    let reactor = front::spawn(listener, Arc::clone(&shared), front)?;
+    let executor = {
+        let shared = Arc::clone(&shared);
+        std::thread::spawn(move || executor_loop(&shared))
     };
     let compactor = {
-        let shared = Arc::clone(&handle.shared);
+        let shared = Arc::clone(&shared);
         std::thread::spawn(move || compactor_loop(&shared, &compact_rx))
     };
-    handle.workers.push(compactor);
-    Ok(handle)
+    Ok(ServerHandle { shared, workers: vec![reactor, executor, compactor] })
 }
 
 /// What boot recovery reconstructed from the WAL directory.
@@ -472,25 +378,17 @@ enum CompactMsg {
     /// The overlay crossed the configured threshold at the time of an
     /// update; compact if it is *still* over (queued pokes dedupe).
     Threshold,
-    /// An explicit admin request: always compacts, answer goes back.
-    Admin(CompactRespond),
-    /// The server is stopping.
-    Stop,
-}
-
-/// Where an admin compaction's result is delivered.
-enum CompactRespond {
-    /// A threads-backend worker parked on the other end of a channel.
-    Sync(mpsc::Sender<Result<(u64, u64), String>>),
-    /// An epoll connection: the result is pushed straight into the
-    /// reactor's completion pile (the executor is never blocked).
-    #[cfg(target_os = "linux")]
-    Epoll {
+    /// An explicit admin request: always compacts; the result goes
+    /// straight into the front's completion pile, so neither the front
+    /// nor the executor ever blocks on a rebuild.
+    Admin {
         /// Connection token.
         conn: u64,
         /// Client-chosen request id.
         id: u64,
     },
+    /// The server is stopping.
+    Stop,
 }
 
 /// The compactor thread: runs at most one compaction at a time, fed by
@@ -528,7 +426,7 @@ fn compactor_loop(shared: &Shared, rx: &mpsc::Receiver<CompactMsg>) {
                     // can leave the overlay still over the threshold
                     // with no future update due to poke us. Poke
                     // ourselves instead of idling until the next write.
-                    if over_threshold() && !shared.stop.load(Ordering::SeqCst) {
+                    if over_threshold() && !shared.front.stopping() {
                         if let Ok(tx) = shared.compact_tx.lock() {
                             if let Some(tx) = tx.as_ref() {
                                 let _ = tx.send(CompactMsg::Threshold);
@@ -537,230 +435,15 @@ fn compactor_loop(shared: &Shared, rx: &mpsc::Receiver<CompactMsg>) {
                     }
                 }
             }
-            CompactMsg::Admin(respond) => {
-                let result = do_compact(shared);
-                match respond {
-                    CompactRespond::Sync(tx) => {
-                        let _ = tx.send(result);
-                    }
-                    #[cfg(target_os = "linux")]
-                    CompactRespond::Epoll { conn, id } => {
-                        let body = match result {
-                            Ok((generation, vertices)) => {
-                                ResponseBody::Compacted { generation, vertices }
-                            }
-                            Err(e) => ResponseBody::Error(format!("compact failed: {e}")),
-                        };
-                        if let Some(ctl) = shared.epoll_ctl.get() {
-                            // `push` wakes the reactor's eventfd itself.
-                            ctl.completions.push(crate::batch::Completion {
-                                conn,
-                                bytes: Response { id, body }.encode(),
-                                answered: 1,
-                                close_after: false,
-                            });
-                        }
-                    }
-                }
+            CompactMsg::Admin { conn, id } => {
+                let body = match do_compact(shared) {
+                    Ok((generation, vertices)) => ResponseBody::Compacted { generation, vertices },
+                    Err(e) => ResponseBody::Error(format!("compact failed: {e}")),
+                };
+                shared.front.completions.answer(conn, (Response { id, body }.encode(), false));
             }
         }
     }
-}
-
-/// The blocking thread-per-connection backend.
-fn serve_threads(listener: TcpListener, shared: Arc<Shared>) -> std::io::Result<ServerHandle> {
-    let threads = if shared.config.threads == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        shared.config.threads
-    };
-    let (tx, rx) = mpsc::channel::<TcpStream>();
-    let rx = Arc::new(Mutex::new(rx));
-    let workers: Vec<JoinHandle<()>> = (0..threads)
-        .map(|_| {
-            let (shared, rx) = (Arc::clone(&shared), Arc::clone(&rx));
-            std::thread::spawn(move || worker_loop(&shared, &rx))
-        })
-        .collect();
-
-    let accept = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if shared.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                if let Ok(stream) = stream {
-                    // A send can only fail after stop; drop the socket.
-                    let _ = tx.send(stream);
-                }
-            }
-            // Dropping the sender drains the workers once their current
-            // connections finish.
-        })
-    };
-
-    Ok(ServerHandle { shared, accept: Some(accept), workers })
-}
-
-fn worker_loop(shared: &Shared, rx: &Mutex<mpsc::Receiver<TcpStream>>) {
-    loop {
-        // Only one worker parks in `recv` at a time (the rest queue on
-        // the mutex) — the standard shared-queue pool without external
-        // crates.
-        let stream = match rx.lock() {
-            Ok(guard) => match guard.recv() {
-                Ok(stream) => stream,
-                Err(_) => return, // accept loop gone, queue drained
-            },
-            Err(_) => return,
-        };
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let conn_id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
-        if let Ok(clone) = stream.try_clone() {
-            if let Ok(mut conns) = shared.conns.lock() {
-                conns.insert(conn_id, clone);
-            }
-        }
-        let _ = handle_connection(shared, &stream);
-        if let Ok(mut conns) = shared.conns.lock() {
-            conns.remove(&conn_id);
-        }
-    }
-}
-
-/// Serve one connection until the peer closes, a fatal protocol error
-/// desynchronizes the stream, or the daemon stops.
-fn handle_connection(shared: &Shared, stream: &TcpStream) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        match read_request(&mut reader, shared.config.max_batch) {
-            Ok(request) => {
-                shared.requests.fetch_add(1, Ordering::Relaxed);
-                let stopping =
-                    matches!(request.body, RequestBody::Shutdown) && shared.config.allow_shutdown;
-                let response = dispatch(shared, request);
-                writer.write_all(&response.encode())?;
-                writer.flush()?;
-                if stopping {
-                    shared.begin_stop();
-                    return Ok(());
-                }
-            }
-            Err(ProtoError::Bad { id, msg }) => {
-                // Payload-level violation: the frame was consumed, the
-                // stream is still aligned — answer and keep serving.
-                shared.requests.fetch_add(1, Ordering::Relaxed);
-                shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                writer.write_all(&Response { id, body: ResponseBody::Error(msg) }.encode())?;
-                writer.flush()?;
-            }
-            Err(ProtoError::Closed) => return Ok(()),
-            Err(ProtoError::Fatal(msg)) => {
-                // Unsynchronizable stream: best-effort error frame,
-                // then close — never leave the peer hanging.
-                shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let bye = Response { id: 0, body: ResponseBody::Error(msg) };
-                let _ = writer.write_all(&bye.encode());
-                let _ = writer.flush();
-                // Half-close and drain (bounded) before the full close:
-                // closing with unread bytes in the receive queue makes
-                // the kernel send RST, which would destroy the error
-                // frame before the peer reads it.
-                let _ = stream.shutdown(Shutdown::Write);
-                drain_bounded(&mut reader, stream);
-                let _ = stream.shutdown(Shutdown::Both);
-                return Ok(());
-            }
-            Err(ProtoError::Io(e)) => return Err(e),
-        }
-    }
-}
-
-/// Swallow whatever the peer already sent, bounded in bytes and time,
-/// so the close after a fatal protocol error doesn't RST away the error
-/// frame. A peer that keeps streaming past the budget gets the reset.
-fn drain_bounded(reader: &mut impl std::io::Read, stream: &TcpStream) {
-    const DRAIN_BUDGET: usize = 1 << 20;
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(2)));
-    let mut scratch = [0u8; 4096];
-    let mut drained = 0usize;
-    while drained < DRAIN_BUDGET {
-        match reader.read(&mut scratch) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => drained += n,
-        }
-    }
-}
-
-fn dispatch(shared: &Shared, request: Request) -> Response {
-    let id = request.id;
-    let body = match request.body {
-        RequestBody::Query(pairs) => {
-            // One Arc clone pins this whole batch to one generation,
-            // even while a swap promotes the next one.
-            let generation = match shared.current.read() {
-                Ok(current) => Arc::clone(&current),
-                Err(_) => return error(id, "server state poisoned"),
-            };
-            match generation.query_many(&pairs, shared.config.batch_threads) {
-                Ok(dists) => ResponseBody::Distances(dists),
-                Err(msg) => ResponseBody::Error(msg),
-            }
-        }
-        RequestBody::Update(edges) => match do_update(shared, &edges) {
-            Ok((generation, overlay_edges)) => ResponseBody::Updated { generation, overlay_edges },
-            Err(e) => ResponseBody::Error(format!("update failed: {e}")),
-        },
-        RequestBody::Swap => match do_swap(shared) {
-            Ok(fresh) => ResponseBody::Swapped {
-                generation: fresh.generation(),
-                vertices: fresh.vertices() as u64,
-            },
-            Err(e) => ResponseBody::Error(format!("swap failed: {e}")),
-        },
-        RequestBody::Compact => match request_compact_sync(shared) {
-            Ok((generation, vertices)) => ResponseBody::Compacted { generation, vertices },
-            Err(e) => ResponseBody::Error(format!("compact failed: {e}")),
-        },
-        RequestBody::Info => match info_of(shared) {
-            Some(info) => ResponseBody::Info(info),
-            None => return error(id, "server state poisoned"),
-        },
-        RequestBody::RouteInfo => match route_info_of(shared) {
-            Some(route) => ResponseBody::RouteInfo(route),
-            None => return error(id, "server state poisoned"),
-        },
-        RequestBody::Stats => match shared.current.read() {
-            Ok(current) => ResponseBody::Stats(StatsReply {
-                generation: current.generation(),
-                vertices: current.vertices() as u64,
-                directed: current.is_directed(),
-                resident: current.is_resident(),
-                requests: shared.requests.load(Ordering::Relaxed),
-                protocol_errors: shared.protocol_errors.load(Ordering::Relaxed),
-            }),
-            Err(_) => return error(id, "server state poisoned"),
-        },
-        RequestBody::Shutdown => {
-            if shared.config.allow_shutdown {
-                ResponseBody::Bye
-            } else {
-                ResponseBody::Error("remote shutdown is disabled on this server".into())
-            }
-        }
-    };
-    Response { id, body }
-}
-
-fn error(id: u64, msg: &str) -> Response {
-    Response { id, body: ResponseBody::Error(msg.to_string()) }
 }
 
 /// Load the swap path (fallback: the boot path) as a fresh generation
@@ -883,27 +566,6 @@ fn do_update(shared: &Shared, edges: &[(u32, u32, u32)]) -> Result<(u64, u64), S
         }
     }
     Ok((generation, overlay_edges))
-}
-
-/// Ask the compactor thread to compact now and wait for its answer
-/// (threads-backend path; the epoll reactor uses a completion instead).
-fn request_compact_sync(shared: &Shared) -> Result<(u64, u64), String> {
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let sent = shared
-        .compact_tx
-        .lock()
-        .ok()
-        .and_then(|tx| {
-            tx.as_ref().map(|tx| tx.send(CompactMsg::Admin(CompactRespond::Sync(reply_tx))).is_ok())
-        })
-        .unwrap_or(false);
-    if !sent {
-        return Err("server is stopping".to_string());
-    }
-    match reply_rx.recv() {
-        Ok(result) => result,
-        Err(_) => Err("server is stopping".to_string()),
-    }
 }
 
 /// Whether the first data line of an edge-list file carries a third
@@ -1098,9 +760,111 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
     Ok((generation, vertices))
 }
 
+impl Service for Shared {
+    const NAME: &'static str = "server";
+
+    fn limits(&self) -> Limits {
+        Limits {
+            max_batch: self.config.max_batch,
+            max_inflight: self.config.max_inflight,
+            idle_timeout_ms: self.config.idle_timeout_ms,
+            allow_shutdown: self.config.allow_shutdown,
+        }
+    }
+
+    /// Stop the front (it drains what it owes and exits, the batcher
+    /// drains) and the compactor. Idempotent.
+    fn begin_stop(&self) {
+        if !self.front.begin_stop() {
+            return;
+        }
+        // Dropping the sender ends the compactor's recv loop even if
+        // the Stop message races a queued threshold poke.
+        if let Ok(mut tx) = self.compact_tx.lock() {
+            if let Some(tx) = tx.take() {
+                let _ = tx.send(CompactMsg::Stop);
+            }
+        }
+    }
+
+    fn refuses_updates(&self) -> Option<&'static str> {
+        None
+    }
+
+    fn admin(&self, traffic: Traffic, conn: u64, id: u64, kind: Admin) -> Outcome {
+        let poisoned = || ResponseBody::Error("server state poisoned".to_string());
+        match kind {
+            Admin::Swap => Outcome::Submit(Job::Swap { conn, id }),
+            Admin::Compact => {
+                let queued = self.compact_tx.lock().is_ok_and(|tx| {
+                    tx.as_ref().is_some_and(|tx| tx.send(CompactMsg::Admin { conn, id }).is_ok())
+                });
+                if queued {
+                    Outcome::Deferred
+                } else {
+                    Outcome::Reply(ResponseBody::Error("server is stopping".to_string()))
+                }
+            }
+            Admin::Info => {
+                Outcome::Reply(info_of(self, traffic).map_or_else(poisoned, ResponseBody::Info))
+            }
+            Admin::RouteInfo => {
+                Outcome::Reply(route_info_of(self).map_or_else(poisoned, ResponseBody::RouteInfo))
+            }
+        }
+    }
+
+    fn stats_reply(&self, traffic: Traffic) -> StatsReply {
+        match self.current.read() {
+            Ok(current) => StatsReply {
+                generation: current.generation(),
+                vertices: current.vertices() as u64,
+                directed: current.is_directed(),
+                resident: current.is_resident(),
+                requests: traffic.requests,
+                protocol_errors: traffic.protocol_errors,
+            },
+            Err(_) => StatsReply::default(),
+        }
+    }
+
+    fn stats_json(&self, traffic: Traffic) -> String {
+        let i = info_of(self, traffic).unwrap_or_default();
+        let durability = match &self.durable {
+            None => "disabled".to_string(),
+            Some(_) => self.config.durability.to_string(),
+        };
+        format!(
+            "{{\"generation\":{},\"vertices\":{},\"directed\":{},\"resident\":{},\
+             \"resident_bytes\":{},\"overlay_edges\":{},\"overlay_affected\":{},\
+             \"compactions\":{},\"requests\":{},\"protocol_errors\":{},\
+             \"durability\":\"{durability}\",\"wal_epoch\":{},\"wal_records\":{},\
+             \"wal_bytes\":{},\"recovered_records\":{},\"recovered_dropped_bytes\":{},\
+             \"checkpoints\":{},\"aborted_compactions\":{}}}",
+            i.generation,
+            i.vertices,
+            i.directed,
+            i.resident,
+            i.resident_bytes,
+            i.overlay_edges,
+            i.overlay_affected,
+            i.compactions,
+            i.requests,
+            i.protocol_errors,
+            i.wal_epoch,
+            i.wal_records,
+            i.wal_bytes,
+            i.recovered_records,
+            i.recovered_dropped_bytes,
+            i.checkpoints,
+            i.aborted_compactions,
+        )
+    }
+}
+
 /// The extended `info` snapshot (protocol v2): everything `stats`
 /// reports plus overlay and compaction state.
-fn info_of(shared: &Shared) -> Option<InfoReply> {
+fn info_of(shared: &Shared, traffic: Traffic) -> Option<InfoReply> {
     let current = shared.current.read().ok()?;
     Some(InfoReply {
         protocol: crate::proto::VERSION,
@@ -1112,8 +876,8 @@ fn info_of(shared: &Shared) -> Option<InfoReply> {
         overlay_edges: current.overlay_edges() as u64,
         overlay_affected: current.overlay_affected() as u64,
         compactions: shared.compactions.load(Ordering::Relaxed),
-        requests: shared.requests.load(Ordering::Relaxed),
-        protocol_errors: shared.protocol_errors.load(Ordering::Relaxed),
+        requests: traffic.requests,
+        protocol_errors: traffic.protocol_errors,
         durability: match &shared.durable {
             None => DURABILITY_DISABLED,
             Some(_) => shared.config.durability.as_u8(),
@@ -1147,755 +911,92 @@ fn route_info_of(shared: &Shared) -> Option<RouteReply> {
     })
 }
 
-/// The readiness-driven backend: one reactor thread multiplexing every
-/// connection over epoll, one executor thread running coalesced query
-/// micro-batches.
-///
-/// ```text
-/// reactor thread                     executor thread
-///   epoll_wait ──► accept / read       Batcher::next_batch
-///   cut frames (HOPQ or HTTP)  ──────►   coalesce pairs across conns
-///   answer stats/shutdown inline         ONE Generation clone per batch
-///   queue + flush responses   ◄──────    query_many → encode responses
-///   (Completions + eventfd wake)         (swaps run here too)
-/// ```
-///
-/// The reactor never blocks on a socket and never runs a query; the
-/// executor never touches a socket. In-flight caps and the write
-/// high-water mark turn misbehaving peers into *paused* peers (their
-/// readable interest is dropped) instead of unbounded memory.
-#[cfg(target_os = "linux")]
-mod epoll_backend {
-    use super::*;
-    use crate::batch::{Batcher, Completion, Completions, Job, RespondAs, UpdateRespond};
-    use crate::conn::{Conn, ConnRequest, ConnState, Mode};
-    use crate::http::{self, HttpRequest};
-    use crate::proto::Response;
-    use crate::reactor::{Event, Poller, WakeFd, EV_READ, EV_WRITE};
-    use std::io::Read;
-    use std::time::{Duration, Instant};
-
-    const TOKEN_LISTENER: u64 = 0;
-    const TOKEN_WAKER: u64 = 1;
-    const FIRST_CONN_TOKEN: u64 = 2;
-    /// Reactor tick: upper bound on how stale idle/drain bookkeeping
-    /// can get; all real work is event-driven.
-    const POLL_TICK_MS: i32 = 25;
-    /// Graceful-drain budget after a stop: owed responses get this long
-    /// to flush before connections are cut.
-    const DRAIN_DEADLINE: Duration = Duration::from_secs(3);
-    /// Post-error discard budget (bytes, and seconds of patience) so a
-    /// close doesn't RST away the final error frame.
-    const DISCARD_BUDGET: usize = 1 << 20;
-    const DISCARD_TIMEOUT: Duration = Duration::from_secs(2);
-
-    /// One executable query job: (connection token, response
-    /// encoding, query pairs).
-    type QueryJob = (u64, RespondAs, Vec<(u32, u32)>);
-
-    /// Hooks `Shared::begin_stop` and the compactor thread use to reach
-    /// a running reactor.
-    pub(super) struct EpollCtl {
-        pub(super) wake: Arc<WakeFd>,
-        pub(super) batcher: Arc<Batcher>,
-        pub(super) completions: Arc<Completions>,
-    }
-
-    pub(super) fn serve_epoll(
-        listener: TcpListener,
-        shared: Arc<Shared>,
-    ) -> std::io::Result<ServerHandle> {
-        listener.set_nonblocking(true)?;
-        let poller = Poller::new(256)?;
-        let wake = Arc::new(WakeFd::new()?);
-        let batcher = Arc::new(Batcher::new());
-        let completions = Arc::new(Completions::new(Arc::clone(&wake)));
-        poller.register(&listener, EV_READ, TOKEN_LISTENER)?;
-        poller.register(&*wake, EV_READ, TOKEN_WAKER)?;
-        let _ = shared.epoll_ctl.set(EpollCtl {
-            wake: Arc::clone(&wake),
-            batcher: Arc::clone(&batcher),
-            completions: Arc::clone(&completions),
-        });
-
-        let executor = {
-            let (shared, batcher, completions) =
-                (Arc::clone(&shared), Arc::clone(&batcher), Arc::clone(&completions));
-            std::thread::spawn(move || executor_loop(&shared, &batcher, &completions))
-        };
-        let reactor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                Reactor {
-                    shared,
-                    poller,
-                    wake,
-                    batcher,
-                    completions,
-                    listener,
-                    conns: HashMap::new(),
-                    next_token: FIRST_CONN_TOKEN,
-                    draining_since: None,
-                }
-                .run()
-            })
-        };
-        Ok(ServerHandle { shared, accept: None, workers: vec![reactor, executor] })
-    }
-
-    struct Reactor {
-        shared: Arc<Shared>,
-        poller: Poller,
-        wake: Arc<WakeFd>,
-        batcher: Arc<Batcher>,
-        completions: Arc<Completions>,
-        listener: TcpListener,
-        conns: HashMap<u64, Conn>,
-        next_token: u64,
-        draining_since: Option<Instant>,
-    }
-
-    impl Reactor {
-        fn run(mut self) {
-            let mut events: Vec<Event> = Vec::new();
-            loop {
-                if self.shared.stop.load(Ordering::SeqCst) && self.draining_since.is_none() {
-                    self.begin_drain();
-                }
-                if let Some(since) = self.draining_since {
-                    let owed =
-                        self.conns.values().any(|c| c.inflight > 0 || c.pending_write_bytes() > 0);
-                    if !owed || since.elapsed() > DRAIN_DEADLINE {
-                        break;
-                    }
-                }
-                events.clear();
-                if self.poller.wait(Some(POLL_TICK_MS), |ev| events.push(ev)).is_err() {
-                    break;
-                }
-                for ev in &events {
-                    match ev.token {
-                        TOKEN_LISTENER => self.accept_ready(),
-                        TOKEN_WAKER => self.wake.drain(),
-                        token => {
-                            if ev.readable() {
-                                self.conn_readable(token);
-                            }
-                            if ev.writable() {
-                                self.conn_writable(token);
-                            }
-                        }
-                    }
-                }
-                self.apply_completions();
-                self.advance_all();
-            }
-            // Dropping the map closes every socket; dropping the
-            // listener closes the port.
-        }
-
-        fn begin_drain(&mut self) {
-            self.draining_since = Some(Instant::now());
-            let _ = self.poller.deregister(&self.listener);
-            for conn in self.conns.values_mut() {
-                if conn.state == ConnState::Open {
-                    conn.state = ConnState::CloseAfterFlush;
-                }
-            }
-        }
-
-        fn accept_ready(&mut self) {
-            if self.draining_since.is_some() {
-                return;
-            }
-            loop {
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        let _ = stream.set_nodelay(true);
-                        let token = self.next_token;
-                        self.next_token += 1;
-                        if self.poller.register(&stream, EV_READ, token).is_ok() {
-                            let mut conn = Conn::new(stream, Instant::now());
-                            conn.registered = EV_READ;
-                            self.conns.insert(token, conn);
-                            self.shared.conn_seq.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => break,
-                }
-            }
-        }
-
-        /// Per-connection cap on unanswered requests: HTTP answers must
-        /// stay in order, so HTTP connections run one at a time.
-        fn inflight_cap(&self, mode: Mode) -> usize {
-            if mode == Mode::Http {
-                1
-            } else {
-                self.shared.config.max_inflight.max(1)
-            }
-        }
-
-        fn conn_readable(&mut self, token: u64) {
-            let Some(conn) = self.conns.get_mut(&token) else { return };
-            match conn.state {
-                ConnState::Open => {
-                    let cap = if conn.mode == Mode::Http {
-                        1
-                    } else {
-                        self.shared.config.max_inflight.max(1)
+/// The executor: pull coalesced batches, answer them, run swaps and
+/// updates between them.
+fn executor_loop(shared: &Shared) {
+    let (batcher, completions) = (&shared.front.batcher, &*shared.front.completions);
+    let flush_after = Duration::from_micros(shared.config.flush_us.max(1));
+    let coalesce = shared.config.coalesce_pairs.max(1);
+    while let Some(jobs) = batcher.next_batch(coalesce, flush_after) {
+        let mut queries: Vec<QueryJob> = Vec::new();
+        for job in jobs {
+            match job {
+                Job::Query { conn, respond, pairs } => queries.push((conn, respond, pairs)),
+                Job::Swap { conn, id } => {
+                    // Queries queued before the swap answer on the old
+                    // generation; flush them first.
+                    run_queries(shared, completions, std::mem::take(&mut queries));
+                    let body = match do_swap(shared) {
+                        Ok(fresh) => ResponseBody::Swapped {
+                            generation: fresh.generation(),
+                            vertices: fresh.vertices() as u64,
+                        },
+                        Err(e) => ResponseBody::Error(format!("swap failed: {e}")),
                     };
-                    // Backpressure: a capped or backed-up connection is
-                    // simply not read. Level-triggered epoll re-reports
-                    // it once interest returns.
-                    if conn.inflight >= cap || conn.write_backed_up() {
-                        return;
-                    }
-                    if conn.fill(Instant::now()).is_err() {
-                        conn.state = ConnState::Dead;
-                        return;
-                    }
-                    self.parse_conn(token);
+                    completions.answer(conn, (Response { id, body }.encode(), false));
                 }
-                ConnState::Draining { budget } => {
-                    let mut left = budget;
-                    let mut chunk = [0u8; 4096];
-                    loop {
-                        if left == 0 {
-                            conn.state = ConnState::Dead;
-                            break;
-                        }
-                        match conn.stream.read(&mut chunk) {
-                            Ok(0) => {
-                                conn.state = ConnState::Dead;
-                                break;
-                            }
-                            Ok(n) => left = left.saturating_sub(n),
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                conn.state = ConnState::Draining { budget: left };
-                                break;
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                            Err(_) => {
-                                conn.state = ConnState::Dead;
-                                break;
-                            }
-                        }
-                    }
-                }
-                ConnState::CloseAfterFlush | ConnState::Dead => {}
-            }
-        }
-
-        fn conn_writable(&mut self, token: u64) {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                if conn.pending_write_bytes() > 0 && conn.flush().is_err() {
-                    conn.state = ConnState::Dead;
+                Job::Update { conn, respond, edges } => {
+                    // Same ordering contract as a swap: queries
+                    // submitted before this frame answer on the
+                    // pre-update overlay, queries after it on the
+                    // post-update one.
+                    run_queries(shared, completions, std::mem::take(&mut queries));
+                    completions.answer(conn, respond.outcome(do_update(shared, &edges)));
                 }
             }
         }
-
-        /// Cut and dispatch every whole request buffered on `token`,
-        /// stopping at the in-flight cap.
-        fn parse_conn(&mut self, token: u64) {
-            loop {
-                let request = {
-                    let Some(conn) = self.conns.get_mut(&token) else { return };
-                    if conn.state != ConnState::Open {
-                        return;
-                    }
-                    let cap = if conn.mode == Mode::Http {
-                        1
-                    } else {
-                        self.shared.config.max_inflight.max(1)
-                    };
-                    if conn.inflight >= cap || conn.write_backed_up() {
-                        return;
-                    }
-                    match conn.next_request(self.shared.config.max_batch) {
-                        Some(request) => request,
-                        None => {
-                            // EOF with a partial frame still buffered:
-                            // the peer can never complete it.
-                            if conn.peer_eof && conn.pending_read_bytes() > 0 {
-                                self.shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                                let bye = Response {
-                                    id: 0,
-                                    body: ResponseBody::Error("truncated frame".into()),
-                                };
-                                conn.queue_write(&bye.encode(), Instant::now());
-                                conn.state = ConnState::CloseAfterFlush;
-                            }
-                            return;
-                        }
-                    }
-                };
-                self.dispatch(token, request);
-            }
-        }
-
-        fn dispatch(&mut self, token: u64, request: ConnRequest) {
-            match request {
-                ConnRequest::Hopq(req) => {
-                    self.shared.requests.fetch_add(1, Ordering::Relaxed);
-                    let id = req.id;
-                    match req.body {
-                        RequestBody::Query(pairs) => {
-                            self.submit_query(token, RespondAs::Hopq { id }, pairs);
-                        }
-                        RequestBody::Update(edges) => {
-                            let job = Job::Update {
-                                conn: token,
-                                respond: UpdateRespond::Hopq { id },
-                                edges,
-                            };
-                            if self.batcher.submit(job) {
-                                if let Some(c) = self.conns.get_mut(&token) {
-                                    c.inflight += 1;
-                                }
-                            } else {
-                                self.queue_response(token, error(id, "server is stopping"), false);
-                            }
-                        }
-                        RequestBody::Swap => {
-                            if self.batcher.submit(Job::Swap { conn: token, id }) {
-                                if let Some(c) = self.conns.get_mut(&token) {
-                                    c.inflight += 1;
-                                }
-                            } else {
-                                self.queue_response(token, error(id, "server is stopping"), false);
-                            }
-                        }
-                        RequestBody::Compact => {
-                            // Hand to the compactor thread; the answer
-                            // comes back as a completion, so neither
-                            // the reactor nor the executor ever blocks
-                            // on a rebuild.
-                            if self.request_compact_async(token, id) {
-                                if let Some(c) = self.conns.get_mut(&token) {
-                                    c.inflight += 1;
-                                }
-                            } else {
-                                self.queue_response(token, error(id, "server is stopping"), false);
-                            }
-                        }
-                        RequestBody::Info => {
-                            let resp = match info_of(&self.shared) {
-                                Some(info) => Response { id, body: ResponseBody::Info(info) },
-                                None => error(id, "server state poisoned"),
-                            };
-                            self.queue_response(token, resp, false);
-                        }
-                        RequestBody::RouteInfo => {
-                            let resp = match route_info_of(&self.shared) {
-                                Some(r) => Response { id, body: ResponseBody::RouteInfo(r) },
-                                None => error(id, "server state poisoned"),
-                            };
-                            self.queue_response(token, resp, false);
-                        }
-                        RequestBody::Stats => {
-                            let reply = self.stats_reply();
-                            let resp = Response { id, body: ResponseBody::Stats(reply) };
-                            self.queue_response(token, resp, false);
-                        }
-                        RequestBody::Shutdown => {
-                            if self.shared.config.allow_shutdown {
-                                let resp = Response { id, body: ResponseBody::Bye };
-                                self.queue_response(token, resp, false);
-                                self.shared.begin_stop();
-                            } else {
-                                let resp = error(id, "remote shutdown is disabled on this server");
-                                self.queue_response(token, resp, false);
-                            }
-                        }
-                    }
-                }
-                ConnRequest::HopqBad { id, msg } => {
-                    self.shared.requests.fetch_add(1, Ordering::Relaxed);
-                    self.shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    self.queue_response(token, error(id, &msg), false);
-                }
-                ConnRequest::HopqFatal(msg) => {
-                    self.shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    self.queue_response(token, error(0, &msg), true);
-                }
-                ConnRequest::Http { request, close } => {
-                    self.shared.requests.fetch_add(1, Ordering::Relaxed);
-                    match request {
-                        HttpRequest::QueryOne { s, t } => {
-                            self.submit_query(token, RespondAs::HttpOne { close }, vec![(s, t)]);
-                        }
-                        HttpRequest::QueryMany(pairs) => {
-                            self.submit_query(token, RespondAs::HttpMany { close }, pairs);
-                        }
-                        HttpRequest::Update(edges) => {
-                            let job = Job::Update {
-                                conn: token,
-                                respond: UpdateRespond::Http { close },
-                                edges,
-                            };
-                            if self.batcher.submit(job) {
-                                if let Some(c) = self.conns.get_mut(&token) {
-                                    c.inflight += 1;
-                                }
-                            } else {
-                                let bytes = http::render_error(503, "server is stopping");
-                                self.queue_bytes(token, &bytes, true);
-                            }
-                        }
-                        HttpRequest::Stats => {
-                            let body = self.stats_json();
-                            let bytes = http::render_response(200, &body, close);
-                            self.queue_bytes(token, &bytes, close);
-                        }
-                    }
-                }
-                ConnRequest::HttpError(resp) => {
-                    self.shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    self.queue_bytes(token, &resp, true);
-                }
-            }
-        }
-
-        /// Queue an admin compaction on the compactor thread; the reply
-        /// arrives through the completion pile. Returns `false` when
-        /// the server is stopping.
-        fn request_compact_async(&mut self, token: u64, id: u64) -> bool {
-            let Ok(tx) = self.shared.compact_tx.lock() else { return false };
-            let Some(tx) = tx.as_ref() else { return false };
-            tx.send(CompactMsg::Admin(CompactRespond::Epoll { conn: token, id })).is_ok()
-        }
-
-        fn submit_query(&mut self, token: u64, respond: RespondAs, pairs: Vec<(u32, u32)>) {
-            if self.batcher.submit(Job::Query { conn: token, respond, pairs }) {
-                if let Some(c) = self.conns.get_mut(&token) {
-                    c.inflight += 1;
-                }
-            } else {
-                let (bytes, close) = match respond {
-                    RespondAs::Hopq { id } => (error(id, "server is stopping").encode(), false),
-                    RespondAs::HttpOne { .. } | RespondAs::HttpMany { .. } => {
-                        (http::render_error(503, "server is stopping"), true)
-                    }
-                };
-                self.queue_bytes(token, &bytes, close);
-            }
-        }
-
-        fn queue_response(&mut self, token: u64, resp: Response, close_after: bool) {
-            self.queue_bytes(token, &resp.encode(), close_after);
-        }
-
-        fn queue_bytes(&mut self, token: u64, bytes: &[u8], close_after: bool) {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.queue_write(bytes, Instant::now());
-                if close_after && conn.state == ConnState::Open {
-                    conn.state = ConnState::CloseAfterFlush;
-                }
-            }
-        }
-
-        fn apply_completions(&mut self) {
-            for done in self.completions.drain() {
-                if let Some(conn) = self.conns.get_mut(&done.conn) {
-                    conn.inflight = conn.inflight.saturating_sub(done.answered);
-                    conn.queue_write(&done.bytes, Instant::now());
-                    if done.close_after && conn.state == ConnState::Open {
-                        conn.state = ConnState::CloseAfterFlush;
-                    }
-                }
-            }
-        }
-
-        /// Advance every connection's state machine: parse leftovers
-        /// (capacity may have freed), flush, transition, re-arm.
-        fn advance_all(&mut self) {
-            let now = Instant::now();
-            let tokens: Vec<u64> = self.conns.keys().copied().collect();
-            for token in tokens {
-                self.advance_conn(token, now);
-            }
-        }
-
-        fn advance_conn(&mut self, token: u64, now: Instant) {
-            self.parse_conn(token);
-            let idle = match self.shared.config.idle_timeout_ms {
-                0 => None,
-                ms => Some(Duration::from_millis(ms)),
-            };
-            let cap = {
-                let Some(conn) = self.conns.get(&token) else { return };
-                self.inflight_cap(conn.mode)
-            };
-            let drain_mode = self.draining_since.is_some();
-            let Some(conn) = self.conns.get_mut(&token) else { return };
-            if conn.pending_write_bytes() > 0 && conn.flush().is_err() {
-                conn.state = ConnState::Dead;
-            }
-            match conn.state {
-                ConnState::Open => {
-                    if conn.peer_eof
-                        && conn.inflight == 0
-                        && conn.pending_write_bytes() == 0
-                        && conn.pending_read_bytes() == 0
-                    {
-                        conn.state = ConnState::Dead;
-                    } else if let Some(idle) = idle {
-                        if conn.inflight == 0
-                            && conn.pending_write_bytes() == 0
-                            && now.duration_since(conn.last_activity) >= idle
-                        {
-                            conn.state = ConnState::Dead;
-                        }
-                    }
-                }
-                ConnState::CloseAfterFlush => {
-                    if conn.inflight == 0 && conn.pending_write_bytes() == 0 {
-                        // Half-close, then linger (bounded) discarding
-                        // what the peer already sent, so the close
-                        // can't RST away the frames just flushed.
-                        let _ = conn.stream.shutdown(Shutdown::Write);
-                        conn.state = if conn.peer_eof {
-                            ConnState::Dead
-                        } else {
-                            ConnState::Draining { budget: DISCARD_BUDGET }
-                        };
-                        conn.last_activity = now;
-                    }
-                }
-                ConnState::Draining { .. } => {
-                    if conn.peer_eof || now.duration_since(conn.last_activity) > DISCARD_TIMEOUT {
-                        conn.state = ConnState::Dead;
-                    }
-                }
-                ConnState::Dead => {}
-            }
-            let mut dead = conn.state == ConnState::Dead;
-            if !dead {
-                let desired = desired_interest(conn, cap, drain_mode);
-                if desired != conn.registered {
-                    match self.poller.rearm(&conn.stream, desired, token) {
-                        Ok(()) => conn.registered = desired,
-                        Err(_) => dead = true,
-                    }
-                }
-            }
-            if dead {
-                if let Some(conn) = self.conns.remove(&token) {
-                    let _ = self.poller.deregister(&conn.stream);
-                }
-            }
-        }
-
-        fn stats_reply(&self) -> StatsReply {
-            match self.shared.current.read() {
-                Ok(current) => StatsReply {
-                    generation: current.generation(),
-                    vertices: current.vertices() as u64,
-                    directed: current.is_directed(),
-                    resident: current.is_resident(),
-                    requests: self.shared.requests.load(Ordering::Relaxed),
-                    protocol_errors: self.shared.protocol_errors.load(Ordering::Relaxed),
-                },
-                Err(_) => StatsReply::default(),
-            }
-        }
-
-        fn stats_json(&self) -> String {
-            let s = self.stats_reply();
-            let (resident_bytes, overlay_edges, overlay_affected) = self
-                .shared
-                .current
-                .read()
-                .map(|g| (g.resident_bytes(), g.overlay_edges(), g.overlay_affected()))
-                .unwrap_or((0, 0, 0));
-            let compactions = self.shared.compactions.load(Ordering::Relaxed);
-            let durability = match &self.shared.durable {
-                None => "disabled".to_string(),
-                Some(_) => self.shared.config.durability.to_string(),
-            };
-            let wal_epoch = self.shared.wal_epoch.load(Ordering::Relaxed);
-            let wal_records = self.shared.wal_records.load(Ordering::Relaxed);
-            let wal_bytes = self.shared.wal_bytes.load(Ordering::Relaxed);
-            let recovered_records = self.shared.recovered_records.load(Ordering::Relaxed);
-            let recovered_dropped_bytes =
-                self.shared.recovered_dropped_bytes.load(Ordering::Relaxed);
-            let checkpoints = self.shared.checkpoints.load(Ordering::Relaxed);
-            let aborted_compactions = self.shared.aborted_compactions.load(Ordering::Relaxed);
-            format!(
-                "{{\"generation\":{},\"vertices\":{},\"directed\":{},\"resident\":{},\
-                 \"resident_bytes\":{resident_bytes},\"overlay_edges\":{overlay_edges},\
-                 \"overlay_affected\":{overlay_affected},\"compactions\":{compactions},\
-                 \"requests\":{},\"protocol_errors\":{},\
-                 \"durability\":\"{durability}\",\"wal_epoch\":{wal_epoch},\
-                 \"wal_records\":{wal_records},\"wal_bytes\":{wal_bytes},\
-                 \"recovered_records\":{recovered_records},\
-                 \"recovered_dropped_bytes\":{recovered_dropped_bytes},\
-                 \"checkpoints\":{checkpoints},\"aborted_compactions\":{aborted_compactions}}}",
-                s.generation, s.vertices, s.directed, s.resident, s.requests, s.protocol_errors,
-            )
-        }
+        run_queries(shared, completions, queries);
     }
+}
 
-    /// The interest mask a connection's state calls for.
-    fn desired_interest(conn: &Conn, cap: usize, drain_mode: bool) -> u32 {
-        let mut mask = 0;
-        match conn.state {
-            ConnState::Open => {
-                let paused =
-                    conn.inflight >= cap || conn.write_backed_up() || conn.peer_eof || drain_mode;
-                if !paused {
-                    mask |= EV_READ;
-                }
-                if conn.pending_write_bytes() > 0 {
-                    mask |= EV_WRITE;
-                }
-            }
-            ConnState::CloseAfterFlush => mask |= EV_WRITE,
-            ConnState::Draining { .. } => mask |= EV_READ,
-            ConnState::Dead => {}
-        }
-        mask
+/// Answer one coalesced batch: a single `Generation` clone pins the
+/// whole batch to one index, a single `query_many_into` call answers
+/// every pair, and per-job slices are encoded back out.
+fn run_queries(shared: &Shared, completions: &Completions, jobs: Vec<QueryJob>) {
+    if jobs.is_empty() {
+        return;
     }
-
-    /// The executor: pull coalesced batches, answer them, run swaps.
-    fn executor_loop(shared: &Shared, batcher: &Batcher, completions: &Completions) {
-        let flush_after = Duration::from_micros(shared.config.flush_us.max(1));
-        let coalesce = shared.config.coalesce_pairs.max(1);
-        while let Some(jobs) = batcher.next_batch(coalesce, flush_after) {
-            let mut queries: Vec<QueryJob> = Vec::new();
-            for job in jobs {
-                match job {
-                    Job::Query { conn, respond, pairs } => queries.push((conn, respond, pairs)),
-                    Job::Swap { conn, id } => {
-                        // Queries queued before the swap answer on the
-                        // old generation; flush them first.
-                        run_queries(shared, completions, std::mem::take(&mut queries));
-                        let body = match do_swap(shared) {
-                            Ok(fresh) => ResponseBody::Swapped {
-                                generation: fresh.generation(),
-                                vertices: fresh.vertices() as u64,
-                            },
-                            Err(e) => ResponseBody::Error(format!("swap failed: {e}")),
-                        };
-                        completions.push(Completion {
-                            conn,
-                            bytes: Response { id, body }.encode(),
-                            answered: 1,
-                            close_after: false,
-                        });
-                    }
-                    Job::Update { conn, respond, edges } => {
-                        // Same ordering contract as a swap: queries
-                        // submitted before this frame answer on the
-                        // pre-update overlay, queries after it on the
-                        // post-update one.
-                        run_queries(shared, completions, std::mem::take(&mut queries));
-                        let result = do_update(shared, &edges);
-                        let (bytes, close_after) = match respond {
-                            UpdateRespond::Hopq { id } => {
-                                let body = match result {
-                                    Ok((generation, overlay_edges)) => {
-                                        ResponseBody::Updated { generation, overlay_edges }
-                                    }
-                                    Err(e) => ResponseBody::Error(format!("update failed: {e}")),
-                                };
-                                (Response { id, body }.encode(), false)
-                            }
-                            UpdateRespond::Http { close } => match result {
-                                Ok((generation, overlay_edges)) => {
-                                    (http::render_update(generation, overlay_edges, close), close)
-                                }
-                                Err(e) => {
-                                    (http::render_error(400, &format!("update failed: {e}")), true)
-                                }
-                            },
-                        };
-                        completions.push(Completion { conn, bytes, answered: 1, close_after });
-                    }
-                }
+    let generation = match shared.current.read() {
+        Ok(current) => Arc::clone(&current),
+        Err(_) => {
+            for (conn, respond, _) in jobs {
+                completions.answer(conn, respond.error("server state poisoned"));
             }
-            run_queries(shared, completions, queries);
-        }
-    }
-
-    /// Answer one coalesced batch: a single `Generation` clone pins the
-    /// whole batch to one index, a single `query_many_into` call
-    /// answers every pair, and per-job slices are encoded back out.
-    fn run_queries(shared: &Shared, completions: &Completions, jobs: Vec<QueryJob>) {
-        if jobs.is_empty() {
             return;
         }
-        let generation = match shared.current.read() {
-            Ok(current) => Arc::clone(&current),
-            Err(_) => {
-                for (conn, respond, _) in jobs {
-                    push_error(completions, conn, respond, "server state poisoned");
-                }
-                return;
+    };
+    let n = generation.vertices() as u32;
+    // Range-check per job so one bad frame can't fail its batchmates.
+    let mut combined: Vec<(u32, u32)> = Vec::new();
+    let mut plan: Vec<(usize, usize, usize)> = Vec::new();
+    for (i, (conn, respond, pairs)) in jobs.iter().enumerate() {
+        match pairs.iter().find(|&&(s, t)| s >= n || t >= n) {
+            Some(&(s, t)) => {
+                let msg = format!("vertex out of range: ({s}, {t}) on a {n}-vertex index");
+                completions.answer(*conn, respond.error(&msg));
             }
-        };
-        let n = generation.vertices() as u32;
-        // Range-check per job so one bad frame can't fail its batchmates.
-        let mut combined: Vec<(u32, u32)> = Vec::new();
-        let mut plan: Vec<(usize, usize, usize)> = Vec::new();
-        for (i, (conn, respond, pairs)) in jobs.iter().enumerate() {
-            match pairs.iter().find(|&&(s, t)| s >= n || t >= n) {
-                Some(&(s, t)) => {
-                    let msg = format!("vertex out of range: ({s}, {t}) on a {n}-vertex index");
-                    push_error(completions, *conn, *respond, &msg);
-                }
-                None => {
-                    plan.push((i, combined.len(), pairs.len()));
-                    combined.extend_from_slice(pairs);
-                }
-            }
-        }
-        if combined.is_empty() {
-            return;
-        }
-        let mut dists = Vec::with_capacity(combined.len());
-        match generation.query_many_into(&combined, shared.config.batch_threads, &mut dists) {
-            Err(msg) => {
-                for &(i, _, _) in &plan {
-                    let (conn, respond, _) = &jobs[i];
-                    push_error(completions, *conn, *respond, &msg);
-                }
-            }
-            Ok(()) => {
-                for &(i, offset, len) in &plan {
-                    let (conn, respond, pairs) = &jobs[i];
-                    let slice = &dists[offset..offset + len];
-                    let (bytes, close_after) = match *respond {
-                        RespondAs::Hopq { id } => (
-                            Response { id, body: ResponseBody::Distances(slice.to_vec()) }.encode(),
-                            false,
-                        ),
-                        RespondAs::HttpOne { close } => {
-                            (http::render_query_one(pairs[0].0, pairs[0].1, slice[0], close), close)
-                        }
-                        RespondAs::HttpMany { close } => {
-                            (http::render_query_many(slice, close), close)
-                        }
-                    };
-                    completions.push(Completion { conn: *conn, bytes, answered: 1, close_after });
-                }
+            None => {
+                plan.push((i, combined.len(), pairs.len()));
+                combined.extend_from_slice(pairs);
             }
         }
     }
-
-    fn push_error(completions: &Completions, conn: u64, respond: RespondAs, msg: &str) {
-        let (bytes, close_after) = match respond {
-            RespondAs::Hopq { id } => (error(id, msg).encode(), false),
-            RespondAs::HttpOne { .. } | RespondAs::HttpMany { .. } => {
-                (http::render_error(400, msg), true)
+    if combined.is_empty() {
+        return;
+    }
+    let mut dists = Vec::with_capacity(combined.len());
+    match generation.query_many_into(&combined, shared.config.batch_threads, &mut dists) {
+        Err(msg) => {
+            for &(i, _, _) in &plan {
+                let (conn, respond, _) = &jobs[i];
+                completions.answer(*conn, respond.error(&msg));
             }
-        };
-        completions.push(Completion { conn, bytes, answered: 1, close_after });
+        }
+        Ok(()) => {
+            for &(i, offset, len) in &plan {
+                let (conn, respond, pairs) = &jobs[i];
+                completions.answer(*conn, respond.distances(pairs, &dists[offset..offset + len]));
+            }
+        }
     }
 }

@@ -8,11 +8,23 @@
 use std::io::Cursor;
 
 use hopdb_server::proto::{
-    read_request, read_response, InfoReply, ProtoError, Request, RequestBody, Response,
+    decode_request, read_response, Decoded, InfoReply, Request, RequestBody, Response,
     ResponseBody, RouteReply, StatsReply, HEADER_LEN, MAX_PAYLOAD, VERSION,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
+
+/// Decode `bytes` as everything a peer sent before closing its write
+/// side — the serving loop's view of a finished stream. A partial frame
+/// left in the buffer can never complete, which the loop answers with
+/// the fatal `truncated frame` error; an empty buffer is a clean close
+/// and stays `Incomplete` (nothing to answer).
+fn decode_at_eof(bytes: &[u8], max_batch: usize) -> Decoded {
+    match decode_request(bytes, max_batch) {
+        Decoded::Incomplete if !bytes.is_empty() => Decoded::Fatal("truncated frame".into()),
+        other => other,
+    }
+}
 
 /// Strategy: an arbitrary request of any kind (v1 and v2 kinds alike).
 fn request_strategy() -> impl Strategy<Value = Request> {
@@ -100,8 +112,13 @@ proptest! {
     #[test]
     fn request_roundtrip(req in request_strategy()) {
         let bytes = req.encode();
-        let got = read_request(&mut Cursor::new(&bytes), usize::MAX).expect("roundtrip");
-        prop_assert_eq!(got, req);
+        match decode_at_eof(&bytes, usize::MAX) {
+            Decoded::Request { request, used } => {
+                prop_assert_eq!(request, req);
+                prop_assert_eq!(used, bytes.len());
+            }
+            other => panic!("roundtrip: {other:?}"),
+        }
     }
 
     #[test]
@@ -117,11 +134,13 @@ proptest! {
     ) {
         let bytes = req.encode();
         let keep = (bytes.len() as u64 * keep_millionths as u64 / 1_000_000) as usize;
-        match read_request(&mut Cursor::new(&bytes[..keep]), usize::MAX) {
-            Ok(_) => prop_assert_eq!(keep, bytes.len(), "decoded from a strict prefix"),
-            Err(ProtoError::Closed) => prop_assert_eq!(keep, 0),
-            Err(ProtoError::Fatal(_)) => {}
-            Err(other) => panic!("unexpected error class: {other:?}"),
+        match decode_at_eof(&bytes[..keep], usize::MAX) {
+            Decoded::Request { .. } => {
+                prop_assert_eq!(keep, bytes.len(), "decoded from a strict prefix");
+            }
+            Decoded::Incomplete => prop_assert_eq!(keep, 0),
+            Decoded::Fatal(_) => {}
+            other @ Decoded::Bad { .. } => panic!("unexpected error class: {other:?}"),
         }
     }
 
@@ -136,7 +155,7 @@ proptest! {
         // the id or pair region still decodes, by design — but a
         // corrupted *header* must never decode as a different frame
         // that re-encodes like the original.
-        if let Ok(got) = read_request(&mut Cursor::new(&bytes), usize::MAX) {
+        if let Decoded::Request { request: got, .. } = decode_at_eof(&bytes, usize::MAX) {
             prop_assert!(at >= 4, "corrupt magic byte {at} still decoded");
             if at == 4 {
                 // The version byte can flip between the two accepted
@@ -153,12 +172,12 @@ proptest! {
 fn truncated_header_every_cut_is_fatal() {
     let frame = Request { id: 3, body: RequestBody::Query(vec![(1, 2)]) }.encode();
     for cut in 1..frame.len() {
-        match read_request(&mut Cursor::new(&frame[..cut]), 1 << 16) {
-            Err(ProtoError::Fatal(_)) => {}
+        match decode_at_eof(&frame[..cut], 1 << 16) {
+            Decoded::Fatal(_) => {}
             other => panic!("cut at {cut}: want Fatal, got {other:?}"),
         }
     }
-    assert!(matches!(read_request(&mut Cursor::new(&[]), 16), Err(ProtoError::Closed)));
+    assert!(matches!(decode_at_eof(&[], 16), Decoded::Incomplete));
 }
 
 #[test]
@@ -172,8 +191,8 @@ fn oversized_declared_length_is_fatal_without_allocation() {
     frame.push(1); // query
     frame.extend_from_slice(&7u64.to_le_bytes());
     frame.extend_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
-    match read_request(&mut Cursor::new(&frame), 1 << 16) {
-        Err(ProtoError::Fatal(msg)) => assert!(msg.contains("cap"), "{msg}"),
+    match decode_at_eof(&frame, 1 << 16) {
+        Decoded::Fatal(msg) => assert!(msg.contains("cap"), "{msg}"),
         other => panic!("want Fatal, got {other:?}"),
     }
 }
@@ -184,15 +203,12 @@ fn bad_magic_and_version_are_fatal() {
     for at in 0..4 {
         let mut bad = good.clone();
         bad[at] ^= 0x20;
-        assert!(
-            matches!(read_request(&mut Cursor::new(&bad), 16), Err(ProtoError::Fatal(_))),
-            "magic byte {at}"
-        );
+        assert!(matches!(decode_at_eof(&bad, 16), Decoded::Fatal(_)), "magic byte {at}");
     }
     let mut wrong_version = good.clone();
     wrong_version[4] = VERSION + 1;
-    match read_request(&mut Cursor::new(&wrong_version), 16) {
-        Err(ProtoError::Fatal(msg)) => assert!(msg.contains("version"), "{msg}"),
+    match decode_at_eof(&wrong_version, 16) {
+        Decoded::Fatal(msg) => assert!(msg.contains("version"), "{msg}"),
         other => panic!("want Fatal, got {other:?}"),
     }
 }
@@ -201,39 +217,39 @@ fn bad_magic_and_version_are_fatal() {
 fn payload_level_violations_are_recoverable_with_id() {
     // Zero-pair batch.
     let zero = Request { id: 42, body: RequestBody::Query(vec![]) }.encode();
-    match read_request(&mut Cursor::new(&zero), 16) {
-        Err(ProtoError::Bad { id: 42, msg }) => assert!(msg.contains("zero"), "{msg}"),
+    match decode_at_eof(&zero, 16) {
+        Decoded::Bad { id: 42, msg, .. } => assert!(msg.contains("zero"), "{msg}"),
         other => panic!("want Bad, got {other:?}"),
     }
 
     // Batch larger than the server's limit.
     let big = Request { id: 7, body: RequestBody::Query(vec![(0, 0); 17]) }.encode();
-    match read_request(&mut Cursor::new(&big), 16) {
-        Err(ProtoError::Bad { id: 7, msg }) => assert!(msg.contains("limit"), "{msg}"),
+    match decode_at_eof(&big, 16) {
+        Decoded::Bad { id: 7, msg, .. } => assert!(msg.contains("limit"), "{msg}"),
         other => panic!("want Bad, got {other:?}"),
     }
 
     // Pair count disagreeing with the payload length.
     let mut mismatch = Request { id: 8, body: RequestBody::Query(vec![(1, 2), (3, 4)]) }.encode();
     mismatch[HEADER_LEN] = 3; // claims 3 pairs, carries 2
-    match read_request(&mut Cursor::new(&mismatch), 16) {
-        Err(ProtoError::Bad { id: 8, msg }) => assert!(msg.contains("pairs need"), "{msg}"),
+    match decode_at_eof(&mismatch, 16) {
+        Decoded::Bad { id: 8, msg, .. } => assert!(msg.contains("pairs need"), "{msg}"),
         other => panic!("want Bad, got {other:?}"),
     }
 
     // Unknown request kind (with an empty, fully consumed payload).
     let mut unknown = Request { id: 9, body: RequestBody::Stats }.encode();
     unknown[5] = 99;
-    match read_request(&mut Cursor::new(&unknown), 16) {
-        Err(ProtoError::Bad { id: 9, msg }) => assert!(msg.contains("unknown"), "{msg}"),
+    match decode_at_eof(&unknown, 16) {
+        Decoded::Bad { id: 9, msg, .. } => assert!(msg.contains("unknown"), "{msg}"),
         other => panic!("want Bad, got {other:?}"),
     }
 
     // Non-empty payload on an empty-bodied kind.
     let mut stuffed = Request { id: 10, body: RequestBody::Query(vec![(1, 2)]) }.encode();
     stuffed[5] = 2; // swap, but with the query payload still attached
-    match read_request(&mut Cursor::new(&stuffed), 16) {
-        Err(ProtoError::Bad { id: 10, msg }) => assert!(msg.contains("no payload"), "{msg}"),
+    match decode_at_eof(&stuffed, 16) {
+        Decoded::Bad { id: 10, msg, .. } => assert!(msg.contains("no payload"), "{msg}"),
         other => panic!("want Bad, got {other:?}"),
     }
 }
@@ -241,12 +257,19 @@ fn payload_level_violations_are_recoverable_with_id() {
 #[test]
 fn recoverable_errors_leave_the_stream_aligned() {
     // A zero-pair batch followed by a valid request on the same stream:
-    // after the Bad error, the next read must decode the valid frame.
+    // after the Bad error, the next decode must yield the valid frame.
     let mut stream = Vec::new();
     stream.extend_from_slice(&Request { id: 1, body: RequestBody::Query(vec![]) }.encode());
     let good = Request { id: 2, body: RequestBody::Query(vec![(5, 6)]) };
     stream.extend_from_slice(&good.encode());
-    let mut cursor = Cursor::new(&stream);
-    assert!(matches!(read_request(&mut cursor, 16), Err(ProtoError::Bad { id: 1, .. })));
-    assert_eq!(read_request(&mut cursor, 16).unwrap(), good);
+    let Decoded::Bad { id: 1, used, .. } = decode_at_eof(&stream, 16) else {
+        panic!("want Bad for the zero-pair frame");
+    };
+    match decode_at_eof(&stream[used..], 16) {
+        Decoded::Request { request, used: rest } => {
+            assert_eq!(request, good);
+            assert_eq!(used + rest, stream.len());
+        }
+        other => panic!("want the valid frame, got {other:?}"),
+    }
 }

@@ -9,8 +9,6 @@
 //! rank-space ids and the oracle is `FlatIndex::query_many` on the
 //! source image directly.
 
-#![cfg(target_os = "linux")]
-
 use std::io::ErrorKind;
 use std::net::SocketAddr;
 use std::path::PathBuf;

@@ -3,15 +3,15 @@
 //! `sfgraph::io` refuses zero edge weights at parse time; the live
 //! update path must enforce the same rule. A batch carrying a zero
 //! weight is nacked with a *recoverable* error — no panic, no silent
-//! clamp-to-1, no partial application — on the binary `HOPQ` front
-//! (both serving backends) and on `POST /update`, and the connection
-//! (HOPQ) / the daemon (HTTP) keeps serving afterwards.
+//! clamp-to-1, no partial application — on the binary `HOPQ` front and
+//! on `POST /update`, and the connection (HOPQ) / the daemon (HTTP)
+//! keeps serving afterwards.
 
 use std::io::ErrorKind;
 use std::path::PathBuf;
 
 use hopdb::{build_prelabeled, HopDbConfig};
-use hopdb_server::{serve, Backend, Client, ServerConfig, ServerHandle};
+use hopdb_server::{serve, Client, ServerConfig, ServerHandle};
 use hoplabels::disk::DiskIndex;
 use sfgraph::builder::GraphBuilder;
 use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
@@ -54,14 +54,16 @@ fn fixture(tag: &str) -> Fixture {
     Fixture { dir, index_path }
 }
 
-fn daemon(fx: &Fixture, backend: Backend) -> ServerHandle {
-    let config = ServerConfig { backend, threads: 2, ..ServerConfig::default() };
-    serve("127.0.0.1:0", &fx.index_path, config).expect("serve")
+fn daemon(fx: &Fixture) -> ServerHandle {
+    serve("127.0.0.1:0", &fx.index_path, ServerConfig::default()).expect("serve")
 }
 
-fn assert_hopq_nacks_zero_weight(backend: Backend, tag: &str) {
-    let fx = fixture(tag);
-    let handle = daemon(&fx, backend);
+// Named for the poller Linux runs; the loop above it is the same on
+// every unix.
+#[test]
+fn hopq_zero_weight_is_nacked_epoll_backend() {
+    let fx = fixture("hopq");
+    let handle = daemon(&fx);
     let mut client = Client::connect(handle.local_addr()).expect("connect");
 
     let before = client.query_one(0, 3).expect("baseline");
@@ -90,23 +92,11 @@ fn assert_hopq_nacks_zero_weight(backend: Backend, tag: &str) {
 }
 
 #[test]
-fn hopq_zero_weight_is_nacked_threads_backend() {
-    assert_hopq_nacks_zero_weight(Backend::Threads, "hopq-threads");
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn hopq_zero_weight_is_nacked_epoll_backend() {
-    assert_hopq_nacks_zero_weight(Backend::Epoll, "hopq-epoll");
-}
-
-#[cfg(target_os = "linux")]
-#[test]
 fn http_zero_weight_is_nacked() {
     use std::io::{Read as _, Write as _};
 
     let fx = fixture("http");
-    let handle = daemon(&fx, Backend::Epoll);
+    let handle = daemon(&fx);
     let addr = handle.local_addr();
 
     let http = |request: String| -> String {

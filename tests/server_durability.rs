@@ -51,7 +51,6 @@ fn cleanup(graph_path: &PathBuf, index_path: &PathBuf, wal_dir: &PathBuf) {
 
 fn durable_config(graph: &Path, wal_dir: &Path, durability: Durability) -> ServerConfig {
     ServerConfig {
-        threads: 2,
         source_graph: Some(graph.to_path_buf()),
         compact_threshold: 0,
         wal_dir: Some(wal_dir.to_path_buf()),
@@ -273,7 +272,6 @@ fn failed_compaction_is_counted_and_compaction_re_arms() {
     let (graph_path, index_path, wal_dir) = stage(&g, "abort");
     // No --graph: every compaction attempt fails cleanly.
     let config = ServerConfig {
-        threads: 2,
         wal_dir: Some(wal_dir.clone()),
         durability: Durability::Batch,
         ..ServerConfig::default()

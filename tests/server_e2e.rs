@@ -42,7 +42,7 @@ fn served_answers_match_flat_and_bfs_truth() {
         let (path, flat, relabeled) = build_index_file(&g, tag);
         let truth = all_pairs(&relabeled);
 
-        let config = ServerConfig { threads: 3, batch_threads: 2, ..ServerConfig::default() };
+        let config = ServerConfig { batch_threads: 2, ..ServerConfig::default() };
         let handle = serve("127.0.0.1:0", &path, config).expect("serve");
         let addr = handle.local_addr();
 
@@ -85,8 +85,7 @@ fn disk_fallback_admission_serves_identical_answers() {
     // wire answers must still be bit-identical to the resident path.
     let g = glp(&GlpParams::with_density(100, 3.0, 9));
     let (path, flat, _) = build_index_file(&g, "admission");
-    let config =
-        ServerConfig { threads: 2, max_resident_bytes: Some(1), ..ServerConfig::default() };
+    let config = ServerConfig { max_resident_bytes: Some(1), ..ServerConfig::default() };
     let handle = serve("127.0.0.1:0", &path, config).expect("serve");
     let mut client = Client::connect(handle.local_addr()).expect("connect");
     assert!(!client.stats().expect("stats").resident, "budget of 1 byte must force disk serving");
@@ -111,8 +110,7 @@ fn hot_swap_promotes_without_mixing_generations() {
     let expect_b = flat_b.query_many(&pairs, 1);
     assert_ne!(expect_a, expect_b, "test graphs must disagree for the swap to be observable");
 
-    let config =
-        ServerConfig { threads: 4, swap_path: Some(path_b.clone()), ..ServerConfig::default() };
+    let config = ServerConfig { swap_path: Some(path_b.clone()), ..ServerConfig::default() };
     let handle = serve("127.0.0.1:0", &path_a, config).expect("serve");
     let addr = handle.local_addr();
     assert_eq!(handle.current_generation(), 1);
@@ -176,10 +174,7 @@ fn malformed_frames_error_cleanly_and_never_hang() {
 
     let g = glp(&GlpParams::with_density(60, 3.0, 5));
     let (path, flat, _) = build_index_file(&g, "malformed");
-    // Two workers: the pool is thread-per-connection, so a lone worker
-    // would leave the later raw connections queued behind `client`.
-    let config = ServerConfig { threads: 2, ..ServerConfig::default() };
-    let handle = serve("127.0.0.1:0", &path, config).expect("serve");
+    let handle = serve("127.0.0.1:0", &path, ServerConfig::default()).expect("serve");
     let addr = handle.local_addr();
     let timeout = Some(std::time::Duration::from_secs(10));
 
@@ -204,7 +199,25 @@ fn malformed_frames_error_cleanly_and_never_hang() {
     // Out-of-range vertices: an error response, not a dropped frame.
     let err = client.query(&[(0, 60)]).expect_err("out of range must be rejected");
     assert!(err.to_string().contains("out of range"), "{err}");
-    drop(client); // free its worker slot for the raw connection below
+    drop(client);
+
+    // A frame cut short by the peer's EOF can never complete: the fatal
+    // `truncated frame` answer (id 0), then close — not a silent drop.
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(timeout).unwrap();
+    let whole = hop_doubling::hopdb_server::proto::Request {
+        id: 5,
+        body: hop_doubling::hopdb_server::proto::RequestBody::Query(vec![(0, 1)]),
+    }
+    .encode();
+    raw.write_all(&whole[..whole.len() - 3]).unwrap();
+    raw.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut reply = Vec::new();
+    raw.read_to_end(&mut reply).expect("read error frame then EOF, not a hang");
+    assert_eq!(&reply[..4], b"HOPR");
+    assert_eq!(reply[5], 1);
+    assert_eq!(&reply[6..14], &0u64.to_le_bytes(), "fatal errors carry id 0");
+    assert!(String::from_utf8_lossy(&reply[18..]).contains("truncated frame"));
 
     // Oversized declared payload: error frame, then close.
     let mut raw = std::net::TcpStream::connect(addr).expect("connect");

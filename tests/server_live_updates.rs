@@ -117,7 +117,6 @@ fn overlay_matches_full_rebuild_oracle() {
 
         for batch_threads in [1usize, 4] {
             let config = ServerConfig {
-                threads: 2,
                 batch_threads,
                 source_graph: Some(graph_path.clone()),
                 compact_threshold: 0, // manual compaction only
@@ -180,57 +179,43 @@ fn update_frames_interleave_with_pipelined_queries() {
     assert!(base > 1, "need a non-adjacent pair");
     let (graph_path, index_path) = stage_cli_artifacts(&g, "pipeline");
 
-    let mut backends = vec![hop_doubling::hopdb_server::Backend::Threads];
-    #[cfg(target_os = "linux")]
-    backends.push(hop_doubling::hopdb_server::Backend::Epoll);
+    let config = ServerConfig {
+        source_graph: Some(graph_path.clone()),
+        compact_threshold: 0,
+        ..ServerConfig::default()
+    };
+    let handle = serve("127.0.0.1:0", &index_path, config).expect("serve");
 
-    for backend in backends {
-        let config = ServerConfig {
-            backend,
-            threads: 2,
-            source_graph: Some(graph_path.clone()),
-            compact_threshold: 0,
-            ..ServerConfig::default()
-        };
-        let handle = serve("127.0.0.1:0", &index_path, config).expect("serve");
+    // One connection, three frames in a single write: query, update
+    // inserting (s, t, 1), query again. Queries pipelined before
+    // the update answer from the pre-update snapshot; queries after
+    // it see the new edge — never the other way around.
+    let mut stream = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(20))).unwrap();
+    let mut wire = Vec::new();
+    wire.extend_from_slice(&Request { id: 1, body: RequestBody::Query(vec![(s, t)]) }.encode());
+    wire.extend_from_slice(&Request { id: 2, body: RequestBody::Update(vec![(s, t, 1)]) }.encode());
+    wire.extend_from_slice(&Request { id: 3, body: RequestBody::Query(vec![(s, t)]) }.encode());
+    stream.write_all(&wire).expect("pipelined write");
 
-        // One connection, three frames in a single write: query, update
-        // inserting (s, t, 1), query again. Queries pipelined before
-        // the update answer from the pre-update snapshot; queries after
-        // it see the new edge — never the other way around.
-        let mut stream = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
-        stream.set_read_timeout(Some(std::time::Duration::from_secs(20))).unwrap();
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&Request { id: 1, body: RequestBody::Query(vec![(s, t)]) }.encode());
-        wire.extend_from_slice(
-            &Request { id: 2, body: RequestBody::Update(vec![(s, t, 1)]) }.encode(),
-        );
-        wire.extend_from_slice(&Request { id: 3, body: RequestBody::Query(vec![(s, t)]) }.encode());
-        stream.write_all(&wire).expect("pipelined write");
-
-        let mut reader = std::io::BufReader::new(stream);
-        let mut got: HashMap<u64, ResponseBody> = HashMap::new();
-        for _ in 0..3 {
-            let resp = read_response(&mut reader).expect("response frame");
-            got.insert(resp.id, resp.body);
-        }
-        assert_eq!(
-            got.get(&1),
-            Some(&ResponseBody::Distances(vec![base])),
-            "pre-update query answered post-update ({backend:?})"
-        );
-        assert_eq!(
-            got.get(&2),
-            Some(&ResponseBody::Updated { generation: 1, overlay_edges: 1 }),
-            "({backend:?})"
-        );
-        assert_eq!(
-            got.get(&3),
-            Some(&ResponseBody::Distances(vec![1])),
-            "post-update query answered pre-update ({backend:?})"
-        );
-        handle.shutdown();
+    let mut reader = std::io::BufReader::new(stream);
+    let mut got: HashMap<u64, ResponseBody> = HashMap::new();
+    for _ in 0..3 {
+        let resp = read_response(&mut reader).expect("response frame");
+        got.insert(resp.id, resp.body);
     }
+    assert_eq!(
+        got.get(&1),
+        Some(&ResponseBody::Distances(vec![base])),
+        "pre-update query answered post-update"
+    );
+    assert_eq!(got.get(&2), Some(&ResponseBody::Updated { generation: 1, overlay_edges: 1 }));
+    assert_eq!(
+        got.get(&3),
+        Some(&ResponseBody::Distances(vec![1])),
+        "post-update query answered pre-update"
+    );
+    handle.shutdown();
     cleanup(&graph_path, &index_path);
 }
 
@@ -268,7 +253,6 @@ fn concurrent_queries_during_ingest_and_compaction_promotion() {
     }
 
     let config = ServerConfig {
-        threads: 5,
         batch_threads: 2,
         source_graph: Some(graph_path.clone()),
         compact_threshold: 0,
@@ -336,7 +320,6 @@ fn concurrent_queries_during_ingest_and_compaction_promotion() {
     cleanup(&graph_path, &index_path);
 }
 
-#[cfg(target_os = "linux")]
 #[test]
 fn http_update_roundtrip_on_the_epoll_front() {
     use std::io::Read as _;
@@ -356,7 +339,6 @@ fn http_update_roundtrip_on_the_epoll_front() {
     let (graph_path, index_path) = stage_cli_artifacts(&g, "http");
 
     let config = ServerConfig {
-        backend: hop_doubling::hopdb_server::Backend::Epoll,
         source_graph: Some(graph_path.clone()),
         compact_threshold: 0,
         ..ServerConfig::default()

@@ -1,21 +1,26 @@
-//! Edge-case tests for the epoll serving backend: byte-identical
-//! equivalence with the threaded backend, partial frames split at
-//! arbitrary byte boundaries, pipelined out-of-order correlation,
-//! write backpressure against never-reading clients, idle eviction,
-//! hot swap under pipelined load, and the HTTP/JSON front.
-#![cfg(target_os = "linux")]
+//! Edge-case tests for the serving loop: a golden transcript of one
+//! pipelined script, partial frames split at arbitrary byte boundaries,
+//! pipelined out-of-order correlation, write backpressure against
+//! never-reading clients, idle eviction, hot swap under pipelined load,
+//! and the HTTP/JSON front. The framing, in-flight-cap, backpressure
+//! and idle cases run twice — against the daemon, and against a replica
+//! router in front of it — since both endpoints are the same loop.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
+use std::net::{SocketAddr, TcpStream};
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use hop_doubling::extmem::device::TempStore;
 use hop_doubling::graphgen::{glp, orient_scale_free, GlpParams};
 use hop_doubling::hopdb::{build_prelabeled, HopDbConfig};
 use hop_doubling::hopdb_server::client::Session;
-use hop_doubling::hopdb_server::proto::{Request, RequestBody, HEADER_LEN, UNREACHABLE};
-use hop_doubling::hopdb_server::{serve, Backend, Client, ServerConfig};
+use hop_doubling::hopdb_server::proto::{
+    Request, RequestBody, Response, ResponseBody, HEADER_LEN, UNREACHABLE,
+};
+use hop_doubling::hopdb_server::{
+    serve, serve_router, Client, RouteMode, RouterConfig, RouterHandle, ServerConfig, ServerHandle,
+};
 use hop_doubling::hoplabels::disk::DiskIndex;
 use hop_doubling::hoplabels::flat::FlatIndex;
 use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
@@ -34,6 +39,72 @@ fn build_index_file(g: &Graph, tag: &str) -> (PathBuf, FlatIndex) {
     std::fs::copy(&staged, &path).expect("stage index");
     std::fs::remove_file(staged).ok();
     (path, FlatIndex::from_index(&index))
+}
+
+/// What the client under test connects to.
+#[derive(Clone, Copy, Debug)]
+enum Via {
+    /// The index node itself.
+    Daemon,
+    /// A replica router with the index node as its only backend.
+    ReplicaRouter,
+}
+
+const BOTH: [Via; 2] = [Via::Daemon, Via::ReplicaRouter];
+
+/// The loop limits a test tightens. They configure the loop the client
+/// talks to: the daemon's own, or the router's in front of a stock
+/// daemon.
+#[derive(Clone, Copy)]
+struct Knobs {
+    max_inflight: usize,
+    idle_timeout_ms: u64,
+}
+
+impl Default for Knobs {
+    fn default() -> Knobs {
+        let d = ServerConfig::default();
+        Knobs { max_inflight: d.max_inflight, idle_timeout_ms: d.idle_timeout_ms }
+    }
+}
+
+struct Endpoint {
+    addr: SocketAddr,
+    router: Option<RouterHandle>,
+    daemon: ServerHandle,
+}
+
+impl Endpoint {
+    fn boot(via: Via, index: &Path, knobs: Knobs) -> Endpoint {
+        let Knobs { max_inflight, idle_timeout_ms } = knobs;
+        match via {
+            Via::Daemon => {
+                let config =
+                    ServerConfig { max_inflight, idle_timeout_ms, ..ServerConfig::default() };
+                let daemon = serve("127.0.0.1:0", index, config).expect("serve");
+                Endpoint { addr: daemon.local_addr(), router: None, daemon }
+            }
+            Via::ReplicaRouter => {
+                let daemon = serve("127.0.0.1:0", index, ServerConfig::default()).expect("serve");
+                let config = RouterConfig {
+                    mode: RouteMode::Replica,
+                    backends: vec![daemon.local_addr()],
+                    max_inflight,
+                    idle_timeout_ms,
+                    ..RouterConfig::default()
+                };
+                let router = serve_router("127.0.0.1:0", config).expect("router");
+                Endpoint { addr: router.local_addr(), router: Some(router), daemon }
+            }
+        }
+    }
+
+    fn shutdown(self) {
+        if let Some(router) = self.router {
+            router.shutdown();
+        }
+        self.daemon.shutdown();
+    }
 }
 
 fn query_frame(id: u64, pairs: &[(VertexId, VertexId)]) -> Vec<u8> {
@@ -69,51 +140,50 @@ fn frame_dists(frame: &[u8]) -> Vec<u32> {
 }
 
 #[test]
-fn epoll_and_threads_serve_byte_identical_responses() {
+fn pipelined_script_matches_the_golden_transcript() {
     for directed in [false, true] {
         let und = glp(&GlpParams::with_density(70, 3.0, if directed { 41 } else { 40 }));
         let g = if directed { orient_scale_free(&und, 0.25, 41) } else { und };
         let tag = if directed { "eq-d" } else { "eq-u" };
-        let (path, _) = build_index_file(&g, tag);
+        let (path, flat) = build_index_file(&g, tag);
         let n = 70u32;
 
         // One pipelined request script: batches, single pairs, an
         // out-of-range error, and a recoverable zero-pair error, all
-        // written before any response is read.
+        // written before any response is read. The golden transcript is
+        // what the codec and the in-process index say each answer is.
         let mut script = Vec::new();
-        let mut frames = 0usize;
+        let mut golden = Vec::new();
         for id in 1..=6u64 {
             let k = id as u32;
             let pairs: Vec<(u32, u32)> =
                 (0..17u32).map(|i| ((i * k) % n, (i * 7 + k) % n)).collect();
             script.extend_from_slice(&query_frame(id, &pairs));
-            frames += 1;
+            let body = ResponseBody::Distances(flat.query_many(&pairs, 1));
+            golden.push(Response { id, body }.encode());
         }
-        script.extend_from_slice(&query_frame(7, &[(0, n)])); // out of range
-        script.extend_from_slice(&query_frame(8, &[])); // zero pairs
+        script.extend_from_slice(&query_frame(7, &[(0, n)]));
+        let out_of_range = format!("vertex out of range: (0, {n}) on a {n}-vertex index");
+        golden.push(Response { id: 7, body: ResponseBody::Error(out_of_range) }.encode());
+        script.extend_from_slice(&query_frame(8, &[]));
+        let zero_pairs = "query batch declares zero pairs".to_string();
+        golden.push(Response { id: 8, body: ResponseBody::Error(zero_pairs) }.encode());
         script.extend_from_slice(&query_frame(9, &[(1, 2)]));
-        frames += 3;
+        let body = ResponseBody::Distances(vec![flat.query(1, 2)]);
+        golden.push(Response { id: 9, body }.encode());
 
-        let mut transcripts = Vec::new();
-        for backend in [Backend::Threads, Backend::Epoll] {
-            let config = ServerConfig { backend, threads: 2, ..ServerConfig::default() };
-            let handle = serve("127.0.0.1:0", &path, config).expect("serve");
-            let mut raw = TcpStream::connect(handle.local_addr()).expect("connect");
-            raw.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-            raw.write_all(&script).expect("write script");
-            // Pipelined responses may legally arrive out of order on
-            // the epoll backend (parse-level errors are answered
-            // inline); equivalence is per request id.
-            let mut replies = read_frames(&mut raw, frames);
-            replies.sort_by_key(|f| frame_id(f));
-            transcripts.push(replies);
-            drop(raw);
-            handle.shutdown();
-        }
-        assert_eq!(
-            transcripts[0], transcripts[1],
-            "threads and epoll must serve byte-identical responses ({tag})"
-        );
+        let handle = serve("127.0.0.1:0", &path, ServerConfig::default()).expect("serve");
+        let mut raw = TcpStream::connect(handle.local_addr()).expect("connect");
+        raw.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        raw.write_all(&script).expect("write script");
+        // Pipelined responses may legally arrive out of order
+        // (parse-level errors are answered inline); the transcript is
+        // compared per request id.
+        let mut replies = read_frames(&mut raw, golden.len());
+        replies.sort_by_key(|f| frame_id(f));
+        assert_eq!(replies, golden, "served frames diverge from the golden transcript ({tag})");
+        drop(raw);
+        handle.shutdown();
         std::fs::remove_file(&path).ok();
     }
 }
@@ -122,8 +192,15 @@ fn epoll_and_threads_serve_byte_identical_responses() {
 fn partial_frames_at_arbitrary_byte_boundaries() {
     let g = glp(&GlpParams::with_density(60, 3.0, 5));
     let (path, flat) = build_index_file(&g, "drip");
-    let handle = serve("127.0.0.1:0", &path, ServerConfig::default()).expect("serve");
-    let mut raw = TcpStream::connect(handle.local_addr()).expect("connect");
+    for via in BOTH {
+        partial_frames(via, &path, &flat);
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+fn partial_frames(via: Via, path: &Path, flat: &FlatIndex) {
+    let endpoint = Endpoint::boot(via, path, Knobs::default());
+    let mut raw = TcpStream::connect(endpoint.addr).expect("connect");
     raw.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
     raw.set_nodelay(true).unwrap();
 
@@ -149,11 +226,10 @@ fn partial_frames_at_arbitrary_byte_boundaries() {
     assert_eq!(frame_id(&reply[0]), 10);
     assert_eq!(frame_id(&reply[1]), 11, "second dripped frame answered with its own id");
     assert_eq!(frame_dists(&reply[0]), vec![flat.query(2, 3)]);
-    assert_eq!(frame_dists(&reply[1]), vec![flat.query(3, 2)]);
+    assert_eq!(frame_dists(&reply[1]), vec![flat.query(3, 2)], "{via:?}");
 
     drop(raw);
-    handle.shutdown();
-    std::fs::remove_file(&path).ok();
+    endpoint.shutdown();
 }
 
 #[test]
@@ -187,13 +263,19 @@ fn pipelined_session_correlates_out_of_order_waits() {
 fn inflight_cap_pauses_reads_but_answers_everything() {
     let g = glp(&GlpParams::with_density(60, 3.0, 7));
     let (path, flat) = build_index_file(&g, "cap");
-    let config = ServerConfig { max_inflight: 2, ..ServerConfig::default() };
-    let handle = serve("127.0.0.1:0", &path, config).expect("serve");
+    for via in BOTH {
+        inflight_cap(via, &path, &flat);
+    }
+    std::fs::remove_file(&path).ok();
+}
 
-    // 16 pipelined frames against a cap of 2: the reactor must pause
+fn inflight_cap(via: Via, path: &Path, flat: &FlatIndex) {
+    let endpoint = Endpoint::boot(via, path, Knobs { max_inflight: 2, ..Knobs::default() });
+
+    // 16 pipelined frames against a cap of 2: the loop must pause
     // reading at the cap and resume as completions drain, answering
     // every frame exactly once and in submission order.
-    let mut raw = TcpStream::connect(handle.local_addr()).expect("connect");
+    let mut raw = TcpStream::connect(endpoint.addr).expect("connect");
     raw.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
     let mut script = Vec::new();
     for id in 1..=16u64 {
@@ -203,25 +285,31 @@ fn inflight_cap_pauses_reads_but_answers_everything() {
     let reply = read_frames(&mut raw, 16);
     for (i, frame) in reply.iter().enumerate() {
         let id = frame_id(frame);
-        assert_eq!(id, i as u64 + 1, "responses echo ids in submission order");
+        assert_eq!(id, i as u64 + 1, "responses echo ids in submission order ({via:?})");
         assert_eq!(frame_dists(frame), vec![flat.query(id as u32 % 60, 3)]);
     }
 
     drop(raw);
-    handle.shutdown();
-    std::fs::remove_file(&path).ok();
+    endpoint.shutdown();
 }
 
 #[test]
 fn never_reading_client_backpressures_without_stalling_the_reactor() {
     let g = glp(&GlpParams::with_density(60, 3.0, 8));
     let (path, flat) = build_index_file(&g, "bp");
-    let handle = serve("127.0.0.1:0", &path, ServerConfig::default()).expect("serve");
-    let addr = handle.local_addr();
+    for via in BOTH {
+        never_reading_client(via, &path, &flat);
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+fn never_reading_client(via: Via, path: &Path, flat: &FlatIndex) {
+    let endpoint = Endpoint::boot(via, path, Knobs::default());
+    let addr = endpoint.addr;
 
     // Each response is ~195 KiB; eight of them (~1.6 MiB) exceed the
-    // server's 1 MiB write high-water mark, so with the client not
-    // reading, the server must park the connection instead of buffering
+    // loop's 1 MiB write high-water mark, so with the client not
+    // reading, the loop must park the connection instead of buffering
     // without bound — and keep serving *other* connections meanwhile.
     let pairs: Vec<(u32, u32)> = (0..50_000u32).map(|i| (i % 60, (i * 13 + 1) % 60)).collect();
     let expect = flat.query_many(&pairs, 1);
@@ -233,7 +321,7 @@ fn never_reading_client_backpressures_without_stalling_the_reactor() {
         move || half.write_all(&script).expect("write big script")
     });
 
-    // While the stalled connection is parked, the reactor must still
+    // While the stalled connection is parked, the loop must still
     // answer a fresh connection promptly.
     std::thread::sleep(Duration::from_millis(300));
     let mut admin = Client::connect_timeout(&addr, Duration::from_secs(5)).expect("connect");
@@ -247,21 +335,26 @@ fn never_reading_client_backpressures_without_stalling_the_reactor() {
     for (i, frame) in reply.iter().enumerate() {
         assert_eq!(frame.len(), HEADER_LEN + 4 + 4 * pairs.len());
         assert_eq!(frame_id(frame), i as u64 + 1);
-        assert_eq!(frame_dists(frame), expect, "stalled frame {} diverges", i + 1);
+        assert_eq!(frame_dists(frame), expect, "stalled frame {} diverges ({via:?})", i + 1);
     }
 
     drop(stalled);
-    handle.shutdown();
-    std::fs::remove_file(&path).ok();
+    endpoint.shutdown();
 }
 
 #[test]
 fn idle_timeout_evicts_quiet_connections_only() {
     let g = glp(&GlpParams::with_density(60, 3.0, 9));
     let (path, _) = build_index_file(&g, "idle");
-    let config = ServerConfig { idle_timeout_ms: 150, ..ServerConfig::default() };
-    let handle = serve("127.0.0.1:0", &path, config).expect("serve");
-    let addr = handle.local_addr();
+    for via in BOTH {
+        idle_eviction(via, &path);
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+fn idle_eviction(via: Via, path: &Path) {
+    let endpoint = Endpoint::boot(via, path, Knobs { idle_timeout_ms: 150, ..Knobs::default() });
+    let addr = endpoint.addr;
 
     let mut quiet = Client::connect(addr).expect("connect");
     quiet.set_io_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -277,11 +370,10 @@ fn idle_timeout_evicts_quiet_connections_only() {
     // The quiet connection sat idle well past the timeout: its next
     // query must fail (EOF or reset), never hang.
     let err = quiet.query_one(1, 1);
-    assert!(err.is_err(), "idle connection should have been evicted");
+    assert!(err.is_err(), "idle connection should have been evicted ({via:?})");
 
     drop(busy);
-    handle.shutdown();
-    std::fs::remove_file(&path).ok();
+    endpoint.shutdown();
 }
 
 #[test]
