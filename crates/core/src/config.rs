@@ -39,6 +39,9 @@ impl Strategy {
 }
 
 /// Configuration for [`crate::build`].
+///
+/// There is no iteration limit: every build runs to the fixpoint, which
+/// stepping reaches after up to `D_H` rounds (§5.1).
 #[derive(Clone, Debug)]
 pub struct HopDbConfig {
     /// Generation strategy; default [`Strategy::default_hybrid`].
@@ -53,9 +56,6 @@ pub struct HopDbConfig {
     /// Vertex ranking; `None` picks the paper's defaults (degree for
     /// undirected graphs, in×out-degree product for directed, §8).
     pub rank_by: Option<RankBy>,
-    /// Safety cap on iterations (the theory bounds iterations by
-    /// `min(D_H, 2⌈log D_H⌉)`+1; this cap only guards against bugs).
-    pub max_iterations: u32,
     /// Worker threads for per-iteration candidate generation and
     /// pruning: `0` resolves to the machine's available parallelism,
     /// `1` (the default) runs the sequential path. The built index is
@@ -77,7 +77,6 @@ impl Default for HopDbConfig {
             prune: true,
             post_prune: false,
             rank_by: None,
-            max_iterations: 256,
             parallelism: 1,
         }
     }

@@ -1,50 +1,67 @@
-//! The in-memory iterative labeling engines (Algorithm 1 with the
-//! minimized rules of §3.2, the pruning of §3.3, and the stepping
-//! refinement of §5.1).
+//! The in-memory iterative labeling engine (Algorithm 1 with the
+//! minimized rules of §3.2, the pruning of §3.3, the stepping refinement
+//! of §5.1 and the undirected conversion of §7) — one round kernel over
+//! one or two *sides*.
 //!
 //! ## Rank convention
 //!
 //! Inputs must be *rank-relabeled* graphs (id 0 = highest rank), so
-//! `r(u) > r(v)` ⇔ `u < v`. Under this convention the four minimized
-//! rules become, for out-entries (Rules 1 + 2) and in-entries
-//! (Rules 4 + 5):
+//! `r(u) > r(v)` ⇔ `u < v`.
+//!
+//! ## Sides
+//!
+//! A side σ is one label array under construction (`own`), the array it
+//! is joined against (`across`), the inverted view `inv` of `own`
+//! ("which owners carry pivot `p`" — the label-files-sorted-by-pivot of
+//! §4.1, kept as adjacency-style [`InvList`]s), the entries `prev` that
+//! the previous iteration added to `own`, and the edge direction
+//! stepping walks. A directed build is two sides whose `across` is each
+//! other; an undirected build (§7) is one side whose `across` is itself.
+//!
+//! Every iteration does the same thing on every side. For a `prev` entry
+//! `(owner u, pivot v, d)`:
 //!
 //! ```text
-//! R1: prev (v,d) ∈ Lout(u), (u1,d1) ∈ Lin(u),  v < u1 < u ⇒ cand (v, d+d1) ∈ Lout(u1)
-//! R2: prev (v,d) ∈ Lout(u), (u,d2) ∈ Lout(u2)            ⇒ cand (v, d+d2) ∈ Lout(u2)
-//! R4: prev (u,d) ∈ Lin(v),  (u4,d4) ∈ Lout(v), u < u4 < v ⇒ cand (u, d+d4) ∈ Lin(u4)
-//! R5: prev (u,d) ∈ Lin(v),  (v,d5) ∈ Lin(u5)             ⇒ cand (u, d+d5) ∈ Lin(u5)
+//! stepping  edge (x, w) of u in σ's step direction, x > v  ⇒ cand (v, d+w)  ∈ own(x)
+//! doubling  (x, d') ∈ across(u), v < x < u                 ⇒ cand (v, d+d') ∈ own(x)
+//!           (u, d') ∈ own(x), read off inv[u]; x > u > v   ⇒ cand (v, d+d') ∈ own(x)
+//! prune     cand (v, d) ∈ own(x) dies iff  own(x) ⋈ across(v) ≤ d
 //! ```
 //!
-//! Rules 2 and 5 need the *inverted* view "which labels contain pivot
-//! `p`" — the label-files-sorted-by-pivot of §4.1; the in-memory engine
-//! maintains them as adjacency-style [`InvList`]s. In stepping
-//! iterations the composed side is restricted to graph edges, which
-//! collapses R1+R2 into "extend each new out-entry over in-edges
-//! `(x, u)` with `x > pivot`", and dually for R4+R5.
+//! which is the paper's rule set read through this table:
 //!
-//! Pruning (§3.3, restricted as in §4.2 to witnesses of higher rank than
-//! both endpoints) is exactly the 2-hop query on the index built so far:
-//! candidate `(u → v, d)` dies iff `dist_L(u, v) ≤ d`, which the
-//! self-entries extend to same-pair dominance.
+//! | side       | `own`  | `across` | step edges | label rule   | inverted rule |
+//! |------------|--------|----------|------------|--------------|---------------|
+//! | out        | `Lout` | `Lin`    | in-edges   | R1           | R2            |
+//! | in         | `Lin`  | `Lout`   | out-edges  | R4           | R5            |
+//! | undirected | `L`    | `L`      | all edges  | converted R1 | converted R2  |
+//!
+//! In stepping iterations the composed entry is restricted to graph
+//! edges, which collapses the label and inverted rules into the single
+//! edge extension of the first line. The prune test (§3.3, restricted as
+//! in §4.2 to witnesses of higher rank than both endpoints) is exactly
+//! the 2-hop query on the index built so far — `Lout(u) ⋈ Lin(v)` for
+//! an out-candidate, the same join read from the other end for an
+//! in-candidate — and the self-entries extend it to same-pair dominance.
 //!
 //! ## Parallel construction
 //!
-//! Both generation and pruning only *read* the label index as frozen at
+//! Both generation and pruning only *read* the label arrays as frozen at
 //! the end of the previous iteration (Theorem 3's proof relies on
 //! witnesses "from previous iterations" only), so each iteration is
-//! embarrassingly parallel per `(owner, pivot)` key. With
+//! embarrassingly parallel per `(side, owner, pivot)` key. With
 //! `HopDbConfig::parallelism > 1` the round runs in three phases:
 //!
-//! 1. **scatter** — the previous iteration's entries are split into
-//!    per-worker chunks; each worker generates candidates into per-shard
-//!    pools routed by `owner % shards` ([`crate::shard`]);
-//! 2. **merge + prune** — one worker per shard min-merges the pools for
-//!    its owners, runs the 2-hop pruning test against the frozen index,
-//!    and sorts the survivors by `(owner, pivot)`;
-//! 3. **apply** — the main thread walks the shards in order and merges
-//!    each owner's sorted survivor batch into its label
-//!    ([`VertexLabels::merge_min_sorted`]).
+//! 1. **scatter** — every side's `prev` is split into per-worker chunks;
+//!    worker *w* generates candidates from chunk *w* of every side into
+//!    per-`(side, shard)` pools routed by `owner % shards`
+//!    ([`crate::shard`]);
+//! 2. **merge + prune** — one worker per shard min-merges every side's
+//!    pools for its owners, runs the prune test against the frozen
+//!    arrays, and sorts the survivors by `(owner, pivot)`;
+//! 3. **apply** — the main thread walks the shards in order, sides in
+//!    the fixed order out → in, and merges each owner's sorted survivor
+//!    batch into its label ([`VertexLabels::merge_min_sorted`]).
 //!
 //! Because the shards partition the key space and every per-key
 //! reduction is a minimum, the result is *bit-identical* to the
@@ -63,14 +80,54 @@ use crate::invlist::InvList;
 use crate::iteration::{BuildStats, IterationStats, ShardStats};
 use crate::shard;
 
-/// Build a label index for a rank-relabeled graph, directed or
-/// undirected, honouring `cfg`'s strategy, pruning, and parallelism
-/// switches.
-pub fn build_index(g: &Graph, cfg: &HopDbConfig) -> (LabelIndex, BuildStats) {
-    if g.is_directed() {
-        build_directed(g, cfg)
-    } else {
-        build_undirected(g, cfg)
+/// A label entry with its owner: `(owner, pivot, dist)`.
+pub(crate) type Entry = (VertexId, VertexId, Dist);
+
+/// How one side of a build starts (§3.1): what it is joined against,
+/// how stepping extends it, and one entry per edge that seeds it.
+pub(crate) struct SideSeed {
+    /// Index of the side whose labels this side is joined against.
+    pub(crate) across: usize,
+    /// Edges of a `prev` entry's owner that stepping extends it over.
+    pub(crate) step: Direction,
+    /// The initialization entries, in edge order.
+    pub(crate) entries: Vec<Entry>,
+}
+
+/// The sides of a build over `g`, in the fixed order out → in: an edge
+/// `u → v` seeds `(v, w) ∈ Lout(u)` when `r(v) > r(u)` and
+/// `(u, w) ∈ Lin(v)` otherwise; an undirected edge seeds the
+/// lower-ranked endpoint's single label (§7).
+pub(crate) fn seed_sides(g: &Graph) -> Vec<SideSeed> {
+    if !g.is_directed() {
+        // `edge_list` is normalised u < v: r(u) > r(v), so (u, w) ∈ L(v).
+        let entries = g.edge_list().into_iter().map(|(u, v, w)| (v, u, w)).collect();
+        return vec![SideSeed { across: 0, step: Direction::Out, entries }];
+    }
+    let (mut out, mut inn) = (Vec::new(), Vec::new());
+    for u in g.vertices() {
+        for (v, w) in g.edges(u, Direction::Out) {
+            if v < u {
+                out.push((u, v, w));
+            } else {
+                inn.push((v, u, w));
+            }
+        }
+    }
+    vec![
+        SideSeed { across: 1, step: Direction::In, entries: out },
+        SideSeed { across: 0, step: Direction::Out, entries: inn },
+    ]
+}
+
+/// The finished index from the sides' label arrays, in [`seed_sides`]
+/// order.
+pub(crate) fn index_from_sides(labels: Vec<Vec<VertexLabels>>) -> LabelIndex {
+    let mut labels = labels.into_iter();
+    let first = labels.next().expect("a build has at least one side");
+    match labels.next() {
+        Some(in_labels) => LabelIndex::Directed(DirectedLabels { in_labels, out_labels: first }),
+        None => LabelIndex::Undirected(UndirectedLabels { labels: first }),
     }
 }
 
@@ -106,11 +163,8 @@ fn merge_cands(mut maps: Vec<CandMap>) -> CandMap {
 /// Survivors and counters of one shard's merge + prune phase.
 struct ShardOutcome {
     shard: usize,
-    /// Out-side survivors `(owner, pivot, dist)`, sorted. The whole pool
-    /// for the undirected engine.
-    out: Vec<(VertexId, VertexId, Dist)>,
-    /// In-side survivors `(owner, pivot, dist)`, sorted; directed only.
-    inn: Vec<(VertexId, VertexId, Dist)>,
+    /// Per side, the survivors owned by this shard, sorted.
+    survivors: Vec<Vec<Entry>>,
     candidates: u64,
     pruned: u64,
     elapsed: Duration,
@@ -139,7 +193,7 @@ fn shard_stats(threads: usize, outcomes: &[ShardOutcome]) -> Vec<ShardStats> {
 /// keeping the inverted lists and the entry count in sync. Returns the
 /// number of added-or-improved entries.
 fn insert_batches(
-    survivors: &[(VertexId, VertexId, Dist)],
+    survivors: &[Entry],
     labels: &mut [VertexLabels],
     inv: &mut [InvList],
     total: &mut u64,
@@ -164,62 +218,41 @@ fn insert_batches(
     inserted
 }
 
-// ---------------------------------------------------------------------
-// Directed engine
-// ---------------------------------------------------------------------
+/// One label array under construction; see the module docs.
+struct Side {
+    /// Index in [`Engine::sides`] of the side this one is joined against
+    /// (the other side of a directed build, itself when undirected).
+    across: usize,
+    /// Edges of a `prev` entry's owner that stepping extends it over.
+    step: Direction,
+    /// `own`: the labels this side grows.
+    labels: Vec<VertexLabels>,
+    /// `inv[p]` = owners `x` (and distances) with `(p, ·) ∈ own(x)`.
+    inv: Vec<InvList>,
+    /// Entries the previous iteration added to `own`.
+    prev: Vec<Entry>,
+}
 
-struct DirectedEngine<'g> {
+/// The state of an in-memory build: the graph and the sides grown over it.
+struct Engine<'g> {
     g: &'g Graph,
-    out: Vec<VertexLabels>,
-    inn: Vec<VertexLabels>,
-    /// `out_inv[p]` = owners `u` (and distances) with `(p, ·) ∈ Lout(u)`.
-    out_inv: Vec<InvList>,
-    /// `in_inv[p]` = owners `v` (and distances) with `(p, ·) ∈ Lin(v)`.
-    in_inv: Vec<InvList>,
-    /// New out-entries of the previous iteration: `(owner, pivot, dist)`.
-    prev_out: Vec<(VertexId, VertexId, Dist)>,
-    /// New in-entries of the previous iteration: `(owner, pivot, dist)`.
-    prev_in: Vec<(VertexId, VertexId, Dist)>,
+    /// One side (undirected) or two (directed, out then in).
+    sides: Vec<Side>,
     total_entries: u64,
 }
 
-fn build_directed(g: &Graph, cfg: &HopDbConfig) -> (LabelIndex, BuildStats) {
+/// Build a label index for a rank-relabeled graph, directed or
+/// undirected, honouring `cfg`'s strategy, pruning, and parallelism
+/// switches.
+pub fn build_index(g: &Graph, cfg: &HopDbConfig) -> (LabelIndex, BuildStats) {
     let started = Instant::now();
     let threads = cfg.resolved_parallelism();
-    let n = g.num_vertices();
-    let mut e = DirectedEngine {
-        g,
-        out: (0..n).map(|v| VertexLabels::with_trivial(v as VertexId)).collect(),
-        inn: (0..n).map(|v| VertexLabels::with_trivial(v as VertexId)).collect(),
-        out_inv: vec![InvList::default(); n],
-        in_inv: vec![InvList::default(); n],
-        prev_out: Vec::new(),
-        prev_in: Vec::new(),
-        total_entries: 2 * n as u64,
-    };
     let mut stats = BuildStats { threads, ..BuildStats::default() };
 
     // Iteration 1: initialization — one entry per edge (§3.1).
     let init_start = Instant::now();
-    for v in g.vertices() {
-        for (t, w) in g.edges(v, Direction::Out) {
-            if t < v {
-                // r(t) > r(v): out-entry (t, w) ∈ Lout(v).
-                if e.out[v as usize].insert_min(LabelEntry::new(t, w)) {
-                    e.out_inv[t as usize].upsert(v, w);
-                }
-                e.prev_out.push((v, t, w));
-            } else {
-                // r(v) > r(t): in-entry (v, w) ∈ Lin(t).
-                if e.inn[t as usize].insert_min(LabelEntry::new(v, w)) {
-                    e.in_inv[v as usize].upsert(t, w);
-                }
-                e.prev_in.push((t, v, w));
-            }
-        }
-    }
-    let init_inserted = (e.prev_out.len() + e.prev_in.len()) as u64;
-    e.total_entries += init_inserted;
+    let mut e = Engine::seeded(g);
+    let init_inserted = e.prev_len() as u64;
     stats.iterations.push(IterationStats {
         iteration: 1,
         stepping: true,
@@ -231,12 +264,14 @@ fn build_directed(g: &Graph, cfg: &HopDbConfig) -> (LabelIndex, BuildStats) {
         shards: Vec::new(),
     });
 
+    // Run to the fixpoint: every inserted entry strictly lowers one
+    // `(owner, pivot)` distance, so the rounds cannot go on for ever.
     let mut iter = 1u32;
-    while !(e.prev_out.is_empty() && e.prev_in.is_empty()) && iter < cfg.max_iterations {
+    while e.prev_len() > 0 {
         iter += 1;
         let round_start = Instant::now();
         let stepping = cfg.strategy.steps_at(iter);
-        let round_threads = shard::effective_threads(threads, e.prev_out.len() + e.prev_in.len());
+        let round_threads = shard::effective_threads(threads, e.prev_len());
         let outcomes = e.run_round(stepping, cfg.prune, round_threads);
         let candidates = outcomes.iter().map(|o| o.candidates).sum();
         let pruned = outcomes.iter().map(|o| o.pruned).sum();
@@ -257,29 +292,57 @@ fn build_directed(g: &Graph, cfg: &HopDbConfig) -> (LabelIndex, BuildStats) {
         }
     }
 
-    let index = LabelIndex::Directed(DirectedLabels { in_labels: e.inn, out_labels: e.out });
+    let index = index_from_sides(e.sides.into_iter().map(|s| s.labels).collect());
     stats.final_entries = index.total_entries() as u64;
     stats.elapsed = started.elapsed();
     (index, stats)
 }
 
-impl DirectedEngine<'_> {
+impl<'g> Engine<'g> {
+    /// Trivial self-entries plus the initialization entries of `g`, which
+    /// are also the first `prev`.
+    fn seeded(g: &'g Graph) -> Engine<'g> {
+        let n = g.num_vertices();
+        let sides: Vec<Side> = seed_sides(g)
+            .into_iter()
+            .map(|seed| {
+                let mut labels: Vec<VertexLabels> =
+                    (0..n).map(|v| VertexLabels::with_trivial(v as VertexId)).collect();
+                let mut inv = vec![InvList::default(); n];
+                for &(owner, pivot, w) in &seed.entries {
+                    if labels[owner as usize].insert_min(LabelEntry::new(pivot, w)) {
+                        inv[pivot as usize].upsert(owner, w);
+                    }
+                }
+                Side { across: seed.across, step: seed.step, labels, inv, prev: seed.entries }
+            })
+            .collect();
+        let total_entries = sides.iter().map(|s| (n + s.prev.len()) as u64).sum();
+        Engine { g, sides, total_entries }
+    }
+
+    fn prev_len(&self) -> usize {
+        self.sides.iter().map(|s| s.prev.len()).sum()
+    }
+
     /// One generate + prune round over `threads` workers; survivors come
-    /// back per shard, sorted, ready for [`DirectedEngine::apply`].
+    /// back per shard, sorted, ready for [`Engine::apply`].
     fn run_round(&self, stepping: bool, prune: bool, threads: usize) -> Vec<ShardOutcome> {
         if threads == 1 {
-            let (out_maps, in_maps) = self.scatter(stepping, &self.prev_out, &self.prev_in, 1);
-            return vec![self.prune_shard(prune, 0, out_maps, in_maps)];
+            let prev: Vec<&[Entry]> = self.sides.iter().map(|s| &s.prev[..]).collect();
+            // One shard: the per-shard pools are the per-worker pools.
+            return vec![self.prune_shard(prune, 0, self.scatter(stepping, &prev, 1))];
         }
-        let out_chunks = shard::chunks(&self.prev_out, threads);
-        let in_chunks = shard::chunks(&self.prev_in, threads);
-        // Phase 1: scatter — every worker generates candidates from its
-        // chunk into per-shard pools.
-        let mut scattered: Vec<(Vec<CandMap>, Vec<CandMap>)> = std::thread::scope(|sc| {
-            let handles: Vec<_> = out_chunks
-                .into_iter()
-                .zip(in_chunks)
-                .map(|(oc, ic)| sc.spawn(move || self.scatter(stepping, oc, ic, threads)))
+        // Phase 1: scatter — worker w generates candidates from chunk w
+        // of every side into per-(side, shard) pools.
+        let chunks: Vec<Vec<&[Entry]>> =
+            self.sides.iter().map(|s| shard::chunks(&s.prev, threads)).collect();
+        let mut scattered: Vec<Vec<Vec<CandMap>>> = std::thread::scope(|sc| {
+            let handles: Vec<_> = (0..threads)
+                .map(|w| {
+                    let prev: Vec<&[Entry]> = chunks.iter().map(|c| c[w]).collect();
+                    sc.spawn(move || self.scatter(stepping, &prev, threads))
+                })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("scatter worker panicked")).collect()
         });
@@ -287,329 +350,113 @@ impl DirectedEngine<'_> {
         std::thread::scope(|sc| {
             let handles: Vec<_> = (0..threads)
                 .map(|s| {
-                    let out_maps: Vec<CandMap> =
-                        scattered.iter_mut().map(|(o, _)| std::mem::take(&mut o[s])).collect();
-                    let in_maps: Vec<CandMap> =
-                        scattered.iter_mut().map(|(_, i)| std::mem::take(&mut i[s])).collect();
-                    sc.spawn(move || self.prune_shard(prune, s, out_maps, in_maps))
+                    let pools: Vec<Vec<CandMap>> = (0..self.sides.len())
+                        .map(|side| {
+                            scattered.iter_mut().map(|w| std::mem::take(&mut w[side][s])).collect()
+                        })
+                        .collect();
+                    sc.spawn(move || self.prune_shard(prune, s, pools))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("prune worker panicked")).collect()
         })
     }
 
-    /// Generate candidates from chunks of the previous iteration's
-    /// entries into `shards` owner-routed pools per side.
-    fn scatter(
-        &self,
-        stepping: bool,
-        prev_out: &[(VertexId, VertexId, Dist)],
-        prev_in: &[(VertexId, VertexId, Dist)],
-        shards: usize,
-    ) -> (Vec<CandMap>, Vec<CandMap>) {
-        let mut out_cands = vec![CandMap::default(); shards];
-        let mut in_cands = vec![CandMap::default(); shards];
-        if stepping {
-            // R1+R2 over edges: extend new out-entries to in-neighbours.
-            for &(u, v, d) in prev_out {
-                for (x, w) in self.g.edges(u, Direction::In) {
-                    if x > v {
-                        self.offer_out(&mut out_cands, x, v, d.saturating_add(w));
+    /// Generate candidates from one chunk of every side's `prev` into
+    /// `shards` owner-routed pools per side: `result[side][shard]`.
+    fn scatter(&self, stepping: bool, prev: &[&[Entry]], shards: usize) -> Vec<Vec<CandMap>> {
+        let mut pools = Vec::with_capacity(self.sides.len());
+        for (side, &prev) in self.sides.iter().zip(prev) {
+            let mut cands = vec![CandMap::default(); shards];
+            let mut emit = |owner: VertexId, pivot: VertexId, d: Dist| {
+                // Cheap dominance check against the existing entry before
+                // the candidate pool (full pruning happens in
+                // `prune_shard`).
+                if side.labels[owner as usize].get(pivot).is_none_or(|cur| cur > d) {
+                    offer(&mut cands[shard::shard_of(owner, shards)], owner, pivot, d);
+                }
+            };
+            let across = &self.sides[side.across].labels;
+            for &(u, v, d) in prev {
+                if stepping {
+                    // Label and inverted rule composed with single edges.
+                    for (x, w) in self.g.edges(u, side.step) {
+                        if x > v {
+                            emit(x, v, d.saturating_add(w));
+                        }
+                    }
+                } else {
+                    // Label rule (R1 / R4): (x, d') ∈ across(u), v < x < u.
+                    for e in across[u as usize].entries() {
+                        if e.pivot > v && e.pivot < u {
+                            emit(e.pivot, v, d.saturating_add(e.dist));
+                        }
+                    }
+                    // Inverted rule (R2 / R5): owners x with (u, d') ∈
+                    // own(x); x > u > v holds.
+                    for &(x, d2) in side.inv[u as usize].entries() {
+                        emit(x, v, d.saturating_add(d2));
                     }
                 }
             }
-            // R4+R5 over edges: extend new in-entries to out-neighbours.
-            for &(v, u, d) in prev_in {
-                for (y, w) in self.g.edges(v, Direction::Out) {
-                    if y > u {
-                        self.offer_in(&mut in_cands, y, u, d.saturating_add(w));
-                    }
-                }
-            }
-        } else {
-            for &(u, v, d) in prev_out {
-                // R1: (u1, d1) ∈ Lin(u) with v < u1 < u.
-                for e in self.inn[u as usize].entries() {
-                    if e.pivot > v && e.pivot < u {
-                        self.offer_out(&mut out_cands, e.pivot, v, d.saturating_add(e.dist));
-                    }
-                }
-                // R2: owners u2 with (u, d2) ∈ Lout(u2); u2 > u > v holds.
-                for &(u2, d2) in self.out_inv[u as usize].entries() {
-                    self.offer_out(&mut out_cands, u2, v, d.saturating_add(d2));
-                }
-            }
-            for &(v, u, d) in prev_in {
-                // R4: (u4, d4) ∈ Lout(v) with u < u4 < v.
-                for e in self.out[v as usize].entries() {
-                    if e.pivot > u && e.pivot < v {
-                        self.offer_in(&mut in_cands, e.pivot, u, d.saturating_add(e.dist));
-                    }
-                }
-                // R5: owners u5 with (v, d5) ∈ Lin(u5); u5 > v > u holds.
-                for &(u5, d5) in self.in_inv[v as usize].entries() {
-                    self.offer_in(&mut in_cands, u5, u, d.saturating_add(d5));
-                }
-            }
+            pools.push(cands);
         }
-        (out_cands, in_cands)
+        pools
     }
 
-    #[inline]
-    fn offer_out(&self, cands: &mut [CandMap], owner: VertexId, pivot: VertexId, d: Dist) {
-        // Cheap dominance check against the existing entry before the
-        // candidate pool (full pruning happens in `prune_shard`).
-        if self.out[owner as usize].get(pivot).is_some_and(|cur| cur <= d) {
-            return;
-        }
-        offer(&mut cands[shard::shard_of(owner, cands.len())], owner, pivot, d);
-    }
-
-    #[inline]
-    fn offer_in(&self, cands: &mut [CandMap], owner: VertexId, pivot: VertexId, d: Dist) {
-        if self.inn[owner as usize].get(pivot).is_some_and(|cur| cur <= d) {
-            return;
-        }
-        offer(&mut cands[shard::shard_of(owner, cands.len())], owner, pivot, d);
-    }
-
-    /// Merge one shard's per-worker pools and prune the candidates
-    /// against the index as of the end of the previous iteration
-    /// (Theorem 3's proof relies on witnesses "from previous iterations"
-    /// only) — survivors never prune each other, which also keeps the
-    /// in-memory engine bit-identical to the external one, whose pruning
-    /// joins read frozen label files.
-    fn prune_shard(
-        &self,
-        prune: bool,
-        shard: usize,
-        out_maps: Vec<CandMap>,
-        in_maps: Vec<CandMap>,
-    ) -> ShardOutcome {
+    /// Merge one shard's per-worker pools (`pools[side][worker]`) and
+    /// prune the candidates against the index as of the end of the
+    /// previous iteration (Theorem 3's proof relies on witnesses "from
+    /// previous iterations" only) — survivors never prune each other,
+    /// which also keeps the in-memory engine bit-identical to the
+    /// external one, whose pruning joins read frozen label files.
+    fn prune_shard(&self, prune: bool, shard: usize, pools: Vec<Vec<CandMap>>) -> ShardOutcome {
         let start = Instant::now();
-        let out_merged = merge_cands(out_maps);
-        let in_merged = merge_cands(in_maps);
-        let candidates = (out_merged.len() + in_merged.len()) as u64;
-        let mut pruned = 0u64;
-        let mut out = Vec::with_capacity(out_merged.len());
-        for ((u, v), d) in out_merged {
-            // Out-entry (v, d) ∈ Lout(u) covers a path u ⇝ v: prune iff
-            // dist_L(u, v) ≤ d already (§3.3).
-            if prune
-                && join_min(self.out[u as usize].entries(), self.inn[v as usize].entries()) <= d
-            {
-                pruned += 1;
-            } else {
-                out.push((u, v, d));
+        let (mut candidates, mut pruned) = (0u64, 0u64);
+        let mut survivors = Vec::with_capacity(pools.len());
+        for (side, maps) in self.sides.iter().zip(pools) {
+            let merged = merge_cands(maps);
+            candidates += merged.len() as u64;
+            let across = &self.sides[side.across].labels;
+            let mut kept = Vec::with_capacity(merged.len());
+            for ((owner, pivot), d) in merged {
+                // The entry covers a path between owner and pivot: prune
+                // iff the 2-hop query over own(owner) ⋈ across(pivot)
+                // already answers ≤ d (§3.3).
+                if prune
+                    && join_min(
+                        side.labels[owner as usize].entries(),
+                        across[pivot as usize].entries(),
+                    ) <= d
+                {
+                    pruned += 1;
+                } else {
+                    kept.push((owner, pivot, d));
+                }
             }
+            kept.sort_unstable();
+            survivors.push(kept);
         }
-        let mut inn = Vec::with_capacity(in_merged.len());
-        for ((v, u), d) in in_merged {
-            // In-entry (u, d) ∈ Lin(v) covers a path u ⇝ v.
-            if prune
-                && join_min(self.out[u as usize].entries(), self.inn[v as usize].entries()) <= d
-            {
-                pruned += 1;
-            } else {
-                inn.push((v, u, d));
-            }
-        }
-        out.sort_unstable();
-        inn.sort_unstable();
-        ShardOutcome { shard, out, inn, candidates, pruned, elapsed: start.elapsed() }
+        ShardOutcome { shard, survivors, candidates, pruned, elapsed: start.elapsed() }
     }
 
     /// Insert every shard's survivors, in shard order, and make them the
     /// next iteration's `prev` entries.
     fn apply(&mut self, outcomes: &[ShardOutcome]) -> u64 {
-        self.prev_out.clear();
-        self.prev_in.clear();
+        for side in &mut self.sides {
+            side.prev.clear();
+        }
         let mut inserted = 0u64;
         for o in outcomes {
-            inserted +=
-                insert_batches(&o.out, &mut self.out, &mut self.out_inv, &mut self.total_entries);
-            inserted +=
-                insert_batches(&o.inn, &mut self.inn, &mut self.in_inv, &mut self.total_entries);
-            self.prev_out.extend_from_slice(&o.out);
-            self.prev_in.extend_from_slice(&o.inn);
-        }
-        inserted
-    }
-}
-
-// ---------------------------------------------------------------------
-// Undirected engine (§7: single label, converted Rules 1–2)
-// ---------------------------------------------------------------------
-
-struct UndirectedEngine<'g> {
-    g: &'g Graph,
-    lb: Vec<VertexLabels>,
-    /// `inv[p]` = owners `u` (and distances) with `(p, ·) ∈ L(u)`.
-    inv: Vec<InvList>,
-    prev: Vec<(VertexId, VertexId, Dist)>,
-    total_entries: u64,
-}
-
-fn build_undirected(g: &Graph, cfg: &HopDbConfig) -> (LabelIndex, BuildStats) {
-    let started = Instant::now();
-    let threads = cfg.resolved_parallelism();
-    let n = g.num_vertices();
-    let mut e = UndirectedEngine {
-        g,
-        lb: (0..n).map(|v| VertexLabels::with_trivial(v as VertexId)).collect(),
-        inv: vec![InvList::default(); n],
-        prev: Vec::new(),
-        total_entries: n as u64,
-    };
-    let mut stats = BuildStats { threads, ..BuildStats::default() };
-
-    let init_start = Instant::now();
-    for (u, v, w) in g.edge_list() {
-        // Normalised u < v: r(u) > r(v), so (u, w) ∈ L(v).
-        if e.lb[v as usize].insert_min(LabelEntry::new(u, w)) {
-            e.inv[u as usize].upsert(v, w);
-        }
-        e.prev.push((v, u, w));
-    }
-    let init_inserted = e.prev.len() as u64;
-    e.total_entries += init_inserted;
-    stats.iterations.push(IterationStats {
-        iteration: 1,
-        stepping: true,
-        candidates: init_inserted,
-        pruned: 0,
-        inserted: init_inserted,
-        total_entries: e.total_entries,
-        elapsed: init_start.elapsed(),
-        shards: Vec::new(),
-    });
-
-    let mut iter = 1u32;
-    while !e.prev.is_empty() && iter < cfg.max_iterations {
-        iter += 1;
-        let round_start = Instant::now();
-        let stepping = cfg.strategy.steps_at(iter);
-        let round_threads = shard::effective_threads(threads, e.prev.len());
-        let outcomes = e.run_round(stepping, cfg.prune, round_threads);
-        let candidates = outcomes.iter().map(|o| o.candidates).sum();
-        let pruned = outcomes.iter().map(|o| o.pruned).sum();
-        let shards = shard_stats(round_threads, &outcomes);
-        let inserted = e.apply(&outcomes);
-        stats.iterations.push(IterationStats {
-            iteration: iter,
-            stepping,
-            candidates,
-            pruned,
-            inserted,
-            total_entries: e.total_entries,
-            elapsed: round_start.elapsed(),
-            shards,
-        });
-        if inserted == 0 {
-            break;
-        }
-    }
-
-    let index = LabelIndex::Undirected(UndirectedLabels { labels: e.lb });
-    stats.final_entries = index.total_entries() as u64;
-    stats.elapsed = started.elapsed();
-    (index, stats)
-}
-
-impl UndirectedEngine<'_> {
-    /// One generate + prune round over `threads` workers (see the
-    /// directed engine — the undirected engine has a single pool).
-    fn run_round(&self, stepping: bool, prune: bool, threads: usize) -> Vec<ShardOutcome> {
-        if threads == 1 {
-            let maps = self.scatter(stepping, &self.prev, 1);
-            return vec![self.prune_shard(prune, 0, maps)];
-        }
-        let chunks = shard::chunks(&self.prev, threads);
-        let mut scattered: Vec<Vec<CandMap>> = std::thread::scope(|sc| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|c| sc.spawn(move || self.scatter(stepping, c, threads)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("scatter worker panicked")).collect()
-        });
-        std::thread::scope(|sc| {
-            let handles: Vec<_> = (0..threads)
-                .map(|s| {
-                    let maps: Vec<CandMap> =
-                        scattered.iter_mut().map(|w| std::mem::take(&mut w[s])).collect();
-                    sc.spawn(move || self.prune_shard(prune, s, maps))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("prune worker panicked")).collect()
-        })
-    }
-
-    fn scatter(
-        &self,
-        stepping: bool,
-        prev: &[(VertexId, VertexId, Dist)],
-        shards: usize,
-    ) -> Vec<CandMap> {
-        let mut cands = vec![CandMap::default(); shards];
-        if stepping {
-            for &(u, v, d) in prev {
-                for (x, w) in self.g.edges(u, Direction::Out) {
-                    if x > v {
-                        self.offer(&mut cands, x, v, d.saturating_add(w));
-                    }
-                }
+            for (side, survivors) in self.sides.iter_mut().zip(&o.survivors) {
+                inserted += insert_batches(
+                    survivors,
+                    &mut side.labels,
+                    &mut side.inv,
+                    &mut self.total_entries,
+                );
+                side.prev.extend_from_slice(survivors);
             }
-        } else {
-            for &(u, v, d) in prev {
-                // Converted R1: (u1, d1) ∈ L(u) with v < u1 < u gets (v, d+d1).
-                for e in self.lb[u as usize].entries() {
-                    if e.pivot > v && e.pivot < u {
-                        self.offer(&mut cands, e.pivot, v, d.saturating_add(e.dist));
-                    }
-                }
-                // Converted R2: owners u2 with (u, d2) ∈ L(u2); u2 > u > v.
-                for &(u2, d2) in self.inv[u as usize].entries() {
-                    self.offer(&mut cands, u2, v, d.saturating_add(d2));
-                }
-            }
-        }
-        cands
-    }
-
-    #[inline]
-    fn offer(&self, cands: &mut [CandMap], owner: VertexId, pivot: VertexId, d: Dist) {
-        if self.lb[owner as usize].get(pivot).is_some_and(|cur| cur <= d) {
-            return;
-        }
-        offer(&mut cands[shard::shard_of(owner, cands.len())], owner, pivot, d);
-    }
-
-    /// Merge + prune one shard; see the directed engine's `prune_shard`.
-    fn prune_shard(&self, prune: bool, shard: usize, maps: Vec<CandMap>) -> ShardOutcome {
-        let start = Instant::now();
-        let merged = merge_cands(maps);
-        let candidates = merged.len() as u64;
-        let mut pruned = 0u64;
-        let mut out = Vec::with_capacity(merged.len());
-        for ((u, v), d) in merged {
-            if prune && join_min(self.lb[u as usize].entries(), self.lb[v as usize].entries()) <= d
-            {
-                pruned += 1;
-            } else {
-                out.push((u, v, d));
-            }
-        }
-        out.sort_unstable();
-        ShardOutcome { shard, out, inn: Vec::new(), candidates, pruned, elapsed: start.elapsed() }
-    }
-
-    fn apply(&mut self, outcomes: &[ShardOutcome]) -> u64 {
-        self.prev.clear();
-        let mut inserted = 0u64;
-        for o in outcomes {
-            inserted +=
-                insert_batches(&o.out, &mut self.lb, &mut self.inv, &mut self.total_entries);
-            self.prev.extend_from_slice(&o.out);
         }
         inserted
     }
@@ -815,24 +662,93 @@ mod tests {
             b.add_edge(i, (i + 7) % 64);
         }
         let g = b.build();
-        let e = UndirectedEngine {
-            g: &g,
-            lb: (0..64).map(|v| VertexLabels::with_trivial(v as VertexId)).collect(),
+        let side = Side {
+            across: 0,
+            step: Direction::Out,
+            labels: (0..64).map(|v| VertexLabels::with_trivial(v as VertexId)).collect(),
             inv: vec![InvList::default(); 64],
             prev: g.edge_list().into_iter().map(|(u, v, w)| (v, u, w)).collect(),
-            total_entries: 64,
         };
+        let e = Engine { g: &g, sides: vec![side], total_entries: 64 };
         let seq = e.run_round(true, true, 1);
         let par = e.run_round(true, true, 4);
         assert_eq!(par.len(), 4);
         let seq_cands: u64 = seq.iter().map(|o| o.candidates).sum();
         let par_cands: u64 = par.iter().map(|o| o.candidates).sum();
         assert_eq!(seq_cands, par_cands, "sharding must not change the deduplicated pool");
-        let mut seq_surv: Vec<_> = seq.into_iter().flat_map(|o| o.out).collect();
-        let mut par_surv: Vec<_> = par.into_iter().flat_map(|o| o.out).collect();
+        let mut seq_surv: Vec<_> = seq.into_iter().flat_map(|o| o.survivors).flatten().collect();
+        let mut par_surv: Vec<_> = par.into_iter().flat_map(|o| o.survivors).flatten().collect();
         seq_surv.sort_unstable();
         par_surv.sort_unstable();
         assert_eq!(seq_surv, par_surv);
+    }
+
+    /// Stepping needs up to `D_H` rounds (§5.1): a build must run to the
+    /// fixpoint however long that takes (a 256-iteration cap used to
+    /// return a partial index that answered `unreachable`).
+    #[test]
+    fn stepping_runs_past_256_iterations_to_the_fixpoint() {
+        let n = 300u32;
+        let (mut und, mut dir) =
+            (GraphBuilder::new_undirected(300), GraphBuilder::new_directed(300));
+        for i in 0..n - 1 {
+            und.add_edge(i, i + 1);
+            dir.add_edge(i, i + 1);
+        }
+        for g in [und.build(), dir.build()] {
+            let (index, stats) = build_index(&g, &HopDbConfig::with_strategy(Strategy::Stepping));
+            assert!(stats.num_iterations() > 256, "a {n}-vertex path has D_H = {}", n - 1);
+            assert_eq!(index.query(0, n - 1), n - 1);
+            assert_exact(&g, &index);
+        }
+    }
+
+    /// §7 is the same kernel: an undirected graph and its symmetrised
+    /// directed twin (same ids) build the same labels — the twin's two
+    /// sides each equal the single undirected side — in the same number
+    /// of iterations.
+    #[test]
+    fn undirected_build_equals_symmetrised_directed_build() {
+        use crate::builder::build_prelabeled;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(707);
+        for case in 0..6 {
+            let n = rng.gen_range(8..40);
+            let mut b = GraphBuilder::new_undirected(n).weighted();
+            for _ in 0..rng.gen_range(2 * n..5 * n) {
+                b.add_weighted_edge(
+                    rng.gen_range(0..n) as VertexId,
+                    rng.gen_range(0..n) as VertexId,
+                    rng.gen_range(1..6),
+                );
+            }
+            let und = b.build();
+            let mut twin = GraphBuilder::new_directed(n).weighted();
+            for (u, v, w) in und.edge_list() {
+                twin.add_weighted_edge(u, v, w);
+                twin.add_weighted_edge(v, u, w);
+            }
+            let twin = twin.build();
+            for strategy in
+                [Strategy::Stepping, Strategy::Doubling, Strategy::Hybrid { switch_at: 3 }]
+            {
+                for threads in [1usize, 4] {
+                    let cfg =
+                        HopDbConfig::with_strategy(strategy.clone()).with_parallelism(threads);
+                    let (und_index, und_stats) = build_prelabeled(&und, &cfg);
+                    let (twin_index, twin_stats) = build_prelabeled(&twin, &cfg);
+                    let (LabelIndex::Undirected(u), LabelIndex::Directed(d)) =
+                        (&und_index, &twin_index)
+                    else {
+                        panic!("index kinds must follow the graph kinds");
+                    };
+                    let what = format!("case {case}, {strategy:?}, {threads} threads");
+                    assert_eq!(d.out_labels, u.labels, "{what}: Lout != L");
+                    assert_eq!(d.in_labels, u.labels, "{what}: Lin != L");
+                    assert_eq!(twin_stats.num_iterations(), und_stats.num_iterations(), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

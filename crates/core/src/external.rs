@@ -1,14 +1,31 @@
-//! I/O-efficient index construction (Section 4).
+//! I/O-efficient index construction (Section 4) — the side kernel of
+//! [`crate::engine`] over sorted record files.
 //!
 //! All label state lives in sorted record files on the `extmem`
-//! substrate; per-iteration work is organised as joins over those files:
+//! substrate. A *side* (one for an undirected build, out then in for a
+//! directed one) owns four files, and every iteration runs the same
+//! joins over them on every side:
 //!
-//! * **Candidate generation** — the rules join `prev` entries with label
-//!   files. Both join inputs are sorted by the shared vertex, so
-//!   Rules 1/4 (and the stepping variants, which join against edge
-//!   files) are streaming *sort-merge co-group* joins; Rules 2/5 join
-//!   `prev` against the pivot-sorted (inverted) label files, again
-//!   merge-style. Candidates go through the external sorter with a
+//! | file     | records, sort order                         | read by                                       |
+//! |----------|---------------------------------------------|-----------------------------------------------|
+//! | `labels` | `own`, by `(owner, pivot)`                  | the label rule of the side it is `across` for |
+//! | `inv`    | `own` inverted, by `(pivot, owner)`         | this side's inverted rule                     |
+//! | `edges`  | edges in the side's step direction, by tail | this side's stepping rule                     |
+//! | `prev`   | last iteration's new entries, by owner      | all three, as the driving input               |
+//!
+//! For a `prev` entry `(owner u, pivot v, d)` the emitted candidates are
+//! exactly the in-memory engine's:
+//!
+//! ```text
+//! stepping  prev ⋈ edges  on u:  edge (x, w), x > v             ⇒ (x, v, d+w)    R1+R2 / R4+R5 over edges
+//! doubling  prev ⋈ across.labels on u:  (x, d'), v < x < u      ⇒ (x, v, d+d')   R1 / R4 / converted R1
+//!           prev ⋈ inv    on u:  owner (x, d'), x > u           ⇒ (x, v, d+d')   R2 / R5 / converted R2
+//! prune     (x, v, d) dies iff  labels(x) ⋈ across.labels(v) ≤ d
+//! ```
+//!
+//! * **Candidate generation** — both inputs of every join are sorted by
+//!   the shared vertex `u`, so all three are streaming *sort-merge
+//!   co-group* joins. Candidates go through the external sorter with a
 //!   min-distance combiner — the "avoid duplicates" step of
 //!   Algorithm 2.
 //! * **Pruning** — the block nested-loop of §4.2: the outer loop loads a
@@ -17,10 +34,11 @@
 //!   target-side label file once per block and merge-joins each
 //!   candidate's two labels. Self-entries are stored in the files, so
 //!   the same-pair dominance check falls out of the join exactly as in
-//!   the in-memory engine.
-//! * **Merge** — survivors are merged (min-distance) into the label
-//!   files and, inverted, into the pivot-sorted files; survivors become
-//!   the next iteration's `prev`.
+//!   the in-memory engine. An in-entry `(owner v, pivot u)` covers a
+//!   path `u ⇝ v`, so the in side — alone — inverts its candidates
+//!   around the prune to keep the blocks grouped by source `u`.
+//! * **Merge** — survivors are merged (min-distance) into `labels` and,
+//!   inverted, into `inv`; survivors become the next iteration's `prev`.
 //!
 //! Every byte flows through counted files, so the
 //! [`ExternalBuildResult::io`] report gives honest `scan(N) = N/B`
@@ -31,16 +49,16 @@
 //! With [`HopDbConfig::parallelism`] ≥ 2 the per-iteration work is
 //! pipelined without changing a single byte of output or I/O traffic:
 //!
-//! * the **out-side and in-side rule joins** of the directed case run on
-//!   separate scoped threads — their generate → prune → invert chains
-//!   share only read-only label files;
+//! * the **sides** run on separate scoped threads (one extra thread per
+//!   extra side, so a directed build's out and in sides overlap) — their
+//!   generate → prune → invert chains share only read-only label files;
 //! * every candidate sorter uses the `extmem` **background spill
 //!   worker**, so `cogroup_join` keeps streaming groups while previous
 //!   full buffers quicksort and write behind a bounded channel;
-//! * the **four label-file merges** (two for undirected) at the end of
-//!   each iteration consume disjoint run pairs and run concurrently —
-//!   all four at once when the thread budget allows (≥ 4), in two waves
-//!   of two otherwise.
+//! * the **two label-file merges per side** at the end of each
+//!   iteration consume disjoint run pairs and run concurrently — all of
+//!   them at once when the thread budget allows (≥ 4), in waves of two
+//!   otherwise.
 //!
 //! The knob is a concurrency *budget* over this fixed structure, not an
 //! exact worker count: `2` and `3` behave alike (two compute threads,
@@ -48,7 +66,7 @@
 //! above 4 buy nothing more — the structural parallelism tops out at the
 //! four merge streams. Memory honesty: a pipelined sorter can hold up to
 //! `(spill queue depth + 2) × M` records in flight (one buffer filling,
-//! two queued, one being sorted), and the directed case runs two such
+//! two queued, one being sorted), and a two-sided build runs two such
 //! sorters at once, so size `memory_records` with roughly an 8× margin
 //! when threading; the sequential path stays strictly within one `M`
 //! buffer per operator.
@@ -70,11 +88,12 @@ use extmem::device::TempStore;
 use extmem::run::{Run, RunReader, RunWriter};
 use extmem::sorter::{merge_runs, ExternalSorter};
 use extmem::{ExtMemConfig, LabelRecord, Record};
-use hoplabels::index::{DirectedLabels, LabelIndex, UndirectedLabels, VertexLabels};
+use hoplabels::index::{LabelIndex, VertexLabels};
 use hoplabels::LabelEntry;
 use sfgraph::{Direction, Dist, Graph};
 
 use crate::config::HopDbConfig;
+use crate::engine::{index_from_sides, seed_sides};
 use crate::iteration::{BuildStats, IterationStats};
 
 /// Outcome of an external build.
@@ -109,11 +128,7 @@ pub fn build_external(
 ) -> io::Result<ExternalBuildResult> {
     assert!(cfg.prune, "the external engine implements the pruned algorithm of §4");
     let store = TempStore::new()?;
-    let mut result = if g.is_directed() {
-        run_directed(g, cfg, ext, &store)?
-    } else {
-        run_undirected(g, cfg, ext, &store)?
-    };
+    let mut result = run(g, cfg, ext, &store)?;
     // The §5.2 exhaustive pass runs on the loaded index, exactly as the
     // in-memory engine does — same flag, same final label sets.
     if cfg.post_prune {
@@ -251,28 +266,6 @@ fn merge_sorted(
     merge_runs(store, vec![a, b], buffer_records(ext), Some(keep_min), group_eq)
 }
 
-/// Merge two independent `(base, survivors)` pairs — concurrently on a
-/// scoped thread when `concurrent` (the pairs consume disjoint runs, so
-/// scheduling cannot change either output).
-#[allow(clippy::type_complexity)]
-fn merge_two(
-    store: &TempStore,
-    ext: &ExtMemConfig,
-    concurrent: bool,
-    a: (Run<LabelRecord>, Run<LabelRecord>),
-    b: (Run<LabelRecord>, Run<LabelRecord>),
-) -> (io::Result<Run<LabelRecord>>, io::Result<Run<LabelRecord>>) {
-    if concurrent {
-        std::thread::scope(|sc| {
-            let ma = sc.spawn(|| merge_sorted(store, ext, a.0, a.1));
-            let mb = merge_sorted(store, ext, b.0, b.1);
-            (ma.join().expect("merge worker panicked"), mb)
-        })
-    } else {
-        (merge_sorted(store, ext, a.0, a.1), merge_sorted(store, ext, b.0, b.1))
-    }
-}
-
 /// Invert (`key` ↔ `pivot`) and sort — produces the pivot-sorted view.
 fn inverted_sorted(
     store: &TempStore,
@@ -288,18 +281,14 @@ fn inverted_sorted(
     s.finish()
 }
 
-/// Write self-entries plus the given initialization entries, sorted.
-fn initial_run(
+/// Sort records into a fresh run (min-combining duplicates).
+fn sorted_run(
     store: &TempStore,
     ext: &ExtMemConfig,
-    n: usize,
-    entries: impl Iterator<Item = LabelRecord>,
+    records: impl Iterator<Item = LabelRecord>,
 ) -> io::Result<Run<LabelRecord>> {
     let mut s = sorter(store, ext, false);
-    for v in 0..n as u32 {
-        s.push(LabelRecord::new(v, v, 0))?;
-    }
-    for r in entries {
+    for r in records {
         s.push(r)?;
     }
     s.finish()
@@ -319,19 +308,6 @@ fn edge_run(
         }
     }
     w.finish()
-}
-
-/// Sort an in-memory slice into a fresh run.
-fn sort_slice(
-    store: &TempStore,
-    ext: &ExtMemConfig,
-    records: &[LabelRecord],
-) -> io::Result<Run<LabelRecord>> {
-    let mut s = sorter(store, ext, false);
-    for &r in records {
-        s.push(r)?;
-    }
-    s.finish()
 }
 
 /// Copy a run (used when one run must serve as both `prev` and a merge
@@ -536,10 +512,32 @@ fn emit_doubling_inverted(
 }
 
 // -------------------------------------------------------------------
-// Per-side iteration pipelines
+// The round kernel: one side, one iteration
 // -------------------------------------------------------------------
 
-/// Everything one join side produces in one iteration: the surviving
+/// The files of one label side (see [`crate::engine`] for the side
+/// formulation): `own` sorted two ways, the new entries of the previous
+/// iteration, and the edge file stepping joins against.
+struct Side {
+    /// Index of the side whose label file this side is joined against
+    /// (the other side of a directed build, itself when undirected).
+    across: usize,
+    /// In-side only: an entry `(owner v, pivot u)` covers a path `u ⇝ v`,
+    /// so the §4.2 query source is the *pivot*. The side then inverts its
+    /// candidates around the prune and inverts the survivors back, which
+    /// keeps the outer blocks grouped by source on every side.
+    pivot_is_source: bool,
+    /// Edges of each vertex in this side's step direction.
+    edges: Run<LabelRecord>,
+    /// `own`, sorted by `(owner, pivot)`.
+    labels: Run<LabelRecord>,
+    /// `own` inverted, sorted by `(pivot, owner)`.
+    inv: Run<LabelRecord>,
+    /// Entries the previous iteration added to `own` (no self-entries).
+    prev: Run<LabelRecord>,
+}
+
+/// Everything one side produces in one iteration: the surviving
 /// candidates (owner- and pivot-sorted) ready for the label-file merges,
 /// the next iteration's `prev` run, and the iteration counters.
 struct SideOutcome {
@@ -550,112 +548,78 @@ struct SideOutcome {
     prev: Run<LabelRecord>,
 }
 
-/// Shared read-only label state one directed join side works against.
-struct SideInputs<'r> {
-    /// Edge file joined during stepping iterations (in-edges for the
-    /// out side, out-edges for the in side).
-    edges: &'r Run<LabelRecord>,
-    /// Owner-sorted out-label file.
-    out: &'r Run<LabelRecord>,
-    /// Owner-sorted in-label file.
-    inn: &'r Run<LabelRecord>,
-    /// Pivot-sorted view of this side's own label file.
-    own_inv: &'r Run<LabelRecord>,
-}
-
-/// Out-side of a directed iteration: generate out-candidates from
-/// `prev_out`, prune them (the candidate key *is* the query source),
-/// and prepare the merge inputs.
-fn directed_out_side(
+/// One iteration of one side: generate candidates from `prev`, prune
+/// them against the frozen label files, and prepare the merge inputs.
+fn side_round(
     store: &TempStore,
     ext: &ExtMemConfig,
     overlap: bool,
     stepping: bool,
-    prev_out: &Run<LabelRecord>,
-    inputs: SideInputs<'_>,
+    side: &Side,
+    across: &Run<LabelRecord>,
 ) -> io::Result<SideOutcome> {
     let mut s = sorter(store, ext, overlap);
     if stepping {
-        // R1+R2 over in-edges of the prev out-entry's owner.
-        cogroup_join(prev_out, inputs.edges, ext, &mut s, emit_stepping)?;
+        // Label and inverted rule composed with the owner's single edges.
+        cogroup_join(&side.prev, &side.edges, ext, &mut s, emit_stepping)?;
     } else {
-        // R1: prev out (u,v,d) × Lin(u) entries (u1,d1), v < u1 < u.
-        cogroup_join(prev_out, inputs.inn, ext, &mut s, emit_doubling_label)?;
-        // R2: prev out (u,v,d) × out-inv group of u: owners u2 > u.
-        cogroup_join(prev_out, inputs.own_inv, ext, &mut s, emit_doubling_inverted)?;
+        // Label rule (R1 / R4): prev (u,v,d) × across(u) entries (x,d'),
+        // v < x < u.
+        cogroup_join(&side.prev, across, ext, &mut s, emit_doubling_label)?;
+        // Inverted rule (R2 / R5): prev (u,v,d) × inv group of u: owners
+        // x > u.
+        cogroup_join(&side.prev, &side.inv, ext, &mut s, emit_doubling_inverted)?;
     }
     let cands = s.finish()?;
     let candidates = cands.len();
-    // Out-candidates: key = owner = query source; join Lout(key) with
-    // Lin(pivot).
-    let (surv, pruned) = prune_candidates(store, ext, cands, inputs.out, inputs.inn, overlap)?;
-    let surv_inv = inverted_sorted(store, ext, &surv, overlap)?;
+    let (surv, surv_inv, pruned) = if side.pivot_is_source {
+        let cands_by_src = inverted_sorted(store, ext, &cands, overlap)?;
+        drop(cands);
+        let (surv_by_src, pruned) =
+            prune_candidates(store, ext, cands_by_src, across, &side.labels, overlap)?;
+        let surv = inverted_sorted(store, ext, &surv_by_src, overlap)?;
+        // `surv_by_src` *is* the pivot-sorted view of `surv`: invert ∘
+        // invert is the identity, and both runs carry combined,
+        // `(key, pivot)`-sorted records — reuse it rather than paying a
+        // third sort of the survivor set.
+        (surv, surv_by_src, pruned)
+    } else {
+        // The candidate key *is* the query source: join own(key) with
+        // across(pivot).
+        let (surv, pruned) = prune_candidates(store, ext, cands, &side.labels, across, overlap)?;
+        let surv_inv = inverted_sorted(store, ext, &surv, overlap)?;
+        (surv, surv_inv, pruned)
+    };
     let prev = copy_run(store, ext, &surv)?;
     Ok(SideOutcome { candidates, pruned, surv, surv_inv, prev })
 }
 
-/// In-side of a directed iteration. In-candidates `(owner v, pivot u)`
-/// cover a path `u ⇝ v`: the query source is the *pivot*, so the side
-/// swaps key/pivot around the prune and swaps back.
-fn directed_in_side(
+/// Merge `(base, survivors)` run pairs, up to `wave` of them at once on
+/// scoped threads (the pairs consume disjoint runs, so scheduling cannot
+/// change any output). Results come back in job order.
+fn merge_in_waves(
     store: &TempStore,
     ext: &ExtMemConfig,
-    overlap: bool,
-    stepping: bool,
-    prev_in: &Run<LabelRecord>,
-    inputs: SideInputs<'_>,
-) -> io::Result<SideOutcome> {
-    let mut s = sorter(store, ext, overlap);
-    if stepping {
-        // R4+R5 over out-edges of the prev in-entry's owner.
-        cogroup_join(prev_in, inputs.edges, ext, &mut s, emit_stepping)?;
-    } else {
-        // R4: prev in (v,u,d) × Lout(v) entries (u4,d4), u < u4 < v.
-        cogroup_join(prev_in, inputs.out, ext, &mut s, emit_doubling_label)?;
-        // R5: prev in (v,u,d) × in-inv group of v: owners u5 > v.
-        cogroup_join(prev_in, inputs.own_inv, ext, &mut s, emit_doubling_inverted)?;
+    wave: usize,
+    jobs: Vec<(Run<LabelRecord>, Run<LabelRecord>)>,
+) -> io::Result<Vec<Run<LabelRecord>>> {
+    let mut merged = Vec::with_capacity(jobs.len());
+    let mut jobs = jobs.into_iter();
+    while jobs.len() > 0 {
+        let mut batch = jobs.by_ref().take(wave);
+        let results: Vec<io::Result<Run<LabelRecord>>> = std::thread::scope(|sc| {
+            let first = batch.next();
+            let handles: Vec<_> =
+                batch.map(|(a, b)| sc.spawn(move || merge_sorted(store, ext, a, b))).collect();
+            let first = first.map(|(a, b)| merge_sorted(store, ext, a, b));
+            let rest = handles.into_iter().map(|h| h.join().expect("merge worker panicked"));
+            first.into_iter().chain(rest).collect()
+        });
+        for run in results {
+            merged.push(run?);
+        }
     }
-    let cands_by_owner = s.finish()?;
-    let candidates = cands_by_owner.len();
-    let cands_by_src = inverted_sorted(store, ext, &cands_by_owner, overlap)?;
-    drop(cands_by_owner);
-    let (surv_by_src, pruned) =
-        prune_candidates(store, ext, cands_by_src, inputs.out, inputs.inn, overlap)?;
-    let surv = inverted_sorted(store, ext, &surv_by_src, overlap)?;
-    // `surv_by_src` *is* the pivot-sorted view of `surv`: invert ∘
-    // invert is the identity, and both runs carry combined,
-    // `(key, pivot)`-sorted records — reuse it rather than paying a
-    // third sort of the survivor set.
-    let surv_inv = surv_by_src;
-    let prev = copy_run(store, ext, &surv)?;
-    Ok(SideOutcome { candidates, pruned, surv, surv_inv, prev })
-}
-
-/// One undirected iteration (§7: one label file plays both join roles —
-/// `inputs.out` and `inputs.inn` are both the single label file).
-fn undirected_iteration(
-    store: &TempStore,
-    ext: &ExtMemConfig,
-    overlap: bool,
-    stepping: bool,
-    prev: &Run<LabelRecord>,
-    inputs: SideInputs<'_>,
-) -> io::Result<SideOutcome> {
-    let mut s = sorter(store, ext, overlap);
-    if stepping {
-        cogroup_join(prev, inputs.edges, ext, &mut s, emit_stepping)?;
-    } else {
-        // Converted R1: prev (u,v,d) × L(u) entries with v < u1 < u.
-        cogroup_join(prev, inputs.out, ext, &mut s, emit_doubling_label)?;
-        // Converted R2: prev (u,v,d) × inv group of u: owners > u.
-        cogroup_join(prev, inputs.own_inv, ext, &mut s, emit_doubling_inverted)?;
-    }
-    let cands = s.finish()?;
-    let candidates = cands.len();
-    let (surv, pruned) = prune_candidates(store, ext, cands, inputs.out, inputs.inn, overlap)?;
-    let surv_inv = inverted_sorted(store, ext, &surv, overlap)?;
-    let prev = copy_run(store, ext, &surv)?;
-    Ok(SideOutcome { candidates, pruned, surv, surv_inv, prev })
+    Ok(merged)
 }
 
 fn io_report(store: &TempStore, ext: &ExtMemConfig) -> (u64, u64, u64, u64) {
@@ -669,10 +633,10 @@ fn io_report(store: &TempStore, ext: &ExtMemConfig) -> (u64, u64, u64, u64) {
 }
 
 // -------------------------------------------------------------------
-// Directed driver
+// Driver
 // -------------------------------------------------------------------
 
-fn run_directed(
+fn run(
     g: &Graph,
     cfg: &HopDbConfig,
     ext: &ExtMemConfig,
@@ -686,99 +650,91 @@ fn run_directed(
 
     // Initialization (iteration 1): self-entries + one entry per edge.
     let init_start = std::time::Instant::now();
-    let mut out_init = Vec::new(); // (owner u, pivot v, d): v < u
-    let mut in_init = Vec::new(); // (owner v, pivot u, d): u < v
-    for u in g.vertices() {
-        for (v, w) in g.edges(u, Direction::Out) {
-            if v < u {
-                out_init.push(LabelRecord::new(u, v, w));
-            } else {
-                in_init.push(LabelRecord::new(v, u, w));
-            }
-        }
+    let mut init_count = 0u64;
+    let mut sides = Vec::new();
+    for (sigma, seed) in seed_sides(g).into_iter().enumerate() {
+        let seeds =
+            || seed.entries.iter().map(|&(owner, pivot, w)| LabelRecord::new(owner, pivot, w));
+        let self_entries = (0..n as u32).map(|v| LabelRecord::new(v, v, 0));
+        init_count += seed.entries.len() as u64;
+        let labels = sorted_run(store, ext, self_entries.chain(seeds()))?;
+        sides.push(Side {
+            across: seed.across,
+            // Sides come out → in; only a directed build has the second.
+            pivot_is_source: sigma == 1,
+            edges: edge_run(store, ext, g, seed.step)?,
+            inv: inverted_sorted(store, ext, &labels, false)?,
+            labels,
+            // `prev` holds only new entries (no self-entries).
+            prev: sorted_run(store, ext, seeds())?,
+        });
     }
-    let init_count = (out_init.len() + in_init.len()) as u64;
-    let mut out = initial_run(store, ext, n, out_init.iter().copied())?;
-    let mut inn = initial_run(store, ext, n, in_init.iter().copied())?;
-    let mut out_inv = inverted_sorted(store, ext, &out, false)?;
-    let mut in_inv = inverted_sorted(store, ext, &inn, false)?;
-    let edges_in = edge_run(store, ext, g, Direction::In)?;
-    let edges_out = edge_run(store, ext, g, Direction::Out)?;
-    // prev runs hold only new entries (no self-entries).
-    let mut prev_out = sort_slice(store, ext, &out_init)?;
-    let mut prev_in = sort_slice(store, ext, &in_init)?;
     stats.iterations.push(IterationStats {
         iteration: 1,
         stepping: true,
         candidates: init_count,
         pruned: 0,
         inserted: init_count,
-        total_entries: init_count + 2 * n as u64,
+        total_entries: init_count + (sides.len() * n) as u64,
         elapsed: init_start.elapsed(),
         shards: Vec::new(),
     });
 
+    // Run to the fixpoint: every surviving candidate strictly lowers one
+    // `(owner, pivot)` distance, so the rounds cannot go on for ever.
     let mut iter = 1u32;
-    while (!prev_out.is_empty() || !prev_in.is_empty()) && iter < cfg.max_iterations {
+    while sides.iter().any(|s| !s.prev.is_empty()) {
         iter += 1;
         let round_start = std::time::Instant::now();
         let stepping = cfg.strategy.steps_at(iter);
 
-        // ---- generation + pruning, one pipeline per join side ----
-        let out_inputs = SideInputs { edges: &edges_in, out: &out, inn: &inn, own_inv: &out_inv };
-        let in_inputs = SideInputs { edges: &edges_out, out: &out, inn: &inn, own_inv: &in_inv };
-        let (out_side, in_side) = if threaded {
-            // The sides share only read-only label files; each owns its
-            // sorters and temp runs, so scheduling cannot reorder any
-            // per-side record stream.
-            std::thread::scope(|sc| {
-                let out_task = sc
-                    .spawn(|| directed_out_side(store, ext, true, stepping, &prev_out, out_inputs));
-                let in_side = directed_in_side(store, ext, true, stepping, &prev_in, in_inputs);
-                (out_task.join().expect("out-side worker panicked"), in_side)
-            })
-        } else {
-            (
-                directed_out_side(store, ext, false, stepping, &prev_out, out_inputs),
-                directed_in_side(store, ext, false, stepping, &prev_in, in_inputs),
-            )
-        };
-        let out_side = out_side?;
-        let in_side = in_side?;
-        let candidates = out_side.candidates + in_side.candidates;
-        let pruned = out_side.pruned + in_side.pruned;
-        let inserted = out_side.surv.len() + in_side.surv.len();
-        prev_out = out_side.prev;
-        prev_in = in_side.prev;
+        // ---- generation + pruning, one pipeline per side ----
+        // The sides share only read-only label files; each owns its
+        // sorters and temp runs, so scheduling cannot reorder any
+        // per-side record stream. When threaded, every side but the last
+        // gets a scoped thread; a single side still pipelines its sorter
+        // spills.
+        let spawned = if threaded { sides.len() - 1 } else { 0 };
+        let outcomes: Vec<io::Result<SideOutcome>> = std::thread::scope(|sc| {
+            let round =
+                |s: &Side| side_round(store, ext, threaded, stepping, s, &sides[s.across].labels);
+            let handles: Vec<_> =
+                sides[..spawned].iter().map(|s| sc.spawn(move || round(s))).collect();
+            let inline: Vec<_> = sides[spawned..].iter().map(round).collect();
+            let spawned = handles.into_iter().map(|h| h.join().expect("side worker panicked"));
+            spawned.chain(inline).collect()
+        });
 
         // ---- merge survivors into the label files ----
-        // The four merges consume disjoint run pairs; how many run at
-        // once is capped by the configured thread budget.
-        let (out_surv, out_surv_inv) = (out_side.surv, out_side.surv_inv);
-        let (in_surv, in_surv_inv) = (in_side.surv, in_side.surv_inv);
-        let (new_out, new_out_inv, new_inn, new_in_inv) = if threads >= 4 {
-            std::thread::scope(|sc| {
-                let m_out = sc.spawn(|| merge_sorted(store, ext, out, out_surv));
-                let m_out_inv = sc.spawn(|| merge_sorted(store, ext, out_inv, out_surv_inv));
-                let m_inn = sc.spawn(|| merge_sorted(store, ext, inn, in_surv));
-                let m_in_inv = merge_sorted(store, ext, in_inv, in_surv_inv);
-                (
-                    m_out.join().expect("merge worker panicked"),
-                    m_out_inv.join().expect("merge worker panicked"),
-                    m_inn.join().expect("merge worker panicked"),
-                    m_in_inv,
-                )
-            })
+        // Two merges per side, all consuming disjoint run pairs; how
+        // many run at once is capped by the configured thread budget:
+        // all of them from 4 threads up, waves of two below.
+        let (mut candidates, mut pruned, mut inserted) = (0u64, 0u64, 0u64);
+        let mut jobs = Vec::with_capacity(2 * sides.len());
+        let mut carried = Vec::with_capacity(sides.len());
+        for (side, outcome) in sides.into_iter().zip(outcomes) {
+            let o = outcome?;
+            candidates += o.candidates;
+            pruned += o.pruned;
+            inserted += o.surv.len();
+            jobs.push((side.labels, o.surv));
+            jobs.push((side.inv, o.surv_inv));
+            carried.push((side.across, side.pivot_is_source, side.edges, o.prev));
+        }
+        let wave = if threads >= 4 {
+            jobs.len()
+        } else if threaded {
+            2
         } else {
-            // ≤ 3 threads: two waves of (at most) two concurrent merges.
-            let (a, b) = merge_two(store, ext, threaded, (out, out_surv), (out_inv, out_surv_inv));
-            let (c, d) = merge_two(store, ext, threaded, (inn, in_surv), (in_inv, in_surv_inv));
-            (a, b, c, d)
+            1
         };
-        out = new_out?;
-        out_inv = new_out_inv?;
-        inn = new_inn?;
-        in_inv = new_in_inv?;
+        let mut merged = merge_in_waves(store, ext, wave, jobs)?.into_iter();
+        sides = Vec::with_capacity(carried.len());
+        for (across, pivot_is_source, edges, prev) in carried {
+            let labels = merged.next().expect("one merged label file per side");
+            let inv = merged.next().expect("one merged inverted file per side");
+            sides.push(Side { across, pivot_is_source, edges, labels, inv, prev });
+        }
 
         stats.iterations.push(IterationStats {
             iteration: iter,
@@ -786,7 +742,7 @@ fn run_directed(
             candidates,
             pruned,
             inserted,
-            total_entries: out.len() + inn.len(),
+            total_entries: sides.iter().map(|s| s.labels.len()).sum(),
             elapsed: round_start.elapsed(),
             shards: Vec::new(),
         });
@@ -795,99 +751,11 @@ fn run_directed(
         }
     }
 
-    let index = LabelIndex::Directed(DirectedLabels {
-        out_labels: load_labels(&out, n, ext)?,
-        in_labels: load_labels(&inn, n, ext)?,
-    });
-    stats.final_entries = index.total_entries() as u64;
-    stats.elapsed = started.elapsed();
-    let io = store.stats();
-    Ok(ExternalBuildResult {
-        index,
-        stats,
-        io: io_report(store, ext),
-        sort_runs: io.sort_runs(),
-        merge_passes: io.merge_passes(),
-    })
-}
-
-// -------------------------------------------------------------------
-// Undirected driver (§7: one label file plays both join roles)
-// -------------------------------------------------------------------
-
-fn run_undirected(
-    g: &Graph,
-    cfg: &HopDbConfig,
-    ext: &ExtMemConfig,
-    store: &TempStore,
-) -> io::Result<ExternalBuildResult> {
-    let started = std::time::Instant::now();
-    let n = g.num_vertices();
-    let threads = cfg.resolved_parallelism();
-    let threaded = threads >= 2;
-    let mut stats = BuildStats { threads, ..BuildStats::default() };
-
-    let init_start = std::time::Instant::now();
-    let mut init = Vec::new();
-    for (u, v, w) in g.edge_list() {
-        init.push(LabelRecord::new(v, u, w)); // u < v: (u, w) ∈ L(v)
+    let mut labels = Vec::with_capacity(sides.len());
+    for side in &sides {
+        labels.push(load_labels(&side.labels, n, ext)?);
     }
-    let init_count = init.len() as u64;
-    let mut lab = initial_run(store, ext, n, init.iter().copied())?;
-    let mut lab_inv = inverted_sorted(store, ext, &lab, false)?;
-    let edges = edge_run(store, ext, g, Direction::Out)?;
-    let mut prev = sort_slice(store, ext, &init)?;
-    stats.iterations.push(IterationStats {
-        iteration: 1,
-        stepping: true,
-        candidates: init_count,
-        pruned: 0,
-        inserted: init_count,
-        total_entries: init_count + n as u64,
-        elapsed: init_start.elapsed(),
-        shards: Vec::new(),
-    });
-
-    let mut iter = 1u32;
-    while !prev.is_empty() && iter < cfg.max_iterations {
-        iter += 1;
-        let round_start = std::time::Instant::now();
-        let stepping = cfg.strategy.steps_at(iter);
-
-        // The single join side still pipelines its sorter spills; the
-        // two label-file merges consume disjoint run pairs and overlap.
-        let side = undirected_iteration(
-            store,
-            ext,
-            threaded,
-            stepping,
-            &prev,
-            SideInputs { edges: &edges, out: &lab, inn: &lab, own_inv: &lab_inv },
-        )?;
-        let (candidates, pruned) = (side.candidates, side.pruned);
-        let inserted = side.surv.len();
-        prev = side.prev;
-        let (new_lab, new_lab_inv) =
-            merge_two(store, ext, threaded, (lab, side.surv), (lab_inv, side.surv_inv));
-        lab = new_lab?;
-        lab_inv = new_lab_inv?;
-
-        stats.iterations.push(IterationStats {
-            iteration: iter,
-            stepping,
-            candidates,
-            pruned,
-            inserted,
-            total_entries: lab.len(),
-            elapsed: round_start.elapsed(),
-            shards: Vec::new(),
-        });
-        if inserted == 0 {
-            break;
-        }
-    }
-
-    let index = LabelIndex::Undirected(UndirectedLabels { labels: load_labels(&lab, n, ext)? });
+    let index = index_from_sides(labels);
     stats.final_entries = index.total_entries() as u64;
     stats.elapsed = started.elapsed();
     let io = store.stats();
@@ -912,15 +780,27 @@ mod tests {
         ExtMemConfig { memory_records: 128, block_bytes: 256 }
     }
 
+    /// What both engines must agree on, iteration by iteration
+    /// (`candidates`/`pruned` are engine-specific, see
+    /// [`IterationStats::candidates`]).
+    fn progress(stats: &BuildStats) -> Vec<(u32, bool, u64, u64)> {
+        stats
+            .iterations
+            .iter()
+            .map(|it| (it.iteration, it.stepping, it.inserted, it.total_entries))
+            .collect()
+    }
+
     #[test]
     fn directed_example_matches_memory_engine() {
         let g = graphgen::example_graph_fig3();
         for strategy in [Strategy::Doubling, Strategy::Stepping, Strategy::Hybrid { switch_at: 3 }]
         {
             let cfg = HopDbConfig::with_strategy(strategy);
-            let (mem, _) = build_prelabeled(&g, &cfg);
+            let (mem, mem_stats) = build_prelabeled(&g, &cfg);
             let result = build_external(&g, &cfg, &tiny_ext()).unwrap();
             assert_eq!(result.index, mem, "external != memory for {:?}", cfg.strategy);
+            assert_eq!(progress(&result.stats), progress(&mem_stats), "{:?}", cfg.strategy);
             assert_exact(&g, &result.index);
         }
     }
@@ -941,9 +821,9 @@ mod tests {
             let result = build_external(&g, &cfg, &tiny_ext()).unwrap();
             assert_eq!(result.index, mem, "case {case}");
             assert_eq!(
-                result.stats.num_iterations(),
-                mem_stats.num_iterations(),
-                "iteration counts must agree (case {case})"
+                progress(&result.stats),
+                progress(&mem_stats),
+                "per-iteration progress must agree (case {case})"
             );
         }
     }
@@ -964,9 +844,10 @@ mod tests {
             }
             let g = b.build();
             let cfg = HopDbConfig::default();
-            let (mem, _) = build_prelabeled(&g, &cfg);
+            let (mem, mem_stats) = build_prelabeled(&g, &cfg);
             let result = build_external(&g, &cfg, &tiny_ext()).unwrap();
             assert_eq!(result.index, mem, "case {case}");
+            assert_eq!(progress(&result.stats), progress(&mem_stats), "case {case}");
             assert_exact(&g, &result.index);
         }
     }
@@ -1035,6 +916,44 @@ mod tests {
             assert_eq!(result.index, mem, "post-pruned external != memory at {threads} threads");
             assert_eq!(result.stats.post_pruned, mem_stats.post_pruned);
             assert_eq!(result.stats.final_entries, mem_stats.final_entries);
+        }
+    }
+
+    /// A path whose ids follow breadth-first bisection (the middle vertex
+    /// is id 0, the middles of the two halves ids 1 and 2, …): labels stay
+    /// `O(n log n)` while the trough path from an end to the middle still
+    /// has `n / 2` hops, so stepping needs that many rounds.
+    fn bisected_path(n: usize, directed: bool) -> Graph {
+        let mut id_at = vec![0 as VertexId; n];
+        let mut intervals = std::collections::VecDeque::from([(0, n)]);
+        let mut next = 0;
+        while let Some((lo, hi)) = intervals.pop_front() {
+            if lo < hi {
+                let mid = (lo + hi) / 2;
+                id_at[mid] = next;
+                next += 1;
+                intervals.extend([(lo, mid), (mid + 1, hi)]);
+            }
+        }
+        let mut b =
+            if directed { GraphBuilder::new_directed(n) } else { GraphBuilder::new_undirected(n) };
+        for pair in id_at.windows(2) {
+            b.add_edge(pair[0], pair[1]);
+        }
+        b.build()
+    }
+
+    /// The external twin of `engine::tests`' cap regression: more than 256
+    /// stepping rounds, run to the fixpoint (the old 256-iteration cap
+    /// returned a partial index that answered `unreachable`).
+    #[test]
+    fn stepping_runs_past_256_iterations_to_the_fixpoint() {
+        let cfg = HopDbConfig::with_strategy(Strategy::Stepping);
+        for directed in [false, true] {
+            let g = bisected_path(600, directed);
+            let result = build_external(&g, &cfg, &ExtMemConfig::default()).unwrap();
+            assert!(result.stats.num_iterations() > 256, "directed = {directed}");
+            assert_exact(&g, &result.index);
         }
     }
 

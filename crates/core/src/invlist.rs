@@ -2,8 +2,8 @@
 //!
 //! Rules 2 and 5 need the inverted view "which owners' labels contain
 //! pivot `p`" (the label-files-sorted-by-pivot of §4.1). The in-memory
-//! engines keep one list per pivot and must *update in place* when a
-//! weighted-graph iteration improves the distance of an entry that is
+//! engine keeps one list per side and pivot and must *update in place*
+//! when a weighted-graph iteration improves the distance of an entry that is
 //! already present. The previous implementation found the slot with a
 //! linear `iter_mut().find` scan, making every improvement O(|inv|) —
 //! hub pivots on weighted graphs have inverted lists with thousands of

@@ -27,8 +27,17 @@ pub struct IterationStats {
     /// Whether this iteration used stepping (true) or doubling (false).
     pub stepping: bool,
     /// Candidates generated after same-pair deduplication.
+    ///
+    /// Engine-specific, as is `pruned`: the in-memory engine drops a
+    /// candidate that an existing entry of the same `(owner, pivot)`
+    /// already dominates *before* it reaches the pool, while the external
+    /// engine has no label in memory to ask and leaves those to the prune
+    /// join. Both reject the same candidates, so `inserted` and
+    /// `total_entries` (and the labels) agree between the engines; this
+    /// column and `pruned` are each higher for the external engine by
+    /// the number of such early drops.
     pub candidates: u64,
-    /// Candidates rejected by the pruning test.
+    /// Candidates rejected by the pruning test (see `candidates`).
     pub pruned: u64,
     /// Surviving entries inserted into the index.
     pub inserted: u64,

@@ -24,8 +24,9 @@
 //!
 //! Entry points:
 //! * [`build`] / [`HopDb`] — rank, relabel, build, query (original ids);
-//! * [`engine`] — the iterative engines on rank-relabeled graphs, with
-//!   per-iteration statistics (growing/pruning factors of Fig. 10);
+//! * [`engine`] — the iterative engine on rank-relabeled graphs (one
+//!   round kernel over one or two label *sides*), with per-iteration
+//!   statistics (growing/pruning factors of Fig. 10);
 //! * [`postprune`] — the exhaustive pruning pass (§5.2) that shrinks a
 //!   Hop-Doubling index to Hop-Stepping size;
 //! * [`external`] — the I/O-efficient construction of §4 on the

@@ -45,69 +45,38 @@ fn join_min_below(
 /// the number of entries removed.
 pub fn post_prune(index: &mut LabelIndex) -> u64 {
     let n = index.num_vertices();
-    // Inverted directory: for each pivot, who carries it (side: false =
-    // out/source labels, true = in/target labels).
-    let mut by_pivot: Vec<Vec<(VertexId, bool)>> = vec![Vec::new(); n];
-    {
-        let scan =
-            |labels: &[VertexLabels], side: bool, by_pivot: &mut Vec<Vec<(VertexId, bool)>>| {
-                for (owner, l) in labels.iter().enumerate() {
-                    for e in l.entries() {
-                        if e.pivot != owner as VertexId {
-                            by_pivot[e.pivot as usize].push((owner as VertexId, side));
-                        }
-                    }
+    // The engines' side pairing: an entry of side σ is tested against
+    // `own(owner) ⋈ across(pivot)`, where `across` is the other array of
+    // a directed index and the same array of an undirected one.
+    let mut sides: Vec<&mut Vec<VertexLabels>> = match index {
+        LabelIndex::Directed(d) => vec![&mut d.out_labels, &mut d.in_labels],
+        LabelIndex::Undirected(u) => vec![&mut u.labels],
+    };
+    // Inverted directory: for each pivot, who carries it on which side.
+    let mut by_pivot: Vec<Vec<(VertexId, u8)>> = vec![Vec::new(); n];
+    for (side, labels) in sides.iter().enumerate() {
+        for (owner, l) in labels.iter().enumerate() {
+            for e in l.entries() {
+                if e.pivot != owner as VertexId {
+                    by_pivot[e.pivot as usize].push((owner as VertexId, side as u8));
                 }
-            };
-        match &*index {
-            LabelIndex::Directed(d) => {
-                scan(&d.out_labels, false, &mut by_pivot);
-                scan(&d.in_labels, true, &mut by_pivot);
             }
-            LabelIndex::Undirected(u) => scan(&u.labels, false, &mut by_pivot),
         }
     }
 
     let mut removed = 0u64;
     for pivot in 0..n as VertexId {
-        for &(owner, in_side) in &by_pivot[pivot as usize] {
-            let (src_entries, dst_entries, dist) = match &*index {
-                LabelIndex::Directed(d) => {
-                    if in_side {
-                        // (pivot, d) ∈ Lin(owner): path pivot ⇝ owner.
-                        let Some(dist) = d.in_labels[owner as usize].get(pivot) else { continue };
-                        (
-                            d.out_labels[pivot as usize].entries(),
-                            d.in_labels[owner as usize].entries(),
-                            dist,
-                        )
-                    } else {
-                        // (pivot, d) ∈ Lout(owner): path owner ⇝ pivot.
-                        let Some(dist) = d.out_labels[owner as usize].get(pivot) else { continue };
-                        (
-                            d.out_labels[owner as usize].entries(),
-                            d.in_labels[pivot as usize].entries(),
-                            dist,
-                        )
-                    }
-                }
-                LabelIndex::Undirected(u) => {
-                    let Some(dist) = u.labels[owner as usize].get(pivot) else { continue };
-                    (u.labels[owner as usize].entries(), u.labels[pivot as usize].entries(), dist)
-                }
-            };
-            if join_min_below(src_entries, dst_entries, pivot) <= dist {
-                let labels = match index {
-                    LabelIndex::Directed(d) => {
-                        if in_side {
-                            &mut d.in_labels[owner as usize]
-                        } else {
-                            &mut d.out_labels[owner as usize]
-                        }
-                    }
-                    LabelIndex::Undirected(u) => &mut u.labels[owner as usize],
-                };
-                labels.remove(pivot);
+        for &(owner, side) in &by_pivot[pivot as usize] {
+            let own = side as usize;
+            let across = sides.len() - 1 - own;
+            let Some(dist) = sides[own][owner as usize].get(pivot) else { continue };
+            let covered = join_min_below(
+                sides[own][owner as usize].entries(),
+                sides[across][pivot as usize].entries(),
+                pivot,
+            );
+            if covered <= dist {
+                sides[own][owner as usize].remove(pivot);
                 removed += 1;
             }
         }

@@ -1,7 +1,7 @@
 #![forbid(unsafe_code)]
 //! In-tree static-analysis suite (`cargo run -p xtask -- tidy`),
 //! rustc-`tidy` style: zero dependencies, a hand-rolled line/token
-//! scanner, and four independent passes that each print `file:line`
+//! scanner, and five independent passes that each print `file:line`
 //! diagnostics and make the binary exit nonzero:
 //!
 //! 1. [`unsafe_audit`] — every `unsafe` block/fn must carry a
@@ -18,6 +18,7 @@
 //!    sizes out of `proto.rs` and assert they agree with the README
 //!    protocol table and the documented header/RouteReply byte counts.
 
+pub mod loc_budget;
 pub mod lock_order;
 pub mod panic_lint;
 pub mod proto_check;
@@ -78,6 +79,9 @@ pub fn run_tidy(root: &Path, only: Option<&str>) -> std::io::Result<TidyReport> 
     }
     if want("proto") {
         passes.push(("proto", proto_check::check(root)?));
+    }
+    if want("loc") {
+        passes.push(("loc", loc_budget::check(root)?));
     }
     Ok(TidyReport { passes, inventory })
 }

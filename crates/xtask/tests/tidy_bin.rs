@@ -108,10 +108,13 @@ payload len  u32 LE \u{2264} 16 MiB\n\
 ```\n";
 
 /// Populate the files the proto pass hard-requires (it errors rather
-/// than skipping when they are absent) with mutually consistent text.
-fn with_consistent_proto(fx: &Fixture) {
+/// than skipping when they are absent) with mutually consistent text,
+/// and give the two fixture crates the line budget the loc pass demands
+/// of every crate.
+fn with_consistent_tree(fx: &Fixture) {
     fx.write("crates/server/src/proto.rs", PROTO_OK);
     fx.write("README.md", README_OK);
+    fx.write("crates/xtask/loc.budget", "demo: 100\nserver: 100\n");
 }
 
 #[test]
@@ -235,9 +238,31 @@ fn proto_pass_flags_header_length_drift_in_proto_itself() {
 }
 
 #[test]
+fn loc_pass_flags_a_crate_over_its_budget_and_an_unbudgeted_one() {
+    let fx = Fixture::new("loc-violation");
+    fx.write("crates/demo/src/lib.rs", "pub fn a() {}\npub fn b() {}\n");
+    fx.write("crates/demo/src/deep/more.rs", "pub fn c() {}\n");
+    fx.write("crates/other/src/lib.rs", "pub fn d() {}\n");
+    fx.write("crates/xtask/loc.budget", "# ceilings\ndemo: 2\n");
+    let (ok, _out, err) = fx.tidy(Some("loc"));
+    assert!(!ok, "a crate over its ceiling must fail tidy");
+    assert!(
+        err.contains(
+            "crates/xtask/loc.budget:2: crates/demo has 3 source lines, over its ceiling of 2"
+        ),
+        "diagnostic must name crate, count and ceiling, got:\n{err}"
+    );
+    assert!(err.contains("crates/other has 1 source lines and no ceiling"), "got:\n{err}");
+
+    fx.write("crates/xtask/loc.budget", "demo: 3\nother: 1\n");
+    let (ok, _out, err) = fx.tidy(Some("loc"));
+    assert!(ok, "raising the budget in the same tree must pass, stderr:\n{err}");
+}
+
+#[test]
 fn full_suite_reports_clean_on_a_consistent_tree() {
     let fx = Fixture::new("all-clean");
-    with_consistent_proto(&fx);
+    with_consistent_tree(&fx);
     fx.write(
         "crates/server/src/backend.rs",
         "fn apply(shared: &Shared) {\n    let serial = shared.mutate_serial.lock();\n    \
@@ -255,7 +280,7 @@ fn full_suite_reports_clean_on_a_consistent_tree() {
 #[test]
 fn full_suite_counts_findings_across_passes() {
     let fx = Fixture::new("all-dirty");
-    with_consistent_proto(&fx);
+    with_consistent_tree(&fx);
     // One unsafe violation and one panic violation in separate files.
     fx.write("crates/demo/src/lib.rs", "pub fn peek(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n");
     fx.write("crates/server/src/http.rs", "fn first(b: &[u8]) -> u8 {\n    b[0]\n}\n");
