@@ -14,8 +14,6 @@
 //! asserts every counter is *exactly* the sequential number: the
 //! threaded engine only reschedules the same record streams, so any
 //! drift means a worker did I/O the sequential build would not.
-//! (Measured at the introduction of the threaded path: byte counters
-//! unchanged, budgets kept as-is.)
 //!
 //! ```text
 //! cargo run --release -p bench --bin extio
@@ -91,30 +89,32 @@ fn main() {
     let und = glp(&GlpParams::with_density(2_000, 3.0, 7));
     let dir = orient_scale_free(&glp(&GlpParams::with_density(1_500, 2.5, 13)), 0.25, 13);
 
-    // Baselines re-measured when the in-side survivor re-sort was
-    // replaced by reusing the pivot-sorted prune output (the threaded
-    // pipeline itself moved no counter): undirected 9.44 MB read /
-    // 6.71 MB written, 22 runs, 12 merges (unchanged); directed
-    // 7.66 MB read / 5.43 MB written, 37 runs, 22 merges (down from
-    // 7.78 MB / 5.55 MB / 41 runs at the seed of this gate).
+    // Baselines re-measured when the external build stopped writing runs
+    // nobody reads as a file (survivors leave the prune sorted, the in
+    // side sorts its candidates inverted, `prev` is the survivor run,
+    // `inv` waits for the first doubling round, the candidate sort streams
+    // into the prune): undirected 5.80 MB read / 3.06 MB written, 9 runs,
+    // 6 merges (from 9.44 / 6.71 MB, 22 runs, 12 merges); directed 4.68 /
+    // 2.45 MB, 4 runs, 12 merges (from 7.66 / 5.43 MB, 37 runs, 22
+    // merges). A sort that never spills is no longer counted as a run.
     let budgets = [
         Budget {
             name: "undirected glp-2k-d3 (seed 7)",
-            read_bytes: 11_800_000,
-            write_bytes: 8_400_000,
-            read_ops: 2_900,
-            write_ops: 2_050,
-            sort_runs: 28,
-            merge_passes: 16,
+            read_bytes: 7_250_000,
+            write_bytes: 3_825_000,
+            read_ops: 1_770,
+            write_ops: 935,
+            sort_runs: 12,
+            merge_passes: 8,
         },
         Budget {
             name: "directed glp-1.5k-d2.5 (seed 13)",
-            read_bytes: 9_600_000,
-            write_bytes: 6_800_000,
-            read_ops: 2_350,
-            write_ops: 1_660,
-            sort_runs: 47,
-            merge_passes: 28,
+            read_bytes: 5_850_000,
+            write_bytes: 3_060_000,
+            read_ops: 1_430,
+            write_ops: 750,
+            sort_runs: 5,
+            merge_passes: 15,
         },
     ];
 

@@ -346,6 +346,25 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
              ({read_blocks}+{write_blocks} blocks), {sort_runs} sort runs, \
              {merge_passes} merge passes",
         )?;
+        writeln!(
+            out,
+            "{:>4} {:>8} {:>10} {:>10} {:>10} {:>10} {:>12} {:>12}",
+            "iter", "mode", "candidates", "pruned", "inserted", "entries", "read B", "written B"
+        )?;
+        for it in &stats.iterations {
+            writeln!(
+                out,
+                "{:>4} {:>8} {:>10} {:>10} {:>10} {:>10} {:>12} {:>12}",
+                it.iteration,
+                if it.stepping { "stepping" } else { "doubling" },
+                it.candidates,
+                it.pruned,
+                it.inserted,
+                it.total_entries,
+                it.io_read_bytes,
+                it.io_write_bytes,
+            )?;
+        }
     }
     writeln!(out, "index: {target}  ranking: {target}.rank")?;
     Ok(())
@@ -947,6 +966,18 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("external I/O:"), "{out}");
+        // The per-iteration table accounts for every written byte.
+        let total: u64 = out
+            .split(" B written")
+            .next()
+            .and_then(|head| head.rsplit(' ').next())
+            .and_then(|bytes| bytes.parse().ok())
+            .expect("`<n> B written` in the summary line");
+        let rows = out.lines().skip_while(|l| !l.contains("written B")).skip(1);
+        let per_iteration: Vec<u64> =
+            rows.map_while(|l| l.split_whitespace().last()?.parse().ok()).collect();
+        assert!(per_iteration.len() >= 3, "{out}");
+        assert_eq!(per_iteration.iter().sum::<u64>(), total, "{out}");
         let out = run_vec(&[
             "build",
             "-i",

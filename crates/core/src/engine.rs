@@ -261,6 +261,8 @@ pub fn build_index(g: &Graph, cfg: &HopDbConfig) -> (LabelIndex, BuildStats) {
         inserted: init_inserted,
         total_entries: e.total_entries,
         elapsed: init_start.elapsed(),
+        io_read_bytes: 0,
+        io_write_bytes: 0,
         shards: Vec::new(),
     });
 
@@ -285,6 +287,8 @@ pub fn build_index(g: &Graph, cfg: &HopDbConfig) -> (LabelIndex, BuildStats) {
             inserted,
             total_entries: e.total_entries,
             elapsed: round_start.elapsed(),
+            io_read_bytes: 0,
+            io_write_bytes: 0,
             shards,
         });
         if inserted == 0 {

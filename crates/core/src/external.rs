@@ -3,15 +3,15 @@
 //!
 //! All label state lives in sorted record files on the `extmem`
 //! substrate. A *side* (one for an undirected build, out then in for a
-//! directed one) owns four files, and every iteration runs the same
-//! joins over them on every side:
+//! directed one) owns up to four files, and every iteration runs the
+//! same joins over them on every side:
 //!
-//! | file     | records, sort order                         | read by                                       |
-//! |----------|---------------------------------------------|-----------------------------------------------|
-//! | `labels` | `own`, by `(owner, pivot)`                  | the label rule of the side it is `across` for |
-//! | `inv`    | `own` inverted, by `(pivot, owner)`         | this side's inverted rule                     |
-//! | `edges`  | edges in the side's step direction, by tail | this side's stepping rule                     |
-//! | `prev`   | last iteration's new entries, by owner      | all three, as the driving input               |
+//! | file     | records, sort order                                                          | read by                                       |
+//! |----------|------------------------------------------------------------------------------|-----------------------------------------------|
+//! | `labels` | `own`, by `(owner, pivot)`                                                   | the label rule of the side it is `across` for |
+//! | `inv`    | `own` inverted, by `(pivot, owner)`; exists from the first doubling round on | this side's inverted rule                     |
+//! | `edges`  | edges in the side's step direction, by tail                                  | this side's stepping rule                     |
+//! | `prev`   | last iteration's new entries, by owner: the survivor run itself              | all three, as the driving input               |
 //!
 //! For a `prev` entry `(owner u, pivot v, d)` the emitted candidates are
 //! exactly the in-memory engine's:
@@ -23,26 +23,41 @@
 //! prune     (x, v, d) dies iff  labels(x) ⋈ across.labels(v) ≤ d
 //! ```
 //!
+//! One rule decides what touches the disk: **a run is written only if a
+//! reader needs it as a file.**
+//!
 //! * **Candidate generation** — both inputs of every join are sorted by
 //!   the shared vertex `u`, so all three are streaming *sort-merge
 //!   co-group* joins. Candidates go through the external sorter with a
 //!   min-distance combiner — the "avoid duplicates" step of
-//!   Algorithm 2.
+//!   Algorithm 2 — and the sorter's last merge streams straight into the
+//!   prune: the sorted candidate set is never a file.
 //! * **Pruning** — the block nested-loop of §4.2: the outer loop loads a
 //!   memory-budget block of candidates grouped by their query *source*
 //!   together with that source's label; the inner loop streams the
-//!   target-side label file once per block and merge-joins each
-//!   candidate's two labels. Self-entries are stored in the files, so
-//!   the same-pair dominance check falls out of the join exactly as in
-//!   the in-memory engine. An in-entry `(owner v, pivot u)` covers a
-//!   path `u ⇝ v`, so the in side — alone — inverts its candidates
-//!   around the prune to keep the blocks grouped by source `u`.
-//! * **Merge** — survivors are merged (min-distance) into `labels` and,
-//!   inverted, into `inv`; survivors become the next iteration's `prev`.
+//!   target-side label file once per block, visiting the block through a
+//!   target-sorted permutation, and merge-joins each candidate's two
+//!   labels. Survivors are written in the order the candidates arrived,
+//!   so they leave `(key, pivot)`-sorted with no re-sort. Self-entries
+//!   are stored in the files, so the same-pair dominance check falls out
+//!   of the join exactly as in the in-memory engine. An in-entry
+//!   `(owner v, pivot u)` covers a path `u ⇝ v`, so the in side — alone —
+//!   *generates* its candidates inverted (the combiner's pair grouping
+//!   is symmetric) to have the blocks grouped by source `u`, and sorts
+//!   only the survivors back.
+//! * **Merge** — survivors are merged (min-distance) into `labels`
+//!   through a borrowed reader, and then simply *are* the next
+//!   iteration's `prev`. `inv` feeds nothing but the doubling rule, so it
+//!   is built by one inverted sort of `labels` right before the first
+//!   doubling round and merged (with the pivot-sorted survivors) from
+//!   there on: a stepping build never has one, the paper's hybrid pays
+//!   for it only if iteration 11 happens.
 //!
 //! Every byte flows through counted files, so the
 //! [`ExternalBuildResult::io`] report gives honest `scan(N) = N/B`
-//! figures for Table 6's disk-based columns.
+//! figures for Table 6's disk-based columns, and
+//! [`IterationStats::io_read_bytes`] / `io_write_bytes` split them by
+//! iteration.
 //!
 //! # Threading
 //!
@@ -55,10 +70,10 @@
 //! * every candidate sorter uses the `extmem` **background spill
 //!   worker**, so `cogroup_join` keeps streaming groups while previous
 //!   full buffers quicksort and write behind a bounded channel;
-//! * the **two label-file merges per side** at the end of each
-//!   iteration consume disjoint run pairs and run concurrently — all of
-//!   them at once when the thread budget allows (≥ 4), in waves of two
-//!   otherwise.
+//! * the **label-file merges** at the end of each iteration — one per
+//!   side while only `labels` exists, two once `inv` does — write
+//!   disjoint runs and run concurrently: all of them at once when the
+//!   thread budget allows (≥ 4), in waves of two otherwise.
 //!
 //! The knob is a concurrency *budget* over this fixed structure, not an
 //! exact worker count: `2` and `3` behave alike (two compute threads,
@@ -68,8 +83,11 @@
 //! `(spill queue depth + 2) × M` records in flight (one buffer filling,
 //! two queued, one being sorted), and a two-sided build runs two such
 //! sorters at once, so size `memory_records` with roughly an 8× margin
-//! when threading; the sequential path stays strictly within one `M`
-//! buffer per operator.
+//! when threading. The sequential path stays within one `M` buffer per
+//! operator, with one overlap: while the prune holds its `M/2` block the
+//! candidate stream feeding it is still open — the final merge's reader
+//! buffers (at most the `M` records of any merge pass) or, when nothing
+//! spilled, the sorter's own buffer of fewer than `M` candidates.
 //!
 //! Determinism is structural, not locked: each parallel unit owns its
 //! files, the record flow per unit is exactly the sequential one, and
@@ -85,8 +103,8 @@
 use std::io;
 
 use extmem::device::TempStore;
-use extmem::run::{Run, RunReader, RunWriter};
-use extmem::sorter::{merge_runs, ExternalSorter};
+use extmem::run::{RecordSource, Run, RunReader, RunWriter};
+use extmem::sorter::{merge_readers, ExternalSorter};
 use extmem::{ExtMemConfig, LabelRecord, Record};
 use hoplabels::index::{LabelIndex, VertexLabels};
 use hoplabels::LabelEntry;
@@ -145,17 +163,22 @@ fn buffer_records(ext: &ExtMemConfig) -> usize {
 }
 
 /// Reads one *group* (maximal run of records with equal `key`) at a time
-/// from a sorted run.
-struct GroupReader {
-    reader: RunReader<LabelRecord>,
+/// from a key-sorted record source.
+struct GroupReader<S> {
+    source: S,
     pending: Option<LabelRecord>,
 }
 
-impl GroupReader {
-    fn new(run: &Run<LabelRecord>, buf: usize) -> io::Result<GroupReader> {
-        let mut reader = run.reader_shared(buf)?;
-        let pending = reader.next_record()?;
-        Ok(GroupReader { reader, pending })
+impl GroupReader<RunReader<LabelRecord>> {
+    fn open(run: &Run<LabelRecord>, buf: usize) -> io::Result<Self> {
+        GroupReader::new(run.reader_shared(buf)?)
+    }
+}
+
+impl<S: RecordSource<LabelRecord>> GroupReader<S> {
+    fn new(mut source: S) -> io::Result<GroupReader<S>> {
+        let pending = source.next_record()?;
+        Ok(GroupReader { source, pending })
     }
 
     /// Key of the next group, or `None` at end of stream.
@@ -163,15 +186,13 @@ impl GroupReader {
         self.pending.map(|r| r.key)
     }
 
-    /// Read the next whole group into `out` (cleared first); returns its
-    /// key.
-    fn next_group(&mut self, out: &mut Vec<LabelRecord>) -> io::Result<Option<u32>> {
-        out.clear();
+    /// Append the next whole group to `out`; returns its key.
+    fn append_group(&mut self, out: &mut Vec<LabelRecord>) -> io::Result<Option<u32>> {
         let Some(first) = self.pending.take() else { return Ok(None) };
         let key = first.key;
         out.push(first);
         loop {
-            match self.reader.next_record()? {
+            match self.source.next_record()? {
                 Some(r) if r.key == key => out.push(r),
                 other => {
                     self.pending = other;
@@ -182,14 +203,18 @@ impl GroupReader {
         Ok(Some(key))
     }
 
-    /// Advance until the next group's key is ≥ `key` (discarding groups —
+    /// Read the next whole group into `out` (cleared first); returns its
+    /// key.
+    fn next_group(&mut self, out: &mut Vec<LabelRecord>) -> io::Result<Option<u32>> {
+        out.clear();
+        self.append_group(out)
+    }
+
+    /// Advance until the next group's key is ≥ `key` (discarding records —
     /// part of the sequential scan the paper's outer loop performs).
-    fn skip_to(&mut self, key: u32, scratch: &mut Vec<LabelRecord>) -> io::Result<()> {
-        while let Some(k) = self.peek_key() {
-            if k >= key {
-                break;
-            }
-            self.next_group(scratch)?;
+    fn skip_to(&mut self, key: u32) -> io::Result<()> {
+        while self.pending.is_some_and(|r| r.key < key) {
+            self.pending = self.source.next_record()?;
         }
         Ok(())
     }
@@ -241,29 +266,17 @@ fn sorter<'s>(
     }
 }
 
-/// Sort a run of records by `(key, pivot)` with min-distance combining.
-fn sort_run(
-    store: &TempStore,
-    ext: &ExtMemConfig,
-    run: Run<LabelRecord>,
-    overlap: bool,
-) -> io::Result<Run<LabelRecord>> {
-    let mut s = sorter(store, ext, overlap);
-    let mut reader = run.reader(buffer_records(ext))?;
-    while let Some(r) = reader.next_record()? {
-        s.push(r)?;
-    }
-    s.finish()
-}
-
-/// Merge two `(key, pivot)`-sorted runs, min-combining duplicates.
+/// Merge the `(key, pivot)`-sorted run `add` into `base`, min-combining
+/// duplicates. `base` is replaced by the result; `add` is only read.
 fn merge_sorted(
     store: &TempStore,
     ext: &ExtMemConfig,
-    a: Run<LabelRecord>,
-    b: Run<LabelRecord>,
+    base: Run<LabelRecord>,
+    add: &Run<LabelRecord>,
 ) -> io::Result<Run<LabelRecord>> {
-    merge_runs(store, vec![a, b], buffer_records(ext), Some(keep_min), group_eq)
+    let buf = buffer_records(ext);
+    let readers = vec![base.reader(buf)?, add.reader_shared(buf)?];
+    merge_readers(store, readers, buf, Some(keep_min), group_eq)
 }
 
 /// Invert (`key` ↔ `pivot`) and sort — produces the pivot-sorted view.
@@ -310,22 +323,6 @@ fn edge_run(
     w.finish()
 }
 
-/// Copy a run (used when one run must serve as both `prev` and a merge
-/// input, which consumes it).
-fn copy_run(
-    store: &TempStore,
-    ext: &ExtMemConfig,
-    run: &Run<LabelRecord>,
-) -> io::Result<Run<LabelRecord>> {
-    let buf = buffer_records(ext);
-    let mut w = RunWriter::new(store.create("copy")?, buf);
-    let mut r = run.reader_shared(buf)?;
-    while let Some(rec) = r.next_record()? {
-        w.push(rec)?;
-    }
-    w.finish()
-}
-
 /// Materialise a `(key, pivot)`-sorted label run as per-vertex labels.
 fn load_labels(
     run: &Run<LabelRecord>,
@@ -341,34 +338,22 @@ fn load_labels(
 }
 
 /// Co-group join of `prev` (sorted by key) with `side` (sorted by key):
-/// for every shared key, `emit` sees the two groups and pushes
-/// candidates into the sorter.
+/// for every shared key, `emit` sees the two groups.
 fn cogroup_join(
     prev: &Run<LabelRecord>,
     side: &Run<LabelRecord>,
     ext: &ExtMemConfig,
-    cands: &mut ExternalSorter<'_, LabelRecord>,
-    mut emit: impl FnMut(
-        &[LabelRecord],
-        &[LabelRecord],
-        &mut ExternalSorter<'_, LabelRecord>,
-    ) -> io::Result<()>,
+    mut emit: impl FnMut(&[LabelRecord], &[LabelRecord]) -> io::Result<()>,
 ) -> io::Result<()> {
     let buf = buffer_records(ext);
-    let mut pr = GroupReader::new(prev, buf)?;
-    let mut sr = GroupReader::new(side, buf)?;
-    let (mut pg, mut sg, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
-    while let Some(pk) = pr.peek_key() {
-        sr.skip_to(pk, &mut scratch)?;
-        match sr.peek_key() {
-            Some(sk) if sk == pk => {
-                pr.next_group(&mut pg)?;
-                sr.next_group(&mut sg)?;
-                emit(&pg, &sg, cands)?;
-            }
-            _ => {
-                pr.next_group(&mut pg)?; // no partner group: skip
-            }
+    let mut pr = GroupReader::open(prev, buf)?;
+    let mut sr = GroupReader::open(side, buf)?;
+    let (mut pg, mut sg) = (Vec::new(), Vec::new());
+    while let Some(pk) = pr.next_group(&mut pg)? {
+        sr.skip_to(pk)?;
+        if sr.peek_key() == Some(pk) {
+            sr.next_group(&mut sg)?;
+            emit(&pg, &sg)?;
         }
     }
     Ok(())
@@ -377,83 +362,92 @@ fn cogroup_join(
 /// Prune candidates with the 2-hop test `dist(src, dst) ≤ d` — the block
 /// nested-loop of §4.2.
 ///
-/// `cands` must be sorted by `key = query source`; `src_labels` (sorted
-/// by owner) provides the source-side labels for the outer blocks;
-/// `dst_labels` (sorted by owner) is streamed once per block for the
-/// target side (`pivot` of each candidate). Returns
-/// `(survivors sorted by (key, pivot), pruned_count)`.
+/// `cands` must be sorted by `(key = query source, pivot)`, one record
+/// per pair; `src_labels` (sorted by owner) provides the source-side
+/// labels for the outer blocks; `dst_labels` (sorted by owner) is
+/// streamed once per block for the target side (`pivot` of each
+/// candidate). Returns `(survivors, pruned_count)`; the survivors keep
+/// the candidates' order.
 fn prune_candidates(
     store: &TempStore,
     ext: &ExtMemConfig,
-    cands: Run<LabelRecord>,
+    cands: impl RecordSource<LabelRecord>,
     src_labels: &Run<LabelRecord>,
     dst_labels: &Run<LabelRecord>,
-    overlap: bool,
 ) -> io::Result<(Run<LabelRecord>, u64)> {
     let buf = buffer_records(ext);
     let block_budget = (ext.memory_records / 2).max(64);
-    let mut cand_reader = GroupReader::new(&cands, buf)?;
-    let mut src_reader = GroupReader::new(src_labels, buf)?;
+    let mut cand_reader = GroupReader::new(cands)?;
+    let mut src_reader = GroupReader::open(src_labels, buf)?;
     let mut survivors = RunWriter::new(store.create("survivors")?, buf);
     let mut pruned = 0u64;
-    let (mut cg, mut sg, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+    // One block, reused across blocks: the candidates in arrival order,
+    // the source label groups back to back (group `g` is
+    // `src_pool[src_bounds[g]..src_bounds[g + 1]]`), each candidate's
+    // group, and the order the inner scan visits them in.
+    let mut block: Vec<LabelRecord> = Vec::new();
+    let mut src_pool: Vec<LabelRecord> = Vec::new();
+    let mut src_bounds: Vec<usize> = Vec::new();
+    let mut group_of: Vec<u32> = Vec::new();
+    let mut by_target: Vec<u32> = Vec::new();
+    let mut keep: Vec<bool> = Vec::new();
+    let mut dg = Vec::new();
 
     loop {
         // Outer: load candidate groups + their source labels up to the
         // memory budget.
-        let mut block: Vec<(LabelRecord, usize)> = Vec::new(); // (cand, src group idx)
-        let mut src_groups: Vec<Vec<LabelRecord>> = Vec::new();
-        let mut loaded = 0usize;
-        while loaded < block_budget {
-            let Some(ck) = cand_reader.peek_key() else { break };
-            cand_reader.next_group(&mut cg)?;
-            src_reader.skip_to(ck, &mut scratch)?;
+        block.clear();
+        src_pool.clear();
+        src_bounds.clear();
+        src_bounds.push(0);
+        group_of.clear();
+        while block.len() + src_pool.len() < block_budget {
+            let Some(ck) = cand_reader.append_group(&mut block)? else { break };
+            src_reader.skip_to(ck)?;
             if src_reader.peek_key() == Some(ck) {
-                src_reader.next_group(&mut sg)?;
-            } else {
-                sg.clear(); // unreachable: self-entries cover every vertex
-            }
-            src_groups.push(sg.clone());
-            let idx = src_groups.len() - 1;
-            loaded += cg.len() + sg.len();
-            for &c in &cg {
-                block.push((c, idx));
-            }
+                src_reader.append_group(&mut src_pool)?;
+            } // else unreachable: self-entries cover every vertex
+            group_of.resize(block.len(), src_bounds.len() as u32 - 1);
+            src_bounds.push(src_pool.len());
         }
         if block.is_empty() {
             break;
         }
-        // Sort block candidates by target vertex for the inner merge.
-        block.sort_unstable_by_key(|(c, _)| (c.pivot, c.key));
-        // Inner: stream the target-side label file once.
-        let mut dst_reader = GroupReader::new(dst_labels, buf)?;
-        let mut dg = Vec::new();
-        let mut i = 0usize;
-        while i < block.len() {
-            let target = block[i].0.pivot;
-            dst_reader.skip_to(target, &mut scratch)?;
+        // Inner: stream the target-side label file once, visiting the
+        // block's candidates by target vertex. The block itself stays in
+        // `(key, pivot)` order and blocks are consecutive key ranges, so
+        // the survivors leave globally sorted.
+        by_target.clear();
+        by_target.extend(0..block.len() as u32);
+        by_target.sort_unstable_by_key(|&c| (block[c as usize].pivot, block[c as usize].key));
+        keep.clear();
+        keep.resize(block.len(), false);
+        let mut dst_reader = GroupReader::open(dst_labels, buf)?;
+        let mut visit = by_target.iter().map(|&c| c as usize).peekable();
+        while let Some(&first) = visit.peek() {
+            let target = block[first].pivot;
+            dst_reader.skip_to(target)?;
             debug_assert_eq!(
                 dst_reader.peek_key(),
                 Some(target),
                 "self-entries guarantee every vertex has a label group"
             );
             dst_reader.next_group(&mut dg)?;
-            while i < block.len() && block[i].0.pivot == target {
-                let (c, gi) = block[i];
-                if join_min_records(&src_groups[gi], &dg) <= c.dist {
-                    pruned += 1;
-                } else {
-                    survivors.push(c)?;
-                }
-                i += 1;
+            while let Some(c) = visit.next_if(|&c| block[c].pivot == target) {
+                let g = group_of[c] as usize;
+                let src = &src_pool[src_bounds[g]..src_bounds[g + 1]];
+                keep[c] = join_min_records(src, &dg) > block[c].dist;
+            }
+        }
+        for (&c, &kept) in block.iter().zip(&keep) {
+            if kept {
+                survivors.push(c)?;
+            } else {
+                pruned += 1;
             }
         }
     }
-    // Survivors were written in per-block (pivot, key) order; resort by
-    // (key, pivot) for the merge step.
-    let run = survivors.finish()?;
-    let sorted = sort_run(store, ext, run, overlap)?;
-    Ok((sorted, pruned))
+    Ok((survivors.finish()?, pruned))
 }
 
 // -------------------------------------------------------------------
@@ -465,12 +459,12 @@ fn prune_candidates(
 fn emit_stepping(
     pg: &[LabelRecord],
     eg: &[LabelRecord],
-    s: &mut ExternalSorter<'_, LabelRecord>,
+    offer: &mut impl FnMut(LabelRecord) -> io::Result<()>,
 ) -> io::Result<()> {
     for p in pg {
         for e in eg {
             if e.pivot > p.pivot {
-                s.push(LabelRecord::new(e.pivot, p.pivot, p.dist.saturating_add(e.dist)))?;
+                offer(LabelRecord::new(e.pivot, p.pivot, p.dist.saturating_add(e.dist)))?;
             }
         }
     }
@@ -482,12 +476,12 @@ fn emit_stepping(
 fn emit_doubling_label(
     pg: &[LabelRecord],
     lg: &[LabelRecord],
-    s: &mut ExternalSorter<'_, LabelRecord>,
+    offer: &mut impl FnMut(LabelRecord) -> io::Result<()>,
 ) -> io::Result<()> {
     for p in pg {
         for l in lg {
             if l.pivot > p.pivot && l.pivot < p.key {
-                s.push(LabelRecord::new(l.pivot, p.pivot, p.dist.saturating_add(l.dist)))?;
+                offer(LabelRecord::new(l.pivot, p.pivot, p.dist.saturating_add(l.dist)))?;
             }
         }
     }
@@ -499,12 +493,12 @@ fn emit_doubling_label(
 fn emit_doubling_inverted(
     pg: &[LabelRecord],
     ig: &[LabelRecord],
-    s: &mut ExternalSorter<'_, LabelRecord>,
+    offer: &mut impl FnMut(LabelRecord) -> io::Result<()>,
 ) -> io::Result<()> {
     for p in pg {
         for o in ig {
             if o.pivot > p.key {
-                s.push(LabelRecord::new(o.pivot, p.pivot, p.dist.saturating_add(o.dist)))?;
+                offer(LabelRecord::new(o.pivot, p.pivot, p.dist.saturating_add(o.dist)))?;
             }
         }
     }
@@ -516,36 +510,36 @@ fn emit_doubling_inverted(
 // -------------------------------------------------------------------
 
 /// The files of one label side (see [`crate::engine`] for the side
-/// formulation): `own` sorted two ways, the new entries of the previous
-/// iteration, and the edge file stepping joins against.
+/// formulation): `own` sorted one or two ways, the new entries of the
+/// previous iteration, and the edge file stepping joins against.
 struct Side {
     /// Index of the side whose label file this side is joined against
     /// (the other side of a directed build, itself when undirected).
     across: usize,
     /// In-side only: an entry `(owner v, pivot u)` covers a path `u ⇝ v`,
-    /// so the §4.2 query source is the *pivot*. The side then inverts its
-    /// candidates around the prune and inverts the survivors back, which
+    /// so the §4.2 query source is the *pivot*. The side then generates
+    /// its candidates inverted and inverts the survivors back, which
     /// keeps the outer blocks grouped by source on every side.
     pivot_is_source: bool,
     /// Edges of each vertex in this side's step direction.
     edges: Run<LabelRecord>,
     /// `own`, sorted by `(owner, pivot)`.
     labels: Run<LabelRecord>,
-    /// `own` inverted, sorted by `(pivot, owner)`.
-    inv: Run<LabelRecord>,
-    /// Entries the previous iteration added to `own` (no self-entries).
+    /// `own` inverted, sorted by `(pivot, owner)` — only the doubling
+    /// rule reads it, so it exists from the first doubling round on.
+    inv: Option<Run<LabelRecord>>,
+    /// Entries the previous iteration added to `own` (no self-entries):
+    /// that iteration's survivor run itself.
     prev: Run<LabelRecord>,
 }
 
 /// Everything one side produces in one iteration: the surviving
-/// candidates (owner- and pivot-sorted) ready for the label-file merges,
-/// the next iteration's `prev` run, and the iteration counters.
+/// candidates — owner-sorted, and pivot-sorted when the side keeps an
+/// `inv` file to merge them into — and the iteration counters.
 struct SideOutcome {
-    candidates: u64,
     pruned: u64,
     surv: Run<LabelRecord>,
-    surv_inv: Run<LabelRecord>,
-    prev: Run<LabelRecord>,
+    surv_inv: Option<Run<LabelRecord>>,
 }
 
 /// One iteration of one side: generate candidates from `prev`, prune
@@ -559,49 +553,56 @@ fn side_round(
     across: &Run<LabelRecord>,
 ) -> io::Result<SideOutcome> {
     let mut s = sorter(store, ext, overlap);
-    if stepping {
-        // Label and inverted rule composed with the owner's single edges.
-        cogroup_join(&side.prev, &side.edges, ext, &mut s, emit_stepping)?;
-    } else {
-        // Label rule (R1 / R4): prev (u,v,d) × across(u) entries (x,d'),
-        // v < x < u.
-        cogroup_join(&side.prev, across, ext, &mut s, emit_doubling_label)?;
-        // Inverted rule (R2 / R5): prev (u,v,d) × inv group of u: owners
-        // x > u.
-        cogroup_join(&side.prev, &side.inv, ext, &mut s, emit_doubling_inverted)?;
+    {
+        // The min-combiner groups by the unordered `(key, pivot)` pair,
+        // so a side whose query source is the pivot sorts its candidates
+        // inverted — grouped by source — from the start.
+        let mut offer =
+            |r: LabelRecord| s.push(if side.pivot_is_source { r.inverted() } else { r });
+        if stepping {
+            // Label and inverted rule composed with the owner's single
+            // edges.
+            cogroup_join(&side.prev, &side.edges, ext, |pg, eg| emit_stepping(pg, eg, &mut offer))?;
+        } else {
+            // Label rule (R1 / R4): prev (u,v,d) × across(u) entries
+            // (x,d'), v < x < u.
+            cogroup_join(&side.prev, across, ext, |pg, lg| {
+                emit_doubling_label(pg, lg, &mut offer)
+            })?;
+            // Inverted rule (R2 / R5): prev (u,v,d) × inv group of u:
+            // owners x > u.
+            let inv = side.inv.as_ref().expect("the driver builds `inv` before a doubling round");
+            cogroup_join(&side.prev, inv, ext, |pg, ig| {
+                emit_doubling_inverted(pg, ig, &mut offer)
+            })?;
+        }
     }
-    let cands = s.finish()?;
-    let candidates = cands.len();
-    let (surv, surv_inv, pruned) = if side.pivot_is_source {
-        let cands_by_src = inverted_sorted(store, ext, &cands, overlap)?;
-        drop(cands);
-        let (surv_by_src, pruned) =
-            prune_candidates(store, ext, cands_by_src, across, &side.labels, overlap)?;
+    // The sorter's last merge is the prune's candidate scan.
+    let cands = s.finish_stream()?;
+    if side.pivot_is_source {
+        let (surv_by_src, pruned) = prune_candidates(store, ext, cands, across, &side.labels)?;
         let surv = inverted_sorted(store, ext, &surv_by_src, overlap)?;
         // `surv_by_src` *is* the pivot-sorted view of `surv`: invert ∘
-        // invert is the identity, and both runs carry combined,
-        // `(key, pivot)`-sorted records — reuse it rather than paying a
-        // third sort of the survivor set.
-        (surv, surv_by_src, pruned)
+        // invert is the identity.
+        Ok(SideOutcome { pruned, surv, surv_inv: side.inv.is_some().then_some(surv_by_src) })
     } else {
         // The candidate key *is* the query source: join own(key) with
         // across(pivot).
-        let (surv, pruned) = prune_candidates(store, ext, cands, &side.labels, across, overlap)?;
-        let surv_inv = inverted_sorted(store, ext, &surv, overlap)?;
-        (surv, surv_inv, pruned)
-    };
-    let prev = copy_run(store, ext, &surv)?;
-    Ok(SideOutcome { candidates, pruned, surv, surv_inv, prev })
+        let (surv, pruned) = prune_candidates(store, ext, cands, &side.labels, across)?;
+        let surv_inv =
+            side.inv.is_some().then(|| inverted_sorted(store, ext, &surv, overlap)).transpose()?;
+        Ok(SideOutcome { pruned, surv, surv_inv })
+    }
 }
 
 /// Merge `(base, survivors)` run pairs, up to `wave` of them at once on
-/// scoped threads (the pairs consume disjoint runs, so scheduling cannot
+/// scoped threads (the pairs write disjoint runs, so scheduling cannot
 /// change any output). Results come back in job order.
 fn merge_in_waves(
     store: &TempStore,
     ext: &ExtMemConfig,
     wave: usize,
-    jobs: Vec<(Run<LabelRecord>, Run<LabelRecord>)>,
+    jobs: Vec<(Run<LabelRecord>, &Run<LabelRecord>)>,
 ) -> io::Result<Vec<Run<LabelRecord>>> {
     let mut merged = Vec::with_capacity(jobs.len());
     let mut jobs = jobs.into_iter();
@@ -647,6 +648,14 @@ fn run(
     let threads = cfg.resolved_parallelism();
     let threaded = threads >= 2;
     let mut stats = BuildStats { threads, ..BuildStats::default() };
+    // Bytes moved since the last call: the per-iteration I/O columns.
+    let mut seen = (0u64, 0u64);
+    let mut io_lap = || {
+        let now = (store.stats().read_bytes(), store.stats().write_bytes());
+        let lap = (now.0 - seen.0, now.1 - seen.1);
+        seen = now;
+        lap
+    };
 
     // Initialization (iteration 1): self-entries + one entry per edge.
     let init_start = std::time::Instant::now();
@@ -657,18 +666,18 @@ fn run(
             || seed.entries.iter().map(|&(owner, pivot, w)| LabelRecord::new(owner, pivot, w));
         let self_entries = (0..n as u32).map(|v| LabelRecord::new(v, v, 0));
         init_count += seed.entries.len() as u64;
-        let labels = sorted_run(store, ext, self_entries.chain(seeds()))?;
         sides.push(Side {
             across: seed.across,
             // Sides come out → in; only a directed build has the second.
             pivot_is_source: sigma == 1,
             edges: edge_run(store, ext, g, seed.step)?,
-            inv: inverted_sorted(store, ext, &labels, false)?,
-            labels,
+            labels: sorted_run(store, ext, self_entries.chain(seeds()))?,
+            inv: None,
             // `prev` holds only new entries (no self-entries).
             prev: sorted_run(store, ext, seeds())?,
         });
     }
+    let (io_read_bytes, io_write_bytes) = io_lap();
     stats.iterations.push(IterationStats {
         iteration: 1,
         stepping: true,
@@ -677,6 +686,8 @@ fn run(
         inserted: init_count,
         total_entries: init_count + (sides.len() * n) as u64,
         elapsed: init_start.elapsed(),
+        io_read_bytes,
+        io_write_bytes,
         shards: Vec::new(),
     });
 
@@ -687,6 +698,13 @@ fn run(
         iter += 1;
         let round_start = std::time::Instant::now();
         let stepping = cfg.strategy.steps_at(iter);
+        if !stepping {
+            // First doubling round: the inverted rule needs `inv`. From
+            // here on the round's merges keep it current.
+            for side in sides.iter_mut().filter(|s| s.inv.is_none()) {
+                side.inv = Some(inverted_sorted(store, ext, &side.labels, threaded)?);
+            }
+        }
 
         // ---- generation + pruning, one pipeline per side ----
         // The sides share only read-only label files; each owns its
@@ -704,22 +722,23 @@ fn run(
             let spawned = handles.into_iter().map(|h| h.join().expect("side worker panicked"));
             spawned.chain(inline).collect()
         });
+        let outcomes = outcomes.into_iter().collect::<io::Result<Vec<SideOutcome>>>()?;
 
         // ---- merge survivors into the label files ----
-        // Two merges per side, all consuming disjoint run pairs; how
-        // many run at once is capped by the configured thread budget:
-        // all of them from 4 threads up, waves of two below.
+        // One merge per label file a side keeps (`labels`, and `inv` once
+        // it exists), all writing disjoint runs; how many run at once is
+        // capped by the configured thread budget: all of them from 4
+        // threads up, waves of two below.
         let (mut candidates, mut pruned, mut inserted) = (0u64, 0u64, 0u64);
         let mut jobs = Vec::with_capacity(2 * sides.len());
         let mut carried = Vec::with_capacity(sides.len());
-        for (side, outcome) in sides.into_iter().zip(outcomes) {
-            let o = outcome?;
-            candidates += o.candidates;
+        for (side, o) in sides.into_iter().zip(&outcomes) {
+            candidates += o.surv.len() + o.pruned;
             pruned += o.pruned;
             inserted += o.surv.len();
-            jobs.push((side.labels, o.surv));
-            jobs.push((side.inv, o.surv_inv));
-            carried.push((side.across, side.pivot_is_source, side.edges, o.prev));
+            jobs.push((side.labels, &o.surv));
+            jobs.extend(side.inv.zip(o.surv_inv.as_ref()));
+            carried.push((side.across, side.pivot_is_source, side.edges));
         }
         let wave = if threads >= 4 {
             jobs.len()
@@ -730,12 +749,15 @@ fn run(
         };
         let mut merged = merge_in_waves(store, ext, wave, jobs)?.into_iter();
         sides = Vec::with_capacity(carried.len());
-        for (across, pivot_is_source, edges, prev) in carried {
+        for ((across, pivot_is_source, edges), o) in carried.into_iter().zip(outcomes) {
             let labels = merged.next().expect("one merged label file per side");
-            let inv = merged.next().expect("one merged inverted file per side");
-            sides.push(Side { across, pivot_is_source, edges, labels, inv, prev });
+            // The survivors are the next round's driving input as they
+            // are; their pivot-sorted view dies with the merge.
+            let inv = if o.surv_inv.is_some() { merged.next() } else { None };
+            sides.push(Side { across, pivot_is_source, edges, labels, inv, prev: o.surv });
         }
 
+        let (io_read_bytes, io_write_bytes) = io_lap();
         stats.iterations.push(IterationStats {
             iteration: iter,
             stepping,
@@ -744,6 +766,8 @@ fn run(
             inserted,
             total_entries: sides.iter().map(|s| s.labels.len()).sum(),
             elapsed: round_start.elapsed(),
+            io_read_bytes,
+            io_write_bytes,
             shards: Vec::new(),
         });
         if inserted == 0 {
@@ -954,6 +978,167 @@ mod tests {
             let result = build_external(&g, &cfg, &ExtMemConfig::default()).unwrap();
             assert!(result.stats.num_iterations() > 256, "directed = {directed}");
             assert_exact(&g, &result.index);
+        }
+    }
+
+    /// (a) The §4.2 block prune hands back its survivors in candidate
+    /// order — strictly `(key, pivot)`-increasing across block borders —
+    /// and keeps exactly what a per-candidate join keeps.
+    #[test]
+    fn prune_keeps_candidate_order_across_blocks() {
+        use extmem::run::run_from_slice;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let (n, ext, store) = (48u32, tiny_ext(), TempStore::new().unwrap());
+        let buf = buffer_records(&ext);
+        let mut labels = |tag| {
+            let mut recs = Vec::new();
+            for v in 0..n {
+                for p in 0..v {
+                    if rng.gen_bool(0.2) {
+                        recs.push(LabelRecord::new(v, p, rng.gen_range(1..5)));
+                    }
+                }
+                recs.push(LabelRecord::new(v, v, 0));
+            }
+            (run_from_slice(&store, tag, &recs, buf).unwrap(), recs)
+        };
+        let (src_run, src) = labels("src");
+        let (dst_run, dst) = labels("dst");
+        // Every source also targets the last vertex, so each block's inner
+        // scan reads `dst` to its end and the blocks can be counted.
+        let mut cands = Vec::new();
+        for (k, p) in (0..n).flat_map(|k| (0..n).map(move |p| (k, p))) {
+            if p == n - 1 || rng.gen_bool(0.15) {
+                cands.push(LabelRecord::new(k, p, rng.gen_range(1..8)));
+            }
+        }
+        let group = |recs: &[LabelRecord], v: u32| -> Vec<LabelRecord> {
+            recs.iter().copied().filter(|r| r.key == v).collect()
+        };
+        let expect: Vec<LabelRecord> = cands
+            .iter()
+            .copied()
+            .filter(|c| join_min_records(&group(&src, c.key), &group(&dst, c.pivot)) > c.dist)
+            .collect();
+        assert!(!expect.is_empty() && expect.len() < cands.len(), "both outcomes occur");
+
+        let cand_run = run_from_slice(&store, "cands", &cands, buf).unwrap();
+        let read_before = store.stats().read_bytes();
+        let (surv, pruned) =
+            prune_candidates(&store, &ext, cand_run.reader(buf).unwrap(), &src_run, &dst_run)
+                .unwrap();
+        let dst_scans = (store.stats().read_bytes() - read_before) / (dst.len() * 12) as u64;
+        assert!(dst_scans >= 3, "the budget must cut the candidates into ≥ 3 blocks");
+        let got = surv.read_all().unwrap();
+        assert!(got.windows(2).all(|w| (w[0].key, w[0].pivot) < (w[1].key, w[1].pivot)));
+        assert_eq!(got, expect);
+        assert_eq!(pruned as usize, cands.len() - expect.len());
+    }
+
+    /// (b) `inv` is created mid-build, right before the first doubling
+    /// round: a hybrid that switches at 3 on graphs that need more rounds.
+    #[test]
+    fn hybrid_creates_inv_mid_build() {
+        let cfg = HopDbConfig::with_strategy(Strategy::Hybrid { switch_at: 3 });
+        for directed in [false, true] {
+            let g = bisected_path(96, directed);
+            let (mem, mem_stats) = build_prelabeled(&g, &cfg);
+            assert!(mem_stats.num_iterations() >= 6, "doubling rounds must follow the switch");
+            let seq = build_external(&g, &cfg, &tiny_ext()).unwrap();
+            let par = build_external(&g, &cfg.clone().with_parallelism(4), &tiny_ext()).unwrap();
+            for (threads, ext) in [(1, &seq), (4, &par)] {
+                assert_eq!(ext.index, mem, "directed = {directed}, threads = {threads}");
+                assert_eq!(progress(&ext.stats), progress(&mem_stats), "threads = {threads}");
+            }
+            assert_eq!(
+                (par.io, par.sort_runs, par.merge_passes),
+                (seq.io, seq.sort_runs, seq.merge_passes),
+                "directed = {directed}"
+            );
+        }
+    }
+
+    /// (c) A build that never doubles never pays for `inv`.
+    #[test]
+    fn stepping_does_no_inv_work() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(53);
+        for directed in [false, true] {
+            // Low diameter: both strategies need about as many rounds.
+            let n = 60;
+            let mut b = if directed {
+                GraphBuilder::new_directed(n)
+            } else {
+                GraphBuilder::new_undirected(n)
+            };
+            for _ in 0..4 * n {
+                b.add_edge(rng.gen_range(0..n) as VertexId, rng.gen_range(0..n) as VertexId);
+            }
+            let g = b.build();
+            let build = |strategy| {
+                let cfg = HopDbConfig::with_strategy(strategy);
+                let result = build_external(&g, &cfg, &tiny_ext()).unwrap();
+                assert_eq!(result.index, build_prelabeled(&g, &cfg).0, "{:?}", cfg.strategy);
+                result
+            };
+            let stepping = build(Strategy::Stepping);
+            let hybrid = build(Strategy::Hybrid { switch_at: 2 });
+            // Not for want of rounds: stepping runs at least as many.
+            assert!(stepping.stats.num_iterations() >= hybrid.stats.num_iterations());
+            assert!(stepping.io.1 < hybrid.io.1, "directed = {directed}");
+            assert!(stepping.merge_passes < hybrid.merge_passes, "directed = {directed}");
+        }
+    }
+
+    /// (d) Weighted doubling: a later round finds a lighter path for an
+    /// `(owner, pivot)` pair that already has an entry, and the label
+    /// merge — which only borrows the survivor run — keeps the minimum.
+    #[test]
+    fn later_round_lowers_an_existing_distance() {
+        // 4 → 0 directly costs 10; through 3, 2, 1 it costs 4.
+        let mut b = GraphBuilder::new_directed(5).weighted();
+        for (u, v, w) in [(4, 0, 10), (4, 3, 1), (3, 2, 1), (2, 1, 1), (1, 0, 1)] {
+            b.add_weighted_edge(u, v, w);
+        }
+        let g = b.build();
+        let cfg = HopDbConfig::with_strategy(Strategy::Doubling);
+        let (mem, mem_stats) = build_prelabeled(&g, &cfg);
+        let result = build_external(&g, &cfg, &tiny_ext()).unwrap();
+        let its = &result.stats.iterations;
+        assert!(
+            its.windows(2)
+                .skip(1)
+                .any(|w| w[1].inserted > 0
+                    && w[1].total_entries < w[0].total_entries + w[1].inserted),
+            "an iteration after the second must replace an entry, not add one: {its:?}"
+        );
+        assert_eq!(result.index, mem);
+        assert_eq!(progress(&result.stats), progress(&mem_stats));
+        assert_eq!(result.index.query(4, 0), 4);
+        assert_exact(&g, &result.index);
+    }
+
+    /// The per-iteration I/O columns account for every byte of the build:
+    /// together with the closing read of the label files they are the
+    /// build's total.
+    #[test]
+    fn per_iteration_io_sums_to_the_total() {
+        for directed in [false, true] {
+            let g = bisected_path(96, directed);
+            let cfg = HopDbConfig::with_strategy(Strategy::Hybrid { switch_at: 3 });
+            let result = build_external(&g, &cfg, &tiny_ext()).unwrap();
+            let its = &result.stats.iterations;
+            assert!(its.iter().all(|it| it.io_read_bytes > 0 && it.io_write_bytes > 0));
+            let load_labels_read = result.stats.final_entries * LabelRecord::SIZE as u64;
+            let read: u64 = its.iter().map(|it| it.io_read_bytes).sum();
+            let written: u64 = its.iter().map(|it| it.io_write_bytes).sum();
+            assert_eq!((read + load_labels_read, written), (result.io.0, result.io.1));
+            let (_, mem_stats) = build_prelabeled(&g, &cfg);
+            assert!(mem_stats
+                .iterations
+                .iter()
+                .all(|it| it.io_read_bytes + it.io_write_bytes == 0));
         }
     }
 

@@ -45,6 +45,12 @@ pub struct IterationStats {
     pub total_entries: u64,
     /// Wall-clock time of the iteration.
     pub elapsed: Duration,
+    /// Bytes the iteration read from the external-memory store (the
+    /// external engine's label, candidate and sort files; zero from the
+    /// in-memory engine).
+    pub io_read_bytes: u64,
+    /// Bytes the iteration wrote to the external-memory store.
+    pub io_write_bytes: u64,
     /// Per-shard breakdown when the iteration ran sharded (empty for
     /// single-threaded rounds and the external engine).
     pub shards: Vec<ShardStats>,
@@ -131,6 +137,8 @@ mod tests {
             inserted,
             total_entries: 0,
             elapsed: Duration::ZERO,
+            io_read_bytes: 0,
+            io_write_bytes: 0,
             shards: Vec::new(),
         }
     }

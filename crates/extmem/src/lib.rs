@@ -20,7 +20,9 @@
 //!   with an optional combiner for equal keys (used to keep the minimum
 //!   distance per `(vertex, pivot)` candidate), optionally pipelining the
 //!   spill passes onto a background worker
-//!   ([`sorter::ExternalSorter::with_background_spill`]);
+//!   ([`sorter::ExternalSorter::with_background_spill`]) and handing its
+//!   last merge to the consumer as a stream instead of a file
+//!   ([`sorter::ExternalSorter::finish_stream`]);
 //! * [`wire`] — total (panic-free) little-endian reads shared by every
 //!   decoder in the workspace that consumes untrusted socket or disk
 //!   bytes.
@@ -38,7 +40,7 @@ pub mod wire;
 
 pub use codec::{LabelRecord, Record};
 pub use device::{CountedFile, StoreHandle, TempStore};
-pub use run::{Run, RunReader, RunWriter};
+pub use run::{RecordSource, Run, RunReader, RunWriter};
 pub use sorter::ExternalSorter;
 pub use stats::IoStats;
 

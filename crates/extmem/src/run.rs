@@ -95,6 +95,19 @@ impl<R: Record> RunWriter<R> {
     }
 }
 
+/// A sequential stream of records: a [`RunReader`] over a file, or a
+/// sorter's [`crate::sorter::SortedStream`] that never became one.
+pub trait RecordSource<R: Record> {
+    /// The next record, or `None` at end of stream.
+    fn next_record(&mut self) -> std::io::Result<Option<R>>;
+}
+
+impl<R: Record> RecordSource<R> for RunReader<R> {
+    fn next_record(&mut self) -> std::io::Result<Option<R>> {
+        RunReader::next_record(self)
+    }
+}
+
 /// Buffered sequential reader over a [`Run`].
 pub struct RunReader<R: Record> {
     input: BufReader<CountedFile>,

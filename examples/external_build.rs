@@ -50,18 +50,20 @@ fn main() {
 
     println!("\nper-iteration profile (growing/pruning factors of Fig. 10):");
     println!(
-        "{:>4} {:>9} {:>10} {:>10} {:>8} {:>7}",
-        "iter", "mode", "candidates", "pruned", "prune%", "total"
+        "{:>4} {:>9} {:>10} {:>10} {:>8} {:>7} {:>8} {:>8}",
+        "iter", "mode", "candidates", "pruned", "prune%", "total", "read MB", "wrote MB"
     );
     for it in &result.stats.iterations {
         println!(
-            "{:>4} {:>9} {:>10} {:>10} {:>7.1}% {:>7}",
+            "{:>4} {:>9} {:>10} {:>10} {:>7.1}% {:>7} {:>8.2} {:>8.2}",
             it.iteration,
             if it.stepping { "stepping" } else { "doubling" },
             it.candidates,
             it.pruned,
             100.0 * it.pruning_factor(),
-            it.total_entries
+            it.total_entries,
+            it.io_read_bytes as f64 / 1e6,
+            it.io_write_bytes as f64 / 1e6
         );
     }
 
