@@ -16,7 +16,8 @@
 //!   \[18\]): independent-set hierarchy with distance-preserving edge
 //!   augmentation, the only prior disk-capable method;
 //! * [`hcl`] — a *highway-cover* labeling standing in for HCL
-//!   (reference \[20\]); see DESIGN.md for the substitution argument.
+//!   (reference \[20\]); the [`hcl`] module docs give the substitution
+//!   argument.
 //!
 //! PLL and IS-Label produce [`hoplabels::LabelIndex`] values, so all
 //! label-based methods share query code, statistics, and the disk

@@ -38,8 +38,8 @@ fn bench_builds(c: &mut Criterion) {
     group.finish();
 }
 
-/// Build-time scaling of the sharded engine (the data behind the
-/// `BENCH_build.json` perf snapshot; see `bench --bin buildperf`).
+/// Build-time scaling of the sharded engine (hopbench reports the same
+/// ratio at two threads as `core.par2_speedup`).
 fn bench_build_threads(c: &mut Criterion) {
     let g = glp(&GlpParams::with_density(8_000, 4.0, 9));
     let ranking = rank_vertices(&g, &RankBy::Degree);

@@ -31,7 +31,7 @@ fn main() {
 
     if part.as_deref() != Some("b") {
         // Part (a): |V| fixed, density swept (paper: 10M vertices,
-        // density 2→70; scaled down by DESIGN.md §2).
+        // density 2→70; scaled down to what `BENCH_SCALE` affords).
         let n = 12_500 * f;
         println!("Figure 9(a) reproduction: |V| = {n}, density swept\n");
         println!(

@@ -158,7 +158,7 @@ fn fmt_f(v: Option<f64>, prec: usize) -> String {
 
 fn main() {
     let scale = Scale::from_env();
-    println!("Table 6 reproduction (scale: {scale:?}; datasets are GLP stand-ins, DESIGN.md §2)\n");
+    println!("Table 6 reproduction (scale: {scale:?}; datasets are GLP stand-ins)\n");
     println!(
         "{:<12} {:>8} {:>9} {:>7} {:>7} | {:>8} {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8} {:>8} | {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} | {:>9} {:>9} {:>10}",
         "graph", "|V|", "|E|", "maxdeg", "G(MB)",

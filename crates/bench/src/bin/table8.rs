@@ -1,6 +1,6 @@
 #![forbid(unsafe_code)]
 //! Table 8 — Hop-Doubling vs Hop-Stepping vs Hybrid: indexing time and
-//! iteration counts, plus the two ablations DESIGN.md calls out:
+//! iteration counts, plus two ablations:
 //! `--sweep` varies the hybrid switch point, `--rankings` compares
 //! vertex orderings (§7/§8).
 //!

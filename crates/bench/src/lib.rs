@@ -3,8 +3,7 @@
 
 //! # bench — the evaluation harness (Section 8)
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §3 for the
-//! full experiment index):
+//! One binary per table/figure of the paper:
 //!
 //! | binary   | reproduces |
 //! |----------|------------|
@@ -16,10 +15,12 @@
 //! | `fig10`  | per-iteration growing/pruning factors and size ratios |
 //!
 //! Real datasets are replaced by GLP-generated scale-free graphs with
-//! matched shapes (DESIGN.md §2); every binary honours the
+//! matched shapes (the SNAP/KONECT originals are not redistributable —
+//! README "Paper tables and figures"); every binary honours the
 //! `BENCH_SCALE` environment variable (`small` / `medium` / `large`,
 //! default `medium`) so the whole suite can run as a smoke test or as a
-//! full evaluation.
+//! full evaluation. Speed and size numbers the repo is judged by come
+//! from `hopbench` (`benchmark/`), not from here.
 
 use std::time::{Duration, Instant};
 
@@ -53,7 +54,7 @@ impl Kind {
 
 /// One benchmark graph.
 pub struct Workload {
-    /// Stable name used in tables and EXPERIMENTS.md.
+    /// Stable name used in the printed tables.
     pub name: String,
     /// Row group.
     pub kind: Kind,
@@ -73,13 +74,20 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read `BENCH_SCALE` (default medium).
-    pub fn from_env() -> Scale {
-        match std::env::var("BENCH_SCALE").as_deref() {
-            Ok("small") => Scale::Small,
-            Ok("large") => Scale::Large,
-            _ => Scale::Medium,
+    /// Parse a `BENCH_SCALE` value.
+    fn parse(value: &str) -> Result<Scale, String> {
+        match value {
+            "small" => Ok(Scale::Small),
+            "medium" => Ok(Scale::Medium),
+            "large" => Ok(Scale::Large),
+            other => Err(format!("`{other}` is not one of small, medium, large")),
         }
+    }
+
+    /// Read `BENCH_SCALE` (unset = medium; an unknown name ends the
+    /// process with exit status 2 — a typo must not run the default).
+    pub fn from_env() -> Scale {
+        env_or_exit("BENCH_SCALE", Scale::Medium, Scale::parse)
     }
 
     /// Multiplier applied to base workload sizes.
@@ -135,12 +143,31 @@ pub fn suite(scale: Scale) -> Vec<Workload> {
     v
 }
 
+/// Parse a `BENCH_THREADS` value: any `usize` (0 = all cores).
+fn parse_threads(value: &str) -> Result<usize, String> {
+    value
+        .parse()
+        .map_err(|_| format!("`{value}` is not a thread count (0 = all cores, or 1, 2, …)"))
+}
+
 /// Build-worker threads from the `BENCH_THREADS` environment variable
-/// (default 1 = sequential; 0 = all cores). Every harness builds the
-/// bit-identical index regardless — the knob only changes build time,
-/// so Fig. 8 / Table 6 runs can report scaling at 1/2/4/8 threads.
+/// (unset = 1 = sequential; 0 = all cores; anything unparsable ends the
+/// process with exit status 2). Every harness builds the bit-identical
+/// index regardless — the knob only changes build time, so Fig. 8 /
+/// Table 6 runs can report scaling at 1/2/4/8 threads.
 pub fn threads_from_env() -> usize {
-    std::env::var("BENCH_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
+    env_or_exit("BENCH_THREADS", 1, parse_threads)
+}
+
+/// `default` when `var` is unset, else its parsed value; a value `parse`
+/// rejects is a usage error (message on stderr, exit status 2).
+fn env_or_exit<T>(var: &str, default: T, parse: fn(&str) -> Result<T, String>) -> T {
+    let Some(value) = std::env::var_os(var) else { return default };
+    let parsed = value.to_str().ok_or_else(|| "the value is not unicode".to_string());
+    parsed.and_then(parse).unwrap_or_else(|why| {
+        eprintln!("{var}: {why}");
+        std::process::exit(2)
+    })
 }
 
 /// Deterministic query pairs (uniform random vertices).
@@ -182,15 +209,6 @@ pub fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
 }
 
-/// Right-align an optional value, rendering `None` as an em-dash — the
-/// DNF cells of Table 6 (the paper's 24-hour timeouts).
-pub fn fmt_opt<T: std::fmt::Display>(v: Option<T>, width: usize) -> String {
-    match v {
-        Some(v) => format!("{v:>width$}"),
-        None => format!("{:>width$}", "—"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,6 +237,28 @@ mod tests {
         // runner; BENCH_THREADS is unset in CI's tier-1 job.
         if std::env::var("BENCH_THREADS").is_err() {
             assert_eq!(threads_from_env(), 1);
+        }
+    }
+
+    #[test]
+    fn scale_and_thread_values_parse_or_name_what_is_accepted() {
+        assert_eq!(Scale::parse("small"), Ok(Scale::Small));
+        assert_eq!(Scale::parse("medium"), Ok(Scale::Medium));
+        assert_eq!(Scale::parse("large"), Ok(Scale::Large));
+        for bad in ["smal", "", "Small", " small"] {
+            let why = Scale::parse(bad).expect_err(bad);
+            assert!(why.contains("small, medium, large"), "{why}");
+        }
+        if std::env::var("BENCH_SCALE").is_err() {
+            assert_eq!(Scale::from_env(), Scale::Medium);
+        }
+
+        for (text, n) in [("0", 0), ("1", 1), ("4", 4), ("64", 64)] {
+            assert_eq!(parse_threads(text), Ok(n));
+        }
+        for bad in ["four", "", "-1", "2.5"] {
+            let why = parse_threads(bad).expect_err(bad);
+            assert!(why.contains("thread count"), "{why}");
         }
     }
 

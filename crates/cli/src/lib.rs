@@ -49,13 +49,10 @@ use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::path::Path;
 
-use extmem::device::CountedFile;
-use extmem::stats::IoStats;
 use graphgen::{
     barabasi_albert, erdos_renyi, glp, orient_scale_free, with_random_weights, GlpParams,
 };
 use hopdb::{HopDbConfig, Strategy};
-use hoplabels::disk::DiskIndex;
 use hoplabels::flat::FlatIndex;
 use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy, Ranking};
 use sfgraph::{Graph, VertexId, INF_DIST};
@@ -323,9 +320,7 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
     // Persist: index file + ranking sidecar.
     let target = args.required("-o")?;
-    let io = IoStats::shared();
-    let file = CountedFile::create_path(Path::new(target), io)?;
-    write_index_to(&index, file)?;
+    index.write_hopidx(&mut std::fs::File::create(target)?)?;
     write_ranking_sidecar(target, &ranking)?;
 
     writeln!(
@@ -367,17 +362,6 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         }
     }
     writeln!(out, "index: {target}  ranking: {target}.rank")?;
-    Ok(())
-}
-
-fn write_index_to(index: &hoplabels::LabelIndex, file: CountedFile) -> Result<(), CliError> {
-    // DiskIndex::create wants a TempStore; write via a temp store and
-    // copy into place to keep one serialization code path.
-    let store = extmem::device::TempStore::new()?;
-    let disk = DiskIndex::create(index, &store, "cli")?;
-    let tmp_path = disk.persist();
-    std::fs::copy(&tmp_path, file.path())?;
-    std::fs::remove_file(tmp_path)?;
     Ok(())
 }
 

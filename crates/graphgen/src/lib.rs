@@ -8,8 +8,7 @@
 //! of Bu & Towsley, parameterised exactly as in the paper (`m = 1.13`,
 //! `m0 = 10`, power-law exponent ≈ 2.155). Because the real SNAP/KONECT
 //! datasets are not redistributable, the whole evaluation harness runs on
-//! GLP graphs with matched density — see DESIGN.md §2 for the substitution
-//! argument.
+//! GLP graphs with matched density (README "Paper tables and figures").
 //!
 //! Also provided:
 //! * [`ba`] — the Barabási–Albert preferential-attachment model;

@@ -12,7 +12,8 @@
 //! in  entries  (pivot u32, dist u32)*   -- directed only
 //! ```
 //!
-//! The offset directory (16 bytes/vertex) is held in memory, as any
+//! [`LabelIndex::write_hopidx`] is the only writer of that layout. The
+//! offset directory (16 bytes/vertex) is held in memory, as any
 //! practical disk index would; each query then costs exactly two label
 //! reads, matching the paper's two-I/O query model.
 
@@ -93,6 +94,34 @@ impl HopIdxHeader {
         Ok(HopIdxHeader { directed, n, out_offsets, in_offsets, out_base, in_base })
     }
 
+    /// The header of an image holding labels with these offset
+    /// directories (`in_offsets` empty when undirected).
+    pub(crate) fn new(
+        directed: bool,
+        n: usize,
+        out_offsets: Vec<u64>,
+        in_offsets: Vec<u64>,
+    ) -> HopIdxHeader {
+        let out_base = 20 + (out_offsets.len() + in_offsets.len()) * 8;
+        let out_total = out_offsets.last().copied().unwrap_or(0) as usize;
+        let in_base = out_base + out_total * ENTRY_BYTES as usize;
+        HopIdxHeader { directed, n, out_offsets, in_offsets, out_base, in_base }
+    }
+
+    /// Emit what [`HopIdxHeader::parse`] reads back: magic, flags word,
+    /// `n`, then the offset directories. The one place the header is
+    /// serialized — [`LabelIndex::write_hopidx`] and the shard cutter
+    /// both call it.
+    pub(crate) fn write(&self, w: &mut impl Write) -> std::io::Result<()> {
+        w.write_all(MAGIC)?;
+        w.write_all(&[self.directed as u8, 0, 0, 0])?;
+        w.write_all(&(self.n as u64).to_le_bytes())?;
+        for &o in self.out_offsets.iter().chain(&self.in_offsets) {
+            w.write_all(&o.to_le_bytes())?;
+        }
+        Ok(())
+    }
+
     /// Total byte length a well-formed file with this header must have.
     /// Both loaders require the actual length to match this *exactly* —
     /// trailing bytes are rejected, not tolerated — and the saturating
@@ -107,6 +136,48 @@ impl HopIdxHeader {
 
 fn offsets_sorted(offsets: &[u64]) -> bool {
     offsets.windows(2).all(|w| w[0] <= w[1])
+}
+
+/// Bytes [`write_image`] buffers before handing them to the writer: the
+/// image streams out, it is never assembled in memory.
+const WRITE_BUFFER_BYTES: usize = 64 << 10;
+
+impl LabelIndex {
+    /// Serialize the index as a `HOPIDX01` image into `w` — the only
+    /// serializer of the format. Streams through a fixed-size buffer
+    /// (the external build bounds its memory; writing its result must
+    /// not double the index), flushes `w`, and returns the image length
+    /// in bytes.
+    pub fn write_hopidx(&self, w: &mut impl Write) -> std::io::Result<u64> {
+        write_image(self, w).map(|header| header.expected_len() as u64)
+    }
+}
+
+/// [`LabelIndex::write_hopidx`], returning the header it wrote so
+/// [`DiskIndex::create`] keeps the offset directories it just computed.
+fn write_image(index: &LabelIndex, w: &mut impl Write) -> std::io::Result<HopIdxHeader> {
+    let sides: &[&[VertexLabels]] = match index {
+        LabelIndex::Directed(d) => &[&d.out_labels, &d.in_labels],
+        LabelIndex::Undirected(u) => &[&u.labels],
+    };
+    let header = HopIdxHeader::new(
+        index.is_directed(),
+        index.num_vertices(),
+        offsets_of(sides[0]),
+        sides.get(1).map_or_else(Vec::new, |inn| offsets_of(inn)),
+    );
+    let mut w = std::io::BufWriter::with_capacity(WRITE_BUFFER_BYTES, w);
+    header.write(&mut w)?;
+    for labels in sides {
+        for e in labels.iter().flat_map(VertexLabels::entries) {
+            let mut entry = [0u8; ENTRY_BYTES as usize];
+            entry[..4].copy_from_slice(&e.pivot.to_le_bytes());
+            entry[4..].copy_from_slice(&e.dist.to_le_bytes());
+            w.write_all(&entry)?;
+        }
+    }
+    w.flush()?;
+    Ok(header)
 }
 
 /// A 2-hop index stored in a counted file, queryable without loading the
@@ -124,61 +195,26 @@ pub struct DiskIndex {
 }
 
 impl DiskIndex {
-    /// Serialize `index` into a fresh file in `store`.
+    /// Serialize `index` into a fresh file in `store`
+    /// ([`LabelIndex::write_hopidx`]) and keep it open for queries.
     pub fn create(index: &LabelIndex, store: &TempStore, tag: &str) -> std::io::Result<DiskIndex> {
         let mut file = store.create(tag)?;
-        let n = index.num_vertices();
-        let directed = index.is_directed();
+        let header = write_image(index, &mut file)?;
+        Ok(DiskIndex::from_header(file, header))
+    }
 
-        let (out_offsets, in_offsets) = match index {
-            LabelIndex::Directed(d) => (offsets_of(&d.out_labels), offsets_of(&d.in_labels)),
-            LabelIndex::Undirected(u) => (offsets_of(&u.labels), Vec::new()),
-        };
-
-        let mut buf: Vec<u8> = Vec::with_capacity(1 << 16);
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&[directed as u8, 0, 0, 0]);
-        buf.extend_from_slice(&(n as u64).to_le_bytes());
-        for &o in &out_offsets {
-            buf.extend_from_slice(&o.to_le_bytes());
-        }
-        for &o in &in_offsets {
-            buf.extend_from_slice(&o.to_le_bytes());
-        }
-        let header_len = buf.len() as u64;
-        let out_total = *out_offsets.last().unwrap_or(&0);
-        let out_base = header_len;
-        let in_base = out_base + out_total * ENTRY_BYTES;
-
-        let push_labels = |buf: &mut Vec<u8>, labels: &[VertexLabels]| {
-            for l in labels {
-                for e in l.entries() {
-                    buf.extend_from_slice(&e.pivot.to_le_bytes());
-                    buf.extend_from_slice(&e.dist.to_le_bytes());
-                }
-            }
-        };
-        match index {
-            LabelIndex::Directed(d) => {
-                push_labels(&mut buf, &d.out_labels);
-                push_labels(&mut buf, &d.in_labels);
-            }
-            LabelIndex::Undirected(u) => push_labels(&mut buf, &u.labels),
-        }
-        file.write_all(&buf)?;
-        file.flush()?;
-
-        Ok(DiskIndex {
+    fn from_header(file: CountedFile, header: HopIdxHeader) -> DiskIndex {
+        DiskIndex {
             file,
-            directed,
-            n,
-            out_offsets,
-            in_offsets,
-            out_base,
-            in_base,
+            directed: header.directed,
+            n: header.n,
+            out_offsets: header.out_offsets,
+            in_offsets: header.in_offsets,
+            out_base: header.out_base as u64,
+            in_base: header.in_base as u64,
             scratch_s: Vec::new(),
             scratch_t: Vec::new(),
-        })
+        }
     }
 
     /// Open an index previously written by [`DiskIndex::create`] (e.g.
@@ -211,17 +247,7 @@ impl DiskIndex {
         if file.len()? as usize != header.expected_len() {
             return Err(bad("index file length does not match its header"));
         }
-        Ok(DiskIndex {
-            file,
-            directed: header.directed,
-            n: header.n,
-            out_offsets: header.out_offsets,
-            in_offsets: header.in_offsets,
-            out_base: header.out_base as u64,
-            in_base: header.in_base as u64,
-            scratch_s: Vec::new(),
-            scratch_t: Vec::new(),
-        })
+        Ok(DiskIndex::from_header(file, header))
     }
 
     /// Consume the handle, keeping the backing file on disk, and return
@@ -438,6 +464,7 @@ fn offsets_of(labels: &[VertexLabels]) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flat::FlatIndex;
     use crate::index::DirectedLabels;
     use sfgraph::INF_DIST;
 
@@ -452,6 +479,35 @@ mod tests {
         LabelIndex::Directed(d)
     }
 
+    /// There is one image: `write_hopidx` into a `Vec` is byte for byte
+    /// the file `DiskIndex::create(..).persist()` leaves, and both
+    /// loaders take it.
+    fn assert_one_image(index: &LabelIndex) {
+        let mut image = Vec::new();
+        let len = index.write_hopidx(&mut image).unwrap();
+        assert_eq!(len, image.len() as u64);
+        let store = TempStore::new().unwrap();
+        let path = DiskIndex::create(index, &store, "image").unwrap().persist();
+        assert_eq!(std::fs::read(&path).unwrap(), image);
+
+        let flat = FlatIndex::from_hopidx_bytes(&image).unwrap();
+        assert_eq!(flat, FlatIndex::from_index(index));
+        let file = CountedFile::open_path(&path, IoStats::shared()).unwrap();
+        let mut reopened = DiskIndex::open(file).unwrap();
+        assert_eq!(reopened.file_bytes().unwrap(), len);
+        let n = index.num_vertices() as VertexId;
+        assert_eq!(
+            (reopened.num_vertices(), reopened.is_directed()),
+            (n as usize, index.is_directed())
+        );
+        for s in 0..n {
+            for t in 0..n {
+                assert_eq!(reopened.query(s, t).unwrap(), index.query(s, t), "{s}->{t}");
+            }
+        }
+        std::fs::remove_file(path).unwrap();
+    }
+
     #[test]
     fn disk_queries_match_memory_queries() {
         let store = TempStore::new().unwrap();
@@ -462,6 +518,7 @@ mod tests {
                 assert_eq!(disk.query(s, t).unwrap(), index.query(s, t), "{s}->{t}");
             }
         }
+        assert_one_image(&index);
     }
 
     #[test]
@@ -476,6 +533,11 @@ mod tests {
         assert_eq!(disk.query(1, 2).unwrap(), 7);
         assert_eq!(disk.query(2, 1).unwrap(), 7);
         assert_eq!(disk.query(0, 0).unwrap(), 0);
+        assert_one_image(&idx);
+        // No vertices at all: the image is the 20-byte prefix and the
+        // one-slot directory.
+        assert_one_image(&LabelIndex::new_undirected(0));
+        assert_one_image(&LabelIndex::new_directed(0));
     }
 
     #[test]

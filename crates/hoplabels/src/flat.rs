@@ -250,7 +250,7 @@ impl FlatIndex {
     }
 
     /// Parse a serialized `HOPIDX01` index (the format written by
-    /// [`crate::disk::DiskIndex::create`] and `hopdb-cli build`)
+    /// [`LabelIndex::write_hopidx`], hence by `hopdb-cli build`)
     /// straight into the flat layout — one pass over the byte image, no
     /// intermediate [`LabelIndex`] or per-vertex allocations, so a
     /// server can load its serving index directly.
@@ -767,12 +767,8 @@ mod tests {
             crafted.extend_from_slice(&[0u8; 16]);
             assert!(FlatIndex::from_hopidx_bytes(&crafted).is_err(), "n = {bogus_n}");
         }
-        use extmem::device::TempStore;
-        let store = TempStore::new().unwrap();
-        let disk = crate::disk::DiskIndex::create(&directed_example(), &store, "cut").unwrap();
-        let path = disk.persist();
-        let bytes = std::fs::read(&path).unwrap();
+        let mut bytes = Vec::new();
+        directed_example().write_hopidx(&mut bytes).unwrap();
         assert!(FlatIndex::from_hopidx_bytes(&bytes[..bytes.len() - 4]).is_err());
-        std::fs::remove_file(path).unwrap();
     }
 }

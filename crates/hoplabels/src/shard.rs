@@ -188,7 +188,7 @@ pub fn shard_image(bytes: &[u8], k: usize) -> io::Result<Vec<(Vec<u8>, ShardSpec
     let mut shards = Vec::with_capacity(k);
     for (i, (&lo, &hi)) in bounds.iter().zip(bounds.iter().skip(1)).enumerate() {
         let (lo, hi) = (lo as u32, hi as u32);
-        let image = build_shard(bytes, &header, lo, hi);
+        let image = build_shard(bytes, &header, lo, hi)?;
         let spec = ShardSpec { lo, hi, index: i as u32, count: k as u32, rank_pruned };
         shards.push((image, spec));
     }
@@ -197,7 +197,7 @@ pub fn shard_image(bytes: &[u8], k: usize) -> io::Result<Vec<(Vec<u8>, ShardSpec
 
 /// Emit one shard: the source image with every label filtered to the
 /// entries whose pivot lies in `[lo, hi)`, offsets rebuilt to match.
-fn build_shard(bytes: &[u8], header: &HopIdxHeader, lo: u32, hi: u32) -> Vec<u8> {
+fn build_shard(bytes: &[u8], header: &HopIdxHeader, lo: u32, hi: u32) -> io::Result<Vec<u8>> {
     let n = header.n;
     // Labels are sorted by pivot, so each label's kept entries are one
     // contiguous run found by scanning (labels are short; no need to
@@ -232,21 +232,12 @@ fn build_shard(bytes: &[u8], header: &HopIdxHeader, lo: u32, hi: u32) -> Vec<u8>
         (Vec::new(), Vec::new())
     };
 
-    let mut image = Vec::with_capacity(
-        20 + (out_offsets.len() + in_offsets.len()) * 8 + out_entries.len() + in_entries.len(),
-    );
-    image.extend_from_slice(b"HOPIDX01");
-    image.extend_from_slice(&[header.directed as u8, 0, 0, 0]);
-    image.extend_from_slice(&(n as u64).to_le_bytes());
-    for &o in &out_offsets {
-        image.extend_from_slice(&o.to_le_bytes());
-    }
-    for &o in &in_offsets {
-        image.extend_from_slice(&o.to_le_bytes());
-    }
+    let shard = HopIdxHeader::new(header.directed, n, out_offsets, in_offsets);
+    let mut image = Vec::with_capacity(shard.out_base + out_entries.len() + in_entries.len());
+    shard.write(&mut image)?;
     image.extend_from_slice(&out_entries);
     image.extend_from_slice(&in_entries);
-    image
+    Ok(image)
 }
 
 #[cfg(test)]
@@ -255,15 +246,11 @@ mod tests {
     use crate::flat::FlatIndex;
     use crate::index::{DirectedLabels, LabelIndex, VertexLabels};
     use crate::LabelEntry;
-    use extmem::device::TempStore;
     use sfgraph::INF_DIST;
 
     fn image_of(index: &LabelIndex) -> Vec<u8> {
-        let store = TempStore::new().unwrap();
-        let disk = crate::disk::DiskIndex::create(index, &store, "shard-src").unwrap();
-        let path = disk.persist();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(path).unwrap();
+        let mut bytes = Vec::new();
+        index.write_hopidx(&mut bytes).unwrap();
         bytes
     }
 

@@ -15,7 +15,7 @@
 //! `wait` reads frames off the socket and stashes answers for tickets
 //! the caller hasn't asked about yet, so tickets can be awaited in any
 //! order. [`Client`] keeps the one-request-at-a-time surface the CLI,
-//! tests, and `serverperf` use — each call is submit-then-wait on an
+//! tests, and hopbench use — each call is submit-then-wait on an
 //! internal session.
 //!
 //! Both types take an optional I/O timeout ([`Session::set_io_timeout`],

@@ -23,8 +23,8 @@
 //! * [`server`] — the index node: boot/recovery, query executor, live
 //!   updates, swap, compaction;
 //! * [`router`] — the replica/shard fan-out endpoint;
-//! * [`client`] — a blocking client used by `hopdb-cli admin`, the
-//!   `serverperf` harness, and the end-to-end tests.
+//! * [`client`] — a blocking client used by `hopdb-cli admin`,
+//!   hopbench (`benchmark/`), and the end-to-end tests.
 //!
 //! ```
 //! use extmem::device::TempStore;

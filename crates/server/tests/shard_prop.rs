@@ -16,11 +16,8 @@ use sfgraph::{VertexId, INF_DIST};
 
 /// Serialize an index the same way the CLI stages it on disk.
 fn image_of(index: &LabelIndex) -> Vec<u8> {
-    let store = extmem::device::TempStore::new().expect("temp store");
-    let disk = hoplabels::disk::DiskIndex::create(index, &store, "shard-prop").expect("serialize");
-    let path = disk.persist();
-    let bytes = std::fs::read(&path).expect("read image");
-    std::fs::remove_file(path).ok();
+    let mut bytes = Vec::new();
+    index.write_hopidx(&mut bytes).expect("serialize");
     bytes
 }
 

@@ -3,7 +3,8 @@
 //! The default SipHash in `std` is designed for HashDoS resistance, which
 //! none of the in-process index structures here need. This is the FxHash
 //! algorithm used by rustc: a single multiply-xor round per word. Keeping a
-//! local copy avoids an external dependency (see DESIGN.md §4).
+//! local copy avoids an external dependency (the build is offline: see
+//! `vendor/README.md`).
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

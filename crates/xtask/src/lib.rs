@@ -17,6 +17,8 @@
 //! 4. [`proto_check`] — parse kind/version constants and fixed frame
 //!    sizes out of `proto.rs` and assert they agree with the README
 //!    protocol table and the documented header/RouteReply byte counts.
+//! 5. [`loc_budget`] — hold each crate's non-test source lines against
+//!    its ceiling in the checked-in `crates/xtask/loc.budget`.
 
 pub mod loc_budget;
 pub mod lock_order;

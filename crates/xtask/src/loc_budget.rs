@@ -1,11 +1,15 @@
 //! Pass 5: the line-count ratchet. Every crate under `crates/` has a
 //! ceiling in the checked-in `crates/xtask/loc.budget` (`dir: lines`,
-//! one crate per line, `#` comments); the pass sums `wc -l` over the
-//! crate's `src/**/*.rs` and fails when the sum exceeds the ceiling or
-//! the crate has none. Growth is still possible — by raising the line
+//! one crate per line, `#` comments); the pass counts the lines of the
+//! crate's `src/**/*.rs` that sit outside `#[cfg(test)]` regions
+//! ([`crate::scan::Line::in_test`]) and fails when the sum exceeds the
+//! ceiling or the crate has none. Test lines are free — a PR that adds
+//! tests never has to raise a ceiling; what is ratcheted is the code
+//! that ships. Growth of that is still possible — by raising the line
 //! in the same PR, where a reviewer sees it — but never silently; a PR
 //! that shrinks a crate lowers its line to lock the gain in.
 
+use crate::scan::SourceFile;
 use crate::unsafe_audit::workspace_sources;
 use crate::Diagnostic;
 use std::collections::BTreeMap;
@@ -14,8 +18,8 @@ use std::path::Path;
 /// Root-relative path of the checked-in budget.
 pub const BUDGET: &str = "crates/xtask/loc.budget";
 
-/// Count every crate's source lines under `root` and hold them against
-/// the checked-in budget.
+/// Count every crate's non-test source lines under `root` and hold them
+/// against the checked-in budget.
 pub fn check(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let budget = std::fs::read_to_string(root.join(BUDGET)).unwrap_or_default();
     let mut counts: BTreeMap<String, usize> = BTreeMap::new();
@@ -23,10 +27,15 @@ pub fn check(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
         let Some(dir) = rel.strip_prefix("crates/").and_then(|r| r.split('/').next()) else {
             continue; // vendor/ shims are not ours to budget
         };
-        let newlines = std::fs::read(root.join(&rel))?.iter().filter(|&&b| b == b'\n').count();
-        *counts.entry(dir.to_string()).or_default() += newlines;
+        *counts.entry(dir.to_string()).or_default() +=
+            shipped_lines(&SourceFile::read(root, &rel)?);
     }
     Ok(check_counts(&counts, &budget))
+}
+
+/// Lines of `file` outside `#[cfg(test)]` regions.
+fn shipped_lines(file: &SourceFile) -> usize {
+    file.lines.iter().filter(|line| !line.in_test).count()
 }
 
 /// Hold per-crate line counts (keyed by directory name under `crates/`)
@@ -53,7 +62,7 @@ pub fn check_counts(counts: &BTreeMap<String, usize>, budget: &str) -> Vec<Diagn
             Some(&(ceiling, line)) if count > ceiling => diags.push(diag(
                 line,
                 format!(
-                    "crates/{dir} has {count} source lines, over its ceiling of {ceiling}: \
+                    "crates/{dir} has {count} non-test source lines, over its ceiling of {ceiling}: \
                      shrink it, or raise this line in the same PR"
                 ),
             )),
@@ -61,7 +70,7 @@ pub fn check_counts(counts: &BTreeMap<String, usize>, budget: &str) -> Vec<Diagn
             None => diags.push(diag(
                 budget.lines().count() + 1,
                 format!(
-                    "crates/{dir} has {count} source lines and no ceiling: add `{dir}: {count}`"
+                    "crates/{dir} has {count} non-test source lines and no ceiling: add `{dir}: {count}`"
                 ),
             )),
         }
@@ -91,6 +100,21 @@ mod tests {
         for part in ["crates/core", "101", "100"] {
             assert!(diags[0].message.contains(part), "{}", diags[0].message);
         }
+    }
+
+    #[test]
+    fn test_regions_are_not_counted() {
+        // Two shipped lines, then a test module that alone is far over
+        // any ceiling the two lines would fit under.
+        let mut src = String::from("pub fn a() {}\npub fn b() {}\n#[cfg(test)]\nmod tests {\n");
+        for i in 0..50 {
+            src.push_str(&format!("    #[test]\n    fn t{i}() {{}}\n"));
+        }
+        src.push_str("}\n");
+        let file = SourceFile::parse("crates/core/src/lib.rs", &src);
+        assert_eq!(file.lines.len(), 105);
+        assert_eq!(shipped_lines(&file), 2);
+        assert!(check_counts(&counts(&[("core", shipped_lines(&file))]), "core: 2\n").is_empty());
     }
 
     #[test]

@@ -188,10 +188,14 @@ fn closes_raw(rest: &[char], hashes: usize) -> bool {
 }
 
 /// Mark every line inside a `#[cfg(test)]`-gated item (the attribute's
-/// brace-delimited body) as test code.
+/// brace-delimited body, or up to the `;` of an item or statement that
+/// has none: `mod examples;`, `std::thread::yield_now();`) as test code.
 fn mark_test_regions(lines: &mut [Line]) {
     let mut depth: i64 = 0;
     let mut pending = false;
+    // `(`/`[` nesting since the attribute, so the `;` of `[u8; 4]` in a
+    // gated signature does not end the item.
+    let mut nesting: i64 = 0;
     let mut test_scopes: Vec<i64> = Vec::new();
     for line in lines.iter_mut() {
         if line.code.contains("#[cfg(test)]")
@@ -202,17 +206,24 @@ fn mark_test_regions(lines: &mut [Line]) {
         }
         line.in_test = pending || !test_scopes.is_empty();
         for c in line.code.chars() {
-            if c == '{' {
-                depth += 1;
-                if pending {
-                    test_scopes.push(depth);
-                    pending = false;
+            match c {
+                '{' => {
+                    depth += 1;
+                    if pending {
+                        test_scopes.push(depth);
+                        pending = false;
+                    }
                 }
-            } else if c == '}' {
-                if test_scopes.last() == Some(&depth) {
-                    test_scopes.pop();
+                '}' => {
+                    if test_scopes.last() == Some(&depth) {
+                        test_scopes.pop();
+                    }
+                    depth -= 1;
                 }
-                depth -= 1;
+                '(' | '[' if pending => nesting += 1,
+                ')' | ']' if pending => nesting -= 1,
+                ';' if pending && nesting == 0 => pending = false,
+                _ => {}
             }
         }
     }
@@ -281,6 +292,16 @@ mod tests {
         assert!(!f.lines[0].in_test);
         assert!(f.lines[1].in_test && f.lines[3].in_test);
         assert!(!f.lines[5].in_test);
+    }
+
+    #[test]
+    fn a_gated_item_without_a_body_ends_at_its_semicolon() {
+        let src = "#[cfg(test)]\nmod examples;\npub use a::{b, c};\nfn live() {\n    \
+                   #[cfg(test)]\n    std::thread::yield_now();\n    go();\n}\nimpl X for Y {\n}\n\
+                   #[cfg(test)]\nfn t(x: [u8; 4]) {\n    x.unwrap();\n}\nfn live2() {}\n";
+        let f = SourceFile::parse("t.rs", src);
+        let marked: Vec<usize> = f.lines.iter().filter(|l| l.in_test).map(|l| l.number).collect();
+        assert_eq!(marked, [1, 2, 5, 6, 11, 12, 13, 14]);
     }
 
     #[test]

@@ -248,15 +248,25 @@ fn loc_pass_flags_a_crate_over_its_budget_and_an_unbudgeted_one() {
     assert!(!ok, "a crate over its ceiling must fail tidy");
     assert!(
         err.contains(
-            "crates/xtask/loc.budget:2: crates/demo has 3 source lines, over its ceiling of 2"
+            "crates/xtask/loc.budget:2: crates/demo has 3 non-test source lines, over its ceiling of 2"
         ),
         "diagnostic must name crate, count and ceiling, got:\n{err}"
     );
-    assert!(err.contains("crates/other has 1 source lines and no ceiling"), "got:\n{err}");
+    assert!(err.contains("crates/other has 1 non-test source lines and no ceiling"), "got:\n{err}");
 
     fx.write("crates/xtask/loc.budget", "demo: 3\nother: 1\n");
     let (ok, _out, err) = fx.tidy(Some("loc"));
     assert!(ok, "raising the budget in the same tree must pass, stderr:\n{err}");
+
+    // Test lines are free: a test module that alone is several times
+    // the ceiling leaves the crate at its three shipped lines.
+    let tests: String = (0..20).map(|i| format!("    #[test]\n    fn t{i}() {{}}\n")).collect();
+    fx.write(
+        "crates/demo/src/deep/more.rs",
+        &format!("pub fn c() {{}}\n#[cfg(test)]\nmod tests {{\n{tests}}}\n"),
+    );
+    let (ok, _out, err) = fx.tidy(Some("loc"));
+    assert!(ok, "a #[cfg(test)] module must not count against the ceiling, stderr:\n{err}");
 }
 
 #[test]

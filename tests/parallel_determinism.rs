@@ -3,21 +3,15 @@
 //! entry, serializes to byte-identical files, and answers every query
 //! exactly like the BFS/Dijkstra ground truth.
 
-use hop_doubling::extmem::device::TempStore;
 use hop_doubling::graphgen::{glp, orient_scale_free, with_random_weights, GlpParams};
 use hop_doubling::hopdb::{build, HopDbConfig};
-use hop_doubling::hoplabels::disk::DiskIndex;
 use hop_doubling::sfgraph::traversal::{bfs, dijkstra};
 use hop_doubling::sfgraph::{Direction, Graph, VertexId};
 
-/// Serialize an index through the one on-disk code path and return the
-/// file's bytes.
+/// The index's `HOPIDX01` image, from the one serializer.
 fn serialized(index: &hop_doubling::hoplabels::LabelIndex) -> Vec<u8> {
-    let store = TempStore::new().unwrap();
-    let disk = DiskIndex::create(index, &store, "determinism").unwrap();
-    let path = disk.persist();
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(path).unwrap();
+    let mut bytes = Vec::new();
+    index.write_hopidx(&mut bytes).unwrap();
     bytes
 }
 
