@@ -85,12 +85,73 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
-/// Tiny argument cursor over `--flag value` style options.
+type Command = fn(&Args, &mut dyn Write) -> Result<(), CliError>;
+
+/// Every command: `(name, options that take a value, switches, body)`.
+/// Anything else that looks like an option is an error, so a typo
+/// cannot silently fall back to a default; a unit test holds these
+/// lists and the options [`USAGE`] spells to each other.
+const COMMANDS: [(&str, &str, &str, Command); 7] = [
+    (
+        "gen",
+        "--model --vertices --density --seed --reciprocal --max-weight -o",
+        "--directed --weighted",
+        cmd_gen,
+    ),
+    ("stats", "-i", "--directed --weighted", cmd_stats),
+    (
+        "build",
+        "-i -o --strategy --switch-at --threads --memory-records --block-bytes",
+        "--directed --weighted --post-prune --external",
+        cmd_build,
+    ),
+    ("query", "-x --pairs --threads", "", cmd_query),
+    ("shard", "-x --shards -o", "", cmd_shard),
+    (
+        "serve",
+        "-x --addr --batch-threads --max-batch --flush-us --coalesce-pairs --max-inflight \
+         --idle-timeout-ms --max-resident-bytes --swap-path --graph --compact-threshold \
+         --wal-dir --durability --wal-max-bytes --announce-file --route --backends \
+         --connect-timeout-ms --connect-retries",
+        "--allow-remote-shutdown",
+        cmd_serve,
+    ),
+    ("admin", "-a --timeout-ms --retries --batch", "", cmd_admin),
+];
+
+/// One command's arguments: `--flag value` options looked up by name,
+/// plus the positional arguments.
 struct Args<'a> {
     rest: &'a [String],
+    positional: Vec<&'a str>,
 }
 
 impl<'a> Args<'a> {
+    /// Split `rest` into options and positional arguments, refusing any
+    /// option `command` does not read. A token is an option when it
+    /// starts with `-` and is neither a (negative) number nor the bare
+    /// `-` that names stdin.
+    fn parse(
+        command: &str,
+        valued: &str,
+        switches: &str,
+        rest: &'a [String],
+    ) -> Result<Args<'a>, CliError> {
+        let lists = |list: &str, token: &str| list.split(' ').any(|flag| flag == token);
+        let mut positional = Vec::new();
+        let mut tokens = rest.iter().map(String::as_str);
+        while let Some(token) = tokens.next() {
+            if token.len() < 2 || !token.starts_with('-') || token.parse::<i64>().is_ok() {
+                positional.push(token);
+            } else if lists(valued, token) {
+                tokens.next(); // its value
+            } else if !lists(switches, token) {
+                return Err(err(format!("unknown option {token} for {command}\n{USAGE}")));
+            }
+        }
+        Ok(Args { rest, positional })
+    }
+
     fn opt(&self, flag: &str) -> Option<&'a str> {
         self.rest
             .iter()
@@ -113,50 +174,22 @@ impl<'a> Args<'a> {
     fn required(&self, flag: &str) -> Result<&'a str, CliError> {
         self.opt(flag).ok_or_else(|| err(format!("missing required option {flag}")))
     }
-
-    /// Positional (non-flag) arguments: anything not starting with `-`
-    /// that is not the value of a non-boolean flag.
-    fn positional(&self) -> Vec<&'a str> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < self.rest.len() {
-            let a = self.rest[i].as_str();
-            if a.starts_with('-') && a.parse::<i64>().is_err() {
-                if !BOOL_FLAGS.contains(&a) {
-                    i += 1; // skip the flag's value too
-                }
-            } else {
-                out.push(a);
-            }
-            i += 1;
-        }
-        out
-    }
 }
-
-const BOOL_FLAGS: &[&str] = &["--directed", "--weighted", "--external", "--allow-remote-shutdown"];
 
 /// Run the CLI with `args` (excluding the program name); human-readable
 /// output goes to `out`.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let Some(cmd) = args.first() else {
+    let Some((name, rest)) = args.split_first() else {
         return Err(err(USAGE));
     };
-    let rest = Args { rest: &args[1..] };
-    match cmd.as_str() {
-        "gen" => cmd_gen(&rest, out),
-        "stats" => cmd_stats(&rest, out),
-        "build" => cmd_build(&rest, out),
-        "query" => cmd_query(&rest, out),
-        "shard" => cmd_shard(&rest, out),
-        "serve" => cmd_serve(&rest, out),
-        "admin" => cmd_admin(&rest, out),
-        "help" | "--help" | "-h" => {
-            writeln!(out, "{USAGE}")?;
-            Ok(())
-        }
-        other => Err(err(format!("unknown command `{other}`\n{USAGE}"))),
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        writeln!(out, "{USAGE}")?;
+        return Ok(());
     }
+    let Some(&(_, valued, switches, command)) = COMMANDS.iter().find(|row| row.0 == name) else {
+        return Err(err(format!("unknown command `{name}`\n{USAGE}")));
+    };
+    command(&Args::parse(name, valued, switches, rest)?, out)
 }
 
 /// Usage text shown by `help` and on argument errors.
@@ -393,7 +426,7 @@ fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // Pairs come from the positional arguments and/or a batch file of
     // whitespace-separated `s t` lines (`#` comments allowed).
     let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
-    let positional = args.positional();
+    let positional = &args.positional;
     if !positional.len().is_multiple_of(2) {
         return Err(err("query needs an even number of vertex ids: s t [s t ...]"));
     }
@@ -589,8 +622,8 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 enum AdminCmd {
     /// Print the serving statistics (`stats` wire request).
     Stats,
-    /// Print the extended v2 snapshot: stats plus overlay and
-    /// compaction state.
+    /// Print the extended snapshot: stats plus overlay, compaction and
+    /// write-ahead-log state.
     Info,
     /// Promote the `--swap-path` index (or re-load the boot index).
     Swap,
@@ -611,8 +644,7 @@ impl AdminCmd {
     const ACTIONS: &'static str = "stats|info|swap|compact|shutdown|ingest [FILE]";
 
     fn parse(args: &Args) -> Result<AdminCmd, CliError> {
-        let positional = args.positional();
-        let Some((&verb, rest)) = positional.split_first() else {
+        let Some((&verb, rest)) = args.positional.split_first() else {
             return Err(err(format!("admin needs an action: {}", AdminCmd::ACTIONS)));
         };
         let cmd = match verb {
@@ -701,6 +733,18 @@ fn read_ingest_edges(source: Option<&str>) -> Result<IngestEdges, CliError> {
     Ok((edges, origin))
 }
 
+/// Print a reply the way it is declared: one `name value` line per
+/// field, under the names `GET /stats` uses as keys.
+fn print_fields(
+    out: &mut dyn Write,
+    fields: impl Iterator<Item = (&'static str, hopdb_server::proto::FieldValue)>,
+) -> Result<(), CliError> {
+    for (name, value) in fields {
+        writeln!(out, "{name:<16} {value}")?;
+    }
+    Ok(())
+}
+
 fn cmd_admin(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let addr = args.required("-a")?;
     let cmd = AdminCmd::parse(args)?;
@@ -710,42 +754,10 @@ fn cmd_admin(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let admin_err = |what: &str, e: std::io::Error| err(format!("{what} failed: {e}"));
     match cmd {
         AdminCmd::Stats => {
-            let s = client.stats().map_err(|e| admin_err("stats", e))?;
-            writeln!(out, "generation       {}", s.generation)?;
-            writeln!(out, "vertices         {}", s.vertices)?;
-            writeln!(out, "directed         {}", s.directed)?;
-            writeln!(out, "resident         {}", s.resident)?;
-            writeln!(out, "requests served  {}", s.requests)?;
-            writeln!(out, "protocol errors  {}", s.protocol_errors)?;
+            print_fields(out, client.stats().map_err(|e| admin_err("stats", e))?.fields())?;
         }
         AdminCmd::Info => {
-            let i = client.info().map_err(|e| admin_err("info", e))?;
-            writeln!(out, "protocol         {}", i.protocol)?;
-            writeln!(out, "generation       {}", i.generation)?;
-            writeln!(out, "vertices         {}", i.vertices)?;
-            writeln!(out, "directed         {}", i.directed)?;
-            writeln!(out, "resident         {}", i.resident)?;
-            writeln!(out, "resident bytes   {}", i.resident_bytes)?;
-            writeln!(out, "overlay edges    {}", i.overlay_edges)?;
-            writeln!(out, "overlay affected {}", i.overlay_affected)?;
-            writeln!(out, "compactions      {}", i.compactions)?;
-            writeln!(out, "requests served  {}", i.requests)?;
-            writeln!(out, "protocol errors  {}", i.protocol_errors)?;
-            let durability = match i.durability {
-                hopdb_server::proto::DURABILITY_DISABLED => "disabled".to_string(),
-                0 => "off".to_string(),
-                1 => "batch".to_string(),
-                2 => "always".to_string(),
-                other => format!("unknown ({other})"),
-            };
-            writeln!(out, "durability       {durability}")?;
-            writeln!(out, "wal epoch        {}", i.wal_epoch)?;
-            writeln!(out, "wal records      {}", i.wal_records)?;
-            writeln!(out, "wal bytes        {}", i.wal_bytes)?;
-            writeln!(out, "recovered recs   {}", i.recovered_records)?;
-            writeln!(out, "recovered drop   {}", i.recovered_dropped_bytes)?;
-            writeln!(out, "checkpoints      {}", i.checkpoints)?;
-            writeln!(out, "aborted compacts {}", i.aborted_compactions)?;
+            print_fields(out, client.info().map_err(|e| admin_err("info", e))?.fields())?;
         }
         AdminCmd::Swap => {
             let (generation, vertices) = client.swap().map_err(|e| admin_err("swap", e))?;
@@ -1046,6 +1058,77 @@ mod tests {
     }
 
     #[test]
+    fn a_mistyped_option_fails_the_command_before_it_does_any_work() {
+        let graph = tmp("typo.txt");
+        let msg = run_vec(&[
+            "gen",
+            "--model",
+            "glp",
+            "--vertices",
+            "200",
+            "--densty",
+            "9",
+            "--bogus-flag",
+            "1",
+            "-o",
+            &graph,
+        ])
+        .unwrap_err()
+        .0;
+        assert!(msg.starts_with("unknown option --densty for gen\nusage: hopdb-cli"), "{msg}");
+        assert!(!Path::new(&graph).exists(), "gen ran despite the typo");
+
+        let index = tmp("typo.idx");
+        let msg = run_vec(&[
+            "build",
+            "-i",
+            &graph,
+            "-o",
+            &index,
+            "--post_prune",
+            "--stratgy",
+            "stepping",
+        ])
+        .unwrap_err()
+        .0;
+        assert!(msg.starts_with("unknown option --post_prune for build\n"), "{msg}");
+        // An option of another command is as unknown as a typo.
+        let msg = run_vec(&["serve", "-x", &index, "--threads", "2"]).unwrap_err().0;
+        assert!(msg.starts_with("unknown option --threads for serve\n"), "{msg}");
+        // Negative numbers and the bare `-` (stdin) stay positional.
+        let msg = run_vec(&["query", "-x", &index, "-5", "-"]).unwrap_err().0;
+        assert!(!msg.contains("unknown option"), "{msg}");
+    }
+
+    /// Help text and parser cannot drift: the options `USAGE` spells
+    /// under a command are exactly the ones the command accepts.
+    #[test]
+    fn usage_spells_exactly_the_options_each_command_reads() {
+        let mut spelled: std::collections::BTreeMap<&str, std::collections::BTreeSet<&str>> =
+            Default::default();
+        let mut command = "";
+        for line in USAGE.lines().skip_while(|line| *line != "commands:").skip(1) {
+            // A command's section starts at a two-space indent.
+            if let Some(head) = line.strip_prefix("  ").filter(|head| !head.starts_with(' ')) {
+                command = head.split(' ').next().unwrap();
+            }
+            let is_option = |token: &&str| {
+                token.strip_prefix('-').is_some_and(|rest| {
+                    rest.trim_start_matches('-').starts_with(|c: char| c.is_ascii_lowercase())
+                })
+            };
+            let tokens = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+            spelled.entry(command).or_default().extend(tokens.filter(is_option));
+        }
+        for (name, valued, switches, _) in COMMANDS {
+            let accepted: std::collections::BTreeSet<&str> =
+                valued.split(' ').chain(switches.split(' ')).filter(|f| !f.is_empty()).collect();
+            assert_eq!(spelled.get(name), Some(&accepted), "options of `{name}`");
+        }
+        assert_eq!(spelled.len(), COMMANDS.len(), "{:?}", spelled.keys());
+    }
+
+    #[test]
     fn help_prints_usage() {
         let out = run_vec(&["help"]).unwrap();
         assert!(out.contains("usage: hopdb-cli"));
@@ -1070,8 +1153,6 @@ mod tests {
             &index,
             "--addr",
             "127.0.0.1:0",
-            "--threads",
-            "2",
             "--announce-file",
             &announce,
             "--allow-remote-shutdown",
@@ -1182,7 +1263,7 @@ mod tests {
 
         let info = run_vec(&["admin", "-a", &addr, "info"]).unwrap();
         assert!(info.contains("generation       1"), "{info}");
-        assert!(info.contains("overlay edges    2"), "{info}");
+        assert!(info.contains("overlay_edges    2"), "{info}");
         assert!(info.contains("compactions      0"), "{info}");
 
         // Compaction folds the overlay into a fresh frozen generation;
@@ -1192,7 +1273,7 @@ mod tests {
         assert_eq!(client.query_one(0, 199).unwrap(), 1);
         let info = run_vec(&["admin", "-a", &addr, "info"]).unwrap();
         assert!(info.contains("generation       2"), "{info}");
-        assert!(info.contains("overlay edges    0"), "{info}");
+        assert!(info.contains("overlay_edges    0"), "{info}");
         assert!(info.contains("compactions      1"), "{info}");
         // The plain stats verb sees the new generation too — scripts
         // can poll either for promotion.
@@ -1305,7 +1386,7 @@ mod tests {
         // Only the first frame reached the daemon: the overlay holds
         // exactly 2 edges, none from or after the rejected frame.
         let info = run_vec(&["admin", "-a", &addr, "info"]).unwrap();
-        assert!(info.contains("overlay edges    2"), "{info}");
+        assert!(info.contains("overlay_edges    2"), "{info}");
         let mut client = hopdb_server::Client::connect(&addr).unwrap();
         assert_eq!(client.query_one(0, 50).unwrap(), 1, "the frame before the nack applied");
 

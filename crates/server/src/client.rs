@@ -30,8 +30,8 @@ use std::time::Duration;
 use sfgraph::{Dist, VertexId};
 
 use crate::proto::{
-    read_response, InfoReply, ProtoError, Request, RequestBody, ResponseBody, RouteReply,
-    StatsReply,
+    read_response, InfoReply, Request, RequestBody, ResponseBody, RouteReply, StatsReply,
+    MAX_PAYLOAD,
 };
 
 fn invalid(msg: String) -> std::io::Error {
@@ -113,7 +113,18 @@ impl Session {
         Ok(())
     }
 
+    /// The one place a frame is written. Refuses a body the server could
+    /// only treat as stream corruption (declared payload above the wire
+    /// cap) while the connection is still healthy, before any byte of
+    /// it is sent.
     fn send(&mut self, body: RequestBody) -> std::io::Result<u64> {
+        let len = body.payload_len();
+        if len > MAX_PAYLOAD as usize {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("a {len}-byte payload exceeds the {MAX_PAYLOAD}-byte wire payload cap"),
+            ));
+        }
         let id = self.next_id;
         self.next_id += 1;
         self.writer.write_all(&Request { id, body }.encode())?;
@@ -125,15 +136,6 @@ impl Session {
     /// is redeemed by [`Session::wait`], in any order relative to other
     /// tickets.
     pub fn submit(&mut self, pairs: &[(VertexId, VertexId)]) -> std::io::Result<Ticket> {
-        // Refuse frames the server could only treat as stream
-        // corruption (declared payload above the wire cap) while the
-        // connection is still healthy.
-        if 4 + 8 * pairs.len() as u64 > crate::proto::MAX_PAYLOAD as u64 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("batch of {} pairs exceeds the wire payload cap", pairs.len()),
-            ));
-        }
         let id = self.send(RequestBody::Query(pairs.to_vec()))?;
         self.outstanding.insert(id, pairs.len());
         Ok(Ticket { id, pairs: pairs.len() })
@@ -173,16 +175,7 @@ impl Session {
             return Ok(body);
         }
         loop {
-            let response = read_response(&mut self.reader).map_err(|e| match e {
-                ProtoError::Io(io) => io,
-                // A clean EOF is a transport failure (the peer went
-                // away), not a server-reported error: it must keep a
-                // kind a failover path can tell apart from InvalidData.
-                ProtoError::Closed => {
-                    std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "connection closed")
-                }
-                other => invalid(other.to_string()),
-            })?;
+            let response = read_response(&mut self.reader)?;
             if response.id == id {
                 return Ok(response.body);
             }
@@ -200,10 +193,19 @@ impl Session {
     }
 
     /// Submit-and-wait for one admin request (no pipelining — admin
-    /// frames are rare and their ordering matters to the caller).
-    fn roundtrip(&mut self, body: RequestBody) -> std::io::Result<ResponseBody> {
+    /// frames are rare and their ordering matters to the caller) whose
+    /// ok reply `pick` recognises. A server-reported error, or a reply
+    /// of any other kind, is `InvalidData`.
+    fn ask<T>(
+        &mut self,
+        body: RequestBody,
+        pick: impl FnOnce(&ResponseBody) -> Option<T>,
+    ) -> std::io::Result<T> {
         let id = self.send(body)?;
-        self.wait_body(id)
+        match self.wait_body(id)? {
+            ResponseBody::Error(msg) => Err(invalid(msg)),
+            reply => pick(&reply).ok_or_else(|| invalid(format!("unexpected response {reply:?}"))),
+        }
     }
 }
 
@@ -294,34 +296,32 @@ impl Client {
     /// Trigger a hot index swap; returns `(generation, vertices)` of
     /// the newly promoted index.
     pub fn swap(&mut self) -> std::io::Result<(u64, u64)> {
-        match self.session.roundtrip(RequestBody::Swap)? {
-            ResponseBody::Swapped { generation, vertices } => Ok((generation, vertices)),
-            ResponseBody::Error(msg) => Err(invalid(msg)),
-            other => Err(invalid(format!("unexpected response {other:?}"))),
-        }
+        self.session.ask(RequestBody::Swap, |reply| match *reply {
+            ResponseBody::Swapped { generation, vertices } => Some((generation, vertices)),
+            _ => None,
+        })
     }
 
     /// Insert a batch of weighted edges into the live overlay; returns
     /// `(generation, overlay_edges)` — the generation serving the
     /// update (unchanged: updates do not bump it) and the deduplicated
-    /// overlay size after the batch. Protocol v2; a v1 server answers
-    /// with a recoverable `unsupported kind` error.
+    /// overlay size after the batch.
     pub fn update(&mut self, edges: &[(VertexId, VertexId, Dist)]) -> std::io::Result<(u64, u64)> {
-        match self.session.roundtrip(RequestBody::Update(edges.to_vec()))? {
-            ResponseBody::Updated { generation, overlay_edges } => Ok((generation, overlay_edges)),
-            ResponseBody::Error(msg) => Err(invalid(msg)),
-            other => Err(invalid(format!("unexpected response {other:?}"))),
-        }
+        self.session.ask(RequestBody::Update(edges.to_vec()), |reply| match *reply {
+            ResponseBody::Updated { generation, overlay_edges } => {
+                Some((generation, overlay_edges))
+            }
+            _ => None,
+        })
     }
 
-    /// Fetch the extended `info` snapshot (protocol v2): stats plus
-    /// overlay and compaction state.
+    /// Fetch the extended `info` snapshot: stats plus overlay,
+    /// compaction and write-ahead-log state.
     pub fn info(&mut self) -> std::io::Result<InfoReply> {
-        match self.session.roundtrip(RequestBody::Info)? {
-            ResponseBody::Info(info) => Ok(info),
-            ResponseBody::Error(msg) => Err(invalid(msg)),
-            other => Err(invalid(format!("unexpected response {other:?}"))),
-        }
+        self.session.ask(RequestBody::Info, |reply| match *reply {
+            ResponseBody::Info(info) => Some(info),
+            _ => None,
+        })
     }
 
     /// Compact: rebuild the frozen index from the server's source graph
@@ -329,39 +329,69 @@ impl Client {
     /// generation; returns `(generation, vertices)`. Requires the
     /// server to have been started with a source graph.
     pub fn compact(&mut self) -> std::io::Result<(u64, u64)> {
-        match self.session.roundtrip(RequestBody::Compact)? {
-            ResponseBody::Compacted { generation, vertices } => Ok((generation, vertices)),
-            ResponseBody::Error(msg) => Err(invalid(msg)),
-            other => Err(invalid(format!("unexpected response {other:?}"))),
-        }
+        self.session.ask(RequestBody::Compact, |reply| match *reply {
+            ResponseBody::Compacted { generation, vertices } => Some((generation, vertices)),
+            _ => None,
+        })
     }
 
     /// Fetch serving statistics.
     pub fn stats(&mut self) -> std::io::Result<StatsReply> {
-        match self.session.roundtrip(RequestBody::Stats)? {
-            ResponseBody::Stats(stats) => Ok(stats),
-            ResponseBody::Error(msg) => Err(invalid(msg)),
-            other => Err(invalid(format!("unexpected response {other:?}"))),
-        }
+        self.session.ask(RequestBody::Stats, |reply| match *reply {
+            ResponseBody::Stats(stats) => Some(stats),
+            _ => None,
+        })
     }
 
-    /// Fetch the endpoint's serving-topology description (protocol v4):
-    /// single node, replica router, or shard router, plus the shard
-    /// range when the endpoint serves a shard image.
+    /// Fetch the endpoint's serving-topology description: single node,
+    /// replica router, or shard router, plus the shard range when the
+    /// endpoint serves a shard image.
     pub fn route_info(&mut self) -> std::io::Result<RouteReply> {
-        match self.session.roundtrip(RequestBody::RouteInfo)? {
-            ResponseBody::RouteInfo(route) => Ok(route),
-            ResponseBody::Error(msg) => Err(invalid(msg)),
-            other => Err(invalid(format!("unexpected response {other:?}"))),
-        }
+        self.session.ask(RequestBody::RouteInfo, |reply| match *reply {
+            ResponseBody::RouteInfo(route) => Some(route),
+            _ => None,
+        })
     }
 
     /// Ask the server to stop (requires the server to allow it).
     pub fn shutdown_server(&mut self) -> std::io::Result<()> {
-        match self.session.roundtrip(RequestBody::Shutdown)? {
-            ResponseBody::Bye => Ok(()),
-            ResponseBody::Error(msg) => Err(invalid(msg)),
-            other => Err(invalid(format!("unexpected response {other:?}"))),
+        self.session.ask(RequestBody::Shutdown, |reply| match *reply {
+            ResponseBody::Bye => Some(()),
+            _ => None,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::net::TcpListener;
+
+    /// A body over the wire cap is the caller's mistake, reported as
+    /// `InvalidInput` on a healthy connection — for every kind, not
+    /// just queries — and not one byte of it reaches the peer, which
+    /// could only have answered with a fatal error and a close.
+    #[test]
+    fn an_oversized_body_of_any_kind_is_refused_before_a_byte_is_written() {
+        // A listener that never reads: the handshake completes from the
+        // backlog, so whatever the client wrote would sit in the socket.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = Client::connect(listener.local_addr().expect("addr")).expect("connect");
+
+        let cap = MAX_PAYLOAD as usize;
+        let edges = vec![(0, 1, 1); (cap - 4) / 12 + 1];
+        let pairs = vec![(0, 1); (cap - 4) / 8 + 1];
+        for err in [client.update(&edges).unwrap_err(), client.query(&pairs).unwrap_err()] {
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+            assert!(err.to_string().contains("wire payload cap"), "{err}");
         }
+        assert_eq!(client.session().in_flight(), 0, "a refused batch leaves no ticket behind");
+
+        drop(client);
+        let (mut peer, _) = listener.accept().expect("accept");
+        let mut written = Vec::new();
+        peer.read_to_end(&mut written).expect("read to the client's close");
+        assert!(written.is_empty(), "{} bytes reached the peer", written.len());
     }
 }

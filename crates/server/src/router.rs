@@ -31,7 +31,7 @@
 //! queries, stats, `route_info`, and (replica mode) updates: framing
 //! (HOPQ and HTTP alike), error discipline, backpressure and
 //! micro-batching are one implementation. Topology is probed
-//! once at startup via the protocol-v4 `route_info` frame and validated
+//! once at startup via the `route_info` frame and validated
 //! hard: replicas must agree on vertex count and direction; shards must
 //! tile the pivot space exactly.
 //!
@@ -838,31 +838,24 @@ impl Service for RouterShared {
     }
 }
 
-/// The protocol-v4 topology snapshot a router reports for itself.
+/// The topology snapshot a router reports for itself: the fleet-wide
+/// view, with the whole pivot space as its "shard" in shard mode.
 fn route_reply(shared: &RouterShared) -> RouteReply {
     let t = &shared.topology;
+    let fleet = RouteReply {
+        vertices: t.vertices,
+        directed: t.directed,
+        generation: t.generation,
+        ..RouteReply::default()
+    };
     match shared.config.mode {
-        RouteMode::Replica => RouteReply {
-            mode: ROUTE_REPLICA,
-            vertices: t.vertices,
-            directed: t.directed,
-            generation: t.generation,
-            shard_lo: 0,
-            shard_hi: 0,
-            shard_index: 0,
-            shard_count: 0,
-            rank_pruned: false,
-        },
+        RouteMode::Replica => RouteReply { mode: ROUTE_REPLICA, ..fleet },
         RouteMode::Shard => RouteReply {
             mode: ROUTE_SHARD,
-            vertices: t.vertices,
-            directed: t.directed,
-            generation: t.generation,
-            shard_lo: 0,
             shard_hi: t.vertices.min(u64::from(u32::MAX)) as u32,
-            shard_index: 0,
             shard_count: t.slots.len() as u32,
             rank_pruned: t.rank_pruned,
+            ..fleet
         },
     }
 }

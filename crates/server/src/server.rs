@@ -33,7 +33,7 @@ use crate::backend::Generation;
 use crate::batch::{Completions, Job, QueryJob};
 use crate::front::{self, Admin, FrontHandle, Limits, Outcome, Service, Traffic};
 use crate::proto::{
-    InfoReply, Response, ResponseBody, RouteReply, StatsReply, DEFAULT_MAX_BATCH,
+    FieldValue, InfoReply, Response, ResponseBody, RouteReply, StatsReply, DEFAULT_MAX_BATCH,
     DURABILITY_DISABLED, ROUTE_SINGLE,
 };
 use crate::wal::{self, Durability, Manifest, Wal};
@@ -828,42 +828,24 @@ impl Service for Shared {
         }
     }
 
+    /// The `info` fields as one JSON object, minus the `HOPQ` version
+    /// an HTTP client has no use for.
     fn stats_json(&self, traffic: Traffic) -> String {
-        let i = info_of(self, traffic).unwrap_or_default();
-        let durability = match &self.durable {
-            None => "disabled".to_string(),
-            Some(_) => self.config.durability.to_string(),
-        };
-        format!(
-            "{{\"generation\":{},\"vertices\":{},\"directed\":{},\"resident\":{},\
-             \"resident_bytes\":{},\"overlay_edges\":{},\"overlay_affected\":{},\
-             \"compactions\":{},\"requests\":{},\"protocol_errors\":{},\
-             \"durability\":\"{durability}\",\"wal_epoch\":{},\"wal_records\":{},\
-             \"wal_bytes\":{},\"recovered_records\":{},\"recovered_dropped_bytes\":{},\
-             \"checkpoints\":{},\"aborted_compactions\":{}}}",
-            i.generation,
-            i.vertices,
-            i.directed,
-            i.resident,
-            i.resident_bytes,
-            i.overlay_edges,
-            i.overlay_affected,
-            i.compactions,
-            i.requests,
-            i.protocol_errors,
-            i.wal_epoch,
-            i.wal_records,
-            i.wal_bytes,
-            i.recovered_records,
-            i.recovered_dropped_bytes,
-            i.checkpoints,
-            i.aborted_compactions,
-        )
+        let info = info_of(self, traffic).unwrap_or_default();
+        let members: Vec<String> = info
+            .fields()
+            .filter(|(name, _)| *name != "protocol")
+            .map(|(name, value)| match value {
+                FieldValue::Name(text) => format!("\"{name}\":\"{text}\""),
+                other => format!("\"{name}\":{other}"),
+            })
+            .collect();
+        format!("{{{}}}", members.join(","))
     }
 }
 
-/// The extended `info` snapshot (protocol v2): everything `stats`
-/// reports plus overlay and compaction state.
+/// The extended `info` snapshot: everything `stats` reports plus
+/// overlay, compaction and write-ahead-log state.
 fn info_of(shared: &Shared, traffic: Traffic) -> Option<InfoReply> {
     let current = shared.current.read().ok()?;
     Some(InfoReply {
@@ -892,7 +874,7 @@ fn info_of(shared: &Shared, traffic: Traffic) -> Option<InfoReply> {
     })
 }
 
-/// The serving-topology snapshot (protocol v4): a plain daemon reports
+/// The serving-topology snapshot: a plain daemon reports
 /// [`ROUTE_SINGLE`] plus its shard slot when it serves a split image
 /// (`<index>.shard` sidecar); the router module reports its own mode.
 fn route_info_of(shared: &Shared) -> Option<RouteReply> {

@@ -507,6 +507,9 @@ mod tests {
         {
             assert_eq!(s.parse::<Durability>().unwrap(), d);
             assert_eq!(d.to_string(), s);
+            // What `admin info` and `GET /stats` print for the wire code
+            // is the spelling `--durability` takes.
+            assert_eq!(crate::proto::durability_name(d.as_u8()), s);
         }
         assert!("fsync".parse::<Durability>().is_err());
     }

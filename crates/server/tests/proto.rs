@@ -8,8 +8,9 @@
 use std::io::Cursor;
 
 use hopdb_server::proto::{
-    decode_request, read_response, Decoded, InfoReply, Request, RequestBody, Response,
-    ResponseBody, RouteReply, StatsReply, HEADER_LEN, MAX_PAYLOAD, VERSION,
+    decode_request, read_response, AckReply, Decoded, FieldValue, InfoReply, Request, RequestBody,
+    Response, ResponseBody, RouteReply, StatsReply, HEADER, HEADER_LEN, KINDS, MAX_PAYLOAD,
+    REQ_MAGIC, RESP_MAGIC, VERSION,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -26,7 +27,13 @@ fn decode_at_eof(bytes: &[u8], max_batch: usize) -> Decoded {
     }
 }
 
-/// Strategy: an arbitrary request of any kind (v1 and v2 kinds alike).
+/// Whether `read_response` refused a frame as a protocol violation (as
+/// opposed to a transport failure such as a closed connection).
+fn is_fatal(e: &std::io::Error) -> bool {
+    e.kind() == std::io::ErrorKind::InvalidData && e.to_string().contains("protocol violation")
+}
+
+/// Strategy: an arbitrary request of any kind.
 fn request_strategy() -> impl Strategy<Value = Request> {
     (
         0u64..u64::MAX,
@@ -49,7 +56,10 @@ fn request_strategy() -> impl Strategy<Value = Request> {
         })
 }
 
-/// Strategy: an arbitrary response of any kind (v1 and v2 kinds alike).
+/// Strategy: an arbitrary response of any kind. `InfoReply` names every
+/// field it has today and defaults the rest, so a field added to the
+/// declaration round-trips (as zero) without an edit here.
+#[allow(clippy::needless_update)]
 fn response_strategy() -> impl Strategy<Value = Response> {
     (0u64..u64::MAX, 0u8..9, vec(0u32..=u32::MAX, 0..300), 0u64..1 << 40, 0u64..1 << 32).prop_map(
         |(id, kind, dists, a, b)| {
@@ -86,6 +96,7 @@ fn response_strategy() -> impl Strategy<Value = Response> {
                     recovered_dropped_bytes: a % 4096,
                     checkpoints: b % 31,
                     aborted_compactions: a % 7,
+                    ..Default::default()
                 }),
                 6 => ResponseBody::Compacted { generation: a, vertices: b },
                 7 => ResponseBody::RouteInfo(RouteReply {
@@ -153,17 +164,12 @@ proptest! {
         bytes[at] ^= xor;
         // Any outcome is acceptable except a panic — a flipped byte in
         // the id or pair region still decodes, by design — but a
-        // corrupted *header* must never decode as a different frame
-        // that re-encodes like the original.
+        // corrupted magic or version byte must never decode at all, and
+        // a corrupted kind or length must never decode as a frame that
+        // re-encodes like the original.
         if let Decoded::Request { request: got, .. } = decode_at_eof(&bytes, usize::MAX) {
-            prop_assert!(at >= 4, "corrupt magic byte {at} still decoded");
-            if at == 4 {
-                // The version byte can flip between the two accepted
-                // protocol versions; frame identity is unchanged.
-                prop_assert_eq!(got, req);
-            } else {
-                prop_assert_ne!(got.encode(), req.encode());
-            }
+            prop_assert!(at > 4, "corrupt magic/version byte {} still decoded", at);
+            prop_assert_ne!(got.encode(), req.encode());
         }
     }
 }
@@ -205,11 +211,24 @@ fn bad_magic_and_version_are_fatal() {
         bad[at] ^= 0x20;
         assert!(matches!(decode_at_eof(&bad, 16), Decoded::Fatal(_)), "magic byte {at}");
     }
-    let mut wrong_version = good.clone();
-    wrong_version[4] = VERSION + 1;
-    match decode_at_eof(&wrong_version, 16) {
-        Decoded::Fatal(msg) => assert!(msg.contains("version"), "{msg}"),
-        other => panic!("want Fatal, got {other:?}"),
+    // One version: its neighbours on either side are fatal in a request
+    // and in a response, as soon as the byte is there.
+    let reply = Response { id: 9, body: ResponseBody::Bye }.encode();
+    for version in [VERSION - 1, VERSION + 1] {
+        let mut wrong = good.clone();
+        wrong[4] = version;
+        for frame in [&wrong[..], &wrong[..5]] {
+            match decode_request(frame, 16) {
+                Decoded::Fatal(msg) => assert!(msg.contains("version"), "{msg}"),
+                other => panic!("version {version}: want Fatal, got {other:?}"),
+            }
+        }
+        let mut wrong = reply.clone();
+        wrong[4] = version;
+        match read_response(&mut Cursor::new(&wrong)) {
+            Err(e) if is_fatal(&e) => assert!(e.to_string().contains("version"), "{e}"),
+            other => panic!("version {version}: want Fatal, got {other:?}"),
+        }
     }
 }
 
@@ -271,5 +290,211 @@ fn recoverable_errors_leave_the_stream_aligned() {
             assert_eq!(used + rest, stream.len());
         }
         other => panic!("want the valid frame, got {other:?}"),
+    }
+}
+
+/// The length-sniffing decoder this protocol used to have could not have
+/// allowed these: three distances and a `(generation, count)`
+/// acknowledgement whose payloads are the same 16 bytes. The kind byte
+/// tells them apart, so each round-trips to itself.
+#[test]
+fn byte_identical_payloads_are_told_apart_by_the_kind_byte() {
+    let (a, b, c) = (7u64, 0xDEAD_BEEFu64, 41u64);
+    let distances = ResponseBody::Distances(vec![a as u32, b as u32, c as u32]);
+    let (generation, count) = (3 | (a << 32), b | (c << 32));
+    for ack in [
+        ResponseBody::Swapped { generation, vertices: count },
+        ResponseBody::Updated { generation, overlay_edges: count },
+        ResponseBody::Compacted { generation, vertices: count },
+    ] {
+        let frames = [&distances, &ack].map(|body| Response { id: 1, body: body.clone() }.encode());
+        assert_eq!(frames[0][HEADER_LEN..], frames[1][HEADER_LEN..], "the premise: same payload");
+        for (frame, body) in frames.iter().zip([&distances, &ack]) {
+            assert_eq!(&read_response(&mut Cursor::new(frame)).expect("decodes").body, body);
+        }
+    }
+}
+
+/// What a declared reply promises, checked on `body`, the frame-level
+/// form of `reply`: `wire_len` is the encoded length, no strict prefix
+/// (and no extension) of the payload decodes — as that reply or as
+/// anything else — and `fields` is the struct's fields in declaration
+/// order, which is what `derive(Debug)` prints.
+fn check_declared_reply(
+    body: ResponseBody,
+    reply: &dyn std::fmt::Debug,
+    wire_len: usize,
+    fields: Vec<(&str, FieldValue)>,
+) {
+    let debug = format!("{reply:?}");
+    let frame = Response { id: 5, body: body.clone() }.encode();
+    assert_eq!(frame.len() - HEADER_LEN, wire_len, "{debug}");
+    assert_eq!(read_response(&mut Cursor::new(&frame)).expect("whole").body, body);
+    for keep in 0..wire_len {
+        let got = read_response(&mut Cursor::new(&with_payload_len(&frame, keep)));
+        assert!(matches!(&got, Err(e) if is_fatal(e)), "{keep} of {wire_len} bytes: {got:?}");
+    }
+    let got = read_response(&mut Cursor::new(&with_payload_len(&frame, wire_len + 1)));
+    assert!(matches!(&got, Err(e) if is_fatal(e)), "one byte too many: {got:?}");
+
+    // `Name { a: 1, b: true }` → [("a", "1"), ("b", "true")].
+    let inner = debug.split_once(" { ").and_then(|(_, rest)| rest.strip_suffix(" }"));
+    let printed: Vec<(&str, &str)> = inner
+        .expect("derive(Debug) shape")
+        .split(", ")
+        .filter_map(|field| field.split_once(": "))
+        .collect();
+    assert_eq!(printed.len(), fields.len(), "{debug}");
+    for ((name, value), (printed_name, printed_value)) in fields.iter().zip(printed) {
+        assert_eq!(*name, printed_name, "{debug}");
+        if !matches!(value, FieldValue::Name(_)) {
+            assert_eq!(value.to_string(), printed_value, "{name} of {debug}");
+        }
+    }
+}
+
+/// `frame` with its payload cut (or zero-extended) to `len` bytes and
+/// the header's declared length fixed up to match — a well-framed
+/// payload of the wrong size.
+fn with_payload_len(frame: &[u8], len: usize) -> Vec<u8> {
+    let mut resized = frame.to_vec();
+    resized.resize(HEADER_LEN + len, 0);
+    resized[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+    resized
+}
+
+#[test]
+fn declared_replies_keep_their_length_their_totality_and_their_field_list() {
+    let stats = StatsReply {
+        generation: 2,
+        vertices: 42,
+        directed: true,
+        requests: 17,
+        ..Default::default()
+    };
+    check_declared_reply(
+        ResponseBody::Stats(stats),
+        &stats,
+        StatsReply::WIRE_LEN,
+        stats.fields().collect(),
+    );
+    let info = InfoReply {
+        protocol: VERSION,
+        generation: 9,
+        resident: true,
+        wal_bytes: 4096,
+        ..Default::default()
+    };
+    check_declared_reply(
+        ResponseBody::Info(info),
+        &info,
+        InfoReply::WIRE_LEN,
+        info.fields().collect(),
+    );
+    // The one field shown by name rather than by number.
+    assert!(info.fields().any(|field| field == ("durability", FieldValue::Name("off"))));
+    let route = RouteReply {
+        mode: 2,
+        vertices: 4096,
+        shard_hi: 900,
+        rank_pruned: true,
+        ..Default::default()
+    };
+    check_declared_reply(
+        ResponseBody::RouteInfo(route),
+        &route,
+        RouteReply::WIRE_LEN,
+        route.fields().collect(),
+    );
+    let ack = AckReply { generation: 7, count: 300 };
+    check_declared_reply(
+        ResponseBody::Compacted { generation: 7, vertices: 300 },
+        &ack,
+        AckReply::WIRE_LEN,
+        ack.fields().collect(),
+    );
+}
+
+/// The header block, as the README and the `proto` module docs print
+/// it, rendered from the constants.
+fn rendered_header() -> String {
+    let magic = |m: [u8; 4]| String::from_utf8_lossy(&m).into_owned();
+    let notes = [
+        format!("\"{}\" request / \"{}\" response", magic(REQ_MAGIC), magic(RESP_MAGIC)),
+        format!("{VERSION}; any other value is fatal"),
+        "request kind; in a response 0 = error, else the request kind it answers".to_string(),
+        "u64, chosen by the client, echoed in the response".to_string(),
+        format!("u32, at most {} MiB", MAX_PAYLOAD >> 20),
+    ];
+    let lines: Vec<String> = HEADER
+        .iter()
+        .zip(notes)
+        .map(|((field, bytes), note)| format!("{field:<12} {bytes} B  {note}"))
+        .collect();
+    lines.join("\n")
+}
+
+/// The kind table, likewise.
+fn rendered_kinds() -> String {
+    let mut rows = vec![
+        "| kind | name | request payload | ok reply payload |".to_string(),
+        "|------|------|-----------------|------------------|".to_string(),
+    ];
+    rows.extend(KINDS.iter().map(|(number, name, request, reply)| {
+        format!("| {number} | {name} | {request} | {reply} |")
+    }));
+    rows.join("\n")
+}
+
+/// The one check that the three descriptions of the protocol agree:
+/// the constants are the source, and the README's "Wire protocol"
+/// section and the `proto` module docs must each contain, verbatim, the
+/// header block and the kind table rendered from them. The table in
+/// turn is held to the codec: every row's kind decodes, its neighbours
+/// outside the table do not.
+#[test]
+fn readme_and_module_docs_state_the_constants() {
+    assert_eq!(HEADER.iter().map(|(_, bytes)| bytes).sum::<usize>(), HEADER_LEN);
+    let readme = include_str!("../../../README.md");
+    let section = readme
+        .split_once("**Wire protocol**")
+        .and_then(|(_, rest)| rest.split_once("**Pipelining**"));
+    let section = section.expect("README has a Wire protocol section, then Pipelining").0;
+    let module_docs: String = include_str!("../src/proto.rs")
+        .lines()
+        .map_while(|line| line.strip_prefix("//!"))
+        .map(|line| format!("{}\n", line.strip_prefix(' ').unwrap_or(line)))
+        .collect();
+    for (what, text) in [("README.md", section), ("proto.rs module docs", &module_docs[..])] {
+        for rendering in [rendered_header(), rendered_kinds()] {
+            assert!(text.contains(&rendering), "{what} must contain, verbatim:\n{rendering}");
+        }
+        assert!(
+            text.contains(&format!("{HEADER_LEN}-byte")),
+            "{what} must state the header length"
+        );
+    }
+
+    let numbers: Vec<u8> = KINDS.iter().map(|row| row.0).collect();
+    assert_eq!(
+        numbers,
+        (1..=KINDS.len() as u8).collect::<Vec<_>>(),
+        "kinds are dense from 1; 0 is the error reply"
+    );
+    for kind in 0..=u8::MAX {
+        let mut frame = Request { id: 1, body: RequestBody::Stats }.encode();
+        frame[5] = kind;
+        let outcome = decode_request(&frame, 16);
+        match numbers.contains(&kind) {
+            // A counted kind with no payload is malformed, but known.
+            true => assert!(
+                !matches!(&outcome, Decoded::Bad { msg, .. } if msg.contains("unknown") || msg.contains("not implemented")),
+                "kind {kind} is in the table: {outcome:?}"
+            ),
+            false => assert!(
+                matches!(&outcome, Decoded::Bad { msg, .. } if msg.contains("unknown request kind")),
+                "kind {kind} is not in the table: {outcome:?}"
+            ),
+        }
     }
 }

@@ -1,7 +1,7 @@
 #![forbid(unsafe_code)]
 //! In-tree static-analysis suite (`cargo run -p xtask -- tidy`),
 //! rustc-`tidy` style: zero dependencies, a hand-rolled line/token
-//! scanner, and five independent passes that each print `file:line`
+//! scanner, and four independent passes that each print `file:line`
 //! diagnostics and make the binary exit nonzero:
 //!
 //! 1. [`unsafe_audit`] — every `unsafe` block/fn must carry a
@@ -14,16 +14,12 @@
 //! 3. [`lock_order`] — flag `.lock()`/`.read()`/`.write()` sequences
 //!    in the serving core that violate the declared
 //!    `mutate_serial → update_log → durable → current` hierarchy.
-//! 4. [`proto_check`] — parse kind/version constants and fixed frame
-//!    sizes out of `proto.rs` and assert they agree with the README
-//!    protocol table and the documented header/RouteReply byte counts.
-//! 5. [`loc_budget`] — hold each crate's non-test source lines against
+//! 4. [`loc_budget`] — hold each crate's non-test source lines against
 //!    its ceiling in the checked-in `crates/xtask/loc.budget`.
 
 pub mod loc_budget;
 pub mod lock_order;
 pub mod panic_lint;
-pub mod proto_check;
 pub mod scan;
 pub mod unsafe_audit;
 
@@ -62,6 +58,9 @@ impl TidyReport {
     }
 }
 
+/// The pass names `--pass` takes, in run order.
+pub const PASSES: [&str; 4] = ["unsafe", "panic", "locks", "loc"];
+
 /// Run every tidy pass against the workspace rooted at `root`.
 /// `only` restricts the run to a single pass name.
 pub fn run_tidy(root: &Path, only: Option<&str>) -> std::io::Result<TidyReport> {
@@ -78,9 +77,6 @@ pub fn run_tidy(root: &Path, only: Option<&str>) -> std::io::Result<TidyReport> 
     }
     if want("locks") {
         passes.push(("locks", lock_order::check(root)?));
-    }
-    if want("proto") {
-        passes.push(("proto", proto_check::check(root)?));
     }
     if want("loc") {
         passes.push(("loc", loc_budget::check(root)?));

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str =
-    "usage: cargo run -p xtask -- tidy [--root DIR] [--pass unsafe|panic|locks|proto|loc]";
+    "usage: cargo run -p xtask -- tidy [--root DIR] [--pass unsafe|panic|locks|loc]";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -30,6 +30,12 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
+    }
+    // A pass that does not exist (retired, or mistyped) must not report
+    // a clean run of nothing.
+    if let Some(unknown) = pass.as_deref().filter(|pass| !xtask::PASSES.contains(pass)) {
+        eprintln!("unknown pass `{unknown}`\n{USAGE}");
+        return ExitCode::FAILURE;
     }
     // Default to the workspace this binary was built from, so the tool
     // works no matter where cargo was invoked.

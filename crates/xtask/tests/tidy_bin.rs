@@ -54,66 +54,9 @@ impl Drop for Fixture {
     }
 }
 
-/// A proto.rs whose docs, constants, and decode arms all agree; taken
-/// from the shapes the checker parses out of the real file.
-const PROTO_OK: &str = r#"
-//! ```text
-//! magic        4 bytes   "HOPQ"
-//! version      u8        1 through 2
-//! kind/status  u8        request kind
-//! request id   u64 LE    echoed
-//! payload_len  u32 LE    bytes following
-//! ```
-//!
-//! | kind | name  | since | payload |
-//! |------|-------|-------|---------|
-//! | 1    | query | v1    | pairs |
-//! | 2    | swap  | v2    | empty |
-
-pub const VERSION: u8 = 2;
-pub const MIN_VERSION: u8 = 1;
-pub const HEADER_LEN: usize = 18;
-pub const MAX_PAYLOAD: u32 = 1 << 24;
-const KIND_QUERY: u8 = 1;
-const KIND_SWAP: u8 = 2;
-const STATUS_OK: u8 = 0;
-const STATUS_ERROR: u8 = 1;
-
-impl RequestBody {
-    fn min_version(&self) -> u8 {
-        match self {
-            RequestBody::Swap => 2,
-            _ => 1,
-        }
-    }
-}
-
-fn decode(payload: &[u8]) {
-    match kind {
-        Some(&KIND_SWAP) if payload.len() == 17 => {}
-        _ => {}
-    }
-}
-"#;
-
-/// A README whose protocol block matches `PROTO_OK`.
-const README_OK: &str = "# fixture\n\n\
-**Wire protocol**: every frame is an 18-byte header + payload.\n\n\
-```text\n\
-magic        4 B    request\n\
-version      u8     1 through 2\n\
-kind/status  u8     1=query 2=swap / 0=ok 1=error\n\
-request id   u64 LE echoed\n\
-payload len  u32 LE \u{2264} 16 MiB\n\
-```\n";
-
-/// Populate the files the proto pass hard-requires (it errors rather
-/// than skipping when they are absent) with mutually consistent text,
-/// and give the two fixture crates the line budget the loc pass demands
-/// of every crate.
+/// Give the two fixture crates the line budget the loc pass demands of
+/// every crate.
 fn with_consistent_tree(fx: &Fixture) {
-    fx.write("crates/server/src/proto.rs", PROTO_OK);
-    fx.write("README.md", README_OK);
     fx.write("crates/xtask/loc.budget", "demo: 100\nserver: 100\n");
 }
 
@@ -214,30 +157,6 @@ fn locks_pass_accepts_hierarchy_order() {
 }
 
 #[test]
-fn proto_pass_flags_readme_drift_against_proto_constants() {
-    let fx = Fixture::new("proto-violation");
-    fx.write("crates/server/src/proto.rs", PROTO_OK);
-    fx.write("README.md", &README_OK.replace("2=swap", "3=swap"));
-    let (ok, _out, err) = fx.tidy(Some("proto"));
-    assert!(!ok, "README kind table drifting from proto.rs must fail tidy");
-    assert!(err.contains("README.md:"), "diagnostic must carry file:line, got:\n{err}");
-    assert!(err.contains("3=swap"), "diagnostic must quote the drifted entry, got:\n{err}");
-}
-
-#[test]
-fn proto_pass_flags_header_length_drift_in_proto_itself() {
-    let fx = Fixture::new("proto-header-drift");
-    fx.write(
-        "crates/server/src/proto.rs",
-        &PROTO_OK.replace("HEADER_LEN: usize = 18", "HEADER_LEN: usize = 20"),
-    );
-    fx.write("README.md", README_OK);
-    let (ok, _out, err) = fx.tidy(Some("proto"));
-    assert!(!ok, "doc fence no longer summing to HEADER_LEN must fail tidy");
-    assert!(err.contains("crates/server/src/proto.rs:"), "got:\n{err}");
-}
-
-#[test]
 fn loc_pass_flags_a_crate_over_its_budget_and_an_unbudgeted_one() {
     let fx = Fixture::new("loc-violation");
     fx.write("crates/demo/src/lib.rs", "pub fn a() {}\npub fn b() {}\n");
@@ -301,12 +220,13 @@ fn full_suite_counts_findings_across_passes() {
     assert!(err.contains("2 finding(s)"), "summary must count findings, got:\n{err}");
 }
 
-/// The binary must also fail loudly (not pass vacuously) when the
-/// proto pass cannot find the files it checks.
+/// A pass name the binary does not know — `proto` was one until the wire
+/// contract became a single declaration — fails loudly rather than
+/// running nothing and reporting `tidy: clean`.
 #[test]
-fn proto_pass_errors_when_sources_are_missing() {
-    let fx = Fixture::new("proto-missing");
-    let (ok, _out, err) = fx.tidy(Some("proto"));
-    assert!(!ok, "missing proto.rs/README.md must not count as clean");
-    assert!(err.contains("failed to read sources"), "got:\n{err}");
+fn unknown_pass_name_is_an_error_not_a_clean_run() {
+    let fx = Fixture::new("unknown-pass");
+    let (ok, out, err) = fx.tidy(Some("proto"));
+    assert!(!ok, "an unknown pass must not count as clean, stdout:\n{out}");
+    assert!(err.contains("unknown pass `proto`"), "got:\n{err}");
 }

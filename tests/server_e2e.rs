@@ -186,7 +186,7 @@ fn malformed_frames_error_cleanly_and_never_hang() {
     let mut reply = Vec::new();
     raw.read_to_end(&mut reply).expect("read error frame then EOF, not a hang");
     assert_eq!(&reply[..4], b"HOPR", "error frame magic");
-    assert_eq!(reply[5], 1, "status byte says error");
+    assert_eq!(reply[5], 0, "kind byte says error");
 
     // Zero-pair batch: a clean per-request error, connection stays up
     // and the next (valid) request is answered.
@@ -215,7 +215,7 @@ fn malformed_frames_error_cleanly_and_never_hang() {
     let mut reply = Vec::new();
     raw.read_to_end(&mut reply).expect("read error frame then EOF, not a hang");
     assert_eq!(&reply[..4], b"HOPR");
-    assert_eq!(reply[5], 1);
+    assert_eq!(reply[5], 0);
     assert_eq!(&reply[6..14], &0u64.to_le_bytes(), "fatal errors carry id 0");
     assert!(String::from_utf8_lossy(&reply[18..]).contains("truncated frame"));
 
@@ -224,7 +224,7 @@ fn malformed_frames_error_cleanly_and_never_hang() {
     raw.set_read_timeout(timeout).unwrap();
     let mut frame = Vec::new();
     frame.extend_from_slice(b"HOPQ");
-    frame.push(1); // version
+    frame.push(hop_doubling::hopdb_server::proto::VERSION);
     frame.push(1); // query
     frame.extend_from_slice(&1u64.to_le_bytes());
     frame.extend_from_slice(&u32::MAX.to_le_bytes());
@@ -232,7 +232,24 @@ fn malformed_frames_error_cleanly_and_never_hang() {
     let mut reply = Vec::new();
     raw.read_to_end(&mut reply).expect("read error frame then EOF, not a hang");
     assert_eq!(&reply[..4], b"HOPR");
-    assert_eq!(reply[5], 1);
+    assert_eq!(reply[5], 0);
+    assert!(String::from_utf8_lossy(&reply[18..]).contains("cap"));
+
+    // A frame from a build that spoke an earlier version: refused whole
+    // with the fatal version error, then a close — never half-understood.
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(timeout).unwrap();
+    let mut stale = hop_doubling::hopdb_server::proto::Request {
+        id: 6,
+        body: hop_doubling::hopdb_server::proto::RequestBody::Stats,
+    }
+    .encode();
+    stale[4] = 4;
+    raw.write_all(&stale).unwrap();
+    let mut reply = Vec::new();
+    raw.read_to_end(&mut reply).expect("read error frame then EOF, not a hang");
+    assert_eq!((&reply[..4], reply[5]), (&b"HOPR"[..], 0));
+    assert!(String::from_utf8_lossy(&reply[18..]).contains("unsupported protocol version 4"));
 
     handle.shutdown();
     std::fs::remove_file(&path).ok();
