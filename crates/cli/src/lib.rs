@@ -374,23 +374,40 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
              ({read_blocks}+{write_blocks} blocks), {sort_runs} sort runs, \
              {merge_passes} merge passes",
         )?;
-        writeln!(
-            out,
-            "{:>4} {:>8} {:>10} {:>10} {:>10} {:>10} {:>12} {:>12}",
-            "iter", "mode", "candidates", "pruned", "inserted", "entries", "read B", "written B"
-        )?;
-        for it in &stats.iterations {
+    }
+    // Per iteration: the counters both engines keep, then what only the
+    // engine that ran measures — bytes moved by the external one, phase
+    // times (summed over workers) by the in-memory one.
+    let external = external_io.is_some();
+    let head = format!(
+        "{:>4} {:>8} {:>10} {:>10} {:>10} {:>10}",
+        "iter", "mode", "candidates", "pruned", "inserted", "entries"
+    );
+    if external {
+        writeln!(out, "{head} {:>12} {:>12}", "read B", "written B")?;
+    } else {
+        writeln!(out, "{head} {:>10} {:>10} {:>10}", "gather ms", "prune ms", "apply ms")?;
+    }
+    for it in &stats.iterations {
+        let row = format!(
+            "{:>4} {:>8} {:>10} {:>10} {:>10} {:>10}",
+            it.iteration,
+            if it.stepping { "stepping" } else { "doubling" },
+            it.candidates,
+            it.pruned,
+            it.inserted,
+            it.total_entries,
+        );
+        if external {
+            writeln!(out, "{row} {:>12} {:>12}", it.io_read_bytes, it.io_write_bytes)?;
+        } else {
+            let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
             writeln!(
                 out,
-                "{:>4} {:>8} {:>10} {:>10} {:>10} {:>10} {:>12} {:>12}",
-                it.iteration,
-                if it.stepping { "stepping" } else { "doubling" },
-                it.candidates,
-                it.pruned,
-                it.inserted,
-                it.total_entries,
-                it.io_read_bytes,
-                it.io_write_bytes,
+                "{row} {:>10.3} {:>10.3} {:>10.3}",
+                ms(it.gather),
+                ms(it.prune),
+                ms(it.apply)
             )?;
         }
     }
@@ -935,6 +952,53 @@ mod tests {
         for f in [&graph, &seq_idx, &par_idx] {
             let _ = std::fs::remove_file(f);
             let _ = std::fs::remove_file(format!("{f}.rank"));
+        }
+    }
+
+    /// The in-memory build prints the per-iteration table too: one row
+    /// per iteration, phase times in the last three columns, and the last
+    /// row's `entries` is the size of the index just written.
+    #[test]
+    fn memory_build_prints_the_iteration_table() {
+        let graph = tmp("tbl.txt");
+        let index = tmp("tbl.idx");
+        run_vec(&["gen", "--model", "glp", "--vertices", "300", "--seed", "21", "-o", &graph])
+            .unwrap();
+        let out = run_vec(&[
+            "build",
+            "-i",
+            &graph,
+            "-o",
+            &index,
+            "--strategy",
+            "hybrid",
+            "--switch-at",
+            "2",
+        ])
+        .unwrap();
+        let summary: Vec<&str> = out.lines().next().expect("summary line").split(' ').collect();
+        assert_eq!((summary[0], summary[2]), ("built", "entries"), "{out}");
+        let iterations = summary[summary.iter().position(|&w| w == "iterations").unwrap() - 1];
+
+        let mut lines = out.lines().skip_while(|l| !l.contains("gather ms"));
+        let head: Vec<&str> = lines.next().expect("table header").split_whitespace().collect();
+        assert_eq!(head[..6], ["iter", "mode", "candidates", "pruned", "inserted", "entries"]);
+        assert_eq!(head[6..], ["gather", "ms", "prune", "ms", "apply", "ms"]);
+        let rows: Vec<Vec<&str>> = lines
+            .map(|l| l.split_whitespace().collect::<Vec<_>>())
+            .take_while(|cells| cells[0].parse::<u32>().is_ok())
+            .collect();
+        assert_eq!(rows.len().to_string(), iterations, "{out}");
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(row.len(), 9, "{out}");
+            assert_eq!(row[0], (i + 1).to_string());
+            assert_eq!(row[1], if i < 2 { "stepping" } else { "doubling" }, "{out}");
+            assert!(row[6..].iter().all(|ms| ms.parse::<f64>().is_ok_and(|ms| ms >= 0.0)), "{out}");
+        }
+        assert_eq!(rows.last().expect("rows")[5], summary[1], "{out}");
+        assert!(!out.contains("external I/O:"), "{out}");
+        for f in [&graph, &index, &format!("{index}.rank")] {
+            let _ = std::fs::remove_file(f);
         }
     }
 

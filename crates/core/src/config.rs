@@ -59,8 +59,8 @@ pub struct HopDbConfig {
     /// Worker threads for per-iteration candidate generation and
     /// pruning: `0` resolves to the machine's available parallelism,
     /// `1` (the default) runs the sequential path. The built index is
-    /// bit-identical for every setting — the candidate pool is
-    /// partitioned by owner vertex and merged deterministically.
+    /// bit-identical for every setting — each worker owns a range of
+    /// label owners end to end, and every reduction is a minimum.
     ///
     /// The external engine ([`crate::external`]) reads the same knob as
     /// a concurrency budget over its fixed pipeline structure (side

@@ -1,7 +1,7 @@
 //! The in-memory iterative labeling engine (Algorithm 1 with the
 //! minimized rules of §3.2, the pruning of §3.3, the stepping refinement
 //! of §5.1 and the undirected conversion of §7) — one round kernel over
-//! one or two *sides*.
+//! one or two *sides*, run one label owner at a time.
 //!
 //! ## Rank convention
 //!
@@ -11,72 +11,115 @@
 //! ## Sides
 //!
 //! A side σ is one label array under construction (`own`), the array it
-//! is joined against (`across`), the inverted view `inv` of `own`
-//! ("which owners carry pivot `p`" — the label-files-sorted-by-pivot of
-//! §4.1, kept as adjacency-style [`InvList`]s), the entries `prev` that
-//! the previous iteration added to `own`, and the edge direction
-//! stepping walks. A directed build is two sides whose `across` is each
-//! other; an undirected build (§7) is one side whose `across` is itself.
+//! is joined against (`across`), the entries `prev` that the previous
+//! iteration added to `own` — grouped by owner, so `prev(u)` is a
+//! pivot-sorted slice — and the edge direction stepping walks. A
+//! directed build is two sides whose `across` is each other; an
+//! undirected build (§7) is one side whose `across` is itself.
 //!
-//! Every iteration does the same thing on every side. For a `prev` entry
-//! `(owner u, pivot v, d)`:
+//! ## One owner at a time
+//!
+//! The paper states its rules per new entry ("for each `prev` entry,
+//! emit …"). Read per *receiving owner* instead, they say which `prev`
+//! groups an owner `x` of side σ pulls its candidates from:
 //!
 //! ```text
-//! stepping  edge (x, w) of u in σ's step direction, x > v  ⇒ cand (v, d+w)  ∈ own(x)
-//! doubling  (x, d') ∈ across(u), v < x < u                 ⇒ cand (v, d+d') ∈ own(x)
-//!           (u, d') ∈ own(x), read off inv[u]; x > u > v   ⇒ cand (v, d+d') ∈ own(x)
+//! stepping  edge (u, w) of x against σ's step direction, (v, d) ∈ prev(u), v < x  ⇒ cand (v, d+w)
+//! label     (x, d') ∈ across(u), u ≠ x, (v, d) ∈ prev(u), v < x                   ⇒ cand (v, d+d')
+//! inverted  (u, d') ∈ own(x),    u ≠ x, (v, d) ∈ prev(u)         (v < u < x)      ⇒ cand (v, d+d')
 //! prune     cand (v, d) ∈ own(x) dies iff  own(x) ⋈ across(v) ≤ d
 //! ```
 //!
 //! which is the paper's rule set read through this table:
 //!
-//! | side       | `own`  | `across` | step edges | label rule   | inverted rule |
-//! |------------|--------|----------|------------|--------------|---------------|
-//! | out        | `Lout` | `Lin`    | in-edges   | R1           | R2            |
-//! | in         | `Lin`  | `Lout`   | out-edges  | R4           | R5            |
-//! | undirected | `L`    | `L`      | all edges  | converted R1 | converted R2  |
+//! | side       | `own`  | `across` | stepping pulls over | label rule   | inverted rule |
+//! |------------|--------|----------|---------------------|--------------|---------------|
+//! | out        | `Lout` | `Lin`    | out-edges of `x`    | R1           | R2            |
+//! | in         | `Lin`  | `Lout`   | in-edges of `x`     | R4           | R5            |
+//! | undirected | `L`    | `L`      | all edges of `x`    | converted R1 | converted R2  |
 //!
 //! In stepping iterations the composed entry is restricted to graph
 //! edges, which collapses the label and inverted rules into the single
-//! edge extension of the first line. The prune test (§3.3, restricted as
-//! in §4.2 to witnesses of higher rank than both endpoints) is exactly
-//! the 2-hop query on the index built so far — `Lout(u) ⋈ Lin(v)` for
-//! an out-candidate, the same join read from the other end for an
-//! in-candidate — and the self-entries extend it to same-pair dominance.
+//! edge extension of the first line. `prev(u)` is pivot-sorted, so the
+//! `v < x` scans stop at the first `v ≥ x`.
+//!
+//! A round deals with `x` in two steps (`Engine::gather`,
+//! `Engine::prune_owner`) that are at most a block of owners apart:
+//! gathered candidates wait in a buffer of `BLOCK_CANDIDATES`, so the
+//! phase timers are read per block rather than per owner and a worker
+//! holds O(n) scratch, never a round's candidates.
+//!
+//! 1. **gather** — the pulled candidates are min-combined in a dense
+//!    `best[pivot]` array with a `touched` list; sorting `touched` is the
+//!    only sort, and there is no pool of raw emissions to deduplicate;
+//! 2. **prune** — `own(x)` is written once into a dense `mark[pivot]`
+//!    array. A candidate `(v, d)` with `mark[v] ≤ d` is dominated by the
+//!    entry `x` already has for `v` and is dropped before it is counted;
+//!    otherwise it dies iff some `(w, d_w) ∈ across(v)` has
+//!    `mark[w] + d_w ≤ d`, and the scan of `across(v)` — the only label
+//!    still walked per candidate — returns at the first such `w`: pivots
+//!    are rank-sorted, so the hubs that kill most candidates come first.
+//!    That is the 2-hop query `own(x) ⋈ across(v)` of §3.3 (restricted as
+//!    in §4.2 to witnesses outranking both endpoints), i.e.
+//!    `Lout(x) ⋈ Lin(v)` for an out-candidate and the same join read
+//!    from the other end for an in-candidate. An owner whose candidates
+//!    are too few to pay for marking its label (long-diameter stepping:
+//!    one candidate against a label of hundreds) takes the plain merge
+//!    join instead (`marking_pays`);
+//! 3. survivors leave `(owner, pivot)`-sorted, because owners are visited
+//!    in order and `touched` was sorted — they are the next `prev` as
+//!    they stand.
+//!
+//! A round visits only the owners that can receive a candidate — the
+//! step-neighbours of `prev`'s owners (their label pivots and inverted
+//! owners in a doubling round), found in one pass over `prev`'s owners —
+//! and every dense array lives for the build and is reset entry by
+//! entry, so a round costs what its `prev` costs: stepping down a long
+//! path runs hundreds of rounds, none of which pays O(n).
+//!
+//! ## The inverted view is late
+//!
+//! Only the label rule needs "who carries pivot `x`" — the
+//! label-files-sorted-by-pivot of §4.1 — and only of the `across` side;
+//! the inverted rule reads `own(x)` itself. Stepping needs neither, so,
+//! as in [`crate::external`], no inverted view exists before the first
+//! doubling round: a `Strategy::Stepping` build never builds one, the
+//! paper's hybrid pays for it only if iteration 11 happens. From then on
+//! every doubling round rebuilds each side's view from its labels
+//! (`InvView::of`, one counting sort), which is cheaper than keeping
+//! per-pivot lists current entry by entry.
 //!
 //! ## Parallel construction
 //!
-//! Both generation and pruning only *read* the label arrays as frozen at
-//! the end of the previous iteration (Theorem 3's proof relies on
-//! witnesses "from previous iterations" only), so each iteration is
-//! embarrassingly parallel per `(side, owner, pivot)` key. With
-//! `HopDbConfig::parallelism > 1` the round runs in three phases:
+//! Gathering and pruning only *read* the label arrays as frozen at the
+//! end of the previous iteration (Theorem 3's proof relies on witnesses
+//! "from previous iterations" only) — survivors never prune each other,
+//! which also keeps this engine bit-identical to the external one, whose
+//! pruning joins read frozen label files. With
+//! `HopDbConfig::parallelism > 1` a round is two phases around a barrier:
 //!
-//! 1. **scatter** — every side's `prev` is split into per-worker chunks;
-//!    worker *w* generates candidates from chunk *w* of every side into
-//!    per-`(side, shard)` pools routed by `owner % shards`
-//!    ([`crate::shard`]);
-//! 2. **merge + prune** — one worker per shard min-merges every side's
-//!    pools for its owners, runs the prune test against the frozen
-//!    arrays, and sorts the survivors by `(owner, pivot)`;
-//! 3. **apply** — the main thread walks the shards in order, sides in
-//!    the fixed order out → in, and merges each owner's sorted survivor
-//!    batch into its label ([`VertexLabels::merge_min_sorted`]).
+//! 1. **gather + prune** — the round's owners are cut into contiguous
+//!    ranges of about equal gather weight (Σ|`prev(u)`| over an owner's
+//!    gather neighbours, [`crate::shard::split_by_weight`]), several per
+//!    worker and dealt out in turn (`RANGES_PER_WORKER` says why); each
+//!    worker runs its ranges against the frozen labels with its own O(n)
+//!    scratch;
+//! 2. **apply** — once every worker is done, each merges the survivors
+//!    of its ranges into those ranges' own `split_at_mut` slices of the
+//!    label arrays ([`VertexLabels::merge_min_sorted`]).
 //!
-//! Because the shards partition the key space and every per-key
-//! reduction is a minimum, the result is *bit-identical* to the
-//! sequential build for every thread count — the single-threaded path
-//! is literally the same pipeline with one chunk and one shard.
+//! Every `(owner, pivot)` is reduced by exactly one worker and every
+//! reduction is a minimum, so the result is *bit-identical* to the
+//! sequential build for every thread count — the single-threaded path is
+//! the same two phases with one range, run inline.
 
 use std::time::{Duration, Instant};
 
 use hoplabels::index::{join_min, DirectedLabels, LabelIndex, UndirectedLabels, VertexLabels};
 use hoplabels::LabelEntry;
-use sfgraph::hash::FxHashMap;
-use sfgraph::{Direction, Dist, Graph, VertexId};
+use sfgraph::{Direction, Dist, Graph, VertexId, INF_DIST};
 
 use crate::config::HopDbConfig;
-use crate::invlist::InvList;
 use crate::iteration::{BuildStats, IterationStats, ShardStats};
 use crate::shard;
 
@@ -131,91 +174,123 @@ pub(crate) fn index_from_sides(labels: Vec<Vec<VertexLabels>>) -> LabelIndex {
     }
 }
 
-/// Candidate pool keyed by `(owner, pivot)` keeping the minimum distance.
-type CandMap = FxHashMap<(VertexId, VertexId), Dist>;
+/// Label entries grouped by owner: owners ascending, each owner's
+/// entries contiguous and pivot-sorted. A round's candidates, its
+/// survivors and therefore the next round's `prev` all have this shape.
+#[derive(Default)]
+struct Groups {
+    entries: Vec<LabelEntry>,
+    /// `(owner, end of its group in entries)`, one per non-empty group.
+    owners: Vec<(VertexId, u32)>,
+}
 
-fn offer(cands: &mut CandMap, owner: VertexId, pivot: VertexId, d: Dist) {
-    cands
-        .entry((owner, pivot))
-        .and_modify(|cur| {
-            if d < *cur {
-                *cur = d;
-            }
+impl Groups {
+    /// Make everything pushed to `entries` since the last close the group
+    /// of `owner`; an empty group leaves no trace.
+    fn close(&mut self, owner: VertexId) {
+        let end = u32::try_from(self.entries.len()).expect("a round's entries fit u32 offsets");
+        if self.owners.last().map_or(0, |&(_, closed)| closed) < end {
+            self.owners.push((owner, end));
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (VertexId, &[LabelEntry])> {
+        let mut start = 0usize;
+        self.owners.iter().map(move |&(owner, end)| {
+            let group = &self.entries[start..end as usize];
+            start = end as usize;
+            (owner, group)
         })
-        .or_insert(d);
-}
-
-/// Min-merge per-worker pools of one shard into a single deduplicated
-/// pool, folding into the largest pool to minimise rehashing.
-fn merge_cands(mut maps: Vec<CandMap>) -> CandMap {
-    let Some(big) = maps.iter().enumerate().max_by_key(|(_, m)| m.len()).map(|(i, _)| i) else {
-        return CandMap::default();
-    };
-    let mut base = maps.swap_remove(big);
-    for m in maps {
-        for ((owner, pivot), d) in m {
-            offer(&mut base, owner, pivot, d);
-        }
     }
-    base
-}
 
-/// Survivors and counters of one shard's merge + prune phase.
-struct ShardOutcome {
-    shard: usize,
-    /// Per side, the survivors owned by this shard, sorted.
-    survivors: Vec<Vec<Entry>>,
-    candidates: u64,
-    pruned: u64,
-    elapsed: Duration,
-}
-
-impl ShardOutcome {
-    fn stats(&self) -> ShardStats {
-        ShardStats {
-            shard: self.shard,
-            candidates: self.candidates,
-            pruned: self.pruned,
-            elapsed: self.elapsed,
-        }
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.owners.clear();
     }
 }
 
-fn shard_stats(threads: usize, outcomes: &[ShardOutcome]) -> Vec<ShardStats> {
-    if threads > 1 {
-        outcomes.iter().map(ShardOutcome::stats).collect()
-    } else {
-        Vec::new()
-    }
+/// The entries the previous iteration added to one side, with the
+/// per-vertex directory that makes `prev(u)` a slice.
+struct Prev {
+    groups: Groups,
+    /// Per vertex, its group's range in `groups.entries`; `(0, 0)` for a
+    /// vertex without one. Only the owners in `groups` are ever reset.
+    range: Vec<(u32, u32)>,
 }
 
-/// Insert survivors — sorted by `(owner, pivot)` — as per-owner batches,
-/// keeping the inverted lists and the entry count in sync. Returns the
-/// number of added-or-improved entries.
-fn insert_batches(
-    survivors: &[Entry],
-    labels: &mut [VertexLabels],
-    inv: &mut [InvList],
-    total: &mut u64,
-) -> u64 {
-    let mut inserted = 0u64;
-    let mut batch = Vec::new();
-    let mut i = 0usize;
-    while i < survivors.len() {
-        let owner = survivors[i].0;
-        batch.clear();
-        while i < survivors.len() && survivors[i].0 == owner {
-            batch.push(LabelEntry::new(survivors[i].1, survivors[i].2));
-            i += 1;
+impl Prev {
+    fn new(n: usize) -> Prev {
+        Prev { groups: Groups::default(), range: vec![(0, 0); n] }
+    }
+
+    /// `prev(u)`: pivot-sorted, empty when `u` gained nothing.
+    #[inline]
+    fn of(&self, u: VertexId) -> &[LabelEntry] {
+        let (start, end) = self.range[u as usize];
+        &self.groups.entries[start as usize..end as usize]
+    }
+
+    /// Replace the contents with `parts` concatenated — consecutive owner
+    /// ranges, in order.
+    fn replace<'a>(&mut self, parts: impl Iterator<Item = &'a Groups>) {
+        for &(owner, _) in &self.groups.owners {
+            self.range[owner as usize] = (0, 0);
         }
-        inserted += labels[owner as usize].merge_min_sorted(&batch, |e, had| {
-            inv[e.pivot as usize].upsert(owner, e.dist);
-            if !had {
-                *total += 1;
+        self.groups.clear();
+        for part in parts {
+            for (owner, group) in part.iter() {
+                self.groups.entries.extend_from_slice(group);
+                self.groups.close(owner);
             }
-        }) as u64;
+        }
+        let mut start = 0u32;
+        for &(owner, end) in &self.groups.owners {
+            self.range[owner as usize] = (start, end);
+            start = end;
+        }
     }
-    inserted
+}
+
+/// "Which owners carry pivot `p`" for one side's labels as of the start
+/// of a doubling round, trivial self-entries left out: a CSR keyed by
+/// pivot.
+struct InvView {
+    offsets: Vec<u32>,
+    owners: Vec<(VertexId, Dist)>,
+}
+
+impl InvView {
+    fn of(labels: &[VertexLabels]) -> InvView {
+        let carried = |owner: usize| {
+            labels[owner].entries().iter().filter(move |e| e.pivot as usize != owner)
+        };
+        let mut offsets = vec![0u32; labels.len() + 1];
+        for owner in 0..labels.len() {
+            for e in carried(owner) {
+                offsets[e.pivot as usize + 1] += 1;
+            }
+        }
+        for p in 0..labels.len() {
+            offsets[p + 1] += offsets[p];
+        }
+        let mut next = offsets.clone();
+        let mut owners = vec![(0, 0); offsets[labels.len()] as usize];
+        for owner in 0..labels.len() {
+            for e in carried(owner) {
+                let slot = &mut next[e.pivot as usize];
+                owners[*slot as usize] = (owner as VertexId, e.dist);
+                *slot += 1;
+            }
+        }
+        InvView { offsets, owners }
+    }
+
+    /// The `(owner, dist)` pairs with `(p, dist) ∈ label(owner)`,
+    /// `owner ≠ p`.
+    #[inline]
+    fn owners_of(&self, p: VertexId) -> &[(VertexId, Dist)] {
+        &self.owners[self.offsets[p as usize] as usize..self.offsets[p as usize + 1] as usize]
+    }
 }
 
 /// One label array under construction; see the module docs.
@@ -223,19 +298,170 @@ struct Side {
     /// Index in [`Engine::sides`] of the side this one is joined against
     /// (the other side of a directed build, itself when undirected).
     across: usize,
-    /// Edges of a `prev` entry's owner that stepping extends it over.
+    /// Edges of a `prev` entry's owner that stepping extends it over; an
+    /// owner pulls over the reverse.
     step: Direction,
     /// `own`: the labels this side grows.
     labels: Vec<VertexLabels>,
-    /// `inv[p]` = owners `x` (and distances) with `(p, ·) ∈ own(x)`.
-    inv: Vec<InvList>,
+    /// Inverted view of `labels`; `None` until the first doubling round.
+    inv: Option<InvView>,
     /// Entries the previous iteration added to `own`.
-    prev: Vec<Entry>,
+    prev: Prev,
+}
+
+impl Side {
+    fn inv(&self) -> &InvView {
+        self.inv.as_ref().expect("a doubling round starts by building the inverted views")
+    }
+}
+
+/// Candidates a worker buffers between gathering and pruning: large
+/// enough that the two phase timers are read once per block rather than
+/// once per owner, small enough to stay in cache.
+const BLOCK_CANDIDATES: usize = 4096;
+
+/// Whether `candidates` candidates against a label of `label` entries
+/// are pruned through the marked label (O(label) to mark, then one
+/// early-exit scan of `across(v)` per candidate) rather than by a merge
+/// join each: marking a label of hundreds for one or two candidates —
+/// every owner of a long-diameter stepping round — costs more than
+/// those joins. The factor sits on a measured plateau: 8 to 64 build
+/// 16k-vertex GLP graphs equally fast (never marking is 2× slower), and
+/// above 64 stepping down an 800-vertex path slows (always marking: 4×).
+fn marking_pays(candidates: usize, label: usize) -> bool {
+    candidates * 32 > label
+}
+
+/// One worker's dense scratch: O(n), allocated once per build.
+struct Scratch {
+    /// `best[v]`: least distance gathered for pivot `v` by the owner in
+    /// hand; [`INF_DIST`] for an untouched pivot, which also makes a
+    /// candidate whose distance saturates no candidate.
+    best: Vec<Dist>,
+    /// Pivots with `best[v] < INF_DIST`.
+    touched: Vec<VertexId>,
+    /// `mark[w]`: distance of pivot `w` in the label being pruned
+    /// against; [`INF_DIST`] when it has none.
+    mark: Vec<Dist>,
+    /// Gathered, not yet pruned candidates.
+    block: Groups,
+}
+
+impl Scratch {
+    fn new(n: usize) -> Scratch {
+        Scratch {
+            best: vec![INF_DIST; n],
+            touched: Vec::new(),
+            mark: vec![INF_DIST; n],
+            block: Groups::default(),
+        }
+    }
+
+    #[inline]
+    fn pull(&mut self, v: VertexId, d: Dist) {
+        let best = &mut self.best[v as usize];
+        if d < *best {
+            if *best == INF_DIST {
+                self.touched.push(v);
+            }
+            *best = d;
+        }
+    }
+
+    /// Move the owner's gathered candidates, pivot-sorted, into the block.
+    fn flush(&mut self, owner: VertexId) {
+        self.touched.sort_unstable();
+        for v in self.touched.drain(..) {
+            let best = std::mem::replace(&mut self.best[v as usize], INF_DIST);
+            self.block.entries.push(LabelEntry::new(v, best));
+        }
+        self.block.close(owner);
+    }
+}
+
+/// The scratch of a build: a dense gather-weight array for planning
+/// rounds and one [`Scratch`] per worker that has run so far.
+#[derive(Default)]
+struct Workspace {
+    weight: Vec<u32>,
+    workers: Vec<Scratch>,
+}
+
+impl Workspace {
+    fn sized(&mut self, n: usize, threads: usize) -> (&mut [u32], &mut [Scratch]) {
+        self.weight.resize(n, 0);
+        while self.workers.len() < threads {
+            self.workers.push(Scratch::new(n));
+        }
+        (&mut self.weight, &mut self.workers[..threads])
+    }
+}
+
+/// Owner ranges a multi-worker round cuts per worker; worker `w` of `T`
+/// takes ranges `w`, `w + T`, … The gather weight that sizes the ranges
+/// cannot see which candidates will survive — a survivor costs a whole
+/// witness scan, a pruned candidate an early exit — and that changes
+/// smoothly with rank (the hubs' candidates die, the tail's live), so
+/// one range per worker leaves one worker with most of the time. Dealt
+/// out in turn, every worker gets a sample of every rank band.
+const RANGES_PER_WORKER: usize = 8;
+
+/// The owners one side visits this round, ascending, cut into
+/// contiguous ranges.
+struct Plan {
+    owners: Vec<VertexId>,
+    /// Range `r` is `owners[cuts[r]..cuts[r + 1]]`.
+    cuts: Vec<usize>,
+}
+
+impl Plan {
+    /// First vertex of range `r`'s slice of the label array: the owner
+    /// ranges, widened to tile `0..n`.
+    fn bound(&self, r: usize, n: usize) -> usize {
+        match r {
+            0 => 0,
+            r if r + 1 == self.cuts.len() => n,
+            r => self.owners.get(self.cuts[r]).map_or(n, |&x| x as usize),
+        }
+    }
+}
+
+/// What the gather + prune phase produced for one owner range.
+#[derive(Default)]
+struct Pruned {
+    /// Per side, the survivors of this owner range.
+    survivors: Vec<Groups>,
+    candidates: u64,
+    pruned: u64,
+    gather: Duration,
+    prune: Duration,
+}
+
+/// Run `work` on every input — inline for a single one, else on one
+/// scoped thread each — and return the results in input order.
+fn run_workers<I: Send, O: Send>(inputs: Vec<I>, work: impl Fn(I) -> O + Sync) -> Vec<O> {
+    if inputs.len() == 1 {
+        return inputs.into_iter().map(work).collect();
+    }
+    let work = &work;
+    std::thread::scope(|sc| {
+        let handles: Vec<_> =
+            inputs.into_iter().map(|input| sc.spawn(move || work(input))).collect();
+        handles.into_iter().map(|h| h.join().expect("engine worker panicked")).collect()
+    })
+}
+
+/// Time since `*clock`, which restarts.
+fn lap(clock: &mut Instant) -> Duration {
+    let now = Instant::now();
+    now - std::mem::replace(clock, now)
 }
 
 /// The state of an in-memory build: the graph and the sides grown over it.
 struct Engine<'g> {
     g: &'g Graph,
+    /// Whether rounds apply the §3.3 pruning test.
+    prune: bool,
     /// One side (undirected) or two (directed, out then in).
     sides: Vec<Side>,
     total_entries: u64,
@@ -251,46 +477,27 @@ pub fn build_index(g: &Graph, cfg: &HopDbConfig) -> (LabelIndex, BuildStats) {
 
     // Iteration 1: initialization — one entry per edge (§3.1).
     let init_start = Instant::now();
-    let mut e = Engine::seeded(g);
+    let mut e = Engine::seeded(g, cfg.prune);
     let init_inserted = e.prev_len() as u64;
     stats.iterations.push(IterationStats {
         iteration: 1,
         stepping: true,
         candidates: init_inserted,
-        pruned: 0,
         inserted: init_inserted,
         total_entries: e.total_entries,
         elapsed: init_start.elapsed(),
-        io_read_bytes: 0,
-        io_write_bytes: 0,
-        shards: Vec::new(),
+        ..IterationStats::default()
     });
 
     // Run to the fixpoint: every inserted entry strictly lowers one
     // `(owner, pivot)` distance, so the rounds cannot go on for ever.
+    let mut ws = Workspace::default();
     let mut iter = 1u32;
     while e.prev_len() > 0 {
         iter += 1;
-        let round_start = Instant::now();
-        let stepping = cfg.strategy.steps_at(iter);
-        let round_threads = shard::effective_threads(threads, e.prev_len());
-        let outcomes = e.run_round(stepping, cfg.prune, round_threads);
-        let candidates = outcomes.iter().map(|o| o.candidates).sum();
-        let pruned = outcomes.iter().map(|o| o.pruned).sum();
-        let shards = shard_stats(round_threads, &outcomes);
-        let inserted = e.apply(&outcomes);
-        stats.iterations.push(IterationStats {
-            iteration: iter,
-            stepping,
-            candidates,
-            pruned,
-            inserted,
-            total_entries: e.total_entries,
-            elapsed: round_start.elapsed(),
-            io_read_bytes: 0,
-            io_write_bytes: 0,
-            shards,
-        });
+        let round = e.round(iter, cfg.strategy.steps_at(iter), threads, &mut ws);
+        let inserted = round.inserted;
+        stats.iterations.push(round);
         if inserted == 0 {
             break;
         }
@@ -305,165 +512,308 @@ pub fn build_index(g: &Graph, cfg: &HopDbConfig) -> (LabelIndex, BuildStats) {
 impl<'g> Engine<'g> {
     /// Trivial self-entries plus the initialization entries of `g`, which
     /// are also the first `prev`.
-    fn seeded(g: &'g Graph) -> Engine<'g> {
+    fn seeded(g: &'g Graph, prune: bool) -> Engine<'g> {
         let n = g.num_vertices();
         let sides: Vec<Side> = seed_sides(g)
             .into_iter()
-            .map(|seed| {
+            .map(|mut seed| {
+                // One entry per edge, parallel edges already merged: once
+                // sorted, the seeds are a round's survivors like any other.
+                seed.entries.sort_unstable();
                 let mut labels: Vec<VertexLabels> =
                     (0..n).map(|v| VertexLabels::with_trivial(v as VertexId)).collect();
-                let mut inv = vec![InvList::default(); n];
-                for &(owner, pivot, w) in &seed.entries {
-                    if labels[owner as usize].insert_min(LabelEntry::new(pivot, w)) {
-                        inv[pivot as usize].upsert(owner, w);
-                    }
+                let mut seeds = Groups::default();
+                for group in seed.entries.chunk_by(|a, b| a.0 == b.0) {
+                    let owner = group[0].0;
+                    let start = seeds.entries.len();
+                    seeds.entries.extend(group.iter().map(|&(_, v, w)| LabelEntry::new(v, w)));
+                    labels[owner as usize].merge_min_sorted(&seeds.entries[start..], |_, _| {});
+                    seeds.close(owner);
                 }
-                Side { across: seed.across, step: seed.step, labels, inv, prev: seed.entries }
+                let mut prev = Prev::new(n);
+                prev.replace(std::iter::once(&seeds));
+                Side { across: seed.across, step: seed.step, labels, inv: None, prev }
             })
             .collect();
-        let total_entries = sides.iter().map(|s| (n + s.prev.len()) as u64).sum();
-        Engine { g, sides, total_entries }
+        let total_entries = sides.iter().map(|s| (n + s.prev.groups.entries.len()) as u64).sum();
+        Engine { g, prune, sides, total_entries }
     }
 
     fn prev_len(&self) -> usize {
-        self.sides.iter().map(|s| s.prev.len()).sum()
+        self.sides.iter().map(|s| s.prev.groups.entries.len()).sum()
     }
 
-    /// One generate + prune round over `threads` workers; survivors come
-    /// back per shard, sorted, ready for [`Engine::apply`].
-    fn run_round(&self, stepping: bool, prune: bool, threads: usize) -> Vec<ShardOutcome> {
-        if threads == 1 {
-            let prev: Vec<&[Entry]> = self.sides.iter().map(|s| &s.prev[..]).collect();
-            // One shard: the per-shard pools are the per-worker pools.
-            return vec![self.prune_shard(prune, 0, self.scatter(stepping, &prev, 1))];
+    /// One iteration over up to `threads` workers: plan, gather + prune
+    /// against the frozen labels, then — the barrier is the join of the
+    /// first phase — apply; the survivors become `prev`.
+    fn round(
+        &mut self,
+        iteration: u32,
+        stepping: bool,
+        threads: usize,
+        ws: &mut Workspace,
+    ) -> IterationStats {
+        let round_start = Instant::now();
+        let threads = shard::effective_threads(threads, self.prev_len());
+        let (weight, scratch) = ws.sized(self.g.num_vertices(), threads);
+        if !stepping {
+            for side in &mut self.sides {
+                side.inv = Some(InvView::of(&side.labels));
+            }
         }
-        // Phase 1: scatter — worker w generates candidates from chunk w
-        // of every side into per-(side, shard) pools.
-        let chunks: Vec<Vec<&[Entry]>> =
-            self.sides.iter().map(|s| shard::chunks(&s.prev, threads)).collect();
-        let mut scattered: Vec<Vec<Vec<CandMap>>> = std::thread::scope(|sc| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let prev: Vec<&[Entry]> = chunks.iter().map(|c| c[w]).collect();
-                    sc.spawn(move || self.scatter(stepping, &prev, threads))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("scatter worker panicked")).collect()
+        let plans = self.plan(stepping, threads, weight);
+        let planning = round_start.elapsed();
+        let outcomes = self.gather_prune(&plans, stepping, scratch);
+        let applied = self.apply(&plans, &outcomes, threads);
+        for (s, side) in self.sides.iter_mut().enumerate() {
+            side.prev.replace(outcomes.iter().map(|o| &o.survivors[s]));
+        }
+        self.total_entries += applied.iter().map(|a| a.added).sum::<u64>();
+        let mut shards = Vec::new();
+        if threads > 1 {
+            shards.extend((0..threads).map(|shard| ShardStats { shard, ..ShardStats::default() }));
+            for (r, o) in outcomes.iter().enumerate() {
+                let worker = &mut shards[r % threads];
+                worker.candidates += o.candidates;
+                worker.pruned += o.pruned;
+                worker.elapsed += o.gather + o.prune;
+            }
+        }
+        IterationStats {
+            iteration,
+            stepping,
+            candidates: outcomes.iter().map(|o| o.candidates).sum(),
+            pruned: outcomes.iter().map(|o| o.pruned).sum(),
+            inserted: applied.iter().map(|a| a.inserted).sum(),
+            total_entries: self.total_entries,
+            elapsed: round_start.elapsed(),
+            gather: planning + outcomes.iter().map(|o| o.gather).sum::<Duration>(),
+            prune: outcomes.iter().map(|o| o.prune).sum(),
+            apply: applied.iter().map(|a| a.elapsed).sum(),
+            shards,
+            ..IterationStats::default()
+        }
+    }
+
+    /// Per side, the owners that can receive a candidate this round —
+    /// every owner some `prev(u)` is pulled by — weighed by the `prev`
+    /// entries they pull from and cut into ranges of about equal weight,
+    /// [`RANGES_PER_WORKER`] per worker. One pass over `prev`'s owners;
+    /// `weight` comes in and goes out all zero.
+    fn plan(&self, stepping: bool, threads: usize, weight: &mut [u32]) -> Vec<Plan> {
+        let ranges = if threads > 1 { threads * RANGES_PER_WORKER } else { 1 };
+        let plan = |side: &Side| {
+            let mut owners = Vec::new();
+            for (u, group) in side.prev.groups.iter() {
+                let mut pulls = |x: VertexId| {
+                    let w = &mut weight[x as usize];
+                    if *w == 0 {
+                        owners.push(x);
+                    }
+                    *w = w.saturating_add(group.len() as u32);
+                };
+                if stepping {
+                    self.g.neighbors(u, side.step).iter().copied().for_each(pulls);
+                } else {
+                    let label = self.sides[side.across].labels[u as usize].entries();
+                    label.iter().map(|e| e.pivot).filter(|&x| x != u).for_each(&mut pulls);
+                    side.inv().owners_of(u).iter().map(|&(x, _)| x).for_each(pulls);
+                }
+            }
+            owners.sort_unstable();
+            let weights: Vec<u32> =
+                owners.iter().map(|&x| std::mem::take(&mut weight[x as usize])).collect();
+            Plan { cuts: shard::split_by_weight(&weights, ranges), owners }
+        };
+        self.sides.iter().map(plan).collect()
+    }
+
+    /// Phase one: every worker gathers and prunes its ranges of every
+    /// side's plan; the outcomes come back in range order. Reads the
+    /// engine, writes only `scratch`.
+    fn gather_prune(&self, plans: &[Plan], stepping: bool, scratch: &mut [Scratch]) -> Vec<Pruned> {
+        let (threads, ranges) = (scratch.len(), plans[0].cuts.len() - 1);
+        let dealt = run_workers(scratch.iter_mut().enumerate().collect(), |(w, s)| {
+            let mine = (w..ranges).step_by(threads);
+            mine.map(|r| self.gather_prune_range(plans, r, stepping, s)).collect::<Vec<_>>()
         });
-        // Phase 2: merge + prune — one worker per shard.
-        std::thread::scope(|sc| {
-            let handles: Vec<_> = (0..threads)
-                .map(|s| {
-                    let pools: Vec<Vec<CandMap>> = (0..self.sides.len())
-                        .map(|side| {
-                            scattered.iter_mut().map(|w| std::mem::take(&mut w[side][s])).collect()
-                        })
-                        .collect();
-                    sc.spawn(move || self.prune_shard(prune, s, pools))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("prune worker panicked")).collect()
+        let mut dealt: Vec<_> = dealt.into_iter().map(Vec::into_iter).collect();
+        (0..ranges).map(|r| dealt[r % threads].next().expect("every range was run")).collect()
+    }
+
+    fn gather_prune_range(
+        &self,
+        plans: &[Plan],
+        r: usize,
+        stepping: bool,
+        s: &mut Scratch,
+    ) -> Pruned {
+        let mut out = Pruned::default();
+        let mut clock = Instant::now();
+        for (side, plan) in self.sides.iter().zip(plans) {
+            let mut kept = Groups::default();
+            let owners = &plan.owners[plan.cuts[r]..plan.cuts[r + 1]];
+            for (i, &x) in owners.iter().enumerate() {
+                self.gather(side, x, stepping, s);
+                if s.block.entries.len() >= BLOCK_CANDIDATES || i + 1 == owners.len() {
+                    out.gather += lap(&mut clock);
+                    self.prune_block(side, s, &mut kept, &mut out);
+                    out.prune += lap(&mut clock);
+                }
+            }
+            out.survivors.push(kept);
+        }
+        out
+    }
+
+    /// Pull owner `x`'s candidates (the rule table of the module docs)
+    /// into `s.block`, min-combined and pivot-sorted.
+    fn gather(&self, side: &Side, x: VertexId, stepping: bool, s: &mut Scratch) {
+        if stepping {
+            self.gather_stepping(side, x, s);
+        } else {
+            self.gather_label(side, x, s);
+            self.gather_inverted(side, x, s);
+        }
+        s.flush(x);
+    }
+
+    /// Label and inverted rule composed with single edges.
+    fn gather_stepping(&self, side: &Side, x: VertexId, s: &mut Scratch) {
+        for (u, w) in self.g.edges(x, side.step.reverse()) {
+            for e in side.prev.of(u).iter().take_while(|e| e.pivot < x) {
+                s.pull(e.pivot, e.dist.saturating_add(w));
+            }
+        }
+    }
+
+    /// Label rule (R1 / R4): `(x, d') ∈ across(u)`, read off the across
+    /// side's inverted view at `x`; `v < x < u`.
+    fn gather_label(&self, side: &Side, x: VertexId, s: &mut Scratch) {
+        for &(u, d1) in self.sides[side.across].inv().owners_of(x) {
+            for e in side.prev.of(u).iter().take_while(|e| e.pivot < x) {
+                s.pull(e.pivot, e.dist.saturating_add(d1));
+            }
+        }
+    }
+
+    /// Inverted rule (R2 / R5): `(u, d') ∈ own(x)`; `v < u < x` holds.
+    fn gather_inverted(&self, side: &Side, x: VertexId, s: &mut Scratch) {
+        for own in side.labels[x as usize].entries().iter().filter(|own| own.pivot != x) {
+            for e in side.prev.of(own.pivot) {
+                s.pull(e.pivot, e.dist.saturating_add(own.dist));
+            }
+        }
+    }
+
+    /// Prune the block's candidates, appending the survivors to `kept`.
+    fn prune_block(&self, side: &Side, s: &mut Scratch, kept: &mut Groups, out: &mut Pruned) {
+        for (x, candidates) in s.block.iter() {
+            let marked = marking_pays(candidates.len(), side.labels[x as usize].len());
+            let (counted, pruned) =
+                self.prune_owner(side, x, candidates, marked, &mut s.mark, &mut kept.entries);
+            out.candidates += counted;
+            out.pruned += pruned;
+            kept.close(x);
+        }
+        s.block.clear();
+    }
+
+    /// Prune owner `x`'s gathered `candidates` against the index as of
+    /// the end of the previous iteration — through the marked label, or
+    /// by a merge join each — pushing the survivors to `kept`. Returns
+    /// how many were candidates at all and how many of those died.
+    fn prune_owner(
+        &self,
+        side: &Side,
+        x: VertexId,
+        candidates: &[LabelEntry],
+        marked: bool,
+        mark: &mut [Dist],
+        kept: &mut Vec<LabelEntry>,
+    ) -> (u64, u64) {
+        let own = &side.labels[x as usize];
+        let across = &self.sides[side.across].labels;
+        if marked {
+            own.entries().iter().for_each(|e| mark[e.pivot as usize] = e.dist);
+        }
+        let (mut counted, mut pruned) = (0u64, 0u64);
+        for &c in candidates {
+            // Same-pair dominance: not a candidate at all.
+            let current =
+                if marked { mark[c.pivot as usize] } else { own.get(c.pivot).unwrap_or(INF_DIST) };
+            if current <= c.dist {
+                continue;
+            }
+            counted += 1;
+            // The entry covers a path between x and c.pivot: prune iff
+            // the 2-hop query own(x) ⋈ across(c.pivot) already answers
+            // ≤ c.dist (§3.3).
+            let witnesses = across[c.pivot as usize].entries();
+            let covered = self.prune
+                && if marked {
+                    witnesses
+                        .iter()
+                        .any(|w| mark[w.pivot as usize].saturating_add(w.dist) <= c.dist)
+                } else {
+                    join_min(own.entries(), witnesses) <= c.dist
+                };
+            if covered {
+                pruned += 1;
+            } else {
+                kept.push(c);
+            }
+        }
+        if marked {
+            own.entries().iter().for_each(|e| mark[e.pivot as usize] = INF_DIST);
+        }
+        (counted, pruned)
+    }
+
+    /// Phase two: every worker merges the survivors of its ranges into
+    /// those ranges' own slices of every side's label array.
+    fn apply(&mut self, plans: &[Plan], outcomes: &[Pruned], threads: usize) -> Vec<Applied> {
+        let n = self.g.num_vertices();
+        let mut jobs: Vec<Vec<ApplyJob>> = (0..threads).map(|_| Vec::new()).collect();
+        for (s, (side, plan)) in self.sides.iter_mut().zip(plans).enumerate() {
+            let mut rest = &mut side.labels[..];
+            for (r, outcome) in outcomes.iter().enumerate() {
+                let (base, end) = (plan.bound(r, n), plan.bound(r + 1, n));
+                let (labels, tail) = std::mem::take(&mut rest).split_at_mut(end - base);
+                rest = tail;
+                jobs[r % threads].push(ApplyJob { base, labels, survivors: &outcome.survivors[s] });
+            }
+        }
+        run_workers(jobs, |ranges| {
+            let start = Instant::now();
+            let (mut inserted, mut added) = (0u64, 0u64);
+            for job in ranges {
+                for (owner, batch) in job.survivors.iter() {
+                    let label = &mut job.labels[owner as usize - job.base];
+                    inserted +=
+                        label.merge_min_sorted(batch, |_, had| added += u64::from(!had)) as u64;
+                }
+            }
+            Applied { inserted, added, elapsed: start.elapsed() }
         })
     }
+}
 
-    /// Generate candidates from one chunk of every side's `prev` into
-    /// `shards` owner-routed pools per side: `result[side][shard]`.
-    fn scatter(&self, stepping: bool, prev: &[&[Entry]], shards: usize) -> Vec<Vec<CandMap>> {
-        let mut pools = Vec::with_capacity(self.sides.len());
-        for (side, &prev) in self.sides.iter().zip(prev) {
-            let mut cands = vec![CandMap::default(); shards];
-            let mut emit = |owner: VertexId, pivot: VertexId, d: Dist| {
-                // Cheap dominance check against the existing entry before
-                // the candidate pool (full pruning happens in
-                // `prune_shard`).
-                if side.labels[owner as usize].get(pivot).is_none_or(|cur| cur > d) {
-                    offer(&mut cands[shard::shard_of(owner, shards)], owner, pivot, d);
-                }
-            };
-            let across = &self.sides[side.across].labels;
-            for &(u, v, d) in prev {
-                if stepping {
-                    // Label and inverted rule composed with single edges.
-                    for (x, w) in self.g.edges(u, side.step) {
-                        if x > v {
-                            emit(x, v, d.saturating_add(w));
-                        }
-                    }
-                } else {
-                    // Label rule (R1 / R4): (x, d') ∈ across(u), v < x < u.
-                    for e in across[u as usize].entries() {
-                        if e.pivot > v && e.pivot < u {
-                            emit(e.pivot, v, d.saturating_add(e.dist));
-                        }
-                    }
-                    // Inverted rule (R2 / R5): owners x with (u, d') ∈
-                    // own(x); x > u > v holds.
-                    for &(x, d2) in side.inv[u as usize].entries() {
-                        emit(x, v, d.saturating_add(d2));
-                    }
-                }
-            }
-            pools.push(cands);
-        }
-        pools
-    }
+/// One owner range of one side in the apply phase.
+struct ApplyJob<'a> {
+    /// Vertex of `labels[0]`.
+    base: usize,
+    labels: &'a mut [VertexLabels],
+    survivors: &'a Groups,
+}
 
-    /// Merge one shard's per-worker pools (`pools[side][worker]`) and
-    /// prune the candidates against the index as of the end of the
-    /// previous iteration (Theorem 3's proof relies on witnesses "from
-    /// previous iterations" only) — survivors never prune each other,
-    /// which also keeps the in-memory engine bit-identical to the
-    /// external one, whose pruning joins read frozen label files.
-    fn prune_shard(&self, prune: bool, shard: usize, pools: Vec<Vec<CandMap>>) -> ShardOutcome {
-        let start = Instant::now();
-        let (mut candidates, mut pruned) = (0u64, 0u64);
-        let mut survivors = Vec::with_capacity(pools.len());
-        for (side, maps) in self.sides.iter().zip(pools) {
-            let merged = merge_cands(maps);
-            candidates += merged.len() as u64;
-            let across = &self.sides[side.across].labels;
-            let mut kept = Vec::with_capacity(merged.len());
-            for ((owner, pivot), d) in merged {
-                // The entry covers a path between owner and pivot: prune
-                // iff the 2-hop query over own(owner) ⋈ across(pivot)
-                // already answers ≤ d (§3.3).
-                if prune
-                    && join_min(
-                        side.labels[owner as usize].entries(),
-                        across[pivot as usize].entries(),
-                    ) <= d
-                {
-                    pruned += 1;
-                } else {
-                    kept.push((owner, pivot, d));
-                }
-            }
-            kept.sort_unstable();
-            survivors.push(kept);
-        }
-        ShardOutcome { shard, survivors, candidates, pruned, elapsed: start.elapsed() }
-    }
-
-    /// Insert every shard's survivors, in shard order, and make them the
-    /// next iteration's `prev` entries.
-    fn apply(&mut self, outcomes: &[ShardOutcome]) -> u64 {
-        for side in &mut self.sides {
-            side.prev.clear();
-        }
-        let mut inserted = 0u64;
-        for o in outcomes {
-            for (side, survivors) in self.sides.iter_mut().zip(&o.survivors) {
-                inserted += insert_batches(
-                    survivors,
-                    &mut side.labels,
-                    &mut side.inv,
-                    &mut self.total_entries,
-                );
-                side.prev.extend_from_slice(survivors);
-            }
-        }
-        inserted
-    }
+/// What one worker's apply phase did.
+struct Applied {
+    /// Entries added or improved.
+    inserted: u64,
+    /// Entries added.
+    added: u64,
+    elapsed: Duration,
 }
 
 #[cfg(test)]
@@ -656,8 +1006,9 @@ mod tests {
         }
     }
 
-    /// Force the sharded path (small graphs normally fall back to one
-    /// thread) and check the per-shard counters add up.
+    /// Force several workers (small graphs normally fall back to one
+    /// thread) and check the per-worker counters and survivors add up to
+    /// the sequential ones.
     #[test]
     fn forced_sharding_reports_shard_stats() {
         let mut b = GraphBuilder::new_undirected(64);
@@ -666,25 +1017,29 @@ mod tests {
             b.add_edge(i, (i + 7) % 64);
         }
         let g = b.build();
-        let side = Side {
-            across: 0,
-            step: Direction::Out,
-            labels: (0..64).map(|v| VertexLabels::with_trivial(v as VertexId)).collect(),
-            inv: vec![InvList::default(); 64],
-            prev: g.edge_list().into_iter().map(|(u, v, w)| (v, u, w)).collect(),
+        let e = Engine::seeded(&g, true);
+        let mut ws = Workspace::default();
+        let mut run = |threads: usize| {
+            let (weight, scratch) = ws.sized(64, threads);
+            let plans = e.plan(true, threads, weight);
+            assert!(weight.iter().all(|&w| w == 0), "planning must hand the weights back zeroed");
+            e.gather_prune(&plans, true, scratch)
         };
-        let e = Engine { g: &g, sides: vec![side], total_entries: 64 };
-        let seq = e.run_round(true, true, 1);
-        let par = e.run_round(true, true, 4);
-        assert_eq!(par.len(), 4);
-        let seq_cands: u64 = seq.iter().map(|o| o.candidates).sum();
-        let par_cands: u64 = par.iter().map(|o| o.candidates).sum();
-        assert_eq!(seq_cands, par_cands, "sharding must not change the deduplicated pool");
-        let mut seq_surv: Vec<_> = seq.into_iter().flat_map(|o| o.survivors).flatten().collect();
-        let mut par_surv: Vec<_> = par.into_iter().flat_map(|o| o.survivors).flatten().collect();
-        seq_surv.sort_unstable();
-        par_surv.sort_unstable();
-        assert_eq!(seq_surv, par_surv);
+        let (seq, par) = (run(1), run(4));
+        assert_eq!((seq.len(), par.len()), (1, 4 * RANGES_PER_WORKER));
+        assert!(par.iter().filter(|o| o.candidates > 0).count() > 4, "the cuts left most empty");
+        let sum = |f: fn(&Pruned) -> u64, outcomes: &[Pruned]| outcomes.iter().map(f).sum::<u64>();
+        assert!(sum(|o| o.candidates, &seq) > 0);
+        assert_eq!(sum(|o| o.candidates, &seq), sum(|o| o.candidates, &par));
+        assert_eq!(sum(|o| o.pruned, &seq), sum(|o| o.pruned, &par));
+        // Concatenated in range order, the survivors are the sequential
+        // ones: the owner ranges are consecutive.
+        let flat = |outcomes: &[Pruned]| -> Vec<Entry> {
+            let groups = outcomes.iter().flat_map(|o| o.survivors[0].iter());
+            groups.flat_map(|(x, g)| g.iter().map(move |e| (x, e.pivot, e.dist))).collect()
+        };
+        assert_eq!(flat(&seq), flat(&par));
+        assert!(flat(&seq).is_sorted());
     }
 
     /// Stepping needs up to `D_H` rounds (§5.1): a build must run to the
@@ -757,10 +1112,8 @@ mod tests {
 
     #[test]
     fn vertex_labels_need_init() {
-        // `prev` above is built from edge_list; make sure the labels the
-        // engine prunes against contain those initial entries when the
-        // full builder runs (regression guard for the refactor: the
-        // init loop now feeds the inverted lists through `upsert`).
+        // The labels the engine prunes against must contain the initial
+        // entries, one per merged edge, when the full builder runs.
         let mut b = GraphBuilder::new_undirected(5).weighted();
         b.add_weighted_edge(0, 1, 2);
         b.add_weighted_edge(0, 1, 5); // parallel edge, worse weight
@@ -768,5 +1121,257 @@ mod tests {
         let g = b.build();
         let (index, _) = build_index(&g, &HopDbConfig::default());
         assert_exact(&g, &index);
+    }
+
+    fn ranked(g: &Graph) -> Graph {
+        use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
+        relabel_by_rank(g, &rank_vertices(g, &RankBy::Degree))
+    }
+
+    fn small_glp(n: usize, seed: u64) -> Graph {
+        ranked(&graphgen::glp(&graphgen::GlpParams::with_density(n, 2.5, seed)))
+    }
+
+    fn small_directed_glp(n: usize, seed: u64) -> Graph {
+        let g = graphgen::glp(&graphgen::GlpParams::with_density(n, 2.5, seed));
+        ranked(&graphgen::orient_scale_free(&g, 0.25, seed))
+    }
+
+    /// An engine `rounds` stepping rounds into a pruned build of `g`,
+    /// inverted views built: every rule has something to compose.
+    fn mid_build(g: &Graph, rounds: u32) -> Engine<'_> {
+        let mut e = Engine::seeded(g, true);
+        let mut ws = Workspace::default();
+        for iter in 2..2 + rounds {
+            e.round(iter, true, 1, &mut ws);
+        }
+        for side in &mut e.sides {
+            side.inv = Some(InvView::of(&side.labels));
+        }
+        e
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    enum Rule {
+        Stepping,
+        Label,
+        Inverted,
+    }
+
+    type Candidates = std::collections::BTreeMap<(VertexId, VertexId), Dist>;
+
+    /// The rules as the paper states them, as this engine used to run
+    /// them and as `external.rs` still does: per `prev` entry
+    /// `(owner u, pivot v, d)`, every emission of one rule, min-combined.
+    fn pushed(e: &Engine, side: &Side, rule: Rule) -> Candidates {
+        let mut cands = Candidates::new();
+        let mut emit = |x: VertexId, v: VertexId, d: Dist| {
+            let best = cands.entry((x, v)).or_insert(INF_DIST);
+            *best = d.min(*best);
+        };
+        for (u, group) in side.prev.groups.iter() {
+            for &LabelEntry { pivot: v, dist: d } in group {
+                match rule {
+                    Rule::Stepping => {
+                        e.g.edges(u, side.step)
+                            .filter(|&(x, _)| x > v)
+                            .for_each(|(x, w)| emit(x, v, d + w))
+                    }
+                    Rule::Label => e.sides[side.across].labels[u as usize]
+                        .entries()
+                        .iter()
+                        .filter(|l| l.pivot > v && l.pivot < u)
+                        .for_each(|l| emit(l.pivot, v, d + l.dist)),
+                    Rule::Inverted => (0..side.labels.len() as VertexId)
+                        .filter(|&x| x != u)
+                        .filter_map(|x| Some((x, side.labels[x as usize].get(u)?)))
+                        .for_each(|(x, d2)| emit(x, v, d + d2)),
+                }
+            }
+        }
+        cands
+    }
+
+    /// One rule, pulled by every vertex in turn.
+    fn pulled(e: &Engine, side: &Side, rule: Rule, s: &mut Scratch) -> Candidates {
+        for x in e.g.vertices() {
+            match rule {
+                Rule::Stepping => e.gather_stepping(side, x, s),
+                Rule::Label => e.gather_label(side, x, s),
+                Rule::Inverted => e.gather_inverted(side, x, s),
+            }
+            s.flush(x);
+        }
+        let block = std::mem::take(&mut s.block);
+        block.iter().flat_map(|(x, g)| g.iter().map(move |c| ((x, c.pivot), c.dist))).collect()
+    }
+
+    /// The pulled reading of every rule gathers exactly the candidates
+    /// the pushed formulas emit, on every kind of side, and a round's
+    /// plan visits every owner that has any.
+    #[test]
+    fn pulled_rounds_equal_the_pushed_rules() {
+        let graphs =
+            [graphgen::example_graph_fig3(), small_glp(150, 5), small_directed_glp(150, 9)];
+        let mut exercised = std::collections::BTreeSet::new();
+        for (gi, g) in graphs.iter().enumerate() {
+            for rounds in 0..3 {
+                let e = mid_build(g, rounds);
+                let n = g.num_vertices();
+                let (mut s, mut weight) = (Scratch::new(n), vec![0u32; n]);
+                for stepping in [true, false] {
+                    let plans = e.plan(stepping, 1, &mut weight);
+                    for (si, side) in e.sides.iter().enumerate() {
+                        let what = format!("graph {gi}, {rounds} rounds in, side {si}");
+                        let rules: &[Rule] = if stepping {
+                            &[Rule::Stepping]
+                        } else {
+                            &[Rule::Label, Rule::Inverted]
+                        };
+                        for &rule in rules {
+                            let pull = pulled(&e, side, rule, &mut s);
+                            assert_eq!(pull, pushed(&e, side, rule), "{what}, {rule:?}");
+                            assert!(
+                                pull.keys().all(|(x, _)| plans[si].owners.binary_search(x).is_ok()),
+                                "{what}, {rule:?}: the plan skips an owner with candidates"
+                            );
+                            if !pull.is_empty() {
+                                exercised.insert((e.sides.len(), si, rule));
+                            }
+                        }
+                    }
+                }
+                assert!(s.best.iter().chain(&s.mark).all(|&d| d == INF_DIST), "scratch not reset");
+            }
+        }
+        // Undirected, out and in sides have each composed with each rule.
+        assert_eq!(exercised.len(), 9, "{exercised:?}");
+    }
+
+    /// `inv` feeds only doubling rounds: seeding builds none, a stepping
+    /// build never has one, and a hybrid gets its first when the first
+    /// doubling iteration starts.
+    #[test]
+    fn inverted_view_exists_from_the_first_doubling_round_on() {
+        for g in [small_glp(200, 3), small_directed_glp(200, 4)] {
+            for (strategy, first_doubling) in [
+                (Strategy::Stepping, u32::MAX),
+                (Strategy::Hybrid { switch_at: 3 }, 4),
+                (Strategy::Doubling, 2),
+            ] {
+                let mut e = Engine::seeded(&g, true);
+                let mut ws = Workspace::default();
+                assert!(e.sides.iter().all(|s| s.inv.is_none()), "seeding built an inverted view");
+                let mut iter = 1u32;
+                while e.prev_len() > 0 {
+                    iter += 1;
+                    e.round(iter, strategy.steps_at(iter), 1, &mut ws);
+                    assert!(
+                        e.sides.iter().all(|s| s.inv.is_some() == (iter >= first_doubling)),
+                        "{strategy:?}: inverted view after iteration {iter}"
+                    );
+                }
+                assert!(first_doubling == u32::MAX || iter >= first_doubling, "{strategy:?}");
+                let (index, _) = build_index(&g, &HopDbConfig::with_strategy(strategy));
+                assert_eq!(
+                    index_from_sides(e.sides.into_iter().map(|s| s.labels).collect()),
+                    index
+                );
+            }
+        }
+    }
+
+    /// Both prune paths are the same test: over rounds whose owners fall
+    /// on both sides of [`marking_pays`] — scale-free rounds mark, a long
+    /// path's one or two candidates per owner join — each owner's candidates
+    /// come out the same through the marked label and the merge join.
+    #[test]
+    fn marked_and_joined_prunes_agree_across_the_switch() {
+        let (mut via_mark, mut via_join) = (0, 0);
+        let path = ranked(&graphgen::path(300));
+        for (g, rounds, stepping) in [
+            (&small_glp(300, 11), 1, true),
+            (&small_glp(300, 11), 2, false),
+            (&small_directed_glp(300, 12), 2, true),
+            (&small_directed_glp(300, 12), 1, false),
+            (&path, 150, true),
+            (&path, 150, false),
+        ] {
+            let e = mid_build(g, rounds);
+            let n = g.num_vertices();
+            let (mut s, mut weight) = (Scratch::new(n), vec![0u32; n]);
+            for (side, plan) in e.sides.iter().zip(e.plan(stepping, 1, &mut weight)) {
+                plan.owners.iter().for_each(|&x| e.gather(side, x, stepping, &mut s));
+                for (x, candidates) in s.block.iter() {
+                    let run = |marked: bool, mark: &mut [Dist]| {
+                        let mut kept = Vec::new();
+                        let counts = e.prune_owner(side, x, candidates, marked, mark, &mut kept);
+                        (counts, kept)
+                    };
+                    assert_eq!(run(true, &mut s.mark), run(false, &mut s.mark), "owner {x}");
+                    if marking_pays(candidates.len(), side.labels[x as usize].len()) {
+                        via_mark += 1;
+                    } else {
+                        via_join += 1;
+                    }
+                }
+                s.block.clear();
+            }
+            assert!(s.mark.iter().all(|&d| d == INF_DIST), "marks left behind");
+        }
+        assert!(via_mark > 100 && via_join > 100, "{via_mark} marked, {via_join} joined");
+    }
+
+    /// A trough path found later can beat the edge that seeded the pair:
+    /// the round lowers the existing entry in place, which counts as
+    /// inserted but adds nothing.
+    #[test]
+    fn later_round_lowers_an_existing_distance() {
+        let mut b = GraphBuilder::new_undirected(3).weighted();
+        b.add_weighted_edge(1, 0, 10);
+        b.add_weighted_edge(2, 1, 1);
+        b.add_weighted_edge(2, 0, 1); // 1 – 2 – 0 costs 2, through lower-ranked 2
+        let g = b.build();
+        let mut e = Engine::seeded(&g, true);
+        assert_eq!(e.sides[0].labels[1].get(0), Some(10));
+        let seeded = e.total_entries;
+        let round = e.round(2, true, 1, &mut Workspace::default());
+        assert_eq!((round.candidates, round.pruned, round.inserted), (1, 0, 1));
+        assert_eq!(round.total_entries, seeded, "an improvement is not a new entry");
+        assert_eq!(e.sides[0].labels[1].get(0), Some(2));
+        assert_eq!(e.sides[0].prev.of(1), &[LabelEntry::new(0, 2)]);
+        for cfg in configs() {
+            for threads in [1usize, 4] {
+                let (index, _) = build_index(&g, &cfg.clone().with_parallelism(threads));
+                assert_exact(&g, &index);
+                assert_eq!(index.query(1, 0), 2);
+            }
+        }
+    }
+
+    /// Every arc points at a higher-ranked vertex: all seeds are
+    /// out-entries, so the in side's `prev` is empty from the start and
+    /// its rounds visit nobody, while the out side still pulls through it.
+    #[test]
+    fn directed_build_with_one_side_idle() {
+        let mut b = GraphBuilder::new_directed(6);
+        for (u, v) in [(5, 4), (4, 3), (3, 2), (2, 1), (1, 0), (5, 2), (4, 0)] {
+            b.add_edge(u, v);
+        }
+        let g = b.build();
+        let e = Engine::seeded(&g, true);
+        assert_eq!(e.sides[1].prev.groups.entries.len(), 0);
+        for stepping in [true, false] {
+            let plans = mid_build(&g, 0).plan(stepping, 2, &mut [0; 6]);
+            assert!(!plans[0].owners.is_empty());
+            assert!(plans[1].owners.is_empty() && plans[1].cuts == [0; 2 * RANGES_PER_WORKER + 1]);
+        }
+        for cfg in configs() {
+            let (index, stats) = build_index(&g, &cfg);
+            assert_exact(&g, &index);
+            assert!(stats.num_iterations() > 2);
+            let LabelIndex::Directed(d) = &index else { panic!("directed graph") };
+            assert!(d.in_labels.iter().all(|l| l.len() == 1), "in-labels grew: {:?}", d.in_labels);
+        }
     }
 }

@@ -14,7 +14,8 @@
 //! | `prev`   | last iteration's new entries, by owner: the survivor run itself              | all three, as the driving input               |
 //!
 //! For a `prev` entry `(owner u, pivot v, d)` the emitted candidates are
-//! exactly the in-memory engine's:
+//! the rules as the paper states them — the same set the in-memory
+//! engine gathers, which reads them per receiving owner `x` instead:
 //!
 //! ```text
 //! stepping  prev ⋈ edges  on u:  edge (x, w), x > v             ⇒ (x, v, d+w)    R1+R2 / R4+R5 over edges
@@ -688,7 +689,7 @@ fn run(
         elapsed: init_start.elapsed(),
         io_read_bytes,
         io_write_bytes,
-        shards: Vec::new(),
+        ..IterationStats::default()
     });
 
     // Run to the fixpoint: every surviving candidate strictly lowers one
@@ -768,7 +769,7 @@ fn run(
             elapsed: round_start.elapsed(),
             io_read_bytes,
             io_write_bytes,
-            shards: Vec::new(),
+            ..IterationStats::default()
         });
         if inserted == 0 {
             break;

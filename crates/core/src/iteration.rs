@@ -3,23 +3,23 @@
 
 use std::time::Duration;
 
-/// What one worker shard contributed to an iteration of the parallel
-/// engine: the candidate pool is partitioned by owner vertex, and each
-/// shard merges, deduplicates, and prunes its partition independently.
+/// What one worker contributed to an iteration of the parallel engine:
+/// the round's owners are cut into contiguous ranges, and each worker
+/// gathers and prunes the candidates of its ranges independently.
 #[derive(Clone, Debug, Default)]
 pub struct ShardStats {
-    /// Shard number (`owner % shards`).
+    /// Worker number.
     pub shard: usize,
-    /// Deduplicated candidates owned by this shard.
+    /// Deduplicated candidates of this worker's owners.
     pub candidates: u64,
-    /// Candidates this shard rejected with the pruning test.
+    /// Candidates this worker rejected with the pruning test.
     pub pruned: u64,
-    /// Wall-clock time of the shard's merge + prune phase.
+    /// Time the worker spent in its gather + prune phase.
     pub elapsed: Duration,
 }
 
 /// What one iteration of the generate-and-prune loop did.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct IterationStats {
     /// Iteration number in the paper's convention: initialization is
     /// iteration 1, the first generation round is iteration 2.
@@ -30,7 +30,7 @@ pub struct IterationStats {
     ///
     /// Engine-specific, as is `pruned`: the in-memory engine drops a
     /// candidate that an existing entry of the same `(owner, pivot)`
-    /// already dominates *before* it reaches the pool, while the external
+    /// already dominates *before* it is counted, while the external
     /// engine has no label in memory to ask and leaves those to the prune
     /// join. Both reject the same candidates, so `inserted` and
     /// `total_entries` (and the labels) agree between the engines; this
@@ -45,14 +45,23 @@ pub struct IterationStats {
     pub total_entries: u64,
     /// Wall-clock time of the iteration.
     pub elapsed: Duration,
+    /// Time spent gathering candidates, summed over workers: planning
+    /// the round (and, in a doubling round, rebuilding the inverted
+    /// views) plus every worker's pulls. Like `prune` and `apply`, read
+    /// once per block of owners, and zero from the external engine.
+    pub gather: Duration,
+    /// Time spent in the pruning test, summed over workers.
+    pub prune: Duration,
+    /// Time spent merging survivors into the labels, summed over workers.
+    pub apply: Duration,
     /// Bytes the iteration read from the external-memory store (the
     /// external engine's label, candidate and sort files; zero from the
     /// in-memory engine).
     pub io_read_bytes: u64,
     /// Bytes the iteration wrote to the external-memory store.
     pub io_write_bytes: u64,
-    /// Per-shard breakdown when the iteration ran sharded (empty for
-    /// single-threaded rounds and the external engine).
+    /// Per-worker breakdown when the iteration ran on several workers
+    /// (empty for single-threaded rounds and the external engine).
     pub shards: Vec<ShardStats>,
 }
 
@@ -66,9 +75,9 @@ impl IterationStats {
         }
     }
 
-    /// Load imbalance of the sharded round: the largest shard's
+    /// Load imbalance of a multi-worker round: the largest worker's
     /// candidate count divided by the mean (1.0 = perfectly balanced;
-    /// 0.0 when the round was not sharded or saw no candidates).
+    /// 0.0 when the round ran on one worker or saw no candidates).
     pub fn shard_imbalance(&self) -> f64 {
         let total: u64 = self.shards.iter().map(|s| s.candidates).sum();
         if self.shards.is_empty() || total == 0 {
@@ -135,11 +144,7 @@ mod tests {
             candidates,
             pruned,
             inserted,
-            total_entries: 0,
-            elapsed: Duration::ZERO,
-            io_read_bytes: 0,
-            io_write_bytes: 0,
-            shards: Vec::new(),
+            ..IterationStats::default()
         }
     }
 

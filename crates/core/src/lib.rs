@@ -36,15 +36,14 @@
 //!
 //! Construction parallelises within each iteration: set
 //! [`HopDbConfig::parallelism`] (or `hopdb-cli build --threads`) to
-//! shard candidate generation and pruning across scoped worker threads
-//! ([`shard`]); the result is bit-identical to the sequential build for
-//! every thread count.
+//! give each of several scoped worker threads its own range of label
+//! owners to gather, prune and apply ([`shard`]); the result is
+//! bit-identical to the sequential build for every thread count.
 
 pub mod builder;
 pub mod config;
 pub mod engine;
 pub mod external;
-pub mod invlist;
 pub mod iteration;
 pub mod postprune;
 pub mod shard;

@@ -466,6 +466,30 @@ fn dispatcher_loop(shared: &Arc<RouterShared>, ports: Vec<WorkerPort>) {
     }
 }
 
+/// Cut a run of query jobs, given by their pair counts, into consecutive
+/// groups of at most `max_batch` pairs each, never splitting a job: what
+/// a backend accepts as one frame. The front refuses frames above
+/// `max_batch`, so a job fits on its own; one that did not would still
+/// get a group to itself.
+fn cut_at_max_batch(sizes: &[usize], max_batch: usize) -> Vec<std::ops::Range<usize>> {
+    let mut groups = Vec::new();
+    let (mut start, mut pairs) = (0usize, 0usize);
+    for (i, &size) in sizes.iter().enumerate() {
+        if i > start && pairs.saturating_add(size) > max_batch {
+            groups.push(start..i);
+            (start, pairs) = (i, 0);
+        }
+        pairs = pairs.saturating_add(size);
+    }
+    if start < sizes.len() {
+        groups.push(start..sizes.len());
+    }
+    groups
+}
+
+/// Coalesce `jobs` into as few backend frames as the backends' batch
+/// limit allows — a flush window can hold several frames that are each
+/// legal and together are not — and forward each.
 fn dispatch_queries(
     shared: &RouterShared,
     completions: &Arc<Completions>,
@@ -473,9 +497,21 @@ fn dispatch_queries(
     rr: &mut usize,
     jobs: Vec<QueryJob>,
 ) {
-    if jobs.is_empty() {
-        return;
+    let sizes: Vec<usize> = jobs.iter().map(|(_, _, pairs)| pairs.len()).collect();
+    let mut jobs = jobs.into_iter();
+    for group in cut_at_max_batch(&sizes, shared.config.max_batch) {
+        let group = jobs.by_ref().take(group.len()).collect();
+        dispatch_group(shared, completions, ports, rr, group);
     }
+}
+
+fn dispatch_group(
+    shared: &RouterShared,
+    completions: &Arc<Completions>,
+    ports: &[WorkerPort],
+    rr: &mut usize,
+    jobs: Vec<QueryJob>,
+) {
     let n = shared.topology.vertices;
     // Range-check per job so one bad frame can't fail its batchmates.
     let mut combined: Vec<(u32, u32)> = Vec::new();
@@ -857,5 +893,47 @@ fn route_reply(shared: &RouterShared) -> RouteReply {
             rank_pruned: t.rank_pruned,
             ..fleet
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::cut_at_max_batch;
+
+    #[test]
+    fn coalesced_groups_respect_the_backend_batch_limit() {
+        const MAX: usize = 65_536;
+        // Two legal frames that together are not: one group each.
+        assert_eq!(cut_at_max_batch(&[50_000, 50_000], MAX), vec![0..1, 1..2]);
+        // A lone maximal job passes; small ones still coalesce around it.
+        assert_eq!(cut_at_max_batch(&[MAX], MAX), vec![0..1]);
+        assert_eq!(cut_at_max_batch(&[10, MAX, 10, 20], MAX), vec![0..1, 1..2, 2..4]);
+        assert_eq!(cut_at_max_batch(&[1; 100], MAX), vec![0..100]);
+        assert_eq!(cut_at_max_batch(&[0, 0, 0], MAX), vec![0..3]);
+        assert!(cut_at_max_batch(&[], MAX).is_empty());
+        // Defensive: an oversized job is forwarded alone, not merged.
+        assert_eq!(cut_at_max_batch(&[1, MAX + 1, 1], MAX), vec![0..1, 1..2, 2..3]);
+
+        // In general: the groups tile the jobs in order, none is empty,
+        // none carries more than the limit, and none could have taken
+        // the next job as well.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for max in [1usize, 7, 100, 1000] {
+            let sizes: Vec<usize> = (0..200)
+                .map(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (x >> 33) as usize % (max + 1)
+                })
+                .collect();
+            let groups = cut_at_max_batch(&sizes, max);
+            let sum = |g: &std::ops::Range<usize>| sizes[g.clone()].iter().sum::<usize>();
+            assert_eq!(groups.first().map(|g| g.start), Some(0));
+            assert_eq!(groups.last().map(|g| g.end), Some(sizes.len()));
+            assert!(groups.windows(2).all(|w| w[0].end == w[1].start), "{groups:?}");
+            for g in &groups {
+                assert!(!g.is_empty() && sum(g) <= max, "group {g:?} of {} > {max}", sum(g));
+                assert!(g.end == sizes.len() || sum(g) + sizes[g.end] > max, "{g:?} cut early");
+            }
+        }
     }
 }

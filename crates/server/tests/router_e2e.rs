@@ -278,6 +278,46 @@ fn killing_one_replica_loses_no_accepted_queries() {
     a.shutdown();
 }
 
+/// Two legal frames that land in one flush window may not be forwarded
+/// as one illegal one: the router coalesces only up to the backends'
+/// batch limit. The window is wide and the pair trigger out of reach, so
+/// both frames are certainly taken from the queue together.
+#[test]
+fn frames_coalesced_past_the_backend_limit_are_cut_on_job_boundaries() {
+    const FRAME: usize = 40_000; // two of them exceed DEFAULT_MAX_BATCH = 65 536
+    let fx = fixture("cut", false);
+    let pairs: Vec<(VertexId, VertexId)> =
+        (0..FRAME as u32).map(|i| (i % N as u32, (i * 13 + i / 7) % N as u32)).collect();
+    let (first, second) = (&pairs[..], &pairs[1..]);
+    for mode in [RouteMode::Replica, RouteMode::Shard] {
+        let backends: Vec<ServerHandle> = match mode {
+            RouteMode::Replica => vec![fx.backend("a.idx"), fx.backend("b.idx")],
+            RouteMode::Shard => fx.shard_backends(2),
+        };
+        let config = RouterConfig {
+            mode,
+            backends: backends.iter().map(|b| b.local_addr()).collect(),
+            flush_us: 250_000,
+            coalesce_pairs: 1 << 20,
+            connect_timeout: Duration::from_secs(10),
+            ..RouterConfig::default()
+        };
+        let rt = serve_router("127.0.0.1:0", config).expect("router");
+        let mut client = Client::connect(rt.local_addr()).expect("client");
+        let session = client.session();
+        let tickets = [first, second].map(|frame| session.submit(frame).expect("submit"));
+        for (ticket, frame) in tickets.into_iter().zip([first, second]) {
+            let got = session.wait(ticket).unwrap_or_else(|e| panic!("{mode:?}: {e}"));
+            assert_eq!(got, fx.oracle(frame), "{mode:?}");
+        }
+        drop(client);
+        rt.shutdown();
+        for b in backends {
+            b.shutdown();
+        }
+    }
+}
+
 #[test]
 fn replica_router_fans_updates_and_nacks_bad_weights() {
     let fx = fixture("upd", false);
