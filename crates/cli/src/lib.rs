@@ -319,6 +319,18 @@ fn cmd_stats(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    // The external budget is checked before the graph is read: a block
+    // size of 0 has no block I/Os to report.
+    let ext = if args.has("--external") {
+        let block_bytes = args.parsed("--block-bytes")?.unwrap_or(64 << 10);
+        if block_bytes == 0 {
+            return Err(err("bad value for --block-bytes: 0 (a block holds at least 1 byte)"));
+        }
+        let memory_records = args.parsed("--memory-records")?.unwrap_or(1 << 20);
+        Some(extmem::ExtMemConfig { memory_records, block_bytes })
+    } else {
+        None
+    };
     let g = load_graph(args)?;
     let strategy = match args.opt("--strategy").unwrap_or("hybrid") {
         "hybrid" => Strategy::Hybrid { switch_at: args.parsed("--switch-at")?.unwrap_or(10) },
@@ -336,15 +348,16 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let rank_by = if g.is_directed() { RankBy::DegreeProduct } else { RankBy::Degree };
     let ranking = rank_vertices(&g, &rank_by);
     let relabeled = relabel_by_rank(&g, &ranking);
-    let mut external_io = None;
-    let (index, stats) = if args.has("--external") {
-        let ext = extmem::ExtMemConfig {
-            memory_records: args.parsed("--memory-records")?.unwrap_or(1 << 20),
-            block_bytes: args.parsed("--block-bytes")?.unwrap_or(64 << 10),
-        };
-        let result = hopdb::external::build_external(&relabeled, &cfg, &ext)
+    let mut io_summary = None;
+    let (index, stats) = if let Some(ext) = &ext {
+        let result = hopdb::external::build_external(&relabeled, &cfg, ext)
             .map_err(|e| err(format!("external build failed: {e}")))?;
-        external_io = Some((result.io, result.sort_runs, result.merge_passes));
+        let (read_bytes, write_bytes, read_blocks, write_blocks) = result.io;
+        io_summary = Some(format!(
+            "external I/O: {read_bytes} B read / {write_bytes} B written \
+             ({read_blocks}+{write_blocks} blocks), {} sort runs, {} merge passes, {} seeks",
+            result.sort_runs, result.merge_passes, result.seeks
+        ));
         (result.index, result.stats)
     } else {
         hopdb::build_prelabeled(&relabeled, &cfg)
@@ -365,20 +378,13 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         stats.num_iterations(),
         stats.threads,
     )?;
-    if let Some(((read_bytes, write_bytes, read_blocks, write_blocks), sort_runs, merge_passes)) =
-        external_io
-    {
-        writeln!(
-            out,
-            "external I/O: {read_bytes} B read / {write_bytes} B written \
-             ({read_blocks}+{write_blocks} blocks), {sort_runs} sort runs, \
-             {merge_passes} merge passes",
-        )?;
+    if let Some(line) = &io_summary {
+        writeln!(out, "{line}")?;
     }
     // Per iteration: the counters both engines keep, then what only the
     // engine that ran measures — bytes moved by the external one, phase
     // times (summed over workers) by the in-memory one.
-    let external = external_io.is_some();
+    let external = ext.is_some();
     let head = format!(
         "{:>4} {:>8} {:>10} {:>10} {:>10} {:>10}",
         "iter", "mode", "candidates", "pruned", "inserted", "entries"
@@ -1025,7 +1031,7 @@ mod tests {
             "4096",
         ])
         .unwrap();
-        assert!(out.contains("external I/O:"), "{out}");
+        assert!(out.contains("external I/O:") && out.contains(" seeks"), "{out}");
         // The per-iteration table accounts for every written byte.
         let total: u64 = out
             .split(" B written")

@@ -21,38 +21,46 @@
 //! stepping  prev ⋈ edges  on u:  edge (x, w), x > v             ⇒ (x, v, d+w)    R1+R2 / R4+R5 over edges
 //! doubling  prev ⋈ across.labels on u:  (x, d'), v < x < u      ⇒ (x, v, d+d')   R1 / R4 / converted R1
 //!           prev ⋈ inv    on u:  owner (x, d'), x > u           ⇒ (x, v, d+d')   R2 / R5 / converted R2
-//! prune     (x, v, d) dies iff  labels(x) ⋈ across.labels(v) ≤ d
+//! prune     (x, v, d) dies iff  own(x) ⋈ across(v) ≤ d          on every side: the 2-hop test is symmetric
 //! ```
 //!
-//! One rule decides what touches the disk: **a run is written only if a
-//! reader needs it as a file.**
+//! Two rules decide what touches the disk: **a run is written only if a
+//! reader needs it as a file, and a block is read only if a join asks
+//! for a key in it.** Every run carries a sparse key directory — the key
+//! of the first record of each block, noted by the write that happens
+//! anyway (see [`extmem::run`]) — and every join reads its files through
+//! `GroupReader::skip_to`, which jumps over the blocks that cannot hold
+//! the next wanted key. A dense probe sequence is the sequential scan it
+//! always was; a round whose `prev` is 60 entries reads the blocks those
+//! 60 entries ask for. [`ExternalBuildResult::seeks`] counts the jumps.
 //!
 //! * **Candidate generation** — both inputs of every join are sorted by
 //!   the shared vertex `u`, so all three are streaming *sort-merge
-//!   co-group* joins. Candidates go through the external sorter with a
-//!   min-distance combiner — the "avoid duplicates" step of
-//!   Algorithm 2 — and the sorter's last merge streams straight into the
-//!   prune: the sorted candidate set is never a file.
-//! * **Pruning** — the block nested-loop of §4.2: the outer loop loads a
-//!   memory-budget block of candidates grouped by their query *source*
-//!   together with that source's label; the inner loop streams the
-//!   target-side label file once per block, visiting the block through a
-//!   target-sorted permutation, and merge-joins each candidate's two
-//!   labels. Survivors are written in the order the candidates arrived,
-//!   so they leave `(key, pivot)`-sorted with no re-sort. Self-entries
-//!   are stored in the files, so the same-pair dominance check falls out
-//!   of the join exactly as in the in-memory engine. An in-entry
-//!   `(owner v, pivot u)` covers a path `u ⇝ v`, so the in side — alone —
-//!   *generates* its candidates inverted (the combiner's pair grouping
-//!   is symmetric) to have the blocks grouped by source `u`, and sorts
-//!   only the survivors back.
+//!   co-group* joins, driven by `prev` and skipping through the other
+//!   file. Candidates go through the external sorter with a min-distance
+//!   combiner — the "avoid duplicates" step of Algorithm 2 — and the
+//!   sorter's last merge streams straight into the prune: the sorted
+//!   candidate set is never a file.
+//! * **Pruning** — the block nested-loop of §4.2, owner-major on every
+//!   side: the outer loop loads a memory-budget block of candidates as
+//!   generated, `(owner x, pivot v)`-sorted, together with `own(x)`; the
+//!   inner loop makes one forward pass over the `across` label file per
+//!   block, visiting the block through a pivot-sorted permutation, and
+//!   merge-joins each candidate's two labels up to the first witness. A
+//!   pivot outranks its owner, so on both sides the inner pass looks for
+//!   hubs — at the head of the file. Survivors are written in the order
+//!   the candidates arrived, so they leave `(key, pivot)`-sorted with no
+//!   re-sort on any side. Self-entries are stored in the files, so the
+//!   same-pair dominance check falls out of the join exactly as in the
+//!   in-memory engine.
 //! * **Merge** — survivors are merged (min-distance) into `labels`
 //!   through a borrowed reader, and then simply *are* the next
 //!   iteration's `prev`. `inv` feeds nothing but the doubling rule, so it
 //!   is built by one inverted sort of `labels` right before the first
 //!   doubling round and merged (with the pivot-sorted survivors) from
 //!   there on: a stepping build never has one, the paper's hybrid pays
-//!   for it only if iteration 11 happens.
+//!   for it only if iteration 11 happens. The round that finds the
+//!   fixpoint has no survivor and merges nothing.
 //!
 //! Every byte flows through counted files, so the
 //! [`ExternalBuildResult::io`] report gives honest `scan(N) = N/B`
@@ -67,7 +75,9 @@
 //!
 //! * the **sides** run on separate scoped threads (one extra thread per
 //!   extra side, so a directed build's out and in sides overlap) — their
-//!   generate → prune → invert chains share only read-only label files;
+//!   generate → prune → invert chains share only read-only label files,
+//!   and each reader owns its file handle, so a seek moves nobody else's
+//!   position;
 //! * every candidate sorter uses the `extmem` **background spill
 //!   worker**, so `cogroup_join` keeps streaming groups while previous
 //!   full buffers quicksort and write behind a bounded channel;
@@ -88,12 +98,16 @@
 //! operator, with one overlap: while the prune holds its `M/2` block the
 //! candidate stream feeding it is still open — the final merge's reader
 //! buffers (at most the `M` records of any merge pass) or, when nothing
-//! spilled, the sorter's own buffer of fewer than `M` candidates.
+//! spilled, the sorter's own buffer of fewer than `M` candidates. On top
+//! of the record buffers every open run holds its key directory: one
+//! `u32` per block of the file, `N/B` words (4 KB for a 4 MB label file
+//! at 4 KB blocks), shared by all readers of the run.
 //!
 //! Determinism is structural, not locked: each parallel unit owns its
 //! files, the record flow per unit is exactly the sequential one, and
 //! the shared `extmem` counters are atomics — so the build is
-//! bit-identical at any thread count and the I/O totals do not move.
+//! bit-identical at any thread count and the I/O totals, seeks included,
+//! do not move.
 //!
 //! Deviation from the paper: the *graph topology* (for stepping's edge
 //! joins) is exported to edge files, but the final index is loaded
@@ -129,6 +143,9 @@ pub struct ExternalBuildResult {
     pub sort_runs: u64,
     /// K-way merge passes performed by the external sorters.
     pub merge_passes: u64,
+    /// Reader repositionings: directory jumps over blocks no join asked
+    /// for — how much of `io`'s read traffic is not one sequential scan.
+    pub seeks: u64,
 }
 
 /// Build a label index for a rank-relabeled graph with bounded memory.
@@ -136,6 +153,11 @@ pub struct ExternalBuildResult {
 /// [`HopDbConfig::parallelism`] ≥ 2 enables the threaded pipeline (see
 /// the module docs); the built index and the I/O totals are identical
 /// at every thread count.
+///
+/// # Errors
+/// `InvalidInput` for `ext.block_bytes == 0` (no block size to report
+/// block I/Os in), before anything touches the disk; otherwise whatever
+/// the temp files return.
 ///
 /// # Panics
 /// Panics if `cfg.prune` is false — the external path implements the
@@ -146,6 +168,12 @@ pub fn build_external(
     ext: &ExtMemConfig,
 ) -> io::Result<ExternalBuildResult> {
     assert!(cfg.prune, "the external engine implements the pruned algorithm of §4");
+    if ext.block_bytes == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "ExtMemConfig::block_bytes must be at least 1",
+        ));
+    }
     let store = TempStore::new()?;
     let mut result = run(g, cfg, ext, &store)?;
     // The §5.2 exhaustive pass runs on the loaded index, exactly as the
@@ -211,9 +239,14 @@ impl<S: RecordSource<LabelRecord>> GroupReader<S> {
         self.append_group(out)
     }
 
-    /// Advance until the next group's key is ≥ `key` (discarding records —
-    /// part of the sequential scan the paper's outer loop performs).
+    /// Advance until the next group's key is ≥ `key`. A source with a key
+    /// directory first jumps over the blocks that cannot hold `key`; the
+    /// records of the block it lands in (or all of them, on a source
+    /// without one) are read and discarded.
     fn skip_to(&mut self, key: u32) -> io::Result<()> {
+        if self.pending.is_some_and(|r| r.key < key) {
+            self.source.skip_hint(key)?;
+        }
         while self.pending.is_some_and(|r| r.key < key) {
             self.pending = self.source.next_record()?;
         }
@@ -221,8 +254,31 @@ impl<S: RecordSource<LabelRecord>> GroupReader<S> {
     }
 }
 
+/// Whether two pivot-sorted record groups share a pivot with
+/// `dist_a + dist_b ≤ d` — the 2-hop prune test on file records. Pivots
+/// are rank-sorted and the hubs that kill most candidates come first, so
+/// the scan stops at the first witness.
+fn has_witness(a: &[LabelRecord], b: &[LabelRecord], d: Dist) -> bool {
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].pivot.cmp(&b[j].pivot) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                if a[i].dist.saturating_add(b[j].dist) <= d {
+                    return true;
+                }
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    false
+}
+
 /// Minimum `dist_a + dist_b` over common pivots of two pivot-sorted
-/// record groups (the 2-hop join on file records).
+/// record groups: the reference [`has_witness`] is tested against.
+#[cfg(test)]
 fn join_min_records(a: &[LabelRecord], b: &[LabelRecord]) -> Dist {
     let (mut i, mut j) = (0usize, 0usize);
     let mut best = Dist::MAX;
@@ -360,84 +416,86 @@ fn cogroup_join(
     Ok(())
 }
 
-/// Prune candidates with the 2-hop test `dist(src, dst) ≤ d` — the block
-/// nested-loop of §4.2.
+/// Prune candidates with the 2-hop test `own(owner) ⋈ across(pivot) ≤ d`
+/// — the block nested-loop of §4.2.
 ///
-/// `cands` must be sorted by `(key = query source, pivot)`, one record
-/// per pair; `src_labels` (sorted by owner) provides the source-side
-/// labels for the outer blocks; `dst_labels` (sorted by owner) is
-/// streamed once per block for the target side (`pivot` of each
-/// candidate). Returns `(survivors, pruned_count)`; the survivors keep
-/// the candidates' order.
+/// `cands` must be sorted by `(key = owner, pivot)`, one record per pair;
+/// `own` (sorted by owner) provides the owners' labels for the outer
+/// blocks; `across` (sorted by owner) is visited once per block for the
+/// label of each candidate's `pivot`. Both label files are read through
+/// [`GroupReader::skip_to`], so a block reads only the chunks that hold a
+/// group it asks for — and a pivot outranks its owner, so what the inner
+/// scan asks for sits at the head of the file. Returns `(survivors,
+/// pruned_count)`; the survivors keep the candidates' order.
 fn prune_candidates(
     store: &TempStore,
     ext: &ExtMemConfig,
     cands: impl RecordSource<LabelRecord>,
-    src_labels: &Run<LabelRecord>,
-    dst_labels: &Run<LabelRecord>,
+    own: &Run<LabelRecord>,
+    across: &Run<LabelRecord>,
 ) -> io::Result<(Run<LabelRecord>, u64)> {
     let buf = buffer_records(ext);
     let block_budget = (ext.memory_records / 2).max(64);
     let mut cand_reader = GroupReader::new(cands)?;
-    let mut src_reader = GroupReader::open(src_labels, buf)?;
+    let mut own_reader = GroupReader::open(own, buf)?;
     let mut survivors = RunWriter::new(store.create("survivors")?, buf);
     let mut pruned = 0u64;
     // One block, reused across blocks: the candidates in arrival order,
-    // the source label groups back to back (group `g` is
-    // `src_pool[src_bounds[g]..src_bounds[g + 1]]`), each candidate's
+    // their owners' label groups back to back (group `g` is
+    // `own_pool[own_bounds[g]..own_bounds[g + 1]]`), each candidate's
     // group, and the order the inner scan visits them in.
     let mut block: Vec<LabelRecord> = Vec::new();
-    let mut src_pool: Vec<LabelRecord> = Vec::new();
-    let mut src_bounds: Vec<usize> = Vec::new();
+    let mut own_pool: Vec<LabelRecord> = Vec::new();
+    let mut own_bounds: Vec<usize> = Vec::new();
     let mut group_of: Vec<u32> = Vec::new();
-    let mut by_target: Vec<u32> = Vec::new();
+    let mut by_pivot: Vec<u32> = Vec::new();
     let mut keep: Vec<bool> = Vec::new();
-    let mut dg = Vec::new();
+    let mut ag = Vec::new();
 
     loop {
-        // Outer: load candidate groups + their source labels up to the
+        // Outer: load candidate groups + their owners' labels up to the
         // memory budget.
         block.clear();
-        src_pool.clear();
-        src_bounds.clear();
-        src_bounds.push(0);
+        own_pool.clear();
+        own_bounds.clear();
+        own_bounds.push(0);
         group_of.clear();
-        while block.len() + src_pool.len() < block_budget {
+        while block.len() + own_pool.len() < block_budget {
             let Some(ck) = cand_reader.append_group(&mut block)? else { break };
-            src_reader.skip_to(ck)?;
-            if src_reader.peek_key() == Some(ck) {
-                src_reader.append_group(&mut src_pool)?;
+            own_reader.skip_to(ck)?;
+            if own_reader.peek_key() == Some(ck) {
+                own_reader.append_group(&mut own_pool)?;
             } // else unreachable: self-entries cover every vertex
-            group_of.resize(block.len(), src_bounds.len() as u32 - 1);
-            src_bounds.push(src_pool.len());
+            group_of.resize(block.len(), own_bounds.len() as u32 - 1);
+            own_bounds.push(own_pool.len());
         }
         if block.is_empty() {
             break;
         }
-        // Inner: stream the target-side label file once, visiting the
-        // block's candidates by target vertex. The block itself stays in
-        // `(key, pivot)` order and blocks are consecutive key ranges, so
-        // the survivors leave globally sorted.
-        by_target.clear();
-        by_target.extend(0..block.len() as u32);
-        by_target.sort_unstable_by_key(|&c| (block[c as usize].pivot, block[c as usize].key));
+        // Inner: one forward pass over `across`, visiting the block's
+        // candidates by pivot. The block itself stays in `(key, pivot)`
+        // order and blocks are consecutive key ranges, so the survivors
+        // leave globally sorted.
+        by_pivot.clear();
+        by_pivot.extend(0..block.len() as u32);
+        by_pivot.sort_unstable_by_key(|&c| (block[c as usize].pivot, block[c as usize].key));
         keep.clear();
         keep.resize(block.len(), false);
-        let mut dst_reader = GroupReader::open(dst_labels, buf)?;
-        let mut visit = by_target.iter().map(|&c| c as usize).peekable();
+        let mut across_reader = GroupReader::open(across, buf)?;
+        let mut visit = by_pivot.iter().map(|&c| c as usize).peekable();
         while let Some(&first) = visit.peek() {
-            let target = block[first].pivot;
-            dst_reader.skip_to(target)?;
+            let pivot = block[first].pivot;
+            across_reader.skip_to(pivot)?;
             debug_assert_eq!(
-                dst_reader.peek_key(),
-                Some(target),
+                across_reader.peek_key(),
+                Some(pivot),
                 "self-entries guarantee every vertex has a label group"
             );
-            dst_reader.next_group(&mut dg)?;
-            while let Some(c) = visit.next_if(|&c| block[c].pivot == target) {
+            across_reader.next_group(&mut ag)?;
+            while let Some(c) = visit.next_if(|&c| block[c].pivot == pivot) {
                 let g = group_of[c] as usize;
-                let src = &src_pool[src_bounds[g]..src_bounds[g + 1]];
-                keep[c] = join_min_records(src, &dg) > block[c].dist;
+                let own = &own_pool[own_bounds[g]..own_bounds[g + 1]];
+                keep[c] = !has_witness(own, &ag, block[c].dist);
             }
         }
         for (&c, &kept) in block.iter().zip(&keep) {
@@ -517,11 +575,6 @@ struct Side {
     /// Index of the side whose label file this side is joined against
     /// (the other side of a directed build, itself when undirected).
     across: usize,
-    /// In-side only: an entry `(owner v, pivot u)` covers a path `u ⇝ v`,
-    /// so the §4.2 query source is the *pivot*. The side then generates
-    /// its candidates inverted and inverts the survivors back, which
-    /// keeps the outer blocks grouped by source on every side.
-    pivot_is_source: bool,
     /// Edges of each vertex in this side's step direction.
     edges: Run<LabelRecord>,
     /// `own`, sorted by `(owner, pivot)`.
@@ -555,11 +608,7 @@ fn side_round(
 ) -> io::Result<SideOutcome> {
     let mut s = sorter(store, ext, overlap);
     {
-        // The min-combiner groups by the unordered `(key, pivot)` pair,
-        // so a side whose query source is the pivot sorts its candidates
-        // inverted — grouped by source — from the start.
-        let mut offer =
-            |r: LabelRecord| s.push(if side.pivot_is_source { r.inverted() } else { r });
+        let mut offer = |r: LabelRecord| s.push(r);
         if stepping {
             // Label and inverted rule composed with the owner's single
             // edges.
@@ -578,22 +627,14 @@ fn side_round(
             })?;
         }
     }
-    // The sorter's last merge is the prune's candidate scan.
+    // The sorter's last merge is the prune's candidate scan. The 2-hop
+    // test is symmetric, so on every side it is own(owner) ⋈ across(pivot)
+    // and the candidates go in as generated.
     let cands = s.finish_stream()?;
-    if side.pivot_is_source {
-        let (surv_by_src, pruned) = prune_candidates(store, ext, cands, across, &side.labels)?;
-        let surv = inverted_sorted(store, ext, &surv_by_src, overlap)?;
-        // `surv_by_src` *is* the pivot-sorted view of `surv`: invert ∘
-        // invert is the identity.
-        Ok(SideOutcome { pruned, surv, surv_inv: side.inv.is_some().then_some(surv_by_src) })
-    } else {
-        // The candidate key *is* the query source: join own(key) with
-        // across(pivot).
-        let (surv, pruned) = prune_candidates(store, ext, cands, &side.labels, across)?;
-        let surv_inv =
-            side.inv.is_some().then(|| inverted_sorted(store, ext, &surv, overlap)).transpose()?;
-        Ok(SideOutcome { pruned, surv, surv_inv })
-    }
+    let (surv, pruned) = prune_candidates(store, ext, cands, &side.labels, across)?;
+    let surv_inv =
+        side.inv.is_some().then(|| inverted_sorted(store, ext, &surv, overlap)).transpose()?;
+    Ok(SideOutcome { pruned, surv, surv_inv })
 }
 
 /// Merge `(base, survivors)` run pairs, up to `wave` of them at once on
@@ -662,15 +703,13 @@ fn run(
     let init_start = std::time::Instant::now();
     let mut init_count = 0u64;
     let mut sides = Vec::new();
-    for (sigma, seed) in seed_sides(g).into_iter().enumerate() {
+    for seed in seed_sides(g) {
         let seeds =
             || seed.entries.iter().map(|&(owner, pivot, w)| LabelRecord::new(owner, pivot, w));
         let self_entries = (0..n as u32).map(|v| LabelRecord::new(v, v, 0));
         init_count += seed.entries.len() as u64;
         sides.push(Side {
             across: seed.across,
-            // Sides come out → in; only a directed build has the second.
-            pivot_is_source: sigma == 1,
             edges: edge_run(store, ext, g, seed.step)?,
             labels: sorted_run(store, ext, self_entries.chain(seeds()))?,
             inv: None,
@@ -729,40 +768,41 @@ fn run(
         // One merge per label file a side keeps (`labels`, and `inv` once
         // it exists), all writing disjoint runs; how many run at once is
         // capped by the configured thread budget: all of them from 4
-        // threads up, waves of two below.
-        let (mut candidates, mut pruned, mut inserted) = (0u64, 0u64, 0u64);
-        let mut jobs = Vec::with_capacity(2 * sides.len());
-        let mut carried = Vec::with_capacity(sides.len());
-        for (side, o) in sides.into_iter().zip(&outcomes) {
-            candidates += o.surv.len() + o.pruned;
-            pruned += o.pruned;
-            inserted += o.surv.len();
-            jobs.push((side.labels, &o.surv));
-            jobs.extend(side.inv.zip(o.surv_inv.as_ref()));
-            carried.push((side.across, side.pivot_is_source, side.edges));
-        }
-        let wave = if threads >= 4 {
-            jobs.len()
-        } else if threaded {
-            2
-        } else {
-            1
-        };
-        let mut merged = merge_in_waves(store, ext, wave, jobs)?.into_iter();
-        sides = Vec::with_capacity(carried.len());
-        for ((across, pivot_is_source, edges), o) in carried.into_iter().zip(outcomes) {
-            let labels = merged.next().expect("one merged label file per side");
-            // The survivors are the next round's driving input as they
-            // are; their pivot-sorted view dies with the merge.
-            let inv = if o.surv_inv.is_some() { merged.next() } else { None };
-            sides.push(Side { across, pivot_is_source, edges, labels, inv, prev: o.surv });
+        // threads up, waves of two below. A round without a survivor
+        // merges nothing: the files are final as they are.
+        let pruned: u64 = outcomes.iter().map(|o| o.pruned).sum();
+        let inserted: u64 = outcomes.iter().map(|o| o.surv.len()).sum();
+        if inserted > 0 {
+            let mut jobs = Vec::with_capacity(2 * sides.len());
+            let mut carried = Vec::with_capacity(sides.len());
+            for (side, o) in sides.into_iter().zip(&outcomes) {
+                jobs.push((side.labels, &o.surv));
+                jobs.extend(side.inv.zip(o.surv_inv.as_ref()));
+                carried.push((side.across, side.edges));
+            }
+            let wave = if threads >= 4 {
+                jobs.len()
+            } else if threaded {
+                2
+            } else {
+                1
+            };
+            let mut merged = merge_in_waves(store, ext, wave, jobs)?.into_iter();
+            sides = Vec::with_capacity(carried.len());
+            for ((across, edges), o) in carried.into_iter().zip(outcomes) {
+                let labels = merged.next().expect("one merged label file per side");
+                // The survivors are the next round's driving input as
+                // they are; their pivot-sorted view dies with the merge.
+                let inv = if o.surv_inv.is_some() { merged.next() } else { None };
+                sides.push(Side { across, edges, labels, inv, prev: o.surv });
+            }
         }
 
         let (io_read_bytes, io_write_bytes) = io_lap();
         stats.iterations.push(IterationStats {
             iteration: iter,
             stepping,
-            candidates,
+            candidates: inserted + pruned,
             pruned,
             inserted,
             total_entries: sides.iter().map(|s| s.labels.len()).sum(),
@@ -790,6 +830,7 @@ fn run(
         io: io_report(store, ext),
         sort_runs: io.sort_runs(),
         merge_passes: io.merge_passes(),
+        seeks: io.seeks(),
     })
 }
 
@@ -891,8 +932,8 @@ mod tests {
                 assert_eq!(par.index, seq.index, "threads={threads} {:?}", cfg.strategy);
                 assert_eq!(par.index, mem, "threads={threads} vs memory engine");
                 assert_eq!(
-                    (par.io, par.sort_runs, par.merge_passes),
-                    (seq.io, seq.sort_runs, seq.merge_passes),
+                    (par.io, par.sort_runs, par.merge_passes, par.seeks),
+                    (seq.io, seq.sort_runs, seq.merge_passes, seq.seeks),
                     "I/O accounting must not depend on the thread count (threads={threads})"
                 );
             }
@@ -914,8 +955,8 @@ mod tests {
         let par = build_external(&g, &cfg.clone().with_parallelism(4), &tiny_ext()).unwrap();
         assert_eq!(par.index, seq.index);
         assert_eq!(
-            (par.io, par.sort_runs, par.merge_passes),
-            (seq.io, seq.sort_runs, seq.merge_passes)
+            (par.io, par.sort_runs, par.merge_passes, par.seeks),
+            (seq.io, seq.sort_runs, seq.merge_passes, seq.seeks)
         );
         assert_eq!(par.stats.num_iterations(), seq.stats.num_iterations());
     }
@@ -984,7 +1025,8 @@ mod tests {
 
     /// (a) The §4.2 block prune hands back its survivors in candidate
     /// order — strictly `(key, pivot)`-increasing across block borders —
-    /// and keeps exactly what a per-candidate join keeps.
+    /// keeps exactly what a per-candidate join keeps, and reads less than
+    /// one scan of the pivot-side file per block.
     #[test]
     fn prune_keeps_candidate_order_across_blocks() {
         use extmem::run::run_from_slice;
@@ -996,7 +1038,7 @@ mod tests {
             let mut recs = Vec::new();
             for v in 0..n {
                 for p in 0..v {
-                    if rng.gen_bool(0.2) {
+                    if rng.gen_bool(0.4) {
                         recs.push(LabelRecord::new(v, p, rng.gen_range(1..5)));
                     }
                 }
@@ -1006,11 +1048,11 @@ mod tests {
         };
         let (src_run, src) = labels("src");
         let (dst_run, dst) = labels("dst");
-        // Every source also targets the last vertex, so each block's inner
-        // scan reads `dst` to its end and the blocks can be counted.
+        // Every source also targets the last vertex, so a sequential inner
+        // scan would read `dst` to its end in every block.
         let mut cands = Vec::new();
         for (k, p) in (0..n).flat_map(|k| (0..n).map(move |p| (k, p))) {
-            if p == n - 1 || rng.gen_bool(0.15) {
+            if p == n - 1 || rng.gen_bool(0.08) {
                 cands.push(LabelRecord::new(k, p, rng.gen_range(1..8)));
             }
         }
@@ -1024,13 +1066,31 @@ mod tests {
             .collect();
         assert!(!expect.is_empty() && expect.len() < cands.len(), "both outcomes occur");
 
+        // The outer loop closes a block at the first owner that takes it
+        // to the budget.
+        let (mut blocks, mut fill) = (0u64, 0usize);
+        for k in 0..n {
+            if fill >= ext.memory_records / 2 {
+                (blocks, fill) = (blocks + 1, 0);
+            }
+            fill += group(&cands, k).len() + group(&src, k).len();
+        }
+        blocks += 1;
+        assert!(blocks >= 3, "the budget must cut the candidates into ≥ 3 blocks");
+
         let cand_run = run_from_slice(&store, "cands", &cands, buf).unwrap();
         let read_before = store.stats().read_bytes();
         let (surv, pruned) =
             prune_candidates(&store, &ext, cand_run.reader(buf).unwrap(), &src_run, &dst_run)
                 .unwrap();
-        let dst_scans = (store.stats().read_bytes() - read_before) / (dst.len() * 12) as u64;
-        assert!(dst_scans >= 3, "the budget must cut the candidates into ≥ 3 blocks");
+        // One pass over the candidates and the owners' labels, and per
+        // block only the chunks of `dst` that hold a wanted pivot — not
+        // the file.
+        let read = store.stats().read_bytes() - read_before;
+        let whole_scans = ((cands.len() + src.len()) as u64 + blocks * dst.len() as u64)
+            * LabelRecord::SIZE as u64;
+        assert!(read < whole_scans, "{read} B read, {whole_scans} B with one scan per block");
+        assert!(store.stats().seeks() > 0);
         let got = surv.read_all().unwrap();
         assert!(got.windows(2).all(|w| (w[0].key, w[0].pivot) < (w[1].key, w[1].pivot)));
         assert_eq!(got, expect);
@@ -1053,8 +1113,8 @@ mod tests {
                 assert_eq!(progress(&ext.stats), progress(&mem_stats), "threads = {threads}");
             }
             assert_eq!(
-                (par.io, par.sort_runs, par.merge_passes),
-                (seq.io, seq.sort_runs, seq.merge_passes),
+                (par.io, par.sort_runs, par.merge_passes, par.seeks),
+                (seq.io, seq.sort_runs, seq.merge_passes, seq.seeks),
                 "directed = {directed}"
             );
         }
@@ -1130,7 +1190,8 @@ mod tests {
             let cfg = HopDbConfig::with_strategy(Strategy::Hybrid { switch_at: 3 });
             let result = build_external(&g, &cfg, &tiny_ext()).unwrap();
             let its = &result.stats.iterations;
-            assert!(its.iter().all(|it| it.io_read_bytes > 0 && it.io_write_bytes > 0));
+            assert!(its.iter().all(|it| it.io_read_bytes > 0));
+            assert!(its.iter().all(|it| it.io_write_bytes > 0 || it.inserted == 0));
             let load_labels_read = result.stats.final_entries * LabelRecord::SIZE as u64;
             let read: u64 = its.iter().map(|it| it.io_read_bytes).sum();
             let written: u64 = its.iter().map(|it| it.io_write_bytes).sum();
@@ -1141,6 +1202,84 @@ mod tests {
                 .iter()
                 .all(|it| it.io_read_bytes + it.io_write_bytes == 0));
         }
+    }
+
+    /// Every side pushes its candidates as generated and prunes them
+    /// owner-major, so no side sorts anything back: when no candidate
+    /// sorter spills, an inserting stepping round writes one survivor run
+    /// and one merged label file per side, and not a byte more.
+    #[test]
+    fn directed_build_never_inverts_its_candidates() {
+        let g = bisected_path(96, true);
+        let cfg = HopDbConfig::with_strategy(Strategy::Stepping);
+        let result = build_external(&g, &cfg, &ExtMemConfig::default()).unwrap();
+        assert_eq!(result.sort_runs, 0, "the budget must hold every candidate set");
+        let rounds = &result.stats.iterations[1..];
+        assert!(rounds.iter().filter(|it| it.inserted > 0).count() >= 10);
+        for it in rounds.iter().filter(|it| it.inserted > 0) {
+            assert_eq!(
+                it.io_write_bytes,
+                LabelRecord::SIZE as u64 * (it.inserted + it.total_entries),
+                "iteration {}",
+                it.iteration
+            );
+        }
+        for strategy in [Strategy::Stepping, Strategy::Doubling, Strategy::Hybrid { switch_at: 3 }]
+        {
+            let cfg = HopDbConfig::with_strategy(strategy);
+            let (mem, mem_stats) = build_prelabeled(&g, &cfg);
+            let result = build_external(&g, &cfg, &tiny_ext()).unwrap();
+            assert_eq!(result.index, mem, "{:?}", cfg.strategy);
+            assert_eq!(progress(&result.stats), progress(&mem_stats), "{:?}", cfg.strategy);
+        }
+    }
+
+    /// The round that finds the fixpoint has nothing to merge: it writes
+    /// nothing and `load_labels` reads the files the round before wrote.
+    #[test]
+    fn a_round_without_survivors_merges_nothing() {
+        for directed in [false, true] {
+            let g = bisected_path(96, directed);
+            let cfg = HopDbConfig::with_strategy(Strategy::Stepping);
+            let result = build_external(&g, &cfg, &ExtMemConfig::default()).unwrap();
+            let its = &result.stats.iterations;
+            let (last, before) = (&its[its.len() - 1], &its[its.len() - 2]);
+            assert_eq!((last.inserted, last.io_write_bytes), (0, 0), "directed = {directed}");
+            assert!(last.io_read_bytes > 0, "the round did run");
+            assert_eq!(last.total_entries, before.total_entries);
+            // Nothing spills under this budget, so the only merge passes
+            // are the label merges: one per side per inserting round.
+            let sides = if directed { 2 } else { 1 };
+            let inserting = its[1..].iter().filter(|it| it.inserted > 0).count() as u64;
+            assert_eq!(result.merge_passes, sides * inserting, "directed = {directed}");
+            assert_eq!(result.index, build_prelabeled(&g, &cfg).0);
+        }
+    }
+
+    /// A round reads the blocks its `prev` asks for, not its label files:
+    /// late in a long stepping build, with a handful of new entries per
+    /// round, everything a round reads *besides* the merge's own pass over
+    /// the labels is a small fraction of them.
+    #[test]
+    fn late_rounds_read_what_their_prev_costs() {
+        let g = bisected_path(600, false);
+        let cfg = HopDbConfig::with_strategy(Strategy::Stepping);
+        let ext = ExtMemConfig { memory_records: 1 << 14, block_bytes: 256 };
+        let result = build_external(&g, &cfg, &ext).unwrap();
+        let its = &result.stats.iterations;
+        let label_bytes = result.stats.final_entries * LabelRecord::SIZE as u64;
+        let late = &its[its.len() / 2..];
+        assert!(late.len() > 100 && late.iter().all(|it| it.inserted < 16));
+        for w in late.windows(2) {
+            let merge_read = if w[1].inserted == 0 {
+                0
+            } else {
+                (w[0].total_entries + w[1].inserted) * LabelRecord::SIZE as u64
+            };
+            let rest = w[1].io_read_bytes - merge_read;
+            assert!(rest * 10 < label_bytes, "iteration {}: {rest} B", w[1].iteration);
+        }
+        assert!(result.seeks > 0);
     }
 
     #[test]
@@ -1156,5 +1295,26 @@ mod tests {
     fn rejects_unpruned_config() {
         let g = graphgen::example_graph_fig3();
         let _ = build_external(&g, &HopDbConfig::unpruned(Strategy::Doubling), &tiny_ext());
+    }
+
+    /// A zero block size is refused up front (it used to run the whole
+    /// build and then divide by it in the I/O report).
+    #[test]
+    fn rejects_zero_block_bytes() {
+        let g = graphgen::example_graph_fig3();
+        let ext = ExtMemConfig { block_bytes: 0, ..tiny_ext() };
+        let Err(e) = build_external(&g, &HopDbConfig::default(), &ext) else {
+            panic!("block_bytes = 0 must be refused")
+        };
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+        assert!(e.to_string().contains("block_bytes"), "{e}");
+        // The budgets clamp: degenerate but non-zero values build.
+        for ext in [
+            ExtMemConfig { memory_records: 0, block_bytes: 1 },
+            ExtMemConfig { memory_records: 1, block_bytes: 256 },
+        ] {
+            let result = build_external(&g, &HopDbConfig::default(), &ext).unwrap();
+            assert_eq!(result.index, build_prelabeled(&g, &HopDbConfig::default()).0);
+        }
     }
 }

@@ -17,6 +17,10 @@ pub trait Record: Copy + Send + 'static {
 
     /// Decode one record from `buf` (which holds at least `SIZE` bytes).
     fn decode<B: Buf>(buf: &mut B) -> Self;
+
+    /// The key a sorted run of these records is grouped by: what a run's
+    /// sparse directory stores per block (see [`crate::run`]).
+    fn key(&self) -> u32;
 }
 
 /// One label entry on disk: label set owner `key`, entry pivot, distance.
@@ -64,6 +68,11 @@ impl Record for LabelRecord {
         let pivot = buf.get_u32_le();
         let dist = buf.get_u32_le();
         LabelRecord { key, pivot, dist }
+    }
+
+    #[inline]
+    fn key(&self) -> u32 {
+        self.key
     }
 }
 

@@ -8,14 +8,17 @@
 //! costs are reported in the I/O model of Aggarwal & Vitter
 //! (`scan(N) = Θ(N/B)`). This crate is that substrate:
 //!
-//! * [`stats::IoStats`] — shared atomic counters for bytes/operations,
-//!   reporting block I/Os for a configurable block size;
+//! * [`stats::IoStats`] — shared atomic counters for bytes, operations
+//!   and reader repositionings, reporting block I/Os for a configurable
+//!   block size;
 //! * [`device::CountedFile`] — a real temp file whose sequential and
 //!   random accesses all flow through the counters;
 //! * [`codec::Record`] — fixed-size binary records (12-byte label
 //!   records), encoded manually so on-disk layout is explicit;
 //! * [`run::RunWriter`] / [`run::RunReader`] — buffered sequential record
-//!   streams over counted files;
+//!   streams over counted files; every run carries a sparse key directory
+//!   (first key of each block) through which a reader of a key-sorted
+//!   run skips the blocks no join asks for, each jump counted as a seek;
 //! * [`sorter::ExternalSorter`] — budgeted run formation plus k-way merge
 //!   with an optional combiner for equal keys (used to keep the minimum
 //!   distance per `(vertex, pivot)` candidate), optionally pipelining the

@@ -10,7 +10,12 @@
 //! The last merge is a stream ([`ExternalSorter::finish_stream`]): a
 //! consumer that reads the sorted records once takes them straight from
 //! the heap (or from the buffer, when nothing spilled), and only
-//! [`ExternalSorter::finish`] pays for a file.
+//! [`ExternalSorter::finish`] pays for a file. Every run the sorter
+//! writes — spilled, merged or final — gets its key directory from
+//! [`RunWriter`] like any other; a merge consumes all of every input, so
+//! the sorter itself never seeks, and a [`SortedStream`] — not a file —
+//! has no directory: it answers [`RecordSource::skip_hint`] with the
+//! default "read on".
 //!
 //! [`ExternalSorter::with_background_spill`] moves the spill work
 //! (quicksort + run write) onto a dedicated worker thread fed through a

@@ -17,6 +17,7 @@ pub struct IoStats {
     write_ops: AtomicU64,
     sort_runs: AtomicU64,
     merge_passes: AtomicU64,
+    seeks: AtomicU64,
 }
 
 impl IoStats {
@@ -51,6 +52,13 @@ impl IoStats {
         self.merge_passes.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Record one repositioning of a reader: a jump over blocks no join
+    /// asked for (see [`crate::run`]).
+    #[inline]
+    pub fn record_seek(&self) {
+        self.seeks.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Total bytes read.
     pub fn read_bytes(&self) -> u64 {
         self.read_bytes.load(Ordering::Relaxed)
@@ -83,14 +91,22 @@ impl IoStats {
         self.merge_passes.load(Ordering::Relaxed)
     }
 
-    /// Read traffic in block I/Os of size `block_bytes` (ceiling).
-    pub fn read_blocks(&self, block_bytes: usize) -> u64 {
-        self.read_bytes().div_ceil(block_bytes as u64)
+    /// Reader repositionings: how much of the read traffic is not one
+    /// sequential scan. Zero when every reader read front to back.
+    pub fn seeks(&self) -> u64 {
+        self.seeks.load(Ordering::Relaxed)
     }
 
-    /// Write traffic in block I/Os of size `block_bytes` (ceiling).
+    /// Read traffic in block I/Os of size `block_bytes` (ceiling; a
+    /// block size of 0 counts bytes, like 1).
+    pub fn read_blocks(&self, block_bytes: usize) -> u64 {
+        self.read_bytes().div_ceil(block_bytes.max(1) as u64)
+    }
+
+    /// Write traffic in block I/Os of size `block_bytes` (ceiling; a
+    /// block size of 0 counts bytes, like 1).
     pub fn write_blocks(&self, block_bytes: usize) -> u64 {
-        self.write_bytes().div_ceil(block_bytes as u64)
+        self.write_bytes().div_ceil(block_bytes.max(1) as u64)
     }
 
     /// Total block I/Os (reads + writes).
@@ -111,6 +127,7 @@ impl IoStats {
         self.write_ops.store(0, Ordering::Relaxed);
         self.sort_runs.store(0, Ordering::Relaxed);
         self.merge_passes.store(0, Ordering::Relaxed);
+        self.seeks.store(0, Ordering::Relaxed);
     }
 }
 
@@ -138,10 +155,23 @@ mod tests {
         s.record_write(10);
         s.record_sort_run();
         s.record_merge_pass();
-        assert_eq!((s.sort_runs(), s.merge_passes()), (1, 1));
+        s.record_seek();
+        assert_eq!((s.sort_runs(), s.merge_passes(), s.seeks()), (1, 1, 1));
         s.reset();
         assert_eq!(s.snapshot(), (0, 0, 0, 0));
-        assert_eq!((s.sort_runs(), s.merge_passes()), (0, 0));
+        assert_eq!((s.sort_runs(), s.merge_passes(), s.seeks()), (0, 0, 0));
+    }
+
+    /// `--block-bytes 0` used to reach these with a zero divisor, after
+    /// the whole build had run.
+    #[test]
+    fn block_counts_are_total_in_the_block_size() {
+        let s = IoStats::default();
+        s.record_read(1100);
+        s.record_write(512);
+        for b in [0, 1] {
+            assert_eq!((s.read_blocks(b), s.write_blocks(b), s.total_blocks(b)), (1100, 512, 1612));
+        }
     }
 
     #[test]

@@ -40,12 +40,13 @@ fn main() {
         result.stats.num_iterations()
     );
     println!(
-        "I/O: {:.1} MB read / {:.1} MB written = {} + {} block I/Os (B = {} bytes)",
+        "I/O: {:.1} MB read / {:.1} MB written = {} + {} block I/Os (B = {} bytes), {} seeks",
         read_bytes as f64 / 1e6,
         write_bytes as f64 / 1e6,
         read_blocks,
         write_blocks,
-        ext.block_bytes
+        ext.block_bytes,
+        result.seeks
     );
 
     println!("\nper-iteration profile (growing/pruning factors of Fig. 10):");

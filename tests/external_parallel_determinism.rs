@@ -47,8 +47,8 @@ fn assert_external_thread_counts_agree(g: &Graph) {
             "{threads}-thread serialized external index is not byte-identical"
         );
         assert_eq!(
-            (par.io, par.sort_runs, par.merge_passes),
-            (seq.io, seq.sort_runs, seq.merge_passes),
+            (par.io, par.sort_runs, par.merge_passes, par.seeks),
+            (seq.io, seq.sort_runs, seq.merge_passes, seq.seeks),
             "I/O accounting must not depend on the thread count ({threads} threads)"
         );
         assert_eq!(par.stats.num_iterations(), seq.stats.num_iterations());
@@ -123,15 +123,15 @@ fn external_io_counters_equal_their_recorded_values() {
     // If the algorithm legitimately changes its I/O, re-measure: run
     // this test, check that the new numbers are what the change
     // predicts, and replace the constants in the same PR. Recorded when
-    // the external build stopped writing runs nobody reads as a file
-    // (survivors leave the prune sorted, the in side sorts its
-    // candidates inverted, `prev` is the survivor run, `inv` waits for
-    // the first doubling round, the candidate sort streams into the
-    // prune; a sort that never spills is not a run).
+    // the external build stopped reading blocks no join asks for (every
+    // side prunes owner-major, so no side sorts its survivors back; the
+    // label, edge and `inv` readers jump through their run's key
+    // directory — the `seeks` column; the round that finds the fixpoint
+    // merges nothing).
     //
     // ((bytes read, bytes written, blocks read, blocks written),
-    //  sort runs, merge passes)
-    type Counters = ((u64, u64, u64, u64), u64, u64);
+    //  sort runs, merge passes, seeks)
+    type Counters = ((u64, u64, u64, u64), u64, u64, u64);
     let und = glp(&GlpParams::with_density(2_000, 3.0, 7));
     let dir = orient_scale_free(&glp(&GlpParams::with_density(1_500, 2.5, 13)), 0.25, 13);
     let cases: [(&str, Graph, RankBy, Counters); 2] = [
@@ -139,13 +139,13 @@ fn external_io_counters_equal_their_recorded_values() {
             "undirected glp-2k-d3 (seed 7)",
             und,
             RankBy::Degree,
-            ((5_799_060, 3_059_712, 1_416, 747), 9, 6),
+            ((4_828_668, 2_682_660, 1_179, 655), 9, 5, 30),
         ),
         (
             "directed glp-1.5k-d2.5 (seed 13)",
             dir,
             RankBy::DegreeProduct,
-            ((4_677_204, 2_449_080, 1_142, 598), 4, 12),
+            ((3_634_104, 1_998_144, 888, 488), 4, 10, 30),
         ),
     ];
     // M = 16 Ki records, B = 4 KiB: small enough that the sorters spill
@@ -157,7 +157,7 @@ fn external_io_counters_equal_their_recorded_values() {
             let cfg = HopDbConfig::default().with_parallelism(threads);
             let built = build_external(&g, &cfg, &ext).expect("external build");
             assert_eq!(
-                (built.io, built.sort_runs, built.merge_passes),
+                (built.io, built.sort_runs, built.merge_passes, built.seeks),
                 recorded,
                 "{name}, {threads} thread(s)"
             );
