@@ -27,8 +27,8 @@ fn bench_queries(c: &mut Criterion) {
     let mut group = c.benchmark_group("memory-query");
     let mut i = 0usize;
     // Nested-vs-flat on the same pairs: `hopdb-nested` walks the
-    // per-vertex `Vec<LabelEntry>` index, `hopdb-flat` the frozen SoA
-    // layout; `hopdb` is the end-user path (rank translation + flat).
+    // per-vertex `Vec<LabelEntry>` index, `hopdb-flat` the image in
+    // place; `hopdb` is the end-user path (rank translation + flat).
     let nested = hopdb.index();
     let flat = hopdb.flat_index();
     group.bench_function("hopdb", |b| {

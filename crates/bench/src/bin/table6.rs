@@ -21,6 +21,7 @@ use hopdb::HopDbConfig;
 use hoplabels::bitparallel::BitParallelIndex;
 use hoplabels::disk::DiskIndex;
 use hoplabels::flat::FlatIndex;
+use hoplabels::LabelIndex;
 use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
 
 struct Row {
@@ -31,11 +32,9 @@ struct Row {
     graph_mb: f64,
     isl_mb: Option<f64>,
     pll_mb: f64,
-    /// Raw label payload (8 bytes/entry) — the paper's index-size
-    /// number.
-    hop_entry_mb: f64,
-    /// What a serving process actually holds: entries plus the offset
-    /// directory (matches `FlatIndex`/`DiskIndex`).
+    /// The index image: what `hopdb-cli build` writes and what a
+    /// serving `FlatIndex` holds resident (the ISL and PLL columns
+    /// serialize their labellings the same way).
     hop_mb: f64,
     isl_build: Option<f64>,
     pll_build: f64,
@@ -68,14 +67,14 @@ fn bench_workload(w: &Workload) -> Row {
     let isl_start = std::time::Instant::now();
     let isl = IsLabel::build(g, budget).ok();
     let isl_build = isl.as_ref().map(|_| secs(isl_start.elapsed()));
-    let isl_mb = isl.as_ref().map(|i| mb(i.index().resident_bytes()));
+    let isl_mb = isl.as_ref().map(|i| image_mb(i.index()));
     let isl_us = isl.as_ref().map(|i| time_queries(&pairs, |s, t| i.distance(s, t)).0);
 
     // --- PLL ---
     let pll_start = std::time::Instant::now();
     let pll = Pll::build(g);
     let pll_build = secs(pll_start.elapsed());
-    let pll_mb = mb(pll.index().resident_bytes());
+    let pll_mb = image_mb(pll.index());
     let (pll_us, _) = time_queries(&pairs, |s, t| pll.distance(s, t));
 
     // --- HCL* (highway cover) ---
@@ -92,7 +91,6 @@ fn bench_workload(w: &Workload) -> Row {
     let result =
         build_external(&relabeled, &HopDbConfig::default(), &ext_cfg).expect("external build");
     let hop_build = secs(hop_start.elapsed());
-    let hop_entry_mb = mb(result.index.entry_bytes());
     // In-memory parallel build (same index, counted for scaling runs).
     let mem_cfg = HopDbConfig::default().with_parallelism(bench::threads_from_env());
     let mem_start = std::time::Instant::now();
@@ -102,8 +100,8 @@ fn bench_workload(w: &Workload) -> Row {
     let hop_io_blocks = result.io.2 + result.io.3;
     let rank_pairs: Vec<(u32, u32)> =
         pairs.iter().map(|&(s, t)| (ranking.rank_of(s), ranking.rank_of(t))).collect();
-    // Memory queries go through the frozen flat layout — the serving
-    // read path — and the memory column reports what it actually holds.
+    // Memory queries go through the frozen flat index — the serving
+    // read path — and the memory column reports what it holds: the image.
     let flat = FlatIndex::from_index(&result.index);
     let hop_mb = mb(flat.resident_bytes());
     let (hop_us, _) = time_queries(&rank_pairs, |s, t| flat.query(s, t));
@@ -134,7 +132,6 @@ fn bench_workload(w: &Workload) -> Row {
         graph_mb: mb(g.size_bytes()),
         isl_mb,
         pll_mb,
-        hop_entry_mb,
         hop_mb,
         isl_build,
         pll_build,
@@ -152,6 +149,11 @@ fn bench_workload(w: &Workload) -> Row {
     }
 }
 
+/// Megabytes of `index` serialized as an image.
+fn image_mb(index: &LabelIndex) -> f64 {
+    mb(index.write_hopidx(&mut std::io::sink()).expect("serialize") as usize)
+}
+
 fn fmt_f(v: Option<f64>, prec: usize) -> String {
     v.map_or_else(|| "—".to_string(), |x| format!("{x:.prec$}"))
 }
@@ -160,9 +162,9 @@ fn main() {
     let scale = Scale::from_env();
     println!("Table 6 reproduction (scale: {scale:?}; datasets are GLP stand-ins)\n");
     println!(
-        "{:<12} {:>8} {:>9} {:>7} {:>7} | {:>8} {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8} {:>8} | {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} | {:>9} {:>9} {:>10}",
+        "{:<12} {:>8} {:>9} {:>7} {:>7} | {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8} {:>8} | {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} | {:>9} {:>9} {:>10}",
         "graph", "|V|", "|E|", "maxdeg", "G(MB)",
-        "ISL(MB)", "PLL(MB)", "HopE(MB)", "Hop(MB)",
+        "ISL(MB)", "PLL(MB)", "Hop(MB)",
         "ISL(s)", "PLL(s)", "Hop(s)", "HopT(s)",
         "BIDIJ(µs)", "ISL(µs)", "PLL(µs)", "HCL*(µs)", "Hop(µs)", "BP(µs)",
         "ISLdk(µs)", "Hopdk(µs)", "HopIO(blk)"
@@ -176,9 +178,9 @@ fn main() {
         }
         let r = bench_workload(&w);
         println!(
-            "{:<12} {:>8} {:>9} {:>7} {:>7.1} | {:>8} {:>8.1} {:>8.1} {:>8.1} | {:>8} {:>8.2} {:>8.2} {:>8.2} | {:>9.1} {:>9} {:>8.2} {:>8.1} {:>8.2} {:>8} | {:>9} {:>9.1} {:>10}",
+            "{:<12} {:>8} {:>9} {:>7} {:>7.1} | {:>8} {:>8.1} {:>8.1} | {:>8} {:>8.2} {:>8.2} {:>8.2} | {:>9.1} {:>9} {:>8.2} {:>8.1} {:>8.2} {:>8} | {:>9} {:>9.1} {:>10}",
             r.name, r.v, r.e, r.maxdeg, r.graph_mb,
-            fmt_f(r.isl_mb, 1), r.pll_mb, r.hop_entry_mb, r.hop_mb,
+            fmt_f(r.isl_mb, 1), r.pll_mb, r.hop_mb,
             fmt_f(r.isl_build, 2), r.pll_build, r.hop_build, r.hop_mem_build,
             r.bidij_us, fmt_f(r.isl_us, 2), r.pll_us, r.hcl_us, r.hop_us, fmt_f(r.bp_us, 2),
             fmt_f(r.isl_disk_us, 1), r.hop_disk_us, r.hop_io_blocks,
@@ -186,10 +188,8 @@ fn main() {
     }
     println!("\n— = did not finish (IS-Label edge augmentation exceeded budget, cf. the paper's 24 h timeouts)");
     println!("HopDb builds with the external §4 engine (M = 256 Ki records, B = 64 KiB).");
-    println!("HopE(MB) = raw entries (8 B each); Hop(MB) = resident serving footprint");
-    println!(
-        "(entries + offset directory, what FlatIndex/DiskIndex hold); Hop(µs) queries FlatIndex."
-    );
+    println!("ISL/PLL/Hop(MB) = each labelling's HOPIDX02 image, which is also what a serving");
+    println!("FlatIndex holds resident; Hop(µs) queries FlatIndex.");
     println!(
         "HopT(s) = in-memory engine at BENCH_THREADS={} worker threads (same index, bit-identical).",
         bench::threads_from_env()

@@ -26,14 +26,14 @@
 //!                 stats|info|swap|compact|shutdown|ingest [FILE]
 //! ```
 //!
-//! `build` writes two artifacts: the disk index (`hoplabels::disk`
-//! layout) and a `.rank` sidecar holding the vertex-at-rank permutation
-//! so `query` can accept original vertex ids. `query` loads the index
-//! into the flat serving layout (`hoplabels::flat::FlatIndex`) and
+//! `build` writes two artifacts: the `HOPIDX02` index image
+//! (`hoplabels::image`) and a `.rank` sidecar holding the vertex-at-rank
+//! permutation so `query` can accept original vertex ids. `query`
+//! validates the image, serves it in place (`hoplabels::FlatIndex`) and
 //! answers single pairs or whole batch files, sharding batches across
 //! `--threads` workers. `shard` splits an index image by pivot range
 //! into per-shard images (`hoplabels::shard`), each a complete
-//! `HOPIDX01` index a stock daemon can serve, plus a `HOPSHRD1` sidecar
+//! `HOPIDX02` index a stock daemon can serve, plus a `HOPSHRD1` sidecar
 //! so the router can learn each backend's range. `serve` runs the
 //! `hopdb-server` daemon over the same index + sidecar pair (pass
 //! `--graph` to enable compaction) — or, with `--route`, the scale-out
@@ -440,8 +440,8 @@ fn read_ranking_sidecar(target: &str, expect_n: usize) -> Result<Ranking, CliErr
 
 fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let target = args.required("-x")?;
-    // Load the serialized index straight into the flat serving layout —
-    // no per-vertex allocations, no disk reads per query.
+    // Read and validate the image once, then query it in place — no
+    // per-vertex allocations, no disk reads per query.
     let flat = FlatIndex::load(Path::new(target))
         .map_err(|e| err(format!("cannot load {target}: {e}")))?;
     let ranking = read_ranking_sidecar(target, flat.num_vertices())?;

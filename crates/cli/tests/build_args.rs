@@ -2,7 +2,8 @@
 //! work: `--block-bytes 0` used to run every iteration and then panic
 //! (`attempt to divide by zero` in the I/O report) with no index
 //! written. The degenerate budgets that *do* work — they clamp — keep
-//! working.
+//! working. And what `build` wrote before the image format changed is
+//! refused by name by everything that opens an index.
 
 use std::process::Command;
 
@@ -34,5 +35,45 @@ fn zero_block_bytes_is_refused_before_the_graph_is_read() {
         assert!(out.status.success(), "{budget:?}: {}", String::from_utf8_lossy(&out.stderr));
         assert_eq!(std::fs::read(&ext).unwrap(), std::fs::read(&mem).unwrap(), "{budget:?}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_image_from_before_the_format_change_is_refused_by_name() {
+    let dir = std::env::temp_dir().join(format!("hopdb-oldimage-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("fixture dir");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+
+    // A complete old-format image of two isolated vertices: magic,
+    // flags, n, a u64 entry-count directory, raw (pivot, dist) pairs.
+    let mut old = b"HOPIDX01".to_vec();
+    old.extend_from_slice(&[0, 0, 0, 0]);
+    for word in [2u64, 0, 1, 2] {
+        old.extend_from_slice(&word.to_le_bytes());
+    }
+    for word in [0u32, 0, 1, 0] {
+        old.extend_from_slice(&word.to_le_bytes());
+    }
+    let (index, announce) = (path("old.idx"), path("addr"));
+    std::fs::write(&index, &old).expect("write old image");
+
+    let serve = ["serve", "-x", &index, "--addr", "127.0.0.1:0", "--announce-file", &announce];
+    for args in [
+        &["query", "-x", &index, "0", "1"][..],
+        &serve,
+        // The disk-resident fallback opens the file by another route.
+        &[&serve[..], &["--max-resident-bytes", "1"]].concat(),
+        &["shard", "-x", &index, "--shards", "2"],
+    ] {
+        let out = cli(args);
+        let (stdout, stderr) =
+            (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("HOPIDX01") && stderr.contains("rebuild"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} printed: {stdout}");
+    }
+    assert!(!std::path::Path::new(&announce).exists(), "nothing may be served");
+    assert!(!std::path::Path::new(&path("old.idx.shard0")).exists(), "nothing may be cut");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,7 +1,7 @@
 //! Total (panic-free) little-endian reads over untrusted byte slices.
 //!
 //! Every decoder in the workspace — the HOPQ framing in `server`, the
-//! WAL replay, the `HOPSHRD1`/`HOPIDX01` sidecar parsers — consumes
+//! WAL replay, the `HOPIDX02` image and `HOPSHRD1` sidecar parsers — consumes
 //! bytes that arrived off a socket or a disk and must never panic, no
 //! matter what those bytes say. These helpers make that property
 //! local: each read returns `None` past the end of the slice instead
@@ -9,6 +9,10 @@
 //! a refactor that drops the check turns into a handled decode error,
 //! not a slice-index panic. The in-tree `tidy` panic-freedom pass
 //! (`cargo run -p xtask -- tidy`) keeps the call sites honest.
+//!
+//! [`crc32`] lives here for the same reason: the WAL's record frames
+//! and the index image's trailer are both "bytes from disk that must
+//! prove themselves", and they share one table.
 
 /// The `N` bytes at `bytes[off..off + N]`, if fully in bounds.
 #[inline]
@@ -42,9 +46,122 @@ pub fn u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
     bytes.chunks_exact(4).filter_map(|c| c.first_chunk::<4>()).map(|c| u32::from_le_bytes(*c))
 }
 
+/// CRC-32 (IEEE, reflected polynomial 0xEDB88320 — zlib's and
+/// ethernet's) of `data`.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut crc = Crc32::default();
+    crc.update(data);
+    crc.finish()
+}
+
+/// [`crc32`] over bytes that arrive in pieces: a writer folds each
+/// buffer in as it goes instead of assembling what it checksums.
+#[derive(Clone, Copy, Debug)]
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Crc32 {
+        Crc32(!0)
+    }
+}
+
+impl Crc32 {
+    /// Fold `data` into the running checksum, eight bytes a step
+    /// ("slicing-by-8": table `k` advances a byte by `k` further
+    /// positions, so eight lookups retire eight bytes at once — an
+    /// index image is checksummed on every write, load and boot).
+    pub fn update(&mut self, data: &[u8]) {
+        static TABLES: [[u32; 256]; 8] = crc32_tables();
+        let [t0, t1, t2, t3, t4, t5, t6, t7] = &TABLES;
+        let mut crc = self.0;
+        let mut words = data.chunks_exact(8);
+        for word in &mut words {
+            let Some(word) = u64_at(word, 0) else { continue };
+            let (lo, hi) = (word as u32 ^ crc, (word >> 32) as u32);
+            crc = look(t7, lo)
+                ^ look(t6, lo >> 8)
+                ^ look(t5, lo >> 16)
+                ^ look(t4, lo >> 24)
+                ^ look(t3, hi)
+                ^ look(t2, hi >> 8)
+                ^ look(t1, hi >> 16)
+                ^ look(t0, hi >> 24);
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ look(t0, crc ^ b as u32);
+        }
+        self.0 = crc;
+    }
+
+    /// The checksum of everything folded in so far.
+    pub fn finish(self) -> u32 {
+        !self.0
+    }
+}
+
+#[inline(always)]
+fn look(table: &[u32; 256], byte: u32) -> u32 {
+    table[(byte & 0xFF) as usize]
+}
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn crc32_matches_known_vectors() {
+        // Standard IEEE CRC32 check values.
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b"hello"), 0x3610_A686);
+        // Folding in pieces is the same checksum.
+        let mut pieces = Crc32::default();
+        pieces.update(b"1234");
+        pieces.update(b"");
+        pieces.update(b"56789");
+        assert_eq!(pieces.finish(), 0xCBF4_3926);
+        // Long enough for the eight-byte steps, at every alignment of
+        // the split, against a bit-at-a-time reference.
+        let data: Vec<u8> = (0..100u32).map(|i| (i * 37 + 11) as u8).collect();
+        let bitwise = |data: &[u8]| {
+            !data.iter().fold(!0u32, |crc, &b| {
+                (0..8)
+                    .fold(crc ^ b as u32, |c, _| (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg()))
+            })
+        };
+        for cut in 0..data.len() {
+            let mut split = Crc32::default();
+            split.update(&data[..cut]);
+            split.update(&data[cut..]);
+            assert_eq!(split.finish(), bitwise(&data), "cut {cut}");
+        }
+    }
 
     #[test]
     fn reads_inside_bounds() {

@@ -1,253 +1,66 @@
-//! On-disk index layout and I/O-counted disk queries.
+//! I/O-counted disk queries over the index image.
 //!
 //! The paper's index is disk-resident: answering `dist(s, t)` reads the
 //! two labels `Lout(s)` and `Lin(t)` from disk and merge-joins them
-//! (Table 6's "Disk query time" column). The layout here is:
+//! (Table 6's "Disk query time" column). [`DiskIndex`] does exactly
+//! that over a `HOPIDX02` file ([`crate::image`] owns the format and
+//! [`LabelIndex::write_hopidx`] is its only writer): the offset
+//! directory (4 bytes/vertex/side) is held in memory, as any practical
+//! disk index would; each query then costs exactly two label reads,
+//! matching the paper's two-I/O query model, and each label read goes
+//! through the image's checked decoder.
 //!
-//! ```text
-//! magic "HOPIDX01" | flags u8 ×4 | n u64
-//! out_offsets  (n+1) × u64      -- entry index into the out region
-//! in_offsets   (n+1) × u64      -- directed only
-//! out entries  (pivot u32, dist u32)*
-//! in  entries  (pivot u32, dist u32)*   -- directed only
-//! ```
-//!
-//! [`LabelIndex::write_hopidx`] is the only writer of that layout. The
-//! offset directory (16 bytes/vertex) is held in memory, as any
-//! practical disk index would; each query then costs exactly two label
-//! reads, matching the paper's two-I/O query model.
+//! Both readers here exist for that table and for hopbench's
+//! `cached_disk_*` lines; serving uses [`crate::flat::FlatIndex`], and
+//! the ROADMAP has them down for deletion.
 
-use std::io::Write;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 use extmem::device::{CountedFile, TempStore};
 use extmem::stats::IoStats;
 use sfgraph::{Dist, VertexId};
 
 use crate::entry::LabelEntry;
-use crate::index::{join_min, LabelIndex, VertexLabels};
-
-const MAGIC: &[u8; 8] = b"HOPIDX01";
-const ENTRY_BYTES: u64 = 8;
-
-/// Parsed `HOPIDX01` header: flags, vertex count, offset directories,
-/// and the byte positions where the entry regions start. Shared by
-/// [`DiskIndex::open`] (which reads it through a counted file) and
-/// [`crate::flat::FlatIndex::from_hopidx_bytes`] (which parses a byte
-/// image directly).
-pub(crate) struct HopIdxHeader {
-    pub(crate) directed: bool,
-    pub(crate) n: usize,
-    pub(crate) out_offsets: Vec<u64>,
-    pub(crate) in_offsets: Vec<u64>,
-    /// Byte offset of the first out-entry.
-    pub(crate) out_base: usize,
-    /// Byte offset of the first in-entry (== end of out region when
-    /// undirected).
-    pub(crate) in_base: usize,
-}
-
-impl HopIdxHeader {
-    /// Parse the header from the front of a serialized index image.
-    pub(crate) fn parse(bytes: &[u8]) -> std::io::Result<HopIdxHeader> {
-        let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-        if bytes.len() < 20 || &bytes[..8] != MAGIC {
-            return Err(bad("not a HOPIDX01 file"));
-        }
-        // The flags word is `[directed, 0, 0, 0]`: reject anything else
-        // so corruption in the header cannot be silently ignored.
-        if bytes[8] > 1 || bytes[9..12] != [0, 0, 0] {
-            return Err(bad("invalid flags word"));
-        }
-        let directed = bytes[8] != 0;
-        let n = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-        let dirs = if directed { 2 } else { 1 };
-        // All size arithmetic is on attacker-controlled header fields:
-        // checked/saturating math turns a crafted vertex count into a
-        // clean InvalidData error instead of an overflow panic or an
-        // absurd allocation.
-        let header_len = n
-            .checked_add(1)
-            .and_then(|slots| slots.checked_mul(8 * dirs))
-            .and_then(|dir| dir.checked_add(20))
-            .ok_or_else(|| bad("vertex count overflows the offset directory"))?;
-        if bytes.len() < header_len {
-            return Err(bad("truncated offset directory"));
-        }
-        let offsets_at = |at: usize| -> Vec<u64> {
-            bytes[at..at + (n + 1) * 8]
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                .collect()
-        };
-        let out_offsets = offsets_at(20);
-        let in_offsets = if directed { offsets_at(20 + (n + 1) * 8) } else { Vec::new() };
-        if !offsets_sorted(&out_offsets) || !offsets_sorted(&in_offsets) {
-            return Err(bad("offset directory not monotone"));
-        }
-        let out_total = *out_offsets.last().ok_or_else(|| bad("empty offset table"))? as usize;
-        let out_base = header_len;
-        let in_base = out_total
-            .checked_mul(ENTRY_BYTES as usize)
-            .and_then(|b| b.checked_add(out_base))
-            .ok_or_else(|| bad("entry counts overflow the out region"))?;
-        Ok(HopIdxHeader { directed, n, out_offsets, in_offsets, out_base, in_base })
-    }
-
-    /// The header of an image holding labels with these offset
-    /// directories (`in_offsets` empty when undirected).
-    pub(crate) fn new(
-        directed: bool,
-        n: usize,
-        out_offsets: Vec<u64>,
-        in_offsets: Vec<u64>,
-    ) -> HopIdxHeader {
-        let out_base = 20 + (out_offsets.len() + in_offsets.len()) * 8;
-        let out_total = out_offsets.last().copied().unwrap_or(0) as usize;
-        let in_base = out_base + out_total * ENTRY_BYTES as usize;
-        HopIdxHeader { directed, n, out_offsets, in_offsets, out_base, in_base }
-    }
-
-    /// Emit what [`HopIdxHeader::parse`] reads back: magic, flags word,
-    /// `n`, then the offset directories. The one place the header is
-    /// serialized — [`LabelIndex::write_hopidx`] and the shard cutter
-    /// both call it.
-    pub(crate) fn write(&self, w: &mut impl Write) -> std::io::Result<()> {
-        w.write_all(MAGIC)?;
-        w.write_all(&[self.directed as u8, 0, 0, 0])?;
-        w.write_all(&(self.n as u64).to_le_bytes())?;
-        for &o in self.out_offsets.iter().chain(&self.in_offsets) {
-            w.write_all(&o.to_le_bytes())?;
-        }
-        Ok(())
-    }
-
-    /// Total byte length a well-formed file with this header must have.
-    /// Both loaders require the actual length to match this *exactly* —
-    /// trailing bytes are rejected, not tolerated — and the saturating
-    /// arithmetic turns overflowing header fields into a length no real
-    /// file can match.
-    pub(crate) fn expected_len(&self) -> usize {
-        (self.in_offsets.last().copied().unwrap_or(0) as usize)
-            .saturating_mul(ENTRY_BYTES as usize)
-            .saturating_add(self.in_base)
-    }
-}
-
-fn offsets_sorted(offsets: &[u64]) -> bool {
-    offsets.windows(2).all(|w| w[0] <= w[1])
-}
-
-/// Bytes [`write_image`] buffers before handing them to the writer: the
-/// image streams out, it is never assembled in memory.
-const WRITE_BUFFER_BYTES: usize = 64 << 10;
-
-impl LabelIndex {
-    /// Serialize the index as a `HOPIDX01` image into `w` — the only
-    /// serializer of the format. Streams through a fixed-size buffer
-    /// (the external build bounds its memory; writing its result must
-    /// not double the index), flushes `w`, and returns the image length
-    /// in bytes.
-    pub fn write_hopidx(&self, w: &mut impl Write) -> std::io::Result<u64> {
-        write_image(self, w).map(|header| header.expected_len() as u64)
-    }
-}
-
-/// [`LabelIndex::write_hopidx`], returning the header it wrote so
-/// [`DiskIndex::create`] keeps the offset directories it just computed.
-fn write_image(index: &LabelIndex, w: &mut impl Write) -> std::io::Result<HopIdxHeader> {
-    let sides: &[&[VertexLabels]] = match index {
-        LabelIndex::Directed(d) => &[&d.out_labels, &d.in_labels],
-        LabelIndex::Undirected(u) => &[&u.labels],
-    };
-    let header = HopIdxHeader::new(
-        index.is_directed(),
-        index.num_vertices(),
-        offsets_of(sides[0]),
-        sides.get(1).map_or_else(Vec::new, |inn| offsets_of(inn)),
-    );
-    let mut w = std::io::BufWriter::with_capacity(WRITE_BUFFER_BYTES, w);
-    header.write(&mut w)?;
-    for labels in sides {
-        for e in labels.iter().flat_map(VertexLabels::entries) {
-            let mut entry = [0u8; ENTRY_BYTES as usize];
-            entry[..4].copy_from_slice(&e.pivot.to_le_bytes());
-            entry[4..].copy_from_slice(&e.dist.to_le_bytes());
-            w.write_all(&entry)?;
-        }
-    }
-    w.flush()?;
-    Ok(header)
-}
+use crate::image::{self, Layout};
+use crate::index::{join_min, LabelIndex};
 
 /// A 2-hop index stored in a counted file, queryable without loading the
 /// labels into memory.
 pub struct DiskIndex {
     file: CountedFile,
-    directed: bool,
-    n: usize,
-    out_offsets: Vec<u64>,
-    in_offsets: Vec<u64>,
-    out_base: u64,
-    in_base: u64,
-    scratch_s: Vec<LabelEntry>,
-    scratch_t: Vec<LabelEntry>,
+    layout: Layout,
+    /// The file's prefix and offset directories, as read by `open`.
+    front: Vec<u8>,
 }
 
 impl DiskIndex {
     /// Serialize `index` into a fresh file in `store`
-    /// ([`LabelIndex::write_hopidx`]) and keep it open for queries.
+    /// ([`LabelIndex::write_hopidx`]) and open it for queries.
     pub fn create(index: &LabelIndex, store: &TempStore, tag: &str) -> std::io::Result<DiskIndex> {
         let mut file = store.create(tag)?;
-        let header = write_image(index, &mut file)?;
-        Ok(DiskIndex::from_header(file, header))
+        index.write_hopidx(&mut file)?;
+        DiskIndex::open(file)
     }
 
-    fn from_header(file: CountedFile, header: HopIdxHeader) -> DiskIndex {
-        DiskIndex {
-            file,
-            directed: header.directed,
-            n: header.n,
-            out_offsets: header.out_offsets,
-            in_offsets: header.in_offsets,
-            out_base: header.out_base as u64,
-            in_base: header.in_base as u64,
-            scratch_s: Vec::new(),
-            scratch_t: Vec::new(),
-        }
-    }
-
-    /// Open an index previously written by [`DiskIndex::create`] (e.g.
-    /// a persisted file re-opened in a later process).
+    /// Open an image file. Reads and checks the prefix and the offset
+    /// directories only — not the labels, and so not the checksum over
+    /// them; every label is decoded by the checked decoder when a query
+    /// reads it, and a malformed one is that query's `InvalidData`.
     pub fn open(mut file: CountedFile) -> std::io::Result<DiskIndex> {
-        let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-        let mut prefix = [0u8; 20];
+        let mut prefix = [0u8; image::PREFIX_LEN];
         file.read_exact_at(0, &mut prefix)?;
-        if &prefix[..8] != MAGIC {
-            return Err(bad("not a HOPIDX01 file"));
-        }
-        let directed = prefix[8] != 0;
-        let n = u64::from_le_bytes(prefix[12..20].try_into().unwrap()) as usize;
         // Bound the untrusted vertex count by the file length before
-        // sizing the header buffer from it: the directory alone needs
-        // more than 8 bytes per vertex, so a corrupt count either
-        // fails here or yields a modest allocation.
-        let file_len = file.len()? as usize;
-        let header_len = n
-            .checked_add(1)
-            .and_then(|slots| slots.checked_mul(8 * if directed { 2 } else { 1 }))
-            .and_then(|dir| dir.checked_add(20))
-            .filter(|&len| len <= file_len)
-            .ok_or_else(|| bad("vertex count exceeds the index file"))?;
-        let mut header_bytes = vec![0u8; header_len];
-        file.read_exact_at(0, &mut header_bytes)?;
-        let header = HopIdxHeader::parse(&header_bytes)?;
-        // Exact, not `>=`: trailing bytes mean the file is not what the
-        // header says it is, and serving from it would be a guess.
-        if file.len()? as usize != header.expected_len() {
-            return Err(bad("index file length does not match its header"));
-        }
-        Ok(DiskIndex::from_header(file, header))
+        // sizing the directory buffer from it.
+        let file_len = file.len()?;
+        let front_len = image::Header::parse(&prefix)?
+            .labels_at()
+            .filter(|&len| len as u64 <= file_len)
+            .ok_or_else(|| image::bad("vertex count exceeds the index file"))?;
+        let mut front = vec![0u8; front_len];
+        file.read_exact_at(0, &mut front)?;
+        let layout = Layout::parse(&front, file_len)?;
+        Ok(DiskIndex { file, layout, front })
     }
 
     /// Consume the handle, keeping the backing file on disk, and return
@@ -259,12 +72,12 @@ impl DiskIndex {
 
     /// Number of vertices covered.
     pub fn num_vertices(&self) -> usize {
-        self.n
+        self.layout.header.n
     }
 
     /// Whether this index stores separate `Lin`/`Lout` directions.
     pub fn is_directed(&self) -> bool {
-        self.directed
+        self.layout.header.directed
     }
 
     /// Bytes occupied by the index file.
@@ -272,10 +85,10 @@ impl DiskIndex {
         self.file.len()
     }
 
-    /// Bytes held resident by this handle (the offset directories; the
-    /// entries stay on disk).
+    /// Bytes held resident by this handle (the prefix and the offset
+    /// directories; the labels stay on disk).
     pub fn resident_bytes(&self) -> usize {
-        (self.out_offsets.len() + self.in_offsets.len()) * std::mem::size_of::<u64>()
+        self.front.len()
     }
 
     /// The I/O counters recording query traffic.
@@ -283,28 +96,24 @@ impl DiskIndex {
         self.file.stats()
     }
 
-    fn read_label(
-        file: &mut CountedFile,
-        base: u64,
-        offsets: &[u64],
-        v: VertexId,
-        scratch: &mut Vec<LabelEntry>,
-    ) -> std::io::Result<()> {
-        let (lo, hi) = (offsets[v as usize], offsets[v as usize + 1]);
-        let count = (hi - lo) as usize;
-        scratch.clear();
-        if count == 0 {
-            return Ok(());
+    /// Read and decode the label of `v` on the source (`target_side ==
+    /// false`) or target side.
+    fn read_label(&mut self, v: VertexId, target_side: bool) -> std::io::Result<Vec<LabelEntry>> {
+        // An undirected layout aliases side 1 to side 0.
+        let span =
+            self.layout.span(&self.front, target_side as usize, v as usize).ok_or_else(|| {
+                std::io::Error::new(std::io::ErrorKind::InvalidInput, "vertex out of range")
+            })?;
+        let mut bytes = vec![0u8; span.len()];
+        if !bytes.is_empty() {
+            self.file.read_exact_at(span.start as u64, &mut bytes)?;
         }
-        let mut bytes = vec![0u8; count * ENTRY_BYTES as usize];
-        file.read_exact_at(base + lo * ENTRY_BYTES, &mut bytes)?;
-        scratch.reserve(count);
-        for chunk in bytes.chunks_exact(ENTRY_BYTES as usize) {
-            let pivot = u32::from_le_bytes(chunk[0..4].try_into().unwrap());
-            let dist = u32::from_le_bytes(chunk[4..8].try_into().unwrap());
-            scratch.push(LabelEntry::new(pivot, dist));
-        }
-        Ok(())
+        let image::Header { width, n, .. } = self.layout.header;
+        let mut entries = Vec::new();
+        image::walk_label(&bytes, width, n, |pivot, dist| {
+            entries.push(LabelEntry::new(pivot, dist))
+        })?;
+        Ok(entries)
     }
 
     /// Disk-based distance query: two label reads plus a merge join.
@@ -316,15 +125,7 @@ impl DiskIndex {
         if s == t {
             return Ok(0);
         }
-        let (s_base, s_offsets) = (self.out_base, &self.out_offsets);
-        Self::read_label(&mut self.file, s_base, s_offsets, s, &mut self.scratch_s)?;
-        let (t_base, t_offsets) = if self.directed {
-            (self.in_base, &self.in_offsets)
-        } else {
-            (self.out_base, &self.out_offsets)
-        };
-        Self::read_label(&mut self.file, t_base, t_offsets, t, &mut self.scratch_t)?;
-        Ok(join_min(&self.scratch_s, &self.scratch_t))
+        Ok(join_min(&self.read_label(s, false)?, &self.read_label(t, true)?))
     }
 }
 
@@ -355,9 +156,6 @@ struct CacheState {
     hits: u64,
     misses: u64,
 }
-
-use std::collections::HashMap;
-use std::sync::Mutex;
 
 fn poisoned() -> std::io::Error {
     std::io::Error::other("disk index lock poisoned")
@@ -403,7 +201,10 @@ impl CachedDiskIndex {
             .lock()
             .map(|s| {
                 s.inner.resident_bytes()
-                    + s.cache.values().map(|(l, _)| l.len() * ENTRY_BYTES as usize).sum::<usize>()
+                    + s.cache
+                        .values()
+                        .map(|(l, _)| l.len() * std::mem::size_of::<LabelEntry>())
+                        .sum::<usize>()
             })
             .unwrap_or(0)
     }
@@ -431,13 +232,7 @@ impl CacheState {
             return Ok(entries.clone());
         }
         self.misses += 1;
-        let (base, offsets) = if target_side && self.inner.directed {
-            (self.inner.in_base, &self.inner.in_offsets)
-        } else {
-            (self.inner.out_base, &self.inner.out_offsets)
-        };
-        let mut scratch = Vec::new();
-        DiskIndex::read_label(&mut self.inner.file, base, offsets, v, &mut scratch)?;
+        let scratch = self.inner.read_label(v, target_side)?;
         if self.cache.len() >= self.capacity {
             // Evict the least-recently used entry (linear scan — the
             // cache is small and eviction is off the hot hit path).
@@ -450,22 +245,11 @@ impl CacheState {
     }
 }
 
-fn offsets_of(labels: &[VertexLabels]) -> Vec<u64> {
-    let mut offsets = Vec::with_capacity(labels.len() + 1);
-    offsets.push(0u64);
-    let mut acc = 0u64;
-    for l in labels {
-        acc += l.len() as u64;
-        offsets.push(acc);
-    }
-    offsets
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flat::FlatIndex;
-    use crate::index::DirectedLabels;
+    use crate::index::{DirectedLabels, VertexLabels};
     use sfgraph::INF_DIST;
 
     fn small_directed_index() -> LabelIndex {
@@ -662,8 +446,8 @@ mod tests {
         for bogus_n in [u64::MAX, 1u64 << 61, 1 << 40] {
             let mut crafted = store.create("crafted").unwrap();
             let mut bytes = Vec::new();
-            bytes.extend_from_slice(MAGIC);
-            bytes.extend_from_slice(&[1, 0, 0, 0]);
+            bytes.extend_from_slice(b"HOPIDX02");
+            bytes.extend_from_slice(&[1, 1, 0, 0]);
             bytes.extend_from_slice(&bogus_n.to_le_bytes());
             bytes.extend_from_slice(&[0u8; 16]);
             std::io::Write::write_all(&mut crafted, &bytes).unwrap();
@@ -686,9 +470,11 @@ mod tests {
     #[test]
     fn file_size_accounts_header_and_entries() {
         let store = TempStore::new().unwrap();
-        let index = small_directed_index(); // 10 entries total
+        let index = small_directed_index(); // 10 entries in 8 labels, every pivot a hub
         let disk = DiskIndex::create(&index, &store, "sz").unwrap();
-        let expect = 8 + 4 + 8 + 2 * 5 * 8 + 10 * 8;
+        // Prefix, two 5-slot u32 directories, a hub word per label and a
+        // byte per entry, the CRC.
+        let expect = 8 + 4 + 8 + 2 * 5 * 4 + 8 * 8 + 10 + 4;
         assert_eq!(disk.file_bytes().unwrap(), expect as u64);
     }
 }

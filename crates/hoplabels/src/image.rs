@@ -1,0 +1,637 @@
+//! `HOPIDX02` — the one index image: what `hopdb-cli build` writes,
+//! what every reader opens, and (because [`crate::flat::FlatIndex`]
+//! serves the file's bytes in place) what a daemon holds resident.
+//!
+//! ```text
+//! magic "HOPIDX02" | directed u8 | width u8 | 0 0 | n u64          20 bytes
+//! out directory   (n+1) × u32 LE   byte offsets into the out labels
+//! in  directory   (n+1) × u32 LE   directed images only
+//! out labels | in labels           label v = region[dir[v]..dir[v+1]]
+//! CRC-32 u32 LE                    of every byte before it
+//!
+//! label := ""                                      no entries: zero bytes
+//!        | hubs u64 LE                             bit p set ⇔ pivot p < 64 present
+//!          popcount(hubs) × dist, `width` bytes LE in ascending pivot order
+//!          (varint(pivot − previous − 1), varint(dist))*   pivots ≥ 64, ascending,
+//!                                                  "previous" starting at 63
+//! ```
+//!
+//! Vertices are rank-relabeled, so the pivots below 64 are the 64
+//! top-ranked vertices of the graph — the handful that Table 7 of the
+//! paper shows covering most label entries (58–74 % of all entries on
+//! the three benchmark graphs). For them a label spends one bit on the
+//! pivot and `width` bytes on the distance; `width` is 1 unless the
+//! image's largest hub distance needs 2 or 4 bytes, and the writer
+//! picks it from the data. Every other entry is two LEB128 varints
+//! (7 bits per byte, low group first, high bit = "more"); rank order
+//! keeps the gaps small, 1.2–1.4 bytes each on those graphs.
+//!
+//! 64 is a constant, not a parameter. Measured with the format
+//! generalised to `W` hub words, on the three graphs hopbench builds
+//! (bytes per vertex for the whole image; ns per uniform / hub pair,
+//! single thread, minimum of 15 passes of 65 536 pairs):
+//!
+//! ```text
+//!        bytes per vertex                  uniform / hub ns
+//!  W   und-mem-read dir-ext-read und-mem-writes   und-mem-read  dir-ext-read
+//!  1       62.58        65.43        54.70          209 / 39      93 / 32
+//!  2       66.42        78.77        59.64          188 / 47      87 / 35
+//!  4       79.06       108.92        72.96          172 / 59      80 / 40
+//!  8      108.29       171.76       102.55          165 / 72     147 / 58
+//! ```
+//!
+//! One word is the smallest image on every workload. A second word
+//! buys 7–10 % on uniform pairs for 4–13 bytes a vertex and *costs*
+//! 10–20 % on hub pairs (every label pays for, and every join scans, a
+//! word that is mostly zeros); past two the bytes grow faster than the
+//! uniform pairs gain.
+//!
+//! ## Validation, and what each rule buys the in-place reader
+//!
+//! `FlatIndex::query` walks label bytes with unchecked reads, so this
+//! module's `validate`, which every `FlatIndex` constructor runs, is
+//! total: an image that passes can never make a query read outside the
+//! label it was asked about, and any failure is `InvalidData`.
+//!
+//! * **CRC first.** Every later rule then only has to hold against
+//!   bytes the writer produced or an adversary crafted, not against
+//!   random corruption — which would otherwise load and answer wrong.
+//! * **Each directory is `n + 1` offsets, first 0, monotone, and the
+//!   regions they span plus the trailer are exactly the file.** So
+//!   `region[dir[v]..dir[v + 1]]` is in bounds for every `v < n`, and
+//!   no byte of the file is unaccounted for.
+//! * **A label is empty or at least 8 bytes, with `8 + width ·
+//!   popcount(hubs) ≤ len`.** The hub word and the distance of every
+//!   set bit can be loaded without a length check.
+//! * **No hub bit `≥ n`, tail pivots `< n`.** Every pivot an
+//!   in-place walk reports is a vertex id (the shard cutter indexes a
+//!   histogram with them).
+//! * **Every varint is complete inside its label, at most 5 bytes,
+//!   at most 32 bits.** A varint read needs no end-of-label check per
+//!   byte and cannot overflow a `u32` shift.
+//! * **The tail is whole `(gap, dist)` pairs ending exactly at the
+//!   label's end.** The merge loop compares its cursor with the end
+//!   once per entry, before the entry, and never inside one.
+//! * **Tail pivots strictly increase from 64.** Guaranteed by the
+//!   `gap − 1` encoding itself as long as the sum stays below `n`,
+//!   which is checked in 64-bit arithmetic so a crafted gap cannot
+//!   wrap back onto a hub or onto its predecessor.
+//!
+//! ## Limits
+//!
+//! Offsets are `u32`, so one side's labels may span at most 4 GiB − 1
+//! bytes — at the ~4 bytes an entry costs, a billion entries. Past
+//! that [`LabelIndex::write_hopidx`] returns `InvalidInput` ("… exceed
+//! the 4 GiB a HOPIDX02 directory addresses") before writing a label.
+//! `n` is bounded by `u32::MAX`, vertex ids being `u32`.
+//!
+//! `HOPIDX01` (raw `(u32, u32)` pairs, `u64` entry-count offsets, no
+//! checksum) has no reader: it is refused by name and must be rebuilt.
+
+use std::io::{self, Write};
+use std::ops::Range;
+
+use extmem::wire::{self, Crc32};
+use sfgraph::{Dist, VertexId};
+
+use crate::entry::LabelEntry;
+use crate::index::{DirectedLabels, LabelIndex, UndirectedLabels, VertexLabels};
+
+const MAGIC: &[u8; 8] = b"HOPIDX02";
+const OLD_MAGIC: &[u8; 8] = b"HOPIDX01";
+/// Pivots below this are a bit in the label's hub word.
+pub(crate) const HUBS: VertexId = 64;
+/// Magic, flags word, vertex count.
+pub(crate) const PREFIX_LEN: usize = 20;
+const CRC_LEN: usize = 4;
+
+pub(crate) fn bad(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+fn unwritable(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, msg)
+}
+
+/// The fixed 20-byte prefix of an image.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Header {
+    pub(crate) directed: bool,
+    /// Bytes per hub distance: 1, 2 or 4.
+    pub(crate) width: usize,
+    pub(crate) n: usize,
+}
+
+impl Header {
+    /// Parse the prefix at the front of `bytes`.
+    pub(crate) fn parse(bytes: &[u8]) -> io::Result<Header> {
+        match bytes.first_chunk::<8>() {
+            Some(OLD_MAGIC) => {
+                return Err(bad("HOPIDX01 image: rebuild it with this version's hopdb-cli build"))
+            }
+            Some(MAGIC) => {}
+            _ => return Err(bad("not a HOPIDX02 image")),
+        }
+        let (Some([directed, width, 0, 0]), Some(n)) =
+            (wire::array_at::<4>(bytes, 8), wire::u64_at(bytes, 12))
+        else {
+            return Err(bad("invalid HOPIDX02 flags word"));
+        };
+        if directed > 1 || !matches!(width, 1 | 2 | 4) {
+            return Err(bad("invalid HOPIDX02 flags word"));
+        }
+        let n = usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= VertexId::MAX as usize)
+            .ok_or_else(|| bad("vertex count exceeds the u32 id space"))?;
+        Ok(Header { directed: directed != 0, width: width as usize, n })
+    }
+
+    fn sides(&self) -> usize {
+        1 + self.directed as usize
+    }
+
+    /// Where the labels start — the length of prefix plus directories —
+    /// or `None` when a crafted `n` overflows it.
+    pub(crate) fn labels_at(&self) -> Option<usize> {
+        self.n.checked_add(1)?.checked_mul(4 * self.sides())?.checked_add(PREFIX_LEN)
+    }
+}
+
+/// Where everything is in one image. Sides are `0` = `Lout`/`L` and
+/// `1` = `Lin`; an undirected image's side 1 aliases side 0, so a query
+/// takes `s` from side 0 and `t` from side 1 without asking.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Layout {
+    pub(crate) header: Header,
+    /// Byte position of each side's directory.
+    pub(crate) dirs: [usize; 2],
+    /// Byte position of each side's labels.
+    pub(crate) bases: [usize; 2],
+}
+
+impl Layout {
+    /// Check the prefix and directories at the front of `front` against
+    /// an image `total_len` bytes long (`front` may be the whole image
+    /// or just its first [`Header::labels_at`] bytes).
+    pub(crate) fn parse(front: &[u8], total_len: u64) -> io::Result<Layout> {
+        let header = Header::parse(front)?;
+        let all_dirs = header
+            .labels_at()
+            .and_then(|labels_at| front.get(PREFIX_LEN..labels_at))
+            .ok_or_else(|| bad("truncated offset directory"))?;
+        let dir_len = all_dirs.len() / header.sides();
+        let mut spans = [0usize; 2];
+        for (span, dir) in spans.iter_mut().zip(all_dirs.chunks_exact(dir_len)) {
+            *span = check_directory(dir)? as usize;
+        }
+        let labels_at = PREFIX_LEN + all_dirs.len();
+        let [out_span, in_span] = spans;
+        if (labels_at + CRC_LEN) as u64 + out_span as u64 + in_span as u64 != total_len {
+            return Err(bad("image length does not match its offset directories"));
+        }
+        Ok(if header.directed {
+            Layout {
+                header,
+                dirs: [PREFIX_LEN, PREFIX_LEN + dir_len],
+                bases: [labels_at, labels_at + out_span],
+            }
+        } else {
+            Layout { header, dirs: [PREFIX_LEN; 2], bases: [labels_at; 2] }
+        })
+    }
+
+    /// Where label `v` of `side` lies in the image, read from the
+    /// directories in `front` (the image, or at least its first
+    /// [`Header::labels_at`] bytes); `None` when `v` is not a vertex.
+    pub(crate) fn span(&self, front: &[u8], side: usize, v: usize) -> Option<Range<usize>> {
+        let (dir, base) = (*self.dirs.get(side)?, *self.bases.get(side)?);
+        let at = (v < self.header.n).then_some(dir + 4 * v)?;
+        let (lo, hi) = (wire::u32_at(front, at)?, wire::u32_at(front, at + 4)?);
+        Some(base + lo as usize..base + hi as usize)
+    }
+
+    /// The bytes of label `v` on `side`, by the checked route.
+    pub(crate) fn label<'a>(&self, bytes: &'a [u8], side: usize, v: usize) -> Option<&'a [u8]> {
+        bytes.get(self.span(bytes, side, v)?)
+    }
+}
+
+/// One side's directory must start at 0 and never step back; returns
+/// its last offset, the byte length of the side's labels.
+fn check_directory(dir: &[u8]) -> io::Result<u32> {
+    let mut prev = 0u32;
+    for (v, off) in wire::u32s(dir).enumerate() {
+        if off < prev || (v == 0 && off != 0) {
+            return Err(bad("offset directory not monotone from zero"));
+        }
+        prev = off;
+    }
+    Ok(prev)
+}
+
+/// One LEB128 `u32` at `label[*at..]`, advancing `at`.
+fn varint(label: &[u8], at: &mut usize) -> io::Result<u32> {
+    let mut v = 0u32;
+    for group in 0..5 {
+        let b = wire::u8_at(label, *at).ok_or_else(|| bad("label ends inside a varint"))?;
+        *at += 1;
+        // The fifth byte holds bits 28..32: anything above them, the
+        // continuation bit included, does not fit a u32.
+        if group == 4 && b > 0x0F {
+            return Err(bad("varint exceeds 32 bits"));
+        }
+        v |= u32::from(b & 0x7F) << (7 * group);
+        if b < 0x80 {
+            break;
+        }
+    }
+    Ok(v)
+}
+
+fn put_varint(mut v: u32, out: &mut Vec<u8>) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// The checked decoder: call `f(pivot, dist)` for every entry of one
+/// encoded label, in pivot order, enforcing every per-label rule of the
+/// module docs against `width` and `n`.
+pub(crate) fn walk_label(
+    label: &[u8],
+    width: usize,
+    n: usize,
+    mut f: impl FnMut(VertexId, Dist),
+) -> io::Result<()> {
+    if label.is_empty() {
+        return Ok(());
+    }
+    let hubs = wire::u64_at(label, 0).ok_or_else(|| bad("label shorter than its hub word"))?;
+    if n < HUBS as usize && hubs >> n != 0 {
+        return Err(bad("hub pivot out of range"));
+    }
+    let mut at = 8usize;
+    let mut rest = hubs;
+    while rest != 0 {
+        let dist = match width {
+            1 => wire::u8_at(label, at).map(Dist::from),
+            2 => wire::array_at(label, at).map(|b| Dist::from(u16::from_le_bytes(b))),
+            _ => wire::u32_at(label, at),
+        };
+        f(rest.trailing_zeros(), dist.ok_or_else(|| bad("hub distances run past the label"))?);
+        at += width;
+        rest &= rest - 1;
+    }
+    let mut pivot = u64::from(HUBS) - 1;
+    while at < label.len() {
+        pivot += 1 + u64::from(varint(label, &mut at)?);
+        let dist = varint(label, &mut at)?;
+        if pivot >= n as u64 {
+            return Err(bad("label pivot out of range"));
+        }
+        f(pivot as VertexId, dist);
+    }
+    Ok(())
+}
+
+fn varint_len(v: u32) -> usize {
+    // One byte per started group of 7 significant bits; zero takes one.
+    (38 - (v | 1).leading_zeros() as usize) / 7
+}
+
+/// Split a label (sorted by pivot, pivots unique — the [`VertexLabels`]
+/// invariant) into its hub entries and, per tail entry, `(pivot gap −
+/// 1, dist)`.
+fn hubs_and_tail(
+    entries: &[LabelEntry],
+) -> (&[LabelEntry], impl Iterator<Item = (u32, Dist)> + '_) {
+    let (hubs, tail) = entries.split_at(entries.partition_point(|e| e.pivot < HUBS));
+    let mut prev = HUBS - 1;
+    (hubs, tail.iter().map(move |e| (e.pivot - std::mem::replace(&mut prev, e.pivot) - 1, e.dist)))
+}
+
+/// Bytes [`encode_label`] appends for this label.
+fn encoded_len(entries: &[LabelEntry], width: usize) -> usize {
+    if entries.is_empty() {
+        return 0;
+    }
+    let (hubs, tail) = hubs_and_tail(entries);
+    8 + width * hubs.len()
+        + tail.map(|(gap, dist)| varint_len(gap) + varint_len(dist)).sum::<usize>()
+}
+
+/// The encoder: append one label to `out`.
+pub(crate) fn encode_label(entries: &[LabelEntry], width: usize, out: &mut Vec<u8>) {
+    if entries.is_empty() {
+        return;
+    }
+    let (hubs, tail) = hubs_and_tail(entries);
+    let word = hubs.iter().fold(0u64, |w, e| w | 1 << e.pivot);
+    out.extend_from_slice(&word.to_le_bytes());
+    for e in hubs {
+        match width {
+            1 => out.push(e.dist as u8),
+            2 => out.extend_from_slice(&(e.dist as u16).to_le_bytes()),
+            _ => out.extend_from_slice(&e.dist.to_le_bytes()),
+        }
+    }
+    for (gap, dist) in tail {
+        put_varint(gap, out);
+        put_varint(dist, out);
+    }
+}
+
+/// The smallest hub-distance width that holds every hub distance.
+fn hub_width(sides: &[&[VertexLabels]]) -> usize {
+    let hub_dists = sides
+        .iter()
+        .flat_map(|side| side.iter())
+        .flat_map(|l| hubs_and_tail(l.entries()).0.iter().map(|e| e.dist));
+    match hub_dists.max().unwrap_or(0) {
+        0..=0xFF => 1,
+        0x100..=0xFFFF => 2,
+        _ => 4,
+    }
+}
+
+/// Bytes [`LabelIndex::write_hopidx`] buffers before handing them to
+/// the writer: the image streams out, it is never assembled in memory.
+const WRITE_BUFFER_BYTES: usize = 64 << 10;
+
+/// The image under construction: encoders append to `buf`, and `drain`
+/// checksums, counts and hands on what has piled up.
+struct ImageWriter<'w, W: Write> {
+    w: &'w mut W,
+    buf: Vec<u8>,
+    crc: Crc32,
+    len: u64,
+}
+
+impl<W: Write> ImageWriter<'_, W> {
+    /// Pass `buf` on once it holds at least `min` bytes.
+    fn drain(&mut self, min: usize) -> io::Result<()> {
+        if self.buf.len() >= min {
+            self.crc.update(&self.buf);
+            self.len += self.buf.len() as u64;
+            self.w.write_all(&self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+}
+
+impl LabelIndex {
+    /// Serialize the index as a `HOPIDX02` image into `w` — the only
+    /// serializer of the format. A scan of the hub entries for the
+    /// distance width, then two passes over the labels (sizes for the
+    /// directories, then bytes) through a fixed-size buffer, the CRC
+    /// folded in as the bytes go: the external build bounds its
+    /// memory, and writing its result must not double the index.
+    /// Flushes `w` and returns the image length in bytes. An index no
+    /// image can hold — a pivot that is not a vertex id, a side past
+    /// the 4 GiB offset range — is `InvalidInput`, found in the first
+    /// pass.
+    pub fn write_hopidx(&self, w: &mut impl Write) -> io::Result<u64> {
+        let sides = self.sides();
+        let (n, width) = (self.num_vertices(), hub_width(&sides));
+        let mut image = ImageWriter {
+            w,
+            buf: Vec::with_capacity(WRITE_BUFFER_BYTES + 1024),
+            crc: Crc32::default(),
+            len: 0,
+        };
+        image.buf.extend_from_slice(MAGIC);
+        image.buf.extend_from_slice(&[self.is_directed() as u8, width as u8, 0, 0]);
+        image.buf.extend_from_slice(&(n as u64).to_le_bytes());
+        for side in &sides {
+            let mut at = 0u32;
+            image.buf.extend_from_slice(&at.to_le_bytes());
+            for l in side.iter() {
+                if l.entries().last().is_some_and(|e| e.pivot as usize >= n) {
+                    return Err(unwritable("a label cites a pivot that is not a vertex id"));
+                }
+                at = u32::try_from(encoded_len(l.entries(), width))
+                    .ok()
+                    .and_then(|len| at.checked_add(len))
+                    .ok_or_else(|| {
+                        unwritable(
+                            "one side's labels exceed the 4 GiB a HOPIDX02 directory addresses",
+                        )
+                    })?;
+                image.buf.extend_from_slice(&at.to_le_bytes());
+                image.drain(WRITE_BUFFER_BYTES)?;
+            }
+        }
+        for l in sides.iter().flat_map(|side| side.iter()) {
+            encode_label(l.entries(), width, &mut image.buf);
+            image.drain(WRITE_BUFFER_BYTES)?;
+        }
+        image.drain(0)?;
+        let crc = image.crc.finish();
+        image.w.write_all(&crc.to_le_bytes())?;
+        image.w.flush()?;
+        Ok(image.len + CRC_LEN as u64)
+    }
+}
+
+/// The total validator of the module docs. Returns where things are and
+/// how many entries the image holds.
+pub(crate) fn validate(bytes: &[u8]) -> io::Result<(Layout, usize)> {
+    // Name the format before checksumming: an old image should be told
+    // to rebuild, not that it is corrupt.
+    Header::parse(bytes)?;
+    let body_len = bytes.len().saturating_sub(CRC_LEN);
+    let stored = wire::u32_at(bytes, body_len).ok_or_else(|| bad("truncated HOPIDX02 image"))?;
+    if bytes.get(..body_len).map(wire::crc32) != Some(stored) {
+        return Err(bad("HOPIDX02 checksum mismatch"));
+    }
+    let layout = Layout::parse(bytes, bytes.len() as u64)?;
+    let Header { n, width, .. } = layout.header;
+    let mut entries = 0usize;
+    for side in 0..layout.header.sides() {
+        for v in 0..n {
+            let label = layout.label(bytes, side, v).ok_or_else(|| bad("label out of bounds"))?;
+            walk_label(label, width, n, |_, _| entries += 1)?;
+        }
+    }
+    Ok((layout, entries))
+}
+
+/// Decode a whole image back into the nested index (the shard cutter's
+/// input; serving never needs it).
+pub(crate) fn read_index(bytes: &[u8]) -> io::Result<LabelIndex> {
+    let (layout, _) = validate(bytes)?;
+    let Header { n, width, directed } = layout.header;
+    let side = |side: usize| -> io::Result<Vec<VertexLabels>> {
+        (0..n)
+            .map(|v| {
+                let label =
+                    layout.label(bytes, side, v).ok_or_else(|| bad("label out of bounds"))?;
+                let mut entries = Vec::new();
+                walk_label(label, width, n, |pivot, dist| {
+                    entries.push(LabelEntry::new(pivot, dist))
+                })?;
+                Ok(VertexLabels::from_entries(entries))
+            })
+            .collect()
+    };
+    Ok(if directed {
+        LabelIndex::Directed(DirectedLabels { out_labels: side(0)?, in_labels: side(1)? })
+    } else {
+        LabelIndex::Undirected(UndirectedLabels { labels: side(0)? })
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::flat::{decode_in_place, FlatIndex};
+    use proptest::prelude::*;
+    use sfgraph::INF_DIST;
+
+    fn label_of(entries: &[(VertexId, Dist)]) -> VertexLabels {
+        VertexLabels::from_entries(entries.iter().map(|&(p, d)| LabelEntry::new(p, d)).collect())
+    }
+
+    /// Encode `label` at the width the writer would pick for it, then
+    /// read it back both ways: the checked decoder, and — once that has
+    /// accepted it — the in-place cursor queries use. Returns the width.
+    fn assert_roundtrip(label: &VertexLabels, n: usize) -> usize {
+        let width = hub_width(&[std::slice::from_ref(label)]);
+        let mut bytes = Vec::new();
+        encode_label(label.entries(), width, &mut bytes);
+        assert_eq!(bytes.is_empty(), label.is_empty(), "an empty label is zero bytes");
+        let mut decoded = Vec::new();
+        walk_label(&bytes, width, n, |p, d| decoded.push(LabelEntry::new(p, d))).unwrap();
+        assert_eq!(decoded, label.entries(), "checked decode, n = {n}");
+        // SAFETY: `walk_label` has just accepted `bytes` at `width`.
+        let in_place = unsafe { decode_in_place(&bytes, width) };
+        assert_eq!(in_place, label.entries(), "in place, n = {n}");
+        width
+    }
+
+    #[test]
+    fn labels_round_trip_at_every_shape() {
+        let all_hubs: Vec<_> = (0..64).map(|p| (p, p + 1)).collect();
+        let all_tail: Vec<_> = (64..200).map(|p| (p, 3)).collect();
+        // One hub, then gaps whose `gap − 1` needs 1, 2, 3, 4 and 5
+        // varint bytes.
+        let mut gaps = vec![(63, 1)];
+        for (i, gap) in [1u32, 1 + (1 << 7), 1 + (1 << 14), 1 + (1 << 21), 1 + (1 << 28)]
+            .into_iter()
+            .enumerate()
+        {
+            gaps.push((gaps[i].0 + gap, 2));
+        }
+        let mut bytes = Vec::new();
+        encode_label(label_of(&gaps).entries(), 1, &mut bytes);
+        assert_eq!(bytes.len(), 8 + 1 + (1 + 2 + 3 + 4 + 5) + 5);
+        for (entries, n) in [
+            (vec![], 0),
+            (vec![], 1),
+            (vec![(0, 0)], 1),
+            (all_hubs[..63].to_vec(), 63),
+            (all_hubs.clone(), 64),
+            (all_hubs.iter().copied().chain([(64, 9)]).collect(), 65),
+            (all_tail, 70_000),
+            (vec![(69_999, 1)], 70_000),
+            (gaps, u32::MAX as usize),
+            (vec![(u32::MAX - 1, 1)], u32::MAX as usize),
+        ] {
+            assert_eq!(assert_roundtrip(&label_of(&entries), n), 1);
+        }
+    }
+
+    #[test]
+    fn hub_distances_pick_the_width_and_tail_distances_do_not() {
+        for (dist, width) in
+            [(254, 1), (255, 1), (256, 2), (65_535, 2), (65_536, 4), (INF_DIST - 1, 4)]
+        {
+            let hub = label_of(&[(0, 1), (7, dist), (63, 0), (64, 2)]);
+            assert_eq!(assert_roundtrip(&hub, 100), width, "hub distance {dist}");
+            let tail = label_of(&[(5, 1), (64, dist), (90, dist)]);
+            assert_eq!(assert_roundtrip(&tail, 100), 1, "tail distance {dist}");
+        }
+    }
+
+    fn whole_image_round_trips(index: &LabelIndex) {
+        let mut image = Vec::new();
+        let len = index.write_hopidx(&mut image).unwrap();
+        assert_eq!(len, image.len() as u64);
+        assert_eq!(&read_index(&image).unwrap(), index);
+        let flat = FlatIndex::from_hopidx_bytes(&image).unwrap();
+        assert_eq!(
+            (flat.resident_bytes(), flat.total_entries()),
+            (image.len(), index.total_entries())
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn random_sorted_labels_round_trip(
+            (pick, raw) in (0usize..5, proptest::collection::vec((0u32..u32::MAX, 0u32..u32::MAX), 0..300))
+        ) {
+            let n = [1usize, 63, 64, 65, 70_000][pick];
+            // Pivots anywhere in 0..n with a bias to the front, where
+            // the hub word and the short gaps are; distances across all
+            // three widths.
+            let entries: Vec<_> = raw
+                .iter()
+                .map(|&(p, d)| {
+                    let pivot = if d % 3 == 0 { p % n as u32 } else { p % (n as u32).min(200) };
+                    (pivot, d >> (d % 32))
+                })
+                .collect();
+            let label = label_of(&entries);
+            assert_roundtrip(&label, n);
+            // And inside a whole image, as `L(0)` and as `Lin(n - 1)`.
+            let mut labels = vec![VertexLabels::new(); n];
+            labels[0] = label.clone();
+            whole_image_round_trips(&LabelIndex::Undirected(UndirectedLabels {
+                labels: labels.clone(),
+            }));
+            labels.swap(0, n - 1);
+            whole_image_round_trips(&LabelIndex::Directed(DirectedLabels {
+                out_labels: vec![VertexLabels::new(); n],
+                in_labels: labels,
+            }));
+        }
+    }
+
+    #[test]
+    fn the_writer_refuses_what_no_image_can_hold() {
+        let mut idx = LabelIndex::new_undirected(2);
+        if let LabelIndex::Undirected(u) = &mut idx {
+            u.labels[1].insert_min(LabelEntry::new(2, 1)); // not a vertex
+        }
+        let err = idx.write_hopidx(&mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+    }
+
+    #[test]
+    fn the_old_format_is_refused_by_name() {
+        // A complete, well-formed HOPIDX01 image of one isolated vertex.
+        let mut old = Vec::new();
+        old.extend_from_slice(b"HOPIDX01");
+        old.extend_from_slice(&[0, 0, 0, 0]);
+        old.extend_from_slice(&1u64.to_le_bytes());
+        old.extend_from_slice(&0u64.to_le_bytes());
+        old.extend_from_slice(&1u64.to_le_bytes());
+        old.extend_from_slice(&[0u8; 8]);
+        for err in [
+            Header::parse(&old).unwrap_err(),
+            validate(&old).unwrap_err(),
+            FlatIndex::from_hopidx_bytes(&old).unwrap_err(),
+            crate::shard::shard_image(&old, 2).unwrap_err(),
+        ] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("HOPIDX01") && err.to_string().contains("rebuild"));
+        }
+        assert!(!validate(b"HOPIDX03........").unwrap_err().to_string().contains("HOPIDX01"));
+    }
+}

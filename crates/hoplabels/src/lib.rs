@@ -11,13 +11,16 @@
 //! * [`index::LabelIndex`] — the full index: `Lin`/`Lout` per vertex for
 //!   directed graphs, a single `L` per vertex for undirected graphs, with
 //!   the merge-join distance query of Section 2;
-//! * [`flat::FlatIndex`] — the frozen read path: struct-of-arrays CSR
-//!   labels with sentinel-terminated runs, an adaptive merge/gallop
-//!   join, and the batched parallel `query_many` used for serving;
+//! * [`image`] — `HOPIDX02`, the one serialized form: per label a
+//!   64-bit hub word, fixed-width hub distances and a varint-delta
+//!   tail, under a CRC; its writer, checked decoder and validator;
+//! * [`flat::FlatIndex`] — the frozen read path: a validated image
+//!   served in place, and the batched parallel `query_many` used for
+//!   serving;
 //! * [`stats`] — label-size and pivot-coverage statistics backing
 //!   Table 7 and Figures 8–9;
-//! * [`disk`] — the on-disk index layout and the I/O-counted disk query
-//!   of Table 6's "Disk query time" column;
+//! * [`disk`] — the I/O-counted disk query of Table 6's "Disk query
+//!   time" column, over the same image;
 //! * [`query::QueryBackend`] — the unified serving-time query surface
 //!   implemented by both `FlatIndex` and `disk::CachedDiskIndex`;
 //! * [`overlay`] — the delta overlay for live edge insertions:
@@ -40,6 +43,7 @@ pub mod bitparallel;
 pub mod disk;
 pub mod entry;
 pub mod flat;
+pub mod image;
 pub mod index;
 pub mod overlay;
 pub mod query;

@@ -46,9 +46,9 @@ pub trait QueryBackend: Send + Sync {
     /// Whether the index stores separate `Lin`/`Lout` directions.
     fn is_directed(&self) -> bool;
 
-    /// Bytes this backend holds resident in memory (entry arrays and
-    /// directories for the flat path; offset directories and the label
-    /// cache bound for the disk path).
+    /// Bytes this backend holds resident in memory (the image for the
+    /// flat path; offset directories and the cached labels for the
+    /// disk path).
     fn resident_bytes(&self) -> usize;
 
     /// Whether answers come from memory (`true`) or a disk-backed

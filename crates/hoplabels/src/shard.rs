@@ -1,4 +1,4 @@
-//! Pivot-range sharding of `HOPIDX01` index images.
+//! Pivot-range sharding of index images.
 //!
 //! A 2-hop query is `min` over the *common pivots* of `Lout(s)` and
 //! `Lin(t)`. Partitioning the pivot universe `[0, n)` into `k`
@@ -12,10 +12,13 @@
 //! because each candidate pivot contributes to exactly one shard-local
 //! join and `INF_DIST` (`u32::MAX`) is the identity of `min`. Each
 //! shard produced by [`shard_image`] is itself a complete, valid
-//! `HOPIDX01` image over the *same* vertex set (same `n`, same
+//! `HOPIDX02` image over the *same* vertex set (same `n`, same
 //! direction flag) — it loads with `FlatIndex::load` and serves with an
 //! unmodified `hopdb-server` daemon; only the label entries whose pivot
-//! falls in the shard's range are retained.
+//! falls in the shard's range are retained. The cutter reads the source
+//! through [`crate::image`]'s checked decoder and writes every shard
+//! with the one writer, so a shard past the 64 hub pivots is all tail
+//! and picks its own hub-distance width like any other image.
 //!
 //! Range boundaries are chosen by entry count, not vertex count: the
 //! rank convention front-loads label mass onto the few top-ranked
@@ -43,7 +46,7 @@ use std::io;
 use extmem::wire;
 use sfgraph::{Dist, VertexId};
 
-use crate::disk::HopIdxHeader;
+use crate::index::{DirectedLabels, LabelIndex, UndirectedLabels, VertexLabels};
 
 /// Magic tag opening a serialized [`ShardSpec`] sidecar.
 pub const SHARD_MAGIC: &[u8; 8] = b"HOPSHRD1";
@@ -121,10 +124,11 @@ pub fn min_merge(acc: &mut [Dist], other: &[Dist]) {
     }
 }
 
-/// Split a serialized `HOPIDX01` image into `k` shard images by pivot
+/// Split a serialized index image into `k` shard images by pivot
 /// range, balanced by entry count. Returns the shards in partition
 /// order; ranges tile `[0, n)` exactly (empty ranges are possible when
-/// `k` exceeds the number of populated pivots).
+/// `k` exceeds the number of populated pivots). The source must pass
+/// the same validation a serving load applies.
 pub fn shard_image(bytes: &[u8], k: usize) -> io::Result<Vec<(Vec<u8>, ShardSpec)>> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     if k == 0 {
@@ -133,36 +137,23 @@ pub fn shard_image(bytes: &[u8], k: usize) -> io::Result<Vec<(Vec<u8>, ShardSpec
     if k > u32::MAX as usize {
         return Err(bad("shard count exceeds u32"));
     }
-    let header = HopIdxHeader::parse(bytes)?;
-    if bytes.len() != header.expected_len() {
-        return Err(bad("index image length does not match its header"));
-    }
-    let n = header.n;
+    let index = crate::image::read_index(bytes)?;
+    let n = index.num_vertices();
 
-    // One pass over every entry: pivot histogram (for balanced cuts),
-    // range validation, and the rank-pruning invariant check.
+    // One pass over every entry: pivot histogram (for balanced cuts)
+    // and the rank-pruning invariant check.
     let mut hist = vec![0u64; n];
     let mut rank_pruned = true;
-    let mut scan = |base: usize, offsets: &[u64]| -> io::Result<()> {
-        for (v, (&lo_e, &hi_e)) in offsets.iter().zip(offsets.iter().skip(1)).enumerate() {
-            for e in lo_e..hi_e {
-                let at = base + e as usize * 8;
-                let pivot =
-                    wire::u32_at(bytes, at).ok_or_else(|| bad("label entry out of bounds"))?;
-                let Some(slot) = hist.get_mut(pivot as usize) else {
-                    return Err(bad("label pivot out of range"));
-                };
-                *slot += 1;
-                if pivot > v as u32 {
-                    rank_pruned = false;
+    for side in index.sides() {
+        for (v, label) in side.iter().enumerate() {
+            for e in label.entries() {
+                // The decoder has checked `pivot < n`.
+                if let Some(slot) = hist.get_mut(e.pivot as usize) {
+                    *slot += 1;
                 }
+                rank_pruned &= e.pivot as usize <= v;
             }
         }
-        Ok(())
-    };
-    scan(header.out_base, &header.out_offsets)?;
-    if header.directed {
-        scan(header.in_base, &header.in_offsets)?;
     }
 
     // Cut at entry-count quantiles: boundary i is the smallest vertex
@@ -188,56 +179,29 @@ pub fn shard_image(bytes: &[u8], k: usize) -> io::Result<Vec<(Vec<u8>, ShardSpec
     let mut shards = Vec::with_capacity(k);
     for (i, (&lo, &hi)) in bounds.iter().zip(bounds.iter().skip(1)).enumerate() {
         let (lo, hi) = (lo as u32, hi as u32);
-        let image = build_shard(bytes, &header, lo, hi)?;
+        let cut = |side: &[VertexLabels]| -> Vec<VertexLabels> {
+            side.iter()
+                .map(|label| {
+                    let kept = label.entries().iter().filter(|e| (lo..hi).contains(&e.pivot));
+                    VertexLabels::from_entries(kept.copied().collect())
+                })
+                .collect()
+        };
+        let shard = match &index {
+            LabelIndex::Directed(d) => LabelIndex::Directed(DirectedLabels {
+                out_labels: cut(&d.out_labels),
+                in_labels: cut(&d.in_labels),
+            }),
+            LabelIndex::Undirected(u) => {
+                LabelIndex::Undirected(UndirectedLabels { labels: cut(&u.labels) })
+            }
+        };
+        let mut image = Vec::new();
+        shard.write_hopidx(&mut image)?;
         let spec = ShardSpec { lo, hi, index: i as u32, count: k as u32, rank_pruned };
         shards.push((image, spec));
     }
     Ok(shards)
-}
-
-/// Emit one shard: the source image with every label filtered to the
-/// entries whose pivot lies in `[lo, hi)`, offsets rebuilt to match.
-fn build_shard(bytes: &[u8], header: &HopIdxHeader, lo: u32, hi: u32) -> io::Result<Vec<u8>> {
-    let n = header.n;
-    // Labels are sorted by pivot, so each label's kept entries are one
-    // contiguous run found by scanning (labels are short; no need to
-    // binary-search).
-    let filter_side = |base: usize, offsets: &[u64]| -> (Vec<u64>, Vec<u8>) {
-        let mut new_offsets = Vec::with_capacity(n + 1);
-        new_offsets.push(0u64);
-        let mut entries: Vec<u8> = Vec::new();
-        let mut kept = 0u64;
-        for (&lo_e, &hi_e) in offsets.iter().zip(offsets.iter().skip(1)) {
-            for e in lo_e..hi_e {
-                let at = base + e as usize * 8;
-                // `shard_image` validated every entry before calling;
-                // a short read here would mean the image changed under
-                // us, and skipping beats panicking.
-                let Some(entry) = bytes.get(at..at + 8) else { continue };
-                let in_range = wire::u32_at(entry, 0).is_some_and(|p| p >= lo && p < hi);
-                if in_range {
-                    entries.extend_from_slice(entry);
-                    kept += 1;
-                }
-            }
-            new_offsets.push(kept);
-        }
-        (new_offsets, entries)
-    };
-
-    let (out_offsets, out_entries) = filter_side(header.out_base, &header.out_offsets);
-    let (in_offsets, in_entries) = if header.directed {
-        filter_side(header.in_base, &header.in_offsets)
-    } else {
-        (Vec::new(), Vec::new())
-    };
-
-    let shard = HopIdxHeader::new(header.directed, n, out_offsets, in_offsets);
-    let mut image = Vec::with_capacity(shard.out_base + out_entries.len() + in_entries.len());
-    shard.write(&mut image)?;
-    image.extend_from_slice(&out_entries);
-    image.extend_from_slice(&in_entries);
-    Ok(image)
 }
 
 #[cfg(test)]

@@ -87,7 +87,9 @@ impl LiveGeneration {
     ///
     /// When `max_resident_bytes` is set and the file is larger, the
     /// index is served from disk through [`CachedDiskIndex`] instead of
-    /// being loaded resident. A `<path>.rank` sidecar (as written by
+    /// being loaded resident. The admission test is exact: a resident
+    /// [`FlatIndex`] is the file's bytes and nothing else, so the file
+    /// length *is* what loading it would hold. A `<path>.rank` sidecar (as written by
     /// `hopdb-cli build`) is picked up automatically so queries use
     /// original vertex ids; without one, queries are in rank space.
     pub fn load(

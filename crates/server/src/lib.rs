@@ -4,10 +4,10 @@
 //!
 //! The serving process the paper's sub-microsecond query path deserves:
 //! a TCP daemon speaking a small length-prefixed binary protocol
-//! ([`proto`]), booting straight from a serialized `HOPIDX01` index
-//! into the frozen [`hoplabels::flat::FlatIndex`] layout (falling back
-//! to the disk-resident LRU path when the file exceeds an admission
-//! budget), fanning request batches across `FlatIndex::query_many`'s
+//! ([`proto`]), booting from a serialized `HOPIDX02` index image that
+//! [`hoplabels::flat::FlatIndex`] validates and then serves in place
+//! (falling back to the disk-resident LRU path when the file exceeds
+//! an admission budget), fanning request batches across `FlatIndex::query_many`'s
 //! scoped worker pool, and supporting *hot index swap*: an
 //! admin-frame-triggered atomic `Arc<Generation>` promotion so a
 //! parallel rebuild can replace the serving index without dropping a
@@ -27,8 +27,6 @@
 //!   hopbench (`benchmark/`), and the end-to-end tests.
 //!
 //! ```
-//! use extmem::device::TempStore;
-//! use hoplabels::disk::DiskIndex;
 //! use hoplabels::{LabelEntry, LabelIndex};
 //! use hopdb_server::{serve, Client, ServerConfig};
 //!
@@ -38,8 +36,8 @@
 //!     u.labels[1].insert_min(LabelEntry::new(0, 2));
 //!     u.labels[2].insert_min(LabelEntry::new(0, 5));
 //! }
-//! let store = TempStore::new().unwrap();
-//! let path = DiskIndex::create(&idx, &store, "doc").unwrap().persist();
+//! let path = std::env::temp_dir().join(format!("hopdb-doc-{}.idx", std::process::id()));
+//! idx.write_hopidx(&mut std::fs::File::create(&path).unwrap()).unwrap();
 //!
 //! let handle = serve("127.0.0.1:0", &path, ServerConfig::default()).unwrap();
 //! let mut client = Client::connect(handle.local_addr()).unwrap();

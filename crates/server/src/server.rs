@@ -21,7 +21,7 @@
 //! never drops a connection: the new generation is loaded *outside* the
 //! write lock and promoted with a single pointer swap.
 
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -662,9 +662,9 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
     let (index, _stats) = hopdb::build_prelabeled(&relabeled, &cfg);
     let flat = hoplabels::flat::FlatIndex::from_index(&index);
 
-    // Stage the checkpoint image while holding no lock: serialize the
-    // rebuilt index and its `.rank` sidecar to fresh files in the WAL
-    // directory and fsync them. Nothing references the staged files
+    // Stage the checkpoint image while holding no lock: write the
+    // rebuilt index (`flat` is the image, byte for byte) and its `.rank`
+    // sidecar to fresh files in the WAL directory and fsync them. Nothing references the staged files
     // until the manifest flips below, so aborting here merely leaves
     // garbage for the next `gc_dir` sweep.
     let staged = if let Some(durable) = &shared.durable {
@@ -674,9 +674,10 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
         };
         let stage = |e: std::io::Error| format!("checkpoint staging: {e}");
         let store = extmem::TempStore::in_dir(&dir).map_err(stage)?;
-        let image = hoplabels::disk::DiskIndex::create(&index, &store, "ckpt-stage")
-            .map_err(stage)?
-            .persist();
+        let mut file = store.create("ckpt-stage").map_err(stage)?;
+        file.write_all(flat.as_bytes()).map_err(stage)?;
+        file.persist();
+        let image = file.path().to_path_buf();
         let sidecar = {
             let mut s = image.as_os_str().to_os_string();
             s.push(".rank");

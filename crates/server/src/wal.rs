@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 
 use extmem::device::CountedFile;
 use extmem::stats::IoStats;
-use extmem::wire;
+use extmem::wire::{self, crc32};
 
 /// One logged update edge: `(src, dst, weight)` in original vertex ids.
 pub type WalEdge = (u32, u32, u32);
@@ -149,32 +149,6 @@ impl Durability {
             Durability::Always => 2,
         }
     }
-}
-
-/// CRC32 (IEEE reflected polynomial 0xEDB88320), table-driven.
-pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: [u32; 256] = crc32_table();
-    let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
 }
 
 fn encode_payload(batch: &[WalEdge]) -> Vec<u8> {
@@ -438,7 +412,7 @@ fn sync_parent_dir(path: &Path) {
 pub struct Manifest {
     /// Checkpoint epoch; a fresh lineage starts at 0.
     pub epoch: u64,
-    /// Index image (`HOPIDX01`) this epoch boots from; a `.rank`
+    /// Index image (`HOPIDX02`) this epoch boots from; a `.rank`
     /// sidecar next to it is honored exactly like at first boot.
     pub index_path: PathBuf,
 }
@@ -490,14 +464,6 @@ mod tests {
 
     fn batches() -> Vec<Vec<WalEdge>> {
         vec![vec![(0, 1, 5), (2, 3, 7)], vec![(4, 5, 1)], vec![(6, 7, 9), (8, 9, 2), (10, 11, 3)]]
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE CRC32 check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"hello"), 0x3610_A686);
     }
 
     #[test]

@@ -13,12 +13,16 @@ use crate::Diagnostic;
 use std::path::Path;
 
 /// The wire-facing decode modules the lint covers: the HOPQ codec, the
-/// WAL reader, the HTTP/1.1 parser, and the shard-sidecar parser.
-pub const WIRE_FACING: [&str; 5] = [
+/// WAL reader, the HTTP/1.1 parser, the index image's checked
+/// decoder/validator, the shard cutter and sidecar parser, and the
+/// total little-endian readers (with the CRC) they all lean on.
+pub const WIRE_FACING: [&str; 7] = [
     "crates/server/src/proto.rs",
     "crates/server/src/wal.rs",
     "crates/server/src/http.rs",
+    "crates/hoplabels/src/image.rs",
     "crates/hoplabels/src/shard.rs",
+    "crates/extmem/src/wire.rs",
     "crates/sfgraph/src/io.rs",
 ];
 

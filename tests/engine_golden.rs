@@ -3,36 +3,50 @@
 //! replaced it: the replacement must reproduce the old kernel's bytes and
 //! counters, not merely agree with itself across thread counts.
 //!
-//! Each case pins the FNV-1a of the `HOPIDX01` image and the
-//! per-iteration `(candidates, pruned, inserted, total_entries)` rows,
-//! and is asserted at 1, 2 and 4 threads. When the algorithm's output
-//! legitimately changes, a failing case prints its row in the table's
-//! own syntax: re-measure and replace the constants.
+//! Each case pins the FNV-1a of the *labels* — `n`, directedness, then
+//! per side per vertex the label's length and every `(pivot, dist)`,
+//! all little-endian — and the per-iteration `(candidates, pruned,
+//! inserted, total_entries)` rows, and is asserted at 1, 2 and 4
+//! threads. The hash reads the labels, not the serialized image, so it
+//! keeps proving the engines' output did not move when the image format
+//! does (the constants below were produced by this hash on the commit
+//! before `HOPIDX02`). When the algorithm's output legitimately
+//! changes, a failing case prints its row in the table's own syntax:
+//! re-measure and replace the constants.
 
 use hop_doubling::graphgen::{glp, orient_scale_free, with_random_weights, GlpParams};
 use hop_doubling::hopdb::{build, HopDbConfig, Strategy};
+use hop_doubling::hoplabels::LabelIndex;
 use hop_doubling::sfgraph::Graph;
 
 /// `(candidates, pruned, inserted, total_entries)` of one iteration.
 type Row = (u64, u64, u64, u64);
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+fn label_hash(index: &LabelIndex) -> u64 {
+    let mut h = fnv1a(0xcbf2_9ce4_8422_2325, &(index.num_vertices() as u64).to_le_bytes());
+    h = fnv1a(h, &[index.is_directed() as u8]);
+    for label in index.sides().iter().flat_map(|side| side.iter()) {
+        h = fnv1a(h, &(label.len() as u32).to_le_bytes());
+        for e in label.entries() {
+            h = fnv1a(fnv1a(h, &e.pivot.to_le_bytes()), &e.dist.to_le_bytes());
+        }
+    }
+    h
 }
 
 fn measure(g: &Graph, cfg: &HopDbConfig) -> (u64, Vec<Row>) {
     let db = build(g, cfg);
-    let mut image = Vec::new();
-    db.index().write_hopidx(&mut image).unwrap();
     let rows = db
         .stats()
         .iterations
         .iter()
         .map(|it| (it.candidates, it.pruned, it.inserted, it.total_entries))
         .collect();
-    (fnv1a(&image), rows)
+    (label_hash(db.index()), rows)
 }
 
 fn configs() -> [(&'static str, HopDbConfig); 6] {
@@ -47,7 +61,7 @@ fn configs() -> [(&'static str, HopDbConfig); 6] {
 }
 
 /// Build `g` under every config at 1, 2 and 4 threads and compare with
-/// `golden`, one `(config name, image hash, rows)` per config.
+/// `golden`, one `(config name, label hash, rows)` per config.
 fn assert_golden(graph: &str, g: &Graph, golden: &[(&str, u64, &[Row])]) {
     let mut failures = String::new();
     for (name, cfg) in configs() {
@@ -86,19 +100,19 @@ fn weighted_glp() {
 
 #[rustfmt::skip]
 const UNDIRECTED: &[(&str, u64, &[Row])] = &[
-    ("stepping", 0x2831a600c322784c, &[
+    ("stepping", 0x87b9385e04411ffd, &[
         (4635, 0, 4635, 6135), (23482, 9815, 13667, 19802), (8703, 7365, 1338, 21140),
         (163, 136, 27, 21167), (0, 0, 0, 21167),
     ]),
-    ("doubling", 0x01676da6deb264cc, &[
+    ("doubling", 0x374fb1856ed2b7ff, &[
         (4635, 0, 4635, 6135), (23482, 9815, 13667, 19802), (12628, 11080, 1548, 21350),
         (3170, 3170, 0, 21350),
     ]),
-    ("hybrid3", 0x2831a600c322784c, &[
+    ("hybrid3", 0x87b9385e04411ffd, &[
         (4635, 0, 4635, 6135), (23482, 9815, 13667, 19802), (8703, 7365, 1338, 21140),
         (2159, 2132, 27, 21167), (65, 65, 0, 21167),
     ]),
-    ("stepping-unpruned", 0x643d899a518a0052, &[
+    ("stepping-unpruned", 0xe89ddd8611fe6f3d, &[
         (4635, 0, 4635, 6135), (23482, 0, 23482, 29617), (26105, 0, 26105, 55722),
         (16652, 0, 16652, 72374), (12042, 0, 12042, 84416), (9086, 0, 9086, 93502),
         (6466, 0, 6466, 99968), (4506, 0, 4506, 104474), (3024, 0, 3024, 107498),
@@ -108,12 +122,12 @@ const UNDIRECTED: &[(&str, u64, &[Row])] = &[
         (11, 0, 11, 113432), (13, 0, 13, 113445), (3, 0, 3, 113448), (2, 0, 2, 113450),
         (4, 0, 4, 113454), (1, 0, 1, 113455), (4, 0, 4, 113459), (0, 0, 0, 113459),
     ]),
-    ("doubling-unpruned", 0x643d899a518a0052, &[
+    ("doubling-unpruned", 0xe89ddd8611fe6f3d, &[
         (4635, 0, 4635, 6135), (23482, 0, 23482, 29617), (38409, 0, 38409, 68026),
         (28882, 0, 28882, 96908), (15031, 0, 15031, 111188), (2646, 0, 2646, 113392),
         (77, 0, 77, 113459), (0, 0, 0, 113459),
     ]),
-    ("hybrid3-unpruned", 0x643d899a518a0052, &[
+    ("hybrid3-unpruned", 0xe89ddd8611fe6f3d, &[
         (4635, 0, 4635, 6135), (23482, 0, 23482, 29617), (26105, 0, 26105, 55722),
         (30192, 0, 30192, 85914), (23616, 0, 23616, 108186), (5679, 0, 5679, 113297),
         (284, 0, 284, 113459), (0, 0, 0, 113459),
@@ -122,19 +136,19 @@ const UNDIRECTED: &[(&str, u64, &[Row])] = &[
 
 #[rustfmt::skip]
 const DIRECTED: &[(&str, u64, &[Row])] = &[
-    ("stepping", 0x364a0c0d78a565e5, &[
+    ("stepping", 0x3998ea23d870d41e, &[
         (4600, 0, 4600, 7600), (17622, 4625, 12997, 20597), (8833, 4530, 4303, 24900),
         (804, 493, 311, 25211), (70, 47, 23, 25234), (0, 0, 0, 25234),
     ]),
-    ("doubling", 0x9697815dcff59064, &[
+    ("doubling", 0x1ae697bafe277b58, &[
         (4600, 0, 4600, 7600), (17622, 4625, 12997, 20597), (12240, 7395, 4845, 25442),
         (2079, 2018, 61, 25503), (35, 35, 0, 25503),
     ]),
-    ("hybrid3", 0x364a0c0d78a565e5, &[
+    ("hybrid3", 0x3998ea23d870d41e, &[
         (4600, 0, 4600, 7600), (17622, 4625, 12997, 20597), (8833, 4530, 4303, 24900),
         (2045, 1714, 331, 25231), (196, 193, 3, 25234), (0, 0, 0, 25234),
     ]),
-    ("stepping-unpruned", 0xdc106b2523e3300a, &[
+    ("stepping-unpruned", 0x156a27b15c6588f7, &[
         (4600, 0, 4600, 7600), (17622, 0, 17622, 25222), (23758, 0, 23758, 48980),
         (13419, 0, 13419, 62399), (7500, 0, 7500, 69899), (4422, 0, 4422, 74321),
         (2693, 0, 2693, 77014), (1596, 0, 1596, 78610), (890, 0, 890, 79500),
@@ -143,12 +157,12 @@ const DIRECTED: &[(&str, u64, &[Row])] = &[
         (37, 0, 37, 80914), (37, 0, 37, 80951), (41, 0, 41, 80992), (21, 0, 21, 81013),
         (8, 0, 8, 81021), (13, 0, 13, 81034), (3, 0, 3, 81037), (0, 0, 0, 81037),
     ]),
-    ("doubling-unpruned", 0xdc106b2523e3300a, &[
+    ("doubling-unpruned", 0x156a27b15c6588f7, &[
         (4600, 0, 4600, 7600), (17622, 0, 17622, 25222), (34417, 0, 34417, 59639),
         (15597, 0, 15597, 75236), (5205, 0, 5205, 80240), (695, 0, 695, 80892),
         (155, 0, 155, 81037), (0, 0, 0, 81037),
     ]),
-    ("hybrid3-unpruned", 0xdc106b2523e3300a, &[
+    ("hybrid3-unpruned", 0x156a27b15c6588f7, &[
         (4600, 0, 4600, 7600), (17622, 0, 17622, 25222), (23758, 0, 23758, 48980),
         (21340, 0, 21340, 70320), (9731, 0, 9731, 79395), (1602, 0, 1602, 80839),
         (224, 0, 224, 81037), (0, 0, 0, 81037),
@@ -157,20 +171,20 @@ const DIRECTED: &[(&str, u64, &[Row])] = &[
 
 #[rustfmt::skip]
 const WEIGHTED: &[(&str, u64, &[Row])] = &[
-    ("stepping", 0x10f9a7ea41dbf915, &[
+    ("stepping", 0xed4873bedd3cfa8e, &[
         (4543, 0, 4543, 6043), (25251, 5608, 19643, 25192), (26848, 15598, 11250, 31289),
         (7488, 3947, 3541, 32399), (1555, 892, 663, 32579), (168, 107, 61, 32591),
         (3, 0, 3, 32591), (0, 0, 0, 32591),
     ]),
-    ("doubling", 0x9f58c2bd302e8821, &[
+    ("doubling", 0x89eb9202f6cd00f0, &[
         (4543, 0, 4543, 6043), (25251, 5608, 19643, 25192), (41036, 27504, 13532, 32890),
         (13646, 11913, 1733, 33397), (1176, 1176, 0, 33397),
     ]),
-    ("hybrid3", 0x449ec82955314052, &[
+    ("hybrid3", 0xa32b05ec8b20d813, &[
         (4543, 0, 4543, 6043), (25251, 5608, 19643, 25192), (26848, 15598, 11250, 31289),
         (14445, 10505, 3940, 32534), (2605, 2422, 183, 32596), (158, 158, 0, 32596),
     ]),
-    ("stepping-unpruned", 0xe61d94a843009d20, &[
+    ("stepping-unpruned", 0x9727a5a4d353f64b, &[
         (4543, 0, 4543, 6043), (25251, 0, 25251, 30650), (40853, 0, 40853, 59958),
         (34538, 0, 34538, 77958), (23115, 0, 23115, 89747), (14984, 0, 14984, 97959),
         (9596, 0, 9596, 103402), (6101, 0, 6101, 106876), (3945, 0, 3945, 109159),
@@ -181,12 +195,12 @@ const WEIGHTED: &[(&str, u64, &[Row])] = &[
         (141, 0, 141, 117022), (95, 0, 95, 117088), (73, 0, 73, 117135), (46, 0, 46, 117165),
         (24, 0, 24, 117184), (9, 0, 9, 117190), (0, 0, 0, 117190),
     ]),
-    ("doubling-unpruned", 0xe61d94a843009d20, &[
+    ("doubling-unpruned", 0x9727a5a4d353f64b, &[
         (4543, 0, 4543, 6043), (25251, 0, 25251, 30650), (55557, 0, 55557, 73412),
         (45233, 0, 45233, 101201), (17301, 0, 17301, 112132), (4875, 0, 4875, 116104),
         (1196, 0, 1196, 117190), (0, 0, 0, 117190),
     ]),
-    ("hybrid3-unpruned", 0xe61d94a843009d20, &[
+    ("hybrid3-unpruned", 0x9727a5a4d353f64b, &[
         (4543, 0, 4543, 6043), (25251, 0, 25251, 30650), (40853, 0, 40853, 59958),
         (50749, 0, 50749, 91954), (27907, 0, 27907, 109179), (8333, 0, 8333, 115426),
         (2153, 0, 2153, 117175), (16, 0, 16, 117190), (0, 0, 0, 117190),
