@@ -15,7 +15,7 @@
 
 use sfgraph::{Dist, Graph, VertexId, INF_DIST};
 
-use crate::index::{join_min, LabelIndex, VertexLabels};
+use hoplabels::index::{join_min, LabelIndex, VertexLabels};
 
 /// Maximum number of roots: one bit per root in the per-vertex marker.
 pub const MAX_ROOTS: usize = 64;
@@ -106,7 +106,7 @@ impl BitParallelIndex {
         let mut normal: Vec<VertexLabels> = Vec::with_capacity(n);
 
         for v in 0..n as VertexId {
-            let mut keep: Vec<crate::entry::LabelEntry> = Vec::new();
+            let mut keep: Vec<hoplabels::LabelEntry> = Vec::new();
             let mut local: Vec<BpTuple> = Vec::new();
             let find_or_insert = |local: &mut Vec<BpTuple>, root_idx: u32, dist: Dist| -> usize {
                 match local.binary_search_by_key(&root_idx, |t| t.root_idx) {
@@ -222,8 +222,7 @@ enum Role {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::LabelEntry;
-    use crate::index::UndirectedLabels;
+    use hoplabels::{LabelEntry, UndirectedLabels};
     use sfgraph::traversal::all_pairs;
     use sfgraph::{Graph, GraphBuilder};
 

@@ -17,19 +17,23 @@
 //!   augmentation, the only prior disk-capable method;
 //! * [`hcl`] — a *highway-cover* labeling standing in for HCL
 //!   (reference \[20\]); the [`hcl`] module docs give the substitution
-//!   argument.
+//!   argument;
+//! * [`bitparallel`] — the paper's own §6 post-processing of a finished
+//!   index (Table 6's `BP` column); no serving path reads it.
 //!
 //! PLL and IS-Label produce [`hoplabels::LabelIndex`] values, so all
 //! label-based methods share query code, statistics, and the disk
 //! layout — exactly the comparability Table 6 relies on.
 
 pub mod bidij;
+pub mod bitparallel;
 pub mod hcl;
 pub mod islabel;
 pub mod oracle;
 pub mod pll;
 
 pub use bidij::Bidij;
+pub use bitparallel::BitParallelIndex;
 pub use hcl::HighwayCover;
 pub use islabel::{IsLabel, IsLabelError};
 pub use oracle::DistanceOracle;

@@ -47,8 +47,7 @@ impl Pll {
     /// assert_eq!(pll.distance(2, 0), u32::MAX); // unreachable
     /// ```
     pub fn build(g: &Graph) -> Pll {
-        let rank_by = if g.is_directed() { RankBy::DegreeProduct } else { RankBy::Degree };
-        Pll::build_ranked(g, &rank_by)
+        Pll::build_ranked(g, &RankBy::paper_default(g))
     }
 
     /// Build with an explicit ranking strategy.

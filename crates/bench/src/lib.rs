@@ -1,28 +1,31 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! # bench — the evaluation harness (Section 8)
+//! # bench — the paper's evaluation (Section 8)
 //!
-//! One binary per table/figure of the paper:
+//! One binary, `paper`, over one function, [`report()`]: every suite graph
+//! is ranked and built once and feeds all of
 //!
-//! | binary   | reproduces |
+//! | section  | reproduces |
 //! |----------|------------|
-//! | `table6` | performance comparison: index size / build time / memory & disk query time for BIDIJ, IS-Label, PLL, HCL*, HopDb(+BP) |
+//! | `table6` | index size / build time / memory & disk query time for BIDIJ, IS-Label, PLL, HCL*, HopDb(+BP) |
 //! | `table7` | iterations, avg label size, top-vertex coverage (small hitting sets) |
-//! | `table8` | Hop-Doubling vs Hop-Stepping vs Hybrid (+ ranking & switch-point ablations) |
+//! | `table8` | Hop-Doubling vs Hop-Stepping vs Hybrid (ablations: `sweep`, `rankings`) |
 //! | `fig8`   | label coverage vs top-ranked vertex share curves |
 //! | `fig9`   | GLP scalability sweeps: density and vertex count |
 //! | `fig10`  | per-iteration growing/pruning factors and size ratios |
 //!
-//! Real datasets are replaced by GLP-generated scale-free graphs with
-//! matched shapes (the SNAP/KONECT originals are not redistributable —
-//! README "Paper tables and figures"); every binary honours the
-//! `BENCH_SCALE` environment variable (`small` / `medium` / `large`,
-//! default `medium`) so the whole suite can run as a smoke test or as a
-//! full evaluation. Speed and size numbers the repo is judged by come
-//! from `hopbench` (`benchmark/`), not from here.
+//! Real datasets are replaced by GLP-generated scale-free graphs of
+//! matched shape (README "Paper tables and figures"). `BENCH_SCALE`
+//! (`small` / `medium` / `large`, default `medium`) sizes every graph and
+//! `BENCH_THREADS` sets the in-memory build's workers. Speed and size
+//! numbers the repo is judged by come from `hopbench`, not from here.
 
-use std::time::{Duration, Instant};
+pub mod report;
+
+pub use report::{parse_sections, report, Inputs, Tally, SECTIONS};
+
+use std::time::Instant;
 
 use graphgen::{glp, orient_scale_free, with_random_weights, GlpParams};
 use sfgraph::{Graph, VertexId, INF_DIST};
@@ -100,47 +103,33 @@ impl Scale {
     }
 }
 
-/// The Table 6 / Table 7 workload suite.
+/// The workload suite behind Tables 6–8 and Figures 8 and 10.
 pub fn suite(scale: Scale) -> Vec<Workload> {
-    let f = scale.factor();
-    let mut v = Vec::new();
-    // Undirected unweighted: increasing size, paper-default density.
-    for (i, (n, d)) in
-        [(5_000 * f, 2.1), (12_000 * f, 3.0), (25_000 * f, 6.0)].into_iter().enumerate()
-    {
-        v.push(Workload {
-            name: format!("u{}k-d{}", n / 1000, d as u32),
-            kind: Kind::UndirectedUnweighted,
-            graph: glp(&GlpParams::with_density(n, d, 100 + i as u64)),
-        });
-    }
-    // Directed unweighted: oriented GLP with 25% reciprocity.
-    for (i, (n, d)) in [(5_000 * f, 2.5), (12_000 * f, 5.0)].into_iter().enumerate() {
-        let und = glp(&GlpParams::with_density(n, d, 200 + i as u64));
-        v.push(Workload {
-            name: format!("d{}k-d{}", n / 1000, d as u32),
-            kind: Kind::DirectedUnweighted,
-            graph: orient_scale_free(&und, 0.25, 200 + i as u64),
-        });
-    }
-    // Synthetic: the syn-style denser graphs.
-    for (i, (n, d)) in [(4_000 * f, 10.0), (10_000 * f, 16.0)].into_iter().enumerate() {
-        v.push(Workload {
-            name: format!("syn{}k-d{}", n / 1000, d as u32),
-            kind: Kind::Synthetic,
-            graph: glp(&GlpParams::with_density(n, d, 300 + i as u64)),
-        });
-    }
-    // Undirected weighted: rating-network stand-ins, weights 1..=10.
-    for (i, (n, d)) in [(5_000 * f, 3.0), (10_000 * f, 8.0)].into_iter().enumerate() {
-        let und = glp(&GlpParams::with_density(n, d, 400 + i as u64));
-        v.push(Workload {
-            name: format!("w{}k-d{}", n / 1000, d as u32),
-            kind: Kind::UndirectedWeighted,
-            graph: with_random_weights(&und, 1, 10, 400 + i as u64),
-        });
-    }
-    v
+    use Kind::*;
+    // Row group, name prefix, seed, vertices at `small`, density. Sizes
+    // grow within a group; `syn` are the denser graphs.
+    let shapes = [
+        (UndirectedUnweighted, "u", 100, 5_000, 2.1),
+        (UndirectedUnweighted, "u", 101, 12_000, 3.0),
+        (UndirectedUnweighted, "u", 102, 25_000, 6.0),
+        (DirectedUnweighted, "d", 200, 5_000, 2.5),
+        (DirectedUnweighted, "d", 201, 12_000, 5.0),
+        (Synthetic, "syn", 300, 4_000, 10.0),
+        (Synthetic, "syn", 301, 10_000, 16.0),
+        (UndirectedWeighted, "w", 400, 5_000, 3.0),
+        (UndirectedWeighted, "w", 401, 10_000, 8.0),
+    ];
+    let workload = |(kind, prefix, seed, n, d): (Kind, &str, u64, usize, f64)| {
+        let n = n * scale.factor();
+        let und = glp(&GlpParams::with_density(n, d, seed));
+        let graph = match kind {
+            DirectedUnweighted => orient_scale_free(&und, 0.25, seed), // 25% reciprocity
+            UndirectedWeighted => with_random_weights(&und, 1, 10, seed), // ratings 1..=10
+            _ => und,
+        };
+        Workload { name: format!("{prefix}{}k-d{}", n / 1000, d as u32), kind, graph }
+    };
+    shapes.into_iter().map(workload).collect()
 }
 
 /// Parse a `BENCH_THREADS` value: any `usize` (0 = all cores).
@@ -152,9 +141,9 @@ fn parse_threads(value: &str) -> Result<usize, String> {
 
 /// Build-worker threads from the `BENCH_THREADS` environment variable
 /// (unset = 1 = sequential; 0 = all cores; anything unparsable ends the
-/// process with exit status 2). Every harness builds the bit-identical
-/// index regardless — the knob only changes build time, so Fig. 8 /
-/// Table 6 runs can report scaling at 1/2/4/8 threads.
+/// process with exit status 2). The built index is bit-identical
+/// regardless — the knob only changes build time, so Table 6's `HopT`
+/// column can report scaling at 1/2/4/8 threads.
 pub fn threads_from_env() -> usize {
     env_or_exit("BENCH_THREADS", 1, parse_threads)
 }
@@ -195,18 +184,12 @@ pub fn time_queries(
             reachable += 1;
         }
     }
-    let elapsed = start.elapsed();
-    (elapsed.as_secs_f64() * 1e6 / pairs.len().max(1) as f64, reachable)
+    (start.elapsed().as_secs_f64() * 1e6 / pairs.len().max(1) as f64, reachable)
 }
 
 /// Human-readable MB.
 pub fn mb(bytes: usize) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
-}
-
-/// Human-readable seconds.
-pub fn secs(d: Duration) -> f64 {
-    d.as_secs_f64()
 }
 
 #[cfg(test)]
@@ -260,6 +243,72 @@ mod tests {
             let why = parse_threads(bad).expect_err(bad);
             assert!(why.contains("thread count"), "{why}");
         }
+    }
+
+    #[test]
+    fn section_names_parse_or_name_what_is_accepted() {
+        assert_eq!(parse_sections(&[]), Ok(SECTIONS[..6].to_vec()), "none named = the paper's six");
+        let named = ["fig8".to_string(), "sweep".to_string()];
+        assert_eq!(parse_sections(&named), Ok(vec!["fig8", "sweep"]));
+        for bad in ["table9", "--sweep", "Fig8", ""] {
+            let why = parse_sections(&["table6".to_string(), bad.to_string()]).expect_err(bad);
+            assert!(why.contains("table6, table7, table8, fig8, fig9, fig10"), "{why}");
+        }
+    }
+
+    /// One report over two ~300-vertex workloads: all six sections print,
+    /// each workload is ranked once and built once per (engine, strategy)
+    /// — by the report's own count — and the only other builds are
+    /// Figure 9's eleven graphs and Table 8's grid.
+    #[test]
+    fn report_prints_six_sections_from_one_build_per_engine_and_strategy() {
+        let glp300 = |seed| glp(&GlpParams::with_density(300, 3.0, seed));
+        let workloads = vec![
+            Workload { name: "u300".into(), kind: Kind::UndirectedUnweighted, graph: glp300(11) },
+            Workload {
+                name: "d300".into(),
+                kind: Kind::DirectedUnweighted,
+                graph: orient_scale_free(&glp300(12), 0.25, 12),
+            },
+        ];
+        let inputs = Inputs { workloads, sweep_unit: 40, grid_side: 6, threads: 2 };
+        let mut out = Vec::new();
+        let tally = report(&mut out, &inputs, &SECTIONS[..6]).expect("write to a Vec");
+        let text = String::from_utf8(out).expect("utf-8");
+
+        for title in [
+            "Table 6 —",
+            "Table 7 —",
+            "Table 8 —",
+            "Figure 8 —",
+            "Figure 9 —",
+            "Figure 10 — anatomy of the hybrid build of d300",
+        ] {
+            assert!(text.contains(title), "no `{title}` in:\n{text}");
+        }
+        // Every table has a line per workload; Table 6's is printed only
+        // after `report` asserted the 2-thread in-memory index equal to
+        // the external one.
+        for name in ["u300", "d300"] {
+            assert_eq!(text.matches(&format!("\n{name} ")).count(), 4, "{name} in:\n{text}");
+            let mine: Vec<(&str, usize)> = tally
+                .iter()
+                .filter(|((graph, _), _)| graph == name)
+                .map(|((_, what), &times)| (what.as_str(), times))
+                .collect();
+            let once = ["doubling", "external", "memory", "rank", "stepping"].map(|what| (what, 1));
+            assert_eq!(mine, once, "{name}");
+        }
+        assert!(tally.values().all(|&times| times == 1), "{tally:?}");
+        let builds = tally.keys().filter(|(_, what)| what != "rank").count();
+        assert_eq!(builds, 2 * 4 + 11 + 3, "{tally:?}");
+        let ranked = tally.keys().filter(|(_, what)| what == "rank").count();
+        assert_eq!(ranked, 2 + 11 + 1, "{tally:?}");
+
+        // A section that reads one workload builds one workload.
+        let tally = report(&mut Vec::new(), &inputs, &["fig10"]).expect("write to a Vec");
+        let keys: Vec<_> = tally.keys().map(|(g, what)| (g.as_str(), what.as_str())).collect();
+        assert_eq!(keys, [("d300", "memory"), ("d300", "rank")]);
     }
 
     #[test]

@@ -345,8 +345,7 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         ..HopDbConfig::default()
     };
     let started = std::time::Instant::now();
-    let rank_by = if g.is_directed() { RankBy::DegreeProduct } else { RankBy::Degree };
-    let ranking = rank_vertices(&g, &rank_by);
+    let ranking = rank_vertices(&g, &RankBy::paper_default(&g));
     let relabeled = relabel_by_rank(&g, &ranking);
     let mut io_summary = None;
     let (index, stats) = if let Some(ext) = &ext {

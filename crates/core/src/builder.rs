@@ -86,11 +86,7 @@ impl HopDb {
 /// assert_eq!(db.query(3, 3), 0);
 /// ```
 pub fn build(g: &Graph, cfg: &HopDbConfig) -> HopDb {
-    let rank_by = cfg.rank_by.clone().unwrap_or(if g.is_directed() {
-        RankBy::DegreeProduct
-    } else {
-        RankBy::Degree
-    });
+    let rank_by = cfg.rank_by.clone().unwrap_or_else(|| RankBy::paper_default(g));
     let ranking = rank_vertices(g, &rank_by);
     let relabeled = relabel_by_rank(g, &ranking);
     let (index, stats) = build_prelabeled(&relabeled, cfg);

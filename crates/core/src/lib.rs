@@ -30,9 +30,10 @@
 //! * [`postprune`] — the exhaustive pruning pass (§5.2) that shrinks a
 //!   Hop-Doubling index to Hop-Stepping size;
 //! * [`external`] — the I/O-efficient construction of §4 on the
-//!   `extmem` substrate;
-//! * [`sixrules`] — the unminimized 6-rule generator, kept as an
-//!   executable witness for Lemmas 3–4.
+//!   `extmem` substrate.
+//!
+//! The unminimized 6-rule generator (`sixrules.rs`) is compiled into
+//! the tests only, as an executable witness for Lemmas 3–4.
 //!
 //! Construction parallelises within each iteration: set
 //! [`HopDbConfig::parallelism`] (or `hopdb-cli build --threads`) to
@@ -47,10 +48,11 @@ pub mod external;
 pub mod iteration;
 pub mod postprune;
 pub mod shard;
-pub mod sixrules;
 
 #[cfg(test)]
 mod examples;
+#[cfg(test)]
+mod sixrules;
 
 pub use builder::{build, build_prelabeled, HopDb};
 pub use config::{HopDbConfig, Strategy};

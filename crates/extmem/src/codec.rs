@@ -5,7 +5,7 @@
 //! id and an 8-bit distance per entry; we keep 32-bit distances for
 //! weighted-graph generality and accept the 12-byte record.
 
-use bytes::{Buf, BufMut};
+use crate::wire;
 
 /// A fixed-size, plain-data record.
 pub trait Record: Copy + Send + 'static {
@@ -13,10 +13,13 @@ pub trait Record: Copy + Send + 'static {
     const SIZE: usize;
 
     /// Append the encoded record to `buf`.
-    fn encode<B: BufMut>(&self, buf: &mut B);
+    fn encode(&self, buf: &mut Vec<u8>);
 
-    /// Decode one record from `buf` (which holds at least `SIZE` bytes).
-    fn decode<B: Buf>(buf: &mut B) -> Self;
+    /// Decode one record from the first `SIZE` bytes of `buf`.
+    ///
+    /// # Panics
+    /// Panics if `buf` is shorter than `SIZE`.
+    fn decode(buf: &[u8]) -> Self;
 
     /// The key a sorted run of these records is grouped by: what a run's
     /// sparse directory stores per block (see [`crate::run`]).
@@ -56,18 +59,16 @@ impl Record for LabelRecord {
     const SIZE: usize = 12;
 
     #[inline]
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_u32_le(self.key);
-        buf.put_u32_le(self.pivot);
-        buf.put_u32_le(self.dist);
+    fn encode(&self, buf: &mut Vec<u8>) {
+        for word in [self.key, self.pivot, self.dist] {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
     }
 
     #[inline]
-    fn decode<B: Buf>(buf: &mut B) -> Self {
-        let key = buf.get_u32_le();
-        let pivot = buf.get_u32_le();
-        let dist = buf.get_u32_le();
-        LabelRecord { key, pivot, dist }
+    fn decode(buf: &[u8]) -> Self {
+        let word = |off| wire::u32_at(buf, off).expect("a record buffer holds SIZE bytes");
+        LabelRecord { key: word(0), pivot: word(4), dist: word(8) }
     }
 
     #[inline]
@@ -86,8 +87,7 @@ mod tests {
         let mut buf = Vec::new();
         r.encode(&mut buf);
         assert_eq!(buf.len(), LabelRecord::SIZE);
-        let mut slice = &buf[..];
-        assert_eq!(LabelRecord::decode(&mut slice), r);
+        assert_eq!(LabelRecord::decode(&buf), r);
     }
 
     #[test]

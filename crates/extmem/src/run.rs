@@ -17,8 +17,6 @@
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::sync::Arc;
 
-use bytes::BytesMut;
-
 use crate::codec::Record;
 use crate::device::CountedFile;
 
@@ -76,7 +74,7 @@ impl<R: Record> Run<R> {
 pub struct RunWriter<R: Record> {
     out: BufWriter<CountedFile>,
     len: u64,
-    buf: BytesMut,
+    buf: Vec<u8>,
     chunk_records: u64,
     /// Records still to come before the next chunk starts.
     until_chunk: u64,
@@ -93,7 +91,7 @@ impl<R: Record> RunWriter<R> {
         RunWriter {
             out: BufWriter::with_capacity(chunk_records * R::SIZE, file),
             len: 0,
-            buf: BytesMut::with_capacity(R::SIZE),
+            buf: Vec::with_capacity(R::SIZE),
             chunk_records: chunk_records as u64,
             until_chunk: 0,
             first_keys: Vec::new(),
@@ -222,8 +220,7 @@ impl<R: Record> RunReader<R> {
         }
         self.input.read_exact(&mut self.scratch)?;
         self.remaining -= 1;
-        let mut slice = &self.scratch[..];
-        Ok(Some(R::decode(&mut slice)))
+        Ok(Some(R::decode(&self.scratch)))
     }
 
     /// Fill `out` with up to `max` records; returns how many were read.
@@ -232,8 +229,7 @@ impl<R: Record> RunReader<R> {
         out.reserve(take);
         for _ in 0..take {
             self.input.read_exact(&mut self.scratch)?;
-            let mut slice = &self.scratch[..];
-            out.push(R::decode(&mut slice));
+            out.push(R::decode(&self.scratch));
         }
         self.remaining -= take as u64;
         Ok(take)

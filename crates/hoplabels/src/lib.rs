@@ -29,7 +29,6 @@
 //! * [`shard`] — pivot-range sharding: split one index image into `k`
 //!   smaller images whose per-shard answers min-merge back to the
 //!   unsharded answer, for scale-out serving;
-//! * [`bitparallel`] — the bit-parallel post-processing of Section 6;
 //! * [`verify`] — brute-force exactness/minimality checkers for tests.
 //!
 //! ## Rank convention
@@ -39,7 +38,6 @@
 //! highest-ranked vertex and `r(u) > r(v)` ⇔ `u < v`. Labels store
 //! pivots in increasing id order, i.e. decreasing rank order.
 
-pub mod bitparallel;
 pub mod disk;
 pub mod entry;
 pub mod flat;

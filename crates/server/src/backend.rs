@@ -164,6 +164,24 @@ impl LiveGeneration {
         })
     }
 
+    /// Whether the *frozen* index puts the endpoints of some edge of
+    /// `edges` (original ids; the graph it was built from) more than 1
+    /// apart — which only a weighted build does: an unweighted one
+    /// leaves every edge's endpoints at distance ≤ 1, and the overlay
+    /// (not consulted here) only ever shortens. Edges outside the index
+    /// say nothing.
+    pub fn frozen_exceeds_one(&self, edges: &[(VertexId, VertexId, Dist)]) -> Result<bool, String> {
+        let n = self.vertices as VertexId;
+        let rank = |v| self.ranking.as_ref().map_or(v, |r| r.rank_of(v));
+        for &(s, t, _) in edges.iter().filter(|&&(s, t, _)| s < n && t < n) {
+            let d = self.index.frozen().query(rank(s), rank(t));
+            if d.map_err(|e| format!("index query: {e}"))? > 1 {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
     /// Monotone generation number, reported uniformly through
     /// [`QueryBackend::generation_id`].
     pub fn generation(&self) -> u64 {

@@ -137,6 +137,40 @@ struct DurableState {
     stats: Arc<IoStats>,
 }
 
+impl DurableState {
+    /// Advance the lineage one epoch: the next boot loads `image` and
+    /// replays `tail`. The write order is the commit protocol `wal.rs`
+    /// documents — the next epoch's log is created, seeded with `tail`
+    /// and synced; the manifest flips (the single commit point); only
+    /// then does the old log go. A crash before the flip recovers the
+    /// old image plus the full old log, after it `image` plus `tail`;
+    /// replay is idempotent, so straddling updates are safe.
+    fn advance(
+        &mut self,
+        shared: &Shared,
+        image: PathBuf,
+        tail: &[(u32, u32, u32)],
+    ) -> std::io::Result<()> {
+        let epoch = self.wal.epoch() + 1;
+        let path = self.dir.join(wal::wal_file_name(epoch));
+        let mut next =
+            Wal::create(&path, epoch, shared.config.durability, Arc::clone(&self.stats))?;
+        if !tail.is_empty() {
+            next.append(tail)?;
+            next.sync()?;
+        }
+        let manifest = Manifest { epoch, index_path: image };
+        wal::write_manifest(&self.dir, &manifest, Arc::clone(&self.stats))?;
+        let old = std::mem::replace(&mut self.wal, next);
+        let _ = std::fs::remove_file(old.path());
+        wal::gc_dir(&self.dir, epoch);
+        shared.wal_epoch.store(epoch, Ordering::Relaxed);
+        shared.wal_records.store(self.wal.records(), Ordering::Relaxed);
+        shared.wal_bytes.store(self.wal.bytes(), Ordering::Relaxed);
+        Ok(())
+    }
+}
+
 /// State shared by the front, the executor, the compactor, and the
 /// handle.
 struct Shared {
@@ -463,31 +497,11 @@ fn do_swap(shared: &Shared) -> std::io::Result<Arc<Generation>> {
     let mut log =
         shared.update_log.lock().map_err(|_| std::io::Error::other("server state poisoned"))?;
     // A swap discards the update log with the image it described; the
-    // durable lineage advances the same way: a fresh (empty) next-epoch
-    // log, then the manifest flip committing "boot from the swapped
-    // image, nothing to replay". A crash before the flip recovers the
-    // pre-swap state (old log intact), after it the post-swap state.
+    // durable lineage advances the same way: "boot from the swapped
+    // image, nothing to replay".
     if let Some(durable) = &shared.durable {
         let mut d = durable.lock().map_err(|_| std::io::Error::other("server state poisoned"))?;
-        let epoch = d.wal.epoch() + 1;
-        let new_wal = Wal::create(
-            &d.dir.join(wal::wal_file_name(epoch)),
-            epoch,
-            shared.config.durability,
-            Arc::clone(&d.stats),
-        )?;
-        wal::write_manifest(
-            &d.dir,
-            &Manifest { epoch, index_path: path.to_path_buf() },
-            Arc::clone(&d.stats),
-        )?;
-        let old_path = d.wal.path().to_path_buf();
-        d.wal = new_wal;
-        let _ = std::fs::remove_file(old_path);
-        wal::gc_dir(&d.dir, epoch);
-        shared.wal_epoch.store(epoch, Ordering::Relaxed);
-        shared.wal_records.store(d.wal.records(), Ordering::Relaxed);
-        shared.wal_bytes.store(d.wal.bytes(), Ordering::Relaxed);
+        d.advance(shared, path.to_path_buf(), &[])?;
     }
     log.clear();
     shared.swap_epoch.fetch_add(1, Ordering::SeqCst);
@@ -568,23 +582,6 @@ fn do_update(shared: &Shared, edges: &[(u32, u32, u32)]) -> Result<(u64, u64), S
     Ok((generation, overlay_edges))
 }
 
-/// Whether the first data line of an edge-list file carries a third
-/// (weight) column — how the compactor decides to re-read the source
-/// graph weighted or unweighted.
-fn sniff_weighted(path: &Path) -> std::io::Result<bool> {
-    use std::io::BufRead;
-    let reader = BufReader::new(std::fs::File::open(path)?);
-    for line in reader.lines() {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') || t.starts_with('%') {
-            continue;
-        }
-        return Ok(t.split_whitespace().count() >= 3);
-    }
-    Ok(false)
-}
-
 /// Rebuild the frozen index from the configured source graph plus the
 /// pinned prefix of the update log, and promote it as a new generation.
 ///
@@ -619,20 +616,31 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
         (log.clone(), shared.swap_epoch.load(Ordering::SeqCst))
     };
     let pinned_len = pinned.len();
-    let (directed, serving_n) = {
+    let serving = {
         let cur = shared.current.read().map_err(|_| "server state poisoned".to_string())?;
-        (cur.is_directed(), cur.vertices())
+        Arc::clone(&cur)
     };
+    let (directed, serving_n) = (serving.is_directed(), serving.vertices());
 
     // Build, lock-free. Same pipeline as `hopdb-cli build`: clean the
     // merged edge set, rank, relabel, label — bit-identical output at
     // any parallelism, so a compaction never changes an answer.
-    let weighted_file =
-        sniff_weighted(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let file = std::fs::File::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
-    let base = sfgraph::io::read_edge_list(BufReader::new(file), directed, weighted_file)
-        .map_err(|e| format!("read {}: {e}", path.display()))?;
-    let weighted = weighted_file || pinned.iter().any(|&(_, _, w)| w != 1);
+    //
+    // Whether `hopdb-cli build` read a third column as weights is a fact
+    // the frozen index records, not something the file can say (a SNAP
+    // temporal list carries a timestamp there): an unweighted build
+    // leaves every source edge's endpoints at distance ≤ 1.
+    let read = |weighted: bool| {
+        let file =
+            std::fs::File::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
+        sfgraph::io::read_edge_list(BufReader::new(file), directed, weighted)
+            .map_err(|e| format!("read {}: {e}", path.display()))
+    };
+    let mut base = read(false)?;
+    if serving.frozen_exceeds_one(&base.edge_list())? {
+        base = read(true)?;
+    }
+    let weighted = base.is_weighted() || pinned.iter().any(|&(_, _, w)| w != 1);
     let mut builder = if directed {
         sfgraph::GraphBuilder::new_directed(base.num_vertices())
     } else {
@@ -655,8 +663,7 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
         builder.add_weighted_edge(s, t, w);
     }
     let merged = builder.build();
-    let rank_by = if merged.is_directed() { RankBy::DegreeProduct } else { RankBy::Degree };
-    let ranking = rank_vertices(&merged, &rank_by);
+    let ranking = rank_vertices(&merged, &RankBy::paper_default(&merged));
     let relabeled = relabel_by_rank(&merged, &ranking);
     let cfg = hopdb::HopDbConfig { parallelism: 0, ..hopdb::HopDbConfig::default() };
     let (index, _stats) = hopdb::build_prelabeled(&relabeled, &cfg);
@@ -708,17 +715,12 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
     let vertices = fresh.vertices() as u64;
     // Commit the checkpoint to the durable lineage *before* publishing
     // the in-memory state: rename the staged image into its epoch name,
-    // write the next epoch's WAL seeded with the unpinned tail, then
-    // flip the manifest (the single commit point). A crash on either
-    // side of the flip recovers a consistent state — before it, the old
-    // image plus the full old log; after it, the checkpoint plus the
-    // tail. Replay is idempotent, so straddling updates are safe.
+    // then advance the epoch onto it with the unpinned tail.
     if let Some((dir, image, sidecar)) = staged {
         let durable = shared.durable.as_ref().expect("staged implies durable");
         let mut d = durable.lock().map_err(|_| "server state poisoned".to_string())?;
         let commit = |e: std::io::Error| format!("checkpoint commit: {e}");
-        let new_epoch = d.wal.epoch() + 1;
-        let ckpt = dir.join(wal::checkpoint_image_name(new_epoch));
+        let ckpt = dir.join(wal::checkpoint_image_name(d.wal.epoch() + 1));
         let ckpt_rank = {
             let mut s = ckpt.as_os_str().to_os_string();
             s.push(".rank");
@@ -726,30 +728,7 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
         };
         std::fs::rename(&image, &ckpt).map_err(commit)?;
         std::fs::rename(&sidecar, &ckpt_rank).map_err(commit)?;
-        let mut new_wal = Wal::create(
-            &dir.join(wal::wal_file_name(new_epoch)),
-            new_epoch,
-            shared.config.durability,
-            Arc::clone(&d.stats),
-        )
-        .map_err(commit)?;
-        if !remaining.is_empty() {
-            new_wal.append(&remaining).map_err(commit)?;
-            new_wal.sync().map_err(commit)?;
-        }
-        wal::write_manifest(
-            &dir,
-            &Manifest { epoch: new_epoch, index_path: ckpt },
-            Arc::clone(&d.stats),
-        )
-        .map_err(commit)?;
-        let old_path = d.wal.path().to_path_buf();
-        d.wal = new_wal;
-        let _ = std::fs::remove_file(old_path);
-        wal::gc_dir(&dir, new_epoch);
-        shared.wal_epoch.store(new_epoch, Ordering::Relaxed);
-        shared.wal_records.store(d.wal.records(), Ordering::Relaxed);
-        shared.wal_bytes.store(d.wal.bytes(), Ordering::Relaxed);
+        d.advance(shared, ckpt, &remaining).map_err(commit)?;
         shared.checkpoints.fetch_add(1, Ordering::Relaxed);
     }
     *log = remaining;

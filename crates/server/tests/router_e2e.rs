@@ -77,8 +77,7 @@ fn fixture(tag: &str, directed: bool) -> Fixture {
     std::fs::create_dir_all(&dir).expect("fixture dir");
 
     let g = test_graph(directed, 0xD15C0);
-    let rank_by = if directed { RankBy::DegreeProduct } else { RankBy::Degree };
-    let ranking = rank_vertices(&g, &rank_by);
+    let ranking = rank_vertices(&g, &RankBy::paper_default(&g));
     let relabeled = relabel_by_rank(&g, &ranking);
     let (index, _) = build_prelabeled(&relabeled, &HopDbConfig::default());
     let store = extmem::device::TempStore::new().expect("temp store");

@@ -32,6 +32,17 @@ pub enum RankBy {
     Random(u64),
 }
 
+impl RankBy {
+    /// §8's rule: in×out degree for a directed graph, degree otherwise.
+    pub fn paper_default(g: &Graph) -> RankBy {
+        if g.is_directed() {
+            RankBy::DegreeProduct
+        } else {
+            RankBy::Degree
+        }
+    }
+}
+
 /// A total order on vertices.
 ///
 /// `rank_of[v]` is the rank position of original vertex `v` (0 = highest);

@@ -1,9 +1,9 @@
 //! Bit-parallel labels (§6) on HopDb-built indexes, plus the coverage
 //! statistics that back Table 7 and Figure 8.
 
+use hop_doubling::baselines::bitparallel::BitParallelIndex;
 use hop_doubling::graphgen::{glp, GlpParams};
 use hop_doubling::hopdb::{build_prelabeled, HopDbConfig};
-use hop_doubling::hoplabels::bitparallel::BitParallelIndex;
 use hop_doubling::hoplabels::stats::CoverageStats;
 use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
 use hop_doubling::sfgraph::traversal::bidirectional_distance;

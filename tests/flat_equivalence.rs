@@ -34,8 +34,7 @@ fn glp_strategy(directed: bool) -> impl Strategy<Value = Graph> {
 /// Check every surface against BFS truth on all pairs of `g`; returns
 /// the nested index it built.
 fn check_equivalence(g: &Graph) -> LabelIndex {
-    let rank_by = if g.is_directed() { RankBy::DegreeProduct } else { RankBy::Degree };
-    let ranking = rank_vertices(g, &rank_by);
+    let ranking = rank_vertices(g, &RankBy::paper_default(g));
     let relabeled = relabel_by_rank(g, &ranking);
     let truth = all_pairs(&relabeled);
     let (index, _) = build_prelabeled(&relabeled, &HopDbConfig::default());

@@ -22,8 +22,7 @@ use hop_doubling::sfgraph::VertexId;
 fn serialized_image(directed: bool) -> Vec<u8> {
     let und = glp(&GlpParams::with_density(70, 3.0, if directed { 31 } else { 30 }));
     let g = if directed { orient_scale_free(&und, 0.25, 31) } else { und };
-    let rank_by = if directed { RankBy::DegreeProduct } else { RankBy::Degree };
-    let relabeled = relabel_by_rank(&g, &rank_vertices(&g, &rank_by));
+    let relabeled = relabel_by_rank(&g, &rank_vertices(&g, &RankBy::paper_default(&g)));
     let (index, _) = build_prelabeled(&relabeled, &HopDbConfig::default());
     let mut image = Vec::new();
     index.write_hopidx(&mut image).expect("serialize");

@@ -21,8 +21,7 @@ use hop_doubling::sfgraph::{Dist, Graph, VertexId};
 /// Build an index for `g` (rank space, no sidecar) and serialize it to
 /// a standalone temp file; returns the file and the frozen flat index.
 fn build_index_file(g: &Graph, tag: &str) -> (PathBuf, FlatIndex, Graph) {
-    let rank_by = if g.is_directed() { RankBy::DegreeProduct } else { RankBy::Degree };
-    let ranking = rank_vertices(g, &rank_by);
+    let ranking = rank_vertices(g, &RankBy::paper_default(g));
     let relabeled = relabel_by_rank(g, &ranking);
     let (index, _) = build_prelabeled(&relabeled, &HopDbConfig::default());
     let store = TempStore::new().expect("temp store");

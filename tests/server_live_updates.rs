@@ -32,8 +32,7 @@ fn stage_cli_artifacts(g: &Graph, tag: &str) -> (PathBuf, PathBuf) {
     hop_doubling::sfgraph::io::write_edge_list(g, std::io::BufWriter::new(file))
         .expect("write edge list");
 
-    let rank_by = if g.is_directed() { RankBy::DegreeProduct } else { RankBy::Degree };
-    let ranking = rank_vertices(g, &rank_by);
+    let ranking = rank_vertices(g, &RankBy::paper_default(g));
     let relabeled = relabel_by_rank(g, &ranking);
     let (index, _) = build_prelabeled(&relabeled, &HopDbConfig::default());
     let store = TempStore::new().expect("temp store");
@@ -379,5 +378,59 @@ fn http_update_roundtrip_on_the_epoll_front() {
     assert!(body.contains("\"compactions\":0"), "{body}");
 
     handle.shutdown();
+    cleanup(&graph_path, &index_path);
+}
+
+/// Serve `index_path` over `graph_path`, apply `batch`, compact: the
+/// overlay and the compacted image must both answer like `oracle`.
+fn compacts_to(
+    graph_path: &std::path::Path,
+    index_path: &std::path::Path,
+    oracle: &Graph,
+    tag: &str,
+) {
+    let batch: Vec<(VertexId, VertexId, Dist)> = vec![(0, 59, 1), (7, 33, 1)];
+    let pairs = full_grid(oracle.num_vertices());
+    let expect = expect_of(&all_pairs(&mutate(oracle, &batch)), &pairs);
+    let config = ServerConfig {
+        source_graph: Some(graph_path.to_path_buf()),
+        compact_threshold: 0,
+        ..ServerConfig::default()
+    };
+    let handle = serve("127.0.0.1:0", index_path, config).expect("serve");
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    client.update(&batch).expect("update");
+    assert_eq!(client.query(&pairs).expect("overlay query"), expect, "overlay ({tag})");
+    client.compact().expect("compact");
+    assert_eq!(client.query(&pairs).expect("compacted query"), expect, "compacted ({tag})");
+    handle.shutdown();
+}
+
+/// The compactor re-reads the source file the way the boot index was
+/// built from it, and learns which way that was from the frozen index,
+/// not from the file's column count. A three-column list built *without*
+/// `--weighted` — SNAP temporal lists carry a timestamp there — stays
+/// unweighted, and a `0` in that column (legal as a timestamp, illegal
+/// as a weight) does not fail the compaction; the same columns built
+/// *with* `--weighted` stay weighted.
+#[test]
+fn compaction_reads_the_source_the_way_the_index_was_built() {
+    let g = glp(&GlpParams::with_density(60, 3.0, 801));
+    let stamps: [fn(usize) -> usize; 2] = [|i| 1 + (i * 7) % 5, |i| (i * 7) % 5];
+    for (round, stamp) in stamps.into_iter().enumerate() {
+        let tag = format!("stamped-{round}");
+        let (graph_path, index_path) = stage_cli_artifacts(&g, &tag);
+        let mut file = std::fs::File::create(&graph_path).expect("rewrite edge list");
+        for (i, (u, v, _)) in g.edge_list().into_iter().enumerate() {
+            writeln!(file, "{u} {v} {}", stamp(i)).expect("write edge");
+        }
+        drop(file);
+        compacts_to(&graph_path, &index_path, &g, &tag);
+        cleanup(&graph_path, &index_path);
+    }
+
+    let weighted = hop_doubling::graphgen::with_random_weights(&g, 1, 5, 801);
+    let (graph_path, index_path) = stage_cli_artifacts(&weighted, "weighted");
+    compacts_to(&graph_path, &index_path, &weighted, "weighted");
     cleanup(&graph_path, &index_path);
 }
