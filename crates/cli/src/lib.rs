@@ -226,14 +226,14 @@ commands:
           --flush-us/--coalesce-pairs tune micro-batching, --max-inflight
           caps pipelining per connection, --batch-threads fans one query
           batch across N workers; --graph names the edge list the index
-          was built from and enables compaction — the overlay folds into a
-          fresh frozen index when it reaches --compact-threshold edges,
-          0 = only on `admin compact`; --wal-dir enables the write-ahead
-          log: accepted updates are logged there before they are
-          acknowledged and replayed after a crash, --durability picks
-          the fsync policy, default batch = group-commit, and
-          --wal-max-bytes caps the log on disk: a checkpoint — which
-          truncates it — is triggered whenever the cap is exceeded)
+          was built from and enables compaction — a rebuild from that file
+          plus every edge accepted since, lossless across compactions and,
+          with --wal-dir, restarts — when the overlay reaches
+          --compact-threshold edges, 0 = only on `admin compact`; --wal-dir
+          logs accepted updates before they are acknowledged and replays
+          them after a crash, --durability picks the fsync policy, default
+          batch = group-commit, and --wal-max-bytes caps the log on disk: a
+          checkpoint, which truncates it, runs whenever it is exceeded)
   serve  --route replica|shard --backends HOST:PORT,HOST:PORT[,...]
          [--addr HOST:PORT] [--max-batch PAIRS] [--flush-us US]
          [--coalesce-pairs P] [--max-inflight N] [--idle-timeout-ms MS]

@@ -1,9 +1,10 @@
 //! Kill-and-restart harness for the durability tier: spawn the real
 //! `hopdb-cli serve` daemon with a WAL, SIGKILL it at randomized
-//! points during ingest and during a compaction checkpoint, restart
-//! it, and assert the recovered daemon's answers are bit-identical to
-//! a from-scratch oracle of the acknowledged update prefix (plus, at
-//! most, the one batch that was in flight when the process died).
+//! points during ingest and during a compaction checkpoint (the first
+//! of a lineage and the second), restart it, and assert the recovered
+//! daemon's answers are bit-identical to a from-scratch oracle of the
+//! acknowledged update prefix (plus, at most, the one batch that was in
+//! flight when the process died).
 //! Under `--durability always` no acknowledged batch may ever be lost.
 //!
 //! SIGKILL validates the recovery/replay/checkpoint-ordering logic:
@@ -199,6 +200,12 @@ fn assert_recovered(
         "{context}: recovered answers match neither the acked prefix nor acked+in-flight\n\
          acked batches: {acked:?}\nin-flight: {inflight:?}"
     );
+    // The recovered lineage is whole, not just its answers: a
+    // compaction now rebuilds from everything it recovered — what a
+    // checkpoint before the kill folded in included.
+    client.compact().expect("compact after recovery");
+    let after = client.query(&pairs).expect("query after compaction");
+    assert_eq!(after, got, "{context}: compacting the recovered lineage changed answers");
     child.kill().ok();
     child.wait().ok();
 }
@@ -248,14 +255,24 @@ fn sigkill_during_compaction_loses_nothing() {
     println!("kill schedule seed: {seed:#x}");
     let mut rng = Lcg(seed);
 
-    for trial in 0..3 {
+    for trial in 0..4 {
         let wal_dir = fx.dir.join(format!("wal-compact-{trial}"));
         let (mut child, addr) = spawn_daemon(&fx, &wal_dir, &[]);
         let mut client = connect(addr);
 
-        let acked: Vec<_> = (0..1 + rng.below(3)).map(|_| random_batch(&mut rng)).collect();
-        for batch in &acked {
-            client.update(batch).expect("acked update");
+        // Odd trials kill the *second* checkpoint of the lineage: the
+        // first one completes, and what it folded in must survive a
+        // kill on either side of the second manifest flip too.
+        let mut acked: Vec<Vec<(VertexId, VertexId, Dist)>> = Vec::new();
+        for round in 0..1 + trial % 2 {
+            if round == 1 {
+                client.compact().expect("first checkpoint");
+            }
+            for _ in 0..1 + rng.below(3) {
+                let batch = random_batch(&mut rng);
+                client.update(&batch).expect("acked update");
+                acked.push(batch);
+            }
         }
         // Fire the compaction without waiting and kill the daemon a
         // random slice into the rebuild/checkpoint. Every acked batch

@@ -1,6 +1,6 @@
 //! The serving backend behind one index *generation*.
 //!
-//! A [`LiveGeneration`] is everything the daemon needs to answer
+//! A [`Generation`] is everything the daemon needs to answer
 //! queries from one published index state: the frozen index (fully
 //! resident [`FlatIndex`], or the [`CachedDiskIndex`] LRU fallback when
 //! the file exceeds the `--max-resident-bytes` admission budget)
@@ -24,28 +24,30 @@
 //!
 //! # Lock order
 //!
-//! The serving core holds up to four locks at once. Deadlock freedom
-//! rests on every path acquiring them in one global order, outermost
-//! first:
+//! The serving core has two locks, and every path that holds both
+//! acquires them in one order:
 //!
 //! ```text
-//! mutate_serial → update_log → durable → current
+//! lineage → current
 //! ```
 //!
-//! * `mutate_serial` — serializes whole mutations (update batches,
-//!   swaps, compaction promotions) against each other;
-//! * `update_log` — the replayable in-memory edge log;
-//! * `durable` — the WAL handle and checkpoint directory;
-//! * `current` — the published [`Generation`] `Arc` (read-mostly; the
-//!   query path takes only this, briefly, and never the others).
+//! * `lineage` — the write side (`server.rs`'s `Lineage`: accepted and
+//!   folded edges, the live WAL, the swap and generation epochs). It is
+//!   held for the whole of every mutation — update batch, swap,
+//!   compaction promote — so mutations are serial and each one sees the
+//!   state the previous one committed; the compactor's long build runs
+//!   between two short holds of it, never under it;
+//! * `current` — the published [`Generation`] `Arc`. It is the only
+//!   lock the query path takes (a read lock, for one `Arc` clone per
+//!   batch), so no query ever waits on an overlay rebuild or an fsync;
+//!   a mutation write-locks it last, for one pointer store.
 //!
-//! Never acquire an earlier lock while holding a later one — e.g. no
-//! `update_log` acquisition under the `current` write lock. The
-//! in-tree checker (`cargo run -p xtask -- tidy`, `locks` pass) scans
+//! Never acquire `lineage` while holding `current`. The in-tree checker
+//! (`cargo run -p xtask -- tidy`, `locks` pass) scans
 //! `backend.rs`/`server.rs` and flags violations of this order, citing
 //! this section.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use extmem::device::CountedFile;
@@ -64,14 +66,11 @@ use sfgraph::{Dist, VertexId};
 /// size while still absorbing the hot-vertex skew of real workloads.
 const DISK_CACHE_LABELS: usize = 4096;
 
-/// Backwards-compatible name for [`LiveGeneration`].
-pub type Generation = LiveGeneration;
-
 /// One immutable, queryable index generation: a frozen backend plus an
 /// overlay snapshot, dispatched through one [`QueryBackend`] object
 /// (the [`LiveIndex`]); the generation adds id translation and range
 /// checking on top.
-pub struct LiveGeneration {
+pub struct Generation {
     index: LiveIndex,
     ranking: Option<Arc<Ranking>>,
     vertices: usize,
@@ -81,7 +80,7 @@ pub struct LiveGeneration {
     shard: Option<ShardSpec>,
 }
 
-impl LiveGeneration {
+impl Generation {
     /// Load the index at `path` as generation `generation`, with an
     /// empty overlay.
     ///
@@ -96,7 +95,7 @@ impl LiveGeneration {
         path: &Path,
         max_resident_bytes: Option<u64>,
         generation: u64,
-    ) -> std::io::Result<LiveGeneration> {
+    ) -> std::io::Result<Generation> {
         let file_len = std::fs::metadata(path)?.len();
         let resident = max_resident_bytes.is_none_or(|budget| file_len <= budget);
         let index: Arc<dyn QueryBackend> = if resident {
@@ -109,11 +108,12 @@ impl LiveGeneration {
             Arc::new(CachedDiskIndex::new(disk, DISK_CACHE_LABELS))
         };
         let (vertices, directed) = (index.num_vertices(), index.is_directed());
-        let ranking = load_ranking_sidecar(path, vertices)?.map(Arc::new);
-        let shard = load_shard_sidecar(path)?;
-        Ok(LiveGeneration {
+        let ranking =
+            load_sidecar(path, ".rank", |b| Ranking::from_sidecar_bytes(b, Some(vertices)))?;
+        let shard = load_sidecar(path, ".shard", ShardSpec::decode)?;
+        Ok(Generation {
             index: LiveIndex::new(index, generation),
-            ranking,
+            ranking: ranking.map(Arc::new),
             vertices,
             directed,
             shard,
@@ -122,9 +122,9 @@ impl LiveGeneration {
 
     /// Build a generation from an already-frozen index (tests, or a
     /// compaction promoted without a round-trip through disk).
-    pub fn from_flat(flat: FlatIndex, ranking: Option<Ranking>, generation: u64) -> LiveGeneration {
+    pub fn from_flat(flat: FlatIndex, ranking: Option<Ranking>, generation: u64) -> Generation {
         let (vertices, directed) = (flat.num_vertices(), flat.is_directed());
-        LiveGeneration {
+        Generation {
             index: LiveIndex::new(Arc::new(flat), generation),
             ranking: ranking.map(Arc::new),
             vertices,
@@ -139,10 +139,7 @@ impl LiveGeneration {
     /// frozen index was built. Self-loops are dropped and zero weights
     /// clamped to 1, matching `sfgraph::GraphBuilder`, so a later full
     /// rebuild of the mutated graph answers identically.
-    pub fn with_updates(
-        &self,
-        log: &[(VertexId, VertexId, Dist)],
-    ) -> Result<LiveGeneration, String> {
+    pub fn with_updates(&self, log: &[(VertexId, VertexId, Dist)]) -> Result<Generation, String> {
         let n = self.vertices as VertexId;
         for &(s, t, _) in log {
             if s >= n || t >= n {
@@ -155,7 +152,7 @@ impl LiveGeneration {
         };
         let index =
             self.index.rebuild_overlay(&ranked).map_err(|e| format!("overlay rebuild: {e}"))?;
-        Ok(LiveGeneration {
+        Ok(Generation {
             index,
             ranking: self.ranking.clone(),
             vertices: self.vertices,
@@ -246,7 +243,7 @@ impl LiveGeneration {
         Ok(out)
     }
 
-    /// [`LiveGeneration::query_many`] appending into a caller-owned
+    /// [`Generation::query_many`] appending into a caller-owned
     /// buffer — the executor answers many coalesced micro-batched
     /// frames into one result vector. On error nothing is appended.
     pub fn query_many_into(
@@ -275,44 +272,33 @@ impl LiveGeneration {
     }
 }
 
-/// Read the `<path>.rank` sidecar if present. `Ok(None)` when the file
-/// does not exist; a present-but-invalid sidecar is an error — serving
-/// with silently wrong id translation would corrupt every answer.
-/// Validation (magic, permutation, vertex count) lives in
-/// [`Ranking::from_sidecar_bytes`], shared with `hopdb-cli`.
-fn load_ranking_sidecar(path: &Path, n: usize) -> std::io::Result<Option<Ranking>> {
-    let mut sidecar = path.as_os_str().to_os_string();
-    sidecar.push(".rank");
-    let bytes = match std::fs::read(&sidecar) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    Ranking::from_sidecar_bytes(&bytes, Some(n)).map(Some).map_err(|msg| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("{}: {msg}", sidecar.to_string_lossy()),
-        )
-    })
+/// `path` with `ext` appended to its file name: where an image's
+/// sidecars and a checkpoint's siblings sit.
+pub(crate) fn sibling(path: &Path, ext: &str) -> PathBuf {
+    let mut name = path.as_os_str().to_os_string();
+    name.push(ext);
+    PathBuf::from(name)
 }
 
-/// Read the `<path>.shard` sidecar if present. Same discipline as the
-/// ranking sidecar: `Ok(None)` when absent, a hard error when present
-/// but invalid — routing on a corrupt shard map would silently drop
-/// label entries from answers.
-fn load_shard_sidecar(path: &Path) -> std::io::Result<Option<ShardSpec>> {
-    let mut sidecar = path.as_os_str().to_os_string();
-    sidecar.push(".shard");
+/// Read the `<path><ext>` sidecar if present: `.rank` (validated by
+/// [`Ranking::from_sidecar_bytes`], shared with `hopdb-cli`) or
+/// `.shard`. `Ok(None)` when the file does not exist; a
+/// present-but-invalid sidecar is an error — serving with silently
+/// wrong id translation would corrupt every answer, and routing on a
+/// corrupt shard map would drop label entries from them.
+fn load_sidecar<T, E: std::fmt::Display>(
+    path: &Path,
+    ext: &str,
+    decode: impl FnOnce(&[u8]) -> Result<T, E>,
+) -> std::io::Result<Option<T>> {
+    let sidecar = sibling(path, ext);
     let bytes = match std::fs::read(&sidecar) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    ShardSpec::decode(&bytes).map(Some).map_err(|e| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("{}: {e}", sidecar.to_string_lossy()),
-        )
+    decode(&bytes).map(Some).map_err(|e| {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{}: {e}", sidecar.display()))
     })
 }
 
@@ -377,17 +363,18 @@ mod tests {
     fn missing_sidecar_is_none_invalid_is_error() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("hopdb-backend-test-{}.idx", std::process::id()));
-        assert!(load_ranking_sidecar(&path, 3).unwrap().is_none());
+        let load = |n| load_sidecar(&path, ".rank", |b| Ranking::from_sidecar_bytes(b, Some(n)));
+        assert!(load(3).unwrap().is_none());
         let sidecar = format!("{}.rank", path.to_string_lossy());
         // Wrong magic.
         std::fs::write(&sidecar, b"NOTRANK!").unwrap();
-        assert!(load_ranking_sidecar(&path, 0).is_err());
+        assert!(load(0).is_err());
         // Not a permutation.
         let mut bytes = b"HOPRANK1".to_vec();
         bytes.extend_from_slice(&0u32.to_le_bytes());
         bytes.extend_from_slice(&0u32.to_le_bytes());
         std::fs::write(&sidecar, &bytes).unwrap();
-        assert!(load_ranking_sidecar(&path, 2).is_err());
+        assert!(load(2).is_err());
         std::fs::remove_file(&sidecar).unwrap();
     }
 }

@@ -122,6 +122,62 @@ impl UpdateRespond {
 /// query pairs).
 pub type QueryJob = (u64, RespondAs, Vec<(u32, u32)>);
 
+/// A coalesced query batch, for the index node's executor and the
+/// router alike: the jobs whose pairs are all in range, and those pairs
+/// back to back in one vector — one `query_many` call or one backend
+/// frame answers them all.
+pub struct BatchWork {
+    jobs: Vec<QueryJob>,
+    /// Every job's pairs, in job order.
+    pub combined: Vec<(u32, u32)>,
+    completions: Arc<Completions>,
+}
+
+impl BatchWork {
+    /// Range-check `jobs` against an `n`-vertex index, one job at a
+    /// time so a bad frame cannot fail its batchmates: an out-of-range
+    /// job is answered with an error here, the rest are kept. `None`
+    /// when no job is left.
+    pub fn cut(jobs: Vec<QueryJob>, n: u64, completions: &Arc<Completions>) -> Option<BatchWork> {
+        let mut work = BatchWork {
+            jobs: Vec::new(),
+            combined: Vec::new(),
+            completions: Arc::clone(completions),
+        };
+        for (conn, respond, pairs) in jobs {
+            match pairs.iter().find(|&&(s, t)| u64::from(s) >= n || u64::from(t) >= n) {
+                Some(&(s, t)) => {
+                    let msg = format!("vertex out of range: ({s}, {t}) on a {n}-vertex index");
+                    completions.answer(conn, respond.error(&msg));
+                }
+                None => {
+                    work.combined.extend_from_slice(&pairs);
+                    work.jobs.push((conn, respond, pairs));
+                }
+            }
+        }
+        (!work.jobs.is_empty()).then_some(work)
+    }
+
+    /// Answer every job with its slice of `dists` (one distance per
+    /// combined pair).
+    pub fn complete(&self, dists: &[u32]) {
+        let mut at = 0;
+        for (conn, respond, pairs) in &self.jobs {
+            let answers = &dists[at..at + pairs.len()];
+            self.completions.answer(*conn, respond.distances(pairs, answers));
+            at += pairs.len();
+        }
+    }
+
+    /// Answer every job with the error `msg`.
+    pub fn fail(&self, msg: &str) {
+        for (conn, respond, _) in &self.jobs {
+            self.completions.answer(*conn, respond.error(msg));
+        }
+    }
+}
+
 /// One unit of work cut off a connection by the front.
 #[derive(Debug)]
 pub enum Job {

@@ -58,7 +58,7 @@ pub mod router;
 pub mod server;
 pub mod wal;
 
-pub use backend::{Generation, LiveGeneration};
+pub use backend::Generation;
 pub use client::Client;
 pub use router::{serve_router, RouteMode, RouterConfig, RouterHandle};
 pub use server::{serve, ServerConfig, ServerHandle};

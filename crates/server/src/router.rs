@@ -52,7 +52,7 @@ use std::time::Duration;
 
 use sfgraph::{Dist, INF_DIST};
 
-use crate::batch::{Completions, Job, QueryJob, UpdateRespond};
+use crate::batch::{BatchWork, Completions, Job, QueryJob, UpdateRespond};
 use crate::client::Client;
 use crate::front::{self, Admin, FrontHandle, Limits, Outcome, Service, Traffic};
 use crate::proto::{
@@ -135,10 +135,8 @@ impl Default for RouterConfig {
 #[derive(Clone, Copy, Debug)]
 struct BackendSlot {
     addr: SocketAddr,
-    /// Owned pivot range `[lo, hi)` (shard mode; zeros in replica mode).
+    /// First pivot of the owned range (shard mode; zero in replica mode).
     lo: u32,
-    #[allow(dead_code)]
-    hi: u32,
 }
 
 /// What the startup probe learned (constant for the router's lifetime).
@@ -290,7 +288,7 @@ fn probe_topology(config: &RouterConfig) -> std::io::Result<Topology> {
                     )));
                 }
             }
-            config.backends.iter().map(|&addr| BackendSlot { addr, lo: 0, hi: 0 }).collect()
+            config.backends.iter().map(|&addr| BackendSlot { addr, lo: 0 }).collect()
         }
         RouteMode::Shard => {
             let k = config.backends.len() as u32;
@@ -333,7 +331,7 @@ fn probe_topology(config: &RouterConfig) -> std::io::Result<Topology> {
                 .backends
                 .iter()
                 .zip(&infos)
-                .map(|(&addr, info)| BackendSlot { addr, lo: info.shard_lo, hi: info.shard_hi })
+                .map(|(&addr, info)| BackendSlot { addr, lo: info.shard_lo })
                 .collect()
         }
     };
@@ -350,15 +348,6 @@ fn probe_topology(config: &RouterConfig) -> std::io::Result<Topology> {
 // ---------------------------------------------------------------------
 // Dispatcher + workers
 // ---------------------------------------------------------------------
-
-/// A coalesced batch ready to fan out: per-job plan entries index into
-/// the combined pair vector, exactly like the single-node executor.
-struct BatchWork {
-    jobs: Vec<QueryJob>,
-    /// `(job index, offset into combined, pair count)`.
-    plan: Vec<(usize, usize, usize)>,
-    combined: Vec<(u32, u32)>,
-}
 
 /// Work handed from the dispatcher to a backend worker.
 enum WorkItem {
@@ -389,7 +378,6 @@ fn send(port: &WorkerPort, item: WorkItem) {
 /// completes every job (or fails them all if any shard was unreachable).
 struct ShardMerge {
     work: BatchWork,
-    completions: Arc<Completions>,
     acc: Mutex<MergeAcc>,
 }
 
@@ -425,8 +413,8 @@ impl ShardMerge {
             let dists = std::mem::take(&mut acc.dists);
             drop(acc);
             match failed {
-                None => complete_queries(&self.completions, &self.work, &dists),
-                Some(e) => fail_queries(&self.completions, &self.work, &e),
+                None => self.work.complete(&dists),
+                Some(e) => self.work.fail(&e),
             }
         }
     }
@@ -512,29 +500,10 @@ fn dispatch_group(
     rr: &mut usize,
     jobs: Vec<QueryJob>,
 ) {
-    let n = shared.topology.vertices;
-    // Range-check per job so one bad frame can't fail its batchmates.
-    let mut combined: Vec<(u32, u32)> = Vec::new();
-    let mut plan: Vec<(usize, usize, usize)> = Vec::new();
-    for (i, (conn, respond, pairs)) in jobs.iter().enumerate() {
-        match pairs.iter().find(|&&(s, t)| u64::from(s) >= n || u64::from(t) >= n) {
-            Some(&(s, t)) => {
-                let msg = format!("vertex out of range: ({s}, {t}) on a {n}-vertex index");
-                completions.answer(*conn, respond.error(&msg));
-            }
-            None => {
-                plan.push((i, combined.len(), pairs.len()));
-                combined.extend_from_slice(pairs);
-            }
-        }
-    }
-    if plan.is_empty() {
-        return;
-    }
-    let work = BatchWork { jobs, plan, combined };
+    let Some(work) = BatchWork::cut(jobs, shared.topology.vertices, completions) else { return };
     if work.combined.is_empty() {
         // Zero-pair jobs: answer without a backend round-trip.
-        complete_queries(completions, &work, &[]);
+        work.complete(&[]);
         return;
     }
     match shared.config.mode {
@@ -576,7 +545,6 @@ fn dispatch_group(
                     failed: None,
                 }),
                 work,
-                completions: Arc::clone(completions),
             });
             for b in parts {
                 send(
@@ -658,13 +626,10 @@ fn worker_loop(
     depth: &AtomicUsize,
     rx: &mpsc::Receiver<WorkItem>,
 ) {
-    let completions = &shared.front.completions;
     let mut clients: Vec<Option<Client>> = (0..shared.topology.slots.len()).map(|_| None).collect();
     while let Ok(item) = rx.recv() {
         match item {
-            WorkItem::Replica(work) => {
-                run_replica_batch(shared, completions, &mut clients, index, &work)
-            }
+            WorkItem::Replica(work) => run_replica_batch(shared, &mut clients, index, &work),
             WorkItem::Shard { pairs, positions, merge } => {
                 run_shard_part(shared, &mut clients, index, pairs, positions, &merge)
             }
@@ -712,7 +677,6 @@ fn query_on(
 
 fn run_replica_batch(
     shared: &RouterShared,
-    completions: &Completions,
     clients: &mut [Option<Client>],
     own: usize,
     work: &BatchWork,
@@ -725,19 +689,13 @@ fn run_replica_batch(
             shared.failovers.fetch_add(1, Ordering::Relaxed);
         }
         match query_on(shared, clients, b, &work.combined) {
-            Ok(dists) => {
-                complete_queries(completions, work, &dists);
-                return;
-            }
+            Ok(dists) => return work.complete(&dists),
             // Server-reported: relay to the whole batch, no failover.
-            Err(e) if !is_transport(&e) => {
-                fail_queries(completions, work, &e.to_string());
-                return;
-            }
+            Err(e) if !is_transport(&e) => return work.fail(&e.to_string()),
             Err(e) => last = format!("{}: {e}", shared.topology.slots[b].addr),
         }
     }
-    fail_queries(completions, work, &format!("no replica reachable (last: {last})"));
+    work.fail(&format!("no replica reachable (last: {last})"));
 }
 
 fn run_shard_part(
@@ -782,20 +740,6 @@ fn run_update(
         result = apply(clients);
     }
     result.map_err(|e| format!("backend {addr}: {e}"))
-}
-
-fn complete_queries(completions: &Completions, work: &BatchWork, dists: &[Dist]) {
-    for &(i, offset, len) in &work.plan {
-        let (conn, respond, pairs) = &work.jobs[i];
-        completions.answer(*conn, respond.distances(pairs, &dists[offset..offset + len]));
-    }
-}
-
-fn fail_queries(completions: &Completions, work: &BatchWork, msg: &str) {
-    for &(i, _, _) in &work.plan {
-        let (conn, respond, _) = &work.jobs[i];
-        completions.answer(*conn, respond.error(msg));
-    }
 }
 
 // ---------------------------------------------------------------------

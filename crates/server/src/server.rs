@@ -20,6 +20,11 @@
 //! concurrent swap never mixes two indexes inside one response and
 //! never drops a connection: the new generation is loaded *outside* the
 //! write lock and promoted with a single pointer swap.
+//!
+//! Everything a mutation reads or writes is one `Lineage` behind one
+//! mutex; its three mutations (`append`, `fold`, `reset`) end in the
+//! same `commit`. The lock order is `lineage → current` and nothing
+//! else (see the `backend` module docs).
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -29,15 +34,17 @@ use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::backend::Generation;
-use crate::batch::{Completions, Job, QueryJob};
+use crate::backend::{sibling, Generation};
+use crate::batch::{BatchWork, Job, QueryJob};
 use crate::front::{self, Admin, FrontHandle, Limits, Outcome, Service, Traffic};
 use crate::proto::{
     FieldValue, InfoReply, Response, ResponseBody, RouteReply, StatsReply, DEFAULT_MAX_BATCH,
     DURABILITY_DISABLED, ROUTE_SINGLE,
 };
-use crate::wal::{self, Durability, Manifest, Wal};
+use crate::wal::{self, Durability, Manifest, Wal, WalEdge};
 use extmem::stats::IoStats;
+use hoplabels::flat::FlatIndex;
+use sfgraph::ranking::Ranking;
 
 /// Tunables for [`serve`].
 #[derive(Clone, Debug)]
@@ -75,10 +82,10 @@ pub struct ServerConfig {
     /// (0 = never).
     pub idle_timeout_ms: u64,
     /// Source edge list of the boot index, in original vertex ids.
-    /// Required for compaction: the compactor re-reads it, applies the
-    /// accumulated update log, and rebuilds a frozen index from
-    /// scratch. `None` disables compaction (updates still work, the
-    /// overlay just grows until a swap).
+    /// Required for compaction: the compactor re-reads it, adds every
+    /// edge accepted since, and rebuilds a frozen index from scratch.
+    /// `None` disables compaction (updates still work, the overlay
+    /// just grows until a swap).
     pub source_graph: Option<PathBuf>,
     /// Deduplicated overlay edges that trigger a background compaction
     /// (0 = only explicit `compact` requests). Overlay query cost grows
@@ -127,86 +134,303 @@ impl Default for ServerConfig {
     }
 }
 
-/// Mutable durability state: the live WAL handle plus the directory it
-/// (and the checkpoint artifacts) live in. Locked *after* `update_log`
-/// in the `mutate_serial → update_log → durable → current` order shared
-/// by updates, swaps, and checkpoint promotions.
-struct DurableState {
-    dir: PathBuf,
-    wal: Wal,
-    stats: Arc<IoStats>,
+fn poisoned<T>(_: T) -> String {
+    "server state poisoned".to_string()
 }
 
-impl DurableState {
-    /// Advance the lineage one epoch: the next boot loads `image` and
-    /// replays `tail`. The write order is the commit protocol `wal.rs`
-    /// documents — the next epoch's log is created, seeded with `tail`
-    /// and synced; the manifest flips (the single commit point); only
-    /// then does the old log go. A crash before the flip recovers the
-    /// old image plus the full old log, after it `image` plus `tail`;
-    /// replay is idempotent, so straddling updates are safe.
-    fn advance(
+/// The durable half of a [`Lineage`]: the live log, its fsync policy,
+/// and the directory it and the checkpoint artifacts live in.
+struct Durable {
+    dir: PathBuf,
+    wal: Wal,
+    durability: Durability,
+}
+
+/// The index node's write side: every edge the lineage has accepted
+/// since `--graph` was read, how many of them the frozen image already
+/// holds, the live WAL, and the two epochs — all behind the one
+/// `lineage` mutex, which a mutation holds from its first read to its
+/// commit.
+#[derive(Default)]
+struct Lineage {
+    /// Accepted edges (original ids). `edges[..folded]`, deduplicated
+    /// to the least weight per pair, are in the frozen image and, with a
+    /// WAL, in the `.edges` file beside it; `edges[folded..]`, in ack
+    /// order, are what the overlay covers, what the live log holds and
+    /// what a restart replays. A compaction rebuilds from `--graph` plus a
+    /// prefix of *all* of them; a swap discards them with the image.
+    edges: Vec<WalEdge>,
+    folded: usize,
+    /// `None` when the server runs without a WAL: the same vector then
+    /// simply stays in memory.
+    durable: Option<Durable>,
+    /// Bumped by every swap so an in-flight compaction can detect that
+    /// its build no longer describes the serving index and abort.
+    swap_epoch: u64,
+    /// Generation number of the newest frozen image.
+    generation_seq: u64,
+}
+
+/// What a compaction pins before its lock-free build.
+struct Pin {
+    /// The first `len` accepted edges — all there were at pin time,
+    /// folded and pending alike — which the compactor, off the lock,
+    /// cuts to one per `(s, t)` at its least weight. That is all a
+    /// build keeps of them, and it bounds what an image folds by the
+    /// distinct pairs however long the lineage ingests.
+    edges: Vec<WalEdge>,
+    len: usize,
+    swap_epoch: u64,
+    /// Where the checkpoint image is staged and the epoch that will own
+    /// it (only a swap can take that epoch first, and a swap aborts the
+    /// compaction). `None` without a WAL.
+    stage: Option<(PathBuf, u64)>,
+}
+
+impl Lineage {
+    /// Boot: without `wal_dir` an empty lineage on `index_path`. With
+    /// it, open (or create) the durability directory and bring the
+    /// lineage to a clean, appendable state — read `CURRENT`, read the
+    /// checkpoint's folded edges completely or refuse, walk the epoch's
+    /// log tolerating a torn tail, validate its header epoch, truncate
+    /// the tear, and garbage-collect files from dead epochs (failed
+    /// checkpoint or swap attempts). Returns the lineage, the image to
+    /// boot from and `[replayed WAL records, dropped WAL bytes]`.
+    fn open(
+        index_path: &Path,
+        config: &ServerConfig,
+    ) -> std::io::Result<(Lineage, PathBuf, [u64; 2])> {
+        let mut lineage = Lineage { generation_seq: 1, ..Lineage::default() };
+        let Some(dir) = config.wal_dir.as_deref() else {
+            return Ok((lineage, index_path.to_path_buf(), [0, 0]));
+        };
+        std::fs::create_dir_all(dir)?;
+        let (epoch, boot_path) = match wal::read_manifest(dir)? {
+            Some(m) => {
+                if !m.index_path.exists() {
+                    return Err(std::io::Error::other(format!(
+                        "{}/CURRENT points at missing checkpoint image {}",
+                        dir.display(),
+                        m.index_path.display()
+                    )));
+                }
+                lineage.edges = wal::read_folded(&m.index_path, m.epoch)?;
+                lineage.folded = lineage.edges.len();
+                (m.epoch, m.index_path)
+            }
+            None => (0, index_path.to_path_buf()),
+        };
+        let wal_path = dir.join(wal::wal_file_name(epoch));
+        let durability = config.durability;
+        let replay = wal::read_wal(&wal_path, IoStats::shared())?;
+        let wal = match replay.epoch {
+            // Missing log (first boot, or a crash immediately after the
+            // manifest flip deleted nothing yet) or an unreadable header:
+            // start the epoch's log fresh. Header-less garbage counts as
+            // dropped bytes so operators can see it happened.
+            None => Wal::create(&wal_path, epoch, durability, IoStats::shared())?,
+            Some(e) if e != epoch => {
+                return Err(std::io::Error::other(format!(
+                    "{} carries epoch {e} but CURRENT says {epoch} — \
+                     the durability directory mixes files from different lineages",
+                    wal_path.display()
+                )));
+            }
+            Some(_) => Wal::open_after_replay(&wal_path, &replay, durability, IoStats::shared())?,
+        };
+        wal::gc_dir(dir, epoch);
+        let recovered = [replay.batches.len() as u64, replay.dropped_bytes];
+        // Flatten by draining: `concat` would briefly hold the batch
+        // list AND the flat copy, doubling peak replay memory.
+        for mut batch in replay.batches {
+            lineage.edges.append(&mut batch);
+        }
+        lineage.durable = Some(Durable { dir: dir.to_path_buf(), wal, durability });
+        Ok((lineage, boot_path, recovered))
+    }
+
+    /// The one commit every mutation ends in: mirror the log's counters
+    /// for `info`, then publish `next` with a single pointer store.
+    fn commit(&self, shared: &Shared, next: Generation) -> Result<Arc<Generation>, String> {
+        self.mirror(shared);
+        let next = Arc::new(next);
+        *shared.current.write().map_err(poisoned)? = Arc::clone(&next);
+        Ok(next)
+    }
+
+    fn mirror(&self, shared: &Shared) {
+        if let Some(d) = &self.durable {
+            shared.wal_epoch.store(d.wal.epoch(), Ordering::Relaxed);
+            shared.wal_records.store(d.wal.records(), Ordering::Relaxed);
+            shared.wal_bytes.store(d.wal.bytes(), Ordering::Relaxed);
+        }
+    }
+
+    /// An update batch: validate, rebuild the overlay over every
+    /// unfolded edge plus `batch`, log it, publish a copy-on-write
+    /// successor generation. Queries pinned to the old `Arc` finish on
+    /// it; nothing is committed if validation, the rebuild or the
+    /// append fails.
+    fn append(&mut self, shared: &Shared, batch: &[WalEdge]) -> Result<Arc<Generation>, String> {
+        validate_update_edges(batch)?;
+        let current = shared.current()?;
+        let accepted = self.edges.len();
+        self.edges.extend_from_slice(batch);
+        let next = current.with_updates(&self.edges[self.folded..]).and_then(|next| {
+            // Make the batch durable *before* it becomes observable:
+            // only validated batches reach the WAL, and nothing is
+            // published (or acknowledged) unless the append succeeds.
+            // Under `always` the record is on stable storage when
+            // `append` returns.
+            if let Some(d) = &mut self.durable {
+                d.wal.append(batch).map_err(|e| format!("wal append: {e}"))?;
+            }
+            Ok(next)
+        });
+        if next.is_err() {
+            self.edges.truncate(accepted);
+        }
+        self.commit(shared, next?)
+    }
+
+    /// Promote a finished compaction: `flat` was built from `--graph`
+    /// plus `pin.edges`. Updates that arrived *during* the build stay
+    /// unfolded — the fresh generation's overlay covers them and the
+    /// next epoch's log opens with them — so no accepted edge is ever
+    /// lost. If a swap promoted a different image mid-build, the stale
+    /// result is thrown away.
+    fn fold(
         &mut self,
         shared: &Shared,
-        image: PathBuf,
-        tail: &[(u32, u32, u32)],
-    ) -> std::io::Result<()> {
-        let epoch = self.wal.epoch() + 1;
-        let path = self.dir.join(wal::wal_file_name(epoch));
-        let mut next =
-            Wal::create(&path, epoch, shared.config.durability, Arc::clone(&self.stats))?;
-        if !tail.is_empty() {
-            next.append(tail)?;
+        pin: Pin,
+        flat: FlatIndex,
+        ranking: Ranking,
+    ) -> Result<Arc<Generation>, String> {
+        if self.swap_epoch != pin.swap_epoch {
+            return Err("aborted: a swap was promoted during compaction".to_string());
+        }
+        self.generation_seq += 1;
+        let fresh = Generation::from_flat(flat, Some(ranking), self.generation_seq)
+            .with_updates(&self.edges[pin.len..])?;
+        // Commit the checkpoint to the durable lineage *before*
+        // publishing the in-memory state.
+        if let Some((image, _)) = pin.stage {
+            self.advance(image, pin.len).map_err(|e| format!("checkpoint commit: {e}"))?;
+            shared.checkpoints.fetch_add(1, Ordering::Relaxed);
+        }
+        self.folded = pin.edges.len();
+        self.edges.splice(..pin.len, pin.edges);
+        shared.compactions.fetch_add(1, Ordering::Relaxed);
+        self.commit(shared, fresh)
+    }
+
+    /// A swap: load the swap path (fallback: the boot path) as a fresh
+    /// generation and promote it. It replaces the served graph
+    /// *wholesale*: the accepted edges describe the previous image and
+    /// are discarded with it (`compact` is the lossless promotion), and
+    /// the durable lineage advances the same way — "boot from the
+    /// swapped image, nothing to replay". The load happens outside the
+    /// `current` write lock, so queries keep flowing on the old index
+    /// for the whole load.
+    fn reset(&mut self, shared: &Shared) -> std::io::Result<Arc<Generation>> {
+        let path = shared.config.swap_path.as_deref().unwrap_or(&shared.index_path);
+        self.generation_seq += 1;
+        let fresh = Generation::load(path, shared.config.max_resident_bytes, self.generation_seq)?;
+        self.advance(path.to_path_buf(), self.edges.len())?;
+        self.edges.clear();
+        self.folded = 0;
+        self.swap_epoch += 1;
+        self.commit(shared, fresh).map_err(std::io::Error::other)
+    }
+
+    /// Advance the durable lineage one epoch (a no-op without a WAL):
+    /// the next boot loads `image` and replays `edges[tail..]`. The
+    /// write order is the commit protocol `wal.rs` documents — the next
+    /// epoch's log is created, seeded with the tail and synced; the
+    /// manifest flips (the single commit point); only then does the old
+    /// log go. A crash before the flip recovers the old image plus the
+    /// full old log, after it `image` plus the tail; replay is
+    /// idempotent, so straddling updates are safe.
+    fn advance(&mut self, image: PathBuf, tail: usize) -> std::io::Result<()> {
+        let Some(d) = &mut self.durable else { return Ok(()) };
+        let epoch = d.wal.epoch() + 1;
+        let path = d.dir.join(wal::wal_file_name(epoch));
+        let mut next = Wal::create(&path, epoch, d.durability, IoStats::shared())?;
+        if tail < self.edges.len() {
+            next.append(&self.edges[tail..])?;
             next.sync()?;
         }
         let manifest = Manifest { epoch, index_path: image };
-        wal::write_manifest(&self.dir, &manifest, Arc::clone(&self.stats))?;
-        let old = std::mem::replace(&mut self.wal, next);
+        wal::write_manifest(&d.dir, &manifest, IoStats::shared())?;
+        let old = std::mem::replace(&mut d.wal, next);
         let _ = std::fs::remove_file(old.path());
-        wal::gc_dir(&self.dir, epoch);
-        shared.wal_epoch.store(epoch, Ordering::Relaxed);
-        shared.wal_records.store(self.wal.records(), Ordering::Relaxed);
-        shared.wal_bytes.store(self.wal.bytes(), Ordering::Relaxed);
+        wal::gc_dir(&d.dir, epoch);
         Ok(())
+    }
+
+    fn pin(&self) -> Pin {
+        let stage = self.durable.as_ref().map(|d| {
+            let epoch = d.wal.epoch() + 1;
+            (d.dir.join(wal::checkpoint_image_name(epoch)), epoch)
+        });
+        Pin { edges: self.edges.clone(), len: self.edges.len(), swap_epoch: self.swap_epoch, stage }
     }
 }
 
 /// State shared by the front, the executor, the compactor, and the
 /// handle.
 struct Shared {
+    /// The published generation: the only lock the query path takes.
     current: RwLock<Arc<Generation>>,
+    /// The write side. Held for the whole of every mutation — update
+    /// batch, swap, compaction promote — and never by a query.
+    lineage: Mutex<Lineage>,
     config: ServerConfig,
     index_path: PathBuf,
     local_addr: SocketAddr,
     /// The serving loop's job queue, completion pile, and stop switch.
     front: FrontHandle,
-    /// Serializes mutations of the serving pointer — swaps, update
-    /// batches, and compaction promotions (queries are never blocked by
-    /// this; they only take the brief `current` read lock).
-    mutate_serial: Mutex<()>,
-    /// Edge insertions (original ids) accepted since the frozen index
-    /// was built — replayed into every overlay rebuild, consumed by
-    /// compaction, discarded by a swap.
-    update_log: Mutex<Vec<(u32, u32, u32)>>,
-    /// Bumped by every swap so an in-flight compaction can detect that
-    /// its build no longer describes the serving index and abort.
-    swap_epoch: AtomicU64,
     /// Channel into the compactor thread (`None` once stopping).
     compact_tx: Mutex<Option<mpsc::Sender<CompactMsg>>>,
     compactions: AtomicU64,
-    /// Durability state; `None` when the server runs without a WAL.
-    durable: Option<Mutex<DurableState>>,
-    /// Mirrors of the WAL's epoch/size so `info`/`/stats` never touch
-    /// the durable lock from the read path.
+    /// Mirrors of the live log's epoch/size, stored by
+    /// [`Lineage::mirror`] at every commit, so `info`/`/stats` and the
+    /// compaction trigger never wait on a mutation.
     wal_epoch: AtomicU64,
     wal_records: AtomicU64,
     wal_bytes: AtomicU64,
-    /// Boot-recovery outcome (constant after `serve` returns).
-    recovered_records: AtomicU64,
-    recovered_dropped_bytes: AtomicU64,
+    /// Boot-recovery outcome: `[replayed WAL records, dropped bytes]`.
+    recovered: [u64; 2],
     checkpoints: AtomicU64,
     aborted_compactions: AtomicU64,
-    generation_seq: AtomicU64,
+}
+
+impl Shared {
+    /// The serving generation, pinned by one `Arc` clone.
+    fn current(&self) -> Result<Arc<Generation>, String> {
+        self.current.read().map(|current| Arc::clone(&current)).map_err(poisoned)
+    }
+
+    /// Whether a background compaction is due: the overlay reached
+    /// `compact_threshold`, or the log `wal_max_bytes` — a checkpoint
+    /// truncates the WAL, so an oversized log compacts even with a
+    /// small overlay.
+    fn over_threshold(&self) -> bool {
+        let threshold = self.config.compact_threshold;
+        let overlay_over =
+            threshold > 0 && self.current().is_ok_and(|g| g.overlay_edges() >= threshold);
+        let wal_over = self
+            .config
+            .wal_max_bytes
+            .is_some_and(|cap| self.wal_bytes.load(Ordering::Relaxed) >= cap);
+        overlay_over || wal_over
+    }
+
+    /// Queue `msg` for the compactor; `false` once the server is
+    /// stopping.
+    fn poke(&self, msg: CompactMsg) -> bool {
+        self.compact_tx.lock().is_ok_and(|tx| tx.as_ref().is_some_and(|tx| tx.send(msg).is_ok()))
+    }
 }
 
 /// A running server. Dropping the handle does *not* stop the daemon;
@@ -225,7 +449,7 @@ impl ServerHandle {
 
     /// Generation number of the index currently being served.
     pub fn current_generation(&self) -> u64 {
-        self.shared.current.read().map(|g| g.generation()).unwrap_or(0)
+        self.shared.current().map_or(0, |g| g.generation())
     }
 
     /// Promote the configured swap path (or re-load the boot path) to
@@ -233,8 +457,7 @@ impl ServerHandle {
     /// of the wire swap frame, for supervisors that rebuild and promote
     /// without a client connection. Returns `(generation, vertices)`.
     pub fn swap(&self) -> std::io::Result<(u64, u64)> {
-        let fresh = do_swap(&self.shared)?;
-        Ok((fresh.generation(), fresh.vertices() as u64))
+        do_swap(&self.shared)
     }
 
     /// Ask the daemon to stop and wait for every thread to exit.
@@ -271,35 +494,30 @@ pub fn serve(
     let front = FrontHandle::new()?;
     let listener = TcpListener::bind(addr)?;
     let local_addr = listener.local_addr()?;
-    let recovery = recover_durable(index_path, &config)?;
-    let mut boot = Generation::load(&recovery.boot_path, config.max_resident_bytes, 1)?;
-    if !recovery.log.is_empty() {
-        // Replay the WAL into the overlay: the recovered daemon answers
-        // exactly like the crashed one did after its last ack.
-        boot = boot.with_updates(&recovery.log).map_err(std::io::Error::other)?;
-    }
+    let (lineage, boot_path, recovered) = Lineage::open(index_path, &config)?;
+    // Replay the unfolded edges into the overlay: the recovered daemon
+    // answers exactly like the crashed one did after its last ack.
+    let boot = Generation::load(&boot_path, config.max_resident_bytes, 1)?
+        .with_updates(&lineage.edges[lineage.folded..])
+        .map_err(std::io::Error::other)?;
     let (compact_tx, compact_rx) = mpsc::channel::<CompactMsg>();
     let shared = Arc::new(Shared {
         current: RwLock::new(Arc::new(boot)),
+        lineage: Mutex::new(lineage),
         config,
         index_path: index_path.to_path_buf(),
         local_addr,
         front: front.clone(),
-        mutate_serial: Mutex::new(()),
-        update_log: Mutex::new(recovery.log),
-        swap_epoch: AtomicU64::new(0),
         compact_tx: Mutex::new(Some(compact_tx)),
         compactions: AtomicU64::new(0),
-        wal_epoch: AtomicU64::new(recovery.epoch),
-        wal_records: AtomicU64::new(recovery.wal_records),
-        wal_bytes: AtomicU64::new(recovery.wal_bytes),
-        recovered_records: AtomicU64::new(recovery.recovered_records),
-        recovered_dropped_bytes: AtomicU64::new(recovery.recovered_dropped_bytes),
+        wal_epoch: AtomicU64::new(0),
+        wal_records: AtomicU64::new(0),
+        wal_bytes: AtomicU64::new(0),
+        recovered,
         checkpoints: AtomicU64::new(0),
         aborted_compactions: AtomicU64::new(0),
-        durable: recovery.durable.map(Mutex::new),
-        generation_seq: AtomicU64::new(1),
     });
+    shared.lineage.lock().map_err(|e| std::io::Error::other(poisoned(e)))?.mirror(&shared);
     let reactor = front::spawn(listener, Arc::clone(&shared), front)?;
     let executor = {
         let shared = Arc::clone(&shared);
@@ -310,101 +528,6 @@ pub fn serve(
         std::thread::spawn(move || compactor_loop(&shared, &compact_rx))
     };
     Ok(ServerHandle { shared, workers: vec![reactor, executor, compactor] })
-}
-
-/// What boot recovery reconstructed from the WAL directory.
-struct Recovery {
-    /// Index image to boot from: the manifest's checkpoint when one
-    /// exists, otherwise the path handed to [`serve`].
-    boot_path: PathBuf,
-    /// Replayed acknowledged updates, flattened in append order — the
-    /// initial `update_log`.
-    log: Vec<(u32, u32, u32)>,
-    durable: Option<DurableState>,
-    epoch: u64,
-    wal_records: u64,
-    wal_bytes: u64,
-    recovered_records: u64,
-    recovered_dropped_bytes: u64,
-}
-
-/// Open (or create) the durability directory and bring the WAL lineage
-/// to a clean, appendable state: read `CURRENT`, walk the epoch's log
-/// tolerating a torn tail, validate the header epoch, truncate the
-/// tear, and garbage-collect files from dead epochs (failed checkpoint
-/// or swap attempts).
-fn recover_durable(index_path: &Path, config: &ServerConfig) -> std::io::Result<Recovery> {
-    let no_wal = Recovery {
-        boot_path: index_path.to_path_buf(),
-        log: Vec::new(),
-        durable: None,
-        epoch: 0,
-        wal_records: 0,
-        wal_bytes: 0,
-        recovered_records: 0,
-        recovered_dropped_bytes: 0,
-    };
-    let Some(dir) = config.wal_dir.as_deref() else {
-        return Ok(no_wal);
-    };
-    std::fs::create_dir_all(dir)?;
-    let stats = IoStats::shared();
-    let (epoch, boot_path) = match wal::read_manifest(dir)? {
-        Some(m) => {
-            if !m.index_path.exists() {
-                return Err(std::io::Error::other(format!(
-                    "{}/CURRENT points at missing checkpoint image {}",
-                    dir.display(),
-                    m.index_path.display()
-                )));
-            }
-            (m.epoch, m.index_path)
-        }
-        None => (0, index_path.to_path_buf()),
-    };
-    let wal_path = dir.join(wal::wal_file_name(epoch));
-    let replay = wal::read_wal(&wal_path, Arc::clone(&stats))?;
-    let (live, batches, recovered_records, recovered_dropped_bytes) = match replay.epoch {
-        // Missing log (first boot, or a crash immediately after the
-        // manifest flip deleted nothing yet) or an unreadable header:
-        // start the epoch's log fresh. Header-less garbage counts as
-        // dropped bytes so operators can see it happened.
-        None => {
-            let dropped = replay.dropped_bytes;
-            let live = Wal::create(&wal_path, epoch, config.durability, Arc::clone(&stats))?;
-            (live, Vec::new(), 0, dropped)
-        }
-        Some(e) if e != epoch => {
-            return Err(std::io::Error::other(format!(
-                "{} carries epoch {e} but CURRENT says {epoch} — \
-                 the durability directory mixes files from different lineages",
-                wal_path.display()
-            )));
-        }
-        Some(_) => {
-            let live =
-                Wal::open_after_replay(&wal_path, &replay, config.durability, Arc::clone(&stats))?;
-            let n = replay.batches.len() as u64;
-            (live, replay.batches, n, replay.dropped_bytes)
-        }
-    };
-    wal::gc_dir(dir, epoch);
-    // Flatten by draining: `concat` would briefly hold the batch list
-    // AND the flat copy, doubling peak replay memory on a big log.
-    let mut log = Vec::with_capacity(batches.iter().map(Vec::len).sum());
-    for mut batch in batches {
-        log.append(&mut batch);
-    }
-    Ok(Recovery {
-        boot_path,
-        log,
-        epoch,
-        wal_records: live.records(),
-        wal_bytes: live.bytes(),
-        recovered_records,
-        recovered_dropped_bytes,
-        durable: Some(DurableState { dir: dir.to_path_buf(), wal: live, stats }),
-    })
 }
 
 /// Work order for the background compactor thread.
@@ -432,23 +555,7 @@ fn compactor_loop(shared: &Shared, rx: &mpsc::Receiver<CompactMsg>) {
         match msg {
             CompactMsg::Stop => return,
             CompactMsg::Threshold => {
-                let over_threshold = || {
-                    let threshold = shared.config.compact_threshold;
-                    let overlay_over = threshold > 0
-                        && shared
-                            .current
-                            .read()
-                            .map(|g| g.overlay_edges() >= threshold)
-                            .unwrap_or(false);
-                    // A checkpoint truncates the WAL, so an oversized
-                    // log compacts even with a small overlay.
-                    let wal_over = shared
-                        .config
-                        .wal_max_bytes
-                        .is_some_and(|cap| shared.wal_bytes.load(Ordering::Relaxed) >= cap);
-                    overlay_over || wal_over
-                };
-                if over_threshold() {
+                if shared.over_threshold() {
                     if let Err(e) = do_compact(shared) {
                         eprintln!("hopdb-server: background compaction failed: {e}");
                         // Back off before the retry below so a
@@ -460,12 +567,8 @@ fn compactor_loop(shared: &Shared, rx: &mpsc::Receiver<CompactMsg>) {
                     // can leave the overlay still over the threshold
                     // with no future update due to poke us. Poke
                     // ourselves instead of idling until the next write.
-                    if over_threshold() && !shared.front.stopping() {
-                        if let Ok(tx) = shared.compact_tx.lock() {
-                            if let Some(tx) = tx.as_ref() {
-                                let _ = tx.send(CompactMsg::Threshold);
-                            }
-                        }
+                    if shared.over_threshold() && !shared.front.stopping() {
+                        shared.poke(CompactMsg::Threshold);
                     }
                 }
             }
@@ -480,35 +583,10 @@ fn compactor_loop(shared: &Shared, rx: &mpsc::Receiver<CompactMsg>) {
     }
 }
 
-/// Load the swap path (fallback: the boot path) as a fresh generation
-/// and promote it. The load happens outside the write lock, so queries
-/// keep flowing on the old index for the whole load; the promotion
-/// itself is one pointer store.
-///
-/// A swap replaces the served graph *wholesale*: pending overlay edges
-/// describe the previous image and are discarded with it (`compact` is
-/// the lossless promotion that folds them in).
-fn do_swap(shared: &Shared) -> std::io::Result<Arc<Generation>> {
-    let _serial =
-        shared.mutate_serial.lock().map_err(|_| std::io::Error::other("swap lock poisoned"))?;
-    let path = shared.config.swap_path.as_deref().unwrap_or(&shared.index_path);
-    let next = shared.generation_seq.fetch_add(1, Ordering::SeqCst) + 1;
-    let fresh = Arc::new(Generation::load(path, shared.config.max_resident_bytes, next)?);
-    let mut log =
-        shared.update_log.lock().map_err(|_| std::io::Error::other("server state poisoned"))?;
-    // A swap discards the update log with the image it described; the
-    // durable lineage advances the same way: "boot from the swapped
-    // image, nothing to replay".
-    if let Some(durable) = &shared.durable {
-        let mut d = durable.lock().map_err(|_| std::io::Error::other("server state poisoned"))?;
-        d.advance(shared, path.to_path_buf(), &[])?;
-    }
-    log.clear();
-    shared.swap_epoch.fetch_add(1, Ordering::SeqCst);
-    let mut current =
-        shared.current.write().map_err(|_| std::io::Error::other("server state poisoned"))?;
-    *current = Arc::clone(&fresh);
-    Ok(fresh)
+fn do_swap(shared: &Shared) -> std::io::Result<(u64, u64)> {
+    let mut lineage = shared.lineage.lock().map_err(|e| std::io::Error::other(poisoned(e)))?;
+    let fresh = lineage.reset(shared)?;
+    Ok((fresh.generation(), fresh.vertices() as u64))
 }
 
 /// Validate an update batch against the weight invariant
@@ -520,7 +598,7 @@ fn do_swap(shared: &Shared) -> std::io::Result<Arc<Generation>> {
 /// compaction replayed it into `GraphBuilder`, which rejects it.
 /// Rejecting here nacks the batch recoverably before any mutation, on
 /// both the HOPQ and HTTP fronts and at the replica router.
-pub(crate) fn validate_update_edges(edges: &[(u32, u32, u32)]) -> Result<(), String> {
+pub(crate) fn validate_update_edges(edges: &[WalEdge]) -> Result<(), String> {
     match edges.iter().find(|&&(_, _, w)| w == 0) {
         Some(&(s, t, _)) => Err(format!(
             "edge ({s}, {t}): edge weight 0 (weights must be ≥ 1: \
@@ -530,78 +608,35 @@ pub(crate) fn validate_update_edges(edges: &[(u32, u32, u32)]) -> Result<(), Str
     }
 }
 
-/// Apply one accepted update batch: replay the full log plus the new
-/// edges into a fresh overlay snapshot and promote a copy-on-write
-/// successor generation. Queries pinned to the old `Arc` finish on it;
-/// nothing is committed if validation or the rebuild fails.
-fn do_update(shared: &Shared, edges: &[(u32, u32, u32)]) -> Result<(u64, u64), String> {
-    validate_update_edges(edges)?;
-    let _serial = shared.mutate_serial.lock().map_err(|_| "server state poisoned".to_string())?;
-    let current = {
-        let guard = shared.current.read().map_err(|_| "server state poisoned".to_string())?;
-        Arc::clone(&guard)
-    };
-    let mut log = shared.update_log.lock().map_err(|_| "server state poisoned".to_string())?;
-    let mut candidate = log.clone();
-    candidate.extend_from_slice(edges);
-    let next = current.with_updates(&candidate)?;
-    let generation = next.generation();
-    let overlay_edges = next.overlay_edges() as u64;
-    // Make the batch durable *before* it becomes observable: only
-    // validated batches reach the WAL, and nothing is published (or
-    // acknowledged) unless the append succeeds. Under `always` the
-    // record is on stable storage when `append` returns.
-    if let Some(durable) = &shared.durable {
-        let mut d = durable.lock().map_err(|_| "server state poisoned".to_string())?;
-        d.wal.append(edges).map_err(|e| format!("wal append: {e}"))?;
-        shared.wal_records.store(d.wal.records(), Ordering::Relaxed);
-        shared.wal_bytes.store(d.wal.bytes(), Ordering::Relaxed);
+/// Apply one update batch and acknowledge it as `(generation, overlay
+/// edges)`.
+fn do_update(shared: &Shared, edges: &[WalEdge]) -> Result<(u64, u64), String> {
+    let next = shared.lineage.lock().map_err(poisoned)?.append(shared, edges)?;
+    // Poke the compactor outside the lock; a stopped compactor is not
+    // the client's problem.
+    if shared.config.source_graph.is_some() && shared.over_threshold() {
+        shared.poke(CompactMsg::Threshold);
     }
-    *log = candidate;
-    {
-        let mut cur = shared.current.write().map_err(|_| "server state poisoned".to_string())?;
-        *cur = Arc::new(next);
-    }
-    drop(log);
-    drop(_serial);
-    // Poke the compactor outside the serial section; a full channel or
-    // stopped compactor is not the client's problem.
-    let overlay_over = shared.config.compact_threshold > 0
-        && overlay_edges as usize >= shared.config.compact_threshold;
-    let wal_over = shared
-        .config
-        .wal_max_bytes
-        .is_some_and(|cap| shared.wal_bytes.load(Ordering::Relaxed) >= cap);
-    if (overlay_over || wal_over) && shared.config.source_graph.is_some() {
-        if let Ok(tx) = shared.compact_tx.lock() {
-            if let Some(tx) = tx.as_ref() {
-                let _ = tx.send(CompactMsg::Threshold);
-            }
-        }
-    }
-    Ok((generation, overlay_edges))
+    Ok((next.generation(), next.overlay_edges() as u64))
 }
 
-/// Rebuild the frozen index from the configured source graph plus the
-/// pinned prefix of the update log, and promote it as a new generation.
+/// Rebuild the frozen index from the configured source graph plus every
+/// edge the lineage has accepted up to the pin — the ones earlier
+/// compactions folded in and the pending ones alike — and promote it as
+/// a new generation.
 ///
 /// The expensive build runs without holding any lock, so queries and
-/// further updates keep flowing; only the final promotion takes the
-/// mutation locks. Updates that arrived *during* the build stay in the
-/// log and are folded into the fresh generation's overlay, so no
-/// accepted edge is ever lost. If a swap promoted a different image
-/// mid-build, the stale result is thrown away.
+/// further updates keep flowing; only the pin and the final
+/// [`Lineage::fold`] take the lineage lock.
 ///
 /// Id-space note: the rebuilt index serves the source file's vertex
 /// ids. That matches the running server when the boot index was built
 /// by `hopdb-cli build` from the same file (the `.rank` sidecar maps
 /// original ids), which is the supported deployment for `--graph`.
 fn do_compact(shared: &Shared) -> Result<(u64, u64), String> {
-    let result = do_compact_inner(shared);
-    if result.is_err() {
+    do_compact_inner(shared).inspect_err(|_| {
         shared.aborted_compactions.fetch_add(1, Ordering::Relaxed);
-    }
-    result
+    })
 }
 
 fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
@@ -609,17 +644,10 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
     let Some(path) = shared.config.source_graph.as_deref() else {
         return Err("compaction requires the server to be started with --graph".to_string());
     };
-    // Pin: edges up to `pinned_len` go into the rebuilt image; later
-    // arrivals fold into the fresh overlay at promotion time.
-    let (pinned, epoch) = {
-        let log = shared.update_log.lock().map_err(|_| "server state poisoned".to_string())?;
-        (log.clone(), shared.swap_epoch.load(Ordering::SeqCst))
-    };
-    let pinned_len = pinned.len();
-    let serving = {
-        let cur = shared.current.read().map_err(|_| "server state poisoned".to_string())?;
-        Arc::clone(&cur)
-    };
+    let mut pin = shared.lineage.lock().map_err(poisoned)?.pin();
+    pin.edges.sort_unstable();
+    pin.edges.dedup_by_key(|&mut (s, t, _)| (s, t));
+    let serving = shared.current()?;
     let (directed, serving_n) = (serving.is_directed(), serving.vertices());
 
     // Build, lock-free. Same pipeline as `hopdb-cli build`: clean the
@@ -629,7 +657,8 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
     // Whether `hopdb-cli build` read a third column as weights is a fact
     // the frozen index records, not something the file can say (a SNAP
     // temporal list carries a timestamp there): an unweighted build
-    // leaves every source edge's endpoints at distance ≤ 1.
+    // leaves every source edge's endpoints at distance ≤ 1 (folded
+    // update edges only ever shorten).
     let read = |weighted: bool| {
         let file =
             std::fs::File::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
@@ -640,7 +669,7 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
     if serving.frozen_exceeds_one(&base.edge_list())? {
         base = read(true)?;
     }
-    let weighted = base.is_weighted() || pinned.iter().any(|&(_, _, w)| w != 1);
+    let weighted = base.is_weighted() || pin.edges.iter().any(|&(_, _, w)| w != 1);
     let mut builder = if directed {
         sfgraph::GraphBuilder::new_directed(base.num_vertices())
     } else {
@@ -657,7 +686,7 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
     for (u, v, w) in base.edge_list() {
         builder.add_weighted_edge(u, v, w);
     }
-    for &(s, t, w) in &pinned {
+    for &(s, t, w) in &pin.edges {
         builder.ensure_vertex(s);
         builder.ensure_vertex(t);
         builder.add_weighted_edge(s, t, w);
@@ -667,77 +696,26 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
     let relabeled = relabel_by_rank(&merged, &ranking);
     let cfg = hopdb::HopDbConfig { parallelism: 0, ..hopdb::HopDbConfig::default() };
     let (index, _stats) = hopdb::build_prelabeled(&relabeled, &cfg);
-    let flat = hoplabels::flat::FlatIndex::from_index(&index);
+    let flat = FlatIndex::from_index(&index);
 
-    // Stage the checkpoint image while holding no lock: write the
-    // rebuilt index (`flat` is the image, byte for byte) and its `.rank`
-    // sidecar to fresh files in the WAL directory and fsync them. Nothing references the staged files
-    // until the manifest flips below, so aborting here merely leaves
-    // garbage for the next `gc_dir` sweep.
-    let staged = if let Some(durable) = &shared.durable {
-        let dir = {
-            let d = durable.lock().map_err(|_| "server state poisoned".to_string())?;
-            d.dir.clone()
-        };
-        let stage = |e: std::io::Error| format!("checkpoint staging: {e}");
-        let store = extmem::TempStore::in_dir(&dir).map_err(stage)?;
-        let mut file = store.create("ckpt-stage").map_err(stage)?;
-        file.write_all(flat.as_bytes()).map_err(stage)?;
-        file.persist();
-        let image = file.path().to_path_buf();
-        let sidecar = {
-            let mut s = image.as_os_str().to_os_string();
-            s.push(".rank");
-            PathBuf::from(s)
-        };
-        std::fs::write(&sidecar, ranking.to_sidecar_bytes()).map_err(stage)?;
-        for path in [&image, &sidecar] {
-            std::fs::File::open(path).and_then(|f| f.sync_data()).map_err(stage)?;
+    // Stage the checkpoint while holding no lock: the image (`flat` is
+    // the file, byte for byte), its `.rank` sidecar and the `.edges`
+    // file of every edge the image folds, each written under the next
+    // epoch's name and synced. Nothing references them until the
+    // manifest flips in `fold`, so aborting here merely leaves garbage
+    // for the next `gc_dir` sweep.
+    if let Some((image, epoch)) = &pin.stage {
+        let (rank, folded) = (ranking.to_sidecar_bytes(), wal::encode_folded(*epoch, &pin.edges));
+        for (ext, bytes) in [("", flat.as_bytes()), (".rank", &rank), (wal::FOLDED_EXT, &folded)] {
+            std::fs::File::create(sibling(image, ext))
+                .and_then(|mut file| file.write_all(bytes).and_then(|()| file.sync_data()))
+                .map_err(|e| format!("checkpoint staging: {e}"))?;
         }
-        Some((dir, image, sidecar))
-    } else {
-        None
-    };
+    }
 
     // Promote. Everything after this point is cheap.
-    let _serial = shared.mutate_serial.lock().map_err(|_| "server state poisoned".to_string())?;
-    if shared.swap_epoch.load(Ordering::SeqCst) != epoch {
-        return Err("aborted: a swap was promoted during compaction".to_string());
-    }
-    let mut log = shared.update_log.lock().map_err(|_| "server state poisoned".to_string())?;
-    let next_gen = shared.generation_seq.fetch_add(1, Ordering::SeqCst) + 1;
-    let mut fresh = Generation::from_flat(flat, Some(ranking), next_gen);
-    let remaining: Vec<(u32, u32, u32)> = log[pinned_len..].to_vec();
-    if !remaining.is_empty() {
-        fresh = fresh.with_updates(&remaining)?;
-    }
-    let generation = fresh.generation();
-    let vertices = fresh.vertices() as u64;
-    // Commit the checkpoint to the durable lineage *before* publishing
-    // the in-memory state: rename the staged image into its epoch name,
-    // then advance the epoch onto it with the unpinned tail.
-    if let Some((dir, image, sidecar)) = staged {
-        let durable = shared.durable.as_ref().expect("staged implies durable");
-        let mut d = durable.lock().map_err(|_| "server state poisoned".to_string())?;
-        let commit = |e: std::io::Error| format!("checkpoint commit: {e}");
-        let ckpt = dir.join(wal::checkpoint_image_name(d.wal.epoch() + 1));
-        let ckpt_rank = {
-            let mut s = ckpt.as_os_str().to_os_string();
-            s.push(".rank");
-            PathBuf::from(s)
-        };
-        std::fs::rename(&image, &ckpt).map_err(commit)?;
-        std::fs::rename(&sidecar, &ckpt_rank).map_err(commit)?;
-        d.advance(shared, ckpt, &remaining).map_err(commit)?;
-        shared.checkpoints.fetch_add(1, Ordering::Relaxed);
-    }
-    *log = remaining;
-    {
-        let mut cur = shared.current.write().map_err(|_| "server state poisoned".to_string())?;
-        *cur = Arc::new(fresh);
-    }
-    shared.compactions.fetch_add(1, Ordering::Relaxed);
-    Ok((generation, vertices))
+    let fresh = shared.lineage.lock().map_err(poisoned)?.fold(shared, pin, flat, ranking)?;
+    Ok((fresh.generation(), fresh.vertices() as u64))
 }
 
 impl Service for Shared {
@@ -760,10 +738,8 @@ impl Service for Shared {
         }
         // Dropping the sender ends the compactor's recv loop even if
         // the Stop message races a queued threshold poke.
-        if let Ok(mut tx) = self.compact_tx.lock() {
-            if let Some(tx) = tx.take() {
-                let _ = tx.send(CompactMsg::Stop);
-            }
+        if let Some(tx) = self.compact_tx.lock().ok().and_then(|mut tx| tx.take()) {
+            let _ = tx.send(CompactMsg::Stop);
         }
     }
 
@@ -772,24 +748,21 @@ impl Service for Shared {
     }
 
     fn admin(&self, traffic: Traffic, conn: u64, id: u64, kind: Admin) -> Outcome {
-        let poisoned = || ResponseBody::Error("server state poisoned".to_string());
+        let broken = || ResponseBody::Error(poisoned(()));
         match kind {
             Admin::Swap => Outcome::Submit(Job::Swap { conn, id }),
             Admin::Compact => {
-                let queued = self.compact_tx.lock().is_ok_and(|tx| {
-                    tx.as_ref().is_some_and(|tx| tx.send(CompactMsg::Admin { conn, id }).is_ok())
-                });
-                if queued {
+                if self.poke(CompactMsg::Admin { conn, id }) {
                     Outcome::Deferred
                 } else {
                     Outcome::Reply(ResponseBody::Error("server is stopping".to_string()))
                 }
             }
             Admin::Info => {
-                Outcome::Reply(info_of(self, traffic).map_or_else(poisoned, ResponseBody::Info))
+                Outcome::Reply(info_of(self, traffic).map_or_else(broken, ResponseBody::Info))
             }
             Admin::RouteInfo => {
-                Outcome::Reply(route_info_of(self).map_or_else(poisoned, ResponseBody::RouteInfo))
+                Outcome::Reply(route_info_of(self).map_or_else(broken, ResponseBody::RouteInfo))
             }
         }
     }
@@ -840,15 +813,15 @@ fn info_of(shared: &Shared, traffic: Traffic) -> Option<InfoReply> {
         compactions: shared.compactions.load(Ordering::Relaxed),
         requests: traffic.requests,
         protocol_errors: traffic.protocol_errors,
-        durability: match &shared.durable {
+        durability: match shared.config.wal_dir {
             None => DURABILITY_DISABLED,
             Some(_) => shared.config.durability.as_u8(),
         },
         wal_epoch: shared.wal_epoch.load(Ordering::Relaxed),
         wal_records: shared.wal_records.load(Ordering::Relaxed),
         wal_bytes: shared.wal_bytes.load(Ordering::Relaxed),
-        recovered_records: shared.recovered_records.load(Ordering::Relaxed),
-        recovered_dropped_bytes: shared.recovered_dropped_bytes.load(Ordering::Relaxed),
+        recovered_records: shared.recovered[0],
+        recovered_dropped_bytes: shared.recovered[1],
         checkpoints: shared.checkpoints.load(Ordering::Relaxed),
         aborted_compactions: shared.aborted_compactions.load(Ordering::Relaxed),
     })
@@ -876,7 +849,7 @@ fn route_info_of(shared: &Shared) -> Option<RouteReply> {
 /// The executor: pull coalesced batches, answer them, run swaps and
 /// updates between them.
 fn executor_loop(shared: &Shared) {
-    let (batcher, completions) = (&shared.front.batcher, &*shared.front.completions);
+    let (batcher, completions) = (&shared.front.batcher, &shared.front.completions);
     let flush_after = Duration::from_micros(shared.config.flush_us.max(1));
     let coalesce = shared.config.coalesce_pairs.max(1);
     while let Some(jobs) = batcher.next_batch(coalesce, flush_after) {
@@ -887,12 +860,11 @@ fn executor_loop(shared: &Shared) {
                 Job::Swap { conn, id } => {
                     // Queries queued before the swap answer on the old
                     // generation; flush them first.
-                    run_queries(shared, completions, std::mem::take(&mut queries));
+                    run_queries(shared, std::mem::take(&mut queries));
                     let body = match do_swap(shared) {
-                        Ok(fresh) => ResponseBody::Swapped {
-                            generation: fresh.generation(),
-                            vertices: fresh.vertices() as u64,
-                        },
+                        Ok((generation, vertices)) => {
+                            ResponseBody::Swapped { generation, vertices }
+                        }
                         Err(e) => ResponseBody::Error(format!("swap failed: {e}")),
                     };
                     completions.answer(conn, (Response { id, body }.encode(), false));
@@ -902,63 +874,26 @@ fn executor_loop(shared: &Shared) {
                     // submitted before this frame answer on the
                     // pre-update overlay, queries after it on the
                     // post-update one.
-                    run_queries(shared, completions, std::mem::take(&mut queries));
+                    run_queries(shared, std::mem::take(&mut queries));
                     completions.answer(conn, respond.outcome(do_update(shared, &edges)));
                 }
             }
         }
-        run_queries(shared, completions, queries);
+        run_queries(shared, queries);
     }
 }
 
 /// Answer one coalesced batch: a single `Generation` clone pins the
 /// whole batch to one index, a single `query_many_into` call answers
 /// every pair, and per-job slices are encoded back out.
-fn run_queries(shared: &Shared, completions: &Completions, jobs: Vec<QueryJob>) {
-    if jobs.is_empty() {
-        return;
-    }
-    let generation = match shared.current.read() {
-        Ok(current) => Arc::clone(&current),
-        Err(_) => {
-            for (conn, respond, _) in jobs {
-                completions.answer(conn, respond.error("server state poisoned"));
-            }
-            return;
-        }
-    };
-    let n = generation.vertices() as u32;
-    // Range-check per job so one bad frame can't fail its batchmates.
-    let mut combined: Vec<(u32, u32)> = Vec::new();
-    let mut plan: Vec<(usize, usize, usize)> = Vec::new();
-    for (i, (conn, respond, pairs)) in jobs.iter().enumerate() {
-        match pairs.iter().find(|&&(s, t)| s >= n || t >= n) {
-            Some(&(s, t)) => {
-                let msg = format!("vertex out of range: ({s}, {t}) on a {n}-vertex index");
-                completions.answer(*conn, respond.error(&msg));
-            }
-            None => {
-                plan.push((i, combined.len(), pairs.len()));
-                combined.extend_from_slice(pairs);
-            }
-        }
-    }
-    if combined.is_empty() {
-        return;
-    }
-    let mut dists = Vec::with_capacity(combined.len());
-    match generation.query_many_into(&combined, shared.config.batch_threads, &mut dists) {
-        Err(msg) => {
-            for &(i, _, _) in &plan {
-                let (conn, respond, _) = &jobs[i];
-                completions.answer(*conn, respond.error(&msg));
-            }
-        }
-        Ok(()) => {
-            for &(i, offset, len) in &plan {
-                let (conn, respond, pairs) = &jobs[i];
-                completions.answer(*conn, respond.distances(pairs, &dists[offset..offset + len]));
-            }
-        }
+fn run_queries(shared: &Shared, jobs: Vec<QueryJob>) {
+    let generation = shared.current();
+    let n = generation.as_ref().map_or(u64::MAX, |g| g.vertices() as u64);
+    let Some(work) = BatchWork::cut(jobs, n, &shared.front.completions) else { return };
+    let mut dists = Vec::with_capacity(work.combined.len());
+    let threads = shared.config.batch_threads;
+    match generation.and_then(|g| g.query_many_into(&work.combined, threads, &mut dists)) {
+        Ok(()) => work.complete(&dists),
+        Err(msg) => work.fail(&msg),
     }
 }

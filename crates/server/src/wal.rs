@@ -31,6 +31,16 @@
 //! must match the manifest's — a mismatch means the directory mixes
 //! files from different lineages and recovery refuses to guess.
 //!
+//! A checkpoint is three artifacts under one epoch name
+//! ([`checkpoint_image_name`]): the `HOPIDX02` image `ckpt-<epoch>.idx`,
+//! its `.rank` id-translation sidecar, and its `.edges` sibling — every
+//! edge the lineage accepted and the image folds in, in the record
+//! framing above ([`encode_folded`], [`read_folded`]). A compaction
+//! rebuilds from the source graph plus *all* of those edges and the
+//! pending ones it pinned, so the next compaction, and the first one
+//! after a restart, start from everything ever acknowledged; the log
+//! keeps only what the image does not hold.
+//!
 //! Fsync policy is a runtime knob ([`Durability`]): `always` syncs
 //! every append before the ack (no acknowledged batch is ever lost,
 //! even to power failure), `batch` group-commits at most every
@@ -76,31 +86,28 @@ pub fn wal_file_name(epoch: u64) -> String {
     format!("wal-{epoch}.log")
 }
 
-/// Name of `epoch`'s checkpoint image inside the WAL directory (its
-/// `.rank` sidecar sits at `<name>.rank`, matching the boot loader).
+/// Name of `epoch`'s checkpoint image inside the WAL directory; its
+/// siblings sit at `<name>.rank` (matching the boot loader) and
+/// `<name>`[`FOLDED_EXT`].
 pub fn checkpoint_image_name(epoch: u64) -> String {
     format!("ckpt-{epoch}.idx")
 }
 
 /// Best-effort garbage collection of a WAL directory: delete log
-/// files, checkpoint images, and stale temp files from every epoch but
-/// `keep`. Runs after boot recovery and after each manifest flip;
-/// failures are ignored (a leftover file is re-collected next time).
+/// files, checkpoint artifacts, and stale temp files from every epoch
+/// but `keep` (whose `ckpt-<keep>.idx*` are kept by prefix). Runs after
+/// boot recovery and after each manifest flip; failures are ignored (a
+/// leftover file is re-collected next time).
 pub fn gc_dir(dir: &Path, keep: u64) {
     let Ok(entries) = std::fs::read_dir(dir) else { return };
     let keep_wal = wal_file_name(keep);
-    let keep_img = checkpoint_image_name(keep);
-    let keep_rank = format!("{keep_img}.rank");
+    let keep_ckpt = checkpoint_image_name(keep);
     for entry in entries.flatten() {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        if name == keep_wal || name == keep_img || name == keep_rank || name == MANIFEST_FILE {
-            continue;
-        }
-        let stale_wal = name.starts_with("wal-") && name.ends_with(".log");
-        let stale_ckpt = name.starts_with("ckpt-");
-        let stale_tmp = name.ends_with(".tmp");
-        if stale_wal || stale_ckpt || stale_tmp {
+        let stale_wal = name.starts_with("wal-") && name.ends_with(".log") && name != keep_wal;
+        let stale_ckpt = name.starts_with("ckpt-") && !name.starts_with(&keep_ckpt);
+        if stale_wal || stale_ckpt || name.ends_with(".tmp") {
             let _ = std::fs::remove_file(entry.path());
         }
     }
@@ -169,6 +176,51 @@ fn encode_record(batch: &[WalEdge]) -> Vec<u8> {
     rec.extend_from_slice(&crc32(&payload).to_le_bytes());
     rec.extend_from_slice(&payload);
     rec
+}
+
+fn encode_header(epoch: u64) -> Vec<u8> {
+    let mut header = WAL_MAGIC.to_vec();
+    header.extend_from_slice(&epoch.to_le_bytes());
+    header
+}
+
+/// Extension of a checkpoint image's folded-edge sibling.
+pub const FOLDED_EXT: &str = ".edges";
+
+/// The complete bytes of `epoch`'s folded-edge file: a WAL header,
+/// `edges` in records well under [`MAX_RECORD_LEN`], and one empty
+/// record that closes the file — so a copy cut at *any* byte, record
+/// boundaries included, does not read as a shorter valid one.
+pub fn encode_folded(epoch: u64, edges: &[WalEdge]) -> Vec<u8> {
+    let mut out = encode_header(epoch);
+    for chunk in edges.chunks(1 << 20) {
+        out.extend(encode_record(chunk));
+    }
+    out.extend(encode_record(&[]));
+    out
+}
+
+/// Read the folded edges beside checkpoint `image` through
+/// [`read_wal`]'s checked reader. No sibling means nothing was folded
+/// (an image that is not a checkpoint, or one written before the file
+/// existed). A sibling that is there must read completely: the wrong
+/// epoch, a dropped byte or a missing closing record is `InvalidData`
+/// naming the file. The log tolerates a torn tail because acks lag it;
+/// this file is synced before the manifest names it, so a tear here is
+/// corruption, and booting short would forget acknowledged edges.
+pub fn read_folded(image: &Path, epoch: u64) -> std::io::Result<Vec<WalEdge>> {
+    let path = crate::backend::sibling(image, FOLDED_EXT);
+    if !path.exists() {
+        return Ok(Vec::new());
+    }
+    let mut replay = read_wal(&path, IoStats::shared())?;
+    let closed = replay.batches.pop().is_some_and(|end| end.is_empty());
+    if replay.epoch != Some(epoch) || replay.dropped_bytes != 0 || !closed {
+        let what =
+            format!("{}: not the complete folded-edge file of epoch {epoch}", path.display());
+        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, what));
+    }
+    Ok(replay.batches.concat())
 }
 
 /// The result of walking a WAL file with [`read_wal`].
@@ -269,10 +321,7 @@ impl Wal {
         stats: Arc<IoStats>,
     ) -> std::io::Result<Wal> {
         let mut file = CountedFile::create_path(path, stats)?;
-        let mut header = Vec::with_capacity(WAL_HEADER_LEN as usize);
-        header.extend_from_slice(WAL_MAGIC);
-        header.extend_from_slice(&epoch.to_le_bytes());
-        file.write_all(&header)?;
+        file.write_all(&encode_header(epoch))?;
         if durability != Durability::Off {
             file.sync_data()?;
         }
@@ -396,16 +445,20 @@ fn sync_parent_dir(path: &Path) {
 /// The `CURRENT` checkpoint manifest: which epoch the serving lineage
 /// is at and which index image that epoch boots from.
 ///
-/// Each epoch owns its own log (`wal-<epoch>.log`) and image
-/// (`ckpt-<epoch>.idx`). A checkpoint writes the *next* epoch's
-/// complete files first and flips `CURRENT` last (temp file, fsync,
-/// rename) — the rename is the single commit point, so every crash
-/// recovers cleanly:
+/// Each epoch owns its own log (`wal-<epoch>.log`) and, when a
+/// compaction made it, its three checkpoint artifacts: the image
+/// `ckpt-<epoch>.idx`, `ckpt-<epoch>.idx.rank`, and
+/// `ckpt-<epoch>.idx.edges` — the accepted edges the image folds in,
+/// which the next compaction rebuilds from. (A swap's epoch names the
+/// swapped image, which folds nothing and has no `.edges`.) A
+/// checkpoint writes the *next* epoch's complete files first and flips
+/// `CURRENT` last (temp file, fsync, rename) — the rename is the single
+/// commit point, so every crash recovers cleanly:
 ///
 /// * crash before the flip → old manifest: recovery boots the old
 ///   image and replays the old epoch's log in full; the half-staged
 ///   next epoch is garbage-collected;
-/// * crash after the flip → new manifest: the new epoch's image and
+/// * crash after the flip → new manifest: the new epoch's artifacts and
 ///   log were complete and synced before the rename, so recovery boots
 ///   them directly; the old epoch's leftovers are garbage-collected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -413,7 +466,8 @@ pub struct Manifest {
     /// Checkpoint epoch; a fresh lineage starts at 0.
     pub epoch: u64,
     /// Index image (`HOPIDX02`) this epoch boots from; a `.rank`
-    /// sidecar next to it is honored exactly like at first boot.
+    /// sidecar next to it is honored exactly like at first boot, and an
+    /// `.edges` sibling is read back by [`read_folded`].
     pub index_path: PathBuf,
 }
 
@@ -556,10 +610,12 @@ mod tests {
     fn epoch_file_names_and_gc() {
         let store = TempStore::new().unwrap();
         let dir = store.create("probe").unwrap().path().parent().unwrap().to_path_buf();
+        let live = ["ckpt-4.idx", "ckpt-4.idx.rank", "ckpt-4.idx.edges"];
+        let stale = ["ckpt-3.idx", "ckpt-3.idx.rank", "ckpt-3.idx.edges", "ckpt-40.idx.edges"];
         for name in
-            [wal_file_name(3), wal_file_name(4), checkpoint_image_name(3), "ckpt-3.idx.rank".into()]
+            [wal_file_name(3), wal_file_name(4)].iter().map(String::as_str).chain(live).chain(stale)
         {
-            std::fs::write(dir.join(&name), b"x").unwrap();
+            std::fs::write(dir.join(name), b"x").unwrap();
         }
         std::fs::write(dir.join("ckpt-4.idx.tmp"), b"x").unwrap();
         write_manifest(
@@ -572,8 +628,10 @@ mod tests {
         assert!(dir.join(wal_file_name(4)).exists());
         assert!(dir.join(MANIFEST_FILE).exists());
         assert!(!dir.join(wal_file_name(3)).exists());
-        assert!(!dir.join(checkpoint_image_name(3)).exists());
-        assert!(!dir.join("ckpt-3.idx.rank").exists());
+        // The live epoch's artifacts are kept by prefix, `.edges`
+        // included; a stale epoch's go, `.edges` included.
+        assert!(live.iter().all(|name| dir.join(name).exists()));
+        assert!(!stale.iter().any(|name| dir.join(name).exists()));
         assert!(!dir.join("ckpt-4.idx.tmp").exists());
     }
 

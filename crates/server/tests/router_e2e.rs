@@ -19,7 +19,6 @@ use hopdb::{build_prelabeled, HopDbConfig};
 use hopdb_server::{
     serve, serve_router, Client, RouteMode, RouterConfig, RouterHandle, ServerConfig, ServerHandle,
 };
-use hoplabels::disk::DiskIndex;
 use hoplabels::flat::FlatIndex;
 use hoplabels::shard_image;
 use sfgraph::builder::GraphBuilder;
@@ -80,10 +79,8 @@ fn fixture(tag: &str, directed: bool) -> Fixture {
     let ranking = rank_vertices(&g, &RankBy::paper_default(&g));
     let relabeled = relabel_by_rank(&g, &ranking);
     let (index, _) = build_prelabeled(&relabeled, &HopDbConfig::default());
-    let store = extmem::device::TempStore::new().expect("temp store");
-    let staged = DiskIndex::create(&index, &store, tag).expect("serialize").persist();
-    let image = std::fs::read(&staged).expect("read image");
-    std::fs::remove_file(staged).ok();
+    let mut image = Vec::new();
+    index.write_hopidx(&mut image).expect("serialize");
     let flat = FlatIndex::from_hopidx_bytes(&image).expect("flat");
     Fixture { dir, image, flat }
 }

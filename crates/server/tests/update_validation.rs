@@ -12,7 +12,6 @@ use std::path::PathBuf;
 
 use hopdb::{build_prelabeled, HopDbConfig};
 use hopdb_server::{serve, Client, ServerConfig, ServerHandle};
-use hoplabels::disk::DiskIndex;
 use sfgraph::builder::GraphBuilder;
 use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
 use sfgraph::VertexId;
@@ -46,11 +45,10 @@ fn fixture(tag: &str) -> Fixture {
     let ranking = rank_vertices(&g, &RankBy::Degree);
     let relabeled = relabel_by_rank(&g, &ranking);
     let (index, _) = build_prelabeled(&relabeled, &HopDbConfig::default());
-    let store = extmem::device::TempStore::new().expect("temp store");
-    let staged = DiskIndex::create(&index, &store, tag).expect("serialize").persist();
     let index_path = dir.join("ring.idx");
-    std::fs::copy(&staged, &index_path).expect("stage index");
-    std::fs::remove_file(staged).ok();
+    index
+        .write_hopidx(&mut std::fs::File::create(&index_path).expect("create index"))
+        .expect("serialize");
     Fixture { dir, index_path }
 }
 

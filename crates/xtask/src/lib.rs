@@ -13,7 +13,7 @@
 //!    `crates/xtask/tidy.allowlist`.
 //! 3. [`lock_order`] — flag `.lock()`/`.read()`/`.write()` sequences
 //!    in the serving core that violate the declared
-//!    `mutate_serial → update_log → durable → current` hierarchy.
+//!    `lineage → current` order.
 //! 4. [`loc_budget`] — hold each crate's non-test source lines against
 //!    its ceiling in the checked-in `crates/xtask/loc.budget`.
 

@@ -1,9 +1,9 @@
-//! Pass 3: the lock-order checker. The serving core holds up to four
-//! locks at once, and deadlock freedom rests on every path acquiring
-//! them in one global order:
+//! Pass 3: the lock-order checker. The serving core has two locks,
+//! and deadlock freedom rests on every path that holds both acquiring
+//! them in one order:
 //!
 //! ```text
-//! mutate_serial → update_log → durable → current
+//! lineage → current
 //! ```
 //!
 //! (declared in the `crates/server/src/backend.rs` module docs). The
@@ -18,7 +18,7 @@ use crate::Diagnostic;
 use std::path::Path;
 
 /// The declared acquisition order, outermost first.
-pub const HIERARCHY: [&str; 4] = ["mutate_serial", "update_log", "durable", "current"];
+pub const HIERARCHY: [&str; 2] = ["lineage", "current"];
 
 /// The files holding the serving core's lock acquisitions.
 pub const LOCK_FILES: [&str; 2] = ["crates/server/src/backend.rs", "crates/server/src/server.rs"];
@@ -176,32 +176,32 @@ mod tests {
 
     #[test]
     fn correct_order_passes() {
-        let src = "fn do_swap(s: &Shared) {\n    let _g = s.mutate_serial.lock();\n    let log = s.update_log.lock();\n    let mut cur = s.current.write();\n}\n";
+        let src = "fn do_swap(s: &Shared) {\n    let mut lineage = s.lineage.lock();\n    let mut cur = s.current.write();\n}\n";
         assert!(run(src).is_empty());
     }
 
     #[test]
     fn inverted_order_is_flagged_with_line() {
-        let src = "fn bad(s: &Shared) {\n    let cur = s.current.read();\n    let log = s.update_log.lock();\n}\n";
+        let src = "fn bad(s: &Shared) {\n    let cur = s.current.read();\n    let log = s.lineage.lock();\n}\n";
         let d = run(src);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].line, 3);
-        assert!(d[0].message.contains("`update_log` acquired while `current`"));
+        assert!(d[0].message.contains("`lineage` acquired while `current`"));
         assert!(d[0].message.contains("backend.rs"));
     }
 
     #[test]
     fn scoped_guard_expires_at_close_brace() {
-        let src = "fn ok(s: &Shared) {\n    let gen = {\n        let cur = s.current.read();\n        cur.generation()\n    };\n    let log = s.update_log.lock();\n}\n";
+        let src = "fn ok(s: &Shared) {\n    let gen = {\n        let cur = s.current.read();\n        cur.generation()\n    };\n    let log = s.lineage.lock();\n}\n";
         assert!(run(src).is_empty());
     }
 
     #[test]
     fn chained_multiline_receiver_is_seen() {
-        let src = "fn bad(s: &Shared) {\n    let c = s\n        .current\n        .read();\n    s.mutate_serial.lock();\n}\n";
+        let src = "fn bad(s: &Shared) {\n    let c = s\n        .current\n        .read();\n    s.lineage.lock();\n}\n";
         let d = run(src);
         assert_eq!(d.len(), 1);
-        assert!(d[0].message.contains("`mutate_serial` acquired while `current`"));
+        assert!(d[0].message.contains("`lineage` acquired while `current`"));
     }
 
     #[test]
@@ -212,7 +212,7 @@ mod tests {
 
     #[test]
     fn guards_do_not_leak_across_fns() {
-        let src = "fn a(s: &Shared) { let c = s.current.read(); }\nfn b(s: &Shared) { let g = s.mutate_serial.lock(); }\n";
+        let src = "fn a(s: &Shared) { let c = s.current.read(); }\nfn b(s: &Shared) { let g = s.lineage.lock(); }\n";
         assert!(run(src).is_empty());
     }
 }

@@ -133,10 +133,10 @@ fn locks_pass_flags_out_of_order_acquisition() {
     fx.write(
         "crates/server/src/backend.rs",
         "fn apply(shared: &Shared) {\n    let snap = shared.current.read();\n    \
-         let log = shared.update_log.lock();\n}\n",
+         let lineage = shared.lineage.lock();\n}\n",
     );
     let (ok, _out, err) = fx.tidy(Some("locks"));
-    assert!(!ok, "acquiring update_log under current must fail tidy");
+    assert!(!ok, "acquiring lineage under current must fail tidy");
     assert!(
         err.contains("crates/server/src/backend.rs:3"),
         "diagnostic must point at the inner acquisition, got:\n{err}"
@@ -149,8 +149,8 @@ fn locks_pass_accepts_hierarchy_order() {
     let fx = Fixture::new("locks-ok");
     fx.write(
         "crates/server/src/backend.rs",
-        "fn apply(shared: &Shared) {\n    let serial = shared.mutate_serial.lock();\n    \
-         let log = shared.update_log.lock();\n    let snap = shared.current.read();\n}\n",
+        "fn apply(shared: &Shared) {\n    let lineage = shared.lineage.lock();\n    \
+         let snap = shared.current.read();\n}\n",
     );
     let (ok, _out, err) = fx.tidy(Some("locks"));
     assert!(ok, "in-order acquisition must pass, stderr:\n{err}");
@@ -194,7 +194,7 @@ fn full_suite_reports_clean_on_a_consistent_tree() {
     with_consistent_tree(&fx);
     fx.write(
         "crates/server/src/backend.rs",
-        "fn apply(shared: &Shared) {\n    let serial = shared.mutate_serial.lock();\n    \
+        "fn apply(shared: &Shared) {\n    let lineage = shared.lineage.lock();\n    \
          let snap = shared.current.read();\n}\n",
     );
     fx.write(

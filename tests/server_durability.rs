@@ -2,23 +2,25 @@
 //! WAL replay across a restart restores every acknowledged update, a
 //! torn tail is truncated and surfaced in `info`, a mixed-lineage
 //! durability directory is refused at boot, a checkpoint truncates the
-//! WAL and survives a restart booting from its image, an injected
+//! WAL and survives a restart booting from its image — as does the next
+//! checkpoint of the same lineage, which must hold what the first one
+//! folded — a torn folded-edge file is refused at boot, an injected
 //! fsync failure rejects the update without killing the server, and an
 //! aborted compaction re-arms and is counted.
 
 use std::path::{Path, PathBuf};
 
-use hop_doubling::extmem::device::TempStore;
 use hop_doubling::graphgen::{glp, GlpParams};
 use hop_doubling::hopdb::{build_prelabeled, HopDbConfig};
 use hop_doubling::hopdb_server::wal::{self, Durability};
 use hop_doubling::hopdb_server::{serve, Client, ServerConfig};
-use hop_doubling::hoplabels::disk::DiskIndex;
+use hop_doubling::sfgraph::builder::GraphBuilder;
 use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
+use hop_doubling::sfgraph::traversal::all_pairs;
 use hop_doubling::sfgraph::{Dist, Graph, VertexId};
 
-/// Stage `g` the way `hopdb-cli build` would: edge-list file, disk
-/// index, and `.rank` sidecar (see `server_live_updates.rs`).
+/// Stage `g` the way `hopdb-cli build` would: edge-list file, index
+/// image, and `.rank` sidecar (see `server_live_updates.rs`).
 fn stage(g: &Graph, tag: &str) -> (PathBuf, PathBuf, PathBuf) {
     let dir = std::env::temp_dir();
     let graph_path = dir.join(format!("hopdb-dur-{}-{tag}.txt", std::process::id()));
@@ -29,11 +31,10 @@ fn stage(g: &Graph, tag: &str) -> (PathBuf, PathBuf, PathBuf) {
     let ranking = rank_vertices(g, &RankBy::Degree);
     let relabeled = relabel_by_rank(g, &ranking);
     let (index, _) = build_prelabeled(&relabeled, &HopDbConfig::default());
-    let store = TempStore::new().expect("temp store");
-    let staged = DiskIndex::create(&index, &store, tag).expect("serialize").persist();
     let index_path = dir.join(format!("hopdb-dur-{}-{tag}.idx", std::process::id()));
-    std::fs::copy(&staged, &index_path).expect("stage index");
-    std::fs::remove_file(staged).ok();
+    index
+        .write_hopidx(&mut std::fs::File::create(&index_path).expect("create index"))
+        .expect("serialize");
     std::fs::write(format!("{}.rank", index_path.to_string_lossy()), ranking.to_sidecar_bytes())
         .expect("write sidecar");
 
@@ -57,6 +58,26 @@ fn durable_config(graph: &Path, wal_dir: &Path, durability: Durability) -> Serve
         durability,
         ..ServerConfig::default()
     }
+}
+
+/// Probe answers of `g` plus `edges`, by BFS/Dijkstra from scratch.
+fn oracle(
+    g: &Graph,
+    edges: &[(VertexId, VertexId, Dist)],
+    pairs: &[(VertexId, VertexId)],
+) -> Vec<Dist> {
+    let mut b = GraphBuilder::new_undirected(g.num_vertices()).weighted();
+    for (u, v, w) in g.edge_list().into_iter().chain(edges.iter().copied()) {
+        b.add_weighted_edge(u, v, w);
+    }
+    let truth = all_pairs(&b.build());
+    pairs
+        .iter()
+        .map(|&(s, t)| match truth[s as usize][t as usize] {
+            hop_doubling::sfgraph::INF_DIST => hop_doubling::hopdb_server::proto::UNREACHABLE,
+            d => d,
+        })
+        .collect()
 }
 
 /// A probe set that visits every vertex.
@@ -218,7 +239,46 @@ fn checkpoint_truncates_the_wal_and_survives_restart() {
     assert_eq!(info.wal_epoch, 1);
     assert_eq!(info.recovered_records, 0, "nothing left to replay after a checkpoint");
     assert_eq!(info.overlay_edges, 0, "updates were folded into the image");
+
+    // The lineage goes on: the first compaction after a restart must
+    // rebuild from the source ∪ every edge ever acked — the two the
+    // checkpoint folded (read back from its `.edges`) and the new one.
+    client.update(&[(7, 60, 1)]).expect("update after restart");
+    client.compact().expect("compact after restart");
+    let acked = [(0, 79, 1), (5, 50, 1), (7, 60, 1)];
+    let want = oracle(&g, &acked, &pairs);
+    assert_eq!(client.query(&pairs).expect("query"), want, "second checkpoint forgot edges");
+    let info = client.info().expect("info");
+    assert_eq!(info.wal_epoch, 2);
+    assert_eq!(info.wal_records, 0, "the second checkpoint truncates the log too");
+    assert_eq!(info.overlay_edges, 0);
     handle.shutdown();
+    let folded = wal_dir.join(format!("{}.edges", wal::checkpoint_image_name(2)));
+    assert!(folded.exists(), "the checkpoint names what it folded");
+    assert!(!wal_dir.join(format!("{}.edges", wal::checkpoint_image_name(1))).exists());
+
+    // ...and across one more restart, from the second checkpoint alone.
+    let config = durable_config(&graph_path, &wal_dir, Durability::Always);
+    let handle = serve("127.0.0.1:0", &index_path, config).expect("third serve");
+    let mut client = Client::connect(handle.local_addr()).expect("reconnect");
+    assert_eq!(client.query(&pairs).expect("query"), want, "restart from the second checkpoint");
+    handle.shutdown();
+
+    // A checkpoint whose folded edges do not read completely must not
+    // boot: one byte short would silently forget an acked edge.
+    let bytes = std::fs::read(&folded).expect("read folded edges");
+    std::fs::write(&folded, &bytes[..bytes.len() - 1]).expect("truncate folded edges");
+    let config = durable_config(&graph_path, &wal_dir, Durability::Always);
+    match serve("127.0.0.1:0", &index_path, config) {
+        Err(err) => {
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains(".edges"), "{err}");
+        }
+        Ok(handle) => {
+            handle.shutdown();
+            panic!("a torn folded-edge file must not boot");
+        }
+    }
     cleanup(&graph_path, &index_path, &wal_dir);
 }
 

@@ -8,11 +8,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use hop_doubling::extmem::device::TempStore;
 use hop_doubling::graphgen::{glp, orient_scale_free, GlpParams};
 use hop_doubling::hopdb::{build_prelabeled, HopDbConfig};
 use hop_doubling::hopdb_server::{serve, Client, ServerConfig};
-use hop_doubling::hoplabels::disk::DiskIndex;
 use hop_doubling::hoplabels::flat::FlatIndex;
 use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
 use hop_doubling::sfgraph::traversal::all_pairs;
@@ -24,11 +22,10 @@ fn build_index_file(g: &Graph, tag: &str) -> (PathBuf, FlatIndex, Graph) {
     let ranking = rank_vertices(g, &RankBy::paper_default(g));
     let relabeled = relabel_by_rank(g, &ranking);
     let (index, _) = build_prelabeled(&relabeled, &HopDbConfig::default());
-    let store = TempStore::new().expect("temp store");
-    let staged = DiskIndex::create(&index, &store, tag).expect("serialize").persist();
     let path = std::env::temp_dir().join(format!("hopdb-e2e-{}-{tag}.idx", std::process::id()));
-    std::fs::copy(&staged, &path).expect("stage index");
-    std::fs::remove_file(staged).ok();
+    index
+        .write_hopidx(&mut std::fs::File::create(&path).expect("create index"))
+        .expect("serialize");
     (path, FlatIndex::from_index(&index), relabeled)
 }
 

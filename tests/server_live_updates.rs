@@ -12,18 +12,16 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use hop_doubling::extmem::device::TempStore;
 use hop_doubling::graphgen::{glp, orient_scale_free, GlpParams};
 use hop_doubling::hopdb::{build_prelabeled, HopDbConfig};
 use hop_doubling::hopdb_server::{serve, Client, ServerConfig};
-use hop_doubling::hoplabels::disk::DiskIndex;
 use hop_doubling::sfgraph::builder::GraphBuilder;
 use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
 use hop_doubling::sfgraph::traversal::all_pairs;
 use hop_doubling::sfgraph::{Dist, Graph, VertexId};
 
-/// Stage `g` the way `hopdb-cli build` would: edge-list file, disk
-/// index, and `.rank` sidecar, so the server answers in *original*
+/// Stage `g` the way `hopdb-cli build` would: edge-list file, index
+/// image, and `.rank` sidecar, so the server answers in *original*
 /// vertex ids and compaction can rebuild from the edge list.
 fn stage_cli_artifacts(g: &Graph, tag: &str) -> (PathBuf, PathBuf) {
     let dir = std::env::temp_dir();
@@ -35,11 +33,10 @@ fn stage_cli_artifacts(g: &Graph, tag: &str) -> (PathBuf, PathBuf) {
     let ranking = rank_vertices(g, &RankBy::paper_default(g));
     let relabeled = relabel_by_rank(g, &ranking);
     let (index, _) = build_prelabeled(&relabeled, &HopDbConfig::default());
-    let store = TempStore::new().expect("temp store");
-    let staged = DiskIndex::create(&index, &store, tag).expect("serialize").persist();
     let index_path = dir.join(format!("hopdb-live-{}-{tag}.idx", std::process::id()));
-    std::fs::copy(&staged, &index_path).expect("stage index");
-    std::fs::remove_file(staged).ok();
+    index
+        .write_hopidx(&mut std::fs::File::create(&index_path).expect("create index"))
+        .expect("serialize");
     std::fs::write(format!("{}.rank", index_path.to_string_lossy()), ranking.to_sidecar_bytes())
         .expect("write sidecar");
     (graph_path, index_path)
@@ -106,13 +103,19 @@ fn overlay_matches_full_rebuild_oracle() {
         let batch1: Vec<(VertexId, VertexId, Dist)> = vec![(0, 99, 1), (3, 71, 1)];
         let batch2: Vec<(VertexId, VertexId, Dist)> = vec![(12, 44, 2), (99, 50, 1)];
         let all: Vec<(VertexId, VertexId, Dist)> = batch1.iter().chain(&batch2).copied().collect();
+        // A third batch lands after the first compaction; the second
+        // compaction must rebuild from the source ∪ all three.
+        let batch3: Vec<(VertexId, VertexId, Dist)> = vec![(7, 93, 1), (60, 2, 2)];
+        let all3: Vec<(VertexId, VertexId, Dist)> = all.iter().chain(&batch3).copied().collect();
         let base_truth = all_pairs(&g);
         let mutated_truth = all_pairs(&mutate(&g, &all));
 
         let pairs = full_grid(n);
         let expect_base = expect_of(&base_truth, &pairs);
         let expect_mutated = expect_of(&mutated_truth, &pairs);
+        let expect_all3 = expect_of(&all_pairs(&mutate(&g, &all3)), &pairs);
         assert_ne!(expect_base, expect_mutated, "updates must be observable ({tag})");
+        assert_ne!(expect_mutated, expect_all3, "batch 3 must be observable ({tag})");
 
         for batch_threads in [1usize, 4] {
             let config = ServerConfig {
@@ -150,6 +153,25 @@ fn overlay_matches_full_rebuild_oracle() {
             assert_eq!(info.generation, 2, "({tag})");
             assert_eq!(info.overlay_edges, 0, "compaction must drain the overlay ({tag})");
             assert_eq!(info.compactions, 1, "({tag})");
+
+            // `update; compact` once more: the second compaction must
+            // still hold what the first one folded in.
+            client.update(&batch3).expect("update 3");
+            assert_eq!(
+                client.query(&pairs).expect("overlay over a compacted image"),
+                expect_all3,
+                "overlay over the compacted image diverges ({tag}, {batch_threads} threads)"
+            );
+            let (generation, vertices) = client.compact().expect("second compact");
+            assert_eq!((generation, vertices), (3, n as u64), "({tag})");
+            assert_eq!(
+                client.query(&pairs).expect("twice-compacted query"),
+                expect_all3,
+                "a second compaction forgot edges ({tag}, {batch_threads} threads)"
+            );
+            let info = client.info().expect("info");
+            assert_eq!(info.overlay_edges, 0, "({tag})");
+            assert_eq!(info.compactions, 2, "({tag})");
 
             handle.shutdown();
         }

@@ -3,11 +3,14 @@
 //! bytes, every single-byte truncation must come back as the longest
 //! valid record prefix, CRC must catch bit flips in record bodies, and
 //! a flipped length field must never make the reader over-read or
-//! mis-frame the stream.
+//! mis-frame the stream. A checkpoint's folded-edge file goes through
+//! the same reader but is held to more: any truncation or bit flip is
+//! an error, never a shorter list.
 
 use hop_doubling::extmem::IoStats;
 use hop_doubling::hopdb_server::wal::{
-    read_wal, Durability, Wal, WalEdge, RECORD_HEADER_LEN, WAL_HEADER_LEN,
+    encode_folded, read_folded, read_wal, Durability, Wal, WalEdge, FOLDED_EXT, RECORD_HEADER_LEN,
+    WAL_HEADER_LEN,
 };
 use std::path::PathBuf;
 
@@ -157,5 +160,43 @@ fn random_garbage_files_never_panic() {
         assert!(replay.batches.is_empty(), "size={size}");
         assert_eq!(replay.valid_len, WAL_HEADER_LEN, "size={size}");
     }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_damaged_folded_edge_file_is_an_error_never_a_shorter_list() {
+    let image = tmp("folded.idx");
+    let path = tmp(&format!("folded.idx{FOLDED_EXT}"));
+    let read = |epoch| read_folded(&image, epoch);
+    let edges: Vec<WalEdge> = corpus_batches().concat();
+
+    std::fs::remove_file(&path).ok();
+    assert!(read(5).expect("no sibling").is_empty(), "no sibling = nothing folded");
+    let bytes = encode_folded(5, &edges);
+    std::fs::write(&path, &bytes).unwrap();
+    assert_eq!(read(5).expect("intact"), edges);
+    std::fs::write(&path, encode_folded(5, &[])).unwrap();
+    assert!(read(5).expect("empty but closed").is_empty());
+
+    let refused = |what: String| {
+        let err = read(5).expect_err(&what);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+        assert!(err.to_string().contains("folded.idx.edges"), "{what}: {err}");
+    };
+    // The log tolerates a torn tail; here every cut — the record
+    // boundaries included — must be refused.
+    for cut in 0..bytes.len() {
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        refused(format!("cut={cut}"));
+    }
+    for at in 0..bytes.len() {
+        let mut mutated = bytes.clone();
+        mutated[at] ^= 1 << (at % 8);
+        std::fs::write(&path, &mutated).unwrap();
+        refused(format!("flip at={at}"));
+    }
+    // Another epoch's file under this image's name.
+    std::fs::write(&path, encode_folded(6, &edges)).unwrap();
+    refused("epoch 6 under epoch 5".to_string());
     std::fs::remove_file(&path).ok();
 }
