@@ -15,13 +15,13 @@
 //! hopdb-cli query -x graph.idx --pairs batch.txt --threads 4
 //! hopdb-cli shard -x graph.idx --shards 4 [-o prefix]
 //! hopdb-cli serve -x graph.idx --addr 127.0.0.1:7654 [--batch-threads 1]
-//!                 [--flush-us 100] [--coalesce-pairs 4096] [--max-inflight 128]
+//!                 [--max-batch 65536] [--max-inflight 128]
 //!                 [--swap-path next.idx] [--max-resident-bytes N]
 //!                 [--graph graph.txt] [--compact-threshold N]
 //!                 [--wal-dir wal/ --durability off|batch|always]
 //!                 [--wal-max-bytes N]
 //! hopdb-cli serve --route replica|shard --backends a:p,b:p[,…]
-//!                 [--addr 127.0.0.1:7654] [--flush-us 100] […]
+//!                 [--addr 127.0.0.1:7654] [--max-inflight 128] […]
 //! hopdb-cli admin -a 127.0.0.1:7654 [--timeout-ms 5000] [--retries 3]
 //!                 stats|info|swap|compact|shutdown|ingest [FILE]
 //! ```
@@ -109,10 +109,9 @@ const COMMANDS: [(&str, &str, &str, Command); 7] = [
     ("shard", "-x --shards -o", "", cmd_shard),
     (
         "serve",
-        "-x --addr --batch-threads --max-batch --flush-us --coalesce-pairs --max-inflight \
-         --idle-timeout-ms --max-resident-bytes --swap-path --graph --compact-threshold \
-         --wal-dir --durability --wal-max-bytes --announce-file --route --backends \
-         --connect-timeout-ms --connect-retries",
+        "-x --addr --batch-threads --max-batch --max-inflight --idle-timeout-ms \
+         --max-resident-bytes --swap-path --graph --compact-threshold --wal-dir --durability \
+         --wal-max-bytes --announce-file --route --backends --connect-timeout-ms --connect-retries",
         "--allow-remote-shutdown",
         cmd_serve,
     ),
@@ -215,15 +214,15 @@ commands:
           is copied alongside when present; every shard is a complete
           index a stock `serve` daemon can load)
   serve  -x INDEX [--addr HOST:PORT] [--batch-threads N] [--max-batch PAIRS]
-         [--flush-us US] [--coalesce-pairs P] [--max-inflight N]
-         [--idle-timeout-ms MS] [--max-resident-bytes B] [--swap-path FILE]
+         [--max-inflight N] [--idle-timeout-ms MS]
+         [--max-resident-bytes B] [--swap-path FILE]
          [--graph EDGELIST] [--compact-threshold EDGES]
          [--wal-dir DIR] [--durability off|batch|always] [--wal-max-bytes B]
          [--announce-file FILE] [--allow-remote-shutdown]
          (long-running TCP daemon; HOPQ wire protocol + HTTP/JSON on the
           same port; one readiness loop, epoll on Linux and poll(2) on
-          other unix hosts; swap promotes --swap-path;
-          --flush-us/--coalesce-pairs tune micro-batching, --max-inflight
+          other unix hosts; swap promotes --swap-path; query batches are
+          whatever is queued when the last one is answered; --max-inflight
           caps pipelining per connection, --batch-threads fans one query
           batch across N workers; --graph names the edge list the index
           was built from and enables compaction — a rebuild from that file
@@ -235,9 +234,8 @@ commands:
           batch = group-commit, and --wal-max-bytes caps the log on disk: a
           checkpoint, which truncates it, runs whenever it is exceeded)
   serve  --route replica|shard --backends HOST:PORT,HOST:PORT[,...]
-         [--addr HOST:PORT] [--max-batch PAIRS] [--flush-us US]
-         [--coalesce-pairs P] [--max-inflight N] [--idle-timeout-ms MS]
-         [--connect-timeout-ms MS] [--connect-retries N]
+         [--addr HOST:PORT] [--max-batch PAIRS] [--max-inflight N]
+         [--idle-timeout-ms MS] [--connect-timeout-ms MS] [--connect-retries N]
          [--announce-file FILE] [--allow-remote-shutdown]
          (scale-out router, no local index: `replica` load-balances
           query batches across identical backends with automatic
@@ -545,6 +543,17 @@ fn parse_backends(spec: &str) -> Result<Vec<std::net::SocketAddr>, CliError> {
     Ok(backends)
 }
 
+/// The serving-loop limits `serve` takes with and without `--route`.
+fn front_config(args: &Args) -> Result<hopdb_server::FrontConfig, CliError> {
+    let defaults = hopdb_server::FrontConfig::default();
+    Ok(hopdb_server::FrontConfig {
+        max_batch: args.parsed("--max-batch")?.unwrap_or(defaults.max_batch),
+        max_inflight: args.parsed("--max-inflight")?.unwrap_or(defaults.max_inflight),
+        idle_timeout_ms: args.parsed("--idle-timeout-ms")?.unwrap_or(defaults.idle_timeout_ms),
+        allow_shutdown: args.has("--allow-remote-shutdown"),
+    })
+}
+
 fn cmd_serve_router(args: &Args, route: &str, out: &mut dyn Write) -> Result<(), CliError> {
     let mode = route.parse::<hopdb_server::RouteMode>().map_err(err)?;
     let backends = parse_backends(args.required("--backends")?)?;
@@ -553,12 +562,7 @@ fn cmd_serve_router(args: &Args, route: &str, out: &mut dyn Write) -> Result<(),
     let config = hopdb_server::RouterConfig {
         mode,
         backends,
-        max_batch: args.parsed("--max-batch")?.unwrap_or(defaults.max_batch),
-        flush_us: args.parsed("--flush-us")?.unwrap_or(defaults.flush_us),
-        coalesce_pairs: args.parsed("--coalesce-pairs")?.unwrap_or(defaults.coalesce_pairs),
-        max_inflight: args.parsed("--max-inflight")?.unwrap_or(defaults.max_inflight),
-        idle_timeout_ms: args.parsed("--idle-timeout-ms")?.unwrap_or(defaults.idle_timeout_ms),
-        allow_shutdown: args.has("--allow-remote-shutdown"),
+        front: front_config(args)?,
         connect_timeout: args
             .parsed("--connect-timeout-ms")?
             .map_or(defaults.connect_timeout, std::time::Duration::from_millis),
@@ -592,14 +596,9 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let defaults = hopdb_server::ServerConfig::default();
     let config = hopdb_server::ServerConfig {
         batch_threads: args.parsed("--batch-threads")?.unwrap_or(1),
-        max_batch: args.parsed("--max-batch")?.unwrap_or(hopdb_server::proto::DEFAULT_MAX_BATCH),
+        front: front_config(args)?,
         max_resident_bytes: args.parsed("--max-resident-bytes")?,
         swap_path: args.opt("--swap-path").map(std::path::PathBuf::from),
-        allow_shutdown: args.has("--allow-remote-shutdown"),
-        flush_us: args.parsed("--flush-us")?.unwrap_or(defaults.flush_us),
-        coalesce_pairs: args.parsed("--coalesce-pairs")?.unwrap_or(defaults.coalesce_pairs),
-        max_inflight: args.parsed("--max-inflight")?.unwrap_or(defaults.max_inflight),
-        idle_timeout_ms: args.parsed("--idle-timeout-ms")?.unwrap_or(defaults.idle_timeout_ms),
         source_graph: args.opt("--graph").map(std::path::PathBuf::from),
         compact_threshold: args
             .parsed("--compact-threshold")?

@@ -61,11 +61,6 @@ impl HopDb {
     pub fn stats(&self) -> &BuildStats {
         &self.stats
     }
-
-    /// Decompose into the raw parts.
-    pub fn into_parts(self) -> (LabelIndex, Ranking, BuildStats) {
-        (self.index, self.ranking, self.stats)
-    }
 }
 
 /// Build a HopDb index for any graph: ranks vertices (paper defaults:

@@ -324,14 +324,6 @@ impl CountedFile {
         Ok(())
     }
 
-    /// Positioned read (counted); returns bytes read.
-    pub fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.seek_to(offset)?;
-        let n = self.file.read(buf)?;
-        self.stats.record_read(n as u64);
-        Ok(n)
-    }
-
     /// Positioned exact read (counted).
     pub fn read_exact_at(&mut self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
         self.seek_to(offset)?;

@@ -140,11 +140,8 @@ impl Generation {
     /// clamped to 1, matching `sfgraph::GraphBuilder`, so a later full
     /// rebuild of the mutated graph answers identically.
     pub fn with_updates(&self, log: &[(VertexId, VertexId, Dist)]) -> Result<Generation, String> {
-        let n = self.vertices as VertexId;
-        for &(s, t, _) in log {
-            if s >= n || t >= n {
-                return Err(format!("vertex out of range: ({s}, {t}) on a {n}-vertex index"));
-            }
+        if let Some(msg) = out_of_range(log.iter().map(|&(s, t, _)| (s, t)), self.vertices as u64) {
+            return Err(msg);
         }
         let ranked: Vec<(VertexId, VertexId, Dist)> = match &self.ranking {
             Some(r) => log.iter().map(|&(s, t, w)| (r.rank_of(s), r.rank_of(t), w)).collect(),
@@ -244,19 +241,16 @@ impl Generation {
     }
 
     /// [`Generation::query_many`] appending into a caller-owned
-    /// buffer — the executor answers many coalesced micro-batched
-    /// frames into one result vector. On error nothing is appended.
+    /// buffer — the executor answers many coalesced frames into one
+    /// result vector. On error nothing is appended.
     pub fn query_many_into(
         &self,
         pairs: &[(VertexId, VertexId)],
         threads: usize,
         out: &mut Vec<Dist>,
     ) -> Result<(), String> {
-        let n = self.vertices as VertexId;
-        for &(s, t) in pairs {
-            if s >= n || t >= n {
-                return Err(format!("vertex out of range: ({s}, {t}) on a {n}-vertex index"));
-            }
+        if let Some(msg) = out_of_range(pairs.iter().copied(), self.vertices as u64) {
+            return Err(msg);
         }
         // Translate ids only when a sidecar is loaded — the common
         // rank-space serving path must not copy the batch per request.
@@ -270,6 +264,18 @@ impl Generation {
         };
         self.index.query_many_into(ranked, threads, out).map_err(|e| format!("index query: {e}"))
     }
+}
+
+/// The one range check of the serving path: the error naming the first
+/// of `ends` — a query's pairs or an update's edge endpoints — that
+/// does not fit an `n`-vertex index, `None` when all do.
+pub(crate) fn out_of_range(
+    ends: impl IntoIterator<Item = (VertexId, VertexId)>,
+    n: u64,
+) -> Option<String> {
+    ends.into_iter()
+        .find(|&(s, t)| u64::from(s) >= n || u64::from(t) >= n)
+        .map(|(s, t)| format!("vertex out of range: ({s}, {t}) on a {n}-vertex index"))
 }
 
 /// `path` with `ext` appended to its file name: where an image's

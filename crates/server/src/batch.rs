@@ -1,26 +1,20 @@
-//! Adaptive micro-batching between the front and its executor.
+//! The hand-off between the front and the stage behind it.
 //!
-//! The front thread never runs queries. It cuts query frames off
-//! connections and [`Batcher::submit`]s them; a dedicated executor
-//! thread pulls *batches* with [`Batcher::next_batch`], coalescing the
-//! query pairs of many connections into one `FlatIndex::query_many`
-//! call — the paper's query path is so cheap (sub-microsecond resident)
+//! The front thread never runs queries. It cuts request frames off
+//! connections and [`Batcher::submit`]s, once per turn of its loop,
+//! what it cut; a dedicated thread — the index node's executor, the
+//! router's dispatcher — pulls *batches* with [`Batcher::next_batch`]
+//! and runs each through [`run_batch`], coalescing the query pairs of
+//! many connections into one `FlatIndex::query_many` call or backend
+//! frame: the paper's query path is so cheap (sub-microsecond resident)
 //! that per-request overheads dominate, and batching amortizes them.
 //!
-//! A batch is released when either
+//! The rule: a stage that is free takes everything queued for it.
+//! `next_batch` blocks only while the queue is empty, so a lone request
+//! is answered at once and what arrives while a batch runs is the next
+//! batch — batches grow with the load; no timer, no threshold.
 //!
-//! * the queued pair count reaches the coalescing threshold
-//!   (`coalesce_pairs`), or
-//! * the oldest queued job has waited the flush deadline (`flush_us`) —
-//!   the knob that bounds the latency a lonely request pays for the
-//!   chance of company.
-//!
-//! The poller's timeout has millisecond granularity, so
-//! sub-millisecond deadlines live here instead: the executor parks on a
-//! condition variable with `wait_timeout` against the oldest job's
-//! deadline.
-//!
-//! Results travel back through [`Completions`]: the executor pushes
+//! Results travel back through [`Completions`]: the stage pushes
 //! encoded response bytes keyed by connection token and wakes the
 //! front's wakeup fd; the front drains the pile and queues the bytes
 //! onto the right connections. How an answer is encoded — `HOPR` frame
@@ -28,8 +22,9 @@
 //! [`UpdateRespond`], for the index node and the router alike.
 
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
+use crate::backend::out_of_range;
 use crate::http;
 use crate::proto::{Response, ResponseBody};
 use crate::reactor::WakeFd;
@@ -145,11 +140,8 @@ impl BatchWork {
             completions: Arc::clone(completions),
         };
         for (conn, respond, pairs) in jobs {
-            match pairs.iter().find(|&&(s, t)| u64::from(s) >= n || u64::from(t) >= n) {
-                Some(&(s, t)) => {
-                    let msg = format!("vertex out of range: ({s}, {t}) on a {n}-vertex index");
-                    completions.answer(conn, respond.error(&msg));
-                }
+            match out_of_range(pairs.iter().copied(), n) {
+                Some(msg) => completions.answer(conn, respond.error(&msg)),
                 None => {
                     work.combined.extend_from_slice(&pairs);
                     work.jobs.push((conn, respond, pairs));
@@ -212,115 +204,114 @@ pub enum Job {
     },
 }
 
-impl Job {
-    /// The request id to echo when this job is answered with a `HOPR`
-    /// frame; `None` for a job that arrived over HTTP.
-    pub fn hopq_id(&self) -> Option<u64> {
-        match self {
-            Job::Query { respond: RespondAs::Hopq { id }, .. }
-            | Job::Update { respond: UpdateRespond::Hopq { id }, .. }
-            | Job::Swap { id, .. } => Some(*id),
-            Job::Query { .. } | Job::Update { .. } => None,
-        }
-    }
-
-    fn pairs(&self) -> usize {
-        match self {
-            Job::Query { pairs, .. } => pairs.len(),
-            // Swaps and updates flush the queue on their own; weight
-            // them like a full batch so they never linger behind the
-            // deadline (and so queued queries keep their submission
-            // ordering relative to the mutation).
-            Job::Swap { .. } | Job::Update { .. } => usize::MAX,
-        }
-    }
+/// What an endpoint does with the jobs its front queues: the index node
+/// answers them itself, the router forwards them to its backends.
+pub trait Stage {
+    /// Answer a run of consecutive query jobs (never empty).
+    fn queries(&mut self, jobs: Vec<QueryJob>);
+    /// Apply an update batch; `(generation, overlay edges)` on success.
+    fn update(&mut self, edges: Vec<(u32, u32, u32)>) -> Result<(u64, u64), String>;
+    /// Promote the swap image; `(generation, vertices)` on success.
+    fn swap(&mut self) -> Result<(u64, u64), String>;
 }
 
+/// Run one batch through `stage` in submission order. Updates and swaps
+/// are barriers: the queries queued before one run first, on the state
+/// it has not touched, and the queries after it see what it did.
+pub fn run_batch(jobs: Vec<Job>, completions: &Completions, stage: &mut impl Stage) {
+    fn flush(queries: &mut Vec<QueryJob>, stage: &mut impl Stage) {
+        if !queries.is_empty() {
+            stage.queries(std::mem::take(queries));
+        }
+    }
+    let mut queries: Vec<QueryJob> = Vec::new();
+    for job in jobs {
+        match job {
+            Job::Query { conn, respond, pairs } => queries.push((conn, respond, pairs)),
+            Job::Update { conn, respond, edges } => {
+                flush(&mut queries, stage);
+                completions.answer(conn, respond.outcome(stage.update(edges)));
+            }
+            Job::Swap { conn, id } => {
+                flush(&mut queries, stage);
+                let body = match stage.swap() {
+                    Ok((generation, vertices)) => ResponseBody::Swapped { generation, vertices },
+                    Err(e) => ResponseBody::Error(format!("swap failed: {e}")),
+                };
+                completions.answer(conn, (Response { id, body }.encode(), false));
+            }
+        }
+    }
+    flush(&mut queries, stage);
+}
+
+#[derive(Default)]
 struct Queue {
     jobs: Vec<Job>,
-    pending_pairs: usize,
-    oldest: Option<Instant>,
     stopped: bool,
 }
 
-/// The shared front→executor job queue with coalescing flush rules.
+/// The shared front→stage job queue.
+#[derive(Default)]
 pub struct Batcher {
     queue: Mutex<Queue>,
     ready: Condvar,
 }
 
 impl Batcher {
-    /// An empty queue.
-    pub fn new() -> Batcher {
-        Batcher {
-            queue: Mutex::new(Queue {
-                jobs: Vec::new(),
-                pending_pairs: 0,
-                oldest: None,
-                stopped: false,
-            }),
-            ready: Condvar::new(),
+    /// Queue `jobs` under one lock and one notify, so a turn's worth
+    /// reaches the stage together.
+    pub fn submit(&self, jobs: Vec<Job>) {
+        if let Ok(mut q) = self.queue.lock() {
+            q.jobs.extend(jobs);
+            self.ready.notify_one();
         }
     }
 
-    /// Queue a job. Returns `false` (job dropped) after [`Batcher::stop`].
-    pub fn submit(&self, job: Job) -> bool {
-        let Ok(mut q) = self.queue.lock() else { return false };
-        if q.stopped {
-            return false;
-        }
-        q.pending_pairs = q.pending_pairs.saturating_add(job.pairs());
-        q.oldest.get_or_insert_with(Instant::now);
-        q.jobs.push(job);
-        self.ready.notify_one();
-        true
-    }
-
-    /// Block until a batch is due, and take the whole queue.
+    /// Take everything queued, blocking only while there is nothing.
     ///
     /// Returns `None` only when stopped *and* drained — pending jobs
     /// submitted before the stop are still delivered, so every accepted
     /// request gets its response during shutdown.
-    pub fn next_batch(&self, coalesce_pairs: usize, flush_after: Duration) -> Option<Vec<Job>> {
+    pub fn next_batch(&self) -> Option<Vec<Job>> {
         let mut q = self.queue.lock().ok()?;
-        loop {
-            if !q.jobs.is_empty() {
-                let due = q.stopped
-                    || q.pending_pairs >= coalesce_pairs
-                    || q.oldest.is_some_and(|t| t.elapsed() >= flush_after);
-                if due {
-                    q.pending_pairs = 0;
-                    q.oldest = None;
-                    return Some(std::mem::take(&mut q.jobs));
-                }
-                // Not due yet: park until the oldest job's deadline.
-                let remaining = q
-                    .oldest
-                    .map(|t| flush_after.saturating_sub(t.elapsed()))
-                    .unwrap_or(flush_after);
-                let (guard, _) = self.ready.wait_timeout(q, remaining).ok()?;
-                q = guard;
-            } else if q.stopped {
+        while q.jobs.is_empty() {
+            if q.stopped {
                 return None;
-            } else {
-                q = self.ready.wait(q).ok()?;
+            }
+            q = self.ready.wait(q).ok()?;
+        }
+        Some(std::mem::take(&mut q.jobs))
+    }
+
+    /// Block while the queue is empty and running, but not past
+    /// `deadline`: `true` once it has passed, `false` when `next_batch`
+    /// would return at once. For a stage that owes work of its own by
+    /// then (the node's WAL tail sync); batching has no deadline.
+    pub fn wait_until(&self, deadline: Instant) -> bool {
+        let Ok(mut q) = self.queue.lock() else { return false };
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return true;
+            }
+            if !q.jobs.is_empty() || q.stopped {
+                return false;
+            }
+            match self.ready.wait_timeout(q, left) {
+                Ok((guard, _)) => q = guard,
+                Err(_) => return false,
             }
         }
     }
 
-    /// Stop the queue: future submits are refused, queued jobs still
-    /// drain through [`Batcher::next_batch`].
+    /// Stop the queue — the front's last act, so nothing is submitted
+    /// after it; queued jobs still drain through `next_batch`.
     pub fn stop(&self) {
         if let Ok(mut q) = self.queue.lock() {
             q.stopped = true;
         }
         self.ready.notify_all();
-    }
-}
-
-impl Default for Batcher {
-    fn default() -> Batcher {
-        Batcher::new()
     }
 }
 
@@ -367,46 +358,134 @@ impl Completions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn query(conn: u64, pairs: usize) -> Job {
         Job::Query { conn, respond: RespondAs::Hopq { id: conn }, pairs: vec![(0, 0); pairs] }
     }
 
-    #[test]
-    fn flushes_on_pair_threshold_without_waiting() {
-        let b = Batcher::new();
-        assert!(b.submit(query(1, 3)));
-        assert!(b.submit(query(2, 5)));
-        let start = Instant::now();
-        let batch = b.next_batch(8, Duration::from_secs(60)).unwrap();
-        assert_eq!(batch.len(), 2);
-        assert!(start.elapsed() < Duration::from_secs(5), "threshold flush must not wait");
+    fn conns(batch: &[Job]) -> Vec<u64> {
+        let conn = |job: &Job| match job {
+            Job::Query { conn, .. } | Job::Update { conn, .. } | Job::Swap { conn, .. } => *conn,
+        };
+        batch.iter().map(conn).collect()
     }
 
     #[test]
-    fn flushes_on_deadline_when_below_threshold() {
-        let b = Batcher::new();
-        assert!(b.submit(query(1, 1)));
+    fn lone_job_is_taken_without_waiting() {
+        let b = Batcher::default();
+        b.submit(vec![query(1, 1)]);
         let start = Instant::now();
-        let batch = b.next_batch(1_000_000, Duration::from_millis(20)).unwrap();
-        assert_eq!(batch.len(), 1);
-        assert!(start.elapsed() >= Duration::from_millis(15), "flushed before the deadline");
+        assert_eq!(conns(&b.next_batch().unwrap()), [1]);
+        assert!(start.elapsed() < Duration::from_secs(1), "a queued job must not wait for company");
+    }
+
+    #[test]
+    fn jobs_submitted_while_the_consumer_is_busy_come_back_as_one_batch() {
+        let b = Arc::new(Batcher::default());
+        let (busy_tx, busy_rx) = std::sync::mpsc::channel();
+        let (resume_tx, resume_rx) = std::sync::mpsc::channel::<()>();
+        let consumer = {
+            let b = Arc::clone(&b);
+            std::thread::spawn(move || {
+                let first = b.next_batch().unwrap();
+                busy_tx.send(()).unwrap();
+                resume_rx.recv().unwrap(); // "running" the first batch
+                (conns(&first), conns(&b.next_batch().unwrap()))
+            })
+        };
+        b.submit(vec![query(1, 1)]);
+        busy_rx.recv().unwrap();
+        // Three hand-offs, one of them two jobs, while the consumer works.
+        b.submit(vec![query(2, 3)]);
+        b.submit(vec![query(3, 5), Job::Swap { conn: 4, id: 9 }]);
+        b.submit(vec![query(5, 1)]);
+        resume_tx.send(()).unwrap();
+        let (first, second) = consumer.join().unwrap();
+        assert_eq!(first, [1]);
+        assert_eq!(second, [2, 3, 4, 5], "one batch, in submission order");
     }
 
     #[test]
     fn swap_jobs_flush_immediately_and_stop_drains() {
-        let b = Batcher::new();
-        assert!(b.submit(query(1, 1)));
-        assert!(b.submit(Job::Swap { conn: 2, id: 9 }));
-        let batch = b.next_batch(1_000_000, Duration::from_secs(60)).unwrap();
-        assert_eq!(batch.len(), 2, "swap weight forces the flush");
+        let b = Batcher::default();
+        b.submit(vec![query(1, 1), Job::Swap { conn: 2, id: 9 }]);
+        assert_eq!(conns(&b.next_batch().unwrap()), [1, 2]);
 
-        assert!(b.submit(query(3, 1)));
+        b.submit(vec![query(3, 1)]);
         b.stop();
-        assert!(!b.submit(query(4, 1)), "submit after stop must refuse");
-        let drained = b.next_batch(1_000_000, Duration::from_secs(60)).unwrap();
-        assert_eq!(drained.len(), 1, "queued job still drains after stop");
-        assert!(b.next_batch(8, Duration::from_millis(1)).is_none());
+        assert_eq!(conns(&b.next_batch().unwrap()), [3], "queued job still drains after stop");
+        assert!(b.next_batch().is_none());
+    }
+
+    #[test]
+    fn wait_until_ends_at_the_deadline_or_at_the_first_job() {
+        let b = Batcher::default();
+        let start = Instant::now();
+        assert!(b.wait_until(start + Duration::from_millis(20)), "nothing queued: the deadline");
+        assert!(start.elapsed() >= Duration::from_millis(20));
+        b.submit(vec![query(1, 1)]);
+        assert!(!b.wait_until(Instant::now() + Duration::from_secs(60)), "a job ends the wait");
+        assert!(b.wait_until(Instant::now()), "a passed deadline wins over queued jobs");
+    }
+
+    /// A stage that records what it was asked to do, in order.
+    #[derive(Default)]
+    struct Recorder(Vec<String>);
+
+    impl Stage for Recorder {
+        fn queries(&mut self, jobs: Vec<QueryJob>) {
+            let conns: Vec<u64> = jobs.iter().map(|job| job.0).collect();
+            self.0.push(format!("queries {conns:?}"));
+        }
+
+        fn update(&mut self, edges: Vec<(u32, u32, u32)>) -> Result<(u64, u64), String> {
+            self.0.push(format!("update {edges:?}"));
+            Ok((1, edges.len() as u64))
+        }
+
+        fn swap(&mut self) -> Result<(u64, u64), String> {
+            self.0.push("swap".to_string());
+            Err("no swap image".to_string())
+        }
+    }
+
+    #[test]
+    fn run_batch_answers_each_query_run_before_the_barrier_behind_it() {
+        let completions = Completions::new(Arc::new(WakeFd::new().unwrap()));
+        let update = |conn| Job::Update {
+            conn,
+            respond: UpdateRespond::Hopq { id: conn },
+            edges: vec![(0, 1, 1)],
+        };
+        let jobs = vec![
+            query(1, 1),
+            query(2, 2),
+            update(3),
+            update(4),
+            query(5, 1),
+            Job::Swap { conn: 6, id: 6 },
+            query(7, 1),
+        ];
+        let mut stage = Recorder::default();
+        run_batch(jobs, &completions, &mut stage);
+        assert_eq!(
+            stage.0,
+            [
+                "queries [1, 2]",
+                "update [(0, 1, 1)]",
+                "update [(0, 1, 1)]",
+                "queries [5]",
+                "swap",
+                "queries [7]"
+            ]
+        );
+        // The barriers were answered here, in order; queries are the
+        // stage's to answer.
+        let answered: Vec<u64> = completions.drain().iter().map(|done| done.conn).collect();
+        assert_eq!(answered, [3, 4, 6]);
+        run_batch(Vec::new(), &completions, &mut stage);
+        assert_eq!(stage.0.len(), 6, "an empty batch asks nothing of the stage");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! thin blocking [`Client`] wrapper.
 //!
 //! The protocol is pipelined — request ids are echoed verbatim and the
-//! server may answer **out of order** (micro-batches complete
+//! server may answer **out of order** (batches complete
 //! independently). [`Session`] exposes that directly:
 //!
 //! ```text

@@ -3,11 +3,12 @@
 //!
 //! ```text
 //! front thread                        service threads
-//!   Poller::wait ──► accept / read      Batcher::next_batch
-//!   cut frames (HOPQ or HTTP)  ──────►    node: executor, one query_many
+//!   Poller::wait ──► accept / read      Batcher::next_batch: all queued
+//!   cut frames (HOPQ or HTTP)             node: executor, one query_many
 //!   answer stats/shutdown and             router: dispatcher + workers
-//!   parse errors inline               ◄── Completions + WakeFd wake
-//!   queue + flush responses
+//!   parse errors inline
+//!   one Batcher::submit per turn ────►
+//!   queue + flush responses           ◄── Completions + WakeFd wake
 //! ```
 //!
 //! The front never blocks on a socket and never runs a query; what sits
@@ -48,16 +49,36 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(3);
 const DISCARD_BUDGET: usize = 1 << 20;
 const DISCARD_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// The per-endpoint knobs the loop enforces.
-pub(crate) struct Limits {
-    /// Pairs (or edges) accepted per request frame.
-    pub(crate) max_batch: usize,
-    /// Unanswered `HOPQ` frames per connection before reads pause.
-    pub(crate) max_inflight: usize,
-    /// Evict connections idle this long (0 = never).
-    pub(crate) idle_timeout_ms: u64,
-    /// Honour remote shutdown frames.
-    pub(crate) allow_shutdown: bool,
+/// The limits the serving loop enforces on its peers; embedded as
+/// `front` by [`crate::ServerConfig`] and [`crate::RouterConfig`].
+#[derive(Clone, Copy, Debug)]
+pub struct FrontConfig {
+    /// Pairs (or update edges) accepted per request; larger requests
+    /// get a protocol error, and a router forwards at most this many
+    /// pairs per backend frame. (Per-frame allocation is bounded by
+    /// [`crate::proto::MAX_PAYLOAD`], not by this — a declared length
+    /// over the cap closes the connection before any allocation.)
+    pub max_batch: usize,
+    /// Unanswered `HOPQ` frames per connection before the loop stops
+    /// *reading* that connection (pipelining backpressure).
+    pub max_inflight: usize,
+    /// Evict connections idle longer than this many ms (0 = never).
+    pub idle_timeout_ms: u64,
+    /// Honour remote shutdown frames (a router's stops the router, not
+    /// its backends). Off by default: a query port should not double as
+    /// a kill switch.
+    pub allow_shutdown: bool,
+}
+
+impl Default for FrontConfig {
+    fn default() -> FrontConfig {
+        FrontConfig {
+            max_batch: crate::proto::DEFAULT_MAX_BATCH,
+            max_inflight: 128,
+            idle_timeout_ms: 0,
+            allow_shutdown: false,
+        }
+    }
 }
 
 /// The loop's request counters, as of the request being answered.
@@ -99,9 +120,6 @@ pub(crate) trait Service: Send + Sync + 'static {
     /// How the loop's own refusals name this endpoint.
     const NAME: &'static str;
 
-    /// The knobs the loop enforces (read once, at spawn).
-    fn limits(&self) -> Limits;
-
     /// Stop the whole endpoint (an accepted shutdown frame). Must end
     /// in [`FrontHandle::begin_stop`].
     fn begin_stop(&self);
@@ -135,19 +153,18 @@ impl FrontHandle {
         Ok(FrontHandle {
             completions: Arc::new(Completions::new(Arc::clone(&wake))),
             wake,
-            batcher: Arc::new(Batcher::new()),
+            batcher: Arc::new(Batcher::default()),
             stop: Arc::new(AtomicBool::new(false)),
         })
     }
 
-    /// Flip the stop flag, refuse further jobs, and wake the loop so it
-    /// stops accepting, flushes what is owed, and exits. Returns `true`
-    /// only for the call that flipped the flag.
+    /// Flip the stop flag and wake the loop so it stops accepting,
+    /// flushes what is owed, stops the batcher, and exits. Returns
+    /// `true` only for the call that flipped the flag.
     pub(crate) fn begin_stop(&self) -> bool {
         if self.stop.swap(true, Ordering::SeqCst) {
             return false;
         }
-        self.batcher.stop();
         self.wake.wake();
         true
     }
@@ -163,18 +180,20 @@ pub(crate) fn spawn<S: Service>(
     listener: TcpListener,
     service: Arc<S>,
     handle: FrontHandle,
+    limits: FrontConfig,
 ) -> std::io::Result<JoinHandle<()>> {
     listener.set_nonblocking(true)?;
     let mut poller = Poller::new(256)?;
     poller.register(&listener, EV_READ, TOKEN_LISTENER)?;
     poller.register(&*handle.wake, EV_READ, TOKEN_WAKER)?;
     let front = Front {
-        limits: service.limits(),
+        limits,
         service,
         handle,
         poller,
         listener,
         conns: HashMap::new(),
+        cut: Vec::new(),
         next_token: FIRST_CONN_TOKEN,
         draining_since: None,
         traffic: Traffic::default(),
@@ -184,11 +203,13 @@ pub(crate) fn spawn<S: Service>(
 
 struct Front<S: Service> {
     service: Arc<S>,
-    limits: Limits,
+    limits: FrontConfig,
     handle: FrontHandle,
     poller: Poller,
     listener: TcpListener,
     conns: HashMap<u64, Conn>,
+    /// Jobs cut this turn, handed to the batcher together at its end.
+    cut: Vec<Job>,
     next_token: u64,
     draining_since: Option<Instant>,
     traffic: Traffic,
@@ -228,9 +249,11 @@ impl<S: Service> Front<S> {
             }
             self.apply_completions();
             self.advance_all();
+            self.hand_off();
         }
-        // Dropping the map closes every socket; dropping the listener
-        // closes the port.
+        // Nothing is cut any more: the stage behind the batcher drains and
+        // exits. Dropping the map closes every socket, the listener the port.
+        self.handle.batcher.stop();
     }
 
     fn begin_drain(&mut self) {
@@ -446,18 +469,17 @@ impl<S: Service> Front<S> {
         }
     }
 
-    /// Hand `job` to the batcher, or — once the endpoint is stopping —
-    /// refuse it in the encoding its answer would have had.
+    /// Keep `job` for this turn's hand-off; its answer is owed from now.
     fn submit(&mut self, token: u64, job: Job) {
-        let hopq_id = job.hopq_id();
-        if self.handle.batcher.submit(job) {
-            self.owe(token);
-            return;
-        }
-        let msg = format!("{} is stopping", S::NAME);
-        match hopq_id {
-            Some(id) => self.queue_response(token, Response::error(id, &msg), false),
-            None => self.queue_bytes(token, &http::render_error(503, &msg), true),
+        self.cut.push(job);
+        self.owe(token);
+    }
+
+    /// Hand what was cut this turn to the batcher in one submit, so a
+    /// pipelined burst arrives as one batch.
+    fn hand_off(&mut self) {
+        if !self.cut.is_empty() {
+            self.handle.batcher.submit(std::mem::take(&mut self.cut));
         }
     }
 
@@ -573,7 +595,7 @@ impl<S: Service> Front<S> {
 
 /// Per-connection cap on unanswered requests: HTTP answers must stay in
 /// order, so HTTP connections run one at a time.
-fn inflight_cap(limits: &Limits, mode: Mode) -> usize {
+fn inflight_cap(limits: &FrontConfig, mode: Mode) -> usize {
     if mode == Mode::Http {
         1
     } else {

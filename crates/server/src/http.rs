@@ -11,7 +11,7 @@
 //! | `POST /update`      | body `{"edges":[[s,t,w],...]}` → `{"generation":G,"overlay_edges":N}` |
 //! | `GET /stats`        | serving statistics as JSON |
 //!
-//! Query answers ride the same micro-batch path as binary frames; only
+//! Query answers ride the same batch path as binary frames; only
 //! `/stats` (and errors) are answered inline. Keep-alive is honoured
 //! (HTTP/1.1 default); HTTP requests on one connection are answered in
 //! order, so the per-connection in-flight cap is 1 for HTTP mode —

@@ -60,5 +60,6 @@ pub mod wal;
 
 pub use backend::Generation;
 pub use client::Client;
+pub use front::FrontConfig;
 pub use router::{serve_router, RouteMode, RouterConfig, RouterHandle};
 pub use server::{serve, ServerConfig, ServerHandle};

@@ -47,7 +47,7 @@
 //! * Every well-formed request gets exactly one response carrying its
 //!   id (recoverable violations get an error response with the id).
 //! * Responses may arrive **out of order**: the server coalesces query
-//!   frames from many connections into shared micro-batches, batches
+//!   frames from many connections into shared batches, which
 //!   complete independently, and parse-level errors are answered
 //!   without queueing at all. Clients must correlate by id (see
 //!   `client::Session`), never by arrival order.

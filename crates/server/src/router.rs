@@ -29,15 +29,15 @@
 //! `crate::front` loop, instantiated with the router's `Service` impl —
 //! so a router endpoint is wire-compatible with a plain daemon for
 //! queries, stats, `route_info`, and (replica mode) updates: framing
-//! (HOPQ and HTTP alike), error discipline, backpressure and
-//! micro-batching are one implementation. Topology is probed
+//! (HOPQ and HTTP alike), error discipline, backpressure and the batch
+//! hand-off are one implementation. Topology is probed
 //! once at startup via the `route_info` frame and validated
 //! hard: replicas must agree on vertex count and direction; shards must
 //! tile the pivot space exactly.
 //!
 //! ```text
 //! front thread           dispatcher thread           worker threads (1/backend)
-//!   wait for readiness      Batcher::next_batch          own Client per backend
+//!   wait for readiness      next_batch: all queued       own Client per backend
 //!   cut frames     ──────►    coalesce + range-check      (plus failover clients)
 //!   answer stats/             replica: least-inflight ──► query / failover
 //!   route_info inline         shard: split + ShardMerge ► query part, min-merge
@@ -52,11 +52,12 @@ use std::time::Duration;
 
 use sfgraph::{Dist, INF_DIST};
 
-use crate::batch::{BatchWork, Completions, Job, QueryJob, UpdateRespond};
+use crate::backend::out_of_range;
+use crate::batch::{run_batch, BatchWork, QueryJob, Stage};
 use crate::client::Client;
-use crate::front::{self, Admin, FrontHandle, Limits, Outcome, Service, Traffic};
+use crate::front::{self, Admin, FrontConfig, FrontHandle, Outcome, Service, Traffic};
 use crate::proto::{
-    Response, ResponseBody, RouteReply, StatsReply, ROUTE_REPLICA, ROUTE_SHARD, ROUTE_SINGLE,
+    ResponseBody, RouteReply, StatsReply, ROUTE_REPLICA, ROUTE_SHARD, ROUTE_SINGLE,
 };
 use crate::server::validate_update_edges;
 
@@ -81,8 +82,8 @@ impl std::str::FromStr for RouteMode {
     }
 }
 
-/// Tunables for [`serve_router`]. The serving knobs mirror
-/// [`crate::ServerConfig`]'s; the connect knobs govern the
+/// Tunables for [`serve_router`]. `front` is the struct
+/// [`crate::ServerConfig`] embeds too; the connect knobs govern the
 /// startup probe and per-worker backend connections.
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
@@ -91,20 +92,8 @@ pub struct RouterConfig {
     /// Backend daemon addresses (shard mode: one per shard, any order —
     /// ownership comes from each backend's `.shard` sidecar).
     pub backends: Vec<SocketAddr>,
-    /// Pairs accepted per query request.
-    pub max_batch: usize,
-    /// Longest a queued query waits (µs) for company before its
-    /// micro-batch flushes anyway.
-    pub flush_us: u64,
-    /// Queued pair count that flushes a micro-batch immediately.
-    pub coalesce_pairs: usize,
-    /// Unanswered frames per connection before the router stops
-    /// reading that connection.
-    pub max_inflight: usize,
-    /// Evict connections idle longer than this many ms (0 = never).
-    pub idle_timeout_ms: u64,
-    /// Honour remote shutdown frames (stops the router, not backends).
-    pub allow_shutdown: bool,
+    /// What the serving loop enforces on its peers.
+    pub front: FrontConfig,
     /// TCP connect timeout per backend; also installed as each backend
     /// connection's I/O timeout so a hung backend surfaces as
     /// `TimedOut` and fails over instead of wedging a worker.
@@ -119,12 +108,7 @@ impl Default for RouterConfig {
         RouterConfig {
             mode: RouteMode::Replica,
             backends: Vec::new(),
-            max_batch: crate::proto::DEFAULT_MAX_BATCH,
-            flush_us: 100,
-            coalesce_pairs: 4096,
-            max_inflight: 128,
-            idle_timeout_ms: 0,
-            allow_shutdown: false,
+            front: FrontConfig::default(),
             connect_timeout: Duration::from_secs(5),
             connect_retries: 20,
         }
@@ -223,6 +207,7 @@ pub fn serve_router(
     let topology = probe_topology(&config)?;
     let listener = TcpListener::bind(addr)?;
     let local_addr = listener.local_addr()?;
+    let limits = config.front;
     let shared = Arc::new(RouterShared {
         config,
         topology,
@@ -230,7 +215,7 @@ pub fn serve_router(
         front: front.clone(),
         failovers: AtomicU64::new(0),
     });
-    let reactor = front::spawn(listener, Arc::clone(&shared), front)?;
+    let reactor = front::spawn(listener, Arc::clone(&shared), front, limits)?;
 
     let mut workers = Vec::new();
     let mut ports = Vec::new();
@@ -420,37 +405,43 @@ impl ShardMerge {
     }
 }
 
-fn dispatcher_loop(shared: &Arc<RouterShared>, ports: Vec<WorkerPort>) {
+fn dispatcher_loop(shared: &RouterShared, ports: Vec<WorkerPort>) {
     let (batcher, completions) = (&shared.front.batcher, &shared.front.completions);
-    let flush_after = Duration::from_micros(shared.config.flush_us.max(1));
-    let coalesce = shared.config.coalesce_pairs.max(1);
-    let mut rr = 0usize;
-    while let Some(jobs) = batcher.next_batch(coalesce, flush_after) {
-        let mut queries: Vec<QueryJob> = Vec::new();
-        for job in jobs {
-            match job {
-                Job::Query { conn, respond, pairs } => queries.push((conn, respond, pairs)),
-                Job::Update { conn, respond, edges } => {
-                    // Queries queued before the update answer on the
-                    // pre-update overlay of whichever replica holds
-                    // them; the barrier below orders everything later.
-                    dispatch_queries(
-                        shared,
-                        completions,
-                        &ports,
-                        &mut rr,
-                        std::mem::take(&mut queries),
-                    );
-                    dispatch_update(shared, completions, &ports, conn, respond, edges);
-                }
-                Job::Swap { conn, id } => {
-                    // `admin` answers swaps inline; defensive only.
-                    let refusal = Response::error(id, MSG_SWAP_NOT_ROUTED);
-                    completions.answer(conn, (refusal.encode(), false));
-                }
-            }
+    let mut dispatcher = Dispatcher { shared, ports, rr: 0 };
+    while let Some(jobs) = batcher.next_batch() {
+        run_batch(jobs, completions, &mut dispatcher);
+    }
+}
+
+/// The router's [`Stage`]: query runs are forwarded to the workers and
+/// answered by them; an update is a barrier across every replica.
+struct Dispatcher<'a> {
+    shared: &'a RouterShared,
+    ports: Vec<WorkerPort>,
+    /// Where the round-robin tiebreak of the replica pick stands.
+    rr: usize,
+}
+
+impl Stage for Dispatcher<'_> {
+    /// Coalesce `jobs` into as few backend frames as the backends'
+    /// batch limit allows — one batch can hold several frames that are
+    /// each legal and together are not — and forward each.
+    fn queries(&mut self, jobs: Vec<QueryJob>) {
+        let sizes: Vec<usize> = jobs.iter().map(|(_, _, pairs)| pairs.len()).collect();
+        let mut jobs = jobs.into_iter();
+        for group in cut_at_max_batch(&sizes, self.shared.config.front.max_batch) {
+            let group = jobs.by_ref().take(group.len()).collect();
+            dispatch_group(self.shared, &self.ports, &mut self.rr, group);
         }
-        dispatch_queries(shared, completions, &ports, &mut rr, queries);
+    }
+
+    fn update(&mut self, edges: Vec<(u32, u32, u32)>) -> Result<(u64, u64), String> {
+        dispatch_update(self.shared, &self.ports, edges)
+    }
+
+    /// `admin` answers swaps inline; defensive only.
+    fn swap(&mut self) -> Result<(u64, u64), String> {
+        Err(MSG_SWAP_NOT_ROUTED.to_string())
     }
 }
 
@@ -475,31 +466,13 @@ fn cut_at_max_batch(sizes: &[usize], max_batch: usize) -> Vec<std::ops::Range<us
     groups
 }
 
-/// Coalesce `jobs` into as few backend frames as the backends' batch
-/// limit allows — a flush window can hold several frames that are each
-/// legal and together are not — and forward each.
-fn dispatch_queries(
-    shared: &RouterShared,
-    completions: &Arc<Completions>,
-    ports: &[WorkerPort],
-    rr: &mut usize,
-    jobs: Vec<QueryJob>,
-) {
-    let sizes: Vec<usize> = jobs.iter().map(|(_, _, pairs)| pairs.len()).collect();
-    let mut jobs = jobs.into_iter();
-    for group in cut_at_max_batch(&sizes, shared.config.max_batch) {
-        let group = jobs.by_ref().take(group.len()).collect();
-        dispatch_group(shared, completions, ports, rr, group);
-    }
-}
-
 fn dispatch_group(
     shared: &RouterShared,
-    completions: &Arc<Completions>,
     ports: &[WorkerPort],
     rr: &mut usize,
     jobs: Vec<QueryJob>,
 ) {
+    let completions = &shared.front.completions;
     let Some(work) = BatchWork::cut(jobs, shared.topology.vertices, completions) else { return };
     if work.combined.is_empty() {
         // Zero-pair jobs: answer without a backend round-trip.
@@ -560,28 +533,20 @@ fn dispatch_group(
     }
 }
 
+/// Apply `edges` to every replica; `(generation, overlay edges)`, the
+/// largest of each, once all have acked.
 fn dispatch_update(
     shared: &RouterShared,
-    completions: &Completions,
     ports: &[WorkerPort],
-    conn: u64,
-    respond: UpdateRespond,
     edges: Vec<(u32, u32, u32)>,
-) {
+) -> Result<(u64, u64), String> {
     // Validate once at the router, before any backend sees the batch:
     // a batch that would be nacked must be nacked *everywhere or
     // nowhere*, never half-applied across replicas.
-    if let Err(msg) = validate_update_edges(&edges) {
-        completions.answer(conn, respond.outcome(Err(msg)));
-        return;
-    }
-    let n = shared.topology.vertices;
-    if let Some(&(s, t, _)) =
-        edges.iter().find(|&&(s, t, _)| u64::from(s) >= n || u64::from(t) >= n)
-    {
-        let msg = format!("vertex out of range: ({s}, {t}) on a {n}-vertex index");
-        completions.answer(conn, respond.outcome(Err(msg)));
-        return;
+    validate_update_edges(&edges)?;
+    let ends = edges.iter().map(|&(s, t, _)| (s, t));
+    if let Some(msg) = out_of_range(ends, shared.topology.vertices) {
+        return Err(msg);
     }
     let edges = Arc::new(edges);
     let (tx, rx) = mpsc::channel();
@@ -606,7 +571,7 @@ fn dispatch_update(
             Err(_) => failed.push("worker exited".to_string()),
         }
     }
-    let result = if failed.is_empty() {
+    if failed.is_empty() {
         applied.ok_or_else(|| "no replica applied the update".to_string())
     } else if applied.is_some() {
         Err(format!(
@@ -616,8 +581,7 @@ fn dispatch_update(
         ))
     } else {
         Err(failed.join("; "))
-    };
-    completions.answer(conn, respond.outcome(result));
+    }
 }
 
 fn worker_loop(
@@ -758,15 +722,6 @@ const MSG_SHARD_NO_UPDATES: &str =
 impl Service for RouterShared {
     const NAME: &'static str = "router";
 
-    fn limits(&self) -> Limits {
-        Limits {
-            max_batch: self.config.max_batch,
-            max_inflight: self.config.max_inflight,
-            idle_timeout_ms: self.config.idle_timeout_ms,
-            allow_shutdown: self.config.allow_shutdown,
-        }
-    }
-
     fn begin_stop(&self) {
         self.front.begin_stop();
     }
@@ -855,8 +810,10 @@ mod tests {
         assert_eq!(cut_at_max_batch(&[1; 100], MAX), vec![0..100]);
         assert_eq!(cut_at_max_batch(&[0, 0, 0], MAX), vec![0..3]);
         assert!(cut_at_max_batch(&[], MAX).is_empty());
-        // Defensive: an oversized job is forwarded alone, not merged.
+        // Defensive: an oversized job is forwarded alone, not merged —
+        // between others, and when it is all there is.
         assert_eq!(cut_at_max_batch(&[1, MAX + 1, 1], MAX), vec![0..1, 1..2, 2..3]);
+        assert_eq!(cut_at_max_batch(&[MAX + 1], MAX), vec![0..1]);
 
         // In general: the groups tile the jobs in order, none is empty,
         // none carries more than the limit, and none could have taken

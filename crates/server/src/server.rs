@@ -5,9 +5,9 @@
 //!
 //! ```text
 //! front thread (crate::front)          executor thread
-//!   cut frames off every socket ────►    Batcher::next_batch
+//!   cut frames off every socket ────►    Batcher::next_batch: all queued
 //!   answer stats/info inline             coalesce pairs across conns
-//!   flush responses          ◄────────   ONE Generation clone per batch
+//!   flush responses          ◄────────   ONE Generation clone per run
 //!          ▲   (Completions + wake)      query_many → encode responses
 //!          │                             swaps and updates run here too
 //!   compactor thread                               │
@@ -32,14 +32,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::Instant;
 
 use crate::backend::{sibling, Generation};
-use crate::batch::{BatchWork, Job, QueryJob};
-use crate::front::{self, Admin, FrontHandle, Limits, Outcome, Service, Traffic};
+use crate::batch::{run_batch, BatchWork, Job, QueryJob, Stage};
+use crate::front::{self, Admin, FrontConfig, FrontHandle, Outcome, Service, Traffic};
 use crate::proto::{
-    FieldValue, InfoReply, Response, ResponseBody, RouteReply, StatsReply, DEFAULT_MAX_BATCH,
-    DURABILITY_DISABLED, ROUTE_SINGLE,
+    FieldValue, InfoReply, Response, ResponseBody, RouteReply, StatsReply, DURABILITY_DISABLED,
+    ROUTE_SINGLE,
 };
 use crate::wal::{self, Durability, Manifest, Wal, WalEdge};
 use extmem::stats::IoStats;
@@ -53,12 +53,8 @@ pub struct ServerConfig {
     /// Leave at 1 when many concurrent connections already saturate the
     /// cores; raise it for few-connection, huge-batch workloads.
     pub batch_threads: usize,
-    /// Pairs accepted per query request; larger batches are rejected
-    /// with a protocol error. (Per-frame allocation is bounded by the
-    /// protocol's [`crate::proto::MAX_PAYLOAD`] cap, not by this knob —
-    /// a declared length over the cap closes the connection before any
-    /// allocation.)
-    pub max_batch: usize,
+    /// What the serving loop enforces on its peers.
+    pub front: FrontConfig,
     /// Admission budget: index files larger than this are served from
     /// disk through the LRU-cached fallback instead of resident memory.
     /// `None` = always resident.
@@ -66,21 +62,6 @@ pub struct ServerConfig {
     /// File promoted by a swap request. `None` = re-load the boot path
     /// (in-place rebuild promotion).
     pub swap_path: Option<PathBuf>,
-    /// Honour remote shutdown frames. Off by default: a query port
-    /// should not double as a kill switch unless explicitly enabled.
-    pub allow_shutdown: bool,
-    /// Longest a queued query waits (µs) for company before its
-    /// micro-batch flushes anyway.
-    pub flush_us: u64,
-    /// Queued pair count that flushes a micro-batch immediately,
-    /// without waiting out `flush_us`.
-    pub coalesce_pairs: usize,
-    /// Unanswered query frames per connection before the server stops
-    /// *reading* that connection (pipelining backpressure).
-    pub max_inflight: usize,
-    /// Evict connections idle longer than this many milliseconds
-    /// (0 = never).
-    pub idle_timeout_ms: u64,
     /// Source edge list of the boot index, in original vertex ids.
     /// Required for compaction: the compactor re-reads it, adds every
     /// edge accepted since, and rebuilds a frozen index from scratch.
@@ -100,9 +81,12 @@ pub struct ServerConfig {
     /// behavior).
     pub wal_dir: Option<PathBuf>,
     /// When the WAL fsyncs relative to the ack (ignored without
-    /// `wal_dir`). The default trades a ~2 ms loss window on *power
+    /// `wal_dir`). The default, `batch`, trades a loss window on *power
     /// failure* (a mere process crash loses nothing) for group-commit
-    /// throughput; `always` closes the window per batch.
+    /// throughput: an acked batch is on stable storage within
+    /// [`wal::BATCH_SYNC_INTERVAL`] (2 ms) of the sync before it,
+    /// whether or not another update follows — the executor syncs an
+    /// idle log's tail itself. `always` closes the window per batch.
     pub durability: Durability,
     /// WAL size (bytes) that triggers a background compaction even when
     /// the overlay is under `compact_threshold` — the checkpoint is the
@@ -117,14 +101,9 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             batch_threads: 1,
-            max_batch: DEFAULT_MAX_BATCH,
+            front: FrontConfig::default(),
             max_resident_bytes: None,
             swap_path: None,
-            allow_shutdown: false,
-            flush_us: 100,
-            coalesce_pairs: 4096,
-            max_inflight: 128,
-            idle_timeout_ms: 0,
             source_graph: None,
             compact_threshold: 256,
             wal_dir: None,
@@ -501,6 +480,7 @@ pub fn serve(
         .with_updates(&lineage.edges[lineage.folded..])
         .map_err(std::io::Error::other)?;
     let (compact_tx, compact_rx) = mpsc::channel::<CompactMsg>();
+    let limits = config.front;
     let shared = Arc::new(Shared {
         current: RwLock::new(Arc::new(boot)),
         lineage: Mutex::new(lineage),
@@ -518,7 +498,7 @@ pub fn serve(
         aborted_compactions: AtomicU64::new(0),
     });
     shared.lineage.lock().map_err(|e| std::io::Error::other(poisoned(e)))?.mirror(&shared);
-    let reactor = front::spawn(listener, Arc::clone(&shared), front)?;
+    let reactor = front::spawn(listener, Arc::clone(&shared), front, limits)?;
     let executor = {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || executor_loop(&shared))
@@ -606,18 +586,6 @@ pub(crate) fn validate_update_edges(edges: &[WalEdge]) -> Result<(), String> {
         )),
         None => Ok(()),
     }
-}
-
-/// Apply one update batch and acknowledge it as `(generation, overlay
-/// edges)`.
-fn do_update(shared: &Shared, edges: &[WalEdge]) -> Result<(u64, u64), String> {
-    let next = shared.lineage.lock().map_err(poisoned)?.append(shared, edges)?;
-    // Poke the compactor outside the lock; a stopped compactor is not
-    // the client's problem.
-    if shared.config.source_graph.is_some() && shared.over_threshold() {
-        shared.poke(CompactMsg::Threshold);
-    }
-    Ok((next.generation(), next.overlay_edges() as u64))
 }
 
 /// Rebuild the frozen index from the configured source graph plus every
@@ -720,15 +688,6 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
 
 impl Service for Shared {
     const NAME: &'static str = "server";
-
-    fn limits(&self) -> Limits {
-        Limits {
-            max_batch: self.config.max_batch,
-            max_inflight: self.config.max_inflight,
-            idle_timeout_ms: self.config.idle_timeout_ms,
-            allow_shutdown: self.config.allow_shutdown,
-        }
-    }
 
     /// Stop the front (it drains what it owes and exits, the batcher
     /// drains) and the compactor. Idempotent.
@@ -846,54 +805,79 @@ fn route_info_of(shared: &Shared) -> Option<RouteReply> {
     })
 }
 
-/// The executor: pull coalesced batches, answer them, run swaps and
-/// updates between them.
+/// The executor thread: take whatever the front has queued, run it,
+/// repeat. Its one deadline is not about batching: under `--durability
+/// batch` an append inside the group-commit window leaves the log's
+/// tail unsynced, and when no later append comes to sync it the wait
+/// for jobs ends at [`Wal::sync_due`] and the executor syncs the tail —
+/// the policy's loss window holds when ingest goes idle too.
 fn executor_loop(shared: &Shared) {
     let (batcher, completions) = (&shared.front.batcher, &shared.front.completions);
-    let flush_after = Duration::from_micros(shared.config.flush_us.max(1));
-    let coalesce = shared.config.coalesce_pairs.max(1);
-    while let Some(jobs) = batcher.next_batch(coalesce, flush_after) {
-        let mut queries: Vec<QueryJob> = Vec::new();
-        for job in jobs {
-            match job {
-                Job::Query { conn, respond, pairs } => queries.push((conn, respond, pairs)),
-                Job::Swap { conn, id } => {
-                    // Queries queued before the swap answer on the old
-                    // generation; flush them first.
-                    run_queries(shared, std::mem::take(&mut queries));
-                    let body = match do_swap(shared) {
-                        Ok((generation, vertices)) => {
-                            ResponseBody::Swapped { generation, vertices }
-                        }
-                        Err(e) => ResponseBody::Error(format!("swap failed: {e}")),
-                    };
-                    completions.answer(conn, (Response { id, body }.encode(), false));
-                }
-                Job::Update { conn, respond, edges } => {
-                    // Same ordering contract as a swap: queries
-                    // submitted before this frame answer on the
-                    // pre-update overlay, queries after it on the
-                    // post-update one.
-                    run_queries(shared, std::mem::take(&mut queries));
-                    completions.answer(conn, respond.outcome(do_update(shared, &edges)));
-                }
+    let mut executor = Executor { shared, tail_due: None };
+    loop {
+        if executor.tail_due.is_some_and(|due| batcher.wait_until(due)) {
+            executor.sync_tail();
+            continue;
+        }
+        let Some(jobs) = batcher.next_batch() else { break };
+        run_batch(jobs, completions, &mut executor);
+    }
+    executor.sync_tail(); // a clean stop leaves nothing acked unsynced
+}
+
+/// The index node's [`Stage`].
+struct Executor<'a> {
+    shared: &'a Shared,
+    /// The live log's [`Wal::sync_due`] as of the last append: only this
+    /// thread appends, and whoever replaces the log leaves it synced.
+    tail_due: Option<Instant>,
+}
+
+impl Executor<'_> {
+    fn sync_tail(&mut self) {
+        self.tail_due = None;
+        if let Ok(mut lineage) = self.shared.lineage.lock() {
+            if let Some(d) = &mut lineage.durable {
+                d.wal.sync_tail();
             }
         }
-        run_queries(shared, queries);
     }
 }
 
-/// Answer one coalesced batch: a single `Generation` clone pins the
-/// whole batch to one index, a single `query_many_into` call answers
-/// every pair, and per-job slices are encoded back out.
-fn run_queries(shared: &Shared, jobs: Vec<QueryJob>) {
-    let generation = shared.current();
-    let n = generation.as_ref().map_or(u64::MAX, |g| g.vertices() as u64);
-    let Some(work) = BatchWork::cut(jobs, n, &shared.front.completions) else { return };
-    let mut dists = Vec::with_capacity(work.combined.len());
-    let threads = shared.config.batch_threads;
-    match generation.and_then(|g| g.query_many_into(&work.combined, threads, &mut dists)) {
-        Ok(()) => work.complete(&dists),
-        Err(msg) => work.fail(&msg),
+impl Stage for Executor<'_> {
+    /// A single `Generation` clone pins the whole run to one index, a
+    /// single `query_many_into` call answers every pair, and per-job
+    /// slices are encoded back out.
+    fn queries(&mut self, jobs: Vec<QueryJob>) {
+        let shared = self.shared;
+        let generation = shared.current();
+        let n = generation.as_ref().map_or(u64::MAX, |g| g.vertices() as u64);
+        let Some(work) = BatchWork::cut(jobs, n, &shared.front.completions) else { return };
+        let mut dists = Vec::with_capacity(work.combined.len());
+        let threads = shared.config.batch_threads;
+        match generation.and_then(|g| g.query_many_into(&work.combined, threads, &mut dists)) {
+            Ok(()) => work.complete(&dists),
+            Err(msg) => work.fail(&msg),
+        }
+    }
+
+    fn update(&mut self, edges: Vec<WalEdge>) -> Result<(u64, u64), String> {
+        let shared = self.shared;
+        let next = {
+            let mut lineage = shared.lineage.lock().map_err(poisoned)?;
+            let next = lineage.append(shared, &edges);
+            self.tail_due = lineage.durable.as_ref().and_then(|d| d.wal.sync_due());
+            next?
+        };
+        // Poke the compactor outside the lock; a stopped compactor is
+        // not the client's problem.
+        if shared.config.source_graph.is_some() && shared.over_threshold() {
+            shared.poke(CompactMsg::Threshold);
+        }
+        Ok((next.generation(), next.overlay_edges() as u64))
+    }
+
+    fn swap(&mut self) -> Result<(u64, u64), String> {
+        do_swap(self.shared).map_err(|e| e.to_string())
     }
 }

@@ -44,8 +44,10 @@
 //! Fsync policy is a runtime knob ([`Durability`]): `always` syncs
 //! every append before the ack (no acknowledged batch is ever lost,
 //! even to power failure), `batch` group-commits at most every
-//! [`BATCH_SYNC_INTERVAL`] (bounded loss window, much cheaper under
-//! write bursts), `off` leaves syncing to the OS (a process crash
+//! [`BATCH_SYNC_INTERVAL`] — by the next append when the last sync is
+//! that old, by the idle executor when no append follows a burst
+//! ([`Wal::sync_due`]): a loss window bounded either way, much cheaper
+//! under write bursts — `off` leaves syncing to the OS (a process crash
 //! still loses nothing — the page cache survives SIGKILL — but a power
 //! cut may cost the tail).
 
@@ -307,6 +309,10 @@ pub struct Wal {
     epoch: u64,
     durability: Durability,
     last_sync: Instant,
+    /// Records since `last_sync` await the group commit (`Batch` only).
+    unsynced: bool,
+    /// A failed [`Wal::sync_tail`], kept to fail the next append.
+    tail_error: Option<std::io::Error>,
     records: u64,
     bytes: u64,
 }
@@ -331,6 +337,8 @@ impl Wal {
             epoch,
             durability,
             last_sync: Instant::now(),
+            unsynced: false,
+            tail_error: None,
             records: 0,
             bytes: WAL_HEADER_LEN,
         })
@@ -360,6 +368,8 @@ impl Wal {
             epoch,
             durability,
             last_sync: Instant::now(),
+            unsynced: false,
+            tail_error: None,
             records: replay.batches.len() as u64,
             bytes: replay.valid_len,
         })
@@ -370,8 +380,13 @@ impl Wal {
     /// error — short write *or* failed fsync — the file is cut back to
     /// the previous record boundary best-effort: the caller will nack
     /// the batch, so leaving its record behind would resurrect a
-    /// rejected update at the next recovery.
+    /// rejected update at the next recovery. A failed tail sync since
+    /// the last append fails this one, unwritten: what it covered is
+    /// acked for good, so the writer learns of it here.
     pub fn append(&mut self, batch: &[WalEdge]) -> std::io::Result<()> {
+        if let Some(e) = self.tail_error.take() {
+            return Err(e);
+        }
         let rec = encode_record(batch);
         let mut result = self.file.write_all(&rec);
         let mut synced = false;
@@ -393,6 +408,7 @@ impl Wal {
                 if synced {
                     self.last_sync = Instant::now();
                 }
+                self.unsynced = self.durability == Durability::Batch && !synced;
                 Ok(())
             }
             Err(e) => {
@@ -407,7 +423,28 @@ impl Wal {
     pub fn sync(&mut self) -> std::io::Result<()> {
         self.file.sync_data()?;
         self.last_sync = Instant::now();
+        self.unsynced = false;
         Ok(())
+    }
+
+    /// When the group commit owes a sync whether or not an append
+    /// comes to make it; `None` when the log is clean, or a failed tail
+    /// sync waits to be reported.
+    pub fn sync_due(&self) -> Option<Instant> {
+        (self.unsynced && self.tail_error.is_none()).then(|| self.last_sync + BATCH_SYNC_INTERVAL)
+    }
+
+    /// The group commit of a log gone idle: sync the unsynced tail, if
+    /// any. A failure is not dropped — it fails the next append, the
+    /// way a failed fsync inside one would have.
+    pub fn sync_tail(&mut self) {
+        if !self.unsynced {
+            return;
+        }
+        if let Err(e) = self.sync() {
+            let what = format!("syncing earlier acknowledged batches failed: {e}");
+            self.tail_error = Some(std::io::Error::new(e.kind(), what));
+        }
     }
 
     /// Epoch stamped in the file header.
@@ -588,9 +625,13 @@ mod tests {
         assert_eq!(replay2.dropped_bytes, 0);
     }
 
+    /// The fault hooks are process-wide: tests that arm them take turns.
+    static FAULTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn torn_append_is_healed_in_place() {
         use extmem::device::faults;
+        let _serial = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
         let store = TempStore::new().unwrap();
         let path = store.create("wal-heal-target").unwrap().path().to_path_buf();
         let mut wal = Wal::create(&path, 3, Durability::Off, IoStats::shared()).unwrap();
@@ -604,6 +645,53 @@ mod tests {
         let replay = read_wal(&path, IoStats::shared()).unwrap();
         assert_eq!(replay.batches, vec![vec![(1, 2, 3)], vec![(7, 8, 9)]]);
         assert_eq!(replay.dropped_bytes, 0);
+    }
+
+    #[test]
+    fn batch_append_right_after_a_sync_leaves_a_tail_the_due_sync_clears() {
+        use extmem::device::faults;
+        let store = TempStore::new().unwrap();
+        let path = store.create("wal-tail-target").unwrap().path().to_path_buf();
+        let mut wal = Wal::create(&path, 1, Durability::Batch, IoStats::shared()).unwrap();
+        assert_eq!(wal.sync_due(), None, "a fresh log is clean");
+        // "Right after a sync", however slow the test host: a sync in
+        // the future keeps every append below inside the window.
+        let just_synced = Instant::now() + Duration::from_secs(3600);
+        wal.last_sync = just_synced;
+        wal.append(&[(1, 2, 3)]).unwrap();
+        // The record is owed a sync, at a time no next append decides.
+        assert_eq!(wal.sync_due(), Some(just_synced + BATCH_SYNC_INTERVAL));
+        wal.sync_tail();
+        assert_eq!(wal.sync_due(), None, "the due sync clears the tail");
+
+        // A failed tail sync asks for no further one; it fails the next
+        // append, once, and the tail is owed its sync again.
+        wal.last_sync = just_synced;
+        wal.append(&[(4, 5, 6)]).unwrap();
+        {
+            let _serial = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+            faults::set_path_filter(Some("wal-tail-target"));
+            faults::fail_fsync_after(0);
+            wal.sync_tail();
+            faults::reset();
+        }
+        assert_eq!(wal.sync_due(), None);
+        let err = wal.append(&[(7, 8, 9)]).expect_err("the failed tail sync is reported");
+        assert!(err.to_string().contains("earlier acknowledged batches"), "{err}");
+        assert!(wal.sync_due().is_some(), "(4, 5, 6) is still unsynced");
+        wal.append(&[(7, 8, 9)]).unwrap();
+        wal.sync_tail();
+        assert_eq!(wal.sync_due(), None);
+        let replay = read_wal(&path, IoStats::shared()).unwrap();
+        assert_eq!(replay.batches, vec![vec![(1, 2, 3)], vec![(4, 5, 6)], vec![(7, 8, 9)]]);
+
+        // `always` and `off` never owe a sync.
+        for durability in [Durability::Always, Durability::Off] {
+            let mut wal = Wal::create(&path, 2, durability, IoStats::shared()).unwrap();
+            wal.last_sync = just_synced;
+            wal.append(&[(1, 2, 3)]).unwrap();
+            assert_eq!(wal.sync_due(), None, "{durability}");
+        }
     }
 
     #[test]

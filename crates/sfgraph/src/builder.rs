@@ -58,11 +58,6 @@ impl GraphBuilder {
         self.edges.push((u, v, w.max(1)));
     }
 
-    /// Number of raw (pre-deduplication) edges added so far.
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Whether the (normalised) edge has already been added. O(m) scan —
     /// intended for generators that check membership rarely; generators
     /// needing fast membership keep their own hash set.

@@ -114,28 +114,6 @@ impl Csr {
         Some(if self.weights.is_empty() { 1 } else { self.weights[lo + idx] })
     }
 
-    /// Raw offset array (`n + 1` entries), for serialization.
-    pub fn offsets(&self) -> &[u64] {
-        &self.offsets
-    }
-
-    /// Raw target array, for serialization.
-    pub fn targets(&self) -> &[VertexId] {
-        &self.targets
-    }
-
-    /// Raw weight array (empty when unweighted), for serialization.
-    pub fn weights(&self) -> &[Dist] {
-        &self.weights
-    }
-
-    /// Reassemble from raw parts (inverse of the accessors above).
-    pub fn from_parts(offsets: Vec<u64>, targets: Vec<VertexId>, weights: Vec<Dist>) -> Csr {
-        debug_assert_eq!(*offsets.last().unwrap_or(&0) as usize, targets.len());
-        debug_assert!(weights.is_empty() || weights.len() == targets.len());
-        Csr { offsets, targets, weights }
-    }
-
     /// Reverse every edge, producing the transposed adjacency.
     pub fn transpose(&self) -> Csr {
         let n = self.num_vertices();

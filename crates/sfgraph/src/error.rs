@@ -19,8 +19,6 @@ pub enum GraphError {
         /// Explanation of the failure.
         msg: String,
     },
-    /// A binary graph file had an invalid header or truncated body.
-    Format(String),
     /// Underlying I/O failure.
     Io(std::io::Error),
 }
@@ -32,7 +30,6 @@ impl fmt::Display for GraphError {
                 write!(f, "vertex id {vertex} out of range for graph with {n} vertices")
             }
             GraphError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
-            GraphError::Format(msg) => write!(f, "invalid graph file: {msg}"),
             GraphError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }

@@ -1,15 +1,12 @@
-//! Graph serialization: SNAP-style text edge lists and a compact binary
-//! format.
+//! Graph serialization: SNAP-style text edge lists.
 //!
-//! The text format is one `u v [w]` triple per line, `#`-prefixed comment
+//! The format is one `u v [w]` triple per line, `#`-prefixed comment
 //! lines ignored — the format of the SNAP / KONECT collections the paper
-//! evaluates on. The binary format stores the cleaned CSR directly so big
-//! generated workloads can be cached between bench runs.
+//! evaluates on.
 
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, Write};
 
 use crate::builder::GraphBuilder;
-use crate::csr::Csr;
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::{Dist, VertexId};
@@ -88,117 +85,9 @@ pub fn write_edge_list<W: Write>(g: &Graph, mut writer: W) -> Result<(), GraphEr
     Ok(())
 }
 
-const MAGIC: &[u8; 8] = b"SFGRAPH1";
-
-/// Serialize the graph in the binary CSR format.
-pub fn write_binary<W: Write>(g: &Graph, mut w: W) -> Result<(), GraphError> {
-    w.write_all(MAGIC)?;
-    let flags: u8 = (g.is_directed() as u8) | ((g.is_weighted() as u8) << 1);
-    w.write_all(&[flags, 0, 0, 0])?;
-    w.write_all(&(g.num_vertices() as u64).to_le_bytes())?;
-    w.write_all(&(g.num_edges() as u64).to_le_bytes())?;
-    let csr = g.csr(crate::graph::Direction::Out);
-    write_u64s(&mut w, csr.offsets())?;
-    write_u32s(&mut w, csr.targets())?;
-    if g.is_weighted() {
-        write_u32s(&mut w, csr.weights())?;
-    }
-    Ok(())
-}
-
-/// Deserialize a graph written by [`write_binary`].
-///
-/// Every header field is attacker-controlled (the file may be corrupt
-/// or crafted), so all of them are validated before use: counts go
-/// through checked arithmetic, the offset directory must be monotone,
-/// and every edge target must name a real vertex. A malformed file is
-/// a [`GraphError::Format`], never a panic or an absurd allocation.
-pub fn read_binary<R: Read>(mut r: R) -> Result<Graph, GraphError> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(GraphError::Format("bad magic".into()));
-    }
-    let mut flags = [0u8; 4];
-    r.read_exact(&mut flags)?;
-    let [flag_bits, z1, z2, z3] = flags;
-    if flag_bits > 3 || [z1, z2, z3] != [0, 0, 0] {
-        return Err(GraphError::Format("invalid flags word".into()));
-    }
-    let directed = flag_bits & 1 != 0;
-    let weighted = flag_bits & 2 != 0;
-    let n = usize::try_from(read_u64(&mut r)?)
-        .map_err(|_| GraphError::Format("vertex count does not fit this platform".into()))?;
-    let m = read_u64(&mut r)? as usize;
-    let slots = n
-        .checked_add(1)
-        .ok_or_else(|| GraphError::Format("vertex count overflows the offset table".into()))?;
-    let offsets = read_u64s(&mut r, slots)?;
-    if offsets.first() != Some(&0) || !offsets.is_sorted() {
-        return Err(GraphError::Format("offset table is not monotone from zero".into()));
-    }
-    let stored_edges = usize::try_from(*offsets.last().unwrap_or(&0))
-        .map_err(|_| GraphError::Format("edge count does not fit this platform".into()))?;
-    let targets = read_u32s(&mut r, stored_edges)?;
-    if targets.iter().any(|&t| t as usize >= n) {
-        return Err(GraphError::Format("edge target out of range".into()));
-    }
-    let weights = if weighted { read_u32s(&mut r, stored_edges)? } else { Vec::new() };
-    let out = Csr::from_parts(offsets, targets, weights);
-    let inn = if directed { Some(out.transpose()) } else { None };
-    Ok(Graph::new(directed, out, inn, m))
-}
-
-fn write_u64s<W: Write>(w: &mut W, xs: &[u64]) -> std::io::Result<()> {
-    for &x in xs {
-        w.write_all(&x.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-fn write_u32s<W: Write>(w: &mut W, xs: &[u32]) -> std::io::Result<()> {
-    for &x in xs {
-        w.write_all(&x.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-fn read_u64<R: Read>(r: &mut R) -> std::io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-// Initial capacity for count-prefixed reads. A crafted header can
-// declare a count no real file backs, so never allocate the declared
-// count up front: cap the initial reservation and let the vector grow
-// as bytes actually arrive — a lying header then dies on EOF after at
-// most one buffer's worth of work, instead of a capacity-overflow
-// panic or a multi-terabyte allocation.
-const READ_CHUNK: usize = 1 << 16;
-
-fn read_u64s<R: Read>(r: &mut R, count: usize) -> Result<Vec<u64>, GraphError> {
-    let mut out = Vec::with_capacity(count.min(READ_CHUNK));
-    for _ in 0..count {
-        out.push(read_u64(r)?);
-    }
-    Ok(out)
-}
-
-fn read_u32s<R: Read>(r: &mut R, count: usize) -> Result<Vec<u32>, GraphError> {
-    let mut buf = [0u8; 4];
-    let mut out = Vec::with_capacity(count.min(READ_CHUNK));
-    for _ in 0..count {
-        r.read_exact(&mut buf)?;
-        out.push(u32::from_le_bytes(buf));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Direction;
     use std::io::Cursor;
 
     #[test]
@@ -290,91 +179,5 @@ mod tests {
         let g2 = read_edge_list(Cursor::new(buf), false, false).unwrap();
         assert_eq!(g.num_edges(), g2.num_edges());
         assert_eq!(g.num_vertices(), g2.num_vertices());
-    }
-
-    #[test]
-    fn binary_roundtrip_directed_weighted() {
-        let text = "0 5 3\n5 2 9\n2 0 1\n";
-        let g = read_edge_list(Cursor::new(text), true, true).unwrap();
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let g2 = read_binary(Cursor::new(buf)).unwrap();
-        assert_eq!(g2.num_vertices(), 6);
-        assert_eq!(g2.num_edges(), 3);
-        assert!(g2.is_directed() && g2.is_weighted());
-        assert_eq!(g2.edge_weight(5, 2), Some(9));
-        assert_eq!(g2.neighbors(5, Direction::In), &[0]);
-    }
-
-    #[test]
-    fn binary_rejects_garbage() {
-        assert!(read_binary(Cursor::new(b"NOTMAGIC....".to_vec())).is_err());
-    }
-
-    /// A crafted 28-byte header: the real magic, the given flags, and
-    /// the given vertex/edge counts — no offsets or edges behind them.
-    fn crafted_header(flags: u8, n: u64, m: u64) -> Vec<u8> {
-        let mut bytes = MAGIC.to_vec();
-        bytes.extend_from_slice(&[flags, 0, 0, 0]);
-        bytes.extend_from_slice(&n.to_le_bytes());
-        bytes.extend_from_slice(&m.to_le_bytes());
-        bytes
-    }
-
-    // Regression: these crafted headers used to panic (`n + 1` add
-    // overflow, `Vec::with_capacity` capacity overflow) or attempt a
-    // multi-terabyte allocation before reading a single offset byte.
-    #[test]
-    fn binary_rejects_absurd_vertex_counts_without_panicking() {
-        for n in [u64::MAX, u64::MAX - 7, 1 << 61, 1 << 40] {
-            let err = read_binary(Cursor::new(crafted_header(3, n, 0)));
-            assert!(err.is_err(), "n = {n:#x} must be a clean error");
-        }
-    }
-
-    #[test]
-    fn binary_rejects_bad_flags() {
-        assert!(read_binary(Cursor::new(crafted_header(9, 0, 0))).is_err());
-        let mut tail_set = crafted_header(1, 0, 0);
-        tail_set[9] = 1;
-        assert!(read_binary(Cursor::new(tail_set)).is_err());
-    }
-
-    // Regression: a non-monotone offset table used to load "fine" and
-    // panic later, inside `neighbors`, on the first query that touched
-    // the inverted range.
-    #[test]
-    fn binary_rejects_non_monotone_offsets() {
-        let mut bytes = crafted_header(0, 2, 2);
-        for off in [0u64, 5, 2] {
-            bytes.extend_from_slice(&off.to_le_bytes());
-        }
-        for t in [0u32, 1] {
-            bytes.extend_from_slice(&t.to_le_bytes());
-        }
-        assert!(read_binary(Cursor::new(bytes)).is_err());
-    }
-
-    // Regression: an out-of-range target used to panic inside
-    // `transpose` while building the in-CSR of a directed graph.
-    #[test]
-    fn binary_rejects_out_of_range_targets() {
-        let mut bytes = crafted_header(1, 1, 1);
-        for off in [0u64, 1] {
-            bytes.extend_from_slice(&off.to_le_bytes());
-        }
-        bytes.extend_from_slice(&7u32.to_le_bytes());
-        assert!(read_binary(Cursor::new(bytes)).is_err());
-    }
-
-    // A declared edge count far beyond the actual bytes must die on
-    // EOF after a bounded reservation, not pre-allocate the claim.
-    #[test]
-    fn binary_rejects_lying_edge_counts_without_allocating_them() {
-        let mut bytes = crafted_header(0, 1, 0);
-        for off in [0u64, u64::MAX >> 3] {
-            bytes.extend_from_slice(&off.to_le_bytes());
-        }
-        assert!(read_binary(Cursor::new(bytes)).is_err());
     }
 }

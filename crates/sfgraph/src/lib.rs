@@ -20,7 +20,7 @@
 //! * [`analysis`] — scale-free diagnostics: degree distributions, the
 //!   Faloutsos rank exponent `γ`, the Newman expansion factor `R = z2/z1`,
 //!   and hop-diameter estimation (Section 2 of the paper).
-//! * [`io`] — text edge-list and binary graph serialization.
+//! * [`io`] — text edge-list serialization.
 //!
 //! Vertices are dense `u32` ids (`VertexId`); distances are `u32` with
 //! [`INF_DIST`] marking unreachable pairs.

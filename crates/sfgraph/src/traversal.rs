@@ -62,13 +62,6 @@ pub fn sssp(g: &Graph, src: VertexId, dir: Direction) -> Vec<Dist> {
     }
 }
 
-/// Exact point-to-point distance via a single-direction search (reference
-/// implementation used by tests; the `BIDIJ` baseline uses the
-/// bidirectional versions below).
-pub fn st_distance(g: &Graph, s: VertexId, t: VertexId) -> Dist {
-    sssp(g, s, Direction::Out)[t as usize]
-}
-
 /// Bidirectional BFS for unweighted graphs.
 ///
 /// Alternates expanding whole frontiers from `s` (forward) and `t`

@@ -5,8 +5,10 @@
 //! WAL and survives a restart booting from its image — as does the next
 //! checkpoint of the same lineage, which must hold what the first one
 //! folded — a torn folded-edge file is refused at boot, an injected
-//! fsync failure rejects the update without killing the server, and an
-//! aborted compaction re-arms and is counted.
+//! fsync failure rejects the update without killing the server, under
+//! `batch` the tail of a burst is synced once ingest goes idle (and a
+//! failure of that sync nacks the next update), and an aborted
+//! compaction re-arms and is counted.
 
 use std::path::{Path, PathBuf};
 
@@ -79,6 +81,9 @@ fn oracle(
         })
         .collect()
 }
+
+/// The fault hooks are process-wide: tests that arm them take turns.
+static FAULTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// A probe set that visits every vertex.
 fn probes(n: usize) -> Vec<(VertexId, VertexId)> {
@@ -308,6 +313,7 @@ fn injected_fsync_failure_rejects_the_update_but_not_the_server() {
 
     // Scope the fault to this test's WAL file so parallel tests in
     // this binary (and the server's own index I/O) are untouched.
+    let _serial = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
     faults::set_path_filter(Some("-fsync-wal"));
     faults::fail_fsync_after(0);
     let err = client.update(&[(s, t, 1)]).expect_err("fsync failure must fail the update");
@@ -321,6 +327,67 @@ fn injected_fsync_failure_rejects_the_update_but_not_the_server() {
     assert_ne!(client.query(&pairs).expect("query"), base, "edge must now land");
     let info = client.info().expect("info");
     assert_eq!(info.wal_records, 1, "only the acked batch is in the log");
+    handle.shutdown();
+    cleanup(&graph_path, &index_path, &wal_dir);
+}
+
+/// `--durability batch` promises that an acked batch is on stable
+/// storage within `BATCH_SYNC_INTERVAL` of the sync before it. An append
+/// only syncs when the *next* one is that late, so the tail of a burst
+/// has to be synced by the idle executor — shown here by the one fsync
+/// that can only be that sync failing, and its failure nacking the
+/// update after it.
+#[test]
+fn batch_durability_syncs_the_tail_of_a_burst_when_ingest_goes_idle() {
+    use hop_doubling::extmem::device::faults;
+    use hop_doubling::hopdb_server::proto::{read_response, Request, RequestBody, ResponseBody};
+    use std::io::Write;
+
+    let n = 50;
+    let g = glp(&GlpParams::with_density(n, 3.0, 907));
+    let (graph_path, index_path, wal_dir) = stage(&g, "idle");
+    let config = durable_config(&graph_path, &wal_dir, Durability::Batch);
+    let handle = serve("127.0.0.1:0", &index_path, config).expect("serve");
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let idle = 25 * wal::BATCH_SYNC_INTERVAL;
+
+    // Whatever the first update left unsynced is synced by now.
+    client.update(&[(0, 49, 1)]).expect("update");
+    std::thread::sleep(idle);
+
+    // Two updates in one write reach the executor as one batch. The log
+    // has been idle for longer than the interval, so the first append
+    // syncs (fsync #1 from here); the second follows it within
+    // microseconds and does not. Fail fsync #2.
+    let _serial = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+    faults::set_path_filter(Some("-idle-wal"));
+    faults::fail_fsync_after(1);
+    let mut raw = std::net::TcpStream::connect(handle.local_addr()).expect("raw connect");
+    let burst: Vec<u8> = [(1, vec![(1, 48, 1)]), (2, vec![(2, 47, 1)])]
+        .into_iter()
+        .flat_map(|(id, edges)| Request { id, body: RequestBody::Update(edges) }.encode())
+        .collect();
+    raw.write_all(&burst).expect("send burst");
+    for id in [1, 2] {
+        let reply = read_response(&mut raw).expect("burst reply");
+        assert_eq!(reply.id, id);
+        assert!(matches!(reply.body, ResponseBody::Updated { .. }), "{reply:?}");
+    }
+
+    // No further update arrives. The only fsync left to fail is the
+    // executor's own, of the tail; with the hooks disarmed afterwards
+    // nothing else can fail the next update.
+    std::thread::sleep(idle);
+    faults::reset();
+    drop(_serial);
+    let err = client.update(&[(3, 46, 1)]).expect_err("the failed tail sync must be reported");
+    assert!(err.to_string().contains("earlier acknowledged batches"), "{err}");
+    // Reported once, to the writer; the acked batches stay served and
+    // logged, the nacked one is in neither place, and ingest goes on.
+    client.update(&[(3, 46, 1)]).expect("update after the report");
+    let info = client.info().expect("info");
+    assert_eq!(info.wal_records, 4, "three acked before the failure, one after");
+    assert_eq!(info.overlay_edges, 4);
     handle.shutdown();
     cleanup(&graph_path, &index_path, &wal_dir);
 }

@@ -18,7 +18,8 @@ use hop_doubling::hopdb_server::proto::{
     Request, RequestBody, Response, ResponseBody, HEADER_LEN, UNREACHABLE,
 };
 use hop_doubling::hopdb_server::{
-    serve, serve_router, Client, RouteMode, RouterConfig, RouterHandle, ServerConfig, ServerHandle,
+    serve, serve_router, Client, FrontConfig, RouteMode, RouterConfig, RouterHandle, ServerConfig,
+    ServerHandle,
 };
 use hop_doubling::hoplabels::flat::FlatIndex;
 use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
@@ -48,22 +49,6 @@ enum Via {
 
 const BOTH: [Via; 2] = [Via::Daemon, Via::ReplicaRouter];
 
-/// The loop limits a test tightens. They configure the loop the client
-/// talks to: the daemon's own, or the router's in front of a stock
-/// daemon.
-#[derive(Clone, Copy)]
-struct Knobs {
-    max_inflight: usize,
-    idle_timeout_ms: u64,
-}
-
-impl Default for Knobs {
-    fn default() -> Knobs {
-        let d = ServerConfig::default();
-        Knobs { max_inflight: d.max_inflight, idle_timeout_ms: d.idle_timeout_ms }
-    }
-}
-
 struct Endpoint {
     addr: SocketAddr,
     router: Option<RouterHandle>,
@@ -71,12 +56,13 @@ struct Endpoint {
 }
 
 impl Endpoint {
-    fn boot(via: Via, index: &Path, knobs: Knobs) -> Endpoint {
-        let Knobs { max_inflight, idle_timeout_ms } = knobs;
+    /// Boot with `front` — the loop limits a test tightens — on the
+    /// loop the client talks to: the daemon's own, or the router's in
+    /// front of a stock daemon.
+    fn boot(via: Via, index: &Path, front: FrontConfig) -> Endpoint {
         match via {
             Via::Daemon => {
-                let config =
-                    ServerConfig { max_inflight, idle_timeout_ms, ..ServerConfig::default() };
+                let config = ServerConfig { front, ..ServerConfig::default() };
                 let daemon = serve("127.0.0.1:0", index, config).expect("serve");
                 Endpoint { addr: daemon.local_addr(), router: None, daemon }
             }
@@ -85,8 +71,7 @@ impl Endpoint {
                 let config = RouterConfig {
                     mode: RouteMode::Replica,
                     backends: vec![daemon.local_addr()],
-                    max_inflight,
-                    idle_timeout_ms,
+                    front,
                     ..RouterConfig::default()
                 };
                 let router = serve_router("127.0.0.1:0", config).expect("router");
@@ -195,7 +180,7 @@ fn partial_frames_at_arbitrary_byte_boundaries() {
 }
 
 fn partial_frames(via: Via, path: &Path, flat: &FlatIndex) {
-    let endpoint = Endpoint::boot(via, path, Knobs::default());
+    let endpoint = Endpoint::boot(via, path, FrontConfig::default());
     let mut raw = TcpStream::connect(endpoint.addr).expect("connect");
     raw.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
     raw.set_nodelay(true).unwrap();
@@ -266,7 +251,8 @@ fn inflight_cap_pauses_reads_but_answers_everything() {
 }
 
 fn inflight_cap(via: Via, path: &Path, flat: &FlatIndex) {
-    let endpoint = Endpoint::boot(via, path, Knobs { max_inflight: 2, ..Knobs::default() });
+    let endpoint =
+        Endpoint::boot(via, path, FrontConfig { max_inflight: 2, ..FrontConfig::default() });
 
     // 16 pipelined frames against a cap of 2: the loop must pause
     // reading at the cap and resume as completions drain, answering
@@ -300,7 +286,7 @@ fn never_reading_client_backpressures_without_stalling_the_reactor() {
 }
 
 fn never_reading_client(via: Via, path: &Path, flat: &FlatIndex) {
-    let endpoint = Endpoint::boot(via, path, Knobs::default());
+    let endpoint = Endpoint::boot(via, path, FrontConfig::default());
     let addr = endpoint.addr;
 
     // Each response is ~195 KiB; eight of them (~1.6 MiB) exceed the
@@ -349,7 +335,8 @@ fn idle_timeout_evicts_quiet_connections_only() {
 }
 
 fn idle_eviction(via: Via, path: &Path) {
-    let endpoint = Endpoint::boot(via, path, Knobs { idle_timeout_ms: 150, ..Knobs::default() });
+    let endpoint =
+        Endpoint::boot(via, path, FrontConfig { idle_timeout_ms: 150, ..FrontConfig::default() });
     let addr = endpoint.addr;
 
     let mut quiet = Client::connect(addr).expect("connect");
