@@ -41,7 +41,8 @@ pub struct BitParallelIndex {
     tuples: Vec<Vec<BpTuple>>,
     /// Bit `i` of `markers[v]` ⇔ `LBP(v)` has a tuple for root `i`.
     markers: Vec<u64>,
-    /// The untransformed labels `LN(v)`.
+    /// The untransformed labels `LN(v)`; a derived vertex keeps its
+    /// record here, and no tuples.
     normal: Vec<VertexLabels>,
 }
 
@@ -106,6 +107,10 @@ impl BitParallelIndex {
         let mut normal: Vec<VertexLabels> = Vec::with_capacity(n);
 
         for v in 0..n as VertexId {
+            if labels[v as usize].record().is_some() {
+                normal.push(labels[v as usize].clone());
+                continue;
+            }
             let mut keep: Vec<hoplabels::LabelEntry> = Vec::new();
             let mut local: Vec<BpTuple> = Vec::new();
             let find_or_insert = |local: &mut Vec<BpTuple>, root_idx: u32, dist: Dist| -> usize {
@@ -182,8 +187,22 @@ impl BitParallelIndex {
             + self.markers.len() * 8
     }
 
-    /// Exact distance query (Section 6's bit-parallel evaluation).
+    /// Exact distance query (Section 6's bit-parallel evaluation). A
+    /// derived vertex answers through its record, one level:
+    /// `off(s) + bp(p(s), p(t)) + off(t)`.
     pub fn query(&self, s: VertexId, t: VertexId) -> Dist {
+        if s == t {
+            return 0;
+        }
+        let end =
+            |v: VertexId| self.normal[v as usize].record().map_or((v, 0), |r| (r.parent, r.offset));
+        let ((ps, ds), (pt, dt)) = (end(s), end(t));
+        let core = if ps == pt { 0 } else { self.core_query(ps, pt) };
+        ds.saturating_add(core).saturating_add(dt)
+    }
+
+    /// The query between two vertices that carry labels.
+    fn core_query(&self, s: VertexId, t: VertexId) -> Dist {
         let mut best =
             join_min(self.normal[s as usize].entries(), self.normal[t as usize].entries());
         if self.markers[s as usize] & self.markers[t as usize] != 0 {

@@ -262,8 +262,8 @@ pub fn report(out: &mut impl Write, inputs: &Inputs, sections: &[&str]) -> io::R
         let new = [
             table6.unwrap_or_default(),
             format!(
-                "{:<12} {:>10} {avg_label:>12.1} | {c70:>7.2}% {c80:>7.2}% {c90:>7.2}%",
-                w.name, hybrid.iters
+                "{:<12} {:>10} {avg_label:>12.1} {:>8} | {c70:>7.2}% {c80:>7.2}% {c90:>7.2}%",
+                w.name, hybrid.iters, mem.stats.derived_vertices
             ),
             table8.unwrap_or_default(),
             format!("{:<12}{}", w.name, curve.collect::<String>()),
@@ -298,11 +298,12 @@ pub fn report(out: &mut impl Write, inputs: &Inputs, sections: &[&str]) -> io::R
     }
 
     if want("table7") {
-        let header = "graph        iterations  avg |label| |      70%      80%      90%";
+        let header = "graph        iterations  avg |label|   fringe |      70%      80%      90%";
         let title =
             "Table 7 — iterations, label size, share of top vertices covering 70–90% of entries";
         let notes = "Small percentages confirm Assumptions 1–3: a handful of top-degree vertices\n\
-                     hits the vast majority of shortest paths (small hub dimension).";
+                     hits the vast majority of shortest paths (small hub dimension). fringe = vertices\n\
+                     with one neighbour, each stored as a record of it: no label, no entries.";
         section(out, title, header, &table7, notes)?;
     }
 

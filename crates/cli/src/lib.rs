@@ -378,9 +378,17 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if let Some(line) = &io_summary {
         writeln!(out, "{line}")?;
     }
-    // Per iteration: the counters both engines keep, then what only the
-    // engine that ran measures — bytes moved by the external one, phase
-    // times (summed over workers) by the in-memory one.
+    writeln!(
+        out,
+        "fringe: {} of {} vertices, core |E| = {}",
+        stats.derived_vertices,
+        index.num_vertices(),
+        stats.core_edges
+    )?;
+    // Per iteration, over the core: the counters both engines keep, then
+    // what only the engine that ran measures — bytes moved by the
+    // external one, phase times (summed over workers) by the in-memory
+    // one. Its `entries` still count the fringe's self-entries.
     let external = ext.is_some();
     let head = format!(
         "{:>4} {:>8} {:>10} {:>10} {:>10} {:>10}",
@@ -961,7 +969,8 @@ mod tests {
 
     /// The in-memory build prints the per-iteration table too: one row
     /// per iteration, phase times in the last three columns, and the last
-    /// row's `entries` is the size of the index just written.
+    /// row's `entries` is the size of the core's index: the one just
+    /// written plus the self-entry of every fringe vertex it derives.
     #[test]
     fn memory_build_prints_the_iteration_table() {
         let graph = tmp("tbl.txt");
@@ -999,7 +1008,14 @@ mod tests {
             assert_eq!(row[1], if i < 2 { "stepping" } else { "doubling" }, "{out}");
             assert!(row[6..].iter().all(|ms| ms.parse::<f64>().is_ok_and(|ms| ms >= 0.0)), "{out}");
         }
-        assert_eq!(rows.last().expect("rows")[5], summary[1], "{out}");
+        let fringe: u64 = out
+            .split("fringe: ")
+            .nth(1)
+            .and_then(|rest| rest.split(' ').next()?.parse().ok())
+            .expect("a fringe line");
+        assert!(fringe > 0, "{out}");
+        let core_entries: u64 = rows.last().expect("rows")[5].parse().unwrap();
+        assert_eq!(core_entries, summary[1].parse::<u64>().unwrap() + fringe, "{out}");
         assert!(!out.contains("external I/O:"), "{out}");
         for f in [&graph, &index, &format!("{index}.rank")] {
             let _ = std::fs::remove_file(f);

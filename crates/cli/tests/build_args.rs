@@ -77,3 +77,47 @@ fn an_image_from_before_the_format_change_is_refused_by_name() {
     assert!(!std::path::Path::new(&path("old.idx.shard0")).exists(), "nothing may be cut");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn build_reports_the_fringe_it_derives() {
+    let dir = std::env::temp_dir().join(format!("hopdb-fringe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("fixture dir");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let fringe_line = |out: &std::process::Output| -> String {
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+        let line = stdout.lines().find(|l| l.starts_with("fringe: ")).expect("a fringe line");
+        line.to_string()
+    };
+
+    // A directed GLP at density 2.5 (the shape of hopbench's dir-ext-read)
+    // has leaves; both engines derive the same ones from the same core.
+    let graph = path("leafy.txt");
+    let gen = ["gen", "--vertices", "400", "--density", "2.5", "--seed", "9", "--directed"];
+    assert!(cli(&[&gen[..], &["-o", &graph]].concat()).status.success());
+    let (mem, ext) = (path("mem.idx"), path("ext.idx"));
+    let line = fringe_line(&cli(&["build", "-i", &graph, "-o", &mem, "--directed"]));
+    let ext_line =
+        fringe_line(&cli(&["build", "-i", &graph, "-o", &ext, "--directed", "--external"]));
+    assert_eq!(line, ext_line);
+    assert_eq!(std::fs::read(&mem).unwrap(), std::fs::read(&ext).unwrap());
+    let stats =
+        String::from_utf8_lossy(&cli(&["stats", "-i", &graph, "--directed"]).stdout).into_owned();
+    let edges: usize = stats
+        .lines()
+        .find_map(|l| l.strip_prefix("|E|")?.trim().parse().ok())
+        .expect("|E| in stats");
+    let number = |word: Option<&str>| -> usize { word.expect("a word").parse().expect("a number") };
+    let (derived, core_edges) = (number(line.split(' ').nth(1)), number(line.rsplit(' ').next()));
+    assert_eq!(line, format!("fringe: {derived} of 400 vertices, core |E| = {core_edges}"));
+    assert!(derived > 100 && core_edges < edges, "{line} of {edges} edges");
+    // Each derived vertex took one or two arcs with it.
+    assert!((edges - 2 * derived..=edges - derived).contains(&core_edges), "{line}");
+
+    // A cycle has no leaf: nothing is derived and the core is the graph.
+    let cycle = path("cycle.txt");
+    std::fs::write(&cycle, "0 1\n1 2\n2 3\n3 0\n").expect("write cycle");
+    let line = fringe_line(&cli(&["build", "-i", &cycle, "-o", &path("cycle.idx")]));
+    assert_eq!(line, "fringe: 0 of 4 vertices, core |E| = 4");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,8 +1,10 @@
 //! Top-level build API: rank, relabel, run the engine, wrap the result.
 
 use hoplabels::flat::FlatIndex;
-use hoplabels::index::LabelIndex;
+use hoplabels::image::record_fits;
+use hoplabels::index::{LabelIndex, Record, VertexLabels};
 use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy, Ranking};
+use sfgraph::reduce::{peel_leaves, Leaf, Peeled};
 use sfgraph::{Dist, Graph, VertexId};
 
 use crate::config::HopDbConfig;
@@ -92,13 +94,59 @@ pub fn build(g: &Graph, cfg: &HopDbConfig) -> HopDb {
 /// Build on a graph that is *already* rank-relabeled (id 0 = highest
 /// rank). Used by tests that encode the paper's pre-ranked examples and
 /// by the external engine driver.
+///
+/// The engine labels the graph's core: its leaves — vertices with one
+/// distinct neighbour (`sfgraph::reduce`) — are peeled off first, and
+/// each is stored as a record of its parent and arc weight in place of
+/// a label (`hoplabels::Record`). [`BuildStats::derived_vertices`]
+/// counts them.
 pub fn build_prelabeled(g: &Graph, cfg: &HopDbConfig) -> (LabelIndex, BuildStats) {
-    let (mut index, mut stats) = engine::build_index(g, cfg);
-    if cfg.post_prune {
-        stats.post_pruned = postprune::post_prune(&mut index);
-        stats.final_entries = index.total_entries() as u64;
-    }
+    let peeled = peel(g);
+    let (mut index, mut stats) = engine::build_index(&peeled.core, cfg);
+    derive_fringe(&mut index, &mut stats, cfg, peeled);
     (index, stats)
+}
+
+/// The leaves of `g` whose records fit an image, peeled off its core.
+pub(crate) fn peel(g: &Graph) -> Peeled<'_> {
+    let fits = |w: Option<Dist>, p: VertexId| w.is_none_or(|w| record_fits(p, w));
+    peel_leaves(g, |l: &Leaf| fits(l.to_parent, l.parent) && fits(l.from_parent, l.parent))
+}
+
+/// Finish an index the engine built on the core: the optional §5.2
+/// pass, then each leaf's slot — in the core an isolated vertex's
+/// self-entry — becomes its record on every side it has an arc on, and
+/// the empty label on a side it has none (nothing is reached that way).
+/// The per-iteration rows stay the engine's, counting those self-entries;
+/// `final_entries` is the finished index's.
+pub(crate) fn derive_fringe(
+    index: &mut LabelIndex,
+    stats: &mut BuildStats,
+    cfg: &HopDbConfig,
+    Peeled { core, leaves }: Peeled,
+) {
+    stats.core_edges = core.num_edges() as u64;
+    drop(core);
+    if cfg.post_prune {
+        stats.post_pruned = postprune::post_prune(index);
+    }
+    let slot = |arc: Option<Dist>, parent| {
+        arc.map_or_else(VertexLabels::new, |offset| {
+            VertexLabels::from_record(Record { parent, offset })
+        })
+    };
+    for l in &leaves {
+        let v = l.vertex as usize;
+        match index {
+            LabelIndex::Directed(d) => {
+                d.out_labels[v] = slot(l.to_parent, l.parent);
+                d.in_labels[v] = slot(l.from_parent, l.parent);
+            }
+            LabelIndex::Undirected(u) => u.labels[v] = slot(l.to_parent, l.parent),
+        }
+    }
+    stats.derived_vertices = leaves.len() as u64;
+    stats.final_entries = index.total_entries() as u64;
 }
 
 #[cfg(test)]

@@ -125,6 +125,7 @@ use hoplabels::index::{LabelIndex, VertexLabels};
 use hoplabels::LabelEntry;
 use sfgraph::{Direction, Dist, Graph};
 
+use crate::builder::{derive_fringe, peel};
 use crate::config::HopDbConfig;
 use crate::engine::{index_from_sides, seed_sides};
 use crate::iteration::{BuildStats, IterationStats};
@@ -175,13 +176,12 @@ pub fn build_external(
         ));
     }
     let store = TempStore::new()?;
-    let mut result = run(g, cfg, ext, &store)?;
-    // The §5.2 exhaustive pass runs on the loaded index, exactly as the
-    // in-memory engine does — same flag, same final label sets.
-    if cfg.post_prune {
-        result.stats.post_pruned = crate::postprune::post_prune(&mut result.index);
-        result.stats.final_entries = result.index.total_entries() as u64;
-    }
+    // The same core and records as the in-memory build, and the §5.2
+    // pass on the loaded index exactly as there — same flag, same final
+    // label sets.
+    let peeled = peel(g);
+    let mut result = run(&peeled.core, cfg, ext, &store)?;
+    derive_fringe(&mut result.index, &mut result.stats, cfg, peeled);
     Ok(result)
 }
 
@@ -1192,7 +1192,9 @@ mod tests {
             let its = &result.stats.iterations;
             assert!(its.iter().all(|it| it.io_read_bytes > 0));
             assert!(its.iter().all(|it| it.io_write_bytes > 0 || it.inserted == 0));
-            let load_labels_read = result.stats.final_entries * LabelRecord::SIZE as u64;
+            // The label files hold the core's entries: the last round's count.
+            let core_entries = its.last().expect("rows").total_entries;
+            let load_labels_read = core_entries * LabelRecord::SIZE as u64;
             let read: u64 = its.iter().map(|it| it.io_read_bytes).sum();
             let written: u64 = its.iter().map(|it| it.io_write_bytes).sum();
             assert_eq!((read + load_labels_read, written), (result.io.0, result.io.1));

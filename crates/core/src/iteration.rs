@@ -99,6 +99,13 @@ pub struct BuildStats {
     pub final_entries: u64,
     /// Entries removed by the optional post-pruning pass.
     pub post_pruned: u64,
+    /// Vertices the index derives from a neighbour instead of
+    /// labelling: the leaves peeled off before the engine ran, each
+    /// stored as a record (`hoplabels::Record`) per side.
+    pub derived_vertices: u64,
+    /// Edges of the core the engine labelled: the graph's, minus the
+    /// derived vertices' arcs.
+    pub core_edges: u64,
     /// Total build time.
     pub elapsed: Duration,
 }

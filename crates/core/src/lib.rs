@@ -24,6 +24,8 @@
 //!
 //! Entry points:
 //! * [`build`] / [`HopDb`] — rank, relabel, build, query (original ids);
+//!   both builders label the graph's core and derive its leaves
+//!   (`sfgraph::reduce`) from their one neighbour;
 //! * [`engine`] — the iterative engine on rank-relabeled graphs (one
 //!   round kernel over one or two label *sides*), with per-iteration
 //!   statistics (growing/pruning factors of Fig. 10);

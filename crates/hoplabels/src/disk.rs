@@ -23,7 +23,7 @@ use sfgraph::{Dist, VertexId};
 
 use crate::entry::LabelEntry;
 use crate::image::{self, Layout};
-use crate::index::{join_min, LabelIndex};
+use crate::index::{query_slots, LabelIndex, VertexLabels};
 
 /// A 2-hop index stored in a counted file, queryable without loading the
 /// labels into memory.
@@ -96,9 +96,9 @@ impl DiskIndex {
         self.file.stats()
     }
 
-    /// Read and decode the label of `v` on the source (`target_side ==
+    /// Read and decode the slot of `v` on the source (`target_side ==
     /// false`) or target side.
-    fn read_label(&mut self, v: VertexId, target_side: bool) -> std::io::Result<Vec<LabelEntry>> {
+    fn read_label(&mut self, v: VertexId, target_side: bool) -> std::io::Result<VertexLabels> {
         // An undirected layout aliases side 1 to side 0.
         let span =
             self.layout.span(&self.front, target_side as usize, v as usize).ok_or_else(|| {
@@ -108,24 +108,19 @@ impl DiskIndex {
         if !bytes.is_empty() {
             self.file.read_exact_at(span.start as u64, &mut bytes)?;
         }
-        let image::Header { width, n, .. } = self.layout.header;
-        let mut entries = Vec::new();
-        image::walk_label(&bytes, width, n, |pivot, dist| {
-            entries.push(LabelEntry::new(pivot, dist))
-        })?;
-        Ok(entries)
+        image::decode_slot(&bytes, v as usize, &self.layout.header)
     }
 
-    /// Disk-based distance query: two label reads plus a merge join.
+    /// Disk-based distance query: two label reads plus a merge join —
+    /// four reads when both ends are derived vertices, whose records
+    /// lead to their parents' labels.
     ///
     /// `s == t` is answered from the trivial self-entry without
     /// touching the disk — paying two label reads to rediscover
     /// `dist(v, v) = 0` would double the I/O of self-queries.
     pub fn query(&mut self, s: VertexId, t: VertexId) -> std::io::Result<Dist> {
-        if s == t {
-            return Ok(0);
-        }
-        Ok(join_min(&self.read_label(s, false)?, &self.read_label(t, true)?))
+        check_range(self.num_vertices(), s, t)?;
+        query_slots(s, t, |v, target_side| self.read_label(v, target_side))
     }
 }
 
@@ -150,11 +145,21 @@ pub struct CachedDiskIndex {
 struct CacheState {
     inner: DiskIndex,
     capacity: usize,
-    /// vertex (by side) -> (entries, LRU stamp)
-    cache: HashMap<(VertexId, bool), (Vec<LabelEntry>, u64)>,
+    /// vertex (by side) -> (slot, LRU stamp)
+    cache: HashMap<(VertexId, bool), (VertexLabels, u64)>,
     clock: u64,
     hits: u64,
     misses: u64,
+}
+
+/// `InvalidInput` unless `s` and `t` are vertices of an `n`-vertex
+/// index — checked before anything else, `s == t` included.
+fn check_range(n: usize, s: VertexId, t: VertexId) -> std::io::Result<()> {
+    if (s as usize) < n && (t as usize) < n {
+        Ok(())
+    } else {
+        Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, "vertex out of range"))
+    }
 }
 
 fn poisoned() -> std::io::Error {
@@ -210,20 +215,20 @@ impl CachedDiskIndex {
     }
 
     /// Distance query; label reads go through the cache (`s == t`
-    /// short-circuits to 0 without consulting cache, disk, or lock).
+    /// short-circuits to 0 without consulting cache, disk, or lock, once
+    /// the ids are checked against the vertex count).
     pub fn query(&self, s: VertexId, t: VertexId) -> std::io::Result<Dist> {
+        check_range(self.n, s, t)?;
         if s == t {
             return Ok(0);
         }
         let mut state = self.state.lock().map_err(|_| poisoned())?;
-        let ls = state.label(s, false)?;
-        let lt = state.label(t, true)?;
-        Ok(join_min(&ls, &lt))
+        query_slots(s, t, |v, target_side| state.label(v, target_side))
     }
 }
 
 impl CacheState {
-    fn label(&mut self, v: VertexId, target_side: bool) -> std::io::Result<Vec<LabelEntry>> {
+    fn label(&mut self, v: VertexId, target_side: bool) -> std::io::Result<VertexLabels> {
         self.clock += 1;
         let clock = self.clock;
         if let Some((entries, stamp)) = self.cache.get_mut(&(v, target_side)) {
@@ -355,6 +360,19 @@ mod tests {
         }
         assert_eq!(cached.hit_stats(), (0, 0), "self-queries bypass the cache");
         assert_eq!(stats.read_ops(), ops);
+    }
+
+    #[test]
+    fn out_of_range_ids_are_invalid_input_even_when_equal() {
+        let store = TempStore::new().unwrap();
+        let mut disk = DiskIndex::create(&small_directed_index(), &store, "range").unwrap();
+        for (s, t) in [(4 + 5, 4 + 5), (0, 4), (4, 0)] {
+            let err = disk.query(s, t).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "({s}, {t})");
+        }
+        let cached = CachedDiskIndex::new(disk, 4);
+        let err = cached.query(4 + 5, 4 + 5).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 
     #[test]

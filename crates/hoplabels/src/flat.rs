@@ -143,27 +143,51 @@ impl FlatIndex {
 
     /// Exact distance query `dist(s, t)`; [`INF_DIST`] when
     /// unreachable. Vertex ids are rank positions, exactly as in
-    /// [`LabelIndex::query`].
+    /// [`LabelIndex::query`], and a derived vertex answers through its
+    /// record the same way: `off(s) + join(p(s), p(t)) + off(t)`.
     ///
     /// # Panics
     /// If `s` or `t` is not below [`FlatIndex::num_vertices`].
     #[inline]
     pub fn query(&self, s: VertexId, t: VertexId) -> Dist {
+        let n = self.layout.header.n;
+        assert!((s as usize) < n && (t as usize) < n, "vertex out of range");
         if s == t {
             return 0;
         }
-        let n = self.layout.header.n;
-        assert!((s as usize) < n && (t as usize) < n, "vertex out of range");
-        let (a, b) = (self.label(0, s), self.label(1, t));
-        // SAFETY: both slices are whole labels of `self.image`, which
-        // `image::validate` accepted at this `width` before `self`
-        // existed and nothing has written since.
-        let best = unsafe { join(a, b, self.layout.header.width) };
+        let ((ps, ds, a), (pt, dt, b)) = (self.end(0, s), self.end(1, t));
+        let core = if ps == pt {
+            0
+        } else {
+            // SAFETY: both slices are whole labels of `self.image`, which
+            // `image::validate` accepted at this `width` before `self`
+            // existed and nothing has written since; `end` never returns
+            // a record (validation: a record's parent holds a label).
+            unsafe { join(a, b, self.layout.header.width) }
+        };
+        let best = core.saturating_add(ds + dt);
         if best >= INF_DIST as u64 {
             INF_DIST
         } else {
             best as Dist
         }
+    }
+
+    /// Where a query continues from `v` on `side`: `v`, no offset and
+    /// its label — or, when the slot is a record, its parent, the
+    /// record's offset and the parent's label.
+    #[inline(always)]
+    fn end(&self, side: usize, v: VertexId) -> (VertexId, u64, &[u8]) {
+        let label = self.label(side, v);
+        // Only an image with records has labels of 1–7 bytes.
+        if !image::is_record(label) {
+            return (v, 0, label);
+        }
+        let mut at = 0;
+        // SAFETY: validation read this slot as a record: two complete
+        // varints of at most 5 bytes and 32 bits each.
+        let (parent, offset) = unsafe { (varint(label, &mut at), varint(label, &mut at)) };
+        (parent, offset as u64, self.label(side, parent))
     }
 
     /// Answer a batch of `(s, t)` pairs, sharding the slice across up
@@ -324,30 +348,31 @@ impl Tail<'_> {
         // SAFETY: a complete pair starts at `at` (above). The pivot
         // cannot overflow: validation summed it in 64 bits to below n.
         unsafe {
-            self.pivot += 1 + self.varint();
-            self.dist = self.varint();
+            self.pivot += 1 + varint(self.label, &mut self.at);
+            self.dist = varint(self.label, &mut self.at);
         }
         true
     }
+}
 
-    /// # Safety
-    /// A complete varint of at most 5 bytes and 32 bits starts at `at`.
-    #[inline(always)]
-    unsafe fn varint(&mut self) -> u32 {
-        let (mut v, mut shift) = (0u32, 0u32);
-        loop {
-            // SAFETY: validation's "every varint is complete inside
-            // its label" keeps `at` in bounds until the byte below
-            // 0x80 that ends this one; "at most 5 bytes" keeps `shift`
-            // at or below 28.
-            let b = unsafe { *self.label.get_unchecked(self.at) };
-            self.at += 1;
-            v |= u32::from(b & 0x7F) << shift;
-            if b < 0x80 {
-                return v;
-            }
-            shift += 7;
+/// One varint of `label` at `*at`, advancing `at`.
+///
+/// # Safety
+/// A complete varint of at most 5 bytes and 32 bits starts at `at`.
+#[inline(always)]
+unsafe fn varint(label: &[u8], at: &mut usize) -> u32 {
+    let (mut v, mut shift) = (0u32, 0u32);
+    loop {
+        // SAFETY: validation's "every varint is complete inside its
+        // label" keeps `at` in bounds until the byte below 0x80 that
+        // ends this one; "at most 5 bytes" keeps `shift` at or below 28.
+        let b = unsafe { *label.get_unchecked(*at) };
+        *at += 1;
+        v |= u32::from(b & 0x7F) << shift;
+        if b < 0x80 {
+            return v;
         }
+        shift += 7;
     }
 }
 
@@ -493,6 +518,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "vertex out of range")]
+    fn an_out_of_range_self_query_panics_like_any_other() {
+        let flat = FlatIndex::from_index(&LabelIndex::new_undirected(2));
+        flat.query(2 + 5, 2 + 5);
+    }
+
+    #[test]
     fn query_many_matches_query_in_input_order() {
         let idx = directed_example();
         let flat = FlatIndex::from_index(&idx);
@@ -506,6 +538,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore = "temp files; Miri runs isolated")]
     fn hopidx_roundtrip_directed_and_undirected() {
         use extmem::device::TempStore;
         let store = TempStore::new().unwrap();

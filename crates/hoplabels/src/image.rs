@@ -3,17 +3,20 @@
 //! serves the file's bytes in place) what a daemon holds resident.
 //!
 //! ```text
-//! magic "HOPIDX02" | directed u8 | width u8 | 0 0 | n u64          20 bytes
+//! magic "HOPIDX02" | directed u8 | width u8 | records u8 | 0 | n u64   20 bytes
 //! out directory   (n+1) × u32 LE   byte offsets into the out labels
 //! in  directory   (n+1) × u32 LE   directed images only
-//! out labels | in labels           label v = region[dir[v]..dir[v+1]]
+//! out labels | in labels           slot v = region[dir[v]..dir[v+1]]
 //! CRC-32 u32 LE                    of every byte before it
 //!
+//! slot  := label
+//!        | record                                  only when `records` is 1
 //! label := ""                                      no entries: zero bytes
 //!        | hubs u64 LE                             bit p set ⇔ pivot p < 64 present
 //!          popcount(hubs) × dist, `width` bytes LE in ascending pivot order
 //!          (varint(pivot − previous − 1), varint(dist))*   pivots ≥ 64, ascending,
 //!                                                  "previous" starting at 63
+//! record := varint(parent) varint(offset)          1–7 bytes, so never a label
 //! ```
 //!
 //! Vertices are rank-relabeled, so the pivots below 64 are the 64
@@ -46,6 +49,39 @@
 //! word that is mostly zeros); past two the bytes grow faster than the
 //! uniform pairs gain.
 //!
+//! ## Records: the fringe, derived
+//!
+//! A vertex with one distinct neighbour `p` (a *leaf*: `sfgraph::reduce`)
+//! lies on no shortest path between two other vertices, so the builders
+//! label the graph without the leaves and store each leaf, on each side,
+//! as a [`Record`] in its own slot: `p` and the weight of its arc to `p`
+//! (source side) or from `p` (target side); a side with no arc is the
+//! empty label, which reaches nothing. Every reader resolves exactly one
+//! level, `dist(s, t) = off(s) + join(p(s), p(t)) + off(t)` — no join
+//! when `p(s) = p(t)` — because a parent always holds a label. The
+//! `records` byte of the flags word is 1 exactly when some slot is a
+//! record, so an image of a graph without leaves is byte for byte what
+//! it was before records existed. A leaf whose record would not fit in
+//! 7 bytes ([`record_fits`]) is simply labelled like any other vertex.
+//!
+//! Whole image, bytes per vertex, on the three graphs hopbench builds:
+//!
+//! ```text
+//!                        und-mem-read  dir-ext-read  und-mem-writes
+//!  derived vertices            0       5 981 / 12 000       0
+//!  without records           62.58        65.43           54.70
+//!  with records              62.58        42.94           54.70
+//!    of which records          —           1.56             —
+//! ```
+//!
+//! On `dir-ext-read` the 7 509 records (1 528 leaves have an arc each
+//! way) average 2.5 bytes; the rest of the saving is the labels the
+//! leaves no longer carry and the core's labels, which shrink too.
+//! Peeling iterated to a fixpoint derives 6 125 vertices there instead
+//! of 5 981 for one more point of bytes, at the price of a parent walk
+//! and a same-tree common-ancestor case in every reader: measured, and
+//! not done.
+//!
 //! ## Validation, and what each rule buys the in-place reader
 //!
 //! `FlatIndex::query` walks label bytes with unchecked reads, so this
@@ -62,7 +98,14 @@
 //!   no byte of the file is unaccounted for.
 //! * **A label is empty or at least 8 bytes, with `8 + width ·
 //!   popcount(hubs) ≤ len`.** The hub word and the distance of every
-//!   set bit can be loaded without a length check.
+//!   set bit can be loaded without a length check. A slot of 1–7 bytes
+//!   is a record under the `records` flag and an error without it, and
+//!   the flag is set only on an image that has a record.
+//! * **A record is two complete varints filling its slot, its parent
+//!   a vertex `< n` other than its own, whose slot on the same side is
+//!   not a record, and its offset below `INF_DIST`.** The in-place
+//!   reader decodes it without checks, reads the parent's slot as a
+//!   label, and never resolves a second level.
 //! * **No hub bit `≥ n`, tail pivots `< n`.** Every pivot an
 //!   in-place walk reports is a vertex id (the shard cutter indexes a
 //!   histogram with them).
@@ -92,10 +135,10 @@ use std::io::{self, Write};
 use std::ops::Range;
 
 use extmem::wire::{self, Crc32};
-use sfgraph::{Dist, VertexId};
+use sfgraph::{Dist, VertexId, INF_DIST};
 
 use crate::entry::LabelEntry;
-use crate::index::{DirectedLabels, LabelIndex, UndirectedLabels, VertexLabels};
+use crate::index::{DirectedLabels, LabelIndex, Record, UndirectedLabels, VertexLabels};
 
 const MAGIC: &[u8; 8] = b"HOPIDX02";
 const OLD_MAGIC: &[u8; 8] = b"HOPIDX01";
@@ -103,6 +146,9 @@ const OLD_MAGIC: &[u8; 8] = b"HOPIDX01";
 pub(crate) const HUBS: VertexId = 64;
 /// Magic, flags word, vertex count.
 pub(crate) const PREFIX_LEN: usize = 20;
+/// Under the records flag, a label of 1 to this many bytes — shorter
+/// than any label's hub word — is a record.
+pub(crate) const RECORD_MAX: usize = 7;
 const CRC_LEN: usize = 4;
 
 pub(crate) fn bad(msg: &str) -> io::Error {
@@ -119,6 +165,8 @@ pub(crate) struct Header {
     pub(crate) directed: bool,
     /// Bytes per hub distance: 1, 2 or 4.
     pub(crate) width: usize,
+    /// Whether some slots hold a record instead of a label.
+    pub(crate) records: bool,
     pub(crate) n: usize,
 }
 
@@ -132,19 +180,19 @@ impl Header {
             Some(MAGIC) => {}
             _ => return Err(bad("not a HOPIDX02 image")),
         }
-        let (Some([directed, width, 0, 0]), Some(n)) =
+        let (Some([directed, width, records, 0]), Some(n)) =
             (wire::array_at::<4>(bytes, 8), wire::u64_at(bytes, 12))
         else {
             return Err(bad("invalid HOPIDX02 flags word"));
         };
-        if directed > 1 || !matches!(width, 1 | 2 | 4) {
+        if directed > 1 || records > 1 || !matches!(width, 1 | 2 | 4) {
             return Err(bad("invalid HOPIDX02 flags word"));
         }
         let n = usize::try_from(n)
             .ok()
             .filter(|&n| n <= VertexId::MAX as usize)
             .ok_or_else(|| bad("vertex count exceeds the u32 id space"))?;
-        Ok(Header { directed: directed != 0, width: width as usize, n })
+        Ok(Header { directed: directed != 0, width: width as usize, records: records != 0, n })
     }
 
     fn sides(&self) -> usize {
@@ -297,6 +345,52 @@ pub(crate) fn walk_label(
     Ok(())
 }
 
+/// Whether `label` has a record's length: 1 to [`RECORD_MAX`] bytes.
+#[inline]
+pub(crate) fn is_record(label: &[u8]) -> bool {
+    label.len().wrapping_sub(1) < RECORD_MAX
+}
+
+/// The checked decoder of the record in slot `v`: two varints filling
+/// the label exactly, a parent that is another vertex, an offset below
+/// `INF_DIST`.
+fn read_record(label: &[u8], v: usize, n: usize) -> io::Result<Record> {
+    let mut at = 0;
+    let (parent, offset) = (varint(label, &mut at)?, varint(label, &mut at)?);
+    if at != label.len() {
+        return Err(bad("bytes after a record"));
+    }
+    if parent as usize >= n || parent as usize == v {
+        return Err(bad("record parent is not another vertex"));
+    }
+    if offset == INF_DIST {
+        return Err(bad("record offset is unreachable"));
+    }
+    Ok(Record { parent, offset })
+}
+
+/// The checked decoder of slot `v` of a side: its record, if the image
+/// has records and the slot is one, or else `None` once `f(pivot,
+/// dist)` has seen every entry of its label.
+pub(crate) fn walk_slot(
+    label: &[u8],
+    v: usize,
+    header: &Header,
+    f: impl FnMut(VertexId, Dist),
+) -> io::Result<Option<Record>> {
+    if header.records && is_record(label) {
+        return read_record(label, v, header.n).map(Some);
+    }
+    walk_label(label, header.width, header.n, f).map(|()| None)
+}
+
+/// Whether a record of `parent` at `offset` has an encoding: an offset
+/// below `INF_DIST`, and two varints that fit in 7 bytes. The
+/// builders peel only the leaves whose records fit.
+pub fn record_fits(parent: VertexId, offset: Dist) -> bool {
+    offset < INF_DIST && varint_len(parent) + varint_len(offset) <= RECORD_MAX
+}
+
 fn varint_len(v: u32) -> usize {
     // One byte per started group of 7 significant bits; zero takes one.
     (38 - (v | 1).leading_zeros() as usize) / 7
@@ -313,22 +407,30 @@ fn hubs_and_tail(
     (hubs, tail.iter().map(move |e| (e.pivot - std::mem::replace(&mut prev, e.pivot) - 1, e.dist)))
 }
 
-/// Bytes [`encode_label`] appends for this label.
-fn encoded_len(entries: &[LabelEntry], width: usize) -> usize {
-    if entries.is_empty() {
+/// Bytes [`encode_label`] appends for this slot.
+fn encoded_len(label: &VertexLabels, width: usize) -> usize {
+    if let Some(r) = label.record() {
+        return varint_len(r.parent) + varint_len(r.offset);
+    }
+    if label.is_empty() {
         return 0;
     }
-    let (hubs, tail) = hubs_and_tail(entries);
+    let (hubs, tail) = hubs_and_tail(label.entries());
     8 + width * hubs.len()
         + tail.map(|(gap, dist)| varint_len(gap) + varint_len(dist)).sum::<usize>()
 }
 
-/// The encoder: append one label to `out`.
-pub(crate) fn encode_label(entries: &[LabelEntry], width: usize, out: &mut Vec<u8>) {
-    if entries.is_empty() {
+/// The encoder: append one slot — a record or a label — to `out`.
+pub(crate) fn encode_label(label: &VertexLabels, width: usize, out: &mut Vec<u8>) {
+    if let Some(r) = label.record() {
+        put_varint(r.parent, out);
+        put_varint(r.offset, out);
         return;
     }
-    let (hubs, tail) = hubs_and_tail(entries);
+    if label.is_empty() {
+        return;
+    }
+    let (hubs, tail) = hubs_and_tail(label.entries());
     let word = hubs.iter().fold(0u64, |w, e| w | 1 << e.pivot);
     out.extend_from_slice(&word.to_le_bytes());
     for e in hubs {
@@ -397,6 +499,7 @@ impl LabelIndex {
     pub fn write_hopidx(&self, w: &mut impl Write) -> io::Result<u64> {
         let sides = self.sides();
         let (n, width) = (self.num_vertices(), hub_width(&sides));
+        let records = sides.iter().flat_map(|side| side.iter()).any(|l| l.record().is_some());
         let mut image = ImageWriter {
             w,
             buf: Vec::with_capacity(WRITE_BUFFER_BYTES + 1024),
@@ -404,16 +507,24 @@ impl LabelIndex {
             len: 0,
         };
         image.buf.extend_from_slice(MAGIC);
-        image.buf.extend_from_slice(&[self.is_directed() as u8, width as u8, 0, 0]);
+        image.buf.extend_from_slice(&[self.is_directed() as u8, width as u8, records as u8, 0]);
         image.buf.extend_from_slice(&(n as u64).to_le_bytes());
         for side in &sides {
             let mut at = 0u32;
             image.buf.extend_from_slice(&at.to_le_bytes());
-            for l in side.iter() {
+            for (v, l) in side.iter().enumerate() {
                 if l.entries().last().is_some_and(|e| e.pivot as usize >= n) {
                     return Err(unwritable("a label cites a pivot that is not a vertex id"));
                 }
-                at = u32::try_from(encoded_len(l.entries(), width))
+                if let Some(Record { parent, offset }) = l.record() {
+                    let to_label = side.get(parent as usize).is_some_and(|p| p.record().is_none());
+                    if !to_label || parent as usize == v || !record_fits(parent, offset) {
+                        return Err(unwritable(
+                            "a record must name another vertex's label and fit in 7 bytes",
+                        ));
+                    }
+                }
+                at = u32::try_from(encoded_len(l, width))
                     .ok()
                     .and_then(|len| at.checked_add(len))
                     .ok_or_else(|| {
@@ -426,7 +537,7 @@ impl LabelIndex {
             }
         }
         for l in sides.iter().flat_map(|side| side.iter()) {
-            encode_label(l.entries(), width, &mut image.buf);
+            encode_label(l, width, &mut image.buf);
             image.drain(WRITE_BUFFER_BYTES)?;
         }
         image.drain(0)?;
@@ -449,36 +560,49 @@ pub(crate) fn validate(bytes: &[u8]) -> io::Result<(Layout, usize)> {
         return Err(bad("HOPIDX02 checksum mismatch"));
     }
     let layout = Layout::parse(bytes, bytes.len() as u64)?;
-    let Header { n, width, .. } = layout.header;
-    let mut entries = 0usize;
-    for side in 0..layout.header.sides() {
-        for v in 0..n {
+    let header = layout.header;
+    let (mut entries, mut records) = (0usize, false);
+    for side in 0..header.sides() {
+        for v in 0..header.n {
             let label = layout.label(bytes, side, v).ok_or_else(|| bad("label out of bounds"))?;
-            walk_label(label, width, n, |_, _| entries += 1)?;
+            if let Some(r) = walk_slot(label, v, &header, |_, _| entries += 1)? {
+                let parent = layout.label(bytes, side, r.parent as usize);
+                if parent.is_none_or(is_record) {
+                    return Err(bad("a record's parent holds a record"));
+                }
+                records = true;
+            }
         }
     }
+    if header.records && !records {
+        return Err(bad("records flag set on an image without records"));
+    }
     Ok((layout, entries))
+}
+
+/// Decode slot `v` of a side through the checked decoder.
+pub(crate) fn decode_slot(label: &[u8], v: usize, header: &Header) -> io::Result<VertexLabels> {
+    let mut entries = Vec::new();
+    let record =
+        walk_slot(label, v, header, |pivot, dist| entries.push(LabelEntry::new(pivot, dist)))?;
+    Ok(record.map_or_else(|| VertexLabels::from_entries(entries), VertexLabels::from_record))
 }
 
 /// Decode a whole image back into the nested index (the shard cutter's
 /// input; serving never needs it).
 pub(crate) fn read_index(bytes: &[u8]) -> io::Result<LabelIndex> {
     let (layout, _) = validate(bytes)?;
-    let Header { n, width, directed } = layout.header;
+    let header = layout.header;
     let side = |side: usize| -> io::Result<Vec<VertexLabels>> {
-        (0..n)
+        (0..header.n)
             .map(|v| {
                 let label =
                     layout.label(bytes, side, v).ok_or_else(|| bad("label out of bounds"))?;
-                let mut entries = Vec::new();
-                walk_label(label, width, n, |pivot, dist| {
-                    entries.push(LabelEntry::new(pivot, dist))
-                })?;
-                Ok(VertexLabels::from_entries(entries))
+                decode_slot(label, v, &header)
             })
             .collect()
     };
-    Ok(if directed {
+    Ok(if header.directed {
         LabelIndex::Directed(DirectedLabels { out_labels: side(0)?, in_labels: side(1)? })
     } else {
         LabelIndex::Undirected(UndirectedLabels { labels: side(0)? })
@@ -502,7 +626,7 @@ mod tests {
     fn assert_roundtrip(label: &VertexLabels, n: usize) -> usize {
         let width = hub_width(&[std::slice::from_ref(label)]);
         let mut bytes = Vec::new();
-        encode_label(label.entries(), width, &mut bytes);
+        encode_label(label, width, &mut bytes);
         assert_eq!(bytes.is_empty(), label.is_empty(), "an empty label is zero bytes");
         let mut decoded = Vec::new();
         walk_label(&bytes, width, n, |p, d| decoded.push(LabelEntry::new(p, d))).unwrap();
@@ -527,7 +651,7 @@ mod tests {
             gaps.push((gaps[i].0 + gap, 2));
         }
         let mut bytes = Vec::new();
-        encode_label(label_of(&gaps).entries(), 1, &mut bytes);
+        encode_label(&label_of(&gaps), 1, &mut bytes);
         assert_eq!(bytes.len(), 8 + 1 + (1 + 2 + 3 + 4 + 5) + 5);
         for (entries, n) in [
             (vec![], 0),
@@ -611,6 +735,49 @@ mod tests {
         }
         let err = idx.write_hopidx(&mut Vec::new()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+
+        // Records: a parent that is not a vertex, the vertex itself, a
+        // record; an unreachable offset. And what fits in 7 bytes.
+        let record = |parent, offset| VertexLabels::from_record(Record { parent, offset });
+        for (slot, parent_slot) in [
+            (record(9, 1), VertexLabels::with_trivial(0)),
+            (record(1, 1), VertexLabels::with_trivial(0)),
+            (record(0, 1), record(1, 1)),
+            (record(0, INF_DIST), VertexLabels::with_trivial(0)),
+        ] {
+            let idx = LabelIndex::Undirected(UndirectedLabels { labels: vec![parent_slot, slot] });
+            let err = idx.write_hopidx(&mut Vec::new()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{idx:?}: {err}");
+        }
+        assert!(record_fits(1 << 14, 1 << 21), "3 + 4 bytes");
+        assert!(!record_fits(1 << 21, 1 << 21), "4 + 4 bytes");
+    }
+
+    #[test]
+    fn records_round_trip_and_set_the_flag_only_when_present() {
+        // 0 – 1 with leaves 2 (on 0) and 3 (on 1), offsets needing one
+        // and three varint bytes; directed, the in side of 3 is empty.
+        let mut labels: Vec<_> = (0..4).map(VertexLabels::with_trivial).collect();
+        labels[1].insert_min(LabelEntry::new(0, 1));
+        let without = LabelIndex::Undirected(UndirectedLabels { labels: labels.clone() });
+        labels[2] = VertexLabels::from_record(Record { parent: 0, offset: 5 });
+        labels[3] = VertexLabels::from_record(Record { parent: 1, offset: 70_000 });
+        let with = LabelIndex::Undirected(UndirectedLabels { labels: labels.clone() });
+        let mut out_labels = labels;
+        let mut in_labels = out_labels.clone();
+        in_labels[3] = VertexLabels::new();
+        out_labels[2] = VertexLabels::new();
+        let directed = LabelIndex::Directed(DirectedLabels { out_labels, in_labels });
+        for (idx, records) in [(&without, 0), (&with, 1), (&directed, 1)] {
+            let mut image = Vec::new();
+            idx.write_hopidx(&mut image).unwrap();
+            assert_eq!(image[10], records, "the flags word's records bit");
+            whole_image_round_trips(idx);
+        }
+        let flat = FlatIndex::from_index(&with);
+        assert_eq!(flat.query(2, 3), 5 + 1 + 70_000);
+        assert_eq!(flat.query(3, 1), 70_000);
+        assert_eq!(flat.out_label_len(2), 0, "a record has no entries");
     }
 
     #[test]

@@ -1,16 +1,47 @@
 //! Label sets and the 2-hop index with its merge-join query.
 
+use std::borrow::Borrow;
+
 use sfgraph::{Dist, VertexId, INF_DIST};
 
 use crate::entry::LabelEntry;
 
-/// One vertex's label: entries sorted by pivot id, pivots unique.
+/// What a *derived* vertex — a leaf the builders peeled off the graph
+/// (`sfgraph::reduce`) — holds on one side in place of a label: its one
+/// neighbour and the weight of the arc between them on that side. Every
+/// distance from (on `Lout`/`L`) or to (on `Lin`) the vertex is
+/// `offset` plus the parent's, and the parent carries a label.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Record {
+    /// The vertex's one neighbour.
+    pub parent: VertexId,
+    /// Weight of the arc to (source side) or from (target side) it.
+    pub offset: Dist,
+}
+
+/// One vertex's label: entries sorted by pivot id, pivots unique — or,
+/// for a derived vertex, a [`Record`] and no entries.
 ///
 /// Because vertices are rank-relabeled, pivot order is rank order, so two
 /// labels can be joined with a linear merge.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VertexLabels {
-    entries: Vec<LabelEntry>,
+    slot: Slot,
+}
+
+/// Entries or a record, never both. An enum rather than an `Option`
+/// beside the `Vec`: it keeps every label the size of its `Vec`, which
+/// the engines hold one of per vertex per side.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Slot {
+    Entries(Vec<LabelEntry>),
+    Record(Record),
+}
+
+impl Default for VertexLabels {
+    fn default() -> VertexLabels {
+        VertexLabels { slot: Slot::Entries(Vec::new()) }
+    }
 }
 
 impl VertexLabels {
@@ -21,46 +52,74 @@ impl VertexLabels {
 
     /// Label containing only the trivial self-entry `(v, 0)`.
     pub fn with_trivial(v: VertexId) -> VertexLabels {
-        VertexLabels { entries: vec![LabelEntry::trivial(v)] }
+        VertexLabels { slot: Slot::Entries(vec![LabelEntry::trivial(v)]) }
     }
 
-    /// The sorted entries.
+    /// The slot of a derived vertex: `record` and no entries.
+    pub fn from_record(record: Record) -> VertexLabels {
+        VertexLabels { slot: Slot::Record(record) }
+    }
+
+    /// The record of a derived vertex; `None` for a label.
+    #[inline]
+    pub fn record(&self) -> Option<Record> {
+        match self.slot {
+            Slot::Record(record) => Some(record),
+            Slot::Entries(_) => None,
+        }
+    }
+
+    /// The sorted entries (none for a record).
     #[inline]
     pub fn entries(&self) -> &[LabelEntry] {
-        &self.entries
+        match &self.slot {
+            Slot::Entries(entries) => entries,
+            Slot::Record(_) => &[],
+        }
+    }
+
+    /// The entries to change; a record gaining an entry becomes a label.
+    fn entries_mut(&mut self) -> &mut Vec<LabelEntry> {
+        if let Slot::Record(_) = self.slot {
+            self.slot = Slot::Entries(Vec::new());
+        }
+        let Slot::Entries(entries) = &mut self.slot else { unreachable!("replaced above") };
+        entries
     }
 
     /// Number of entries (including the self-entry if present).
     #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries().len()
     }
 
-    /// Whether the label is empty.
+    /// Whether the slot holds neither an entry nor a record.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries().is_empty() && self.record().is_none()
     }
 
     /// Distance recorded for `pivot`, if present.
     pub fn get(&self, pivot: VertexId) -> Option<Dist> {
-        self.entries.binary_search_by_key(&pivot, |e| e.pivot).ok().map(|i| self.entries[i].dist)
+        let entries = self.entries();
+        entries.binary_search_by_key(&pivot, |e| e.pivot).ok().map(|i| entries[i].dist)
     }
 
     /// Insert `entry`, keeping the minimum distance per pivot.
     ///
     /// Returns `true` if the entry was added or improved an existing one.
     pub fn insert_min(&mut self, entry: LabelEntry) -> bool {
-        match self.entries.binary_search_by_key(&entry.pivot, |e| e.pivot) {
+        let entries = self.entries_mut();
+        match entries.binary_search_by_key(&entry.pivot, |e| e.pivot) {
             Ok(i) => {
-                if entry.dist < self.entries[i].dist {
-                    self.entries[i].dist = entry.dist;
+                if entry.dist < entries[i].dist {
+                    entries[i].dist = entry.dist;
                     true
                 } else {
                     false
                 }
             }
             Err(i) => {
-                self.entries.insert(i, entry);
+                entries.insert(i, entry);
                 true
             }
         }
@@ -91,22 +150,23 @@ impl VertexLabels {
         if batch.is_empty() {
             return 0;
         }
+        let entries = self.entries_mut();
         // Tiny batches (stepping-heavy rounds produce many 1–2 entry
         // survivor groups) are cheaper as shifted in-place inserts than
         // as a full rebuild of the entry vector.
         if batch.len() <= 4 {
             let mut applied = 0usize;
             for &new in batch {
-                match self.entries.binary_search_by_key(&new.pivot, |e| e.pivot) {
+                match entries.binary_search_by_key(&new.pivot, |e| e.pivot) {
                     Ok(i) => {
-                        if new.dist < self.entries[i].dist {
-                            self.entries[i].dist = new.dist;
+                        if new.dist < entries[i].dist {
+                            entries[i].dist = new.dist;
                             on_apply(new, true);
                             applied += 1;
                         }
                     }
                     Err(i) => {
-                        self.entries.insert(i, new);
+                        entries.insert(i, new);
                         on_apply(new, false);
                         applied += 1;
                     }
@@ -114,11 +174,11 @@ impl VertexLabels {
             }
             return applied;
         }
-        let mut merged = Vec::with_capacity(self.entries.len() + batch.len());
+        let mut merged = Vec::with_capacity(entries.len() + batch.len());
         let (mut i, mut j) = (0usize, 0usize);
         let mut applied = 0usize;
-        while i < self.entries.len() && j < batch.len() {
-            let (cur, new) = (self.entries[i], batch[j]);
+        while i < entries.len() && j < batch.len() {
+            let (cur, new) = (entries[i], batch[j]);
             match cur.pivot.cmp(&new.pivot) {
                 std::cmp::Ordering::Less => {
                     merged.push(cur);
@@ -143,21 +203,22 @@ impl VertexLabels {
                 }
             }
         }
-        merged.extend_from_slice(&self.entries[i..]);
+        merged.extend_from_slice(&entries[i..]);
         for &new in &batch[j..] {
             merged.push(new);
             on_apply(new, false);
             applied += 1;
         }
-        self.entries = merged;
+        *entries = merged;
         applied
     }
 
     /// Remove the entry for `pivot`; returns whether one existed.
     pub fn remove(&mut self, pivot: VertexId) -> bool {
-        match self.entries.binary_search_by_key(&pivot, |e| e.pivot) {
+        let Slot::Entries(entries) = &mut self.slot else { return false };
+        match entries.binary_search_by_key(&pivot, |e| e.pivot) {
             Ok(i) => {
-                self.entries.remove(i);
+                entries.remove(i);
                 true
             }
             Err(_) => false,
@@ -169,7 +230,7 @@ impl VertexLabels {
     pub fn from_entries(mut entries: Vec<LabelEntry>) -> VertexLabels {
         entries.sort_unstable();
         entries.dedup_by(|later, first| later.pivot == first.pivot);
-        VertexLabels { entries }
+        VertexLabels { slot: Slot::Entries(entries) }
     }
 }
 
@@ -215,6 +276,36 @@ pub fn join_min_pivot(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(VertexId, D
         }
     }
     best
+}
+
+/// `dist(s, t)` over slots fetched one at a time by `slot(v,
+/// target_side)` — the query every nested reader answers
+/// ([`LabelIndex::query`] and the disk readers; `FlatIndex` answers the
+/// same over the image's bytes). A record on either end resolves to its
+/// parent, exactly one level: `off(s) + join(p(s), p(t)) + off(t)`, and
+/// no join at all when both ends meet at one vertex. A record whose
+/// parent holds a record too is `InvalidData`.
+pub(crate) fn query_slots<L: Borrow<VertexLabels>>(
+    s: VertexId,
+    t: VertexId,
+    mut slot: impl FnMut(VertexId, bool) -> std::io::Result<L>,
+) -> std::io::Result<Dist> {
+    if s == t {
+        return Ok(0);
+    }
+    let mut end = |v: VertexId, target_side: bool| -> std::io::Result<(VertexId, Dist, L)> {
+        let own = slot(v, target_side)?;
+        let Some(record) = own.borrow().record() else { return Ok((v, 0, own)) };
+        let parent = slot(record.parent, target_side)?;
+        if parent.borrow().record().is_some() {
+            return Err(crate::image::bad("a record's parent holds a record"));
+        }
+        Ok((record.parent, record.offset, parent))
+    };
+    let (ps, ds, a) = end(s, false)?;
+    let (pt, dt, b) = end(t, true)?;
+    let core = if ps == pt { 0 } else { join_min(a.borrow().entries(), b.borrow().entries()) };
+    Ok(ds.saturating_add(core).saturating_add(dt))
 }
 
 /// Labels of a directed graph: `Lin(v)` and `Lout(v)` per vertex.
@@ -293,18 +384,21 @@ impl LabelIndex {
     ///
     /// `s == t` short-circuits to 0 — every vertex carries the trivial
     /// self-entry, so joining two labels to rediscover it is pure
-    /// overhead.
+    /// overhead. A derived vertex answers through its record:
+    /// `off(s) + join(p(s), p(t)) + off(t)`, no join when `p(s) = p(t)`.
+    ///
+    /// # Panics
+    /// If `s` or `t` is not below [`LabelIndex::num_vertices`], or a
+    /// record's parent holds a record too (no build produces one, and
+    /// [`LabelIndex::write_hopidx`] refuses it).
     #[inline]
     pub fn query(&self, s: VertexId, t: VertexId) -> Dist {
-        if s == t {
-            return 0;
-        }
-        join_min(self.source_labels(s).entries(), self.target_labels(t).entries())
-    }
-
-    /// Distance plus the pivot that realises it.
-    pub fn query_with_pivot(&self, s: VertexId, t: VertexId) -> Option<(VertexId, Dist)> {
-        join_min_pivot(self.source_labels(s).entries(), self.target_labels(t).entries())
+        let n = self.num_vertices();
+        assert!((s as usize) < n && (t as usize) < n, "vertex out of range");
+        query_slots(s, t, |v, target_side| {
+            Ok(if target_side { self.target_labels(v) } else { self.source_labels(v) })
+        })
+        .expect("a record's parent holds a label")
     }
 
     /// The label arrays in image order: `[Lout, Lin]` for a directed
@@ -440,6 +534,34 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "vertex out of range")]
+    fn an_out_of_range_self_query_panics_like_any_other() {
+        LabelIndex::new_directed(3).query(3 + 5, 3 + 5);
+    }
+
+    #[test]
+    fn a_record_answers_through_its_parent_one_level() {
+        // 0 – 1 – 2 with 3 derived from 1 (offset 4) and 4 from 0 (7).
+        let mut labels: Vec<_> = (0..5).map(VertexLabels::with_trivial).collect();
+        labels[1].insert_min(LabelEntry::new(0, 1));
+        labels[2].insert_min(LabelEntry::new(0, 2));
+        labels[2].insert_min(LabelEntry::new(1, 1));
+        labels[3] = VertexLabels::from_record(Record { parent: 1, offset: 4 });
+        labels[4] = VertexLabels::from_record(Record { parent: 0, offset: 7 });
+        let idx = LabelIndex::Undirected(UndirectedLabels { labels });
+        let want =
+            [[0, 1, 2, 5, 7], [1, 0, 1, 4, 8], [2, 1, 0, 5, 9], [5, 4, 5, 0, 12], [7, 8, 9, 12, 0]];
+        for (s, row) in want.iter().enumerate() {
+            for (t, &d) in row.iter().enumerate() {
+                assert_eq!(idx.query(s as VertexId, t as VertexId), d, "{s}->{t}");
+            }
+        }
+        assert_eq!(idx.total_entries(), 3 + 1 + 2, "a record holds no entries");
+        assert_eq!(idx.source_labels(3).record(), Some(Record { parent: 1, offset: 4 }));
+        assert_eq!(idx.source_labels(2).record(), None);
+    }
+
+    #[test]
     fn directed_query_uses_out_then_in() {
         // Path 1 -> 0 -> 2 with pivot 0 (highest rank).
         let mut d = DirectedLabels {
@@ -451,7 +573,6 @@ mod tests {
         let idx = LabelIndex::Directed(d);
         assert_eq!(idx.query(1, 2), 2);
         assert_eq!(idx.query(2, 1), INF_DIST); // not symmetric
-        assert_eq!(idx.query_with_pivot(1, 2), Some((0, 2)));
     }
 
     #[test]

@@ -7,13 +7,16 @@
 //! crate builds them; the `baselines` crate's PLL builds them too).
 //!
 //! * [`entry::LabelEntry`] — a `(pivot, dist)` pair;
-//! * [`index::VertexLabels`] — one vertex's label, sorted by pivot id;
+//! * [`index::VertexLabels`] — one vertex's label, sorted by pivot id,
+//!   or for a vertex derived from its one neighbour an
+//!   [`index::Record`] of that neighbour and the arc's weight;
 //! * [`index::LabelIndex`] — the full index: `Lin`/`Lout` per vertex for
 //!   directed graphs, a single `L` per vertex for undirected graphs, with
 //!   the merge-join distance query of Section 2;
 //! * [`image`] — `HOPIDX02`, the one serialized form: per label a
 //!   64-bit hub word, fixed-width hub distances and a varint-delta
-//!   tail, under a CRC; its writer, checked decoder and validator;
+//!   tail, per derived vertex a 1–7-byte record, under a CRC; its
+//!   writer, checked decoder and validator;
 //! * [`flat::FlatIndex`] — the frozen read path: a validated image
 //!   served in place, and the batched parallel `query_many` used for
 //!   serving;
@@ -51,7 +54,7 @@ pub mod verify;
 
 pub use entry::LabelEntry;
 pub use flat::FlatIndex;
-pub use index::{DirectedLabels, LabelIndex, UndirectedLabels, VertexLabels};
+pub use index::{DirectedLabels, LabelIndex, Record, UndirectedLabels, VertexLabels};
 pub use overlay::{LiveIndex, OverlaySnapshot};
 pub use query::QueryBackend;
 pub use shard::{min_merge, shard_image, ShardSpec};

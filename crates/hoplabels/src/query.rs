@@ -167,6 +167,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore = "temp files; Miri runs isolated")]
     fn flat_and_disk_backends_agree_through_the_trait() {
         let idx = tiny_index();
         let store = TempStore::new().unwrap();

@@ -32,11 +32,18 @@
 //! way rankings are stored as `.rank` sidecars) so a daemon can report
 //! its range to the router via the `route_info` protocol exchange.
 //!
+//! A derived vertex's record is copied into every shard unchanged. The
+//! merge stays exact: a record adds the same two offsets in every shard,
+//! `off(s) + min_j join_j(p(s), p(t)) + off(t)`, and when both ends meet
+//! at one parent every shard answers the same `off(s) + off(t)`.
+//!
 //! The `rank_pruned` flag records a property the router can exploit:
-//! when every entry's pivot id is `<=` its vertex id (true for any
-//! index built under the rank convention, verified during the split —
-//! not assumed), the winning pivot of `(s, t)` is `<= min(s, t)`, so
-//! only shards whose `lo <= min(s, t)` can contribute and the router
+//! when every entry's pivot id is `<=` its vertex id and every record's
+//! parent id is `<=` its vertex id (true for any index built under the
+//! rank convention whose leaves rank below their parents, verified
+//! during the split — not assumed: a degree-product tie can rank a leaf
+//! above its parent), the winning pivot of `(s, t)` is `<= min(s, t)`,
+//! so only shards whose `lo <= min(s, t)` can contribute and the router
 //! may skip the rest. The flag is only usable when clients speak rank
 //! ids (no `.rank` translation sidecar); otherwise the router must
 //! broadcast, which is still exact, just not pruned.
@@ -141,11 +148,12 @@ pub fn shard_image(bytes: &[u8], k: usize) -> io::Result<Vec<(Vec<u8>, ShardSpec
     let n = index.num_vertices();
 
     // One pass over every entry: pivot histogram (for balanced cuts)
-    // and the rank-pruning invariant check.
+    // and the rank-pruning invariant check, which records obey too.
     let mut hist = vec![0u64; n];
     let mut rank_pruned = true;
     for side in index.sides() {
         for (v, label) in side.iter().enumerate() {
+            rank_pruned &= label.record().is_none_or(|r| r.parent as usize <= v);
             for e in label.entries() {
                 // The decoder has checked `pivot < n`.
                 if let Some(slot) = hist.get_mut(e.pivot as usize) {
@@ -182,6 +190,9 @@ pub fn shard_image(bytes: &[u8], k: usize) -> io::Result<Vec<(Vec<u8>, ShardSpec
         let cut = |side: &[VertexLabels]| -> Vec<VertexLabels> {
             side.iter()
                 .map(|label| {
+                    if label.record().is_some() {
+                        return label.clone();
+                    }
                     let kept = label.entries().iter().filter(|e| (lo..hi).contains(&e.pivot));
                     VertexLabels::from_entries(kept.copied().collect())
                 })
@@ -304,6 +315,36 @@ mod tests {
             );
         }
         assert_eq!(merged, whole.query_many(&pairs, 1));
+    }
+
+    #[test]
+    fn records_go_to_every_shard_and_must_obey_the_pruning_rule_too() {
+        // A star 1 – {0, 2, 3}: 2 and 3 are derived from 1 (parent
+        // 1 ≤ 2, 3) and so, in the second index, is 0 — a leaf ranked
+        // above its parent, as a degree-product tie can leave it.
+        let record = |parent| VertexLabels::from_record(crate::Record { parent, offset: 3 });
+        let mut labels: Vec<_> = (0..4).map(VertexLabels::with_trivial).collect();
+        labels[1].insert_min(LabelEntry::new(0, 3));
+        labels[2] = record(1);
+        labels[3] = record(1);
+        let pruned = LabelIndex::Undirected(crate::UndirectedLabels { labels: labels.clone() });
+        labels[0] = record(1);
+        let unpruned = LabelIndex::Undirected(crate::UndirectedLabels { labels });
+        let pairs: Vec<(u32, u32)> = (0..4).flat_map(|s| (0..4).map(move |t| (s, t))).collect();
+        for (index, rank_pruned) in [(pruned, true), (unpruned, false)] {
+            let bytes = image_of(&index);
+            let expect: Vec<_> = pairs.iter().map(|&(s, t)| index.query(s, t)).collect();
+            for k in 1..=3 {
+                let mut merged = vec![INF_DIST; pairs.len()];
+                for (image, spec) in shard_image(&bytes, k).unwrap() {
+                    assert_eq!(spec.rank_pruned, rank_pruned, "k = {k}");
+                    let flat = FlatIndex::from_hopidx_bytes(&image).unwrap();
+                    assert_eq!(flat.query(2, 3), 6, "every shard answers a shared parent");
+                    min_merge(&mut merged, &flat.query_many(&pairs, 1));
+                }
+                assert_eq!(merged, expect, "k = {k}");
+            }
+        }
     }
 
     #[test]

@@ -6,13 +6,20 @@
 //! * every shard is a complete, loadable `HOPIDX02` image over the
 //!   full vertex set;
 //! * min-merging the per-shard `FlatIndex::query_many` answers equals
-//!   `FlatIndex::query_many` on the unsharded image, pair for pair.
+//!   `FlatIndex::query_many` on the unsharded image, pair for pair;
+//!
+//! and over leaf-rich graphs built by the real builder — whose images
+//! carry a record per derived vertex in every shard — additionally that
+//! the `rank_pruned` flag is set exactly when every entry's pivot and
+//! every record's parent is at most its vertex, and that when it is set
+//! the shards the router skips (`lo > min(s, t)`) change no answer.
 
 use hoplabels::flat::FlatIndex;
 use hoplabels::{min_merge, shard_image, LabelEntry, LabelIndex};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sfgraph::{VertexId, INF_DIST};
+use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
+use sfgraph::{GraphBuilder, VertexId, INF_DIST};
 
 /// Serialize an index the same way the CLI stages it on disk.
 fn image_of(index: &LabelIndex) -> Vec<u8> {
@@ -58,6 +65,67 @@ fn directed_index_strategy() -> impl Strategy<Value = LabelIndex> {
             },
         )
     })
+}
+
+/// Strategy: the index `hopdb::build_prelabeled` builds for a random
+/// recursive tree (vertex `v` hangs off a random earlier vertex) plus a
+/// few extra edges — a graph of leaves, as scale-free fringes are. A
+/// directed graph orients each edge one way or both.
+fn leafy_index_strategy(directed: bool) -> impl Strategy<Value = LabelIndex> {
+    (4usize..40, vec((0u32..1 << 20, 1u32..9, 0u32..3), 44..45), 0usize..5).prop_map(
+        move |(n, draws, extra)| {
+            let mut b = GraphBuilder::new_directed(n).weighted();
+            if !directed {
+                b = GraphBuilder::new_undirected(n).weighted();
+            }
+            let edges = (1..n)
+                .map(|v| (v as u32, draws[v].0 % v as u32))
+                .chain(draws[..extra].iter().map(|&(x, ..)| (x % n as u32, (x >> 10) % n as u32)));
+            for ((u, v), &(_, w, way)) in edges.zip(draws.iter().cycle().skip(7)) {
+                match way {
+                    0 => b.add_weighted_edge(u, v, w),
+                    1 => b.add_weighted_edge(v, u, w),
+                    _ => {
+                        b.add_weighted_edge(u, v, w);
+                        b.add_weighted_edge(v, u, w + 1);
+                    }
+                }
+            }
+            let g = b.build();
+            let g = relabel_by_rank(&g, &rank_vertices(&g, &RankBy::paper_default(&g)));
+            hopdb::build_prelabeled(&g, &hopdb::HopDbConfig::default()).0
+        },
+    )
+}
+
+/// The pruning flag is the rank rule over entries and records alike,
+/// and when it holds the router's skipped shards change nothing.
+fn check_rank_pruning(index: &LabelIndex, k: usize) {
+    let bytes = image_of(index);
+    let whole = FlatIndex::from_hopidx_bytes(&bytes).expect("load unsharded");
+    let ruled = index.sides().iter().all(|side| {
+        side.iter().enumerate().all(|(v, l)| {
+            l.record().is_none_or(|r| r.parent as usize <= v)
+                && l.entries().iter().all(|e| e.pivot as usize <= v)
+        })
+    });
+    let shards: Vec<_> = shard_image(&bytes, k)
+        .expect("shard")
+        .into_iter()
+        .map(|(image, spec)| (FlatIndex::from_hopidx_bytes(&image).expect("load shard"), spec))
+        .collect();
+    assert!(shards.iter().all(|(_, spec)| spec.rank_pruned == ruled));
+    if !ruled {
+        return;
+    }
+    let n = whole.num_vertices() as VertexId;
+    for s in 0..n {
+        for t in 0..n {
+            let kept = shards.iter().filter(|(_, spec)| spec.lo <= s.min(t));
+            let pruned = kept.map(|(flat, _)| flat.query(s, t)).min().unwrap_or(INF_DIST);
+            assert_eq!(pruned, whole.query(s, t), "({s}, {t}) with k = {k}");
+        }
+    }
 }
 
 /// The property itself, shared by both directions.
@@ -111,5 +179,16 @@ proptest! {
         (index, k) in (directed_index_strategy(), 1usize..6)
     ) {
         check_partition_and_merge(&index, k);
+    }
+
+    #[test]
+    fn leaf_rich_shards_partition_merge_and_prune_exactly(
+        (undirected, directed, k) in
+            (leafy_index_strategy(false), leafy_index_strategy(true), 1usize..5)
+    ) {
+        for index in [undirected, directed] {
+            check_partition_and_merge(&index, k);
+            check_rank_pruning(&index, k);
+        }
     }
 }

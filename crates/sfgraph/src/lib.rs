@@ -21,6 +21,9 @@
 //!   Faloutsos rank exponent `γ`, the Newman expansion factor `R = z2/z1`,
 //!   and hop-diameter estimation (Section 2 of the paper).
 //! * [`io`] — text edge-list serialization.
+//! * [`reduce`] — leaf peeling: the degree-1 fringe a scale-free graph
+//!   hangs off its core, which the index builders derive instead of
+//!   labelling.
 //!
 //! Vertices are dense `u32` ids (`VertexId`); distances are `u32` with
 //! [`INF_DIST`] marking unreachable pairs.
@@ -34,6 +37,7 @@ pub mod graph;
 pub mod hash;
 pub mod io;
 pub mod ranking;
+pub mod reduce;
 pub mod traversal;
 
 pub use builder::GraphBuilder;

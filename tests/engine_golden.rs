@@ -13,10 +13,18 @@
 //! before `HOPIDX02`). When the algorithm's output legitimately
 //! changes, a failing case prints its row in the table's own syntax:
 //! re-measure and replace the constants.
+//!
+//! The kernel is pinned as `engine::build_index` on the rank-relabeled
+//! graph — the graph these constants always hashed. The builders run it
+//! on the graph's core since leaf peeling; [`REDUCED`] pins that build
+//! too: its derived-vertex count, and its finished index (records
+//! hashed in their slots) and rows.
 
 use hop_doubling::graphgen::{glp, orient_scale_free, with_random_weights, GlpParams};
-use hop_doubling::hopdb::{build, HopDbConfig, Strategy};
+use hop_doubling::hopdb::engine::build_index;
+use hop_doubling::hopdb::{build, BuildStats, HopDbConfig, Strategy};
 use hop_doubling::hoplabels::LabelIndex;
+use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
 use hop_doubling::sfgraph::Graph;
 
 /// `(candidates, pruned, inserted, total_entries)` of one iteration.
@@ -30,6 +38,11 @@ fn label_hash(index: &LabelIndex) -> u64 {
     let mut h = fnv1a(0xcbf2_9ce4_8422_2325, &(index.num_vertices() as u64).to_le_bytes());
     h = fnv1a(h, &[index.is_directed() as u8]);
     for label in index.sides().iter().flat_map(|side| side.iter()) {
+        if let Some(r) = label.record() {
+            h = fnv1a(h, &u32::MAX.to_le_bytes());
+            h = fnv1a(fnv1a(h, &r.parent.to_le_bytes()), &r.offset.to_le_bytes());
+            continue;
+        }
         h = fnv1a(h, &(label.len() as u32).to_le_bytes());
         for e in label.entries() {
             h = fnv1a(fnv1a(h, &e.pivot.to_le_bytes()), &e.dist.to_le_bytes());
@@ -38,15 +51,19 @@ fn label_hash(index: &LabelIndex) -> u64 {
     h
 }
 
-fn measure(g: &Graph, cfg: &HopDbConfig) -> (u64, Vec<Row>) {
-    let db = build(g, cfg);
-    let rows = db
-        .stats()
+fn rows(stats: &BuildStats) -> Vec<Row> {
+    stats
         .iterations
         .iter()
         .map(|it| (it.candidates, it.pruned, it.inserted, it.total_entries))
-        .collect();
-    (label_hash(db.index()), rows)
+        .collect()
+}
+
+/// The kernel on the whole rank-relabeled graph, as `build` ranks it.
+fn measure(g: &Graph, cfg: &HopDbConfig) -> (u64, Vec<Row>) {
+    let relabeled = relabel_by_rank(g, &rank_vertices(g, &RankBy::paper_default(g)));
+    let (index, stats) = build_index(&relabeled, cfg);
+    (label_hash(&index), rows(&stats))
 }
 
 fn configs() -> [(&'static str, HopDbConfig); 6] {
@@ -97,6 +114,34 @@ fn weighted_glp() {
     let g = with_random_weights(&glp(&GlpParams::with_density(1_500, 3.0, 23)), 1, 9, 23);
     assert_golden("weighted glp 1500", &g, WEIGHTED);
 }
+
+/// `build` of the directed GLP under the default config at 1, 2 and 4
+/// threads against [`REDUCED`].
+#[test]
+fn reduced_build() {
+    let g = orient_scale_free(&glp(&GlpParams::with_density(1_500, 2.5, 7)), 0.25, 7);
+    for threads in [1usize, 2, 4] {
+        let db = build(&g, &HopDbConfig::default().with_parallelism(threads));
+        let got = (db.stats().derived_vertices, label_hash(db.index()), rows(db.stats()));
+        let (derived, hash, golden) = REDUCED;
+        assert!(
+            got == (derived, hash, golden.to_vec()),
+            "reduced build moved off its golden values at {threads} threads:\n    ({}, {:#018x}, &{:?})",
+            got.0,
+            got.1,
+            got.2
+        );
+    }
+}
+
+/// `(derived vertices, label hash, rows)` of [`reduced_build`]: the
+/// kernel's rows on the core (its entries count the derived vertices'
+/// self-entries the records replace), the finished index's hash.
+#[rustfmt::skip]
+const REDUCED: (u64, u64, &[Row]) = (749, 0xa98e6ea0683c5566, &[
+    (3668, 0, 3668, 6668), (13112, 4625, 8487, 15155), (6210, 4530, 1680, 16835),
+    (638, 493, 145, 16980), (59, 47, 12, 16992), (0, 0, 0, 16992),
+]);
 
 #[rustfmt::skip]
 const UNDIRECTED: &[(&str, u64, &[Row])] = &[

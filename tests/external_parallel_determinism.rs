@@ -127,7 +127,9 @@ fn external_io_counters_equal_their_recorded_values() {
     // side prunes owner-major, so no side sorts its survivors back; the
     // label, edge and `inv` readers jump through their run's key
     // directory — the `seeks` column; the round that finds the fixpoint
-    // merges nothing).
+    // merges nothing), then again when the builders started labelling
+    // only the core: both graphs lose their peeled leaves' rounds, and
+    // the directed graph's candidate sorters no longer spill.
     //
     // ((bytes read, bytes written, blocks read, blocks written),
     //  sort runs, merge passes, seeks)
@@ -139,13 +141,13 @@ fn external_io_counters_equal_their_recorded_values() {
             "undirected glp-2k-d3 (seed 7)",
             und,
             RankBy::Degree,
-            ((4_828_668, 2_682_660, 1_179, 655), 9, 5, 30),
+            ((3_504_276, 1_897_008, 856, 464), 8, 4, 16),
         ),
         (
             "directed glp-1.5k-d2.5 (seed 13)",
             dir,
             RankBy::DegreeProduct,
-            ((3_634_104, 1_998_144, 888, 488), 4, 10, 30),
+            ((2_453_052, 1_214_988, 599, 297), 0, 8, 22),
         ),
     ];
     // M = 16 Ki records, B = 4 KiB: small enough that the sorters spill

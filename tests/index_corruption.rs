@@ -18,14 +18,17 @@ use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
 use hop_doubling::sfgraph::VertexId;
 
 /// Serialized image of a small GLP-built index (70 vertices, so labels
-/// have both hub bits and varint tails).
+/// have both hub bits and varint tails, and leaves, so the image has
+/// records and every sweep below runs over them too).
 fn serialized_image(directed: bool) -> Vec<u8> {
     let und = glp(&GlpParams::with_density(70, 3.0, if directed { 31 } else { 30 }));
     let g = if directed { orient_scale_free(&und, 0.25, 31) } else { und };
     let relabeled = relabel_by_rank(&g, &rank_vertices(&g, &RankBy::paper_default(&g)));
-    let (index, _) = build_prelabeled(&relabeled, &HopDbConfig::default());
+    let (index, stats) = build_prelabeled(&relabeled, &HopDbConfig::default());
+    assert!(stats.derived_vertices > 0, "the corpus graphs must have leaves");
     let mut image = Vec::new();
     index.write_hopidx(&mut image).expect("serialize");
+    assert_eq!(image[10], 1, "the records bit of the flags word");
     image
 }
 
@@ -184,6 +187,58 @@ fn a_valid_crc_does_not_excuse_a_broken_structure() {
     for (what, image) in &corpus {
         assert!(FlatIndex::from_hopidx_bytes(image).is_err(), "{what}: loaded");
         assert!(shard_image(image, 2).is_err(), "{what}: sharded");
+    }
+}
+
+/// An undirected width-1 image of three vertices whose slots are
+/// `slots`, with the records flag `records`.
+fn three_slots(records: u8, slots: [&[u8]; 3]) -> Vec<u8> {
+    let ends: Vec<u32> = slots
+        .iter()
+        .scan(0, |at, s| {
+            *at += s.len() as u32;
+            Some(*at)
+        })
+        .collect();
+    craft([0, 1, records, 0], 3, &[&[0, ends[0], ends[1], ends[2]]], &slots.concat())
+}
+
+#[test]
+fn a_record_is_two_varints_naming_another_vertexs_label() {
+    // Vertex 0 carries its self-entry (hub bit 0 at distance 0), 2 an
+    // entry to 0; 1 is the record (parent 0, offset 5).
+    let (hub0, to0) = (label(1, &[0]), label(1, &[3]));
+    let good = three_slots(1, [&hub0, &[0, 5], &to0]);
+    let flat = FlatIndex::from_hopidx_bytes(&good).expect("baseline loads");
+    assert_eq!((flat.query(1, 0), flat.query(1, 2), flat.total_entries()), (5, 8, 2));
+    assert!(shard_image(&good, 2).is_ok());
+
+    let int_max = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F]; // varint(u32::MAX)
+    let corpus: Vec<(&str, Vec<u8>)> = vec![
+        ("short label, records flag unset", three_slots(0, [&hub0, &[0, 5], &to0])),
+        ("parent >= n", three_slots(1, [&hub0, &[3, 5], &to0])),
+        ("parent == v", three_slots(1, [&hub0, &[1, 5], &to0])),
+        ("parent holds a record", three_slots(1, [&hub0, &[2, 5], &[0, 3]])),
+        ("varint cut at the label's end", three_slots(1, [&hub0, &[0, 0x85], &to0])),
+        ("parent varint cut at the label's end", three_slots(1, [&hub0, &[0x80], &to0])),
+        ("offset INF_DIST", three_slots(1, [&hub0, &[&[0][..], &int_max].concat(), &to0])),
+        ("bytes after the record", three_slots(1, [&hub0, &[0, 5, 0], &to0])),
+        ("records flag without a record", three_slots(1, [&hub0, &hub0, &to0])),
+        ("records flag 2", three_slots(2, [&hub0, &[0, 5], &to0])),
+    ];
+    let store = TempStore::new().expect("temp store");
+    for (what, image) in &corpus {
+        let err = FlatIndex::from_hopidx_bytes(image).expect_err(what);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+        assert!(shard_image(image, 2).is_err(), "{what}: sharded");
+        // The disk reader validates a slot when a query reads it: a
+        // query through the broken one is the same error.
+        if let Ok(mut disk) = DiskIndex::open(counted_copy(&store, image)) {
+            if !what.starts_with("records flag") {
+                let err = disk.query(1, 0).expect_err(what);
+                assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+            }
+        }
     }
 }
 

@@ -6,9 +6,12 @@
 //!
 //! Trough distances are computed independently by BFS restricted to the
 //! allowed intermediate set, so this checks the engines against the
-//! paper's *definition*, not against another engine.
+//! paper's *definition*, not against another engine. The lemma is about
+//! the kernel's labels, so the kernel runs on the whole graph: the
+//! builders' leaf peeling would replace some labels by records.
 
-use hop_doubling::hopdb::{build_prelabeled, HopDbConfig, Strategy};
+use hop_doubling::hopdb::engine::build_index;
+use hop_doubling::hopdb::{HopDbConfig, Strategy};
 use hop_doubling::hoplabels::index::LabelIndex;
 use hop_doubling::sfgraph::traversal::all_pairs;
 use hop_doubling::sfgraph::{Direction, Graph, GraphBuilder, VertexId, INF_DIST};
@@ -45,7 +48,7 @@ fn trough_distance(g: &Graph, s: VertexId, t: VertexId, limit: VertexId) -> u32 
 
 fn check_objectives(g: &Graph) {
     let ap = all_pairs(g);
-    let (index, _) = build_prelabeled(g, &HopDbConfig::unpruned(Strategy::Doubling));
+    let (index, _) = build_index(g, &HopDbConfig::unpruned(Strategy::Doubling));
     let LabelIndex::Directed(d) = &index else { panic!("directed expected") };
     let n = g.num_vertices() as VertexId;
     for a in 0..n {
