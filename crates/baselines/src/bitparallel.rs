@@ -15,7 +15,7 @@
 
 use sfgraph::{Dist, Graph, VertexId, INF_DIST};
 
-use hoplabels::index::{join_min, LabelIndex, VertexLabels};
+use hoplabels::index::{join_min, LabelIndex, Record, VertexLabels};
 
 /// Maximum number of roots: one bit per root in the per-vertex marker.
 pub const MAX_ROOTS: usize = 64;
@@ -188,17 +188,25 @@ impl BitParallelIndex {
     }
 
     /// Exact distance query (Section 6's bit-parallel evaluation). A
-    /// derived vertex answers through its record, one level:
-    /// `off(s) + bp(p(s), p(t)) + off(t)`.
+    /// derived vertex answers through its record, one level: the least
+    /// over its pairs of `off(s) + bp(p(s), p(t)) + off(t)`.
     pub fn query(&self, s: VertexId, t: VertexId) -> Dist {
         if s == t {
             return 0;
         }
-        let end =
-            |v: VertexId| self.normal[v as usize].record().map_or((v, 0), |r| (r.parent, r.offset));
-        let ((ps, ds), (pt, dt)) = (end(s), end(t));
-        let core = if ps == pt { 0 } else { self.core_query(ps, pt) };
-        ds.saturating_add(core).saturating_add(dt)
+        // A labelled vertex is its own one parent at offset 0.
+        let end = |v: VertexId| {
+            self.normal[v as usize].record().unwrap_or_else(|| Record::new(&[(v, 0)]))
+        };
+        let (from, to) = (end(s), end(t));
+        let mut best = INF_DIST;
+        for &(ps, ds) in from.pairs() {
+            for &(pt, dt) in to.pairs() {
+                let core = if ps == pt { 0 } else { self.core_query(ps, pt) };
+                best = best.min(ds.saturating_add(core).saturating_add(dt));
+            }
+        }
+        best
     }
 
     /// The query between two vertices that carry labels.

@@ -303,7 +303,8 @@ pub fn report(out: &mut impl Write, inputs: &Inputs, sections: &[&str]) -> io::R
             "Table 7 — iterations, label size, share of top vertices covering 70–90% of entries";
         let notes = "Small percentages confirm Assumptions 1–3: a handful of top-degree vertices\n\
                      hits the vast majority of shortest paths (small hub dimension). fringe = vertices\n\
-                     with one neighbour, each stored as a record of it: no label, no entries.";
+                     with one or two neighbours (no two adjacent), each stored as a record of its\n\
+                     neighbours: no label, no entries.";
         section(out, title, header, &table7, notes)?;
     }
 

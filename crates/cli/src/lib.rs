@@ -381,10 +381,13 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
     writeln!(
         out,
-        "fringe: {} of {} vertices, core |E| = {}",
+        "fringe: {} of {} vertices ({} leaves, {} of degree 2), core |E| = {} incl. {} shortcuts",
         stats.derived_vertices,
         index.num_vertices(),
-        stats.core_edges
+        stats.derived_leaves,
+        stats.derived_vertices - stats.derived_leaves,
+        stats.core_edges,
+        stats.shortcut_arcs
     )?;
     // Per iteration, over the core: the counters both engines keep, then
     // what only the engine that ran measures — bytes moved by the

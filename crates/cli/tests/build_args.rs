@@ -91,7 +91,8 @@ fn build_reports_the_fringe_it_derives() {
     };
 
     // A directed GLP at density 2.5 (the shape of hopbench's dir-ext-read)
-    // has leaves; both engines derive the same ones from the same core.
+    // has leaves and vertices with two neighbours; both engines derive
+    // the same ones and label the same core.
     let graph = path("leafy.txt");
     let gen = ["gen", "--vertices", "400", "--density", "2.5", "--seed", "9", "--directed"];
     assert!(cli(&[&gen[..], &["-o", &graph]].concat()).status.success());
@@ -107,17 +108,36 @@ fn build_reports_the_fringe_it_derives() {
         .lines()
         .find_map(|l| l.strip_prefix("|E|")?.trim().parse().ok())
         .expect("|E| in stats");
-    let number = |word: Option<&str>| -> usize { word.expect("a word").parse().expect("a number") };
-    let (derived, core_edges) = (number(line.split(' ').nth(1)), number(line.rsplit(' ').next()));
-    assert_eq!(line, format!("fringe: {derived} of 400 vertices, core |E| = {core_edges}"));
-    assert!(derived > 100 && core_edges < edges, "{line} of {edges} edges");
-    // Each derived vertex took one or two arcs with it.
-    assert!((edges - 2 * derived..=edges - derived).contains(&core_edges), "{line}");
+    let numbers: Vec<usize> = line
+        .split(|c: char| !c.is_ascii_digit())
+        .filter(|word| !word.is_empty())
+        .map(|word| word.parse().expect("a number"))
+        .collect();
+    let &[derived, 400, leaves, two, 2, core_edges, shortcuts] = numbers.as_slice() else {
+        panic!("{line}")
+    };
+    assert_eq!(
+        line,
+        format!(
+            "fringe: {derived} of 400 vertices ({leaves} leaves, {two} of degree 2), \
+             core |E| = {core_edges} incl. {shortcuts} shortcuts"
+        )
+    );
+    assert_eq!(derived, leaves + two, "{line}");
+    assert!(leaves > 100 && two > 0 && core_edges < edges, "{line} of {edges} edges");
+    // Each leaf took one or two arcs with it, each vertex of degree 2 two
+    // to four; the shortcuts are arcs the graph did not have.
+    let kept = core_edges - shortcuts;
+    assert!((edges - 2 * leaves - 4 * two..=edges - leaves - 2 * two).contains(&kept), "{line}");
 
-    // A cycle has no leaf: nothing is derived and the core is the graph.
+    // A 4-cycle has no leaf: 3 goes, then 1, both on 0 and 2, and the
+    // core is their one shortcut 0–2.
     let cycle = path("cycle.txt");
     std::fs::write(&cycle, "0 1\n1 2\n2 3\n3 0\n").expect("write cycle");
     let line = fringe_line(&cli(&["build", "-i", &cycle, "-o", &path("cycle.idx")]));
-    assert_eq!(line, "fringe: 0 of 4 vertices, core |E| = 4");
+    assert_eq!(
+        line,
+        "fringe: 2 of 4 vertices (0 leaves, 2 of degree 2), core |E| = 1 incl. 1 shortcuts"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,8 +4,8 @@ use hoplabels::flat::FlatIndex;
 use hoplabels::image::record_fits;
 use hoplabels::index::{LabelIndex, Record, VertexLabels};
 use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy, Ranking};
-use sfgraph::reduce::{peel_leaves, Leaf, Peeled};
-use sfgraph::{Dist, Graph, VertexId};
+use sfgraph::reduce::{eliminate, Reduced};
+use sfgraph::{Direction, Dist, Graph, VertexId};
 
 use crate::config::HopDbConfig;
 use crate::engine;
@@ -95,57 +95,67 @@ pub fn build(g: &Graph, cfg: &HopDbConfig) -> HopDb {
 /// rank). Used by tests that encode the paper's pre-ranked examples and
 /// by the external engine driver.
 ///
-/// The engine labels the graph's core: its leaves — vertices with one
-/// distinct neighbour (`sfgraph::reduce`) — are peeled off first, and
-/// each is stored as a record of its parent and arc weight in place of
-/// a label (`hoplabels::Record`). [`BuildStats::derived_vertices`]
-/// counts them.
+/// The engine labels the graph's core: the vertices with one or two
+/// distinct neighbours are eliminated first, an independent set of them
+/// (`sfgraph::reduce`), and each is stored as a record of its parents
+/// and arc weights in place of a label (`hoplabels::Record`).
+/// [`BuildStats::derived_vertices`] counts them.
 pub fn build_prelabeled(g: &Graph, cfg: &HopDbConfig) -> (LabelIndex, BuildStats) {
-    let peeled = peel(g);
-    let (mut index, mut stats) = engine::build_index(&peeled.core, cfg);
-    derive_fringe(&mut index, &mut stats, cfg, peeled);
+    let reduced = peel(g);
+    let (mut index, mut stats) = engine::build_index(&reduced.core, cfg);
+    derive_fringe(&mut index, &mut stats, cfg, g, reduced);
     (index, stats)
 }
 
-/// The leaves of `g` whose records fit an image, peeled off its core.
-pub(crate) fn peel(g: &Graph) -> Peeled<'_> {
-    let fits = |w: Option<Dist>, p: VertexId| w.is_none_or(|w| record_fits(p, w));
-    peel_leaves(g, |l: &Leaf| fits(l.to_parent, l.parent) && fits(l.from_parent, l.parent))
+/// The record of `v`'s arcs in direction `dir`; `None` when it has none
+/// there. For a vertex with at most two neighbours.
+fn record_of(g: &Graph, v: VertexId, dir: Direction) -> Option<Record> {
+    let arcs: Vec<(VertexId, Dist)> = g.edges(v, dir).collect();
+    (!arcs.is_empty()).then(|| Record::new(&arcs))
 }
 
-/// Finish an index the engine built on the core: the optional §5.2
-/// pass, then each leaf's slot — in the core an isolated vertex's
-/// self-entry — becomes its record on every side it has an arc on, and
-/// the empty label on a side it has none (nothing is reached that way).
-/// The per-iteration rows stay the engine's, counting those self-entries;
-/// `final_entries` is the finished index's.
+/// The vertices of `g` with one or two neighbours whose records fit an
+/// image, eliminated from its core.
+pub(crate) fn peel(g: &Graph) -> Reduced<'_> {
+    eliminate(g, |v| {
+        [Direction::Out, Direction::In]
+            .into_iter()
+            .all(|dir| record_of(g, v, dir).is_none_or(|r| record_fits(&r)))
+    })
+}
+
+/// Finish an index the engine built on the core of `g`: the optional
+/// §5.2 pass, then each derived vertex's slot — in the core an isolated
+/// vertex's self-entry — becomes the record of its arcs on every side it
+/// has one on, and the empty label on a side it has none (nothing is
+/// reached that way). The per-iteration rows stay the engine's, counting
+/// those self-entries; `final_entries` is the finished index's.
 pub(crate) fn derive_fringe(
     index: &mut LabelIndex,
     stats: &mut BuildStats,
     cfg: &HopDbConfig,
-    Peeled { core, leaves }: Peeled,
+    g: &Graph,
+    Reduced { core, derived, leaves, shortcuts }: Reduced,
 ) {
     stats.core_edges = core.num_edges() as u64;
     drop(core);
     if cfg.post_prune {
         stats.post_pruned = postprune::post_prune(index);
     }
-    let slot = |arc: Option<Dist>, parent| {
-        arc.map_or_else(VertexLabels::new, |offset| {
-            VertexLabels::from_record(Record { parent, offset })
-        })
-    };
-    for l in &leaves {
-        let v = l.vertex as usize;
+    let slot =
+        |v, dir| record_of(g, v, dir).map_or_else(VertexLabels::new, VertexLabels::from_record);
+    for &v in &derived {
         match index {
             LabelIndex::Directed(d) => {
-                d.out_labels[v] = slot(l.to_parent, l.parent);
-                d.in_labels[v] = slot(l.from_parent, l.parent);
+                d.out_labels[v as usize] = slot(v, Direction::Out);
+                d.in_labels[v as usize] = slot(v, Direction::In);
             }
-            LabelIndex::Undirected(u) => u.labels[v] = slot(l.to_parent, l.parent),
+            LabelIndex::Undirected(u) => u.labels[v as usize] = slot(v, Direction::Out),
         }
     }
-    stats.derived_vertices = leaves.len() as u64;
+    stats.derived_vertices = derived.len() as u64;
+    stats.derived_leaves = leaves as u64;
+    stats.shortcut_arcs = shortcuts as u64;
     stats.final_entries = index.total_entries() as u64;
 }
 

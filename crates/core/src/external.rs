@@ -179,9 +179,9 @@ pub fn build_external(
     // The same core and records as the in-memory build, and the §5.2
     // pass on the loaded index exactly as there — same flag, same final
     // label sets.
-    let peeled = peel(g);
-    let mut result = run(&peeled.core, cfg, ext, &store)?;
-    derive_fringe(&mut result.index, &mut result.stats, cfg, peeled);
+    let reduced = peel(g);
+    let mut result = run(&reduced.core, cfg, ext, &store)?;
+    derive_fringe(&mut result.index, &mut result.stats, cfg, g, reduced);
     Ok(result)
 }
 
@@ -846,6 +846,13 @@ mod tests {
         ExtMemConfig { memory_records: 128, block_bytes: 256 }
     }
 
+    /// The engine alone on all of `g`, where [`build_external`] runs it on
+    /// `g`'s core: for the tests about the rounds a path or a chain takes,
+    /// which the builders would mostly eliminate.
+    fn run_on(g: &Graph, cfg: &HopDbConfig, ext: &ExtMemConfig) -> ExternalBuildResult {
+        run(g, cfg, ext, &TempStore::new().unwrap()).unwrap()
+    }
+
     /// What both engines must agree on, iteration by iteration
     /// (`candidates`/`pruned` are engine-specific, see
     /// [`IterationStats::candidates`]).
@@ -1017,7 +1024,7 @@ mod tests {
         let cfg = HopDbConfig::with_strategy(Strategy::Stepping);
         for directed in [false, true] {
             let g = bisected_path(600, directed);
-            let result = build_external(&g, &cfg, &ExtMemConfig::default()).unwrap();
+            let result = run_on(&g, &cfg, &ExtMemConfig::default());
             assert!(result.stats.num_iterations() > 256, "directed = {directed}");
             assert_exact(&g, &result.index);
         }
@@ -1164,8 +1171,8 @@ mod tests {
         }
         let g = b.build();
         let cfg = HopDbConfig::with_strategy(Strategy::Doubling);
-        let (mem, mem_stats) = build_prelabeled(&g, &cfg);
-        let result = build_external(&g, &cfg, &tiny_ext()).unwrap();
+        let (mem, mem_stats) = crate::engine::build_index(&g, &cfg);
+        let result = run_on(&g, &cfg, &tiny_ext());
         let its = &result.stats.iterations;
         assert!(
             its.windows(2)
@@ -1188,11 +1195,11 @@ mod tests {
         for directed in [false, true] {
             let g = bisected_path(96, directed);
             let cfg = HopDbConfig::with_strategy(Strategy::Hybrid { switch_at: 3 });
-            let result = build_external(&g, &cfg, &tiny_ext()).unwrap();
+            let result = run_on(&g, &cfg, &tiny_ext());
             let its = &result.stats.iterations;
             assert!(its.iter().all(|it| it.io_read_bytes > 0));
             assert!(its.iter().all(|it| it.io_write_bytes > 0 || it.inserted == 0));
-            // The label files hold the core's entries: the last round's count.
+            // The label files hold the entries: the last round's count.
             let core_entries = its.last().expect("rows").total_entries;
             let load_labels_read = core_entries * LabelRecord::SIZE as u64;
             let read: u64 = its.iter().map(|it| it.io_read_bytes).sum();
@@ -1267,7 +1274,7 @@ mod tests {
         let g = bisected_path(600, false);
         let cfg = HopDbConfig::with_strategy(Strategy::Stepping);
         let ext = ExtMemConfig { memory_records: 1 << 14, block_bytes: 256 };
-        let result = build_external(&g, &cfg, &ext).unwrap();
+        let result = run_on(&g, &cfg, &ext);
         let its = &result.stats.iterations;
         let label_bytes = result.stats.final_entries * LabelRecord::SIZE as u64;
         let late = &its[its.len() / 2..];

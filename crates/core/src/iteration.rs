@@ -99,13 +99,18 @@ pub struct BuildStats {
     pub final_entries: u64,
     /// Entries removed by the optional post-pruning pass.
     pub post_pruned: u64,
-    /// Vertices the index derives from a neighbour instead of
-    /// labelling: the leaves peeled off before the engine ran, each
-    /// stored as a record (`hoplabels::Record`) per side.
+    /// Vertices the index derives from their neighbours instead of
+    /// labelling: those with one or two neighbours eliminated before the
+    /// engine ran, each stored as a record (`hoplabels::Record`) per
+    /// side.
     pub derived_vertices: u64,
+    /// Of those, the leaves (one neighbour).
+    pub derived_leaves: u64,
     /// Edges of the core the engine labelled: the graph's, minus the
-    /// derived vertices' arcs.
+    /// derived vertices' arcs, plus the shortcuts through them.
     pub core_edges: u64,
+    /// Of those, the shortcuts: core arcs no arc of the graph gives.
+    pub shortcut_arcs: u64,
     /// Total build time.
     pub elapsed: Duration,
 }

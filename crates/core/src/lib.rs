@@ -24,8 +24,8 @@
 //!
 //! Entry points:
 //! * [`build`] / [`HopDb`] — rank, relabel, build, query (original ids);
-//!   both builders label the graph's core and derive its leaves
-//!   (`sfgraph::reduce`) from their one neighbour;
+//!   both builders label the graph's core and derive the vertices with
+//!   one or two neighbours (`sfgraph::reduce`) from those neighbours;
 //! * [`engine`] — the iterative engine on rank-relabeled graphs (one
 //!   round kernel over one or two label *sides*), with per-iteration
 //!   statistics (growing/pruning factors of Fig. 10);

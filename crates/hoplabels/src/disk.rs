@@ -112,8 +112,8 @@ impl DiskIndex {
     }
 
     /// Disk-based distance query: two label reads plus a merge join —
-    /// four reads when both ends are derived vertices, whose records
-    /// lead to their parents' labels.
+    /// up to six reads and four joins when both ends are derived
+    /// vertices, whose records lead to their parents' labels.
     ///
     /// `s == t` is answered from the trivial self-entry without
     /// touching the disk — paying two label reads to rediscover

@@ -28,7 +28,7 @@ use std::path::Path;
 use sfgraph::{Dist, VertexId, INF_DIST};
 
 use crate::image::{self, Layout};
-use crate::index::LabelIndex;
+use crate::index::{LabelIndex, RECORD_PAIRS};
 
 /// A frozen, query-only 2-hop label index: the bytes of a `HOPIDX02`
 /// image, validated once, then served in place.
@@ -144,7 +144,8 @@ impl FlatIndex {
     /// Exact distance query `dist(s, t)`; [`INF_DIST`] when
     /// unreachable. Vertex ids are rank positions, exactly as in
     /// [`LabelIndex::query`], and a derived vertex answers through its
-    /// record the same way: `off(s) + join(p(s), p(t)) + off(t)`.
+    /// record the same way: the least over its pairs of `off(s) +
+    /// join(p(s), p(t)) + off(t)` — at most four joins, no allocation.
     ///
     /// # Panics
     /// If `s` or `t` is not below [`FlatIndex::num_vertices`].
@@ -155,17 +156,23 @@ impl FlatIndex {
         if s == t {
             return 0;
         }
-        let ((ps, ds, a), (pt, dt, b)) = (self.end(0, s), self.end(1, t));
-        let core = if ps == pt {
-            0
-        } else {
-            // SAFETY: both slices are whole labels of `self.image`, which
-            // `image::validate` accepted at this `width` before `self`
-            // existed and nothing has written since; `end` never returns
-            // a record (validation: a record's parent holds a label).
-            unsafe { join(a, b, self.layout.header.width) }
-        };
-        let best = core.saturating_add(ds + dt);
+        let ((from, from_len), (to, to_len)) = (self.end(0, s), self.end(1, t));
+        let mut best = u64::MAX;
+        for &(ps, ds, a) in &from[..from_len] {
+            for &(pt, dt, b) in &to[..to_len] {
+                let core = if ps == pt {
+                    0
+                } else {
+                    // SAFETY: both slices are whole labels of `self.image`,
+                    // which `image::validate` accepted at this `width`
+                    // before `self` existed and nothing has written since;
+                    // `end` never returns a record (validation: a record's
+                    // parents hold labels).
+                    unsafe { join(a, b, self.layout.header.width) }
+                };
+                best = best.min(core.saturating_add(ds + dt));
+            }
+        }
         if best >= INF_DIST as u64 {
             INF_DIST
         } else {
@@ -173,21 +180,28 @@ impl FlatIndex {
         }
     }
 
-    /// Where a query continues from `v` on `side`: `v`, no offset and
-    /// its label — or, when the slot is a record, its parent, the
-    /// record's offset and the parent's label.
+    /// Where a query continues from `v` on `side`, and how many ways:
+    /// `v`, no offset and its label — or, when the slot is a record, per
+    /// pair its parent, the pair's offset and the parent's label.
     #[inline(always)]
-    fn end(&self, side: usize, v: VertexId) -> (VertexId, u64, &[u8]) {
+    fn end(&self, side: usize, v: VertexId) -> Ends<'_> {
         let label = self.label(side, v);
+        let mut ends = [(v, 0, label); RECORD_PAIRS];
         // Only an image with records has labels of 1–7 bytes.
         if !image::is_record(label) {
-            return (v, 0, label);
+            return (ends, 1);
         }
-        let mut at = 0;
-        // SAFETY: validation read this slot as a record: two complete
-        // varints of at most 5 bytes and 32 bits each.
-        let (parent, offset) = unsafe { (varint(label, &mut at), varint(label, &mut at)) };
-        (parent, offset as u64, self.label(side, parent))
+        let (mut len, mut at) = (0, 0);
+        // Validation read this slot as a record: one or two pairs of
+        // complete varints of at most 5 bytes and 32 bits each, filling
+        // it exactly.
+        while at < label.len() {
+            // SAFETY: `at` is at the start of a pair (above).
+            let (parent, offset) = unsafe { (varint(label, &mut at), varint(label, &mut at)) };
+            ends[len] = (parent, offset as u64, self.label(side, parent));
+            len += 1;
+        }
+        (ends, len)
     }
 
     /// Answer a batch of `(s, t)` pairs, sharding the slice across up
@@ -235,6 +249,10 @@ impl FlatIndex {
         });
     }
 }
+
+/// Where a query goes on from one end — `(vertex, offset, its label)`
+/// per way — and how many ways there are.
+type Ends<'a> = ([(VertexId, u64, &'a [u8]); RECORD_PAIRS], usize);
 
 /// Entries of one validated label: a hub per set bit, and a tail entry
 /// per two varints — a varint ends at its one byte below `0x80`.

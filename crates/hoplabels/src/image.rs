@@ -16,7 +16,8 @@
 //!          popcount(hubs) × dist, `width` bytes LE in ascending pivot order
 //!          (varint(pivot − previous − 1), varint(dist))*   pivots ≥ 64, ascending,
 //!                                                  "previous" starting at 63
-//! record := varint(parent) varint(offset)          1–7 bytes, so never a label
+//! record := (varint(parent) varint(offset)){1,2}  1–7 bytes, so never a label;
+//!                                                  parents ascending
 //! ```
 //!
 //! Vertices are rank-relabeled, so the pivots below 64 are the 64
@@ -49,38 +50,46 @@
 //! word that is mostly zeros); past two the bytes grow faster than the
 //! uniform pairs gain.
 //!
-//! ## Records: the fringe, derived
+//! ## Records: the periphery, derived
 //!
-//! A vertex with one distinct neighbour `p` (a *leaf*: `sfgraph::reduce`)
-//! lies on no shortest path between two other vertices, so the builders
-//! label the graph without the leaves and store each leaf, on each side,
-//! as a [`Record`] in its own slot: `p` and the weight of its arc to `p`
-//! (source side) or from `p` (target side); a side with no arc is the
+//! The builders eliminate an independent set of the vertices with one
+//! or two distinct neighbours (`sfgraph::reduce`: a leaf lies on no
+//! shortest path between two other vertices, and the walks through a
+//! vertex with two become shortcut arcs of the core), label the rest,
+//! and store each derived vertex, on each side, as a [`Record`] in its
+//! own slot: per neighbour `p` it has an arc to (source side) or from
+//! (target side), `p` and that arc's weight; a side with no arc is the
 //! empty label, which reaches nothing. Every reader resolves exactly one
-//! level, `dist(s, t) = off(s) + join(p(s), p(t)) + off(t)` — no join
-//! when `p(s) = p(t)` — because a parent always holds a label. The
-//! `records` byte of the flags word is 1 exactly when some slot is a
-//! record, so an image of a graph without leaves is byte for byte what
-//! it was before records existed. A leaf whose record would not fit in
-//! 7 bytes ([`record_fits`]) is simply labelled like any other vertex.
+//! level, `dist(s, t) = min over pairs of off(s) + join(p(s), p(t)) +
+//! off(t)` — no join when `p(s) = p(t)`, at most four joins — because a
+//! parent always holds a label. The `records` byte of the flags word is
+//! 1 exactly when some slot is a record, so an image of a graph with
+//! nothing derived is byte for byte what it was before records existed.
+//! A vertex whose record would not fit in 7 bytes ([`record_fits`]) is
+//! simply labelled like any other vertex.
 //!
 //! Whole image, bytes per vertex, on the three graphs hopbench builds:
 //!
 //! ```text
-//!                        und-mem-read  dir-ext-read  und-mem-writes
-//!  derived vertices            0       5 981 / 12 000       0
-//!  without records           62.58        65.43           54.70
-//!  with records              62.58        42.94           54.70
-//!    of which records          —           1.56             —
+//!                          und-mem-read    dir-ext-read    und-mem-writes
+//!  derived leaves               0         5 981 / 12 000         0
+//!  derived with two        6 514 / 16 000      2 309        3 997 / 10 000
+//!  no records                 62.58            65.43           54.70
+//!  leaves derived             62.58            42.94           54.70
+//!  leaves and two derived     46.29            33.32           40.61
+//!    of which records          2.16             2.77            2.09
 //! ```
 //!
-//! On `dir-ext-read` the 7 509 records (1 528 leaves have an arc each
-//! way) average 2.5 bytes; the rest of the saving is the labels the
-//! leaves no longer carry and the core's labels, which shrink too.
-//! Peeling iterated to a fixpoint derives 6 125 vertices there instead
-//! of 5 981 for one more point of bytes, at the price of a parent walk
-//! and a same-tree common-ancestor case in every reader: measured, and
-//! not done.
+//! The density-4 graphs have no leaf, but every vertex with two
+//! neighbours there is already apart from the others, so all of them go;
+//! their two-pair records average 5.3 bytes. On `dir-ext-read` the
+//! 11 449 records (1 820 of two pairs) average 2.9 bytes. The rest of the
+//! saving is the labels the derived vertices no longer carry and the
+//! core's labels, which shrink too. Two measured alternatives are not
+//! done: peeling leaves to a fixpoint (6 125 vertices instead of 5 981 on
+//! `dir-ext-read`, one point of bytes, for a parent walk in every
+//! reader), and three neighbours (see `sfgraph::reduce`: 9 joins a pair,
+//! and three pairs rarely fit 7 bytes).
 //!
 //! ## Validation, and what each rule buys the in-place reader
 //!
@@ -101,11 +110,12 @@
 //!   set bit can be loaded without a length check. A slot of 1–7 bytes
 //!   is a record under the `records` flag and an error without it, and
 //!   the flag is set only on an image that has a record.
-//! * **A record is two complete varints filling its slot, its parent
-//!   a vertex `< n` other than its own, whose slot on the same side is
-//!   not a record, and its offset below `INF_DIST`.** The in-place
-//!   reader decodes it without checks, reads the parent's slot as a
-//!   label, and never resolves a second level.
+//! * **A record is one or two pairs of complete varints filling its
+//!   slot; each parent a vertex `< n` other than its own, whose slot on
+//!   the same side is not a record, each offset below `INF_DIST`, and a
+//!   second parent above the first.** The in-place reader decodes it
+//!   without checks, reads each parent's slot as a label, never resolves
+//!   a second level, and meets each parent once.
 //! * **No hub bit `≥ n`, tail pivots `< n`.** Every pivot an
 //!   in-place walk reports is a vertex id (the shard cutter indexes a
 //!   histogram with them).
@@ -127,6 +137,13 @@
 //! that [`LabelIndex::write_hopidx`] returns `InvalidInput` ("… exceed
 //! the 4 GiB a HOPIDX02 directory addresses") before writing a label.
 //! `n` is bounded by `u32::MAX`, vertex ids being `u32`.
+//!
+//! A record has at most 7 bytes. Past 16 384 vertices a parent id takes
+//! three varint bytes, so a vertex with two neighbours both ranked past
+//! 16 384 needs 8 and keeps its label: on larger graphs the derived
+//! share falls as the ids of the parents grow. The next format change
+//! (the section table the ROADMAP plans) is the place to lift the
+//! limit, e.g. with a length byte instead of "shorter than a hub word".
 //!
 //! `HOPIDX01` (raw `(u32, u32)` pairs, `u64` entry-count offsets, no
 //! checksum) has no reader: it is refused by name and must be rebuilt.
@@ -351,22 +368,36 @@ pub(crate) fn is_record(label: &[u8]) -> bool {
     label.len().wrapping_sub(1) < RECORD_MAX
 }
 
-/// The checked decoder of the record in slot `v`: two varints filling
-/// the label exactly, a parent that is another vertex, an offset below
-/// `INF_DIST`.
+/// The checked decoder of the record in slot `v`: one or two pairs of
+/// varints filling the label exactly, each parent another vertex, the
+/// parents ascending, each offset below `INF_DIST`.
 fn read_record(label: &[u8], v: usize, n: usize) -> io::Result<Record> {
     let mut at = 0;
-    let (parent, offset) = (varint(label, &mut at)?, varint(label, &mut at)?);
+    let first = read_pair(label, &mut at, v, n)?;
+    if at == label.len() {
+        return Ok(Record::new(&[first]));
+    }
+    let second = read_pair(label, &mut at, v, n)?;
     if at != label.len() {
         return Err(bad("bytes after a record"));
     }
+    if second.0 <= first.0 {
+        return Err(bad("record parents not ascending"));
+    }
+    Ok(Record::new(&[first, second]))
+}
+
+/// One pair of the record in slot `v`, at `label[*at..]`: a parent that
+/// is another vertex, an offset below `INF_DIST`.
+fn read_pair(label: &[u8], at: &mut usize, v: usize, n: usize) -> io::Result<(VertexId, Dist)> {
+    let (parent, offset) = (varint(label, at)?, varint(label, at)?);
     if parent as usize >= n || parent as usize == v {
         return Err(bad("record parent is not another vertex"));
     }
     if offset == INF_DIST {
         return Err(bad("record offset is unreachable"));
     }
-    Ok(Record { parent, offset })
+    Ok((parent, offset))
 }
 
 /// The checked decoder of slot `v` of a side: its record, if the image
@@ -384,11 +415,17 @@ pub(crate) fn walk_slot(
     walk_label(label, header.width, header.n, f).map(|()| None)
 }
 
-/// Whether a record of `parent` at `offset` has an encoding: an offset
-/// below `INF_DIST`, and two varints that fit in 7 bytes. The
-/// builders peel only the leaves whose records fit.
-pub fn record_fits(parent: VertexId, offset: Dist) -> bool {
-    offset < INF_DIST && varint_len(parent) + varint_len(offset) <= RECORD_MAX
+/// Whether `record` has an encoding: offsets below `INF_DIST`, and
+/// varints that fit in 7 bytes. The builders derive only the vertices
+/// whose records fit.
+pub fn record_fits(record: &Record) -> bool {
+    let pairs = record.pairs();
+    pairs.iter().all(|&(_, offset)| offset < INF_DIST) && record_len(pairs) <= RECORD_MAX
+}
+
+/// Bytes the pairs of a record take.
+fn record_len(pairs: &[(VertexId, Dist)]) -> usize {
+    pairs.iter().map(|&(parent, offset)| varint_len(parent) + varint_len(offset)).sum()
 }
 
 fn varint_len(v: u32) -> usize {
@@ -410,7 +447,7 @@ fn hubs_and_tail(
 /// Bytes [`encode_label`] appends for this slot.
 fn encoded_len(label: &VertexLabels, width: usize) -> usize {
     if let Some(r) = label.record() {
-        return varint_len(r.parent) + varint_len(r.offset);
+        return record_len(r.pairs());
     }
     if label.is_empty() {
         return 0;
@@ -423,8 +460,10 @@ fn encoded_len(label: &VertexLabels, width: usize) -> usize {
 /// The encoder: append one slot — a record or a label — to `out`.
 pub(crate) fn encode_label(label: &VertexLabels, width: usize, out: &mut Vec<u8>) {
     if let Some(r) = label.record() {
-        put_varint(r.parent, out);
-        put_varint(r.offset, out);
+        for &(parent, offset) in r.pairs() {
+            put_varint(parent, out);
+            put_varint(offset, out);
+        }
         return;
     }
     if label.is_empty() {
@@ -516,11 +555,16 @@ impl LabelIndex {
                 if l.entries().last().is_some_and(|e| e.pivot as usize >= n) {
                     return Err(unwritable("a label cites a pivot that is not a vertex id"));
                 }
-                if let Some(Record { parent, offset }) = l.record() {
-                    let to_label = side.get(parent as usize).is_some_and(|p| p.record().is_none());
-                    if !to_label || parent as usize == v || !record_fits(parent, offset) {
+                if let Some(record) = l.record() {
+                    let pairs = record.pairs();
+                    let to_labels = pairs.iter().all(|&(parent, _)| {
+                        parent as usize != v
+                            && side.get(parent as usize).is_some_and(|p| p.record().is_none())
+                    });
+                    let ascending = pairs.is_sorted_by(|a, b| a.0 < b.0);
+                    if !to_labels || !ascending || !record_fits(&record) {
                         return Err(unwritable(
-                            "a record must name another vertex's label and fit in 7 bytes",
+                            "a record must name other vertices' labels, ascending, in 7 bytes",
                         ));
                     }
                 }
@@ -566,9 +610,10 @@ pub(crate) fn validate(bytes: &[u8]) -> io::Result<(Layout, usize)> {
         for v in 0..header.n {
             let label = layout.label(bytes, side, v).ok_or_else(|| bad("label out of bounds"))?;
             if let Some(r) = walk_slot(label, v, &header, |_, _| entries += 1)? {
-                let parent = layout.label(bytes, side, r.parent as usize);
-                if parent.is_none_or(is_record) {
-                    return Err(bad("a record's parent holds a record"));
+                for &(parent, _) in r.pairs() {
+                    if layout.label(bytes, side, parent as usize).is_none_or(is_record) {
+                        return Err(bad("a record's parent holds a record"));
+                    }
                 }
                 records = true;
             }
@@ -736,36 +781,59 @@ mod tests {
         let err = idx.write_hopidx(&mut Vec::new()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
 
-        // Records: a parent that is not a vertex, the vertex itself, a
-        // record; an unreachable offset. And what fits in 7 bytes.
-        let record = |parent, offset| VertexLabels::from_record(Record { parent, offset });
-        for (slot, parent_slot) in [
-            (record(9, 1), VertexLabels::with_trivial(0)),
-            (record(1, 1), VertexLabels::with_trivial(0)),
-            (record(0, 1), record(1, 1)),
-            (record(0, INF_DIST), VertexLabels::with_trivial(0)),
+        // Records in slot 2: a parent that is not a vertex, the vertex
+        // itself, a record; an unreachable offset; two parents out of
+        // order, equal, or with the second a record or the vertex.
+        let record = |pairs: &[_]| VertexLabels::from_record(Record::new(pairs));
+        let label = VertexLabels::with_trivial;
+        for (slot, slot_1) in [
+            (record(&[(9, 1)]), label(1)),
+            (record(&[(2, 1)]), label(1)),
+            (record(&[(1, 1)]), record(&[(0, 1)])),
+            (record(&[(1, INF_DIST)]), label(1)),
+            (record(&[(1, 1), (0, 1)]), label(1)),
+            (record(&[(1, 1), (1, 2)]), label(1)),
+            (record(&[(0, 1), (1, 1)]), record(&[(0, 1)])),
+            (record(&[(0, 1), (2, 1)]), label(1)),
+            (record(&[(0, 1), (1, INF_DIST)]), label(1)),
         ] {
-            let idx = LabelIndex::Undirected(UndirectedLabels { labels: vec![parent_slot, slot] });
+            let labels = vec![label(0), slot_1, slot];
+            let idx = LabelIndex::Undirected(UndirectedLabels { labels });
             let err = idx.write_hopidx(&mut Vec::new()).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{idx:?}: {err}");
         }
-        assert!(record_fits(1 << 14, 1 << 21), "3 + 4 bytes");
-        assert!(!record_fits(1 << 21, 1 << 21), "4 + 4 bytes");
+        // What fits in 7 bytes: past 16 384 vertices a parent id takes
+        // three varint bytes, and two of them do not fit.
+        let fits = |pairs: &[_]| record_fits(&Record::new(pairs));
+        assert!(fits(&[(1 << 14, 1 << 21)]), "3 + 4 bytes");
+        assert!(!fits(&[(1 << 21, 1 << 21)]), "4 + 4 bytes");
+        assert!(fits(&[(16_383, 1), (16_384, 1)]), "2 + 1 + 3 + 1 bytes");
+        assert!(!fits(&[(16_384, 1), (16_385, 1)]), "3 + 1 + 3 + 1 bytes");
+        let n = 16_387;
+        let mut labels: Vec<_> = (0..n).map(label).collect();
+        labels[n as usize - 1] = record(&[(16_384, 1), (16_385, 1)]);
+        let idx = LabelIndex::Undirected(UndirectedLabels { labels });
+        let err = idx.write_hopidx(&mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
     }
 
     #[test]
     fn records_round_trip_and_set_the_flag_only_when_present() {
         // 0 – 1 with leaves 2 (on 0) and 3 (on 1), offsets needing one
-        // and three varint bytes; directed, the in side of 3 is empty.
-        let mut labels: Vec<_> = (0..4).map(VertexLabels::with_trivial).collect();
+        // and three varint bytes, and 4 on both (offsets 3 and 200, two
+        // bytes); directed, the in side of 3 is empty and 4 has one arc
+        // in, from 1.
+        let mut labels: Vec<_> = (0..5).map(VertexLabels::with_trivial).collect();
         labels[1].insert_min(LabelEntry::new(0, 1));
         let without = LabelIndex::Undirected(UndirectedLabels { labels: labels.clone() });
-        labels[2] = VertexLabels::from_record(Record { parent: 0, offset: 5 });
-        labels[3] = VertexLabels::from_record(Record { parent: 1, offset: 70_000 });
+        labels[2] = VertexLabels::from_record(Record::new(&[(0, 5)]));
+        labels[3] = VertexLabels::from_record(Record::new(&[(1, 70_000)]));
+        labels[4] = VertexLabels::from_record(Record::new(&[(0, 3), (1, 200)]));
         let with = LabelIndex::Undirected(UndirectedLabels { labels: labels.clone() });
         let mut out_labels = labels;
         let mut in_labels = out_labels.clone();
         in_labels[3] = VertexLabels::new();
+        in_labels[4] = VertexLabels::from_record(Record::new(&[(1, 2)]));
         out_labels[2] = VertexLabels::new();
         let directed = LabelIndex::Directed(DirectedLabels { out_labels, in_labels });
         for (idx, records) in [(&without, 0), (&with, 1), (&directed, 1)] {
@@ -778,6 +846,11 @@ mod tests {
         assert_eq!(flat.query(2, 3), 5 + 1 + 70_000);
         assert_eq!(flat.query(3, 1), 70_000);
         assert_eq!(flat.out_label_len(2), 0, "a record has no entries");
+        assert_eq!((flat.query(4, 2), flat.query(2, 4)), (3 + 5, 3 + 5), "shared parent 0");
+        assert_eq!(flat.query(4, 3), 3 + 1 + 70_000);
+        assert_eq!(flat.query(4, 1), 3 + 1);
+        let flat = FlatIndex::from_index(&directed);
+        assert_eq!((flat.query(4, 1), flat.query(1, 4), flat.query(0, 4)), (4, 2, 3));
     }
 
     #[test]

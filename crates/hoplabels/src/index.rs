@@ -6,17 +6,46 @@ use sfgraph::{Dist, VertexId, INF_DIST};
 
 use crate::entry::LabelEntry;
 
-/// What a *derived* vertex — a leaf the builders peeled off the graph
-/// (`sfgraph::reduce`) — holds on one side in place of a label: its one
-/// neighbour and the weight of the arc between them on that side. Every
-/// distance from (on `Lout`/`L`) or to (on `Lin`) the vertex is
-/// `offset` plus the parent's, and the parent carries a label.
+/// What a *derived* vertex — one the builders eliminated from the graph
+/// (`sfgraph::reduce`) — holds on one side in place of a label: a
+/// `(parent, offset)` pair per neighbour it has an arc to (source side)
+/// or from (target side), and the weight of that arc. Every distance
+/// from (on `Lout`/`L`) or to (on `Lin`) the vertex is the least over
+/// its pairs of `offset` plus the parent's, and every parent carries a
+/// label. An image holds one or two pairs, parents ascending.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Record {
-    /// The vertex's one neighbour.
-    pub parent: VertexId,
-    /// Weight of the arc to (source side) or from (target side) it.
-    pub offset: Dist,
+    /// The pairs; a one-pair record's second parent is [`NO_PARENT`].
+    pairs: [(VertexId, Dist); RECORD_PAIRS],
+}
+
+/// The most pairs a record holds: a derived vertex has at most two
+/// neighbours (`sfgraph::reduce::MAX_PARENTS`).
+pub(crate) const RECORD_PAIRS: usize = 2;
+
+/// No vertex: `n` is at most `u32::MAX`, so ids are below it.
+const NO_PARENT: VertexId = VertexId::MAX;
+
+impl Record {
+    /// The record of `pairs`, in the order given.
+    ///
+    /// # Panics
+    /// Unless `pairs` holds one or two pairs, none of them of parent
+    /// `u32::MAX` (no vertex id).
+    pub fn new(pairs: &[(VertexId, Dist)]) -> Record {
+        assert!((1..=RECORD_PAIRS).contains(&pairs.len()), "a record holds one or two pairs");
+        assert!(pairs.iter().all(|&(p, _)| p != NO_PARENT), "a parent is a vertex id");
+        let mut own = [(NO_PARENT, 0); RECORD_PAIRS];
+        own[..pairs.len()].copy_from_slice(pairs);
+        Record { pairs: own }
+    }
+
+    /// The `(parent, offset)` pairs.
+    #[inline]
+    pub fn pairs(&self) -> &[(VertexId, Dist)] {
+        let len = if self.pairs[1].0 == NO_PARENT { 1 } else { 2 };
+        &self.pairs[..len]
+    }
 }
 
 /// One vertex's label: entries sorted by pivot id, pivots unique — or,
@@ -282,9 +311,10 @@ pub fn join_min_pivot(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(VertexId, D
 /// target_side)` — the query every nested reader answers
 /// ([`LabelIndex::query`] and the disk readers; `FlatIndex` answers the
 /// same over the image's bytes). A record on either end resolves to its
-/// parent, exactly one level: `off(s) + join(p(s), p(t)) + off(t)`, and
-/// no join at all when both ends meet at one vertex. A record whose
-/// parent holds a record too is `InvalidData`.
+/// parents, exactly one level: the least over its pairs of `off(s) +
+/// join(p(s), p(t)) + off(t)`, with no join for a pair of ends that meet
+/// at one vertex — at most four joins. A record whose parent holds a
+/// record too is `InvalidData`.
 pub(crate) fn query_slots<L: Borrow<VertexLabels>>(
     s: VertexId,
     t: VertexId,
@@ -293,19 +323,31 @@ pub(crate) fn query_slots<L: Borrow<VertexLabels>>(
     if s == t {
         return Ok(0);
     }
-    let mut end = |v: VertexId, target_side: bool| -> std::io::Result<(VertexId, Dist, L)> {
+    // Where a query continues from `v`: itself, or each parent of its record.
+    type Ends<L> = [Option<(VertexId, Dist, L)>; RECORD_PAIRS];
+    let mut end = |v: VertexId, target_side: bool| -> std::io::Result<Ends<L>> {
         let own = slot(v, target_side)?;
-        let Some(record) = own.borrow().record() else { return Ok((v, 0, own)) };
-        let parent = slot(record.parent, target_side)?;
-        if parent.borrow().record().is_some() {
-            return Err(crate::image::bad("a record's parent holds a record"));
+        let Some(record) = own.borrow().record() else { return Ok([Some((v, 0, own)), None]) };
+        let mut ends = [None, None];
+        for (end, &(parent, offset)) in ends.iter_mut().zip(record.pairs()) {
+            let label = slot(parent, target_side)?;
+            if label.borrow().record().is_some() {
+                return Err(crate::image::bad("a record's parent holds a record"));
+            }
+            *end = Some((parent, offset, label));
         }
-        Ok((record.parent, record.offset, parent))
+        Ok(ends)
     };
-    let (ps, ds, a) = end(s, false)?;
-    let (pt, dt, b) = end(t, true)?;
-    let core = if ps == pt { 0 } else { join_min(a.borrow().entries(), b.borrow().entries()) };
-    Ok(ds.saturating_add(core).saturating_add(dt))
+    let (from, to) = (end(s, false)?, end(t, true)?);
+    let mut best = INF_DIST;
+    for (ps, ds, a) in from.iter().flatten() {
+        for (pt, dt, b) in to.iter().flatten() {
+            let core =
+                if ps == pt { 0 } else { join_min(a.borrow().entries(), b.borrow().entries()) };
+            best = best.min(ds.saturating_add(core).saturating_add(*dt));
+        }
+    }
+    Ok(best)
 }
 
 /// Labels of a directed graph: `Lin(v)` and `Lout(v)` per vertex.
@@ -384,8 +426,9 @@ impl LabelIndex {
     ///
     /// `s == t` short-circuits to 0 — every vertex carries the trivial
     /// self-entry, so joining two labels to rediscover it is pure
-    /// overhead. A derived vertex answers through its record:
-    /// `off(s) + join(p(s), p(t)) + off(t)`, no join when `p(s) = p(t)`.
+    /// overhead. A derived vertex answers through its record: the least
+    /// over its pairs of `off(s) + join(p(s), p(t)) + off(t)`, no join
+    /// when `p(s) = p(t)`.
     ///
     /// # Panics
     /// If `s` or `t` is not below [`LabelIndex::num_vertices`], or a
@@ -541,24 +584,36 @@ mod tests {
 
     #[test]
     fn a_record_answers_through_its_parent_one_level() {
-        // 0 – 1 – 2 with 3 derived from 1 (offset 4) and 4 from 0 (7).
-        let mut labels: Vec<_> = (0..5).map(VertexLabels::with_trivial).collect();
+        // 0 – 1 – 2 with 3 derived from 1 (offset 4), 4 from 0 (7), and
+        // 5 and 6 from both 0 and 2 (offsets 1 and 5, 2 and 1).
+        let mut labels: Vec<_> = (0..7).map(VertexLabels::with_trivial).collect();
         labels[1].insert_min(LabelEntry::new(0, 1));
         labels[2].insert_min(LabelEntry::new(0, 2));
         labels[2].insert_min(LabelEntry::new(1, 1));
-        labels[3] = VertexLabels::from_record(Record { parent: 1, offset: 4 });
-        labels[4] = VertexLabels::from_record(Record { parent: 0, offset: 7 });
+        labels[3] = VertexLabels::from_record(Record::new(&[(1, 4)]));
+        labels[4] = VertexLabels::from_record(Record::new(&[(0, 7)]));
+        labels[5] = VertexLabels::from_record(Record::new(&[(0, 1), (2, 5)]));
+        labels[6] = VertexLabels::from_record(Record::new(&[(0, 2), (2, 1)]));
         let idx = LabelIndex::Undirected(UndirectedLabels { labels });
-        let want =
-            [[0, 1, 2, 5, 7], [1, 0, 1, 4, 8], [2, 1, 0, 5, 9], [5, 4, 5, 0, 12], [7, 8, 9, 12, 0]];
+        let want = [
+            [0, 1, 2, 5, 7, 1, 2],
+            [1, 0, 1, 4, 8, 2, 2],
+            [2, 1, 0, 5, 9, 3, 1],
+            [5, 4, 5, 0, 12, 6, 6],
+            [7, 8, 9, 12, 0, 8, 9],
+            [1, 2, 3, 6, 8, 0, 3],
+            [2, 2, 1, 6, 9, 3, 0],
+        ];
         for (s, row) in want.iter().enumerate() {
             for (t, &d) in row.iter().enumerate() {
                 assert_eq!(idx.query(s as VertexId, t as VertexId), d, "{s}->{t}");
             }
         }
         assert_eq!(idx.total_entries(), 3 + 1 + 2, "a record holds no entries");
-        assert_eq!(idx.source_labels(3).record(), Some(Record { parent: 1, offset: 4 }));
+        assert_eq!(idx.source_labels(3).record().map(|r| r.pairs().to_vec()), Some(vec![(1, 4)]));
+        assert_eq!(idx.source_labels(5).record().unwrap().pairs(), [(0, 1), (2, 5)]);
         assert_eq!(idx.source_labels(2).record(), None);
+        assert_eq!(std::mem::size_of::<VertexLabels>(), 24, "a record fits beside the Vec");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! * [`entry::LabelEntry`] — a `(pivot, dist)` pair;
 //! * [`index::VertexLabels`] — one vertex's label, sorted by pivot id,
-//!   or for a vertex derived from its one neighbour an
-//!   [`index::Record`] of that neighbour and the arc's weight;
+//!   or for a vertex derived from its one or two neighbours an
+//!   [`index::Record`] of those neighbours and the arcs' weights;
 //! * [`index::LabelIndex`] — the full index: `Lin`/`Lout` per vertex for
 //!   directed graphs, a single `L` per vertex for undirected graphs, with
 //!   the merge-join distance query of Section 2;

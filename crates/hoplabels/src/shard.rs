@@ -33,16 +33,18 @@
 //! its range to the router through the `info` reply.
 //!
 //! A derived vertex's record is copied into every shard unchanged. The
-//! merge stays exact: a record adds the same two offsets in every shard,
-//! `off(s) + min_j join_j(p(s), p(t)) + off(t)`, and when both ends meet
-//! at one parent every shard answers the same `off(s) + off(t)`.
+//! merge stays exact: per pair of parents a record adds the same two
+//! offsets in every shard, `min_(i,j) off_i(s) + min_k join_k(p_i(s),
+//! p_j(t)) + off_j(t)` is the unsharded least, and where two ends meet
+//! at one parent every shard answers the same `off_i(s) + off_j(t)`.
 //!
 //! The `rank_pruned` flag records a property the router can exploit:
-//! when every entry's pivot id is `<=` its vertex id and every record's
-//! parent id is `<=` its vertex id (true for any index built under the
-//! rank convention whose leaves rank below their parents, verified
-//! during the split — not assumed: a degree-product tie can rank a leaf
-//! above its parent), the winning pivot of `(s, t)` is `<= min(s, t)`,
+//! when every entry's pivot id is `<=` its vertex id and every parent of
+//! every record is `<=` its vertex id (true for any index built under
+//! the rank convention whose derived vertices rank below their parents,
+//! verified during the split — not assumed: a degree tie can rank a
+//! derived vertex above a parent), the winning pivot of `(s, t)` is
+//! `<= min(s, t)`,
 //! so only shards whose `lo <= min(s, t)` can contribute and the router
 //! may skip the rest. The flag is only usable when clients speak rank
 //! ids (no `.rank` translation sidecar); otherwise the router must
@@ -153,7 +155,9 @@ pub fn shard_image(bytes: &[u8], k: usize) -> io::Result<Vec<(Vec<u8>, ShardSpec
     let mut rank_pruned = true;
     for side in index.sides() {
         for (v, label) in side.iter().enumerate() {
-            rank_pruned &= label.record().is_none_or(|r| r.parent as usize <= v);
+            rank_pruned &= label
+                .record()
+                .is_none_or(|r| r.pairs().iter().all(|&(parent, _)| parent as usize <= v));
             for e in label.entries() {
                 // The decoder has checked `pivot < n`.
                 if let Some(slot) = hist.get_mut(e.pivot as usize) {
@@ -319,19 +323,26 @@ mod tests {
 
     #[test]
     fn records_go_to_every_shard_and_must_obey_the_pruning_rule_too() {
-        // A star 1 – {0, 2, 3}: 2 and 3 are derived from 1 (parent
-        // 1 ≤ 2, 3) and so, in the second index, is 0 — a leaf ranked
-        // above its parent, as a degree-product tie can leave it.
-        let record = |parent| VertexLabels::from_record(crate::Record { parent, offset: 3 });
-        let mut labels: Vec<_> = (0..4).map(VertexLabels::with_trivial).collect();
+        // A star 1 – {0, 2, 3} with 0 – 4 – 1: 2 and 3 are derived from
+        // 1 (parent 1 ≤ 2, 3) and 4 from 0 and 1. In the second index
+        // so is 0 — a leaf ranked above its parent, as a degree tie can
+        // leave it — and in the third 4's parents are 1 and 5, above it.
+        let record = |pairs: &[_]| VertexLabels::from_record(crate::Record::new(pairs));
+        let mut labels: Vec<_> = (0..6).map(VertexLabels::with_trivial).collect();
         labels[1].insert_min(LabelEntry::new(0, 3));
-        labels[2] = record(1);
-        labels[3] = record(1);
+        labels[5].insert_min(LabelEntry::new(1, 1));
+        labels[2] = record(&[(1, 3)]);
+        labels[3] = record(&[(1, 3)]);
+        labels[4] = record(&[(0, 2), (1, 2)]);
         let pruned = LabelIndex::Undirected(crate::UndirectedLabels { labels: labels.clone() });
-        labels[0] = record(1);
+        let mut above = labels.clone();
+        above[4] = record(&[(1, 2), (5, 2)]);
+        let above = LabelIndex::Undirected(crate::UndirectedLabels { labels: above });
+        labels[0] = record(&[(1, 3)]);
+        labels[4] = record(&[(1, 2)]);
         let unpruned = LabelIndex::Undirected(crate::UndirectedLabels { labels });
-        let pairs: Vec<(u32, u32)> = (0..4).flat_map(|s| (0..4).map(move |t| (s, t))).collect();
-        for (index, rank_pruned) in [(pruned, true), (unpruned, false)] {
+        let pairs: Vec<(u32, u32)> = (0..6).flat_map(|s| (0..6).map(move |t| (s, t))).collect();
+        for (index, rank_pruned) in [(pruned, true), (unpruned, false), (above, false)] {
             let bytes = image_of(&index);
             let expect: Vec<_> = pairs.iter().map(|&(s, t)| index.query(s, t)).collect();
             for k in 1..=3 {

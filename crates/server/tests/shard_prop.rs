@@ -8,11 +8,12 @@
 //! * min-merging the per-shard `FlatIndex::query_many` answers equals
 //!   `FlatIndex::query_many` on the unsharded image, pair for pair;
 //!
-//! and over leaf-rich graphs built by the real builder — whose images
-//! carry a record per derived vertex in every shard — additionally that
-//! the `rank_pruned` flag is set exactly when every entry's pivot and
-//! every record's parent is at most its vertex, and that when it is set
-//! the shards the router skips (`lo > min(s, t)`) change no answer.
+//! and over leaf-rich and chain-rich graphs built by the real builder —
+//! whose images carry a one- or two-parent record per derived vertex in
+//! every shard — additionally that the `rank_pruned` flag is set exactly
+//! when every entry's pivot and every parent of every record is at most
+//! its vertex, and that when it is set the shards the router skips
+//! (`lo > min(s, t)`) change no answer.
 
 use hoplabels::flat::FlatIndex;
 use hoplabels::{min_merge, shard_image, LabelEntry, LabelIndex};
@@ -67,33 +68,78 @@ fn directed_index_strategy() -> impl Strategy<Value = LabelIndex> {
     })
 }
 
-/// Strategy: the index `hopdb::build_prelabeled` builds for a random
-/// recursive tree (vertex `v` hangs off a random earlier vertex) plus a
-/// few extra edges — a graph of leaves, as scale-free fringes are. A
-/// directed graph orients each edge one way or both.
+/// A random draw: a vertex pick, a weight, and a way to orient an edge.
+type Draw = (u32, u32, u32);
+
+/// The index `hopdb::build_prelabeled` builds for the `n`-vertex graph
+/// of `edges`, weighted and — when directed — each edge oriented one
+/// way or both by the draws.
+fn built_index(
+    directed: bool,
+    n: usize,
+    edges: impl Iterator<Item = (u32, u32)>,
+    draws: &[Draw],
+) -> LabelIndex {
+    let b = if directed { GraphBuilder::new_directed(n) } else { GraphBuilder::new_undirected(n) };
+    let mut b = b.weighted();
+    for ((u, v), &(_, w, way)) in edges.zip(draws.iter().cycle().skip(7)) {
+        match way {
+            0 => b.add_weighted_edge(u, v, w),
+            1 => b.add_weighted_edge(v, u, w),
+            _ => {
+                b.add_weighted_edge(u, v, w);
+                b.add_weighted_edge(v, u, w + 1);
+            }
+        }
+    }
+    let g = b.build();
+    let g = relabel_by_rank(&g, &rank_vertices(&g, &RankBy::paper_default(&g)));
+    hopdb::build_prelabeled(&g, &hopdb::HopDbConfig::default()).0
+}
+
+/// Strategy: the index built for a random recursive tree (vertex `v`
+/// hangs off a random earlier vertex) plus a few extra edges — a graph
+/// of leaves, as scale-free fringes are.
 fn leafy_index_strategy(directed: bool) -> impl Strategy<Value = LabelIndex> {
     (4usize..40, vec((0u32..1 << 20, 1u32..9, 0u32..3), 44..45), 0usize..5).prop_map(
         move |(n, draws, extra)| {
-            let mut b = GraphBuilder::new_directed(n).weighted();
-            if !directed {
-                b = GraphBuilder::new_undirected(n).weighted();
-            }
             let edges = (1..n)
                 .map(|v| (v as u32, draws[v].0 % v as u32))
                 .chain(draws[..extra].iter().map(|&(x, ..)| (x % n as u32, (x >> 10) % n as u32)));
-            for ((u, v), &(_, w, way)) in edges.zip(draws.iter().cycle().skip(7)) {
-                match way {
-                    0 => b.add_weighted_edge(u, v, w),
-                    1 => b.add_weighted_edge(v, u, w),
-                    _ => {
-                        b.add_weighted_edge(u, v, w);
-                        b.add_weighted_edge(v, u, w + 1);
-                    }
+            built_index(directed, n, edges, &draws)
+        },
+    )
+}
+
+/// Strategy: the index built for a random recursive tree whose edges are
+/// each subdivided by a new vertex half of the time, plus up to two
+/// cycles of 3 to 6 vertices hung off one vertex — a graph of chains,
+/// whose vertices with two neighbours the builders derive.
+fn chainy_index_strategy(directed: bool) -> impl Strategy<Value = LabelIndex> {
+    (4usize..24, vec((0u32..1 << 20, 1u32..9, 0u32..3), 44..45), 0usize..3).prop_map(
+        move |(tree, draws, cycles)| {
+            let mut edges = Vec::new();
+            let mut n = tree as u32;
+            for v in 1..tree as u32 {
+                let (x, ..) = draws[v as usize];
+                let u = x % v;
+                if x & 1 << 19 == 0 {
+                    edges.push((u, v));
+                } else {
+                    edges.extend([(u, n), (n, v)]);
+                    n += 1;
                 }
             }
-            let g = b.build();
-            let g = relabel_by_rank(&g, &rank_vertices(&g, &RankBy::paper_default(&g)));
-            hopdb::build_prelabeled(&g, &hopdb::HopDbConfig::default()).0
+            for &(x, ..) in &draws[40..40 + cycles] {
+                let anchor = (x >> 4) % n;
+                let mut prev = anchor;
+                for _ in 0..2 + x % 4 {
+                    edges.push((prev, n));
+                    (prev, n) = (n, n + 1);
+                }
+                edges.push((prev, anchor));
+            }
+            built_index(directed, n as usize, edges.into_iter(), &draws)
         },
     )
 }
@@ -105,7 +151,7 @@ fn check_rank_pruning(index: &LabelIndex, k: usize) {
     let whole = FlatIndex::from_hopidx_bytes(&bytes).expect("load unsharded");
     let ruled = index.sides().iter().all(|side| {
         side.iter().enumerate().all(|(v, l)| {
-            l.record().is_none_or(|r| r.parent as usize <= v)
+            l.record().is_none_or(|r| r.pairs().iter().all(|&(p, _)| p as usize <= v))
                 && l.entries().iter().all(|e| e.pivot as usize <= v)
         })
     });
@@ -185,6 +231,17 @@ proptest! {
     fn leaf_rich_shards_partition_merge_and_prune_exactly(
         (undirected, directed, k) in
             (leafy_index_strategy(false), leafy_index_strategy(true), 1usize..5)
+    ) {
+        for index in [undirected, directed] {
+            check_partition_and_merge(&index, k);
+            check_rank_pruning(&index, k);
+        }
+    }
+
+    #[test]
+    fn chain_rich_shards_partition_merge_and_prune_exactly(
+        (undirected, directed, k) in
+            (chainy_index_strategy(false), chainy_index_strategy(true), 1usize..5)
     ) {
         for index in [undirected, directed] {
             check_partition_and_merge(&index, k);

@@ -21,9 +21,9 @@
 //!   Faloutsos rank exponent `γ`, the Newman expansion factor `R = z2/z1`,
 //!   and hop-diameter estimation (Section 2 of the paper).
 //! * [`io`] — text edge-list serialization.
-//! * [`reduce`] — leaf peeling: the degree-1 fringe a scale-free graph
-//!   hangs off its core, which the index builders derive instead of
-//!   labelling.
+//! * [`reduce`] — one level of elimination: the vertices with one or two
+//!   neighbours a scale-free graph hangs off its core, which the index
+//!   builders derive instead of labelling.
 //!
 //! Vertices are dense `u32` ids (`VertexId`); distances are `u32` with
 //! [`INF_DIST`] marking unreachable pairs.

@@ -5,16 +5,18 @@
 //! arriving at the same canonical object is strong evidence both are
 //! right.
 //!
-//! HopDb labels the graph's core and stores each peeled leaf as a
-//! record, so the comparison is PLL on the core, slot for slot, with a
-//! leaf's slot on each side being the record of its edge on that side.
+//! HopDb labels the graph's core and stores each vertex it eliminated
+//! as a record, so the comparison is PLL on the reduced core — weighted
+//! once it has a shortcut through a vertex with two neighbours — slot
+//! for slot, with a derived vertex's slot on each side being the record
+//! of its arcs on that side, read off the graph.
 
 use hop_doubling::baselines::pll;
 use hop_doubling::hopdb::{build_prelabeled, postprune, HopDbConfig};
 use hop_doubling::hoplabels::{LabelIndex, Record, VertexLabels};
 use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
-use hop_doubling::sfgraph::reduce::peel_leaves;
-use hop_doubling::sfgraph::{Graph, GraphBuilder, VertexId};
+use hop_doubling::sfgraph::reduce::eliminate;
+use hop_doubling::sfgraph::{Direction, Graph, GraphBuilder, VertexId};
 use rand::{Rng, SeedableRng};
 
 fn ranked_random(rng: &mut rand::rngs::StdRng, directed: bool, weighted: bool) -> Graph {
@@ -36,48 +38,57 @@ fn ranked_random(rng: &mut rand::rngs::StdRng, directed: bool, weighted: bool) -
     relabel_by_rank(&g, &ranking)
 }
 
-fn check(g: &Graph, case: usize) -> usize {
+/// Compare, and return how many vertices were derived and how many of
+/// them had two neighbours.
+fn check(g: &Graph, case: usize) -> (usize, usize) {
     let (mut hop, _) = build_prelabeled(g, &HopDbConfig::default());
     postprune::post_prune(&mut hop);
     // Every record fits an image on graphs this small.
-    let peeled = peel_leaves(g, |_| true);
-    let mut expect = pll::build_prelabeled(&peeled.core);
-    for leaf in &peeled.leaves {
-        let (v, p) = (leaf.vertex, leaf.parent);
-        let slot = |from: VertexId, to: VertexId| {
-            g.edge_weight(from, to).map_or_else(VertexLabels::new, |offset| {
-                VertexLabels::from_record(Record { parent: p, offset })
-            })
+    let reduced = eliminate(g, |_| true);
+    let mut expect = pll::build_prelabeled(&reduced.core);
+    for &v in &reduced.derived {
+        let slot = |dir| {
+            let arcs: Vec<(VertexId, u32)> = g.edges(v, dir).collect();
+            if arcs.is_empty() {
+                VertexLabels::new()
+            } else {
+                VertexLabels::from_record(Record::new(&arcs))
+            }
         };
         match &mut expect {
             LabelIndex::Directed(d) => {
-                d.out_labels[v as usize] = slot(v, p);
-                d.in_labels[v as usize] = slot(p, v);
+                d.out_labels[v as usize] = slot(Direction::Out);
+                d.in_labels[v as usize] = slot(Direction::In);
             }
-            LabelIndex::Undirected(u) => u.labels[v as usize] = slot(v, p),
+            LabelIndex::Undirected(u) => u.labels[v as usize] = slot(Direction::Out),
         }
     }
     assert_eq!(
         hop, expect,
-        "post-pruned HopDb and PLL on the core, plus the leaves' records, disagree (case {case})"
+        "post-pruned HopDb and PLL on the core, plus the records, disagree (case {case})"
     );
-    peeled.leaves.len()
+    (reduced.derived.len(), reduced.derived.len() - reduced.leaves)
+}
+
+/// Sum of [`check`]'s counts over many cases.
+fn sum(counts: impl Iterator<Item = (usize, usize)>) -> (usize, usize) {
+    counts.fold((0, 0), |(a, b), (c, d)| (a + c, b + d))
 }
 
 #[test]
 fn canonical_cover_matches_pll_undirected() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(501);
-    let leaves: usize =
-        (0..20).map(|case| check(&ranked_random(&mut rng, false, false), case)).sum();
-    assert!(leaves > 0, "some case must derive a vertex");
+    let (derived, two) =
+        sum((0..20).map(|case| check(&ranked_random(&mut rng, false, false), case)));
+    assert!(derived > two && two > 0, "some case must derive each kind: {derived}, {two}");
 }
 
 #[test]
 fn canonical_cover_matches_pll_directed() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(502);
-    let leaves: usize =
-        (0..20).map(|case| check(&ranked_random(&mut rng, true, false), case)).sum();
-    assert!(leaves > 0, "some case must derive a vertex");
+    let (derived, two) =
+        sum((0..20).map(|case| check(&ranked_random(&mut rng, true, false), case)));
+    assert!(derived > two && two > 0, "some case must derive each kind: {derived}, {two}");
 }
 
 #[test]
@@ -93,16 +104,16 @@ fn canonical_cover_matches_pll_on_glp() {
         hop_doubling::graphgen::glp(&hop_doubling::graphgen::GlpParams::with_vertices(400, 33));
     let ranking = rank_vertices(&raw, &RankBy::Degree);
     let g = relabel_by_rank(&raw, &ranking);
-    assert!(check(&g, 9004) > 0, "a GLP graph has leaves");
+    let (derived, two) = check(&g, 9004);
+    assert!(derived > two && two > 0, "a GLP graph has both kinds: {derived}, {two}");
 }
 
 #[test]
 fn canonical_cover_matches_pll_weighted() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(503);
-    let mut leaves = 0;
-    for case in 0..20 {
+    let (derived, two) = sum((0..20).map(|case| {
         let directed = rng.gen_bool(0.5);
-        leaves += check(&ranked_random(&mut rng, directed, true), case + 100);
-    }
-    assert!(leaves > 0, "some case must derive a vertex");
+        check(&ranked_random(&mut rng, directed, true), case + 100)
+    }));
+    assert!(derived > two && two > 0, "some case must derive each kind: {derived}, {two}");
 }

@@ -129,7 +129,8 @@ fn external_io_counters_equal_their_recorded_values() {
     // directory — the `seeks` column; the round that finds the fixpoint
     // merges nothing), then again when the builders started labelling
     // only the core: both graphs lose their peeled leaves' rounds, and
-    // the directed graph's candidate sorters no longer spill.
+    // the directed graph's candidate sorters no longer spill; and again
+    // when the core lost the vertices with two neighbours too.
     //
     // ((bytes read, bytes written, blocks read, blocks written),
     //  sort runs, merge passes, seeks)
@@ -141,13 +142,13 @@ fn external_io_counters_equal_their_recorded_values() {
             "undirected glp-2k-d3 (seed 7)",
             und,
             RankBy::Degree,
-            ((3_504_276, 1_897_008, 856, 464), 8, 4, 16),
+            ((2_541_300, 1_427_388, 621, 349), 8, 4, 13),
         ),
         (
             "directed glp-1.5k-d2.5 (seed 13)",
             dir,
             RankBy::DegreeProduct,
-            ((2_453_052, 1_214_988, 599, 297), 0, 8, 22),
+            ((1_664_124, 771_132, 407, 189), 0, 6, 17),
         ),
     ];
     // M = 16 Ki records, B = 4 KiB: small enough that the sorters spill

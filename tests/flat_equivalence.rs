@@ -2,26 +2,28 @@
 //!
 //! On random GLP scale-free graphs (directed, undirected, and weighted
 //! so that hub distances need more than one byte) and on a corpus of
-//! graphs built around their leaves — the vertices the builders derive
-//! from their one neighbour instead of labelling — the frozen
+//! graphs built around the vertices the builders derive from their one
+//! or two neighbours instead of labelling — leaves, chains, cycles,
+//! directed sinks, sources and two-way pairs — the frozen
 //! [`FlatIndex`], the nested [`LabelIndex`], the on-disk [`DiskIndex`]
 //! with and without its label cache, the 2- and 3-shard min-merge, and a
-//! [`LiveIndex`] whose overlay edge touches a leaf must all equal the
-//! BFS/Dijkstra ground truth on every pair; `FlatIndex::query_many` must
-//! return the same answers in input order at every thread count, and the
-//! flat index must be the image's bytes and nothing else.
+//! [`LiveIndex`] whose overlay edges leave one derived vertex and enter
+//! another must all equal the BFS/Dijkstra ground truth on every pair;
+//! `FlatIndex::query_many` must return the same answers in input order
+//! at every thread count, and the flat index must be the image's bytes
+//! and nothing else.
 
 use std::sync::Arc;
 
 use hop_doubling::extmem::device::TempStore;
 use hop_doubling::graphgen::{glp, orient_scale_free, with_random_weights, GlpParams};
-use hop_doubling::hopdb::{build_prelabeled, HopDbConfig};
+use hop_doubling::hopdb::{build_prelabeled, BuildStats, HopDbConfig};
 use hop_doubling::hoplabels::disk::{CachedDiskIndex, DiskIndex};
 use hop_doubling::hoplabels::flat::FlatIndex;
 use hop_doubling::hoplabels::{min_merge, shard_image, LabelIndex, LiveIndex, QueryBackend};
 use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
-use hop_doubling::sfgraph::traversal::all_pairs;
-use hop_doubling::sfgraph::{Graph, GraphBuilder, VertexId, INF_DIST};
+use hop_doubling::sfgraph::traversal::sssp;
+use hop_doubling::sfgraph::{Direction, Dist, Graph, GraphBuilder, VertexId, INF_DIST};
 use proptest::prelude::*;
 
 /// Strategy: a small random GLP graph, optionally oriented (directed).
@@ -36,8 +38,8 @@ fn glp_strategy(directed: bool) -> impl Strategy<Value = Graph> {
     })
 }
 
-/// `g` plus the edge `(u, v, w)`.
-fn with_edge(g: &Graph, (u, v, w): (VertexId, VertexId, u32)) -> Graph {
+/// `g` plus the edges `extra`.
+fn with_edges(g: &Graph, extra: &[(VertexId, VertexId, Dist)]) -> Graph {
     let n = g.num_vertices();
     let mut b = if g.is_directed() {
         GraphBuilder::new_directed(n)
@@ -45,18 +47,27 @@ fn with_edge(g: &Graph, (u, v, w): (VertexId, VertexId, u32)) -> Graph {
         GraphBuilder::new_undirected(n)
     };
     b = b.weighted();
-    for (s, t, d) in g.edge_list().into_iter().chain([(u, v, w)]) {
+    for (s, t, d) in g.edge_list().into_iter().chain(extra.iter().copied()) {
         b.add_weighted_edge(s, t, d);
     }
     b.build()
 }
 
 /// Check every surface against BFS truth on all pairs of `g`; returns
-/// the nested index it built and how many vertices that index derives.
-fn check_equivalence(g: &Graph) -> (LabelIndex, usize) {
+/// the nested index it built and the build's statistics.
+fn check_equivalence(g: &Graph) -> (LabelIndex, BuildStats) {
+    check_among(g, &g.vertices().collect::<Vec<_>>())
+}
+
+/// [`check_equivalence`] on the pairs of `among` (ids of `g`) only.
+fn check_among(g: &Graph, among: &[VertexId]) -> (LabelIndex, BuildStats) {
     let ranking = rank_vertices(g, &RankBy::paper_default(g));
     let relabeled = relabel_by_rank(g, &ranking);
-    let truth = all_pairs(&relabeled);
+    let among: Vec<VertexId> = among.iter().map(|&v| ranking.rank_of(v)).collect();
+    // `truth(g)[i][t]`: the distance from the `i`-th of `among` to `t`.
+    let truth = |g: &Graph| -> Vec<Vec<Dist>> {
+        among.iter().map(|&s| sssp(g, s, Direction::Out)).collect()
+    };
     let (index, stats) = build_prelabeled(&relabeled, &HopDbConfig::default());
     let flat = FlatIndex::from_index(&index);
     let store = TempStore::new().expect("temp store");
@@ -75,25 +86,30 @@ fn check_equivalence(g: &Graph) -> (LabelIndex, usize) {
     prop_assert_eq!(flat.resident_bytes(), image.len());
     prop_assert_eq!(flat.total_entries(), index.total_entries());
 
-    let n = g.num_vertices() as VertexId;
-    let mut pairs = Vec::with_capacity((n as usize) * (n as usize));
     // A derived vertex has an arc, so a record, on at least one side.
-    let record =
-        |v| [index.source_labels(v), index.target_labels(v)].iter().any(|l| l.record().is_some());
-    prop_assert_eq!((0..n).filter(|&v| record(v)).count(), stats.derived_vertices as usize);
-    for s in 0..n {
+    let n = g.num_vertices() as VertexId;
+    let (out_record, in_record) = (
+        |v| index.source_labels(v).record().is_some(),
+        |v| index.target_labels(v).record().is_some(),
+    );
+    let derived = (0..n).filter(|&v| out_record(v) || in_record(v)).count();
+    prop_assert_eq!(derived, stats.derived_vertices as usize);
+    let want = truth(&relabeled);
+    let mut pairs = Vec::with_capacity(among.len() * among.len());
+    let mut expect = Vec::with_capacity(among.len() * among.len());
+    for (i, &s) in among.iter().enumerate() {
         prop_assert_eq!(flat.out_label_len(s), index.source_labels(s).len(), "out len {s}");
         prop_assert_eq!(flat.in_label_len(s), index.target_labels(s).len(), "in len {s}");
-        for t in 0..n {
-            let want = truth[s as usize][t as usize];
+        for &t in &among {
+            let want = want[i][t as usize];
             prop_assert_eq!(index.query(s, t), want, "nested {s}->{t}");
             prop_assert_eq!(flat.query(s, t), want, "flat {s}->{t}");
             prop_assert_eq!(disk.query(s, t).expect("disk query"), want, "disk {s}->{t}");
             prop_assert_eq!(cached.query(s, t).expect("cached query"), want, "cached {s}->{t}");
             pairs.push((s, t));
+            expect.push(want);
         }
     }
-    let expect: Vec<u32> = pairs.iter().map(|&(s, t)| truth[s as usize][t as usize]).collect();
 
     // The batched path must agree pair-for-pair, in input order, at
     // every thread count.
@@ -113,17 +129,25 @@ fn check_equivalence(g: &Graph) -> (LabelIndex, usize) {
         prop_assert_eq!(&merged, &expect, "{k}-shard min-merge");
     }
 
-    // An overlay edge from a derived vertex (the last vertex when there
-    // is none) to a vertex halfway round the id space.
-    let leaf = (0..n).find(|&v| index.source_labels(v).record().is_some()).unwrap_or(n - 1);
-    let edge = (leaf, (leaf + n / 2) % n, 2);
-    if edge.0 != edge.1 {
-        let live =
-            LiveIndex::new(Arc::new(flat.clone()), 1).rebuild_overlay(&[edge]).expect("overlay");
-        let truth = all_pairs(&with_edge(&relabeled, edge));
-        for &(s, t) in &pairs {
+    // Overlay edges from a vertex whose source side is a record and to
+    // one whose target side is (the last vertex of `among` when there
+    // is none), each to or from a vertex a way round `among`.
+    let at = |i: usize| among[i % among.len()];
+    let find = |record: &dyn Fn(VertexId) -> bool| {
+        among.iter().position(|&v| record(v)).unwrap_or(among.len() - 1)
+    };
+    let (from, to) = (find(&out_record), find(&in_record));
+    let edges: Vec<_> =
+        [(at(from), at(from + among.len() / 2), 2), (at(to + among.len() / 3), at(to), 3)]
+            .into_iter()
+            .filter(|&(u, v, _)| u != v)
+            .collect();
+    let live = LiveIndex::new(Arc::new(flat.clone()), 1).rebuild_overlay(&edges).expect("overlay");
+    let want = truth(&with_edges(&relabeled, &edges));
+    for (i, &s) in among.iter().enumerate() {
+        for &t in &among {
             let got = live.query(s, t).expect("live query");
-            prop_assert_eq!(got, truth[s as usize][t as usize], "live {s}->{t} after {edge:?}");
+            prop_assert_eq!(got, want[i][t as usize], "live {s}->{t} after {edges:?}");
         }
     }
 
@@ -133,7 +157,7 @@ fn check_equivalence(g: &Graph) -> (LabelIndex, usize) {
     let reloaded = FlatIndex::load(&path).expect("flat load");
     std::fs::remove_file(path).ok();
     prop_assert_eq!(reloaded, flat);
-    (index, stats.derived_vertices as usize)
+    (index, stats)
 }
 
 fn graph(directed: bool, n: usize, edges: &[(VertexId, VertexId, u32)]) -> Graph {
@@ -145,13 +169,31 @@ fn graph(directed: bool, n: usize, edges: &[(VertexId, VertexId, u32)]) -> Graph
     b.build()
 }
 
+/// `(name, graph, derived vertices, of which with two neighbours)`.
+type Case = (&'static str, Graph, u64, u64);
+
+fn assert_corpus(corpus: Vec<Case>) {
+    for (name, g, derived, two) in corpus {
+        let (_, stats) = check_equivalence(&g);
+        let got = (stats.derived_vertices, stats.derived_vertices - stats.derived_leaves);
+        assert_eq!(got, (derived, two), "{name}");
+    }
+}
+
 #[test]
 fn leaf_corpus_agrees_on_every_surface() {
-    let corpus = [
-        ("star", graph(false, 6, &[(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1), (0, 5, 1)]), 5),
-        ("path of 3", graph(false, 3, &[(0, 1, 1), (1, 2, 1)]), 2),
-        ("two-vertex component", graph(false, 5, &[(0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 4, 5)]), 1),
-        ("a lone pair", graph(false, 2, &[(0, 1, 7)]), 1),
+    assert_corpus(vec![
+        ("star", graph(false, 6, &[(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1), (0, 5, 1)]), 5, 0),
+        ("path of 3", graph(false, 3, &[(0, 1, 1), (1, 2, 1)]), 2, 0),
+        // The triangle's highest id goes too, on a shortcut no shorter
+        // than the arc it would replace.
+        (
+            "two-vertex component",
+            graph(false, 5, &[(0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 4, 5)]),
+            2,
+            1,
+        ),
+        ("a lone pair", graph(false, 2, &[(0, 1, 7)]), 1, 0),
         (
             // A triangle 0 → 1 → 2 → 0 (and back), then 3 → 0 only,
             // 1 → 4 only, and 5 ⇄ 2 with different weights.
@@ -171,11 +213,81 @@ fn leaf_corpus_agrees_on_every_surface() {
                 ],
             ),
             3,
+            0,
         ),
+    ]);
+}
+
+#[test]
+fn chain_corpus_agrees_on_every_surface() {
+    // A directed core in which every vertex has three neighbours: the
+    // cycle 0 → 1 → 2 → 3 → 0 and the chords 0 → 2, 1 → 3, weight 2.
+    let core = [(0, 1, 2), (1, 2, 2), (2, 3, 2), (3, 0, 2), (0, 2, 2), (1, 3, 2)];
+    let hung = [
+        // 1 → 4 → 0 only: a shortcut 1 → 0 of 2, shorter than 1 → 3 → 0.
+        (1, 4, 1),
+        (4, 0, 1),
+        // A sink: 0 → 5 and 2 → 5, nothing out.
+        (0, 5, 1),
+        (2, 5, 2),
+        // A source: 6 → 1 and 6 → 3, nothing in.
+        (6, 1, 1),
+        (6, 3, 3),
+        // 7 ⇄ 2 and 7 ⇄ 3, each way its own weight.
+        (2, 7, 1),
+        (7, 2, 3),
+        (3, 7, 2),
+        (7, 3, 1),
     ];
-    for (name, g, leaves) in corpus {
-        assert_eq!(check_equivalence(&g).1, leaves, "{name}");
+    let directed: Vec<_> = core.iter().chain(&hung).copied().collect();
+    // A K4 on 0–3, and 4 and 5 each on 0 and 1 at their own weights.
+    let k4 = [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1)];
+    let shared: Vec<_> =
+        k4.iter().chain(&[(4, 0, 1), (4, 1, 3), (5, 0, 2), (5, 1, 1)]).copied().collect();
+    assert_corpus(vec![
+        // Ends first, which blocks their neighbours: 0, 2 and 4 go.
+        ("path of 5", graph(false, 5, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]), 3, 1),
+        // 3 then 1, both on 0 and 2.
+        ("C4", graph(false, 4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)]), 2, 2),
+        ("C5", graph(false, 5, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 0, 1)]), 2, 2),
+        ("two on one pair of parents", graph(false, 6, &shared), 2, 2),
+        // 2 goes; its shortcut 0–1 of 4 loses to the arc of 1.
+        (
+            "a shortcut longer than the arc",
+            graph(false, 3, &[(0, 1, 1), (1, 2, 2), (2, 0, 2)]),
+            1,
+            1,
+        ),
+        ("directed chains", graph(true, 8, &directed), 4, 4),
+    ]);
+}
+
+#[test]
+fn a_two_parent_record_needing_8_bytes_stays_in_the_core() {
+    // 3 277 disjoint K5s rank first (degree 4, ties by id), so the K4
+    // after them has its two degree-4 vertices a = 16 385, b = 16 386
+    // past 16 384, where a parent id takes three varint bytes: v, on a
+    // and b, would need an 8-byte record and keeps its label. w, on two
+    // vertices of the first K5 (degree 5, so ranked first), goes.
+    let k5s = 3_277;
+    let (a, v, w) = (5 * k5s, 5 * k5s + 4, 5 * k5s + 5);
+    let mut edges = Vec::new();
+    for base in (0..k5s).map(|i| 5 * i).chain([a]) {
+        let size = if base == a { 4 } else { 5 };
+        for i in 0..size {
+            edges.extend((i + 1..size).map(|j| (base + i, base + j, 1)));
+        }
     }
+    edges.extend([(v, a, 1), (v, a + 1, 1), (w, 0, 1), (w, 1, 1)]);
+    let g = graph(false, w as usize + 1, &edges);
+    let among: Vec<VertexId> = (0..10).chain(a..=w).collect();
+    let (index, stats) = check_among(&g, &among);
+    assert_eq!((stats.derived_vertices, stats.derived_leaves), (1, 0));
+    let ranking = rank_vertices(&g, &RankBy::paper_default(&g));
+    let (a, v, w) = (ranking.rank_of(a), ranking.rank_of(v), ranking.rank_of(w));
+    assert_eq!(a, 16_385, "a is ranked where its id needs three bytes");
+    assert!(index.source_labels(v).record().is_none(), "v keeps its label");
+    assert_eq!(index.source_labels(w).record().expect("w is derived").pairs(), [(0, 1), (1, 1)]);
 }
 
 proptest! {
@@ -197,8 +309,19 @@ proptest! {
         // vertices are derived: directed, and weighted.
         let und = glp(&GlpParams::with_density(80, 2.5, seed));
         for g in [orient_scale_free(&und, 0.25, seed), with_random_weights(&und, 1, 300, seed)] {
-            let (_, derived) = check_equivalence(&g);
-            prop_assert!(derived > 0, "no leaf derived");
+            let (_, stats) = check_equivalence(&g);
+            prop_assert!(stats.derived_vertices > 0, "nothing derived");
+        }
+    }
+
+    #[test]
+    fn all_query_surfaces_agree_at_density_4(seed in 1u64..5000) {
+        // The shape of hopbench's und-mem-read and und-mem-writes: no
+        // leaf to speak of, and many vertices with two neighbours.
+        let und = glp(&GlpParams::with_density(80, 4.0, seed));
+        for g in [orient_scale_free(&und, 0.25, seed), und] {
+            let (_, stats) = check_equivalence(&g);
+            prop_assert!(stats.derived_vertices > stats.derived_leaves, "no chain derived");
         }
     }
 

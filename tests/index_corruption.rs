@@ -18,14 +18,21 @@ use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
 use hop_doubling::sfgraph::VertexId;
 
 /// Serialized image of a small GLP-built index (70 vertices, so labels
-/// have both hub bits and varint tails, and leaves, so the image has
-/// records and every sweep below runs over them too).
+/// have both hub bits and varint tails, and leaves and vertices with two
+/// neighbours, so the image has one- and two-pair records and every
+/// sweep below runs over them too).
 fn serialized_image(directed: bool) -> Vec<u8> {
     let und = glp(&GlpParams::with_density(70, 3.0, if directed { 31 } else { 30 }));
     let g = if directed { orient_scale_free(&und, 0.25, 31) } else { und };
     let relabeled = relabel_by_rank(&g, &rank_vertices(&g, &RankBy::paper_default(&g)));
     let (index, stats) = build_prelabeled(&relabeled, &HopDbConfig::default());
-    assert!(stats.derived_vertices > 0, "the corpus graphs must have leaves");
+    let pairs = |len| {
+        let sides = index.sides();
+        let slots = sides.iter().flat_map(|side| side.iter());
+        slots.filter(|l| l.record().is_some_and(|r| r.pairs().len() == len)).count()
+    };
+    assert!(stats.derived_leaves > 0, "the corpus graphs must have leaves");
+    assert!(pairs(1) > 0 && pairs(2) > 0, "and records of one and of two pairs");
     let mut image = Vec::new();
     index.write_hopidx(&mut image).expect("serialize");
     assert_eq!(image[10], 1, "the records bit of the flags word");
@@ -212,6 +219,11 @@ fn a_record_is_two_varints_naming_another_vertexs_label() {
     let flat = FlatIndex::from_hopidx_bytes(&good).expect("baseline loads");
     assert_eq!((flat.query(1, 0), flat.query(1, 2), flat.total_entries()), (5, 8, 2));
     assert!(shard_image(&good, 2).is_ok());
+    // And with a second pair, 2 at offset 1.
+    let good = three_slots(1, [&hub0, &[0, 5, 2, 1], &to0]);
+    let flat = FlatIndex::from_hopidx_bytes(&good).expect("two pairs load");
+    assert_eq!((flat.query(1, 0), flat.query(1, 2), flat.query(2, 1)), (4, 1, 1));
+    assert!(shard_image(&good, 2).is_ok());
 
     let int_max = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F]; // varint(u32::MAX)
     let corpus: Vec<(&str, Vec<u8>)> = vec![
@@ -225,6 +237,21 @@ fn a_record_is_two_varints_naming_another_vertexs_label() {
         ("bytes after the record", three_slots(1, [&hub0, &[0, 5, 0], &to0])),
         ("records flag without a record", three_slots(1, [&hub0, &hub0, &to0])),
         ("records flag 2", three_slots(2, [&hub0, &[0, 5], &to0])),
+        // The second pair of a two-pair record.
+        ("second pair cut before its offset", three_slots(1, [&hub0, &[0, 5, 2], &to0])),
+        ("second offset cut", three_slots(1, [&hub0, &[0, 5, 2, 0x81], &to0])),
+        ("equal parents", three_slots(1, [&hub0, &[0, 5, 0, 6], &to0])),
+        ("descending parents", three_slots(1, [&hub0, &[2, 5, 0, 6], &to0])),
+        ("second parent == v", three_slots(1, [&hub0, &[0, 5, 1, 6], &to0])),
+        ("second parent >= n", three_slots(1, [&hub0, &[0, 5, 3, 6], &to0])),
+        ("second parent holds a record", three_slots(1, [&hub0, &[0, 5, 2, 6], &[0, 3]])),
+        ("a third pair", three_slots(1, [&hub0, &[0, 5, 2, 6, 2, 6], &to0])),
+        // varint(INF_DIST) is 5 bytes, so a second pair offset at it
+        // makes an 8-byte slot: no record, and no label either.
+        (
+            "second offset INF_DIST",
+            three_slots(1, [&hub0, &[&[0, 5, 2][..], &int_max].concat(), &to0]),
+        ),
     ];
     let store = TempStore::new().expect("temp store");
     for (what, image) in &corpus {

@@ -8,7 +8,7 @@
 //! allowed intermediate set, so this checks the engines against the
 //! paper's *definition*, not against another engine. The lemma is about
 //! the kernel's labels, so the kernel runs on the whole graph: the
-//! builders' leaf peeling would replace some labels by records.
+//! builders' elimination would replace some labels by records.
 
 use hop_doubling::hopdb::engine::build_index;
 use hop_doubling::hopdb::{HopDbConfig, Strategy};
