@@ -1,5 +1,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )
+)]
 
 //! # hopdb-cli — command-line front end
 //!
@@ -435,16 +448,27 @@ fn write_ranking_sidecar(target: &str, ranking: &Ranking) -> Result<(), CliError
     Ok(())
 }
 
-fn read_ranking_sidecar(target: &str, expect_n: usize) -> Result<Ranking, CliError> {
+/// The `.rank` sidecar of the `expect_n`-vertex index at `target`,
+/// `None` when it does not exist.
+fn read_ranking_sidecar(target: &str, expect_n: usize) -> Result<Option<Ranking>, CliError> {
     let path = format!("{target}.rank");
-    let mut bytes = Vec::new();
-    std::fs::File::open(&path)
-        .map_err(|e| err(format!("cannot open {path}: {e}")))?
-        .read_to_end(&mut bytes)?;
+    let Some(bytes) = read_if_present(&path)? else { return Ok(None) };
     // Validating the vertex count here turns a stale sidecar (index
     // rebuilt without its .rank) into a clean error instead of an
     // out-of-range panic inside the query workers.
-    Ranking::from_sidecar_bytes(&bytes, Some(expect_n)).map_err(|msg| err(format!("{path}: {msg}")))
+    Ranking::from_sidecar_bytes(&bytes, Some(expect_n))
+        .map(Some)
+        .map_err(|msg| err(format!("{path}: {msg}")))
+}
+
+/// The bytes of `path`, `None` when it does not exist. As for the
+/// daemon's sidecars, only `NotFound` means absent.
+fn read_if_present(path: &str) -> Result<Option<Vec<u8>>, CliError> {
+    match std::fs::read(path) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(err(format!("cannot read {path}: {e}"))),
+    }
 }
 
 fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -454,7 +478,7 @@ fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let flat = FlatIndex::load(Path::new(target))
         .map_err(|e| err(format!("cannot load {target}: {e}")))?;
     // One shard holds one pivot range: its joins are upper bounds.
-    if let Ok(bytes) = std::fs::read(format!("{target}.shard")) {
+    if let Some(bytes) = read_if_present(&format!("{target}.shard"))? {
         let spec = hoplabels::ShardSpec::decode(&bytes)
             .map_err(|e| err(format!("{target}.shard: {e}")))?;
         if spec.count > 1 {
@@ -465,7 +489,8 @@ fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             )));
         }
     }
-    let ranking = read_ranking_sidecar(target, flat.num_vertices())?;
+    let ranking = read_ranking_sidecar(target, flat.num_vertices())?
+        .ok_or_else(|| err(format!("cannot open {target}.rank: no such file")))?;
 
     // Pairs come from the positional arguments and/or a batch file of
     // whitespace-separated `s t` lines (`#` comments allowed).
@@ -478,7 +503,9 @@ fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         tok.parse().map_err(|_| err(format!("bad vertex {tok}")))
     };
     for pair in positional.chunks_exact(2) {
-        pairs.push((parse_vertex(pair[0])?, parse_vertex(pair[1])?));
+        if let [s, t] = pair {
+            pairs.push((parse_vertex(s)?, parse_vertex(t)?));
+        }
     }
     if let Some(batch) = args.opt("--pairs") {
         let text =
@@ -526,14 +553,16 @@ fn cmd_shard(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let shards = hoplabels::shard_image(&bytes, k)
         .map_err(|e| err(format!("cannot shard {target}: {e}")))?;
     // Clients addressing the shards by original vertex id need the
-    // ranking next to every shard image, exactly as with the source.
-    let rank = std::fs::read(format!("{target}.rank")).ok();
+    // ranking next to every shard image, validated before one is written
+    // against the vertex count: the ranges tile `[0, n)`.
+    let n = shards.last().map_or(0, |(_, spec)| spec.hi as usize);
+    let ranking = read_ranking_sidecar(target, n)?;
     for (image, spec) in &shards {
         let path = format!("{prefix}.shard{}", spec.index);
         std::fs::write(&path, image)?;
         std::fs::write(format!("{path}.shard"), spec.encode())?;
-        if let Some(rank) = &rank {
-            std::fs::write(format!("{path}.rank"), rank)?;
+        if let Some(ranking) = &ranking {
+            write_ranking_sidecar(&path, ranking)?;
         }
         writeln!(
             out,
@@ -826,8 +855,11 @@ fn cmd_admin(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                         // A rejected batch must stop the stream — blindly
                         // sending the rest would apply edges out of order
                         // around the hole. Point at the offending input.
-                        let (first, last_line) =
-                            (chunk.first().unwrap().0, chunk.last().unwrap().0);
+                        let (first, last_line) = match chunk {
+                            [(first, _), .., (last, _)] => (*first, *last),
+                            [(only, _)] => (*only, *only),
+                            [] => (0, 0), // `chunks` yields none
+                        };
                         return Err(err(format!(
                             "ingest stopped at a rejected batch \
                              ({origin} lines {first}-{last_line}): {e}\n\
@@ -1433,6 +1465,74 @@ mod tests {
             .unwrap_err()
             .0
             .contains("cannot shard"));
+        for f in cleanup {
+            let _ = std::fs::remove_file(f);
+        }
+    }
+
+    /// A built `<name>.idx` (with its `.rank`) over a small GLP graph;
+    /// returns the index path and every path to clean up.
+    fn small_index(name: &str, vertices: &str) -> (String, Vec<String>) {
+        let graph = tmp(&format!("{name}.txt"));
+        let index = tmp(&format!("{name}.idx"));
+        run_vec(&["gen", "--model", "glp", "--vertices", vertices, "-o", &graph]).unwrap();
+        run_vec(&["build", "-i", &graph, "-o", &index]).unwrap();
+        let cleanup = vec![graph, index.clone(), format!("{index}.rank")];
+        (index, cleanup)
+    }
+
+    #[test]
+    fn query_fails_on_a_shard_map_it_cannot_read() {
+        let (index, cleanup) = small_index("unreadable-shard", "60");
+        let map = format!("{index}.shard");
+        std::fs::create_dir(&map).unwrap();
+        let msg = run_vec(&["query", "-x", &index, "3", "7"]).unwrap_err().0;
+        assert!(msg.contains(&format!("cannot read {map}")), "{msg}");
+        std::fs::remove_dir(&map).unwrap();
+        assert!(run_vec(&["query", "-x", &index, "3", "7"]).is_ok());
+        for f in cleanup {
+            let _ = std::fs::remove_file(f);
+        }
+    }
+
+    #[test]
+    fn shard_without_a_rank_copies_none() {
+        let (index, cleanup) = small_index("shard-no-rank", "60");
+        std::fs::remove_file(format!("{index}.rank")).unwrap();
+        run_vec(&["shard", "-x", &index, "--shards", "1"]).unwrap();
+        let shard = format!("{index}.shard0");
+        assert!(Path::new(&shard).exists());
+        assert!(!Path::new(&format!("{shard}.rank")).exists());
+        for f in cleanup.into_iter().chain([format!("{shard}.shard"), shard]) {
+            let _ = std::fs::remove_file(f);
+        }
+    }
+
+    #[test]
+    fn shard_fails_on_a_rank_it_cannot_read_before_writing_a_shard() {
+        let (index, cleanup) = small_index("shard-unreadable-rank", "60");
+        let rank = format!("{index}.rank");
+        std::fs::remove_file(&rank).unwrap();
+        std::fs::create_dir(&rank).unwrap();
+        let msg = run_vec(&["shard", "-x", &index, "--shards", "2"]).unwrap_err().0;
+        assert!(msg.contains(&format!("cannot read {rank}")), "{msg}");
+        assert!(!Path::new(&format!("{index}.shard0")).exists());
+        std::fs::remove_dir(&rank).unwrap();
+        for f in cleanup {
+            let _ = std::fs::remove_file(f);
+        }
+    }
+
+    #[test]
+    fn shard_refuses_a_stale_rank_before_writing_a_shard() {
+        let (index, mut cleanup) = small_index("shard-stale-rank", "60");
+        let (other, other_cleanup) = small_index("shard-stale-rank-other", "40");
+        cleanup.extend(other_cleanup);
+        let rank = format!("{index}.rank");
+        std::fs::copy(format!("{other}.rank"), &rank).unwrap();
+        let msg = run_vec(&["shard", "-x", &index, "--shards", "2"]).unwrap_err().0;
+        assert!(msg.starts_with(&format!("{rank}: ")), "{msg}");
+        assert!(!Path::new(&format!("{index}.shard0")).exists());
         for f in cleanup {
             let _ = std::fs::remove_file(f);
         }

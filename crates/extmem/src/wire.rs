@@ -7,12 +7,26 @@
 //! local: each read returns `None` past the end of the slice instead
 //! of relying on a length check somewhere earlier in the function, so
 //! a refactor that drops the check turns into a handled decode error,
-//! not a slice-index panic. The in-tree `tidy` panic-freedom pass
-//! (`cargo run -p xtask -- tidy`) keeps the call sites honest.
+//! not a slice-index panic. The clippy panic lints denied below (and
+//! in every other wire-facing module) keep the call sites honest.
 //!
 //! [`crc32`] lives here for the same reason: the WAL's record frames
 //! and the index image's trailer are both "bytes from disk that must
 //! prove themselves", and they share one table.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )
+)]
 
 /// The `N` bytes at `bytes[off..off + N]`, if fully in bounds.
 #[inline]
@@ -100,10 +114,12 @@ impl Crc32 {
 }
 
 #[inline(always)]
+#[expect(clippy::indexing_slicing, reason = "the index is masked below 256")]
 fn look(table: &[u32; 256], byte: u32) -> u32 {
     table[(byte & 0xFF) as usize]
 }
 
+#[expect(clippy::indexing_slicing, reason = "const-evaluated: out of bounds fails the build")]
 const fn crc32_tables() -> [[u32; 256]; 8] {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;

@@ -148,6 +148,20 @@
 //! `HOPIDX01` (raw `(u32, u32)` pairs, `u64` entry-count offsets, no
 //! checksum) has no reader: it is refused by name and must be rebuilt.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )
+)]
+
 use std::io::{self, Write};
 use std::ops::Range;
 

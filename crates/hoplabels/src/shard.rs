@@ -50,6 +50,20 @@
 //! ids (no `.rank` translation sidecar); otherwise the router must
 //! broadcast, which is still exact, just not pruned.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )
+)]
+
 use std::io;
 
 use extmem::wire;
@@ -126,6 +140,11 @@ impl ShardSpec {
 ///
 /// # Panics
 /// If the slices disagree in length (shards answer the same batch).
+#[expect(
+    clippy::disallowed_macros,
+    reason = "documented contract: the client session already rejects a reply whose length \
+              disagrees with its request, so a mismatch here is a caller bug"
+)]
 pub fn min_merge(acc: &mut [Dist], other: &[Dist]) {
     assert_eq!(acc.len(), other.len(), "shard answers must align");
     for (a, &b) in acc.iter_mut().zip(other) {

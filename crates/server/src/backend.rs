@@ -37,18 +37,20 @@
 //!   compaction promote — so mutations are serial and each one sees the
 //!   state the previous one committed; the compactor's long build runs
 //!   between two short holds of it, never under it;
-//! * `current` — the published [`Generation`] `Arc`. It is the only
-//!   lock the query path takes (a read lock, for one `Arc` clone per
-//!   batch), so no query ever waits on an overlay rebuild or an fsync;
-//!   a mutation write-locks it last, for one pointer store.
+//! * `current` — the published [`Generation`] `Arc`, a `Published`.
+//!   It is the only lock the query path takes (a read lock, for one
+//!   `Arc` clone per batch), so no query ever waits on an overlay
+//!   rebuild or an fsync; a mutation write-locks it last, for one
+//!   pointer store.
 //!
-//! Never acquire `lineage` while holding `current`. The in-tree checker
-//! (`cargo run -p xtask -- tidy`, `locks` pass) scans
-//! `backend.rs`/`server.rs` and flags violations of this order, citing
-//! this section.
+//! The type is the proof: the `RwLock` inside a `Published` is private
+//! to this module, touched only by its `load` and `store`, and neither
+//! returns with its guard held. No lock can therefore be acquired while
+//! `current` is held, so `lineage → current` is the only order two
+//! locks are ever held in.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 use extmem::device::CountedFile;
 use extmem::stats::IoStats;
@@ -264,6 +266,33 @@ impl Generation {
         };
         self.index.query_many_into(ranked, threads, out).map_err(|e| format!("index query: {e}"))
     }
+}
+
+/// The published generation: one `Arc` behind a lock no caller can
+/// hold (see the module docs' lock order).
+pub(crate) struct Published(RwLock<Arc<Generation>>);
+
+impl Published {
+    /// Publish the boot generation.
+    pub(crate) fn new(boot: Generation) -> Published {
+        Published(RwLock::new(Arc::new(boot)))
+    }
+
+    /// The serving generation, pinned by one `Arc` clone.
+    pub(crate) fn load(&self) -> Result<Arc<Generation>, String> {
+        self.0.read().map(|current| Arc::clone(&current)).map_err(poisoned)
+    }
+
+    /// Publish `next` with a single pointer store.
+    pub(crate) fn store(&self, next: Arc<Generation>) -> Result<(), String> {
+        *self.0.write().map_err(poisoned)? = next;
+        Ok(())
+    }
+}
+
+/// The error a poisoned serving lock becomes.
+pub(crate) fn poisoned<T>(_: T) -> String {
+    "server state poisoned".to_string()
 }
 
 /// The one range check of the serving path: the error naming the first

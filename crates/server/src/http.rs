@@ -24,6 +24,20 @@
 //! shape `/query_many` accepts. Head and body sizes are capped; a peer
 //! exceeding them gets a 4xx and the connection closed.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::proto::{FieldValue, InfoReply};
 use sfgraph::{Dist, VertexId, INF_DIST};
 

@@ -77,6 +77,20 @@
 //! arrive split at arbitrary byte boundaries). Responses are decoded by
 //! [`read_response`], which blocks on a stream (the client).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )
+)]
+
 use extmem::wire;
 use std::io::{ErrorKind, Read};
 

@@ -12,7 +12,7 @@
 //!          │                             swaps and updates run here too
 //!   compactor thread                               │
 //!     rebuild + checkpoint, off both               ▼
-//!     hot paths                        RwLock<Arc<Generation>>
+//!     hot paths                        Published (one Arc<Generation>)
 //! ```
 //!
 //! Each query batch clones the current [`Generation`] `Arc` once and
@@ -23,18 +23,19 @@
 //!
 //! Everything a mutation reads or writes is one `Lineage` behind one
 //! mutex; its three mutations (`append`, `fold`, `reset`) end in the
-//! same `commit`. The lock order is `lineage → current` and nothing
-//! else (see the `backend` module docs).
+//! same `commit`. The lock order is `lineage → current`, and the
+//! `Published` type behind `current` keeps it so (see the `backend`
+//! module docs).
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crate::backend::{sibling, Generation};
+use crate::backend::{poisoned, sibling, Generation, Published};
 use crate::batch::{run_batch, BatchWork, Job, QueryJob, Stage};
 use crate::front::{self, Admin, FrontConfig, FrontHandle, Outcome, Service, Traffic};
 use crate::proto::{InfoReply, Response, ResponseBody, DURABILITY_DISABLED, ROUTE_SINGLE};
@@ -108,10 +109,6 @@ impl Default for ServerConfig {
             wal_max_bytes: None,
         }
     }
-}
-
-fn poisoned<T>(_: T) -> String {
-    "server state poisoned".to_string()
 }
 
 /// The durable half of a [`Lineage`]: the live log, its fsync policy,
@@ -230,7 +227,7 @@ impl Lineage {
     fn commit(&self, shared: &Shared, next: Generation) -> Result<Arc<Generation>, String> {
         self.mirror(shared);
         let next = Arc::new(next);
-        *shared.current.write().map_err(poisoned)? = Arc::clone(&next);
+        shared.current.store(Arc::clone(&next))?;
         Ok(next)
     }
 
@@ -249,7 +246,7 @@ impl Lineage {
     /// append fails.
     fn append(&mut self, shared: &Shared, batch: &[WalEdge]) -> Result<Arc<Generation>, String> {
         validate_update_edges(batch)?;
-        let current = shared.current()?;
+        let current = shared.current.load()?;
         let accepted = self.edges.len();
         self.edges.extend_from_slice(batch);
         let next = current.with_updates(&self.edges[self.folded..]).and_then(|next| {
@@ -357,7 +354,7 @@ impl Lineage {
 /// handle.
 struct Shared {
     /// The published generation: the only lock the query path takes.
-    current: RwLock<Arc<Generation>>,
+    current: Published,
     /// The write side. Held for the whole of every mutation — update
     /// batch, swap, compaction promote — and never by a query.
     lineage: Mutex<Lineage>,
@@ -382,11 +379,6 @@ struct Shared {
 }
 
 impl Shared {
-    /// The serving generation, pinned by one `Arc` clone.
-    fn current(&self) -> Result<Arc<Generation>, String> {
-        self.current.read().map(|current| Arc::clone(&current)).map_err(poisoned)
-    }
-
     /// Whether a background compaction is due: the overlay reached
     /// `compact_threshold`, or the log `wal_max_bytes` — a checkpoint
     /// truncates the WAL, so an oversized log compacts even with a
@@ -394,7 +386,7 @@ impl Shared {
     fn over_threshold(&self) -> bool {
         let threshold = self.config.compact_threshold;
         let overlay_over =
-            threshold > 0 && self.current().is_ok_and(|g| g.overlay_edges() >= threshold);
+            threshold > 0 && self.current.load().is_ok_and(|g| g.overlay_edges() >= threshold);
         let wal_over = self
             .config
             .wal_max_bytes
@@ -425,7 +417,7 @@ impl ServerHandle {
 
     /// Generation number of the index currently being served.
     pub fn current_generation(&self) -> u64 {
-        self.shared.current().map_or(0, |g| g.generation())
+        self.shared.current.load().map_or(0, |g| g.generation())
     }
 
     /// Promote the configured swap path (or re-load the boot path) to
@@ -479,7 +471,7 @@ pub fn serve(
     let (compact_tx, compact_rx) = mpsc::channel::<CompactMsg>();
     let limits = config.front;
     let shared = Arc::new(Shared {
-        current: RwLock::new(Arc::new(boot)),
+        current: Published::new(boot),
         lineage: Mutex::new(lineage),
         config,
         index_path: index_path.to_path_buf(),
@@ -612,7 +604,7 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
     let mut pin = shared.lineage.lock().map_err(poisoned)?.pin();
     pin.edges.sort_unstable();
     pin.edges.dedup_by_key(|&mut (s, t, _)| (s, t));
-    let serving = shared.current()?;
+    let serving = shared.current.load()?;
     let (directed, serving_n) = (serving.is_directed(), serving.vertices());
 
     // Build, lock-free. Same pipeline as `hopdb-cli build`: clean the
@@ -719,7 +711,7 @@ impl Service for Shared {
     /// Everything the node knows about itself; a poisoned `current`
     /// (a panicked writer) reports all zeroes.
     fn info(&self, traffic: Traffic) -> InfoReply {
-        let Ok(current) = self.current() else { return InfoReply::default() };
+        let Ok(current) = self.current.load() else { return InfoReply::default() };
         let shard = current.shard();
         InfoReply {
             protocol: crate::proto::VERSION,
@@ -801,7 +793,7 @@ impl Stage for Executor<'_> {
     /// slices are encoded back out.
     fn queries(&mut self, jobs: Vec<QueryJob>) {
         let shared = self.shared;
-        let generation = shared.current();
+        let generation = shared.current.load();
         let n = generation.as_ref().map_or(u64::MAX, |g| g.vertices() as u64);
         let Some(work) = BatchWork::cut(jobs, n, &shared.front.completions) else { return };
         let mut dists = Vec::with_capacity(work.combined.len());

@@ -51,6 +51,20 @@
 //! still loses nothing — the page cache survives SIGKILL — but a power
 //! cut may cost the tail).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )
+)]
+
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

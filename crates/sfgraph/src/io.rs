@@ -4,6 +4,20 @@
 //! lines ignored — the format of the SNAP / KONECT collections the paper
 //! evaluates on.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )
+)]
+
 use std::io::{BufRead, Write};
 
 use crate::builder::GraphBuilder;

@@ -1,25 +1,16 @@
 #![forbid(unsafe_code)]
 //! In-tree static-analysis suite (`cargo run -p xtask -- tidy`),
 //! rustc-`tidy` style: zero dependencies, a hand-rolled line/token
-//! scanner, and four independent passes that each print `file:line`
+//! scanner, and two independent passes that each print `file:line`
 //! diagnostics and make the binary exit nonzero:
 //!
 //! 1. [`unsafe_audit`] — every `unsafe` block/fn must carry a
 //!    `// SAFETY:` comment (`# Safety` doc section for `unsafe fn`),
 //!    and the pass emits an inventory of all unsafe sites.
-//! 2. [`panic_lint`] — deny `unwrap`/`expect`/panicking macros/slice
-//!    indexing in the wire-facing decode modules outside
-//!    `#[cfg(test)]`, driven by the checked-in allowlist
-//!    `crates/xtask/tidy.allowlist`.
-//! 3. [`lock_order`] — flag `.lock()`/`.read()`/`.write()` sequences
-//!    in the serving core that violate the declared
-//!    `lineage → current` order.
-//! 4. [`loc_budget`] — hold each crate's non-test source lines against
+//! 2. [`loc_budget`] — hold each crate's non-test source lines against
 //!    its ceiling in the checked-in `crates/xtask/loc.budget`.
 
 pub mod loc_budget;
-pub mod lock_order;
-pub mod panic_lint;
 pub mod scan;
 pub mod unsafe_audit;
 
@@ -59,7 +50,7 @@ impl TidyReport {
 }
 
 /// The pass names `--pass` takes, in run order.
-pub const PASSES: [&str; 4] = ["unsafe", "panic", "locks", "loc"];
+pub const PASSES: [&str; 2] = ["unsafe", "loc"];
 
 /// Run every tidy pass against the workspace rooted at `root`.
 /// `only` restricts the run to a single pass name.
@@ -71,12 +62,6 @@ pub fn run_tidy(root: &Path, only: Option<&str>) -> std::io::Result<TidyReport> 
         let (sites, diags) = unsafe_audit::check(root)?;
         inventory = sites;
         passes.push(("unsafe", diags));
-    }
-    if want("panic") {
-        passes.push(("panic", panic_lint::check(root)?));
-    }
-    if want("locks") {
-        passes.push(("locks", lock_order::check(root)?));
     }
     if want("loc") {
         passes.push(("loc", loc_budget::check(root)?));

@@ -1,4 +1,4 @@
-//! Pass 4: the line-count ratchet. Every crate under `crates/` has a
+//! Pass 2: the line-count ratchet. Every crate under `crates/` has a
 //! ceiling in the checked-in `crates/xtask/loc.budget` (`dir: lines`,
 //! one crate per line, `#` comments); the pass counts the lines of the
 //! crate's `src/**/*.rs` that sit outside `#[cfg(test)]` regions

@@ -6,8 +6,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: cargo run -p xtask -- tidy [--root DIR] [--pass unsafe|panic|locks|loc]";
+const USAGE: &str = "usage: cargo run -p xtask -- tidy [--root DIR] [--pass unsafe|loc]";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);

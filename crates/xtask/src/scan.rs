@@ -2,8 +2,9 @@
 //! style: just enough lexing to tell code from comments and string
 //! literals, and to know which lines live under `#[cfg(test)]`.
 //!
-//! The passes built on top only ever ask line-level questions ("does
-//! this line index a slice outside a test module?"), so the scanner
+//! The passes built on top only ever ask line-level questions ("is
+//! there an `unsafe` on this line, and a `SAFETY:` comment above it?",
+//! "does this line sit outside a test module?"), so the scanner
 //! deliberately stops at that granularity instead of producing a real
 //! token stream. It understands line and nested block comments, string
 //! / raw-string / byte-string / char literals, and lifetimes, which is
@@ -17,8 +18,6 @@ use std::path::Path;
 pub struct Line {
     /// 1-based line number.
     pub number: usize,
-    /// The raw line, verbatim (used for allowlist matching).
-    pub raw: String,
     /// The line with comment text and literal *contents* blanked out;
     /// string literals collapse to `""` so token scans never match
     /// text that only occurs inside a literal or a comment.
@@ -165,13 +164,14 @@ fn split_channels(text: &str) -> Vec<Line> {
                 }
             }
         }
-        out.push(Line { number: idx + 1, raw: raw.to_string(), code, comment, in_test: false });
+        out.push(Line { number: idx + 1, code, comment, in_test: false });
     }
     out
 }
 
 /// Does the code channel end in an identifier character (so a
-/// following `r` is part of an identifier, not a raw-string prefix)?
+/// following `r` is part of an identifier, not a raw-string prefix, and
+/// a following word is not a whole word)?
 fn prev_is_ident(code: &str) -> bool {
     code.chars().next_back().is_some_and(|c| c.is_alphanumeric() || c == '_')
 }
@@ -229,11 +229,6 @@ fn mark_test_regions(lines: &mut [Line]) {
     }
 }
 
-/// Is the byte before `at` (in `code`) an identifier character?
-pub fn ident_before(code: &str, at: usize) -> bool {
-    code[..at].chars().next_back().is_some_and(|c| c.is_alphanumeric() || c == '_')
-}
-
 /// Find occurrences of the word `needle` in `code` that are not part
 /// of a longer identifier; returns byte offsets.
 pub fn word_positions(code: &str, needle: &str) -> Vec<usize> {
@@ -242,7 +237,7 @@ pub fn word_positions(code: &str, needle: &str) -> Vec<usize> {
     while let Some(pos) = code[from..].find(needle) {
         let at = from + pos;
         let end = at + needle.len();
-        let ok_before = !ident_before(code, at);
+        let ok_before = !prev_is_ident(&code[..at]);
         let ok_after = !code[end..].chars().next().is_some_and(|c| c.is_alphanumeric() || c == '_');
         if ok_before && ok_after {
             out.push(at);

@@ -3,9 +3,10 @@
 //! comment on or immediately above an `unsafe` block/impl, or a
 //! `# Safety` doc section on an `unsafe fn` — and the pass emits an
 //! inventory of all sites so reviewers can see the full unsafe surface
-//! at a glance. This is the tidy-side twin of the workspace-level
-//! `clippy::undocumented_unsafe_blocks = "deny"` lint: tidy needs no
-//! compiler and also covers `unsafe fn` declarations.
+//! at a glance. The workspace-level
+//! `clippy::undocumented_unsafe_blocks = "deny"` lint checks blocks
+//! only; this pass also covers `unsafe fn` declarations and `unsafe
+//! extern` blocks, and keeps the inventory.
 
 use crate::scan::{word_positions, SourceFile};
 use crate::Diagnostic;

@@ -54,12 +54,6 @@ impl Drop for Fixture {
     }
 }
 
-/// Give the two fixture crates the line budget the loc pass demands of
-/// every crate.
-fn with_consistent_tree(fx: &Fixture) {
-    fx.write("crates/xtask/loc.budget", "demo: 100\nserver: 100\n");
-}
-
 #[test]
 fn unsafe_pass_flags_undocumented_block_with_file_and_line() {
     let fx = Fixture::new("unsafe-violation");
@@ -86,74 +80,6 @@ fn unsafe_pass_accepts_documented_block_and_inventories_it() {
         out.contains("crates/demo/src/lib.rs:3"),
         "inventory must list the documented site, got:\n{out}"
     );
-}
-
-#[test]
-fn panic_pass_flags_unwrap_in_wire_facing_module() {
-    let fx = Fixture::new("panic-violation");
-    fx.write(
-        "crates/server/src/proto.rs",
-        "fn kind(payload: &[u8]) -> u8 {\n    payload.first().copied().unwrap()\n}\n",
-    );
-    let (ok, _out, err) = fx.tidy(Some("panic"));
-    assert!(!ok, "unwrap in a decode module must fail tidy");
-    assert!(
-        err.contains("crates/server/src/proto.rs:2"),
-        "diagnostic must carry file:line, got:\n{err}"
-    );
-}
-
-#[test]
-fn panic_pass_flags_slice_indexing_but_tolerates_test_code() {
-    let fx = Fixture::new("panic-indexing");
-    fx.write(
-        "crates/server/src/proto.rs",
-        "fn first(payload: &[u8]) -> u8 {\n    payload[0]\n}\n\
-         #[cfg(test)]\nmod tests {\n    fn helper(p: &[u8]) -> u8 {\n        p[0]\n    }\n}\n",
-    );
-    let (ok, _out, err) = fx.tidy(Some("panic"));
-    assert!(!ok);
-    assert!(err.contains("crates/server/src/proto.rs:2"), "got:\n{err}");
-    assert!(!err.contains("proto.rs:7"), "test-only indexing must be exempt, got:\n{err}");
-}
-
-#[test]
-fn panic_pass_rejects_stale_allowlist_entries() {
-    let fx = Fixture::new("panic-stale-allowlist");
-    fx.write("crates/server/src/proto.rs", "fn nothing_panics_here() {}\n");
-    fx.write("crates/xtask/tidy.allowlist", "crates/server/src/proto.rs: payload[unreachable]\n");
-    let (ok, _out, err) = fx.tidy(Some("panic"));
-    assert!(!ok, "a stale allowlist entry must fail tidy");
-    assert!(err.contains("stale"), "diagnostic must say the entry is stale, got:\n{err}");
-}
-
-#[test]
-fn locks_pass_flags_out_of_order_acquisition() {
-    let fx = Fixture::new("locks-violation");
-    fx.write(
-        "crates/server/src/backend.rs",
-        "fn apply(shared: &Shared) {\n    let snap = shared.current.read();\n    \
-         let lineage = shared.lineage.lock();\n}\n",
-    );
-    let (ok, _out, err) = fx.tidy(Some("locks"));
-    assert!(!ok, "acquiring lineage under current must fail tidy");
-    assert!(
-        err.contains("crates/server/src/backend.rs:3"),
-        "diagnostic must point at the inner acquisition, got:\n{err}"
-    );
-    assert!(err.contains("lock-order violation"), "got:\n{err}");
-}
-
-#[test]
-fn locks_pass_accepts_hierarchy_order() {
-    let fx = Fixture::new("locks-ok");
-    fx.write(
-        "crates/server/src/backend.rs",
-        "fn apply(shared: &Shared) {\n    let lineage = shared.lineage.lock();\n    \
-         let snap = shared.current.read();\n}\n",
-    );
-    let (ok, _out, err) = fx.tidy(Some("locks"));
-    assert!(ok, "in-order acquisition must pass, stderr:\n{err}");
 }
 
 #[test]
@@ -191,12 +117,7 @@ fn loc_pass_flags_a_crate_over_its_budget_and_an_unbudgeted_one() {
 #[test]
 fn full_suite_reports_clean_on_a_consistent_tree() {
     let fx = Fixture::new("all-clean");
-    with_consistent_tree(&fx);
-    fx.write(
-        "crates/server/src/backend.rs",
-        "fn apply(shared: &Shared) {\n    let lineage = shared.lineage.lock();\n    \
-         let snap = shared.current.read();\n}\n",
-    );
+    fx.write("crates/xtask/loc.budget", "demo: 3\n");
     fx.write(
         "crates/demo/src/lib.rs",
         "pub fn double(x: u32) -> u32 {\n    x.saturating_mul(2)\n}\n",
@@ -209,24 +130,26 @@ fn full_suite_reports_clean_on_a_consistent_tree() {
 #[test]
 fn full_suite_counts_findings_across_passes() {
     let fx = Fixture::new("all-dirty");
-    with_consistent_tree(&fx);
-    // One unsafe violation and one panic violation in separate files.
+    // One unsafe violation, in a crate one line over its budget.
+    fx.write("crates/xtask/loc.budget", "demo: 2\n");
     fx.write("crates/demo/src/lib.rs", "pub fn peek(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n");
-    fx.write("crates/server/src/http.rs", "fn first(b: &[u8]) -> u8 {\n    b[0]\n}\n");
     let (ok, _out, err) = fx.tidy(None);
     assert!(!ok);
-    assert!(err.contains("crates/demo/src/lib.rs:2"), "got:\n{err}");
-    assert!(err.contains("crates/server/src/http.rs:2"), "got:\n{err}");
+    assert!(err.contains("tidy[unsafe]: crates/demo/src/lib.rs:2"), "got:\n{err}");
+    assert!(err.contains("tidy[loc]: crates/xtask/loc.budget:1"), "got:\n{err}");
     assert!(err.contains("2 finding(s)"), "summary must count findings, got:\n{err}");
 }
 
-/// A pass name the binary does not know — `proto` was one until the wire
-/// contract became a single declaration — fails loudly rather than
-/// running nothing and reporting `tidy: clean`.
+/// A pass name the binary does not know fails loudly rather than
+/// running nothing and reporting `tidy: clean`. The three here are
+/// retired: `proto` when the wire contract became a single declaration,
+/// `panic` and `locks` when clippy lints and a type took their checks.
 #[test]
 fn unknown_pass_name_is_an_error_not_a_clean_run() {
     let fx = Fixture::new("unknown-pass");
-    let (ok, out, err) = fx.tidy(Some("proto"));
-    assert!(!ok, "an unknown pass must not count as clean, stdout:\n{out}");
-    assert!(err.contains("unknown pass `proto`"), "got:\n{err}");
+    for pass in ["proto", "panic", "locks"] {
+        let (ok, out, err) = fx.tidy(Some(pass));
+        assert!(!ok, "an unknown pass must not count as clean, stdout:\n{out}");
+        assert!(err.contains(&format!("unknown pass `{pass}`")), "got:\n{err}");
+    }
 }
