@@ -14,108 +14,23 @@
 //! is answered at once and what arrives while a batch runs is the next
 //! batch — batches grow with the load; no timer, no threshold.
 //!
-//! Results travel back through [`Completions`]: the stage pushes
-//! encoded response bytes keyed by connection token and wakes the
-//! front's wakeup fd; the front drains the pile and queues the bytes
-//! onto the right connections. How an answer is encoded — `HOPR` frame
-//! or HTTP response — is decided here, by [`RespondAs`] and
-//! [`UpdateRespond`], for the index node and the router alike.
+//! Results travel back through [`Completions`]: the stage answers each
+//! job with a [`ResponseBody`], which [`Completions::answer`] encodes
+//! for the job's [`Reply`] — a `HOPR` frame or an HTTP response, by
+//! the one encoder the front's inline answers use too — and pushes
+//! keyed by connection token, waking the front's wakeup fd; the front
+//! drains the pile and queues the bytes onto the right connections.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use crate::backend::out_of_range;
-use crate::http;
-use crate::proto::{Response, ResponseBody};
+use crate::proto::{Reply, ResponseBody};
 use crate::reactor::WakeFd;
 
-/// How a job's answer should be encoded once the distances are known.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RespondAs {
-    /// A binary `HOPR` distances frame echoing this request id.
-    Hopq {
-        /// Client-chosen request id.
-        id: u64,
-    },
-    /// A `GET /query` JSON object (single pair).
-    HttpOne {
-        /// Close the connection after this response.
-        close: bool,
-    },
-    /// A `POST /query_many` JSON array.
-    HttpMany {
-        /// Close the connection after this response.
-        close: bool,
-    },
-}
-
-impl RespondAs {
-    /// Encode the answers to `pairs`: the response bytes and whether
-    /// the connection closes after them.
-    pub fn distances(self, pairs: &[(u32, u32)], dists: &[u32]) -> (Vec<u8>, bool) {
-        match self {
-            RespondAs::Hopq { id } => {
-                (Response { id, body: ResponseBody::Distances(dists.to_vec()) }.encode(), false)
-            }
-            RespondAs::HttpOne { close } => {
-                (http::render_query_one(pairs[0].0, pairs[0].1, dists[0], close), close)
-            }
-            RespondAs::HttpMany { close } => (http::render_query_many(dists, close), close),
-        }
-    }
-
-    /// Encode a failed query: an error frame that keeps a `HOPQ`
-    /// connection, a `400` that closes an HTTP one.
-    pub fn error(self, msg: &str) -> (Vec<u8>, bool) {
-        match self {
-            RespondAs::Hopq { id } => (Response::error(id, msg).encode(), false),
-            RespondAs::HttpOne { .. } | RespondAs::HttpMany { .. } => {
-                (http::render_error(400, msg), true)
-            }
-        }
-    }
-}
-
-/// How an update job's ack should be encoded.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum UpdateRespond {
-    /// A binary `HOPR` updated frame echoing this request id.
-    Hopq {
-        /// Client-chosen request id.
-        id: u64,
-    },
-    /// A `POST /update` JSON object.
-    Http {
-        /// Close the connection after this response.
-        close: bool,
-    },
-}
-
-impl UpdateRespond {
-    /// Encode an update's `(generation, overlay_edges)` ack or its
-    /// failure: the response bytes and whether the connection closes.
-    pub fn outcome(self, result: Result<(u64, u64), String>) -> (Vec<u8>, bool) {
-        match (self, result) {
-            (UpdateRespond::Hopq { id }, Ok((generation, overlay_edges))) => {
-                let body = ResponseBody::Updated { generation, overlay_edges };
-                (Response { id, body }.encode(), false)
-            }
-            (UpdateRespond::Hopq { id }, Err(e)) => {
-                (Response::error(id, &format!("update failed: {e}")).encode(), false)
-            }
-            (UpdateRespond::Http { close }, Ok((generation, overlay_edges))) => {
-                (http::render_update(generation, overlay_edges, close), close)
-            }
-            (UpdateRespond::Http { .. }, Err(e)) => {
-                (http::render_error(400, &format!("update failed: {e}")), true)
-            }
-        }
-    }
-}
-
-/// One executable query job: (connection token, response encoding,
-/// query pairs).
-pub type QueryJob = (u64, RespondAs, Vec<(u32, u32)>);
+/// One executable query job: (connection token, how to answer, query
+/// pairs).
+pub type QueryJob = (u64, Reply, Vec<(u32, u32)>);
 
 /// A coalesced query batch, for the index node's executor and the
 /// router alike: the jobs whose pairs are all in range, and those pairs
@@ -139,12 +54,12 @@ impl BatchWork {
             combined: Vec::new(),
             completions: Arc::clone(completions),
         };
-        for (conn, respond, pairs) in jobs {
+        for (conn, reply, pairs) in jobs {
             match out_of_range(pairs.iter().copied(), n) {
-                Some(msg) => completions.answer(conn, respond.error(&msg)),
+                Some(msg) => completions.answer(conn, reply, &ResponseBody::Error(msg)),
                 None => {
                     work.combined.extend_from_slice(&pairs);
-                    work.jobs.push((conn, respond, pairs));
+                    work.jobs.push((conn, reply, pairs));
                 }
             }
         }
@@ -155,17 +70,18 @@ impl BatchWork {
     /// combined pair).
     pub fn complete(&self, dists: &[u32]) {
         let mut at = 0;
-        for (conn, respond, pairs) in &self.jobs {
-            let answers = &dists[at..at + pairs.len()];
-            self.completions.answer(*conn, respond.distances(pairs, answers));
+        for (conn, reply, pairs) in &self.jobs {
+            let answers = ResponseBody::Distances(dists[at..at + pairs.len()].to_vec());
+            self.completions.answer(*conn, *reply, &answers);
             at += pairs.len();
         }
     }
 
     /// Answer every job with the error `msg`.
     pub fn fail(&self, msg: &str) {
-        for (conn, respond, _) in &self.jobs {
-            self.completions.answer(*conn, respond.error(msg));
+        let error = ResponseBody::Error(msg.to_string());
+        for (conn, reply, _) in &self.jobs {
+            self.completions.answer(*conn, *reply, &error);
         }
     }
 }
@@ -177,8 +93,8 @@ pub enum Job {
     Query {
         /// Connection token the answer goes back to.
         conn: u64,
-        /// Response encoding.
-        respond: RespondAs,
+        /// How to answer.
+        reply: Reply,
         /// The query pairs.
         pairs: Vec<(u32, u32)>,
     },
@@ -187,8 +103,8 @@ pub enum Job {
     Swap {
         /// Connection token the answer goes back to.
         conn: u64,
-        /// Client-chosen request id.
-        id: u64,
+        /// How to answer.
+        reply: Reply,
     },
     /// A live edge-insertion batch. Runs on the executor, between query
     /// batches, so queries submitted before it see the old overlay and
@@ -197,8 +113,8 @@ pub enum Job {
     Update {
         /// Connection token the ack goes back to.
         conn: u64,
-        /// Ack encoding.
-        respond: UpdateRespond,
+        /// How to answer.
+        reply: Reply,
         /// `(s, t, w)` edge insertions in original vertex ids.
         edges: Vec<(u32, u32, u32)>,
     },
@@ -227,18 +143,24 @@ pub fn run_batch(jobs: Vec<Job>, completions: &Completions, stage: &mut impl Sta
     let mut queries: Vec<QueryJob> = Vec::new();
     for job in jobs {
         match job {
-            Job::Query { conn, respond, pairs } => queries.push((conn, respond, pairs)),
-            Job::Update { conn, respond, edges } => {
+            Job::Query { conn, reply, pairs } => queries.push((conn, reply, pairs)),
+            Job::Update { conn, reply, edges } => {
                 flush(&mut queries, stage);
-                completions.answer(conn, respond.outcome(stage.update(edges)));
+                let body = match stage.update(edges) {
+                    Ok((generation, overlay_edges)) => {
+                        ResponseBody::Updated { generation, overlay_edges }
+                    }
+                    Err(e) => ResponseBody::Error(format!("update failed: {e}")),
+                };
+                completions.answer(conn, reply, &body);
             }
-            Job::Swap { conn, id } => {
+            Job::Swap { conn, reply } => {
                 flush(&mut queries, stage);
                 let body = match stage.swap() {
                     Ok((generation, vertices)) => ResponseBody::Swapped { generation, vertices },
                     Err(e) => ResponseBody::Error(format!("swap failed: {e}")),
                 };
-                completions.answer(conn, (Response { id, body }.encode(), false));
+                completions.answer(conn, reply, &body);
             }
         }
     }
@@ -340,9 +262,10 @@ impl Completions {
         Completions { pile: Mutex::new(Vec::new()), wake }
     }
 
-    /// Push the `(bytes, close_after)` answer to one request of `conn`
-    /// and wake the front.
-    pub fn answer(&self, conn: u64, (bytes, close_after): (Vec<u8>, bool)) {
+    /// Push the answer `body` to one request of `conn`, encoded for its
+    /// `reply`, and wake the front.
+    pub fn answer(&self, conn: u64, reply: Reply, body: &ResponseBody) {
+        let (bytes, close_after) = reply.encode(body);
         if let Ok(mut pile) = self.pile.lock() {
             pile.push(Completion { conn, bytes, close_after });
         }
@@ -361,7 +284,7 @@ mod tests {
     use std::time::Duration;
 
     fn query(conn: u64, pairs: usize) -> Job {
-        Job::Query { conn, respond: RespondAs::Hopq { id: conn }, pairs: vec![(0, 0); pairs] }
+        Job::Query { conn, reply: Reply::Hopq { id: conn }, pairs: vec![(0, 0); pairs] }
     }
 
     fn conns(batch: &[Job]) -> Vec<u64> {
@@ -398,7 +321,7 @@ mod tests {
         busy_rx.recv().unwrap();
         // Three hand-offs, one of them two jobs, while the consumer works.
         b.submit(vec![query(2, 3)]);
-        b.submit(vec![query(3, 5), Job::Swap { conn: 4, id: 9 }]);
+        b.submit(vec![query(3, 5), Job::Swap { conn: 4, reply: Reply::Hopq { id: 9 } }]);
         b.submit(vec![query(5, 1)]);
         resume_tx.send(()).unwrap();
         let (first, second) = consumer.join().unwrap();
@@ -409,7 +332,7 @@ mod tests {
     #[test]
     fn swap_jobs_flush_immediately_and_stop_drains() {
         let b = Batcher::default();
-        b.submit(vec![query(1, 1), Job::Swap { conn: 2, id: 9 }]);
+        b.submit(vec![query(1, 1), Job::Swap { conn: 2, reply: Reply::Hopq { id: 9 } }]);
         assert_eq!(conns(&b.next_batch().unwrap()), [1, 2]);
 
         b.submit(vec![query(3, 1)]);
@@ -453,18 +376,15 @@ mod tests {
     #[test]
     fn run_batch_answers_each_query_run_before_the_barrier_behind_it() {
         let completions = Completions::new(Arc::new(WakeFd::new().unwrap()));
-        let update = |conn| Job::Update {
-            conn,
-            respond: UpdateRespond::Hopq { id: conn },
-            edges: vec![(0, 1, 1)],
-        };
+        let update =
+            |conn| Job::Update { conn, reply: Reply::Hopq { id: conn }, edges: vec![(0, 1, 1)] };
         let jobs = vec![
             query(1, 1),
             query(2, 2),
             update(3),
             update(4),
             query(5, 1),
-            Job::Swap { conn: 6, id: 6 },
+            Job::Swap { conn: 6, reply: Reply::Hopq { id: 6 } },
             query(7, 1),
         ];
         let mut stage = Recorder::default();
@@ -495,12 +415,14 @@ mod tests {
         let mut poller = Poller::new(4).unwrap();
         poller.register(&*wake, EV_READ, 1).unwrap();
         let completions = Completions::new(Arc::clone(&wake));
-        completions.answer(7, (vec![1, 2, 3], false));
+        completions.answer(7, Reply::Hopq { id: 3 }, &ResponseBody::Bye);
         let mut woke = false;
         poller.wait(Some(1000), |ev| woke = ev.token == 1).unwrap();
         assert!(woke);
         let drained = completions.drain();
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].conn, 7);
+        let bye = crate::proto::Response { id: 3, body: ResponseBody::Bye }.encode();
+        assert_eq!((&drained[0].bytes, drained[0].close_after), (&bye, false));
     }
 }

@@ -26,7 +26,7 @@ use std::net::TcpStream;
 use std::time::Instant;
 
 use crate::http::{self, HttpDecoded};
-use crate::proto::{decode_request, Decoded, Request};
+use crate::proto::{decode_request, Decoded, Reply, RequestBody, ResponseBody};
 
 /// Bytes read from a socket per readiness pass. A level-triggered poller
 /// re-reports a socket with leftover bytes, so a bounded pass keeps one
@@ -48,31 +48,18 @@ pub enum Mode {
     Http,
 }
 
-/// A whole request cut from the read buffer, or a stream-level event.
+/// A whole request cut from the read buffer, or a stream-level event —
+/// the same for either framing.
 #[derive(Debug)]
 pub enum ConnRequest {
-    /// A well-formed binary request.
-    Hopq(Request),
-    /// A frame-aligned binary violation: answer with an error response
-    /// carrying `id`, keep the connection.
-    HopqBad {
-        /// Request id from the offending frame's header.
-        id: u64,
-        /// What was wrong.
-        msg: String,
-    },
-    /// Stream corruption: send a final error frame and close.
-    HopqFatal(String),
-    /// A well-formed HTTP request (`close` = client asked to close
-    /// after the response).
-    Http {
-        /// The parsed request.
-        request: http::HttpRequest,
-        /// Whether to close once the response is flushed.
-        close: bool,
-    },
-    /// An HTTP-level refusal: queue the pre-rendered response, close.
-    HttpError(Vec<u8>),
+    /// A well-formed request, and how to answer it.
+    Request(RequestBody, Reply),
+    /// A frame-aligned violation: answer this error through the reply,
+    /// keep the connection.
+    Bad(Reply, String),
+    /// The stream cannot go on (corruption, an HTTP refusal, a request
+    /// cut short by EOF): send these final bytes, then close.
+    Fatal(Vec<u8>),
 }
 
 /// Lifecycle of one connection.
@@ -182,46 +169,61 @@ impl Conn {
     }
 
     /// Cut the next whole request off the read buffer, detecting the
-    /// protocol on first contact. `None` = need more bytes (or the
-    /// connection is past reading).
+    /// protocol on first contact, with at most `max_batch` pairs or
+    /// edges. `None` = need more bytes (or the connection is past
+    /// reading).
     pub fn next_request(&mut self, max_batch: usize) -> Option<ConnRequest> {
         if self.state != ConnState::Open {
             return None;
         }
         self.compact_read();
         let buf = &self.rbuf[self.rpos..];
-        if self.mode == Mode::Unknown {
-            if buf.len() < 4 {
-                // A closed peer that never sent 4 bytes can't be classified
-                // and never will be; nothing to cut either way.
-                return None;
-            }
+        if self.mode == Mode::Unknown && buf.len() >= 4 {
             self.mode = if http::looks_like_http(buf) { Mode::Http } else { Mode::Hopq };
         }
-        let buf = &self.rbuf[self.rpos..];
-        match self.mode {
-            Mode::Unknown => unreachable!("mode settled above"),
+        let cut = match self.mode {
+            // Fewer than 4 bytes: not classified yet, nothing to cut.
+            Mode::Unknown => None,
             Mode::Hopq => match decode_request(buf, max_batch) {
                 Decoded::Incomplete => None,
                 Decoded::Request { request, used } => {
-                    self.rpos += used;
-                    Some(ConnRequest::Hopq(request))
+                    Some((ConnRequest::Request(request.body, Reply::Hopq { id: request.id }), used))
                 }
                 Decoded::Bad { id, msg, used } => {
-                    self.rpos += used;
-                    Some(ConnRequest::HopqBad { id, msg })
+                    Some((ConnRequest::Bad(Reply::Hopq { id }, msg), used))
                 }
-                Decoded::Fatal(msg) => Some(ConnRequest::HopqFatal(msg)),
+                Decoded::Fatal(msg) => Some((self.fatal(msg), 0)),
             },
-            Mode::Http => match http::decode_http(buf) {
+            Mode::Http => match http::decode_http(buf, max_batch) {
                 HttpDecoded::Incomplete => None,
-                HttpDecoded::Request { request, close, used } => {
-                    self.rpos += used;
-                    Some(ConnRequest::Http { request, close })
+                HttpDecoded::Request { body, reply, used } => {
+                    Some((ConnRequest::Request(body, reply), used))
                 }
-                HttpDecoded::Error(resp) => Some(ConnRequest::HttpError(resp)),
+                HttpDecoded::Error(resp) => Some((ConnRequest::Fatal(resp), 0)),
             },
+        };
+        match cut {
+            Some((request, used)) => {
+                self.rpos += used;
+                Some(request)
+            }
+            // EOF with a partial request still buffered: the peer can
+            // never complete it.
+            None if self.peer_eof && self.pending_read_bytes() > 0 => {
+                Some(self.fatal("truncated frame".to_string()))
+            }
+            None => None,
         }
+    }
+
+    /// A stream-level error in the framing the peer speaks (`HOPQ`
+    /// until it is known to be HTTP), as the connection's last answer.
+    fn fatal(&self, msg: String) -> ConnRequest {
+        let reply = match self.mode {
+            Mode::Http => Reply::Http { close: true, one: None },
+            Mode::Hopq | Mode::Unknown => Reply::Hopq { id: 0 },
+        };
+        ConnRequest::Fatal(reply.encode(&ResponseBody::Error(msg)).0)
     }
 
     fn compact_read(&mut self) {
@@ -270,7 +272,7 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::RequestBody;
+    use crate::proto::Request;
     use std::net::TcpListener;
 
     fn pair() -> (Conn, TcpStream) {
@@ -299,7 +301,9 @@ mod tests {
                 assert!(got.is_none(), "byte {i}: {got:?}");
             } else {
                 match got {
-                    Some(ConnRequest::Hopq(req)) => assert_eq!(req.id, 5),
+                    Some(ConnRequest::Request(_, reply)) => {
+                        assert_eq!(reply, Reply::Hopq { id: 5 })
+                    }
                     other => panic!("want request, got {other:?}"),
                 }
             }
@@ -312,8 +316,8 @@ mod tests {
         peer2.write_all(b"GET /stats HTTP/1.1\r\n\r\n").unwrap();
         while conn2.fill(Instant::now()).unwrap() == 0 {}
         match conn2.next_request(16) {
-            Some(ConnRequest::Http { request: http::HttpRequest::Stats, close: false }) => {}
-            other => panic!("want stats, got {other:?}"),
+            Some(ConnRequest::Request(RequestBody::Info, Reply::Http { close: false, .. })) => {}
+            other => panic!("want info, got {other:?}"),
         }
         assert_eq!(conn2.mode, Mode::Http);
     }
@@ -329,7 +333,7 @@ mod tests {
         while conn.fill(Instant::now()).unwrap() == 0 {}
         for want in [10u64, 11, 12] {
             match conn.next_request(16) {
-                Some(ConnRequest::Hopq(req)) => assert_eq!(req.id, want),
+                Some(ConnRequest::Request(_, reply)) => assert_eq!(reply, Reply::Hopq { id: want }),
                 other => panic!("want {want}, got {other:?}"),
             }
         }
@@ -338,7 +342,10 @@ mod tests {
         let (mut garbage, mut peer3) = pair();
         peer3.write_all(b"XXXXXXXX").unwrap();
         while garbage.fill(Instant::now()).unwrap() == 0 {}
-        assert!(matches!(garbage.next_request(16), Some(ConnRequest::HopqFatal(_))));
+        match garbage.next_request(16) {
+            Some(ConnRequest::Fatal(bytes)) => assert_eq!(&bytes[..4], b"HOPR"),
+            other => panic!("want a fatal frame, got {other:?}"),
+        }
     }
 
     #[test]

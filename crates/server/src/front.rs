@@ -18,9 +18,11 @@
 //!
 //! Everything the two endpoints do identically lives here: connection
 //! lifecycle, framing, the error discipline of `proto`, backpressure,
-//! idle eviction, graceful drain, request counters, and the answers to
-//! `query`, `shutdown`, `info` and `GET /stats` — the last two one
-//! [`InfoReply`] the service fills in. What differs is behind [`Service`].
+//! idle eviction, graceful drain, request counters, and the inline
+//! answers — `shutdown`, refusals, and `info` (also `GET /stats`), the
+//! [`InfoReply`] the service fills in. HTTP and `HOPQ` reach it as the
+//! same [`RequestBody`] with a [`Reply`], and every answer leaves
+//! through [`Reply::encode`]. What differs is behind [`Service`].
 
 use std::collections::HashMap;
 use std::io::Read;
@@ -30,10 +32,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::batch::{Batcher, Completions, Job, RespondAs, UpdateRespond};
+use crate::batch::{Batcher, Completions, Job};
 use crate::conn::{Conn, ConnRequest, ConnState, Mode};
-use crate::http::{self, HttpRequest};
-use crate::proto::{InfoReply, RequestBody, Response, ResponseBody};
+use crate::proto::{InfoReply, Reply, RequestBody, ResponseBody};
 use crate::reactor::{Event, Poller, WakeFd, EV_READ, EV_WRITE};
 
 const TOKEN_LISTENER: u64 = 0;
@@ -103,7 +104,7 @@ pub(crate) enum Admin {
 /// What a service does with an [`Admin`] request.
 pub(crate) enum Outcome {
     /// Answer now with this body.
-    Reply(ResponseBody),
+    Answer(ResponseBody),
     /// Queue this job; its answer arrives through [`Completions`].
     Submit(Job),
     /// The service queued the work itself; the answer arrives through
@@ -124,8 +125,9 @@ pub(crate) trait Service: Send + Sync + 'static {
     /// Why this endpoint takes no update batches; `None` = it does.
     fn refuses_updates(&self) -> Option<&'static str>;
 
-    /// Handle `kind`, sent as request `id` on connection `conn`.
-    fn admin(&self, conn: u64, id: u64, kind: Admin) -> Outcome;
+    /// Handle `kind`, sent on connection `conn` and answered through
+    /// `reply`.
+    fn admin(&self, conn: u64, reply: Reply, kind: Admin) -> Outcome;
 
     /// The endpoint's status as of `traffic`: the `info` reply and the
     /// `GET /stats` body.
@@ -346,118 +348,65 @@ impl<S: Service> Front<S> {
     /// stopping at the in-flight cap.
     fn parse_conn(&mut self, token: u64) {
         loop {
-            let request = {
-                let Some(conn) = self.conns.get_mut(&token) else { return };
-                let cap = inflight_cap(&self.limits, conn.mode);
-                if conn.state != ConnState::Open || conn.inflight >= cap || conn.write_backed_up() {
-                    return;
-                }
-                match conn.next_request(self.limits.max_batch) {
-                    Some(request) => request,
-                    None => {
-                        // EOF with a partial frame still buffered: the
-                        // peer can never complete it.
-                        if conn.peer_eof && conn.pending_read_bytes() > 0 {
-                            self.traffic.protocol_errors += 1;
-                            let bye = Response::error(0, "truncated frame");
-                            conn.queue_write(&bye.encode(), Instant::now());
-                            conn.state = ConnState::CloseAfterFlush;
-                        }
-                        return;
-                    }
-                }
-            };
+            let Some(conn) = self.conns.get_mut(&token) else { return };
+            let cap = inflight_cap(&self.limits, conn.mode);
+            if conn.state != ConnState::Open || conn.inflight >= cap || conn.write_backed_up() {
+                return;
+            }
+            let Some(request) = conn.next_request(self.limits.max_batch) else { return };
             self.dispatch(token, request);
         }
     }
 
     fn dispatch(&mut self, token: u64, request: ConnRequest) {
         match request {
-            ConnRequest::Hopq(req) => {
+            ConnRequest::Request(body, reply) => {
                 self.traffic.requests += 1;
-                let id = req.id;
-                match req.body {
-                    RequestBody::Query(pairs) => {
-                        let respond = RespondAs::Hopq { id };
-                        self.submit(token, Job::Query { conn: token, respond, pairs });
-                    }
-                    RequestBody::Update(edges) => {
-                        self.submit_update(token, UpdateRespond::Hopq { id }, edges);
-                    }
-                    RequestBody::Swap => self.admin(token, id, Admin::Swap),
-                    RequestBody::Compact => self.admin(token, id, Admin::Compact),
-                    RequestBody::Info => {
-                        let body = ResponseBody::Info(self.service.info(self.traffic));
-                        self.queue_response(token, Response { id, body }, false);
-                    }
-                    RequestBody::Shutdown => {
-                        if self.limits.allow_shutdown {
-                            let resp = Response { id, body: ResponseBody::Bye };
-                            self.queue_response(token, resp, false);
-                            self.service.begin_stop();
-                        } else {
-                            let msg = format!("remote shutdown is disabled on this {}", S::NAME);
-                            self.queue_response(token, Response::error(id, &msg), false);
-                        }
-                    }
-                }
+                self.serve(token, body, reply);
             }
-            ConnRequest::HopqBad { id, msg } => {
+            ConnRequest::Bad(reply, msg) => {
                 self.traffic.requests += 1;
                 self.traffic.protocol_errors += 1;
-                self.queue_response(token, Response::error(id, &msg), false);
+                self.answer(token, reply, &ResponseBody::Error(msg));
             }
-            ConnRequest::HopqFatal(msg) => {
+            ConnRequest::Fatal(bytes) => {
                 self.traffic.protocol_errors += 1;
-                self.queue_response(token, Response::error(0, &msg), true);
-            }
-            ConnRequest::Http { request, close } => {
-                self.traffic.requests += 1;
-                match request {
-                    HttpRequest::QueryOne { s, t } => {
-                        let respond = RespondAs::HttpOne { close };
-                        self.submit(
-                            token,
-                            Job::Query { conn: token, respond, pairs: vec![(s, t)] },
-                        );
-                    }
-                    HttpRequest::QueryMany(pairs) => {
-                        let respond = RespondAs::HttpMany { close };
-                        self.submit(token, Job::Query { conn: token, respond, pairs });
-                    }
-                    HttpRequest::Update(edges) => {
-                        self.submit_update(token, UpdateRespond::Http { close }, edges);
-                    }
-                    HttpRequest::Stats => {
-                        let bytes = http::render_info(&self.service.info(self.traffic), close);
-                        self.queue_bytes(token, &bytes, close);
-                    }
-                }
-            }
-            ConnRequest::HttpError(resp) => {
-                self.traffic.protocol_errors += 1;
-                self.queue_bytes(token, &resp, true);
+                self.queue_bytes(token, &bytes, true);
             }
         }
     }
 
-    fn admin(&mut self, token: u64, id: u64, kind: Admin) {
-        match self.service.admin(token, id, kind) {
-            Outcome::Reply(body) => self.queue_response(token, Response { id, body }, false),
+    fn serve(&mut self, token: u64, body: RequestBody, reply: Reply) {
+        match body {
+            RequestBody::Query(pairs) => {
+                self.submit(token, Job::Query { conn: token, reply, pairs })
+            }
+            RequestBody::Update(edges) => match self.service.refuses_updates() {
+                None => self.submit(token, Job::Update { conn: token, reply, edges }),
+                Some(why) => self.answer(token, reply, &ResponseBody::Error(why.to_string())),
+            },
+            RequestBody::Swap => self.admin(token, reply, Admin::Swap),
+            RequestBody::Compact => self.admin(token, reply, Admin::Compact),
+            RequestBody::Info => {
+                let info = ResponseBody::Info(self.service.info(self.traffic));
+                self.answer(token, reply, &info);
+            }
+            RequestBody::Shutdown if self.limits.allow_shutdown => {
+                self.answer(token, reply, &ResponseBody::Bye);
+                self.service.begin_stop();
+            }
+            RequestBody::Shutdown => {
+                let msg = format!("remote shutdown is disabled on this {}", S::NAME);
+                self.answer(token, reply, &ResponseBody::Error(msg));
+            }
+        }
+    }
+
+    fn admin(&mut self, token: u64, reply: Reply, kind: Admin) {
+        match self.service.admin(token, reply, kind) {
+            Outcome::Answer(body) => self.answer(token, reply, &body),
             Outcome::Submit(job) => self.submit(token, job),
             Outcome::Deferred => self.owe(token),
-        }
-    }
-
-    fn submit_update(&mut self, token: u64, respond: UpdateRespond, edges: Vec<(u32, u32, u32)>) {
-        match (self.service.refuses_updates(), respond) {
-            (None, _) => self.submit(token, Job::Update { conn: token, respond, edges }),
-            (Some(why), UpdateRespond::Hopq { id }) => {
-                self.queue_response(token, Response::error(id, why), false);
-            }
-            (Some(why), UpdateRespond::Http { .. }) => {
-                self.queue_bytes(token, &http::render_error(400, why), true);
-            }
         }
     }
 
@@ -482,8 +431,10 @@ impl<S: Service> Front<S> {
         }
     }
 
-    fn queue_response(&mut self, token: u64, resp: Response, close_after: bool) {
-        self.queue_bytes(token, &resp.encode(), close_after);
+    /// Answer `token` now: `body`, encoded for `reply`.
+    fn answer(&mut self, token: u64, reply: Reply, body: &ResponseBody) {
+        let (bytes, close_after) = reply.encode(body);
+        self.queue_bytes(token, &bytes, close_after);
     }
 
     fn queue_bytes(&mut self, token: u64, bytes: &[u8], close_after: bool) {
@@ -499,11 +450,8 @@ impl<S: Service> Front<S> {
         for done in self.handle.completions.drain() {
             if let Some(conn) = self.conns.get_mut(&done.conn) {
                 conn.inflight = conn.inflight.saturating_sub(1);
-                conn.queue_write(&done.bytes, Instant::now());
-                if done.close_after && conn.state == ConnState::Open {
-                    conn.state = ConnState::CloseAfterFlush;
-                }
             }
+            self.queue_bytes(done.conn, &done.bytes, done.close_after);
         }
     }
 

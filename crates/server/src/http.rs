@@ -11,18 +11,25 @@
 //! | `POST /update`      | body `{"edges":[[s,t,w],...]}` → `{"generation":G,"overlay_edges":N}` |
 //! | `GET /stats`        | the `info` reply as JSON: `{"protocol":6,"mode":"single",...}` |
 //!
-//! Query answers ride the same batch path as binary frames; only
-//! `/stats` (and errors) are answered inline. Keep-alive is honoured
-//! (HTTP/1.1 default); HTTP requests on one connection are answered in
-//! order, so the per-connection in-flight cap is 1 for HTTP mode —
-//! browsers do not pipeline anyway, and it keeps responses ordered
-//! without a resequencing buffer.
+//! HTTP is a second framing of the `HOPQ` requests, not a second
+//! request stack: [`decode_http`] turns a request into the same
+//! [`RequestBody`] a binary frame decodes to (`/query` and
+//! `/query_many` a `Query`, `/update` an `Update`, `/stats` an `Info`)
+//! plus the [`Reply`] that says how to answer it, and `render` is the
+//! HTTP arm of [`Reply::encode`]. So HTTP requests ride the same batch
+//! path as binary frames and obey the same `--max-batch`, and an answer
+//! is one [`ResponseBody`] whichever framing carries it. Keep-alive is
+//! honoured (HTTP/1.1 default); HTTP requests on one connection are
+//! answered in order, so the per-connection in-flight cap is 1 for HTTP
+//! mode — browsers do not pipeline anyway, and it keeps responses
+//! ordered without a resequencing buffer.
 //!
 //! Parsing is hand-rolled (no external dependencies, like the rest of
 //! the tree): request line + headers up to a CRLFCRLF, an optional
-//! `Content-Length` body, and a tiny JSON scanner for the one body
-//! shape `/query_many` accepts. Head and body sizes are capped; a peer
-//! exceeding them gets a 4xx and the connection closed.
+//! `Content-Length` body, and a tiny JSON scanner for the two body
+//! shapes, `/query_many`'s pair list and `/update`'s edge list. Head
+//! and body sizes are capped; a peer exceeding them gets a 4xx and the
+//! connection closed.
 
 #![cfg_attr(
     not(test),
@@ -38,31 +45,15 @@
     )
 )]
 
-use crate::proto::{FieldValue, InfoReply};
+use crate::proto::{FieldValue, Reply, RequestBody, ResponseBody};
 use sfgraph::{Dist, VertexId, INF_DIST};
 
 /// Cap on the request head (request line + headers).
 pub const MAX_HEAD: usize = 8 << 10;
-/// Cap on a request body (`POST /query_many` pair lists).
+/// Cap on a request body (`POST /query_many`'s pair list, `POST
+/// /update`'s edge list). It bounds what a list can allocate before its
+/// length is held to `--max-batch`.
 pub const MAX_BODY: usize = 1 << 20;
-
-/// A parsed HTTP request the server acts on.
-#[derive(Debug, PartialEq, Eq)]
-pub enum HttpRequest {
-    /// `GET /query?s=&t=`.
-    QueryOne {
-        /// Source vertex.
-        s: VertexId,
-        /// Target vertex.
-        t: VertexId,
-    },
-    /// `POST /query_many` with a JSON pair list.
-    QueryMany(Vec<(VertexId, VertexId)>),
-    /// `POST /update` with a JSON list of weighted edge insertions.
-    Update(Vec<(VertexId, VertexId, Dist)>),
-    /// `GET /stats`.
-    Stats,
-}
 
 /// Outcome of trying to parse one HTTP request from a buffer prefix.
 #[derive(Debug)]
@@ -72,9 +63,9 @@ pub enum HttpDecoded {
     /// A request the server should act on; consume `used` bytes.
     Request {
         /// What was asked.
-        request: HttpRequest,
-        /// Whether the client asked to close after the response.
-        close: bool,
+        body: RequestBody,
+        /// How to answer it: `Connection: close` and `GET /query`'s pair.
+        reply: Reply,
         /// Bytes consumed from the buffer.
         used: usize,
     },
@@ -92,11 +83,13 @@ pub fn looks_like_http(prefix: &[u8]) -> bool {
     METHODS.iter().any(|m| prefix.starts_with(m))
 }
 
-/// Try to parse one request from the front of `buf`.
-pub fn decode_http(buf: &[u8]) -> HttpDecoded {
+/// Try to parse one request from the front of `buf`, refusing a pair or
+/// edge list longer than `max_batch`.
+pub fn decode_http(buf: &[u8], max_batch: usize) -> HttpDecoded {
+    let refuse = |code, msg: &str| HttpDecoded::Error(error_response(code, msg));
     let Some(head_len) = find_head_end(buf) else {
         if buf.len() > MAX_HEAD {
-            return HttpDecoded::Error(render_error(431, "request head too large"));
+            return refuse(431, "request head too large");
         }
         return HttpDecoded::Incomplete;
     };
@@ -104,17 +97,17 @@ pub fn decode_http(buf: &[u8]) -> HttpDecoded {
         return HttpDecoded::Incomplete; // unreachable: head_len <= buf.len()
     };
     let Ok(head) = std::str::from_utf8(head_bytes) else {
-        return HttpDecoded::Error(render_error(400, "request head is not UTF-8"));
+        return refuse(400, "request head is not UTF-8");
     };
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split(' ');
     let (Some(method), Some(target), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
-        return HttpDecoded::Error(render_error(400, "malformed request line"));
+        return refuse(400, "malformed request line");
     };
     if !version.starts_with("HTTP/1.") {
-        return HttpDecoded::Error(render_error(505, "only HTTP/1.x is supported"));
+        return refuse(505, "only HTTP/1.x is supported");
     }
 
     let mut content_length = 0usize;
@@ -125,7 +118,7 @@ pub fn decode_http(buf: &[u8]) -> HttpDecoded {
         if name.eq_ignore_ascii_case("content-length") {
             match value.parse::<usize>() {
                 Ok(v) => content_length = v,
-                Err(_) => return HttpDecoded::Error(render_error(400, "bad Content-Length")),
+                Err(_) => return refuse(400, "bad Content-Length"),
             }
         } else if name.eq_ignore_ascii_case("connection") {
             if value.eq_ignore_ascii_case("close") {
@@ -134,14 +127,14 @@ pub fn decode_http(buf: &[u8]) -> HttpDecoded {
                 close = false;
             }
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
-            return HttpDecoded::Error(render_error(501, "chunked bodies are not supported"));
+            return refuse(501, "chunked bodies are not supported");
         }
     }
     if content_length > MAX_BODY {
-        return HttpDecoded::Error(render_error(413, "request body too large"));
+        return refuse(413, "request body too large");
     }
     let total = head_len + 4 + content_length;
-    let Some(body) = buf.get(head_len + 4..total) else {
+    let Some(content) = buf.get(head_len + 4..total) else {
         return HttpDecoded::Incomplete;
     };
 
@@ -149,7 +142,7 @@ pub fn decode_http(buf: &[u8]) -> HttpDecoded {
         Some((p, q)) => (p, q),
         None => (target, ""),
     };
-    let request = match (method, path) {
+    let (body, one) = match (method, path) {
         ("GET", "/query") => {
             let (mut s, mut t) = (None, None);
             for kv in rawquery.split('&') {
@@ -160,34 +153,28 @@ pub fn decode_http(buf: &[u8]) -> HttpDecoded {
                 }
             }
             match (s, t) {
-                (Some(s), Some(t)) => HttpRequest::QueryOne { s, t },
-                _ => {
-                    return HttpDecoded::Error(render_error(
-                        400,
-                        "need numeric query parameters s and t",
-                    ))
-                }
+                (Some(s), Some(t)) => (RequestBody::Query(vec![(s, t)]), Some((s, t))),
+                _ => return refuse(400, "need numeric query parameters s and t"),
             }
         }
-        ("POST", "/query_many") => match parse_pairs_json(body) {
-            Ok(pairs) if pairs.is_empty() => {
-                return HttpDecoded::Error(render_error(400, "pair list is empty"))
-            }
-            Ok(pairs) => HttpRequest::QueryMany(pairs),
-            Err(msg) => return HttpDecoded::Error(render_error(400, msg)),
+        ("POST", "/query_many") => match parse_pairs_json(content) {
+            Ok(pairs) if pairs.is_empty() => return refuse(400, "pair list is empty"),
+            Ok(pairs) => (RequestBody::Query(pairs), None),
+            Err(msg) => return refuse(400, msg),
         },
-        ("POST", "/update") => match parse_edges_json(body) {
-            Ok(edges) if edges.is_empty() => {
-                return HttpDecoded::Error(render_error(400, "edge list is empty"))
-            }
-            Ok(edges) => HttpRequest::Update(edges),
-            Err(msg) => return HttpDecoded::Error(render_error(400, msg)),
+        ("POST", "/update") => match parse_edges_json(content) {
+            Ok(edges) if edges.is_empty() => return refuse(400, "edge list is empty"),
+            Ok(edges) => (RequestBody::Update(edges), None),
+            Err(msg) => return refuse(400, msg),
         },
-        ("GET", "/stats") => HttpRequest::Stats,
-        ("GET" | "POST", _) => return HttpDecoded::Error(render_error(404, "unknown endpoint")),
-        _ => return HttpDecoded::Error(render_error(405, "method not allowed")),
+        ("GET", "/stats") => (RequestBody::Info, None),
+        ("GET" | "POST", _) => return refuse(404, "unknown endpoint"),
+        _ => return refuse(405, "method not allowed"),
     };
-    HttpDecoded::Request { request, close, used: total }
+    if let Err(msg) = body.within(max_batch) {
+        return refuse(400, &msg);
+    }
+    HttpDecoded::Request { body, reply: Reply::Http { close, one }, used: total }
 }
 
 /// Byte offset of the `\r\n\r\n` terminating the head, if present.
@@ -225,9 +212,6 @@ fn parse_pairs_json(body: &[u8]) -> Result<Vec<(VertexId, VertexId)>, &'static s
         let (t, r) = take_number(rest)?;
         rest = r.trim_start().strip_prefix(']').ok_or("expected ] after t")?.trim_start();
         pairs.push((s, t));
-        if pairs.len() > crate::proto::DEFAULT_MAX_BATCH {
-            return Err("too many pairs");
-        }
         if let Some(r) = rest.strip_prefix(',') {
             rest = r.trim_start();
             continue;
@@ -266,9 +250,6 @@ fn parse_edges_json(body: &[u8]) -> Result<Vec<(VertexId, VertexId, Dist)>, &'st
         let (w, r) = take_number(rest)?;
         rest = r.trim_start().strip_prefix(']').ok_or("expected ] after w")?.trim_start();
         edges.push((s, t, w));
-        if edges.len() > crate::proto::DEFAULT_MAX_BATCH {
-            return Err("too many edges");
-        }
         if let Some(r) = rest.strip_prefix(',') {
             rest = r.trim_start();
             continue;
@@ -304,8 +285,8 @@ fn status_text(code: u16) -> &'static str {
     }
 }
 
-/// Render a complete response with a JSON body.
-pub fn render_response(code: u16, body: &str, close: bool) -> Vec<u8> {
+/// A complete response with a JSON body.
+fn response(code: u16, body: &str, close: bool) -> Vec<u8> {
     let connection = if close { "close" } else { "keep-alive" };
     format!(
         "HTTP/1.1 {code} {}\r\nContent-Type: application/json\r\n\
@@ -316,50 +297,53 @@ pub fn render_response(code: u16, body: &str, close: bool) -> Vec<u8> {
     .into_bytes()
 }
 
-/// Render an error response (always closes: the connection state after
-/// a refused request is not worth resynchronizing).
-pub fn render_error(code: u16, msg: &str) -> Vec<u8> {
-    render_response(code, &format!("{{\"error\":{}}}", json_string(msg)), true)
+/// An error response. It always closes: the connection state after a
+/// refused request is not worth resynchronizing.
+fn error_response(code: u16, msg: &str) -> Vec<u8> {
+    response(code, &format!("{{\"error\":{}}}", json_string(msg)), true)
 }
 
-/// JSON for one `GET /query` answer.
-pub fn render_query_one(s: VertexId, t: VertexId, dist: Dist, close: bool) -> Vec<u8> {
-    let body = format!("{{\"s\":{s},\"t\":{t},\"dist\":{}}}", json_dist(dist));
-    render_response(200, &body, close)
-}
-
-/// JSON for one `POST /query_many` answer, in input order.
-pub fn render_query_many(dists: &[Dist], close: bool) -> Vec<u8> {
-    let mut body = String::with_capacity(12 + dists.len() * 4);
-    body.push_str("{\"dists\":[");
-    for (i, &d) in dists.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
+/// The HTTP arm of [`Reply::encode`]: `body` as a JSON response, and
+/// whether the connection closes after it. Distances are `one`'s
+/// `{"s":S,"t":T,"dist":D}` for `GET /query`, else a `{"dists":[...]}`
+/// list in input order. The info reply is every field under its
+/// declared name, in declaration order — the names `admin info` prints
+/// — with a code shown by name as a string. An error is a `400` that
+/// closes.
+pub(crate) fn render(
+    body: &ResponseBody,
+    one: Option<(VertexId, VertexId)>,
+    close: bool,
+) -> (Vec<u8>, bool) {
+    let json = match body {
+        ResponseBody::Error(msg) => return (error_response(400, msg), true),
+        ResponseBody::Distances(dists) => match (one, dists.as_slice()) {
+            (Some((s, t)), &[d]) => format!("{{\"s\":{s},\"t\":{t},\"dist\":{}}}", json_dist(d)),
+            _ => {
+                let list: Vec<String> = dists.iter().map(|&d| json_dist(d)).collect();
+                format!("{{\"dists\":[{}]}}", list.join(","))
+            }
+        },
+        ResponseBody::Updated { generation, overlay_edges } => {
+            format!("{{\"generation\":{generation},\"overlay_edges\":{overlay_edges}}}")
         }
-        body.push_str(&json_dist(d));
-    }
-    body.push_str("]}");
-    render_response(200, &body, close)
-}
-
-/// JSON for one `GET /stats` answer: every [`InfoReply`] field under
-/// its declared name, in declaration order — the names `admin info`
-/// prints — with a code shown by name as a string.
-pub fn render_info(info: &InfoReply, close: bool) -> Vec<u8> {
-    let members: Vec<String> = info
-        .fields()
-        .map(|(name, value)| match value {
-            FieldValue::Name(text) => format!("\"{name}\":\"{text}\""),
-            other => format!("\"{name}\":{other}"),
-        })
-        .collect();
-    render_response(200, &format!("{{{}}}", members.join(",")), close)
-}
-
-/// JSON for one `POST /update` ack.
-pub fn render_update(generation: u64, overlay_edges: u64, close: bool) -> Vec<u8> {
-    let body = format!("{{\"generation\":{generation},\"overlay_edges\":{overlay_edges}}}");
-    render_response(200, &body, close)
+        ResponseBody::Swapped { generation, vertices }
+        | ResponseBody::Compacted { generation, vertices } => {
+            format!("{{\"generation\":{generation},\"vertices\":{vertices}}}")
+        }
+        ResponseBody::Info(info) => {
+            let members: Vec<String> = info
+                .fields()
+                .map(|(name, value)| match value {
+                    FieldValue::Name(text) => format!("\"{name}\":\"{text}\""),
+                    other => format!("\"{name}\":{other}"),
+                })
+                .collect();
+            format!("{{{}}}", members.join(","))
+        }
+        ResponseBody::Bye => "{}".to_string(),
+    };
+    (response(200, &json, close), close)
 }
 
 fn json_dist(d: Dist) -> String {
@@ -371,7 +355,7 @@ fn json_dist(d: Dist) -> String {
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control bytes).
-pub fn json_string(s: &str) -> String {
+fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -389,11 +373,19 @@ pub fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::DEFAULT_MAX_BATCH;
 
-    fn parse_ok(raw: &[u8]) -> (HttpRequest, bool, usize) {
-        match decode_http(raw) {
-            HttpDecoded::Request { request, close, used } => (request, close, used),
+    fn parse_ok(raw: &[u8]) -> (RequestBody, Reply, usize) {
+        match decode_http(raw, DEFAULT_MAX_BATCH) {
+            HttpDecoded::Request { body, reply, used } => (body, reply, used),
             other => panic!("want Request, got {other:?}"),
+        }
+    }
+
+    fn refusal(raw: &[u8], max_batch: usize) -> String {
+        match decode_http(raw, max_batch) {
+            HttpDecoded::Error(resp) => String::from_utf8(resp).unwrap(),
+            other => panic!("{:?}: want Error, got {other:?}", String::from_utf8_lossy(raw)),
         }
     }
 
@@ -401,15 +393,17 @@ mod tests {
     fn get_query_parses_and_is_incremental() {
         let raw = b"GET /query?s=3&t=9 HTTP/1.1\r\nHost: x\r\n\r\n";
         for cut in 1..raw.len() {
-            assert!(matches!(decode_http(&raw[..cut]), HttpDecoded::Incomplete), "cut at {cut}");
+            let decoded = decode_http(&raw[..cut], DEFAULT_MAX_BATCH);
+            assert!(matches!(decoded, HttpDecoded::Incomplete), "cut at {cut}");
         }
-        let (req, close, used) = parse_ok(raw);
-        assert_eq!(req, HttpRequest::QueryOne { s: 3, t: 9 });
-        assert!(!close, "HTTP/1.1 defaults to keep-alive");
+        let (body, reply, used) = parse_ok(raw);
+        assert_eq!(body, RequestBody::Query(vec![(3, 9)]));
+        // HTTP/1.1 defaults to keep-alive.
+        assert_eq!(reply, Reply::Http { close: false, one: Some((3, 9)) });
         assert_eq!(used, raw.len());
 
-        let (_, close, _) = parse_ok(b"GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n");
-        assert!(close);
+        let (body, reply, _) = parse_ok(b"GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n");
+        assert_eq!((body, reply), (RequestBody::Info, Reply::Http { close: true, one: None }));
     }
 
     #[test]
@@ -419,15 +413,22 @@ mod tests {
                 "POST /query_many HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
                 body.len()
             );
-            let (req, _, used) = parse_ok(raw.as_bytes());
-            assert_eq!(req, HttpRequest::QueryMany(vec![(0, 1), (5, 5), (7, 42)]), "{body}");
+            let (req, reply, used) = parse_ok(raw.as_bytes());
+            assert_eq!(req, RequestBody::Query(vec![(0, 1), (5, 5), (7, 42)]), "{body}");
+            assert_eq!(reply, Reply::Http { close: false, one: None });
             assert_eq!(used, raw.len());
+            // The list is held to the caller's limit, in HOPQ's words.
+            let refused = refusal(raw.as_bytes(), 2);
+            assert!(refused.starts_with("HTTP/1.1 400 "), "{refused}");
+            assert!(refused.ends_with("{\"error\":\"query batch of 3 pairs exceeds limit 2\"}"));
+            assert!(matches!(decode_http(raw.as_bytes(), 3), HttpDecoded::Request { .. }));
         }
         // Body split across reads: incomplete until the last byte.
         let body = "{\"pairs\":[[1,2]]}";
         let raw =
             format!("POST /query_many HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
-        assert!(matches!(decode_http(&raw.as_bytes()[..raw.len() - 1]), HttpDecoded::Incomplete));
+        let cut = &raw.as_bytes()[..raw.len() - 1];
+        assert!(matches!(decode_http(cut, DEFAULT_MAX_BATCH), HttpDecoded::Incomplete));
     }
 
     #[test]
@@ -436,17 +437,19 @@ mod tests {
             let raw =
                 format!("POST /update HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
             let (req, _, used) = parse_ok(raw.as_bytes());
-            assert_eq!(req, HttpRequest::Update(vec![(0, 1, 5), (5, 5, 1), (7, 42, 3)]), "{body}");
+            assert_eq!(req, RequestBody::Update(vec![(0, 1, 5), (5, 5, 1), (7, 42, 3)]), "{body}");
             assert_eq!(used, raw.len());
+            let refused = refusal(raw.as_bytes(), 2);
+            assert!(refused.ends_with("{\"error\":\"update batch of 3 edges exceeds limit 2\"}"));
         }
         // A pair where a weighted triple is required is refused.
-        let raw = b"POST /update HTTP/1.1\r\nContent-Length: 7\r\n\r\n[[1,2]]";
-        assert!(matches!(decode_http(raw), HttpDecoded::Error(_)));
-        let raw = b"POST /update HTTP/1.1\r\nContent-Length: 2\r\n\r\n[]";
-        assert!(matches!(decode_http(raw), HttpDecoded::Error(_)));
+        refusal(b"POST /update HTTP/1.1\r\nContent-Length: 7\r\n\r\n[[1,2]]", DEFAULT_MAX_BATCH);
+        refusal(b"POST /update HTTP/1.1\r\nContent-Length: 2\r\n\r\n[]", DEFAULT_MAX_BATCH);
 
-        let ack = String::from_utf8(render_update(3, 17, false)).unwrap();
-        assert!(ack.contains("{\"generation\":3,\"overlay_edges\":17}"), "{ack}");
+        let body = ResponseBody::Updated { generation: 3, overlay_edges: 17 };
+        let (ack, _) = render(&body, None, false);
+        let ack = String::from_utf8(ack).unwrap();
+        assert!(ack.ends_with("\r\n\r\n{\"generation\":3,\"overlay_edges\":17}"), "{ack}");
     }
 
     #[test]
@@ -461,27 +464,35 @@ mod tests {
             b"POST /query_many HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
         ];
         for raw in cases {
-            match decode_http(raw) {
-                HttpDecoded::Error(resp) => {
-                    let text = String::from_utf8_lossy(&resp);
-                    assert!(text.starts_with("HTTP/1.1 4") || text.starts_with("HTTP/1.1 5"));
-                    assert!(text.contains("\"error\""), "{text}");
-                }
-                other => panic!("{:?}: want Error, got {other:?}", String::from_utf8_lossy(raw)),
-            }
+            let text = refusal(raw, DEFAULT_MAX_BATCH);
+            assert!(text.starts_with("HTTP/1.1 4") || text.starts_with("HTTP/1.1 5"));
+            assert!(text.contains("Connection: close\r\n"), "{text}");
+            assert!(text.contains("\"error\""), "{text}");
         }
     }
 
     #[test]
     fn renderers_emit_valid_bodies() {
-        let one = String::from_utf8(render_query_one(1, 2, 7, false)).unwrap();
-        assert!(one.contains("\"dist\":7"), "{one}");
-        let unreachable =
-            String::from_utf8(render_query_one(1, 2, sfgraph::INF_DIST, false)).unwrap();
-        assert!(unreachable.contains("\"dist\":null"), "{unreachable}");
-        let many = String::from_utf8(render_query_many(&[0, sfgraph::INF_DIST, 3], true)).unwrap();
-        assert!(many.contains("[0,null,3]"), "{many}");
+        let text = |body: &ResponseBody, one, close| {
+            let (bytes, closes) = render(body, one, close);
+            (String::from_utf8(bytes).unwrap(), closes)
+        };
+        let (one, close) = text(&ResponseBody::Distances(vec![7]), Some((1, 2)), false);
+        assert!(one.ends_with("{\"s\":1,\"t\":2,\"dist\":7}") && !close, "{one}");
+        let unreachable = ResponseBody::Distances(vec![INF_DIST]);
+        let (unreachable, _) = text(&unreachable, Some((1, 2)), false);
+        assert!(unreachable.ends_with("\"dist\":null}"), "{unreachable}");
+        let (many, close) = text(&ResponseBody::Distances(vec![0, INF_DIST, 3]), None, true);
+        assert!(many.ends_with("{\"dists\":[0,null,3]}") && close, "{many}");
         assert!(many.contains("Connection: close"), "{many}");
+        // An error is a 400 that closes, whatever the request asked.
+        let (error, close) = text(&ResponseBody::Error("no \"way\"".into()), None, false);
+        assert!(error.starts_with("HTTP/1.1 400 Bad Request\r\n") && close, "{error}");
+        assert!(error.ends_with("{\"error\":\"no \\\"way\\\"\"}"), "{error}");
+        // The bodies no HTTP request asks for still render.
+        let swapped = ResponseBody::Swapped { generation: 2, vertices: 9 };
+        assert!(text(&swapped, None, false).0.ends_with("{\"generation\":2,\"vertices\":9}"));
+        assert!(text(&ResponseBody::Bye, None, false).0.ends_with("\r\n\r\n{}"));
         assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\u000a\"");
     }
 

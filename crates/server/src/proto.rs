@@ -76,6 +76,14 @@
 //! has arrived (the server's per-connection read buffer, where frames
 //! arrive split at arbitrary byte boundaries). Responses are decoded by
 //! [`read_response`], which blocks on a stream (the client).
+//!
+//! ## One request, two framings
+//!
+//! The HTTP front (`crate::http`) is a second framing of the same
+//! requests: it decodes into a [`RequestBody`] too, and either framing
+//! hands the server a [`Reply`] saying how to answer. Every answer — a
+//! stage's, or one the serving loop gives inline — is a
+//! [`ResponseBody`] encoded by [`Reply::encode`].
 
 #![cfg_attr(
     not(test),
@@ -191,6 +199,56 @@ impl RequestBody {
             RequestBody::Query(pairs) => WORD * (1 + 2 * pairs.len()),
             RequestBody::Update(edges) => WORD * (1 + 3 * edges.len()),
             _ => 0,
+        }
+    }
+
+    /// `Err` when this body carries more than `max_batch` pairs or
+    /// edges, worded as a `HOPQ` frame's refusal is.
+    pub(crate) fn within(&self, max_batch: usize) -> Result<(), String> {
+        match self {
+            RequestBody::Query(pairs) => batch_limit(("query", "pair"), pairs.len(), max_batch),
+            RequestBody::Update(edges) => batch_limit(("update", "edge"), edges.len(), max_batch),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The refusal of a `count`-item batch over `max_batch`.
+fn batch_limit((what, item): (&str, &str), count: usize, max_batch: usize) -> Result<(), String> {
+    if count > max_batch {
+        return Err(format!("{what} batch of {count} {item}s exceeds limit {max_batch}"));
+    }
+    Ok(())
+}
+
+/// Where a request's answer goes: the framing the request arrived in.
+/// [`Reply::encode`] is the one encoder of every answer an endpoint
+/// sends, inline or from a stage.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reply {
+    /// A `HOPR` frame echoing the request id.
+    Hopq {
+        /// Client-chosen request id.
+        id: u64,
+    },
+    /// An HTTP/1.1 response with a JSON body.
+    Http {
+        /// Close the connection after the response (an error always
+        /// closes).
+        close: bool,
+        /// `GET /query`'s pair, answered as one object; `None` answers
+        /// distances as a list.
+        one: Option<(u32, u32)>,
+    },
+}
+
+impl Reply {
+    /// `body` in this framing, and whether the connection closes after
+    /// it.
+    pub fn encode(self, body: &ResponseBody) -> (Vec<u8>, bool) {
+        match self {
+            Reply::Hopq { id } => (body.frame(id), false),
+            Reply::Http { close, one } => crate::http::render(body, one, close),
         }
     }
 }
@@ -507,8 +565,15 @@ impl Response {
 
     /// Serialize this response into one wire frame.
     pub fn encode(&self) -> Vec<u8> {
+        self.body.frame(self.id)
+    }
+}
+
+impl ResponseBody {
+    /// This body as the wire frame answering request `id`.
+    fn frame(&self, id: u64) -> Vec<u8> {
         let mut payload = Vec::new();
-        match &self.body {
+        match self {
             ResponseBody::Distances(dists) => {
                 payload.reserve(WORD * (1 + dists.len()));
                 payload.extend_from_slice(&(dists.len() as u32).to_le_bytes());
@@ -526,7 +591,7 @@ impl Response {
             ResponseBody::Error(msg) => payload.extend_from_slice(msg.as_bytes()),
         }
         let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-        put_header(&mut buf, RESP_MAGIC, self.body.kind(), self.id, payload.len());
+        put_header(&mut buf, RESP_MAGIC, self.kind(), id, payload.len());
         buf.extend_from_slice(&payload);
         buf
     }
@@ -606,9 +671,7 @@ fn counted_words<'a>(
     if count == 0 {
         return Err(format!("{what} batch declares zero {item}s"));
     }
-    if count > max_batch {
-        return Err(format!("{what} batch of {count} {item}s exceeds limit {max_batch}"));
-    }
+    batch_limit((what, item), count, max_batch)?;
     // In `u64`: no hostile count can overflow the comparison.
     let need = WORD as u64 * (1 + words as u64 * count as u64);
     if payload.len() as u64 != need {
@@ -829,6 +892,41 @@ mod tests {
             let got = read_response(&mut Cursor::new(&bytes)).unwrap();
             assert_eq!(got, resp);
         }
+    }
+
+    #[test]
+    fn reply_encodes_each_body_in_its_framing() {
+        for body in [
+            ResponseBody::Distances(vec![4]),
+            ResponseBody::Updated { generation: 4, overlay_edges: 12 },
+            ResponseBody::Info(InfoReply { protocol: VERSION, vertices: 9, ..Default::default() }),
+            ResponseBody::Bye,
+            ResponseBody::Error("nope".into()),
+        ] {
+            // HOPQ: the response frame, and the connection stays.
+            let frame = Response { id: 5, body: body.clone() }.encode();
+            assert_eq!(Reply::Hopq { id: 5 }.encode(&body), (frame, false));
+            // HTTP: a response that closes when asked to, or on an error.
+            for close in [false, true] {
+                let (bytes, closes) = Reply::Http { close, one: Some((1, 2)) }.encode(&body);
+                let error = matches!(body, ResponseBody::Error(_));
+                assert_eq!(closes, close || error, "{body:?}");
+                let status: &[u8] = if error { b"HTTP/1.1 400 " } else { b"HTTP/1.1 200 " };
+                assert!(bytes.starts_with(status), "{body:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn batch_limit_is_worded_alike_for_both_framings() {
+        let frame = Request { id: 3, body: RequestBody::Query(vec![(0, 1); 5]) }.encode();
+        let Decoded::Bad { msg, .. } = decode_request(&frame, 4) else { panic!("want Bad") };
+        assert_eq!(msg, "query batch of 5 pairs exceeds limit 4");
+        assert_eq!(RequestBody::Query(vec![(0, 1); 5]).within(4), Err(msg));
+        let edges = RequestBody::Update(vec![(0, 1, 1); 5]);
+        assert_eq!(edges.within(4).unwrap_err(), "update batch of 5 edges exceeds limit 4");
+        assert_eq!(edges.within(5), Ok(()));
+        assert_eq!(RequestBody::Info.within(0), Ok(()));
     }
 
     #[test]

@@ -57,7 +57,7 @@ use crate::batch::{run_batch, BatchWork, QueryJob, Stage};
 use crate::client::Client;
 use crate::front::{self, Admin, FrontConfig, FrontHandle, Outcome, Service, Traffic};
 use crate::proto::{
-    mode_name, InfoReply, ResponseBody, DURABILITY_DISABLED, ROUTE_REPLICA, ROUTE_SHARD,
+    mode_name, InfoReply, Reply, ResponseBody, DURABILITY_DISABLED, ROUTE_REPLICA, ROUTE_SHARD,
     ROUTE_SINGLE, VERSION,
 };
 use crate::server::validate_update_edges;
@@ -725,8 +725,8 @@ impl Service for RouterShared {
         (self.config.mode == RouteMode::Shard).then_some(MSG_SHARD_NO_UPDATES)
     }
 
-    fn admin(&self, _conn: u64, _id: u64, kind: Admin) -> Outcome {
-        Outcome::Reply(ResponseBody::Error(
+    fn admin(&self, _conn: u64, _reply: Reply, kind: Admin) -> Outcome {
+        Outcome::Answer(ResponseBody::Error(
             match kind {
                 Admin::Swap => MSG_SWAP_NOT_ROUTED,
                 Admin::Compact => MSG_COMPACT_NOT_ROUTED,

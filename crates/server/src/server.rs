@@ -38,7 +38,7 @@ use std::time::Instant;
 use crate::backend::{poisoned, sibling, Generation, Published};
 use crate::batch::{run_batch, BatchWork, Job, QueryJob, Stage};
 use crate::front::{self, Admin, FrontConfig, FrontHandle, Outcome, Service, Traffic};
-use crate::proto::{InfoReply, Response, ResponseBody, DURABILITY_DISABLED, ROUTE_SINGLE};
+use crate::proto::{InfoReply, Reply, ResponseBody, DURABILITY_DISABLED, ROUTE_SINGLE};
 use crate::wal::{self, Durability, Manifest, Wal, WalEdge};
 use extmem::stats::IoStats;
 use hoplabels::flat::FlatIndex;
@@ -510,8 +510,8 @@ enum CompactMsg {
     Admin {
         /// Connection token.
         conn: u64,
-        /// Client-chosen request id.
-        id: u64,
+        /// How to answer.
+        reply: Reply,
     },
     /// The server is stopping.
     Stop,
@@ -541,12 +541,12 @@ fn compactor_loop(shared: &Shared, rx: &mpsc::Receiver<CompactMsg>) {
                     }
                 }
             }
-            CompactMsg::Admin { conn, id } => {
+            CompactMsg::Admin { conn, reply } => {
                 let body = match do_compact(shared) {
                     Ok((generation, vertices)) => ResponseBody::Compacted { generation, vertices },
                     Err(e) => ResponseBody::Error(format!("compact failed: {e}")),
                 };
-                shared.front.completions.answer(conn, (Response { id, body }.encode(), false));
+                shared.front.completions.answer(conn, reply, &body);
             }
         }
     }
@@ -695,14 +695,14 @@ impl Service for Shared {
         None
     }
 
-    fn admin(&self, conn: u64, id: u64, kind: Admin) -> Outcome {
+    fn admin(&self, conn: u64, reply: Reply, kind: Admin) -> Outcome {
         match kind {
-            Admin::Swap => Outcome::Submit(Job::Swap { conn, id }),
+            Admin::Swap => Outcome::Submit(Job::Swap { conn, reply }),
             Admin::Compact => {
-                if self.poke(CompactMsg::Admin { conn, id }) {
+                if self.poke(CompactMsg::Admin { conn, reply }) {
                     Outcome::Deferred
                 } else {
-                    Outcome::Reply(ResponseBody::Error("server is stopping".to_string()))
+                    Outcome::Answer(ResponseBody::Error("server is stopping".to_string()))
                 }
             }
         }

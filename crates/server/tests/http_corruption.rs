@@ -2,9 +2,11 @@
 //! `wal_corruption.rs`: `decode_http` consumes bytes straight off a
 //! socket, so it must *never* panic — not on truncations, not on bit
 //! flips, not on arbitrary garbage — and whenever it does accept a
-//! request it must account for a sane number of consumed bytes.
+//! request it must account for a sane number of consumed bytes. Every
+//! input is decoded at the default batch limit and at a small one.
 
-use hopdb_server::http::{decode_http, looks_like_http, HttpDecoded, HttpRequest, MAX_HEAD};
+use hopdb_server::http::{decode_http, looks_like_http, HttpDecoded, MAX_HEAD};
+use hopdb_server::proto::{Reply, RequestBody, DEFAULT_MAX_BATCH};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -31,13 +33,43 @@ fn corpus() -> Vec<Vec<u8>> {
     ]
 }
 
-/// Decode and sanity-check the one invariant every outcome shares:
-/// an accepted request consumes a positive number of bytes within the
-/// buffer. (Reaching the return at all is the no-panic property.)
+/// A batch limit the corpus's lists exceed.
+const SMALL_BATCH: usize = 2;
+
+/// Decode at the default limit and at [`SMALL_BATCH`], and check the
+/// invariants every outcome shares: an accepted request consumes a
+/// positive number of bytes within the buffer, and the small limit
+/// accepts exactly what the default accepts with at most that many
+/// pairs or edges. (Reaching the return at all is the no-panic
+/// property.) Returns the default limit's outcome.
 fn decode_checked(buf: &[u8]) -> HttpDecoded {
-    let decoded = decode_http(buf);
-    if let HttpDecoded::Request { used, .. } = decoded {
-        assert!(used > 0 && used <= buf.len(), "used={used} of {} bytes", buf.len());
+    let decoded = decode_http(buf, DEFAULT_MAX_BATCH);
+    let small = decode_http(buf, SMALL_BATCH);
+    match (&decoded, &small) {
+        (HttpDecoded::Request { body, reply, used }, small) => {
+            assert!(*used > 0 && *used <= buf.len(), "used={used} of {} bytes", buf.len());
+            let items = match body {
+                RequestBody::Query(pairs) => pairs.len(),
+                RequestBody::Update(edges) => edges.len(),
+                _ => 0,
+            };
+            match small {
+                HttpDecoded::Request { body: b, reply: r, used: u } => {
+                    assert!(items <= SMALL_BATCH);
+                    assert_eq!((b, r, u), (body, reply, used));
+                }
+                HttpDecoded::Error(resp) => {
+                    assert!(items > SMALL_BATCH, "refused a batch of {items}");
+                    let text = String::from_utf8_lossy(resp);
+                    assert!(text.starts_with("HTTP/1.1 400 "), "{text}");
+                    assert!(text.contains(&format!("exceeds limit {SMALL_BATCH}")), "{text}");
+                }
+                HttpDecoded::Incomplete => panic!("the small limit wants more bytes"),
+            }
+        }
+        (HttpDecoded::Incomplete, HttpDecoded::Incomplete)
+        | (HttpDecoded::Error(_), HttpDecoded::Error(_)) => {}
+        (default, small) => panic!("limits disagree: {default:?} vs {small:?}"),
     }
     decoded
 }
@@ -156,12 +188,18 @@ fn accepted_mutants_are_internally_consistent() {
     for at in 0..raw.len() {
         let mut mutated = raw.clone();
         mutated[at] = mutated[at].wrapping_add(1);
-        if let HttpDecoded::Request { request, used, .. } = decode_checked(&mutated) {
+        if let HttpDecoded::Request { body, reply, used } = decode_checked(&mutated) {
             assert!(used <= mutated.len());
-            match request {
-                HttpRequest::QueryMany(pairs) => assert!(!pairs.is_empty()),
-                HttpRequest::Update(edges) => assert!(!edges.is_empty()),
-                HttpRequest::QueryOne { .. } | HttpRequest::Stats => {}
+            let Reply::Http { one, .. } = reply else { panic!("an HTTP request wants {reply:?}") };
+            match body {
+                RequestBody::Query(pairs) => {
+                    assert!(!pairs.is_empty());
+                    // Only `GET /query` names its one pair in the reply.
+                    assert!(one.is_none() || pairs == [one.unwrap()], "{pairs:?} vs {one:?}");
+                }
+                RequestBody::Update(edges) => assert!(!edges.is_empty() && one.is_none()),
+                RequestBody::Info => assert!(one.is_none()),
+                other => panic!("HTTP has no request for {other:?}"),
             }
         }
     }

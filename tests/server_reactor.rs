@@ -1,8 +1,9 @@
-//! Edge-case tests for the serving loop: a golden transcript of one
-//! pipelined script, partial frames split at arbitrary byte boundaries,
-//! pipelined out-of-order correlation, write backpressure against
-//! never-reading clients, idle eviction, hot swap under pipelined load,
-//! and the HTTP/JSON front. The framing, in-flight-cap, backpressure
+//! Edge-case tests for the serving loop: golden transcripts of one
+//! pipelined `HOPQ` script and one HTTP script, partial frames split at
+//! arbitrary byte boundaries, pipelined out-of-order correlation, write
+//! backpressure against never-reading clients, idle eviction, hot swap
+//! under pipelined load, the HTTP/JSON front, and `--max-batch` and
+//! truncation over both framings. The framing, in-flight-cap, backpressure
 //! and idle cases run twice — against the daemon, and against a replica
 //! router in front of it — since both endpoints are the same loop.
 
@@ -22,6 +23,7 @@ use hop_doubling::hopdb_server::{
     ServerHandle,
 };
 use hop_doubling::hoplabels::flat::FlatIndex;
+use hop_doubling::hoplabels::shard_image;
 use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
 use hop_doubling::sfgraph::{Graph, VertexId};
 
@@ -448,33 +450,13 @@ fn hot_swap_during_pipelined_batches_never_mixes_generations() {
     }
 }
 
-/// Send one HTTP request, read status line + headers + body.
+/// Send one HTTP request on a keep-alive connection: its status code
+/// and body.
 fn http_roundtrip(stream: &mut TcpStream, request: &str) -> (u16, String) {
-    stream.write_all(request.as_bytes()).expect("write request");
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
-        }
-        let n = stream.read(&mut chunk).expect("read response head");
-        assert!(n > 0, "EOF before response head completed");
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8(buf[..head_end].to_vec()).expect("UTF-8 head");
-    let code: u16 = head.split_whitespace().nth(1).expect("status code").parse().unwrap();
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| l.to_ascii_lowercase().strip_prefix("content-length:").map(str::to_owned))
-        .map(|v| v.trim().parse().unwrap())
-        .unwrap_or(0);
-    while buf.len() < head_end + content_length {
-        let n = stream.read(&mut chunk).expect("read response body");
-        assert!(n > 0, "EOF before response body completed");
-        buf.extend_from_slice(&chunk[..n]);
-    }
-    let body = String::from_utf8(buf[head_end..head_end + content_length].to_vec()).unwrap();
-    (code, body)
+    let response = http_exchange(stream, request);
+    let code = response.split(' ').nth(1).expect("status code").parse().unwrap();
+    let (_, body) = response.split_once("\r\n\r\n").expect("end of head");
+    (code, body.to_string())
 }
 
 #[test]
@@ -543,5 +525,272 @@ fn http_front_serves_json_on_the_same_port() {
 
     drop(hopq);
     handle.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// Write `request` and read one whole response — status line, headers
+/// and `Content-Length` body — off a keep-alive connection.
+fn http_exchange(stream: &mut TcpStream, request: &str) -> String {
+    stream.write_all(request.as_bytes()).expect("write request");
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        let text = String::from_utf8_lossy(&buf);
+        if let Some(head_end) = text.find("\r\n\r\n") {
+            let length = text[..head_end]
+                .lines()
+                .find_map(|l| l.strip_prefix("Content-Length: "))
+                .map_or(0, |v| v.parse::<usize>().expect("Content-Length"));
+            if buf.len() >= head_end + 4 + length {
+                assert_eq!(buf.len(), head_end + 4 + length, "bytes past the response");
+                return text.into_owned();
+            }
+        }
+        let n = stream.read(&mut chunk).expect("read response");
+        assert!(n > 0, "EOF inside a response: {text}");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// Send `request` on a fresh connection and read to EOF: the whole
+/// response of a request that closes the connection.
+fn http_closing(addr: SocketAddr, request: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    stream.write_all(request).expect("write request");
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).expect("read to EOF");
+    reply
+}
+
+/// Two components, `{0..=5}` and `{6..=9}` before ranking, each drawn
+/// as one walk; the wire speaks rank ids (no `.rank` sidecar).
+fn two_component_graph() -> Graph {
+    let mut b = hop_doubling::sfgraph::builder::GraphBuilder::new_undirected(10);
+    for walk in [&[0, 1, 2, 3, 0, 4, 5, 2][..], &[6, 7, 8, 9, 6, 8]] {
+        for step in walk.windows(2) {
+            b.add_edge(step[0], step[1]);
+        }
+    }
+    b.build()
+}
+
+fn post(path: &str, body: &str) -> String {
+    format!("POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}", body.len())
+}
+
+/// The HTTP script: each request and its whole response, in order.
+/// The first five share one keep-alive connection; every other request
+/// gets a connection of its own, which the response closes.
+fn http_script(addr: SocketAddr) -> Vec<(String, String)> {
+    let mut script = Vec::new();
+    let mut keep = TcpStream::connect(addr).expect("connect");
+    keep.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    for request in [
+        "GET /query?s=0&t=1 HTTP/1.1\r\nHost: x\r\n\r\n".to_string(),
+        "GET /query?s=0&t=9 HTTP/1.1\r\nHost: x\r\n\r\n".to_string(),
+        post("/query_many", "{\"pairs\":[[0,1],[1,9],[4,4]]}"),
+        post("/update", "{\"edges\":[[1,9,2]]}"),
+        "GET /query?s=0&t=9 HTTP/1.1\r\nHost: x\r\n\r\n".to_string(),
+    ] {
+        let response = http_exchange(&mut keep, &request);
+        script.push((request, response));
+    }
+    let mut oversized_head = b"GET /query?s=1&t=2 HTTP/1.1\r\n".to_vec();
+    oversized_head.extend(std::iter::repeat_n(b'a', (8 << 10) + 1));
+    for request in [
+        b"GET /nope HTTP/1.1\r\n\r\n".to_vec(),
+        b"DELETE /query HTTP/1.1\r\n\r\n".to_vec(),
+        post("/query_many", "not json").into_bytes(),
+        post("/query_many", "[]").into_bytes(),
+        b"GET /query?s=0&t=10 HTTP/1.1\r\n\r\n".to_vec(),
+        b"POST /query_many HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n".to_vec(),
+        oversized_head,
+        b"POST /query_many HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec(),
+        b"GET /query HTTP/9.9\r\n\r\n".to_vec(),
+        b"GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n".to_vec(),
+    ] {
+        let response = http_closing(addr, &request);
+        let shown = String::from_utf8_lossy(&request[..request.len().min(64)]).into_owned();
+        script.push((shown, response));
+    }
+    script
+}
+
+/// A shard router over the one shard of the image at `path`, and the
+/// daemon serving that shard.
+fn one_shard_router(path: &Path) -> (RouterHandle, ServerHandle, PathBuf) {
+    let image = std::fs::read(path).expect("read image");
+    let (shard, spec) = shard_image(&image, 1).expect("shard").remove(0);
+    let shard_path = PathBuf::from(format!("{}.shard0", path.display()));
+    std::fs::write(&shard_path, shard).expect("stage shard");
+    std::fs::write(format!("{}.shard", shard_path.display()), spec.encode()).expect("sidecar");
+    let daemon = serve("127.0.0.1:0", &shard_path, ServerConfig::default()).expect("serve shard");
+    let config = RouterConfig {
+        mode: RouteMode::Shard,
+        backends: vec![daemon.local_addr()],
+        ..RouterConfig::default()
+    };
+    let router = serve_router("127.0.0.1:0", config).expect("shard router");
+    (router, daemon, shard_path)
+}
+
+/// What [`http_script`] must read, byte for byte: pinned literals, not
+/// the encoder's output. The index node and a replica router answer
+/// alike except for `/stats`, whose counters the script fixes: 7
+/// requests (`/stats` included) and 8 refusals.
+const HTTP_GOLDEN: [&str; 14] = [
+    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+    Content-Length: 22\r\nConnection: keep-alive\r\n\r\n\
+    {\"s\":0,\"t\":1,\"dist\":2}",
+    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+    Content-Length: 25\r\nConnection: keep-alive\r\n\r\n\
+    {\"s\":0,\"t\":9,\"dist\":null}",
+    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+    Content-Length: 20\r\nConnection: keep-alive\r\n\r\n\
+    {\"dists\":[2,null,0]}",
+    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+    Content-Length: 34\r\nConnection: keep-alive\r\n\r\n\
+    {\"generation\":1,\"overlay_edges\":1}",
+    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+    Content-Length: 22\r\nConnection: keep-alive\r\n\r\n\
+    {\"s\":0,\"t\":9,\"dist\":4}",
+    "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n\
+    Content-Length: 28\r\nConnection: close\r\n\r\n\
+    {\"error\":\"unknown endpoint\"}",
+    "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\n\
+    Content-Length: 30\r\nConnection: close\r\n\r\n\
+    {\"error\":\"method not allowed\"}",
+    "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n\
+    Content-Length: 42\r\nConnection: close\r\n\r\n\
+    {\"error\":\"expected a JSON array of pairs\"}",
+    "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n\
+    Content-Length: 30\r\nConnection: close\r\n\r\n\
+    {\"error\":\"pair list is empty\"}",
+    "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n\
+    Content-Length: 61\r\nConnection: close\r\n\r\n\
+    {\"error\":\"vertex out of range: (0, 10) on a 10-vertex index\"}",
+    "HTTP/1.1 413 Payload Too Large\r\nContent-Type: application/json\r\n\
+    Content-Length: 34\r\nConnection: close\r\n\r\n\
+    {\"error\":\"request body too large\"}",
+    "HTTP/1.1 431 Request Header Fields Too Large\r\nContent-Type: application/json\r\n\
+    Content-Length: 34\r\nConnection: close\r\n\r\n\
+    {\"error\":\"request head too large\"}",
+    "HTTP/1.1 501 Not Implemented\r\nContent-Type: application/json\r\n\
+    Content-Length: 44\r\nConnection: close\r\n\r\n\
+    {\"error\":\"chunked bodies are not supported\"}",
+    "HTTP/1.1 505 HTTP Version Not Supported\r\nContent-Type: application/json\r\n\
+    Content-Length: 38\r\nConnection: close\r\n\r\n\
+    {\"error\":\"only HTTP/1.x is supported\"}",
+];
+
+const STATS_NODE: &str = "\
+    HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+    Content-Length: 464\r\nConnection: close\r\n\r\n\
+    {\"protocol\":6,\"mode\":\"single\",\"generation\":1,\"vertices\":10,\"directed\":false,\
+    \"resident\":true,\"resident_bytes\":189,\"overlay_edges\":1,\"overlay_affected\":2,\
+    \"compactions\":0,\"requests\":7,\"protocol_errors\":8,\"durability\":\"disabled\",\
+    \"wal_epoch\":0,\"wal_records\":0,\"wal_bytes\":0,\"recovered_records\":0,\
+    \"recovered_dropped_bytes\":0,\"checkpoints\":0,\"aborted_compactions\":0,\"shard_lo\":0,\
+    \"shard_hi\":0,\"shard_index\":0,\"shard_count\":0,\"rank_pruned\":false,\"backends\":0,\
+    \"failovers\":0}";
+const STATS_REPLICA: &str = "\
+    HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+    Content-Length: 463\r\nConnection: close\r\n\r\n\
+    {\"protocol\":6,\"mode\":\"replica\",\"generation\":1,\"vertices\":10,\"directed\":false,\
+    \"resident\":true,\"resident_bytes\":0,\"overlay_edges\":0,\"overlay_affected\":0,\
+    \"compactions\":0,\"requests\":7,\"protocol_errors\":8,\"durability\":\"disabled\",\
+    \"wal_epoch\":0,\"wal_records\":0,\"wal_bytes\":0,\"recovered_records\":0,\
+    \"recovered_dropped_bytes\":0,\"checkpoints\":0,\"aborted_compactions\":0,\"shard_lo\":0,\
+    \"shard_hi\":0,\"shard_index\":0,\"shard_count\":0,\"rank_pruned\":false,\"backends\":1,\
+    \"failovers\":0}";
+const SHARD_UPDATE_REFUSED: &str = "\
+    HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n\
+    Content-Length: 104\r\nConnection: close\r\n\r\n\
+    {\"error\":\"a shard router does not take updates: \
+    rebuild and re-shard the image, or use --route replica\"}";
+
+#[test]
+fn http_script_matches_the_golden_transcript() {
+    let (path, _) = build_index_file(&two_component_graph(), "http-golden");
+    for (via, stats) in [(Via::Daemon, STATS_NODE), (Via::ReplicaRouter, STATS_REPLICA)] {
+        let endpoint = Endpoint::boot(via, &path, FrontConfig::default());
+        let script = http_script(endpoint.addr);
+        assert_eq!(script.len(), HTTP_GOLDEN.len() + 1);
+        for ((request, got), want) in script.iter().zip(HTTP_GOLDEN.iter().chain([&stats])) {
+            assert_eq!(got, want, "{via:?}: {request}");
+        }
+        endpoint.shutdown();
+    }
+    let (router, daemon, shard_path) = one_shard_router(&path);
+    let update = post("/update", "{\"edges\":[[1,9,2]]}");
+    assert_eq!(http_closing(router.local_addr(), update.as_bytes()), SHARD_UPDATE_REFUSED);
+    router.shutdown();
+    daemon.shutdown();
+    for file in [shard_path.clone(), PathBuf::from(format!("{}.shard", shard_path.display())), path]
+    {
+        std::fs::remove_file(file).ok();
+    }
+}
+
+/// `--max-batch` binds HTTP as it binds `HOPQ`: at 4, a 5-pair query
+/// and a 5-edge update are refused in HOPQ's words over both framings,
+/// and a 4-pair query is answered.
+#[test]
+fn max_batch_binds_both_framings() {
+    let g = glp(&GlpParams::with_density(60, 3.0, 12));
+    let (path, flat) = build_index_file(&g, "max-batch");
+    let four: Vec<(u32, u32)> = (0..4).map(|i| (i, i + 10)).collect();
+    let five: Vec<(u32, u32)> = (0..5).map(|i| (i, i + 10)).collect();
+    let json = |pairs: &[(u32, u32)]| {
+        let list: Vec<String> = pairs.iter().map(|(s, t)| format!("[{s},{t}]")).collect();
+        format!("[{}]", list.join(","))
+    };
+    for via in BOTH {
+        let endpoint =
+            Endpoint::boot(via, &path, FrontConfig { max_batch: 4, ..FrontConfig::default() });
+        let mut client = Client::connect(endpoint.addr).expect("connect");
+        client.set_io_timeout(Some(Duration::from_secs(20))).unwrap();
+        assert_eq!(client.query(&four).expect("4 pairs"), flat.query_many(&four, 1), "{via:?}");
+        let refused = client.query(&five).expect_err("5 pairs").to_string();
+        assert!(refused.ends_with("query batch of 5 pairs exceeds limit 4"), "{via:?}: {refused}");
+        let refused = client.update(&[(0, 1, 1); 5]).expect_err("5 edges").to_string();
+        assert!(refused.ends_with("update batch of 5 edges exceeds limit 4"), "{via:?}: {refused}");
+
+        let mut http = TcpStream::connect(endpoint.addr).expect("connect");
+        http.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        let answer = http_exchange(&mut http, &post("/query_many", &json(&four)));
+        let dists: Vec<String> = flat.query_many(&four, 1).iter().map(u32::to_string).collect();
+        assert!(answer.ends_with(&format!("{{\"dists\":[{}]}}", dists.join(","))), "{answer}");
+        let refusal = |request: String| http_closing(endpoint.addr, request.as_bytes());
+        let refused = refusal(post("/query_many", &json(&five)));
+        assert!(refused.starts_with("HTTP/1.1 400 "), "{via:?}: {refused}");
+        assert!(refused.ends_with("{\"error\":\"query batch of 5 pairs exceeds limit 4\"}"));
+        let refused = refusal(post("/update", "[[0,1,1],[0,2,1],[0,3,1],[0,4,1],[0,5,1]]"));
+        assert!(refused.ends_with("{\"error\":\"update batch of 5 edges exceeds limit 4\"}"));
+        drop((client, http));
+        endpoint.shutdown();
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A peer that half-closes with part of an HTTP request buffered is
+/// answered in HTTP, a 400, and the connection closes.
+#[test]
+fn truncated_http_request_is_answered_in_http() {
+    let g = glp(&GlpParams::with_density(60, 3.0, 13));
+    let (path, _) = build_index_file(&g, "truncated");
+    for via in BOTH {
+        let endpoint = Endpoint::boot(via, &path, FrontConfig::default());
+        let mut raw = TcpStream::connect(endpoint.addr).expect("connect");
+        raw.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        raw.write_all(b"GET /query?s=1").unwrap();
+        raw.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut reply = String::new();
+        raw.read_to_string(&mut reply).expect("read to EOF");
+        assert!(reply.starts_with("HTTP/1.1 400 "), "{via:?}: {reply:?}");
+        assert!(reply.ends_with("{\"error\":\"truncated frame\"}"), "{via:?}: {reply:?}");
+        endpoint.shutdown();
+    }
     std::fs::remove_file(&path).ok();
 }
