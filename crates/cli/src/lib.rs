@@ -42,8 +42,11 @@
 //! `build` writes two artifacts: the `HOPIDX02` index image
 //! (`hoplabels::image`) and a `.rank` sidecar holding the vertex-at-rank
 //! permutation so `query` can accept original vertex ids. `query`
-//! validates the image, serves it in place (`hoplabels::FlatIndex`) and
-//! answers single pairs or whole batch files, sharding batches across
+//! loads through the daemon's loader, `hopdb_server::Generation` (the
+//! image validated and served in place, its `.rank` and `.shard`
+//! sidecars read by the daemon's rules), requires the `.rank`, refuses
+//! one shard of a split image, and answers single pairs or whole batch
+//! files with `Generation::query_many`, sharding batches across
 //! `--threads` workers. `shard` splits an index image by pivot range
 //! into per-shard images (`hoplabels::shard`), each a complete
 //! `HOPIDX02` index a stock daemon can serve, plus a `HOPSHRD1` sidecar
@@ -60,13 +63,13 @@
 
 use std::fmt::Write as _;
 use std::io::{Read, Write};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::Path;
 
 use graphgen::{
     barabasi_albert, erdos_renyi, glp, orient_scale_free, with_random_weights, GlpParams,
 };
 use hopdb::{HopDbConfig, Strategy};
-use hoplabels::flat::FlatIndex;
 use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy, Ranking};
 use sfgraph::{Graph, VertexId, INF_DIST};
 
@@ -130,6 +133,13 @@ const COMMANDS: [(&str, &str, &str, Command); 7] = [
     ),
     ("admin", "-a --timeout-ms --retries --batch", "", cmd_admin),
 ];
+
+/// The `serve` options only an index node reads, and those only the
+/// router (`--route`) reads; the rest of the row serves both. Each mode
+/// refuses the other's, as the table refuses another command's.
+const SERVE_NODE_ONLY: &str = "-x --batch-threads --max-resident-bytes --swap-path --graph \
+     --compact-threshold --wal-dir --durability --wal-max-bytes";
+const SERVE_ROUTER_ONLY: &str = "--route --backends --connect-timeout-ms --connect-retries";
 
 /// One command's arguments: `--flag value` options looked up by name,
 /// plus the positional arguments.
@@ -448,49 +458,23 @@ fn write_ranking_sidecar(target: &str, ranking: &Ranking) -> Result<(), CliError
     Ok(())
 }
 
-/// The `.rank` sidecar of the `expect_n`-vertex index at `target`,
-/// `None` when it does not exist.
-fn read_ranking_sidecar(target: &str, expect_n: usize) -> Result<Option<Ranking>, CliError> {
-    let path = format!("{target}.rank");
-    let Some(bytes) = read_if_present(&path)? else { return Ok(None) };
-    // Validating the vertex count here turns a stale sidecar (index
-    // rebuilt without its .rank) into a clean error instead of an
-    // out-of-range panic inside the query workers.
-    Ranking::from_sidecar_bytes(&bytes, Some(expect_n))
-        .map(Some)
-        .map_err(|msg| err(format!("{path}: {msg}")))
-}
-
-/// The bytes of `path`, `None` when it does not exist. As for the
-/// daemon's sidecars, only `NotFound` means absent.
-fn read_if_present(path: &str) -> Result<Option<Vec<u8>>, CliError> {
-    match std::fs::read(path) {
-        Ok(bytes) => Ok(Some(bytes)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(err(format!("cannot read {path}: {e}"))),
-    }
-}
-
 fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let target = args.required("-x")?;
-    // Read and validate the image once, then query it in place — no
-    // per-vertex allocations, no disk reads per query.
-    let flat = FlatIndex::load(Path::new(target))
+    // The daemon's loader: the image validated once and queried in place,
+    // its `.rank` and `.shard` sidecars read by the daemon's rules.
+    let index = hopdb_server::Generation::load(Path::new(target), None, 1)
         .map_err(|e| err(format!("cannot load {target}: {e}")))?;
     // One shard holds one pivot range: its joins are upper bounds.
-    if let Some(bytes) = read_if_present(&format!("{target}.shard"))? {
-        let spec = hoplabels::ShardSpec::decode(&bytes)
-            .map_err(|e| err(format!("{target}.shard: {e}")))?;
-        if spec.count > 1 {
-            return Err(err(format!(
-                "{target} is shard {} of {}: its answers are upper bounds; serve every \
-                 shard and query through `serve --route shard`",
-                spec.index, spec.count
-            )));
-        }
+    if let Some(spec) = index.shard().filter(|spec| spec.count > 1) {
+        return Err(err(format!(
+            "{target} is shard {} of {}: its answers are upper bounds; serve every \
+             shard and query through `serve --route shard`",
+            spec.index, spec.count
+        )));
     }
-    let ranking = read_ranking_sidecar(target, flat.num_vertices())?
-        .ok_or_else(|| err(format!("cannot open {target}.rank: no such file")))?;
+    if !index.translates_ids() {
+        return Err(err(format!("cannot open {target}.rank: no such file")));
+    }
 
     // Pairs come from the positional arguments and/or a batch file of
     // whitespace-separated `s t` lines (`#` comments allowed).
@@ -510,11 +494,7 @@ fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if let Some(batch) = args.opt("--pairs") {
         let text =
             std::fs::read_to_string(batch).map_err(|e| err(format!("cannot open {batch}: {e}")))?;
-        for line in text.lines() {
-            let line = line.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
+        for (_, line) in data_lines(&text) {
             let mut it = line.split_whitespace();
             let (Some(s), Some(t), None) = (it.next(), it.next(), it.next()) else {
                 return Err(err(format!("bad pair line in {batch}: `{line}`")));
@@ -525,16 +505,8 @@ fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if pairs.is_empty() {
         return Err(err("query needs vertex pairs: s t [s t ...] and/or --pairs FILE"));
     }
-    for &(s, t) in &pairs {
-        if s as usize >= ranking.len() || t as usize >= ranking.len() {
-            return Err(err(format!("vertex out of range: {s} or {t}")));
-        }
-    }
-
-    let rank_pairs: Vec<(VertexId, VertexId)> =
-        pairs.iter().map(|&(s, t)| (ranking.rank_of(s), ranking.rank_of(t))).collect();
     let threads: usize = args.parsed("--threads")?.unwrap_or(1);
-    let dists = flat.query_many(&rank_pairs, threads);
+    let dists = index.query_many(&pairs, threads).map_err(err)?;
     for (&(s, t), d) in pairs.iter().zip(dists) {
         if d == INF_DIST {
             writeln!(out, "dist({s}, {t}) = unreachable")?;
@@ -543,6 +515,13 @@ fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         }
     }
     Ok(())
+}
+
+/// The lines of a pair or edge file that hold data, numbered from 1:
+/// `#` starts a comment, and lines left blank are skipped.
+fn data_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    let data = text.lines().map(|line| line.split('#').next().unwrap_or("").trim());
+    (1..).zip(data).filter(|(_, line)| !line.is_empty())
 }
 
 fn cmd_shard(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -556,7 +535,8 @@ fn cmd_shard(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // ranking next to every shard image, validated before one is written
     // against the vertex count: the ranges tile `[0, n)`.
     let n = shards.last().map_or(0, |(_, spec)| spec.hi as usize);
-    let ranking = read_ranking_sidecar(target, n)?;
+    let ranking = hopdb_server::backend::load_ranking(Path::new(target), n)
+        .map_err(|e| err(e.to_string()))?;
     for (image, spec) in &shards {
         let path = format!("{prefix}.shard{}", spec.index);
         std::fs::write(&path, image)?;
@@ -578,18 +558,18 @@ fn cmd_shard(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The first socket address `addr` resolves to; errors name it after
+/// `what` (`"backend "` or nothing).
+fn resolve(what: &str, addr: &str) -> Result<SocketAddr, CliError> {
+    let mut resolved =
+        addr.to_socket_addrs().map_err(|e| err(format!("cannot resolve {what}{addr}: {e}")))?;
+    resolved.next().ok_or_else(|| err(format!("cannot resolve {what}{addr}")))
+}
+
 /// Parse `--backends a:p,b:p,...` into socket addresses.
-fn parse_backends(spec: &str) -> Result<Vec<std::net::SocketAddr>, CliError> {
-    use std::net::ToSocketAddrs;
-    let mut backends = Vec::new();
-    for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-        let addr = part
-            .to_socket_addrs()
-            .map_err(|e| err(format!("cannot resolve backend {part}: {e}")))?
-            .next()
-            .ok_or_else(|| err(format!("cannot resolve backend {part}")))?;
-        backends.push(addr);
-    }
+fn parse_backends(spec: &str) -> Result<Vec<SocketAddr>, CliError> {
+    let parts = spec.split(',').map(str::trim).filter(|p| !p.is_empty());
+    let backends = parts.map(|part| resolve("backend ", part)).collect::<Result<Vec<_>, _>>()?;
     if backends.is_empty() {
         return Err(err("--backends needs at least one HOST:PORT"));
     }
@@ -623,15 +603,8 @@ fn cmd_serve_router(args: &Args, route: &str, out: &mut dyn Write) -> Result<(),
     };
     let handle = hopdb_server::serve_router(addr, config)
         .map_err(|e| err(format!("cannot start {route} router on {addr}: {e}")))?;
-    let announced = (|| -> Result<(), CliError> {
-        writeln!(out, "routing ({route}) on {}", handle.local_addr())?;
-        out.flush()?;
-        if let Some(announce) = args.opt("--announce-file") {
-            std::fs::write(announce, handle.local_addr().to_string())?;
-        }
-        Ok(())
-    })();
-    if let Err(e) = announced {
+    let at = handle.local_addr();
+    if let Err(e) = announce(args, out, &format!("routing ({route}) on {at}"), at) {
         handle.shutdown();
         return Err(e);
     }
@@ -640,8 +613,30 @@ fn cmd_serve_router(args: &Args, route: &str, out: &mut dyn Write) -> Result<(),
     Ok(())
 }
 
+/// Announce an endpoint that is up: print `line`, and write its
+/// address to `--announce-file` — scripts and tests poll that file
+/// instead of parsing stdout; with `--addr 127.0.0.1:0` it is the only
+/// way to learn the port. On an error the caller stops the endpoint: a
+/// dropped handle would leak its threads and the bound port.
+fn announce(args: &Args, out: &mut dyn Write, line: &str, at: SocketAddr) -> Result<(), CliError> {
+    writeln!(out, "{line}")?;
+    out.flush()?;
+    if let Some(file) = args.opt("--announce-file") {
+        std::fs::write(file, at.to_string())?;
+    }
+    Ok(())
+}
+
 fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    if let Some(route) = args.opt("--route") {
+    let route = args.opt("--route");
+    let (foreign, mode) = match route {
+        Some(_) => (SERVE_NODE_ONLY, "serve --route"),
+        None => (SERVE_ROUTER_ONLY, "serve without --route"),
+    };
+    if let Some(flag) = foreign.split_whitespace().find(|flag| args.has(flag)) {
+        return Err(err(format!("unknown option {flag} for {mode}\n{USAGE}")));
+    }
+    if let Some(route) = route {
         return cmd_serve_router(args, route, out);
     }
     let target = args.required("-x")?;
@@ -669,19 +664,8 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     extmem::device::faults::arm_from_env();
     let handle = hopdb_server::serve(addr, Path::new(target), config)
         .map_err(|e| err(format!("cannot serve {target} on {addr}: {e}")))?;
-    let announced = (|| -> Result<(), CliError> {
-        writeln!(out, "serving {target} on {} (generation 1)", handle.local_addr())?;
-        out.flush()?;
-        // Scripts and tests poll this file instead of parsing stdout —
-        // with `--addr 127.0.0.1:0` it is the only way to learn the port.
-        if let Some(announce) = args.opt("--announce-file") {
-            std::fs::write(announce, handle.local_addr().to_string())?;
-        }
-        Ok(())
-    })();
-    if let Err(e) = announced {
-        // The daemon is already running; a dropped handle would leak
-        // its threads and the bound port for the process lifetime.
+    let at = handle.local_addr();
+    if let Err(e) = announce(args, out, &format!("serving {target} on {at} (generation 1)"), at) {
         handle.shutdown();
         return Err(e);
     }
@@ -755,14 +739,8 @@ fn connect_admin(
     timeout_ms: u64,
     retries: u32,
 ) -> Result<hopdb_server::Client, CliError> {
-    use std::net::ToSocketAddrs;
     let timeout = (timeout_ms != 0).then(|| std::time::Duration::from_millis(timeout_ms));
-    let sock_addr = addr
-        .to_socket_addrs()
-        .map_err(|e| err(format!("cannot resolve {addr}: {e}")))?
-        .next()
-        .ok_or_else(|| err(format!("cannot resolve {addr}")))?;
-    hopdb_server::Client::connect_retry(&sock_addr, timeout, retries)
+    hopdb_server::Client::connect_retry(&resolve("", addr)?, timeout, retries)
         .map_err(|e| err(format!("cannot connect to {addr}: {e}")))
 }
 
@@ -785,11 +763,7 @@ fn read_ingest_edges(source: Option<&str>) -> Result<IngestEdges, CliError> {
         ),
     };
     let mut edges = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
+    for (lineno, line) in data_lines(&text) {
         let mut it = line.split_whitespace();
         let (s, t, w) = (it.next(), it.next(), it.next());
         let (Some(s), Some(t), None) = (s, t, it.next()) else {
@@ -798,7 +772,7 @@ fn read_ingest_edges(source: Option<&str>) -> Result<IngestEdges, CliError> {
         let parse = |tok: &str| -> Result<u32, CliError> {
             tok.parse().map_err(|_| err(format!("bad number `{tok}` in {origin}: `{line}`")))
         };
-        edges.push((lineno + 1, (parse(s)?, parse(t)?, w.map(parse).transpose()?.unwrap_or(1))));
+        edges.push((lineno, (parse(s)?, parse(t)?, w.map(parse).transpose()?.unwrap_or(1))));
     }
     Ok((edges, origin))
 }
@@ -883,6 +857,7 @@ fn cmd_admin(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hoplabels::flat::FlatIndex;
 
     fn run_vec(args: &[&str]) -> Result<String, CliError> {
         let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -1217,6 +1192,53 @@ mod tests {
         assert!(!msg.contains("unknown option"), "{msg}");
     }
 
+    /// `serve` reads one mode's options: the router's under `--route`,
+    /// the index node's without it. Either refuses the other's by name
+    /// before it binds or connects anything.
+    #[test]
+    fn serve_refuses_the_other_modes_options() {
+        let wal_dir = tmp("router-wal");
+        let msg = run_vec(&[
+            "serve",
+            "--route",
+            "replica",
+            "--backends",
+            "127.0.0.1:1",
+            "--connect-retries",
+            "0",
+            "--addr",
+            "127.0.0.1:0",
+            "--wal-dir",
+            &wal_dir,
+        ])
+        .unwrap_err()
+        .0;
+        assert!(msg.starts_with("unknown option --wal-dir for serve --route\n"), "{msg}");
+        assert!(!Path::new(&wal_dir).exists(), "a router made a log directory");
+        let missing = tmp("no-such.idx");
+        let msg = run_vec(&[
+            "serve",
+            "-x",
+            &missing,
+            "--addr",
+            "127.0.0.1:0",
+            "--backends",
+            "127.0.0.1:1",
+        ])
+        .unwrap_err()
+        .0;
+        assert!(msg.starts_with("unknown option --backends for serve without --route\n"), "{msg}");
+
+        // The two lists split the one `serve` row: shared options are in
+        // neither, and neither names an option the row does not accept.
+        let (_, valued, switches, _) = COMMANDS.iter().find(|row| row.0 == "serve").unwrap();
+        let row: Vec<&str> = valued.split_whitespace().chain(switches.split_whitespace()).collect();
+        for flag in SERVE_NODE_ONLY.split_whitespace() {
+            assert!(row.contains(&flag) && !SERVE_ROUTER_ONLY.contains(flag), "{flag}");
+        }
+        assert!(SERVE_ROUTER_ONLY.split_whitespace().all(|flag| row.contains(&flag)));
+    }
+
     /// Help text and parser cannot drift: the options `USAGE` spells
     /// under a command are exactly the ones the command accepts.
     #[test]
@@ -1490,6 +1512,20 @@ mod tests {
         assert!(msg.contains(&format!("cannot read {map}")), "{msg}");
         std::fs::remove_dir(&map).unwrap();
         assert!(run_vec(&["query", "-x", &index, "3", "7"]).is_ok());
+        for f in cleanup {
+            let _ = std::fs::remove_file(f);
+        }
+    }
+
+    #[test]
+    fn serve_fails_on_a_rank_it_cannot_read() {
+        let (index, cleanup) = small_index("serve-unreadable-rank", "60");
+        let rank = format!("{index}.rank");
+        std::fs::remove_file(&rank).unwrap();
+        std::fs::create_dir(&rank).unwrap();
+        let msg = run_vec(&["serve", "-x", &index, "--addr", "127.0.0.1:0"]).unwrap_err().0;
+        assert!(msg.contains(&format!("cannot read {rank}")), "{msg}");
+        std::fs::remove_dir(&rank).unwrap();
         for f in cleanup {
             let _ = std::fs::remove_file(f);
         }

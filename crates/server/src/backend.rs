@@ -109,30 +109,27 @@ impl Generation {
             let disk = DiskIndex::open(file)?;
             Arc::new(CachedDiskIndex::new(disk, DISK_CACHE_LABELS))
         };
-        let (vertices, directed) = (index.num_vertices(), index.is_directed());
-        let ranking =
-            load_sidecar(path, ".rank", |b| Ranking::from_sidecar_bytes(b, Some(vertices)))?;
+        let ranking = load_ranking(path, index.num_vertices())?;
         let shard = load_sidecar(path, ".shard", ShardSpec::decode)?;
-        Ok(Generation {
-            index: LiveIndex::new(index, generation),
-            ranking: ranking.map(Arc::new),
-            vertices,
-            directed,
-            shard,
-        })
+        Ok(Generation::over(index, ranking, shard, generation))
     }
 
     /// Build a generation from an already-frozen index (tests, or a
     /// compaction promoted without a round-trip through disk).
     pub fn from_flat(flat: FlatIndex, ranking: Option<Ranking>, generation: u64) -> Generation {
-        let (vertices, directed) = (flat.num_vertices(), flat.is_directed());
-        Generation {
-            index: LiveIndex::new(Arc::new(flat), generation),
-            ranking: ranking.map(Arc::new),
-            vertices,
-            directed,
-            shard: None,
-        }
+        Generation::over(Arc::new(flat), ranking, None, generation)
+    }
+
+    /// A generation serving `frozen` with an empty overlay.
+    fn over(
+        frozen: Arc<dyn QueryBackend>,
+        ranking: Option<Ranking>,
+        shard: Option<ShardSpec>,
+        generation: u64,
+    ) -> Generation {
+        let (vertices, directed) = (frozen.num_vertices(), frozen.is_directed());
+        let (index, ranking) = (LiveIndex::new(frozen, generation), ranking.map(Arc::new));
+        Generation { index, ranking, vertices, directed, shard }
     }
 
     /// A successor generation sharing this one's frozen index whose
@@ -192,6 +189,12 @@ impl Generation {
     /// Whether the underlying index is directed.
     pub fn is_directed(&self) -> bool {
         self.directed
+    }
+
+    /// Whether a `.rank` sidecar translates original ids (else queries
+    /// are in rank ids).
+    pub fn translates_ids(&self) -> bool {
+        self.ranking.is_some()
     }
 
     /// This generation's pivot-range shard slot, when it serves a split
@@ -315,26 +318,32 @@ pub(crate) fn sibling(path: &Path, ext: &str) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// Read the `<path><ext>` sidecar if present: `.rank` (validated by
-/// [`Ranking::from_sidecar_bytes`], shared with `hopdb-cli`) or
-/// `.shard`. `Ok(None)` when the file does not exist; a
-/// present-but-invalid sidecar is an error — serving with silently
-/// wrong id translation would corrupt every answer, and routing on a
-/// corrupt shard map would drop label entries from them.
+/// The `<path>.rank` sidecar of a `vertices`-vertex image, read by the
+/// one sidecar rule below — for the daemon and `hopdb-cli` alike.
+pub fn load_ranking(path: &Path, vertices: usize) -> std::io::Result<Option<Ranking>> {
+    load_sidecar(path, ".rank", |b| Ranking::from_sidecar_bytes(b, Some(vertices)))
+}
+
+/// Read the `<path><ext>` sidecar if present: `.rank` or `.shard`.
+/// `Ok(None)` only when the file does not exist. One that cannot be
+/// read is `cannot read <file>: …`, and a present-but-invalid one
+/// `<file>: …` — serving with silently wrong id translation would
+/// corrupt every answer, and routing on a corrupt shard map would drop
+/// label entries from them.
 fn load_sidecar<T, E: std::fmt::Display>(
     path: &Path,
     ext: &str,
     decode: impl FnOnce(&[u8]) -> Result<T, E>,
 ) -> std::io::Result<Option<T>> {
     let sidecar = sibling(path, ext);
+    let name = sidecar.display();
     let bytes = match std::fs::read(&sidecar) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
+        Err(e) => return Err(std::io::Error::new(e.kind(), format!("cannot read {name}: {e}"))),
     };
-    decode(&bytes).map(Some).map_err(|e| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{}: {e}", sidecar.display()))
-    })
+    let invalid = |e| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{name}: {e}"));
+    decode(&bytes).map(Some).map_err(invalid)
 }
 
 #[cfg(test)]
@@ -398,12 +407,12 @@ mod tests {
     fn missing_sidecar_is_none_invalid_is_error() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("hopdb-backend-test-{}.idx", std::process::id()));
-        let load = |n| load_sidecar(&path, ".rank", |b| Ranking::from_sidecar_bytes(b, Some(n)));
+        let load = |n| load_ranking(&path, n);
         assert!(load(3).unwrap().is_none());
         let sidecar = format!("{}.rank", path.to_string_lossy());
         // Wrong magic.
         std::fs::write(&sidecar, b"NOTRANK!").unwrap();
-        assert!(load(0).is_err());
+        assert!(load(0).unwrap_err().to_string().starts_with(&format!("{sidecar}: ")));
         // Not a permutation.
         let mut bytes = b"HOPRANK1".to_vec();
         bytes.extend_from_slice(&0u32.to_le_bytes());
@@ -411,5 +420,10 @@ mod tests {
         std::fs::write(&sidecar, &bytes).unwrap();
         assert!(load(2).is_err());
         std::fs::remove_file(&sidecar).unwrap();
+        // Unreadable is an error naming the file, not an absent sidecar.
+        std::fs::create_dir(&sidecar).unwrap();
+        let err = load(3).unwrap_err().to_string();
+        assert!(err.starts_with(&format!("cannot read {sidecar}: ")), "{err}");
+        std::fs::remove_dir(&sidecar).unwrap();
     }
 }

@@ -26,10 +26,12 @@
 //!
 //! Parsing is hand-rolled (no external dependencies, like the rest of
 //! the tree): request line + headers up to a CRLFCRLF, an optional
-//! `Content-Length` body, and a tiny JSON scanner for the two body
-//! shapes, `/query_many`'s pair list and `/update`'s edge list. Head
-//! and body sizes are capped; a peer exceeding them gets a 4xx and the
-//! connection closed.
+//! `Content-Length` body, and one JSON list reader for both bodies: a
+//! list of fixed-width integer tuples, bare or under one key —
+//! `/query_many`'s `pairs` of `[s,t]` and `/update`'s `edges` of
+//! `[s,t,w]` — with nothing but whitespace (and the key's closing `}`)
+//! after it. Head and body sizes are capped; a peer exceeding them gets
+//! a 4xx and the connection closed.
 
 #![cfg_attr(
     not(test),
@@ -157,15 +159,17 @@ pub fn decode_http(buf: &[u8], max_batch: usize) -> HttpDecoded {
                 _ => return refuse(400, "need numeric query parameters s and t"),
             }
         }
-        ("POST", "/query_many") => match parse_pairs_json(content) {
+        ("POST", "/query_many") => match parse_tuples(content, "pairs", "a pair", ["s", "t"]) {
             Ok(pairs) if pairs.is_empty() => return refuse(400, "pair list is empty"),
-            Ok(pairs) => (RequestBody::Query(pairs), None),
-            Err(msg) => return refuse(400, msg),
+            Ok(pairs) => (RequestBody::Query(pairs.iter().map(|&[s, t]| (s, t)).collect()), None),
+            Err(msg) => return refuse(400, &msg),
         },
-        ("POST", "/update") => match parse_edges_json(content) {
+        ("POST", "/update") => match parse_tuples(content, "edges", "an edge", ["s", "t", "w"]) {
             Ok(edges) if edges.is_empty() => return refuse(400, "edge list is empty"),
-            Ok(edges) => (RequestBody::Update(edges), None),
-            Err(msg) => return refuse(400, msg),
+            Ok(edges) => {
+                (RequestBody::Update(edges.iter().map(|&[s, t, w]| (s, t, w)).collect()), None)
+            }
+            Err(msg) => return refuse(400, &msg),
         },
         ("GET", "/stats") => (RequestBody::Info, None),
         ("GET" | "POST", _) => return refuse(404, "unknown endpoint"),
@@ -183,89 +187,69 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.get(..horizon)?.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Parse `{"pairs":[[s,t],...]}` (or a bare `[[s,t],...]`) without a
-/// JSON library: scan for the bracketed pair list and read number
-/// pairs. Tolerates arbitrary whitespace; rejects anything else.
-fn parse_pairs_json(body: &[u8]) -> Result<Vec<(VertexId, VertexId)>, &'static str> {
+/// Parse a JSON list of `N`-number tuples without a JSON library: bare
+/// (`[[s,t],...]`) or under `key` (`{"pairs":[[s,t],...]}`). `item`
+/// names one tuple in errors ("a pair") and `fields` its members. After
+/// the list only whitespace may follow, and after the keyed form one
+/// closing `}`; anything else is rejected.
+fn parse_tuples<const N: usize>(
+    body: &[u8],
+    key: &str,
+    item: &str,
+    fields: [&str; N],
+) -> Result<Vec<[u32; N]>, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8")?;
-    let list = match text.find("\"pairs\"") {
-        Some(at) => {
-            let rest = text.get(at + "\"pairs\"".len()..).ok_or("expected : after \"pairs\"")?;
-            let rest = rest.trim_start();
-            let rest = rest.strip_prefix(':').ok_or("expected : after \"pairs\"")?;
-            rest.trim_start()
-        }
-        None => text.trim_start(),
+    let quoted = format!("\"{key}\"");
+    let keyed = text.find(&quoted).map(|at| text.get(at + quoted.len()..).unwrap_or_default());
+    let mut rest = match keyed {
+        Some(after_key) => eat(after_key, ':', || format!(": after {quoted}"))?,
+        None => text,
     };
-    let list = list.strip_prefix('[').ok_or("expected a JSON array of pairs")?;
-    let mut pairs = Vec::new();
-    let mut rest = list.trim_start();
-    if let Some(after) = rest.strip_prefix(']') {
-        // Empty list: valid JSON, rejected later as a zero-pair batch.
-        let _ = after;
-        return Ok(pairs);
-    }
-    loop {
-        rest = rest.strip_prefix('[').ok_or("expected [s,t]")?.trim_start();
-        let (s, r) = take_number(rest)?;
-        rest = r.trim_start().strip_prefix(',').ok_or("expected , between s and t")?.trim_start();
-        let (t, r) = take_number(rest)?;
-        rest = r.trim_start().strip_prefix(']').ok_or("expected ] after t")?.trim_start();
-        pairs.push((s, t));
-        if let Some(r) = rest.strip_prefix(',') {
-            rest = r.trim_start();
-            continue;
+    rest = eat(rest, '[', || format!("a JSON array of {key}"))?;
+    let mut tuples = Vec::new();
+    // `[]` is valid JSON, refused later as a zero-item batch.
+    let mut end = rest.strip_prefix(']');
+    while end.is_none() {
+        rest = eat(rest, '[', || format!("[{}]", fields.join(",")))?;
+        let mut tuple = [0; N];
+        for (i, (slot, name)) in tuple.iter_mut().zip(fields).enumerate() {
+            let (v, r) = take_number(rest)?;
+            *slot = v;
+            rest = match fields.get(i + 1) {
+                Some(next) => eat(r, ',', || format!(", between {name} and {next}"))?,
+                None => eat(r, ']', || format!("] after {name}"))?,
+            };
         }
-        rest.strip_prefix(']').ok_or("expected , or ] after a pair")?;
-        return Ok(pairs);
+        tuples.push(tuple);
+        end = rest.strip_prefix(']');
+        if end.is_none() {
+            rest = eat(rest, ',', || format!(", or ] after {item}"))?;
+        }
+    }
+    rest = end.unwrap_or_default();
+    if keyed.is_some() {
+        rest = eat(rest, '}', || "} after the list".into())?;
+    }
+    match rest.trim_start() {
+        "" => Ok(tuples),
+        _ => Err("unexpected bytes after the JSON body".into()),
     }
 }
 
-/// Parse `{"edges":[[s,t,w],...]}` (or a bare `[[s,t,w],...]`), the
-/// `POST /update` body: weighted edge insertions in original ids.
-fn parse_edges_json(body: &[u8]) -> Result<Vec<(VertexId, VertexId, Dist)>, &'static str> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8")?;
-    let list = match text.find("\"edges\"") {
-        Some(at) => {
-            let rest = text.get(at + "\"edges\"".len()..).ok_or("expected : after \"edges\"")?;
-            let rest = rest.trim_start();
-            let rest = rest.strip_prefix(':').ok_or("expected : after \"edges\"")?;
-            rest.trim_start()
-        }
-        None => text.trim_start(),
-    };
-    let list = list.strip_prefix('[').ok_or("expected a JSON array of edges")?;
-    let mut edges = Vec::new();
-    let mut rest = list.trim_start();
-    if rest.strip_prefix(']').is_some() {
-        // Empty list: valid JSON, rejected later as a zero-edge batch.
-        return Ok(edges);
-    }
-    loop {
-        rest = rest.strip_prefix('[').ok_or("expected [s,t,w]")?.trim_start();
-        let (s, r) = take_number(rest)?;
-        rest = r.trim_start().strip_prefix(',').ok_or("expected , between s and t")?.trim_start();
-        let (t, r) = take_number(rest)?;
-        rest = r.trim_start().strip_prefix(',').ok_or("expected , between t and w")?.trim_start();
-        let (w, r) = take_number(rest)?;
-        rest = r.trim_start().strip_prefix(']').ok_or("expected ] after w")?.trim_start();
-        edges.push((s, t, w));
-        if let Some(r) = rest.strip_prefix(',') {
-            rest = r.trim_start();
-            continue;
-        }
-        rest.strip_prefix(']').ok_or("expected , or ] after an edge")?;
-        return Ok(edges);
-    }
+/// `rest` past `c` and the whitespace on both sides of it; without `c`
+/// the error `expected <what>`.
+fn eat(rest: &str, c: char, what: impl FnOnce() -> String) -> Result<&str, String> {
+    let eaten = rest.trim_start().strip_prefix(c).map(str::trim_start);
+    eaten.ok_or_else(|| format!("expected {}", what()))
 }
 
-fn take_number(text: &str) -> Result<(VertexId, &str), &'static str> {
+fn take_number(text: &str) -> Result<(u32, &str), &'static str> {
     let digits = text.len() - text.trim_start_matches(|c: char| c.is_ascii_digit()).len();
     if digits == 0 {
         return Err("expected a vertex id");
     }
     let (num, rest) = text.split_at_checked(digits).ok_or("expected a vertex id")?;
-    let v = num.parse::<VertexId>().map_err(|_| "vertex id out of range")?;
+    let v = num.parse::<u32>().map_err(|_| "vertex id out of range")?;
     Ok((v, rest))
 }
 
@@ -450,6 +434,61 @@ mod tests {
         let (ack, _) = render(&body, None, false);
         let ack = String::from_utf8(ack).unwrap();
         assert!(ack.ends_with("\r\n\r\n{\"generation\":3,\"overlay_edges\":17}"), "{ack}");
+    }
+
+    /// One reader serves both bodies, so both refuse what follows the
+    /// list: only whitespace after a bare one, only `}` (and whitespace)
+    /// after the keyed one.
+    #[test]
+    fn json_lists_with_trailing_bytes_are_refused() {
+        let post = |path: &str, body: &str| {
+            format!("POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len())
+        };
+        for (path, list) in [("/query_many", "[[1,2]]"), ("/update", "[[1,2,3]]")] {
+            let key = if path == "/update" { "edges" } else { "pairs" };
+            for body in [format!("{list} \r\n"), format!(" {{\"{key}\": {list} }}\n")] {
+                parse_ok(post(path, &body).as_bytes());
+            }
+            for (body, error) in [
+                (format!("{list}xyz"), "unexpected bytes after the JSON body"),
+                (format!("{list}]"), "unexpected bytes after the JSON body"),
+                (format!("{{\"{key}\":{list}"), "expected } after the list"),
+                (format!("{{\"{key}\":{list},\"x\":1}}"), "expected } after the list"),
+                (format!("{{\"{key}\":{list}}}}}"), "unexpected bytes after the JSON body"),
+                (format!("{{\"{key}\":[]}} x"), "unexpected bytes after the JSON body"),
+            ] {
+                let refused = refusal(post(path, &body).as_bytes(), DEFAULT_MAX_BATCH);
+                assert!(refused.starts_with("HTTP/1.1 400 "), "{body}: {refused}");
+                assert!(refused.ends_with(&format!("{{\"error\":\"{error}\"}}")), "{refused}");
+            }
+        }
+    }
+
+    /// The words of every refusal of a malformed list, per endpoint.
+    #[test]
+    fn json_list_errors_name_the_endpoint_shape() {
+        let cases = [
+            ("/query_many", "{\"pairs\" [[1,2]]}", "expected : after \\\"pairs\\\""),
+            ("/query_many", "{\"pairs\":{}}", "expected a JSON array of pairs"),
+            ("/query_many", "[1,2]", "expected [s,t]"),
+            ("/query_many", "[[1 2]]", "expected , between s and t"),
+            ("/query_many", "[[1,2,3]]", "expected ] after t"),
+            ("/query_many", "[[1,2] [3,4]]", "expected , or ] after a pair"),
+            ("/query_many", "[[x,2]]", "expected a vertex id"),
+            ("/query_many", "[[1,99999999999]]", "vertex id out of range"),
+            ("/update", "{\"edges\" [[1,2,3]]}", "expected : after \\\"edges\\\""),
+            ("/update", "{\"edges\":{}}", "expected a JSON array of edges"),
+            ("/update", "[1,2,3]", "expected [s,t,w]"),
+            ("/update", "[[1,2 3]]", "expected , between t and w"),
+            ("/update", "[[1,2,3,4]]", "expected ] after w"),
+            ("/update", "[[1,2,3] [4,5,6]]", "expected , or ] after an edge"),
+        ];
+        for (path, body, error) in cases {
+            let raw =
+                format!("POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+            let refused = refusal(raw.as_bytes(), DEFAULT_MAX_BATCH);
+            assert!(refused.ends_with(&format!("{{\"error\":\"{error}\"}}")), "{body}: {refused}");
+        }
     }
 
     #[test]

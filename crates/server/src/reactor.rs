@@ -11,14 +11,16 @@
 //! * `Poller` — register/rearm/deregister interest keyed by a
 //!   caller-chosen `u64` token, wait for events.
 //! * `WakeFd` — a descriptor other threads poke in order to wake a
-//!   blocked `Poller::wait` (batch completions, shutdown).
+//!   blocked `Poller::wait` (batch completions, shutdown): a
+//!   nonblocking socket pair, plain `std` with no `unsafe`, registered
+//!   in either poller like any socket.
 //!
-//! Which pair the serving loop (`crate::front`) runs on is decided at
-//! build time from the target: [`epoll`] (`epoll` + `eventfd`) on
-//! Linux, [`poll`] (`poll(2)` + a nonblocking socket pair) on every
-//! other unix. `poll` is compiled on Linux too, so its tests and the
-//! unsafe audit cover it on the platform CI runs on. Off unix neither
-//! exists and creating a poller reports `ErrorKind::Unsupported`.
+//! Which poller the serving loop (`crate::front`) runs on is decided at
+//! build time from the target: [`epoll`] on Linux, [`poll`] (`poll(2)`)
+//! on every other unix; both wake through the one [`WakeFd`]. `poll` is
+//! compiled on Linux too, so its tests and the unsafe audit cover it on
+//! the platform CI runs on. Off unix neither exists and creating a
+//! poller or a wakeup fd reports `ErrorKind::Unsupported`.
 //!
 //! Level-triggered means the loop never needs to drain a socket to
 //! exhaustion in one pass: unread bytes simply re-arm the event, which
@@ -62,9 +64,11 @@ impl Event {
 }
 
 #[cfg(target_os = "linux")]
-pub use epoll::{Poller, WakeFd};
+pub use epoll::Poller;
 #[cfg(all(unix, not(target_os = "linux")))]
-pub use poll::{Poller, WakeFd};
+pub use poll::Poller;
+#[cfg(unix)]
+pub use poll::WakeFd;
 #[cfg(not(unix))]
 pub use unsupported::{Poller, WakeFd};
 
@@ -77,21 +81,18 @@ fn cvt(ret: std::os::raw::c_int) -> std::io::Result<std::os::raw::c_int> {
     }
 }
 
-/// The Linux pair: raw `epoll` + `eventfd` bindings.
+/// The Linux poller: raw `epoll` bindings.
 #[cfg(target_os = "linux")]
 pub mod epoll {
     use super::{cvt, Event};
     use std::io;
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
-    use std::os::raw::{c_int, c_uint, c_void};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::os::raw::c_int;
 
     const EPOLL_CTL_ADD: c_int = 1;
     const EPOLL_CTL_DEL: c_int = 2;
     const EPOLL_CTL_MOD: c_int = 3;
     const EPOLL_CLOEXEC: c_int = 0x8_0000;
-    const EFD_CLOEXEC: c_int = 0x8_0000;
-    const EFD_NONBLOCK: c_int = 0x800;
 
     /// `struct epoll_event`. On x86-64 the kernel ABI packs it to 12
     /// bytes; `repr(C, packed)` matches glibc's declaration on every
@@ -113,9 +114,6 @@ pub mod epoll {
             maxevents: c_int,
             timeout: c_int,
         ) -> c_int;
-        fn eventfd(initval: c_uint, flags: c_int) -> c_int;
-        fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     }
 
     /// An epoll instance (level-triggered).
@@ -193,79 +191,11 @@ pub mod epoll {
             Ok(n)
         }
     }
-
-    /// A wakeup channel for the serving loop: an `eventfd` registered
-    /// in the [`Poller`]. Any thread calls [`WakeFd::wake`]; the loop
-    /// observes the token readable and calls [`WakeFd::drain`].
-    pub struct WakeFd {
-        fd: OwnedFd,
-        /// Collapses redundant wakes: `wake` only writes when the flag
-        /// was clear, so a storm of completions costs one syscall, not
-        /// one per completion.
-        armed: AtomicBool,
-    }
-
-    impl WakeFd {
-        /// Create a nonblocking eventfd.
-        pub fn new() -> io::Result<WakeFd> {
-            // SAFETY: eventfd takes no pointers; it returns a new fd or
-            // -1, which `cvt` turns into an error.
-            let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
-            // SAFETY: eventfd returned a fresh fd we now own.
-            Ok(WakeFd { fd: unsafe { OwnedFd::from_raw_fd(fd) }, armed: AtomicBool::new(false) })
-        }
-
-        /// Wake the poller this fd is registered with. Cheap and safe
-        /// from any thread; redundant wakes coalesce.
-        pub fn wake(&self) {
-            if self.armed.swap(true, Ordering::AcqRel) {
-                return; // a wake is already pending
-            }
-            let one: u64 = 1;
-            // A full eventfd counter (EAGAIN) still wakes the poller;
-            // any other failure means the loop is gone and nobody is
-            // left to wake — ignore both.
-            // SAFETY: the pointer/length pair describes the 8 bytes of
-            // `one`, which outlives the call; the kernel only reads
-            // them.
-            let _ = unsafe { write(self.fd.as_raw_fd(), (&raw const one).cast::<c_void>(), 8) };
-        }
-
-        /// Consume pending wakes (called by the loop when its token
-        /// fires) so the level-triggered poller stops reporting them.
-        ///
-        /// Read first, *then* clear `armed`. The other order loses
-        /// wakeups for good: a `wake` landing between the clear and the
-        /// read has its count swallowed while `armed` stays set, and
-        /// every later `wake` is then suppressed. A `wake` skipped in
-        /// the window this order leaves (after the read, before the
-        /// clear) is harmless: producers publish their work before
-        /// waking, and the loop collects that work after `drain` in the
-        /// same tick.
-        pub fn drain(&self) {
-            let mut buf = 0u64;
-            // SAFETY: the pointer/length pair describes the 8 writable
-            // bytes of `buf`, which outlives the call; the eventfd read
-            // writes at most 8 bytes.
-            let _ = unsafe { read(self.fd.as_raw_fd(), (&raw mut buf).cast::<c_void>(), 8) };
-            // Test builds widen the window between the two steps so the
-            // wake/drain race is lost (or, in this order, survived)
-            // within a few drains instead of once in a million.
-            #[cfg(test)]
-            std::thread::yield_now();
-            self.armed.store(false, Ordering::Release);
-        }
-    }
-
-    impl AsRawFd for WakeFd {
-        fn as_raw_fd(&self) -> RawFd {
-            self.fd.as_raw_fd()
-        }
-    }
 }
 
-/// The portable unix pair: `poll(2)` over a registration table, and a
-/// nonblocking socket pair for wakeups. `struct pollfd` and the
+/// The portable unix pair: `poll(2)` over a registration table, and the
+/// nonblocking socket pair both pollers wake through. `struct pollfd`
+/// and the
 /// `POLLIN`/`POLLOUT`/`POLLERR`/`POLLHUP` values are the same on Linux,
 /// macOS and the BSDs, and coincide with the `EV_*` constants.
 #[cfg(unix)]
@@ -381,14 +311,17 @@ pub mod poll {
         }
     }
 
-    /// A wakeup channel for the serving loop: the read half of a
-    /// nonblocking socket pair is registered in the [`Poller`]; any
-    /// thread calls [`WakeFd::wake`], which writes one byte to the
-    /// other half.
+    /// A wakeup channel for the serving loop, under either poller: the
+    /// read half of a nonblocking socket pair is registered like any
+    /// socket; any thread calls [`WakeFd::wake`], which writes one byte
+    /// to the other half, and the loop observes the token readable and
+    /// calls [`WakeFd::drain`]. Plain `std`, no `unsafe`.
     pub struct WakeFd {
         rx: UnixStream,
         tx: UnixStream,
-        /// Collapses redundant wakes, exactly as on the eventfd.
+        /// Collapses redundant wakes: `wake` only writes when the flag
+        /// was clear, so a storm of completions costs one syscall, not
+        /// one per completion.
         armed: AtomicBool,
     }
 
@@ -408,15 +341,28 @@ pub mod poll {
                 return; // a wake is already pending
             }
             // A full socket buffer (WouldBlock) still leaves the read
-            // half readable; any other failure means the loop is gone.
+            // half readable; any other failure means the loop is gone
+            // and nobody is left to wake — ignore both.
             let _ = (&self.tx).write(&[1]);
         }
 
-        /// Consume pending wakes. Read first, then clear `armed` — see
-        /// the eventfd `drain` for why the order matters.
+        /// Consume pending wakes (called by the loop when its token
+        /// fires) so the level-triggered poller stops reporting them.
+        ///
+        /// Read first, *then* clear `armed`. The other order loses
+        /// wakeups for good: a `wake` landing between the clear and the
+        /// read has its byte swallowed while `armed` stays set, and
+        /// every later `wake` is then suppressed. A `wake` skipped in
+        /// the window this order leaves (after the read, before the
+        /// clear) is harmless: producers publish their work before
+        /// waking, and the loop collects that work after `drain` in the
+        /// same tick.
         pub fn drain(&self) {
             let mut buf = [0u8; 64];
             while matches!((&self.rx).read(&mut buf), Ok(n) if n == buf.len()) {}
+            // Test builds widen the window between the two steps so the
+            // wake/drain race is lost (or, in this order, survived)
+            // within a few drains instead of once in a million.
             #[cfg(test)]
             std::thread::yield_now();
             self.armed.store(false, Ordering::Release);
@@ -485,12 +431,13 @@ mod unsupported {
 
 #[cfg(test)]
 mod tests {
-    /// The same test bodies, instantiated once per implementation.
+    /// The same test bodies, instantiated once per poller; both wake
+    /// through the one `WakeFd`.
     macro_rules! bodies {
         ($imp:ident) => {
             pub mod $imp {
-                use crate::reactor::$imp::{Poller, WakeFd};
-                use crate::reactor::{EV_READ, EV_WRITE};
+                use crate::reactor::$imp::Poller;
+                use crate::reactor::{WakeFd, EV_READ, EV_WRITE};
                 use std::io::Write as _;
                 use std::net::{TcpListener, TcpStream};
                 use std::sync::atomic::{AtomicBool, Ordering};

@@ -216,8 +216,8 @@ pub fn encode_folded(epoch: u64, edges: &[WalEdge]) -> Vec<u8> {
     out
 }
 
-/// Read the folded edges beside checkpoint `image` through
-/// [`read_wal`]'s checked reader. No sibling means nothing was folded
+/// Read the folded edges beside checkpoint `image` through the log's
+/// checked reader (see [`read_wal`]). No sibling means nothing was folded
 /// (an image that is not a checkpoint, or one written before the file
 /// existed). A sibling that is there must read completely: the wrong
 /// epoch, a dropped byte or a missing closing record is `InvalidData`
@@ -226,10 +226,8 @@ pub fn encode_folded(epoch: u64, edges: &[WalEdge]) -> Vec<u8> {
 /// corruption, and booting short would forget acknowledged edges.
 pub fn read_folded(image: &Path, epoch: u64) -> std::io::Result<Vec<WalEdge>> {
     let path = crate::backend::sibling(image, FOLDED_EXT);
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
-    let mut replay = read_wal(&path, IoStats::shared())?;
+    let Some(bytes) = read_present(&path, IoStats::shared())? else { return Ok(Vec::new()) };
+    let mut replay = replay(&bytes);
     let closed = replay.batches.pop().is_some_and(|end| end.is_empty());
     if replay.epoch != Some(epoch) || replay.dropped_bytes != 0 || !closed {
         let what =
@@ -263,30 +261,45 @@ impl Replay {
     }
 }
 
+/// The bytes of `path`, read through `stats`; `None` when it does not
+/// exist. Only `NotFound` means absent: a file that is there but cannot
+/// be read is an error naming it, never a file read as missing.
+fn read_present(path: &Path, stats: Arc<IoStats>) -> std::io::Result<Option<Vec<u8>>> {
+    let read = || -> std::io::Result<Vec<u8>> {
+        let mut file = CountedFile::open_path_readonly(path, stats)?;
+        let mut bytes = vec![0u8; file.len()? as usize];
+        file.read_exact_at(0, &mut bytes)?;
+        Ok(bytes)
+    };
+    match read() {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => {
+            Err(std::io::Error::new(e.kind(), format!("cannot read {}: {e}", path.display())))
+        }
+    }
+}
+
 /// Walk `path`, returning the longest valid prefix. Never panics on
 /// arbitrary bytes; never reads past a declared length without
 /// validating it first. A missing file is an empty replay, not an
 /// error — only real I/O failures surface as `Err`.
 pub fn read_wal(path: &Path, stats: Arc<IoStats>) -> std::io::Result<Replay> {
-    if !path.exists() {
-        return Ok(Replay::absent());
-    }
-    let mut file = CountedFile::open_path_readonly(path, stats)?;
-    let len = file.len()?;
-    let mut bytes = vec![0u8; len as usize];
-    if len > 0 {
-        file.read_exact_at(0, &mut bytes)?;
-    }
-    let (Some(magic), Some(epoch)) = (bytes.first_chunk::<8>(), wire::u64_at(&bytes, 8)) else {
-        return Ok(Replay { dropped_bytes: len, ..Replay::absent() });
+    Ok(read_present(path, stats)?.map_or_else(Replay::absent, |bytes| replay(&bytes)))
+}
+
+/// The longest valid prefix of a log's `bytes`.
+fn replay(bytes: &[u8]) -> Replay {
+    let len = bytes.len() as u64;
+    let (Some(magic), Some(epoch)) = (bytes.first_chunk::<8>(), wire::u64_at(bytes, 8)) else {
+        return Replay { dropped_bytes: len, ..Replay::absent() };
     };
     if magic != WAL_MAGIC {
-        return Ok(Replay { dropped_bytes: len, ..Replay::absent() });
+        return Replay { dropped_bytes: len, ..Replay::absent() };
     }
     let mut batches = Vec::new();
     let mut pos = WAL_HEADER_LEN as usize;
-    while let (Some(rec_len), Some(crc)) =
-        (wire::u32_at(&bytes, pos), wire::u32_at(&bytes, pos + 4))
+    while let (Some(rec_len), Some(crc)) = (wire::u32_at(bytes, pos), wire::u32_at(bytes, pos + 4))
     {
         if !(4..=MAX_RECORD_LEN).contains(&rec_len) || !(rec_len - 4).is_multiple_of(12) {
             break; // implausible length: flipped field or garbage
@@ -308,12 +321,7 @@ pub fn read_wal(path: &Path, stats: Arc<IoStats>) -> std::io::Result<Replay> {
         batches.push(batch);
         pos = start + rec_len as usize;
     }
-    Ok(Replay {
-        epoch: Some(epoch),
-        batches,
-        valid_len: pos as u64,
-        dropped_bytes: len - pos as u64,
-    })
+    Replay { epoch: Some(epoch), batches, valid_len: pos as u64, dropped_bytes: len - pos as u64 }
 }
 
 /// Append handle over a WAL file, owning the fsync policy.
@@ -522,30 +530,27 @@ pub struct Manifest {
     pub index_path: PathBuf,
 }
 
-/// Read `dir/CURRENT`; `Ok(None)` when absent or unparsable (a torn
-/// manifest write leaves the old complete file in place thanks to the
-/// rename, so "unparsable" only happens to hand-edited files — recovery
-/// then falls back to the boot image like on first start).
+/// Read `dir/CURRENT`; `Ok(None)` only when it does not exist (a fresh
+/// lineage). A manifest that cannot be read or does not parse is an
+/// error naming it: a torn write leaves the old complete file in place
+/// thanks to the rename, so either is damage, and booting the original
+/// image instead would garbage-collect the live epoch's checkpoint and
+/// log — the acknowledged updates.
 pub fn read_manifest(dir: &Path) -> std::io::Result<Option<Manifest>> {
     let path = dir.join(MANIFEST_FILE);
-    if !path.exists() {
-        return Ok(None);
+    let Some(bytes) = read_present(&path, IoStats::shared())? else { return Ok(None) };
+    let mut lines = std::str::from_utf8(&bytes).unwrap_or_default().lines();
+    let magic = lines.next();
+    let epoch = lines.next().and_then(|l| l.parse::<u64>().ok());
+    match (magic, epoch, lines.next()) {
+        (Some("HOPCUR01"), Some(epoch), Some(index_path)) => {
+            Ok(Some(Manifest { epoch, index_path: PathBuf::from(index_path) }))
+        }
+        _ => Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("{}: not a HOPCUR01 checkpoint manifest", path.display()),
+        )),
     }
-    let bytes = std::fs::read(&path)?;
-    let Ok(text) = std::str::from_utf8(&bytes) else {
-        return Ok(None);
-    };
-    let mut lines = text.lines();
-    if lines.next() != Some("HOPCUR01") {
-        return Ok(None);
-    }
-    let Some(epoch) = lines.next().and_then(|l| l.parse::<u64>().ok()) else {
-        return Ok(None);
-    };
-    let Some(index_path) = lines.next() else {
-        return Ok(None);
-    };
-    Ok(Some(Manifest { epoch, index_path: PathBuf::from(index_path) }))
 }
 
 /// Atomically publish `dir/CURRENT` (temp file, fsync, rename,
@@ -759,8 +764,21 @@ mod tests {
         let m2 = Manifest { epoch: 10, index_path: PathBuf::from("/elsewhere/ckpt-10.idx") };
         write_manifest(&dir, &m2, IoStats::shared()).unwrap();
         assert_eq!(read_manifest(&dir).unwrap(), Some(m2));
-        // Garbage manifests read as absent, never panic.
-        std::fs::write(dir.join(MANIFEST_FILE), b"\xFF\xFE\x00garbage").unwrap();
-        assert_eq!(read_manifest(&dir).unwrap(), None);
+        // A garbage manifest is an error naming it, never absent (and
+        // never a panic); so is one that cannot be read.
+        for garbage in [&b"\xFF\xFE\x00garbage"[..], b"HOPCUR01\n9\n", b"HOPCUR01\nx\n/i.idx\n"] {
+            std::fs::write(dir.join(MANIFEST_FILE), garbage).unwrap();
+            let err = read_manifest(&dir).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains(MANIFEST_FILE), "{err}");
+        }
+        std::fs::remove_file(dir.join(MANIFEST_FILE)).unwrap();
+        std::fs::create_dir(dir.join(MANIFEST_FILE)).unwrap();
+        let err = read_manifest(&dir).unwrap_err();
+        assert!(
+            err.to_string().contains(&format!("cannot read {}", dir.join(MANIFEST_FILE).display())),
+            "{err}"
+        );
+        std::fs::remove_dir(dir.join(MANIFEST_FILE)).unwrap();
     }
 }

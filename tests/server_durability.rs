@@ -4,7 +4,8 @@
 //! durability directory is refused at boot, a checkpoint truncates the
 //! WAL and survives a restart booting from its image — as does the next
 //! checkpoint of the same lineage, which must hold what the first one
-//! folded — a torn folded-edge file is refused at boot, an injected
+//! folded — a torn folded-edge file is refused at boot, as is a garbage
+//! `CURRENT`, without deleting the lineage it stands for, an injected
 //! fsync failure rejects the update without killing the server, under
 //! `batch` the tail of a burst is synced once ingest goes idle (and a
 //! failure of that sync nacks the next update), and an aborted
@@ -283,6 +284,45 @@ fn checkpoint_truncates_the_wal_and_survives_restart() {
             handle.shutdown();
             panic!("a torn folded-edge file must not boot");
         }
+    }
+    cleanup(&graph_path, &index_path, &wal_dir);
+}
+
+/// A `CURRENT` that does not parse is damage, not a fresh directory:
+/// booting the original image as epoch 0 would garbage-collect the live
+/// checkpoint and log, the only copies of the acknowledged updates.
+#[test]
+fn a_garbage_manifest_is_refused_and_the_lineage_kept() {
+    let n = 50;
+    let g = glp(&GlpParams::with_density(n, 3.0, 908));
+    let (graph_path, index_path, wal_dir) = stage(&g, "badcur");
+    {
+        let config = durable_config(&graph_path, &wal_dir, Durability::Always);
+        let handle = serve("127.0.0.1:0", &index_path, config).expect("serve");
+        let mut client = Client::connect(handle.local_addr()).expect("connect");
+        client.update(&[(0, 49, 1)]).expect("update");
+        client.compact().expect("compact");
+        client.update(&[(1, 48, 1)]).expect("update after the checkpoint");
+        handle.shutdown();
+    }
+    let lineage = [
+        wal::checkpoint_image_name(1),
+        format!("{}{}", wal::checkpoint_image_name(1), wal::FOLDED_EXT),
+        wal::wal_file_name(1),
+    ];
+    assert!(lineage.iter().all(|name| wal_dir.join(name).exists()), "a checkpointed lineage");
+
+    std::fs::write(wal_dir.join(wal::MANIFEST_FILE), b"not a manifest\n").expect("clobber");
+    let config = durable_config(&graph_path, &wal_dir, Durability::Always);
+    match serve("127.0.0.1:0", &index_path, config) {
+        Err(err) => assert!(err.to_string().contains(wal::MANIFEST_FILE), "{err}"),
+        Ok(handle) => {
+            handle.shutdown();
+            panic!("a garbage CURRENT must not boot");
+        }
+    }
+    for name in &lineage {
+        assert!(wal_dir.join(name).exists(), "{name} was deleted by a refused boot");
     }
     cleanup(&graph_path, &index_path, &wal_dir);
 }
