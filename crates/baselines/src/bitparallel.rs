@@ -15,7 +15,7 @@
 
 use sfgraph::{Dist, Graph, VertexId, INF_DIST};
 
-use hoplabels::index::{join_min, LabelIndex, Record, VertexLabels};
+use hoplabels::index::{merge_join, resolve, LabelIndex, VertexLabels};
 
 /// Maximum number of roots: one bit per root in the per-vertex marker.
 pub const MAX_ROOTS: usize = 64;
@@ -187,32 +187,20 @@ impl BitParallelIndex {
             + self.markers.len() * 8
     }
 
-    /// Exact distance query (Section 6's bit-parallel evaluation). A
-    /// derived vertex answers through its record, one level: the least
-    /// over its pairs of `off(s) + bp(p(s), p(t)) + off(t)`.
+    /// Exact distance query (Section 6's bit-parallel evaluation): the
+    /// record rule of [`resolve`], whose slots are vertices and whose
+    /// join is the bit-parallel one, so a derived vertex answers through
+    /// its record.
     pub fn query(&self, s: VertexId, t: VertexId) -> Dist {
-        if s == t {
-            return 0;
-        }
-        // A labelled vertex is its own one parent at offset 0.
-        let end = |v: VertexId| {
-            self.normal[v as usize].record().unwrap_or_else(|| Record::new(&[(v, 0)]))
-        };
-        let (from, to) = (end(s), end(t));
-        let mut best = INF_DIST;
-        for &(ps, ds) in from.pairs() {
-            for &(pt, dt) in to.pairs() {
-                let core = if ps == pt { 0 } else { self.core_query(ps, pt) };
-                best = best.min(ds.saturating_add(core).saturating_add(dt));
-            }
-        }
-        best
+        let record = |&v: &VertexId| self.normal[v as usize].record();
+        resolve(s, t, |v, _| Ok(v), record, |&a, &b| self.core_query(a, b))
+            .expect("a record's parent holds a label")
     }
 
     /// The query between two vertices that carry labels.
     fn core_query(&self, s: VertexId, t: VertexId) -> Dist {
-        let mut best =
-            join_min(self.normal[s as usize].entries(), self.normal[t as usize].entries());
+        let (ls, lt) = (&self.normal[s as usize], &self.normal[t as usize]);
+        let mut best = merge_join(ls.entries(), lt.entries(), VertexId::MAX, 0);
         if self.markers[s as usize] & self.markers[t as usize] != 0 {
             let (a, b) = (&self.tuples[s as usize], &self.tuples[t as usize]);
             let (mut i, mut j) = (0usize, 0usize);

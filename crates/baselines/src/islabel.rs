@@ -18,7 +18,7 @@
 //! which the bench harness reports as DNF, mirroring the paper's
 //! 24-hour timeouts.
 
-use hoplabels::index::{DirectedLabels, LabelIndex, UndirectedLabels, VertexLabels};
+use hoplabels::index::{LabelIndex, VertexLabels};
 use hoplabels::LabelEntry;
 use sfgraph::hash::FxHashMap;
 use sfgraph::{Dist, Graph, VertexId};
@@ -206,11 +206,8 @@ impl IsLabel {
             }
         }
 
-        let index = if directed {
-            LabelIndex::Directed(DirectedLabels { in_labels, out_labels })
-        } else {
-            LabelIndex::Undirected(UndirectedLabels { labels: out_labels })
-        };
+        let sides = if directed { vec![out_labels, in_labels] } else { vec![out_labels] };
+        let index = LabelIndex::from_sides(sides);
         Ok(IsLabel { index, levels: level })
     }
 

@@ -18,7 +18,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use hoplabels::index::{join_min, DirectedLabels, LabelIndex, UndirectedLabels, VertexLabels};
+use hoplabels::index::{merge_join, DirectedLabels, LabelIndex, UndirectedLabels, VertexLabels};
 use hoplabels::LabelEntry;
 use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy, Ranking};
 use sfgraph::{Direction, Dist, Graph, VertexId};
@@ -149,7 +149,8 @@ fn prune_or_insert(
         // standard PLL fast path.)
         return false;
     }
-    if join_min(pivot_labels.entries(), labels[u as usize].entries()) <= dist {
+    let own = &labels[u as usize];
+    if merge_join(pivot_labels.entries(), own.entries(), VertexId::MAX, dist) <= dist {
         return false;
     }
     labels[u as usize].insert_min(LabelEntry::new(vk, dist));

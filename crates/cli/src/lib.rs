@@ -16,28 +16,12 @@
 
 //! # hopdb-cli — command-line front end
 //!
-//! Seven subcommands wire the library into a usable tool:
-//!
-//! ```text
-//! hopdb-cli gen   --model glp --vertices 100000 --density 4 -o graph.txt
-//! hopdb-cli stats -i graph.txt
-//! hopdb-cli build -i graph.txt -o graph.idx [--directed] [--weighted]
-//!                 [--strategy hybrid|stepping|doubling] [--switch-at 10]
-//!                 [--threads N] [--external [--memory-records M] [--block-bytes B]]
-//! hopdb-cli query -x graph.idx 17 4242 [more pairs…]
-//! hopdb-cli query -x graph.idx --pairs batch.txt --threads 4
-//! hopdb-cli shard -x graph.idx --shards 4 [-o prefix]
-//! hopdb-cli serve -x graph.idx --addr 127.0.0.1:7654 [--batch-threads 1]
-//!                 [--max-batch 65536] [--max-inflight 128]
-//!                 [--swap-path next.idx] [--max-resident-bytes N]
-//!                 [--graph graph.txt] [--compact-threshold N]
-//!                 [--wal-dir wal/ --durability off|batch|always]
-//!                 [--wal-max-bytes N]
-//! hopdb-cli serve --route replica|shard --backends a:p,b:p[,…]
-//!                 [--addr 127.0.0.1:7654] [--max-inflight 128] […]
-//! hopdb-cli admin -a 127.0.0.1:7654 [--timeout-ms 5000] [--retries 3]
-//!                 info|swap|compact|shutdown|ingest [FILE]
-//! ```
+//! Seven subcommands wire the library into a usable tool: `gen`,
+//! `stats`, `build`, `query`, `shard`, `serve` and `admin`. [`USAGE`]
+//! (`hopdb-cli help`) is the one statement of each command's options,
+//! and an option a command — or the mode of it the other options pick —
+//! does not read is refused before any work, so a stray one cannot
+//! silently fall back to a default.
 //!
 //! `build` writes two artifacts: the `HOPIDX02` index image
 //! (`hoplabels::image`) and a `.rank` sidecar holding the vertex-at-rank
@@ -141,6 +125,15 @@ const SERVE_NODE_ONLY: &str = "-x --batch-threads --max-resident-bytes --swap-pa
      --compact-threshold --wal-dir --durability --wal-max-bytes";
 const SERVE_ROUTER_ONLY: &str = "--route --backends --connect-timeout-ms --connect-retries";
 
+/// Refuse the first of `flags` that `args` holds: options the command
+/// reads, but not in `mode`, as unknown as any other.
+fn refuse(args: &Args, flags: &str, mode: &str) -> Result<(), CliError> {
+    match flags.split_whitespace().find(|flag| args.has(flag)) {
+        Some(flag) => Err(err(format!("unknown option {flag} for {mode}\n{USAGE}"))),
+        None => Ok(()),
+    }
+}
+
 /// One command's arguments: `--flag value` options looked up by name,
 /// plus the positional arguments.
 struct Args<'a> {
@@ -223,6 +216,7 @@ commands:
   stats  -i EDGELIST [--directed] [--weighted]
   build  -i EDGELIST -o INDEX [--directed] [--weighted]
          [--strategy hybrid|stepping|doubling] [--switch-at K] [--post-prune]
+         (--switch-at is read by hybrid, the default strategy, only)
          [--threads N]   (0 = all cores; any N builds the identical index)
          [--external [--memory-records M] [--block-bytes B]]
          (--external runs the §4 disk-based build under an M-record /
@@ -341,8 +335,18 @@ fn cmd_stats(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    // The external budget is checked before the graph is read: a block
-    // size of 0 has no block I/Os to report.
+    // Every option is checked before the graph is read: a block size of
+    // 0 has no block I/Os to report, and an option this build does not
+    // read is refused like an unknown one.
+    let strategy = match args.opt("--strategy").unwrap_or("hybrid") {
+        "hybrid" => Strategy::Hybrid { switch_at: args.parsed("--switch-at")?.unwrap_or(10) },
+        "stepping" => Strategy::Stepping,
+        "doubling" => Strategy::Doubling,
+        other => return Err(err(format!("unknown strategy `{other}`"))),
+    };
+    if !matches!(strategy, Strategy::Hybrid { .. }) {
+        refuse(args, "--switch-at", "build without --strategy hybrid")?;
+    }
     let ext = if args.has("--external") {
         let block_bytes = args.parsed("--block-bytes")?.unwrap_or(64 << 10);
         if block_bytes == 0 {
@@ -351,15 +355,10 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         let memory_records = args.parsed("--memory-records")?.unwrap_or(1 << 20);
         Some(extmem::ExtMemConfig { memory_records, block_bytes })
     } else {
+        refuse(args, "--memory-records --block-bytes", "build without --external")?;
         None
     };
     let g = load_graph(args)?;
-    let strategy = match args.opt("--strategy").unwrap_or("hybrid") {
-        "hybrid" => Strategy::Hybrid { switch_at: args.parsed("--switch-at")?.unwrap_or(10) },
-        "stepping" => Strategy::Stepping,
-        "doubling" => Strategy::Doubling,
-        other => return Err(err(format!("unknown strategy `{other}`"))),
-    };
     let cfg = HopDbConfig {
         strategy,
         post_prune: args.has("--post-prune"),
@@ -628,17 +627,11 @@ fn announce(args: &Args, out: &mut dyn Write, line: &str, at: SocketAddr) -> Res
 }
 
 fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let route = args.opt("--route");
-    let (foreign, mode) = match route {
-        Some(_) => (SERVE_NODE_ONLY, "serve --route"),
-        None => (SERVE_ROUTER_ONLY, "serve without --route"),
-    };
-    if let Some(flag) = foreign.split_whitespace().find(|flag| args.has(flag)) {
-        return Err(err(format!("unknown option {flag} for {mode}\n{USAGE}")));
-    }
-    if let Some(route) = route {
+    if let Some(route) = args.opt("--route") {
+        refuse(args, SERVE_NODE_ONLY, "serve --route")?;
         return cmd_serve_router(args, route, out);
     }
+    refuse(args, SERVE_ROUTER_ONLY, "serve without --route")?;
     let target = args.required("-x")?;
     let addr = args.opt("--addr").unwrap_or("127.0.0.1:7654");
     let defaults = hopdb_server::ServerConfig::default();

@@ -2,8 +2,10 @@
 //! work: `--block-bytes 0` used to run every iteration and then panic
 //! (`attempt to divide by zero` in the I/O report) with no index
 //! written. The degenerate budgets that *do* work — they clamp — keep
-//! working. And what `build` wrote before the image format changed is
-//! refused by name by everything that opens an index.
+//! working, and a budget or `--switch-at` that the chosen build would
+//! not read is refused as early. And what `build` wrote before the
+//! image format changed is refused by name by everything that opens an
+//! index.
 
 use std::process::Command;
 
@@ -35,6 +37,44 @@ fn zero_block_bytes_is_refused_before_the_graph_is_read() {
         assert!(out.status.success(), "{budget:?}: {}", String::from_utf8_lossy(&out.stderr));
         assert_eq!(std::fs::read(&ext).unwrap(), std::fs::read(&mem).unwrap(), "{budget:?}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn options_the_build_does_not_read_are_refused_before_the_graph_is_read() {
+    let dir = std::env::temp_dir().join(format!("hopdb-unread-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("fixture dir");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (missing, index) = (path("no-such-graph.txt"), path("unread.idx"));
+    let build = |extra: &[&str]| {
+        let out = cli(&[&["build", "-i", &missing, "-o", &index][..], extra].concat());
+        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+
+    // The external budget without `--external`, and `--switch-at` with a
+    // strategy that never switches: each names the option, not the file.
+    for (extra, flag) in [
+        (&["--memory-records", "64"][..], "--memory-records"),
+        (&["--block-bytes", "4096"], "--block-bytes"),
+        (&["--strategy", "stepping", "--switch-at", "3"], "--switch-at"),
+        (&["--switch-at", "3", "--strategy", "doubling"], "--switch-at"),
+    ] {
+        let (code, stderr) = build(extra);
+        assert_eq!(code, Some(1), "{extra:?}: {stderr}");
+        assert!(stderr.contains(&format!("unknown option {flag} for build")), "{stderr}");
+        assert!(!stderr.contains("cannot open") && !stderr.contains("panicked"), "{stderr}");
+    }
+    // What the build does read gets as far as the missing graph.
+    for extra in [
+        &["--switch-at", "3"][..],
+        &["--strategy", "hybrid", "--switch-at", "2"],
+        &["--external", "--memory-records", "64", "--block-bytes", "4096"],
+    ] {
+        let (code, stderr) = build(extra);
+        assert_eq!(code, Some(1), "{extra:?}: {stderr}");
+        assert!(stderr.contains("cannot open"), "{extra:?}: {stderr}");
+    }
+    assert!(!std::path::Path::new(&index).exists(), "no index may be written");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -142,15 +142,11 @@ pub(crate) fn derive_fringe(
     if cfg.post_prune {
         stats.post_pruned = postprune::post_prune(index);
     }
-    let slot =
-        |v, dir| record_of(g, v, dir).map_or_else(VertexLabels::new, VertexLabels::from_record);
-    for &v in &derived {
-        match index {
-            LabelIndex::Directed(d) => {
-                d.out_labels[v as usize] = slot(v, Direction::Out);
-                d.in_labels[v as usize] = slot(v, Direction::In);
-            }
-            LabelIndex::Undirected(u) => u.labels[v as usize] = slot(v, Direction::Out),
+    // `[Lout, Lin]` holds the arcs out of and into the vertex, `[L]` all.
+    for (side, dir) in index.sides_mut().into_iter().zip([Direction::Out, Direction::In]) {
+        for &v in &derived {
+            let record = record_of(g, v, dir);
+            side[v as usize] = record.map_or_else(VertexLabels::new, VertexLabels::from_record);
         }
     }
     stats.derived_vertices = derived.len() as u64;

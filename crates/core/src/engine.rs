@@ -64,8 +64,9 @@
 //!    `Lout(x) ⋈ Lin(v)` for an out-candidate and the same join read
 //!    from the other end for an in-candidate. An owner whose candidates
 //!    are too few to pay for marking its label (long-diameter stepping:
-//!    one candidate against a label of hundreds) takes the plain merge
-//!    join instead (`marking_pays`);
+//!    one candidate against a label of hundreds) takes the one merge join,
+//!    `hoplabels::index::merge_join`, instead (`marking_pays`), which
+//!    stops at the first witness too;
 //! 3. survivors leave `(owner, pivot)`-sorted, because owners are visited
 //!    in order and `touched` was sorted — they are the next `prev` as
 //!    they stand.
@@ -115,7 +116,7 @@
 
 use std::time::{Duration, Instant};
 
-use hoplabels::index::{join_min, DirectedLabels, LabelIndex, UndirectedLabels, VertexLabels};
+use hoplabels::index::{merge_join, LabelIndex, VertexLabels};
 use hoplabels::LabelEntry;
 use sfgraph::{Direction, Dist, Graph, VertexId, INF_DIST};
 
@@ -161,17 +162,6 @@ pub(crate) fn seed_sides(g: &Graph) -> Vec<SideSeed> {
         SideSeed { across: 1, step: Direction::In, entries: out },
         SideSeed { across: 0, step: Direction::Out, entries: inn },
     ]
-}
-
-/// The finished index from the sides' label arrays, in [`seed_sides`]
-/// order.
-pub(crate) fn index_from_sides(labels: Vec<Vec<VertexLabels>>) -> LabelIndex {
-    let mut labels = labels.into_iter();
-    let first = labels.next().expect("a build has at least one side");
-    match labels.next() {
-        Some(in_labels) => LabelIndex::Directed(DirectedLabels { in_labels, out_labels: first }),
-        None => LabelIndex::Undirected(UndirectedLabels { labels: first }),
-    }
 }
 
 /// Label entries grouped by owner: owners ascending, each owner's
@@ -503,7 +493,7 @@ pub fn build_index(g: &Graph, cfg: &HopDbConfig) -> (LabelIndex, BuildStats) {
         }
     }
 
-    let index = index_from_sides(e.sides.into_iter().map(|s| s.labels).collect());
+    let index = LabelIndex::from_sides(e.sides.into_iter().map(|s| s.labels).collect());
     stats.final_entries = index.total_entries() as u64;
     stats.elapsed = started.elapsed();
     (index, stats)
@@ -756,7 +746,7 @@ impl<'g> Engine<'g> {
                         .iter()
                         .any(|w| mark[w.pivot as usize].saturating_add(w.dist) <= c.dist)
                 } else {
-                    join_min(own.entries(), witnesses) <= c.dist
+                    merge_join(own.entries(), witnesses, VertexId::MAX, c.dist) <= c.dist
                 };
             if covered {
                 pruned += 1;
@@ -1274,7 +1264,7 @@ mod tests {
                 assert!(first_doubling == u32::MAX || iter >= first_doubling, "{strategy:?}");
                 let (index, _) = build_index(&g, &HopDbConfig::with_strategy(strategy));
                 assert_eq!(
-                    index_from_sides(e.sides.into_iter().map(|s| s.labels).collect()),
+                    LabelIndex::from_sides(e.sides.into_iter().map(|s| s.labels).collect()),
                     index
                 );
             }

@@ -46,7 +46,9 @@
 //!   generated, `(owner x, pivot v)`-sorted, together with `own(x)`; the
 //!   inner loop makes one forward pass over the `across` label file per
 //!   block, visiting the block through a pivot-sorted permutation, and
-//!   merge-joins each candidate's two labels up to the first witness. A
+//!   joins each candidate's two labels with the one merge join of every
+//!   reader and builder, `hoplabels::index::merge_join`, bounded by the
+//!   candidate's distance so it stops at the first witness. A
 //!   pivot outranks its owner, so on both sides the inner pass looks for
 //!   hubs — at the head of the file. Survivors are written in the order
 //!   the candidates arrived, so they leave `(key, pivot)`-sorted with no
@@ -121,13 +123,13 @@ use extmem::device::TempStore;
 use extmem::run::{RecordSource, Run, RunReader, RunWriter};
 use extmem::sorter::{merge_readers, ExternalSorter};
 use extmem::{ExtMemConfig, LabelRecord, Record};
-use hoplabels::index::{LabelIndex, VertexLabels};
+use hoplabels::index::{merge_join, LabelIndex, VertexLabels};
 use hoplabels::LabelEntry;
-use sfgraph::{Direction, Dist, Graph};
+use sfgraph::{Direction, Graph, VertexId};
 
 use crate::builder::{derive_fringe, peel};
 use crate::config::HopDbConfig;
-use crate::engine::{index_from_sides, seed_sides};
+use crate::engine::seed_sides;
 use crate::iteration::{BuildStats, IterationStats};
 
 /// Outcome of an external build.
@@ -252,48 +254,6 @@ impl<S: RecordSource<LabelRecord>> GroupReader<S> {
         }
         Ok(())
     }
-}
-
-/// Whether two pivot-sorted record groups share a pivot with
-/// `dist_a + dist_b ≤ d` — the 2-hop prune test on file records. Pivots
-/// are rank-sorted and the hubs that kill most candidates come first, so
-/// the scan stops at the first witness.
-fn has_witness(a: &[LabelRecord], b: &[LabelRecord], d: Dist) -> bool {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].pivot.cmp(&b[j].pivot) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                if a[i].dist.saturating_add(b[j].dist) <= d {
-                    return true;
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    false
-}
-
-/// Minimum `dist_a + dist_b` over common pivots of two pivot-sorted
-/// record groups: the reference [`has_witness`] is tested against.
-#[cfg(test)]
-fn join_min_records(a: &[LabelRecord], b: &[LabelRecord]) -> Dist {
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut best = Dist::MAX;
-    while i < a.len() && j < b.len() {
-        match a[i].pivot.cmp(&b[j].pivot) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                best = best.min(a[i].dist.saturating_add(b[j].dist));
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    best
 }
 
 fn group_eq(a: &LabelRecord, b: &LabelRecord) -> bool {
@@ -495,7 +455,9 @@ fn prune_candidates(
             while let Some(c) = visit.next_if(|&c| block[c].pivot == pivot) {
                 let g = group_of[c] as usize;
                 let own = &own_pool[own_bounds[g]..own_bounds[g + 1]];
-                keep[c] = !has_witness(own, &ag, block[c].dist);
+                // Pivots are rank-sorted and the hubs that kill most
+                // candidates come first: the join stops at the first witness.
+                keep[c] = merge_join(own, &ag, VertexId::MAX, block[c].dist) > block[c].dist;
             }
         }
         for (&c, &kept) in block.iter().zip(&keep) {
@@ -820,7 +782,7 @@ fn run(
     for side in &sides {
         labels.push(load_labels(&side.labels, n, ext)?);
     }
-    let index = index_from_sides(labels);
+    let index = LabelIndex::from_sides(labels);
     stats.final_entries = index.total_entries() as u64;
     stats.elapsed = started.elapsed();
     let io = store.stats();
@@ -839,8 +801,9 @@ mod tests {
     use super::*;
     use crate::builder::build_prelabeled;
     use crate::config::Strategy;
+    use hoplabels::index::merge_join_reference;
     use hoplabels::verify::assert_exact;
-    use sfgraph::{GraphBuilder, VertexId};
+    use sfgraph::GraphBuilder;
 
     fn tiny_ext() -> ExtMemConfig {
         ExtMemConfig { memory_records: 128, block_bytes: 256 }
@@ -1066,10 +1029,16 @@ mod tests {
         let group = |recs: &[LabelRecord], v: u32| -> Vec<LabelRecord> {
             recs.iter().copied().filter(|r| r.key == v).collect()
         };
+        let entries = |recs: Vec<LabelRecord>| -> Vec<LabelEntry> {
+            recs.into_iter().map(LabelEntry::from).collect()
+        };
         let expect: Vec<LabelRecord> = cands
             .iter()
             .copied()
-            .filter(|c| join_min_records(&group(&src, c.key), &group(&dst, c.pivot)) > c.dist)
+            .filter(|c| {
+                let (own, across) = (entries(group(&src, c.key)), entries(group(&dst, c.pivot)));
+                merge_join_reference(&own, &across, VertexId::MAX) > c.dist
+            })
             .collect();
         assert!(!expect.is_empty() && expect.len() < cands.len(), "both outcomes occur");
 

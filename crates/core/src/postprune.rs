@@ -14,32 +14,14 @@
 //! "redundant via" relation is acyclic in rank, and by induction every
 //! removed entry stays covered by kept ones — queries remain exact
 //! (asserted by tests against ground truth).
+//!
+//! The test is the one merge join of every reader and builder,
+//! `hoplabels::index::merge_join`, with the entry's pivot as the ceiling
+//! (witnesses outrank it) and its distance as the bound (the first
+//! witness settles it).
 
-use hoplabels::index::{LabelIndex, VertexLabels};
-use sfgraph::{Dist, VertexId, INF_DIST};
-
-/// Minimum `d1 + d2` over common pivots strictly below `limit` (i.e.
-/// strictly higher-ranked than the entry under test).
-fn join_min_below(
-    a: &[hoplabels::LabelEntry],
-    b: &[hoplabels::LabelEntry],
-    limit: VertexId,
-) -> Dist {
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut best = INF_DIST;
-    while i < a.len() && j < b.len() && a[i].pivot < limit && b[j].pivot < limit {
-        match a[i].pivot.cmp(&b[j].pivot) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                best = best.min(a[i].dist.saturating_add(b[j].dist));
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    best
-}
+use hoplabels::index::{merge_join, LabelIndex};
+use sfgraph::VertexId;
 
 /// Remove every entry already covered by higher-ranked pivots; returns
 /// the number of entries removed.
@@ -48,10 +30,7 @@ pub fn post_prune(index: &mut LabelIndex) -> u64 {
     // The engines' side pairing: an entry of side σ is tested against
     // `own(owner) ⋈ across(pivot)`, where `across` is the other array of
     // a directed index and the same array of an undirected one.
-    let mut sides: Vec<&mut Vec<VertexLabels>> = match index {
-        LabelIndex::Directed(d) => vec![&mut d.out_labels, &mut d.in_labels],
-        LabelIndex::Undirected(u) => vec![&mut u.labels],
-    };
+    let mut sides = index.sides_mut();
     // Inverted directory: for each pivot, who carries it on which side.
     let mut by_pivot: Vec<Vec<(VertexId, u8)>> = vec![Vec::new(); n];
     for (side, labels) in sides.iter().enumerate() {
@@ -70,10 +49,11 @@ pub fn post_prune(index: &mut LabelIndex) -> u64 {
             let own = side as usize;
             let across = sides.len() - 1 - own;
             let Some(dist) = sides[own][owner as usize].get(pivot) else { continue };
-            let covered = join_min_below(
+            let covered = merge_join(
                 sides[own][owner as usize].entries(),
                 sides[across][pivot as usize].entries(),
                 pivot,
+                dist,
             );
             if covered <= dist {
                 sides[own][owner as usize].remove(pivot);

@@ -6,9 +6,9 @@
 //! that over a `HOPIDX02` file ([`crate::image`] owns the format and
 //! [`LabelIndex::write_hopidx`] is its only writer): the offset
 //! directory (4 bytes/vertex/side) is held in memory, as any practical
-//! disk index would; each query then costs exactly two label reads,
-//! matching the paper's two-I/O query model, and each label read goes
-//! through the image's checked decoder.
+//! disk index would; a query between labelled vertices then costs two
+//! label reads, the paper's two-I/O model. Each read goes through the
+//! checked decoder, and the rest is [`resolve`] and `merge_join`.
 //!
 //! Both readers here exist for that table and for hopbench's
 //! `cached_disk_*` lines; serving uses [`crate::flat::FlatIndex`], and
@@ -23,7 +23,7 @@ use sfgraph::{Dist, VertexId};
 
 use crate::entry::LabelEntry;
 use crate::image::{self, Layout};
-use crate::index::{query_slots, LabelIndex, VertexLabels};
+use crate::index::{join_entries, resolve, LabelIndex, VertexLabels};
 
 /// A 2-hop index stored in a counted file, queryable without loading the
 /// labels into memory.
@@ -111,16 +111,14 @@ impl DiskIndex {
         image::decode_slot(&bytes, v as usize, &self.layout.header)
     }
 
-    /// Disk-based distance query: two label reads plus a merge join —
-    /// up to six reads and four joins when both ends are derived
-    /// vertices, whose records lead to their parents' labels.
-    ///
-    /// `s == t` is answered from the trivial self-entry without
-    /// touching the disk — paying two label reads to rediscover
-    /// `dist(v, v) = 0` would double the I/O of self-queries.
+    /// Disk-based distance query: [`resolve`] over slots read from the
+    /// file, joined by `merge_join` — two label reads and a join, up to
+    /// six reads and four joins when both ends are derived vertices, and
+    /// none for `s == t`, which would double the I/O of self-queries.
     pub fn query(&mut self, s: VertexId, t: VertexId) -> std::io::Result<Dist> {
         check_range(self.num_vertices(), s, t)?;
-        query_slots(s, t, |v, target_side| self.read_label(v, target_side))
+        let slot = |v, target_side| self.read_label(v, target_side);
+        resolve(s, t, slot, VertexLabels::record, join_entries)
     }
 }
 
@@ -214,16 +212,14 @@ impl CachedDiskIndex {
             .unwrap_or(0)
     }
 
-    /// Distance query; label reads go through the cache (`s == t`
-    /// short-circuits to 0 without consulting cache, disk, or lock, once
-    /// the ids are checked against the vertex count).
+    /// Distance query, as [`DiskIndex::query`] but with label reads
+    /// through the cache (`s == t` answers 0 without consulting cache or
+    /// disk, once the ids are checked against the vertex count).
     pub fn query(&self, s: VertexId, t: VertexId) -> std::io::Result<Dist> {
         check_range(self.n, s, t)?;
-        if s == t {
-            return Ok(0);
-        }
         let mut state = self.state.lock().map_err(|_| poisoned())?;
-        query_slots(s, t, |v, target_side| state.label(v, target_side))
+        let slot = |v, target_side| state.label(v, target_side);
+        resolve(s, t, slot, VertexLabels::record, join_entries)
     }
 }
 

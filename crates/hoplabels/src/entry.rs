@@ -31,6 +31,14 @@ impl LabelEntry {
     }
 }
 
+/// The entry a label record holds for the label of its key.
+impl From<extmem::LabelRecord> for LabelEntry {
+    #[inline]
+    fn from(record: extmem::LabelRecord) -> LabelEntry {
+        LabelEntry { pivot: record.pivot, dist: record.dist }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

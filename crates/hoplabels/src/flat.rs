@@ -12,23 +12,23 @@
 //! A query never decodes a label into entries. Per label the 64
 //! top-ranked pivots are one `u64` with a fixed-width distance per set
 //! bit, so the join over them is `hubs(s) & hubs(t)` and a
-//! `popcount`-ranked distance lookup per common bit; the rest of each
-//! label is a varint tail, merged by one scalar two-pointer loop. Both
-//! are portable — there is no per-architecture kernel. The per-entry
+//! `popcount`-ranked distance lookup per common bit; the rest is a
+//! varint tail, merged by one portable two-pointer loop. The per-entry
 //! loops read label bytes without bounds checks; [`crate::image`]'s
 //! validator, which every constructor runs, is what makes that sound.
+//! The record rule is [`crate::index::resolve`]'s: a query hands it the
+//! slots, a record decoded in place and this byte join.
 //!
-//! Throughput workloads go through [`FlatIndex::query_many`], which
-//! shards a pair slice across scoped threads; the index is immutable,
-//! so serving parallelises embarrassingly and results come back in
-//! input order.
+//! [`FlatIndex::query_many`] shards a pair slice across scoped threads;
+//! the index is immutable, so serving parallelises embarrassingly and
+//! results come back in input order.
 
 use std::path::Path;
 
 use sfgraph::{Dist, VertexId, INF_DIST};
 
 use crate::image::{self, Layout};
-use crate::index::{LabelIndex, RECORD_PAIRS};
+use crate::index::{resolve, LabelIndex, Record, NO_PARENT, RECORD_PAIRS};
 
 /// A frozen, query-only 2-hop label index: the bytes of a `HOPIDX02`
 /// image, validated once, then served in place.
@@ -143,9 +143,10 @@ impl FlatIndex {
 
     /// Exact distance query `dist(s, t)`; [`INF_DIST`] when
     /// unreachable. Vertex ids are rank positions, exactly as in
-    /// [`LabelIndex::query`], and a derived vertex answers through its
-    /// record the same way: the least over its pairs of `off(s) +
-    /// join(p(s), p(t)) + off(t)` — at most four joins, no allocation.
+    /// [`LabelIndex::query`], and the answer is the same rule's:
+    /// [`resolve`] over the image's slots, a record decoded in place and
+    /// labels joined by the byte join — at most four joins, no
+    /// allocation.
     ///
     /// # Panics
     /// If `s` or `t` is not below [`FlatIndex::num_vertices`].
@@ -153,55 +154,37 @@ impl FlatIndex {
     pub fn query(&self, s: VertexId, t: VertexId) -> Dist {
         let n = self.layout.header.n;
         assert!((s as usize) < n && (t as usize) < n, "vertex out of range");
-        if s == t {
-            return 0;
-        }
-        let ((from, from_len), (to, to_len)) = (self.end(0, s), self.end(1, t));
-        let mut best = u64::MAX;
-        for &(ps, ds, a) in &from[..from_len] {
-            for &(pt, dt, b) in &to[..to_len] {
-                let core = if ps == pt {
-                    0
-                } else {
-                    // SAFETY: both slices are whole labels of `self.image`,
-                    // which `image::validate` accepted at this `width`
-                    // before `self` existed and nothing has written since;
-                    // `end` never returns a record (validation: a record's
-                    // parents hold labels).
-                    unsafe { join(a, b, self.layout.header.width) }
-                };
-                best = best.min(core.saturating_add(ds + dt));
+        let width = self.layout.header.width;
+        let record = |slot: &&[u8]| {
+            // Only an image with records has slots of 1–7 bytes.
+            if !image::is_record(slot) {
+                return None;
             }
-        }
-        if best >= INF_DIST as u64 {
-            INF_DIST
-        } else {
-            best as Dist
-        }
-    }
-
-    /// Where a query continues from `v` on `side`, and how many ways:
-    /// `v`, no offset and its label — or, when the slot is a record, per
-    /// pair its parent, the pair's offset and the parent's label.
-    #[inline(always)]
-    fn end(&self, side: usize, v: VertexId) -> Ends<'_> {
-        let label = self.label(side, v);
-        let mut ends = [(v, 0, label); RECORD_PAIRS];
-        // Only an image with records has labels of 1–7 bytes.
-        if !image::is_record(label) {
-            return (ends, 1);
-        }
-        let (mut len, mut at) = (0, 0);
-        // Validation read this slot as a record: one or two pairs of
-        // complete varints of at most 5 bytes and 32 bits each, filling
-        // it exactly.
-        while at < label.len() {
-            // SAFETY: `at` is at the start of a pair (above).
-            let (parent, offset) = unsafe { (varint(label, &mut at), varint(label, &mut at)) };
-            ends[len] = (parent, offset as u64, self.label(side, parent));
-            len += 1;
-        }
-        (ends, len)
+            let (mut pairs, mut at) = ([(NO_PARENT, 0); RECORD_PAIRS], 0);
+            // `resolve` hands this only slots of `self.image`, and
+            // validation read this one as a record: one or two pairs of
+            // complete varints of at most 5 bytes and 32 bits each,
+            // filling it exactly.
+            for pair in &mut pairs {
+                if at == slot.len() {
+                    break;
+                }
+                // SAFETY: `at` is at the start of a pair (above).
+                *pair = unsafe { (varint(slot, &mut at), varint(slot, &mut at)) };
+            }
+            Some(Record::from_array(pairs))
+        };
+        let join = |a: &&[u8], b: &&[u8]| {
+            // SAFETY: `resolve` joins only slots of `self.image` that
+            // `record` did not read as a record (validation: a record's
+            // parents hold labels), so whole labels `image::validate`
+            // accepted at this `width` before `self` existed; nothing has
+            // written since.
+            let sum = unsafe { join(a, b, width) };
+            sum.min(INF_DIST.into()) as Dist
+        };
+        let slot = |v, target_side| Ok(self.label(target_side as usize, v));
+        resolve(s, t, slot, record, join).expect("a validated image's records name labels")
     }
 
     /// Answer a batch of `(s, t)` pairs, sharding the slice across up
@@ -249,10 +232,6 @@ impl FlatIndex {
         });
     }
 }
-
-/// Where a query goes on from one end — `(vertex, offset, its label)`
-/// per way — and how many ways there are.
-type Ends<'a> = ([(VertexId, u64, &'a [u8]); RECORD_PAIRS], usize);
 
 /// Entries of one validated label: a hub per set bit, and a tail entry
 /// per two varints — a varint ends at its one byte below `0x80`.

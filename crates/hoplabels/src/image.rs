@@ -169,7 +169,7 @@ use extmem::wire::{self, Crc32};
 use sfgraph::{Dist, VertexId, INF_DIST};
 
 use crate::entry::LabelEntry;
-use crate::index::{DirectedLabels, LabelIndex, Record, UndirectedLabels, VertexLabels};
+use crate::index::{LabelIndex, Record, VertexLabels};
 
 const MAGIC: &[u8; 8] = b"HOPIDX02";
 const OLD_MAGIC: &[u8; 8] = b"HOPIDX01";
@@ -661,17 +661,14 @@ pub(crate) fn read_index(bytes: &[u8]) -> io::Result<LabelIndex> {
             })
             .collect()
     };
-    Ok(if header.directed {
-        LabelIndex::Directed(DirectedLabels { out_labels: side(0)?, in_labels: side(1)? })
-    } else {
-        LabelIndex::Undirected(UndirectedLabels { labels: side(0)? })
-    })
+    Ok(LabelIndex::from_sides((0..header.sides()).map(side).collect::<io::Result<_>>()?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flat::{decode_in_place, FlatIndex};
+    use crate::index::{DirectedLabels, UndirectedLabels};
     use proptest::prelude::*;
     use sfgraph::INF_DIST;
 

@@ -1,6 +1,12 @@
-//! Label sets and the 2-hop index with its merge-join query.
+//! Label sets, the 2-hop index, and the two rules every label reader,
+//! builder and baseline shares: [`merge_join`], the one merge of two
+//! pivot-sorted labels (the query of §2 and the prune of §3.3/§4.2), and
+//! [`resolve`], the one answer for ends that may be derived vertices, to
+//! which each reader — nested, disk, flat, bit-parallel — supplies only
+//! how it fetches a slot and how it joins two labels.
 
-use std::borrow::Borrow;
+use std::cmp::Ordering;
+use std::io;
 
 use sfgraph::{Dist, VertexId, INF_DIST};
 
@@ -24,7 +30,7 @@ pub struct Record {
 pub(crate) const RECORD_PAIRS: usize = 2;
 
 /// No vertex: `n` is at most `u32::MAX`, so ids are below it.
-const NO_PARENT: VertexId = VertexId::MAX;
+pub(crate) const NO_PARENT: VertexId = VertexId::MAX;
 
 impl Record {
     /// The record of `pairs`, in the order given.
@@ -38,6 +44,14 @@ impl Record {
         let mut own = [(NO_PARENT, 0); RECORD_PAIRS];
         own[..pairs.len()].copy_from_slice(pairs);
         Record { pairs: own }
+    }
+
+    /// The record of `pairs`, whose second parent is [`NO_PARENT`] when
+    /// it has one pair: how a decoder builds one from pairs it has
+    /// checked already.
+    #[inline]
+    pub(crate) fn from_array(pairs: [(VertexId, Dist); RECORD_PAIRS]) -> Record {
+        Record { pairs }
     }
 
     /// The `(parent, offset)` pairs.
@@ -263,41 +277,40 @@ impl VertexLabels {
     }
 }
 
-/// Minimum `d1 + d2` over common pivots of two sorted labels — the 2-hop
-/// query of Section 2, and also the pruning test of §3.3/§4.2.
+/// The least `d_a + d_b` over the pivots below `ceiling` that two
+/// pivot-sorted labels share — or, once one such sum is at or under
+/// `bound`, that sum: the 2-hop query of §2 passes `VertexId::MAX` and
+/// 0, and a prune asks only whether the answer is `≤ d` (§3.3/§4.2), so
+/// it passes `d` and stops at the first witness. A sum saturates at
+/// [`INF_DIST`], which is also the answer when no pivot is shared.
 ///
-/// Linear merge join; returns [`INF_DIST`] when no pivot is shared.
+/// One linear merge, which also stops at the first pivot past the other
+/// label's last: on scale-free graphs a short label routinely ends far
+/// before a hub's. The entries are [`LabelEntry`]s or anything that holds
+/// one, as the external build's `extmem::LabelRecord` does.
 #[inline]
-pub fn join_min(a: &[LabelEntry], b: &[LabelEntry]) -> Dist {
-    join_min_pivot(a, b).map_or(INF_DIST, |(_, d)| d)
-}
-
-/// Like [`join_min`] but also reports the winning pivot.
-///
-/// The merge stops as soon as either slice is exhausted *or* the
-/// current pivot on one side exceeds the other side's last pivot —
-/// labels are sorted, so no further common pivot can exist and draining
-/// the longer tail would be wasted work (on scale-free graphs a tail
-/// vertex's short label routinely ends far before a hub label does).
-pub fn join_min_pivot(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(VertexId, Dist)> {
-    let (Some(a_last), Some(b_last)) = (a.last(), b.last()) else {
-        return None;
-    };
-    let (a_last, b_last) = (a_last.pivot, b_last.pivot);
+pub fn merge_join<E>(a: &[E], b: &[E], ceiling: VertexId, bound: Dist) -> Dist
+where
+    E: Copy + Into<LabelEntry>,
+{
+    let (Some(&a_last), Some(&b_last)) = (a.last(), b.last()) else { return INF_DIST };
+    // Every pivot both labels hold is below `end`.
+    let last = a_last.into().pivot.min(b_last.into().pivot);
+    let end = if last < ceiling { last + 1 } else { ceiling };
     let (mut i, mut j) = (0usize, 0usize);
-    let mut best: Option<(VertexId, Dist)> = None;
+    let mut best = INF_DIST;
     while i < a.len() && j < b.len() {
-        let (pa, pb) = (a[i].pivot, b[j].pivot);
-        if pa > b_last || pb > a_last {
-            break; // past the other side's range: no partner possible
+        let (x, y): (LabelEntry, LabelEntry) = (a[i].into(), b[j].into());
+        if x.pivot.max(y.pivot) >= end {
+            break;
         }
-        match pa.cmp(&pb) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let d = a[i].dist.saturating_add(b[j].dist);
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((pa, d));
+        match x.pivot.cmp(&y.pivot) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                best = best.min(x.dist.saturating_add(y.dist));
+                if best <= bound {
+                    break;
                 }
                 i += 1;
                 j += 1;
@@ -307,47 +320,87 @@ pub fn join_min_pivot(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(VertexId, D
     best
 }
 
-/// `dist(s, t)` over slots fetched one at a time by `slot(v,
-/// target_side)` — the query every nested reader answers
-/// ([`LabelIndex::query`] and the disk readers; `FlatIndex` answers the
-/// same over the image's bytes). A record on either end resolves to its
-/// parents, exactly one level: the least over its pairs of `off(s) +
-/// join(p(s), p(t)) + off(t)`, with no join for a pair of ends that meet
-/// at one vertex — at most four joins. A record whose parent holds a
-/// record too is `InvalidData`.
-pub(crate) fn query_slots<L: Borrow<VertexLabels>>(
+/// [`merge_join`]'s least sum by brute force over every pair of entries,
+/// with no early exit: the reference it is tested against.
+pub fn merge_join_reference(a: &[LabelEntry], b: &[LabelEntry], ceiling: VertexId) -> Dist {
+    let shared = |x: LabelEntry| b.iter().filter(move |y| y.pivot == x.pivot && x.pivot < ceiling);
+    let sums = a.iter().flat_map(|&x| shared(x).map(move |y| x.dist.saturating_add(y.dist)));
+    sums.min().unwrap_or(INF_DIST)
+}
+
+/// [`merge_join`] of two nested labels over every pivot: the join the
+/// nested readers hand [`resolve`].
+pub(crate) fn join_entries(a: &VertexLabels, b: &VertexLabels) -> Dist {
+    merge_join(a.entries(), b.entries(), VertexId::MAX, 0)
+}
+
+/// `dist(s, t)` by the record rule, for a reader that supplies how it
+/// fetches the slot of `v` on the source or the target side (`slot`),
+/// reads the record a slot holds (`record`, `None` for a label) and
+/// joins two labels (`join`).
+///
+/// `s == t` answers 0. An end whose slot is a record continues from each
+/// of its parents at that pair's offset; a parent whose slot is a record
+/// too is `InvalidData`. Two ends that meet at one vertex need no join.
+/// The answer is the least `off(s) + join(p(s), p(t)) + off(t)` — at
+/// most four joins — capped at [`INF_DIST`].
+#[inline]
+pub fn resolve<L>(
     s: VertexId,
     t: VertexId,
-    mut slot: impl FnMut(VertexId, bool) -> std::io::Result<L>,
-) -> std::io::Result<Dist> {
+    mut slot: impl FnMut(VertexId, bool) -> io::Result<L>,
+    record: impl Fn(&L) -> Option<Record>,
+    mut join: impl FnMut(&L, &L) -> Dist,
+) -> io::Result<Dist> {
     if s == t {
         return Ok(0);
     }
-    // Where a query continues from `v`: itself, or each parent of its record.
-    type Ends<L> = [Option<(VertexId, Dist, L)>; RECORD_PAIRS];
-    let mut end = |v: VertexId, target_side: bool| -> std::io::Result<Ends<L>> {
-        let own = slot(v, target_side)?;
-        let Some(record) = own.borrow().record() else { return Ok([Some((v, 0, own)), None]) };
-        let mut ends = [None, None];
-        for (end, &(parent, offset)) in ends.iter_mut().zip(record.pairs()) {
-            let label = slot(parent, target_side)?;
-            if label.borrow().record().is_some() {
-                return Err(crate::image::bad("a record's parent holds a record"));
-            }
-            *end = Some((parent, offset, label));
+    // Each end's slot, then its parents': a disk cache sees that order.
+    let own_s = slot(s, false)?;
+    let parents_s = parents(&own_s, false, &mut slot, &record)?;
+    let own_t = slot(t, true)?;
+    let parents_t = parents(&own_t, true, &mut slot, &record)?;
+    // An end that holds a label goes on from itself at offset 0, so two
+    // of them are one join.
+    let (from, to) = match (parents_s, parents_t) {
+        (None, None) => return Ok(join(&own_s, &own_t)),
+        (from, to) => {
+            (from.unwrap_or([Some((s, 0, own_s)), None]), to.unwrap_or([Some((t, 0, own_t)), None]))
         }
-        Ok(ends)
     };
-    let (from, to) = (end(s, false)?, end(t, true)?);
-    let mut best = INF_DIST;
+    let mut best = u64::from(INF_DIST);
     for (ps, ds, a) in from.iter().flatten() {
         for (pt, dt, b) in to.iter().flatten() {
-            let core =
-                if ps == pt { 0 } else { join_min(a.borrow().entries(), b.borrow().entries()) };
-            best = best.min(ds.saturating_add(core).saturating_add(*dt));
+            let core = if ps == pt { 0 } else { join(a, b) };
+            best = best.min(u64::from(*ds) + u64::from(core) + u64::from(*dt));
         }
     }
-    Ok(best)
+    Ok(best as Dist)
+}
+
+/// Where a query goes on from an end: per way, a vertex, the offset to it
+/// and its label.
+type Ends<L> = [Option<(VertexId, Dist, L)>; RECORD_PAIRS];
+
+/// The [`Ends`] of an end whose slot `own` holds a record — its parents —
+/// or `None` when `own` holds a label.
+#[inline(always)]
+fn parents<L>(
+    own: &L,
+    target_side: bool,
+    slot: &mut impl FnMut(VertexId, bool) -> io::Result<L>,
+    record: &impl Fn(&L) -> Option<Record>,
+) -> io::Result<Option<Ends<L>>> {
+    let Some(own_record) = record(own) else { return Ok(None) };
+    let mut parents = [None, None];
+    for (end, &(parent, offset)) in parents.iter_mut().zip(own_record.pairs()) {
+        let label = slot(parent, target_side)?;
+        if record(&label).is_some() {
+            return Err(crate::image::bad("a record's parent holds a record"));
+        }
+        *end = Some((parent, offset, label));
+    }
+    Ok(Some(parents))
 }
 
 /// Labels of a directed graph: `Lin(v)` and `Lout(v)` per vertex.
@@ -424,11 +477,9 @@ impl LabelIndex {
 
     /// Exact distance query `dist(s, t)`; [`INF_DIST`] when unreachable.
     ///
-    /// `s == t` short-circuits to 0 — every vertex carries the trivial
-    /// self-entry, so joining two labels to rediscover it is pure
-    /// overhead. A derived vertex answers through its record: the least
-    /// over its pairs of `off(s) + join(p(s), p(t)) + off(t)`, no join
-    /// when `p(s) = p(t)`.
+    /// The answer is [`resolve`]'s over the nested slots, joined by
+    /// [`merge_join`]: `s == t` short-circuits to 0, and a derived vertex
+    /// answers through its record.
     ///
     /// # Panics
     /// If `s` or `t` is not below [`LabelIndex::num_vertices`], or a
@@ -438,10 +489,11 @@ impl LabelIndex {
     pub fn query(&self, s: VertexId, t: VertexId) -> Dist {
         let n = self.num_vertices();
         assert!((s as usize) < n && (t as usize) < n, "vertex out of range");
-        query_slots(s, t, |v, target_side| {
+        let slot = |v, target_side: bool| {
             Ok(if target_side { self.target_labels(v) } else { self.source_labels(v) })
-        })
-        .expect("a record's parent holds a label")
+        };
+        resolve(s, t, slot, |label| label.record(), |a, b| join_entries(a, b))
+            .expect("a record's parent holds a label")
     }
 
     /// The label arrays in image order: `[Lout, Lin]` for a directed
@@ -450,6 +502,30 @@ impl LabelIndex {
         match self {
             LabelIndex::Directed(d) => vec![d.out_labels.as_slice(), d.in_labels.as_slice()],
             LabelIndex::Undirected(u) => vec![u.labels.as_slice()],
+        }
+    }
+
+    /// [`LabelIndex::sides`], to change.
+    pub fn sides_mut(&mut self) -> Vec<&mut [VertexLabels]> {
+        match self {
+            LabelIndex::Directed(d) => vec![&mut d.out_labels[..], &mut d.in_labels[..]],
+            LabelIndex::Undirected(u) => vec![&mut u.labels[..]],
+        }
+    }
+
+    /// The index whose [`LabelIndex::sides`] are `sides`: `[L]` is an
+    /// undirected index, `[Lout, Lin]` a directed one.
+    ///
+    /// # Panics
+    /// Unless there are one or two sides.
+    pub fn from_sides(sides: Vec<Vec<VertexLabels>>) -> LabelIndex {
+        let mut sides = sides.into_iter();
+        match (sides.next(), sides.next(), sides.next()) {
+            (Some(labels), None, None) => LabelIndex::Undirected(UndirectedLabels { labels }),
+            (Some(out_labels), Some(in_labels), None) => {
+                LabelIndex::Directed(DirectedLabels { out_labels, in_labels })
+            }
+            _ => panic!("an index has one or two sides"),
         }
     }
 
@@ -485,6 +561,113 @@ impl LabelIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A pivot-sorted label from `raw` picks: pivots in `shift..shift +
+    /// n`, and distances whose sums reach `INF_DIST − 1` or saturate.
+    fn picked_label(raw: &[(u32, u32)], shift: u32, n: u32) -> Vec<LabelEntry> {
+        let dists = [0, 1, 2, 7, INF_DIST / 2, INF_DIST / 2 + 1, INF_DIST - 1];
+        let entries = raw
+            .iter()
+            .map(|&(p, d)| LabelEntry::new(shift + p % n, dists[d as usize % dists.len()]));
+        VertexLabels::from_entries(entries.collect()).entries().to_vec()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 64 } else { 512 }))]
+
+        /// The one merge join against the brute-force reference: empty
+        /// and disjoint labels, one past the other's last pivot, sums at
+        /// `INF_DIST − 1` and past it, a ceiling of 0, of `n`, anywhere
+        /// and of none, and a bound below, at and above the least sum —
+        /// over both entry types.
+        #[test]
+        fn merge_join_matches_the_brute_force_reference(
+            (raw_a, raw_b, (n, shift, anywhere), (ceiling_pick, bound_pick)) in (
+                proptest::collection::vec((0u32..1_000, 0u32..100), 0..12),
+                proptest::collection::vec((0u32..1_000, 0u32..100), 0..12),
+                (1u32..40, 0u32..80, 0u32..130),
+                (0usize..4, 0usize..5),
+            )
+        ) {
+            let (a, b) = (picked_label(&raw_a, 0, n), picked_label(&raw_b, shift, n));
+            let ceiling = [0, n, anywhere, VertexId::MAX][ceiling_pick];
+            let least = merge_join_reference(&a, &b, ceiling);
+            let bound = [0, least.saturating_sub(1), least, least.saturating_add(1), INF_DIST]
+                [bound_pick];
+            // Every sum a shared pivot below the ceiling gives.
+            let partner = |x: &LabelEntry| b.iter().find(|y| y.pivot == x.pivot);
+            let sums: Vec<Dist> = a
+                .iter()
+                .filter(|x| x.pivot < ceiling)
+                .filter_map(|x| partner(x).map(|y| x.dist.saturating_add(y.dist)))
+                .collect();
+            prop_assert_eq!(sums.iter().copied().min().unwrap_or(INF_DIST), least);
+            let records = |label: &[LabelEntry]| -> Vec<extmem::LabelRecord> {
+                label.iter().map(|e| extmem::LabelRecord::new(7, e.pivot, e.dist)).collect()
+            };
+            for got in [
+                merge_join(&a, &b, ceiling, bound),
+                merge_join(&b, &a, ceiling, bound),
+                merge_join(&records(&a), &records(&b), ceiling, bound),
+            ] {
+                if least <= bound {
+                    // Stopped at a witness: some sum at or under the bound.
+                    prop_assert!(got <= bound && (sums.contains(&got) || got == least), "{got}");
+                } else {
+                    prop_assert_eq!(got, least);
+                }
+            }
+        }
+    }
+
+    /// The record rule over a toy reader whose labels are vertex ids and
+    /// whose join of `a` and `b` is `10a + b + 1`: 0 and 1 hold labels, 2
+    /// a record on 0, 3 on 0 and 1, 4 on the record 2, 5 on 1 far away;
+    /// 6 cannot be read.
+    #[test]
+    fn resolve_states_the_record_rule_once() {
+        let records = [
+            None,
+            None,
+            Some(Record::new(&[(0, 3)])),
+            Some(Record::new(&[(0, 1), (1, INF_DIST - 1)])),
+            Some(Record::new(&[(2, 1)])),
+            Some(Record::new(&[(1, INF_DIST - 1)])),
+        ];
+        let answer = |s, t| {
+            let mut joins = Vec::new();
+            let slot = |v: VertexId, _| match records.get(v as usize) {
+                Some(_) => Ok(v),
+                None => Err(io::Error::other("unreadable")),
+            };
+            let record = |&v: &VertexId| records[v as usize];
+            let got = resolve(s, t, slot, record, |&a, &b| {
+                joins.push((a, b));
+                10 * a + b + 1
+            });
+            (got.map_err(|e| e.kind()), joins)
+        };
+        for (s, t, want, joins) in [
+            (0, 0, 0, vec![]),
+            (6, 6, 0, vec![]),
+            (0, 1, 2, vec![(0, 1)]),
+            (1, 0, 11, vec![(1, 0)]),
+            // 2 meets 0 at 0: no join.
+            (2, 0, 3, vec![]),
+            (2, 1, 3 + 2, vec![(0, 1)]),
+            (3, 1, 1 + 2, vec![(0, 1)]),
+            (1, 3, 11 + 1, vec![(1, 0)]),
+            (2, 3, 3 + 1, vec![(0, 1)]),
+            // Every sum is past `INF_DIST`.
+            (5, 3, INF_DIST, vec![(1, 0)]),
+        ] {
+            assert_eq!(answer(s, t), (Ok(want), joins), "{s}->{t}");
+        }
+        assert_eq!(answer(4, 0).0, Err(io::ErrorKind::InvalidData), "a parent's record");
+        assert_eq!(answer(0, 4).0, Err(io::ErrorKind::InvalidData), "a parent's record");
+        assert_eq!(answer(6, 0).0, Err(io::ErrorKind::Other), "a read error");
+    }
 
     #[test]
     fn insert_min_keeps_minimum() {
@@ -557,16 +740,14 @@ mod tests {
             LabelEntry::new(2, 9),
             LabelEntry::new(5, 0),
         ]);
-        assert_eq!(join_min(a.entries(), b.entries()), 5); // via 0: 4+1
-        assert_eq!(join_min_pivot(a.entries(), b.entries()), Some((0, 5)));
+        assert_eq!(join_entries(&a, &b), 5); // via 0: 4+1
     }
 
     #[test]
     fn join_min_no_common_pivot() {
         let a = VertexLabels::from_entries(vec![LabelEntry::new(1, 1)]);
         let b = VertexLabels::from_entries(vec![LabelEntry::new(2, 1)]);
-        assert_eq!(join_min(a.entries(), b.entries()), INF_DIST);
-        assert_eq!(join_min_pivot(a.entries(), b.entries()), None);
+        assert_eq!(join_entries(&a, &b), INF_DIST);
     }
 
     #[test]
@@ -666,12 +847,12 @@ mod tests {
         // the merge must still find nothing and must not panic.
         let a = VertexLabels::from_entries(vec![LabelEntry::new(1, 1), LabelEntry::new(3, 1)]);
         let b = VertexLabels::from_entries(vec![LabelEntry::new(5, 1), LabelEntry::new(9, 1)]);
-        assert_eq!(join_min(a.entries(), b.entries()), INF_DIST);
-        assert_eq!(join_min(b.entries(), a.entries()), INF_DIST);
+        assert_eq!(join_entries(&a, &b), INF_DIST);
+        assert_eq!(join_entries(&b, &a), INF_DIST);
         // A shared pivot right at the boundary still wins.
         let c = VertexLabels::from_entries(vec![LabelEntry::new(3, 2), LabelEntry::new(9, 1)]);
-        assert_eq!(join_min(a.entries(), c.entries()), 3);
-        assert_eq!(join_min(&[], c.entries()), INF_DIST);
+        assert_eq!(join_entries(&a, &c), 3);
+        assert_eq!(join_entries(&VertexLabels::new(), &c), INF_DIST);
     }
 
     #[test]

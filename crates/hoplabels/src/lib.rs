@@ -10,9 +10,9 @@
 //! * [`index::VertexLabels`] — one vertex's label, sorted by pivot id,
 //!   or for a vertex derived from its one or two neighbours an
 //!   [`index::Record`] of those neighbours and the arcs' weights;
-//! * [`index::LabelIndex`] — the full index: `Lin`/`Lout` per vertex for
-//!   directed graphs, a single `L` per vertex for undirected graphs, with
-//!   the merge-join distance query of Section 2;
+//! * [`index::LabelIndex`] — the full index, `[Lout, Lin]` or `[L]`;
+//!   [`index::merge_join`] and [`index::resolve`], the 2-hop join and the
+//!   record rule that every reader, builder and baseline shares;
 //! * [`image`] — `HOPIDX02`, the one serialized form: per label a
 //!   64-bit hub word, fixed-width hub distances and a varint-delta
 //!   tail, per derived vertex a 1–7-byte record, under a CRC; its

@@ -8,9 +8,10 @@
 //! matching an enum at every call site.
 //!
 //! Both implementations answer in *rank space* (see the crate-level
-//! rank convention); id translation via a `.rank` sidecar stays the
-//! caller's job, as does range-checking vertex ids against
-//! [`QueryBackend::num_vertices`] — out-of-range ids may panic.
+//! rank convention) by the one record rule, [`crate::index::resolve`];
+//! id translation via a `.rank` sidecar stays the caller's job, as does
+//! range-checking vertex ids against [`QueryBackend::num_vertices`] —
+//! out-of-range ids may panic.
 //!
 //! ```
 //! use hoplabels::{LabelEntry, LabelIndex, QueryBackend};

@@ -69,7 +69,7 @@ use std::io;
 use extmem::wire;
 use sfgraph::{Dist, VertexId};
 
-use crate::index::{DirectedLabels, LabelIndex, UndirectedLabels, VertexLabels};
+use crate::index::{LabelIndex, VertexLabels};
 
 /// Magic tag opening a serialized [`ShardSpec`] sidecar.
 pub const SHARD_MAGIC: &[u8; 8] = b"HOPSHRD1";
@@ -210,26 +210,16 @@ pub fn shard_image(bytes: &[u8], k: usize) -> io::Result<Vec<(Vec<u8>, ShardSpec
     let mut shards = Vec::with_capacity(k);
     for (i, (&lo, &hi)) in bounds.iter().zip(bounds.iter().skip(1)).enumerate() {
         let (lo, hi) = (lo as u32, hi as u32);
-        let cut = |side: &[VertexLabels]| -> Vec<VertexLabels> {
-            side.iter()
-                .map(|label| {
-                    if label.record().is_some() {
-                        return label.clone();
-                    }
-                    let kept = label.entries().iter().filter(|e| (lo..hi).contains(&e.pivot));
-                    VertexLabels::from_entries(kept.copied().collect())
-                })
-                .collect()
-        };
-        let shard = match &index {
-            LabelIndex::Directed(d) => LabelIndex::Directed(DirectedLabels {
-                out_labels: cut(&d.out_labels),
-                in_labels: cut(&d.in_labels),
-            }),
-            LabelIndex::Undirected(u) => {
-                LabelIndex::Undirected(UndirectedLabels { labels: cut(&u.labels) })
+        let cut = |label: &VertexLabels| {
+            if label.record().is_some() {
+                return label.clone();
             }
+            let kept = label.entries().iter().filter(|e| (lo..hi).contains(&e.pivot));
+            VertexLabels::from_entries(kept.copied().collect())
         };
+        let shard = LabelIndex::from_sides(
+            index.sides().iter().map(|side| side.iter().map(cut).collect()).collect(),
+        );
         let mut image = Vec::new();
         shard.write_hopidx(&mut image)?;
         let spec = ShardSpec { lo, hi, index: i as u32, count: k as u32, rank_pruned };

@@ -26,25 +26,10 @@ impl CoverageStats {
     pub fn from_index(index: &LabelIndex) -> CoverageStats {
         let n = index.num_vertices();
         let mut counts = vec![0u64; n];
-        let mut tally = |labels: &crate::index::VertexLabels, owner: VertexId| {
-            for e in labels.entries() {
-                if e.pivot != owner {
+        for side in index.sides() {
+            for (owner, label) in side.iter().enumerate() {
+                for e in label.entries().iter().filter(|e| e.pivot as usize != owner) {
                     counts[e.pivot as usize] += 1;
-                }
-            }
-        };
-        match index {
-            LabelIndex::Directed(d) => {
-                for (v, l) in d.in_labels.iter().enumerate() {
-                    tally(l, v as VertexId);
-                }
-                for (v, l) in d.out_labels.iter().enumerate() {
-                    tally(l, v as VertexId);
-                }
-            }
-            LabelIndex::Undirected(u) => {
-                for (v, l) in u.labels.iter().enumerate() {
-                    tally(l, v as VertexId);
                 }
             }
         }

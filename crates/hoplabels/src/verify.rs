@@ -38,18 +38,16 @@ pub fn assert_exact(g: &Graph, index: &LabelIndex) {
 /// worked-example graphs only.
 pub fn is_minimal(g: &Graph, index: &LabelIndex) -> bool {
     let mut index = index.clone();
-    let n = index.num_vertices();
-    let sides: &[bool] = if index.is_directed() { &[false, true] } else { &[false] };
-    for &in_side in sides {
-        for v in 0..n as VertexId {
-            let entries: Vec<_> = labels_of(&index, v, in_side).entries().to_vec();
+    for side in 0..index.sides().len() {
+        for v in 0..index.num_vertices() {
+            let entries = index.sides()[side][v].entries().to_vec();
             for e in entries {
-                if e.pivot == v {
+                if e.pivot as usize == v {
                     continue; // trivial self-entry: needed, skip
                 }
-                labels_of_mut(&mut index, v, in_side).remove(e.pivot);
+                index.sides_mut()[side][v].remove(e.pivot);
                 let still_exact = check_exact(g, &index).is_none();
-                labels_of_mut(&mut index, v, in_side).insert_min(e);
+                index.sides_mut()[side][v].insert_min(e);
                 if still_exact {
                     return false; // entry was redundant
                 }
@@ -57,36 +55,6 @@ pub fn is_minimal(g: &Graph, index: &LabelIndex) -> bool {
         }
     }
     true
-}
-
-fn labels_of(index: &LabelIndex, v: VertexId, in_side: bool) -> &crate::index::VertexLabels {
-    match index {
-        LabelIndex::Directed(d) => {
-            if in_side {
-                &d.in_labels[v as usize]
-            } else {
-                &d.out_labels[v as usize]
-            }
-        }
-        LabelIndex::Undirected(u) => &u.labels[v as usize],
-    }
-}
-
-fn labels_of_mut(
-    index: &mut LabelIndex,
-    v: VertexId,
-    in_side: bool,
-) -> &mut crate::index::VertexLabels {
-    match index {
-        LabelIndex::Directed(d) => {
-            if in_side {
-                &mut d.in_labels[v as usize]
-            } else {
-                &mut d.out_labels[v as usize]
-            }
-        }
-        LabelIndex::Undirected(u) => &mut u.labels[v as usize],
-    }
 }
 
 #[cfg(test)]

@@ -8,13 +8,16 @@
 //! [`FlatIndex`], the nested [`LabelIndex`], the on-disk [`DiskIndex`]
 //! with and without its label cache, the 2- and 3-shard min-merge, and a
 //! [`LiveIndex`] whose overlay edges leave one derived vertex and enter
-//! another must all equal the BFS/Dijkstra ground truth on every pair;
+//! another — and, on unweighted undirected graphs, the §6
+//! [`BitParallelIndex`] — must all equal the BFS/Dijkstra ground truth on
+//! every pair: every reader of the one record resolver meets the oracle;
 //! `FlatIndex::query_many` must return the same answers in input order
 //! at every thread count, and the flat index must be the image's bytes
 //! and nothing else.
 
 use std::sync::Arc;
 
+use hop_doubling::baselines::bitparallel::BitParallelIndex;
 use hop_doubling::extmem::device::TempStore;
 use hop_doubling::graphgen::{glp, orient_scale_free, with_random_weights, GlpParams};
 use hop_doubling::hopdb::{build_prelabeled, BuildStats, HopDbConfig};
@@ -94,6 +97,10 @@ fn check_among(g: &Graph, among: &[VertexId]) -> (LabelIndex, BuildStats) {
     );
     let derived = (0..n).filter(|&v| out_record(v) || in_record(v)).count();
     prop_assert_eq!(derived, stats.derived_vertices as usize);
+    // §6 applies to unweighted undirected graphs; its roots and neighbour
+    // sets come from the whole graph, its labels from the index.
+    let bp = (!g.is_directed() && !g.is_weighted())
+        .then(|| BitParallelIndex::build(&relabeled, &index, 50));
     let want = truth(&relabeled);
     let mut pairs = Vec::with_capacity(among.len() * among.len());
     let mut expect = Vec::with_capacity(among.len() * among.len());
@@ -106,6 +113,9 @@ fn check_among(g: &Graph, among: &[VertexId]) -> (LabelIndex, BuildStats) {
             prop_assert_eq!(flat.query(s, t), want, "flat {s}->{t}");
             prop_assert_eq!(disk.query(s, t).expect("disk query"), want, "disk {s}->{t}");
             prop_assert_eq!(cached.query(s, t).expect("cached query"), want, "cached {s}->{t}");
+            if let Some(bp) = &bp {
+                prop_assert_eq!(bp.query(s, t), want, "bit-parallel {s}->{t}");
+            }
             pairs.push((s, t));
             expect.push(want);
         }
@@ -306,9 +316,11 @@ proptest! {
     #[test]
     fn all_query_surfaces_agree_at_density_2_5(seed in 1u64..5000) {
         // The shape of hopbench's dir-ext-read, where about half the
-        // vertices are derived: directed, and weighted.
+        // vertices are derived: directed, weighted, and as it is.
         let und = glp(&GlpParams::with_density(80, 2.5, seed));
-        for g in [orient_scale_free(&und, 0.25, seed), with_random_weights(&und, 1, 300, seed)] {
+        let (directed, weighted) =
+            (orient_scale_free(&und, 0.25, seed), with_random_weights(&und, 1, 300, seed));
+        for g in [directed, weighted, und] {
             let (_, stats) = check_equivalence(&g);
             prop_assert!(stats.derived_vertices > 0, "nothing derived");
         }
