@@ -54,7 +54,7 @@ use graphgen::{
     barabasi_albert, erdos_renyi, glp, orient_scale_free, with_random_weights, GlpParams,
 };
 use hopdb::{HopDbConfig, Strategy};
-use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy, Ranking};
+use sfgraph::ranking::Ranking;
 use sfgraph::{Graph, VertexId, INF_DIST};
 
 /// CLI failure: message for the user, non-zero exit.
@@ -234,8 +234,8 @@ commands:
   serve  -x INDEX [--addr HOST:PORT] [--batch-threads N] [--max-batch PAIRS]
          [--max-inflight N] [--idle-timeout-ms MS]
          [--max-resident-bytes B] [--swap-path FILE]
-         [--graph EDGELIST] [--compact-threshold EDGES]
-         [--wal-dir DIR] [--durability off|batch|always] [--wal-max-bytes B]
+         [--graph EDGELIST [--compact-threshold EDGES]]
+         [--wal-dir DIR [--durability off|batch|always] [--wal-max-bytes B]]
          [--announce-file FILE] [--allow-remote-shutdown]
          (long-running TCP daemon; HOPQ wire protocol + HTTP/JSON on the
           same port; one readiness loop, epoll on Linux and poll(2) on
@@ -249,8 +249,9 @@ commands:
           --compact-threshold edges, 0 = only on `admin compact`; --wal-dir
           logs accepted updates before they are acknowledged and replays
           them after a crash, --durability picks the fsync policy, default
-          batch = group-commit, and --wal-max-bytes caps the log on disk: a
-          checkpoint, which truncates it, runs whenever it is exceeded)
+          batch = group-commit, and --wal-max-bytes (with --graph) caps the
+          log on disk: a checkpoint, which truncates it, runs whenever it is
+          exceeded; an option the others switch off is refused)
   serve  --route replica|shard --backends HOST:PORT,HOST:PORT[,...]
          [--addr HOST:PORT] [--max-batch PAIRS] [--max-inflight N]
          [--idle-timeout-ms MS] [--connect-timeout-ms MS] [--connect-retries N]
@@ -366,8 +367,7 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         ..HopDbConfig::default()
     };
     let started = std::time::Instant::now();
-    let ranking = rank_vertices(&g, &RankBy::paper_default(&g));
-    let relabeled = relabel_by_rank(&g, &ranking);
+    let (ranking, relabeled) = hopdb::rank(&g, &cfg);
     let mut io_summary = None;
     let (index, stats) = if let Some(ext) = &ext {
         let result = hopdb::external::build_external(&relabeled, &cfg, ext)
@@ -632,6 +632,14 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         return cmd_serve_router(args, route, out);
     }
     refuse(args, SERVE_ROUTER_ONLY, "serve without --route")?;
+    // Options another option switches off: the log's without a log, and
+    // the compaction triggers without a graph to compact from.
+    if !args.has("--wal-dir") {
+        refuse(args, "--durability --wal-max-bytes", "serve without --wal-dir")?;
+    }
+    if !args.has("--graph") {
+        refuse(args, "--compact-threshold --wal-max-bytes", "serve without --graph")?;
+    }
     let target = args.required("-x")?;
     let addr = args.opt("--addr").unwrap_or("127.0.0.1:7654");
     let defaults = hopdb_server::ServerConfig::default();
@@ -1230,6 +1238,38 @@ mod tests {
             assert!(row.contains(&flag) && !SERVE_ROUTER_ONLY.contains(flag), "{flag}");
         }
         assert!(SERVE_ROUTER_ONLY.split_whitespace().all(|flag| row.contains(&flag)));
+    }
+
+    /// An option another option switches off is refused by name before
+    /// anything is bound: the log's options without `--wal-dir`, the
+    /// compaction triggers without `--graph`.
+    #[test]
+    fn serve_refuses_options_its_other_options_switch_off() {
+        let (graph, wal_dir) = (tmp("off.txt"), tmp("off-wal"));
+        let cases: [(&[&str], &str); 5] = [
+            (&["--durability", "always"], "--durability for serve without --wal-dir"),
+            (
+                &["--wal-max-bytes", "1", "--graph", &graph],
+                "--wal-max-bytes for serve without --wal-dir",
+            ),
+            (&["--compact-threshold", "4"], "--compact-threshold for serve without --graph"),
+            (
+                &["--compact-threshold", "4", "--wal-dir", &wal_dir],
+                "--compact-threshold for serve without --graph",
+            ),
+            (
+                &["--wal-max-bytes", "1", "--wal-dir", &wal_dir],
+                "--wal-max-bytes for serve without --graph",
+            ),
+        ];
+        let missing = tmp("off-no-such.idx");
+        for (extra, want) in cases {
+            let mut argv = vec!["serve", "-x", &missing, "--addr", "127.0.0.1:0"];
+            argv.extend_from_slice(extra);
+            let msg = run_vec(&argv).unwrap_err().0;
+            assert!(msg.starts_with(&format!("unknown option {want}\n")), "{extra:?}: {msg}");
+        }
+        assert!(!Path::new(&wal_dir).exists(), "a refused serve made a log directory");
     }
 
     /// Help text and parser cannot drift: the options `USAGE` spells

@@ -83,12 +83,20 @@ impl HopDb {
 /// assert_eq!(db.query(3, 3), 0);
 /// ```
 pub fn build(g: &Graph, cfg: &HopDbConfig) -> HopDb {
-    let rank_by = cfg.rank_by.clone().unwrap_or_else(|| RankBy::paper_default(g));
-    let ranking = rank_vertices(g, &rank_by);
-    let relabeled = relabel_by_rank(g, &ranking);
+    let (ranking, relabeled) = rank(g, cfg);
     let (index, stats) = build_prelabeled(&relabeled, cfg);
     let flat = FlatIndex::from_index(&index);
     HopDb { index, flat, ranking, stats }
+}
+
+/// The rank rule every build goes through: `cfg.rank_by`, else the
+/// paper's default for `g`. Returns the ranking and `g` relabeled so that
+/// id = rank, ready for [`build_prelabeled`] or the external engine.
+pub fn rank(g: &Graph, cfg: &HopDbConfig) -> (Ranking, Graph) {
+    let rank_by = cfg.rank_by.clone().unwrap_or_else(|| RankBy::paper_default(g));
+    let ranking = rank_vertices(g, &rank_by);
+    let relabeled = relabel_by_rank(g, &ranking);
+    (ranking, relabeled)
 }
 
 /// Build on a graph that is *already* rank-relabeled (id 0 = highest

@@ -56,6 +56,6 @@ mod examples;
 #[cfg(test)]
 mod sixrules;
 
-pub use builder::{build, build_prelabeled, HopDb};
+pub use builder::{build, build_prelabeled, rank, HopDb};
 pub use config::{HopDbConfig, Strategy};
 pub use iteration::{BuildStats, IterationStats, ShardStats};

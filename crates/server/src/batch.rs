@@ -14,6 +14,11 @@
 //! is answered at once and what arrives while a batch runs is the next
 //! batch — batches grow with the load; no timer, no threshold.
 //!
+//! Every request that is not answered inline is a [`Job`] on this one
+//! queue: queries, and the three mutations — update, swap and compact —
+//! each a barrier between the queries around it. An endpoint differs only
+//! in its [`Stage`]: the node's executor, or the router's dispatcher.
+//!
 //! Results travel back through [`Completions`]: the stage answers each
 //! job with a [`ResponseBody`], which [`Completions::answer`] encodes
 //! for the job's [`Reply`] — a `HOPR` frame or an HTTP response, by
@@ -88,52 +93,60 @@ impl BatchWork {
 
 /// One unit of work cut off a connection by the front.
 #[derive(Debug)]
-pub enum Job {
+pub struct Job {
+    /// Connection token the answer goes back to.
+    pub conn: u64,
+    /// How to answer.
+    pub reply: Reply,
+    /// What the request asks for.
+    pub work: Work,
+}
+
+/// What a [`Job`] asks of the stage. Everything but a query is a
+/// mutation, run on the stage between query batches: what was queued
+/// before it answers from the old state and what is queued after it
+/// sees the new one — per-connection pipelined ordering holds without
+/// any extra synchronization.
+#[derive(Debug)]
+pub enum Work {
     /// A batch of distance queries from one request frame.
-    Query {
-        /// Connection token the answer goes back to.
-        conn: u64,
-        /// How to answer.
-        reply: Reply,
-        /// The query pairs.
-        pairs: Vec<(u32, u32)>,
-    },
-    /// A hot-swap request (runs on the executor so the disk load never
-    /// blocks the front).
-    Swap {
-        /// Connection token the answer goes back to.
-        conn: u64,
-        /// How to answer.
-        reply: Reply,
-    },
-    /// A live edge-insertion batch. Runs on the executor, between query
-    /// batches, so queries submitted before it see the old overlay and
-    /// queries after it see the new one — per-connection pipelined
-    /// ordering holds without any extra synchronization.
-    Update {
-        /// Connection token the ack goes back to.
-        conn: u64,
-        /// How to answer.
-        reply: Reply,
-        /// `(s, t, w)` edge insertions in original vertex ids.
-        edges: Vec<(u32, u32, u32)>,
-    },
+    Query(Vec<(u32, u32)>),
+    /// A live batch of `(s, t, w)` edge insertions in original vertex ids.
+    Update(Vec<(u32, u32, u32)>),
+    /// A hot swap (on the stage, so the disk load never blocks the front).
+    Swap,
+    /// Fold the overlay into a fresh frozen generation: the node's
+    /// executor hands it to the compactor thread, so it folds every
+    /// update queued before it.
+    Compact,
 }
 
 /// What an endpoint does with the jobs its front queues: the index node
-/// answers them itself, the router forwards them to its backends.
+/// answers them itself, the router forwards them to its backends. A
+/// stage only gets the jobs its service's refusal hook lets through, so
+/// the router, which refuses swaps and compactions, keeps the defaults.
 pub trait Stage {
     /// Answer a run of consecutive query jobs (never empty).
     fn queries(&mut self, jobs: Vec<QueryJob>);
     /// Apply an update batch; `(generation, overlay edges)` on success.
     fn update(&mut self, edges: Vec<(u32, u32, u32)>) -> Result<(u64, u64), String>;
     /// Promote the swap image; `(generation, vertices)` on success.
-    fn swap(&mut self) -> Result<(u64, u64), String>;
+    fn swap(&mut self) -> Result<(u64, u64), String> {
+        Err(NOT_HERE.to_string())
+    }
+    /// Start a compaction that answers `conn` through `reply` when it
+    /// ends; `Err` is the answer now.
+    fn compact(&mut self, _conn: u64, _reply: Reply) -> Result<(), String> {
+        Err(NOT_HERE.to_string())
+    }
 }
 
-/// Run one batch through `stage` in submission order. Updates and swaps
-/// are barriers: the queries queued before one run first, on the state
-/// it has not touched, and the queries after it see what it did.
+const NOT_HERE: &str = "this endpoint does not run that request";
+
+/// Run one batch through `stage` in submission order. Updates, swaps
+/// and compactions are barriers: the queries queued before one run
+/// first, on the state it has not touched, and what is queued after it
+/// sees what it did.
 pub fn run_batch(jobs: Vec<Job>, completions: &Completions, stage: &mut impl Stage) {
     fn flush(queries: &mut Vec<QueryJob>, stage: &mut impl Stage) {
         if !queries.is_empty() {
@@ -141,28 +154,31 @@ pub fn run_batch(jobs: Vec<Job>, completions: &Completions, stage: &mut impl Sta
         }
     }
     let mut queries: Vec<QueryJob> = Vec::new();
-    for job in jobs {
-        match job {
-            Job::Query { conn, reply, pairs } => queries.push((conn, reply, pairs)),
-            Job::Update { conn, reply, edges } => {
-                flush(&mut queries, stage);
-                let body = match stage.update(edges) {
-                    Ok((generation, overlay_edges)) => {
-                        ResponseBody::Updated { generation, overlay_edges }
-                    }
-                    Err(e) => ResponseBody::Error(format!("update failed: {e}")),
-                };
-                completions.answer(conn, reply, &body);
-            }
-            Job::Swap { conn, reply } => {
-                flush(&mut queries, stage);
-                let body = match stage.swap() {
-                    Ok((generation, vertices)) => ResponseBody::Swapped { generation, vertices },
-                    Err(e) => ResponseBody::Error(format!("swap failed: {e}")),
-                };
-                completions.answer(conn, reply, &body);
-            }
+    for Job { conn, reply, work } in jobs {
+        if !matches!(work, Work::Query(_)) {
+            flush(&mut queries, stage);
         }
+        let body = match work {
+            Work::Query(pairs) => {
+                queries.push((conn, reply, pairs));
+                continue;
+            }
+            Work::Update(edges) => match stage.update(edges) {
+                Ok((generation, overlay_edges)) => {
+                    ResponseBody::Updated { generation, overlay_edges }
+                }
+                Err(e) => ResponseBody::Error(format!("update failed: {e}")),
+            },
+            Work::Swap => match stage.swap() {
+                Ok((generation, vertices)) => ResponseBody::Swapped { generation, vertices },
+                Err(e) => ResponseBody::Error(format!("swap failed: {e}")),
+            },
+            Work::Compact => match stage.compact(conn, reply) {
+                Ok(()) => continue,
+                Err(e) => ResponseBody::Error(e),
+            },
+        };
+        completions.answer(conn, reply, &body);
     }
     flush(&mut queries, stage);
 }
@@ -283,15 +299,16 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    fn job(conn: u64, work: Work) -> Job {
+        Job { conn, reply: Reply::Hopq { id: conn }, work }
+    }
+
     fn query(conn: u64, pairs: usize) -> Job {
-        Job::Query { conn, reply: Reply::Hopq { id: conn }, pairs: vec![(0, 0); pairs] }
+        job(conn, Work::Query(vec![(0, 0); pairs]))
     }
 
     fn conns(batch: &[Job]) -> Vec<u64> {
-        let conn = |job: &Job| match job {
-            Job::Query { conn, .. } | Job::Update { conn, .. } | Job::Swap { conn, .. } => *conn,
-        };
-        batch.iter().map(conn).collect()
+        batch.iter().map(|job| job.conn).collect()
     }
 
     #[test]
@@ -321,7 +338,7 @@ mod tests {
         busy_rx.recv().unwrap();
         // Three hand-offs, one of them two jobs, while the consumer works.
         b.submit(vec![query(2, 3)]);
-        b.submit(vec![query(3, 5), Job::Swap { conn: 4, reply: Reply::Hopq { id: 9 } }]);
+        b.submit(vec![query(3, 5), job(4, Work::Swap)]);
         b.submit(vec![query(5, 1)]);
         resume_tx.send(()).unwrap();
         let (first, second) = consumer.join().unwrap();
@@ -332,7 +349,7 @@ mod tests {
     #[test]
     fn swap_jobs_flush_immediately_and_stop_drains() {
         let b = Batcher::default();
-        b.submit(vec![query(1, 1), Job::Swap { conn: 2, reply: Reply::Hopq { id: 9 } }]);
+        b.submit(vec![query(1, 1), job(2, Work::Swap)]);
         assert_eq!(conns(&b.next_batch().unwrap()), [1, 2]);
 
         b.submit(vec![query(3, 1)]);
@@ -371,21 +388,27 @@ mod tests {
             self.0.push("swap".to_string());
             Err("no swap image".to_string())
         }
+
+        fn compact(&mut self, conn: u64, _reply: Reply) -> Result<(), String> {
+            self.0.push(format!("compact {conn}"));
+            Ok(())
+        }
     }
 
     #[test]
     fn run_batch_answers_each_query_run_before_the_barrier_behind_it() {
         let completions = Completions::new(Arc::new(WakeFd::new().unwrap()));
-        let update =
-            |conn| Job::Update { conn, reply: Reply::Hopq { id: conn }, edges: vec![(0, 1, 1)] };
+        let update = |conn| job(conn, Work::Update(vec![(0, 1, 1)]));
         let jobs = vec![
             query(1, 1),
             query(2, 2),
             update(3),
             update(4),
             query(5, 1),
-            Job::Swap { conn: 6, reply: Reply::Hopq { id: 6 } },
+            job(6, Work::Swap),
             query(7, 1),
+            job(8, Work::Compact),
+            query(9, 1),
         ];
         let mut stage = Recorder::default();
         run_batch(jobs, &completions, &mut stage);
@@ -397,15 +420,30 @@ mod tests {
                 "update [(0, 1, 1)]",
                 "queries [5]",
                 "swap",
-                "queries [7]"
+                "queries [7]",
+                "compact 8",
+                "queries [9]"
             ]
         );
-        // The barriers were answered here, in order; queries are the
-        // stage's to answer.
+        // Updates and swaps were answered here, in order; queries, and a
+        // compaction the stage took, are the stage's to answer.
         let answered: Vec<u64> = completions.drain().iter().map(|done| done.conn).collect();
         assert_eq!(answered, [3, 4, 6]);
         run_batch(Vec::new(), &completions, &mut stage);
-        assert_eq!(stage.0.len(), 6, "an empty batch asks nothing of the stage");
+        assert_eq!(stage.0.len(), 8, "an empty batch asks nothing of the stage");
+
+        // A stage that keeps the defaults refuses swaps and compactions.
+        struct QueriesOnly;
+        impl Stage for QueriesOnly {
+            fn queries(&mut self, _: Vec<QueryJob>) {}
+            fn update(&mut self, _: Vec<(u32, u32, u32)>) -> Result<(u64, u64), String> {
+                Err("no updates".to_string())
+            }
+        }
+        let jobs = vec![job(1, Work::Swap), job(2, Work::Compact)];
+        run_batch(jobs, &completions, &mut QueriesOnly);
+        let answered: Vec<u64> = completions.drain().iter().map(|done| done.conn).collect();
+        assert_eq!(answered, [1, 2]);
     }
 
     #[test]

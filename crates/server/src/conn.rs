@@ -168,6 +168,13 @@ impl Conn {
         Ok(total)
     }
 
+    /// Drop every buffered byte unread: what a closing connection does
+    /// with whatever the peer still sends.
+    pub fn discard_read(&mut self) {
+        self.rbuf.clear();
+        self.rpos = 0;
+    }
+
     /// Cut the next whole request off the read buffer, detecting the
     /// protocol on first contact, with at most `max_batch` pairs or
     /// edges. `None` = need more bytes (or the connection is past

@@ -1,13 +1,14 @@
-//! The one serving loop: a readiness-driven front end shared by the
-//! index node ([`crate::server`]) and the router ([`crate::router`]).
+//! The one serving endpoint: a readiness-driven front end shared by the
+//! index node ([`crate::server`]) and the router ([`crate::router`]),
+//! and the [`ServerHandle`] both return.
 //!
 //! ```text
-//! front thread                        service threads
+//! front thread                        stage threads
 //!   Poller::wait ──► accept / read      Batcher::next_batch: all queued
-//!   cut frames (HOPQ or HTTP)             node: executor, one query_many
-//!   answer info/shutdown and              router: dispatcher + workers
-//!   parse errors inline
-//!   one Batcher::submit per turn ────►
+//!   cut frames (HOPQ or HTTP)             node: executor (+ compactor)
+//!   answer info, shutdown,                router: dispatcher + workers
+//!   refusals, parse errors inline
+//!   one Batcher::submit per turn ────►  queries, update, swap, compact
 //!   queue + flush responses           ◄── Completions + WakeFd wake
 //! ```
 //!
@@ -18,21 +19,23 @@
 //!
 //! Everything the two endpoints do identically lives here: connection
 //! lifecycle, framing, the error discipline of `proto`, backpressure,
-//! idle eviction, graceful drain, request counters, and the inline
-//! answers — `shutdown`, refusals, and `info` (also `GET /stats`), the
-//! [`InfoReply`] the service fills in. HTTP and `HOPQ` reach it as the
-//! same [`RequestBody`] with a [`Reply`], and every answer leaves
-//! through [`Reply::encode`]. What differs is behind [`Service`].
+//! idle eviction, graceful drain and the one stop path, request
+//! counters, and the inline answers — `shutdown`, refusals, and `info`
+//! (also `GET /stats`), the [`InfoReply`] the service fills in. HTTP and
+//! `HOPQ` reach it as the same [`RequestBody`] with a [`Reply`], and
+//! every answer leaves through [`Reply::encode`]. Every other request is
+//! one [`Job`] on the one queue. An endpoint supplies its [`Service`]
+//! (its name, its `info`, what it refuses) and the stage threads behind
+//! the queue; nothing else differs.
 
 use std::collections::HashMap;
-use std::io::Read;
-use std::net::{Shutdown, TcpListener};
+use std::net::{Shutdown, SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::batch::{Batcher, Completions, Job};
+use crate::batch::{Batcher, Completions, Job, Work};
 use crate::conn::{Conn, ConnRequest, ConnState, Mode};
 use crate::proto::{InfoReply, Reply, RequestBody, ResponseBody};
 use crate::reactor::{Event, Poller, WakeFd, EV_READ, EV_WRITE};
@@ -93,41 +96,17 @@ pub(crate) struct Traffic {
     pub(crate) protocol_errors: u64,
 }
 
-/// The `HOPQ` kinds an index node and a router treat differently.
-pub(crate) enum Admin {
-    /// Promote the swap path.
-    Swap,
-    /// Fold the overlay into a fresh frozen generation.
-    Compact,
-}
-
-/// What a service does with an [`Admin`] request.
-pub(crate) enum Outcome {
-    /// Answer now with this body.
-    Answer(ResponseBody),
-    /// Queue this job; its answer arrives through [`Completions`].
-    Submit(Job),
-    /// The service queued the work itself; the answer arrives through
-    /// [`Completions`].
-    Deferred,
-}
-
 /// What an endpoint supplies to the shared loop. Two impls: the index
 /// node and the router.
 pub(crate) trait Service: Send + Sync + 'static {
     /// How the loop's own refusals name this endpoint.
     const NAME: &'static str;
 
-    /// Stop the whole endpoint (an accepted shutdown frame). Must end
-    /// in [`FrontHandle::begin_stop`].
-    fn begin_stop(&self);
-
-    /// Why this endpoint takes no update batches; `None` = it does.
-    fn refuses_updates(&self) -> Option<&'static str>;
-
-    /// Handle `kind`, sent on connection `conn` and answered through
-    /// `reply`.
-    fn admin(&self, conn: u64, reply: Reply, kind: Admin) -> Outcome;
+    /// Why this endpoint refuses `body` outright, answered as an error
+    /// without queueing a job; `None` (the default) lets it through.
+    fn refuses(&self, _body: &RequestBody) -> Option<&'static str> {
+        None
+    }
 
     /// The endpoint's status as of `traffic`: the `info` reply and the
     /// `GET /stats` body.
@@ -155,15 +134,12 @@ impl FrontHandle {
         })
     }
 
-    /// Flip the stop flag and wake the loop so it stops accepting,
-    /// flushes what is owed, stops the batcher, and exits. Returns
-    /// `true` only for the call that flipped the flag.
-    pub(crate) fn begin_stop(&self) -> bool {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return false;
-        }
+    /// The one stop path (a shutdown frame or [`ServerHandle::shutdown`]):
+    /// flip the stop flag and wake the loop so it stops accepting,
+    /// flushes what is owed, stops the batcher, and exits. Idempotent.
+    pub(crate) fn begin_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
         self.wake.wake();
-        true
     }
 
     pub(crate) fn stopping(&self) -> bool {
@@ -171,14 +147,50 @@ impl FrontHandle {
     }
 }
 
-/// Start the loop for `service` on `listener`; the thread exits after
-/// [`FrontHandle::begin_stop`] once owed responses have drained.
+/// A running endpoint: an index node ([`crate::serve`]) or a router
+/// ([`crate::serve_router`]). Dropping the handle does *not* stop it;
+/// call [`ServerHandle::shutdown`], or let a remote shutdown frame stop
+/// it and [`ServerHandle::wait`].
+pub struct ServerHandle {
+    front: FrontHandle,
+    local_addr: SocketAddr,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl ServerHandle {
+    /// The address the listener actually bound (resolves `:0` ports).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local_addr
+    }
+
+    /// Stop the endpoint the way a shutdown frame does, and wait for
+    /// every thread to exit. A router's backends keep running.
+    pub fn shutdown(self) {
+        self.front.begin_stop();
+        self.wait();
+    }
+
+    /// Block until the endpoint stops (in practice: until a shutdown
+    /// frame arrives).
+    pub fn wait(self) {
+        for thread in self.threads {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// Start the loop for `service` on `listener`, then the stage threads
+/// `stages` spawns behind its batcher. The loop exits after
+/// [`FrontHandle::begin_stop`] once owed responses have drained, and
+/// stops the batcher; the stages drain it and exit.
 pub(crate) fn spawn<S: Service>(
     listener: TcpListener,
     service: Arc<S>,
     handle: FrontHandle,
     limits: FrontConfig,
-) -> std::io::Result<JoinHandle<()>> {
+    stages: impl FnOnce() -> Vec<JoinHandle<()>>,
+) -> std::io::Result<ServerHandle> {
+    let local_addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
     let mut poller = Poller::new(256)?;
     poller.register(&listener, EV_READ, TOKEN_LISTENER)?;
@@ -186,7 +198,7 @@ pub(crate) fn spawn<S: Service>(
     let front = Front {
         limits,
         service,
-        handle,
+        handle: handle.clone(),
         poller,
         listener,
         conns: HashMap::new(),
@@ -195,7 +207,9 @@ pub(crate) fn spawn<S: Service>(
         draining_since: None,
         traffic: Traffic::default(),
     };
-    Ok(std::thread::spawn(move || front.run()))
+    let mut threads = vec![std::thread::spawn(move || front.run())];
+    threads.extend(stages());
+    Ok(ServerHandle { front: handle, local_addr, threads })
 }
 
 struct Front<S: Service> {
@@ -307,30 +321,16 @@ impl<S: Service> Front<S> {
                 self.parse_conn(token);
             }
             ConnState::Draining { budget } => {
-                let mut left = budget;
-                let mut chunk = [0u8; 4096];
-                loop {
-                    if left == 0 {
-                        conn.state = ConnState::Dead;
-                        break;
+                // Read and discard. Passing the linger's start as `now`
+                // keeps a trickling peer from extending it.
+                let read = conn.fill(conn.last_activity);
+                conn.discard_read();
+                conn.state = match read {
+                    Ok(n) if n < budget && !conn.peer_eof => {
+                        ConnState::Draining { budget: budget - n }
                     }
-                    match conn.stream.read(&mut chunk) {
-                        Ok(0) => {
-                            conn.state = ConnState::Dead;
-                            break;
-                        }
-                        Ok(n) => left = left.saturating_sub(n),
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            conn.state = ConnState::Draining { budget: left };
-                            break;
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            conn.state = ConnState::Dead;
-                            break;
-                        }
-                    }
-                }
+                    _ => ConnState::Dead,
+                };
             }
             ConnState::CloseAfterFlush | ConnState::Dead => {}
         }
@@ -377,43 +377,38 @@ impl<S: Service> Front<S> {
     }
 
     fn serve(&mut self, token: u64, body: RequestBody, reply: Reply) {
-        match body {
-            RequestBody::Query(pairs) => {
-                self.submit(token, Job::Query { conn: token, reply, pairs })
-            }
-            RequestBody::Update(edges) => match self.service.refuses_updates() {
-                None => self.submit(token, Job::Update { conn: token, reply, edges }),
-                Some(why) => self.answer(token, reply, &ResponseBody::Error(why.to_string())),
-            },
-            RequestBody::Swap => self.admin(token, reply, Admin::Swap),
-            RequestBody::Compact => self.admin(token, reply, Admin::Compact),
+        if let Some(why) = self.service.refuses(&body) {
+            return self.answer(token, reply, &ResponseBody::Error(why.to_string()));
+        }
+        let work = match body {
+            RequestBody::Query(pairs) => Work::Query(pairs),
+            RequestBody::Update(edges) => Work::Update(edges),
+            RequestBody::Swap => Work::Swap,
+            RequestBody::Compact => Work::Compact,
             RequestBody::Info => {
                 let info = ResponseBody::Info(self.service.info(self.traffic));
-                self.answer(token, reply, &info);
+                return self.answer(token, reply, &info);
             }
             RequestBody::Shutdown if self.limits.allow_shutdown => {
                 self.answer(token, reply, &ResponseBody::Bye);
-                self.service.begin_stop();
+                self.handle.begin_stop();
+                return;
             }
             RequestBody::Shutdown => {
                 let msg = format!("remote shutdown is disabled on this {}", S::NAME);
-                self.answer(token, reply, &ResponseBody::Error(msg));
+                return self.answer(token, reply, &ResponseBody::Error(msg));
             }
-        }
+        };
+        self.submit(Job { conn: token, reply, work });
     }
 
-    fn admin(&mut self, token: u64, reply: Reply, kind: Admin) {
-        match self.service.admin(token, reply, kind) {
-            Outcome::Answer(body) => self.answer(token, reply, &body),
-            Outcome::Submit(job) => self.submit(token, job),
-            Outcome::Deferred => self.owe(token),
+    /// Keep `job` for this turn's hand-off; its answer is owed from now,
+    /// through `Completions`.
+    fn submit(&mut self, job: Job) {
+        if let Some(conn) = self.conns.get_mut(&job.conn) {
+            conn.inflight += 1;
         }
-    }
-
-    /// Keep `job` for this turn's hand-off; its answer is owed from now.
-    fn submit(&mut self, token: u64, job: Job) {
         self.cut.push(job);
-        self.owe(token);
     }
 
     /// Hand what was cut this turn to the batcher in one submit, so a
@@ -421,13 +416,6 @@ impl<S: Service> Front<S> {
     fn hand_off(&mut self) {
         if !self.cut.is_empty() {
             self.handle.batcher.submit(std::mem::take(&mut self.cut));
-        }
-    }
-
-    /// One more answer to `token` is on its way through `Completions`.
-    fn owe(&mut self, token: u64) {
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.inflight += 1;
         }
     }
 

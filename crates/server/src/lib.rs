@@ -16,13 +16,17 @@
 //! * [`proto`] — the `HOPQ`/`HOPR` wire format and its codec;
 //! * [`backend`] — one immutable index generation (resident or
 //!   disk-cached) plus optional `.rank` id translation;
-//! * `front` — the one readiness-driven serving loop (framing,
-//!   pipelining, backpressure, HOPQ and HTTP on one port), shared by
-//!   the index node and the router; [`reactor`] picks its poller at
-//!   build time (epoll on Linux, `poll(2)` on other unix);
-//! * [`server`] — the index node: boot/recovery, query executor, live
-//!   updates, swap, compaction;
-//! * [`router`] — the replica/shard fan-out endpoint;
+//! * `front` — the one endpoint: the readiness-driven serving loop
+//!   (framing, pipelining, backpressure, HOPQ and HTTP on one port), its
+//!   one stop path and the [`ServerHandle`] that the index node and the
+//!   router both return; [`reactor`] picks its poller at build time
+//!   (epoll on Linux, `poll(2)` on other unix);
+//! * [`batch`] — the one job queue between the front and a stage:
+//!   queries, and the update, swap and compact barriers;
+//! * [`server`] — the index node: boot/recovery, and its stage — query
+//!   executor, live updates, swap, compaction;
+//! * [`router`] — the replica/shard fan-out endpoint, whose stage is a
+//!   dispatcher;
 //! * [`client`] — a blocking client used by `hopdb-cli admin`,
 //!   hopbench (`benchmark/`), and the end-to-end tests.
 //!
@@ -60,6 +64,6 @@ pub mod wal;
 
 pub use backend::Generation;
 pub use client::Client;
-pub use front::FrontConfig;
-pub use router::{serve_router, RouteMode, RouterConfig, RouterHandle};
-pub use server::{serve, ServerConfig, ServerHandle};
+pub use front::{FrontConfig, ServerHandle};
+pub use router::{serve_router, RouteMode, RouterConfig};
+pub use server::{serve, ServerConfig};

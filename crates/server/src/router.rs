@@ -23,17 +23,19 @@
 //!   them, or — when every shard reports `rank_pruned` — only shards
 //!   with `lo <= min(s, t)`), and folds the parts with
 //!   [`hoplabels::shard::min_merge`] semantics. Shard routers reject
-//!   updates: mutate the source graph and re-shard instead.
+//!   updates, and each shard backend refuses updates and compactions
+//!   itself: mutate the source graph and re-shard instead.
 //!
-//! The front end *is* the single-node daemon's — the same
-//! `crate::front` loop, instantiated with the router's `Service` impl —
-//! so a router endpoint is wire-compatible with a plain daemon for
-//! queries, `info`, `GET /stats` and (replica mode) updates: framing
-//! (HOPQ and HTTP alike), error discipline, backpressure and the batch
-//! hand-off are one implementation. Topology is probed once at startup
-//! by reading every backend's `info` and validated hard: replicas must
-//! agree on vertex count and direction; shards must tile the pivot
-//! space exactly.
+//! The endpoint *is* the single-node daemon's — the same `crate::front`
+//! loop, job queue, stop path and [`ServerHandle`], with the router's
+//! `Service` (its `info`, and the swaps, compactions and shard-mode
+//! updates it refuses) and its dispatcher as the stage — so a router is
+//! wire-compatible with a plain daemon for queries, `info`, `GET
+//! /stats` and (replica mode) updates: framing (HOPQ and HTTP alike),
+//! error discipline, backpressure and the batch hand-off are one
+//! implementation. Topology is probed once at startup by reading every
+//! backend's `info` and validated hard: replicas must agree on vertex
+//! count and direction; shards must tile the pivot space exactly.
 //!
 //! ```text
 //! front thread           dispatcher thread           worker threads (1/backend)
@@ -47,7 +49,6 @@
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use sfgraph::{Dist, INF_DIST};
@@ -55,9 +56,9 @@ use sfgraph::{Dist, INF_DIST};
 use crate::backend::out_of_range;
 use crate::batch::{run_batch, BatchWork, QueryJob, Stage};
 use crate::client::Client;
-use crate::front::{self, Admin, FrontConfig, FrontHandle, Outcome, Service, Traffic};
+use crate::front::{self, FrontConfig, FrontHandle, ServerHandle, Service, Traffic};
 use crate::proto::{
-    mode_name, InfoReply, Reply, ResponseBody, DURABILITY_DISABLED, ROUTE_REPLICA, ROUTE_SHARD,
+    mode_name, InfoReply, RequestBody, DURABILITY_DISABLED, ROUTE_REPLICA, ROUTE_SHARD,
     ROUTE_SINGLE, VERSION,
 };
 use crate::server::validate_update_edges;
@@ -142,44 +143,11 @@ struct Topology {
 struct RouterShared {
     config: RouterConfig,
     topology: Topology,
-    local_addr: SocketAddr,
     /// The serving loop's job queue, completion pile, and stop switch.
     front: FrontHandle,
     /// Batches answered by a replica other than the first pick, plus
     /// shard-part retries — the kill-one-replica observable.
     failovers: AtomicU64,
-}
-
-/// A running router. Dropping the handle does not stop it; call
-/// [`RouterHandle::shutdown`].
-pub struct RouterHandle {
-    shared: Arc<RouterShared>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl RouterHandle {
-    /// The address the listener actually bound (resolves `:0` ports).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
-    }
-
-    /// Ask the router to stop and wait for every thread to exit.
-    /// Backends keep running.
-    pub fn shutdown(mut self) {
-        self.shared.front.begin_stop();
-        self.join_all();
-    }
-
-    /// Block until the router stops (e.g. a remote shutdown frame).
-    pub fn wait(mut self) {
-        self.join_all();
-    }
-
-    fn join_all(&mut self) {
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
 }
 
 fn other(msg: String) -> std::io::Error {
@@ -193,7 +161,7 @@ fn other(msg: String) -> std::io::Error {
 pub fn serve_router(
     addr: impl ToSocketAddrs,
     config: RouterConfig,
-) -> std::io::Result<RouterHandle> {
+) -> std::io::Result<ServerHandle> {
     if config.backends.is_empty() {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
@@ -203,33 +171,26 @@ pub fn serve_router(
     let front = FrontHandle::new()?;
     let topology = probe_topology(&config)?;
     let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
     let limits = config.front;
     let shared = Arc::new(RouterShared {
         config,
         topology,
-        local_addr,
         front: front.clone(),
         failovers: AtomicU64::new(0),
     });
-    let reactor = front::spawn(listener, Arc::clone(&shared), front, limits)?;
-
-    let mut workers = Vec::new();
-    let mut ports = Vec::new();
-    for index in 0..shared.topology.slots.len() {
-        let (tx, rx) = mpsc::channel::<WorkItem>();
-        let depth = Arc::new(AtomicUsize::new(0));
-        ports.push(WorkerPort { tx, depth: Arc::clone(&depth) });
-        let shared = Arc::clone(&shared);
-        workers.push(std::thread::spawn(move || worker_loop(&shared, index, &depth, &rx)));
-    }
-    let dispatcher = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || dispatcher_loop(&shared, ports))
-    };
-    let mut all = vec![reactor, dispatcher];
-    all.extend(workers);
-    Ok(RouterHandle { shared, workers: all })
+    front::spawn(listener, Arc::clone(&shared), front, limits, || {
+        let mut threads = Vec::new();
+        let mut ports = Vec::new();
+        for index in 0..shared.topology.slots.len() {
+            let (tx, rx) = mpsc::channel::<WorkItem>();
+            let depth = Arc::new(AtomicUsize::new(0));
+            ports.push(WorkerPort { tx, depth: Arc::clone(&depth) });
+            let shared = Arc::clone(&shared);
+            threads.push(std::thread::spawn(move || worker_loop(&shared, index, &depth, &rx)));
+        }
+        threads.push(std::thread::spawn(move || dispatcher_loop(&shared, ports)));
+        threads
+    })
 }
 
 /// Connect to every backend, fetch its `info`, and validate that the
@@ -411,7 +372,8 @@ fn dispatcher_loop(shared: &RouterShared, ports: Vec<WorkerPort>) {
 }
 
 /// The router's [`Stage`]: query runs are forwarded to the workers and
-/// answered by them; an update is a barrier across every replica.
+/// answered by them; an update is a barrier across every replica. Swaps
+/// and compactions are refused at the front and never reach it.
 struct Dispatcher<'a> {
     shared: &'a RouterShared,
     ports: Vec<WorkerPort>,
@@ -434,11 +396,6 @@ impl Stage for Dispatcher<'_> {
 
     fn update(&mut self, edges: Vec<(u32, u32, u32)>) -> Result<(u64, u64), String> {
         dispatch_update(self.shared, &self.ports, edges)
-    }
-
-    /// `admin` answers swaps inline; defensive only.
-    fn swap(&mut self) -> Result<(u64, u64), String> {
-        Err(MSG_SWAP_NOT_ROUTED.to_string())
     }
 }
 
@@ -717,22 +674,15 @@ const MSG_SHARD_NO_UPDATES: &str =
 impl Service for RouterShared {
     const NAME: &'static str = "router";
 
-    fn begin_stop(&self) {
-        self.front.begin_stop();
-    }
-
-    fn refuses_updates(&self) -> Option<&'static str> {
-        (self.config.mode == RouteMode::Shard).then_some(MSG_SHARD_NO_UPDATES)
-    }
-
-    fn admin(&self, _conn: u64, _reply: Reply, kind: Admin) -> Outcome {
-        Outcome::Answer(ResponseBody::Error(
-            match kind {
-                Admin::Swap => MSG_SWAP_NOT_ROUTED,
-                Admin::Compact => MSG_COMPACT_NOT_ROUTED,
+    fn refuses(&self, body: &RequestBody) -> Option<&'static str> {
+        match body {
+            RequestBody::Swap => Some(MSG_SWAP_NOT_ROUTED),
+            RequestBody::Compact => Some(MSG_COMPACT_NOT_ROUTED),
+            RequestBody::Update(_) if self.config.mode == RouteMode::Shard => {
+                Some(MSG_SHARD_NO_UPDATES)
             }
-            .to_string(),
-        ))
+            _ => None,
+        }
     }
 
     /// The fleet-wide view: the probed topology — with the whole pivot

@@ -1,5 +1,6 @@
-//! The index node: boot and recovery, the query executor, live updates,
-//! hot index swap, and background compaction.
+//! The index node: boot and recovery, and the stage behind the shared
+//! front (`crate::front`) — the query executor, live updates, hot index
+//! swap, and background compaction.
 //!
 //! Architecture (all `std`, no async runtime):
 //!
@@ -9,11 +10,16 @@
 //!   answer info inline                   coalesce pairs across conns
 //!   flush responses          ◄────────   ONE Generation clone per run
 //!          ▲   (Completions + wake)      query_many → encode responses
-//!          │                             swaps and updates run here too
-//!   compactor thread                               │
-//!     rebuild + checkpoint, off both               ▼
-//!     hot paths                        Published (one Arc<Generation>)
+//!          │                             updates and swaps run here;
+//!   compactor thread         ◄────────   a compact job is handed on
+//!     rebuild + checkpoint, off both               │
+//!     hot paths                                    ▼
+//!                                      Published (one Arc<Generation>)
 //! ```
+//!
+//! The node stops the way every endpoint does, from the front: the
+//! front drains and stops the batcher, the executor drains it and then
+//! stops the compactor.
 //!
 //! Each query batch clones the current [`Generation`] `Arc` once and
 //! answers every pair from it via `FlatIndex::query_many`, so a
@@ -28,16 +34,15 @@
 //! module docs).
 
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::net::{TcpListener, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crate::backend::{poisoned, sibling, Generation, Published};
-use crate::batch::{run_batch, BatchWork, Job, QueryJob, Stage};
-use crate::front::{self, Admin, FrontConfig, FrontHandle, Outcome, Service, Traffic};
+use crate::batch::{run_batch, BatchWork, QueryJob, Stage};
+use crate::front::{self, FrontConfig, FrontHandle, ServerHandle, Service, Traffic};
 use crate::proto::{InfoReply, Reply, ResponseBody, DURABILITY_DISABLED, ROUTE_SINGLE};
 use crate::wal::{self, Durability, Manifest, Wal, WalEdge};
 use extmem::stats::IoStats;
@@ -247,6 +252,7 @@ impl Lineage {
     fn append(&mut self, shared: &Shared, batch: &[WalEdge]) -> Result<Arc<Generation>, String> {
         validate_update_edges(batch)?;
         let current = shared.current.load()?;
+        whole_image(&current)?;
         let accepted = self.edges.len();
         self.edges.extend_from_slice(batch);
         let next = current.with_updates(&self.edges[self.folded..]).and_then(|next| {
@@ -350,8 +356,7 @@ impl Lineage {
     }
 }
 
-/// State shared by the front, the executor, the compactor, and the
-/// handle.
+/// State shared by the front, the executor and the compactor.
 struct Shared {
     /// The published generation: the only lock the query path takes.
     current: Published,
@@ -360,10 +365,10 @@ struct Shared {
     lineage: Mutex<Lineage>,
     config: ServerConfig,
     index_path: PathBuf,
-    local_addr: SocketAddr,
     /// The serving loop's job queue, completion pile, and stop switch.
     front: FrontHandle,
-    /// Channel into the compactor thread (`None` once stopping).
+    /// Channel into the compactor thread (`None` once the executor has
+    /// stopped it).
     compact_tx: Mutex<Option<mpsc::Sender<CompactMsg>>>,
     compactions: AtomicU64,
     /// Mirrors of the live log's epoch/size, stored by
@@ -394,57 +399,10 @@ impl Shared {
         overlay_over || wal_over
     }
 
-    /// Queue `msg` for the compactor; `false` once the server is
-    /// stopping.
+    /// Queue `msg` for the compactor; `false` once the executor has
+    /// stopped it.
     fn poke(&self, msg: CompactMsg) -> bool {
         self.compact_tx.lock().is_ok_and(|tx| tx.as_ref().is_some_and(|tx| tx.send(msg).is_ok()))
-    }
-}
-
-/// A running server. Dropping the handle does *not* stop the daemon;
-/// call [`ServerHandle::shutdown`] (or let a remote shutdown frame stop
-/// it) and then [`ServerHandle::wait`].
-pub struct ServerHandle {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl ServerHandle {
-    /// The address the listener actually bound (resolves `:0` ports).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
-    }
-
-    /// Generation number of the index currently being served.
-    pub fn current_generation(&self) -> u64 {
-        self.shared.current.load().map_or(0, |g| g.generation())
-    }
-
-    /// Promote the configured swap path (or re-load the boot path) to
-    /// the serving index *from this process* — the in-process analogue
-    /// of the wire swap frame, for supervisors that rebuild and promote
-    /// without a client connection. Returns `(generation, vertices)`.
-    pub fn swap(&self) -> std::io::Result<(u64, u64)> {
-        do_swap(&self.shared)
-    }
-
-    /// Ask the daemon to stop and wait for every thread to exit.
-    pub fn shutdown(mut self) {
-        self.shared.begin_stop();
-        self.join_all();
-    }
-
-    /// Block until the daemon stops (remote shutdown frame or
-    /// [`ServerHandle::shutdown`] from another thread via a clone of
-    /// the shared state — in practice: until a shutdown frame arrives).
-    pub fn wait(mut self) {
-        self.join_all();
-    }
-
-    fn join_all(&mut self) {
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
     }
 }
 
@@ -461,7 +419,6 @@ pub fn serve(
 ) -> std::io::Result<ServerHandle> {
     let front = FrontHandle::new()?;
     let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
     let (lineage, boot_path, recovered) = Lineage::open(index_path, &config)?;
     // Replay the unfolded edges into the overlay: the recovered daemon
     // answers exactly like the crashed one did after its last ack.
@@ -475,7 +432,6 @@ pub fn serve(
         lineage: Mutex::new(lineage),
         config,
         index_path: index_path.to_path_buf(),
-        local_addr,
         front: front.clone(),
         compact_tx: Mutex::new(Some(compact_tx)),
         compactions: AtomicU64::new(0),
@@ -487,16 +443,14 @@ pub fn serve(
         aborted_compactions: AtomicU64::new(0),
     });
     shared.lineage.lock().map_err(|e| std::io::Error::other(poisoned(e)))?.mirror(&shared);
-    let reactor = front::spawn(listener, Arc::clone(&shared), front, limits)?;
-    let executor = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || executor_loop(&shared))
-    };
-    let compactor = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || compactor_loop(&shared, &compact_rx))
-    };
-    Ok(ServerHandle { shared, workers: vec![reactor, executor, compactor] })
+    front::spawn(listener, Arc::clone(&shared), front, limits, || {
+        let executor = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || executor_loop(&shared))
+        };
+        let compactor = std::thread::spawn(move || compactor_loop(&shared, &compact_rx));
+        vec![executor, compactor]
+    })
 }
 
 /// Work order for the background compactor thread.
@@ -504,16 +458,16 @@ enum CompactMsg {
     /// The overlay crossed the configured threshold at the time of an
     /// update; compact if it is *still* over (queued pokes dedupe).
     Threshold,
-    /// An explicit admin request: always compacts; the result goes
-    /// straight into the front's completion pile, so neither the front
-    /// nor the executor ever blocks on a rebuild.
+    /// A `compact` job, handed on by the executor: always compacts; the
+    /// result goes straight into the front's completion pile, so neither
+    /// the front nor the executor ever blocks on a rebuild.
     Admin {
         /// Connection token.
         conn: u64,
         /// How to answer.
         reply: Reply,
     },
-    /// The server is stopping.
+    /// The executor has drained and exited.
     Stop,
 }
 
@@ -552,12 +506,6 @@ fn compactor_loop(shared: &Shared, rx: &mpsc::Receiver<CompactMsg>) {
     }
 }
 
-fn do_swap(shared: &Shared) -> std::io::Result<(u64, u64)> {
-    let mut lineage = shared.lineage.lock().map_err(|e| std::io::Error::other(poisoned(e)))?;
-    let fresh = lineage.reset(shared)?;
-    Ok((fresh.generation(), fresh.vertices() as u64))
-}
-
 /// Validate an update batch against the weight invariant
 /// `sfgraph::io::read_edge_list` enforces on edge-list files: weights
 /// are strictly positive (shortest-path distances are ≥ 1). Weights
@@ -572,6 +520,21 @@ pub(crate) fn validate_update_edges(edges: &[WalEdge]) -> Result<(), String> {
         Some(&(s, t, _)) => Err(format!(
             "edge ({s}, {t}): edge weight 0 (weights must be ≥ 1: \
              shortest-path distances are strictly positive)"
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Refuse to mutate one shard of a split image: an edge on one shard
+/// breaks the min-merge identity (its overlay would join the shard's
+/// upper bounds), and a rebuild would serve the whole graph as shard k.
+/// A 1-of-1 shard is the whole image.
+fn whole_image(generation: &Generation) -> Result<(), String> {
+    match generation.shard().filter(|spec| spec.count > 1) {
+        Some(spec) => Err(format!(
+            "this node serves shard {} of {}, which takes no updates or compactions: \
+             rebuild and re-shard the image",
+            spec.index, spec.count
         )),
         None => Ok(()),
     }
@@ -597,7 +560,6 @@ fn do_compact(shared: &Shared) -> Result<(u64, u64), String> {
 }
 
 fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
-    use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
     let Some(path) = shared.config.source_graph.as_deref() else {
         return Err("compaction requires the server to be started with --graph".to_string());
     };
@@ -605,6 +567,7 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
     pin.edges.sort_unstable();
     pin.edges.dedup_by_key(|&mut (s, t, _)| (s, t));
     let serving = shared.current.load()?;
+    whole_image(&serving)?;
     let (directed, serving_n) = (serving.is_directed(), serving.vertices());
 
     // Build, lock-free. Same pipeline as `hopdb-cli build`: clean the
@@ -649,9 +612,8 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
         builder.add_weighted_edge(s, t, w);
     }
     let merged = builder.build();
-    let ranking = rank_vertices(&merged, &RankBy::paper_default(&merged));
-    let relabeled = relabel_by_rank(&merged, &ranking);
     let cfg = hopdb::HopDbConfig { parallelism: 0, ..hopdb::HopDbConfig::default() };
+    let (ranking, relabeled) = hopdb::rank(&merged, &cfg);
     let (index, _stats) = hopdb::build_prelabeled(&relabeled, &cfg);
     let flat = FlatIndex::from_index(&index);
 
@@ -677,36 +639,6 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
 
 impl Service for Shared {
     const NAME: &'static str = "server";
-
-    /// Stop the front (it drains what it owes and exits, the batcher
-    /// drains) and the compactor. Idempotent.
-    fn begin_stop(&self) {
-        if !self.front.begin_stop() {
-            return;
-        }
-        // Dropping the sender ends the compactor's recv loop even if
-        // the Stop message races a queued threshold poke.
-        if let Some(tx) = self.compact_tx.lock().ok().and_then(|mut tx| tx.take()) {
-            let _ = tx.send(CompactMsg::Stop);
-        }
-    }
-
-    fn refuses_updates(&self) -> Option<&'static str> {
-        None
-    }
-
-    fn admin(&self, conn: u64, reply: Reply, kind: Admin) -> Outcome {
-        match kind {
-            Admin::Swap => Outcome::Submit(Job::Swap { conn, reply }),
-            Admin::Compact => {
-                if self.poke(CompactMsg::Admin { conn, reply }) {
-                    Outcome::Deferred
-                } else {
-                    Outcome::Answer(ResponseBody::Error("server is stopping".to_string()))
-                }
-            }
-        }
-    }
 
     /// Everything the node knows about itself; a poisoned `current`
     /// (a panicked writer) reports all zeroes.
@@ -765,7 +697,13 @@ fn executor_loop(shared: &Shared) {
         let Some(jobs) = batcher.next_batch() else { break };
         run_batch(jobs, completions, &mut executor);
     }
-    executor.sync_tail(); // a clean stop leaves nothing acked unsynced
+    // A clean stop leaves nothing acked unsynced.
+    executor.sync_tail();
+    // No job is left to hand the compactor work. Dropping the sender
+    // ends its loop even if the Stop races a queued threshold poke.
+    if let Some(tx) = shared.compact_tx.lock().ok().and_then(|mut tx| tx.take()) {
+        let _ = tx.send(CompactMsg::Stop);
+    }
 }
 
 /// The index node's [`Stage`].
@@ -821,6 +759,71 @@ impl Stage for Executor<'_> {
     }
 
     fn swap(&mut self) -> Result<(u64, u64), String> {
-        do_swap(self.shared).map_err(|e| e.to_string())
+        let shared = self.shared;
+        let fresh = shared.lineage.lock().map_err(poisoned)?.reset(shared);
+        let fresh = fresh.map_err(|e| e.to_string())?;
+        Ok((fresh.generation(), fresh.vertices() as u64))
+    }
+
+    fn compact(&mut self, conn: u64, reply: Reply) -> Result<(), String> {
+        if self.shared.poke(CompactMsg::Admin { conn, reply }) {
+            Ok(())
+        } else {
+            Err("server is stopping".to_string())
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{read_response, Request, RequestBody};
+
+    /// The one stop path runs down the whole chain while a compaction
+    /// is owed: `shutdown` stops the front, the front the batcher, the
+    /// executor the compactor. It returns once every thread has joined,
+    /// and the compaction's answer has reached its connection on the way.
+    #[test]
+    fn shutdown_mid_compaction_joins_every_thread() {
+        let dir = std::env::temp_dir().join(format!("hopdb-stop-chain-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (graph_path, index_path) = (dir.join("g.txt"), dir.join("g.idx"));
+        let n = 200;
+        let mut builder = sfgraph::GraphBuilder::new_undirected(n as usize);
+        for v in 0..n {
+            builder.add_edge(v, (v + 1) % n);
+            builder.add_edge(v, (v * 7 + 3) % n);
+        }
+        let g = builder.build();
+        let file = std::fs::File::create(&graph_path).unwrap();
+        sfgraph::io::write_edge_list(&g, std::io::BufWriter::new(file)).unwrap();
+        let cfg = hopdb::HopDbConfig::default();
+        let (ranking, relabeled) = hopdb::rank(&g, &cfg);
+        let (index, _) = hopdb::build_prelabeled(&relabeled, &cfg);
+        index.write_hopidx(&mut std::fs::File::create(&index_path).unwrap()).unwrap();
+        std::fs::write(sibling(&index_path, ".rank"), ranking.to_sidecar_bytes()).unwrap();
+
+        let config = ServerConfig {
+            source_graph: Some(graph_path),
+            compact_threshold: 0,
+            ..ServerConfig::default()
+        };
+        let handle = serve("127.0.0.1:0", &index_path, config).unwrap();
+        let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(60))).unwrap();
+        // `info` is answered inline: once any answer is back, the
+        // `compact` ahead of it has been queued.
+        let mut wire = Request { id: 1, body: RequestBody::Compact }.encode();
+        wire.extend_from_slice(&Request { id: 2, body: RequestBody::Info }.encode());
+        stream.write_all(&wire).unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut answers = vec![read_response(&mut reader).unwrap()];
+        handle.shutdown();
+        if answers[0].id == 2 {
+            answers.push(read_response(&mut reader).unwrap());
+        }
+        let compacted = answers.into_iter().find(|r| r.id == 1).unwrap();
+        assert_eq!(compacted.body, ResponseBody::Compacted { generation: 2, vertices: 200 });
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use hopdb::{build_prelabeled, HopDbConfig};
 use hopdb_server::{
-    serve, serve_router, Client, RouteMode, RouterConfig, RouterHandle, ServerConfig, ServerHandle,
+    serve, serve_router, Client, RouteMode, RouterConfig, ServerConfig, ServerHandle,
 };
 use hoplabels::flat::FlatIndex;
 use hoplabels::shard_image;
@@ -100,6 +100,10 @@ impl Fixture {
     /// Split into `k` shard images (with `.shard` sidecars) and boot a
     /// stock daemon over each.
     fn shard_backends(&self, k: usize) -> Vec<ServerHandle> {
+        self.shard_backends_with(k, &ServerConfig::default())
+    }
+
+    fn shard_backends_with(&self, k: usize, config: &ServerConfig) -> Vec<ServerHandle> {
         shard_image(&self.image, k)
             .expect("shard")
             .into_iter()
@@ -108,7 +112,7 @@ impl Fixture {
                 std::fs::write(&path, &image).expect("stage shard");
                 std::fs::write(format!("{}.shard", path.to_string_lossy()), spec.encode())
                     .expect("stage sidecar");
-                serve("127.0.0.1:0", &path, ServerConfig::default()).expect("shard backend")
+                serve("127.0.0.1:0", &path, config.clone()).expect("shard backend")
             })
             .collect()
     }
@@ -129,7 +133,7 @@ impl Fixture {
     }
 }
 
-fn router(mode: RouteMode, backends: Vec<SocketAddr>) -> RouterHandle {
+fn router(mode: RouteMode, backends: Vec<SocketAddr>) -> ServerHandle {
     let config = RouterConfig {
         mode,
         backends,
@@ -373,6 +377,67 @@ fn shard_router_refuses_updates_and_swaps() {
     let pairs = fx.probes();
     assert_eq!(client.query(&pairs[..32]).expect("query after nacks"), fx.oracle(&pairs[..32]));
 
+    rt.shutdown();
+    for b in backends {
+        b.shutdown();
+    }
+}
+
+/// A node serving one shard of a split image refuses updates and
+/// compactions itself, over `HOPQ` and HTTP alike: an overlay edge would
+/// be joined against the shard's upper bounds, and a rebuild would serve
+/// the whole graph in the place of shard k. Both are refused even with
+/// `--graph` set, and the shard keeps answering as it did.
+#[test]
+fn shard_backends_refuse_updates_and_compactions() {
+    use std::io::{Read as _, Write as _};
+
+    let fx = fixture("shard-mut", false);
+    let source = fx.dir.join("source.txt");
+    let file = std::fs::File::create(&source).expect("source graph");
+    sfgraph::io::write_edge_list(&test_graph(false, 0xD15C0), std::io::BufWriter::new(file))
+        .expect("write source graph");
+    let config = ServerConfig {
+        source_graph: Some(source),
+        compact_threshold: 0,
+        ..ServerConfig::default()
+    };
+    let backends = fx.shard_backends_with(2, &config);
+    let pairs = fx.probes();
+    for backend in &backends {
+        let mut client = Client::connect(backend.local_addr()).expect("client");
+        let before = client.query(&pairs).expect("shard answers");
+        let shard = format!("shard {} of 2", client.info().expect("info").shard_index);
+
+        let err = client.update(&[(0, 64, 1)]).expect_err("a shard takes no update");
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains(&shard) && err.to_string().contains("re-shard"), "{err}");
+        let err = client.compact().expect_err("a shard takes no compaction");
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains(&shard) && err.to_string().contains("re-shard"), "{err}");
+
+        let body = r#"{"edges":[[0,64,1]]}"#;
+        let mut sock = std::net::TcpStream::connect(backend.local_addr()).expect("http connect");
+        write!(
+            sock,
+            "POST /update HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        )
+        .expect("http write");
+        let mut reply = String::new();
+        sock.read_to_string(&mut reply).expect("http read");
+        assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+        assert!(reply.contains(&shard) && reply.contains("re-shard"), "{reply}");
+
+        let info = client.info().expect("info");
+        assert_eq!((info.generation, info.overlay_edges, info.compactions), (1, 0, 0));
+        assert_eq!(client.query(&pairs).expect("shard answers after"), before);
+    }
+    let rt = router(RouteMode::Shard, backends.iter().map(|b| b.local_addr()).collect());
+    let mut client = Client::connect(rt.local_addr()).expect("client");
+    assert_eq!(client.query(&pairs).expect("routed batch"), fx.oracle(&pairs));
+
+    drop(client);
     rt.shutdown();
     for b in backends {
         b.shutdown();

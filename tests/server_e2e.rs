@@ -109,7 +109,8 @@ fn hot_swap_promotes_without_mixing_generations() {
     let config = ServerConfig { swap_path: Some(path_b.clone()), ..ServerConfig::default() };
     let handle = serve("127.0.0.1:0", &path_a, config).expect("serve");
     let addr = handle.local_addr();
-    assert_eq!(handle.current_generation(), 1);
+    let generation = || Client::connect(addr).expect("connect").info().expect("info").generation;
+    assert_eq!(generation(), 1);
 
     let stop = Arc::new(AtomicBool::new(false));
     std::thread::scope(|scope| {
@@ -157,7 +158,7 @@ fn hot_swap_promotes_without_mixing_generations() {
         assert!(total_b > 0, "clients never observed the post-swap index");
     });
 
-    assert_eq!(handle.current_generation(), 2);
+    assert_eq!(generation(), 2);
     handle.shutdown();
     for p in [path_a, path_b] {
         std::fs::remove_file(p).ok();

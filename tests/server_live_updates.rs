@@ -240,6 +240,58 @@ fn update_frames_interleave_with_pipelined_queries() {
     cleanup(&graph_path, &index_path);
 }
 
+/// `compact` is a barrier on the one job queue, like `swap`: pipelined
+/// behind an `update` on the same connection, without waiting for its
+/// ack, it folds that update — the `Compacted` reply leaves an empty
+/// overlay, and answers equal a from-scratch build of the source plus
+/// the update.
+#[test]
+fn pipelined_compact_folds_the_update_queued_before_it() {
+    use hop_doubling::hopdb_server::proto::{read_response, Request, RequestBody, ResponseBody};
+
+    let n = 80;
+    let g = glp(&GlpParams::with_density(n, 3.0, 611));
+    let update: Vec<(VertexId, VertexId, Dist)> = vec![(0, 79, 1), (5, 61, 2)];
+    let pairs = full_grid(n);
+    let expect = expect_of(&all_pairs(&mutate(&g, &update)), &pairs);
+    assert_ne!(expect, expect_of(&all_pairs(&g), &pairs), "the update must be observable");
+    let (graph_path, index_path) = stage_cli_artifacts(&g, "barrier");
+    let config = ServerConfig {
+        source_graph: Some(graph_path.clone()),
+        compact_threshold: 0,
+        ..ServerConfig::default()
+    };
+    let handle = serve("127.0.0.1:0", &index_path, config).expect("serve");
+
+    let mut stream = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(60))).unwrap();
+    let mut wire = Request { id: 1, body: RequestBody::Update(update.clone()) }.encode();
+    wire.extend_from_slice(&Request { id: 2, body: RequestBody::Compact }.encode());
+    stream.write_all(&wire).expect("pipelined write");
+    let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+    let updated = read_response(&mut reader).expect("update reply");
+    assert_eq!(
+        (updated.id, updated.body),
+        (1, ResponseBody::Updated { generation: 1, overlay_edges: 2 })
+    );
+    let compacted = read_response(&mut reader).expect("compact reply");
+    assert_eq!(
+        (compacted.id, compacted.body),
+        (2, ResponseBody::Compacted { generation: 2, vertices: n as u64 })
+    );
+
+    let mut client = Client::connect(handle.local_addr()).expect("client");
+    let info = client.info().expect("info");
+    assert_eq!(
+        (info.overlay_edges, info.compactions),
+        (0, 1),
+        "the compaction left the update out"
+    );
+    assert_eq!(client.query(&pairs).expect("compacted query"), expect);
+    handle.shutdown();
+    cleanup(&graph_path, &index_path);
+}
+
 #[test]
 fn concurrent_queries_during_ingest_and_compaction_promotion() {
     let n = 120;

@@ -19,8 +19,7 @@ use hop_doubling::hopdb_server::proto::{
     Request, RequestBody, Response, ResponseBody, HEADER_LEN, UNREACHABLE,
 };
 use hop_doubling::hopdb_server::{
-    serve, serve_router, Client, FrontConfig, RouteMode, RouterConfig, RouterHandle, ServerConfig,
-    ServerHandle,
+    serve, serve_router, Client, FrontConfig, RouteMode, RouterConfig, ServerConfig, ServerHandle,
 };
 use hop_doubling::hoplabels::flat::FlatIndex;
 use hop_doubling::hoplabels::shard_image;
@@ -53,7 +52,7 @@ const BOTH: [Via; 2] = [Via::Daemon, Via::ReplicaRouter];
 
 struct Endpoint {
     addr: SocketAddr,
-    router: Option<RouterHandle>,
+    router: Option<ServerHandle>,
     daemon: ServerHandle,
 }
 
@@ -619,7 +618,7 @@ fn http_script(addr: SocketAddr) -> Vec<(String, String)> {
 
 /// A shard router over the one shard of the image at `path`, and the
 /// daemon serving that shard.
-fn one_shard_router(path: &Path) -> (RouterHandle, ServerHandle, PathBuf) {
+fn one_shard_router(path: &Path) -> (ServerHandle, ServerHandle, PathBuf) {
     let image = std::fs::read(path).expect("read image");
     let (shard, spec) = shard_image(&image, 1).expect("shard").remove(0);
     let shard_path = PathBuf::from(format!("{}.shard0", path.display()));
