@@ -476,7 +476,7 @@ fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
 
     // Pairs come from the positional arguments and/or a batch file of
-    // whitespace-separated `s t` lines (`#` comments allowed).
+    // whitespace-separated `s t` lines (comments as in a graph file).
     let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
     let positional = &args.positional;
     if !positional.len().is_multiple_of(2) {
@@ -516,11 +516,10 @@ fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The lines of a pair or edge file that hold data, numbered from 1:
-/// `#` starts a comment, and lines left blank are skipped.
+/// The lines of a pair or edge file that hold data, numbered from 1,
+/// by the rule `build -i` reads graphs with ([`sfgraph::io::data_line`]).
 fn data_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
-    let data = text.lines().map(|line| line.split('#').next().unwrap_or("").trim());
-    (1..).zip(data).filter(|(_, line)| !line.is_empty())
+    (1..).zip(text.lines()).filter_map(|(n, line)| Some((n, sfgraph::io::data_line(line)?)))
 }
 
 fn cmd_shard(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -874,6 +873,32 @@ mod tests {
             .into_owned()
     }
 
+    type ServeThread = std::thread::JoinHandle<Result<String, CliError>>;
+
+    /// Run `serve ARGS… --addr 127.0.0.1:0 --announce-file ANNOUNCE
+    /// --allow-remote-shutdown` on its own thread (the daemon blocks
+    /// until shutdown); returns the thread and the announced address.
+    fn spawn_serve(args: &[&str], announce: &str) -> (ServeThread, String) {
+        let tail =
+            ["--addr", "127.0.0.1:0", "--announce-file", announce, "--allow-remote-shutdown"];
+        let serve_args: Vec<String> =
+            ["serve"].iter().chain(args).chain(&tail).map(|s| s.to_string()).collect();
+        let server = std::thread::spawn(move || {
+            let mut out = Vec::new();
+            run(&serve_args, &mut out).map(|()| String::from_utf8(out).unwrap())
+        });
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        loop {
+            if let Ok(addr) = std::fs::read_to_string(announce) {
+                if !addr.is_empty() {
+                    return (server, addr);
+                }
+            }
+            assert!(std::time::Instant::now() < deadline, "server never announced its address");
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+    }
+
     #[test]
     fn gen_stats_build_query_pipeline() {
         let graph = tmp("pipeline.txt");
@@ -1102,7 +1127,8 @@ mod tests {
         run_vec(&["gen", "--model", "glp", "--vertices", "300", "--seed", "9", "-o", &graph])
             .unwrap();
         run_vec(&["build", "-i", &graph, "-o", &index]).unwrap();
-        std::fs::write(&pairs_file, "# header comment\n0 1\n5 5   # self pair\n\n7 42\n").unwrap();
+        std::fs::write(&pairs_file, "% konect\n# header comment\n0 1\n5 5   # self pair\n\n7 42\n")
+            .unwrap();
 
         let batch = run_vec(&["query", "-x", &index, "--pairs", &pairs_file]).unwrap();
         assert_eq!(batch.lines().count(), 3, "{batch}");
@@ -1316,36 +1342,7 @@ mod tests {
         run_vec(&["gen", "--model", "glp", "--vertices", "250", "--seed", "21", "-o", &graph])
             .unwrap();
         run_vec(&["build", "-i", &graph, "-o", &index]).unwrap();
-
-        // The daemon blocks until shutdown; run it on its own thread
-        // and learn the ephemeral port from the announce file.
-        let serve_args: Vec<String> = [
-            "serve",
-            "-x",
-            &index,
-            "--addr",
-            "127.0.0.1:0",
-            "--announce-file",
-            &announce,
-            "--allow-remote-shutdown",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let server = std::thread::spawn(move || {
-            let mut out = Vec::new();
-            run(&serve_args, &mut out).map(|()| String::from_utf8(out).unwrap())
-        });
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        let addr = loop {
-            if let Ok(addr) = std::fs::read_to_string(&announce) {
-                if !addr.is_empty() {
-                    break addr;
-                }
-            }
-            assert!(std::time::Instant::now() < deadline, "server never announced its address");
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        };
+        let (server, addr) = spawn_serve(&["-x", &index], &announce);
 
         // Served answers (original vertex ids, via the .rank sidecar)
         // must match the CLI's direct query path.
@@ -1393,37 +1390,8 @@ mod tests {
         run_vec(&["build", "-i", &graph, "-o", &index]).unwrap();
 
         // --graph enables compaction; threshold 0 = manual only.
-        let serve_args: Vec<String> = [
-            "serve",
-            "-x",
-            &index,
-            "--graph",
-            &graph,
-            "--compact-threshold",
-            "0",
-            "--addr",
-            "127.0.0.1:0",
-            "--announce-file",
-            &announce,
-            "--allow-remote-shutdown",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let server = std::thread::spawn(move || {
-            let mut out = Vec::new();
-            run(&serve_args, &mut out).map(|()| String::from_utf8(out).unwrap())
-        });
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        let addr = loop {
-            if let Ok(addr) = std::fs::read_to_string(&announce) {
-                if !addr.is_empty() {
-                    break addr;
-                }
-            }
-            assert!(std::time::Instant::now() < deadline, "server never announced its address");
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        };
+        let (server, addr) =
+            spawn_serve(&["-x", &index, "--graph", &graph, "--compact-threshold", "0"], &announce);
 
         let mut client = hopdb_server::Client::connect(&addr).unwrap();
         let before = client.query_one(0, 199).unwrap();
@@ -1458,6 +1426,32 @@ mod tests {
         assert!(msg.contains("bad edge line"), "{msg}");
         let msg = run_vec(&["admin", "-a", &addr, "info", "extra"]).unwrap_err().0;
         assert!(msg.contains("no further arguments"), "{msg}");
+
+        run_vec(&["admin", "-a", &addr, "shutdown"]).unwrap();
+        server.join().unwrap().unwrap();
+        for f in [&graph, &index, &announce, &edges_file, &format!("{index}.rank")] {
+            let _ = std::fs::remove_file(f);
+        }
+    }
+
+    /// `admin ingest` reads an edge file by the rule `build -i` reads a
+    /// graph with: KONECT's `%` header lines are not data.
+    #[test]
+    fn ingest_reads_konect_headers_and_trailing_comments() {
+        let graph = tmp("konect.txt");
+        let index = tmp("konect.idx");
+        let announce = tmp("konect.addr");
+        let edges_file = tmp("konect.edges");
+        std::fs::write(&graph, "% sym unweighted\n% 5 6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n").unwrap();
+        run_vec(&["build", "-i", &graph, "-o", &index]).unwrap();
+        let (server, addr) = spawn_serve(&["-x", &index], &announce);
+
+        std::fs::write(&edges_file, "% sym unweighted\n% 1 6 6\n0 5 # closes the path\n").unwrap();
+        let ingest = run_vec(&["admin", "-a", &addr, "ingest", &edges_file]).unwrap();
+        assert!(ingest.contains("ingested 1 edges"), "{ingest}");
+        let mut client = hopdb_server::Client::connect(&addr).unwrap();
+        assert_eq!(client.query_one(0, 5).unwrap(), 1);
+        assert_eq!(client.query_one(0, 4).unwrap(), 2);
 
         run_vec(&["admin", "-a", &addr, "shutdown"]).unwrap();
         server.join().unwrap().unwrap();
@@ -1616,34 +1610,7 @@ mod tests {
         run_vec(&["gen", "--model", "glp", "--vertices", "120", "--seed", "27", "-o", &graph])
             .unwrap();
         run_vec(&["build", "-i", &graph, "-o", &index]).unwrap();
-
-        let serve_args: Vec<String> = [
-            "serve",
-            "-x",
-            &index,
-            "--addr",
-            "127.0.0.1:0",
-            "--announce-file",
-            &announce,
-            "--allow-remote-shutdown",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let server = std::thread::spawn(move || {
-            let mut out = Vec::new();
-            run(&serve_args, &mut out).map(|()| String::from_utf8(out).unwrap())
-        });
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        let addr = loop {
-            if let Ok(addr) = std::fs::read_to_string(&announce) {
-                if !addr.is_empty() {
-                    break addr;
-                }
-            }
-            assert!(std::time::Instant::now() < deadline, "server never announced its address");
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        };
+        let (server, addr) = spawn_serve(&["-x", &index], &announce);
 
         // Line 4 carries a zero-weight edge the server nacks. With
         // --batch 2 it lands in the second frame (input lines 4-5);

@@ -178,18 +178,17 @@ impl StoreInner {
 }
 
 impl TempStore {
-    /// Create a fresh store under the system temp directory.
+    /// Create a fresh store in a new directory under the system temp
+    /// directory: one that already exists is an error, never shared.
     pub fn new() -> std::io::Result<TempStore> {
-        let dir = std::env::temp_dir().join(format!(
-            "extmem-{}-{:x}",
-            std::process::id(),
-            // Nanosecond timestamp keeps parallel test binaries apart.
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_nanos() as u64)
-                .unwrap_or(0)
-        ));
-        std::fs::create_dir_all(&dir)?;
+        // The sequence keeps this process's stores apart; the clock keeps
+        // a reused pid clear of a dead process's leftovers.
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let clock = std::time::UNIX_EPOCH.elapsed().map_or(0, |d| d.as_nanos() as u64);
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("extmem-{}-{clock:x}-{seq}", std::process::id()));
+        std::fs::create_dir(&dir)?;
         Ok(TempStore {
             inner: Arc::new(StoreInner {
                 dir,
@@ -533,5 +532,23 @@ mod tests {
             assert!(dir.exists());
         }
         assert!(!dir.exists());
+    }
+
+    #[test]
+    fn concurrent_stores_never_share_a_directory() {
+        let mut stores: Vec<TempStore> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..8).map(|_| scope.spawn(TempStore::new)).collect();
+            workers.into_iter().map(|w| w.join().unwrap().unwrap()).collect()
+        });
+        let dirs: std::collections::BTreeSet<_> = stores.iter().map(|s| &s.inner.dir).collect();
+        assert_eq!(dirs.len(), stores.len(), "{dirs:?}");
+        // Every store numbers its files from `run-0`; dropping one must
+        // leave the others' runs in place.
+        let files: Vec<CountedFile> = stores.iter().map(|s| s.create("run").unwrap()).collect();
+        drop(stores.remove(0));
+        assert!(!files[0].path().exists());
+        for f in &files[1..] {
+            assert!(f.path().exists(), "{}", f.path().display());
+        }
     }
 }

@@ -22,6 +22,7 @@
 //! [`FlatIndex::query_many`] shards a pair slice across scoped threads;
 //! the index is immutable, so serving parallelises embarrassingly and
 //! results come back in input order.
+#![allow(unsafe_code)]
 
 use std::path::Path;
 

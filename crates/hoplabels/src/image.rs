@@ -665,6 +665,7 @@ pub(crate) fn read_index(bytes: &[u8]) -> io::Result<LabelIndex> {
 }
 
 #[cfg(test)]
+#[allow(unsafe_code)]
 mod tests {
     use super::*;
     use crate::flat::{decode_in_place, FlatIndex};

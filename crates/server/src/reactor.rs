@@ -18,7 +18,7 @@
 //! Which poller the serving loop (`crate::front`) runs on is decided at
 //! build time from the target: [`epoll`] on Linux, [`poll`] (`poll(2)`)
 //! on every other unix; both wake through the one [`WakeFd`]. `poll` is
-//! compiled on Linux too, so its tests and the unsafe audit cover it on
+//! compiled on Linux too, so its tests and the unsafe lints cover it on
 //! the platform CI runs on. Off unix neither exists and creating a
 //! poller or a wakeup fd reports `ErrorKind::Unsupported`.
 //!
@@ -83,6 +83,7 @@ fn cvt(ret: std::os::raw::c_int) -> std::io::Result<std::os::raw::c_int> {
 
 /// The Linux poller: raw `epoll` bindings.
 #[cfg(target_os = "linux")]
+#[allow(unsafe_code)]
 pub mod epoll {
     use super::{cvt, Event};
     use std::io;
@@ -199,6 +200,7 @@ pub mod epoll {
 /// `POLLIN`/`POLLOUT`/`POLLERR`/`POLLHUP` values are the same on Linux,
 /// macOS and the BSDs, and coincide with the `EV_*` constants.
 #[cfg(unix)]
+#[allow(unsafe_code)]
 pub mod poll {
     use super::{cvt, Event, EV_ERROR};
     use std::io::{self, Read, Write};

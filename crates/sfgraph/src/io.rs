@@ -1,8 +1,5 @@
-//! Graph serialization: SNAP-style text edge lists.
-//!
-//! The format is one `u v [w]` triple per line, `#`-prefixed comment
-//! lines ignored — the format of the SNAP / KONECT collections the paper
-//! evaluates on.
+//! Graph serialization: text edge lists of one `u v [w]` triple per line,
+//! as in the paper's SNAP / KONECT sets; [`data_line`] is the comment rule.
 
 #![cfg_attr(
     not(test),
@@ -24,6 +21,12 @@ use crate::builder::GraphBuilder;
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::{Dist, VertexId};
+
+/// A line's trimmed data; `None` for a blank line or one opening with
+/// `#` (SNAP) or `%` (KONECT's header). Text after `#` is a comment.
+pub fn data_line(line: &str) -> Option<&str> {
+    Some(line.split('#').next()?.trim()).filter(|data| !data.is_empty() && !data.starts_with('%'))
+}
 
 /// Parse a text edge list.
 ///
@@ -47,10 +50,7 @@ pub fn read_edge_list<R: BufRead>(
     }
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
-            continue;
-        }
+        let Some(line) = data_line(&line) else { continue };
         let mut parts = line.split_whitespace();
         let parse = |tok: Option<&str>, what: &str| -> Result<u64, GraphError> {
             tok.ok_or_else(|| GraphError::Parse {
@@ -111,6 +111,18 @@ mod tests {
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 3);
         assert!(g.has_edge(2, 0));
+    }
+
+    #[test]
+    fn data_lines_skip_headers_and_strip_trailing_comments() {
+        assert_eq!(data_line("  0 1 5  # trailing\r"), Some("0 1 5"));
+        for blank in ["", "   ", "# snap", "  % sym unweighted", "%", "#0 1"] {
+            assert_eq!(data_line(blank), None, "{blank:?}");
+        }
+        let text = "% sym unweighted\n% 2 3 3\n0 1 7 # first\n1 2 4 # second\n";
+        let g = read_edge_list(Cursor::new(text), false, true).unwrap();
+        assert_eq!((g.num_vertices(), g.num_edges()), (3, 2));
+        assert_eq!(g.edge_weight(2, 1), Some(4));
     }
 
     #[test]

@@ -1,56 +1,46 @@
-//! A hand-rolled line/token scanner for Rust sources, rustc-`tidy`
-//! style: just enough lexing to tell code from comments and string
-//! literals, and to know which lines live under `#[cfg(test)]`.
+//! A hand-rolled line scanner for Rust sources, rustc-`tidy` style:
+//! just enough lexing to tell code from comments and string literals,
+//! and to know which lines live under `#[cfg(test)]`.
 //!
-//! The passes built on top only ever ask line-level questions ("is
-//! there an `unsafe` on this line, and a `SAFETY:` comment above it?",
-//! "does this line sit outside a test module?"), so the scanner
-//! deliberately stops at that granularity instead of producing a real
-//! token stream. It understands line and nested block comments, string
-//! / raw-string / byte-string / char literals, and lifetimes, which is
-//! everything needed to blank literal and comment text out of the code
-//! channel without ever mistaking one for the other.
+//! The line-count ratchet only asks "does this line sit outside a test
+//! module?", so the scanner deliberately stops at line granularity
+//! instead of producing a real token stream. It understands line and
+//! nested block comments, string / raw-string / byte-string / char
+//! literals, and lifetimes, which is everything needed to keep literal
+//! and comment text out of the code channel, so a brace inside one
+//! never opens or closes a region.
 
 use std::path::Path;
 
-/// One source line, split into a code channel and a comment channel.
+/// One source line, reduced to its code channel.
 #[derive(Clone, Debug)]
 pub struct Line {
-    /// 1-based line number.
-    pub number: usize,
-    /// The line with comment text and literal *contents* blanked out;
-    /// string literals collapse to `""` so token scans never match
-    /// text that only occurs inside a literal or a comment.
+    /// The line with comments removed and literal *contents* blanked
+    /// out; string literals collapse to `""` so scans never match text
+    /// that only occurs inside a literal or a comment.
     pub code: String,
-    /// Comment text on this line (line, block, and doc comments),
-    /// without the `//`/`/*` markers.
-    pub comment: String,
     /// True when the line sits inside a `#[cfg(test)]`-gated item.
     pub in_test: bool,
 }
 
-/// A scanned source file: path label plus its classified lines.
+/// A scanned source file: its classified lines.
 #[derive(Clone, Debug)]
 pub struct SourceFile {
-    /// Root-relative path label used in diagnostics.
-    pub path: String,
     /// The classified lines, in order.
     pub lines: Vec<Line>,
 }
 
 impl SourceFile {
-    /// Scan `text` into classified lines under the given path label.
-    pub fn parse(path: &str, text: &str) -> SourceFile {
-        let mut lines = split_channels(text);
+    /// Scan `text` into classified lines.
+    pub fn parse(text: &str) -> SourceFile {
+        let mut lines = code_channel(text);
         mark_test_regions(&mut lines);
-        SourceFile { path: path.to_string(), lines }
+        SourceFile { lines }
     }
 
-    /// Read and scan a file on disk; the label is `path` relative to
-    /// `root` (with `/` separators) so diagnostics are stable.
-    pub fn read(root: &Path, rel: &str) -> std::io::Result<SourceFile> {
-        let text = std::fs::read_to_string(root.join(rel))?;
-        Ok(SourceFile::parse(rel, &text))
+    /// Read and scan a file on disk.
+    pub fn read(path: &Path) -> std::io::Result<SourceFile> {
+        Ok(SourceFile::parse(&std::fs::read_to_string(path)?))
     }
 }
 
@@ -66,32 +56,20 @@ enum State {
     RawStr(usize),
 }
 
-/// Split the text into per-line code and comment channels.
-fn split_channels(text: &str) -> Vec<Line> {
+/// Reduce the text to its per-line code channel.
+fn code_channel(text: &str) -> Vec<Line> {
     let mut out = Vec::new();
     let mut state = State::Normal;
-    for (idx, raw) in text.lines().enumerate() {
+    for raw in text.lines() {
         let chars: Vec<char> = raw.chars().collect();
         let mut code = String::new();
-        let mut comment = String::new();
         let mut i = 0;
         while i < chars.len() {
             let c = chars[i];
             match state {
                 State::Normal => {
                     if c == '/' && chars.get(i + 1) == Some(&'/') {
-                        // Doc-comment markers (`///`, `//!`) are not
-                        // comment *text*: drop them plus one space so
-                        // doc tables and fences parse cleanly.
-                        let mut start = i + 2;
-                        if matches!(chars.get(start), Some(&'/') | Some(&'!')) {
-                            start += 1;
-                        }
-                        if chars.get(start) == Some(&' ') {
-                            start += 1;
-                        }
-                        comment.extend(&chars[start..]);
-                        i = chars.len();
+                        break;
                     } else if c == '/' && chars.get(i + 1) == Some(&'*') {
                         state = State::BlockComment(1);
                         i += 2;
@@ -140,7 +118,6 @@ fn split_channels(text: &str) -> Vec<Line> {
                         state = State::BlockComment(depth + 1);
                         i += 2;
                     } else {
-                        comment.push(c);
                         i += 1;
                     }
                 }
@@ -164,14 +141,13 @@ fn split_channels(text: &str) -> Vec<Line> {
                 }
             }
         }
-        out.push(Line { number: idx + 1, code, comment, in_test: false });
+        out.push(Line { code, in_test: false });
     }
     out
 }
 
 /// Does the code channel end in an identifier character (so a
-/// following `r` is part of an identifier, not a raw-string prefix, and
-/// a following word is not a whole word)?
+/// following `r` is part of an identifier, not a raw-string prefix)?
 fn prev_is_ident(code: &str) -> bool {
     code.chars().next_back().is_some_and(|c| c.is_alphanumeric() || c == '_')
 }
@@ -229,43 +205,20 @@ fn mark_test_regions(lines: &mut [Line]) {
     }
 }
 
-/// Find occurrences of the word `needle` in `code` that are not part
-/// of a longer identifier; returns byte offsets.
-pub fn word_positions(code: &str, needle: &str) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = code[from..].find(needle) {
-        let at = from + pos;
-        let end = at + needle.len();
-        let ok_before = !prev_is_ident(&code[..at]);
-        let ok_after = !code[end..].chars().next().is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if ok_before && ok_after {
-            out.push(at);
-        }
-        from = end;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn comments_and_strings_leave_the_code_channel() {
-        let f = SourceFile::parse(
-            "t.rs",
-            "let x = \"unsafe // not code\"; // unsafe in comment\nlet y = 1;",
-        );
-        assert!(!f.lines[0].code.contains("unsafe"));
-        assert!(f.lines[0].comment.contains("unsafe in comment"));
+        let f = SourceFile::parse("let x = \"{ // not code\"; // { in comment\nlet y = 1;");
+        assert_eq!(f.lines[0].code.trim_end(), "let x = \"\";");
         assert_eq!(f.lines[1].code, "let y = 1;");
     }
 
     #[test]
     fn raw_strings_and_char_literals() {
         let f = SourceFile::parse(
-            "t.rs",
             "let a = r#\"has \"quotes\" and unwrap()\"#;\nlet b = '\"';\nlet c: &'static str = \"x\";",
         );
         assert!(!f.lines[0].code.contains("unwrap"));
@@ -275,7 +228,7 @@ mod tests {
 
     #[test]
     fn block_comments_span_lines() {
-        let f = SourceFile::parse("t.rs", "/* start\nstill comment unwrap()\nend */ let z = 2;");
+        let f = SourceFile::parse("/* start\nstill comment unwrap()\nend */ let z = 2;");
         assert!(f.lines[1].code.is_empty());
         assert!(f.lines[2].code.contains("let z"));
     }
@@ -283,7 +236,7 @@ mod tests {
     #[test]
     fn cfg_test_regions_are_marked() {
         let src = "fn live() { a.unwrap(); }\n#[cfg(test)]\nmod tests {\n    fn t() { b.unwrap(); }\n}\nfn live2() {}\n";
-        let f = SourceFile::parse("t.rs", src);
+        let f = SourceFile::parse(src);
         assert!(!f.lines[0].in_test);
         assert!(f.lines[1].in_test && f.lines[3].in_test);
         assert!(!f.lines[5].in_test);
@@ -294,14 +247,9 @@ mod tests {
         let src = "#[cfg(test)]\nmod examples;\npub use a::{b, c};\nfn live() {\n    \
                    #[cfg(test)]\n    std::thread::yield_now();\n    go();\n}\nimpl X for Y {\n}\n\
                    #[cfg(test)]\nfn t(x: [u8; 4]) {\n    x.unwrap();\n}\nfn live2() {}\n";
-        let f = SourceFile::parse("t.rs", src);
-        let marked: Vec<usize> = f.lines.iter().filter(|l| l.in_test).map(|l| l.number).collect();
+        let f = SourceFile::parse(src);
+        let marked: Vec<usize> =
+            (1..).zip(&f.lines).filter(|(_, l)| l.in_test).map(|(number, _)| number).collect();
         assert_eq!(marked, [1, 2, 5, 6, 11, 12, 13, 14]);
-    }
-
-    #[test]
-    fn word_positions_respects_boundaries() {
-        assert_eq!(word_positions("unsafe_fn unsafe", "unsafe"), vec![10]);
-        assert!(word_positions("debug_assert!(x)", "assert!").is_empty());
     }
 }
