@@ -291,7 +291,7 @@ pub fn report(out: &mut impl Write, inputs: &Inputs, sections: &[&str]) -> io::R
             "— = did not finish (IS-Label's edge augmentation exceeded its budget, cf. the paper's 24 h timeouts)\n\
              Hop(s), HopIO = the external §4 engine (M = 256 Ki records, B = 64 KiB); HopT(s) = the in-memory\n\
              engine at {} worker thread(s), the same index bit for bit. ISL/PLL/Hop(MB) = each labelling's\n\
-             HOPIDX02 image, which is also what a serving FlatIndex holds resident; Hop(µs) queries FlatIndex.",
+             HOPIDX03 image, which is also what a serving FlatIndex holds resident; Hop(µs) queries FlatIndex.",
             run.threads
         );
         section(out, title, header, &table6, &notes)?;

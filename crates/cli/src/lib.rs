@@ -23,7 +23,7 @@
 //! does not read is refused before any work, so a stray one cannot
 //! silently fall back to a default.
 //!
-//! `build` writes two artifacts: the `HOPIDX02` index image
+//! `build` writes two artifacts: the `HOPIDX03` index image
 //! (`hoplabels::image`) and a `.rank` sidecar holding the vertex-at-rank
 //! permutation so `query` can accept original vertex ids. `query`
 //! loads through the daemon's loader, `hopdb_server::Generation` (the
@@ -33,7 +33,7 @@
 //! files with `Generation::query_many`, sharding batches across
 //! `--threads` workers. `shard` splits an index image by pivot range
 //! into per-shard images (`hoplabels::shard`), each a complete
-//! `HOPIDX02` index a stock daemon can serve, plus a `HOPSHRD1` sidecar
+//! `HOPIDX03` index a stock daemon can serve, plus a `HOPSHRD1` sidecar
 //! so the router can learn each backend's range. `serve` runs the
 //! `hopdb-server` daemon over the same index + sidecar pair (pass
 //! `--graph` to enable compaction) — or, with `--route`, the scale-out
@@ -386,7 +386,7 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
     // Persist: index file + ranking sidecar.
     let target = args.required("-o")?;
-    index.write_hopidx(&mut std::fs::File::create(target)?)?;
+    let image_bytes = index.write_hopidx(&mut std::fs::File::create(target)?)?;
     write_ranking_sidecar(target, &ranking)?;
 
     writeln!(
@@ -448,6 +448,8 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             )?;
         }
     }
+    let per_vertex = image_bytes as f64 / index.num_vertices().max(1) as f64;
+    writeln!(out, "image: {image_bytes} B ({per_vertex:.2} B/vertex)")?;
     writeln!(out, "index: {target}  ranking: {target}.rank")?;
     Ok(())
 }

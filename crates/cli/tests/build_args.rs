@@ -84,37 +84,70 @@ fn an_image_from_before_the_format_change_is_refused_by_name() {
     std::fs::create_dir_all(&dir).expect("fixture dir");
     let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
 
-    // A complete old-format image of two isolated vertices: magic,
-    // flags, n, a u64 entry-count directory, raw (pivot, dist) pairs.
-    let mut old = b"HOPIDX01".to_vec();
-    old.extend_from_slice(&[0, 0, 0, 0]);
+    // A complete HOPIDX01 image of two isolated vertices: magic, flags,
+    // n, a u64 entry-count directory, raw (pivot, dist) pairs.
+    let mut v01 = b"HOPIDX01".to_vec();
+    v01.extend_from_slice(&[0, 0, 0, 0]);
     for word in [2u64, 0, 1, 2] {
-        old.extend_from_slice(&word.to_le_bytes());
+        v01.extend_from_slice(&word.to_le_bytes());
     }
     for word in [0u32, 0, 1, 0] {
-        old.extend_from_slice(&word.to_le_bytes());
+        v01.extend_from_slice(&word.to_le_bytes());
     }
-    let (index, announce) = (path("old.idx"), path("addr"));
-    std::fs::write(&index, &old).expect("write old image");
+    // A complete HOPIDX02 image of the same: byte-wide hub distances, a
+    // zero reserved byte, a u32 byte-offset directory, no labels, its
+    // CRC.
+    let mut v02 = b"HOPIDX02".to_vec();
+    v02.extend_from_slice(&[0, 1, 0, 0]);
+    v02.extend_from_slice(&2u64.to_le_bytes());
+    v02.extend_from_slice(&[0u8; 12]);
+    v02.extend_from_slice(&extmem::wire::crc32(&v02).to_le_bytes());
 
-    let serve = ["serve", "-x", &index, "--addr", "127.0.0.1:0", "--announce-file", &announce];
-    for args in [
-        &["query", "-x", &index, "0", "1"][..],
-        &serve,
-        // The disk-resident fallback opens the file by another route.
-        &[&serve[..], &["--max-resident-bytes", "1"]].concat(),
-        &["shard", "-x", &index, "--shards", "2"],
-    ] {
-        let out = cli(args);
-        let (stdout, stderr) =
-            (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
-        assert!(stderr.contains("HOPIDX01") && stderr.contains("rebuild"), "{args:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-        assert!(stdout.is_empty(), "{args:?} printed: {stdout}");
+    for (old, name) in [(v01, "HOPIDX01"), (v02, "HOPIDX02")] {
+        let (index, announce) = (path("old.idx"), path("addr"));
+        std::fs::write(&index, &old).expect("write old image");
+        let serve = ["serve", "-x", &index, "--addr", "127.0.0.1:0", "--announce-file", &announce];
+        for args in [
+            &["query", "-x", &index, "0", "1"][..],
+            &serve,
+            // The disk-resident fallback opens the file by another route.
+            &[&serve[..], &["--max-resident-bytes", "1"]].concat(),
+            &["shard", "-x", &index, "--shards", "2"],
+        ] {
+            let out = cli(args);
+            let (stdout, stderr) =
+                (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            let refusal = format!("{name} image: rebuild it with this version's hopdb-cli build");
+            assert!(stderr.contains(&refusal), "{args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+            assert!(stdout.is_empty(), "{args:?} printed: {stdout}");
+        }
+        assert!(!std::path::Path::new(&announce).exists(), "nothing may be served");
+        assert!(!std::path::Path::new(&path("old.idx.shard0")).exists(), "nothing may be cut");
     }
-    assert!(!std::path::Path::new(&announce).exists(), "nothing may be served");
-    assert!(!std::path::Path::new(&path("old.idx.shard0")).exists(), "nothing may be cut");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn build_prints_the_size_of_the_image_it_wrote() {
+    let dir = std::env::temp_dir().join(format!("hopdb-imagesize-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("fixture dir");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (graph, index) = (path("g.txt"), path("g.idx"));
+    assert!(cli(&["gen", "--vertices", "300", "--seed", "5", "-o", &graph]).status.success());
+    let out = cli(&["build", "-i", &graph, "-o", &index]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    let lines: Vec<&str> = stdout.lines().collect();
+    let at = lines.iter().position(|l| l.starts_with("image: ")).expect("an image line");
+    assert!(lines[at + 1].starts_with("index: "), "{stdout}");
+    let bytes = std::fs::metadata(&index).expect("the image").len();
+    let per_vertex = lines[at]
+        .strip_prefix(&format!("image: {bytes} B ("))
+        .and_then(|rest| rest.strip_suffix(" B/vertex)"))
+        .unwrap_or_else(|| panic!("{} is not the {bytes}-byte image", lines[at]));
+    assert!(per_vertex.parse::<f64>().is_ok_and(|b| b > 1.0), "{}", lines[at]);
     std::fs::remove_dir_all(&dir).ok();
 }
 

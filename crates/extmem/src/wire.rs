@@ -1,7 +1,7 @@
 //! Total (panic-free) little-endian reads over untrusted byte slices.
 //!
 //! Every decoder in the workspace — the HOPQ framing in `server`, the
-//! WAL replay, the `HOPIDX02` image and `HOPSHRD1` sidecar parsers — consumes
+//! WAL replay, the `HOPIDX03` image and `HOPSHRD1` sidecar parsers — consumes
 //! bytes that arrived off a socket or a disk and must never panic, no
 //! matter what those bytes say. These helpers make that property
 //! local: each read returns `None` past the end of the slice instead

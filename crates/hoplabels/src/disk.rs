@@ -3,7 +3,7 @@
 //! The paper's index is disk-resident: answering `dist(s, t)` reads the
 //! two labels `Lout(s)` and `Lin(t)` from disk and merge-joins them
 //! (Table 6's "Disk query time" column). [`DiskIndex`] does exactly
-//! that over a `HOPIDX02` file ([`crate::image`] owns the format and
+//! that over a `HOPIDX03` file ([`crate::image`] owns the format and
 //! [`LabelIndex::write_hopidx`] is its only writer): the offset
 //! directory (4 bytes/vertex/side) is held in memory, as any practical
 //! disk index would; a query between labelled vertices then costs two
@@ -45,8 +45,9 @@ impl DiskIndex {
 
     /// Open an image file. Reads and checks the prefix and the offset
     /// directories only — not the labels, and so not the checksum over
-    /// them; every label is decoded by the checked decoder when a query
-    /// reads it, and a malformed one is that query's `InvalidData`.
+    /// them (no single flipped bit of the flags word is valid, so the
+    /// prefix needs none); every label is decoded by the checked decoder when a query reads
+    /// it, and a malformed one is that query's `InvalidData`.
     pub fn open(mut file: CountedFile) -> std::io::Result<DiskIndex> {
         let mut prefix = [0u8; image::PREFIX_LEN];
         file.read_exact_at(0, &mut prefix)?;
@@ -460,8 +461,8 @@ mod tests {
         for bogus_n in [u64::MAX, 1u64 << 61, 1 << 40] {
             let mut crafted = store.create("crafted").unwrap();
             let mut bytes = Vec::new();
-            bytes.extend_from_slice(b"HOPIDX02");
-            bytes.extend_from_slice(&[1, 1, 0, 0]);
+            bytes.extend_from_slice(b"HOPIDX03");
+            bytes.extend_from_slice(&[1, 8, 0, 0]);
             bytes.extend_from_slice(&bogus_n.to_le_bytes());
             bytes.extend_from_slice(&[0u8; 16]);
             std::io::Write::write_all(&mut crafted, &bytes).unwrap();
@@ -487,8 +488,9 @@ mod tests {
         let index = small_directed_index(); // 10 entries in 8 labels, every pivot a hub
         let disk = DiskIndex::create(&index, &store, "sz").unwrap();
         // Prefix, two 5-slot u32 directories, a hub word per label and a
-        // byte per entry, the CRC.
-        let expect = 8 + 4 + 8 + 2 * 5 * 4 + 8 * 8 + 10 + 4;
+        // 4-bit distance per entry (each label's one or two fill a byte),
+        // the CRC.
+        let expect = 8 + 4 + 8 + 2 * 5 * 4 + 8 * 8 + 8 + 4;
         assert_eq!(disk.file_bytes().unwrap(), expect as u64);
     }
 }

@@ -1,4 +1,4 @@
-//! `FlatIndex` — the frozen read path: a validated `HOPIDX02` image,
+//! `FlatIndex` — the frozen read path: a validated `HOPIDX03` image,
 //! served in place.
 //!
 //! [`crate::index::LabelIndex`] is the *construction* representation:
@@ -10,10 +10,12 @@
 //! resident is what `ls -l` shows.
 //!
 //! A query never decodes a label into entries. Per label the 64
-//! top-ranked pivots are one `u64` with a fixed-width distance per set
-//! bit, so the join over them is `hubs(s) & hubs(t)` and a
-//! `popcount`-ranked distance lookup per common bit; the rest is a
-//! varint tail, merged by one portable two-pointer loop. The per-entry
+//! top-ranked pivots are one `u64` with a packed distance per set bit
+//! (4, 8, 16 or 32 bits, one width per image), so the join over them is
+//! `hubs(s) & hubs(t)` and a `popcount`-ranked distance lookup per
+//! common bit; the rest is a tail of one varint per entry, split into
+//! pivot gap and distance by the image's tail shift and merged by one
+//! portable two-pointer loop. The per-entry
 //! loops read label bytes without bounds checks; [`crate::image`]'s
 //! validator, which every constructor runs, is what makes that sound.
 //! The record rule is [`crate::index::resolve`]'s: a query hands it the
@@ -28,10 +30,10 @@ use std::path::Path;
 
 use sfgraph::{Dist, VertexId, INF_DIST};
 
-use crate::image::{self, Layout};
+use crate::image::{self, Layout, Widths};
 use crate::index::{resolve, LabelIndex, Record, NO_PARENT, RECORD_PAIRS};
 
-/// A frozen, query-only 2-hop label index: the bytes of a `HOPIDX02`
+/// A frozen, query-only 2-hop label index: the bytes of a `HOPIDX03`
 /// image, validated once, then served in place.
 ///
 /// Built from a finished [`LabelIndex`] with [`FlatIndex::from_index`],
@@ -73,11 +75,11 @@ impl FlatIndex {
     /// is not a vertex id, or a side past the 4 GiB offset range.
     pub fn from_index(index: &LabelIndex) -> FlatIndex {
         let mut image = Vec::new();
-        index.write_hopidx(&mut image).expect("a finished index is writable as HOPIDX02");
+        index.write_hopidx(&mut image).expect("a finished index is writable as HOPIDX03");
         FlatIndex::from_image(image).expect("the writer's image passes its own validator")
     }
 
-    /// Validate `bytes` as a `HOPIDX02` image (the format written by
+    /// Validate `bytes` as a `HOPIDX03` image (the format written by
     /// [`LabelIndex::write_hopidx`], hence by `hopdb-cli build`) and
     /// serve it. Total: any image that is not exactly what the writer
     /// could have produced is `InvalidData`, never a panic and never an
@@ -134,12 +136,12 @@ impl FlatIndex {
 
     /// Entry count of the source-side label of `v` (`Lout`/`L`).
     pub fn out_label_len(&self, v: VertexId) -> usize {
-        label_len(self.label(0, v), self.layout.header.width)
+        label_len(self.label(0, v), self.layout.header.widths)
     }
 
     /// Entry count of the target-side label of `v` (`Lin`/`L`).
     pub fn in_label_len(&self, v: VertexId) -> usize {
-        label_len(self.label(1, v), self.layout.header.width)
+        label_len(self.label(1, v), self.layout.header.widths)
     }
 
     /// Exact distance query `dist(s, t)`; [`INF_DIST`] when
@@ -155,7 +157,7 @@ impl FlatIndex {
     pub fn query(&self, s: VertexId, t: VertexId) -> Dist {
         let n = self.layout.header.n;
         assert!((s as usize) < n && (t as usize) < n, "vertex out of range");
-        let width = self.layout.header.width;
+        let widths = self.layout.header.widths;
         let record = |slot: &&[u8]| {
             // Only an image with records has slots of 1–7 bytes.
             if !image::is_record(slot) {
@@ -164,14 +166,14 @@ impl FlatIndex {
             let (mut pairs, mut at) = ([(NO_PARENT, 0); RECORD_PAIRS], 0);
             // `resolve` hands this only slots of `self.image`, and
             // validation read this one as a record: one or two pairs of
-            // complete varints of at most 5 bytes and 32 bits each,
-            // filling it exactly.
+            // complete varints of at most 5 bytes and 32 bits each, filling it
+            // exactly.
             for pair in &mut pairs {
                 if at == slot.len() {
                     break;
                 }
                 // SAFETY: `at` is at the start of a pair (above).
-                *pair = unsafe { (varint(slot, &mut at), varint(slot, &mut at)) };
+                *pair = unsafe { (varint(slot, &mut at) as u32, varint(slot, &mut at) as u32) };
             }
             Some(Record::from_array(pairs))
         };
@@ -179,9 +181,9 @@ impl FlatIndex {
             // SAFETY: `resolve` joins only slots of `self.image` that
             // `record` did not read as a record (validation: a record's
             // parents hold labels), so whole labels `image::validate`
-            // accepted at this `width` before `self` existed; nothing has
-            // written since.
-            let sum = unsafe { join(a, b, width) };
+            // accepted at these `widths` before `self` existed; nothing
+            // has written since.
+            let sum = unsafe { join(a, b, widths) };
             sum.min(INF_DIST.into()) as Dist
         };
         let slot = |v, target_side| Ok(self.label(target_side as usize, v));
@@ -235,12 +237,12 @@ impl FlatIndex {
 }
 
 /// Entries of one validated label: a hub per set bit, and a tail entry
-/// per two varints — a varint ends at its one byte below `0x80`.
-fn label_len(label: &[u8], width: usize) -> usize {
+/// per varint — a varint ends at its one byte below `0x80`.
+fn label_len(label: &[u8], widths: Widths) -> usize {
     let Some((hubs, rest)) = label.split_first_chunk::<8>() else { return 0 };
     let hubs = u64::from_le_bytes(*hubs).count_ones() as usize;
-    let tail = rest.get(hubs * width..).unwrap_or(&[]);
-    hubs + tail.iter().filter(|&&b| b < 0x80).count() / 2
+    let tail = rest.get(widths.hub_bytes(hubs)..).unwrap_or(&[]);
+    hubs + tail.iter().filter(|&&b| b < 0x80).count()
 }
 
 /// Minimum `d(s, p) + d(p, t)` over the pivots `p` two encoded labels
@@ -248,9 +250,9 @@ fn label_len(label: &[u8], width: usize) -> usize {
 ///
 /// # Safety
 /// `a` and `b` must each be a whole label that [`image::validate`]
-/// accepted at this `width`.
+/// accepted at these `widths`.
 #[inline]
-unsafe fn join(a: &[u8], b: &[u8], width: usize) -> u64 {
+unsafe fn join(a: &[u8], b: &[u8], widths: Widths) -> u64 {
     // An empty label is zero bytes; any other starts with its hub word.
     let (Some(ha), Some(hb)) = (a.first_chunk::<8>(), b.first_chunk::<8>()) else {
         return u64::MAX;
@@ -266,15 +268,15 @@ unsafe fn join(a: &[u8], b: &[u8], width: usize) -> u64 {
         // its label's popcount.
         let (da, db) = unsafe {
             (
-                hub_dist(a, (ha & below).count_ones() as usize, width),
-                hub_dist(b, (hb & below).count_ones() as usize, width),
+                hub_dist(a, (ha & below).count_ones() as usize, widths.hub_bits),
+                hub_dist(b, (hb & below).count_ones() as usize, widths.hub_bits),
             )
         };
         best = best.min(da + db);
         common &= common - 1;
     }
-    let mut ta = Tail::after_hubs(a, ha, width);
-    let mut tb = Tail::after_hubs(b, hb, width);
+    let mut ta = Tail::after_hubs(a, ha, widths);
+    let mut tb = Tail::after_hubs(b, hb, widths);
     // SAFETY: both cursors are where `after_hubs` put them in a
     // validated label.
     if unsafe { !ta.next() || !tb.next() } {
@@ -294,22 +296,23 @@ unsafe fn join(a: &[u8], b: &[u8], width: usize) -> u64 {
     }
 }
 
-/// The hub distance of rank `rank` in `label`.
+/// The hub distance of rank `rank` in `label`, `bits` wide.
 ///
 /// # Safety
-/// `label` is a validated label at `width` and `rank` is below the
+/// `label` is a validated label at `bits` and `rank` is below the
 /// popcount of its hub word.
 #[inline(always)]
-unsafe fn hub_dist(label: &[u8], rank: usize, width: usize) -> u64 {
-    // SAFETY: validation's `8 + width · popcount(hubs) ≤ len` puts all
-    // `width` bytes of every rank below the popcount inside `label`;
-    // byte arrays have alignment 1.
+unsafe fn hub_dist(label: &[u8], rank: usize, bits: u32) -> u64 {
+    // SAFETY: validation's `8 + ⌈bits · popcount(hubs) / 8⌉ ≤ len` puts
+    // every bit of every rank below the popcount inside `label`; byte
+    // arrays have alignment 1.
     unsafe {
-        let at = label.as_ptr().add(8 + rank * width);
-        match width {
-            1 => at.read() as u64,
-            2 => u16::from_le_bytes(at.cast::<[u8; 2]>().read()) as u64,
-            _ => u32::from_le_bytes(at.cast::<[u8; 4]>().read()) as u64,
+        let dists = label.as_ptr().add(8);
+        match bits {
+            4 => ((dists.add(rank / 2).read() >> (4 * (rank % 2))) & 0xF) as u64,
+            8 => dists.add(rank).read() as u64,
+            16 => u16::from_le_bytes(dists.add(2 * rank).cast::<[u8; 2]>().read()) as u64,
+            _ => u32::from_le_bytes(dists.add(4 * rank).cast::<[u8; 4]>().read()) as u64,
         }
     }
 }
@@ -318,6 +321,7 @@ unsafe fn hub_dist(label: &[u8], rank: usize, width: usize) -> u64 {
 struct Tail<'a> {
     label: &'a [u8],
     at: usize,
+    widths: Widths,
     pivot: VertexId,
     dist: Dist,
 }
@@ -325,8 +329,9 @@ struct Tail<'a> {
 impl Tail<'_> {
     /// Before the first tail entry of `label`, whose hub word is `hubs`.
     #[inline(always)]
-    fn after_hubs(label: &[u8], hubs: u64, width: usize) -> Tail<'_> {
-        Tail { label, at: 8 + width * hubs.count_ones() as usize, pivot: image::HUBS - 1, dist: 0 }
+    fn after_hubs(label: &[u8], hubs: u64, widths: Widths) -> Tail<'_> {
+        let at = 8 + widths.hub_bytes(hubs.count_ones() as usize);
+        Tail { label, at, widths, pivot: image::HUBS - 1, dist: 0 }
     }
 
     /// Step to the next entry; `false` at the label's end.
@@ -336,37 +341,59 @@ impl Tail<'_> {
     /// [`Tail::after_hubs`] or an earlier `next` left it.
     #[inline(always)]
     unsafe fn next(&mut self) -> bool {
-        // Validation's "the tail is whole `(gap, dist)` pairs ending
-        // exactly at the label's end" makes this the only end test:
-        // `at` is at an entry boundary, so it is either the end or the
-        // first byte of a complete pair.
+        // Validation's "the tail is whole varints ending exactly at the
+        // label's end" makes this the only end test: `at` is at an entry
+        // boundary, so it is either the end or the first byte of a
+        // complete varint.
         if self.at == self.label.len() {
             return false;
         }
-        // SAFETY: a complete pair starts at `at` (above). The pivot
-        // cannot overflow: validation summed it in 64 bits to below n.
-        unsafe {
-            self.pivot += 1 + varint(self.label, &mut self.at);
-            self.dist = varint(self.label, &mut self.at);
-        }
+        // SAFETY: a complete varint starts at `at` (above).
+        let (gap, dist) = self.widths.split(unsafe { tail_varint(self.label, &mut self.at) });
+        // The pivot cannot overflow: validation summed it to below n.
+        self.pivot += 1 + gap as VertexId;
+        self.dist = dist;
         true
     }
+}
+
+/// The tail varint of `label` at `*at`, advancing `at`: one or two
+/// bytes without a branch on which, longer ones by [`varint`].
+///
+/// # Safety
+/// As [`varint`].
+#[inline(always)]
+unsafe fn tail_varint(label: &[u8], at: &mut usize) -> u64 {
+    let p = label.as_ptr();
+    // SAFETY: a varint starts at `at`, so its first byte is in `label`;
+    // the second is read only when it is in `label` too.
+    let (b0, b1) = unsafe {
+        let b1 = if *at + 1 < label.len() { *p.add(*at + 1) } else { 0 };
+        (u64::from(*p.add(*at)), u64::from(b1))
+    };
+    let more = b0 >> 7;
+    if more & (b1 >> 7) != 0 {
+        // SAFETY: as this function's.
+        return unsafe { varint(label, at) };
+    }
+    *at += 1 + more as usize;
+    (b0 & 0x7F) | ((b1 * more) << 7)
 }
 
 /// One varint of `label` at `*at`, advancing `at`.
 ///
 /// # Safety
-/// A complete varint of at most 5 bytes and 32 bits starts at `at`.
+/// A complete varint of at most 10 bytes and 64 bits starts at `at`.
 #[inline(always)]
-unsafe fn varint(label: &[u8], at: &mut usize) -> u32 {
-    let (mut v, mut shift) = (0u32, 0u32);
+unsafe fn varint(label: &[u8], at: &mut usize) -> u64 {
+    let (mut v, mut shift) = (0u64, 0u32);
     loop {
         // SAFETY: validation's "every varint is complete inside its
         // label" keeps `at` in bounds until the byte below 0x80 that
-        // ends this one; "at most 5 bytes" keeps `shift` at or below 28.
+        // ends this one; "at most 10 bytes" keeps `shift` at or below 63.
         let b = unsafe { *label.get_unchecked(*at) };
         *at += 1;
-        v |= u32::from(b & 0x7F) << shift;
+        v |= u64::from(b & 0x7F) << shift;
         if b < 0x80 {
             return v;
         }
@@ -378,9 +405,9 @@ unsafe fn varint(label: &[u8], at: &mut usize) -> u32 {
 ///
 /// # Safety
 /// `label` must be a whole label that [`image::validate`] (or its
-/// per-label half, `image::walk_label`) accepted at this `width`.
+/// per-label half, `image::walk_label`) accepted at these `widths`.
 #[cfg(test)]
-pub(crate) unsafe fn decode_in_place(label: &[u8], width: usize) -> Vec<crate::LabelEntry> {
+pub(crate) unsafe fn decode_in_place(label: &[u8], widths: Widths) -> Vec<crate::LabelEntry> {
     let Some(hubs) = label.first_chunk::<8>().map(|w| u64::from_le_bytes(*w)) else {
         return Vec::new();
     };
@@ -389,11 +416,11 @@ pub(crate) unsafe fn decode_in_place(label: &[u8], width: usize) -> Vec<crate::L
     while rest != 0 {
         let rank = (hubs & ((rest & rest.wrapping_neg()) - 1)).count_ones() as usize;
         // SAFETY: `rank` counts the set bits below a set bit.
-        let dist = unsafe { hub_dist(label, rank, width) } as Dist;
+        let dist = unsafe { hub_dist(label, rank, widths.hub_bits) } as Dist;
         entries.push(crate::LabelEntry::new(rest.trailing_zeros(), dist));
         rest &= rest - 1;
     }
-    let mut tail = Tail::after_hubs(label, hubs, width);
+    let mut tail = Tail::after_hubs(label, hubs, widths);
     // SAFETY: only `next` moves `tail`.
     while unsafe { tail.next() } {
         entries.push(crate::LabelEntry::new(tail.pivot, tail.dist));
@@ -562,8 +589,8 @@ mod tests {
         // (no overflow panic, no giant allocation).
         for bogus_n in [u64::MAX, 1 << 61, 1 << 40] {
             let mut crafted = Vec::new();
-            crafted.extend_from_slice(b"HOPIDX02");
-            crafted.extend_from_slice(&[1, 1, 0, 0]);
+            crafted.extend_from_slice(b"HOPIDX03");
+            crafted.extend_from_slice(&[1, 8, 0, 0]);
             crafted.extend_from_slice(&bogus_n.to_le_bytes());
             crafted.extend_from_slice(&[0u8; 16]);
             assert!(FlatIndex::from_hopidx_bytes(&crafted).is_err(), "n = {bogus_n}");

@@ -1,20 +1,25 @@
-//! `HOPIDX02` — the one index image: what `hopdb-cli build` writes,
+//! `HOPIDX03` — the one index image: what `hopdb-cli build` writes,
 //! what every reader opens, and (because [`crate::flat::FlatIndex`]
 //! serves the file's bytes in place) what a daemon holds resident.
 //!
 //! ```text
-//! magic "HOPIDX02" | directed u8 | width u8 | records u8 | 0 | n u64   20 bytes
+//! magic "HOPIDX03" | directed u8 | bits u8 | records u8 | shift u8 | n u64   20 bytes
 //! out directory   (n+1) × u32 LE   byte offsets into the out labels
 //! in  directory   (n+1) × u32 LE   directed images only
 //! out labels | in labels           slot v = region[dir[v]..dir[v+1]]
 //! CRC-32 u32 LE                    of every byte before it
 //!
+//! shift := tail shift (0–32) in bits 0–5, their parity in bit 7
 //! slot  := label
 //!        | record                                  only when `records` is 1
 //! label := ""                                      no entries: zero bytes
 //!        | hubs u64 LE                             bit p set ⇔ pivot p < 64 present
-//!          popcount(hubs) × dist, `width` bytes LE in ascending pivot order
-//!          (varint(pivot − previous − 1), varint(dist))*   pivots ≥ 64, ascending,
+//!          popcount(hubs) × dist, `bits` each      4, 8, 16 or 32, ascending pivot
+//!                                                  order, LE; at 4 two to a byte,
+//!                                                  low nibble first, an odd count
+//!                                                  padded with a zero nibble
+//!          varint((pivot − previous − 1) << shift | dist)*
+//!                                                  pivots ≥ 64, ascending,
 //!                                                  "previous" starting at 63
 //! record := (varint(parent) varint(offset)){1,2}  1–7 bytes, so never a label;
 //!                                                  parents ascending
@@ -22,18 +27,40 @@
 //!
 //! Vertices are rank-relabeled, so the pivots below 64 are the 64
 //! top-ranked vertices of the graph — the handful that Table 7 of the
-//! paper shows covering most label entries (58–74 % of all entries on
+//! paper shows covering most label entries (54–74 % of all entries on
 //! the three benchmark graphs). For them a label spends one bit on the
-//! pivot and `width` bytes on the distance; `width` is 1 unless the
-//! image's largest hub distance needs 2 or 4 bytes, and the writer
-//! picks it from the data. Every other entry is two LEB128 varints
-//! (7 bits per byte, low group first, high bit = "more"); rank order
-//! keeps the gaps small, 1.2–1.4 bytes each on those graphs.
+//! pivot and `bits` on the distance. A scale-free graph's hubs are a few
+//! hops from everything (the largest hub distance is 4 / 6 / 4 on the
+//! three graphs hopbench builds), so `bits` is 4 unless the image's
+//! largest hub distance needs 8, 16 or 32; the writer picks it from the
+//! data. Every other entry is one LEB128 varint (7 bits per byte, low
+//! group first, high bit = "more") holding the pivot gap above the
+//! distance's `shift` bits, where `shift` is the bit length of the
+//! image's largest tail distance (3 on all three graphs, whose largest
+//! are 6 / 7 / 6), picked the same way. Rank order keeps the gaps
+//! small: 1.57–1.68 bytes an entry on those graphs, where a varint for
+//! the gap and another for the distance took 2.2–2.3.
+//!
+//! Where the bytes go, per vertex, on those graphs:
+//!
+//! ```text
+//!                           und-mem-read   dir-ext-read   und-mem-writes
+//!  directories (4 a side)       4.00           8.00           4.00
+//!  hub words                    4.74           4.95           4.80
+//!  hub distances                6.37           5.04           6.18
+//!  tail entries                16.35           5.77          12.87
+//!  records                      2.16           2.77           2.09
+//!  whole image                 33.63          26.53          29.94
+//! ```
 //!
 //! 64 is a constant, not a parameter. Measured with the format
 //! generalised to `W` hub words, on the three graphs hopbench builds
 //! (bytes per vertex for the whole image; ns per uniform / hub pair,
-//! single thread, minimum of 15 passes of 65 536 pairs):
+//! single thread, minimum of 15 passes of 65 536 pairs). The table
+//! predates derivation and this format: it was measured on the previous
+//! format's images without records (byte-wide hub distances, two
+//! varints a tail entry), so its ordering carries over and its figures
+//! do not:
 //!
 //! ```text
 //!        bytes per vertex                  uniform / hub ns
@@ -74,10 +101,9 @@
 //!                          und-mem-read    dir-ext-read    und-mem-writes
 //!  derived leaves               0         5 981 / 12 000         0
 //!  derived with two        6 514 / 16 000      2 309        3 997 / 10 000
-//!  no records                 62.58            65.43           54.70
-//!  leaves derived             62.58            42.94           54.70
-//!  leaves and two derived     46.29            33.32           40.61
-//!    of which records          2.16             2.77            2.09
+//!  no records                 44.72           50.49           39.56
+//!  leaves and two derived     33.63           26.53           29.94
+//!    of which records          2.16            2.77            2.09
 //! ```
 //!
 //! The density-4 graphs have no leaf, but every vertex with two
@@ -105,37 +131,49 @@
 //!   regions they span plus the trailer are exactly the file.** So
 //!   `region[dir[v]..dir[v + 1]]` is in bounds for every `v < n`, and
 //!   no byte of the file is unaccounted for.
-//! * **A label is empty or at least 8 bytes, with `8 + width ·
-//!   popcount(hubs) ≤ len`.** The hub word and the distance of every
-//!   set bit can be loaded without a length check. A slot of 1–7 bytes
-//!   is a record under the `records` flag and an error without it, and
-//!   the flag is set only on an image that has a record.
-//! * **A record is one or two pairs of complete varints filling its
-//!   slot; each parent a vertex `< n` other than its own, whose slot on
-//!   the same side is not a record, each offset below `INF_DIST`, and a
+//! * **The flags word holds a hub width of 4, 8, 16 or 32 bits and a
+//!   tail shift of at most 32 under its parity bit.** The in-place
+//!   reader's distance loads and its split of a tail varint know no
+//!   other values. No single-bit flip of the width (a power of two) or
+//!   of the shift byte is another valid byte, so the disk reader, which
+//!   checks no CRC, still refuses every flipped flags bit at open.
+//! * **A label is empty or at least 8 bytes, with `8 + ⌈bits ·
+//!   popcount(hubs) / 8⌉ ≤ len`, and at 4 bits an odd count's pad
+//!   nibble is zero.** The hub word and the distance of every set bit
+//!   can be loaded without a length check, and a label has one
+//!   encoding. A slot of 1–7 bytes is a record under the `records` flag
+//!   and an error without it, and the flag is set only on an image that
+//!   has a record.
+//! * **A record is one or two pairs of complete varints of at most 5
+//!   bytes and 32 bits filling its slot; each parent a vertex `< n`
+//!   other than its own, whose slot on the same side is not a record, each offset below `INF_DIST`, and a
 //!   second parent above the first.** The in-place reader decodes it
 //!   without checks, reads each parent's slot as a label, never resolves
 //!   a second level, and meets each parent once.
 //! * **No hub bit `≥ n`, tail pivots `< n`.** Every pivot an
 //!   in-place walk reports is a vertex id (the shard cutter indexes a
 //!   histogram with them).
-//! * **Every varint is complete inside its label, at most 5 bytes,
-//!   at most 32 bits.** A varint read needs no end-of-label check per
-//!   byte and cannot overflow a `u32` shift.
-//! * **The tail is whole `(gap, dist)` pairs ending exactly at the
-//!   label's end.** The merge loop compares its cursor with the end
-//!   once per entry, before the entry, and never inside one.
+//! * **Every varint is complete inside its label, at most 10 bytes,
+//!   at most 64 bits.** A varint read needs no end-of-label check per
+//!   byte and cannot overflow a `u64` shift.
+//! * **The tail is whole varints ending exactly at the label's end.**
+//!   The merge loop compares its cursor with the end once per entry,
+//!   before the entry, and never inside one.
 //! * **Tail pivots strictly increase from 64.** Guaranteed by the
 //!   `gap − 1` encoding itself as long as the sum stays below `n`,
-//!   which is checked in 64-bit arithmetic so a crafted gap cannot
-//!   wrap back onto a hub or onto its predecessor.
+//!   which is checked in saturating 64-bit arithmetic (a gap reaches
+//!   2⁶⁴ − 1 at shift 0) so a crafted gap cannot wrap back onto a hub
+//!   or onto its predecessor.
 //!
 //! ## Limits
 //!
 //! Offsets are `u32`, so one side's labels may span at most 4 GiB − 1
-//! bytes — at the ~4 bytes an entry costs, a billion entries. Past
-//! that [`LabelIndex::write_hopidx`] returns `InvalidInput` ("… exceed
-//! the 4 GiB a HOPIDX02 directory addresses") before writing a label.
+//! bytes — at the 1.2 bytes a label entry costs on the benchmark
+//! graphs, over three billion entries. Past that
+//! [`LabelIndex::write_hopidx`] returns `InvalidInput` ("… exceed the
+//! 4 GiB a HOPIDX03 directory addresses") before writing a label. Any
+//! distance fits: the widths grow to 32 bits, and a tail word of a
+//! 32-bit gap above a 32-bit distance is a 10-byte varint.
 //! `n` is bounded by `u32::MAX`, vertex ids being `u32`.
 //!
 //! A record has at most 7 bytes. Past 16 384 vertices a parent id takes
@@ -146,7 +184,9 @@
 //! limit, e.g. with a length byte instead of "shorter than a hub word".
 //!
 //! `HOPIDX01` (raw `(u32, u32)` pairs, `u64` entry-count offsets, no
-//! checksum) has no reader: it is refused by name and must be rebuilt.
+//! checksum) and `HOPIDX02` (this layout with byte-wide hub distances
+//! and a varint each for a tail entry's gap and distance) have no
+//! reader: each is refused by name and must be rebuilt.
 
 #![cfg_attr(
     not(test),
@@ -171,8 +211,9 @@ use sfgraph::{Dist, VertexId, INF_DIST};
 use crate::entry::LabelEntry;
 use crate::index::{LabelIndex, Record, VertexLabels};
 
-const MAGIC: &[u8; 8] = b"HOPIDX02";
-const OLD_MAGIC: &[u8; 8] = b"HOPIDX01";
+const MAGIC: &[u8; 8] = b"HOPIDX03";
+/// Earlier formats: no reader, each refused by name.
+const OLD_MAGICS: [&[u8; 8]; 2] = [b"HOPIDX01", b"HOPIDX02"];
 /// Pivots below this are a bit in the label's hub word.
 pub(crate) const HUBS: VertexId = 64;
 /// Magic, flags word, vertex count.
@@ -190,12 +231,63 @@ fn unwritable(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, msg)
 }
 
+/// How an image packs its label distances; the writer picks both from
+/// the data.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Widths {
+    /// Bits per hub distance: 4, 8, 16 or 32.
+    pub(crate) hub_bits: u32,
+    /// Low bits of a tail entry's varint that hold its distance: 0 to 32.
+    pub(crate) tail_shift: u32,
+}
+
+impl Widths {
+    /// The narrowest widths that hold every distance of `sides`.
+    fn of(sides: &[&[VertexLabels]]) -> Widths {
+        let (mut hub_max, mut tail_max) = (0, 0);
+        for l in sides.iter().flat_map(|side| side.iter()) {
+            let (hubs, tail) = hubs_and_tail(l.entries());
+            hub_max = hubs.iter().fold(hub_max, |max, e| e.dist.max(max));
+            tail_max = tail.fold(tail_max, |max, (_, dist)| dist.max(max));
+        }
+        let hub_bits = match hub_max {
+            0..=0xF => 4,
+            0x10..=0xFF => 8,
+            0x100..=0xFFFF => 16,
+            _ => 32,
+        };
+        Widths { hub_bits, tail_shift: Dist::BITS - tail_max.leading_zeros() }
+    }
+
+    /// Bytes the distances of `hubs` hub entries take.
+    #[inline(always)]
+    pub(crate) fn hub_bytes(self, hubs: usize) -> usize {
+        (hubs * self.hub_bits as usize).div_ceil(8)
+    }
+
+    /// A tail entry's varint from its `(pivot gap − 1, dist)`.
+    fn tail_word(self, gap: u32, dist: Dist) -> u64 {
+        (u64::from(gap) << self.tail_shift) | u64::from(dist)
+    }
+
+    /// A tail entry's `(pivot gap − 1, dist)` from its varint.
+    #[inline(always)]
+    pub(crate) fn split(self, word: u64) -> (u64, Dist) {
+        (word >> self.tail_shift, (word & ((1u64 << self.tail_shift) - 1)) as Dist)
+    }
+}
+
+/// Flags byte 11: the tail shift in bits 0–5, their parity in bit 7, so
+/// that no single-bit flip of the byte is another valid one.
+fn shift_byte(tail_shift: u8) -> u8 {
+    tail_shift | ((tail_shift.count_ones() as u8 & 1) << 7)
+}
+
 /// The fixed 20-byte prefix of an image.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Header {
     pub(crate) directed: bool,
-    /// Bytes per hub distance: 1, 2 or 4.
-    pub(crate) width: usize,
+    pub(crate) widths: Widths,
     /// Whether some slots hold a record instead of a label.
     pub(crate) records: bool,
     pub(crate) n: usize,
@@ -205,25 +297,35 @@ impl Header {
     /// Parse the prefix at the front of `bytes`.
     pub(crate) fn parse(bytes: &[u8]) -> io::Result<Header> {
         match bytes.first_chunk::<8>() {
-            Some(OLD_MAGIC) => {
-                return Err(bad("HOPIDX01 image: rebuild it with this version's hopdb-cli build"))
-            }
             Some(MAGIC) => {}
-            _ => return Err(bad("not a HOPIDX02 image")),
+            Some(old) if OLD_MAGICS.contains(&old) => {
+                let name = String::from_utf8_lossy(old);
+                return Err(bad(&format!(
+                    "{name} image: rebuild it with this version's hopdb-cli build"
+                )));
+            }
+            _ => return Err(bad("not a HOPIDX03 image")),
         }
-        let (Some([directed, width, records, 0]), Some(n)) =
+        let (Some([directed, hub_bits, records, shift]), Some(n)) =
             (wire::array_at::<4>(bytes, 8), wire::u64_at(bytes, 12))
         else {
-            return Err(bad("invalid HOPIDX02 flags word"));
+            return Err(bad("invalid HOPIDX03 flags word"));
         };
-        if directed > 1 || records > 1 || !matches!(width, 1 | 2 | 4) {
-            return Err(bad("invalid HOPIDX02 flags word"));
+        let tail_shift = shift & 0x3F;
+        if directed > 1
+            || records > 1
+            || !matches!(hub_bits, 4 | 8 | 16 | 32)
+            || tail_shift > 32
+            || shift_byte(tail_shift) != shift
+        {
+            return Err(bad("invalid HOPIDX03 flags word"));
         }
         let n = usize::try_from(n)
             .ok()
             .filter(|&n| n <= VertexId::MAX as usize)
             .ok_or_else(|| bad("vertex count exceeds the u32 id space"))?;
-        Ok(Header { directed: directed != 0, width: width as usize, records: records != 0, n })
+        let widths = Widths { hub_bits: hub_bits.into(), tail_shift: tail_shift.into() };
+        Ok(Header { directed: directed != 0, widths, records: records != 0, n })
     }
 
     fn sides(&self) -> usize {
@@ -309,18 +411,18 @@ fn check_directory(dir: &[u8]) -> io::Result<u32> {
     Ok(prev)
 }
 
-/// One LEB128 `u32` at `label[*at..]`, advancing `at`.
-fn varint(label: &[u8], at: &mut usize) -> io::Result<u32> {
-    let mut v = 0u32;
-    for group in 0..5 {
+/// One LEB128 `u64` at `label[*at..]`, advancing `at`.
+fn varint(label: &[u8], at: &mut usize) -> io::Result<u64> {
+    let mut v = 0u64;
+    for group in 0..10 {
         let b = wire::u8_at(label, *at).ok_or_else(|| bad("label ends inside a varint"))?;
         *at += 1;
-        // The fifth byte holds bits 28..32: anything above them, the
-        // continuation bit included, does not fit a u32.
-        if group == 4 && b > 0x0F {
-            return Err(bad("varint exceeds 32 bits"));
+        // The tenth byte holds bit 63: anything above it, the
+        // continuation bit included, does not fit a u64.
+        if group == 9 && b > 0x01 {
+            return Err(bad("varint exceeds 64 bits"));
         }
-        v |= u32::from(b & 0x7F) << (7 * group);
+        v |= u64::from(b & 0x7F) << (7 * group);
         if b < 0x80 {
             break;
         }
@@ -328,7 +430,17 @@ fn varint(label: &[u8], at: &mut usize) -> io::Result<u32> {
     Ok(v)
 }
 
-fn put_varint(mut v: u32, out: &mut Vec<u8>) {
+/// One varint of a record: at most 5 bytes and 32 bits.
+fn varint32(label: &[u8], at: &mut usize) -> io::Result<u32> {
+    let start = *at;
+    let v = varint(label, at)?;
+    u32::try_from(v)
+        .ok()
+        .filter(|_| *at - start <= 5)
+        .ok_or_else(|| bad("record varint exceeds 5 bytes or 32 bits"))
+}
+
+fn put_varint(mut v: u64, out: &mut Vec<u8>) {
     while v >= 0x80 {
         out.push(v as u8 | 0x80);
         v >>= 7;
@@ -336,12 +448,23 @@ fn put_varint(mut v: u32, out: &mut Vec<u8>) {
     out.push(v as u8);
 }
 
+/// Hub distance `rank` of the packed distances `dists`, or `None` past
+/// their end.
+fn hub_dist(dists: &[u8], rank: usize, bits: u32) -> Option<Dist> {
+    match bits {
+        4 => wire::u8_at(dists, rank / 2).map(|b| Dist::from((b >> (4 * (rank % 2))) & 0xF)),
+        8 => wire::u8_at(dists, rank).map(Dist::from),
+        16 => wire::array_at(dists, 2 * rank).map(|b| Dist::from(u16::from_le_bytes(b))),
+        _ => wire::u32_at(dists, 4 * rank),
+    }
+}
+
 /// The checked decoder: call `f(pivot, dist)` for every entry of one
 /// encoded label, in pivot order, enforcing every per-label rule of the
-/// module docs against `width` and `n`.
+/// module docs against `widths` and `n`.
 pub(crate) fn walk_label(
     label: &[u8],
-    width: usize,
+    widths: Widths,
     n: usize,
     mut f: impl FnMut(VertexId, Dist),
 ) -> io::Result<()> {
@@ -352,22 +475,23 @@ pub(crate) fn walk_label(
     if n < HUBS as usize && hubs >> n != 0 {
         return Err(bad("hub pivot out of range"));
     }
-    let mut at = 8usize;
+    let count = hubs.count_ones() as usize;
+    let tail_at = 8 + widths.hub_bytes(count);
+    let dists = label.get(8..tail_at).ok_or_else(|| bad("hub distances run past the label"))?;
+    if widths.hub_bits == 4 && count % 2 == 1 && dists.last().is_some_and(|&b| b >> 4 != 0) {
+        return Err(bad("non-zero pad nibble after the hub distances"));
+    }
     let mut rest = hubs;
-    while rest != 0 {
-        let dist = match width {
-            1 => wire::u8_at(label, at).map(Dist::from),
-            2 => wire::array_at(label, at).map(|b| Dist::from(u16::from_le_bytes(b))),
-            _ => wire::u32_at(label, at),
-        };
-        f(rest.trailing_zeros(), dist.ok_or_else(|| bad("hub distances run past the label"))?);
-        at += width;
+    for rank in 0..count {
+        let dist = hub_dist(dists, rank, widths.hub_bits)
+            .ok_or_else(|| bad("hub distances run past the label"))?;
+        f(rest.trailing_zeros(), dist);
         rest &= rest - 1;
     }
-    let mut pivot = u64::from(HUBS) - 1;
+    let (mut at, mut pivot) = (tail_at, u64::from(HUBS) - 1);
     while at < label.len() {
-        pivot += 1 + u64::from(varint(label, &mut at)?);
-        let dist = varint(label, &mut at)?;
+        let (gap, dist) = widths.split(varint(label, &mut at)?);
+        pivot = pivot.saturating_add(gap).saturating_add(1);
         if pivot >= n as u64 {
             return Err(bad("label pivot out of range"));
         }
@@ -404,7 +528,7 @@ fn read_record(label: &[u8], v: usize, n: usize) -> io::Result<Record> {
 /// One pair of the record in slot `v`, at `label[*at..]`: a parent that
 /// is another vertex, an offset below `INF_DIST`.
 fn read_pair(label: &[u8], at: &mut usize, v: usize, n: usize) -> io::Result<(VertexId, Dist)> {
-    let (parent, offset) = (varint(label, at)?, varint(label, at)?);
+    let (parent, offset) = (varint32(label, at)?, varint32(label, at)?);
     if parent as usize >= n || parent as usize == v {
         return Err(bad("record parent is not another vertex"));
     }
@@ -426,7 +550,7 @@ pub(crate) fn walk_slot(
     if header.records && is_record(label) {
         return read_record(label, v, header.n).map(Some);
     }
-    walk_label(label, header.width, header.n, f).map(|()| None)
+    walk_label(label, header.widths, header.n, f).map(|()| None)
 }
 
 /// Whether `record` has an encoding: offsets below `INF_DIST`, and
@@ -439,12 +563,15 @@ pub fn record_fits(record: &Record) -> bool {
 
 /// Bytes the pairs of a record take.
 fn record_len(pairs: &[(VertexId, Dist)]) -> usize {
-    pairs.iter().map(|&(parent, offset)| varint_len(parent) + varint_len(offset)).sum()
+    pairs
+        .iter()
+        .map(|&(parent, offset)| varint_len(parent.into()) + varint_len(offset.into()))
+        .sum()
 }
 
-fn varint_len(v: u32) -> usize {
+fn varint_len(v: u64) -> usize {
     // One byte per started group of 7 significant bits; zero takes one.
-    (38 - (v | 1).leading_zeros() as usize) / 7
+    (70 - (v | 1).leading_zeros() as usize) / 7
 }
 
 /// Split a label (sorted by pivot, pivots unique — the [`VertexLabels`]
@@ -459,7 +586,7 @@ fn hubs_and_tail(
 }
 
 /// Bytes [`encode_label`] appends for this slot.
-fn encoded_len(label: &VertexLabels, width: usize) -> usize {
+fn encoded_len(label: &VertexLabels, widths: Widths) -> usize {
     if let Some(r) = label.record() {
         return record_len(r.pairs());
     }
@@ -467,16 +594,16 @@ fn encoded_len(label: &VertexLabels, width: usize) -> usize {
         return 0;
     }
     let (hubs, tail) = hubs_and_tail(label.entries());
-    8 + width * hubs.len()
-        + tail.map(|(gap, dist)| varint_len(gap) + varint_len(dist)).sum::<usize>()
+    8 + widths.hub_bytes(hubs.len())
+        + tail.map(|(gap, dist)| varint_len(widths.tail_word(gap, dist))).sum::<usize>()
 }
 
 /// The encoder: append one slot — a record or a label — to `out`.
-pub(crate) fn encode_label(label: &VertexLabels, width: usize, out: &mut Vec<u8>) {
+pub(crate) fn encode_label(label: &VertexLabels, widths: Widths, out: &mut Vec<u8>) {
     if let Some(r) = label.record() {
         for &(parent, offset) in r.pairs() {
-            put_varint(parent, out);
-            put_varint(offset, out);
+            put_varint(parent.into(), out);
+            put_varint(offset.into(), out);
         }
         return;
     }
@@ -486,29 +613,18 @@ pub(crate) fn encode_label(label: &VertexLabels, width: usize, out: &mut Vec<u8>
     let (hubs, tail) = hubs_and_tail(label.entries());
     let word = hubs.iter().fold(0u64, |w, e| w | 1 << e.pivot);
     out.extend_from_slice(&word.to_le_bytes());
-    for e in hubs {
-        match width {
-            1 => out.push(e.dist as u8),
-            2 => out.extend_from_slice(&(e.dist as u16).to_le_bytes()),
-            _ => out.extend_from_slice(&e.dist.to_le_bytes()),
-        }
+    match widths.hub_bits {
+        // Two to a byte, low nibble first; an odd count pads with zero.
+        4 => out.extend(
+            hubs.chunks(2)
+                .map(|pair| pair.iter().rev().fold(0u8, |byte, e| (byte << 4) | e.dist as u8)),
+        ),
+        8 => out.extend(hubs.iter().map(|e| e.dist as u8)),
+        16 => out.extend(hubs.iter().flat_map(|e| (e.dist as u16).to_le_bytes())),
+        _ => out.extend(hubs.iter().flat_map(|e| e.dist.to_le_bytes())),
     }
     for (gap, dist) in tail {
-        put_varint(gap, out);
-        put_varint(dist, out);
-    }
-}
-
-/// The smallest hub-distance width that holds every hub distance.
-fn hub_width(sides: &[&[VertexLabels]]) -> usize {
-    let hub_dists = sides
-        .iter()
-        .flat_map(|side| side.iter())
-        .flat_map(|l| hubs_and_tail(l.entries()).0.iter().map(|e| e.dist));
-    match hub_dists.max().unwrap_or(0) {
-        0..=0xFF => 1,
-        0x100..=0xFFFF => 2,
-        _ => 4,
+        put_varint(widths.tail_word(gap, dist), out);
     }
 }
 
@@ -539,9 +655,9 @@ impl<W: Write> ImageWriter<'_, W> {
 }
 
 impl LabelIndex {
-    /// Serialize the index as a `HOPIDX02` image into `w` — the only
-    /// serializer of the format. A scan of the hub entries for the
-    /// distance width, then two passes over the labels (sizes for the
+    /// Serialize the index as a `HOPIDX03` image into `w` — the only
+    /// serializer of the format. A scan of the entries for the distance
+    /// widths, then two passes over the labels (sizes for the
     /// directories, then bytes) through a fixed-size buffer, the CRC
     /// folded in as the bytes go: the external build bounds its
     /// memory, and writing its result must not double the index.
@@ -551,7 +667,7 @@ impl LabelIndex {
     /// pass.
     pub fn write_hopidx(&self, w: &mut impl Write) -> io::Result<u64> {
         let sides = self.sides();
-        let (n, width) = (self.num_vertices(), hub_width(&sides));
+        let (n, widths) = (self.num_vertices(), Widths::of(&sides));
         let records = sides.iter().flat_map(|side| side.iter()).any(|l| l.record().is_some());
         let mut image = ImageWriter {
             w,
@@ -560,7 +676,10 @@ impl LabelIndex {
             len: 0,
         };
         image.buf.extend_from_slice(MAGIC);
-        image.buf.extend_from_slice(&[self.is_directed() as u8, width as u8, records as u8, 0]);
+        let Widths { hub_bits, tail_shift } = widths;
+        let flags =
+            [self.is_directed() as u8, hub_bits as u8, records as u8, shift_byte(tail_shift as u8)];
+        image.buf.extend_from_slice(&flags);
         image.buf.extend_from_slice(&(n as u64).to_le_bytes());
         for side in &sides {
             let mut at = 0u32;
@@ -582,12 +701,12 @@ impl LabelIndex {
                         ));
                     }
                 }
-                at = u32::try_from(encoded_len(l, width))
+                at = u32::try_from(encoded_len(l, widths))
                     .ok()
                     .and_then(|len| at.checked_add(len))
                     .ok_or_else(|| {
                         unwritable(
-                            "one side's labels exceed the 4 GiB a HOPIDX02 directory addresses",
+                            "one side's labels exceed the 4 GiB a HOPIDX03 directory addresses",
                         )
                     })?;
                 image.buf.extend_from_slice(&at.to_le_bytes());
@@ -595,7 +714,7 @@ impl LabelIndex {
             }
         }
         for l in sides.iter().flat_map(|side| side.iter()) {
-            encode_label(l, width, &mut image.buf);
+            encode_label(l, widths, &mut image.buf);
             image.drain(WRITE_BUFFER_BYTES)?;
         }
         image.drain(0)?;
@@ -613,9 +732,9 @@ pub(crate) fn validate(bytes: &[u8]) -> io::Result<(Layout, usize)> {
     // to rebuild, not that it is corrupt.
     Header::parse(bytes)?;
     let body_len = bytes.len().saturating_sub(CRC_LEN);
-    let stored = wire::u32_at(bytes, body_len).ok_or_else(|| bad("truncated HOPIDX02 image"))?;
+    let stored = wire::u32_at(bytes, body_len).ok_or_else(|| bad("truncated HOPIDX03 image"))?;
     if bytes.get(..body_len).map(wire::crc32) != Some(stored) {
-        return Err(bad("HOPIDX02 checksum mismatch"));
+        return Err(bad("HOPIDX03 checksum mismatch"));
     }
     let layout = Layout::parse(bytes, bytes.len() as u64)?;
     let header = layout.header;
@@ -677,39 +796,41 @@ mod tests {
         VertexLabels::from_entries(entries.iter().map(|&(p, d)| LabelEntry::new(p, d)).collect())
     }
 
-    /// Encode `label` at the width the writer would pick for it, then
+    /// Encode `label` at the widths the writer would pick for it, then
     /// read it back both ways: the checked decoder, and — once that has
-    /// accepted it — the in-place cursor queries use. Returns the width.
-    fn assert_roundtrip(label: &VertexLabels, n: usize) -> usize {
-        let width = hub_width(&[std::slice::from_ref(label)]);
+    /// accepted it — the in-place cursor queries use. Returns the widths.
+    fn assert_roundtrip(label: &VertexLabels, n: usize) -> Widths {
+        let widths = Widths::of(&[std::slice::from_ref(label)]);
         let mut bytes = Vec::new();
-        encode_label(label, width, &mut bytes);
+        encode_label(label, widths, &mut bytes);
+        assert_eq!(bytes.len(), encoded_len(label, widths));
         assert_eq!(bytes.is_empty(), label.is_empty(), "an empty label is zero bytes");
         let mut decoded = Vec::new();
-        walk_label(&bytes, width, n, |p, d| decoded.push(LabelEntry::new(p, d))).unwrap();
+        walk_label(&bytes, widths, n, |p, d| decoded.push(LabelEntry::new(p, d))).unwrap();
         assert_eq!(decoded, label.entries(), "checked decode, n = {n}");
-        // SAFETY: `walk_label` has just accepted `bytes` at `width`.
-        let in_place = unsafe { decode_in_place(&bytes, width) };
+        // SAFETY: `walk_label` has just accepted `bytes` at `widths`.
+        let in_place = unsafe { decode_in_place(&bytes, widths) };
         assert_eq!(in_place, label.entries(), "in place, n = {n}");
-        width
+        widths
     }
 
     #[test]
     fn labels_round_trip_at_every_shape() {
         let all_hubs: Vec<_> = (0..64).map(|p| (p, p + 1)).collect();
         let all_tail: Vec<_> = (64..200).map(|p| (p, 3)).collect();
-        // One hub, then gaps whose `gap − 1` needs 1, 2, 3, 4 and 5
-        // varint bytes.
+        // One hub, then tail entries at distance 2 (shift 2) whose
+        // `gap − 1` makes a varint of 1, 2, 3, 4 and 5 bytes.
         let mut gaps = vec![(63, 1)];
-        for (i, gap) in [1u32, 1 + (1 << 7), 1 + (1 << 14), 1 + (1 << 21), 1 + (1 << 28)]
+        for (i, gap) in [1u32, 1 + (1 << 5), 1 + (1 << 12), 1 + (1 << 19), 1 + (1 << 26)]
             .into_iter()
             .enumerate()
         {
             gaps.push((gaps[i].0 + gap, 2));
         }
+        let widths = Widths { hub_bits: 4, tail_shift: 2 };
         let mut bytes = Vec::new();
-        encode_label(&label_of(&gaps), 1, &mut bytes);
-        assert_eq!(bytes.len(), 8 + 1 + (1 + 2 + 3 + 4 + 5) + 5);
+        encode_label(&label_of(&gaps), widths, &mut bytes);
+        assert_eq!(bytes.len(), 8 + 1 + (1 + 2 + 3 + 4 + 5));
         for (entries, n) in [
             (vec![], 0),
             (vec![], 1),
@@ -719,22 +840,96 @@ mod tests {
             (all_hubs.iter().copied().chain([(64, 9)]).collect(), 65),
             (all_tail, 70_000),
             (vec![(69_999, 1)], 70_000),
-            (gaps, u32::MAX as usize),
+            // Ending in a two-byte varint (word 100 << 1 | 1).
+            (vec![(63, 1), (164, 1)], 70_000),
             (vec![(u32::MAX - 1, 1)], u32::MAX as usize),
         ] {
-            assert_eq!(assert_roundtrip(&label_of(&entries), n), 1);
+            assert_roundtrip(&label_of(&entries), n);
+        }
+        assert_eq!(assert_roundtrip(&label_of(&gaps), u32::MAX as usize), widths);
+    }
+
+    #[test]
+    fn distances_pick_the_hub_width_and_the_tail_shift() {
+        for (dist, bits) in [
+            (0, 4),
+            (15, 4),
+            (16, 8),
+            (255, 8),
+            (256, 16),
+            (65_535, 16),
+            (65_536, 32),
+            (INF_DIST - 1, 32),
+        ] {
+            let hub = label_of(&[(0, 1), (7, dist), (63, 0), (64, 2)]);
+            let widths = assert_roundtrip(&hub, 100);
+            assert_eq!(widths, Widths { hub_bits: bits, tail_shift: 2 }, "hub distance {dist}");
+        }
+        for (dist, shift) in [(0, 0), (1, 1), (7, 3), (8, 4), (INF_DIST - 1, 32)] {
+            let tail = label_of(&[(5, 1), (64, dist), (90, dist)]);
+            let widths = assert_roundtrip(&tail, 100);
+            assert_eq!(widths, Widths { hub_bits: 4, tail_shift: shift }, "tail distance {dist}");
+        }
+        // Two 4-bit distances to a byte, low nibble first; an odd count
+        // pads the last byte's high nibble with zero.
+        let mut bytes = Vec::new();
+        encode_label(&label_of(&[(0, 1), (1, 2), (2, 3)]), Widths::of(&[]), &mut bytes);
+        assert_eq!(bytes, [&0b111u64.to_le_bytes()[..], &[0x21, 0x03]].concat());
+    }
+
+    #[test]
+    fn tail_varints_round_trip_at_every_length_step() {
+        // At shifts 0, 3 and 32, a tail word on each side of every
+        // varint-length step that a pivot below `u32::MAX` reaches:
+        // 2^(7m) − 1 takes m bytes and 2^(7m) takes m + 1, up to the
+        // 10-byte varint of 2^63.
+        for shift in [0u32, 3, 32] {
+            // A last entry at gap 0 whose distance has `shift` bits pins
+            // the shift.
+            let pin = (1u64 << shift) >> 1;
+            for m in 1..=9 {
+                for (word, len) in [((1u64 << (7 * m)) - 1, m), (1 << (7 * m), m + 1)] {
+                    let (gap, dist) = Widths { hub_bits: 4, tail_shift: shift }.split(word);
+                    let Some(pivot) = u32::try_from(gap + 64).ok().filter(|&p| p < u32::MAX - 1)
+                    else {
+                        continue;
+                    };
+                    let label = label_of(&[(0, 1), (pivot, dist), (pivot + 1, pin as Dist)]);
+                    let widths = assert_roundtrip(&label, u32::MAX as usize);
+                    assert_eq!(widths.tail_shift, shift, "word {word:#x}");
+                    assert_eq!(
+                        encoded_len(&label, widths),
+                        8 + 1 + len + varint_len(pin),
+                        "word {word:#x} at shift {shift}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
-    fn hub_distances_pick_the_width_and_tail_distances_do_not() {
-        for (dist, width) in
-            [(254, 1), (255, 1), (256, 2), (65_535, 2), (65_536, 4), (INF_DIST - 1, 4)]
+    fn no_single_bit_flip_of_a_width_byte_is_another_valid_one() {
+        // The disk reader reads no CRC: byte 9 (the hub width) and byte
+        // 11 (the tail shift) must refuse every flip of every value the
+        // writer can produce.
+        for (bits, shift) in
+            [4u8, 8, 16, 32].into_iter().flat_map(|b| (0..=32).map(move |s| (b, s)))
         {
-            let hub = label_of(&[(0, 1), (7, dist), (63, 0), (64, 2)]);
-            assert_eq!(assert_roundtrip(&hub, 100), width, "hub distance {dist}");
-            let tail = label_of(&[(5, 1), (64, dist), (90, dist)]);
-            assert_eq!(assert_roundtrip(&tail, 100), 1, "tail distance {dist}");
+            let mut prefix = MAGIC.to_vec();
+            prefix.extend_from_slice(&[0, bits, 0, shift_byte(shift)]);
+            prefix.extend_from_slice(&1u64.to_le_bytes());
+            let header = Header::parse(&prefix).unwrap();
+            assert_eq!(header.widths, Widths { hub_bits: bits.into(), tail_shift: shift.into() });
+            for (byte, bit) in
+                [9, 11].into_iter().flat_map(|byte| (0..8).map(move |bit| (byte, bit)))
+            {
+                let mut flipped = prefix.clone();
+                flipped[byte] ^= 1 << bit;
+                assert!(
+                    Header::parse(&flipped).is_err(),
+                    "bits {bits} shift {shift}: byte {byte} bit {bit}"
+                );
+            }
         }
     }
 
@@ -868,22 +1063,34 @@ mod tests {
     #[test]
     fn the_old_format_is_refused_by_name() {
         // A complete, well-formed HOPIDX01 image of one isolated vertex.
-        let mut old = Vec::new();
-        old.extend_from_slice(b"HOPIDX01");
-        old.extend_from_slice(&[0, 0, 0, 0]);
-        old.extend_from_slice(&1u64.to_le_bytes());
-        old.extend_from_slice(&0u64.to_le_bytes());
-        old.extend_from_slice(&1u64.to_le_bytes());
-        old.extend_from_slice(&[0u8; 8]);
-        for err in [
-            Header::parse(&old).unwrap_err(),
-            validate(&old).unwrap_err(),
-            FlatIndex::from_hopidx_bytes(&old).unwrap_err(),
-            crate::shard::shard_image(&old, 2).unwrap_err(),
-        ] {
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            assert!(err.to_string().contains("HOPIDX01") && err.to_string().contains("rebuild"));
+        let mut v01 = Vec::new();
+        v01.extend_from_slice(b"HOPIDX01");
+        v01.extend_from_slice(&[0, 0, 0, 0]);
+        v01.extend_from_slice(&1u64.to_le_bytes());
+        v01.extend_from_slice(&0u64.to_le_bytes());
+        v01.extend_from_slice(&1u64.to_le_bytes());
+        v01.extend_from_slice(&[0u8; 8]);
+        // And a HOPIDX02 one: byte-wide hub distances, a zero reserved
+        // byte, a two-slot directory, its CRC.
+        let mut v02 = b"HOPIDX02".to_vec();
+        v02.extend_from_slice(&[0, 1, 0, 0]);
+        v02.extend_from_slice(&1u64.to_le_bytes());
+        v02.extend_from_slice(&[0u8; 8]);
+        v02.extend_from_slice(&wire::crc32(&v02).to_le_bytes());
+        for (old, name) in [(&v01, "HOPIDX01"), (&v02, "HOPIDX02")] {
+            for err in [
+                Header::parse(old).unwrap_err(),
+                validate(old).unwrap_err(),
+                FlatIndex::from_hopidx_bytes(old).unwrap_err(),
+                crate::shard::shard_image(old, 2).unwrap_err(),
+            ] {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                let msg = err.to_string();
+                assert!(msg.starts_with(name) && msg.contains("rebuild"), "{msg}");
+            }
         }
-        assert!(!validate(b"HOPIDX03........").unwrap_err().to_string().contains("HOPIDX01"));
+        for junk in [&b"HOPIDX03........"[..], b"HOPIDX04........"] {
+            assert!(!validate(junk).unwrap_err().to_string().contains("rebuild"));
+        }
     }
 }

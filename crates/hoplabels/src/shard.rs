@@ -12,13 +12,14 @@
 //! because each candidate pivot contributes to exactly one shard-local
 //! join and `INF_DIST` (`u32::MAX`) is the identity of `min`. Each
 //! shard produced by [`shard_image`] is itself a complete, valid
-//! `HOPIDX02` image over the *same* vertex set (same `n`, same
+//! `HOPIDX03` image over the *same* vertex set (same `n`, same
 //! direction flag) — it loads with `FlatIndex::load` and serves with an
 //! unmodified `hopdb-server` daemon; only the label entries whose pivot
 //! falls in the shard's range are retained. The cutter reads the source
 //! through [`crate::image`]'s checked decoder and writes every shard
 //! with the one writer, so a shard past the 64 hub pivots is all tail
-//! and picks its own hub-distance width like any other image.
+//! and picks its own hub-distance width and tail shift like any other
+//! image.
 //!
 //! Range boundaries are chosen by entry count, not vertex count: the
 //! rank convention front-loads label mass onto the few top-ranked

@@ -4,7 +4,7 @@
 //!
 //! The serving process the paper's sub-microsecond query path deserves:
 //! a TCP daemon speaking a small length-prefixed binary protocol
-//! ([`proto`]), booting from a serialized `HOPIDX02` index image that
+//! ([`proto`]), booting from a serialized `HOPIDX03` index image that
 //! [`hoplabels::flat::FlatIndex`] validates and then serves in place
 //! (falling back to the disk-resident LRU path when the file exceeds
 //! an admission budget), fanning request batches across `FlatIndex::query_many`'s

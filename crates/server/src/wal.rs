@@ -32,7 +32,7 @@
 //! files from different lineages and recovery refuses to guess.
 //!
 //! A checkpoint is three artifacts under one epoch name
-//! ([`checkpoint_image_name`]): the `HOPIDX02` image `ckpt-<epoch>.idx`,
+//! ([`checkpoint_image_name`]): the `HOPIDX03` image `ckpt-<epoch>.idx`,
 //! its `.rank` id-translation sidecar, and its `.edges` sibling — every
 //! edge the lineage accepted and the image folds in, in the record
 //! framing above ([`encode_folded`], [`read_folded`]). A compaction
@@ -524,7 +524,7 @@ fn sync_parent_dir(path: &Path) {
 pub struct Manifest {
     /// Checkpoint epoch; a fresh lineage starts at 0.
     pub epoch: u64,
-    /// Index image (`HOPIDX02`) this epoch boots from; a `.rank`
+    /// Index image (`HOPIDX03`) this epoch boots from; a `.rank`
     /// sidecar next to it is honored exactly like at first boot, and an
     /// `.edges` sibling is read back by [`read_folded`].
     pub index_path: PathBuf,

@@ -3,7 +3,7 @@
 //!
 //! * the shard ranges tile `[0, n)` exactly — every pivot (and so
 //!   every label entry) is owned by exactly one shard;
-//! * every shard is a complete, loadable `HOPIDX02` image over the
+//! * every shard is a complete, loadable `HOPIDX03` image over the
 //!   full vertex set;
 //! * min-merging the per-shard `FlatIndex::query_many` answers equals
 //!   `FlatIndex::query_many` on the unsharded image, pair for pair;

@@ -14,7 +14,7 @@ use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
 use hop_doubling::sfgraph::traversal::bfs;
 use hop_doubling::sfgraph::{Direction, Graph, VertexId};
 
-/// The index's `HOPIDX02` image, from the one serializer.
+/// The index's `HOPIDX03` image, from the one serializer.
 fn serialized(index: &hop_doubling::hoplabels::LabelIndex) -> Vec<u8> {
     let mut bytes = Vec::new();
     index.write_hopidx(&mut bytes).unwrap();

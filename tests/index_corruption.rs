@@ -1,4 +1,4 @@
-//! Corruption corpus for the `HOPIDX02` image. `FlatIndex` serves the
+//! Corruption corpus for the `HOPIDX03` image. `FlatIndex` serves the
 //! file's bytes in place with unchecked reads, so its loader must be
 //! total: every truncation and every single-bit flip of a valid image
 //! is a clean `Err` (the CRC-32 trailer sees to random damage), and so
@@ -71,8 +71,9 @@ fn trailing_garbage_is_a_clean_error() {
 
 #[test]
 fn every_fixed_header_bit_flip_is_a_clean_error() {
-    // Magic, flags word (directed, hub-distance width, reserved), and
-    // the vertex count: every single-bit flip must be rejected.
+    // Magic, flags word (directed, hub-distance bits, records, tail
+    // shift), and the vertex count: every single-bit flip must be
+    // rejected.
     for directed in [false, true] {
         let image = serialized_image(directed);
         for byte in 0..FIXED_HEADER {
@@ -113,10 +114,12 @@ fn every_single_bit_flip_is_a_clean_error() {
     }
 }
 
-/// A `HOPIDX02` image assembled from parts and sealed with a *valid*
+/// A `HOPIDX03` image assembled from parts and sealed with a *valid*
 /// CRC, so only the structural rules stand between it and a query.
+/// `flags` is the flags word: directed, hub-distance bits, records, tail
+/// shift byte ([`shift_byte`]).
 fn craft(flags: [u8; 4], n: u64, dirs: &[&[u32]], labels: &[u8]) -> Vec<u8> {
-    let mut image = b"HOPIDX02".to_vec();
+    let mut image = b"HOPIDX03".to_vec();
     image.extend_from_slice(&flags);
     image.extend_from_slice(&n.to_le_bytes());
     for off in dirs.iter().flat_map(|dir| dir.iter()) {
@@ -128,12 +131,30 @@ fn craft(flags: [u8; 4], n: u64, dirs: &[&[u32]], labels: &[u8]) -> Vec<u8> {
     image
 }
 
-/// An undirected width-1 image of `n` vertices where vertex 0 carries
-/// `label` and every other label is empty.
-fn one_label(n: u32, label: &[u8]) -> Vec<u8> {
+/// The flags word's last byte: tail shift `shift` in bits 0–5, their
+/// parity in bit 7.
+fn shift_byte(shift: u8) -> u8 {
+    shift | ((shift.count_ones() as u8 & 1) << 7)
+}
+
+/// The flags word of an undirected image with 4-bit hub distances,
+/// no records and tail shift `shift`.
+fn flags(shift: u8) -> [u8; 4] {
+    [0, 4, 0, shift_byte(shift)]
+}
+
+/// An undirected image of `n` vertices, 4-bit hub distances and tail
+/// shift `shift`, where vertex 0 carries `label` and every other label
+/// is empty.
+fn one_label_at(shift: u8, n: u32, label: &[u8]) -> Vec<u8> {
     let mut dir = vec![label.len() as u32; n as usize + 1];
     dir[0] = 0;
-    craft([0, 1, 0, 0], n as u64, &[&dir], label)
+    craft(flags(shift), n as u64, &[&dir], label)
+}
+
+/// [`one_label_at`] tail shift 2.
+fn one_label(n: u32, label: &[u8]) -> Vec<u8> {
+    one_label_at(2, n, label)
 }
 
 /// A label: hub word, then raw bytes.
@@ -141,54 +162,93 @@ fn label(hubs: u64, rest: &[u8]) -> Vec<u8> {
     [&hubs.to_le_bytes()[..], rest].concat()
 }
 
+/// LEB128 of `v`.
+fn varint(mut v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+    out
+}
+
 #[test]
 fn a_valid_crc_does_not_excuse_a_broken_structure() {
-    // The crafting itself is sound: hubs 0 and 5 at distances 1 and 2,
-    // then tail pivots 64 and 70.
-    let good = label(0b10_0001, &[1, 2, 0, 3, 5, 1]);
+    // The crafting itself is sound: hubs 0 and 5 at distances 1 and 2
+    // (one byte, low nibble first), then at shift 2 tail pivot 64 at
+    // distance 3 (gap 0: word 3) and 70 at 1 (gap 5: word 21).
+    let good = label(0b10_0001, &[0x21, 3, 21]);
     let flat = FlatIndex::from_hopidx_bytes(&one_label(100, &good)).expect("baseline loads");
     assert_eq!((flat.out_label_len(0), flat.total_entries()), (4, 4));
     assert_eq!(shard_image(&one_label(100, &good), 2).expect("baseline shards").len(), 2);
+    // At shift 32, a gap of 35 reaches pivot 99 of 100, and 36 reaches n.
+    let at_32 = |gap: u64| one_label_at(32, 100, &label(0, &varint((gap << 32) | 7)));
+    let flat = FlatIndex::from_hopidx_bytes(&at_32(35)).expect("shift 32 loads");
+    assert_eq!((flat.out_label_len(0), flat.total_entries()), (1, 1));
 
-    let gap_max = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F]; // varint(u32::MAX)
+    let nine_ff = [0xFF; 9];
     let corpus: Vec<(&str, Vec<u8>)> = vec![
-        ("offsets not monotone", craft([0, 1, 0, 0], 3, &[&[0, 14, 8, 14]], &good)),
-        ("first offset not zero", craft([0, 1, 0, 0], 3, &[&[2, 14, 14, 14]], &good)),
-        ("offsets past the region", craft([0, 1, 0, 0], 3, &[&[0, 14, 14, 19]], &good)),
+        ("offsets not monotone", craft(flags(2), 3, &[&[0, 11, 8, 11]], &good)),
+        ("first offset not zero", craft(flags(2), 3, &[&[2, 11, 11, 11]], &good)),
+        ("offsets past the region", craft(flags(2), 3, &[&[0, 11, 11, 16]], &good)),
         (
             "bytes no directory accounts for",
-            craft([0, 1, 0, 0], 3, &[&[0, 14, 14, 14]], &[&good[..], &[0]].concat()),
+            craft(flags(2), 3, &[&[0, 11, 11, 11]], &[&good[..], &[0]].concat()),
         ),
-        ("in directory past the region", craft([1, 1, 0, 0], 1, &[&[0, 14], &[0, 1]], &good)),
-        ("label shorter than its hub word", one_label(100, &good[..7])),
-        ("popcount x width past the label", one_label(100, &label(0b111, &[1, 2]))),
         (
-            "popcount x width past the label, width 4",
-            craft([0, 4, 0, 0], 1, &[&[0, 11]], &label(1, &[1, 2, 3])),
+            "in directory past the region",
+            craft([1, 4, 0, shift_byte(2)], 1, &[&[0, 11], &[0, 1]], &good),
         ),
+        ("label shorter than its hub word", one_label(100, &good[..7])),
+        ("popcount x 4 bits past the label", one_label(100, &label(0b111, &[0x21]))),
+        (
+            "popcount x 32 bits past the label",
+            craft([0, 32, 0, 0], 1, &[&[0, 11]], &label(1, &[1, 2, 3])),
+        ),
+        ("non-zero pad nibble", one_label(100, &label(0b1, &[0x11]))),
+        ("non-zero pad nibble, three hubs", one_label(100, &label(0b111, &[0x21, 0x13]))),
         ("hub bit >= n", one_label(10, &label(1 << 10, &[1]))),
         ("hub bit >= n, n = 63", one_label(63, &label(1 << 63, &[1]))),
-        ("6-byte varint", one_label(100, &label(0, &[0x80, 0x80, 0x80, 0x80, 0x80, 0x00, 1]))),
+        ("11-byte varint", one_label(100, &label(0, &[&[0x80; 10][..], &[0]].concat()))),
         (
-            "5-byte varint past 32 bits",
-            one_label(100, &label(0, &[0xFF, 0xFF, 0xFF, 0xFF, 0x1F, 1])),
+            "10-byte varint past 64 bits",
+            one_label(100, &label(0, &[&nine_ff[..], &[0x02]].concat())),
         ),
-        ("label ends inside a gap", one_label(100, &label(0, &[0x80]))),
-        ("label ends before the distance", one_label(100, &label(0, &[0x00]))),
-        ("label ends inside a distance", one_label(100, &label(0, &[0x00, 0x80]))),
-        ("tail pivot wraps below 64", one_label(100, &label(0, &[&gap_max[..], &[1]].concat()))),
+        ("label ends inside a varint", one_label(100, &label(0, &[0x80]))),
+        ("label ends inside the second entry", one_label(100, &label(0, &[3, 0x80]))),
+        (
+            "tail pivot wraps below 64 in 32 bits",
+            one_label(100, &label(0, &varint((((1 << 32) - 64) << 2) | 1))),
+        ),
         (
             "tail pivot wraps onto the previous",
-            one_label(100, &label(0, &[&[0, 1][..], &gap_max, &[1]].concat())),
+            one_label(
+                100,
+                &label(0, &[varint(1), varint((u64::from(u32::MAX) << 2) | 1)].concat()),
+            ),
         ),
-        ("tail pivot >= n", one_label(100, &label(0, &[35, 1, 0, 1]))),
-        ("tail pivot >= n, n < 64", one_label(10, &label(1, &[1, 0, 1]))),
-        ("width 0", craft([0, 0, 0, 0], 1, &[&[0, 0]], &[])),
-        ("width 3", craft([0, 3, 0, 0], 1, &[&[0, 0]], &[])),
-        ("width 8", craft([0, 8, 0, 0], 1, &[&[0, 0]], &[])),
-        ("directed flag 2", craft([2, 1, 0, 0], 1, &[&[0, 0], &[0, 0]], &[])),
-        ("reserved flag byte set", craft([0, 1, 0, 1], 1, &[&[0, 0]], &[])),
-        ("vertex count past the id space", craft([0, 1, 0, 0], 1 << 32, &[&[0, 0]], &[])),
+        (
+            "tail gap 2^64 - 1 at shift 0",
+            one_label_at(0, 100, &label(0, &[&nine_ff[..], &[0x01]].concat())),
+        ),
+        ("tail gap at shift 32 reaching n", at_32(36)),
+        (
+            "tail pivot >= n",
+            one_label(100, &label(0, &[varint((35 << 2) | 1), varint(1)].concat())),
+        ),
+        ("tail pivot >= n, n < 64", one_label(10, &label(1, &[1, 1]))),
+        ("hub width 0", craft([0, 0, 0, 0], 1, &[&[0, 0]], &[])),
+        ("hub width 1", craft([0, 1, 0, 0], 1, &[&[0, 0]], &[])),
+        ("hub width 3", craft([0, 3, 0, 0], 1, &[&[0, 0]], &[])),
+        ("hub width 5", craft([0, 5, 0, 0], 1, &[&[0, 0]], &[])),
+        ("hub width 64", craft([0, 64, 0, 0], 1, &[&[0, 0]], &[])),
+        ("tail shift 33", craft([0, 4, 0, shift_byte(33)], 1, &[&[0, 0]], &[])),
+        ("tail shift 2 without its parity bit", craft([0, 4, 0, 2], 1, &[&[0, 0]], &[])),
+        ("tail shift 3 with a parity bit", craft([0, 4, 0, 0x83], 1, &[&[0, 0]], &[])),
+        ("tail shift byte bit 6", craft([0, 4, 0, 0x40 | 0x03], 1, &[&[0, 0]], &[])),
+        ("directed flag 2", craft([2, 4, 0, 0], 1, &[&[0, 0], &[0, 0]], &[])),
+        ("vertex count past the id space", craft(flags(0), 1 << 32, &[&[0, 0]], &[])),
         ("trailing byte after the trailer", [&one_label(100, &good)[..], &[0]].concat()),
     ];
     for (what, image) in &corpus {
@@ -197,8 +257,8 @@ fn a_valid_crc_does_not_excuse_a_broken_structure() {
     }
 }
 
-/// An undirected width-1 image of three vertices whose slots are
-/// `slots`, with the records flag `records`.
+/// An undirected image of three vertices, 4-bit hub distances, whose
+/// slots are `slots`, with the records flag `records`.
 fn three_slots(records: u8, slots: [&[u8]; 3]) -> Vec<u8> {
     let ends: Vec<u32> = slots
         .iter()
@@ -207,7 +267,7 @@ fn three_slots(records: u8, slots: [&[u8]; 3]) -> Vec<u8> {
             Some(*at)
         })
         .collect();
-    craft([0, 1, records, 0], 3, &[&[0, ends[0], ends[1], ends[2]]], &slots.concat())
+    craft([0, 4, records, 0], 3, &[&[0, ends[0], ends[1], ends[2]]], &slots.concat())
 }
 
 #[test]
@@ -234,6 +294,18 @@ fn a_record_is_two_varints_naming_another_vertexs_label() {
         ("varint cut at the label's end", three_slots(1, [&hub0, &[0, 0x85], &to0])),
         ("parent varint cut at the label's end", three_slots(1, [&hub0, &[0x80], &to0])),
         ("offset INF_DIST", three_slots(1, [&hub0, &[&[0][..], &int_max].concat(), &to0])),
+        // Record varints are at most 5 bytes and 32 bits, though a tail
+        // varint may take 10.
+        ("parent past 32 bits", three_slots(1, [&hub0, &[0xFF, 0xFF, 0xFF, 0xFF, 0x1F, 5], &to0])),
+        ("offset past 32 bits", three_slots(1, [&hub0, &[0, 0xFF, 0xFF, 0xFF, 0xFF, 0x1F], &to0])),
+        (
+            "6-byte parent varint",
+            three_slots(1, [&hub0, &[0x80, 0x80, 0x80, 0x80, 0x80, 0, 5], &to0]),
+        ),
+        (
+            "6-byte offset varint",
+            three_slots(1, [&hub0, &[0, 0x85, 0x80, 0x80, 0x80, 0x80, 0], &to0]),
+        ),
         ("bytes after the record", three_slots(1, [&hub0, &[0, 5, 0], &to0])),
         ("records flag without a record", three_slots(1, [&hub0, &hub0, &to0])),
         ("records flag 2", three_slots(2, [&hub0, &[0, 5], &to0])),
@@ -279,7 +351,9 @@ fn counted_copy(store: &TempStore, image: &[u8]) -> hop_doubling::extmem::device
 #[test]
 fn disk_open_rejects_the_same_fixed_header_corpus() {
     // DiskIndex::open goes through the same prefix and directory
-    // checks; the sweep keeps both loaders honest about them.
+    // checks; the sweep keeps both loaders honest about them. It reads
+    // no CRC, so the hub width (a power of two) and the tail shift
+    // (under its parity bit) must refuse a flip on their own.
     let store = TempStore::new().expect("temp store");
     for directed in [false, true] {
         let image = serialized_image(directed);
