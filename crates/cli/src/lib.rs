@@ -110,8 +110,8 @@ const COMMANDS: [(&str, &str, &str, Command); 7] = [
     (
         "serve",
         "-x --addr --batch-threads --max-batch --max-inflight --idle-timeout-ms \
-         --max-resident-bytes --swap-path --graph --compact-threshold --wal-dir --durability \
-         --wal-max-bytes --announce-file --route --backends --connect-timeout-ms --connect-retries",
+         --swap-path --graph --compact-threshold --wal-dir --durability --wal-max-bytes \
+         --announce-file --route --backends --connect-timeout-ms --connect-retries",
         "--allow-remote-shutdown",
         cmd_serve,
     ),
@@ -121,8 +121,8 @@ const COMMANDS: [(&str, &str, &str, Command); 7] = [
 /// The `serve` options only an index node reads, and those only the
 /// router (`--route`) reads; the rest of the row serves both. Each mode
 /// refuses the other's, as the table refuses another command's.
-const SERVE_NODE_ONLY: &str = "-x --batch-threads --max-resident-bytes --swap-path --graph \
-     --compact-threshold --wal-dir --durability --wal-max-bytes";
+const SERVE_NODE_ONLY: &str = "-x --batch-threads --swap-path --graph --compact-threshold \
+     --wal-dir --durability --wal-max-bytes";
 const SERVE_ROUTER_ONLY: &str = "--route --backends --connect-timeout-ms --connect-retries";
 
 /// Refuse the first of `flags` that `args` holds: options the command
@@ -232,8 +232,7 @@ commands:
           is copied alongside when present; every shard is a complete
           index a stock `serve` daemon can load)
   serve  -x INDEX [--addr HOST:PORT] [--batch-threads N] [--max-batch PAIRS]
-         [--max-inflight N] [--idle-timeout-ms MS]
-         [--max-resident-bytes B] [--swap-path FILE]
+         [--max-inflight N] [--idle-timeout-ms MS] [--swap-path FILE]
          [--graph EDGELIST [--compact-threshold EDGES]]
          [--wal-dir DIR [--durability off|batch|always] [--wal-max-bytes B]]
          [--announce-file FILE] [--allow-remote-shutdown]
@@ -463,7 +462,7 @@ fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let target = args.required("-x")?;
     // The daemon's loader: the image validated once and queried in place,
     // its `.rank` and `.shard` sidecars read by the daemon's rules.
-    let index = hopdb_server::Generation::load(Path::new(target), None, 1)
+    let index = hopdb_server::Generation::load(Path::new(target), 1)
         .map_err(|e| err(format!("cannot load {target}: {e}")))?;
     // One shard holds one pivot range: its joins are upper bounds.
     if let Some(spec) = index.shard().filter(|spec| spec.count > 1) {
@@ -647,7 +646,6 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let config = hopdb_server::ServerConfig {
         batch_threads: args.parsed("--batch-threads")?.unwrap_or(1),
         front: front_config(args)?,
-        max_resident_bytes: args.parsed("--max-resident-bytes")?,
         swap_path: args.opt("--swap-path").map(std::path::PathBuf::from),
         source_graph: args.opt("--graph").map(std::path::PathBuf::from),
         compact_threshold: args

@@ -110,8 +110,6 @@ fn an_image_from_before_the_format_change_is_refused_by_name() {
         for args in [
             &["query", "-x", &index, "0", "1"][..],
             &serve,
-            // The disk-resident fallback opens the file by another route.
-            &[&serve[..], &["--max-resident-bytes", "1"]].concat(),
             &["shard", "-x", &index, "--shards", "2"],
         ] {
             let out = cli(args);

@@ -11,8 +11,8 @@
 //! checked decoder, and the rest is [`resolve`] and `merge_join`.
 //!
 //! Both readers here exist for that table and for hopbench's
-//! `cached_disk_*` lines; serving uses [`crate::flat::FlatIndex`], and
-//! the ROADMAP has them down for deletion.
+//! `cached_disk_*` lines, and neither is a [`crate::QueryBackend`]:
+//! serving always loads [`crate::flat::FlatIndex`].
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -21,7 +21,6 @@ use extmem::device::{CountedFile, TempStore};
 use extmem::stats::IoStats;
 use sfgraph::{Dist, VertexId};
 
-use crate::entry::LabelEntry;
 use crate::image::{self, Layout};
 use crate::index::{join_entries, resolve, LabelIndex, VertexLabels};
 
@@ -86,12 +85,6 @@ impl DiskIndex {
         self.file.len()
     }
 
-    /// Bytes held resident by this handle (the prefix and the offset
-    /// directories; the labels stay on disk).
-    pub fn resident_bytes(&self) -> usize {
-        self.front.len()
-    }
-
     /// The I/O counters recording query traffic.
     pub fn stats(&self) -> Arc<IoStats> {
         self.file.stats()
@@ -133,11 +126,9 @@ impl DiskIndex {
 ///
 /// Queries take `&self`: the disk handle and cache live behind an
 /// internal mutex, so one `CachedDiskIndex` can be shared across
-/// serving threads (concurrent queries serialize — correct first; the
-/// resident [`crate::flat::FlatIndex`] is the parallel fast path).
+/// threads (concurrent queries serialize).
 pub struct CachedDiskIndex {
     n: usize,
-    directed: bool,
     state: Mutex<CacheState>,
 }
 
@@ -168,10 +159,8 @@ fn poisoned() -> std::io::Error {
 impl CachedDiskIndex {
     /// Wrap a disk index with a cache of up to `capacity` labels.
     pub fn new(inner: DiskIndex, capacity: usize) -> CachedDiskIndex {
-        let (n, directed) = (inner.num_vertices(), inner.is_directed());
         CachedDiskIndex {
-            n,
-            directed,
+            n: inner.num_vertices(),
             state: Mutex::new(CacheState {
                 inner,
                 capacity: capacity.max(2),
@@ -186,31 +175,6 @@ impl CachedDiskIndex {
     /// `(hits, misses)` since creation.
     pub fn hit_stats(&self) -> (u64, u64) {
         self.state.lock().map(|s| (s.hits, s.misses)).unwrap_or((0, 0))
-    }
-
-    /// Number of vertices covered by the wrapped index.
-    pub fn num_vertices(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the wrapped index is directed.
-    pub fn is_directed(&self) -> bool {
-        self.directed
-    }
-
-    /// Bytes held resident: the wrapped index's offset directories plus
-    /// the entries currently cached.
-    pub fn resident_bytes(&self) -> usize {
-        self.state
-            .lock()
-            .map(|s| {
-                s.inner.resident_bytes()
-                    + s.cache
-                        .values()
-                        .map(|(l, _)| l.len() * std::mem::size_of::<LabelEntry>())
-                        .sum::<usize>()
-            })
-            .unwrap_or(0)
     }
 
     /// Distance query, as [`DiskIndex::query`] but with label reads
@@ -250,6 +214,7 @@ impl CacheState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::LabelEntry;
     use crate::flat::FlatIndex;
     use crate::index::{DirectedLabels, VertexLabels};
     use sfgraph::INF_DIST;

@@ -24,9 +24,10 @@
 //! * [`stats`] — label-size and pivot-coverage statistics backing
 //!   Table 7 and Figures 8–9;
 //! * [`disk`] — the I/O-counted disk query of Table 6's "Disk query
-//!   time" column, over the same image;
-//! * [`query::QueryBackend`] — the unified serving-time query surface
-//!   implemented by both `FlatIndex` and `disk::CachedDiskIndex`;
+//!   time" column, over the same image (a measurement, not a serving
+//!   path);
+//! * [`query::QueryBackend`] — the serving-time query surface,
+//!   implemented by `FlatIndex` and by `overlay::LiveIndex` over it;
 //! * [`overlay`] — the delta overlay for live edge insertions:
 //!   [`overlay::LiveIndex`] answers `min(frozen, overlay)` behind
 //!   `QueryBackend` so the serving tier takes writes without a rebuild;

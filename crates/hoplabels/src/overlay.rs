@@ -305,10 +305,6 @@ impl QueryBackend for LiveIndex {
         self.frozen.resident_bytes() + self.overlay.resident_bytes()
     }
 
-    fn is_resident(&self) -> bool {
-        self.frozen.is_resident()
-    }
-
     fn generation_id(&self) -> u64 {
         self.generation
     }

@@ -1,11 +1,9 @@
 //! The serving backend behind one index *generation*.
 //!
 //! A [`Generation`] is everything the daemon needs to answer
-//! queries from one published index state: the frozen index (fully
-//! resident [`FlatIndex`], or the [`CachedDiskIndex`] LRU fallback when
-//! the file exceeds the `--max-resident-bytes` admission budget)
-//! wrapped together with a delta overlay in a
-//! [`LiveIndex`], the optional `.rank`
+//! queries from one published index state: the frozen image, served
+//! in place as a [`FlatIndex`], wrapped together with a delta overlay
+//! in a [`LiveIndex`], the optional `.rank`
 //! sidecar translating original vertex ids to rank space, and a
 //! monotone generation number so clients can observe promotions.
 //!
@@ -52,9 +50,6 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 
-use extmem::device::CountedFile;
-use extmem::stats::IoStats;
-use hoplabels::disk::{CachedDiskIndex, DiskIndex};
 use hoplabels::flat::FlatIndex;
 use hoplabels::overlay::LiveIndex;
 use hoplabels::shard::ShardSpec;
@@ -62,13 +57,7 @@ use hoplabels::QueryBackend;
 use sfgraph::ranking::Ranking;
 use sfgraph::{Dist, VertexId};
 
-/// How many whole per-vertex labels the disk fallback's LRU cache
-/// holds. Labels on scale-free graphs average tens of entries, so this
-/// keeps the cache in the single-digit-MiB range regardless of index
-/// size while still absorbing the hot-vertex skew of real workloads.
-const DISK_CACHE_LABELS: usize = 4096;
-
-/// One immutable, queryable index generation: a frozen backend plus an
+/// One immutable, queryable index generation: a frozen image plus an
 /// overlay snapshot, dispatched through one [`QueryBackend`] object
 /// (the [`LiveIndex`]); the generation adds id translation and range
 /// checking on top.
@@ -83,52 +72,34 @@ pub struct Generation {
 }
 
 impl Generation {
-    /// Load the index at `path` as generation `generation`, with an
-    /// empty overlay.
-    ///
-    /// When `max_resident_bytes` is set and the file is larger, the
-    /// index is served from disk through [`CachedDiskIndex`] instead of
-    /// being loaded resident. The admission test is exact: a resident
-    /// [`FlatIndex`] is the file's bytes and nothing else, so the file
-    /// length *is* what loading it would hold. A `<path>.rank` sidecar (as written by
-    /// `hopdb-cli build`) is picked up automatically so queries use
-    /// original vertex ids; without one, queries are in rank space.
-    pub fn load(
-        path: &Path,
-        max_resident_bytes: Option<u64>,
-        generation: u64,
-    ) -> std::io::Result<Generation> {
-        let file_len = std::fs::metadata(path)?.len();
-        let resident = max_resident_bytes.is_none_or(|budget| file_len <= budget);
-        let index: Arc<dyn QueryBackend> = if resident {
-            Arc::new(FlatIndex::load(path)?)
-        } else {
-            // Read-only: a serving index may live on read-only media,
-            // and the daemon never writes it.
-            let file = CountedFile::open_path_readonly(path, IoStats::shared())?;
-            let disk = DiskIndex::open(file)?;
-            Arc::new(CachedDiskIndex::new(disk, DISK_CACHE_LABELS))
-        };
-        let ranking = load_ranking(path, index.num_vertices())?;
+    /// Load the image at `path` ([`FlatIndex::load`]) as generation
+    /// `generation`, with an empty overlay. A `<path>.rank` sidecar (as
+    /// written by `hopdb-cli build`) is picked up automatically so
+    /// queries use original vertex ids; without one, queries are in
+    /// rank space.
+    pub fn load(path: &Path, generation: u64) -> std::io::Result<Generation> {
+        let flat = FlatIndex::load(path)?;
+        let ranking = load_ranking(path, flat.num_vertices())?;
         let shard = load_sidecar(path, ".shard", ShardSpec::decode)?;
-        Ok(Generation::over(index, ranking, shard, generation))
+        Ok(Generation::over(flat, ranking, shard, generation))
     }
 
     /// Build a generation from an already-frozen index (tests, or a
     /// compaction promoted without a round-trip through disk).
     pub fn from_flat(flat: FlatIndex, ranking: Option<Ranking>, generation: u64) -> Generation {
-        Generation::over(Arc::new(flat), ranking, None, generation)
+        Generation::over(flat, ranking, None, generation)
     }
 
     /// A generation serving `frozen` with an empty overlay.
     fn over(
-        frozen: Arc<dyn QueryBackend>,
+        frozen: FlatIndex,
         ranking: Option<Ranking>,
         shard: Option<ShardSpec>,
         generation: u64,
     ) -> Generation {
         let (vertices, directed) = (frozen.num_vertices(), frozen.is_directed());
-        let (index, ranking) = (LiveIndex::new(frozen, generation), ranking.map(Arc::new));
+        let index = LiveIndex::new(Arc::new(frozen), generation);
+        let ranking = ranking.map(Arc::new);
         Generation { index, ranking, vertices, directed, shard }
     }
 
@@ -210,12 +181,6 @@ impl Generation {
         self.shard.is_some_and(|s| s.rank_pruned) && self.ranking.is_none()
     }
 
-    /// Whether this generation serves from memory (as opposed to the
-    /// disk-backed admission fallback).
-    pub fn is_resident(&self) -> bool {
-        self.index.is_resident()
-    }
-
     /// Bytes the serving generation holds resident (frozen + overlay).
     pub fn resident_bytes(&self) -> usize {
         self.index.resident_bytes()
@@ -231,10 +196,10 @@ impl Generation {
         self.index.overlay().affected()
     }
 
-    /// Answer a batch of pairs, fanning resident batches across up to
-    /// `threads` scoped workers via [`FlatIndex::query_many`]. Errors
-    /// (out-of-range vertex, disk I/O failure) fail the whole batch —
-    /// partial answers would be ambiguous on the wire.
+    /// Answer a batch of pairs, fanning it across up to `threads`
+    /// scoped workers via [`FlatIndex::query_many`]. An out-of-range
+    /// vertex fails the whole batch — partial answers would be ambiguous
+    /// on the wire.
     pub fn query_many(
         &self,
         pairs: &[(VertexId, VertexId)],
@@ -363,7 +328,6 @@ mod tests {
     #[test]
     fn from_flat_serves_and_range_checks() {
         let g = Generation::from_flat(tiny_flat(), None, 1);
-        assert!(g.is_resident());
         assert_eq!(g.vertices(), 3);
         assert_eq!(g.generation(), 1);
         assert_eq!(g.overlay_edges(), 0);

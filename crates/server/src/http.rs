@@ -9,7 +9,7 @@
 //! | `GET /query?s=S&t=T` | `{"s":S,"t":T,"dist":D}` (`"dist":null` when unreachable) |
 //! | `POST /query_many`  | body `{"pairs":[[s,t],...]}` → `{"dists":[...]}` (null = unreachable) |
 //! | `POST /update`      | body `{"edges":[[s,t,w],...]}` → `{"generation":G,"overlay_edges":N}` |
-//! | `GET /stats`        | the `info` reply as JSON: `{"protocol":6,"mode":"single",...}` |
+//! | `GET /stats`        | the `info` reply as JSON: `{"protocol":7,"mode":"single",...}` |
 //!
 //! HTTP is a second framing of the `HOPQ` requests, not a second
 //! request stack: [`decode_http`] turns a request into the same

@@ -5,17 +5,16 @@
 //! The serving process the paper's sub-microsecond query path deserves:
 //! a TCP daemon speaking a small length-prefixed binary protocol
 //! ([`proto`]), booting from a serialized `HOPIDX03` index image that
-//! [`hoplabels::flat::FlatIndex`] validates and then serves in place
-//! (falling back to the disk-resident LRU path when the file exceeds
-//! an admission budget), fanning request batches across `FlatIndex::query_many`'s
-//! scoped worker pool, and supporting *hot index swap*: an
+//! [`hoplabels::flat::FlatIndex`] validates and then serves in place,
+//! fanning request batches across `FlatIndex::query_many`'s scoped
+//! worker pool, and supporting *hot index swap*: an
 //! admin-frame-triggered atomic `Arc<Generation>` promotion so a
 //! parallel rebuild can replace the serving index without dropping a
 //! single connection.
 //!
 //! * [`proto`] — the `HOPQ`/`HOPR` wire format and its codec;
-//! * [`backend`] — one immutable index generation (resident or
-//!   disk-cached) plus optional `.rank` id translation;
+//! * [`backend`] — one immutable index generation (the image under
+//!   its overlay) plus optional `.rank` id translation;
 //! * `front` — the one endpoint: the readiness-driven serving loop
 //!   (framing, pipelining, backpressure, HOPQ and HTTP on one port), its
 //!   one stop path and the [`ServerHandle`] that the index node and the
@@ -25,8 +24,9 @@
 //!   queries, and the update, swap and compact barriers;
 //! * [`server`] — the index node: boot/recovery, and its stage — query
 //!   executor, live updates, swap, compaction;
-//! * [`router`] — the replica/shard fan-out endpoint, whose stage is a
-//!   dispatcher;
+//! * [`router`] — the fan-out endpoint over a fleet of pivot ranges
+//!   (replica: one range, many holders; shard: many ranges, one holder
+//!   each), whose stage is a dispatcher;
 //! * [`client`] — a blocking client used by `hopdb-cli admin`,
 //!   hopbench (`benchmark/`), and the end-to-end tests.
 //!

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! magic        4 B  "HOPQ" request / "HOPR" response
-//! version      1 B  6; any other value is fatal
+//! version      1 B  7; any other value is fatal
 //! kind         1 B  request kind; in a response 0 = error, else the request kind it answers
 //! request id   8 B  u64, chosen by the client, echoed in the response
 //! payload len  4 B  u32, at most 16 MiB
@@ -108,7 +108,7 @@ pub const REQ_MAGIC: [u8; 4] = *b"HOPQ";
 pub const RESP_MAGIC: [u8; 4] = *b"HOPR";
 /// The protocol version: byte 4 of every frame in either direction.
 /// A frame carrying any other value is fatal.
-pub const VERSION: u8 = 6;
+pub const VERSION: u8 = 7;
 /// The frame header in wire order: `(field, bytes)`.
 pub const HEADER: [(&str, usize); 5] =
     [("magic", 4), ("version", 1), ("kind", 1), ("request id", 8), ("payload len", 4)];
@@ -374,9 +374,10 @@ reply! {
     /// its live overlay and write-ahead log, and its counters. A field
     /// that does not describe the answering endpoint is 0 (a router has
     /// no overlay; a node has no backends). The router reads it from
-    /// every backend at startup: replica sets must agree on
-    /// `vertices`/`directed`, and shard sets must tile `[0, vertices)`
-    /// with their `[shard_lo, shard_hi)` ranges.
+    /// every backend at startup: the fleet must agree on `vertices`,
+    /// `directed` and `translates_ids`, and its `[shard_lo, shard_hi)`
+    /// ranges must tile `[0, vertices)` (a replica fleet's one range is
+    /// all of it).
     pub struct InfoReply {
         /// The protocol version the server speaks ([`VERSION`]).
         pub protocol: u8,
@@ -390,10 +391,9 @@ reply! {
         pub vertices: u64,
         /// Whether the serving index is directed.
         pub directed: bool,
-        /// Whether the frozen index is fully resident in memory, as
-        /// opposed to the disk-backed fallback; a router's is whether
-        /// every backend reported resident, as probed at startup.
-        pub resident: bool,
+        /// Whether a `.rank` sidecar translates the query ids (else they
+        /// are rank ids); a router's is its fleet's, which must agree.
+        pub translates_ids: bool,
         /// Bytes the serving generation holds resident (frozen + overlay).
         pub resident_bytes: u64,
         /// Deduplicated edges currently in the overlay.
@@ -440,8 +440,8 @@ reply! {
         pub rank_pruned: bool,
         /// Backends a router fans out to (0 for an index node).
         pub backends: u32,
-        /// Batches a router answered on a replica other than its first
-        /// pick, plus shard-part retries, since boot.
+        /// Query parts a router retried on the next holder of their
+        /// range after a transport error, since boot.
         pub failovers: u64,
     }
 }
@@ -852,7 +852,7 @@ mod tests {
                 generation: 9,
                 vertices: 777,
                 directed: false,
-                resident: true,
+                translates_ids: true,
                 resident_bytes: 1 << 20,
                 overlay_edges: 3,
                 overlay_affected: 5,

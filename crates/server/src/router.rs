@@ -1,30 +1,36 @@
 //! The scale-out router: one `HOPQ`/HTTP endpoint fanning query batches
 //! across N backend daemons.
 //!
-//! Two modes, one front:
+//! The fleet is a list of pivot ranges, each with the backends that
+//! hold it, and one fan-out rule serves both modes:
 //!
-//! * **replica** — every backend serves the *same* index image. Query
-//!   batches are load-balanced to the least-loaded backend (round-robin
-//!   tiebreak); a transport failure mid-batch fails over to the next
-//!   replica (queries are idempotent), so killing one of N replicas
-//!   loses no accepted query. Update batches are validated once at the
-//!   router, then applied to *every* replica behind a dispatch barrier:
-//!   no later job is dispatched until all replicas acked, so queries
-//!   submitted after an update observe it on whichever replica answers
-//!   them. Rolling generation swaps are *not* routed — operators drive
-//!   `admin swap`/`admin compact` against each backend in turn while
-//!   the router keeps serving.
-//!
+//! * **replica** — every backend serves the *same* index image: one
+//!   range `[0, n)` held by every backend;
 //! * **shard** — each backend serves one pivot-range shard split by
-//!   `hopdb-cli shard` ([`hoplabels::shard`]). A 2-hop answer is the
-//!   minimum over common pivots, so per-shard answers min-merge back to
-//!   the exact unsharded answer. The router broadcasts each pair to
-//!   every shard whose pivot range could hold the winning pivot (all of
-//!   them, or — when every shard reports `rank_pruned` — only shards
-//!   with `lo <= min(s, t)`), and folds the parts with
-//!   [`hoplabels::shard::min_merge`] semantics. Shard routers reject
-//!   updates, and each shard backend refuses updates and compactions
-//!   itself: mutate the source graph and re-shard instead.
+//!   `hopdb-cli shard` ([`hoplabels::shard`]): k ranges held by one
+//!   backend each.
+//!
+//! A 2-hop answer is the minimum over the pivots both labels share, so
+//! the least of the answers over ranges that together hold every pivot
+//! is the exact unsharded answer ([`hoplabels::shard::min_merge`]). A
+//! pair goes to every range that could hold its winning pivot (all of
+//! them, or — when every shard reports `rank_pruned` — only ranges with
+//! `lo <= min(s, t)`); each part goes to the least-loaded holder of its
+//! range (round-robin tiebreak), and the parts min-merge back. On a
+//! transport error a part is retried on the range's next holder,
+//! `max(holders, 2)` attempts in all (queries are idempotent), so
+//! killing one of N replicas loses no accepted query, and a dead shard
+//! fails only the batches that needed it.
+//!
+//! Update batches (replica mode) are validated once at the router, then
+//! applied to *every* replica behind a dispatch barrier: no later job is
+//! dispatched until all replicas acked, so queries submitted after an
+//! update observe it on whichever replica answers them. Shard routers
+//! reject updates, and each shard backend refuses updates and
+//! compactions itself: mutate the source graph and re-shard instead.
+//! Rolling generation swaps are *not* routed — operators drive `admin
+//! swap`/`admin compact` against each backend in turn while the router
+//! keeps serving.
 //!
 //! The endpoint *is* the single-node daemon's — the same `crate::front`
 //! loop, job queue, stop path and [`ServerHandle`], with the router's
@@ -34,15 +40,16 @@
 //! /stats` and (replica mode) updates: framing (HOPQ and HTTP alike),
 //! error discipline, backpressure and the batch hand-off are one
 //! implementation. Topology is probed once at startup by reading every
-//! backend's `info` and validated hard: replicas must agree on vertex
-//! count and direction; shards must tile the pivot space exactly.
+//! backend's `info` and validated hard: the fleet must agree on vertex
+//! count, direction and id translation, and its ranges must tile the
+//! pivot space exactly; `--route` must name what the backends report.
 //!
 //! ```text
 //! front thread           dispatcher thread           worker threads (1/backend)
 //!   wait for readiness      next_batch: all queued       own Client per backend
 //!   cut frames     ──────►    coalesce + range-check      (plus failover clients)
-//!   answer info inline        replica: least-inflight ──► query / failover
-//!                             shard: split + ShardMerge ► query part, min-merge
+//!   answer info inline        split by range + Merge ───► query part, retry on
+//!                             (least-inflight holder)       next holder, min-merge
 //!   flush responses ◄──────────── Completions + WakeFd wake ◄───┘
 //! ```
 
@@ -63,12 +70,15 @@ use crate::proto::{
 };
 use crate::server::validate_update_edges;
 
-/// How the router spreads work across its backends.
+/// What the operator declares the fleet to be. The startup probe holds
+/// the backends to it, and a shard router refuses updates; the fan-out
+/// itself is the same for both.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RouteMode {
-    /// Every backend serves the same image; batches load-balance.
+    /// Every backend serves the same image: one range, many holders.
     Replica,
-    /// Each backend serves one pivot-range shard; answers min-merge.
+    /// Each backend serves one pivot-range shard: many ranges, one
+    /// holder each.
     Shard,
 }
 
@@ -89,7 +99,7 @@ impl std::str::FromStr for RouteMode {
 /// startup probe and per-worker backend connections.
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
-    /// Replica fan-out or shard fan-out.
+    /// Replica fleet or shard fleet.
     pub mode: RouteMode,
     /// Backend daemon addresses (shard mode: one per shard, any order —
     /// ownership comes from each backend's `.shard` sidecar).
@@ -117,27 +127,23 @@ impl Default for RouterConfig {
     }
 }
 
-/// One backend's place in the topology.
-#[derive(Clone, Copy, Debug)]
-struct BackendSlot {
-    addr: SocketAddr,
-    /// First pivot of the owned range (shard mode; zero in replica mode).
+/// One pivot range of the fleet and the backends that hold it.
+struct Range {
+    /// First pivot of the range.
     lo: u32,
+    /// How errors name the range: `replica` or `shard <i>`.
+    name: String,
+    /// Positions in `--backends` of the backends serving the range.
+    holders: Vec<usize>,
 }
 
 /// What the startup probe learned (constant for the router's lifetime).
 struct Topology {
-    vertices: u64,
-    directed: bool,
-    /// Highest backend generation observed at boot (reported only).
-    generation: u64,
-    /// Whether every backend reported a resident index at boot.
-    resident: bool,
-    /// Shard mode: every shard kept the `pivot <= vertex` invariant and
-    /// serves rank-space ids, so pairs route only to shards with
-    /// `lo <= min(s, t)`. Always false in replica mode.
-    rank_pruned: bool,
-    slots: Vec<BackendSlot>,
+    /// The fleet's part of the router's `info`: everything but the
+    /// counters.
+    info: InfoReply,
+    /// The ranges tiling the pivot space.
+    ranges: Vec<Range>,
 }
 
 struct RouterShared {
@@ -145,8 +151,8 @@ struct RouterShared {
     topology: Topology,
     /// The serving loop's job queue, completion pile, and stop switch.
     front: FrontHandle,
-    /// Batches answered by a replica other than the first pick, plus
-    /// shard-part retries — the kill-one-replica observable.
+    /// Query parts retried after a transport error — the kill-one-
+    /// backend observable.
     failovers: AtomicU64,
 }
 
@@ -181,7 +187,7 @@ pub fn serve_router(
     front::spawn(listener, Arc::clone(&shared), front, limits, || {
         let mut threads = Vec::new();
         let mut ports = Vec::new();
-        for index in 0..shared.topology.slots.len() {
+        for index in 0..shared.config.backends.len() {
             let (tx, rx) = mpsc::channel::<WorkItem>();
             let depth = Arc::new(AtomicUsize::new(0));
             ports.push(WorkerPort { tx, depth: Arc::clone(&depth) });
@@ -194,7 +200,8 @@ pub fn serve_router(
 }
 
 /// Connect to every backend, fetch its `info`, and validate that the
-/// set forms a coherent serving topology for the requested mode.
+/// set forms the fleet `config.mode` declares: its ranges and the
+/// router's `info`.
 fn probe_topology(config: &RouterConfig) -> std::io::Result<Topology> {
     let mut infos: Vec<InfoReply> = Vec::new();
     for addr in &config.backends {
@@ -210,17 +217,38 @@ fn probe_topology(config: &RouterConfig) -> std::io::Result<Topology> {
         }
         infos.push(info);
     }
+    // One id space: the same image, and the same `.rank` translation
+    // (or none) in front of it on every backend.
     let first = infos[0];
+    let space = |i: &InfoReply| (i.vertices, i.directed, i.translates_ids);
     for (addr, info) in config.backends.iter().zip(&infos) {
-        if info.vertices != first.vertices || info.directed != first.directed {
+        if space(info) != space(&first) {
             return Err(other(format!(
-                "backend {addr} serves {} vertices (directed={}) but backend {} serves {} \
-                 (directed={}) — every backend must come from the same image",
-                info.vertices, info.directed, config.backends[0], first.vertices, first.directed
+                "backend {addr} serves {} vertices (directed={}, translates_ids={}) but backend \
+                 {} serves {} (directed={}, translates_ids={}) — every backend must serve the \
+                 same image behind the same .rank sidecar, or none",
+                info.vertices,
+                info.directed,
+                info.translates_ids,
+                config.backends[0],
+                first.vertices,
+                first.directed,
+                first.translates_ids
             )));
         }
     }
-    let slots = match config.mode {
+    let k = config.backends.len() as u32;
+    let fleet = InfoReply {
+        protocol: VERSION,
+        generation: infos.iter().map(|i| i.generation).max().unwrap_or(0),
+        vertices: first.vertices,
+        directed: first.directed,
+        translates_ids: first.translates_ids,
+        durability: DURABILITY_DISABLED,
+        backends: k,
+        ..InfoReply::default()
+    };
+    let (ranges, info) = match config.mode {
         RouteMode::Replica => {
             for (addr, info) in config.backends.iter().zip(&infos) {
                 if info.shard_count != 0 {
@@ -230,10 +258,11 @@ fn probe_topology(config: &RouterConfig) -> std::io::Result<Topology> {
                     )));
                 }
             }
-            config.backends.iter().map(|&addr| BackendSlot { addr, lo: 0 }).collect()
+            let all =
+                Range { lo: 0, name: "replica".to_string(), holders: (0..infos.len()).collect() };
+            (vec![all], InfoReply { mode: ROUTE_REPLICA, ..fleet })
         }
         RouteMode::Shard => {
-            let k = config.backends.len() as u32;
             let mut seen = vec![false; k as usize];
             for (addr, info) in config.backends.iter().zip(&infos) {
                 if info.shard_count != k {
@@ -250,11 +279,11 @@ fn probe_topology(config: &RouterConfig) -> std::io::Result<Topology> {
                 }
                 seen[info.shard_index as usize] = true;
             }
-            let mut ranges: Vec<(u32, u32)> =
+            let mut tiles: Vec<(u32, u32)> =
                 infos.iter().map(|i| (i.shard_lo, i.shard_hi)).collect();
-            ranges.sort_unstable();
+            tiles.sort_unstable();
             let mut expect = 0u32;
-            for &(lo, hi) in &ranges {
+            for &(lo, hi) in &tiles {
                 if lo != expect {
                     return Err(other(format!(
                         "shard ranges do not tile the pivot space: \
@@ -269,23 +298,26 @@ fn probe_topology(config: &RouterConfig) -> std::io::Result<Topology> {
                     first.vertices
                 )));
             }
-            config
-                .backends
+            let ranges = infos
                 .iter()
-                .zip(&infos)
-                .map(|(&addr, info)| BackendSlot { addr, lo: info.shard_lo })
-                .collect()
+                .enumerate()
+                .map(|(b, i)| Range {
+                    lo: i.shard_lo,
+                    name: format!("shard {}", i.shard_index),
+                    holders: vec![b],
+                })
+                .collect();
+            let info = InfoReply {
+                mode: ROUTE_SHARD,
+                shard_hi: first.vertices.min(u64::from(u32::MAX)) as u32,
+                shard_count: k,
+                rank_pruned: infos.iter().all(|i| i.rank_pruned),
+                ..fleet
+            };
+            (ranges, info)
         }
     };
-    let rank_pruned = config.mode == RouteMode::Shard && infos.iter().all(|i| i.rank_pruned);
-    Ok(Topology {
-        vertices: first.vertices,
-        directed: first.directed,
-        generation: infos.iter().map(|i| i.generation).max().unwrap_or(0),
-        resident: infos.iter().all(|i| i.resident),
-        rank_pruned,
-        slots,
-    })
+    Ok(Topology { info, ranges })
 }
 
 // ---------------------------------------------------------------------
@@ -294,14 +326,22 @@ fn probe_topology(config: &RouterConfig) -> std::io::Result<Topology> {
 
 /// Work handed from the dispatcher to a backend worker.
 enum WorkItem {
-    /// Replica mode: answer the whole batch on this worker's backend,
-    /// failing over to the others on transport errors.
-    Replica(BatchWork),
-    /// Shard mode: query this worker's pair slice and fold it into the
-    /// shared merge.
-    Shard { pairs: Vec<(u32, u32)>, positions: Vec<usize>, merge: Arc<ShardMerge> },
+    /// One range's slice of a query batch, to fold into the batch's
+    /// merge.
+    Query(Part),
     /// Replica mode: apply an update batch to this worker's backend.
     Update { edges: Arc<Vec<(u32, u32, u32)>>, done: mpsc::Sender<Result<(u64, u64), String>> },
+}
+
+/// The pairs of a batch that range `range` answers, sent first to the
+/// range's holder at `at`.
+struct Part {
+    range: usize,
+    at: usize,
+    pairs: Vec<(u32, u32)>,
+    /// Where each of `pairs` sits in the batch.
+    positions: Vec<usize>,
+    merge: Arc<Merge>,
 }
 
 struct WorkerPort {
@@ -317,9 +357,9 @@ fn send(port: &WorkerPort, item: WorkItem) {
     }
 }
 
-/// Cross-shard min-merge state for one batch: the last part to land
-/// completes every job (or fails them all if any shard was unreachable).
-struct ShardMerge {
+/// Cross-range min-merge state for one batch: the last part to land
+/// completes every job (or fails them all if any range was unreachable).
+struct Merge {
     work: BatchWork,
     acc: Mutex<MergeAcc>,
 }
@@ -330,14 +370,14 @@ struct MergeAcc {
     failed: Option<String>,
 }
 
-impl ShardMerge {
-    fn fold(&self, part: Result<(Vec<usize>, Vec<Dist>), String>) {
+impl Merge {
+    fn fold(&self, positions: &[usize], part: Result<Vec<Dist>, String>) {
         let mut acc = match self.acc.lock() {
             Ok(acc) => acc,
             Err(poisoned) => poisoned.into_inner(),
         };
         match part {
-            Ok((positions, dists)) => {
+            Ok(dists) => {
                 for (&pos, &d) in positions.iter().zip(&dists) {
                     if d < acc.dists[pos] {
                         acc.dists[pos] = d;
@@ -377,7 +417,7 @@ fn dispatcher_loop(shared: &RouterShared, ports: Vec<WorkerPort>) {
 struct Dispatcher<'a> {
     shared: &'a RouterShared,
     ports: Vec<WorkerPort>,
-    /// Where the round-robin tiebreak of the replica pick stands.
+    /// Where the round-robin tiebreak of the holder pick stands.
     rr: usize,
 }
 
@@ -420,70 +460,60 @@ fn cut_at_max_batch(sizes: &[usize], max_batch: usize) -> Vec<std::ops::Range<us
     groups
 }
 
+/// Split one group's pairs by range and send each part to the
+/// least-inflight holder of its range.
 fn dispatch_group(
     shared: &RouterShared,
     ports: &[WorkerPort],
     rr: &mut usize,
     jobs: Vec<QueryJob>,
 ) {
+    let topology = &shared.topology;
     let completions = &shared.front.completions;
-    let Some(work) = BatchWork::cut(jobs, shared.topology.vertices, completions) else { return };
+    let Some(work) = BatchWork::cut(jobs, topology.info.vertices, completions) else { return };
     if work.combined.is_empty() {
         // Zero-pair jobs: answer without a backend round-trip.
         work.complete(&[]);
         return;
     }
-    match shared.config.mode {
-        RouteMode::Replica => {
-            // Least-inflight pick with a round-robin tiebreak.
-            let (mut best, mut best_depth) = (0usize, usize::MAX);
-            for off in 0..ports.len() {
-                let b = (*rr + off) % ports.len();
-                let d = ports[b].depth.load(Ordering::Relaxed);
-                if d < best_depth {
-                    (best, best_depth) = (b, d);
-                }
+    let mut parts = vec![(Vec::new(), Vec::new()); topology.ranges.len()];
+    for (pos, &(s, t)) in work.combined.iter().enumerate() {
+        for (range, (pairs, positions)) in topology.ranges.iter().zip(&mut parts) {
+            // The winning pivot of a rank-pruned 2-hop answer is
+            // <= min(s, t), so higher ranges can't improve the merge
+            // and are skipped. Exact either way.
+            if topology.info.rank_pruned && range.lo > s.min(t) {
+                continue;
             }
-            *rr = (best + 1) % ports.len();
-            send(&ports[best], WorkItem::Replica(work));
+            pairs.push((s, t));
+            positions.push(pos);
         }
-        RouteMode::Shard => {
-            let k = ports.len();
-            let mut pairs_by: Vec<Vec<(u32, u32)>> = vec![Vec::new(); k];
-            let mut pos_by: Vec<Vec<usize>> = vec![Vec::new(); k];
-            for (pos, &(s, t)) in work.combined.iter().enumerate() {
-                let cutoff = s.min(t);
-                for (b, slot) in shared.topology.slots.iter().enumerate() {
-                    // The winning pivot of a rank-pruned 2-hop answer
-                    // is <= min(s, t), so higher shards can't improve
-                    // the merge and are skipped. Exact either way.
-                    if shared.topology.rank_pruned && slot.lo > cutoff {
-                        continue;
-                    }
-                    pairs_by[b].push((s, t));
-                    pos_by[b].push(pos);
-                }
-            }
-            let parts: Vec<usize> = (0..k).filter(|&b| !pairs_by[b].is_empty()).collect();
-            let merge = Arc::new(ShardMerge {
-                acc: Mutex::new(MergeAcc {
-                    dists: vec![INF_DIST; work.combined.len()],
-                    pending: parts.len(),
-                    failed: None,
-                }),
-                work,
-            });
-            for b in parts {
-                send(
-                    &ports[b],
-                    WorkItem::Shard {
-                        pairs: std::mem::take(&mut pairs_by[b]),
-                        positions: std::mem::take(&mut pos_by[b]),
-                        merge: Arc::clone(&merge),
-                    },
-                );
+    }
+    // The range at pivot 0 takes every pair, so one part at least.
+    let parts: Vec<_> =
+        parts.into_iter().enumerate().filter(|(_, (pairs, _))| !pairs.is_empty()).collect();
+    let merge = Arc::new(Merge {
+        acc: Mutex::new(MergeAcc {
+            dists: vec![INF_DIST; work.combined.len()],
+            pending: parts.len(),
+            failed: None,
+        }),
+        work,
+    });
+    for (range, (pairs, positions)) in parts {
+        let holders = &topology.ranges[range].holders;
+        // Least-inflight pick with a round-robin tiebreak.
+        let (mut at, mut best_depth) = (0usize, usize::MAX);
+        for off in 0..holders.len() {
+            let h = (*rr + off) % holders.len();
+            let d = ports[holders[h]].depth.load(Ordering::Relaxed);
+            if d < best_depth {
+                (at, best_depth) = (h, d);
             }
         }
+        *rr = at + 1;
+        let part = Part { range, at, pairs, positions, merge: Arc::clone(&merge) };
+        send(&ports[holders[at]], WorkItem::Query(part));
     }
 }
 
@@ -499,7 +529,7 @@ fn dispatch_update(
     // nowhere*, never half-applied across replicas.
     validate_update_edges(&edges)?;
     let ends = edges.iter().map(|&(s, t, _)| (s, t));
-    if let Some(msg) = out_of_range(ends, shared.topology.vertices) {
+    if let Some(msg) = out_of_range(ends, shared.topology.info.vertices) {
         return Err(msg);
     }
     let edges = Arc::new(edges);
@@ -544,13 +574,11 @@ fn worker_loop(
     depth: &AtomicUsize,
     rx: &mpsc::Receiver<WorkItem>,
 ) {
-    let mut clients: Vec<Option<Client>> = (0..shared.topology.slots.len()).map(|_| None).collect();
+    let mut clients: Vec<Option<Client>> =
+        (0..shared.config.backends.len()).map(|_| None).collect();
     while let Ok(item) = rx.recv() {
         match item {
-            WorkItem::Replica(work) => run_replica_batch(shared, &mut clients, index, &work),
-            WorkItem::Shard { pairs, positions, merge } => {
-                run_shard_part(shared, &mut clients, index, pairs, positions, &merge)
-            }
+            WorkItem::Query(part) => run_part(shared, &mut clients, &part),
             WorkItem::Update { edges, done } => {
                 let _ = done.send(run_update(shared, &mut clients, index, &edges));
             }
@@ -573,68 +601,49 @@ fn client_for<'a>(
 ) -> std::io::Result<&'a mut Client> {
     if clients[b].is_none() {
         clients[b] = Some(Client::connect_timeout(
-            &shared.topology.slots[b].addr,
+            &shared.config.backends[b],
             shared.config.connect_timeout,
         )?);
     }
     Ok(clients[b].as_mut().expect("just connected"))
 }
 
-fn query_on(
+/// Run `request` on backend `b`, dropping its connection on a transport
+/// error so the next attempt reconnects.
+fn call<T>(
     shared: &RouterShared,
     clients: &mut [Option<Client>],
     b: usize,
-    pairs: &[(u32, u32)],
-) -> std::io::Result<Vec<Dist>> {
-    let result = client_for(shared, clients, b).and_then(|c| c.query(pairs));
+    request: impl FnOnce(&mut Client) -> std::io::Result<T>,
+) -> std::io::Result<T> {
+    let result = client_for(shared, clients, b).and_then(request);
     if matches!(&result, Err(e) if is_transport(e)) {
         clients[b] = None;
     }
     result
 }
 
-fn run_replica_batch(
-    shared: &RouterShared,
-    clients: &mut [Option<Client>],
-    own: usize,
-    work: &BatchWork,
-) {
-    let k = clients.len();
-    let mut last = String::new();
-    for attempt in 0..k {
-        let b = (own + attempt) % k;
-        if attempt > 0 {
-            shared.failovers.fetch_add(1, Ordering::Relaxed);
+/// Answer one part on its range's holders, from the one at `part.at` on,
+/// and fold it into the batch's merge. A transport error moves to the
+/// next holder — through a fresh connection, on a range with one
+/// holder — for `max(holders, 2)` attempts in all; a server-reported
+/// error is the part's answer.
+fn run_part(shared: &RouterShared, clients: &mut [Option<Client>], part: &Part) {
+    let range = &shared.topology.ranges[part.range];
+    let tries = range.holders.len().max(2);
+    let mut attempt = 0;
+    let answer = loop {
+        let b = range.holders[(part.at + attempt) % range.holders.len()];
+        match call(shared, clients, b, |c| c.query(&part.pairs)) {
+            Ok(dists) => break Ok(dists),
+            Err(e) if is_transport(&e) && attempt + 1 < tries => {
+                shared.failovers.fetch_add(1, Ordering::Relaxed);
+                attempt += 1;
+            }
+            Err(e) => break Err(format!("{} ({}): {e}", range.name, shared.config.backends[b])),
         }
-        match query_on(shared, clients, b, &work.combined) {
-            Ok(dists) => return work.complete(&dists),
-            // Server-reported: relay to the whole batch, no failover.
-            Err(e) if !is_transport(&e) => return work.fail(&e.to_string()),
-            Err(e) => last = format!("{}: {e}", shared.topology.slots[b].addr),
-        }
-    }
-    work.fail(&format!("no replica reachable (last: {last})"));
-}
-
-fn run_shard_part(
-    shared: &RouterShared,
-    clients: &mut [Option<Client>],
-    own: usize,
-    pairs: Vec<(u32, u32)>,
-    positions: Vec<usize>,
-    merge: &ShardMerge,
-) {
-    // This worker's backend is the only holder of its shard: retry once
-    // through a fresh connection, then fail the merge.
-    let mut result = query_on(shared, clients, own, &pairs);
-    if matches!(&result, Err(e) if is_transport(e)) {
-        shared.failovers.fetch_add(1, Ordering::Relaxed);
-        result = query_on(shared, clients, own, &pairs);
-    }
-    merge.fold(match result {
-        Ok(dists) => Ok((positions, dists)),
-        Err(e) => Err(format!("shard {own} ({}): {e}", shared.topology.slots[own].addr)),
-    });
+    };
+    part.merge.fold(&part.positions, answer);
 }
 
 fn run_update(
@@ -643,21 +652,13 @@ fn run_update(
     own: usize,
     edges: &[(u32, u32, u32)],
 ) -> Result<(u64, u64), String> {
-    let addr = shared.topology.slots[own].addr;
-    let apply = |clients: &mut [Option<Client>]| {
-        let result = client_for(shared, clients, own).and_then(|c| c.update(edges));
-        if matches!(&result, Err(e) if is_transport(e)) {
-            clients[own] = None;
-        }
-        result
-    };
-    let mut result = apply(clients);
+    let mut result = call(shared, clients, own, |c| c.update(edges));
     if matches!(&result, Err(e) if is_transport(e)) {
         // Overlay insertion dedupes to the minimum weight per pair, so
         // re-sending a possibly-applied batch is idempotent.
-        result = apply(clients);
+        result = call(shared, clients, own, |c| c.update(edges));
     }
-    result.map_err(|e| format!("backend {addr}: {e}"))
+    result.map_err(|e| format!("backend {}: {e}", shared.config.backends[own]))
 }
 
 // ---------------------------------------------------------------------
@@ -688,30 +689,11 @@ impl Service for RouterShared {
     /// The fleet-wide view: the probed topology — with the whole pivot
     /// space as a shard router's "shard" — and the router's counters.
     fn info(&self, traffic: Traffic) -> InfoReply {
-        let t = &self.topology;
-        let fleet = InfoReply {
-            protocol: VERSION,
-            mode: ROUTE_REPLICA,
-            generation: t.generation,
-            vertices: t.vertices,
-            directed: t.directed,
-            resident: t.resident,
+        InfoReply {
             requests: traffic.requests,
             protocol_errors: traffic.protocol_errors,
-            durability: DURABILITY_DISABLED,
-            backends: t.slots.len() as u32,
             failovers: self.failovers.load(Ordering::Relaxed),
-            ..InfoReply::default()
-        };
-        match self.config.mode {
-            RouteMode::Replica => fleet,
-            RouteMode::Shard => InfoReply {
-                mode: ROUTE_SHARD,
-                shard_hi: t.vertices.min(u64::from(u32::MAX)) as u32,
-                shard_count: t.slots.len() as u32,
-                rank_pruned: t.rank_pruned,
-                ..fleet
-            },
+            ..self.topology.info
         }
     }
 }

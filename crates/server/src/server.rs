@@ -58,10 +58,6 @@ pub struct ServerConfig {
     pub batch_threads: usize,
     /// What the serving loop enforces on its peers.
     pub front: FrontConfig,
-    /// Admission budget: index files larger than this are served from
-    /// disk through the LRU-cached fallback instead of resident memory.
-    /// `None` = always resident.
-    pub max_resident_bytes: Option<u64>,
     /// File promoted by a swap request. `None` = re-load the boot path
     /// (in-place rebuild promotion).
     pub swap_path: Option<PathBuf>,
@@ -105,7 +101,6 @@ impl Default for ServerConfig {
         ServerConfig {
             batch_threads: 1,
             front: FrontConfig::default(),
-            max_resident_bytes: None,
             swap_path: None,
             source_graph: None,
             compact_threshold: 256,
@@ -314,7 +309,7 @@ impl Lineage {
     fn reset(&mut self, shared: &Shared) -> std::io::Result<Arc<Generation>> {
         let path = shared.config.swap_path.as_deref().unwrap_or(&shared.index_path);
         self.generation_seq += 1;
-        let fresh = Generation::load(path, shared.config.max_resident_bytes, self.generation_seq)?;
+        let fresh = Generation::load(path, self.generation_seq)?;
         self.advance(path.to_path_buf(), self.edges.len())?;
         self.edges.clear();
         self.folded = 0;
@@ -422,7 +417,7 @@ pub fn serve(
     let (lineage, boot_path, recovered) = Lineage::open(index_path, &config)?;
     // Replay the unfolded edges into the overlay: the recovered daemon
     // answers exactly like the crashed one did after its last ack.
-    let boot = Generation::load(&boot_path, config.max_resident_bytes, 1)?
+    let boot = Generation::load(&boot_path, 1)?
         .with_updates(&lineage.edges[lineage.folded..])
         .map_err(std::io::Error::other)?;
     let (compact_tx, compact_rx) = mpsc::channel::<CompactMsg>();
@@ -651,7 +646,7 @@ impl Service for Shared {
             generation: current.generation(),
             vertices: current.vertices() as u64,
             directed: current.is_directed(),
-            resident: current.is_resident(),
+            translates_ids: current.translates_ids(),
             resident_bytes: current.resident_bytes() as u64,
             overlay_edges: current.overlay_edges() as u64,
             overlay_affected: current.overlay_affected() as u64,

@@ -71,7 +71,7 @@ fn response_strategy() -> impl Strategy<Value = Response> {
                     generation: a,
                     vertices: b,
                     directed: a % 2 == 1,
-                    resident: b % 2 == 0,
+                    translates_ids: b % 2 == 0,
                     resident_bytes: a ^ b,
                     overlay_edges: b >> 1,
                     overlay_affected: a >> 3,
@@ -367,7 +367,7 @@ fn declared_replies_keep_their_length_their_totality_and_their_field_list() {
     let node = InfoReply {
         protocol: VERSION,
         generation: 9,
-        resident: true,
+        translates_ids: true,
         wal_bytes: 4096,
         ..Default::default()
     };

@@ -2,8 +2,9 @@
 //! daemons, asserting the scale-out answer paths are *byte-identical*
 //! to a single daemon over the unsharded index — replica and shard
 //! modes, directed and undirected, under a concurrent rolling swap —
-//! and that killing one of two replicas mid-fire loses zero accepted
-//! queries.
+//! that killing one of two replicas mid-fire loses zero accepted
+//! queries, that a dead shard fails only the batches that need it, and
+//! that a fleet answering in two id spaces is refused at startup.
 //!
 //! Backends serve images without a `.rank` sidecar, so the wire speaks
 //! rank-space ids and the oracle is `FlatIndex::query_many` on the
@@ -22,7 +23,7 @@ use hopdb_server::{
 use hoplabels::flat::FlatIndex;
 use hoplabels::shard_image;
 use sfgraph::builder::GraphBuilder;
-use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
+use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy, Ranking};
 use sfgraph::{Dist, VertexId};
 
 const N: usize = 120;
@@ -88,13 +89,9 @@ fn fixture(tag: &str, directed: bool) -> Fixture {
 impl Fixture {
     /// Stage the whole image at `name` and boot a backend over it.
     fn backend(&self, name: &str) -> ServerHandle {
-        self.backend_with(name, ServerConfig::default())
-    }
-
-    fn backend_with(&self, name: &str, config: ServerConfig) -> ServerHandle {
         let path = self.dir.join(name);
         std::fs::write(&path, &self.image).expect("stage image");
-        serve("127.0.0.1:0", &path, config).expect("backend")
+        serve("127.0.0.1:0", &path, ServerConfig::default()).expect("backend")
     }
 
     /// Split into `k` shard images (with `.shard` sidecars) and boot a
@@ -175,7 +172,7 @@ fn assert_routed_identical(mode: RouteMode, directed: bool, tag: &str) {
     };
     assert_eq!(info.mode, want_mode);
     assert_eq!((info.vertices, info.directed), (N as u64, directed));
-    assert_eq!((info.backends, info.resident), (2, true));
+    assert_eq!((info.backends, info.translates_ids), (2, false));
     let shards = if mode == RouteMode::Shard { 2 } else { 0 };
     assert_eq!((info.shard_count, info.shard_hi), (shards, shards / 2 * N as u32));
 
@@ -444,30 +441,86 @@ fn shard_backends_refuse_updates_and_compactions() {
     }
 }
 
-/// A router's `resident` is its backends', as probed at startup: one
-/// replica on the disk fallback makes the fleet not resident.
+/// Kill one of two shard backends: a batch that needs it gets an error
+/// naming the shard, after one reconnect attempt, instead of hanging;
+/// the client's connection to the router lives on.
 #[test]
-fn replica_router_is_resident_only_when_every_backend_is() {
-    let fx = fixture("resident", false);
-    let a = fx.backend("a.idx");
-    let disk = ServerConfig { max_resident_bytes: Some(1), ..ServerConfig::default() };
-    let b = fx.backend_with("b.idx", disk);
-    let resident = |addr| Client::connect(addr).expect("connect").info().expect("info").resident;
-    assert!(resident(a.local_addr()) && !resident(b.local_addr()));
+fn a_dead_shard_fails_only_its_batch() {
+    let fx = fixture("shard-kill", false);
+    let mut backends = fx.shard_backends(2);
+    let addrs: Vec<SocketAddr> = backends.iter().map(|b| b.local_addr()).collect();
+    let rt = router(RouteMode::Shard, addrs.clone());
+    let mut client = Client::connect(rt.local_addr()).expect("client");
+    let pairs = fx.probes();
+    assert_eq!(client.query(&pairs).expect("both shards up"), fx.oracle(&pairs));
+    assert_eq!(client.info().expect("info").failovers, 0);
 
-    for (fleet, want) in
-        [(vec![a.local_addr()], true), (vec![a.local_addr(), b.local_addr()], false)]
-    {
-        let rt = router(RouteMode::Replica, fleet);
-        assert_eq!(resident(rt.local_addr()), want);
-        let mut client = Client::connect(rt.local_addr()).expect("client");
-        let pairs = fx.probes();
-        assert_eq!(client.query(&pairs).expect("routed batch"), fx.oracle(&pairs));
-        drop(client);
-        rt.shutdown();
+    backends.pop().expect("shard 1").shutdown();
+    let err = client.query(&pairs).expect_err("a batch that needs the dead shard must fail");
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains(&format!("shard 1 ({})", addrs[1])), "{err}");
+    let info = client.info().expect("the connection outlives the failed batch");
+    assert!(info.failovers >= 1, "the dead shard's part was never retried");
+
+    drop(client);
+    rt.shutdown();
+    for b in backends {
+        b.shutdown();
     }
-    a.shutdown();
-    b.shutdown();
+}
+
+/// Two backends from one image, each behind a copy of the image's
+/// `.rank` sidecar, save the second: that one answers in rank ids while
+/// the other translates original ids, so the router must refuse the
+/// fleet and name it.
+fn assert_mixed_id_spaces_refused(mode: RouteMode, tag: &str) {
+    let fx = fixture(tag, false);
+    let rank = Ranking::from_order((0..N as VertexId).rev().collect()).to_sidecar_bytes();
+    let shards = shard_image(&fx.image, 2).expect("shard");
+    let sidecar = |path: &PathBuf, ext: &str| format!("{}.{ext}", path.to_string_lossy());
+    let backends: Vec<ServerHandle> = (0..2)
+        .map(|i| {
+            let path = fx.dir.join(format!("b{i}.idx"));
+            match mode {
+                RouteMode::Replica => std::fs::write(&path, &fx.image).expect("stage image"),
+                RouteMode::Shard => {
+                    std::fs::write(&path, &shards[i].0).expect("stage shard");
+                    std::fs::write(sidecar(&path, "shard"), shards[i].1.encode())
+                        .expect("stage .shard");
+                }
+            }
+            if i == 0 {
+                std::fs::write(sidecar(&path, "rank"), &rank).expect("stage .rank");
+            }
+            serve("127.0.0.1:0", &path, ServerConfig::default()).expect("backend")
+        })
+        .collect();
+    let addrs: Vec<SocketAddr> = backends.iter().map(|b| b.local_addr()).collect();
+    let translates: Vec<bool> = addrs
+        .iter()
+        .map(|addr| Client::connect(addr).expect("connect").info().expect("info").translates_ids)
+        .collect();
+    assert_eq!(translates, [true, false], "{mode:?}");
+
+    let config = RouterConfig { mode, backends: addrs.clone(), ..RouterConfig::default() };
+    let err = serve_router("127.0.0.1:0", config).err().expect("a mixed fleet must be refused");
+    let msg = err.to_string();
+    let odd =
+        format!("backend {} serves {N} vertices (directed=false, translates_ids=false)", addrs[1]);
+    assert!(msg.contains(&odd), "{mode:?}: {msg}");
+    for b in backends {
+        b.shutdown();
+    }
+}
+
+#[test]
+fn replica_fleet_that_mixes_id_spaces_is_refused() {
+    assert_mixed_id_spaces_refused(RouteMode::Replica, "ids-rep");
+}
+
+#[test]
+fn shard_fleet_that_mixes_id_spaces_is_refused() {
+    assert_mixed_id_spaces_refused(RouteMode::Shard, "ids-shard");
 }
 
 #[test]

@@ -9,8 +9,8 @@
 //! inserted, total_entries)` rows, and is asserted at 1, 2 and 4
 //! threads. The hash reads the labels, not the serialized image, so it
 //! keeps proving the engines' output did not move when the image format
-//! does (the constants below were produced by this hash on the commit
-//! before `HOPIDX02`). When the algorithm's output legitimately
+//! does (the constants below predate the last two format changes and
+//! held through both). When the algorithm's output legitimately
 //! changes, a failing case prints its row in the table's own syntax:
 //! re-measure and replace the constants.
 //!

@@ -76,23 +76,6 @@ fn served_answers_match_flat_and_bfs_truth() {
 }
 
 #[test]
-fn disk_fallback_admission_serves_identical_answers() {
-    // A 1-byte admission budget forces the CachedDiskIndex fallback;
-    // wire answers must still be bit-identical to the resident path.
-    let g = glp(&GlpParams::with_density(100, 3.0, 9));
-    let (path, flat, _) = build_index_file(&g, "admission");
-    let config = ServerConfig { max_resident_bytes: Some(1), ..ServerConfig::default() };
-    let handle = serve("127.0.0.1:0", &path, config).expect("serve");
-    let mut client = Client::connect(handle.local_addr()).expect("connect");
-    assert!(!client.info().expect("info").resident, "budget of 1 byte must force disk serving");
-    let pairs: Vec<(VertexId, VertexId)> = (0..100u32).map(|i| (i, (i * 13 + 7) % 100)).collect();
-    assert_eq!(client.query(&pairs).expect("query"), flat.query_many(&pairs, 1));
-    drop(client);
-    handle.shutdown();
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
 fn hot_swap_promotes_without_mixing_generations() {
     // Two different graphs over the same vertex count, so every pair is
     // valid against both indexes but most distances differ.
