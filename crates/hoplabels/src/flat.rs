@@ -26,6 +26,7 @@
 //! results come back in input order.
 #![allow(unsafe_code)]
 
+use std::cell::Cell;
 use std::path::Path;
 
 use sfgraph::{Dist, VertexId, INF_DIST};
@@ -155,6 +156,13 @@ impl FlatIndex {
     /// If `s` or `t` is not below [`FlatIndex::num_vertices`].
     #[inline]
     pub fn query(&self, s: VertexId, t: VertexId) -> Dist {
+        self.answer(s, t, &())
+    }
+
+    /// The one query path; `tally` counts its work, or, as `()`,
+    /// compiles to nothing.
+    #[inline]
+    fn answer(&self, s: VertexId, t: VertexId, tally: &impl Tally) -> Dist {
         let n = self.layout.header.n;
         assert!((s as usize) < n && (t as usize) < n, "vertex out of range");
         let widths = self.layout.header.widths;
@@ -163,6 +171,7 @@ impl FlatIndex {
             if !image::is_record(slot) {
                 return None;
             }
+            tally.record_end();
             let (mut pairs, mut at) = ([(NO_PARENT, 0); RECORD_PAIRS], 0);
             // `resolve` hands this only slots of `self.image`, and
             // validation read this one as a record: one or two pairs of
@@ -178,12 +187,13 @@ impl FlatIndex {
             Some(Record::from_array(pairs))
         };
         let join = |a: &&[u8], b: &&[u8]| {
+            tally.join(a.len() + b.len());
             // SAFETY: `resolve` joins only slots of `self.image` that
             // `record` did not read as a record (validation: a record's
             // parents hold labels), so whole labels `image::validate`
             // accepted at these `widths` before `self` existed; nothing
             // has written since.
-            let sum = unsafe { join(a, b, widths) };
+            let sum = unsafe { join(a, b, widths, tally) };
             sum.min(INF_DIST.into()) as Dist
         };
         let slot = |v, target_side| Ok(self.label(target_side as usize, v));
@@ -209,6 +219,33 @@ impl FlatIndex {
         threads: usize,
         out: &mut Vec<Dist>,
     ) {
+        self.many::<()>(pairs, threads, out);
+    }
+
+    /// [`FlatIndex::query_many`] and the [`QueryWork`] of all its pairs,
+    /// summed: the same batch path, with its counters on. The sum does
+    /// not depend on `threads`.
+    pub fn query_many_work(
+        &self,
+        pairs: &[(VertexId, VertexId)],
+        threads: usize,
+    ) -> (Vec<Dist>, QueryWork) {
+        let mut results = Vec::with_capacity(pairs.len());
+        let tallies = self.many::<Cell<QueryWork>>(pairs, threads, &mut results);
+        (
+            results,
+            tallies.into_iter().map(Cell::into_inner).fold(QueryWork::default(), |a, b| a + b),
+        )
+    }
+
+    /// The batch path: appends the answers to `out` and returns one
+    /// tally per worker.
+    fn many<T: Tally + Default + Send>(
+        &self,
+        pairs: &[(VertexId, VertexId)],
+        threads: usize,
+        out: &mut Vec<Dist>,
+    ) -> Vec<T> {
         let threads = if threads == 0 {
             std::thread::available_parallelism().map_or(1, usize::from)
         } else {
@@ -217,22 +254,85 @@ impl FlatIndex {
         let base = out.len();
         out.resize(base + pairs.len(), INF_DIST);
         let results = &mut out[base..];
-        if threads <= 1 || pairs.len() < 2 {
-            for (r, &(s, t)) in results.iter_mut().zip(pairs) {
-                *r = self.query(s, t);
+        let run = |pair_chunk: &[(VertexId, VertexId)], result_chunk: &mut [Dist]| {
+            let tally = T::default();
+            for (r, &(s, t)) in result_chunk.iter_mut().zip(pair_chunk) {
+                *r = self.answer(s, t, &tally);
             }
-            return;
+            tally
+        };
+        if threads <= 1 || pairs.len() < 2 {
+            return vec![run(pairs, results)];
         }
         let chunk = pairs.len().div_ceil(threads);
         std::thread::scope(|scope| {
-            for (pair_chunk, result_chunk) in pairs.chunks(chunk).zip(results.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (r, &(s, t)) in result_chunk.iter_mut().zip(pair_chunk) {
-                        *r = self.query(s, t);
-                    }
-                });
-            }
-        });
+            let workers: Vec<_> = pairs
+                .chunks(chunk)
+                .zip(results.chunks_mut(chunk))
+                .map(|(pair_chunk, result_chunk)| {
+                    scope.spawn(move || run(pair_chunk, result_chunk))
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("a query worker panicked")).collect()
+        })
+    }
+}
+
+/// What queries cost, counted by the code that answers them
+/// ([`FlatIndex::query_many_work`]): exact
+/// numbers that a format or a record rule moves, where a timer on a
+/// shared host only drifts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct QueryWork {
+    /// Label joins made.
+    pub joins: u64,
+    /// Bytes of the labels handed to those joins, both sides.
+    pub join_bytes: u64,
+    /// Entries the joins decoded: one per hub both labels hold, one per
+    /// tail varint read.
+    pub entries: u64,
+    /// Query ends whose slot was a record, resolved through its parents.
+    pub record_ends: u64,
+}
+
+impl std::ops::Add for QueryWork {
+    type Output = QueryWork;
+
+    fn add(self, other: QueryWork) -> QueryWork {
+        QueryWork {
+            joins: self.joins + other.joins,
+            join_bytes: self.join_bytes + other.join_bytes,
+            entries: self.entries + other.entries,
+            record_ends: self.record_ends + other.record_ends,
+        }
+    }
+}
+
+/// Where a query counts its work: `()` counts nothing, and the
+/// monomorphised query keeps no trace of the calls.
+trait Tally {
+    fn join(&self, _bytes: usize) {}
+    /// `count` is called only by a tally that counts.
+    fn entries(&self, _count: impl FnOnce() -> u32) {}
+    fn record_end(&self) {}
+}
+
+impl Tally for () {}
+
+impl Tally for Cell<QueryWork> {
+    fn join(&self, bytes: usize) {
+        let w = self.get();
+        self.set(QueryWork { joins: w.joins + 1, join_bytes: w.join_bytes + bytes as u64, ..w });
+    }
+
+    fn entries(&self, count: impl FnOnce() -> u32) {
+        let w = self.get();
+        self.set(QueryWork { entries: w.entries + u64::from(count()), ..w });
+    }
+
+    fn record_end(&self) {
+        let w = self.get();
+        self.set(QueryWork { record_ends: w.record_ends + 1, ..w });
     }
 }
 
@@ -252,7 +352,7 @@ fn label_len(label: &[u8], widths: Widths) -> usize {
 /// `a` and `b` must each be a whole label that [`image::validate`]
 /// accepted at these `widths`.
 #[inline]
-unsafe fn join(a: &[u8], b: &[u8], widths: Widths) -> u64 {
+unsafe fn join(a: &[u8], b: &[u8], widths: Widths, tally: &impl Tally) -> u64 {
     // An empty label is zero bytes; any other starts with its hub word.
     let (Some(ha), Some(hb)) = (a.first_chunk::<8>(), b.first_chunk::<8>()) else {
         return u64::MAX;
@@ -260,6 +360,7 @@ unsafe fn join(a: &[u8], b: &[u8], widths: Widths) -> u64 {
     let (ha, hb) = (u64::from_le_bytes(*ha), u64::from_le_bytes(*hb));
     let mut best = u64::MAX;
     let mut common = ha & hb;
+    tally.entries(|| common.count_ones());
     while common != 0 {
         // A hub's distance sits at the rank of its bit among the
         // label's own set bits.
@@ -279,6 +380,22 @@ unsafe fn join(a: &[u8], b: &[u8], widths: Widths) -> u64 {
     let mut tb = Tail::after_hubs(b, hb, widths);
     // SAFETY: both cursors are where `after_hubs` put them in a
     // validated label.
+    let tails = unsafe { merge_tails(&mut ta, &mut tb) };
+    tally.entries(|| ta.read() + tb.read());
+    best.min(tails)
+}
+
+/// Minimum `d_a + d_b` over the tail pivots two cursors share; `u64::MAX`
+/// when they share none. Either tail running out ends the merge: what
+/// is left on the other side has no partner.
+///
+/// # Safety
+/// Only [`Tail::after_hubs`] has placed either cursor, in a validated
+/// label.
+#[inline(always)]
+unsafe fn merge_tails(ta: &mut Tail<'_>, tb: &mut Tail<'_>) -> u64 {
+    let mut best = u64::MAX;
+    // SAFETY: as this function's.
     if unsafe { !ta.next() || !tb.next() } {
         return best;
     }
@@ -287,8 +404,6 @@ unsafe fn join(a: &[u8], b: &[u8], widths: Widths) -> u64 {
         if step_a && step_b {
             best = best.min(ta.dist as u64 + tb.dist as u64);
         }
-        // Either tail running out ends the join: what is left on the
-        // other side has no partner.
         // SAFETY: only `next` has moved either cursor since `after_hubs`.
         if unsafe { (step_a && !ta.next()) || (step_b && !tb.next()) } {
             return best;
@@ -320,6 +435,8 @@ unsafe fn hub_dist(label: &[u8], rank: usize, bits: u32) -> u64 {
 /// A cursor over the varint tail of one validated label.
 struct Tail<'a> {
     label: &'a [u8],
+    /// Where the tail starts.
+    start: usize,
     at: usize,
     widths: Widths,
     pivot: VertexId,
@@ -331,7 +448,13 @@ impl Tail<'_> {
     #[inline(always)]
     fn after_hubs(label: &[u8], hubs: u64, widths: Widths) -> Tail<'_> {
         let at = 8 + widths.hub_bytes(hubs.count_ones() as usize);
-        Tail { label, at, widths, pivot: image::HUBS - 1, dist: 0 }
+        Tail { label, start: at, at, widths, pivot: image::HUBS - 1, dist: 0 }
+    }
+
+    /// Varints read so far: each ends at its one byte below `0x80`.
+    fn read(&self) -> u32 {
+        let read = self.label.get(self.start..self.at).unwrap_or_default();
+        read.iter().filter(|&&b| b < 0x80).count() as u32
     }
 
     /// Step to the next entry; `false` at the label's end.

@@ -55,7 +55,7 @@ pub mod stats;
 pub mod verify;
 
 pub use entry::LabelEntry;
-pub use flat::FlatIndex;
+pub use flat::{FlatIndex, QueryWork};
 pub use index::{DirectedLabels, LabelIndex, Record, UndirectedLabels, VertexLabels};
 pub use overlay::{LiveIndex, OverlaySnapshot};
 pub use query::QueryBackend;
