@@ -341,9 +341,10 @@ pub(crate) fn join_entries(a: &VertexLabels, b: &VertexLabels) -> Dist {
 ///
 /// `s == t` answers 0. An end whose slot is a record continues from each
 /// of its parents at that pair's offset; a parent whose slot is a record
-/// too is `InvalidData`. Two ends that meet at one vertex need no join.
-/// The answer is the least `off(s) + join(p(s), p(t)) + off(t)` — at
-/// most four joins — capped at [`INF_DIST`].
+/// too is `InvalidData`. Two ends that meet at one vertex need no join,
+/// and neither does a pair whose offsets alone already reach the best
+/// answer so far. The answer is the least `off(s) + join(p(s), p(t)) +
+/// off(t)` — at most four joins — capped at [`INF_DIST`].
 #[inline]
 pub fn resolve<L>(
     s: VertexId,
@@ -368,14 +369,32 @@ pub fn resolve<L>(
             (from.unwrap_or([Some((s, 0, own_s)), None]), to.unwrap_or([Some((t, 0, own_t)), None]))
         }
     };
+    // Ends in offset order, so that a pair whose offsets alone already
+    // meet the best answer so far ends its row: a join adds at least 0.
+    let (from, to) = (by_offset(from), by_offset(to));
     let mut best = u64::from(INF_DIST);
     for (ps, ds, a) in from.iter().flatten() {
         for (pt, dt, b) in to.iter().flatten() {
+            let offsets = u64::from(*ds) + u64::from(*dt);
+            if offsets >= best {
+                break;
+            }
             let core = if ps == pt { 0 } else { join(a, b) };
-            best = best.min(u64::from(*ds) + u64::from(core) + u64::from(*dt));
+            best = best.min(offsets + u64::from(core));
         }
     }
     Ok(best as Dist)
+}
+
+/// `ends` with the smaller offset first.
+#[inline(always)]
+fn by_offset<L>(mut ends: Ends<L>) -> Ends<L> {
+    if let [Some((_, first, _)), Some((_, second, _))] = &ends {
+        if second < first {
+            ends.swap(0, 1);
+        }
+    }
+    ends
 }
 
 /// Where a query goes on from an end: per way, a vertex, the offset to it
@@ -658,9 +677,11 @@ mod tests {
             (2, 1, 3 + 2, vec![(0, 1)]),
             (3, 1, 1 + 2, vec![(0, 1)]),
             (1, 3, 11 + 1, vec![(1, 0)]),
-            (2, 3, 3 + 1, vec![(0, 1)]),
-            // Every sum is past `INF_DIST`.
-            (5, 3, INF_DIST, vec![(1, 0)]),
+            // 2 and 3 meet at 0 for 3 + 1; the pair of 0 and 1 cannot
+            // beat that on its offsets alone, so it is never joined.
+            (2, 3, 3 + 1, vec![]),
+            // Every sum is past `INF_DIST`, so no pair is worth a join.
+            (5, 3, INF_DIST, vec![]),
         ] {
             assert_eq!(answer(s, t), (Ok(want), joins), "{s}->{t}");
         }
