@@ -54,6 +54,8 @@ impl std::error::Error for IsLabelError {}
 pub struct IsLabel {
     index: LabelIndex,
     levels: u32,
+    /// The vertices, top of the hierarchy first.
+    order: Vec<VertexId>,
 }
 
 /// Per-vertex state recorded at removal time.
@@ -208,7 +210,7 @@ impl IsLabel {
 
         let sides = if directed { vec![out_labels, in_labels] } else { vec![out_labels] };
         let index = LabelIndex::from_sides(sides);
-        Ok(IsLabel { index, levels: level })
+        Ok(IsLabel { index, levels: level, order: by_level })
     }
 
     /// The label index (original vertex ids — IS-Label needs no global
@@ -220,6 +222,28 @@ impl IsLabel {
     /// Number of hierarchy levels extracted.
     pub fn levels(&self) -> u32 {
         self.levels
+    }
+
+    /// The index renumbered top of the hierarchy first, and each
+    /// original id's new one. A label holds only vertices above its own
+    /// in the hierarchy, so here every pivot lies below its vertex, as an
+    /// index image requires.
+    pub fn leveled(&self) -> (LabelIndex, Vec<VertexId>) {
+        let mut new_id = vec![0; self.order.len()];
+        for (i, &v) in self.order.iter().enumerate() {
+            new_id[v as usize] = i as VertexId;
+        }
+        let renumber = |labels: &[VertexLabels]| -> Vec<VertexLabels> {
+            let entries = |v: VertexId| labels[v as usize].entries().iter();
+            let renumbered =
+                |v| entries(v).map(|e| LabelEntry::new(new_id[e.pivot as usize], e.dist));
+            self.order
+                .iter()
+                .map(|&v| VertexLabels::from_entries(renumbered(v).collect()))
+                .collect()
+        };
+        let sides = self.index.sides().into_iter().map(renumber).collect();
+        (LabelIndex::from_sides(sides), new_id)
     }
 }
 
@@ -269,13 +293,15 @@ mod tests {
             let g = b.build();
             let truth = all_pairs(&g);
             let isl = IsLabel::build(&g, usize::MAX).unwrap();
+            // Renumbered, the index has an image, which answers the same.
+            let (leveled, id) = isl.leveled();
+            let flat = hoplabels::FlatIndex::from_index(&leveled);
             for s in 0..n as VertexId {
                 for t in 0..n as VertexId {
-                    assert_eq!(
-                        isl.distance(s, t),
-                        truth[s as usize][t as usize],
-                        "{s}->{t} (directed={directed} weighted={weighted})"
-                    );
+                    let want = truth[s as usize][t as usize];
+                    let what = format!("{s}->{t} (directed={directed} weighted={weighted})");
+                    assert_eq!(isl.distance(s, t), want, "{what}");
+                    assert_eq!(flat.query(id[s as usize], id[t as usize]), want, "{what}, leveled");
                 }
             }
         }

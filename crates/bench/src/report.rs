@@ -182,13 +182,19 @@ impl Run {
             let mut disk = DiskIndex::create(index, &store, tag).expect("disk index");
             time_queries(pairs, |s, t| disk.query(s, t).expect("disk query")).0
         };
-        let isl_disk_us = isl.as_ref().map(|i| disk_us(i.index(), "isl", short));
+        // An image needs IS-Label's labels renumbered by its hierarchy.
+        let isl_leveled = isl.as_ref().map(IsLabel::leveled);
+        let isl_disk_us = isl_leveled.as_ref().map(|(index, id)| {
+            let pairs: Vec<_> =
+                short.iter().map(|&(s, t)| (id[s as usize], id[t as usize])).collect();
+            disk_us(index, "isl", &pairs)
+        });
         let hop_disk_us = disk_us(&ext.index, "hopdb", &rank_pairs[..short.len()]);
 
         format!(
             "{:<12} {:>8} {:>9} {:>7} {:>7.1} | {:>8} {:>8.1} {:>8.1} | {:>8} {:>8.2} {:>8.2} {:>8.2} | {:>9.1} {:>9} {:>8.2} {:>8.1} {:>8.2} {:>8} | {:>9} {:>9.1} {:>10}",
             w.name, g.num_vertices(), g.num_edges(), g.max_degree(), mb(g.size_bytes()),
-            dash(isl.as_ref().map(|i| image_mb(i.index())), 1), image_mb(pll.index()), mb(flat.resident_bytes()),
+            dash(isl_leveled.as_ref().map(|(index, _)| image_mb(index)), 1), image_mb(pll.index()), mb(flat.resident_bytes()),
             dash(isl_s, 2), pll_s, hop_s, mem.secs,
             bidij_us, dash(isl_us, 2), pll_us, hcl_us, hop_us, dash(bp_us, 2),
             dash(isl_disk_us, 1), hop_disk_us, ext.io.2 + ext.io.3,
@@ -291,7 +297,8 @@ pub fn report(out: &mut impl Write, inputs: &Inputs, sections: &[&str]) -> io::R
             "— = did not finish (IS-Label's edge augmentation exceeded its budget, cf. the paper's 24 h timeouts)\n\
              Hop(s), HopIO = the external §4 engine (M = 256 Ki records, B = 64 KiB); HopT(s) = the in-memory\n\
              engine at {} worker thread(s), the same index bit for bit. ISL/PLL/Hop(MB) = each labelling's\n\
-             HOPIDX03 image, which is also what a serving FlatIndex holds resident; Hop(µs) queries FlatIndex.",
+             HOPIDX04 image (IS-Label's renumbered by its hierarchy), which is also what a serving FlatIndex\n\
+             holds resident; Hop(µs) queries FlatIndex.",
             run.threads
         );
         section(out, title, header, &table6, &notes)?;

@@ -102,8 +102,15 @@ fn an_image_from_before_the_format_change_is_refused_by_name() {
     v02.extend_from_slice(&2u64.to_le_bytes());
     v02.extend_from_slice(&[0u8; 12]);
     v02.extend_from_slice(&extmem::wire::crc32(&v02).to_le_bytes());
+    // And a HOPIDX03 image of the same: 4-bit hub distances, tail shift
+    // 0, a u32 byte-offset directory, no labels, its CRC.
+    let mut v03 = b"HOPIDX03".to_vec();
+    v03.extend_from_slice(&[0, 4, 0, 0]);
+    v03.extend_from_slice(&2u64.to_le_bytes());
+    v03.extend_from_slice(&[0u8; 12]);
+    v03.extend_from_slice(&extmem::wire::crc32(&v03).to_le_bytes());
 
-    for (old, name) in [(v01, "HOPIDX01"), (v02, "HOPIDX02")] {
+    for (old, name) in [(v01, "HOPIDX01"), (v02, "HOPIDX02"), (v03, "HOPIDX03")] {
         let (index, announce) = (path("old.idx"), path("addr"));
         std::fs::write(&index, &old).expect("write old image");
         let serve = ["serve", "-x", &index, "--addr", "127.0.0.1:0", "--announce-file", &announce];

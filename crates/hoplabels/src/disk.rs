@@ -3,12 +3,14 @@
 //! The paper's index is disk-resident: answering `dist(s, t)` reads the
 //! two labels `Lout(s)` and `Lin(t)` from disk and merge-joins them
 //! (Table 6's "Disk query time" column). [`DiskIndex`] does exactly
-//! that over a `HOPIDX03` file ([`crate::image`] owns the format and
+//! that over a `HOPIDX04` file ([`crate::image`] owns the format and
 //! [`LabelIndex::write_hopidx`] is its only writer): the offset
-//! directory (4 bytes/vertex/side) is held in memory, as any practical
-//! disk index would; a query between labelled vertices then costs two
-//! label reads, the paper's two-I/O model. Each read goes through the
-//! checked decoder, and the rest is [`resolve`] and `merge_join`.
+//! directory (about 2 bytes/vertex/side) is held in memory, as any
+//! practical disk index would; a query between labelled vertices then
+//! costs two label reads, the paper's two-I/O model. Each read goes
+//! through the checked decoder, which puts back the self entry the
+//! directory says the label implies, and the rest is [`resolve`] and
+//! `merge_join`.
 //!
 //! Both readers here exist for that table and for hopbench's
 //! `cached_disk_*` lines, and neither is a [`crate::QueryBackend`]:
@@ -94,15 +96,16 @@ impl DiskIndex {
     /// false`) or target side.
     fn read_label(&mut self, v: VertexId, target_side: bool) -> std::io::Result<VertexLabels> {
         // An undirected layout aliases side 1 to side 0.
-        let span =
-            self.layout.span(&self.front, target_side as usize, v as usize).ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidInput, "vertex out of range")
-            })?;
+        let (side, v) = (target_side as usize, v as usize);
+        let span = self.layout.span(&self.front, side, v).ok_or_else(|| {
+            std::io::Error::new(std::io::ErrorKind::InvalidInput, "vertex out of range")
+        })?;
         let mut bytes = vec![0u8; span.len()];
         if !bytes.is_empty() {
             self.file.read_exact_at(span.start as u64, &mut bytes)?;
         }
-        image::decode_slot(&bytes, v as usize, &self.layout.header)
+        let implies_self = self.layout.implies_self(&self.front, side, v);
+        image::decode_slot(&bytes, v, &self.layout.header, implies_self)
     }
 
     /// Disk-based distance query: [`resolve`] over slots read from the
@@ -426,8 +429,8 @@ mod tests {
         for bogus_n in [u64::MAX, 1u64 << 61, 1 << 40] {
             let mut crafted = store.create("crafted").unwrap();
             let mut bytes = Vec::new();
-            bytes.extend_from_slice(b"HOPIDX03");
-            bytes.extend_from_slice(&[1, 8, 0, 0]);
+            bytes.extend_from_slice(b"HOPIDX04");
+            bytes.extend_from_slice(&[1, 8, 0, 0, 0]);
             bytes.extend_from_slice(&bogus_n.to_le_bytes());
             bytes.extend_from_slice(&[0u8; 16]);
             std::io::Write::write_all(&mut crafted, &bytes).unwrap();
@@ -452,10 +455,11 @@ mod tests {
         let store = TempStore::new().unwrap();
         let index = small_directed_index(); // 10 entries in 8 labels, every pivot a hub
         let disk = DiskIndex::create(&index, &store, "sz").unwrap();
-        // Prefix, two 5-slot u32 directories, a hub word per label and a
-        // 4-bit distance per entry (each label's one or two fill a byte),
-        // the CRC.
-        let expect = 8 + 4 + 8 + 2 * 5 * 4 + 8 * 8 + 8 + 4;
+        // Prefix; two directories of one block, a u32 base and five u16
+        // offsets; the two labels that store an entry besides their
+        // implied self entry, a hub word each and, every distance being
+        // 1, no distance bits; the CRC.
+        let expect = 8 + 5 + 8 + 2 * (4 + 5 * 2) + 2 * 8 + 4;
         assert_eq!(disk.file_bytes().unwrap(), expect as u64);
     }
 }

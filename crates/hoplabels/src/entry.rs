@@ -7,8 +7,9 @@ use sfgraph::{Dist, VertexId};
 /// In `Lout(u)` the entry means: there is a (trough) path `u ⇝ pivot` of
 /// length `dist` and `r(pivot) > r(u)`. In `Lin(v)` it means a path
 /// `pivot ⇝ v` of length `dist` with `r(pivot) > r(v)`. The trivial
-/// self-entry `(v, 0)` is always present (the paper keeps it for query
-/// answering).
+/// self-entry `(v, 0)` is always present in the nested index (the paper
+/// keeps it for query answering) and implied in the image, which stores
+/// only the entries below it (`crate::image`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LabelEntry {
     /// Pivot vertex (id = rank position; smaller id = higher rank).

@@ -1,4 +1,4 @@
-//! `FlatIndex` — the frozen read path: a validated `HOPIDX03` image,
+//! `FlatIndex` — the frozen read path: a validated `HOPIDX04` image,
 //! served in place.
 //!
 //! [`crate::index::LabelIndex`] is the *construction* representation:
@@ -10,16 +10,24 @@
 //! resident is what `ls -l` shows.
 //!
 //! A query never decodes a label into entries. Per label the 64
-//! top-ranked pivots are one `u64` with a packed distance per set bit
-//! (4, 8, 16 or 32 bits, one width per image), so the join over them is
+//! top-ranked pivots are one `u64` with a packed `d − 1` per set bit
+//! (0 to 32 bits, one width per image), so the join over them is
 //! `hubs(s) & hubs(t)` and a `popcount`-ranked distance lookup per
 //! common bit; the rest is a tail of one varint per entry, split into
-//! pivot gap and distance by the image's tail shift and merged by one
-//! portable two-pointer loop. The per-entry
+//! pivot gap and `d − 1` by the image's tail shift and merged by one
+//! portable two-pointer loop. No label stores its self entry `(v, 0)`:
+//! the join knows the two vertices, and of their self entries only the
+//! lower one's can meet a stored pivot of the other label, so it looks
+//! that one up — a hub bit, or one more entry after the last of its
+//! label's tail. The per-entry
 //! loops read label bytes without bounds checks; [`crate::image`]'s
 //! validator, which every constructor runs, is what makes that sound.
 //! The record rule is [`crate::index::resolve`]'s: a query hands it the
 //! slots, a record decoded in place and this byte join.
+//!
+//! [`FlatIndex::query_many_work`] answers a batch on the same path with
+//! its [`QueryWork`] counters on, and `()` in their place elsewhere
+//! compiles to nothing.
 //!
 //! [`FlatIndex::query_many`] shards a pair slice across scoped threads;
 //! the index is immutable, so serving parallelises embarrassingly and
@@ -34,7 +42,7 @@ use sfgraph::{Dist, VertexId, INF_DIST};
 use crate::image::{self, Layout, Widths};
 use crate::index::{resolve, LabelIndex, Record, NO_PARENT, RECORD_PAIRS};
 
-/// A frozen, query-only 2-hop label index: the bytes of a `HOPIDX03`
+/// A frozen, query-only 2-hop label index: the bytes of a `HOPIDX04`
 /// image, validated once, then served in place.
 ///
 /// Built from a finished [`LabelIndex`] with [`FlatIndex::from_index`],
@@ -72,15 +80,17 @@ impl FlatIndex {
     /// validate the result like any other image.
     ///
     /// # Panics
-    /// If [`LabelIndex::write_hopidx`] refuses the index: a pivot that
-    /// is not a vertex id, or a side past the 4 GiB offset range.
+    /// If [`LabelIndex::write_hopidx`] refuses the index: a label pivot
+    /// not below its vertex, a distance 0 at another vertex, a record
+    /// that breaks the record rule, or a side past the 4 GiB offset
+    /// range.
     pub fn from_index(index: &LabelIndex) -> FlatIndex {
         let mut image = Vec::new();
-        index.write_hopidx(&mut image).expect("a finished index is writable as HOPIDX03");
+        index.write_hopidx(&mut image).expect("a finished index is writable as HOPIDX04");
         FlatIndex::from_image(image).expect("the writer's image passes its own validator")
     }
 
-    /// Validate `bytes` as a `HOPIDX03` image (the format written by
+    /// Validate `bytes` as a `HOPIDX04` image (the format written by
     /// [`LabelIndex::write_hopidx`], hence by `hopdb-cli build`) and
     /// serve it. Total: any image that is not exactly what the writer
     /// could have produced is `InvalidData`, never a panic and never an
@@ -128,21 +138,38 @@ impl FlatIndex {
         &self.image
     }
 
-    /// The encoded label of `v` on `side` (0 = `Lout`/`L`, 1 = `Lin`,
-    /// which an undirected layout aliases to side 0).
+    /// Slot `v` of `side` (0 = `Lout`/`L`, 1 = `Lin`, which an
+    /// undirected layout aliases to side 0).
     #[inline]
-    fn label(&self, side: usize, v: VertexId) -> &[u8] {
-        self.layout.label(&self.image, side, v as usize).expect("validated directory")
+    fn slot(&self, side: usize, v: VertexId) -> Slot<'_> {
+        let span = self.layout.span(&self.image, side, v as usize).expect("validated directory");
+        Slot { v, len: span.len(), rest: &self.image[span.start..] }
+    }
+
+    /// Entries of the label in slot `v` of `side`, the implied self
+    /// entry included; none for a record.
+    fn label_len(&self, side: usize, v: VertexId) -> usize {
+        let slot = self.slot(side, v);
+        if self.layout.header.records && image::is_record(slot.len) {
+            return 0;
+        }
+        let bytes = &slot.rest[..slot.len];
+        let implied = self.layout.implies_self(&self.image, side, v as usize) as usize;
+        let Some((hubs, rest)) = bytes.split_first_chunk::<8>() else { return implied };
+        let hubs = u64::from_le_bytes(*hubs).count_ones() as usize;
+        let tail = rest.get(self.layout.header.widths.hub_bytes(hubs)..).unwrap_or_default();
+        // A tail varint ends at its one byte below `0x80`.
+        implied + hubs + tail.iter().filter(|&&b| b < 0x80).count()
     }
 
     /// Entry count of the source-side label of `v` (`Lout`/`L`).
     pub fn out_label_len(&self, v: VertexId) -> usize {
-        label_len(self.label(0, v), self.layout.header.widths)
+        self.label_len(0, v)
     }
 
     /// Entry count of the target-side label of `v` (`Lin`/`L`).
     pub fn in_label_len(&self, v: VertexId) -> usize {
-        label_len(self.label(1, v), self.layout.header.widths)
+        self.label_len(1, v)
     }
 
     /// Exact distance query `dist(s, t)`; [`INF_DIST`] when
@@ -166,9 +193,9 @@ impl FlatIndex {
         let n = self.layout.header.n;
         assert!((s as usize) < n && (t as usize) < n, "vertex out of range");
         let widths = self.layout.header.widths;
-        let record = |slot: &&[u8]| {
+        let record = |slot: &Slot<'_>| {
             // Only an image with records has slots of 1–7 bytes.
-            if !image::is_record(slot) {
+            if !image::is_record(slot.len) {
                 return None;
             }
             tally.record_end();
@@ -178,25 +205,28 @@ impl FlatIndex {
             // complete varints of at most 5 bytes and 32 bits each, filling it
             // exactly.
             for pair in &mut pairs {
-                if at == slot.len() {
+                if at == slot.len {
                     break;
                 }
                 // SAFETY: `at` is at the start of a pair (above).
-                *pair = unsafe { (varint(slot, &mut at) as u32, varint(slot, &mut at) as u32) };
+                *pair = unsafe {
+                    (varint(slot.rest, &mut at) as u32, varint(slot.rest, &mut at) as u32)
+                };
             }
             Some(Record::from_array(pairs))
         };
-        let join = |a: &&[u8], b: &&[u8]| {
-            tally.join(a.len() + b.len());
+        let join = |a: &Slot<'_>, b: &Slot<'_>| {
+            tally.join(a.len + b.len);
             // SAFETY: `resolve` joins only slots of `self.image` that
             // `record` did not read as a record (validation: a record's
             // parents hold labels), so whole labels `image::validate`
-            // accepted at these `widths` before `self` existed; nothing
-            // has written since.
-            let sum = unsafe { join(a, b, widths, tally) };
+            // accepted at these `widths` before `self` existed, each
+            // followed by the rest of the image; nothing has written
+            // since.
+            let sum = unsafe { join(*a, *b, widths, tally) };
             sum.min(INF_DIST.into()) as Dist
         };
-        let slot = |v, target_side| Ok(self.label(target_side as usize, v));
+        let slot = |v, target_side| Ok(self.slot(target_side as usize, v));
         resolve(s, t, slot, record, join).expect("a validated image's records name labels")
     }
 
@@ -336,52 +366,87 @@ impl Tally for Cell<QueryWork> {
     }
 }
 
-/// Entries of one validated label: a hub per set bit, and a tail entry
-/// per varint — a varint ends at its one byte below `0x80`.
-fn label_len(label: &[u8], widths: Widths) -> usize {
-    let Some((hubs, rest)) = label.split_first_chunk::<8>() else { return 0 };
-    let hubs = u64::from_le_bytes(*hubs).count_ones() as usize;
-    let tail = rest.get(widths.hub_bytes(hubs)..).unwrap_or(&[]);
-    hubs + tail.iter().filter(|&&b| b < 0x80).count()
+/// One slot of the image as a query reads it.
+#[derive(Clone, Copy)]
+struct Slot<'a> {
+    /// The vertex whose slot it is.
+    v: VertexId,
+    /// The slot's bytes, then the rest of the image: the unchecked loads
+    /// may read up to 3 bytes past a label's end, and the image's
+    /// 4-byte CRC trailer guarantees there are that many.
+    rest: &'a [u8],
+    /// Bytes in the slot.
+    len: usize,
 }
 
-/// Minimum `d(s, p) + d(p, t)` over the pivots `p` two encoded labels
-/// share; `u64::MAX` when they share none.
+impl Slot<'_> {
+    /// The hub word of the slot's label; `None` for an empty label,
+    /// which stores no entry.
+    #[inline(always)]
+    fn hubs(&self) -> Option<u64> {
+        let word = self.rest.first_chunk::<8>().filter(|_| self.len != 0)?;
+        Some(u64::from_le_bytes(*word))
+    }
+}
+
+/// Minimum `d(s, p) + d(p, t)` over the pivots two labels share, each
+/// label's implied self entry included; `u64::MAX` when they share none.
+///
+/// Stored pivots lie below their vertex, so of the two self entries only
+/// that of the lower vertex `m` can meet a pivot of the other label: a
+/// hub bit when `m < 64`, else one more tail entry after the last stored
+/// one of the label of `m`.
 ///
 /// # Safety
-/// `a` and `b` must each be a whole label that [`image::validate`]
-/// accepted at these `widths`.
-#[inline]
-unsafe fn join(a: &[u8], b: &[u8], widths: Widths, tally: &impl Tally) -> u64 {
-    // An empty label is zero bytes; any other starts with its hub word.
-    let (Some(ha), Some(hb)) = (a.first_chunk::<8>(), b.first_chunk::<8>()) else {
-        return u64::MAX;
-    };
-    let (ha, hb) = (u64::from_le_bytes(*ha), u64::from_le_bytes(*hb));
-    let mut best = u64::MAX;
-    let mut common = ha & hb;
+/// `a` and `b` must each be a label slot whose `len` bytes
+/// [`image::validate`] accepted at these `widths`, followed in `rest` by
+/// the rest of that image.
+#[inline(always)]
+unsafe fn join(a: Slot<'_>, b: Slot<'_>, widths: Widths, tally: &impl Tally) -> u64 {
+    let (low, high) = if a.v < b.v { (a, b) } else { (b, a) };
+    // An empty high label holds only its own self entry, above every
+    // pivot of the low one.
+    let Some(hh) = high.hubs() else { return u64::MAX };
+    let hl = low.hubs().unwrap_or(0);
+    let bits = widths.hub_bits;
+    let mut common = hl & hh;
     tally.entries(|| common.count_ones());
+    // The least sum of stored values, `d − 1` each.
+    let mut least = u64::MAX;
     while common != 0 {
         // A hub's distance sits at the rank of its bit among the
         // label's own set bits.
         let below = (common & common.wrapping_neg()) - 1;
         // SAFETY: the bit is set in both words, so each rank is below
         // its label's popcount.
-        let (da, db) = unsafe {
+        let (dl, dh) = unsafe {
             (
-                hub_dist(a, (ha & below).count_ones() as usize, widths.hub_bits),
-                hub_dist(b, (hb & below).count_ones() as usize, widths.hub_bits),
+                hub_value(low, (hl & below).count_ones() as usize, bits),
+                hub_value(high, (hh & below).count_ones() as usize, bits),
             )
         };
-        best = best.min(da + db);
+        least = least.min(dl + dh);
         common &= common - 1;
     }
-    let mut ta = Tail::after_hubs(a, ha, widths);
-    let mut tb = Tail::after_hubs(b, hb, widths);
+    let best = least.saturating_add(2);
+    if low.v < image::HUBS {
+        // The low self entry is a hub, and the low label has no tail:
+        // nothing is left to merge.
+        let below = (1 << low.v) - 1;
+        if hh >> low.v & 1 == 0 {
+            return best;
+        }
+        tally.entries(|| 1);
+        // SAFETY: the bit is set in `hh`, so its rank is below the popcount.
+        let dh = unsafe { hub_value(high, (hh & below).count_ones() as usize, bits) };
+        return best.min(dh + 1);
+    }
+    let mut tl = Tail::after_hubs(low, hl, widths, Some(low.v));
+    let mut th = Tail::after_hubs(high, hh, widths, None);
     // SAFETY: both cursors are where `after_hubs` put them in a
     // validated label.
-    let tails = unsafe { merge_tails(&mut ta, &mut tb) };
-    tally.entries(|| ta.read() + tb.read());
+    let tails = unsafe { merge_tails(&mut tl, &mut th) };
+    tally.entries(|| tl.read() + th.read());
     best.min(tails)
 }
 
@@ -402,7 +467,7 @@ unsafe fn merge_tails(ta: &mut Tail<'_>, tb: &mut Tail<'_>) -> u64 {
     loop {
         let (step_a, step_b) = (ta.pivot <= tb.pivot, tb.pivot <= ta.pivot);
         if step_a && step_b {
-            best = best.min(ta.dist as u64 + tb.dist as u64);
+            best = best.min(ta.dist + tb.dist);
         }
         // SAFETY: only `next` has moved either cursor since `after_hubs`.
         if unsafe { (step_a && !ta.next()) || (step_b && !tb.next()) } {
@@ -411,56 +476,73 @@ unsafe fn merge_tails(ta: &mut Tail<'_>, tb: &mut Tail<'_>) -> u64 {
     }
 }
 
-/// The hub distance of rank `rank` in `label`, `bits` wide.
+/// The stored `d − 1` of hub rank `rank` in the label of `slot`, `bits`
+/// wide.
 ///
 /// # Safety
-/// `label` is a validated label at `bits` and `rank` is below the
+/// `slot` is a validated label at `bits` and `rank` is below the
 /// popcount of its hub word.
 #[inline(always)]
-unsafe fn hub_dist(label: &[u8], rank: usize, bits: u32) -> u64 {
+unsafe fn hub_value(slot: Slot<'_>, rank: usize, bits: u32) -> u64 {
+    let first = rank * bits as usize;
+    let shift = first % 8;
     // SAFETY: validation's `8 + ⌈bits · popcount(hubs) / 8⌉ ≤ len` puts
-    // every bit of every rank below the popcount inside `label`; byte
-    // arrays have alignment 1.
-    unsafe {
-        let dists = label.as_ptr().add(8);
-        match bits {
-            4 => ((dists.add(rank / 2).read() >> (4 * (rank % 2))) & 0xF) as u64,
-            8 => dists.add(rank).read() as u64,
-            16 => u16::from_le_bytes(dists.add(2 * rank).cast::<[u8; 2]>().read()) as u64,
-            _ => u32::from_le_bytes(dists.add(4 * rank).cast::<[u8; 4]>().read()) as u64,
+    // the first byte of this value, `p`, inside the label at any width
+    // above 0, and at width 0 `p` is the label's byte 8, at most its
+    // end; so `p + 3` is at most 3 bytes past the label, inside `rest`
+    // (the CRC trailer). Above 25 bits the value ends at `p + 3` or
+    // later, so `p + 4` is at most 1 byte past the label. Byte arrays
+    // have alignment 1.
+    let word = unsafe {
+        let p = slot.rest.as_ptr().add(8 + first / 8);
+        let low = u64::from(u32::from_le_bytes(p.cast::<[u8; 4]>().read())) >> shift;
+        // A test of the width alone, which the join's loop does not
+        // change: above 25 bits a value may reach a fifth byte.
+        if bits > 25 {
+            low | u64::from(p.add(4).read()) << (32 - shift)
+        } else {
+            low
         }
-    }
+    };
+    word & ((1u64 << bits) - 1)
 }
 
-/// A cursor over the varint tail of one validated label.
+/// A cursor over the varint tail of one validated label, which may end
+/// with the label's implied self entry.
 struct Tail<'a> {
-    label: &'a [u8],
+    rest: &'a [u8],
     /// Where the tail starts.
     start: usize,
     at: usize,
+    /// Where the label ends.
+    end: usize,
     widths: Widths,
     pivot: VertexId,
-    dist: Dist,
+    dist: u64,
+    /// The implied self entry's pivot, while it is still to come.
+    implied: Option<VertexId>,
 }
 
 impl Tail<'_> {
-    /// Before the first tail entry of `label`, whose hub word is `hubs`.
+    /// Before the first tail entry of the label of `slot`, whose hub word
+    /// is `hubs` (0 for an empty label); `implied` is reported after the
+    /// stored entries, at distance 0.
     #[inline(always)]
-    fn after_hubs(label: &[u8], hubs: u64, widths: Widths) -> Tail<'_> {
-        let at = 8 + widths.hub_bytes(hubs.count_ones() as usize);
-        Tail { label, start: at, at, widths, pivot: image::HUBS - 1, dist: 0 }
-    }
-
-    /// Varints read so far: each ends at its one byte below `0x80`.
-    fn read(&self) -> u32 {
-        let read = self.label.get(self.start..self.at).unwrap_or_default();
-        read.iter().filter(|&&b| b < 0x80).count() as u32
+    fn after_hubs(
+        slot: Slot<'_>,
+        hubs: u64,
+        widths: Widths,
+        implied: Option<VertexId>,
+    ) -> Tail<'_> {
+        let at = if slot.len == 0 { 0 } else { 8 + widths.hub_bytes(hubs.count_ones() as usize) };
+        let (rest, end) = (slot.rest, slot.len);
+        Tail { rest, start: at, at, end, widths, pivot: image::HUBS - 1, dist: 0, implied }
     }
 
     /// Step to the next entry; `false` at the label's end.
     ///
     /// # Safety
-    /// `label` is a validated label and `at` is where
+    /// `rest` holds a validated label of `end` bytes and `at` is where
     /// [`Tail::after_hubs`] or an earlier `next` left it.
     #[inline(always)]
     unsafe fn next(&mut self) -> bool {
@@ -468,36 +550,43 @@ impl Tail<'_> {
         // label's end" makes this the only end test: `at` is at an entry
         // boundary, so it is either the end or the first byte of a
         // complete varint.
-        if self.at == self.label.len() {
-            return false;
+        if self.at == self.end {
+            let Some(pivot) = self.implied.take() else { return false };
+            (self.pivot, self.dist) = (pivot, 0);
+            return true;
         }
         // SAFETY: a complete varint starts at `at` (above).
-        let (gap, dist) = self.widths.split(unsafe { tail_varint(self.label, &mut self.at) });
-        // The pivot cannot overflow: validation summed it to below n.
+        let (gap, dist) = self.widths.split(unsafe { tail_varint(self.rest, &mut self.at) });
+        // The pivot cannot overflow: validation summed it to below v.
         self.pivot += 1 + gap as VertexId;
         self.dist = dist;
         true
     }
+
+    /// Varints read so far: each ends at its one byte below `0x80`.
+    fn read(&self) -> u32 {
+        let read = self.rest.get(self.start..self.at).unwrap_or_default();
+        read.iter().filter(|&&b| b < 0x80).count() as u32
+    }
 }
 
-/// The tail varint of `label` at `*at`, advancing `at`: one or two
-/// bytes without a branch on which, longer ones by [`varint`].
+/// The tail varint at `rest[*at..]`, advancing `at`: one or two bytes
+/// without a branch on which, longer ones by [`varint`].
 ///
 /// # Safety
-/// As [`varint`].
+/// As [`varint`], and the varint lies in a label that `rest` continues
+/// past by at least one byte.
 #[inline(always)]
-unsafe fn tail_varint(label: &[u8], at: &mut usize) -> u64 {
-    let p = label.as_ptr();
-    // SAFETY: a varint starts at `at`, so its first byte is in `label`;
-    // the second is read only when it is in `label` too.
-    let (b0, b1) = unsafe {
-        let b1 = if *at + 1 < label.len() { *p.add(*at + 1) } else { 0 };
-        (u64::from(*p.add(*at)), u64::from(b1))
-    };
+unsafe fn tail_varint(rest: &[u8], at: &mut usize) -> u64 {
+    let p = rest.as_ptr();
+    // SAFETY: a varint starts at `at`, so its first byte is in the label
+    // and the next one in `rest`: in the label, or the first byte after
+    // it (used only when the varint goes on, so never past the label).
+    let (b0, b1) = unsafe { (u64::from(*p.add(*at)), u64::from(*p.add(*at + 1))) };
     let more = b0 >> 7;
     if more & (b1 >> 7) != 0 {
         // SAFETY: as this function's.
-        return unsafe { varint(label, at) };
+        return unsafe { varint(rest, at) };
     }
     *at += 1 + more as usize;
     (b0 & 0x7F) | ((b1 * more) << 7)
@@ -524,29 +613,40 @@ unsafe fn varint(label: &[u8], at: &mut usize) -> u64 {
     }
 }
 
-/// Every entry of one label, read the way [`join`] reads it.
+/// Every stored entry of the label of `v` in `image[span]`, read the way
+/// [`join`] reads it, then its implied self entry if `implied`.
 ///
 /// # Safety
-/// `label` must be a whole label that [`image::validate`] (or its
-/// per-label half, `image::walk_label`) accepted at these `widths`.
+/// `image[span]` must be a whole label of vertex `v` that
+/// [`image::validate`] (or its per-label half, `image::walk_label`)
+/// accepted at these `widths`, and `image` must continue at least 4
+/// bytes past it.
 #[cfg(test)]
-pub(crate) unsafe fn decode_in_place(label: &[u8], widths: Widths) -> Vec<crate::LabelEntry> {
-    let Some(hubs) = label.first_chunk::<8>().map(|w| u64::from_le_bytes(*w)) else {
-        return Vec::new();
-    };
+pub(crate) unsafe fn decode_in_place(
+    image: &[u8],
+    span: std::ops::Range<usize>,
+    v: VertexId,
+    widths: Widths,
+    implied: bool,
+) -> Vec<crate::LabelEntry> {
+    let slot = Slot { v, len: span.len(), rest: &image[span.start..] };
+    let hubs = slot.hubs().unwrap_or(0);
     let mut entries = Vec::new();
     let mut rest = hubs;
     while rest != 0 {
         let rank = (hubs & ((rest & rest.wrapping_neg()) - 1)).count_ones() as usize;
         // SAFETY: `rank` counts the set bits below a set bit.
-        let dist = unsafe { hub_dist(label, rank, widths.hub_bits) } as Dist;
+        let dist = unsafe { hub_value(slot, rank, widths.hub_bits) } as Dist + 1;
         entries.push(crate::LabelEntry::new(rest.trailing_zeros(), dist));
         rest &= rest - 1;
     }
-    let mut tail = Tail::after_hubs(label, hubs, widths);
+    if implied && v < image::HUBS {
+        entries.push(crate::LabelEntry::trivial(v));
+    }
+    let mut tail = Tail::after_hubs(slot, hubs, widths, (implied && v >= image::HUBS).then_some(v));
     // SAFETY: only `next` moves `tail`.
     while unsafe { tail.next() } {
-        entries.push(crate::LabelEntry::new(tail.pivot, tail.dist));
+        entries.push(crate::LabelEntry::new(tail.pivot, tail.dist as Dist));
     }
     entries
 }
@@ -608,37 +708,44 @@ mod tests {
     #[test]
     fn skewed_labels_match_the_nested_join() {
         // A long label (hub) against short ones, both spanning the hub
-        // word and the tail: answers must agree with the nested join.
+        // word and the tail, on either side of each other's vertex:
+        // answers must agree with the nested join.
         let long: Vec<LabelEntry> = (0..400).map(|p| LabelEntry::new(3 * p, p + 1)).collect();
         for short_len in [1usize, 2, 5, 24] {
             let short: Vec<LabelEntry> =
                 (0..short_len as u32).map(|p| LabelEntry::new(6 * p, 2 * p + 3)).collect();
-            let mut idx = LabelIndex::new_undirected(1_200);
-            if let LabelIndex::Undirected(u) = &mut idx {
-                u.labels[0] = VertexLabels::from_entries(long.clone());
-                u.labels[1] = VertexLabels::from_entries(short.clone());
+            for (l, s) in [(1_200, 1_201), (1_201, 1_200), (1_200, 150)] {
+                let mut idx = LabelIndex::new_undirected(1_202);
+                if let LabelIndex::Undirected(u) = &mut idx {
+                    let cut = |entries: &[LabelEntry], v: u32| {
+                        let below = entries.iter().filter(|e| e.pivot < v).copied();
+                        VertexLabels::from_entries(below.chain([LabelEntry::trivial(v)]).collect())
+                    };
+                    u.labels[l as usize] = cut(&long, l);
+                    u.labels[s as usize] = cut(&short, s);
+                }
+                let flat = FlatIndex::from_index(&idx);
+                assert_eq!(flat.query(l, s), idx.query(l, s), "short_len {short_len}");
+                assert_eq!(flat.query(s, l), idx.query(s, l), "short_len {short_len}");
             }
-            let flat = FlatIndex::from_index(&idx);
-            assert_eq!(flat.query(0, 1), idx.query(0, 1), "short_len {short_len}");
-            assert_eq!(flat.query(1, 0), idx.query(1, 0), "short_len {short_len}");
         }
     }
 
     #[test]
     fn disjoint_and_past_the_end_pivots_are_unreachable() {
-        let mut idx = LabelIndex::new_undirected(2_000);
+        let mut idx = LabelIndex::new_undirected(2_002);
         if let LabelIndex::Undirected(u) = &mut idx {
-            u.labels[0] =
+            u.labels[2_000] =
                 VertexLabels::from_entries((0..200).map(|p| LabelEntry::new(2 * p, 1)).collect());
             // Odd pivots only, one far past the long side's last pivot.
-            u.labels[1] = VertexLabels::from_entries(vec![
+            u.labels[2_001] = VertexLabels::from_entries(vec![
                 LabelEntry::new(1, 1),
                 LabelEntry::new(7, 1),
                 LabelEntry::new(1_999, 1),
             ]);
         }
         let flat = FlatIndex::from_index(&idx);
-        assert_eq!(flat.query(0, 1), INF_DIST);
+        assert_eq!(flat.query(2_000, 2_001), INF_DIST);
     }
 
     #[test]
@@ -712,8 +819,8 @@ mod tests {
         // (no overflow panic, no giant allocation).
         for bogus_n in [u64::MAX, 1 << 61, 1 << 40] {
             let mut crafted = Vec::new();
-            crafted.extend_from_slice(b"HOPIDX03");
-            crafted.extend_from_slice(&[1, 8, 0, 0]);
+            crafted.extend_from_slice(b"HOPIDX04");
+            crafted.extend_from_slice(&[1, 8, 0, 0, 0]);
             crafted.extend_from_slice(&bogus_n.to_le_bytes());
             crafted.extend_from_slice(&[0u8; 16]);
             assert!(FlatIndex::from_hopidx_bytes(&crafted).is_err(), "n = {bogus_n}");

@@ -1,64 +1,84 @@
-//! `HOPIDX03` — the one index image: what `hopdb-cli build` writes,
+//! `HOPIDX04` — the one index image: what `hopdb-cli build` writes,
 //! what every reader opens, and (because [`crate::flat::FlatIndex`]
 //! serves the file's bytes in place) what a daemon holds resident.
 //!
 //! ```text
-//! magic "HOPIDX03" | directed u8 | bits u8 | records u8 | shift u8 | n u64   20 bytes
-//! out directory   (n+1) × u32 LE   byte offsets into the out labels
-//! in  directory   (n+1) × u32 LE   directed images only
-//! out labels | in labels           slot v = region[dir[v]..dir[v+1]]
+//! magic "HOPIDX04" | directed u8 | hub u8 | records u8 | shift u8 | block u8 | n u64   21 bytes
+//! out directory   per block of B vertices: base u32 LE, then B × offset u16 LE
+//! in  directory   the same, directed images only
+//! out labels | in labels           slot v = region[dir(v)..dir(v+1)]
 //! CRC-32 u32 LE                    of every byte before it
 //!
-//! shift := tail shift (0–32) in bits 0–5, their parity in bit 7
-//! slot  := label
-//!        | record                                  only when `records` is 1
-//! label := ""                                      no entries: zero bytes
-//!        | hubs u64 LE                             bit p set ⇔ pivot p < 64 present
-//!          popcount(hubs) × dist, `bits` each      4, 8, 16 or 32, ascending pivot
-//!                                                  order, LE; at 4 two to a byte,
-//!                                                  low nibble first, an odd count
-//!                                                  padded with a zero nibble
-//!          varint((pivot − previous − 1) << shift | dist)*
-//!                                                  pivots ≥ 64, ascending,
-//!                                                  "previous" starting at 63
-//! record := (varint(parent) varint(offset)){1,2}  1–7 bytes, so never a label;
-//!                                                  parents ascending
+//! hub, shift, block := a width in bits 0–5, their parity in bit 7:
+//!                      hub bits 0–32, tail shift 0–32, B = 2^block, block 0–6
+//! dir(i) := base(⌊i / B⌋) + offset(i), i = 0 … n  (n + 1 offsets, ⌊n / B⌋ + 1 bases)
+//! slot   := label
+//!         | record                                  only when `records` is 1
+//! label  := ""                                      no stored entry: zero bytes
+//!         | hubs u64 LE                             bit p set ⇔ pivot p < 64 stored
+//!           popcount(hubs) × (d − 1), `hub` bits each,
+//!                                                   ascending pivot order, low bits
+//!                                                   first, zero bits to a byte
+//!           varint((pivot − previous − 1) << shift | d − 1)*
+//!                                                   pivots ≥ 64, ascending,
+//!                                                   "previous" starting at 63
+//! record := (varint(parent) varint(offset)){1,2}   1–7 bytes, so never a label;
+//!                                                   parents ascending
 //! ```
+//!
+//! A label of `v` stores only pivots below `v` (the rank convention:
+//! each label entry's pivot outranks its vertex), every distance as `d −
+//! 1`, and stands for those entries plus the self entry `(v, 0)`, which
+//! it implies. One label does not: an empty slot whose other side holds
+//! a record, which is a derived vertex's side without arcs (see below).
 //!
 //! Vertices are rank-relabeled, so the pivots below 64 are the 64
 //! top-ranked vertices of the graph — the handful that Table 7 of the
 //! paper shows covering most label entries (54–74 % of all entries on
 //! the three benchmark graphs). For them a label spends one bit on the
-//! pivot and `bits` on the distance. A scale-free graph's hubs are a few
-//! hops from everything (the largest hub distance is 4 / 6 / 4 on the
-//! three graphs hopbench builds), so `bits` is 4 unless the image's
-//! largest hub distance needs 8, 16 or 32; the writer picks it from the
-//! data. Every other entry is one LEB128 varint (7 bits per byte, low
-//! group first, high bit = "more") holding the pivot gap above the
-//! distance's `shift` bits, where `shift` is the bit length of the
-//! image's largest tail distance (3 on all three graphs, whose largest
-//! are 6 / 7 / 6), picked the same way. Rank order keeps the gaps
-//! small: 1.57–1.68 bytes an entry on those graphs, where a varint for
-//! the gap and another for the distance took 2.2–2.3.
+//! pivot and `hub` bits on the distance. A scale-free graph's hubs are a
+//! few hops from everything (the largest hub distance is 4 / 6 / 4 on the
+//! three graphs hopbench builds, so 2 / 3 / 2 bits), and the writer picks
+//! the width from the data: the bit length of the largest stored hub
+//! value. Each label pads its hub distances to a byte. Every other entry
+//! is one LEB128 varint (7 bits per byte, low group first, high bit =
+//! "more") holding the pivot gap above the distance's `shift` bits,
+//! where `shift` is the bit length of the image's largest stored tail
+//! value (3 on all three graphs, whose largest tail distances are 6 / 7
+//! / 6), picked the same way. Rank order keeps the gaps small.
 //!
-//! Where the bytes go, per vertex, on those graphs:
+//! The directory is two-level: a `u32` base every `B` vertices and a
+//! `u16` offset per vertex from its block's base, 2.06 bytes a vertex a
+//! side at `B` = 64 where a `u32` per vertex took 4. The writer picks
+//! `B` from the data like the widths: the largest power of two up to 64
+//! whose blocks all span at most 65 535 bytes (the largest 64-vertex
+//! block spans 3 119 bytes on the benchmark graphs), down to one vertex
+//! a block, whose one offset is always 0.
+//!
+//! Where the bytes go, per vertex, on those graphs (`HOPIDX03` in
+//! brackets):
 //!
 //! ```text
-//!                           und-mem-read   dir-ext-read   und-mem-writes
-//!  directories (4 a side)       4.00           8.00           4.00
-//!  hub words                    4.74           4.95           4.80
-//!  hub distances                6.37           5.04           6.18
-//!  tail entries                16.35           5.77          12.87
-//!  records                      2.16           2.77           2.09
-//!  whole image                 33.63          26.53          29.94
+//!                           und-mem-read     dir-ext-read     und-mem-writes
+//!  directories               2.06  (4.00)     4.13  (8.00)     2.06  (4.00)
+//!  hub words                 4.74  (4.74)     4.69  (4.95)     4.80  (4.80)
+//!  hub distances             3.34  (6.37)     3.93  (5.04)     3.24  (6.18)
+//!  tail entries             14.91 (16.35)     4.39  (5.77)    11.50 (12.87)
+//!  records                   2.16  (2.16)     2.77  (2.77)     2.09  (2.09)
+//!  whole image              27.22 (33.63)    19.90 (26.53)    23.69 (29.94)
 //! ```
+//!
+//! The self entry was the largest varint of its label (its pivot gap is
+//! the label's widest); implied, it is neither stored nor decoded, and a
+//! label that held nothing else (391 on `dir-ext-read`) now takes no
+//! hub word either.
 //!
 //! 64 is a constant, not a parameter. Measured with the format
 //! generalised to `W` hub words, on the three graphs hopbench builds
 //! (bytes per vertex for the whole image; ns per uniform / hub pair,
 //! single thread, minimum of 15 passes of 65 536 pairs). The table
-//! predates derivation and this format: it was measured on the previous
-//! format's images without records (byte-wide hub distances, two
+//! predates derivation and the packed formats: it was measured on
+//! `HOPIDX02` images without records (byte-wide hub distances, two
 //! varints a tail entry), so its ordering carries over and its figures
 //! do not:
 //!
@@ -86,16 +106,17 @@
 //! and store each derived vertex, on each side, as a [`Record`] in its
 //! own slot: per neighbour `p` it has an arc to (source side) or from
 //! (target side), `p` and that arc's weight; a side with no arc is the
-//! empty label, which reaches nothing. Every reader resolves exactly one
-//! level, `dist(s, t) = min over pairs of off(s) + join(p(s), p(t)) +
-//! off(t)` — no join when `p(s) = p(t)`, at most four joins — because a
-//! parent always holds a label. The `records` byte of the flags word is
-//! 1 exactly when some slot is a record, so an image of a graph with
-//! nothing derived is byte for byte what it was before records existed.
-//! A vertex whose record would not fit in 7 bytes ([`record_fits`]) is
-//! simply labelled like any other vertex.
+//! empty slot, which reaches nothing and implies no self entry (the
+//! other side, with an arc, is a record). Every reader resolves exactly
+//! one level, `dist(s, t) = min over pairs of off(s) + join(p(s),
+//! p(t)) + off(t)` — no join when `p(s) = p(t)`, at most four joins —
+//! because a parent always holds a label. The `records` byte of the flags word
+//! is 1 exactly when some slot is a record. A vertex whose record would
+//! not fit in 7 bytes ([`record_fits`]) is simply labelled like any
+//! other vertex.
 //!
-//! Whole image, bytes per vertex, on the three graphs hopbench builds:
+//! Whole image, bytes per vertex, on the three graphs hopbench builds,
+//! in the `HOPIDX03` encoding:
 //!
 //! ```text
 //!                          und-mem-read    dir-ext-read    und-mem-writes
@@ -122,37 +143,50 @@
 //! `FlatIndex::query` walks label bytes with unchecked reads, so this
 //! module's `validate`, which every `FlatIndex` constructor runs, is
 //! total: an image that passes can never make a query read outside the
-//! label it was asked about, and any failure is `InvalidData`.
+//! image, and any failure is `InvalidData`.
 //!
 //! * **CRC first.** Every later rule then only has to hold against
 //!   bytes the writer produced or an adversary crafted, not against
 //!   random corruption — which would otherwise load and answer wrong.
-//! * **Each directory is `n + 1` offsets, first 0, monotone, and the
-//!   regions they span plus the trailer are exactly the file.** So
-//!   `region[dir[v]..dir[v + 1]]` is in bounds for every `v < n`, and
-//!   no byte of the file is unaccounted for.
-//! * **The flags word holds a hub width of 4, 8, 16 or 32 bits and a
-//!   tail shift of at most 32 under its parity bit.** The in-place
-//!   reader's distance loads and its split of a tail varint know no
-//!   other values. No single-bit flip of the width (a power of two) or
-//!   of the shift byte is another valid byte, so the disk reader, which
-//!   checks no CRC, still refuses every flipped flags bit at open.
-//! * **A label is empty or at least 8 bytes, with `8 + ⌈bits ·
-//!   popcount(hubs) / 8⌉ ≤ len`, and at 4 bits an odd count's pad
-//!   nibble is zero.** The hub word and the distance of every set bit
-//!   can be loaded without a length check, and a label has one
-//!   encoding. A slot of 1–7 bytes is a record under the `records` flag
-//!   and an error without it, and the flag is set only on an image that
-//!   has a record.
+//! * **Each directory opens every block at offset 0, starts at 0 and
+//!   never steps back, and the regions it spans plus the trailer are
+//!   exactly the file.** So `region[dir(v)..dir(v + 1)]` is in bounds
+//!   for every `v < n`, no byte of the file is unaccounted for, and no
+//!   offset decreases or passes its block's span.
+//! * **The flags word holds a hub width and a tail shift of at most 32
+//!   and a block shift of at most 6, each under its parity bit.** The
+//!   in-place reader's distance loads and its split of a tail varint
+//!   know no other values. No single-bit flip of one of these bytes is
+//!   another valid byte, so the disk reader, which checks no CRC, still
+//!   refuses every flipped flags bit at open.
+//! * **A label is empty or at least 8 bytes, with `8 + ⌈hub ·
+//!   popcount(hubs) / 8⌉ ≤ len`, and the pad bits after its last hub
+//!   distance are zero.** The hub word and the distance of every set bit
+//!   can be loaded without a length check, and a label has one encoding.
+//!   A slot of 1–7 bytes is a record under the `records` flag and an
+//!   error without it, and the flag is set only on an image that has a
+//!   record.
+//! * **Every unchecked load stays inside the validated image.** A hub
+//!   distance is loaded as the 4 bytes from its first byte (5 at widths
+//!   above 25 bits, where it may reach a fifth), and a tail varint's
+//!   second byte is loaded before the first says whether there is one:
+//!   each may read up to 3 bytes past the label's end, and the 4-byte
+//!   CRC trailer is always there to read.
 //! * **A record is one or two pairs of complete varints of at most 5
 //!   bytes and 32 bits filling its slot; each parent a vertex `< n`
-//!   other than its own, whose slot on the same side is not a record, each offset below `INF_DIST`, and a
-//!   second parent above the first.** The in-place reader decodes it
-//!   without checks, reads each parent's slot as a label, never resolves
-//!   a second level, and meets each parent once.
-//! * **No hub bit `≥ n`, tail pivots `< n`.** Every pivot an
-//!   in-place walk reports is a vertex id (the shard cutter indexes a
-//!   histogram with them).
+//!   other than its own, whose slot on the same side is not a record,
+//!   each offset below `INF_DIST`, and a second parent above the
+//!   first.** The in-place reader decodes it without checks, reads each
+//!   parent's slot as a label, never resolves a second level, and meets
+//!   each parent once.
+//! * **Every stored pivot of the label of `v` is below `v`: no hub bit
+//!   `≥ v`, tail pivots `< v`.** Every pivot an in-place walk reports is
+//!   a vertex id (the shard cutter indexes a histogram with them), and
+//!   of two labels' implied self entries only the lower vertex's can
+//!   meet a stored pivot of the other — the one extra match the join
+//!   looks for.
+//! * **Every stored distance plus one fits 32 bits.** A decoded distance
+//!   is a `Dist`.
 //! * **Every varint is complete inside its label, at most 10 bytes,
 //!   at most 64 bits.** A varint read needs no end-of-label check per
 //!   byte and cannot overflow a `u64` shift.
@@ -160,18 +194,23 @@
 //!   The merge loop compares its cursor with the end once per entry,
 //!   before the entry, and never inside one.
 //! * **Tail pivots strictly increase from 64.** Guaranteed by the
-//!   `gap − 1` encoding itself as long as the sum stays below `n`,
+//!   `gap − 1` encoding itself as long as the sum stays below `v`,
 //!   which is checked in saturating 64-bit arithmetic (a gap reaches
 //!   2⁶⁴ − 1 at shift 0) so a crafted gap cannot wrap back onto a hub
 //!   or onto its predecessor.
 //!
+//! The writer refuses, as `InvalidInput`, an index no image can hold: a
+//! stored pivot not below its vertex, a distance 0 at any pivot but the
+//! vertex itself (weights are at least 1, so no build produces either),
+//! and a record that breaks the record rule.
+//!
 //! ## Limits
 //!
-//! Offsets are `u32`, so one side's labels may span at most 4 GiB − 1
+//! Bases are `u32`, so one side's labels may span at most 4 GiB − 1
 //! bytes — at the 1.2 bytes a label entry costs on the benchmark
 //! graphs, over three billion entries. Past that
 //! [`LabelIndex::write_hopidx`] returns `InvalidInput` ("… exceed the
-//! 4 GiB a HOPIDX03 directory addresses") before writing a label. Any
+//! 4 GiB a HOPIDX04 directory addresses") before writing a label. Any
 //! distance fits: the widths grow to 32 bits, and a tail word of a
 //! 32-bit gap above a 32-bit distance is a 10-byte varint.
 //! `n` is bounded by `u32::MAX`, vertex ids being `u32`.
@@ -184,9 +223,10 @@
 //! limit, e.g. with a length byte instead of "shorter than a hub word".
 //!
 //! `HOPIDX01` (raw `(u32, u32)` pairs, `u64` entry-count offsets, no
-//! checksum) and `HOPIDX02` (this layout with byte-wide hub distances
-//! and a varint each for a tail entry's gap and distance) have no
-//! reader: each is refused by name and must be rebuilt.
+//! checksum), `HOPIDX02` (byte-wide hub distances and a varint each for
+//! a tail entry's gap and distance) and `HOPIDX03` (stored self entries,
+//! distances as `d` at 4, 8, 16 or 32 hub bits, a `u32` offset per
+//! vertex) have no reader: each is refused by name and must be rebuilt.
 
 #![cfg_attr(
     not(test),
@@ -211,16 +251,18 @@ use sfgraph::{Dist, VertexId, INF_DIST};
 use crate::entry::LabelEntry;
 use crate::index::{LabelIndex, Record, VertexLabels};
 
-const MAGIC: &[u8; 8] = b"HOPIDX03";
+const MAGIC: &[u8; 8] = b"HOPIDX04";
 /// Earlier formats: no reader, each refused by name.
-const OLD_MAGICS: [&[u8; 8]; 2] = [b"HOPIDX01", b"HOPIDX02"];
+const OLD_MAGICS: [&[u8; 8]; 3] = [b"HOPIDX01", b"HOPIDX02", b"HOPIDX03"];
 /// Pivots below this are a bit in the label's hub word.
 pub(crate) const HUBS: VertexId = 64;
 /// Magic, flags word, vertex count.
-pub(crate) const PREFIX_LEN: usize = 20;
+pub(crate) const PREFIX_LEN: usize = 21;
 /// Under the records flag, a label of 1 to this many bytes — shorter
 /// than any label's hub word — is a record.
 pub(crate) const RECORD_MAX: usize = 7;
+/// The largest directory block, as a shift: 64 vertices.
+const BLOCK_SHIFT_MAX: u32 = 6;
 const CRC_LEN: usize = 4;
 
 pub(crate) fn bad(msg: &str) -> io::Error {
@@ -231,35 +273,36 @@ fn unwritable(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, msg)
 }
 
-/// How an image packs its label distances; the writer picks both from
-/// the data.
+/// Bits needed to write `v`: 0 for 0.
+fn bit_len(v: u64) -> u32 {
+    u64::BITS - v.leading_zeros()
+}
+
+/// How an image packs its label distances, each stored as `d − 1`; the
+/// writer picks both widths from the data.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Widths {
-    /// Bits per hub distance: 4, 8, 16 or 32.
+    /// Bits per hub distance: 0 to 32.
     pub(crate) hub_bits: u32,
     /// Low bits of a tail entry's varint that hold its distance: 0 to 32.
     pub(crate) tail_shift: u32,
 }
 
 impl Widths {
-    /// The narrowest widths that hold every distance of `sides`.
-    fn of(sides: &[&[VertexLabels]]) -> Widths {
+    /// The narrowest widths that hold every stored distance of the
+    /// labels in `slots` (`(v, slot v)`), whose entries the writer has
+    /// checked: every distance at least 1.
+    fn of<'a>(slots: impl IntoIterator<Item = (usize, &'a VertexLabels)>) -> Widths {
         let (mut hub_max, mut tail_max) = (0, 0);
-        for l in sides.iter().flat_map(|side| side.iter()) {
-            let (hubs, tail) = hubs_and_tail(l.entries());
-            hub_max = hubs.iter().fold(hub_max, |max, e| e.dist.max(max));
-            tail_max = tail.fold(tail_max, |max, (_, dist)| dist.max(max));
+        for (v, l) in slots {
+            let (hubs, tail) = hubs_and_tail(stored(l, v));
+            hub_max = hubs.iter().fold(hub_max, |max, e| (e.dist - 1).max(max));
+            tail_max = tail.fold(tail_max, |max, (_, dist)| (dist - 1).max(max));
         }
-        let hub_bits = match hub_max {
-            0..=0xF => 4,
-            0x10..=0xFF => 8,
-            0x100..=0xFFFF => 16,
-            _ => 32,
-        };
-        Widths { hub_bits, tail_shift: Dist::BITS - tail_max.leading_zeros() }
+        Widths { hub_bits: bit_len(hub_max.into()), tail_shift: bit_len(tail_max.into()) }
     }
 
-    /// Bytes the distances of `hubs` hub entries take.
+    /// Bytes the distances of `hubs` hub entries take, padded to a byte.
     #[inline(always)]
     pub(crate) fn hub_bytes(self, hubs: usize) -> usize {
         (hubs * self.hub_bits as usize).div_ceil(8)
@@ -267,29 +310,37 @@ impl Widths {
 
     /// A tail entry's varint from its `(pivot gap − 1, dist)`.
     fn tail_word(self, gap: u32, dist: Dist) -> u64 {
-        (u64::from(gap) << self.tail_shift) | u64::from(dist)
+        (u64::from(gap) << self.tail_shift) | u64::from(dist - 1)
     }
 
     /// A tail entry's `(pivot gap − 1, dist)` from its varint.
     #[inline(always)]
-    pub(crate) fn split(self, word: u64) -> (u64, Dist) {
-        (word >> self.tail_shift, (word & ((1u64 << self.tail_shift) - 1)) as Dist)
+    pub(crate) fn split(self, word: u64) -> (u64, u64) {
+        (word >> self.tail_shift, (word & ((1u64 << self.tail_shift) - 1)) + 1)
     }
 }
 
-/// Flags byte 11: the tail shift in bits 0–5, their parity in bit 7, so
-/// that no single-bit flip of the byte is another valid one.
-fn shift_byte(tail_shift: u8) -> u8 {
-    tail_shift | ((tail_shift.count_ones() as u8 & 1) << 7)
+/// A flags byte holding `v` (0–63) in bits 0–5 and their parity in bit
+/// 7, so that no single-bit flip of the byte is another valid one.
+fn parity_byte(v: u8) -> u8 {
+    v | ((v.count_ones() as u8 & 1) << 7)
 }
 
-/// The fixed 20-byte prefix of an image.
+/// The value of a [`parity_byte`] if it is one and at most `max`.
+fn from_parity_byte(byte: u8, max: u8) -> Option<u32> {
+    let v = byte & 0x3F;
+    (v <= max && parity_byte(v) == byte).then_some(v.into())
+}
+
+/// The fixed 21-byte prefix of an image.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Header {
     pub(crate) directed: bool,
     pub(crate) widths: Widths,
     /// Whether some slots hold a record instead of a label.
     pub(crate) records: bool,
+    /// A directory block is `1 << block_shift` vertices.
+    pub(crate) block_shift: u32,
     pub(crate) n: usize,
 }
 
@@ -304,38 +355,47 @@ impl Header {
                     "{name} image: rebuild it with this version's hopdb-cli build"
                 )));
             }
-            _ => return Err(bad("not a HOPIDX03 image")),
+            _ => return Err(bad("not a HOPIDX04 image")),
         }
-        let (Some([directed, hub_bits, records, shift]), Some(n)) =
-            (wire::array_at::<4>(bytes, 8), wire::u64_at(bytes, 12))
+        let invalid = || bad("invalid HOPIDX04 flags word");
+        let (Some([directed, hub, records, shift, block]), Some(n)) =
+            (wire::array_at::<5>(bytes, 8), wire::u64_at(bytes, 13))
         else {
-            return Err(bad("invalid HOPIDX03 flags word"));
+            return Err(invalid());
         };
-        let tail_shift = shift & 0x3F;
-        if directed > 1
-            || records > 1
-            || !matches!(hub_bits, 4 | 8 | 16 | 32)
-            || tail_shift > 32
-            || shift_byte(tail_shift) != shift
-        {
-            return Err(bad("invalid HOPIDX03 flags word"));
+        let (Some(hub_bits), Some(tail_shift), Some(block_shift)) = (
+            from_parity_byte(hub, 32),
+            from_parity_byte(shift, 32),
+            from_parity_byte(block, BLOCK_SHIFT_MAX as u8),
+        ) else {
+            return Err(invalid());
+        };
+        if directed > 1 || records > 1 {
+            return Err(invalid());
         }
         let n = usize::try_from(n)
             .ok()
             .filter(|&n| n <= VertexId::MAX as usize)
             .ok_or_else(|| bad("vertex count exceeds the u32 id space"))?;
-        let widths = Widths { hub_bits: hub_bits.into(), tail_shift: tail_shift.into() };
-        Ok(Header { directed: directed != 0, widths, records: records != 0, n })
+        let widths = Widths { hub_bits, tail_shift };
+        Ok(Header { directed: directed != 0, widths, records: records != 0, block_shift, n })
     }
 
     fn sides(&self) -> usize {
         1 + self.directed as usize
     }
 
+    /// Bytes of one side's directory: a `u32` base per block and a `u16`
+    /// offset per vertex, plus the one that ends the last label.
+    fn dir_len(&self) -> Option<usize> {
+        let bases = (self.n >> self.block_shift).checked_add(1)?.checked_mul(4)?;
+        self.n.checked_add(1)?.checked_mul(2)?.checked_add(bases)
+    }
+
     /// Where the labels start — the length of prefix plus directories —
     /// or `None` when a crafted `n` overflows it.
     pub(crate) fn labels_at(&self) -> Option<usize> {
-        self.n.checked_add(1)?.checked_mul(4 * self.sides())?.checked_add(PREFIX_LEN)
+        self.dir_len()?.checked_mul(self.sides())?.checked_add(PREFIX_LEN)
     }
 }
 
@@ -357,58 +417,92 @@ impl Layout {
     /// or just its first [`Header::labels_at`] bytes).
     pub(crate) fn parse(front: &[u8], total_len: u64) -> io::Result<Layout> {
         let header = Header::parse(front)?;
-        let all_dirs = header
-            .labels_at()
-            .and_then(|labels_at| front.get(PREFIX_LEN..labels_at))
-            .ok_or_else(|| bad("truncated offset directory"))?;
-        let dir_len = all_dirs.len() / header.sides();
-        let mut spans = [0usize; 2];
-        for (span, dir) in spans.iter_mut().zip(all_dirs.chunks_exact(dir_len)) {
-            *span = check_directory(dir)? as usize;
+        let (Some(dir_len), Some(labels_at)) = (header.dir_len(), header.labels_at()) else {
+            return Err(bad("truncated offset directory"));
+        };
+        if front.len() < labels_at {
+            return Err(bad("truncated offset directory"));
         }
-        let labels_at = PREFIX_LEN + all_dirs.len();
+        let dirs = [PREFIX_LEN, PREFIX_LEN + dir_len * (header.sides() - 1)];
+        let mut layout = Layout { header, dirs, bases: [labels_at; 2] };
+        let mut spans = [0u64; 2];
+        for (side, span) in spans.iter_mut().enumerate().take(header.sides()) {
+            *span = layout.check_directory(front, side)?;
+        }
         let [out_span, in_span] = spans;
-        if (labels_at + CRC_LEN) as u64 + out_span as u64 + in_span as u64 != total_len {
+        if (labels_at + CRC_LEN) as u64 + out_span + in_span != total_len {
             return Err(bad("image length does not match its offset directories"));
         }
-        Ok(if header.directed {
-            Layout {
-                header,
-                dirs: [PREFIX_LEN, PREFIX_LEN + dir_len],
-                bases: [labels_at, labels_at + out_span],
+        if header.directed {
+            layout.bases[1] = labels_at + out_span as usize;
+        }
+        Ok(layout)
+    }
+
+    /// Entry `i` (`0 ..= n`) of the directory of `side`: where label `i`
+    /// starts among the side's labels, as the base of its block and its
+    /// offset from that base.
+    #[inline]
+    fn entry(&self, front: &[u8], side: usize, i: usize) -> Option<(u32, u16)> {
+        let shift = self.header.block_shift;
+        let block = *self.dirs.get(side)? + (i >> shift) * (4 + (2 << shift));
+        let offset = wire::array_at(front, block + 4 + 2 * (i & ((1 << shift) - 1)))?;
+        Some((wire::u32_at(front, block)?, u16::from_le_bytes(offset)))
+    }
+
+    /// One side's directory must open every block at offset 0, start at
+    /// 0 and never step back; returns its last entry, the byte length of
+    /// the side's labels.
+    fn check_directory(&self, front: &[u8], side: usize) -> io::Result<u64> {
+        let mut prev = 0;
+        for i in 0..=self.header.n {
+            let (base, offset) =
+                self.entry(front, side, i).ok_or_else(|| bad("truncated offset directory"))?;
+            let at = u64::from(base) + u64::from(offset);
+            let opens_block = i & ((1 << self.header.block_shift) - 1) == 0;
+            if at < prev || (opens_block && offset != 0) || (i == 0 && base != 0) {
+                return Err(bad("offset directory not monotone from zero, block by block"));
             }
-        } else {
-            Layout { header, dirs: [PREFIX_LEN; 2], bases: [labels_at; 2] }
-        })
+            prev = at;
+        }
+        Ok(prev)
     }
 
     /// Where label `v` of `side` lies in the image, read from the
     /// directories in `front` (the image, or at least its first
     /// [`Header::labels_at`] bytes); `None` when `v` is not a vertex.
+    #[inline]
     pub(crate) fn span(&self, front: &[u8], side: usize, v: usize) -> Option<Range<usize>> {
-        let (dir, base) = (*self.dirs.get(side)?, *self.bases.get(side)?);
-        let at = (v < self.header.n).then_some(dir + 4 * v)?;
-        let (lo, hi) = (wire::u32_at(front, at)?, wire::u32_at(front, at + 4)?);
-        Some(base + lo as usize..base + hi as usize)
+        let shift = self.header.block_shift;
+        let (mask, stride) = ((1 << shift) - 1, 4 + (2 << shift));
+        let block = *self.dirs.get(side)? + ((v < self.header.n).then_some(v)? >> shift) * stride;
+        let base = wire::u32_at(front, block)? as usize;
+        let offset = |i: usize| wire::array_at(front, block + 4 + 2 * i).map(u16::from_le_bytes);
+        let lo = base + usize::from(offset(v & mask)?);
+        // A label that ends its block ends where the next one opens, at
+        // that block's base.
+        let hi = match (v + 1) & mask {
+            0 => wire::u32_at(front, block + stride)? as usize,
+            next => base + usize::from(offset(next)?),
+        };
+        let labels = *self.bases.get(side)?;
+        Some(labels + lo..labels + hi)
     }
 
     /// The bytes of label `v` on `side`, by the checked route.
     pub(crate) fn label<'a>(&self, bytes: &'a [u8], side: usize, v: usize) -> Option<&'a [u8]> {
         bytes.get(self.span(bytes, side, v)?)
     }
-}
 
-/// One side's directory must start at 0 and never step back; returns
-/// its last offset, the byte length of the side's labels.
-fn check_directory(dir: &[u8]) -> io::Result<u32> {
-    let mut prev = 0u32;
-    for (v, off) in wire::u32s(dir).enumerate() {
-        if off < prev || (v == 0 && off != 0) {
-            return Err(bad("offset directory not monotone from zero"));
-        }
-        prev = off;
+    /// Whether slot `v` of `side`, read as a label, holds the implied
+    /// entry `(v, 0)` beside its stored ones. Every label does but one:
+    /// an empty slot whose other side holds a record, which is a derived
+    /// vertex's side without arcs (an undirected slot is its own other
+    /// side).
+    pub(crate) fn implies_self(&self, front: &[u8], side: usize, v: usize) -> bool {
+        let len = |side| self.span(front, side, v).map_or(0, |span| span.len());
+        len(side) != 0 || !(self.header.records && is_record(len(1 - side)))
     }
-    Ok(prev)
 }
 
 /// One LEB128 `u64` at `label[*at..]`, advancing `at`.
@@ -448,62 +542,67 @@ fn put_varint(mut v: u64, out: &mut Vec<u8>) {
     out.push(v as u8);
 }
 
-/// Hub distance `rank` of the packed distances `dists`, or `None` past
-/// their end.
-fn hub_dist(dists: &[u8], rank: usize, bits: u32) -> Option<Dist> {
-    match bits {
-        4 => wire::u8_at(dists, rank / 2).map(|b| Dist::from((b >> (4 * (rank % 2))) & 0xF)),
-        8 => wire::u8_at(dists, rank).map(Dist::from),
-        16 => wire::array_at(dists, 2 * rank).map(|b| Dist::from(u16::from_le_bytes(b))),
-        _ => wire::u32_at(dists, 4 * rank),
-    }
+/// Stored hub value `rank` of the packed distances `dists`, `bits` wide,
+/// or `None` past their end.
+fn hub_value(dists: &[u8], rank: usize, bits: u32) -> Option<u64> {
+    let first = rank * bits as usize;
+    let bytes = dists.get(first / 8..(first + bits as usize).div_ceil(8))?;
+    let word = bytes.iter().rev().fold(0u64, |word, &b| (word << 8) | u64::from(b));
+    Some((word >> (first % 8)) & ((1u64 << bits) - 1))
 }
 
-/// The checked decoder: call `f(pivot, dist)` for every entry of one
-/// encoded label, in pivot order, enforcing every per-label rule of the
-/// module docs against `widths` and `n`.
+/// A stored distance back as a distance, if it is one.
+fn distance(stored_plus_one: u64) -> io::Result<Dist> {
+    Dist::try_from(stored_plus_one).map_err(|_| bad("a stored distance exceeds 32 bits"))
+}
+
+/// The checked decoder: call `f(pivot, dist)` for every stored entry of
+/// the label of vertex `v`, in pivot order, enforcing every per-label
+/// rule of the module docs against `widths`.
 pub(crate) fn walk_label(
     label: &[u8],
     widths: Widths,
-    n: usize,
+    v: usize,
     mut f: impl FnMut(VertexId, Dist),
 ) -> io::Result<()> {
     if label.is_empty() {
         return Ok(());
     }
     let hubs = wire::u64_at(label, 0).ok_or_else(|| bad("label shorter than its hub word"))?;
-    if n < HUBS as usize && hubs >> n != 0 {
-        return Err(bad("hub pivot out of range"));
+    if v < HUBS as usize && hubs >> v != 0 {
+        return Err(bad("a stored pivot is not below its vertex"));
     }
     let count = hubs.count_ones() as usize;
     let tail_at = 8 + widths.hub_bytes(count);
     let dists = label.get(8..tail_at).ok_or_else(|| bad("hub distances run past the label"))?;
-    if widths.hub_bits == 4 && count % 2 == 1 && dists.last().is_some_and(|&b| b >> 4 != 0) {
-        return Err(bad("non-zero pad nibble after the hub distances"));
+    let used = (count * widths.hub_bits as usize) % 8;
+    if used != 0 && dists.last().is_some_and(|&b| b >> used != 0) {
+        return Err(bad("non-zero pad bits after the hub distances"));
     }
     let mut rest = hubs;
     for rank in 0..count {
-        let dist = hub_dist(dists, rank, widths.hub_bits)
+        let stored = hub_value(dists, rank, widths.hub_bits)
             .ok_or_else(|| bad("hub distances run past the label"))?;
-        f(rest.trailing_zeros(), dist);
+        f(rest.trailing_zeros(), distance(stored + 1)?);
         rest &= rest - 1;
     }
     let (mut at, mut pivot) = (tail_at, u64::from(HUBS) - 1);
     while at < label.len() {
         let (gap, dist) = widths.split(varint(label, &mut at)?);
         pivot = pivot.saturating_add(gap).saturating_add(1);
-        if pivot >= n as u64 {
-            return Err(bad("label pivot out of range"));
+        if pivot >= v as u64 {
+            return Err(bad("a stored pivot is not below its vertex"));
         }
-        f(pivot as VertexId, dist);
+        f(pivot as VertexId, distance(dist)?);
     }
     Ok(())
 }
 
-/// Whether `label` has a record's length: 1 to [`RECORD_MAX`] bytes.
+/// Whether a slot of `len` bytes has a record's length: 1 to
+/// [`RECORD_MAX`] bytes.
 #[inline]
-pub(crate) fn is_record(label: &[u8]) -> bool {
-    label.len().wrapping_sub(1) < RECORD_MAX
+pub(crate) fn is_record(len: usize) -> bool {
+    len.wrapping_sub(1) < RECORD_MAX
 }
 
 /// The checked decoder of the record in slot `v`: one or two pairs of
@@ -540,17 +639,17 @@ fn read_pair(label: &[u8], at: &mut usize, v: usize, n: usize) -> io::Result<(Ve
 
 /// The checked decoder of slot `v` of a side: its record, if the image
 /// has records and the slot is one, or else `None` once `f(pivot,
-/// dist)` has seen every entry of its label.
+/// dist)` has seen every stored entry of its label.
 pub(crate) fn walk_slot(
     label: &[u8],
     v: usize,
     header: &Header,
     f: impl FnMut(VertexId, Dist),
 ) -> io::Result<Option<Record>> {
-    if header.records && is_record(label) {
+    if header.records && is_record(label.len()) {
         return read_record(label, v, header.n).map(Some);
     }
-    walk_label(label, header.widths, header.n, f).map(|()| None)
+    walk_label(label, header.widths, v, f).map(|()| None)
 }
 
 /// Whether `record` has an encoding: offsets below `INF_DIST`, and
@@ -574,9 +673,19 @@ fn varint_len(v: u64) -> usize {
     (70 - (v | 1).leading_zeros() as usize) / 7
 }
 
-/// Split a label (sorted by pivot, pivots unique — the [`VertexLabels`]
-/// invariant) into its hub entries and, per tail entry, `(pivot gap −
-/// 1, dist)`.
+/// The entries the image stores for the label in slot `v`: all but the
+/// self entry `(v, 0)`, which it implies.
+fn stored(label: &VertexLabels, v: usize) -> &[LabelEntry] {
+    let entries = label.entries();
+    match entries.split_last() {
+        Some((last, rest)) if last.pivot as usize == v && last.dist == 0 => rest,
+        _ => entries,
+    }
+}
+
+/// Split stored entries (sorted by pivot, pivots unique — the
+/// [`VertexLabels`] invariant) into the hub entries and, per tail entry,
+/// `(pivot gap − 1, dist)`.
 fn hubs_and_tail(
     entries: &[LabelEntry],
 ) -> (&[LabelEntry], impl Iterator<Item = (u32, Dist)> + '_) {
@@ -585,21 +694,22 @@ fn hubs_and_tail(
     (hubs, tail.iter().map(move |e| (e.pivot - std::mem::replace(&mut prev, e.pivot) - 1, e.dist)))
 }
 
-/// Bytes [`encode_label`] appends for this slot.
-fn encoded_len(label: &VertexLabels, widths: Widths) -> usize {
+/// Bytes [`encode_label`] appends for slot `v`.
+fn encoded_len(label: &VertexLabels, v: usize, widths: Widths) -> usize {
     if let Some(r) = label.record() {
         return record_len(r.pairs());
     }
-    if label.is_empty() {
+    let entries = stored(label, v);
+    if entries.is_empty() {
         return 0;
     }
-    let (hubs, tail) = hubs_and_tail(label.entries());
+    let (hubs, tail) = hubs_and_tail(entries);
     8 + widths.hub_bytes(hubs.len())
         + tail.map(|(gap, dist)| varint_len(widths.tail_word(gap, dist))).sum::<usize>()
 }
 
-/// The encoder: append one slot — a record or a label — to `out`.
-pub(crate) fn encode_label(label: &VertexLabels, widths: Widths, out: &mut Vec<u8>) {
+/// The encoder: append slot `v` — a record or a label — to `out`.
+pub(crate) fn encode_label(label: &VertexLabels, v: usize, widths: Widths, out: &mut Vec<u8>) {
     if let Some(r) = label.record() {
         for &(parent, offset) in r.pairs() {
             put_varint(parent.into(), out);
@@ -607,25 +717,76 @@ pub(crate) fn encode_label(label: &VertexLabels, widths: Widths, out: &mut Vec<u
         }
         return;
     }
-    if label.is_empty() {
+    let entries = stored(label, v);
+    if entries.is_empty() {
         return;
     }
-    let (hubs, tail) = hubs_and_tail(label.entries());
+    let (hubs, tail) = hubs_and_tail(entries);
     let word = hubs.iter().fold(0u64, |w, e| w | 1 << e.pivot);
     out.extend_from_slice(&word.to_le_bytes());
-    match widths.hub_bits {
-        // Two to a byte, low nibble first; an odd count pads with zero.
-        4 => out.extend(
-            hubs.chunks(2)
-                .map(|pair| pair.iter().rev().fold(0u8, |byte, e| (byte << 4) | e.dist as u8)),
-        ),
-        8 => out.extend(hubs.iter().map(|e| e.dist as u8)),
-        16 => out.extend(hubs.iter().flat_map(|e| (e.dist as u16).to_le_bytes())),
-        _ => out.extend(hubs.iter().flat_map(|e| e.dist.to_le_bytes())),
+    // `d − 1` at `hub_bits` each, low bits first, the last byte padded
+    // with zero bits.
+    let (mut bits, mut filled) = (0u64, 0);
+    for e in hubs {
+        bits |= u64::from(e.dist - 1) << filled;
+        filled += widths.hub_bits;
+        while filled >= 8 {
+            out.push(bits as u8);
+            (bits, filled) = (bits >> 8, filled - 8);
+        }
+    }
+    if filled > 0 {
+        out.push(bits as u8);
     }
     for (gap, dist) in tail {
         put_varint(widths.tail_word(gap, dist), out);
     }
+}
+
+/// The writer's check of slot `v` of `side`: a label stores pivots below
+/// `v` at distances of at least 1 (the self entry `(v, 0)` is implied),
+/// and a record names other vertices' labels, ascending, in 7 bytes.
+fn check_slot(side: &[VertexLabels], v: usize) -> io::Result<()> {
+    let Some(label) = side.get(v) else { return Ok(()) };
+    let Some(record) = label.record() else {
+        let entries = stored(label, v);
+        if entries.last().is_some_and(|e| e.pivot as usize >= v) {
+            return Err(unwritable("a label stores a pivot that is not below its vertex"));
+        }
+        if entries.iter().any(|e| e.dist == 0) {
+            return Err(unwritable("a label holds distance 0 at a pivot other than its vertex"));
+        }
+        return Ok(());
+    };
+    let pairs = record.pairs();
+    let to_labels = pairs.iter().all(|&(parent, _)| {
+        parent as usize != v && side.get(parent as usize).is_some_and(|p| p.record().is_none())
+    });
+    if !to_labels || !pairs.is_sorted_by(|a, b| a.0 < b.0) || !record_fits(&record) {
+        return Err(unwritable("a record must name other vertices' labels, ascending, in 7 bytes"));
+    }
+    Ok(())
+}
+
+/// The largest directory block, as a shift, in which every block of
+/// every side spans at most 65 535 bytes — so that each vertex's offset
+/// from its block's base fits a `u16` — given the label lengths.
+fn block_shift(sides: &[&[VertexLabels]], widths: Widths) -> u32 {
+    let mut widest = [0u64; BLOCK_SHIFT_MAX as usize + 1];
+    for side in sides {
+        let (mut at, mut opened) = (0u64, [0u64; BLOCK_SHIFT_MAX as usize + 1]);
+        for i in 0..=side.len() {
+            for (shift, (open, wide)) in opened.iter_mut().zip(&mut widest).enumerate() {
+                if i & ((1 << shift) - 1) == 0 {
+                    *open = at;
+                }
+                *wide = (*wide).max(at - *open);
+            }
+            at += side.get(i).map_or(0, |l| encoded_len(l, i, widths)) as u64;
+        }
+    }
+    // One-vertex blocks always fit: their only offset is 0.
+    widest.iter().rposition(|&span| span <= u16::MAX.into()).map_or(0, |shift| shift as u32)
 }
 
 /// Bytes [`LabelIndex::write_hopidx`] buffers before handing them to
@@ -655,19 +816,24 @@ impl<W: Write> ImageWriter<'_, W> {
 }
 
 impl LabelIndex {
-    /// Serialize the index as a `HOPIDX03` image into `w` — the only
-    /// serializer of the format. A scan of the entries for the distance
-    /// widths, then two passes over the labels (sizes for the
-    /// directories, then bytes) through a fixed-size buffer, the CRC
-    /// folded in as the bytes go: the external build bounds its
-    /// memory, and writing its result must not double the index.
-    /// Flushes `w` and returns the image length in bytes. An index no
-    /// image can hold — a pivot that is not a vertex id, a side past
-    /// the 4 GiB offset range — is `InvalidInput`, found in the first
-    /// pass.
+    /// Serialize the index as a `HOPIDX04` image into `w` — the only
+    /// serializer of the format. A check of every slot, a scan of the
+    /// entries for the distance widths and one of the label lengths for
+    /// the directory block, then two passes over the labels (sizes for
+    /// the directories, then bytes) through a fixed-size buffer, the CRC
+    /// folded in as the bytes go: the external build bounds its memory,
+    /// and writing its result must not double the index. Flushes `w`
+    /// and returns the image length in bytes. An index no image can hold
+    /// — a label pivot not below its vertex, a distance 0 at another
+    /// vertex, a side past the 4 GiB offset range — is `InvalidInput`,
+    /// found before the first byte is written.
     pub fn write_hopidx(&self, w: &mut impl Write) -> io::Result<u64> {
         let sides = self.sides();
-        let (n, widths) = (self.num_vertices(), Widths::of(&sides));
+        for side in &sides {
+            (0..side.len()).try_for_each(|v| check_slot(side, v))?;
+        }
+        let widths = Widths::of(sides.iter().flat_map(|side| side.iter().enumerate()));
+        let shift = block_shift(&sides, widths);
         let records = sides.iter().flat_map(|side| side.iter()).any(|l| l.record().is_some());
         let mut image = ImageWriter {
             w,
@@ -677,45 +843,37 @@ impl LabelIndex {
         };
         image.buf.extend_from_slice(MAGIC);
         let Widths { hub_bits, tail_shift } = widths;
-        let flags =
-            [self.is_directed() as u8, hub_bits as u8, records as u8, shift_byte(tail_shift as u8)];
-        image.buf.extend_from_slice(&flags);
-        image.buf.extend_from_slice(&(n as u64).to_le_bytes());
+        image.buf.extend_from_slice(&[
+            self.is_directed() as u8,
+            parity_byte(hub_bits as u8),
+            records as u8,
+            parity_byte(tail_shift as u8),
+            parity_byte(shift as u8),
+        ]);
+        image.buf.extend_from_slice(&(self.num_vertices() as u64).to_le_bytes());
         for side in &sides {
-            let mut at = 0u32;
-            image.buf.extend_from_slice(&at.to_le_bytes());
-            for (v, l) in side.iter().enumerate() {
-                if l.entries().last().is_some_and(|e| e.pivot as usize >= n) {
-                    return Err(unwritable("a label cites a pivot that is not a vertex id"));
-                }
-                if let Some(record) = l.record() {
-                    let pairs = record.pairs();
-                    let to_labels = pairs.iter().all(|&(parent, _)| {
-                        parent as usize != v
-                            && side.get(parent as usize).is_some_and(|p| p.record().is_none())
-                    });
-                    let ascending = pairs.is_sorted_by(|a, b| a.0 < b.0);
-                    if !to_labels || !ascending || !record_fits(&record) {
-                        return Err(unwritable(
-                            "a record must name other vertices' labels, ascending, in 7 bytes",
-                        ));
-                    }
-                }
-                at = u32::try_from(encoded_len(l, widths))
-                    .ok()
-                    .and_then(|len| at.checked_add(len))
-                    .ok_or_else(|| {
+            let (mut at, mut base) = (0u64, 0u64);
+            for i in 0..=side.len() {
+                if i & ((1 << shift) - 1) == 0 {
+                    base = at;
+                    let base = u32::try_from(base).map_err(|_| {
                         unwritable(
-                            "one side's labels exceed the 4 GiB a HOPIDX03 directory addresses",
+                            "one side's labels exceed the 4 GiB a HOPIDX04 directory addresses",
                         )
                     })?;
-                image.buf.extend_from_slice(&at.to_le_bytes());
+                    image.buf.extend_from_slice(&base.to_le_bytes());
+                }
+                // `block_shift` has checked that every offset fits.
+                image.buf.extend_from_slice(&((at - base) as u16).to_le_bytes());
+                at += side.get(i).map_or(0, |l| encoded_len(l, i, widths)) as u64;
                 image.drain(WRITE_BUFFER_BYTES)?;
             }
         }
-        for l in sides.iter().flat_map(|side| side.iter()) {
-            encode_label(l, widths, &mut image.buf);
-            image.drain(WRITE_BUFFER_BYTES)?;
+        for side in &sides {
+            for (v, l) in side.iter().enumerate() {
+                encode_label(l, v, widths, &mut image.buf);
+                image.drain(WRITE_BUFFER_BYTES)?;
+            }
         }
         image.drain(0)?;
         let crc = image.crc.finish();
@@ -726,15 +884,15 @@ impl LabelIndex {
 }
 
 /// The total validator of the module docs. Returns where things are and
-/// how many entries the image holds.
+/// how many entries the image holds, implied self entries included.
 pub(crate) fn validate(bytes: &[u8]) -> io::Result<(Layout, usize)> {
     // Name the format before checksumming: an old image should be told
     // to rebuild, not that it is corrupt.
     Header::parse(bytes)?;
     let body_len = bytes.len().saturating_sub(CRC_LEN);
-    let stored = wire::u32_at(bytes, body_len).ok_or_else(|| bad("truncated HOPIDX03 image"))?;
+    let stored = wire::u32_at(bytes, body_len).ok_or_else(|| bad("truncated HOPIDX04 image"))?;
     if bytes.get(..body_len).map(wire::crc32) != Some(stored) {
-        return Err(bad("HOPIDX03 checksum mismatch"));
+        return Err(bad("HOPIDX04 checksum mismatch"));
     }
     let layout = Layout::parse(bytes, bytes.len() as u64)?;
     let header = layout.header;
@@ -744,11 +902,14 @@ pub(crate) fn validate(bytes: &[u8]) -> io::Result<(Layout, usize)> {
             let label = layout.label(bytes, side, v).ok_or_else(|| bad("label out of bounds"))?;
             if let Some(r) = walk_slot(label, v, &header, |_, _| entries += 1)? {
                 for &(parent, _) in r.pairs() {
-                    if layout.label(bytes, side, parent as usize).is_none_or(is_record) {
+                    let parent = layout.label(bytes, side, parent as usize);
+                    if parent.is_none_or(|p| is_record(p.len())) {
                         return Err(bad("a record's parent holds a record"));
                     }
                 }
                 records = true;
+            } else {
+                entries += layout.implies_self(bytes, side, v) as usize;
             }
         }
     }
@@ -758,11 +919,21 @@ pub(crate) fn validate(bytes: &[u8]) -> io::Result<(Layout, usize)> {
     Ok((layout, entries))
 }
 
-/// Decode slot `v` of a side through the checked decoder.
-pub(crate) fn decode_slot(label: &[u8], v: usize, header: &Header) -> io::Result<VertexLabels> {
+/// Decode slot `v` of a side through the checked decoder, adding the
+/// implied self entry when [`Layout::implies_self`] says the label has
+/// one.
+pub(crate) fn decode_slot(
+    label: &[u8],
+    v: usize,
+    header: &Header,
+    implies_self: bool,
+) -> io::Result<VertexLabels> {
     let mut entries = Vec::new();
     let record =
         walk_slot(label, v, header, |pivot, dist| entries.push(LabelEntry::new(pivot, dist)))?;
+    if implies_self {
+        entries.push(LabelEntry::trivial(v as VertexId));
+    }
     Ok(record.map_or_else(|| VertexLabels::from_entries(entries), VertexLabels::from_record))
 }
 
@@ -776,7 +947,7 @@ pub(crate) fn read_index(bytes: &[u8]) -> io::Result<LabelIndex> {
             .map(|v| {
                 let label =
                     layout.label(bytes, side, v).ok_or_else(|| bad("label out of bounds"))?;
-                decode_slot(label, v, &header)
+                decode_slot(label, v, &header, layout.implies_self(bytes, side, v))
             })
             .collect()
     };
@@ -796,21 +967,33 @@ mod tests {
         VertexLabels::from_entries(entries.iter().map(|&(p, d)| LabelEntry::new(p, d)).collect())
     }
 
-    /// Encode `label` at the widths the writer would pick for it, then
-    /// read it back both ways: the checked decoder, and — once that has
-    /// accepted it — the in-place cursor queries use. Returns the widths.
-    fn assert_roundtrip(label: &VertexLabels, n: usize) -> Widths {
-        let widths = Widths::of(&[std::slice::from_ref(label)]);
+    /// `label` with the self entry of `v` that every built label holds.
+    fn with_self(label: &VertexLabels, v: usize) -> VertexLabels {
+        let mut label = label.clone();
+        label.insert_min(LabelEntry::trivial(v as VertexId));
+        label
+    }
+
+    /// Encode `label` as the label of `v` at the widths the writer would
+    /// pick for it, then read it back both ways: the checked decoder,
+    /// and — once that has accepted it — the in-place cursor queries
+    /// use, over the label followed by 4 bytes of slack (an image's CRC
+    /// trailer). Returns the widths.
+    fn assert_roundtrip(label: &VertexLabels, v: usize) -> Widths {
+        let widths = Widths::of([(v, label)]);
         let mut bytes = Vec::new();
-        encode_label(label, widths, &mut bytes);
-        assert_eq!(bytes.len(), encoded_len(label, widths));
-        assert_eq!(bytes.is_empty(), label.is_empty(), "an empty label is zero bytes");
+        encode_label(label, v, widths, &mut bytes);
+        assert_eq!(bytes.len(), encoded_len(label, v, widths));
+        assert_eq!(bytes.is_empty(), stored(label, v).is_empty(), "an empty label is zero bytes");
         let mut decoded = Vec::new();
-        walk_label(&bytes, widths, n, |p, d| decoded.push(LabelEntry::new(p, d))).unwrap();
-        assert_eq!(decoded, label.entries(), "checked decode, n = {n}");
-        // SAFETY: `walk_label` has just accepted `bytes` at `widths`.
-        let in_place = unsafe { decode_in_place(&bytes, widths) };
-        assert_eq!(in_place, label.entries(), "in place, n = {n}");
+        walk_label(&bytes, widths, v, |p, d| decoded.push(LabelEntry::new(p, d))).unwrap();
+        assert_eq!(decoded, stored(label, v), "checked decode, v = {v}");
+        let len = bytes.len();
+        bytes.extend_from_slice(&[0xFF; CRC_LEN]);
+        // SAFETY: `walk_label` has just accepted `bytes[..len]` at
+        // `widths`, and 4 bytes follow it.
+        let in_place = unsafe { decode_in_place(&bytes, 0..len, v as VertexId, widths, true) };
+        assert_eq!(in_place, with_self(label, v).entries(), "in place, v = {v}");
         widths
     }
 
@@ -818,63 +1001,72 @@ mod tests {
     fn labels_round_trip_at_every_shape() {
         let all_hubs: Vec<_> = (0..64).map(|p| (p, p + 1)).collect();
         let all_tail: Vec<_> = (64..200).map(|p| (p, 3)).collect();
-        // One hub, then tail entries at distance 2 (shift 2) whose
+        // One hub, then tail entries at distance 3 (shift 2) whose
         // `gap − 1` makes a varint of 1, 2, 3, 4 and 5 bytes.
         let mut gaps = vec![(63, 1)];
         for (i, gap) in [1u32, 1 + (1 << 5), 1 + (1 << 12), 1 + (1 << 19), 1 + (1 << 26)]
             .into_iter()
             .enumerate()
         {
-            gaps.push((gaps[i].0 + gap, 2));
+            gaps.push((gaps[i].0 + gap, 3));
         }
-        let widths = Widths { hub_bits: 4, tail_shift: 2 };
+        let widths = Widths { hub_bits: 0, tail_shift: 2 };
         let mut bytes = Vec::new();
-        encode_label(&label_of(&gaps), widths, &mut bytes);
-        assert_eq!(bytes.len(), 8 + 1 + (1 + 2 + 3 + 4 + 5));
-        for (entries, n) in [
+        encode_label(&label_of(&gaps), u32::MAX as usize - 1, widths, &mut bytes);
+        assert_eq!(bytes.len(), 8 + (1 + 2 + 3 + 4 + 5), "a 0-bit hub distance takes no byte");
+        for (entries, v) in [
             (vec![], 0),
             (vec![], 1),
-            (vec![(0, 0)], 1),
+            (vec![(0, 0)], 0),
+            (vec![(0, 1), (1, 0)], 1),
             (all_hubs[..63].to_vec(), 63),
             (all_hubs.clone(), 64),
             (all_hubs.iter().copied().chain([(64, 9)]).collect(), 65),
             (all_tail, 70_000),
-            (vec![(69_999, 1)], 70_000),
-            // Ending in a two-byte varint (word 100 << 1 | 1).
-            (vec![(63, 1), (164, 1)], 70_000),
-            (vec![(u32::MAX - 1, 1)], u32::MAX as usize),
+            (vec![(69_998, 1)], 69_999),
+            // Ending in a two-byte varint (word 100 << 1 | 0).
+            (vec![(63, 1), (164, 1), (165, 2)], 70_000),
+            (vec![(u32::MAX - 2, 1), (u32::MAX - 1, 0)], u32::MAX as usize - 1),
         ] {
-            assert_roundtrip(&label_of(&entries), n);
+            assert_roundtrip(&label_of(&entries), v);
         }
-        assert_eq!(assert_roundtrip(&label_of(&gaps), u32::MAX as usize), widths);
+        assert_eq!(assert_roundtrip(&label_of(&gaps), u32::MAX as usize - 1), widths);
     }
 
     #[test]
     fn distances_pick_the_hub_width_and_the_tail_shift() {
+        // Every stored distance is `d − 1`, at the bit length of the
+        // largest.
         for (dist, bits) in [
-            (0, 4),
-            (15, 4),
-            (16, 8),
-            (255, 8),
-            (256, 16),
-            (65_535, 16),
-            (65_536, 32),
+            (1, 0),
+            (2, 1),
+            (3, 2),
+            (4, 2),
+            (5, 3),
+            (16, 4),
+            (17, 5),
+            (256, 8),
+            (257, 9),
+            (65_536, 16),
+            (65_537, 17),
             (INF_DIST - 1, 32),
+            (INF_DIST, 32),
         ] {
-            let hub = label_of(&[(0, 1), (7, dist), (63, 0), (64, 2)]);
+            let hub = label_of(&[(0, 1), (7, dist), (63, 1), (64, 4)]);
             let widths = assert_roundtrip(&hub, 100);
             assert_eq!(widths, Widths { hub_bits: bits, tail_shift: 2 }, "hub distance {dist}");
         }
-        for (dist, shift) in [(0, 0), (1, 1), (7, 3), (8, 4), (INF_DIST - 1, 32)] {
+        for (dist, shift) in [(1, 0), (2, 1), (8, 3), (9, 4), (INF_DIST, 32)] {
             let tail = label_of(&[(5, 1), (64, dist), (90, dist)]);
             let widths = assert_roundtrip(&tail, 100);
-            assert_eq!(widths, Widths { hub_bits: 4, tail_shift: shift }, "tail distance {dist}");
+            assert_eq!(widths, Widths { hub_bits: 0, tail_shift: shift }, "tail distance {dist}");
         }
-        // Two 4-bit distances to a byte, low nibble first; an odd count
-        // pads the last byte's high nibble with zero.
+        // At 2 bits, four to a byte, low bits first; the last byte is
+        // padded with zero bits.
         let mut bytes = Vec::new();
-        encode_label(&label_of(&[(0, 1), (1, 2), (2, 3)]), Widths::of(&[]), &mut bytes);
-        assert_eq!(bytes, [&0b111u64.to_le_bytes()[..], &[0x21, 0x03]].concat());
+        let three = label_of(&[(0, 1), (1, 2), (2, 3)]);
+        encode_label(&three, 3, Widths { hub_bits: 2, tail_shift: 0 }, &mut bytes);
+        assert_eq!(bytes, [&0b111u64.to_le_bytes()[..], &[0b10_01_00]].concat());
     }
 
     #[test]
@@ -883,23 +1075,25 @@ mod tests {
         // varint-length step that a pivot below `u32::MAX` reaches:
         // 2^(7m) − 1 takes m bytes and 2^(7m) takes m + 1, up to the
         // 10-byte varint of 2^63.
+        let v = u32::MAX - 1;
         for shift in [0u32, 3, 32] {
-            // A last entry at gap 0 whose distance has `shift` bits pins
-            // the shift.
+            // A last entry at gap 0 whose stored distance has `shift`
+            // bits pins the shift.
             let pin = (1u64 << shift) >> 1;
             for m in 1..=9 {
                 for (word, len) in [((1u64 << (7 * m)) - 1, m), (1 << (7 * m), m + 1)] {
-                    let (gap, dist) = Widths { hub_bits: 4, tail_shift: shift }.split(word);
-                    let Some(pivot) = u32::try_from(gap + 64).ok().filter(|&p| p < u32::MAX - 1)
+                    let (gap, dist) = Widths { hub_bits: 0, tail_shift: shift }.split(word);
+                    let (Some(pivot), Ok(dist)) =
+                        (u32::try_from(gap + 64).ok().filter(|&p| p < v - 1), Dist::try_from(dist))
                     else {
                         continue;
                     };
-                    let label = label_of(&[(0, 1), (pivot, dist), (pivot + 1, pin as Dist)]);
-                    let widths = assert_roundtrip(&label, u32::MAX as usize);
+                    let label = label_of(&[(0, 1), (pivot, dist), (pivot + 1, pin as Dist + 1)]);
+                    let widths = assert_roundtrip(&label, v as usize);
                     assert_eq!(widths.tail_shift, shift, "word {word:#x}");
                     assert_eq!(
-                        encoded_len(&label, widths),
-                        8 + 1 + len + varint_len(pin),
+                        encoded_len(&label, v as usize, widths),
+                        8 + len + varint_len(pin),
                         "word {word:#x} at shift {shift}"
                     );
                 }
@@ -909,31 +1103,33 @@ mod tests {
 
     #[test]
     fn no_single_bit_flip_of_a_width_byte_is_another_valid_one() {
-        // The disk reader reads no CRC: byte 9 (the hub width) and byte
-        // 11 (the tail shift) must refuse every flip of every value the
-        // writer can produce.
-        for (bits, shift) in
-            [4u8, 8, 16, 32].into_iter().flat_map(|b| (0..=32).map(move |s| (b, s)))
-        {
-            let mut prefix = MAGIC.to_vec();
-            prefix.extend_from_slice(&[0, bits, 0, shift_byte(shift)]);
-            prefix.extend_from_slice(&1u64.to_le_bytes());
-            let header = Header::parse(&prefix).unwrap();
-            assert_eq!(header.widths, Widths { hub_bits: bits.into(), tail_shift: shift.into() });
-            for (byte, bit) in
-                [9, 11].into_iter().flat_map(|byte| (0..8).map(move |bit| (byte, bit)))
-            {
-                let mut flipped = prefix.clone();
-                flipped[byte] ^= 1 << bit;
-                assert!(
-                    Header::parse(&flipped).is_err(),
-                    "bits {bits} shift {shift}: byte {byte} bit {bit}"
-                );
+        // The disk reader reads no CRC: bytes 9 (the hub width), 11 (the
+        // tail shift) and 12 (the directory block) must refuse every flip
+        // of every value the writer can produce.
+        for (byte, max) in [(9, 32), (11, 32), (12, BLOCK_SHIFT_MAX as u8)] {
+            for value in 0..=max {
+                let mut prefix = MAGIC.to_vec();
+                prefix.extend_from_slice(&[0, parity_byte(0), 0, parity_byte(0), parity_byte(0)]);
+                prefix.extend_from_slice(&1u64.to_le_bytes());
+                prefix[byte] = parity_byte(value);
+                let header = Header::parse(&prefix).unwrap();
+                let got = [header.widths.hub_bits, header.widths.tail_shift, header.block_shift];
+                assert_eq!(got[byte - 9 - (byte > 9) as usize], u32::from(value), "byte {byte}");
+                for bit in 0..8 {
+                    let mut flipped = prefix.clone();
+                    flipped[byte] ^= 1 << bit;
+                    assert!(Header::parse(&flipped).is_err(), "{value}: byte {byte} bit {bit}");
+                }
             }
+            let mut prefix = MAGIC.to_vec();
+            prefix.extend_from_slice(&[0, parity_byte(0), 0, parity_byte(0), parity_byte(0)]);
+            prefix.extend_from_slice(&1u64.to_le_bytes());
+            prefix[byte] = parity_byte(max + 1);
+            assert!(Header::parse(&prefix).is_err(), "byte {byte} at {}", max + 1);
         }
     }
 
-    fn whole_image_round_trips(index: &LabelIndex) {
+    fn whole_image(index: &LabelIndex) -> Vec<u8> {
         let mut image = Vec::new();
         let len = index.write_hopidx(&mut image).unwrap();
         assert_eq!(len, image.len() as u64);
@@ -943,50 +1139,125 @@ mod tests {
             (flat.resident_bytes(), flat.total_entries()),
             (image.len(), index.total_entries())
         );
+        image
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
+        /// Writable labels only: pivots below their vertex, distances of
+        /// at least 1, the self entry optional.
         #[test]
         fn random_sorted_labels_round_trip(
             (pick, raw) in (0usize..5, proptest::collection::vec((0u32..u32::MAX, 0u32..u32::MAX), 0..300))
         ) {
-            let n = [1usize, 63, 64, 65, 70_000][pick];
-            // Pivots anywhere in 0..n with a bias to the front, where
+            let v = [1usize, 63, 64, 65, 70_000][pick];
+            // Pivots anywhere below v with a bias to the front, where
             // the hub word and the short gaps are; distances across all
-            // three widths.
+            // widths.
             let entries: Vec<_> = raw
                 .iter()
                 .map(|&(p, d)| {
-                    let pivot = if d % 3 == 0 { p % n as u32 } else { p % (n as u32).min(200) };
-                    (pivot, d >> (d % 32))
+                    let pivot = if d % 3 == 0 { p % v as u32 } else { p % (v as u32).min(200) };
+                    (pivot, (d >> (d % 32)).max(1))
                 })
+                .chain((raw.len() % 2 == 0).then_some((v as u32, 0)))
                 .collect();
             let label = label_of(&entries);
-            assert_roundtrip(&label, n);
-            // And inside a whole image, as `L(0)` and as `Lin(n - 1)`.
-            let mut labels = vec![VertexLabels::new(); n];
-            labels[0] = label.clone();
-            whole_image_round_trips(&LabelIndex::Undirected(UndirectedLabels {
-                labels: labels.clone(),
-            }));
-            labels.swap(0, n - 1);
-            whole_image_round_trips(&LabelIndex::Directed(DirectedLabels {
-                out_labels: vec![VertexLabels::new(); n],
-                in_labels: labels,
-            }));
+            assert_roundtrip(&label, v);
+            // And inside a whole image, as `L(v)` and as `Lin(v)`, where
+            // the decoder restores the self entry.
+            let n = v + 1;
+            let mut labels: Vec<_> = (0..n as VertexId).map(VertexLabels::with_trivial).collect();
+            labels[v] = with_self(&label, v);
+            whole_image(&LabelIndex::Undirected(UndirectedLabels { labels: labels.clone() }));
+            let out_labels = (0..n as VertexId).map(VertexLabels::with_trivial).collect();
+            whole_image(&LabelIndex::Directed(DirectedLabels { out_labels, in_labels: labels }));
+        }
+    }
+
+    #[test]
+    fn every_hub_width_reads_in_place_at_the_last_label_byte() {
+        // The last label of the image is all hubs, so its last distance
+        // ends at the image's last label byte and the in-place loads of
+        // its distances reach into the CRC trailer: an image whose
+        // `Vec` ends there lets Miri see any load past it.
+        for bits in [0u32, 1, 2, 3, 7, 8, 16, 25, 32] {
+            // The largest distance whose `d − 1` has `bits` bits.
+            let top = (1u64 << bits).min(INF_DIST.into()) as Dist;
+            for hubs in [1u32, 2, 3, 5, 8, 63] {
+                let n = hubs as usize + 1;
+                let mut labels: Vec<_> =
+                    (0..n as VertexId).map(VertexLabels::with_trivial).collect();
+                for p in 0..hubs {
+                    let dist = if p + 1 == hubs { top } else { (1 + p % 3).min(top) };
+                    labels[n - 1].insert_min(LabelEntry::new(p, dist));
+                }
+                let index = LabelIndex::Undirected(UndirectedLabels { labels });
+                let image = whole_image(&index);
+                let flat = FlatIndex::from_hopidx_bytes(&image).unwrap();
+                let layout = Layout::parse(&image, image.len() as u64).unwrap();
+                assert_eq!(layout.header.widths.hub_bits, bits, "{hubs} hubs");
+                let last = n as VertexId - 1;
+                for p in 0..=last {
+                    assert_eq!(flat.query(p, last), index.query(p, last), "bits {bits}: {p}");
+                    assert_eq!(flat.query(last, p), index.query(last, p), "bits {bits}: {p}");
+                }
+                let span = layout.span(&image, 0, n - 1).unwrap();
+                assert_eq!(span.end, image.len() - CRC_LEN, "the last label ends the labels");
+                // SAFETY: validation accepted the image, and its CRC
+                // follows the span.
+                let entries =
+                    unsafe { decode_in_place(&image, span, last, layout.header.widths, true) };
+                assert_eq!(entries, index.source_labels(last).entries(), "bits {bits}");
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "a 70 000-entry label is minutes under Miri")]
+    fn the_writer_picks_the_largest_block_whose_offsets_fit() {
+        // Small labels: one 64-vertex block spans a few hundred bytes.
+        let small = LabelIndex::new_undirected(200);
+        let image = whole_image(&small);
+        assert_eq!(image[12], parity_byte(6), "blocks of 64");
+        let header = Header::parse(&image).unwrap();
+        assert_eq!(header.dir_len(), Some(4 * (200 / 64 + 1) + 2 * 201));
+        // A label of 69 944 bytes at vertex 70 000: no block of two
+        // vertices that holds it fits its second offset in 16 bits, so
+        // every vertex opens its own block. Directed, on both sides.
+        let v = 70_000;
+        let mut labels: Vec<_> = (0..v as VertexId + 2).map(VertexLabels::with_trivial).collect();
+        for p in 64..v as VertexId {
+            labels[v].insert_min(LabelEntry::new(p, 1));
+        }
+        let undirected = LabelIndex::Undirected(UndirectedLabels { labels: labels.clone() });
+        let directed =
+            LabelIndex::Directed(DirectedLabels { out_labels: labels.clone(), in_labels: labels });
+        for index in [undirected, directed] {
+            let image = whole_image(&index);
+            assert_eq!(image[12], parity_byte(0), "blocks of 1");
+            let flat = FlatIndex::from_hopidx_bytes(&image).unwrap();
+            for (s, t) in [(v as VertexId, 5_000), (69_999, v as VertexId), (v as VertexId + 1, 70)]
+            {
+                assert_eq!(flat.query(s, t), index.query(s, t), "{s}->{t}");
+            }
+            assert_eq!(flat.out_label_len(v as VertexId), v - 64 + 1);
         }
     }
 
     #[test]
     fn the_writer_refuses_what_no_image_can_hold() {
-        let mut idx = LabelIndex::new_undirected(2);
-        if let LabelIndex::Undirected(u) = &mut idx {
-            u.labels[1].insert_min(LabelEntry::new(2, 1)); // not a vertex
+        // Labels of vertex 1: a pivot that is not a vertex, one above 1,
+        // 1 itself at a distance other than 0, and distance 0 at 0.
+        for entry in [(2, 1), (5, 1), (1, 3), (0, 0)] {
+            let mut idx = LabelIndex::new_undirected(3);
+            if let LabelIndex::Undirected(u) = &mut idx {
+                u.labels[1] = label_of(&[entry]);
+            }
+            let err = idx.write_hopidx(&mut Vec::new()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{entry:?}: {err}");
         }
-        let err = idx.write_hopidx(&mut Vec::new()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
 
         // Records in slot 2: a parent that is not a vertex, the vertex
         // itself, a record; an unreachable offset; two parents out of
@@ -1044,10 +1315,7 @@ mod tests {
         out_labels[2] = VertexLabels::new();
         let directed = LabelIndex::Directed(DirectedLabels { out_labels, in_labels });
         for (idx, records) in [(&without, 0), (&with, 1), (&directed, 1)] {
-            let mut image = Vec::new();
-            idx.write_hopidx(&mut image).unwrap();
-            assert_eq!(image[10], records, "the flags word's records bit");
-            whole_image_round_trips(idx);
+            assert_eq!(whole_image(idx)[10], records, "the flags word's records bit");
         }
         let flat = FlatIndex::from_index(&with);
         assert_eq!(flat.query(2, 3), 5 + 1 + 70_000);
@@ -1058,6 +1326,9 @@ mod tests {
         assert_eq!(flat.query(4, 1), 3 + 1);
         let flat = FlatIndex::from_index(&directed);
         assert_eq!((flat.query(4, 1), flat.query(1, 4), flat.query(0, 4)), (4, 2, 3));
+        // The empty side of a derived vertex implies no self entry.
+        assert_eq!((flat.in_label_len(3), flat.out_label_len(2)), (0, 0));
+        assert_eq!((flat.query(0, 3), flat.query(2, 0)), (INF_DIST, INF_DIST));
     }
 
     #[test]
@@ -1070,14 +1341,20 @@ mod tests {
         v01.extend_from_slice(&0u64.to_le_bytes());
         v01.extend_from_slice(&1u64.to_le_bytes());
         v01.extend_from_slice(&[0u8; 8]);
-        // And a HOPIDX02 one: byte-wide hub distances, a zero reserved
+        // A HOPIDX02 one: byte-wide hub distances, a zero reserved
         // byte, a two-slot directory, its CRC.
         let mut v02 = b"HOPIDX02".to_vec();
         v02.extend_from_slice(&[0, 1, 0, 0]);
         v02.extend_from_slice(&1u64.to_le_bytes());
         v02.extend_from_slice(&[0u8; 8]);
         v02.extend_from_slice(&wire::crc32(&v02).to_le_bytes());
-        for (old, name) in [(&v01, "HOPIDX01"), (&v02, "HOPIDX02")] {
+        // And a HOPIDX03 one: 4-bit hub distances, tail shift 0.
+        let mut v03 = b"HOPIDX03".to_vec();
+        v03.extend_from_slice(&[0, 4, 0, 0]);
+        v03.extend_from_slice(&1u64.to_le_bytes());
+        v03.extend_from_slice(&[0u8; 8]);
+        v03.extend_from_slice(&wire::crc32(&v03).to_le_bytes());
+        for (old, name) in [(&v01, "HOPIDX01"), (&v02, "HOPIDX02"), (&v03, "HOPIDX03")] {
             for err in [
                 Header::parse(old).unwrap_err(),
                 validate(old).unwrap_err(),
@@ -1089,7 +1366,7 @@ mod tests {
                 assert!(msg.starts_with(name) && msg.contains("rebuild"), "{msg}");
             }
         }
-        for junk in [&b"HOPIDX03........"[..], b"HOPIDX04........"] {
+        for junk in [&b"HOPIDX04........."[..], b"HOPIDX05........."] {
             assert!(!validate(junk).unwrap_err().to_string().contains("rebuild"));
         }
     }

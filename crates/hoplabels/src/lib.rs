@@ -13,11 +13,12 @@
 //! * [`index::LabelIndex`] — the full index, `[Lout, Lin]` or `[L]`;
 //!   [`index::merge_join`] and [`index::resolve`], the 2-hop join and the
 //!   record rule that every reader, builder and baseline shares;
-//! * [`image`] — `HOPIDX03`, the one serialized form: per label a
-//!   64-bit hub word, hub distances packed at the image's width (4 bits
-//!   on the benchmark graphs) and a tail of one varint per entry, pivot
-//!   gap and distance together, per derived vertex a 1–7-byte record,
-//!   under a CRC; its writer, checked decoder and validator;
+//! * [`image`] — `HOPIDX04`, the one serialized form: per label a
+//!   64-bit hub word, hub distances packed as `d − 1` at the image's
+//!   width (2–3 bits on the benchmark graphs) and a tail of one varint
+//!   per entry, pivot gap and `d − 1` together, the self entry implied;
+//!   per derived vertex a 1–7-byte record; a two-level directory; under
+//!   a CRC; its writer, checked decoder and validator;
 //! * [`flat::FlatIndex`] — the frozen read path: a validated image
 //!   served in place, and the batched parallel `query_many` used for
 //!   serving;

@@ -12,7 +12,7 @@
 //! because each candidate pivot contributes to exactly one shard-local
 //! join and `INF_DIST` (`u32::MAX`) is the identity of `min`. Each
 //! shard produced by [`shard_image`] is itself a complete, valid
-//! `HOPIDX03` image over the *same* vertex set (same `n`, same
+//! `HOPIDX04` image over the *same* vertex set (same `n`, same
 //! direction flag) — it loads with `FlatIndex::load` and serves with an
 //! unmodified `hopdb-server` daemon; only the label entries whose pivot
 //! falls in the shard's range are retained. The cutter reads the source
@@ -38,14 +38,17 @@
 //! offsets in every shard, `min_(i,j) off_i(s) + min_k join_k(p_i(s),
 //! p_j(t)) + off_j(t)` is the unsharded least, and where two ends meet
 //! at one parent every shard answers the same `off_i(s) + off_j(t)`.
+//! Every label of every shard implies its self entry `(v, 0)`, as in
+//! any image; that stays exact too, because an implied `(v, 0)` matches
+//! only a label that holds pivot `v`, and only `v`'s own shard holds it.
 //!
 //! The `rank_pruned` flag records a property the router can exploit:
-//! when every entry's pivot id is `<=` its vertex id and every parent of
-//! every record is `<=` its vertex id (true for any index built under
-//! the rank convention whose derived vertices rank below their parents,
-//! verified during the split — not assumed: a degree tie can rank a
-//! derived vertex above a parent), the winning pivot of `(s, t)` is
-//! `<= min(s, t)`,
+//! every entry's pivot id is `<=` its vertex id (an image holds no other
+//! label), so when every parent of every record is `<=` its vertex id
+//! too (true for any index whose derived vertices rank below their
+//! parents, verified during the split — not assumed: a degree tie can
+//! rank a derived vertex above a parent), the winning pivot of `(s, t)`
+//! is `<= min(s, t)`,
 //! so only shards whose `lo <= min(s, t)` can contribute and the router
 //! may skip the rest. The flag is only usable when clients speak rank
 //! ids (no `.rank` translation sidecar); otherwise the router must
@@ -89,8 +92,9 @@ pub struct ShardSpec {
     pub index: u32,
     /// Total number of shards in the partition.
     pub count: u32,
-    /// Whether every entry in the *source* image satisfied
-    /// `pivot <= vertex` (the rank-space pruning invariant).
+    /// Whether every record in the *source* image names parents `<=`
+    /// its vertex, as every label entry's pivot is (the rank-space
+    /// pruning invariant).
     pub rank_pruned: bool,
 }
 
@@ -170,7 +174,8 @@ pub fn shard_image(bytes: &[u8], k: usize) -> io::Result<Vec<(Vec<u8>, ShardSpec
     let n = index.num_vertices();
 
     // One pass over every entry: pivot histogram (for balanced cuts)
-    // and the rank-pruning invariant check, which records obey too.
+    // and the rank-pruning invariant check, which only a record can
+    // break.
     let mut hist = vec![0u64; n];
     let mut rank_pruned = true;
     for side in index.sides() {
@@ -183,7 +188,6 @@ pub fn shard_image(bytes: &[u8], k: usize) -> io::Result<Vec<(Vec<u8>, ShardSpec
                 if let Some(slot) = hist.get_mut(e.pivot as usize) {
                     *slot += 1;
                 }
-                rank_pruned &= e.pivot as usize <= v;
             }
         }
     }
@@ -308,12 +312,18 @@ mod tests {
 
     #[test]
     fn non_rank_pruned_image_is_flagged() {
-        // An undirected label set where a low vertex cites a higher
-        // pivot — legal for querying, but not rank-pruned.
+        // A label that cites a pivot above its vertex has no image: the
+        // writer refuses it, so only a record can break the rule.
         let mut idx = LabelIndex::new_undirected(3);
         if let LabelIndex::Undirected(u) = &mut idx {
             u.labels[0].insert_min(LabelEntry::new(2, 5));
-            u.labels[1].insert_min(LabelEntry::new(2, 1));
+        }
+        let err = idx.write_hopidx(&mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        // 0 derived from 2, ranked below it.
+        if let LabelIndex::Undirected(u) = &mut idx {
+            u.labels[0] = VertexLabels::from_record(crate::Record::new(&[(2, 5)]));
+            u.labels[1].insert_min(LabelEntry::new(0, 1));
         }
         let bytes = image_of(&idx);
         let shards = shard_image(&bytes, 2).unwrap();

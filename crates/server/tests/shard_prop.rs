@@ -3,7 +3,7 @@
 //!
 //! * the shard ranges tile `[0, n)` exactly — every pivot (and so
 //!   every label entry) is owned by exactly one shard;
-//! * every shard is a complete, loadable `HOPIDX03` image over the
+//! * every shard is a complete, loadable `HOPIDX04` image over the
 //!   full vertex set;
 //! * min-merging the per-shard `FlatIndex::query_many` answers equals
 //!   `FlatIndex::query_many` on the unsharded image, pair for pair;
@@ -30,16 +30,15 @@ fn image_of(index: &LabelIndex) -> Vec<u8> {
 }
 
 /// Strategy: an arbitrary small undirected label index. Entries are
-/// raw `(vertex, pivot, dist)` triples — including ones that break the
-/// rank convention (`pivot > vertex`), which sharding must still
-/// handle exactly (it just loses the pruning flag).
+/// raw `(vertex, pivot, dist)` triples, the pivot taken below the vertex:
+/// an image holds no other.
 fn undirected_index_strategy() -> impl Strategy<Value = LabelIndex> {
     (2usize..24).prop_flat_map(|n| {
-        vec((0..n, 0..n, 1u32..50), 0..96).prop_map(move |entries| {
+        vec((1..n, 0..n, 1u32..50), 0..96).prop_map(move |entries| {
             let mut index = LabelIndex::new_undirected(n);
             if let LabelIndex::Undirected(u) = &mut index {
                 for (v, pivot, d) in entries {
-                    u.labels[v].insert_min(LabelEntry::new(pivot as VertexId, d));
+                    u.labels[v].insert_min(LabelEntry::new((pivot % v) as VertexId, d));
                 }
             }
             index
@@ -51,15 +50,16 @@ fn undirected_index_strategy() -> impl Strategy<Value = LabelIndex> {
 /// in/out label sets).
 fn directed_index_strategy() -> impl Strategy<Value = LabelIndex> {
     (2usize..24).prop_flat_map(|n| {
-        (vec((0..n, 0..n, 1u32..50), 0..64), vec((0..n, 0..n, 1u32..50), 0..64)).prop_map(
+        (vec((1..n, 0..n, 1u32..50), 0..64), vec((1..n, 0..n, 1u32..50), 0..64)).prop_map(
             move |(outs, ins)| {
                 let mut index = LabelIndex::new_directed(n);
+                let entry = |v, pivot, dist| LabelEntry::new((pivot % v) as VertexId, dist);
                 if let LabelIndex::Directed(d) = &mut index {
                     for (v, pivot, dist) in outs {
-                        d.out_labels[v].insert_min(LabelEntry::new(pivot as VertexId, dist));
+                        d.out_labels[v].insert_min(entry(v, pivot, dist));
                     }
                     for (v, pivot, dist) in ins {
-                        d.in_labels[v].insert_min(LabelEntry::new(pivot as VertexId, dist));
+                        d.in_labels[v].insert_min(entry(v, pivot, dist));
                     }
                 }
                 index

@@ -1,4 +1,4 @@
-//! Corruption corpus for the `HOPIDX03` image. `FlatIndex` serves the
+//! Corruption corpus for the `HOPIDX04` image. `FlatIndex` serves the
 //! file's bytes in place with unchecked reads, so its loader must be
 //! total: every truncation and every single-bit flip of a valid image
 //! is a clean `Err` (the CRC-32 trailer sees to random damage), and so
@@ -39,8 +39,8 @@ fn serialized_image(directed: bool) -> Vec<u8> {
     image
 }
 
-/// The fixed header: magic (8) + flags (4) + vertex count (8).
-const FIXED_HEADER: usize = 20;
+/// The fixed header: magic (8) + flags (5) + vertex count (8).
+const FIXED_HEADER: usize = 21;
 
 #[test]
 fn every_truncation_is_a_clean_error() {
@@ -72,8 +72,8 @@ fn trailing_garbage_is_a_clean_error() {
 #[test]
 fn every_fixed_header_bit_flip_is_a_clean_error() {
     // Magic, flags word (directed, hub-distance bits, records, tail
-    // shift), and the vertex count: every single-bit flip must be
-    // rejected.
+    // shift, directory block), and the vertex count: every single-bit
+    // flip must be rejected.
     for directed in [false, true] {
         let image = serialized_image(directed);
         for byte in 0..FIXED_HEADER {
@@ -114,42 +114,61 @@ fn every_single_bit_flip_is_a_clean_error() {
     }
 }
 
-/// A `HOPIDX03` image assembled from parts and sealed with a *valid*
+/// A `HOPIDX04` image assembled from parts and sealed with a *valid*
 /// CRC, so only the structural rules stand between it and a query.
 /// `flags` is the flags word: directed, hub-distance bits, records, tail
-/// shift byte ([`shift_byte`]).
-fn craft(flags: [u8; 4], n: u64, dirs: &[&[u32]], labels: &[u8]) -> Vec<u8> {
-    let mut image = b"HOPIDX03".to_vec();
+/// shift and directory block (each width byte a [`parity_byte`]); `dirs`
+/// is the directories' bytes.
+fn craft(flags: [u8; 5], n: u64, dirs: &[u8], labels: &[u8]) -> Vec<u8> {
+    let mut image = b"HOPIDX04".to_vec();
     image.extend_from_slice(&flags);
     image.extend_from_slice(&n.to_le_bytes());
-    for off in dirs.iter().flat_map(|dir| dir.iter()) {
-        image.extend_from_slice(&off.to_le_bytes());
-    }
+    image.extend_from_slice(dirs);
     image.extend_from_slice(labels);
     let crc = crc32(&image);
     image.extend_from_slice(&crc.to_le_bytes());
     image
 }
 
-/// The flags word's last byte: tail shift `shift` in bits 0–5, their
-/// parity in bit 7.
-fn shift_byte(shift: u8) -> u8 {
-    shift | ((shift.count_ones() as u8 & 1) << 7)
+/// A flags byte: `v` in bits 0–5, their parity in bit 7.
+fn parity_byte(v: u8) -> u8 {
+    v | ((v.count_ones() as u8 & 1) << 7)
 }
 
-/// The flags word of an undirected image with 4-bit hub distances,
-/// no records and tail shift `shift`.
-fn flags(shift: u8) -> [u8; 4] {
-    [0, 4, 0, shift_byte(shift)]
+/// The flags word of an undirected image with `hub`-bit hub distances,
+/// the records flag `records`, tail shift `shift` and blocks of 64.
+fn flags_of(hub: u8, records: u8, shift: u8) -> [u8; 5] {
+    [0, parity_byte(hub), records, parity_byte(shift), parity_byte(6)]
+}
+
+/// [`flags_of`] 4-bit hub distances and no records.
+fn flags(shift: u8) -> [u8; 5] {
+    flags_of(4, 0, shift)
+}
+
+/// Directories of the label offsets `sides` (each `n + 1` entries from
+/// 0) in blocks of `1 << block` vertices: per block a `u32` base, then a
+/// `u16` offset from it per vertex.
+fn dirs(block: u32, sides: &[&[u32]]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for offsets in sides {
+        for chunk in offsets.chunks(1 << block) {
+            bytes.extend_from_slice(&chunk[0].to_le_bytes());
+            for &at in chunk {
+                bytes.extend_from_slice(&((at - chunk[0]) as u16).to_le_bytes());
+            }
+        }
+    }
+    bytes
 }
 
 /// An undirected image of `n` vertices, 4-bit hub distances and tail
-/// shift `shift`, where vertex 0 carries `label` and every other label
-/// is empty.
+/// shift `shift`, where the last vertex, `n − 1`, carries `label` and
+/// every other label is empty.
 fn one_label_at(shift: u8, n: u32, label: &[u8]) -> Vec<u8> {
-    let mut dir = vec![label.len() as u32; n as usize + 1];
-    dir[0] = 0;
-    craft(flags(shift), n as u64, &[&dir], label)
+    let mut dir = vec![0; n as usize + 1];
+    dir[n as usize] = label.len() as u32;
+    craft(flags(shift), n as u64, &dirs(6, &[&dir]), label)
 }
 
 /// [`one_label_at`] tail shift 2.
@@ -175,41 +194,84 @@ fn varint(mut v: u64) -> Vec<u8> {
 
 #[test]
 fn a_valid_crc_does_not_excuse_a_broken_structure() {
-    // The crafting itself is sound: hubs 0 and 5 at distances 1 and 2
-    // (one byte, low nibble first), then at shift 2 tail pivot 64 at
-    // distance 3 (gap 0: word 3) and 70 at 1 (gap 5: word 21).
+    // The crafting itself is sound: at vertex 99, hubs 0 and 5 at
+    // distances 2 and 3 (stored `d − 1`, one byte, low nibble first),
+    // then at shift 2 tail pivot 64 at distance 4 (gap 0: word 3) and 70
+    // at 2 (gap 5: word 21).
     let good = label(0b10_0001, &[0x21, 3, 21]);
     let flat = FlatIndex::from_hopidx_bytes(&one_label(100, &good)).expect("baseline loads");
-    assert_eq!((flat.out_label_len(0), flat.total_entries()), (4, 4));
+    // Four stored entries and the implied self entry; 99 empty labels
+    // of one implied entry each.
+    assert_eq!((flat.out_label_len(99), flat.total_entries()), (5, 99 + 5));
     assert_eq!(shard_image(&one_label(100, &good), 2).expect("baseline shards").len(), 2);
-    // At shift 32, a gap of 35 reaches pivot 99 of 100, and 36 reaches n.
+    // At shift 32, a gap of 34 reaches pivot 98, below vertex 99, and 35
+    // reaches the vertex itself.
     let at_32 = |gap: u64| one_label_at(32, 100, &label(0, &varint((gap << 32) | 7)));
-    let flat = FlatIndex::from_hopidx_bytes(&at_32(35)).expect("shift 32 loads");
-    assert_eq!((flat.out_label_len(0), flat.total_entries()), (1, 1));
+    let flat = FlatIndex::from_hopidx_bytes(&at_32(34)).expect("shift 32 loads");
+    assert_eq!((flat.out_label_len(99), flat.query(98, 99)), (2, 8));
+    // Blocks of two vertices, three of them: the last label, hub 0 at
+    // distance 2, is 9 bytes.
+    let small = label(1, &[0x01]);
+    let block_1 =
+        |d: &[u8]| craft([0, parity_byte(4), 0, parity_byte(2), parity_byte(1)], 3, d, &small);
+    let flat =
+        FlatIndex::from_hopidx_bytes(&block_1(&dirs(1, &[&[0, 0, 0, 9]]))).expect("blocks of 2");
+    assert_eq!((flat.out_label_len(2), flat.query(0, 2)), (2, 2));
+    // At 3 bits a hub distance leaves 5 pad bits.
+    let three_bits = |label: &[u8]| craft(flags_of(3, 0, 2), 3, &dirs(6, &[&[0, 0, 0, 9]]), label);
+    let flat = FlatIndex::from_hopidx_bytes(&three_bits(&label(1, &[0b010]))).expect("3 bits");
+    assert_eq!(flat.query(2, 0), 3);
 
     let nine_ff = [0xFF; 9];
+    let dir_3 = |offsets: &[u32]| dirs(6, &[offsets]);
+    let raw_blocks = |blocks: &[(u32, &[u16])]| -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for (base, offsets) in blocks {
+            bytes.extend_from_slice(&base.to_le_bytes());
+            offsets.iter().for_each(|o| bytes.extend_from_slice(&o.to_le_bytes()));
+        }
+        bytes
+    };
     let corpus: Vec<(&str, Vec<u8>)> = vec![
-        ("offsets not monotone", craft(flags(2), 3, &[&[0, 11, 8, 11]], &good)),
-        ("first offset not zero", craft(flags(2), 3, &[&[2, 11, 11, 11]], &good)),
-        ("offsets past the region", craft(flags(2), 3, &[&[0, 11, 11, 16]], &good)),
+        ("a u16 offset that decreases", craft(flags(2), 3, &dir_3(&[0, 11, 8, 11]), &good)),
+        ("first offset not zero", craft(flags(2), 3, &dir_3(&[2, 11, 11, 11]), &good)),
+        ("offsets past the region", craft(flags(2), 3, &dir_3(&[0, 11, 11, 16]), &good)),
         (
             "bytes no directory accounts for",
-            craft(flags(2), 3, &[&[0, 11, 11, 11]], &[&good[..], &[0]].concat()),
+            craft(flags(2), 3, &dir_3(&[0, 0, 0, 11]), &[&good[..], &[0]].concat()),
         ),
         (
             "in directory past the region",
-            craft([1, 4, 0, shift_byte(2)], 1, &[&[0, 11], &[0, 1]], &good),
+            craft(
+                [1, parity_byte(4), 0, parity_byte(2), parity_byte(6)],
+                1,
+                &dirs(6, &[&[0, 11], &[0, 1]]),
+                &good,
+            ),
         ),
+        ("a u16 offset past its block's span", block_1(&raw_blocks(&[(0, &[0, 5]), (0, &[0, 9])]))),
+        ("a block's first offset not zero", block_1(&raw_blocks(&[(0, &[0, 0]), (0, &[3, 9])]))),
         ("label shorter than its hub word", one_label(100, &good[..7])),
         ("popcount x 4 bits past the label", one_label(100, &label(0b111, &[0x21]))),
         (
             "popcount x 32 bits past the label",
-            craft([0, 32, 0, 0], 1, &[&[0, 11]], &label(1, &[1, 2, 3])),
+            craft(flags_of(32, 0, 0), 2, &dirs(6, &[&[0, 0, 11]]), &label(1, &[1, 2, 3])),
         ),
         ("non-zero pad nibble", one_label(100, &label(0b1, &[0x11]))),
         ("non-zero pad nibble, three hubs", one_label(100, &label(0b111, &[0x21, 0x13]))),
-        ("hub bit >= n", one_label(10, &label(1 << 10, &[1]))),
-        ("hub bit >= n, n = 63", one_label(63, &label(1 << 63, &[1]))),
+        ("non-zero pad bit at 3 bits", three_bits(&label(1, &[0b0100_0010]))),
+        (
+            "non-zero pad bit at 7 bits, two hubs",
+            craft(
+                flags_of(7, 0, 2),
+                3,
+                &dirs(6, &[&[0, 0, 0, 10]]),
+                &label(0b11, &[1, 0b1100_0000]),
+            ),
+        ),
+        ("hub bit >= v", one_label(10, &label(1 << 10, &[1]))),
+        ("hub bit == v", one_label(10, &label(1 << 9, &[1]))),
+        ("hub bit >= v, n = 63", one_label(63, &label(1 << 63, &[1]))),
         ("11-byte varint", one_label(100, &label(0, &[&[0x80; 10][..], &[0]].concat()))),
         (
             "10-byte varint past 64 bits",
@@ -232,23 +294,62 @@ fn a_valid_crc_does_not_excuse_a_broken_structure() {
             "tail gap 2^64 - 1 at shift 0",
             one_label_at(0, 100, &label(0, &[&nine_ff[..], &[0x01]].concat())),
         ),
-        ("tail gap at shift 32 reaching n", at_32(36)),
+        ("tail gap at shift 32 reaching v", at_32(35)),
         (
-            "tail pivot >= n",
-            one_label(100, &label(0, &[varint((35 << 2) | 1), varint(1)].concat())),
+            "tail pivot == v",
+            one_label(100, &label(0, &[varint((34 << 2) | 1), varint(1)].concat())),
         ),
-        ("tail pivot >= n, n < 64", one_label(10, &label(1, &[1, 1]))),
-        ("hub width 0", craft([0, 0, 0, 0], 1, &[&[0, 0]], &[])),
-        ("hub width 1", craft([0, 1, 0, 0], 1, &[&[0, 0]], &[])),
-        ("hub width 3", craft([0, 3, 0, 0], 1, &[&[0, 0]], &[])),
-        ("hub width 5", craft([0, 5, 0, 0], 1, &[&[0, 0]], &[])),
-        ("hub width 64", craft([0, 64, 0, 0], 1, &[&[0, 0]], &[])),
-        ("tail shift 33", craft([0, 4, 0, shift_byte(33)], 1, &[&[0, 0]], &[])),
-        ("tail shift 2 without its parity bit", craft([0, 4, 0, 2], 1, &[&[0, 0]], &[])),
-        ("tail shift 3 with a parity bit", craft([0, 4, 0, 0x83], 1, &[&[0, 0]], &[])),
-        ("tail shift byte bit 6", craft([0, 4, 0, 0x40 | 0x03], 1, &[&[0, 0]], &[])),
-        ("directed flag 2", craft([2, 4, 0, 0], 1, &[&[0, 0], &[0, 0]], &[])),
-        ("vertex count past the id space", craft(flags(0), 1 << 32, &[&[0, 0]], &[])),
+        ("tail pivot >= v, n < 64", one_label(10, &label(1, &[1, 1]))),
+        (
+            "hub distance past 32 bits",
+            craft(flags_of(32, 0, 0), 2, &dirs(6, &[&[0, 0, 12]]), &label(1, &[0xFF; 4])),
+        ),
+        ("tail distance past 32 bits", one_label_at(32, 100, &label(0, &varint(u32::MAX.into())))),
+        ("hub width 33", craft(flags_of(33, 0, 0), 1, &dirs(6, &[&[0, 0]]), &[])),
+        ("hub width 64", craft([0, 64, 0, 0, parity_byte(6)], 1, &dirs(6, &[&[0, 0]]), &[])),
+        (
+            "hub width 1 without its parity bit",
+            craft([0, 1, 0, 0, parity_byte(6)], 1, &dirs(6, &[&[0, 0]]), &[]),
+        ),
+        (
+            "hub width 3 with a parity bit",
+            craft([0, 0x83, 0, 0, parity_byte(6)], 1, &dirs(6, &[&[0, 0]]), &[]),
+        ),
+        ("tail shift 33", craft(flags(33), 1, &dirs(6, &[&[0, 0]]), &[])),
+        (
+            "tail shift 2 without its parity bit",
+            craft([0, parity_byte(4), 0, 2, parity_byte(6)], 1, &dirs(6, &[&[0, 0]]), &[]),
+        ),
+        (
+            "tail shift 3 with a parity bit",
+            craft([0, parity_byte(4), 0, 0x83, parity_byte(6)], 1, &dirs(6, &[&[0, 0]]), &[]),
+        ),
+        (
+            "tail shift byte bit 6",
+            craft(
+                [0, parity_byte(4), 0, 0x40 | 0x03, parity_byte(6)],
+                1,
+                &dirs(6, &[&[0, 0]]),
+                &[],
+            ),
+        ),
+        (
+            "block shift 7",
+            craft([0, parity_byte(4), 0, 0, parity_byte(7)], 1, &dirs(6, &[&[0, 0]]), &[]),
+        ),
+        (
+            "block shift 4 without its parity bit",
+            craft([0, parity_byte(4), 0, 0, 4], 1, &dirs(6, &[&[0, 0]]), &[]),
+        ),
+        (
+            "block shift 3 with a parity bit",
+            craft([0, parity_byte(4), 0, 0, 0x83], 1, &dirs(6, &[&[0, 0]]), &[]),
+        ),
+        (
+            "directed flag 2",
+            craft([2, parity_byte(4), 0, 0, parity_byte(6)], 1, &dirs(6, &[&[0, 0], &[0, 0]]), &[]),
+        ),
+        ("vertex count past the id space", craft(flags(0), 1 << 32, &dirs(6, &[&[0, 0]]), &[])),
         ("trailing byte after the trailer", [&one_label(100, &good)[..], &[0]].concat()),
     ];
     for (what, image) in &corpus {
@@ -257,7 +358,7 @@ fn a_valid_crc_does_not_excuse_a_broken_structure() {
     }
 }
 
-/// An undirected image of three vertices, 4-bit hub distances, whose
+/// An undirected image of three vertices, 2-bit hub distances, whose
 /// slots are `slots`, with the records flag `records`.
 fn three_slots(records: u8, slots: [&[u8]; 3]) -> Vec<u8> {
     let ends: Vec<u32> = slots
@@ -267,17 +368,19 @@ fn three_slots(records: u8, slots: [&[u8]; 3]) -> Vec<u8> {
             Some(*at)
         })
         .collect();
-    craft([0, 4, records, 0], 3, &[&[0, ends[0], ends[1], ends[2]]], &slots.concat())
+    let dir = dirs(6, &[&[0, ends[0], ends[1], ends[2]]]);
+    craft(flags_of(2, records, 0), 3, &dir, &slots.concat())
 }
 
 #[test]
 fn a_record_is_two_varints_naming_another_vertexs_label() {
-    // Vertex 0 carries its self-entry (hub bit 0 at distance 0), 2 an
-    // entry to 0; 1 is the record (parent 0, offset 5).
-    let (hub0, to0) = (label(1, &[0]), label(1, &[3]));
+    // Vertex 0 carries only its implied self entry (an empty label), 2
+    // an entry to 0 at distance 3 (stored 2); 1 is the record (parent 0,
+    // offset 5).
+    let (hub0, to0) = (Vec::new(), label(1, &[2]));
     let good = three_slots(1, [&hub0, &[0, 5], &to0]);
     let flat = FlatIndex::from_hopidx_bytes(&good).expect("baseline loads");
-    assert_eq!((flat.query(1, 0), flat.query(1, 2), flat.total_entries()), (5, 8, 2));
+    assert_eq!((flat.query(1, 0), flat.query(1, 2), flat.total_entries()), (5, 8, 3));
     assert!(shard_image(&good, 2).is_ok());
     // And with a second pair, 2 at offset 1.
     let good = three_slots(1, [&hub0, &[0, 5, 2, 1], &to0]);

@@ -97,12 +97,17 @@ fn directed_glp() {
     assert_golden("directed glp 2000", &g, DIRECTED);
 }
 
-// Pinned on HOPIDX03 at 6 627 / 5 034 and 4 603 / 4 224 joins (uniform
-// / hub); ordering a record's ends by offset and skipping a pair whose
-// offsets already meet the best answer took 28 / 40 and 9 / 16 joins
-// off.
+// Pinned on HOPIDX03 at (6 627, 245 965, 58 925) / (5 034, 147 240,
+// 17 993) undirected and (4 603, 114 198, 17 883) / (4 224, 96 326,
+// 11 114) directed: joins, join bytes, entries, uniform / hub.
+// Ordering a record's ends by offset and skipping a pair whose offsets
+// already meet the best answer took 28 / 40 and 9 / 16 joins off.
+// HOPIDX04 then moved no join: its labels imply their self entry, so
+// the varint that held it is neither stored nor decoded, and its hub
+// distances take 2 bits, not 4 (entries −11 % / 0 % undirected, −14 % /
+// 0 % directed; bytes −27 % / −25 % and −18 % / −18 %).
 const UNDIRECTED: &[Row] =
-    &[("uniform", 6599, 245002, 58713, 4662), ("hub", 4994, 146126, 17832, 2268)];
+    &[("uniform", 6599, 179975, 52264, 4662), ("hub", 4994, 110164, 17832, 2268)];
 
 const DIRECTED: &[Row] =
-    &[("uniform", 4594, 113945, 17830, 3808), ("hub", 4208, 95913, 11065, 1847)];
+    &[("uniform", 4594, 93075, 15269, 3808), ("hub", 4208, 78928, 11065, 1847)];

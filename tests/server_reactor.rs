@@ -687,7 +687,7 @@ const STATS_NODE: &str = "\
     HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
     Content-Length: 471\r\nConnection: close\r\n\r\n\
     {\"protocol\":7,\"mode\":\"single\",\"generation\":1,\"vertices\":10,\"directed\":false,\
-    \"translates_ids\":false,\"resident_bytes\":186,\"overlay_edges\":1,\"overlay_affected\":2,\
+    \"translates_ids\":false,\"resident_bytes\":150,\"overlay_edges\":1,\"overlay_affected\":2,\
     \"compactions\":0,\"requests\":7,\"protocol_errors\":8,\"durability\":\"disabled\",\
     \"wal_epoch\":0,\"wal_records\":0,\"wal_bytes\":0,\"recovered_records\":0,\
     \"recovered_dropped_bytes\":0,\"checkpoints\":0,\"aborted_compactions\":0,\"shard_lo\":0,\
