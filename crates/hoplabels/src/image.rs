@@ -439,31 +439,28 @@ impl Layout {
         Ok(layout)
     }
 
-    /// Entry `i` (`0 ..= n`) of the directory of `side`: where label `i`
-    /// starts among the side's labels, as the base of its block and its
-    /// offset from that base.
-    #[inline]
-    fn entry(&self, front: &[u8], side: usize, i: usize) -> Option<(u32, u16)> {
-        let shift = self.header.block_shift;
-        let block = *self.dirs.get(side)? + (i >> shift) * (4 + (2 << shift));
-        let offset = wire::array_at(front, block + 4 + 2 * (i & ((1 << shift) - 1)))?;
-        Some((wire::u32_at(front, block)?, u16::from_le_bytes(offset)))
-    }
-
     /// One side's directory must open every block at offset 0, start at
     /// 0 and never step back; returns its last entry, the byte length of
-    /// the side's labels.
+    /// the side's labels. `front` holds the directories (`parse` checked).
     fn check_directory(&self, front: &[u8], side: usize) -> io::Result<u64> {
+        let truncated = || bad("truncated offset directory");
+        let at = *self.dirs.get(side).ok_or_else(truncated)?;
+        let dir = front.get(at..at + self.header.dir_len().ok_or_else(truncated)?);
         let mut prev = 0;
-        for i in 0..=self.header.n {
-            let (base, offset) =
-                self.entry(front, side, i).ok_or_else(|| bad("truncated offset directory"))?;
-            let at = u64::from(base) + u64::from(offset);
-            let opens_block = i & ((1 << self.header.block_shift) - 1) == 0;
-            if at < prev || (opens_block && offset != 0) || (i == 0 && base != 0) {
-                return Err(bad("offset directory not monotone from zero, block by block"));
+        // Every block but the last is full, and the last holds the entry
+        // that ends the last label.
+        let blocks = dir.ok_or_else(truncated)?.chunks(4 + (2 << self.header.block_shift));
+        for (b, block) in blocks.enumerate() {
+            let (base, offsets) = block.split_first_chunk::<4>().ok_or_else(truncated)?;
+            let base = u32::from_le_bytes(*base);
+            let offsets = offsets.chunks_exact(2).flat_map(<&[u8; 2]>::try_from);
+            for (k, offset) in offsets.map(|o| u16::from_le_bytes(*o)).enumerate() {
+                let at = u64::from(base) + u64::from(offset);
+                if at < prev || (k == 0 && offset != 0) || (b == 0 && base != 0) {
+                    return Err(bad("offset directory not monotone from zero, block by block"));
+                }
+                prev = at;
             }
-            prev = at;
         }
         Ok(prev)
     }
@@ -542,15 +539,6 @@ fn put_varint(mut v: u64, out: &mut Vec<u8>) {
     out.push(v as u8);
 }
 
-/// Stored hub value `rank` of the packed distances `dists`, `bits` wide,
-/// or `None` past their end.
-fn hub_value(dists: &[u8], rank: usize, bits: u32) -> Option<u64> {
-    let first = rank * bits as usize;
-    let bytes = dists.get(first / 8..(first + bits as usize).div_ceil(8))?;
-    let word = bytes.iter().rev().fold(0u64, |word, &b| (word << 8) | u64::from(b));
-    Some((word >> (first % 8)) & ((1u64 << bits) - 1))
-}
-
 /// A stored distance back as a distance, if it is one.
 fn distance(stored_plus_one: u64) -> io::Result<Dist> {
     Dist::try_from(stored_plus_one).map_err(|_| bad("a stored distance exceeds 32 bits"))
@@ -575,16 +563,23 @@ pub(crate) fn walk_label(
     let count = hubs.count_ones() as usize;
     let tail_at = 8 + widths.hub_bytes(count);
     let dists = label.get(8..tail_at).ok_or_else(|| bad("hub distances run past the label"))?;
-    let used = (count * widths.hub_bits as usize) % 8;
-    if used != 0 && dists.last().is_some_and(|&b| b >> used != 0) {
-        return Err(bad("non-zero pad bits after the hub distances"));
-    }
+    // The packed values, low bits first, read through a bit buffer.
+    let (mut buffer, mut buffered, mut bytes) = (0u64, 0, dists.iter());
     let mut rest = hubs;
-    for rank in 0..count {
-        let stored = hub_value(dists, rank, widths.hub_bits)
-            .ok_or_else(|| bad("hub distances run past the label"))?;
+    for _ in 0..count {
+        while buffered < widths.hub_bits {
+            let byte = bytes.next().ok_or_else(|| bad("hub distances run past the label"))?;
+            buffer |= u64::from(*byte) << buffered;
+            buffered += 8;
+        }
+        let stored = buffer & ((1u64 << widths.hub_bits) - 1);
+        (buffer, buffered) = (buffer >> widths.hub_bits, buffered - widths.hub_bits);
         f(rest.trailing_zeros(), distance(stored + 1)?);
         rest &= rest - 1;
+    }
+    // What is left of the last byte is padding.
+    if buffer != 0 {
+        return Err(bad("non-zero pad bits after the hub distances"));
     }
     let (mut at, mut pivot) = (tail_at, u64::from(HUBS) - 1);
     while at < label.len() {
@@ -743,11 +738,11 @@ pub(crate) fn encode_label(label: &VertexLabels, v: usize, widths: Widths, out: 
     }
 }
 
-/// The writer's check of slot `v` of `side`: a label stores pivots below
-/// `v` at distances of at least 1 (the self entry `(v, 0)` is implied),
-/// and a record names other vertices' labels, ascending, in 7 bytes.
-fn check_slot(side: &[VertexLabels], v: usize) -> io::Result<()> {
-    let Some(label) = side.get(v) else { return Ok(()) };
+/// The writer's check of `label`, slot `v` of `side`: a label stores
+/// pivots below `v` at distances of at least 1 (the self entry `(v, 0)`
+/// is implied), and a record names other vertices' labels, ascending, in
+/// 7 bytes.
+fn check_slot(side: &[VertexLabels], v: usize, label: &VertexLabels) -> io::Result<()> {
     let Some(record) = label.record() else {
         let entries = stored(label, v);
         if entries.last().is_some_and(|e| e.pivot as usize >= v) {
@@ -770,23 +765,15 @@ fn check_slot(side: &[VertexLabels], v: usize) -> io::Result<()> {
 
 /// The largest directory block, as a shift, in which every block of
 /// every side spans at most 65 535 bytes — so that each vertex's offset
-/// from its block's base fits a `u16` — given the label lengths.
-fn block_shift(sides: &[&[VertexLabels]], widths: Widths) -> u32 {
-    let mut widest = [0u64; BLOCK_SHIFT_MAX as usize + 1];
-    for side in sides {
-        let (mut at, mut opened) = (0u64, [0u64; BLOCK_SHIFT_MAX as usize + 1]);
-        for i in 0..=side.len() {
-            for (shift, (open, wide)) in opened.iter_mut().zip(&mut widest).enumerate() {
-                if i & ((1 << shift) - 1) == 0 {
-                    *open = at;
-                }
-                *wide = (*wide).max(at - *open);
-            }
-            at += side.get(i).map_or(0, |l| encoded_len(l, i, widths)) as u64;
-        }
-    }
+/// from its block's base fits a `u16` — given each side's label offsets.
+fn block_shift(dirs: &[Vec<u64>]) -> u32 {
+    let fits = |block: &[u64]| match (block.first(), block.last()) {
+        (Some(first), Some(last)) => last - first <= u16::MAX.into(),
+        _ => true,
+    };
     // One-vertex blocks always fit: their only offset is 0.
-    widest.iter().rposition(|&span| span <= u16::MAX.into()).map_or(0, |shift| shift as u32)
+    let fit = |shift: &u32| dirs.iter().all(|dir| dir.chunks(1 << shift).all(fits));
+    (0..=BLOCK_SHIFT_MAX).rev().find(fit).unwrap_or(0)
 }
 
 /// Bytes [`LabelIndex::write_hopidx`] buffers before handing them to
@@ -817,23 +804,40 @@ impl<W: Write> ImageWriter<'_, W> {
 
 impl LabelIndex {
     /// Serialize the index as a `HOPIDX04` image into `w` — the only
-    /// serializer of the format. A check of every slot, a scan of the
-    /// entries for the distance widths and one of the label lengths for
-    /// the directory block, then two passes over the labels (sizes for
-    /// the directories, then bytes) through a fixed-size buffer, the CRC
-    /// folded in as the bytes go: the external build bounds its memory,
-    /// and writing its result must not double the index. Flushes `w`
-    /// and returns the image length in bytes. An index no image can hold
-    /// — a label pivot not below its vertex, a distance 0 at another
-    /// vertex, a side past the 4 GiB offset range — is `InvalidInput`,
-    /// found before the first byte is written.
+    /// serializer of the format. A check of every slot and a scan of the
+    /// entries for the distance widths, then two passes over the labels:
+    /// their lengths, kept as the directories' offsets (8 bytes a vertex
+    /// a side, from which the directory block is picked), then their
+    /// bytes through a fixed-size buffer, the CRC folded in as the bytes
+    /// go: the external build bounds its memory, and writing its result
+    /// must not double the index. Flushes `w` and returns the image
+    /// length in bytes. An index no image can hold — a label pivot not
+    /// below its vertex, a distance 0 at another vertex, a record that
+    /// breaks the record rule, a side past the 4 GiB offset range — is
+    /// `InvalidInput`, found before the first byte is written.
     pub fn write_hopidx(&self, w: &mut impl Write) -> io::Result<u64> {
         let sides = self.sides();
         for side in &sides {
-            (0..side.len()).try_for_each(|v| check_slot(side, v))?;
+            side.iter().enumerate().try_for_each(|(v, l)| check_slot(side, v, l))?;
         }
         let widths = Widths::of(sides.iter().flat_map(|side| side.iter().enumerate()));
-        let shift = block_shift(&sides, widths);
+        // Each side's `n + 1` directory entries, as plain offsets.
+        let dirs: Vec<Vec<u64>> = sides
+            .iter()
+            .map(|side| {
+                let ends = side.iter().enumerate().scan(0, |at, (v, l)| {
+                    *at += encoded_len(l, v, widths) as u64;
+                    Some(*at)
+                });
+                std::iter::once(0).chain(ends).collect()
+            })
+            .collect();
+        if dirs.iter().flat_map(|dir| dir.last()).any(|&end| end > u32::MAX.into()) {
+            return Err(unwritable(
+                "one side's labels exceed the 4 GiB a HOPIDX04 directory addresses",
+            ));
+        }
+        let shift = block_shift(&dirs);
         let records = sides.iter().flat_map(|side| side.iter()).any(|l| l.record().is_some());
         let mut image = ImageWriter {
             w,
@@ -851,23 +855,15 @@ impl LabelIndex {
             parity_byte(shift as u8),
         ]);
         image.buf.extend_from_slice(&(self.num_vertices() as u64).to_le_bytes());
-        for side in &sides {
-            let (mut at, mut base) = (0u64, 0u64);
-            for i in 0..=side.len() {
-                if i & ((1 << shift) - 1) == 0 {
-                    base = at;
-                    let base = u32::try_from(base).map_err(|_| {
-                        unwritable(
-                            "one side's labels exceed the 4 GiB a HOPIDX04 directory addresses",
-                        )
-                    })?;
-                    image.buf.extend_from_slice(&base.to_le_bytes());
-                }
-                // `block_shift` has checked that every offset fits.
+        for block in dirs.iter().flat_map(|dir| dir.chunks(1 << shift)) {
+            // Checked above: every offset fits 32 bits, and `block_shift`
+            // has fitted every block's span in 16.
+            let base = block.first().copied().unwrap_or(0);
+            image.buf.extend_from_slice(&(base as u32).to_le_bytes());
+            for &at in block {
                 image.buf.extend_from_slice(&((at - base) as u16).to_le_bytes());
-                at += side.get(i).map_or(0, |l| encoded_len(l, i, widths)) as u64;
-                image.drain(WRITE_BUFFER_BYTES)?;
             }
+            image.drain(WRITE_BUFFER_BYTES)?;
         }
         for side in &sides {
             for (v, l) in side.iter().enumerate() {
@@ -909,7 +905,7 @@ pub(crate) fn validate(bytes: &[u8]) -> io::Result<(Layout, usize)> {
                 }
                 records = true;
             } else {
-                entries += layout.implies_self(bytes, side, v) as usize;
+                entries += (!label.is_empty() || layout.implies_self(bytes, side, v)) as usize;
             }
         }
     }
