@@ -410,42 +410,28 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         stats.core_edges,
         stats.shortcut_arcs
     )?;
-    // Per iteration, over the core: the counters both engines keep, then
-    // what only the engine that ran measures — bytes moved by the
-    // external one, phase times (summed over workers) by the in-memory
-    // one. Its `entries` still count the fringe's self-entries.
-    let external = ext.is_some();
-    let head = format!(
-        "{:>4} {:>8} {:>10} {:>10} {:>10} {:>10}",
-        "iter", "mode", "candidates", "pruned", "inserted", "entries"
-    );
-    if external {
-        writeln!(out, "{head} {:>12} {:>12}", "read B", "written B")?;
-    } else {
-        writeln!(out, "{head} {:>10} {:>10} {:>10}", "gather ms", "prune ms", "apply ms")?;
-    }
+    // Per iteration, over the core (its `entries` still count the
+    // fringe's self-entries): the counters, the phase times summed over
+    // workers and the bytes moved, 0 from the in-memory engine.
+    let head = "iter     mode candidates     pruned   inserted    entries  gather ms   prune ms";
+    writeln!(out, "{head}   apply ms       read B    written B")?;
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     for it in &stats.iterations {
-        let row = format!(
-            "{:>4} {:>8} {:>10} {:>10} {:>10} {:>10}",
+        writeln!(
+            out,
+            "{:>4} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10.3} {:>10.3} {:>10.3} {:>12} {:>12}",
             it.iteration,
             if it.stepping { "stepping" } else { "doubling" },
             it.candidates,
             it.pruned,
             it.inserted,
             it.total_entries,
-        );
-        if external {
-            writeln!(out, "{row} {:>12} {:>12}", it.io_read_bytes, it.io_write_bytes)?;
-        } else {
-            let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-            writeln!(
-                out,
-                "{row} {:>10.3} {:>10.3} {:>10.3}",
-                ms(it.gather),
-                ms(it.prune),
-                ms(it.apply)
-            )?;
-        }
+            ms(it.gather),
+            ms(it.prune),
+            ms(it.apply),
+            it.io_read_bytes,
+            it.io_write_bytes
+        )?;
     }
     let per_vertex = image_bytes as f64 / index.num_vertices().max(1) as f64;
     writeln!(out, "image: {image_bytes} B ({per_vertex:.2} B/vertex)")?;
@@ -1001,10 +987,11 @@ mod tests {
         }
     }
 
-    /// The in-memory build prints the per-iteration table too: one row
-    /// per iteration, phase times in the last three columns, and the last
-    /// row's `entries` is the size of the core's index: the one just
-    /// written plus the self-entry of every fringe vertex it derives.
+    /// The in-memory build prints the one per-iteration table: one row
+    /// per iteration, three phase times and two byte columns that stay 0
+    /// without `--external`, and the last row's `entries` is the size of
+    /// the core's index: the one just written plus the self-entry of
+    /// every fringe vertex it derives.
     #[test]
     fn memory_build_prints_the_iteration_table() {
         let graph = tmp("tbl.txt");
@@ -1030,17 +1017,24 @@ mod tests {
         let mut lines = out.lines().skip_while(|l| !l.contains("gather ms"));
         let head: Vec<&str> = lines.next().expect("table header").split_whitespace().collect();
         assert_eq!(head[..6], ["iter", "mode", "candidates", "pruned", "inserted", "entries"]);
-        assert_eq!(head[6..], ["gather", "ms", "prune", "ms", "apply", "ms"]);
+        assert_eq!(
+            head[6..],
+            ["gather", "ms", "prune", "ms", "apply", "ms", "read", "B", "written", "B"]
+        );
         let rows: Vec<Vec<&str>> = lines
             .map(|l| l.split_whitespace().collect::<Vec<_>>())
             .take_while(|cells| cells[0].parse::<u32>().is_ok())
             .collect();
         assert_eq!(rows.len().to_string(), iterations, "{out}");
         for (i, row) in rows.iter().enumerate() {
-            assert_eq!(row.len(), 9, "{out}");
+            assert_eq!(row.len(), 11, "{out}");
             assert_eq!(row[0], (i + 1).to_string());
             assert_eq!(row[1], if i < 2 { "stepping" } else { "doubling" }, "{out}");
-            assert!(row[6..].iter().all(|ms| ms.parse::<f64>().is_ok_and(|ms| ms >= 0.0)), "{out}");
+            assert!(
+                row[6..9].iter().all(|ms| ms.parse::<f64>().is_ok_and(|ms| ms >= 0.0)),
+                "{out}"
+            );
+            assert_eq!(row[9..], ["0", "0"], "{out}");
         }
         let fringe: u64 = out
             .split("fringe: ")
@@ -1080,16 +1074,23 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("external I/O:") && out.contains(" seeks"), "{out}");
-        // The per-iteration table accounts for every written byte.
+        // The per-iteration table is the in-memory build's, phase times
+        // included, and accounts for every written byte.
         let total: u64 = out
             .split(" B written")
             .next()
             .and_then(|head| head.rsplit(' ').next())
             .and_then(|bytes| bytes.parse().ok())
             .expect("`<n> B written` in the summary line");
-        let rows = out.lines().skip_while(|l| !l.contains("written B")).skip(1);
-        let per_iteration: Vec<u64> =
-            rows.map_while(|l| l.split_whitespace().last()?.parse().ok()).collect();
+        let mut rows = out.lines().skip_while(|l| !l.contains("written B"));
+        assert!(rows.next().is_some_and(|head| head.contains("gather ms")), "{out}");
+        let rows: Vec<Vec<&str>> = rows
+            .map(|l| l.split_whitespace().collect::<Vec<_>>())
+            .take_while(|cells| cells.len() == 11)
+            .collect();
+        let ms: f64 = rows.iter().flat_map(|r| &r[6..9]).map(|ms| ms.parse::<f64>().unwrap()).sum();
+        assert!(ms > 0.0, "the external engine times its phases: {out}");
+        let per_iteration: Vec<u64> = rows.iter().map(|r| r[10].parse().unwrap()).collect();
         assert!(per_iteration.len() >= 3, "{out}");
         assert_eq!(per_iteration.iter().sum::<u64>(), total, "{out}");
         let out = run_vec(&[

@@ -17,31 +17,29 @@
 //! directed build is two sides whose `across` is each other; an
 //! undirected build (§7) is one side whose `across` is itself.
 //!
-//! ## One owner at a time
+//! ## One arc rule
 //!
 //! The paper states its rules per new entry ("for each `prev` entry,
-//! emit …"). Read per *receiving owner* instead, they say which `prev`
-//! groups an owner `x` of side σ pulls its candidates from:
+//! emit …"). Read per *receiving owner* `x` of side σ, they are one rule
+//! over the *arcs* `u → x` of weight `w`, and a doubling round is a
+//! stepping round whose arcs are label entries:
 //!
 //! ```text
-//! stepping  edge (u, w) of x against σ's step direction, (v, d) ∈ prev(u), v < x  ⇒ cand (v, d+w)
-//! label     (x, d') ∈ across(u), u ≠ x, (v, d) ∈ prev(u), v < x                   ⇒ cand (v, d+d')
-//! inverted  (u, d') ∈ own(x),    u ≠ x, (v, d) ∈ prev(u)         (v < u < x)      ⇒ cand (v, d+d')
-//! prune     cand (v, d) ∈ own(x) dies iff  own(x) ⋈ across(v) ≤ d
+//! arc (u → x, w), u ≠ x, (v, d) ∈ prev(u), v < x  ⇒  cand (x, v, d + w)
+//! prune  cand (x, v, d) is none if own(x) has v at ≤ d; else it dies iff own(x) ⋈ across(v) ≤ d
 //! ```
 //!
-//! which is the paper's rule set read through this table:
+//! | side       | `own`  | `across` | stepping: edges of `x` | doubling: `(x, w) ∈ across(u)` | doubling: `(u, w) ∈ own(x)` |
+//! |------------|--------|----------|------------------------|--------------------------------|-----------------------------|
+//! | out        | `Lout` | `Lin`    | out-edges              | R1                             | R2                          |
+//! | in         | `Lin`  | `Lout`   | in-edges               | R4                             | R5                          |
+//! | undirected | `L`    | `L`      | all edges              | converted R1                   | converted R2                |
 //!
-//! | side       | `own`  | `across` | stepping pulls over | label rule   | inverted rule |
-//! |------------|--------|----------|---------------------|--------------|---------------|
-//! | out        | `Lout` | `Lin`    | out-edges of `x`    | R1           | R2            |
-//! | in         | `Lin`  | `Lout`   | in-edges of `x`     | R4           | R5            |
-//! | undirected | `L`    | `L`      | all edges of `x`    | converted R1 | converted R2  |
-//!
-//! In stepping iterations the composed entry is restricted to graph
-//! edges, which collapses the label and inverted rules into the single
-//! edge extension of the first line. `prev(u)` is pivot-sorted, so the
-//! `v < x` scans stop at the first `v ≥ x`.
+//! Both engines run this table: this one pulls `prev(u)` by random
+//! access per owner, and [`crate::external`] pushes each `prev` group
+//! over the same arcs read as files. `prev(u)` is pivot-sorted, so the
+//! `v < x` scans stop at the first `v ≥ x` (for an `own(x)` arc `v < u <
+//! x` always holds).
 //!
 //! A round deals with `x` in two steps (`Engine::gather`,
 //! `Engine::prune_owner`) that are at most a block of owners apart:
@@ -51,44 +49,34 @@
 //!
 //! 1. **gather** — the pulled candidates are min-combined in a dense
 //!    `best[pivot]` array with a `touched` list; sorting `touched` is the
-//!    only sort, and there is no pool of raw emissions to deduplicate;
+//!    only sort;
 //! 2. **prune** — `own(x)` is written once into a dense `mark[pivot]`
-//!    array. A candidate `(v, d)` with `mark[v] ≤ d` is dominated by the
-//!    entry `x` already has for `v` and is dropped before it is counted;
-//!    otherwise it dies iff some `(w, d_w) ∈ across(v)` has
-//!    `mark[w] + d_w ≤ d`, and the scan of `across(v)` — the only label
-//!    still walked per candidate — returns at the first such `w`: pivots
-//!    are rank-sorted, so the hubs that kill most candidates come first.
-//!    That is the 2-hop query `own(x) ⋈ across(v)` of §3.3 (restricted as
-//!    in §4.2 to witnesses outranking both endpoints), i.e.
-//!    `Lout(x) ⋈ Lin(v)` for an out-candidate and the same join read
-//!    from the other end for an in-candidate. An owner whose candidates
-//!    are too few to pay for marking its label (long-diameter stepping:
-//!    one candidate against a label of hundreds) takes the one merge join,
-//!    `hoplabels::index::merge_join`, instead (`marking_pays`), which
-//!    stops at the first witness too;
+//!    array. A candidate `(v, d)` with `mark[v] ≤ d` is dropped before it
+//!    is counted; otherwise it dies iff some `(w, d_w) ∈ across(v)` has
+//!    `mark[w] + d_w ≤ d`, and the scan of `across(v)` returns at the
+//!    first such `w`: pivots are rank-sorted, so the hubs that kill most
+//!    candidates come first. That is the 2-hop query `own(x) ⋈
+//!    across(v)` of §3.3 (restricted as in §4.2 to witnesses outranking
+//!    both endpoints). An owner whose candidates are too few to pay for
+//!    marking its label (long-diameter stepping: one candidate against a
+//!    label of hundreds) takes the one merge join,
+//!    `hoplabels::index::merge_join`, instead (`marking_pays`);
 //! 3. survivors leave `(owner, pivot)`-sorted, because owners are visited
 //!    in order and `touched` was sorted — they are the next `prev` as
 //!    they stand.
 //!
 //! A round visits only the owners that can receive a candidate — the
-//! step-neighbours of `prev`'s owners (their label pivots and inverted
-//! owners in a doubling round), found in one pass over `prev`'s owners —
-//! and every dense array lives for the build and is reset entry by
+//! heads of the arcs out of `prev`'s owners, found in one pass over them
+//! — and every dense array lives for the build and is reset entry by
 //! entry, so a round costs what its `prev` costs: stepping down a long
 //! path runs hundreds of rounds, none of which pays O(n).
 //!
-//! ## The inverted view is late
-//!
-//! Only the label rule needs "who carries pivot `x`" — the
-//! label-files-sorted-by-pivot of §4.1 — and only of the `across` side;
-//! the inverted rule reads `own(x)` itself. Stepping needs neither, so,
-//! as in [`crate::external`], no inverted view exists before the first
-//! doubling round: a `Strategy::Stepping` build never builds one, the
-//! paper's hybrid pays for it only if iteration 11 happens. From then on
-//! every doubling round rebuilds each side's view from its labels
-//! (`InvView::of`, one counting sort), which is cheaper than keeping
-//! per-pivot lists current entry by entry.
+//! The `across(u)` arcs need "who carries pivot `x`", the
+//! label-files-sorted-by-pivot of §4.1. Both engines rebuild that view
+//! from the labels at the start of every doubling round (here
+//! `InvView::of`, one counting sort), which is cheaper than keeping
+//! per-pivot lists current entry by entry, and a `Strategy::Stepping`
+//! build never builds one.
 //!
 //! ## Parallel construction
 //!
@@ -101,10 +89,9 @@
 //!
 //! 1. **gather + prune** — the round's owners are cut into contiguous
 //!    ranges of about equal gather weight (Σ|`prev(u)`| over an owner's
-//!    gather neighbours, [`crate::shard::split_by_weight`]), several per
-//!    worker and dealt out in turn (`RANGES_PER_WORKER` says why); each
-//!    worker runs its ranges against the frozen labels with its own O(n)
-//!    scratch;
+//!    arcs, [`crate::shard::split_by_weight`]), several per worker and
+//!    dealt out in turn (`RANGES_PER_WORKER` says why); each worker runs
+//!    its ranges against the frozen labels with its own O(n) scratch;
 //! 2. **apply** — once every worker is done, each merges the survivors
 //!    of its ranges into those ranges' own `split_at_mut` slices of the
 //!    label arrays ([`VertexLabels::merge_min_sorted`]).
@@ -114,6 +101,7 @@
 //! sequential build for every thread count — the single-threaded path is
 //! the same two phases with one range, run inline.
 
+use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
 use hoplabels::index::{merge_join, LabelIndex, VertexLabels};
@@ -121,7 +109,7 @@ use hoplabels::LabelEntry;
 use sfgraph::{Direction, Dist, Graph, VertexId, INF_DIST};
 
 use crate::config::HopDbConfig;
-use crate::iteration::{BuildStats, IterationStats, ShardStats};
+use crate::iteration::{fixpoint, BuildStats, IterationStats, Rounds, ShardStats};
 use crate::shard;
 
 /// A label entry with its owner: `(owner, pivot, dist)`.
@@ -242,8 +230,7 @@ impl Prev {
 }
 
 /// "Which owners carry pivot `p`" for one side's labels as of the start
-/// of a doubling round, trivial self-entries left out: a CSR keyed by
-/// pivot.
+/// of a doubling round, self-entries left out: a CSR keyed by pivot.
 struct InvView {
     offsets: Vec<u32>,
     owners: Vec<(VertexId, Dist)>,
@@ -427,22 +414,28 @@ struct Pruned {
     prune: Duration,
 }
 
-/// Run `work` on every input — inline for a single one, else on one
-/// scoped thread each — and return the results in input order.
-fn run_workers<I: Send, O: Send>(inputs: Vec<I>, work: impl Fn(I) -> O + Sync) -> Vec<O> {
-    if inputs.len() == 1 {
+/// Run `work` on every input and return the results in input order: all
+/// inline unless `parallel`, else the first inline and every other on a
+/// scoped thread of its own.
+pub(crate) fn run_workers<I: Send, O: Send>(
+    parallel: bool,
+    inputs: Vec<I>,
+    work: impl Fn(I) -> O + Sync,
+) -> Vec<O> {
+    if !parallel {
         return inputs.into_iter().map(work).collect();
     }
-    let work = &work;
+    let (work, mut inputs) = (&work, inputs.into_iter());
+    let first = inputs.next();
     std::thread::scope(|sc| {
-        let handles: Vec<_> =
-            inputs.into_iter().map(|input| sc.spawn(move || work(input))).collect();
-        handles.into_iter().map(|h| h.join().expect("engine worker panicked")).collect()
+        let handles: Vec<_> = inputs.map(|input| sc.spawn(move || work(input))).collect();
+        let rest = handles.into_iter().map(|h| h.join().expect("build worker panicked"));
+        first.map(work).into_iter().chain(rest).collect()
     })
 }
 
 /// Time since `*clock`, which restarts.
-fn lap(clock: &mut Instant) -> Duration {
+pub(crate) fn lap(clock: &mut Instant) -> Duration {
     let now = Instant::now();
     now - std::mem::replace(clock, now)
 }
@@ -455,6 +448,10 @@ struct Engine<'g> {
     /// One side (undirected) or two (directed, out then in).
     sides: Vec<Side>,
     total_entries: u64,
+    /// Workers a round may use.
+    threads: usize,
+    /// Scratch kept from round to round.
+    ws: Workspace,
 }
 
 /// Build a label index for a rank-relabeled graph, directed or
@@ -462,37 +459,20 @@ struct Engine<'g> {
 /// switches.
 pub fn build_index(g: &Graph, cfg: &HopDbConfig) -> (LabelIndex, BuildStats) {
     let started = Instant::now();
-    let threads = cfg.resolved_parallelism();
-    let mut stats = BuildStats { threads, ..BuildStats::default() };
-
     // Iteration 1: initialization — one entry per edge (§3.1).
-    let init_start = Instant::now();
     let mut e = Engine::seeded(g, cfg.prune);
-    let init_inserted = e.prev_len() as u64;
-    stats.iterations.push(IterationStats {
+    let threads = cfg.resolved_parallelism();
+    e.threads = threads;
+    let seeded = IterationStats {
         iteration: 1,
         stepping: true,
-        candidates: init_inserted,
-        inserted: init_inserted,
+        candidates: e.prev_len() as u64,
+        inserted: e.prev_len() as u64,
         total_entries: e.total_entries,
-        elapsed: init_start.elapsed(),
+        elapsed: started.elapsed(),
         ..IterationStats::default()
-    });
-
-    // Run to the fixpoint: every inserted entry strictly lowers one
-    // `(owner, pivot)` distance, so the rounds cannot go on for ever.
-    let mut ws = Workspace::default();
-    let mut iter = 1u32;
-    while e.prev_len() > 0 {
-        iter += 1;
-        let round = e.round(iter, cfg.strategy.steps_at(iter), threads, &mut ws);
-        let inserted = round.inserted;
-        stats.iterations.push(round);
-        if inserted == 0 {
-            break;
-        }
-    }
-
+    };
+    let Ok(mut stats) = fixpoint(&mut e, &cfg.strategy, threads, seeded);
     let index = LabelIndex::from_sides(e.sides.into_iter().map(|s| s.labels).collect());
     stats.final_entries = index.total_entries() as u64;
     stats.elapsed = started.elapsed();
@@ -526,67 +506,15 @@ impl<'g> Engine<'g> {
             })
             .collect();
         let total_entries = sides.iter().map(|s| (n + s.prev.groups.entries.len()) as u64).sum();
-        Engine { g, prune, sides, total_entries }
+        Engine { g, prune, sides, total_entries, threads: 1, ws: Workspace::default() }
     }
 
     fn prev_len(&self) -> usize {
         self.sides.iter().map(|s| s.prev.groups.entries.len()).sum()
     }
 
-    /// One iteration over up to `threads` workers: plan, gather + prune
-    /// against the frozen labels, then — the barrier is the join of the
-    /// first phase — apply; the survivors become `prev`.
-    fn round(
-        &mut self,
-        iteration: u32,
-        stepping: bool,
-        threads: usize,
-        ws: &mut Workspace,
-    ) -> IterationStats {
-        let round_start = Instant::now();
-        let threads = shard::effective_threads(threads, self.prev_len());
-        let (weight, scratch) = ws.sized(self.g.num_vertices(), threads);
-        if !stepping {
-            for side in &mut self.sides {
-                side.inv = Some(InvView::of(&side.labels));
-            }
-        }
-        let plans = self.plan(stepping, threads, weight);
-        let planning = round_start.elapsed();
-        let outcomes = self.gather_prune(&plans, stepping, scratch);
-        let applied = self.apply(&plans, &outcomes, threads);
-        for (s, side) in self.sides.iter_mut().enumerate() {
-            side.prev.replace(outcomes.iter().map(|o| &o.survivors[s]));
-        }
-        self.total_entries += applied.iter().map(|a| a.added).sum::<u64>();
-        let mut shards = Vec::new();
-        if threads > 1 {
-            shards.extend((0..threads).map(|shard| ShardStats { shard, ..ShardStats::default() }));
-            for (r, o) in outcomes.iter().enumerate() {
-                let worker = &mut shards[r % threads];
-                worker.candidates += o.candidates;
-                worker.pruned += o.pruned;
-                worker.elapsed += o.gather + o.prune;
-            }
-        }
-        IterationStats {
-            iteration,
-            stepping,
-            candidates: outcomes.iter().map(|o| o.candidates).sum(),
-            pruned: outcomes.iter().map(|o| o.pruned).sum(),
-            inserted: applied.iter().map(|a| a.inserted).sum(),
-            total_entries: self.total_entries,
-            elapsed: round_start.elapsed(),
-            gather: planning + outcomes.iter().map(|o| o.gather).sum::<Duration>(),
-            prune: outcomes.iter().map(|o| o.prune).sum(),
-            apply: applied.iter().map(|a| a.elapsed).sum(),
-            shards,
-            ..IterationStats::default()
-        }
-    }
-
     /// Per side, the owners that can receive a candidate this round —
-    /// every owner some `prev(u)` is pulled by — weighed by the `prev`
+    /// the heads of the arcs out of `prev`'s owners — weighed by the `prev`
     /// entries they pull from and cut into ranges of about equal weight,
     /// [`RANGES_PER_WORKER`] per worker. One pass over `prev`'s owners;
     /// `weight` comes in and goes out all zero.
@@ -623,7 +551,7 @@ impl<'g> Engine<'g> {
     /// engine, writes only `scratch`.
     fn gather_prune(&self, plans: &[Plan], stepping: bool, scratch: &mut [Scratch]) -> Vec<Pruned> {
         let (threads, ranges) = (scratch.len(), plans[0].cuts.len() - 1);
-        let dealt = run_workers(scratch.iter_mut().enumerate().collect(), |(w, s)| {
+        let dealt = run_workers(threads > 1, scratch.iter_mut().enumerate().collect(), |(w, s)| {
             let mine = (w..ranges).step_by(threads);
             mine.map(|r| self.gather_prune_range(plans, r, stepping, s)).collect::<Vec<_>>()
         });
@@ -656,44 +584,23 @@ impl<'g> Engine<'g> {
         out
     }
 
-    /// Pull owner `x`'s candidates (the rule table of the module docs)
-    /// into `s.block`, min-combined and pivot-sorted.
+    /// Pull owner `x`'s candidates — `prev(u)` below `x` over every arc
+    /// `u → x` of the module docs' table — into `s.block`, min-combined
+    /// and pivot-sorted.
     fn gather(&self, side: &Side, x: VertexId, stepping: bool, s: &mut Scratch) {
-        if stepping {
-            self.gather_stepping(side, x, s);
-        } else {
-            self.gather_label(side, x, s);
-            self.gather_inverted(side, x, s);
-        }
-        s.flush(x);
-    }
-
-    /// Label and inverted rule composed with single edges.
-    fn gather_stepping(&self, side: &Side, x: VertexId, s: &mut Scratch) {
-        for (u, w) in self.g.edges(x, side.step.reverse()) {
+        let mut over = |u: VertexId, w: Dist| {
             for e in side.prev.of(u).iter().take_while(|e| e.pivot < x) {
                 s.pull(e.pivot, e.dist.saturating_add(w));
             }
+        };
+        if stepping {
+            self.g.edges(x, side.step.reverse()).for_each(|(u, w)| over(u, w));
+        } else {
+            self.sides[side.across].inv().owners_of(x).iter().for_each(|&(u, w)| over(u, w));
+            let own = side.labels[x as usize].entries().iter().filter(|e| e.pivot != x);
+            own.for_each(|e| over(e.pivot, e.dist));
         }
-    }
-
-    /// Label rule (R1 / R4): `(x, d') ∈ across(u)`, read off the across
-    /// side's inverted view at `x`; `v < x < u`.
-    fn gather_label(&self, side: &Side, x: VertexId, s: &mut Scratch) {
-        for &(u, d1) in self.sides[side.across].inv().owners_of(x) {
-            for e in side.prev.of(u).iter().take_while(|e| e.pivot < x) {
-                s.pull(e.pivot, e.dist.saturating_add(d1));
-            }
-        }
-    }
-
-    /// Inverted rule (R2 / R5): `(u, d') ∈ own(x)`; `v < u < x` holds.
-    fn gather_inverted(&self, side: &Side, x: VertexId, s: &mut Scratch) {
-        for own in side.labels[x as usize].entries().iter().filter(|own| own.pivot != x) {
-            for e in side.prev.of(own.pivot) {
-                s.pull(e.pivot, e.dist.saturating_add(own.dist));
-            }
-        }
+        s.flush(x);
     }
 
     /// Prune the block's candidates, appending the survivors to `kept`.
@@ -774,7 +681,7 @@ impl<'g> Engine<'g> {
                 jobs[r % threads].push(ApplyJob { base, labels, survivors: &outcome.survivors[s] });
             }
         }
-        run_workers(jobs, |ranges| {
+        run_workers(threads > 1, jobs, |ranges| {
             let start = Instant::now();
             let (mut inserted, mut added) = (0u64, 0u64);
             for job in ranges {
@@ -785,6 +692,59 @@ impl<'g> Engine<'g> {
                 }
             }
             Applied { inserted, added, elapsed: start.elapsed() }
+        })
+    }
+}
+
+impl Rounds for Engine<'_> {
+    type Error = Infallible;
+
+    fn pending(&self) -> bool {
+        self.prev_len() > 0
+    }
+
+    /// One iteration over up to `self.threads` workers: plan, gather + prune
+    /// against the frozen labels, then — the barrier is the join of the
+    /// first phase — apply; the survivors become `prev`.
+    fn round(&mut self, stepping: bool) -> Result<IterationStats, Infallible> {
+        let round_start = Instant::now();
+        let threads = shard::effective_threads(self.threads, self.prev_len());
+        let mut ws = std::mem::take(&mut self.ws);
+        let (weight, scratch) = ws.sized(self.g.num_vertices(), threads);
+        if !stepping {
+            for side in &mut self.sides {
+                side.inv = Some(InvView::of(&side.labels));
+            }
+        }
+        let plans = self.plan(stepping, threads, weight);
+        let planning = round_start.elapsed();
+        let outcomes = self.gather_prune(&plans, stepping, scratch);
+        self.ws = ws;
+        let applied = self.apply(&plans, &outcomes, threads);
+        for (s, side) in self.sides.iter_mut().enumerate() {
+            side.prev.replace(outcomes.iter().map(|o| &o.survivors[s]));
+        }
+        self.total_entries += applied.iter().map(|a| a.added).sum::<u64>();
+        let mut shards = Vec::new();
+        if threads > 1 {
+            shards.extend((0..threads).map(|shard| ShardStats { shard, ..ShardStats::default() }));
+            for (r, o) in outcomes.iter().enumerate() {
+                let worker = &mut shards[r % threads];
+                worker.candidates += o.candidates;
+                worker.pruned += o.pruned;
+                worker.elapsed += o.gather + o.prune;
+            }
+        }
+        Ok(IterationStats {
+            candidates: outcomes.iter().map(|o| o.candidates).sum(),
+            pruned: outcomes.iter().map(|o| o.pruned).sum(),
+            inserted: applied.iter().map(|a| a.inserted).sum(),
+            total_entries: self.total_entries,
+            gather: planning + outcomes.iter().map(|o| o.gather).sum::<Duration>(),
+            prune: outcomes.iter().map(|o| o.prune).sum(),
+            apply: applied.iter().map(|a| a.elapsed).sum(),
+            shards,
+            ..IterationStats::default()
         })
     }
 }
@@ -1131,9 +1091,8 @@ mod tests {
     /// inverted views built: every rule has something to compose.
     fn mid_build(g: &Graph, rounds: u32) -> Engine<'_> {
         let mut e = Engine::seeded(g, true);
-        let mut ws = Workspace::default();
-        for iter in 2..2 + rounds {
-            e.round(iter, true, 1, &mut ws);
+        for _ in 0..rounds {
+            let Ok(_) = e.round(true);
         }
         for side in &mut e.sides {
             side.inv = Some(InvView::of(&side.labels));
@@ -1150,11 +1109,10 @@ mod tests {
 
     type Candidates = std::collections::BTreeMap<(VertexId, VertexId), Dist>;
 
-    /// The rules as the paper states them, as this engine used to run
-    /// them and as `external.rs` still does: per `prev` entry
-    /// `(owner u, pivot v, d)`, every emission of one rule, min-combined.
-    fn pushed(e: &Engine, side: &Side, rule: Rule) -> Candidates {
-        let mut cands = Candidates::new();
+    /// The rules as the paper states them, one at a time: per `prev`
+    /// entry `(owner u, pivot v, d)`, every emission of one rule,
+    /// min-combined into `cands`.
+    fn push(e: &Engine, side: &Side, rule: Rule, cands: &mut Candidates) {
         let mut emit = |x: VertexId, v: VertexId, d: Dist| {
             let best = cands.entry((x, v)).or_insert(INF_DIST);
             *best = d.min(*best);
@@ -1179,26 +1137,19 @@ mod tests {
                 }
             }
         }
-        cands
     }
 
-    /// One rule, pulled by every vertex in turn.
-    fn pulled(e: &Engine, side: &Side, rule: Rule, s: &mut Scratch) -> Candidates {
-        for x in e.g.vertices() {
-            match rule {
-                Rule::Stepping => e.gather_stepping(side, x, s),
-                Rule::Label => e.gather_label(side, x, s),
-                Rule::Inverted => e.gather_inverted(side, x, s),
-            }
-            s.flush(x);
-        }
+    /// One round's candidates, pulled by every vertex in turn.
+    fn pulled(e: &Engine, side: &Side, stepping: bool, s: &mut Scratch) -> Candidates {
+        e.g.vertices().for_each(|x| e.gather(side, x, stepping, s));
         let block = std::mem::take(&mut s.block);
         block.iter().flat_map(|(x, g)| g.iter().map(move |c| ((x, c.pivot), c.dist))).collect()
     }
 
-    /// The pulled reading of every rule gathers exactly the candidates
-    /// the pushed formulas emit, on every kind of side, and a round's
-    /// plan visits every owner that has any.
+    /// A pulled round — one arc rule over the arcs of its kind — gathers
+    /// exactly the min-union of the candidates that round's pushed rules
+    /// emit, on every kind of side, and a round's plan visits every owner
+    /// that has any.
     #[test]
     fn pulled_rounds_equal_the_pushed_rules() {
         let graphs =
@@ -1218,17 +1169,21 @@ mod tests {
                         } else {
                             &[Rule::Label, Rule::Inverted]
                         };
+                        let mut pushed = Candidates::new();
                         for &rule in rules {
-                            let pull = pulled(&e, side, rule, &mut s);
-                            assert_eq!(pull, pushed(&e, side, rule), "{what}, {rule:?}");
-                            assert!(
-                                pull.keys().all(|(x, _)| plans[si].owners.binary_search(x).is_ok()),
-                                "{what}, {rule:?}: the plan skips an owner with candidates"
-                            );
-                            if !pull.is_empty() {
+                            let mut alone = Candidates::new();
+                            push(&e, side, rule, &mut alone);
+                            if !alone.is_empty() {
                                 exercised.insert((e.sides.len(), si, rule));
                             }
+                            push(&e, side, rule, &mut pushed);
                         }
+                        let pull = pulled(&e, side, stepping, &mut s);
+                        assert_eq!(pull, pushed, "{what}, stepping = {stepping}");
+                        assert!(
+                            pull.keys().all(|(x, _)| plans[si].owners.binary_search(x).is_ok()),
+                            "{what}, stepping = {stepping}: the plan skips an owner with candidates"
+                        );
                     }
                 }
                 assert!(s.best.iter().chain(&s.mark).all(|&d| d == INF_DIST), "scratch not reset");
@@ -1250,12 +1205,11 @@ mod tests {
                 (Strategy::Doubling, 2),
             ] {
                 let mut e = Engine::seeded(&g, true);
-                let mut ws = Workspace::default();
                 assert!(e.sides.iter().all(|s| s.inv.is_none()), "seeding built an inverted view");
                 let mut iter = 1u32;
-                while e.prev_len() > 0 {
+                while e.pending() {
                     iter += 1;
-                    e.round(iter, strategy.steps_at(iter), 1, &mut ws);
+                    let Ok(_) = e.round(strategy.steps_at(iter));
                     assert!(
                         e.sides.iter().all(|s| s.inv.is_some() == (iter >= first_doubling)),
                         "{strategy:?}: inverted view after iteration {iter}"
@@ -1325,7 +1279,7 @@ mod tests {
         let mut e = Engine::seeded(&g, true);
         assert_eq!(e.sides[0].labels[1].get(0), Some(10));
         let seeded = e.total_entries;
-        let round = e.round(2, true, 1, &mut Workspace::default());
+        let Ok(round) = e.round(true);
         assert_eq!((round.candidates, round.pruned, round.inserted), (1, 0, 1));
         assert_eq!(round.total_entries, seeded, "an improvement is not a new entry");
         assert_eq!(e.sides[0].labels[1].get(0), Some(2));

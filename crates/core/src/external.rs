@@ -1,28 +1,27 @@
-//! I/O-efficient index construction (Section 4) — the side kernel of
+//! I/O-efficient index construction (Section 4) — the round of
 //! [`crate::engine`] over sorted record files.
 //!
 //! All label state lives in sorted record files on the `extmem`
 //! substrate. A *side* (one for an undirected build, out then in for a
-//! directed one) owns up to four files, and every iteration runs the
-//! same joins over them on every side:
+//! directed one) owns three files, and every iteration runs the same
+//! joins over them on every side:
 //!
-//! | file     | records, sort order                                                          | read by                                       |
-//! |----------|------------------------------------------------------------------------------|-----------------------------------------------|
-//! | `labels` | `own`, by `(owner, pivot)`                                                   | the label rule of the side it is `across` for |
-//! | `inv`    | `own` inverted, by `(pivot, owner)`; exists from the first doubling round on | this side's inverted rule                     |
-//! | `edges`  | edges in the side's step direction, by tail                                  | this side's stepping rule                     |
-//! | `prev`   | last iteration's new entries, by owner: the survivor run itself              | all three, as the driving input               |
+//! | file     | records, sort order                                    | read by                                       |
+//! |----------|--------------------------------------------------------|-----------------------------------------------|
+//! | `labels` | `own`, by `(owner, pivot)`                             | the prune; the doubling arcs (own and across) |
+//! | `edges`  | edges in the side's step direction, by tail            | this side's stepping arcs                     |
+//! | `prev`   | last iteration's new entries, by owner: the survivors  | the arc joins, as the driving input           |
 //!
-//! For a `prev` entry `(owner u, pivot v, d)` the emitted candidates are
-//! the rules as the paper states them — the same set the in-memory
-//! engine gathers, which reads them per receiving owner `x` instead:
-//!
-//! ```text
-//! stepping  prev ⋈ edges  on u:  edge (x, w), x > v             ⇒ (x, v, d+w)    R1+R2 / R4+R5 over edges
-//! doubling  prev ⋈ across.labels on u:  (x, d'), v < x < u      ⇒ (x, v, d+d')   R1 / R4 / converted R1
-//!           prev ⋈ inv    on u:  owner (x, d'), x > u           ⇒ (x, v, d+d')   R2 / R5 / converted R2
-//! prune     (x, v, d) dies iff  own(x) ⋈ across(v) ≤ d          on every side: the 2-hop test is symmetric
-//! ```
+//! A round runs the arc table of [`crate::engine`] pushed instead of
+//! pulled. An arc is a record `(u, x, w)` — key the tail `u`, pivot the
+//! head `x` — and for a `prev` entry `(u, v, d)` the one rule `emit`
+//! offers `(x, v, d + w)` when `x ≠ u` and `v < x`. The arcs are the
+//! edge file when stepping; when doubling, the `across` label file
+//! (R1 / R4) and the side's own labels by pivot (R2 / R5), a *view*
+//! rebuilt from `labels` every doubling round as a sorter stream, which
+//! the join reads once and no file holds. Generation stays a push
+//! because the in-memory engine's pull — `prev(u)` looked up per owner —
+//! would be a seek per lookup on files.
 //!
 //! Two rules decide what touches the disk: **a run is written only if a
 //! reader needs it as a file, and a block is read only if a join asks
@@ -35,75 +34,62 @@
 //! 60 entries ask for. [`ExternalBuildResult::seeks`] counts the jumps.
 //!
 //! * **Candidate generation** — both inputs of every join are sorted by
-//!   the shared vertex `u`, so all three are streaming *sort-merge
-//!   co-group* joins, driven by `prev` and skipping through the other
-//!   file. Candidates go through the external sorter with a min-distance
-//!   combiner — the "avoid duplicates" step of Algorithm 2 — and the
-//!   sorter's last merge streams straight into the prune: the sorted
-//!   candidate set is never a file.
+//!   the tail `u`, so each is a streaming *sort-merge co-group* join,
+//!   driven by `prev` and skipping through the arcs. Candidates go
+//!   through the external sorter with a min-distance combiner — the
+//!   "avoid duplicates" step of Algorithm 2 — and the sorter's last merge
+//!   streams straight into the prune: the sorted candidate set is never
+//!   a file.
 //! * **Pruning** — the block nested-loop of §4.2, owner-major on every
 //!   side: the outer loop loads a memory-budget block of candidates as
-//!   generated, `(owner x, pivot v)`-sorted, together with `own(x)`; the
-//!   inner loop makes one forward pass over the `across` label file per
-//!   block, visiting the block through a pivot-sorted permutation, and
-//!   joins each candidate's two labels with the one merge join of every
-//!   reader and builder, `hoplabels::index::merge_join`, bounded by the
-//!   candidate's distance so it stops at the first witness. A
-//!   pivot outranks its owner, so on both sides the inner pass looks for
-//!   hubs — at the head of the file. Survivors are written in the order
-//!   the candidates arrived, so they leave `(key, pivot)`-sorted with no
-//!   re-sort on any side. Self-entries are stored in the files, so the
-//!   same-pair dominance check falls out of the join exactly as in the
-//!   in-memory engine.
-//! * **Merge** — survivors are merged (min-distance) into `labels`
-//!   through a borrowed reader, and then simply *are* the next
-//!   iteration's `prev`. `inv` feeds nothing but the doubling rule, so it
-//!   is built by one inverted sort of `labels` right before the first
-//!   doubling round and merged (with the pivot-sorted survivors) from
-//!   there on: a stepping build never has one, the paper's hybrid pays
-//!   for it only if iteration 11 happens. The round that finds the
-//!   fixpoint has no survivor and merges nothing.
+//!   generated, `(owner x, pivot v)`-sorted, together with `own(x)`, and
+//!   drops — uncounted, as the in-memory engine does — a candidate
+//!   `own(x)` already has at no more than its distance. The inner loop
+//!   makes one forward pass over the `across` label file per block,
+//!   visiting the block through a pivot-sorted permutation, and joins
+//!   each candidate's two labels with the one merge join of every reader
+//!   and builder, `hoplabels::index::merge_join`, bounded by the
+//!   candidate's distance so it stops at the first witness. A pivot
+//!   outranks its owner, so on both sides the inner pass looks for hubs —
+//!   at the head of the file. Survivors are written in the order the
+//!   candidates arrived, so they leave `(key, pivot)`-sorted.
+//! * **Merge** — a side's survivors are merged (min-distance) into its
+//!   `labels` through a borrowed reader, and then simply *are* its next
+//!   `prev`: one merge per side, and none in the round that finds the
+//!   fixpoint, which has no survivor.
 //!
 //! Every byte flows through counted files, so the
 //! [`ExternalBuildResult::io`] report gives honest `scan(N) = N/B`
 //! figures for Table 6's disk-based columns, and
 //! [`IterationStats::io_read_bytes`] / `io_write_bytes` split them by
-//! iteration.
+//! iteration next to the same phase times as the in-memory engine's.
 //!
 //! # Threading
 //!
 //! With [`HopDbConfig::parallelism`] ≥ 2 the per-iteration work is
 //! pipelined without changing a single byte of output or I/O traffic:
+//! the **sides** run on separate scoped threads (their generate → prune
+//! chains share only read-only label files, and each reader owns its
+//! file handle, so a seek moves nobody else's position); every sorter —
+//! candidates and view — uses the `extmem` **background spill worker**,
+//! so the joins keep streaming while full buffers sort and write behind
+//! a bounded channel; and the sides' **label merges**, which write
+//! disjoint runs, run together. The knob is a concurrency *budget* over
+//! this fixed structure, not a worker count: every value from 2 up
+//! behaves alike.
 //!
-//! * the **sides** run on separate scoped threads (one extra thread per
-//!   extra side, so a directed build's out and in sides overlap) — their
-//!   generate → prune → invert chains share only read-only label files,
-//!   and each reader owns its file handle, so a seek moves nobody else's
-//!   position;
-//! * every candidate sorter uses the `extmem` **background spill
-//!   worker**, so `cogroup_join` keeps streaming groups while previous
-//!   full buffers quicksort and write behind a bounded channel;
-//! * the **label-file merges** at the end of each iteration — one per
-//!   side while only `labels` exists, two once `inv` does — write
-//!   disjoint runs and run concurrently: all of them at once when the
-//!   thread budget allows (≥ 4), in waves of two otherwise.
-//!
-//! The knob is a concurrency *budget* over this fixed structure, not an
-//! exact worker count: `2` and `3` behave alike (two compute threads,
-//! each briefly shadowed by a mostly-I/O-bound spill worker), and values
-//! above 4 buy nothing more — the structural parallelism tops out at the
-//! four merge streams. Memory honesty: a pipelined sorter can hold up to
-//! `(spill queue depth + 2) × M` records in flight (one buffer filling,
-//! two queued, one being sorted), and a two-sided build runs two such
-//! sorters at once, so size `memory_records` with roughly an 8× margin
-//! when threading. The sequential path stays within one `M` buffer per
-//! operator, with one overlap: while the prune holds its `M/2` block the
-//! candidate stream feeding it is still open — the final merge's reader
-//! buffers (at most the `M` records of any merge pass) or, when nothing
-//! spilled, the sorter's own buffer of fewer than `M` candidates. On top
-//! of the record buffers every open run holds its key directory: one
-//! `u32` per block of the file, `N/B` words (4 KB for a 4 MB label file
-//! at 4 KB blocks), shared by all readers of the run.
+//! Memory honesty: the sequential path holds at most two record buffers
+//! of `M` per side. In a doubling round the view's last merge — its
+//! reader buffers (at most the `M` records of any merge pass) or, when
+//! it never spilled, its own buffer — is open beside the candidate
+//! sorter its join feeds; likewise, while the prune holds its `M/2`
+//! block, the candidate stream feeding it is open. A pipelined sorter
+//! can hold up to `(spill queue depth + 2) × M` records in flight (one
+//! buffer filling, two queued, one being sorted), and a threaded
+//! two-sided build runs both sides at once, so size `memory_records`
+//! with roughly an 8× margin when threading. On top of the record
+//! buffers every open run holds its key directory: one `u32` per block
+//! of the file, `N/B` words (4 KB for a 4 MB label file at 4 KB blocks).
 //!
 //! Determinism is structural, not locked: each parallel unit owns its
 //! files, the record flow per unit is exactly the sequential one, and
@@ -118,6 +104,7 @@
 //! one would hand the final runs directly to `hoplabels::disk`.
 
 use std::io;
+use std::time::{Duration, Instant};
 
 use extmem::device::TempStore;
 use extmem::run::{RecordSource, Run, RunReader, RunWriter};
@@ -129,8 +116,8 @@ use sfgraph::{Direction, Graph, VertexId};
 
 use crate::builder::{derive_fringe, peel};
 use crate::config::HopDbConfig;
-use crate::engine::seed_sides;
-use crate::iteration::{BuildStats, IterationStats};
+use crate::engine::{lap, run_workers, seed_sides};
+use crate::iteration::{fixpoint, BuildStats, IterationStats, Rounds};
 
 /// Outcome of an external build.
 pub struct ExternalBuildResult {
@@ -268,8 +255,9 @@ fn keep_min(a: LabelRecord, b: LabelRecord) -> LabelRecord {
     }
 }
 
-/// Candidate sorter; `overlap` moves its spill passes onto a background
-/// worker (bit-identical output and I/O counts, see `extmem::sorter`).
+/// A sorter keeping one record per `(key, pivot)`, the nearest; `overlap`
+/// moves its spill passes onto a background worker (bit-identical output
+/// and I/O counts, see `extmem::sorter`).
 fn sorter<'s>(
     store: &'s TempStore,
     ext: &ExtMemConfig,
@@ -294,21 +282,6 @@ fn merge_sorted(
     let buf = buffer_records(ext);
     let readers = vec![base.reader(buf)?, add.reader_shared(buf)?];
     merge_readers(store, readers, buf, Some(keep_min), group_eq)
-}
-
-/// Invert (`key` ↔ `pivot`) and sort — produces the pivot-sorted view.
-fn inverted_sorted(
-    store: &TempStore,
-    ext: &ExtMemConfig,
-    run: &Run<LabelRecord>,
-    overlap: bool,
-) -> io::Result<Run<LabelRecord>> {
-    let mut s = sorter(store, ext, overlap);
-    let mut reader = run.reader_shared(buffer_records(ext))?;
-    while let Some(r) = reader.next_record()? {
-        s.push(r.inverted())?;
-    }
-    s.finish()
 }
 
 /// Sort records into a fresh run (min-combining duplicates).
@@ -354,23 +327,37 @@ fn load_labels(
     Ok(labels.into_iter().map(VertexLabels::from_entries).collect())
 }
 
-/// Co-group join of `prev` (sorted by key) with `side` (sorted by key):
-/// for every shared key, `emit` sees the two groups.
+/// Co-group join of `prev` with a key-sorted arc source: every `prev`
+/// group meets the arcs out of its owner in [`emit`].
 fn cogroup_join(
     prev: &Run<LabelRecord>,
-    side: &Run<LabelRecord>,
+    arcs: impl RecordSource<LabelRecord>,
     ext: &ExtMemConfig,
-    mut emit: impl FnMut(&[LabelRecord], &[LabelRecord]) -> io::Result<()>,
+    offer: &mut impl FnMut(LabelRecord) -> io::Result<()>,
 ) -> io::Result<()> {
-    let buf = buffer_records(ext);
-    let mut pr = GroupReader::open(prev, buf)?;
-    let mut sr = GroupReader::open(side, buf)?;
-    let (mut pg, mut sg) = (Vec::new(), Vec::new());
-    while let Some(pk) = pr.next_group(&mut pg)? {
-        sr.skip_to(pk)?;
-        if sr.peek_key() == Some(pk) {
-            sr.next_group(&mut sg)?;
-            emit(&pg, &sg)?;
+    let mut pr = GroupReader::open(prev, buffer_records(ext))?;
+    let mut ar = GroupReader::new(arcs)?;
+    let (mut pg, mut ag) = (Vec::new(), Vec::new());
+    while let Some(u) = pr.next_group(&mut pg)? {
+        ar.skip_to(u)?;
+        if ar.peek_key() == Some(u) {
+            ar.next_group(&mut ag)?;
+            emit(&pg, &ag, offer)?;
+        }
+    }
+    Ok(())
+}
+
+/// The arc rule of [`crate::engine`]: `prev` entry `(u, v, d)` × arc
+/// `(u, x, w)` with `x ≠ u` and `v < x` offers `(x, v, d + w)`.
+fn emit(
+    prev: &[LabelRecord],
+    arcs: &[LabelRecord],
+    offer: &mut impl FnMut(LabelRecord) -> io::Result<()>,
+) -> io::Result<()> {
+    for p in prev {
+        for a in arcs.iter().filter(|a| a.pivot != a.key && a.pivot > p.pivot) {
+            offer(LabelRecord::new(a.pivot, p.pivot, p.dist.saturating_add(a.dist)))?;
         }
     }
     Ok(())
@@ -385,8 +372,10 @@ fn cogroup_join(
 /// label of each candidate's `pivot`. Both label files are read through
 /// [`GroupReader::skip_to`], so a block reads only the chunks that hold a
 /// group it asks for — and a pivot outranks its owner, so what the inner
-/// scan asks for sits at the head of the file. Returns `(survivors,
-/// pruned_count)`; the survivors keep the candidates' order.
+/// scan asks for sits at the head of the file. A candidate its owner's
+/// label already has at no more than its distance is dropped before it
+/// is counted or joined. Returns `(survivors, pruned_count)`; the
+/// survivors keep the candidates' order.
 fn prune_candidates(
     store: &TempStore,
     ext: &ExtMemConfig,
@@ -410,22 +399,34 @@ fn prune_candidates(
     let mut group_of: Vec<u32> = Vec::new();
     let mut by_pivot: Vec<u32> = Vec::new();
     let mut keep: Vec<bool> = Vec::new();
-    let mut ag = Vec::new();
+    let (mut cg, mut ag) = (Vec::new(), Vec::new());
 
     loop {
         // Outer: load candidate groups + their owners' labels up to the
-        // memory budget.
+        // memory budget. An owner left without a candidate hands its
+        // label back, so an empty block means the stream is done.
         block.clear();
         own_pool.clear();
         own_bounds.clear();
         own_bounds.push(0);
         group_of.clear();
         while block.len() + own_pool.len() < block_budget {
-            let Some(ck) = cand_reader.append_group(&mut block)? else { break };
-            own_reader.skip_to(ck)?;
-            if own_reader.peek_key() == Some(ck) {
+            let Some(x) = cand_reader.next_group(&mut cg)? else { break };
+            let start = own_pool.len();
+            own_reader.skip_to(x)?;
+            if own_reader.peek_key() == Some(x) {
                 own_reader.append_group(&mut own_pool)?;
             } // else unreachable: self-entries cover every vertex
+            let own = &own_pool[start..];
+            let had = block.len();
+            block.extend(cg.iter().filter(|c| {
+                let at = own.binary_search_by_key(&c.pivot, |e| e.pivot);
+                at.map_or(true, |i| own[i].dist > c.dist)
+            }));
+            if block.len() == had {
+                own_pool.truncate(start);
+                continue;
+            }
             group_of.resize(block.len(), own_bounds.len() as u32 - 1);
             own_bounds.push(own_pool.len());
         }
@@ -471,68 +472,9 @@ fn prune_candidates(
     Ok((survivors.finish()?, pruned))
 }
 
-// -------------------------------------------------------------------
-// Rule emitters (shared by both directions and both orientations)
-// -------------------------------------------------------------------
-
-/// Stepping rules (R1+R2 / R4+R5 composed with single edges): prev entry
-/// `(·, v, d)` × edge `(·, x, w)` emits `(x, v, d + w)` for `x > v`.
-fn emit_stepping(
-    pg: &[LabelRecord],
-    eg: &[LabelRecord],
-    offer: &mut impl FnMut(LabelRecord) -> io::Result<()>,
-) -> io::Result<()> {
-    for p in pg {
-        for e in eg {
-            if e.pivot > p.pivot {
-                offer(LabelRecord::new(e.pivot, p.pivot, p.dist.saturating_add(e.dist)))?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Doubling rules R1/R4: prev entry `(u, v, d)` × label entry `(·, x, d')`
-/// with `v < x < u` emits `(x, v, d + d')`.
-fn emit_doubling_label(
-    pg: &[LabelRecord],
-    lg: &[LabelRecord],
-    offer: &mut impl FnMut(LabelRecord) -> io::Result<()>,
-) -> io::Result<()> {
-    for p in pg {
-        for l in lg {
-            if l.pivot > p.pivot && l.pivot < p.key {
-                offer(LabelRecord::new(l.pivot, p.pivot, p.dist.saturating_add(l.dist)))?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Doubling rules R2/R5: prev entry `(u, v, d)` × inverted-file owner
-/// `(·, x, d')` with `x > u` emits `(x, v, d + d')`.
-fn emit_doubling_inverted(
-    pg: &[LabelRecord],
-    ig: &[LabelRecord],
-    offer: &mut impl FnMut(LabelRecord) -> io::Result<()>,
-) -> io::Result<()> {
-    for p in pg {
-        for o in ig {
-            if o.pivot > p.key {
-                offer(LabelRecord::new(o.pivot, p.pivot, p.dist.saturating_add(o.dist)))?;
-            }
-        }
-    }
-    Ok(())
-}
-
-// -------------------------------------------------------------------
-// The round kernel: one side, one iteration
-// -------------------------------------------------------------------
-
 /// The files of one label side (see [`crate::engine`] for the side
-/// formulation): `own` sorted one or two ways, the new entries of the
-/// previous iteration, and the edge file stepping joins against.
+/// formulation): `own`, the new entries of the previous iteration, and
+/// the edge file stepping joins against.
 struct Side {
     /// Index of the side whose label file this side is joined against
     /// (the other side of a directed build, itself when undirected).
@@ -541,25 +483,23 @@ struct Side {
     edges: Run<LabelRecord>,
     /// `own`, sorted by `(owner, pivot)`.
     labels: Run<LabelRecord>,
-    /// `own` inverted, sorted by `(pivot, owner)` — only the doubling
-    /// rule reads it, so it exists from the first doubling round on.
-    inv: Option<Run<LabelRecord>>,
     /// Entries the previous iteration added to `own` (no self-entries):
     /// that iteration's survivor run itself.
     prev: Run<LabelRecord>,
 }
 
-/// Everything one side produces in one iteration: the surviving
-/// candidates — owner-sorted, and pivot-sorted when the side keeps an
-/// `inv` file to merge them into — and the iteration counters.
+/// What one side's generate → prune chain produced in one iteration.
 struct SideOutcome {
     pruned: u64,
+    /// The survivors, `(owner, pivot)`-sorted.
     surv: Run<LabelRecord>,
-    surv_inv: Option<Run<LabelRecord>>,
+    gather: Duration,
+    prune: Duration,
 }
 
-/// One iteration of one side: generate candidates from `prev`, prune
-/// them against the frozen label files, and prepare the merge inputs.
+/// One iteration of one side: push `prev` over the round's arcs into the
+/// candidate sorter, then prune the candidates against the frozen label
+/// files.
 fn side_round(
     store: &TempStore,
     ext: &ExtMemConfig,
@@ -568,63 +508,29 @@ fn side_round(
     side: &Side,
     across: &Run<LabelRecord>,
 ) -> io::Result<SideOutcome> {
+    let (mut clock, buf) = (Instant::now(), buffer_records(ext));
     let mut s = sorter(store, ext, overlap);
-    {
-        let mut offer = |r: LabelRecord| s.push(r);
-        if stepping {
-            // Label and inverted rule composed with the owner's single
-            // edges.
-            cogroup_join(&side.prev, &side.edges, ext, |pg, eg| emit_stepping(pg, eg, &mut offer))?;
-        } else {
-            // Label rule (R1 / R4): prev (u,v,d) × across(u) entries
-            // (x,d'), v < x < u.
-            cogroup_join(&side.prev, across, ext, |pg, lg| {
-                emit_doubling_label(pg, lg, &mut offer)
-            })?;
-            // Inverted rule (R2 / R5): prev (u,v,d) × inv group of u:
-            // owners x > u.
-            let inv = side.inv.as_ref().expect("the driver builds `inv` before a doubling round");
-            cogroup_join(&side.prev, inv, ext, |pg, ig| {
-                emit_doubling_inverted(pg, ig, &mut offer)
-            })?;
+    let mut offer = |r: LabelRecord| s.push(r);
+    if stepping {
+        cogroup_join(&side.prev, side.edges.reader_shared(buf)?, ext, &mut offer)?;
+    } else {
+        cogroup_join(&side.prev, across.reader_shared(buf)?, ext, &mut offer)?;
+        // The view: this side's labels by pivot, self-entries left out.
+        let mut view = sorter(store, ext, overlap);
+        let mut labels = side.labels.reader_shared(buf)?;
+        while let Some(r) = labels.next_record()? {
+            if r.key != r.pivot {
+                view.push(r.inverted())?;
+            }
         }
+        cogroup_join(&side.prev, view.finish_stream()?, ext, &mut offer)?;
     }
+    let gather = lap(&mut clock);
     // The sorter's last merge is the prune's candidate scan. The 2-hop
     // test is symmetric, so on every side it is own(owner) ⋈ across(pivot)
     // and the candidates go in as generated.
-    let cands = s.finish_stream()?;
-    let (surv, pruned) = prune_candidates(store, ext, cands, &side.labels, across)?;
-    let surv_inv =
-        side.inv.is_some().then(|| inverted_sorted(store, ext, &surv, overlap)).transpose()?;
-    Ok(SideOutcome { pruned, surv, surv_inv })
-}
-
-/// Merge `(base, survivors)` run pairs, up to `wave` of them at once on
-/// scoped threads (the pairs write disjoint runs, so scheduling cannot
-/// change any output). Results come back in job order.
-fn merge_in_waves(
-    store: &TempStore,
-    ext: &ExtMemConfig,
-    wave: usize,
-    jobs: Vec<(Run<LabelRecord>, &Run<LabelRecord>)>,
-) -> io::Result<Vec<Run<LabelRecord>>> {
-    let mut merged = Vec::with_capacity(jobs.len());
-    let mut jobs = jobs.into_iter();
-    while jobs.len() > 0 {
-        let mut batch = jobs.by_ref().take(wave);
-        let results: Vec<io::Result<Run<LabelRecord>>> = std::thread::scope(|sc| {
-            let first = batch.next();
-            let handles: Vec<_> =
-                batch.map(|(a, b)| sc.spawn(move || merge_sorted(store, ext, a, b))).collect();
-            let first = first.map(|(a, b)| merge_sorted(store, ext, a, b));
-            let rest = handles.into_iter().map(|h| h.join().expect("merge worker panicked"));
-            first.into_iter().chain(rest).collect()
-        });
-        for run in results {
-            merged.push(run?);
-        }
-    }
-    Ok(merged)
+    let (surv, pruned) = prune_candidates(store, ext, s.finish_stream()?, &side.labels, across)?;
+    Ok(SideOutcome { pruned, surv, gather, prune: lap(&mut clock) })
 }
 
 fn io_report(store: &TempStore, ext: &ExtMemConfig) -> (u64, u64, u64, u64) {
@@ -637,9 +543,76 @@ fn io_report(store: &TempStore, ext: &ExtMemConfig) -> (u64, u64, u64, u64) {
     )
 }
 
-// -------------------------------------------------------------------
-// Driver
-// -------------------------------------------------------------------
+/// The state of an external build: the store, the budget and the sides'
+/// files.
+struct External<'s> {
+    store: &'s TempStore,
+    ext: &'s ExtMemConfig,
+    threaded: bool,
+    sides: Vec<Side>,
+    /// Bytes read and written as of the last row.
+    seen: (u64, u64),
+}
+
+impl External<'_> {
+    /// Bytes moved since the last call: the per-iteration I/O columns.
+    fn io_lap(&mut self) -> (u64, u64) {
+        let now = (self.store.stats().read_bytes(), self.store.stats().write_bytes());
+        let lap = (now.0 - self.seen.0, now.1 - self.seen.1);
+        self.seen = now;
+        lap
+    }
+}
+
+impl Rounds for External<'_> {
+    type Error = io::Error;
+
+    fn pending(&self) -> bool {
+        self.sides.iter().any(|s| !s.prev.is_empty())
+    }
+
+    fn round(&mut self, stepping: bool) -> io::Result<IterationStats> {
+        let (store, ext, threaded) = (self.store, self.ext, self.threaded);
+        // The sides share only read-only label files; each owns its
+        // sorters and temp runs, so scheduling cannot reorder any
+        // per-side record stream.
+        let sides = &self.sides;
+        let outcomes = run_workers(threaded, sides.iter().collect(), |s: &Side| {
+            side_round(store, ext, threaded, stepping, s, &sides[s.across].labels)
+        });
+        let outcomes = outcomes.into_iter().collect::<io::Result<Vec<SideOutcome>>>()?;
+        let mut row = IterationStats {
+            pruned: outcomes.iter().map(|o| o.pruned).sum(),
+            inserted: outcomes.iter().map(|o| o.surv.len()).sum(),
+            gather: outcomes.iter().map(|o| o.gather).sum(),
+            prune: outcomes.iter().map(|o| o.prune).sum(),
+            ..IterationStats::default()
+        };
+        row.candidates = row.inserted + row.pruned;
+        // One label merge per side, none in the round that finds the
+        // fixpoint; the merges write disjoint runs, so they run together
+        // when threaded.
+        let inserted = row.inserted;
+        let jobs = std::mem::take(&mut self.sides).into_iter().zip(outcomes).collect();
+        let merged = run_workers(threaded, jobs, |(side, o): (Side, SideOutcome)| {
+            let started = Instant::now();
+            let labels = if inserted == 0 {
+                side.labels
+            } else {
+                merge_sorted(store, ext, side.labels, &o.surv)?
+            };
+            io::Result::Ok((Side { labels, prev: o.surv, ..side }, started.elapsed()))
+        });
+        for side in merged {
+            let (side, apply) = side?;
+            row.apply += apply;
+            self.sides.push(side);
+        }
+        row.total_entries = self.sides.iter().map(|s| s.labels.len()).sum();
+        (row.io_read_bytes, row.io_write_bytes) = self.io_lap();
+        Ok(row)
+    }
+}
 
 fn run(
     g: &Graph,
@@ -647,139 +620,43 @@ fn run(
     ext: &ExtMemConfig,
     store: &TempStore,
 ) -> io::Result<ExternalBuildResult> {
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let n = g.num_vertices();
     let threads = cfg.resolved_parallelism();
-    let threaded = threads >= 2;
-    let mut stats = BuildStats { threads, ..BuildStats::default() };
-    // Bytes moved since the last call: the per-iteration I/O columns.
-    let mut seen = (0u64, 0u64);
-    let mut io_lap = || {
-        let now = (store.stats().read_bytes(), store.stats().write_bytes());
-        let lap = (now.0 - seen.0, now.1 - seen.1);
-        seen = now;
-        lap
-    };
-
     // Initialization (iteration 1): self-entries + one entry per edge.
-    let init_start = std::time::Instant::now();
-    let mut init_count = 0u64;
     let mut sides = Vec::new();
+    let mut seeds = 0u64;
     for seed in seed_sides(g) {
-        let seeds =
+        let entries =
             || seed.entries.iter().map(|&(owner, pivot, w)| LabelRecord::new(owner, pivot, w));
         let self_entries = (0..n as u32).map(|v| LabelRecord::new(v, v, 0));
-        init_count += seed.entries.len() as u64;
+        seeds += seed.entries.len() as u64;
         sides.push(Side {
             across: seed.across,
             edges: edge_run(store, ext, g, seed.step)?,
-            labels: sorted_run(store, ext, self_entries.chain(seeds()))?,
-            inv: None,
+            labels: sorted_run(store, ext, self_entries.chain(entries()))?,
             // `prev` holds only new entries (no self-entries).
-            prev: sorted_run(store, ext, seeds())?,
+            prev: sorted_run(store, ext, entries())?,
         });
     }
-    let (io_read_bytes, io_write_bytes) = io_lap();
-    stats.iterations.push(IterationStats {
+    let total_entries = seeds + (sides.len() * n) as u64;
+    let mut e = External { store, ext, threaded: threads >= 2, sides, seen: (0, 0) };
+    let (io_read_bytes, io_write_bytes) = e.io_lap();
+    let seeded = IterationStats {
         iteration: 1,
         stepping: true,
-        candidates: init_count,
-        pruned: 0,
-        inserted: init_count,
-        total_entries: init_count + (sides.len() * n) as u64,
-        elapsed: init_start.elapsed(),
+        candidates: seeds,
+        inserted: seeds,
+        total_entries,
+        elapsed: started.elapsed(),
         io_read_bytes,
         io_write_bytes,
         ..IterationStats::default()
-    });
+    };
+    let mut stats = fixpoint(&mut e, &cfg.strategy, threads, seeded)?;
 
-    // Run to the fixpoint: every surviving candidate strictly lowers one
-    // `(owner, pivot)` distance, so the rounds cannot go on for ever.
-    let mut iter = 1u32;
-    while sides.iter().any(|s| !s.prev.is_empty()) {
-        iter += 1;
-        let round_start = std::time::Instant::now();
-        let stepping = cfg.strategy.steps_at(iter);
-        if !stepping {
-            // First doubling round: the inverted rule needs `inv`. From
-            // here on the round's merges keep it current.
-            for side in sides.iter_mut().filter(|s| s.inv.is_none()) {
-                side.inv = Some(inverted_sorted(store, ext, &side.labels, threaded)?);
-            }
-        }
-
-        // ---- generation + pruning, one pipeline per side ----
-        // The sides share only read-only label files; each owns its
-        // sorters and temp runs, so scheduling cannot reorder any
-        // per-side record stream. When threaded, every side but the last
-        // gets a scoped thread; a single side still pipelines its sorter
-        // spills.
-        let spawned = if threaded { sides.len() - 1 } else { 0 };
-        let outcomes: Vec<io::Result<SideOutcome>> = std::thread::scope(|sc| {
-            let round =
-                |s: &Side| side_round(store, ext, threaded, stepping, s, &sides[s.across].labels);
-            let handles: Vec<_> =
-                sides[..spawned].iter().map(|s| sc.spawn(move || round(s))).collect();
-            let inline: Vec<_> = sides[spawned..].iter().map(round).collect();
-            let spawned = handles.into_iter().map(|h| h.join().expect("side worker panicked"));
-            spawned.chain(inline).collect()
-        });
-        let outcomes = outcomes.into_iter().collect::<io::Result<Vec<SideOutcome>>>()?;
-
-        // ---- merge survivors into the label files ----
-        // One merge per label file a side keeps (`labels`, and `inv` once
-        // it exists), all writing disjoint runs; how many run at once is
-        // capped by the configured thread budget: all of them from 4
-        // threads up, waves of two below. A round without a survivor
-        // merges nothing: the files are final as they are.
-        let pruned: u64 = outcomes.iter().map(|o| o.pruned).sum();
-        let inserted: u64 = outcomes.iter().map(|o| o.surv.len()).sum();
-        if inserted > 0 {
-            let mut jobs = Vec::with_capacity(2 * sides.len());
-            let mut carried = Vec::with_capacity(sides.len());
-            for (side, o) in sides.into_iter().zip(&outcomes) {
-                jobs.push((side.labels, &o.surv));
-                jobs.extend(side.inv.zip(o.surv_inv.as_ref()));
-                carried.push((side.across, side.edges));
-            }
-            let wave = if threads >= 4 {
-                jobs.len()
-            } else if threaded {
-                2
-            } else {
-                1
-            };
-            let mut merged = merge_in_waves(store, ext, wave, jobs)?.into_iter();
-            sides = Vec::with_capacity(carried.len());
-            for ((across, edges), o) in carried.into_iter().zip(outcomes) {
-                let labels = merged.next().expect("one merged label file per side");
-                // The survivors are the next round's driving input as
-                // they are; their pivot-sorted view dies with the merge.
-                let inv = if o.surv_inv.is_some() { merged.next() } else { None };
-                sides.push(Side { across, edges, labels, inv, prev: o.surv });
-            }
-        }
-
-        let (io_read_bytes, io_write_bytes) = io_lap();
-        stats.iterations.push(IterationStats {
-            iteration: iter,
-            stepping,
-            candidates: inserted + pruned,
-            pruned,
-            inserted,
-            total_entries: sides.iter().map(|s| s.labels.len()).sum(),
-            elapsed: round_start.elapsed(),
-            io_read_bytes,
-            io_write_bytes,
-            ..IterationStats::default()
-        });
-        if inserted == 0 {
-            break;
-        }
-    }
-
-    let mut labels = Vec::with_capacity(sides.len());
-    for side in &sides {
+    let mut labels = Vec::with_capacity(e.sides.len());
+    for side in &e.sides {
         labels.push(load_labels(&side.labels, n, ext)?);
     }
     let index = LabelIndex::from_sides(labels);
@@ -816,15 +693,13 @@ mod tests {
         run(g, cfg, ext, &TempStore::new().unwrap()).unwrap()
     }
 
-    /// What both engines must agree on, iteration by iteration
-    /// (`candidates`/`pruned` are engine-specific, see
-    /// [`IterationStats::candidates`]).
-    fn progress(stats: &BuildStats) -> Vec<(u32, bool, u64, u64)> {
-        stats
-            .iterations
-            .iter()
-            .map(|it| (it.iteration, it.stepping, it.inserted, it.total_entries))
-            .collect()
+    /// What both engines must agree on, iteration by iteration: every
+    /// counter of the row.
+    fn progress(stats: &BuildStats) -> Vec<(u32, bool, u64, u64, u64, u64)> {
+        let row = |it: &IterationStats| {
+            (it.iteration, it.stepping, it.candidates, it.pruned, it.inserted, it.total_entries)
+        };
+        stats.iterations.iter().map(row).collect()
     }
 
     #[test]
@@ -995,8 +870,9 @@ mod tests {
 
     /// (a) The §4.2 block prune hands back its survivors in candidate
     /// order — strictly `(key, pivot)`-increasing across block borders —
-    /// keeps exactly what a per-candidate join keeps, and reads less than
-    /// one scan of the pivot-side file per block.
+    /// keeps exactly what a per-candidate join keeps, counts as pruned
+    /// only the candidates its owner's label did not already dominate,
+    /// and reads less than one scan of the pivot-side file per block.
     #[test]
     fn prune_keeps_candidate_order_across_blocks() {
         use extmem::run::run_from_slice;
@@ -1041,15 +917,26 @@ mod tests {
             })
             .collect();
         assert!(!expect.is_empty() && expect.len() < cands.len(), "both outcomes occur");
+        // Same-pair dominance drops a candidate before it is counted.
+        let counted = |k: u32| -> usize {
+            let own = group(&src, k);
+            let dominated =
+                |c: &&LabelRecord| own.iter().any(|e| e.pivot == c.pivot && e.dist <= c.dist);
+            group(&cands, k).iter().filter(|c| !dominated(c)).count()
+        };
+        let live: usize = (0..n).map(counted).sum();
+        assert!(live < cands.len(), "some candidates are dominated");
 
         // The outer loop closes a block at the first owner that takes it
-        // to the budget.
+        // to the budget; an owner without a live candidate takes nothing.
         let (mut blocks, mut fill) = (0u64, 0usize);
         for k in 0..n {
             if fill >= ext.memory_records / 2 {
                 (blocks, fill) = (blocks + 1, 0);
             }
-            fill += group(&cands, k).len() + group(&src, k).len();
+            if counted(k) > 0 {
+                fill += counted(k) + group(&src, k).len();
+            }
         }
         blocks += 1;
         assert!(blocks >= 3, "the budget must cut the candidates into ≥ 3 blocks");
@@ -1070,13 +957,49 @@ mod tests {
         let got = surv.read_all().unwrap();
         assert!(got.windows(2).all(|w| (w[0].key, w[0].pivot) < (w[1].key, w[1].pivot)));
         assert_eq!(got, expect);
-        assert_eq!(pruned as usize, cands.len() - expect.len());
+        // Dominated candidates used to be counted as pruned (the join
+        // found the owner's own entry); now they are no candidates.
+        assert_eq!(pruned as usize, live - expect.len());
     }
 
-    /// (b) `inv` is created mid-build, right before the first doubling
-    /// round: a hybrid that switches at 3 on graphs that need more rounds.
+    /// Owners whose candidates are all dominated leave no block behind
+    /// them, and a budget's worth of them in a row does not end the
+    /// prune: the live candidates after them are still joined.
     #[test]
-    fn hybrid_creates_inv_mid_build() {
+    fn prune_reads_past_owners_whose_candidates_all_die_early() {
+        use extmem::run::run_from_slice;
+        let (n, ext, store) = (200u32, tiny_ext(), TempStore::new().unwrap());
+        let buf = buffer_records(&ext);
+        // Every vertex carries the hub 0 at distance 1, and itself.
+        let labels: Vec<LabelRecord> = (0..n)
+            .flat_map(|v| {
+                let hub = (v > 0).then(|| LabelRecord::new(v, 0, 1));
+                hub.into_iter().chain([LabelRecord::new(v, v, 0)])
+            })
+            .collect();
+        let run = run_from_slice(&store, "labels", &labels, buf).unwrap();
+        // Owners below 190 offer the hub again at distance 3, dominated;
+        // the last ten also offer their neighbour at distance 1, live.
+        let mut cands = Vec::new();
+        for v in 1..n {
+            cands.push(LabelRecord::new(v, 0, 3));
+            if v >= 190 {
+                cands.push(LabelRecord::new(v, v - 1, 1));
+            }
+        }
+        assert!(190 > ext.memory_records, "the dominated owners alone overrun a block");
+        let cand_run = run_from_slice(&store, "cands", &cands, buf).unwrap();
+        let (surv, pruned) =
+            prune_candidates(&store, &ext, cand_run.reader(buf).unwrap(), &run, &run).unwrap();
+        let expect: Vec<LabelRecord> = (190..n).map(|v| LabelRecord::new(v, v - 1, 1)).collect();
+        assert_eq!((surv.read_all().unwrap(), pruned), (expect, 0));
+    }
+
+    /// (b) A hybrid that switches at 3 on graphs that need more rounds
+    /// starts streaming views mid-build, and still builds the in-memory
+    /// engine's labels and rows, with the same I/O at 1 and 4 threads.
+    #[test]
+    fn hybrid_switching_mid_build_matches_memory_at_any_thread_count() {
         let cfg = HopDbConfig::with_strategy(Strategy::Hybrid { switch_at: 3 });
         for directed in [false, true] {
             let g = bisected_path(96, directed);
@@ -1096,9 +1019,10 @@ mod tests {
         }
     }
 
-    /// (c) A build that never doubles never pays for `inv`.
+    /// (c) A build that never doubles never sorts a view: it writes less
+    /// and merges less than a hybrid that doubles from iteration 3 on.
     #[test]
-    fn stepping_does_no_inv_work() {
+    fn stepping_never_sorts_a_view() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(53);
         for directed in [false, true] {

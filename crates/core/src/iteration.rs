@@ -1,7 +1,9 @@
 //! Per-iteration construction statistics (the data behind Fig. 10 and
 //! the iteration counts of Tables 7–8).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+use crate::config::Strategy;
 
 /// What one worker contributed to an iteration of the parallel engine:
 /// the round's owners are cut into contiguous ranges, and each worker
@@ -26,18 +28,11 @@ pub struct IterationStats {
     pub iteration: u32,
     /// Whether this iteration used stepping (true) or doubling (false).
     pub stepping: bool,
-    /// Candidates generated after same-pair deduplication.
-    ///
-    /// Engine-specific, as is `pruned`: the in-memory engine drops a
-    /// candidate that an existing entry of the same `(owner, pivot)`
-    /// already dominates *before* it is counted, while the external
-    /// engine has no label in memory to ask and leaves those to the prune
-    /// join. Both reject the same candidates, so `inserted` and
-    /// `total_entries` (and the labels) agree between the engines; this
-    /// column and `pruned` are each higher for the external engine by
-    /// the number of such early drops.
+    /// Candidates generated after same-pair deduplication, less those an
+    /// entry of the same `(owner, pivot)` already dominates: both engines
+    /// drop those before counting them.
     pub candidates: u64,
-    /// Candidates rejected by the pruning test (see `candidates`).
+    /// Candidates rejected by the pruning test.
     pub pruned: u64,
     /// Surviving entries inserted into the index.
     pub inserted: u64,
@@ -45,10 +40,9 @@ pub struct IterationStats {
     pub total_entries: u64,
     /// Wall-clock time of the iteration.
     pub elapsed: Duration,
-    /// Time spent gathering candidates, summed over workers: planning
-    /// the round (and, in a doubling round, rebuilding the inverted
-    /// views) plus every worker's pulls. Like `prune` and `apply`, read
-    /// once per block of owners, and zero from the external engine.
+    /// Time spent gathering candidates, summed over workers (and sides):
+    /// planning the round and, in a doubling round, rebuilding the
+    /// inverted views, then every worker's pulls or every side's joins.
     pub gather: Duration,
     /// Time spent in the pruning test, summed over workers.
     pub prune: Duration,
@@ -60,8 +54,8 @@ pub struct IterationStats {
     pub io_read_bytes: u64,
     /// Bytes the iteration wrote to the external-memory store.
     pub io_write_bytes: u64,
-    /// Per-worker breakdown when the iteration ran on several workers
-    /// (empty for single-threaded rounds and the external engine).
+    /// Per-worker breakdown when the in-memory engine ran the iteration
+    /// on several workers (empty otherwise).
     pub shards: Vec<ShardStats>,
 }
 
@@ -143,6 +137,47 @@ impl BuildStats {
     pub fn total_candidates(&self) -> u64 {
         self.iterations.iter().map(|it| it.candidates).sum()
     }
+}
+
+/// One engine's generation rounds, as [`fixpoint`] drives them: the
+/// in-memory engine over label arrays, the external one over files.
+pub(crate) trait Rounds {
+    /// What a round can fail with.
+    type Error;
+    /// Whether the last round (or the seeding) added entries to compose.
+    fn pending(&self) -> bool;
+    /// One stepping or doubling round: its counters, phase times and
+    /// I/O; the loop numbers and clocks the row.
+    fn round(&mut self, stepping: bool) -> Result<IterationStats, Self::Error>;
+}
+
+/// Run `engine`'s rounds after the seeding (iteration 1, `seeded`) to
+/// the fixpoint. Every inserted entry strictly lowers one `(owner,
+/// pivot)` distance, so the rounds cannot go on for ever.
+pub(crate) fn fixpoint<R: Rounds>(
+    engine: &mut R,
+    strategy: &Strategy,
+    threads: usize,
+    seeded: IterationStats,
+) -> Result<BuildStats, R::Error> {
+    let mut stats = BuildStats { threads, iterations: vec![seeded], ..BuildStats::default() };
+    let mut iteration = 1u32;
+    while engine.pending() {
+        iteration += 1;
+        let (stepping, started) = (strategy.steps_at(iteration), Instant::now());
+        let row = engine.round(stepping)?;
+        let done = row.inserted == 0;
+        stats.iterations.push(IterationStats {
+            iteration,
+            stepping,
+            elapsed: started.elapsed(),
+            ..row
+        });
+        if done {
+            break;
+        }
+    }
+    Ok(stats)
 }
 
 #[cfg(test)]

@@ -19,10 +19,17 @@
 //! on the graph's core since vertex elimination; [`REDUCED`] pins that build
 //! too: its derived-vertex count, and its finished index (records
 //! hashed in their slots) and rows.
+//!
+//! Both engines run one round with one candidate count, so the external
+//! engine, spilling, must build every pruned case's labels and rows
+//! exactly as `build_prelabeled` does on the same graph
+//! ([`assert_external_matches`]).
 
+use hop_doubling::extmem::ExtMemConfig;
 use hop_doubling::graphgen::{glp, orient_scale_free, with_random_weights, GlpParams};
 use hop_doubling::hopdb::engine::build_index;
-use hop_doubling::hopdb::{build, BuildStats, HopDbConfig, Strategy};
+use hop_doubling::hopdb::external::build_external;
+use hop_doubling::hopdb::{build, build_prelabeled, BuildStats, HopDbConfig, Strategy};
 use hop_doubling::hoplabels::LabelIndex;
 use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
 use hop_doubling::sfgraph::Graph;
@@ -63,9 +70,12 @@ fn rows(stats: &BuildStats) -> Vec<Row> {
 
 /// The kernel on the whole rank-relabeled graph, as `build` ranks it.
 fn measure(g: &Graph, cfg: &HopDbConfig) -> (u64, Vec<Row>) {
-    let relabeled = relabel_by_rank(g, &rank_vertices(g, &RankBy::paper_default(g)));
-    let (index, stats) = build_index(&relabeled, cfg);
+    let (index, stats) = build_index(&ranked(g), cfg);
     (label_hash(&index), rows(&stats))
+}
+
+fn ranked(g: &Graph) -> Graph {
+    relabel_by_rank(g, &rank_vertices(g, &RankBy::paper_default(g)))
 }
 
 fn configs() -> [(&'static str, HopDbConfig); 6] {
@@ -100,21 +110,43 @@ fn assert_golden(graph: &str, g: &Graph, golden: &[(&str, u64, &[Row])]) {
     assert!(failures.is_empty(), "engine output moved off its golden values:\n{failures}");
 }
 
+/// Every pruned config of `g` built by the external engine at a budget
+/// that spills: the same label hash and the same `(candidates, pruned,
+/// inserted, total_entries)` rows as the in-memory build of the same
+/// ranked graph.
+fn assert_external_matches(graph: &str, g: &Graph) {
+    let g = ranked(g);
+    let ext = ExtMemConfig { memory_records: 1 << 10, block_bytes: 512 };
+    for (name, cfg) in configs().into_iter().filter(|(_, cfg)| cfg.prune) {
+        let (mem, mem_stats) = build_prelabeled(&g, &cfg);
+        let built = build_external(&g, &cfg, &ext).expect("external build");
+        assert_eq!(
+            (label_hash(&built.index), rows(&built.stats)),
+            (label_hash(&mem), rows(&mem_stats)),
+            "{graph} / {name}: the external engine left the in-memory engine's labels or rows"
+        );
+    }
+}
+
 #[test]
 fn undirected_glp() {
-    assert_golden("glp 1500", &glp(&GlpParams::with_density(1_500, 3.0, 42)), UNDIRECTED);
+    let g = glp(&GlpParams::with_density(1_500, 3.0, 42));
+    assert_golden("glp 1500", &g, UNDIRECTED);
+    assert_external_matches("glp 1500", &g);
 }
 
 #[test]
 fn directed_glp() {
     let g = orient_scale_free(&glp(&GlpParams::with_density(1_500, 2.5, 7)), 0.25, 7);
     assert_golden("directed glp 1500", &g, DIRECTED);
+    assert_external_matches("directed glp 1500", &g);
 }
 
 #[test]
 fn weighted_glp() {
     let g = with_random_weights(&glp(&GlpParams::with_density(1_500, 3.0, 23)), 1, 9, 23);
     assert_golden("weighted glp 1500", &g, WEIGHTED);
+    assert_external_matches("weighted glp 1500", &g);
 }
 
 /// `build` of the directed GLP under the default config at 1, 2 and 4
