@@ -33,8 +33,9 @@
 //! files with `Generation::query_many`, sharding batches across
 //! `--threads` workers. `shard` splits an index image by pivot range
 //! into per-shard images (`hoplabels::shard`), each a complete
-//! `HOPIDX04` index a stock daemon can serve, plus a `HOPSHRD1` sidecar
-//! so the router can learn each backend's range. `serve` runs the
+//! `HOPIDX04` index a stock daemon can serve, plus a `HOPSHRD2` sidecar
+//! so the router can learn each backend's range and a copy of the
+//! source's `.rank`, without which it writes nothing. `serve` runs the
 //! `hopdb-server` daemon over the same index + sidecar pair (pass
 //! `--graph` to enable compaction) — or, with `--route`, the scale-out
 //! router that fans query batches across `--backends` daemons — and
@@ -227,10 +228,10 @@ commands:
   shard  -x INDEX --shards K [-o PREFIX]
          (split the index image into K per-shard images by pivot range,
           balanced by label-entry count; shard i is written to
-          PREFIX.shard<i> — default PREFIX is INDEX — with its HOPSHRD1
-          range sidecar at PREFIX.shard<i>.shard, and the .rank sidecar
-          is copied alongside when present; every shard is a complete
-          index a stock `serve` daemon can load)
+          PREFIX.shard<i> — default PREFIX is INDEX — with its HOPSHRD2
+          range sidecar at PREFIX.shard<i>.shard and a copy of INDEX.rank,
+          which must be there; every shard is a complete index a stock
+          `serve` daemon can load)
   serve  -x INDEX [--addr HOST:PORT] [--batch-threads N] [--max-batch PAIRS]
          [--max-inflight N] [--idle-timeout-ms MS] [--swap-path FILE]
          [--graph EDGELIST [--compact-threshold EDGES]]
@@ -458,9 +459,6 @@ fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             spec.index, spec.count
         )));
     }
-    if !index.translates_ids() {
-        return Err(err(format!("cannot open {target}.rank: no such file")));
-    }
 
     // Pairs come from the positional arguments and/or a batch file of
     // whitespace-separated `s t` lines (comments as in a graph file).
@@ -516,9 +514,9 @@ fn cmd_shard(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let bytes = std::fs::read(target).map_err(|e| err(format!("cannot open {target}: {e}")))?;
     let shards = hoplabels::shard_image(&bytes, k)
         .map_err(|e| err(format!("cannot shard {target}: {e}")))?;
-    // Clients addressing the shards by original vertex id need the
-    // ranking next to every shard image, validated before one is written
-    // against the vertex count: the ranges tile `[0, n)`.
+    // Every shard is served behind the source's ranking, validated
+    // before one is written against the vertex count: the ranges tile
+    // `[0, n)`.
     let n = shards.last().map_or(0, |(_, spec)| spec.hi as usize);
     let ranking = hopdb_server::backend::load_ranking(Path::new(target), n)
         .map_err(|e| err(e.to_string()))?;
@@ -526,18 +524,15 @@ fn cmd_shard(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         let path = format!("{prefix}.shard{}", spec.index);
         std::fs::write(&path, image)?;
         std::fs::write(format!("{path}.shard"), spec.encode())?;
-        if let Some(ranking) = &ranking {
-            write_ranking_sidecar(&path, ranking)?;
-        }
+        write_ranking_sidecar(&path, &ranking)?;
         writeln!(
             out,
-            "shard {}/{}: pivots [{}, {}) -> {path} ({} bytes{})",
+            "shard {}/{}: pivots [{}, {}) -> {path} ({} bytes)",
             spec.index,
             spec.count,
             spec.lo,
             spec.hi,
             image.len(),
-            if spec.rank_pruned { ", rank-pruned" } else { "" },
         )?;
     }
     Ok(())
@@ -1482,9 +1477,8 @@ mod tests {
             assert_eq!(flat.num_vertices(), whole.num_vertices());
             // ...with a decodable range sidecar and the ranking copied
             // alongside so daemons serve original vertex ids.
-            let spec =
-                hoplabels::ShardSpec::decode(&std::fs::read(format!("{path}.shard")).unwrap())
-                    .unwrap();
+            let map = std::fs::read(format!("{path}.shard")).unwrap();
+            let spec = hoplabels::ShardSpec::decode(&map, whole.num_vertices()).unwrap();
             assert_eq!(spec.index, i);
             assert_eq!(spec.count, 3);
             assert!(std::path::Path::new(&format!("{path}.rank")).exists());
@@ -1559,15 +1553,23 @@ mod tests {
         }
     }
 
+    /// Without its `.rank` an image would answer in rank ids, which no
+    /// client can know: `query`, `serve` and `shard` refuse it, naming
+    /// the file, and `shard` writes nothing.
     #[test]
-    fn shard_without_a_rank_copies_none() {
-        let (index, cleanup) = small_index("shard-no-rank", "60");
-        std::fs::remove_file(format!("{index}.rank")).unwrap();
-        run_vec(&["shard", "-x", &index, "--shards", "1"]).unwrap();
-        let shard = format!("{index}.shard0");
-        assert!(Path::new(&shard).exists());
-        assert!(!Path::new(&format!("{shard}.rank")).exists());
-        for f in cleanup.into_iter().chain([format!("{shard}.shard"), shard]) {
+    fn an_image_without_its_rank_is_refused() {
+        let (index, cleanup) = small_index("no-rank", "60");
+        let rank = format!("{index}.rank");
+        std::fs::remove_file(&rank).unwrap();
+        let missing = format!("{rank}: no ranking sidecar");
+        let msg = run_vec(&["query", "-x", &index, "3", "7"]).unwrap_err().0;
+        assert!(msg.contains(&missing), "{msg}");
+        let msg = run_vec(&["serve", "-x", &index, "--addr", "127.0.0.1:0"]).unwrap_err().0;
+        assert!(msg.contains(&missing), "{msg}");
+        let msg = run_vec(&["shard", "-x", &index, "--shards", "1"]).unwrap_err().0;
+        assert!(msg.starts_with(&missing), "{msg}");
+        assert!(!Path::new(&format!("{index}.shard0")).exists());
+        for f in cleanup {
             let _ = std::fs::remove_file(f);
         }
     }

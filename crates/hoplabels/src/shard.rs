@@ -28,10 +28,12 @@
 //! histogram and cuts at the entry-count quantiles instead.
 //!
 //! Each shard image is paired with a [`ShardSpec`] describing its slot
-//! in the partition; [`ShardSpec::encode`] serializes it as a tiny
-//! `HOPSHRD1` sidecar (stored as `<image>.shard` next to the image, the
+//! in the partition; [`ShardSpec::encode`] serializes it as a 24-byte
+//! `HOPSHRD2` sidecar (stored as `<image>.shard` next to the image, the
 //! way rankings are stored as `.rank` sidecars) so a daemon can report
-//! its range to the router through the `info` reply.
+//! its range to the router through the `info` reply. A `HOPSHRD1`
+//! sidecar, which also carried a rank-space pruning flag, is refused by
+//! name: re-shard the image.
 //!
 //! A derived vertex's record is copied into every shard unchanged. The
 //! merge stays exact: per pair of parents a record adds the same two
@@ -42,17 +44,10 @@
 //! any image; that stays exact too, because an implied `(v, 0)` matches
 //! only a label that holds pivot `v`, and only `v`'s own shard holds it.
 //!
-//! The `rank_pruned` flag records a property the router can exploit:
-//! every entry's pivot id is `<=` its vertex id (an image holds no other
-//! label), so when every parent of every record is `<=` its vertex id
-//! too (true for any index whose derived vertices rank below their
-//! parents, verified during the split — not assumed: a degree tie can
-//! rank a derived vertex above a parent), the winning pivot of `(s, t)`
-//! is `<= min(s, t)`,
-//! so only shards whose `lo <= min(s, t)` can contribute and the router
-//! may skip the rest. The flag is only usable when clients speak rank
-//! ids (no `.rank` translation sidecar); otherwise the router must
-//! broadcast, which is still exact, just not pruned.
+//! Clients speak original vertex ids, translated by the `.rank` sidecar
+//! every served image carries, so the winning pivot of a pair says
+//! nothing about the ids on the wire: every shard answers every pair,
+//! and [`min_merge`] folds the answers.
 
 #![cfg_attr(
     not(test),
@@ -76,10 +71,13 @@ use sfgraph::{Dist, VertexId};
 use crate::index::{LabelIndex, VertexLabels};
 
 /// Magic tag opening a serialized [`ShardSpec`] sidecar.
-pub const SHARD_MAGIC: &[u8; 8] = b"HOPSHRD1";
+pub const SHARD_MAGIC: &[u8; 8] = b"HOPSHRD2";
 
-/// Serialized [`ShardSpec`] length: magic + 4×u32 + flag + padding.
-pub const SHARD_SIDECAR_LEN: usize = 28;
+/// Sidecar magics of earlier layouts, refused by name.
+const OLD_MAGICS: [&[u8; 8]; 1] = [b"HOPSHRD1"];
+
+/// Serialized [`ShardSpec`] length: magic + 4×u32.
+pub const SHARD_SIDECAR_LEN: usize = 24;
 
 /// One shard's slot in a pivot-range partition of an index image.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,50 +90,49 @@ pub struct ShardSpec {
     pub index: u32,
     /// Total number of shards in the partition.
     pub count: u32,
-    /// Whether every record in the *source* image names parents `<=`
-    /// its vertex, as every label entry's pivot is (the rank-space
-    /// pruning invariant).
-    pub rank_pruned: bool,
 }
 
 impl ShardSpec {
-    /// Serialize as a `HOPSHRD1` sidecar blob.
+    /// Serialize as a `HOPSHRD2` sidecar blob.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(SHARD_SIDECAR_LEN);
         out.extend_from_slice(SHARD_MAGIC);
-        out.extend_from_slice(&self.lo.to_le_bytes());
-        out.extend_from_slice(&self.hi.to_le_bytes());
-        out.extend_from_slice(&self.index.to_le_bytes());
-        out.extend_from_slice(&self.count.to_le_bytes());
-        out.push(self.rank_pruned as u8);
-        out.extend_from_slice(&[0, 0, 0]);
+        for word in [self.lo, self.hi, self.index, self.count] {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
         out
     }
 
-    /// Parse a `HOPSHRD1` sidecar blob, validating every field so a
-    /// corrupt sidecar is refused rather than routed on.
-    pub fn decode(bytes: &[u8]) -> io::Result<ShardSpec> {
-        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-        if bytes.len() != SHARD_SIDECAR_LEN || bytes.first_chunk::<8>() != Some(SHARD_MAGIC) {
-            return Err(bad("not a HOPSHRD1 shard sidecar"));
+    /// Parse the `HOPSHRD2` sidecar of an `n`-vertex image, validating
+    /// every field against the partition and the image, so a corrupt or
+    /// misplaced sidecar is refused rather than routed on.
+    pub fn decode(bytes: &[u8], n: usize) -> io::Result<ShardSpec> {
+        let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        match bytes.first_chunk::<8>() {
+            Some(magic) if magic == SHARD_MAGIC && bytes.len() == SHARD_SIDECAR_LEN => {}
+            Some(old) if OLD_MAGICS.contains(&old) => {
+                let name = String::from_utf8_lossy(old);
+                return Err(bad(format!("{name} shard sidecar: re-shard the image")));
+            }
+            _ => return Err(bad("not a HOPSHRD2 shard sidecar".to_string())),
         }
-        let word = |at: usize| wire::u32_at(bytes, at);
-        let (Some(lo), Some(hi), Some(index), Some(count)) =
-            (word(8), word(12), word(16), word(20))
-        else {
-            return Err(bad("not a HOPSHRD1 shard sidecar"));
-        };
+        let word = |at: usize| wire::u32_at(bytes, at).unwrap_or(0);
+        let spec = ShardSpec { lo: word(8), hi: word(12), index: word(16), count: word(20) };
+        let ShardSpec { lo, hi, index, count } = spec;
         if lo > hi {
-            return Err(bad("shard range is inverted"));
+            return Err(bad("shard range is inverted".to_string()));
         }
         if count == 0 || index >= count {
-            return Err(bad("shard index outside the partition"));
+            return Err(bad("shard index outside the partition".to_string()));
         }
-        let pad_ok = bytes.get(25..28) == Some([0u8, 0, 0].as_slice());
-        let Some(flag) = wire::u8_at(bytes, 24).filter(|&f| f <= 1 && pad_ok) else {
-            return Err(bad("invalid shard flags"));
-        };
-        Ok(ShardSpec { lo, hi, index, count, rank_pruned: flag != 0 })
+        let (first, last) = (index == 0, index + 1 == count);
+        if hi as usize > n || (first && lo != 0) || (last && hi as usize != n) {
+            return Err(bad(format!(
+                "shard {index} of {count} owns pivots [{lo}, {hi}), \
+                 which is not its slot in a partition of [0, {n})"
+            )));
+        }
+        Ok(spec)
     }
 }
 
@@ -173,16 +170,10 @@ pub fn shard_image(bytes: &[u8], k: usize) -> io::Result<Vec<(Vec<u8>, ShardSpec
     let index = crate::image::read_index(bytes)?;
     let n = index.num_vertices();
 
-    // One pass over every entry: pivot histogram (for balanced cuts)
-    // and the rank-pruning invariant check, which only a record can
-    // break.
+    // One pass over every entry: the pivot histogram the cuts balance.
     let mut hist = vec![0u64; n];
-    let mut rank_pruned = true;
     for side in index.sides() {
-        for (v, label) in side.iter().enumerate() {
-            rank_pruned &= label
-                .record()
-                .is_none_or(|r| r.pairs().iter().all(|&(parent, _)| parent as usize <= v));
+        for label in side {
             for e in label.entries() {
                 // The decoder has checked `pivot < n`.
                 if let Some(slot) = hist.get_mut(e.pivot as usize) {
@@ -227,7 +218,7 @@ pub fn shard_image(bytes: &[u8], k: usize) -> io::Result<Vec<(Vec<u8>, ShardSpec
         );
         let mut image = Vec::new();
         shard.write_hopidx(&mut image)?;
-        let spec = ShardSpec { lo, hi, index: i as u32, count: k as u32, rank_pruned };
+        let spec = ShardSpec { lo, hi, index: i as u32, count: k as u32 };
         shards.push((image, spec));
     }
     Ok(shards)
@@ -264,22 +255,50 @@ mod tests {
 
     #[test]
     fn spec_roundtrip_and_rejection() {
-        let spec = ShardSpec { lo: 3, hi: 17, index: 1, count: 4, rank_pruned: true };
+        let spec = ShardSpec { lo: 3, hi: 17, index: 1, count: 4 };
         let blob = spec.encode();
         assert_eq!(blob.len(), SHARD_SIDECAR_LEN);
-        assert_eq!(ShardSpec::decode(&blob).unwrap(), spec);
+        assert_eq!(ShardSpec::decode(&blob, 20).unwrap(), spec);
+        let refused = |bytes: &[u8], n: usize| ShardSpec::decode(bytes, n).unwrap_err().to_string();
 
-        assert!(ShardSpec::decode(b"nonsense").is_err());
-        let mut inverted =
-            ShardSpec { lo: 9, hi: 9, index: 0, count: 1, rank_pruned: false }.encode();
+        assert_eq!(refused(b"nonsense", 20), "not a HOPSHRD2 shard sidecar");
+        assert_eq!(refused(&blob[..SHARD_SIDECAR_LEN - 1], 20), "not a HOPSHRD2 shard sidecar");
+        // The 28-byte layout before this one, flag and padding included.
+        let mut old = blob.clone();
+        old[..8].copy_from_slice(b"HOPSHRD1");
+        old.extend_from_slice(&[1, 0, 0, 0]);
+        assert_eq!(refused(&old, 20), "HOPSHRD1 shard sidecar: re-shard the image");
+        let mut inverted = ShardSpec { lo: 9, hi: 9, index: 0, count: 1 }.encode();
         inverted[8..12].copy_from_slice(&10u32.to_le_bytes()); // lo = 10 > hi = 9
-        assert!(ShardSpec::decode(&inverted).is_err());
+        assert_eq!(refused(&inverted, 9), "shard range is inverted");
         let mut out_of_partition = spec.encode();
         out_of_partition[16..20].copy_from_slice(&4u32.to_le_bytes()); // index == count
-        assert!(ShardSpec::decode(&out_of_partition).is_err());
-        let mut bad_flag = spec.encode();
-        bad_flag[24] = 7;
-        assert!(ShardSpec::decode(&bad_flag).is_err());
+        assert_eq!(refused(&out_of_partition, 20), "shard index outside the partition");
+    }
+
+    #[test]
+    fn spec_must_fit_its_image() {
+        let decode = |lo, hi, index, count, n| {
+            ShardSpec::decode(&ShardSpec { lo, hi, index, count }.encode(), n)
+        };
+        assert!(decode(0, 9, 0, 1, 9).is_ok());
+        assert!(decode(0, 4, 0, 2, 9).is_ok() && decode(4, 9, 1, 2, 9).is_ok());
+        assert!(decode(2, 5, 1, 3, 9).is_ok(), "a middle shard's ends are its peers' to check");
+        for (lo, hi, index, count, n) in [
+            (3, 17, 1, 4, 16), // past the image
+            (0, 8, 0, 1, 9),   // a 1-of-1 shard short of n
+            (1, 9, 0, 1, 9),   // ... or not from 0
+            (0, 9, 0, 1, 8),   // ... or past n
+            (2, 4, 0, 2, 9),   // the first shard not from 0
+            (4, 8, 1, 2, 9),   // the last shard short of n
+        ] {
+            let err = decode(lo, hi, index, count, n).unwrap_err().to_string();
+            let want = format!(
+                "shard {index} of {count} owns pivots [{lo}, {hi}), \
+                 which is not its slot in a partition of [0, {n})"
+            );
+            assert_eq!(err, want);
+        }
     }
 
     #[test]
@@ -299,8 +318,7 @@ mod tests {
                 assert_eq!(w[0].1.hi, w[1].1.lo, "ranges must tile");
             }
             let mut merged = vec![INF_DIST; pairs.len()];
-            for (image, spec) in &shards {
-                assert!(spec.rank_pruned, "rank-convention index must verify as pruned");
+            for (image, _) in &shards {
                 let flat = FlatIndex::from_hopidx_bytes(image).unwrap();
                 assert_eq!(flat.num_vertices(), 4);
                 assert!(flat.is_directed());
@@ -311,42 +329,12 @@ mod tests {
     }
 
     #[test]
-    fn non_rank_pruned_image_is_flagged() {
-        // A label that cites a pivot above its vertex has no image: the
-        // writer refuses it, so only a record can break the rule.
-        let mut idx = LabelIndex::new_undirected(3);
-        if let LabelIndex::Undirected(u) = &mut idx {
-            u.labels[0].insert_min(LabelEntry::new(2, 5));
-        }
-        let err = idx.write_hopidx(&mut Vec::new()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
-        // 0 derived from 2, ranked below it.
-        if let LabelIndex::Undirected(u) = &mut idx {
-            u.labels[0] = VertexLabels::from_record(crate::Record::new(&[(2, 5)]));
-            u.labels[1].insert_min(LabelEntry::new(0, 1));
-        }
-        let bytes = image_of(&idx);
-        let shards = shard_image(&bytes, 2).unwrap();
-        assert!(shards.iter().all(|(_, s)| !s.rank_pruned));
-        // Still exact under the merge.
-        let whole = FlatIndex::from_hopidx_bytes(&bytes).unwrap();
-        let pairs = [(0u32, 1u32), (1, 0), (0, 2), (2, 2)];
-        let mut merged = vec![INF_DIST; pairs.len()];
-        for (image, _) in &shards {
-            min_merge(
-                &mut merged,
-                &FlatIndex::from_hopidx_bytes(image).unwrap().query_many(&pairs, 1),
-            );
-        }
-        assert_eq!(merged, whole.query_many(&pairs, 1));
-    }
-
-    #[test]
-    fn records_go_to_every_shard_and_must_obey_the_pruning_rule_too() {
+    fn records_go_to_every_shard() {
         // A star 1 – {0, 2, 3} with 0 – 4 – 1: 2 and 3 are derived from
-        // 1 (parent 1 ≤ 2, 3) and 4 from 0 and 1. In the second index
-        // so is 0 — a leaf ranked above its parent, as a degree tie can
-        // leave it — and in the third 4's parents are 1 and 5, above it.
+        // 1 and 4 from 0 and 1. In the second index so is 0 — a leaf
+        // ranked above its parent, as a degree tie can leave it — and in
+        // the third 4's parents are 1 and 5, above it. The merge is exact
+        // whichever way a record's parents rank.
         let record = |pairs: &[_]| VertexLabels::from_record(crate::Record::new(pairs));
         let mut labels: Vec<_> = (0..6).map(VertexLabels::with_trivial).collect();
         labels[1].insert_min(LabelEntry::new(0, 3));
@@ -354,21 +342,20 @@ mod tests {
         labels[2] = record(&[(1, 3)]);
         labels[3] = record(&[(1, 3)]);
         labels[4] = record(&[(0, 2), (1, 2)]);
-        let pruned = LabelIndex::Undirected(crate::UndirectedLabels { labels: labels.clone() });
+        let below = LabelIndex::Undirected(crate::UndirectedLabels { labels: labels.clone() });
         let mut above = labels.clone();
         above[4] = record(&[(1, 2), (5, 2)]);
         let above = LabelIndex::Undirected(crate::UndirectedLabels { labels: above });
         labels[0] = record(&[(1, 3)]);
         labels[4] = record(&[(1, 2)]);
-        let unpruned = LabelIndex::Undirected(crate::UndirectedLabels { labels });
+        let leaf_above = LabelIndex::Undirected(crate::UndirectedLabels { labels });
         let pairs: Vec<(u32, u32)> = (0..6).flat_map(|s| (0..6).map(move |t| (s, t))).collect();
-        for (index, rank_pruned) in [(pruned, true), (unpruned, false), (above, false)] {
+        for index in [below, leaf_above, above] {
             let bytes = image_of(&index);
             let expect: Vec<_> = pairs.iter().map(|&(s, t)| index.query(s, t)).collect();
             for k in 1..=3 {
                 let mut merged = vec![INF_DIST; pairs.len()];
-                for (image, spec) in shard_image(&bytes, k).unwrap() {
-                    assert_eq!(spec.rank_pruned, rank_pruned, "k = {k}");
+                for (image, _) in shard_image(&bytes, k).unwrap() {
                     let flat = FlatIndex::from_hopidx_bytes(&image).unwrap();
                     assert_eq!(flat.query(2, 3), 6, "every shard answers a shared parent");
                     min_merge(&mut merged, &flat.query_many(&pairs, 1));

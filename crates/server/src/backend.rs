@@ -3,9 +3,14 @@
 //! A [`Generation`] is everything the daemon needs to answer
 //! queries from one published index state: the frozen image, served
 //! in place as a [`FlatIndex`], wrapped together with a delta overlay
-//! in a [`LiveIndex`], the optional `.rank`
-//! sidecar translating original vertex ids to rank space, and a
-//! monotone generation number so clients can observe promotions.
+//! in a [`LiveIndex`], the ranking translating original vertex ids to
+//! the rank ids the labels are built over (§3.1), and a monotone
+//! generation number so clients can observe promotions.
+//!
+//! Every served image carries its ranking as a `<image>.rank` sidecar
+//! (`hopdb-cli build`, `shard` and the compactor's checkpoint all write
+//! one), and [`Generation::load`] refuses an image without it: a wire
+//! speaks original ids, always.
 //!
 //! Generations are immutable once published; the server keeps them
 //! behind an `Arc` and replaces the `Arc` atomically. That one
@@ -63,7 +68,7 @@ use sfgraph::{Dist, VertexId};
 /// checking on top.
 pub struct Generation {
     index: LiveIndex,
-    ranking: Option<Arc<Ranking>>,
+    ranking: Arc<Ranking>,
     vertices: usize,
     directed: bool,
     /// The `<path>.shard` sidecar, when this generation serves one
@@ -73,34 +78,32 @@ pub struct Generation {
 
 impl Generation {
     /// Load the image at `path` ([`FlatIndex::load`]) as generation
-    /// `generation`, with an empty overlay. A `<path>.rank` sidecar (as
-    /// written by `hopdb-cli build`) is picked up automatically so
-    /// queries use original vertex ids; without one, queries are in
-    /// rank space.
+    /// `generation`, with an empty overlay, behind its `<path>.rank`
+    /// sidecar (as written by `hopdb-cli build`), which must be there,
+    /// and its `<path>.shard` sidecar, if any.
     pub fn load(path: &Path, generation: u64) -> std::io::Result<Generation> {
         let flat = FlatIndex::load(path)?;
         let ranking = load_ranking(path, flat.num_vertices())?;
-        let shard = load_sidecar(path, ".shard", ShardSpec::decode)?;
+        let shard = load_sidecar(path, ".shard", |b| ShardSpec::decode(b, flat.num_vertices()))?;
         Ok(Generation::over(flat, ranking, shard, generation))
     }
 
     /// Build a generation from an already-frozen index (tests, or a
     /// compaction promoted without a round-trip through disk).
-    pub fn from_flat(flat: FlatIndex, ranking: Option<Ranking>, generation: u64) -> Generation {
+    pub fn from_flat(flat: FlatIndex, ranking: Ranking, generation: u64) -> Generation {
         Generation::over(flat, ranking, None, generation)
     }
 
     /// A generation serving `frozen` with an empty overlay.
     fn over(
         frozen: FlatIndex,
-        ranking: Option<Ranking>,
+        ranking: Ranking,
         shard: Option<ShardSpec>,
         generation: u64,
     ) -> Generation {
         let (vertices, directed) = (frozen.num_vertices(), frozen.is_directed());
         let index = LiveIndex::new(Arc::new(frozen), generation);
-        let ranking = ranking.map(Arc::new);
-        Generation { index, ranking, vertices, directed, shard }
+        Generation { index, ranking: Arc::new(ranking), vertices, directed, shard }
     }
 
     /// A successor generation sharing this one's frozen index whose
@@ -113,15 +116,13 @@ impl Generation {
         if let Some(msg) = out_of_range(log.iter().map(|&(s, t, _)| (s, t)), self.vertices as u64) {
             return Err(msg);
         }
-        let ranked: Vec<(VertexId, VertexId, Dist)> = match &self.ranking {
-            Some(r) => log.iter().map(|&(s, t, w)| (r.rank_of(s), r.rank_of(t), w)).collect(),
-            None => log.to_vec(),
-        };
+        let r = &self.ranking;
+        let ranked: Vec<_> = log.iter().map(|&(s, t, w)| (r.rank_of(s), r.rank_of(t), w)).collect();
         let index =
             self.index.rebuild_overlay(&ranked).map_err(|e| format!("overlay rebuild: {e}"))?;
         Ok(Generation {
             index,
-            ranking: self.ranking.clone(),
+            ranking: Arc::clone(&self.ranking),
             vertices: self.vertices,
             directed: self.directed,
             shard: self.shard,
@@ -135,10 +136,9 @@ impl Generation {
     /// (not consulted here) only ever shortens. Edges outside the index
     /// say nothing.
     pub fn frozen_exceeds_one(&self, edges: &[(VertexId, VertexId, Dist)]) -> Result<bool, String> {
-        let n = self.vertices as VertexId;
-        let rank = |v| self.ranking.as_ref().map_or(v, |r| r.rank_of(v));
+        let (n, r) = (self.vertices as VertexId, &self.ranking);
         for &(s, t, _) in edges.iter().filter(|&&(s, t, _)| s < n && t < n) {
-            let d = self.index.frozen().query(rank(s), rank(t));
+            let d = self.index.frozen().query(r.rank_of(s), r.rank_of(t));
             if d.map_err(|e| format!("index query: {e}"))? > 1 {
                 return Ok(true);
             }
@@ -162,23 +162,10 @@ impl Generation {
         self.directed
     }
 
-    /// Whether a `.rank` sidecar translates original ids (else queries
-    /// are in rank ids).
-    pub fn translates_ids(&self) -> bool {
-        self.ranking.is_some()
-    }
-
     /// This generation's pivot-range shard slot, when it serves a split
     /// image (`<path>.shard` sidecar was present at load).
     pub fn shard(&self) -> Option<ShardSpec> {
         self.shard
-    }
-
-    /// Whether a router may apply the rank-space shard filter against
-    /// this endpoint: the split verified the pruning invariant *and*
-    /// queries arrive in rank ids (no `.rank` translation sidecar).
-    pub fn shard_rank_pruned(&self) -> bool {
-        self.shard.is_some_and(|s| s.rank_pruned) && self.ranking.is_none()
     }
 
     /// Bytes the serving generation holds resident (frozen + overlay).
@@ -222,17 +209,9 @@ impl Generation {
         if let Some(msg) = out_of_range(pairs.iter().copied(), self.vertices as u64) {
             return Err(msg);
         }
-        // Translate ids only when a sidecar is loaded — the common
-        // rank-space serving path must not copy the batch per request.
-        let translated: Vec<(VertexId, VertexId)>;
-        let ranked: &[(VertexId, VertexId)] = match &self.ranking {
-            Some(r) => {
-                translated = pairs.iter().map(|&(s, t)| (r.rank_of(s), r.rank_of(t))).collect();
-                &translated
-            }
-            None => pairs,
-        };
-        self.index.query_many_into(ranked, threads, out).map_err(|e| format!("index query: {e}"))
+        let r = &self.ranking;
+        let ranked: Vec<_> = pairs.iter().map(|&(s, t)| (r.rank_of(s), r.rank_of(t))).collect();
+        self.index.query_many_into(&ranked, threads, out).map_err(|e| format!("index query: {e}"))
     }
 }
 
@@ -284,9 +263,14 @@ pub(crate) fn sibling(path: &Path, ext: &str) -> PathBuf {
 }
 
 /// The `<path>.rank` sidecar of a `vertices`-vertex image, read by the
-/// one sidecar rule below — for the daemon and `hopdb-cli` alike.
-pub fn load_ranking(path: &Path, vertices: usize) -> std::io::Result<Option<Ranking>> {
-    load_sidecar(path, ".rank", |b| Ranking::from_sidecar_bytes(b, Some(vertices)))
+/// one sidecar rule below — for the daemon and `hopdb-cli` alike. A
+/// missing one is `<file>: no ranking sidecar …`: without it the wire
+/// would speak rank ids, which no client can know.
+pub fn load_ranking(path: &Path, vertices: usize) -> std::io::Result<Ranking> {
+    let rank = load_sidecar(path, ".rank", |b| Ranking::from_sidecar_bytes(b, vertices))?;
+    let name = sibling(path, ".rank");
+    let missing = format!("{}: no ranking sidecar (`hopdb-cli build` writes it)", name.display());
+    rank.ok_or_else(|| std::io::Error::new(std::io::ErrorKind::NotFound, missing))
 }
 
 /// Read the `<path><ext>` sidecar if present: `.rank` or `.shard`.
@@ -316,18 +300,32 @@ mod tests {
     use super::*;
     use hoplabels::{LabelEntry, LabelIndex};
 
-    fn tiny_flat() -> FlatIndex {
+    fn tiny_index() -> LabelIndex {
         let mut idx = LabelIndex::new_undirected(3);
         if let LabelIndex::Undirected(u) = &mut idx {
             u.labels[1].insert_min(LabelEntry::new(0, 2));
             u.labels[2].insert_min(LabelEntry::new(0, 5));
         }
-        FlatIndex::from_index(&idx)
+        idx
+    }
+
+    fn tiny_flat() -> FlatIndex {
+        FlatIndex::from_index(&tiny_index())
+    }
+
+    /// A fresh scratch directory holding the tiny image as `t.idx`.
+    fn staged(tag: &str) -> (PathBuf, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("hopdb-backend-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.idx");
+        tiny_index().write_hopidx(&mut std::fs::File::create(&path).unwrap()).unwrap();
+        (dir, path)
     }
 
     #[test]
     fn from_flat_serves_and_range_checks() {
-        let g = Generation::from_flat(tiny_flat(), None, 1);
+        let g = Generation::from_flat(tiny_flat(), Ranking::identity(3), 1);
         assert_eq!(g.vertices(), 3);
         assert_eq!(g.generation(), 1);
         assert_eq!(g.overlay_edges(), 0);
@@ -340,15 +338,15 @@ mod tests {
     fn ranking_translates_original_ids() {
         // Ranking [2, 0, 1]: original vertex 2 is rank 0, etc.
         let ranking = Ranking::from_order(vec![2, 0, 1]);
-        let g = Generation::from_flat(tiny_flat(), Some(ranking), 1);
+        let g = Generation::from_flat(tiny_flat(), ranking, 1);
         // original (0, 1) -> ranks (1, 2) -> 7.
         assert_eq!(g.query_many(&[(0, 1)], 1).unwrap(), vec![7]);
     }
 
     #[test]
     fn with_updates_improves_answers_and_translates_ids() {
-        // Rank space: dist(1, 2) = 7 through pivot 0.
-        let g = Generation::from_flat(tiny_flat(), None, 3);
+        // Under the identity ranking: dist(1, 2) = 7 through pivot 0.
+        let g = Generation::from_flat(tiny_flat(), Ranking::identity(3), 3);
         let live = g.with_updates(&[(1, 2, 3)]).unwrap();
         assert_eq!(live.generation(), 3, "updates do not bump the generation");
         assert_eq!(live.overlay_edges(), 1);
@@ -359,9 +357,9 @@ mod tests {
         let err = live.with_updates(&[(1, 2, 3), (0, 9, 1)]).err().unwrap();
         assert!(err.contains("out of range"), "{err}");
 
-        // With a sidecar, update edges arrive in original id space.
+        // Update edges arrive in original id space.
         let ranking = Ranking::from_order(vec![2, 0, 1]);
-        let g = Generation::from_flat(tiny_flat(), Some(ranking), 1);
+        let g = Generation::from_flat(tiny_flat(), ranking, 1);
         // original (0, 1) -> ranks (1, 2): same improvement as above.
         let live = g.with_updates(&[(0, 1, 3)]).unwrap();
         assert_eq!(live.query_many(&[(0, 1)], 1).unwrap(), vec![3]);
@@ -369,25 +367,64 @@ mod tests {
 
     #[test]
     fn missing_sidecar_is_none_invalid_is_error() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("hopdb-backend-test-{}.idx", std::process::id()));
-        let load = |n| load_ranking(&path, n);
-        assert!(load(3).unwrap().is_none());
+        let (dir, path) = staged("sidecars");
         let sidecar = format!("{}.rank", path.to_string_lossy());
+        // A missing `.shard` is an unsplit image; a missing `.rank` is
+        // refused, naming the file.
+        let shard = load_sidecar(&path, ".shard", |b| ShardSpec::decode(b, 3)).unwrap();
+        assert!(shard.is_none());
+        let err = load_ranking(&path, 3).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+        assert!(err.to_string().starts_with(&format!("{sidecar}: no ranking sidecar")), "{err}");
+        let err = Generation::load(&path, 1).err().unwrap().to_string();
+        assert!(err.starts_with(&format!("{sidecar}: ")), "{err}");
         // Wrong magic.
         std::fs::write(&sidecar, b"NOTRANK!").unwrap();
-        assert!(load(0).unwrap_err().to_string().starts_with(&format!("{sidecar}: ")));
+        assert!(load_ranking(&path, 0)
+            .unwrap_err()
+            .to_string()
+            .starts_with(&format!("{sidecar}: ")));
         // Not a permutation.
         let mut bytes = b"HOPRANK1".to_vec();
         bytes.extend_from_slice(&0u32.to_le_bytes());
         bytes.extend_from_slice(&0u32.to_le_bytes());
         std::fs::write(&sidecar, &bytes).unwrap();
-        assert!(load(2).is_err());
+        assert!(load_ranking(&path, 2).is_err());
         std::fs::remove_file(&sidecar).unwrap();
         // Unreadable is an error naming the file, not an absent sidecar.
         std::fs::create_dir(&sidecar).unwrap();
-        let err = load(3).unwrap_err().to_string();
+        let err = load_ranking(&path, 3).unwrap_err().to_string();
         assert!(err.starts_with(&format!("cannot read {sidecar}: ")), "{err}");
-        std::fs::remove_dir(&sidecar).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A lone node would report, and take updates for, a range it does
+    /// not serve: a `.shard` whose range does not fit the image is
+    /// refused at load, naming the file.
+    #[test]
+    fn load_refuses_a_shard_range_that_does_not_fit_the_image() {
+        let (dir, path) = staged("shard-fit");
+        std::fs::write(sibling(&path, ".rank"), Ranking::identity(3).to_sidecar_bytes()).unwrap();
+        let sidecar = sibling(&path, ".shard");
+        let whole = ShardSpec { lo: 0, hi: 3, index: 0, count: 1 };
+        std::fs::write(&sidecar, whole.encode()).unwrap();
+        assert_eq!(Generation::load(&path, 1).unwrap().shard(), Some(whole));
+        for spec in [
+            ShardSpec { lo: 0, hi: 2, index: 0, count: 1 },
+            ShardSpec { lo: 0, hi: 4, index: 0, count: 1 },
+            ShardSpec { lo: 1, hi: 9, index: 1, count: 2 },
+        ] {
+            std::fs::write(&sidecar, spec.encode()).unwrap();
+            let err = Generation::load(&path, 1).err().unwrap();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            let want = format!(
+                "{}: shard {} of {} owns pivots",
+                sidecar.display(),
+                spec.index,
+                spec.count
+            );
+            assert!(err.to_string().starts_with(&want), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

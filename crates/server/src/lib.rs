@@ -14,7 +14,8 @@
 //!
 //! * [`proto`] — the `HOPQ`/`HOPR` wire format and its codec;
 //! * [`backend`] — one immutable index generation (the image under
-//!   its overlay) plus optional `.rank` id translation;
+//!   its overlay) behind the `.rank` id translation every served image
+//!   carries;
 //! * `front` — the one endpoint: the readiness-driven serving loop
 //!   (framing, pipelining, backpressure, HOPQ and HTTP on one port), its
 //!   one stop path and the [`ServerHandle`] that the index node and the
@@ -33,8 +34,11 @@
 //! ```
 //! use hoplabels::{LabelEntry, LabelIndex};
 //! use hopdb_server::{serve, Client, ServerConfig};
+//! use sfgraph::ranking::Ranking;
 //!
-//! // A 3-vertex path 1 –2– 0 –5– 2, serialized to disk.
+//! // A 3-vertex path 1 –2– 0 –5– 2 in rank ids, serialized to disk
+//! // with the ranking that maps original ids onto them: original
+//! // vertex 2 ranks first.
 //! let mut idx = LabelIndex::new_undirected(3);
 //! if let LabelIndex::Undirected(u) = &mut idx {
 //!     u.labels[1].insert_min(LabelEntry::new(0, 2));
@@ -42,12 +46,16 @@
 //! }
 //! let path = std::env::temp_dir().join(format!("hopdb-doc-{}.idx", std::process::id()));
 //! idx.write_hopidx(&mut std::fs::File::create(&path).unwrap()).unwrap();
+//! let rank = path.with_extension("idx.rank");
+//! std::fs::write(&rank, Ranking::from_order(vec![2, 0, 1]).to_sidecar_bytes()).unwrap();
 //!
+//! // Clients speak original ids: (0, 1) are ranks (1, 2).
 //! let handle = serve("127.0.0.1:0", &path, ServerConfig::default()).unwrap();
 //! let mut client = Client::connect(handle.local_addr()).unwrap();
-//! assert_eq!(client.query(&[(1, 2), (2, 2)]).unwrap(), vec![7, 0]);
+//! assert_eq!(client.query(&[(0, 1), (1, 1)]).unwrap(), vec![7, 0]);
 //! handle.shutdown();
 //! std::fs::remove_file(path).unwrap();
+//! std::fs::remove_file(rank).unwrap();
 //! ```
 
 pub mod backend;

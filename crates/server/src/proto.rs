@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! magic        4 B  "HOPQ" request / "HOPR" response
-//! version      1 B  7; any other value is fatal
+//! version      1 B  8; any other value is fatal
 //! kind         1 B  request kind; in a response 0 = error, else the request kind it answers
 //! request id   8 B  u64, chosen by the client, echoed in the response
 //! payload len  4 B  u32, at most 16 MiB
@@ -108,7 +108,7 @@ pub const REQ_MAGIC: [u8; 4] = *b"HOPQ";
 pub const RESP_MAGIC: [u8; 4] = *b"HOPR";
 /// The protocol version: byte 4 of every frame in either direction.
 /// A frame carrying any other value is fatal.
-pub const VERSION: u8 = 7;
+pub const VERSION: u8 = 8;
 /// The frame header in wire order: `(field, bytes)`.
 pub const HEADER: [(&str, usize); 5] =
     [("magic", 4), ("version", 1), ("kind", 1), ("request id", 8), ("payload len", 4)];
@@ -374,10 +374,9 @@ reply! {
     /// its live overlay and write-ahead log, and its counters. A field
     /// that does not describe the answering endpoint is 0 (a router has
     /// no overlay; a node has no backends). The router reads it from
-    /// every backend at startup: the fleet must agree on `vertices`,
-    /// `directed` and `translates_ids`, and its `[shard_lo, shard_hi)`
-    /// ranges must tile `[0, vertices)` (a replica fleet's one range is
-    /// all of it).
+    /// every backend at startup: the fleet must agree on `vertices` and
+    /// `directed`, and its `[shard_lo, shard_hi)` ranges must tile
+    /// `[0, vertices)` (a replica fleet's one range is all of it).
     pub struct InfoReply {
         /// The protocol version the server speaks ([`VERSION`]).
         pub protocol: u8,
@@ -391,9 +390,6 @@ reply! {
         pub vertices: u64,
         /// Whether the serving index is directed.
         pub directed: bool,
-        /// Whether a `.rank` sidecar translates the query ids (else they
-        /// are rank ids); a router's is its fleet's, which must agree.
-        pub translates_ids: bool,
         /// Bytes the serving generation holds resident (frozen + overlay).
         pub resident_bytes: u64,
         /// Deduplicated edges currently in the overlay.
@@ -434,10 +430,6 @@ reply! {
         pub shard_index: u32,
         /// Shards in the partition; 0 = not serving a shard image.
         pub shard_count: u32,
-        /// Whether the rank-space pruning invariant holds *and* queries
-        /// arrive in rank ids (no `.rank` translation), so a router may
-        /// skip shards with `shard_lo > min(s, t)`.
-        pub rank_pruned: bool,
         /// Backends a router fans out to (0 for an index node).
         pub backends: u32,
         /// Query parts a router retried on the next holder of their
@@ -852,7 +844,6 @@ mod tests {
                 generation: 9,
                 vertices: 777,
                 directed: false,
-                translates_ids: true,
                 resident_bytes: 1 << 20,
                 overlay_edges: 3,
                 overlay_affected: 5,
@@ -878,7 +869,6 @@ mod tests {
                 shard_hi: 900,
                 shard_index: 1,
                 shard_count: 4,
-                rank_pruned: true,
                 backends: 4,
                 failovers: 2,
                 ..Default::default()

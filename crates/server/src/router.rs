@@ -12,11 +12,11 @@
 //!
 //! A 2-hop answer is the minimum over the pivots both labels share, so
 //! the least of the answers over ranges that together hold every pivot
-//! is the exact unsharded answer ([`hoplabels::shard::min_merge`]). A
-//! pair goes to every range that could hold its winning pivot (all of
-//! them, or — when every shard reports `rank_pruned` — only ranges with
-//! `lo <= min(s, t)`); each part goes to the least-loaded holder of its
-//! range (round-robin tiebreak), and the parts min-merge back. On a
+//! is the exact unsharded answer ([`hoplabels::shard::min_merge`]). So
+//! a batch goes whole to every range — clients speak original ids, and
+//! a pair's ids say nothing about where its winning pivot lies — each
+//! part to the least-loaded holder of its range (round-robin tiebreak),
+//! and the parts min-merge back. On a
 //! transport error a part is retried on the range's next holder,
 //! `max(holders, 2)` attempts in all (queries are idempotent), so
 //! killing one of N replicas loses no accepted query, and a dead shard
@@ -41,14 +41,16 @@
 //! error discipline, backpressure and the batch hand-off are one
 //! implementation. Topology is probed once at startup by reading every
 //! backend's `info` and validated hard: the fleet must agree on vertex
-//! count, direction and id translation, and its ranges must tile the
-//! pivot space exactly; `--route` must name what the backends report.
+//! count and direction, and its ranges must tile the pivot space
+//! exactly; `--route` must name what the backends report. Every backend
+//! translates ids through its image's `.rank` (a node without one does
+//! not boot), so agreeing on the image is agreeing on the id space.
 //!
 //! ```text
 //! front thread           dispatcher thread           worker threads (1/backend)
 //!   wait for readiness      next_batch: all queued       own Client per backend
 //!   cut frames     ──────►    coalesce + range-check      (plus failover clients)
-//!   answer info inline        split by range + Merge ───► query part, retry on
+//!   answer info inline        one part per range + Merge ─► query part, retry on
 //!                             (least-inflight holder)       next holder, min-merge
 //!   flush responses ◄──────────── Completions + WakeFd wake ◄───┘
 //! ```
@@ -58,6 +60,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
+use hoplabels::shard::min_merge;
 use sfgraph::{Dist, INF_DIST};
 
 use crate::backend::out_of_range;
@@ -129,8 +132,6 @@ impl Default for RouterConfig {
 
 /// One pivot range of the fleet and the backends that hold it.
 struct Range {
-    /// First pivot of the range.
-    lo: u32,
     /// How errors name the range: `replica` or `shard <i>`.
     name: String,
     /// Positions in `--backends` of the backends serving the range.
@@ -217,23 +218,15 @@ fn probe_topology(config: &RouterConfig) -> std::io::Result<Topology> {
         }
         infos.push(info);
     }
-    // One id space: the same image, and the same `.rank` translation
-    // (or none) in front of it on every backend.
+    // One id space: the same image, each behind its `.rank`.
     let first = infos[0];
-    let space = |i: &InfoReply| (i.vertices, i.directed, i.translates_ids);
+    let space = |i: &InfoReply| (i.vertices, i.directed);
     for (addr, info) in config.backends.iter().zip(&infos) {
         if space(info) != space(&first) {
             return Err(other(format!(
-                "backend {addr} serves {} vertices (directed={}, translates_ids={}) but backend \
-                 {} serves {} (directed={}, translates_ids={}) — every backend must serve the \
-                 same image behind the same .rank sidecar, or none",
-                info.vertices,
-                info.directed,
-                info.translates_ids,
-                config.backends[0],
-                first.vertices,
-                first.directed,
-                first.translates_ids
+                "backend {addr} serves {} vertices (directed={}) but backend {} serves {} \
+                 (directed={}) — every backend must serve the same image",
+                info.vertices, info.directed, config.backends[0], first.vertices, first.directed
             )));
         }
     }
@@ -243,7 +236,6 @@ fn probe_topology(config: &RouterConfig) -> std::io::Result<Topology> {
         generation: infos.iter().map(|i| i.generation).max().unwrap_or(0),
         vertices: first.vertices,
         directed: first.directed,
-        translates_ids: first.translates_ids,
         durability: DURABILITY_DISABLED,
         backends: k,
         ..InfoReply::default()
@@ -258,8 +250,7 @@ fn probe_topology(config: &RouterConfig) -> std::io::Result<Topology> {
                     )));
                 }
             }
-            let all =
-                Range { lo: 0, name: "replica".to_string(), holders: (0..infos.len()).collect() };
+            let all = Range { name: "replica".to_string(), holders: (0..infos.len()).collect() };
             (vec![all], InfoReply { mode: ROUTE_REPLICA, ..fleet })
         }
         RouteMode::Shard => {
@@ -301,17 +292,12 @@ fn probe_topology(config: &RouterConfig) -> std::io::Result<Topology> {
             let ranges = infos
                 .iter()
                 .enumerate()
-                .map(|(b, i)| Range {
-                    lo: i.shard_lo,
-                    name: format!("shard {}", i.shard_index),
-                    holders: vec![b],
-                })
+                .map(|(b, i)| Range { name: format!("shard {}", i.shard_index), holders: vec![b] })
                 .collect();
             let info = InfoReply {
                 mode: ROUTE_SHARD,
                 shard_hi: first.vertices.min(u64::from(u32::MAX)) as u32,
                 shard_count: k,
-                rank_pruned: infos.iter().all(|i| i.rank_pruned),
                 ..fleet
             };
             (ranges, info)
@@ -326,21 +312,18 @@ fn probe_topology(config: &RouterConfig) -> std::io::Result<Topology> {
 
 /// Work handed from the dispatcher to a backend worker.
 enum WorkItem {
-    /// One range's slice of a query batch, to fold into the batch's
+    /// One range's answer to a query batch, to fold into the batch's
     /// merge.
     Query(Part),
     /// Replica mode: apply an update batch to this worker's backend.
     Update { edges: Arc<Vec<(u32, u32, u32)>>, done: mpsc::Sender<Result<(u64, u64), String>> },
 }
 
-/// The pairs of a batch that range `range` answers, sent first to the
-/// range's holder at `at`.
+/// Range `range`'s share of a batch — all of its pairs — sent first to
+/// the range's holder at `at`.
 struct Part {
     range: usize,
     at: usize,
-    pairs: Vec<(u32, u32)>,
-    /// Where each of `pairs` sits in the batch.
-    positions: Vec<usize>,
     merge: Arc<Merge>,
 }
 
@@ -371,19 +354,13 @@ struct MergeAcc {
 }
 
 impl Merge {
-    fn fold(&self, positions: &[usize], part: Result<Vec<Dist>, String>) {
+    fn fold(&self, part: Result<Vec<Dist>, String>) {
         let mut acc = match self.acc.lock() {
             Ok(acc) => acc,
             Err(poisoned) => poisoned.into_inner(),
         };
         match part {
-            Ok(dists) => {
-                for (&pos, &d) in positions.iter().zip(&dists) {
-                    if d < acc.dists[pos] {
-                        acc.dists[pos] = d;
-                    }
-                }
-            }
+            Ok(dists) => min_merge(&mut acc.dists, &dists),
             Err(e) => {
                 if acc.failed.is_none() {
                     acc.failed = Some(e);
@@ -460,7 +437,7 @@ fn cut_at_max_batch(sizes: &[usize], max_batch: usize) -> Vec<std::ops::Range<us
     groups
 }
 
-/// Split one group's pairs by range and send each part to the
+/// Send one group's pairs, as one part per range, each to the
 /// least-inflight holder of its range.
 fn dispatch_group(
     shared: &RouterShared,
@@ -476,32 +453,15 @@ fn dispatch_group(
         work.complete(&[]);
         return;
     }
-    let mut parts = vec![(Vec::new(), Vec::new()); topology.ranges.len()];
-    for (pos, &(s, t)) in work.combined.iter().enumerate() {
-        for (range, (pairs, positions)) in topology.ranges.iter().zip(&mut parts) {
-            // The winning pivot of a rank-pruned 2-hop answer is
-            // <= min(s, t), so higher ranges can't improve the merge
-            // and are skipped. Exact either way.
-            if topology.info.rank_pruned && range.lo > s.min(t) {
-                continue;
-            }
-            pairs.push((s, t));
-            positions.push(pos);
-        }
-    }
-    // The range at pivot 0 takes every pair, so one part at least.
-    let parts: Vec<_> =
-        parts.into_iter().enumerate().filter(|(_, (pairs, _))| !pairs.is_empty()).collect();
     let merge = Arc::new(Merge {
         acc: Mutex::new(MergeAcc {
             dists: vec![INF_DIST; work.combined.len()],
-            pending: parts.len(),
+            pending: topology.ranges.len(),
             failed: None,
         }),
         work,
     });
-    for (range, (pairs, positions)) in parts {
-        let holders = &topology.ranges[range].holders;
+    for (range, Range { holders, .. }) in topology.ranges.iter().enumerate() {
         // Least-inflight pick with a round-robin tiebreak.
         let (mut at, mut best_depth) = (0usize, usize::MAX);
         for off in 0..holders.len() {
@@ -512,7 +472,7 @@ fn dispatch_group(
             }
         }
         *rr = at + 1;
-        let part = Part { range, at, pairs, positions, merge: Arc::clone(&merge) };
+        let part = Part { range, at, merge: Arc::clone(&merge) };
         send(&ports[holders[at]], WorkItem::Query(part));
     }
 }
@@ -634,7 +594,7 @@ fn run_part(shared: &RouterShared, clients: &mut [Option<Client>], part: &Part) 
     let mut attempt = 0;
     let answer = loop {
         let b = range.holders[(part.at + attempt) % range.holders.len()];
-        match call(shared, clients, b, |c| c.query(&part.pairs)) {
+        match call(shared, clients, b, |c| c.query(&part.merge.work.combined)) {
             Ok(dists) => break Ok(dists),
             Err(e) if is_transport(&e) && attempt + 1 < tries => {
                 shared.failovers.fetch_add(1, Ordering::Relaxed);
@@ -643,7 +603,7 @@ fn run_part(shared: &RouterShared, clients: &mut [Option<Client>], part: &Part) 
             Err(e) => break Err(format!("{} ({}): {e}", range.name, shared.config.backends[b])),
         }
     };
-    part.merge.fold(&part.positions, answer);
+    part.merge.fold(answer);
 }
 
 fn run_update(

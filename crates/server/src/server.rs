@@ -284,7 +284,7 @@ impl Lineage {
             return Err("aborted: a swap was promoted during compaction".to_string());
         }
         self.generation_seq += 1;
-        let fresh = Generation::from_flat(flat, Some(ranking), self.generation_seq)
+        let fresh = Generation::from_flat(flat, ranking, self.generation_seq)
             .with_updates(&self.edges[pin.len..])?;
         // Commit the checkpoint to the durable lineage *before*
         // publishing the in-memory state.
@@ -545,9 +545,9 @@ fn whole_image(generation: &Generation) -> Result<(), String> {
 /// [`Lineage::fold`] take the lineage lock.
 ///
 /// Id-space note: the rebuilt index serves the source file's vertex
-/// ids. That matches the running server when the boot index was built
-/// by `hopdb-cli build` from the same file (the `.rank` sidecar maps
-/// original ids), which is the supported deployment for `--graph`.
+/// ids, as the boot image does through its `.rank` when `hopdb-cli
+/// build` made it from the same file — the supported deployment for
+/// `--graph`.
 fn do_compact(shared: &Shared) -> Result<(u64, u64), String> {
     do_compact_inner(shared).inspect_err(|_| {
         shared.aborted_compactions.fetch_add(1, Ordering::Relaxed);
@@ -646,7 +646,6 @@ impl Service for Shared {
             generation: current.generation(),
             vertices: current.vertices() as u64,
             directed: current.is_directed(),
-            translates_ids: current.translates_ids(),
             resident_bytes: current.resident_bytes() as u64,
             overlay_edges: current.overlay_edges() as u64,
             overlay_affected: current.overlay_affected() as u64,
@@ -668,7 +667,6 @@ impl Service for Shared {
             shard_hi: shard.map_or(0, |s| s.hi),
             shard_index: shard.map_or(0, |s| s.index),
             shard_count: shard.map_or(0, |s| s.count),
-            rank_pruned: current.shard_rank_pruned(),
             backends: 0,
             failovers: 0,
         }

@@ -524,9 +524,9 @@ fn sync_parent_dir(path: &Path) {
 pub struct Manifest {
     /// Checkpoint epoch; a fresh lineage starts at 0.
     pub epoch: u64,
-    /// Index image (`HOPIDX04`) this epoch boots from; a `.rank`
-    /// sidecar next to it is honored exactly like at first boot, and an
-    /// `.edges` sibling is read back by [`read_folded`].
+    /// Index image (`HOPIDX04`) this epoch boots from; its `.rank`
+    /// sidecar is required exactly as at first boot, and an `.edges`
+    /// sibling is read back by [`read_folded`].
     pub index_path: PathBuf,
 }
 

@@ -71,7 +71,6 @@ fn response_strategy() -> impl Strategy<Value = Response> {
                     generation: a,
                     vertices: b,
                     directed: a % 2 == 1,
-                    translates_ids: b % 2 == 0,
                     resident_bytes: a ^ b,
                     overlay_edges: b >> 1,
                     overlay_affected: a >> 3,
@@ -90,7 +89,6 @@ fn response_strategy() -> impl Strategy<Value = Response> {
                     shard_hi: (b % (1 << 32)) as u32,
                     shard_index: (a % 7) as u32,
                     shard_count: (b % 11) as u32,
-                    rank_pruned: b % 2 == 1,
                     backends: (a % 5) as u32,
                     failovers: a ^ b,
                     ..Default::default()
@@ -367,7 +365,7 @@ fn declared_replies_keep_their_length_their_totality_and_their_field_list() {
     let node = InfoReply {
         protocol: VERSION,
         generation: 9,
-        translates_ids: true,
+        directed: true,
         wal_bytes: 4096,
         ..Default::default()
     };
@@ -375,7 +373,6 @@ fn declared_replies_keep_their_length_their_totality_and_their_field_list() {
         mode: 2,
         vertices: 4096,
         shard_hi: 900,
-        rank_pruned: true,
         backends: 2,
         failovers: 7,
         ..Default::default()

@@ -4,15 +4,16 @@
 //! modes, directed and undirected, under a concurrent rolling swap —
 //! that killing one of two replicas mid-fire loses zero accepted
 //! queries, that a dead shard fails only the batches that need it, and
-//! that a fleet answering in two id spaces is refused at startup.
+//! that a backend without its `.rank` never boots, so no fleet can mix
+//! id spaces.
 //!
-//! Backends serve images without a `.rank` sidecar, so the wire speaks
-//! rank-space ids and the oracle is `FlatIndex::query_many` on the
-//! source image directly.
+//! Backends serve images behind an identity `.rank` sidecar, so the
+//! wire's ids are the rank ids and the oracle is `FlatIndex::query_many`
+//! on the source image directly.
 
 use std::io::ErrorKind;
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -86,11 +87,24 @@ fn fixture(tag: &str, directed: bool) -> Fixture {
     Fixture { dir, image, flat }
 }
 
+/// `path` with `ext` appended to its file name: where a sidecar sits.
+fn sidecar(path: &Path, ext: &str) -> PathBuf {
+    PathBuf::from(format!("{}.{ext}", path.display()))
+}
+
 impl Fixture {
+    /// Stage `image` at `name`, behind the identity ranking's `.rank`.
+    fn stage(&self, name: &str, image: &[u8]) -> PathBuf {
+        let path = self.dir.join(name);
+        std::fs::write(&path, image).expect("stage image");
+        std::fs::write(sidecar(&path, "rank"), Ranking::identity(N).to_sidecar_bytes())
+            .expect("stage .rank");
+        path
+    }
+
     /// Stage the whole image at `name` and boot a backend over it.
     fn backend(&self, name: &str) -> ServerHandle {
-        let path = self.dir.join(name);
-        std::fs::write(&path, &self.image).expect("stage image");
+        let path = self.stage(name, &self.image);
         serve("127.0.0.1:0", &path, ServerConfig::default()).expect("backend")
     }
 
@@ -105,10 +119,8 @@ impl Fixture {
             .expect("shard")
             .into_iter()
             .map(|(image, spec)| {
-                let path = self.dir.join(format!("shard{}.idx", spec.index));
-                std::fs::write(&path, &image).expect("stage shard");
-                std::fs::write(format!("{}.shard", path.to_string_lossy()), spec.encode())
-                    .expect("stage sidecar");
+                let path = self.stage(&format!("shard{}.idx", spec.index), &image);
+                std::fs::write(sidecar(&path, "shard"), spec.encode()).expect("stage sidecar");
                 serve("127.0.0.1:0", &path, config.clone()).expect("shard backend")
             })
             .collect()
@@ -172,7 +184,7 @@ fn assert_routed_identical(mode: RouteMode, directed: bool, tag: &str) {
     };
     assert_eq!(info.mode, want_mode);
     assert_eq!((info.vertices, info.directed), (N as u64, directed));
-    assert_eq!((info.backends, info.translates_ids), (2, false));
+    assert_eq!(info.backends, 2);
     let shards = if mode == RouteMode::Shard { 2 } else { 0 };
     assert_eq!((info.shard_count, info.shard_hi), (shards, shards / 2 * N as u32));
 
@@ -469,58 +481,36 @@ fn a_dead_shard_fails_only_its_batch() {
     }
 }
 
-/// Two backends from one image, each behind a copy of the image's
-/// `.rank` sidecar, save the second: that one answers in rank ids while
-/// the other translates original ids, so the router must refuse the
-/// fleet and name it.
-fn assert_mixed_id_spaces_refused(mode: RouteMode, tag: &str) {
+/// A backend whose image lost its `.rank` would answer in rank ids
+/// while its peers translate original ids; it refuses to boot instead,
+/// naming the missing file, so no router ever sees a fleet of two id
+/// spaces.
+fn assert_backend_without_its_rank_does_not_boot(mode: RouteMode, tag: &str) {
     let fx = fixture(tag, false);
-    let rank = Ranking::from_order((0..N as VertexId).rev().collect()).to_sidecar_bytes();
-    let shards = shard_image(&fx.image, 2).expect("shard");
-    let sidecar = |path: &PathBuf, ext: &str| format!("{}.{ext}", path.to_string_lossy());
-    let backends: Vec<ServerHandle> = (0..2)
-        .map(|i| {
-            let path = fx.dir.join(format!("b{i}.idx"));
-            match mode {
-                RouteMode::Replica => std::fs::write(&path, &fx.image).expect("stage image"),
-                RouteMode::Shard => {
-                    std::fs::write(&path, &shards[i].0).expect("stage shard");
-                    std::fs::write(sidecar(&path, "shard"), shards[i].1.encode())
-                        .expect("stage .shard");
-                }
-            }
-            if i == 0 {
-                std::fs::write(sidecar(&path, "rank"), &rank).expect("stage .rank");
-            }
-            serve("127.0.0.1:0", &path, ServerConfig::default()).expect("backend")
-        })
-        .collect();
-    let addrs: Vec<SocketAddr> = backends.iter().map(|b| b.local_addr()).collect();
-    let translates: Vec<bool> = addrs
-        .iter()
-        .map(|addr| Client::connect(addr).expect("connect").info().expect("info").translates_ids)
-        .collect();
-    assert_eq!(translates, [true, false], "{mode:?}");
-
-    let config = RouterConfig { mode, backends: addrs.clone(), ..RouterConfig::default() };
-    let err = serve_router("127.0.0.1:0", config).err().expect("a mixed fleet must be refused");
-    let msg = err.to_string();
-    let odd =
-        format!("backend {} serves {N} vertices (directed=false, translates_ids=false)", addrs[1]);
-    assert!(msg.contains(&odd), "{mode:?}: {msg}");
-    for b in backends {
-        b.shutdown();
-    }
+    let path = match mode {
+        RouteMode::Replica => fx.stage("b.idx", &fx.image),
+        RouteMode::Shard => {
+            let (image, spec) = shard_image(&fx.image, 2).expect("shard").remove(1);
+            let path = fx.stage("b.idx", &image);
+            std::fs::write(sidecar(&path, "shard"), spec.encode()).expect("stage .shard");
+            path
+        }
+    };
+    let rank = sidecar(&path, "rank");
+    std::fs::remove_file(&rank).expect("drop .rank");
+    let err = serve("127.0.0.1:0", &path, ServerConfig::default()).err().expect("no boot");
+    assert_eq!(err.kind(), ErrorKind::NotFound, "{mode:?}: {err}");
+    assert!(err.to_string().starts_with(&format!("{}: ", rank.display())), "{mode:?}: {err}");
 }
 
 #[test]
-fn replica_fleet_that_mixes_id_spaces_is_refused() {
-    assert_mixed_id_spaces_refused(RouteMode::Replica, "ids-rep");
+fn replica_backend_without_its_rank_does_not_boot() {
+    assert_backend_without_its_rank_does_not_boot(RouteMode::Replica, "ids-rep");
 }
 
 #[test]
-fn shard_fleet_that_mixes_id_spaces_is_refused() {
-    assert_mixed_id_spaces_refused(RouteMode::Shard, "ids-shard");
+fn shard_backend_without_its_rank_does_not_boot() {
+    assert_backend_without_its_rank_does_not_boot(RouteMode::Shard, "ids-shard");
 }
 
 #[test]

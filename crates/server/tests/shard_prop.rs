@@ -9,14 +9,13 @@
 //!   `FlatIndex::query_many` on the unsharded image, pair for pair;
 //!
 //! and over leaf-rich and chain-rich graphs built by the real builder —
-//! whose images carry a one- or two-parent record per derived vertex in
-//! every shard — additionally that the `rank_pruned` flag is set exactly
-//! when every entry's pivot and every parent of every record is at most
-//! its vertex, and that when it is set the shards the router skips
-//! (`lo > min(s, t)`) change no answer.
+//! whose images carry a one- or two-parent record per derived vertex —
+//! additionally that each shard is the source pruned to its range, byte
+//! for byte: every label keeps exactly its entries whose pivot the shard
+//! owns, and every record goes to every shard unchanged.
 
 use hoplabels::flat::FlatIndex;
-use hoplabels::{min_merge, shard_image, LabelEntry, LabelIndex};
+use hoplabels::{min_merge, shard_image, LabelEntry, LabelIndex, VertexLabels};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
@@ -144,33 +143,21 @@ fn chainy_index_strategy(directed: bool) -> impl Strategy<Value = LabelIndex> {
     )
 }
 
-/// The pruning flag is the rank rule over entries and records alike,
-/// and when it holds the router's skipped shards change nothing.
-fn check_rank_pruning(index: &LabelIndex, k: usize) {
-    let bytes = image_of(index);
-    let whole = FlatIndex::from_hopidx_bytes(&bytes).expect("load unsharded");
-    let ruled = index.sides().iter().all(|side| {
-        side.iter().enumerate().all(|(v, l)| {
-            l.record().is_none_or(|r| r.pairs().iter().all(|&(p, _)| p as usize <= v))
-                && l.entries().iter().all(|e| e.pivot as usize <= v)
-        })
-    });
-    let shards: Vec<_> = shard_image(&bytes, k)
-        .expect("shard")
-        .into_iter()
-        .map(|(image, spec)| (FlatIndex::from_hopidx_bytes(&image).expect("load shard"), spec))
-        .collect();
-    assert!(shards.iter().all(|(_, spec)| spec.rank_pruned == ruled));
-    if !ruled {
-        return;
-    }
-    let n = whole.num_vertices() as VertexId;
-    for s in 0..n {
-        for t in 0..n {
-            let kept = shards.iter().filter(|(_, spec)| spec.lo <= s.min(t));
-            let pruned = kept.map(|(flat, _)| flat.query(s, t)).min().unwrap_or(INF_DIST);
-            assert_eq!(pruned, whole.query(s, t), "({s}, {t}) with k = {k}");
-        }
+/// Each shard's image is the one the writer makes of the source with
+/// every label pruned to the shard's pivot range and every record kept.
+fn check_pruned_to_range(index: &LabelIndex, k: usize) {
+    for (image, spec) in shard_image(&image_of(index), k).expect("shard") {
+        let cut = |label: &VertexLabels| match label.record() {
+            Some(_) => label.clone(),
+            None => {
+                let kept = label.entries().iter().filter(|e| (spec.lo..spec.hi).contains(&e.pivot));
+                VertexLabels::from_entries(kept.copied().collect())
+            }
+        };
+        let pruned = LabelIndex::from_sides(
+            index.sides().iter().map(|side| side.iter().map(cut).collect()).collect(),
+        );
+        assert!(image == image_of(&pruned), "shard {} of {k} is not its range's cut", spec.index);
     }
 }
 
@@ -234,7 +221,7 @@ proptest! {
     ) {
         for index in [undirected, directed] {
             check_partition_and_merge(&index, k);
-            check_rank_pruning(&index, k);
+            check_pruned_to_range(&index, k);
         }
     }
 
@@ -245,7 +232,7 @@ proptest! {
     ) {
         for index in [undirected, directed] {
             check_partition_and_merge(&index, k);
-            check_rank_pruning(&index, k);
+            check_pruned_to_range(&index, k);
         }
     }
 }

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use hopdb::{build_prelabeled, HopDbConfig};
 use hopdb_server::{serve, Client, ServerConfig, ServerHandle};
 use sfgraph::builder::GraphBuilder;
-use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
+use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy, Ranking};
 use sfgraph::VertexId;
 
 const N: usize = 40;
@@ -49,6 +49,10 @@ fn fixture(tag: &str) -> Fixture {
     index
         .write_hopidx(&mut std::fs::File::create(&index_path).expect("create index"))
         .expect("serialize");
+    // Served behind the identity ranking, so the wire's ids are the rank
+    // ids the oracle below reasons in.
+    let rank = dir.join("ring.idx.rank");
+    std::fs::write(rank, Ranking::identity(N).to_sidecar_bytes()).expect("write .rank");
     Fixture { dir, index_path }
 }
 

@@ -109,29 +109,27 @@ impl Ranking {
     }
 
     /// Parse a `HOPRANK1` sidecar image, validating magic, that the
-    /// order is a true permutation, and (when `expect_n` is given) that
-    /// it covers exactly that many vertices — a sidecar that silently
-    /// mistranslates ids would corrupt every answer served through it.
-    pub fn from_sidecar_bytes(bytes: &[u8], expect_n: Option<usize>) -> Result<Ranking, String> {
-        if bytes.len() < 8
-            || &bytes[..8] != RANK_SIDECAR_MAGIC
-            || !(bytes.len() - 8).is_multiple_of(4)
-        {
-            return Err("not a HOPRANK1 ranking sidecar".to_string());
+    /// order is a true permutation, and that it covers exactly `n`
+    /// vertices — a sidecar that silently mistranslates ids would
+    /// corrupt every answer served through it.
+    pub fn from_sidecar_bytes(bytes: &[u8], n: usize) -> Result<Ranking, String> {
+        let body = match bytes.strip_prefix(RANK_SIDECAR_MAGIC) {
+            Some(body) if body.len().is_multiple_of(4) => body,
+            _ => return Err("not a HOPRANK1 ranking sidecar".to_string()),
+        };
+        if body.len() / 4 != n {
+            return Err(format!(
+                "ranking sidecar covers {} vertices, expected {n}",
+                body.len() / 4
+            ));
         }
-        let order: Vec<VertexId> =
-            bytes[8..].chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect();
-        if let Some(n) = expect_n {
-            if order.len() != n {
-                return Err(format!(
-                    "ranking sidecar covers {} vertices, expected {n}",
-                    order.len()
-                ));
-            }
-        }
-        let mut seen = vec![false; order.len()];
+        let order: Vec<VertexId> = body
+            .chunks_exact(4)
+            .map(|c| VertexId::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect();
+        let mut seen = vec![false; n];
         for &v in &order {
-            if (v as usize) >= order.len() || std::mem::replace(&mut seen[v as usize], true) {
+            if (v as usize) >= n || std::mem::replace(&mut seen[v as usize], true) {
                 return Err(format!("ranking sidecar is not a permutation (vertex {v})"));
             }
         }
@@ -272,6 +270,43 @@ mod tests {
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
         // Different seeds should (for this size) differ.
         assert!((0..5).any(|r| a.vertex_at(r) != c.vertex_at(r)));
+    }
+
+    #[test]
+    fn sidecar_round_trips() {
+        for order in [vec![], vec![0], vec![2, 0, 3, 1]] {
+            let r = Ranking::from_order(order.clone());
+            let bytes = r.to_sidecar_bytes();
+            assert_eq!(bytes.len(), 8 + 4 * order.len());
+            assert_eq!(Ranking::from_sidecar_bytes(&bytes, order.len()).unwrap(), r);
+        }
+    }
+
+    #[test]
+    fn sidecar_refuses_what_is_not_a_ranking_of_n_vertices() {
+        let good = Ranking::from_order(vec![2, 0, 3, 1]).to_sidecar_bytes();
+        let refuse = |bytes: &[u8], n: usize, why: &str| {
+            let err = Ranking::from_sidecar_bytes(bytes, n).unwrap_err();
+            assert!(err.contains(why), "{err}");
+        };
+        let mut magic = good.clone();
+        magic[7] = b'2';
+        refuse(&magic, 4, "not a HOPRANK1");
+        refuse(b"NOTRANK!", 0, "not a HOPRANK1");
+        let mut ragged = good.clone();
+        ragged.push(0);
+        refuse(&ragged, 4, "not a HOPRANK1");
+        refuse(&good, 3, "covers 4 vertices, expected 3");
+        refuse(&good, 5, "covers 4 vertices, expected 5");
+        let mut repeated = good.clone();
+        repeated[12..16].copy_from_slice(&2u32.to_le_bytes());
+        refuse(&repeated, 4, "not a permutation (vertex 2)");
+        let mut outside = good.clone();
+        outside[20..24].copy_from_slice(&4u32.to_le_bytes());
+        refuse(&outside, 4, "not a permutation (vertex 4)");
+        for len in 0..good.len() {
+            assert!(Ranking::from_sidecar_bytes(&good[..len], 4).is_err(), "cut at {len}");
+        }
     }
 
     #[test]

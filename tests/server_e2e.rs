@@ -4,7 +4,7 @@
 //! bit-identical agreement with in-process `FlatIndex::query` and BFS
 //! ground truth — directed and undirected, and across a live hot swap.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -12,12 +12,13 @@ use hop_doubling::graphgen::{glp, orient_scale_free, GlpParams};
 use hop_doubling::hopdb::{build_prelabeled, HopDbConfig};
 use hop_doubling::hopdb_server::{serve, Client, ServerConfig};
 use hop_doubling::hoplabels::flat::FlatIndex;
-use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
+use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy, Ranking};
 use hop_doubling::sfgraph::traversal::all_pairs;
 use hop_doubling::sfgraph::{Dist, Graph, VertexId};
 
-/// Build an index for `g` (rank space, no sidecar) and serialize it to
-/// a standalone temp file; returns the file and the frozen flat index.
+/// Build an index for `g` and serialize it to a standalone temp file
+/// behind the identity ranking's `.rank`, so the wire's ids are rank
+/// ids; returns the file and the frozen flat index.
 fn build_index_file(g: &Graph, tag: &str) -> (PathBuf, FlatIndex, Graph) {
     let ranking = rank_vertices(g, &RankBy::paper_default(g));
     let relabeled = relabel_by_rank(g, &ranking);
@@ -26,7 +27,15 @@ fn build_index_file(g: &Graph, tag: &str) -> (PathBuf, FlatIndex, Graph) {
     index
         .write_hopidx(&mut std::fs::File::create(&path).expect("create index"))
         .expect("serialize");
+    let rank = Ranking::identity(g.num_vertices()).to_sidecar_bytes();
+    std::fs::write(format!("{}.rank", path.display()), rank).expect("write .rank");
     (path, FlatIndex::from_index(&index), relabeled)
+}
+
+/// Remove an image [`build_index_file`] wrote, and its `.rank`.
+fn remove_image(path: &Path) {
+    std::fs::remove_file(path).ok();
+    std::fs::remove_file(format!("{}.rank", path.display())).ok();
 }
 
 #[test]
@@ -71,7 +80,7 @@ fn served_answers_match_flat_and_bfs_truth() {
         });
 
         handle.shutdown();
-        std::fs::remove_file(&path).ok();
+        remove_image(&path);
     }
 }
 
@@ -144,8 +153,40 @@ fn hot_swap_promotes_without_mixing_generations() {
     assert_eq!(generation(), 2);
     handle.shutdown();
     for p in [path_a, path_b] {
-        std::fs::remove_file(p).ok();
+        remove_image(&p);
     }
+}
+
+/// An image without its `.rank` would answer in rank ids, which no
+/// client can know: `serve` refuses to boot on one, and a swap to one
+/// fails naming the file while the serving generation answers on.
+#[test]
+fn an_image_without_its_rank_neither_boots_nor_swaps_in() {
+    let g = glp(&GlpParams::with_density(80, 3.0, 4242));
+    let (path, flat, _) = build_index_file(&g, "no-rank");
+    let bare = path.with_extension("bare.idx");
+    std::fs::copy(&path, &bare).expect("copy image without its .rank");
+    let rank = format!("{}.rank", bare.display());
+
+    let err = serve("127.0.0.1:0", &bare, ServerConfig::default()).err().expect("no boot");
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
+    assert!(err.to_string().starts_with(&format!("{rank}: ")), "{err}");
+
+    let config = ServerConfig { swap_path: Some(bare.clone()), ..ServerConfig::default() };
+    let handle = serve("127.0.0.1:0", &path, config).expect("serve");
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let err = client.swap().expect_err("a swap to an image without its .rank must fail");
+    assert!(err.to_string().contains(&format!("swap failed: {rank}: ")), "{err}");
+    let pairs: Vec<(VertexId, VertexId)> = (0..80u32).map(|i| (i, (i * 7 + 3) % 80)).collect();
+    assert_eq!(
+        client.query(&pairs).expect("query after the failed swap"),
+        flat.query_many(&pairs, 1)
+    );
+    assert_eq!(client.info().expect("info").generation, 1);
+
+    handle.shutdown();
+    remove_image(&path);
+    std::fs::remove_file(&bare).ok();
 }
 
 #[test]
@@ -232,5 +273,5 @@ fn malformed_frames_error_cleanly_and_never_hang() {
     assert!(String::from_utf8_lossy(&reply[18..]).contains("unsupported protocol version 5"));
 
     handle.shutdown();
-    std::fs::remove_file(&path).ok();
+    remove_image(&path);
 }

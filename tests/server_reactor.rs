@@ -23,11 +23,12 @@ use hop_doubling::hopdb_server::{
 };
 use hop_doubling::hoplabels::flat::FlatIndex;
 use hop_doubling::hoplabels::shard_image;
-use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
+use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy, Ranking};
 use hop_doubling::sfgraph::{Graph, VertexId};
 
-/// Build an index for `g` and serialize it to a standalone temp file;
-/// returns the file and the frozen flat index.
+/// Build an index for `g` and serialize it to a standalone temp file
+/// behind the identity ranking's `.rank`, so the wire's ids are rank
+/// ids; returns the file and the frozen flat index.
 fn build_index_file(g: &Graph, tag: &str) -> (PathBuf, FlatIndex) {
     let ranking = rank_vertices(g, &RankBy::paper_default(g));
     let relabeled = relabel_by_rank(g, &ranking);
@@ -36,7 +37,15 @@ fn build_index_file(g: &Graph, tag: &str) -> (PathBuf, FlatIndex) {
     index
         .write_hopidx(&mut std::fs::File::create(&path).expect("create index"))
         .expect("serialize");
+    let rank = Ranking::identity(g.num_vertices()).to_sidecar_bytes();
+    std::fs::write(format!("{}.rank", path.display()), rank).expect("write .rank");
     (path, FlatIndex::from_index(&index))
+}
+
+/// Remove an image [`build_index_file`] wrote, and its `.rank`.
+fn remove_image(path: &Path) {
+    std::fs::remove_file(path).ok();
+    std::fs::remove_file(format!("{}.rank", path.display())).ok();
 }
 
 /// What the client under test connects to.
@@ -166,7 +175,7 @@ fn pipelined_script_matches_the_golden_transcript() {
         assert_eq!(replies, golden, "served frames diverge from the golden transcript ({tag})");
         drop(raw);
         handle.shutdown();
-        std::fs::remove_file(&path).ok();
+        remove_image(&path);
     }
 }
 
@@ -177,7 +186,7 @@ fn partial_frames_at_arbitrary_byte_boundaries() {
     for via in BOTH {
         partial_frames(via, &path, &flat);
     }
-    std::fs::remove_file(&path).ok();
+    remove_image(&path);
 }
 
 fn partial_frames(via: Via, path: &Path, flat: &FlatIndex) {
@@ -238,7 +247,7 @@ fn pipelined_session_correlates_out_of_order_waits() {
     assert_eq!(session.in_flight(), 0);
 
     handle.shutdown();
-    std::fs::remove_file(&path).ok();
+    remove_image(&path);
 }
 
 #[test]
@@ -248,7 +257,7 @@ fn inflight_cap_pauses_reads_but_answers_everything() {
     for via in BOTH {
         inflight_cap(via, &path, &flat);
     }
-    std::fs::remove_file(&path).ok();
+    remove_image(&path);
 }
 
 fn inflight_cap(via: Via, path: &Path, flat: &FlatIndex) {
@@ -283,7 +292,7 @@ fn never_reading_client_backpressures_without_stalling_the_reactor() {
     for via in BOTH {
         never_reading_client(via, &path, &flat);
     }
-    std::fs::remove_file(&path).ok();
+    remove_image(&path);
 }
 
 fn never_reading_client(via: Via, path: &Path, flat: &FlatIndex) {
@@ -351,7 +360,7 @@ fn retired_kinds_are_recoverable_errors() {
         drop(raw);
         endpoint.shutdown();
     }
-    std::fs::remove_file(&path).ok();
+    remove_image(&path);
 }
 
 #[test]
@@ -361,7 +370,7 @@ fn idle_timeout_evicts_quiet_connections_only() {
     for via in BOTH {
         idle_eviction(via, &path);
     }
-    std::fs::remove_file(&path).ok();
+    remove_image(&path);
 }
 
 fn idle_eviction(via: Via, path: &Path) {
@@ -445,7 +454,7 @@ fn hot_swap_during_pipelined_batches_never_mixes_generations() {
 
     handle.shutdown();
     for p in [path_a, path_b] {
-        std::fs::remove_file(p).ok();
+        remove_image(&p);
     }
 }
 
@@ -524,7 +533,7 @@ fn http_front_serves_json_on_the_same_port() {
 
     drop(hopq);
     handle.shutdown();
-    std::fs::remove_file(&path).ok();
+    remove_image(&path);
 }
 
 /// Write `request` and read one whole response — status line, headers
@@ -563,7 +572,7 @@ fn http_closing(addr: SocketAddr, request: &[u8]) -> String {
 }
 
 /// Two components, `{0..=5}` and `{6..=9}` before ranking, each drawn
-/// as one walk; the wire speaks rank ids (no `.rank` sidecar).
+/// as one walk; the wire speaks rank ids (an identity `.rank`).
 fn two_component_graph() -> Graph {
     let mut b = hop_doubling::sfgraph::builder::GraphBuilder::new_undirected(10);
     for walk in [&[0, 1, 2, 3, 0, 4, 5, 2][..], &[6, 7, 8, 9, 6, 8]] {
@@ -623,6 +632,8 @@ fn one_shard_router(path: &Path) -> (ServerHandle, ServerHandle, PathBuf) {
     let (shard, spec) = shard_image(&image, 1).expect("shard").remove(0);
     let shard_path = PathBuf::from(format!("{}.shard0", path.display()));
     std::fs::write(&shard_path, shard).expect("stage shard");
+    std::fs::copy(format!("{}.rank", path.display()), format!("{}.rank", shard_path.display()))
+        .expect("stage .rank");
     std::fs::write(format!("{}.shard", shard_path.display()), spec.encode()).expect("sidecar");
     let daemon = serve("127.0.0.1:0", &shard_path, ServerConfig::default()).expect("serve shard");
     let config = RouterConfig {
@@ -685,23 +696,23 @@ const HTTP_GOLDEN: [&str; 14] = [
 
 const STATS_NODE: &str = "\
     HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
-    Content-Length: 471\r\nConnection: close\r\n\r\n\
-    {\"protocol\":7,\"mode\":\"single\",\"generation\":1,\"vertices\":10,\"directed\":false,\
-    \"translates_ids\":false,\"resident_bytes\":150,\"overlay_edges\":1,\"overlay_affected\":2,\
+    Content-Length: 428\r\nConnection: close\r\n\r\n\
+    {\"protocol\":8,\"mode\":\"single\",\"generation\":1,\"vertices\":10,\"directed\":false,\
+    \"resident_bytes\":150,\"overlay_edges\":1,\"overlay_affected\":2,\
     \"compactions\":0,\"requests\":7,\"protocol_errors\":8,\"durability\":\"disabled\",\
     \"wal_epoch\":0,\"wal_records\":0,\"wal_bytes\":0,\"recovered_records\":0,\
     \"recovered_dropped_bytes\":0,\"checkpoints\":0,\"aborted_compactions\":0,\"shard_lo\":0,\
-    \"shard_hi\":0,\"shard_index\":0,\"shard_count\":0,\"rank_pruned\":false,\"backends\":0,\
+    \"shard_hi\":0,\"shard_index\":0,\"shard_count\":0,\"backends\":0,\
     \"failovers\":0}";
 const STATS_REPLICA: &str = "\
     HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
-    Content-Length: 470\r\nConnection: close\r\n\r\n\
-    {\"protocol\":7,\"mode\":\"replica\",\"generation\":1,\"vertices\":10,\"directed\":false,\
-    \"translates_ids\":false,\"resident_bytes\":0,\"overlay_edges\":0,\"overlay_affected\":0,\
+    Content-Length: 427\r\nConnection: close\r\n\r\n\
+    {\"protocol\":8,\"mode\":\"replica\",\"generation\":1,\"vertices\":10,\"directed\":false,\
+    \"resident_bytes\":0,\"overlay_edges\":0,\"overlay_affected\":0,\
     \"compactions\":0,\"requests\":7,\"protocol_errors\":8,\"durability\":\"disabled\",\
     \"wal_epoch\":0,\"wal_records\":0,\"wal_bytes\":0,\"recovered_records\":0,\
     \"recovered_dropped_bytes\":0,\"checkpoints\":0,\"aborted_compactions\":0,\"shard_lo\":0,\
-    \"shard_hi\":0,\"shard_index\":0,\"shard_count\":0,\"rank_pruned\":false,\"backends\":1,\
+    \"shard_hi\":0,\"shard_index\":0,\"shard_count\":0,\"backends\":1,\
     \"failovers\":0}";
 const SHARD_UPDATE_REFUSED: &str = "\
     HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n\
@@ -726,9 +737,9 @@ fn http_script_matches_the_golden_transcript() {
     assert_eq!(http_closing(router.local_addr(), update.as_bytes()), SHARD_UPDATE_REFUSED);
     router.shutdown();
     daemon.shutdown();
-    for file in [shard_path.clone(), PathBuf::from(format!("{}.shard", shard_path.display())), path]
-    {
-        std::fs::remove_file(file).ok();
+    std::fs::remove_file(format!("{}.shard", shard_path.display())).ok();
+    for image in [shard_path, path] {
+        remove_image(&image);
     }
 }
 
@@ -770,7 +781,7 @@ fn max_batch_binds_both_framings() {
         drop((client, http));
         endpoint.shutdown();
     }
-    std::fs::remove_file(&path).ok();
+    remove_image(&path);
 }
 
 /// A peer that half-closes with part of an HTTP request buffered is
@@ -791,5 +802,5 @@ fn truncated_http_request_is_answered_in_http() {
         assert!(reply.ends_with("{\"error\":\"truncated frame\"}"), "{via:?}: {reply:?}");
         endpoint.shutdown();
     }
-    std::fs::remove_file(&path).ok();
+    remove_image(&path);
 }
