@@ -25,9 +25,10 @@
 //!
 //! Two rules decide what touches the disk: **a run is written only if a
 //! reader needs it as a file, and a block is read only if a join asks
-//! for a key in it.** Every run carries a sparse key directory — the key
-//! of the first record of each block, noted by the write that happens
-//! anyway (see [`extmem::run`]) — and every join reads its files through
+//! for a key in it.** Every run is a sequence of delta-coded chunks of at
+//! most one block each, and carries a sparse directory — where each chunk
+//! starts, noted by the write that happens anyway (see [`extmem::run`])
+//! — and every join reads its files through
 //! `GroupReader::skip_to`, which jumps over the blocks that cannot hold
 //! the next wanted key. A dense probe sequence is the sequential scan it
 //! always was; a round whose `prev` is 60 entries reads the blocks those
@@ -80,16 +81,18 @@
 //!
 //! Memory honesty: the sequential path holds at most two record buffers
 //! of `M` per side. In a doubling round the view's last merge — its
-//! reader buffers (at most the `M` records of any merge pass) or, when
-//! it never spilled, its own buffer — is open beside the candidate
-//! sorter its join feeds; likewise, while the prune holds its `M/2`
-//! block, the candidate stream feeding it is open. A pipelined sorter
-//! can hold up to `(spill queue depth + 2) × M` records in flight (one
-//! buffer filling, two queued, one being sorted), and a threaded
-//! two-sided build runs both sides at once, so size `memory_records`
-//! with roughly an 8× margin when threading. On top of the record
-//! buffers every open run holds its key directory: one `u32` per block
-//! of the file, `N/B` words (4 KB for a 4 MB label file at 4 KB blocks).
+//! reader buffers (one block each, as many as fit in the `M` records'
+//! 12 bytes apiece) or, when it never spilled, its own buffer — is open
+//! beside the candidate sorter its join feeds; likewise, while the prune
+//! holds its `M/2` block, the candidate stream feeding it is open. A
+//! pipelined sorter can hold up to `(spill queue depth + 2) × M` records
+//! in flight (one buffer filling, two queued, one being sorted), and a
+//! threaded two-sided build runs both sides at once, so size
+//! `memory_records` with roughly an 8× margin when threading. Every open
+//! run reader and writer holds one block of bytes, never a decoded chunk,
+//! and every open run its directory: a 24-byte entry (first key, byte
+//! offset, first record index) per chunk, `N/B` of them (about 24 KB for
+//! a 4 MB label file at 4 KB blocks).
 //!
 //! Determinism is structural, not locked: each parallel unit owns its
 //! files, the record flow per unit is exactly the sequential one, and
@@ -109,7 +112,7 @@ use std::time::{Duration, Instant};
 use extmem::device::TempStore;
 use extmem::run::{RecordSource, Run, RunReader, RunWriter};
 use extmem::sorter::{merge_readers, ExternalSorter};
-use extmem::{ExtMemConfig, LabelRecord, Record};
+use extmem::{ExtMemConfig, LabelRecord};
 use hoplabels::index::{merge_join, LabelIndex, VertexLabels};
 use hoplabels::LabelEntry;
 use sfgraph::{Direction, Graph, VertexId};
@@ -174,12 +177,6 @@ pub fn build_external(
     Ok(result)
 }
 
-const IO_BUF: usize = 4096; // records per reader/writer buffer
-
-fn buffer_records(ext: &ExtMemConfig) -> usize {
-    (ext.block_bytes / LabelRecord::SIZE).clamp(16, IO_BUF)
-}
-
 /// Reads one *group* (maximal run of records with equal `key`) at a time
 /// from a key-sorted record source.
 struct GroupReader<S> {
@@ -187,13 +184,13 @@ struct GroupReader<S> {
     pending: Option<LabelRecord>,
 }
 
-impl GroupReader<RunReader<LabelRecord>> {
-    fn open(run: &Run<LabelRecord>, buf: usize) -> io::Result<Self> {
-        GroupReader::new(run.reader_shared(buf)?)
+impl GroupReader<RunReader> {
+    fn open(run: &Run, block_bytes: usize) -> io::Result<Self> {
+        GroupReader::new(run.reader_shared(block_bytes)?)
     }
 }
 
-impl<S: RecordSource<LabelRecord>> GroupReader<S> {
+impl<S: RecordSource> GroupReader<S> {
     fn new(mut source: S) -> io::Result<GroupReader<S>> {
         let pending = source.next_record()?;
         Ok(GroupReader { source, pending })
@@ -258,11 +255,7 @@ fn keep_min(a: LabelRecord, b: LabelRecord) -> LabelRecord {
 /// A sorter keeping one record per `(key, pivot)`, the nearest; `overlap`
 /// moves its spill passes onto a background worker (bit-identical output
 /// and I/O counts, see `extmem::sorter`).
-fn sorter<'s>(
-    store: &'s TempStore,
-    ext: &ExtMemConfig,
-    overlap: bool,
-) -> ExternalSorter<'s, LabelRecord> {
+fn sorter<'s>(store: &'s TempStore, ext: &ExtMemConfig, overlap: bool) -> ExternalSorter<'s> {
     let s = ExternalSorter::new(store, ext.clone()).with_combiner(group_eq, keep_min);
     if overlap {
         s.with_background_spill()
@@ -273,15 +266,10 @@ fn sorter<'s>(
 
 /// Merge the `(key, pivot)`-sorted run `add` into `base`, min-combining
 /// duplicates. `base` is replaced by the result; `add` is only read.
-fn merge_sorted(
-    store: &TempStore,
-    ext: &ExtMemConfig,
-    base: Run<LabelRecord>,
-    add: &Run<LabelRecord>,
-) -> io::Result<Run<LabelRecord>> {
-    let buf = buffer_records(ext);
-    let readers = vec![base.reader(buf)?, add.reader_shared(buf)?];
-    merge_readers(store, readers, buf, Some(keep_min), group_eq)
+fn merge_sorted(store: &TempStore, ext: &ExtMemConfig, base: Run, add: &Run) -> io::Result<Run> {
+    let block = ext.block_bytes;
+    let readers = vec![base.reader(block)?, add.reader_shared(block)?];
+    merge_readers(store, readers, block, Some(keep_min), group_eq)
 }
 
 /// Sort records into a fresh run (min-combining duplicates).
@@ -289,7 +277,7 @@ fn sorted_run(
     store: &TempStore,
     ext: &ExtMemConfig,
     records: impl Iterator<Item = LabelRecord>,
-) -> io::Result<Run<LabelRecord>> {
+) -> io::Result<Run> {
     let mut s = sorter(store, ext, false);
     for r in records {
         s.push(r)?;
@@ -298,13 +286,8 @@ fn sorted_run(
 }
 
 /// Edge file: `key = group vertex`, `pivot = neighbour`, `dist = weight`.
-fn edge_run(
-    store: &TempStore,
-    ext: &ExtMemConfig,
-    g: &Graph,
-    dir: Direction,
-) -> io::Result<Run<LabelRecord>> {
-    let mut w = RunWriter::new(store.create("edges")?, buffer_records(ext));
+fn edge_run(store: &TempStore, ext: &ExtMemConfig, g: &Graph, dir: Direction) -> io::Result<Run> {
+    let mut w = RunWriter::new(store.create("edges")?, ext.block_bytes);
     for v in g.vertices() {
         for (t, wgt) in g.edges(v, dir) {
             w.push(LabelRecord::new(v, t, wgt))?;
@@ -314,13 +297,9 @@ fn edge_run(
 }
 
 /// Materialise a `(key, pivot)`-sorted label run as per-vertex labels.
-fn load_labels(
-    run: &Run<LabelRecord>,
-    n: usize,
-    ext: &ExtMemConfig,
-) -> io::Result<Vec<VertexLabels>> {
+fn load_labels(run: &Run, n: usize, ext: &ExtMemConfig) -> io::Result<Vec<VertexLabels>> {
     let mut labels: Vec<Vec<LabelEntry>> = vec![Vec::new(); n];
-    let mut reader = run.reader_shared(buffer_records(ext))?;
+    let mut reader = run.reader_shared(ext.block_bytes)?;
     while let Some(r) = reader.next_record()? {
         labels[r.key as usize].push(LabelEntry::new(r.pivot, r.dist));
     }
@@ -330,12 +309,12 @@ fn load_labels(
 /// Co-group join of `prev` with a key-sorted arc source: every `prev`
 /// group meets the arcs out of its owner in [`emit`].
 fn cogroup_join(
-    prev: &Run<LabelRecord>,
-    arcs: impl RecordSource<LabelRecord>,
+    prev: &Run,
+    arcs: impl RecordSource,
     ext: &ExtMemConfig,
     offer: &mut impl FnMut(LabelRecord) -> io::Result<()>,
 ) -> io::Result<()> {
-    let mut pr = GroupReader::open(prev, buffer_records(ext))?;
+    let mut pr = GroupReader::open(prev, ext.block_bytes)?;
     let mut ar = GroupReader::new(arcs)?;
     let (mut pg, mut ag) = (Vec::new(), Vec::new());
     while let Some(u) = pr.next_group(&mut pg)? {
@@ -379,15 +358,14 @@ fn emit(
 fn prune_candidates(
     store: &TempStore,
     ext: &ExtMemConfig,
-    cands: impl RecordSource<LabelRecord>,
-    own: &Run<LabelRecord>,
-    across: &Run<LabelRecord>,
-) -> io::Result<(Run<LabelRecord>, u64)> {
-    let buf = buffer_records(ext);
+    cands: impl RecordSource,
+    own: &Run,
+    across: &Run,
+) -> io::Result<(Run, u64)> {
     let block_budget = (ext.memory_records / 2).max(64);
     let mut cand_reader = GroupReader::new(cands)?;
-    let mut own_reader = GroupReader::open(own, buf)?;
-    let mut survivors = RunWriter::new(store.create("survivors")?, buf);
+    let mut own_reader = GroupReader::open(own, ext.block_bytes)?;
+    let mut survivors = RunWriter::new(store.create("survivors")?, ext.block_bytes);
     let mut pruned = 0u64;
     // One block, reused across blocks: the candidates in arrival order,
     // their owners' label groups back to back (group `g` is
@@ -442,7 +420,7 @@ fn prune_candidates(
         by_pivot.sort_unstable_by_key(|&c| (block[c as usize].pivot, block[c as usize].key));
         keep.clear();
         keep.resize(block.len(), false);
-        let mut across_reader = GroupReader::open(across, buf)?;
+        let mut across_reader = GroupReader::open(across, ext.block_bytes)?;
         let mut visit = by_pivot.iter().map(|&c| c as usize).peekable();
         while let Some(&first) = visit.peek() {
             let pivot = block[first].pivot;
@@ -480,19 +458,19 @@ struct Side {
     /// (the other side of a directed build, itself when undirected).
     across: usize,
     /// Edges of each vertex in this side's step direction.
-    edges: Run<LabelRecord>,
+    edges: Run,
     /// `own`, sorted by `(owner, pivot)`.
-    labels: Run<LabelRecord>,
+    labels: Run,
     /// Entries the previous iteration added to `own` (no self-entries):
     /// that iteration's survivor run itself.
-    prev: Run<LabelRecord>,
+    prev: Run,
 }
 
 /// What one side's generate → prune chain produced in one iteration.
 struct SideOutcome {
     pruned: u64,
     /// The survivors, `(owner, pivot)`-sorted.
-    surv: Run<LabelRecord>,
+    surv: Run,
     gather: Duration,
     prune: Duration,
 }
@@ -506,18 +484,18 @@ fn side_round(
     overlap: bool,
     stepping: bool,
     side: &Side,
-    across: &Run<LabelRecord>,
+    across: &Run,
 ) -> io::Result<SideOutcome> {
-    let (mut clock, buf) = (Instant::now(), buffer_records(ext));
+    let (mut clock, block) = (Instant::now(), ext.block_bytes);
     let mut s = sorter(store, ext, overlap);
     let mut offer = |r: LabelRecord| s.push(r);
     if stepping {
-        cogroup_join(&side.prev, side.edges.reader_shared(buf)?, ext, &mut offer)?;
+        cogroup_join(&side.prev, side.edges.reader_shared(block)?, ext, &mut offer)?;
     } else {
-        cogroup_join(&side.prev, across.reader_shared(buf)?, ext, &mut offer)?;
+        cogroup_join(&side.prev, across.reader_shared(block)?, ext, &mut offer)?;
         // The view: this side's labels by pivot, self-entries left out.
         let mut view = sorter(store, ext, overlap);
-        let mut labels = side.labels.reader_shared(buf)?;
+        let mut labels = side.labels.reader_shared(block)?;
         while let Some(r) = labels.next_record()? {
             if r.key != r.pivot {
                 view.push(r.inverted())?;
@@ -621,9 +599,38 @@ fn run(
     store: &TempStore,
 ) -> io::Result<ExternalBuildResult> {
     let started = Instant::now();
-    let n = g.num_vertices();
     let threads = cfg.resolved_parallelism();
-    // Initialization (iteration 1): self-entries + one entry per edge.
+    let (mut e, seeded) = seed(g, ext, store, threads >= 2)?;
+    let mut stats = fixpoint(&mut e, &cfg.strategy, threads, seeded)?;
+
+    let mut labels = Vec::with_capacity(e.sides.len());
+    for side in &e.sides {
+        labels.push(load_labels(&side.labels, g.num_vertices(), ext)?);
+    }
+    let index = LabelIndex::from_sides(labels);
+    stats.final_entries = index.total_entries() as u64;
+    stats.elapsed = started.elapsed();
+    let io = store.stats();
+    Ok(ExternalBuildResult {
+        index,
+        stats,
+        io: io_report(store, ext),
+        sort_runs: io.sort_runs(),
+        merge_passes: io.merge_passes(),
+        seeks: io.seeks(),
+    })
+}
+
+/// Initialization (iteration 1): every side's files — self-entries plus
+/// one entry per edge — and the row that reports them.
+fn seed<'s>(
+    g: &Graph,
+    ext: &'s ExtMemConfig,
+    store: &'s TempStore,
+    threaded: bool,
+) -> io::Result<(External<'s>, IterationStats)> {
+    let started = Instant::now();
+    let n = g.num_vertices();
     let mut sides = Vec::new();
     let mut seeds = 0u64;
     for seed in seed_sides(g) {
@@ -640,7 +647,7 @@ fn run(
         });
     }
     let total_entries = seeds + (sides.len() * n) as u64;
-    let mut e = External { store, ext, threaded: threads >= 2, sides, seen: (0, 0) };
+    let mut e = External { store, ext, threaded, sides, seen: (0, 0) };
     let (io_read_bytes, io_write_bytes) = e.io_lap();
     let seeded = IterationStats {
         iteration: 1,
@@ -653,24 +660,7 @@ fn run(
         io_write_bytes,
         ..IterationStats::default()
     };
-    let mut stats = fixpoint(&mut e, &cfg.strategy, threads, seeded)?;
-
-    let mut labels = Vec::with_capacity(e.sides.len());
-    for side in &e.sides {
-        labels.push(load_labels(&side.labels, n, ext)?);
-    }
-    let index = LabelIndex::from_sides(labels);
-    stats.final_entries = index.total_entries() as u64;
-    stats.elapsed = started.elapsed();
-    let io = store.stats();
-    Ok(ExternalBuildResult {
-        index,
-        stats,
-        io: io_report(store, ext),
-        sort_runs: io.sort_runs(),
-        merge_passes: io.merge_passes(),
-        seeks: io.seeks(),
-    })
+    Ok((e, seeded))
 }
 
 #[cfg(test)]
@@ -691,6 +681,61 @@ mod tests {
     /// which the builders would mostly eliminate.
     fn run_on(g: &Graph, cfg: &HopDbConfig, ext: &ExtMemConfig) -> ExternalBuildResult {
         run(g, cfg, ext, &TempStore::new().unwrap()).unwrap()
+    }
+
+    /// The encoded bytes of the sides' files, summed over the sides.
+    #[derive(Clone, Copy, Debug)]
+    struct Files {
+        labels: u64,
+        prev: u64,
+    }
+
+    /// An [`External`] that notes its [`Files`] after every round.
+    struct Noted<'s> {
+        e: External<'s>,
+        files: Vec<Files>,
+    }
+
+    impl Noted<'_> {
+        fn note(&mut self) {
+            let sum = |bytes: fn(&Side) -> u64| self.e.sides.iter().map(bytes).sum();
+            let files = Files { labels: sum(|s| s.labels.bytes()), prev: sum(|s| s.prev.bytes()) };
+            self.files.push(files);
+        }
+    }
+
+    impl Rounds for Noted<'_> {
+        type Error = io::Error;
+
+        fn pending(&self) -> bool {
+            self.e.pending()
+        }
+
+        fn round(&mut self, stepping: bool) -> io::Result<IterationStats> {
+            let row = self.e.round(stepping)?;
+            self.note();
+            Ok(row)
+        }
+    }
+
+    /// The rows [`run_on`] builds, each beside the files it left behind:
+    /// `files[i]` after row `i`, the seeding's included.
+    fn rows_and_files(
+        g: &Graph,
+        cfg: &HopDbConfig,
+        ext: &ExtMemConfig,
+    ) -> (Vec<IterationStats>, Vec<Files>) {
+        let store = TempStore::new().unwrap();
+        let (e, seeded) = seed(g, ext, &store, false).unwrap();
+        let mut noted = Noted { e, files: Vec::new() };
+        noted.note();
+        let stats = fixpoint(&mut noted, &cfg.strategy, 1, seeded).unwrap();
+        (stats.iterations, noted.files)
+    }
+
+    /// Every row's I/O columns.
+    fn io_columns(rows: &[IterationStats]) -> Vec<(u64, u64)> {
+        rows.iter().map(|it| (it.io_read_bytes, it.io_write_bytes)).collect()
     }
 
     /// What both engines must agree on, iteration by iteration: every
@@ -879,7 +924,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(41);
         let (n, ext, store) = (48u32, tiny_ext(), TempStore::new().unwrap());
-        let buf = buffer_records(&ext);
+        let block = ext.block_bytes;
         let mut labels = |tag| {
             let mut recs = Vec::new();
             for v in 0..n {
@@ -890,7 +935,7 @@ mod tests {
                 }
                 recs.push(LabelRecord::new(v, v, 0));
             }
-            (run_from_slice(&store, tag, &recs, buf).unwrap(), recs)
+            (run_from_slice(&store, tag, &recs, block).unwrap(), recs)
         };
         let (src_run, src) = labels("src");
         let (dst_run, dst) = labels("dst");
@@ -941,17 +986,16 @@ mod tests {
         blocks += 1;
         assert!(blocks >= 3, "the budget must cut the candidates into ≥ 3 blocks");
 
-        let cand_run = run_from_slice(&store, "cands", &cands, buf).unwrap();
+        let cand_run = run_from_slice(&store, "cands", &cands, block).unwrap();
+        let whole_scans = cand_run.bytes() + src_run.bytes() + blocks * dst_run.bytes();
         let read_before = store.stats().read_bytes();
         let (surv, pruned) =
-            prune_candidates(&store, &ext, cand_run.reader(buf).unwrap(), &src_run, &dst_run)
+            prune_candidates(&store, &ext, cand_run.reader(block).unwrap(), &src_run, &dst_run)
                 .unwrap();
         // One pass over the candidates and the owners' labels, and per
         // block only the chunks of `dst` that hold a wanted pivot — not
         // the file.
         let read = store.stats().read_bytes() - read_before;
-        let whole_scans = ((cands.len() + src.len()) as u64 + blocks * dst.len() as u64)
-            * LabelRecord::SIZE as u64;
         assert!(read < whole_scans, "{read} B read, {whole_scans} B with one scan per block");
         assert!(store.stats().seeks() > 0);
         let got = surv.read_all().unwrap();
@@ -969,7 +1013,7 @@ mod tests {
     fn prune_reads_past_owners_whose_candidates_all_die_early() {
         use extmem::run::run_from_slice;
         let (n, ext, store) = (200u32, tiny_ext(), TempStore::new().unwrap());
-        let buf = buffer_records(&ext);
+        let block = ext.block_bytes;
         // Every vertex carries the hub 0 at distance 1, and itself.
         let labels: Vec<LabelRecord> = (0..n)
             .flat_map(|v| {
@@ -977,7 +1021,7 @@ mod tests {
                 hub.into_iter().chain([LabelRecord::new(v, v, 0)])
             })
             .collect();
-        let run = run_from_slice(&store, "labels", &labels, buf).unwrap();
+        let run = run_from_slice(&store, "labels", &labels, block).unwrap();
         // Owners below 190 offer the hub again at distance 3, dominated;
         // the last ten also offer their neighbour at distance 1, live.
         let mut cands = Vec::new();
@@ -988,9 +1032,9 @@ mod tests {
             }
         }
         assert!(190 > ext.memory_records, "the dominated owners alone overrun a block");
-        let cand_run = run_from_slice(&store, "cands", &cands, buf).unwrap();
+        let cand_run = run_from_slice(&store, "cands", &cands, block).unwrap();
         let (surv, pruned) =
-            prune_candidates(&store, &ext, cand_run.reader(buf).unwrap(), &run, &run).unwrap();
+            prune_candidates(&store, &ext, cand_run.reader(block).unwrap(), &run, &run).unwrap();
         let expect: Vec<LabelRecord> = (190..n).map(|v| LabelRecord::new(v, v - 1, 1)).collect();
         assert_eq!((surv.read_all().unwrap(), pruned), (expect, 0));
     }
@@ -1092,9 +1136,10 @@ mod tests {
             let its = &result.stats.iterations;
             assert!(its.iter().all(|it| it.io_read_bytes > 0));
             assert!(its.iter().all(|it| it.io_write_bytes > 0 || it.inserted == 0));
-            // The label files hold the entries: the last round's count.
-            let core_entries = its.last().expect("rows").total_entries;
-            let load_labels_read = core_entries * LabelRecord::SIZE as u64;
+            // The closing load reads the last round's label files whole.
+            let (rows, files) = rows_and_files(&g, &cfg, &tiny_ext());
+            assert_eq!(io_columns(&rows), io_columns(its));
+            let load_labels_read = files.last().expect("rows").labels;
             let read: u64 = its.iter().map(|it| it.io_read_bytes).sum();
             let written: u64 = its.iter().map(|it| it.io_write_bytes).sum();
             assert_eq!((read + load_labels_read, written), (result.io.0, result.io.1));
@@ -1116,15 +1161,15 @@ mod tests {
         let cfg = HopDbConfig::with_strategy(Strategy::Stepping);
         let result = build_external(&g, &cfg, &ExtMemConfig::default()).unwrap();
         assert_eq!(result.sort_runs, 0, "the budget must hold every candidate set");
-        let rounds = &result.stats.iterations[1..];
-        assert!(rounds.iter().filter(|it| it.inserted > 0).count() >= 10);
-        for it in rounds.iter().filter(|it| it.inserted > 0) {
-            assert_eq!(
-                it.io_write_bytes,
-                LabelRecord::SIZE as u64 * (it.inserted + it.total_entries),
-                "iteration {}",
-                it.iteration
-            );
+        let (rows, files) = rows_and_files(&peel(&g).core, &cfg, &ExtMemConfig::default());
+        assert_eq!(
+            progress(&result.stats),
+            progress(&BuildStats { iterations: rows.clone(), ..BuildStats::default() })
+        );
+        assert!(rows[1..].iter().filter(|it| it.inserted > 0).count() >= 10);
+        for (it, files) in rows.iter().zip(&files).skip(1).filter(|(it, _)| it.inserted > 0) {
+            // The round's survivor run is the next `prev`.
+            assert_eq!(it.io_write_bytes, files.prev + files.labels, "iteration {}", it.iteration);
         }
         for strategy in [Strategy::Stepping, Strategy::Doubling, Strategy::Hybrid { switch_at: 3 }]
         {
@@ -1166,20 +1211,21 @@ mod tests {
     fn late_rounds_read_what_their_prev_costs() {
         let g = bisected_path(600, false);
         let cfg = HopDbConfig::with_strategy(Strategy::Stepping);
-        let ext = ExtMemConfig { memory_records: 1 << 14, block_bytes: 256 };
+        // Blocks of about twenty records: the label files span some 200.
+        let ext = ExtMemConfig { memory_records: 1 << 14, block_bytes: 75 };
         let result = run_on(&g, &cfg, &ext);
-        let its = &result.stats.iterations;
-        let label_bytes = result.stats.final_entries * LabelRecord::SIZE as u64;
-        let late = &its[its.len() / 2..];
-        assert!(late.len() > 100 && late.iter().all(|it| it.inserted < 16));
-        for w in late.windows(2) {
-            let merge_read = if w[1].inserted == 0 {
-                0
-            } else {
-                (w[0].total_entries + w[1].inserted) * LabelRecord::SIZE as u64
-            };
-            let rest = w[1].io_read_bytes - merge_read;
-            assert!(rest * 10 < label_bytes, "iteration {}: {rest} B", w[1].iteration);
+        let (its, files) = rows_and_files(&g, &cfg, &ext);
+        assert_eq!(io_columns(&its), io_columns(&result.stats.iterations));
+        let label_bytes = files.last().expect("rows").labels;
+        let half = its.len() / 2;
+        assert!(its.len() - half > 100 && its[half..].iter().all(|it| it.inserted < 16));
+        for i in half + 1..its.len() {
+            // The merge reads the label file the round before left and the
+            // survivors, which are the next `prev`.
+            let merge_read =
+                if its[i].inserted == 0 { 0 } else { files[i - 1].labels + files[i].prev };
+            let rest = its[i].io_read_bytes - merge_read;
+            assert!(rest * 10 < label_bytes, "iteration {}: {rest} B", its[i].iteration);
         }
         assert!(result.seeks > 0);
     }

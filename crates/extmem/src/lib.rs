@@ -13,12 +13,16 @@
 //!   block size;
 //! * [`device::CountedFile`] — a real temp file whose sequential and
 //!   random accesses all flow through the counters;
-//! * [`codec::Record`] — fixed-size binary records (12-byte label
-//!   records), encoded manually so on-disk layout is explicit;
-//! * [`run::RunWriter`] / [`run::RunReader`] — buffered sequential record
-//!   streams over counted files; every run carries a sparse key directory
-//!   (first key of each block) through which a reader of a key-sorted
-//!   run skips the blocks no join asks for, each jump counted as a seek;
+//! * [`codec`] — the label record and its on-disk coding: chunks of at
+//!   most one block, each opened by a record coded absolutely and
+//!   delta-coding the rest as varints (about 3.5 bytes per label record
+//!   where a fixed layout takes 12), with a total decoder;
+//! * [`run::RunWriter`] / [`run::RunReader`] — sequential record streams
+//!   over counted files, each buffering one block and decoding in place
+//!   from it; every run carries a sparse directory (first key, byte
+//!   offset and record index of each chunk) through which a reader of a
+//!   key-sorted run skips the blocks no join asks for, each jump counted
+//!   as a seek;
 //! * [`sorter::ExternalSorter`] — budgeted run formation plus k-way merge
 //!   with an optional combiner for equal keys (used to keep the minimum
 //!   distance per `(vertex, pivot)` candidate), optionally pipelining the
@@ -41,7 +45,7 @@ pub mod sorter;
 pub mod stats;
 pub mod wire;
 
-pub use codec::{LabelRecord, Record};
+pub use codec::LabelRecord;
 pub use device::{CountedFile, StoreHandle, TempStore};
 pub use run::{RecordSource, Run, RunReader, RunWriter};
 pub use sorter::ExternalSorter;
@@ -53,7 +57,8 @@ pub struct ExtMemConfig {
     /// Memory budget in *records* available to any one operator
     /// (the paper's `M`).
     pub memory_records: usize,
-    /// Block size in bytes (the paper's `B`).
+    /// Block size in bytes (the paper's `B`): the most bytes of a run's
+    /// chunk, and the buffer each run reader and writer holds.
     pub block_bytes: usize,
 }
 

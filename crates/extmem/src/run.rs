@@ -1,68 +1,105 @@
 //! Sequential record streams ("runs") over counted files.
 //!
-//! A run is written once, front to back, and read front to back — but
-//! not necessarily all of it. The writer notes the key of the first
-//! record of every I/O buffer it fills: one `u32` per block written,
-//! `O(N/B)` memory, built by the write that happens anyway. The finished
-//! [`Run`] hands this sparse key directory to its readers, and a reader
-//! of a key-sorted run that is told "nothing below key `k` is wanted"
-//! ([`RecordSource::skip_hint`]) positions itself at the last chunk whose
-//! first key is `< k` instead of decoding its way there — forward only,
-//! to chunk boundaries only, and only past what it has already buffered.
-//! A dense probe sequence therefore is the plain sequential scan, a
-//! sparse one reads only the blocks that hold a wanted key, every byte
-//! read is still counted by [`CountedFile`]'s `read`, and each jump is
-//! one [`IoStats::seeks`](crate::stats::IoStats::seeks).
+//! A run is written once, front to back, as *chunks* of the whole
+//! records that fit in one block, delta-coded ([`crate::codec`]). Writer
+//! and reader each buffer one block; the reader decodes in place from
+//! it, so it holds `B` bytes however many records they code.
+//!
+//! A run is read front to back — but not necessarily all of it. The
+//! writer notes where each chunk starts: its first key, byte offset and
+//! record index, one entry per block written, `O(N/B)` memory, built by
+//! the write that happens anyway. The finished [`Run`] hands this sparse
+//! directory to its readers, and a reader of a key-sorted run that is
+//! told "nothing below key `k` is wanted" ([`RecordSource::skip_hint`])
+//! positions itself at the last chunk whose first key is `< k` instead of
+//! decoding its way there — forward only, to chunk starts only, and only
+//! past what it has already buffered. A dense probe sequence therefore
+//! is the plain sequential scan, a sparse one reads only the blocks that
+//! hold a wanted key, every byte read is still counted by
+//! [`CountedFile`]'s `read`, and each jump is one
+//! [`IoStats::seeks`](crate::stats::IoStats::seeks).
+//! Bytes that do not decode are [`std::io::ErrorKind::InvalidData`]
+//! naming the run's file.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::sync::Arc;
 
-use crate::codec::Record;
+use crate::codec::{self, ChunkCursor, LabelRecord, Malformed, MAX_RECORD_BYTES};
 use crate::device::CountedFile;
 
-/// Sparse key directory of a run: the key of the first record of every
-/// chunk of `chunk_records` records. Meaningful for key-sorted runs
-/// only; nothing consults it on any other.
+/// The bytes of a chunk and of a reader's or writer's buffer for a block
+/// size of `block_bytes`: the block, or one record's most bytes when the
+/// block is smaller.
+pub(crate) fn chunk_bytes(block_bytes: usize) -> usize {
+    block_bytes.max(MAX_RECORD_BYTES)
+}
+
+/// Where a chunk starts: one entry of a run's sparse directory.
+#[derive(Clone, Copy, Debug)]
+struct ChunkStart {
+    first_key: u32,
+    offset: u64,
+    first_record: u64,
+}
+
+/// Sparse directory of a run: where each chunk starts. The keys are
+/// meaningful for key-sorted runs only; nothing consults them on any
+/// other.
 #[derive(Clone)]
 struct Directory {
-    chunk_records: u64,
-    /// `first_keys[c]` is the key of record `c × chunk_records`.
-    first_keys: Arc<[u32]>,
+    chunks: Arc<[ChunkStart]>,
+    /// The run's records and bytes: where its last chunk ends.
+    len: u64,
+    bytes: u64,
+}
+
+impl Directory {
+    /// A cursor at the start of chunk `c`.
+    fn cursor(&self, c: usize) -> ChunkCursor {
+        let Some(start) = self.chunks.get(c) else { return ChunkCursor::new(0, 0) };
+        let (end_record, end_offset) =
+            self.chunks.get(c + 1).map_or((self.len, self.bytes), |n| (n.first_record, n.offset));
+        ChunkCursor::new(end_record - start.first_record, end_offset - start.offset)
+    }
 }
 
 /// A finished sequential file of `len` records.
-pub struct Run<R: Record> {
+pub struct Run {
     file: CountedFile,
-    len: u64,
     dir: Directory,
-    _marker: std::marker::PhantomData<R>,
 }
 
-impl<R: Record> Run<R> {
+impl Run {
     /// Number of records in the run.
     pub fn len(&self) -> u64 {
-        self.len
+        self.dir.len
     }
 
     /// Whether the run holds no records.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.dir.len == 0
     }
 
-    /// Open a sequential reader positioned at the first record.
-    pub fn reader(self, buffer_records: usize) -> std::io::Result<RunReader<R>> {
-        RunReader::new(self.file, self.len, self.dir, buffer_records)
+    /// The run's encoded length: the bytes a full scan reads.
+    pub fn bytes(&self) -> u64 {
+        self.dir.bytes
+    }
+
+    /// Open a sequential reader positioned at the first record, buffering
+    /// one block of `block_bytes` bytes.
+    pub fn reader(self, block_bytes: usize) -> std::io::Result<RunReader> {
+        RunReader::new(self.file, self.dir, block_bytes)
     }
 
     /// Open a reader over a second handle, leaving `self` reusable.
-    pub fn reader_shared(&self, buffer_records: usize) -> std::io::Result<RunReader<R>> {
-        RunReader::new(self.file.reopen()?, self.len, self.dir.clone(), buffer_records)
+    pub fn reader_shared(&self, block_bytes: usize) -> std::io::Result<RunReader> {
+        RunReader::new(self.file.reopen()?, self.dir.clone(), block_bytes)
     }
 
     /// Read every record into memory (tests and small runs only).
-    pub fn read_all(&self) -> std::io::Result<Vec<R>> {
-        let mut reader = self.reader_shared(8192)?;
-        let mut out = Vec::with_capacity(self.len as usize);
+    pub fn read_all(&self) -> std::io::Result<Vec<LabelRecord>> {
+        let mut reader = self.reader_shared(64 << 10)?;
+        let mut out = Vec::with_capacity(self.dir.len as usize);
         while let Some(r) = reader.next_record()? {
             out.push(r);
         }
@@ -71,74 +108,84 @@ impl<R: Record> Run<R> {
 }
 
 /// Buffered writer producing a [`Run`].
-pub struct RunWriter<R: Record> {
-    out: BufWriter<CountedFile>,
+pub struct RunWriter {
+    file: CountedFile,
+    /// The open chunk's bytes, at most `capacity` of them.
+    chunk: Vec<u8>,
+    capacity: usize,
+    /// The open chunk's last record; `None` when no chunk is open.
+    prev: Option<LabelRecord>,
     len: u64,
-    buf: Vec<u8>,
-    chunk_records: u64,
-    /// Records still to come before the next chunk starts.
-    until_chunk: u64,
-    first_keys: Vec<u32>,
-    _marker: std::marker::PhantomData<R>,
+    /// Bytes of the chunks already written.
+    written: u64,
+    chunks: Vec<ChunkStart>,
 }
 
-impl<R: Record> RunWriter<R> {
-    /// Write records into `file`, buffering `buffer_records` records
-    /// between flushes to the counted device; each such chunk gets one
-    /// entry in the run's key directory.
-    pub fn new(file: CountedFile, buffer_records: usize) -> RunWriter<R> {
-        let chunk_records = buffer_records.max(1);
+impl RunWriter {
+    /// Write records into `file` in chunks of at most one block of
+    /// `block_bytes` bytes (one record's most bytes when the block is
+    /// smaller), each written out as one buffer when the next record does
+    /// not fit, and noted in the run's directory.
+    pub fn new(file: CountedFile, block_bytes: usize) -> RunWriter {
+        let capacity = chunk_bytes(block_bytes);
         RunWriter {
-            out: BufWriter::with_capacity(chunk_records * R::SIZE, file),
+            file,
+            chunk: Vec::new(),
+            capacity,
+            prev: None,
             len: 0,
-            buf: Vec::with_capacity(R::SIZE),
-            chunk_records: chunk_records as u64,
-            until_chunk: 0,
-            first_keys: Vec::new(),
-            _marker: std::marker::PhantomData,
+            written: 0,
+            chunks: Vec::new(),
         }
     }
 
     /// Append one record.
-    pub fn push(&mut self, record: R) -> std::io::Result<()> {
-        if self.until_chunk == 0 {
-            self.first_keys.push(record.key());
-            self.until_chunk = self.chunk_records;
+    pub fn push(&mut self, record: LabelRecord) -> std::io::Result<()> {
+        if self.prev.is_some() {
+            let start = self.chunk.len();
+            codec::encode(record, self.prev, &mut self.chunk);
+            if self.chunk.len() <= self.capacity {
+                self.prev = Some(record);
+                self.len += 1;
+                return Ok(());
+            }
+            self.chunk.truncate(start);
+            self.write_chunk()?;
         }
-        self.until_chunk -= 1;
-        self.buf.clear();
-        record.encode(&mut self.buf);
-        self.out.write_all(&self.buf)?;
+        let start =
+            ChunkStart { first_key: record.key, offset: self.written, first_record: self.len };
+        self.chunks.push(start);
+        codec::encode(record, None, &mut self.chunk);
+        self.prev = Some(record);
         self.len += 1;
         Ok(())
     }
 
-    /// Records written so far.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// Whether nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    fn write_chunk(&mut self) -> std::io::Result<()> {
+        self.file.write_all(&self.chunk)?;
+        self.written += self.chunk.len() as u64;
+        self.chunk.clear();
+        self.prev = None;
+        Ok(())
     }
 
     /// Flush and finish, returning the completed [`Run`].
-    pub fn finish(self) -> std::io::Result<Run<R>> {
-        let mut file = self.out.into_inner().map_err(|e| std::io::Error::other(e.to_string()))?;
-        file.flush()?;
-        file.seek_to(0)?;
-        let dir =
-            Directory { chunk_records: self.chunk_records, first_keys: self.first_keys.into() };
-        Ok(Run { file, len: self.len, dir, _marker: std::marker::PhantomData })
+    pub fn finish(mut self) -> std::io::Result<Run> {
+        if self.prev.is_some() {
+            self.write_chunk()?;
+        }
+        self.file.flush()?;
+        self.file.seek_to(0)?;
+        let dir = Directory { chunks: self.chunks.into(), len: self.len, bytes: self.written };
+        Ok(Run { file: self.file, dir })
     }
 }
 
 /// A sequential stream of records: a [`RunReader`] over a file, or a
 /// sorter's [`crate::sorter::SortedStream`] that never became one.
-pub trait RecordSource<R: Record> {
+pub trait RecordSource {
     /// The next record, or `None` at end of stream.
-    fn next_record(&mut self) -> std::io::Result<Option<R>>;
+    fn next_record(&mut self) -> std::io::Result<Option<LabelRecord>>;
 
     /// The caller of a key-sorted stream will discard every record whose
     /// key is below `key`: a source that can pass over some of them
@@ -150,8 +197,8 @@ pub trait RecordSource<R: Record> {
     }
 }
 
-impl<R: Record> RecordSource<R> for RunReader<R> {
-    fn next_record(&mut self) -> std::io::Result<Option<R>> {
+impl RecordSource for RunReader {
+    fn next_record(&mut self) -> std::io::Result<Option<LabelRecord>> {
         RunReader::next_record(self)
     }
 
@@ -160,90 +207,118 @@ impl<R: Record> RecordSource<R> for RunReader<R> {
     /// everything already buffered. Otherwise stay put: what lies between
     /// here and `key` is in the buffer or is the very next read.
     fn skip_hint(&mut self, key: u32) -> std::io::Result<()> {
-        let next = self.len - self.remaining;
-        let keys = &self.dir.first_keys;
-        let from = (next / self.dir.chunk_records) as usize;
-        let below = from + keys[from..].partition_point(|&first| first < key);
-        let Some(chunk) = below.checked_sub(1) else { return Ok(()) };
-        let target = chunk as u64 * self.dir.chunk_records;
-        let buffered = self.input.buffer().len();
-        if target * R::SIZE as u64 <= next * R::SIZE as u64 + buffered as u64 {
+        let chunks = &self.dir.chunks;
+        let below = self.chunk + chunks[self.chunk..].partition_point(|c| c.first_key < key);
+        let Some(target) = below.checked_sub(1) else { return Ok(()) };
+        let start = chunks[target];
+        if start.offset <= self.read_to {
             return Ok(());
         }
-        self.input.consume(buffered);
-        let file = self.input.get_mut();
-        file.seek_to(target * R::SIZE as u64)?;
-        file.stats().record_seek();
-        self.remaining = self.len - target;
+        self.file.seek_to(start.offset)?;
+        self.file.stats().record_seek();
+        (self.at, self.filled, self.read_to) = (0, 0, start.offset);
+        (self.chunk, self.cursor) = (target, self.dir.cursor(target));
         Ok(())
     }
 }
 
-/// Buffered sequential reader over a [`Run`].
-pub struct RunReader<R: Record> {
-    input: BufReader<CountedFile>,
-    len: u64,
-    remaining: u64,
+/// Buffered sequential reader over a [`Run`], decoding in place from the
+/// one block it buffers.
+pub struct RunReader {
+    file: CountedFile,
     dir: Directory,
-    scratch: Vec<u8>,
-    _marker: std::marker::PhantomData<R>,
+    buf: Box<[u8]>,
+    /// `buf[at..filled]` is read and not yet decoded.
+    at: usize,
+    filled: usize,
+    /// The file offset of `buf[filled]`: where the next read starts.
+    read_to: u64,
+    /// The chunk `cursor` walks.
+    chunk: usize,
+    cursor: ChunkCursor,
 }
 
-impl<R: Record> RunReader<R> {
+impl RunReader {
     fn new(
         mut file: CountedFile,
-        len: u64,
         dir: Directory,
-        buffer_records: usize,
-    ) -> std::io::Result<RunReader<R>> {
+        block_bytes: usize,
+    ) -> std::io::Result<RunReader> {
         file.seek_to(0)?;
-        let cap = buffer_records.max(1) * R::SIZE;
         Ok(RunReader {
-            input: BufReader::with_capacity(cap, file),
-            len,
-            remaining: len,
+            file,
+            buf: vec![0; chunk_bytes(block_bytes)].into_boxed_slice(),
+            at: 0,
+            filled: 0,
+            read_to: 0,
+            chunk: 0,
+            cursor: dir.cursor(0),
             dir,
-            scratch: vec![0u8; R::SIZE],
-            _marker: std::marker::PhantomData,
         })
     }
 
-    /// Records not yet consumed.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
+    /// Read the next record, or `None` at end of run.
+    #[inline]
+    pub fn next_record(&mut self) -> std::io::Result<Option<LabelRecord>> {
+        loop {
+            match self.cursor.next(&self.buf[self.at..self.filled]) {
+                Ok(Some((record, used))) => {
+                    self.at += used;
+                    return Ok(Some(record));
+                }
+                Ok(None) => {
+                    if !self.advance()? {
+                        return Ok(None);
+                    }
+                }
+                Err(malformed) => return Err(malformed.in_run(self.file.path())),
+            }
+        }
     }
 
-    /// Read the next record, or `None` at end of run.
-    pub fn next_record(&mut self) -> std::io::Result<Option<R>> {
-        if self.remaining == 0 {
-            return Ok(None);
+    /// The buffer holds no next record: open the next chunk when this one
+    /// is done, or read on when the buffer ends inside a record (its tail
+    /// moved to the front). `false` at the end of the run.
+    #[cold]
+    fn advance(&mut self) -> std::io::Result<bool> {
+        if self.cursor.is_done() {
+            if self.chunk + 1 >= self.dir.chunks.len() {
+                return Ok(false);
+            }
+            self.chunk += 1;
+            self.cursor = self.dir.cursor(self.chunk);
+            return Ok(true);
         }
-        self.input.read_exact(&mut self.scratch)?;
-        self.remaining -= 1;
-        Ok(Some(R::decode(&self.scratch)))
+        self.buf.copy_within(self.at..self.filled, 0);
+        (self.filled, self.at) = (self.filled - self.at, 0);
+        let n = self.file.read(&mut self.buf[self.filled..])?;
+        if n == 0 {
+            return Err(Malformed::Truncated.in_run(self.file.path()));
+        }
+        self.filled += n;
+        self.read_to += n as u64;
+        Ok(true)
     }
 
     /// Fill `out` with up to `max` records; returns how many were read.
-    pub fn next_batch(&mut self, out: &mut Vec<R>, max: usize) -> std::io::Result<usize> {
-        let take = (self.remaining.min(max as u64)) as usize;
-        out.reserve(take);
-        for _ in 0..take {
-            self.input.read_exact(&mut self.scratch)?;
-            out.push(R::decode(&self.scratch));
+    pub fn next_batch(&mut self, out: &mut Vec<LabelRecord>, max: usize) -> std::io::Result<usize> {
+        let before = out.len();
+        while out.len() - before < max {
+            let Some(record) = self.next_record()? else { break };
+            out.push(record);
         }
-        self.remaining -= take as u64;
-        Ok(take)
+        Ok(out.len() - before)
     }
 }
 
 /// Write all `records` into a fresh run in one call.
-pub fn run_from_slice<R: Record>(
+pub fn run_from_slice(
     store: &crate::device::TempStore,
     tag: &str,
-    records: &[R],
-    buffer_records: usize,
-) -> std::io::Result<Run<R>> {
-    let mut w = RunWriter::new(store.create(tag)?, buffer_records);
+    records: &[LabelRecord],
+    block_bytes: usize,
+) -> std::io::Result<Run> {
+    let mut w = RunWriter::new(store.create(tag)?, block_bytes);
     for &r in records {
         w.push(r)?;
     }
@@ -282,7 +357,7 @@ mod tests {
     #[test]
     fn empty_run() {
         let store = TempStore::new().unwrap();
-        let run = run_from_slice::<LabelRecord>(&store, "e", &[], 4).unwrap();
+        let run = run_from_slice(&store, "e", &[], 4).unwrap();
         assert!(run.is_empty());
         let mut r = run.reader(4).unwrap();
         assert!(r.next_record().unwrap().is_none());
@@ -294,7 +369,7 @@ mod tests {
     /// the groups and the bytes the pass read.
     fn groups_at(
         store: &TempStore,
-        run: &Run<LabelRecord>,
+        run: &Run,
         buffer_records: usize,
         probes: &[u32],
         seek: bool,
@@ -422,9 +497,75 @@ mod tests {
         let run = run_from_slice(&store, "lone", &recs, 64).unwrap();
         let (groups, bytes) = groups_at(&store, &run, 64, &[3_000], true);
         assert_eq!(groups, vec![recs[9_000..9_003].to_vec()]);
-        // The chunk the reader opened on, and the one it jumped to.
-        assert_eq!(bytes, 2 * 64 * LabelRecord::SIZE as u64);
+        // The chunk the reader opened on, and the one it jumped to: a
+        // block each, the run being hundreds of them.
+        assert_eq!(bytes, 2 * 64);
+        assert!(run.bytes() > 300 * 64);
         assert_eq!(store.stats().seeks(), 1);
+    }
+
+    /// Every block size from one record's most bytes to the whole run
+    /// puts chunk boundaries all over a sequence; each size writes chunks
+    /// of at most a block and reads back what was written, through a
+    /// buffer of the block and through the smallest buffer.
+    #[test]
+    fn every_chunk_size_round_trips() {
+        let store = TempStore::new().unwrap();
+        let max = u32::MAX;
+        let mut records = vec![
+            LabelRecord::new(max, max, max),
+            LabelRecord::new(0, 0, max.saturating_add(1)),
+            LabelRecord::new(0, max, 0),
+            LabelRecord::new(max, 0, 1),
+        ];
+        records.extend((0..40).map(|i| LabelRecord::new(9, 400 - 7 * i, i)));
+        records.extend((0..40).map(|i| LabelRecord::new(1000 - i, i % 3, 2)));
+        let whole = run_from_slice(&store, "whole", &records, usize::MAX).unwrap();
+        for block in MAX_RECORD_BYTES..=whole.bytes() as usize + 1 {
+            let run = run_from_slice(&store, "sized", &records, block).unwrap();
+            let chunks = &run.dir.chunks;
+            for (c, start) in chunks.iter().enumerate() {
+                let end = chunks.get(c + 1).map_or(run.bytes(), |n| n.offset);
+                assert!(end - start.offset <= block as u64, "block {block}, chunk {c}");
+                assert_eq!(start.first_key, records[start.first_record as usize].key);
+            }
+            for buffer in [block, 1] {
+                let mut reader = run.reader_shared(buffer).unwrap();
+                let mut got = Vec::new();
+                while let Some(r) = reader.next_record().unwrap() {
+                    got.push(r);
+                }
+                assert_eq!(got, records, "block {block}, buffer {buffer}");
+            }
+        }
+    }
+
+    /// A run whose file was cut short or overwritten is an `InvalidData`
+    /// error naming the file, at the read that meets the damage.
+    #[test]
+    fn damaged_files_are_invalid_data_naming_the_run() {
+        let store = TempStore::new().unwrap();
+        let recs: Vec<LabelRecord> = (0..500).map(|i| LabelRecord::new(i / 4, i % 4, 1)).collect();
+        let read_to_end = |run: &Run| -> std::io::Result<Vec<LabelRecord>> {
+            let mut reader = run.reader_shared(64)?;
+            let mut got = Vec::new();
+            while let Some(r) = reader.next_record()? {
+                got.push(r);
+            }
+            Ok(got)
+        };
+        let cut = run_from_slice(&store, "cut", &recs, 64).unwrap();
+        cut.file.set_len(cut.bytes() - 1).unwrap();
+        // Every continuation bit set: the varint at the damage runs long.
+        let smudged = run_from_slice(&store, "smudged", &recs, 64).unwrap();
+        let mut file = smudged.file.reopen().unwrap();
+        file.seek_to(100).unwrap();
+        file.write_all(&[0xff; 8]).unwrap();
+        for (run, tag) in [(&cut, "cut-"), (&smudged, "smudged-")] {
+            let error = read_to_end(run).expect_err(tag);
+            assert_eq!(error.kind(), std::io::ErrorKind::InvalidData, "{error}");
+            assert!(error.to_string().contains(tag), "{error}");
+        }
     }
 
     #[test]

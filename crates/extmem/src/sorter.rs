@@ -11,7 +11,7 @@
 //! consumer that reads the sorted records once takes them straight from
 //! the heap (or from the buffer, when nothing spilled), and only
 //! [`ExternalSorter::finish`] pays for a file. Every run the sorter
-//! writes — spilled, merged or final — gets its key directory from
+//! writes — spilled, merged or final — gets its chunk directory from
 //! [`RunWriter`] like any other; a merge consumes all of every input, so
 //! the sorter itself never seeks, and a [`SortedStream`] — not a file —
 //! has no directory: it answers [`RecordSource::skip_hint`] with the
@@ -29,9 +29,9 @@ use std::collections::BinaryHeap;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
-use crate::codec::Record;
+use crate::codec::LabelRecord;
 use crate::device::{CountedFile, TempStore};
-use crate::run::{RecordSource, Run, RunReader, RunWriter};
+use crate::run::{chunk_bytes, RecordSource, Run, RunReader, RunWriter};
 use crate::ExtMemConfig;
 
 /// How many full buffers may queue for the background spill worker
@@ -39,6 +39,20 @@ use crate::ExtMemConfig;
 /// pipelined path at `(SPILL_QUEUE_DEPTH + 2) × M` records: one buffer
 /// filling, `SPILL_QUEUE_DEPTH` queued, one being sorted/written.
 const SPILL_QUEUE_DEPTH: usize = 2;
+
+/// Folds two records of one group into its survivor.
+pub type Combiner = fn(LabelRecord, LabelRecord) -> LabelRecord;
+
+/// Whether two records belong to one group.
+pub type GroupEq = fn(&LabelRecord, &LabelRecord) -> bool;
+
+/// How many runs one merge reads at once: each open reader buffers one
+/// block of bytes, and together they fit in the `M` records' worth of
+/// memory a sorter holds.
+fn fan_in(config: &ExtMemConfig) -> usize {
+    let memory = config.memory_records * std::mem::size_of::<LabelRecord>();
+    (memory / chunk_bytes(config.block_bytes)).max(2)
+}
 
 /// Budgeted external sorter for ordered records.
 ///
@@ -56,36 +70,36 @@ const SPILL_QUEUE_DEPTH: usize = 2;
 /// assert_eq!(sorted.read_all()?[0].key, 0);
 /// # Ok::<(), std::io::Error>(())
 /// ```
-pub struct ExternalSorter<'s, R: Record + Ord> {
+pub struct ExternalSorter<'s> {
     store: &'s TempStore,
     config: ExtMemConfig,
-    buffer: Vec<R>,
-    runs: Vec<Run<R>>,
+    buffer: Vec<LabelRecord>,
+    runs: Vec<Run>,
     /// Merge two records that compare equal under the grouping key;
     /// `None` keeps duplicates.
-    combiner: Option<fn(R, R) -> R>,
+    combiner: Option<Combiner>,
     /// Grouping: records are considered duplicates when `group_eq` says
     /// so. Defaults to full equality of the `Ord` key.
-    group_eq: fn(&R, &R) -> bool,
+    group_eq: GroupEq,
     /// Spill on a background worker (started lazily at the first spill,
     /// so sorters whose input fits in memory never spawn a thread).
     background_spill: bool,
     /// The running worker, once the first spill started it.
-    spill_worker: Option<SpillWorker<R>>,
+    spill_worker: Option<SpillWorker>,
 }
 
 /// Background run-formation worker: owns a [`crate::device::StoreHandle`]
 /// so it can spill runs while the producer thread keeps pushing.
-struct SpillWorker<R: Record + Ord> {
-    tx: Option<SyncSender<Vec<R>>>,
-    recycle: Receiver<Vec<R>>,
-    handle: Option<JoinHandle<std::io::Result<Vec<Run<R>>>>>,
+struct SpillWorker {
+    tx: Option<SyncSender<Vec<LabelRecord>>>,
+    recycle: Receiver<Vec<LabelRecord>>,
+    handle: Option<JoinHandle<std::io::Result<Vec<Run>>>>,
 }
 
-impl<R: Record + Ord> SpillWorker<R> {
+impl SpillWorker {
     /// Close the feed channel, join the worker, and return its runs in
     /// spill order.
-    fn finish(mut self) -> std::io::Result<Vec<Run<R>>> {
+    fn finish(mut self) -> std::io::Result<Vec<Run>> {
         drop(self.tx.take());
         match self.handle.take().expect("worker joined once").join() {
             Ok(result) => result,
@@ -94,7 +108,7 @@ impl<R: Record + Ord> SpillWorker<R> {
     }
 }
 
-impl<R: Record + Ord> Drop for SpillWorker<R> {
+impl Drop for SpillWorker {
     fn drop(&mut self) {
         // Abandoned sorter: close the channel and wait the worker out so
         // it never outlives the TempStore it writes into.
@@ -105,9 +119,9 @@ impl<R: Record + Ord> Drop for SpillWorker<R> {
     }
 }
 
-impl<'s, R: Record + Ord> ExternalSorter<'s, R> {
+impl<'s> ExternalSorter<'s> {
     /// New sorter spilling into `store` under `config`'s budget.
-    pub fn new(store: &'s TempStore, config: ExtMemConfig) -> ExternalSorter<'s, R> {
+    pub fn new(store: &'s TempStore, config: ExtMemConfig) -> ExternalSorter<'s> {
         let cap = config.memory_records.max(2);
         ExternalSorter {
             store,
@@ -123,7 +137,7 @@ impl<'s, R: Record + Ord> ExternalSorter<'s, R> {
 
     /// Install a combiner: consecutive records for which `group_eq` holds
     /// are folded with `combine`, keeping one survivor.
-    pub fn with_combiner(mut self, group_eq: fn(&R, &R) -> bool, combine: fn(R, R) -> R) -> Self {
+    pub fn with_combiner(mut self, group_eq: GroupEq, combine: Combiner) -> Self {
         self.group_eq = group_eq;
         self.combiner = Some(combine);
         self
@@ -146,17 +160,17 @@ impl<'s, R: Record + Ord> ExternalSorter<'s, R> {
     }
 
     fn start_spill_worker(&mut self) {
-        let (tx, rx) = sync_channel::<Vec<R>>(SPILL_QUEUE_DEPTH);
-        let (recycle_tx, recycle_rx) = std::sync::mpsc::channel::<Vec<R>>();
+        let (tx, rx) = sync_channel::<Vec<LabelRecord>>(SPILL_QUEUE_DEPTH);
+        let (recycle_tx, recycle_rx) = std::sync::mpsc::channel::<Vec<LabelRecord>>();
         let store = self.store.handle();
         let combiner = self.combiner;
         let group_eq = self.group_eq;
-        let buffer_records = self.io_buffer_records();
-        let handle = std::thread::spawn(move || -> std::io::Result<Vec<Run<R>>> {
+        let block_bytes = self.config.block_bytes;
+        let handle = std::thread::spawn(move || -> std::io::Result<Vec<Run>> {
             let mut runs = Vec::new();
             while let Ok(mut buf) = rx.recv() {
                 sort_and_combine(&mut buf, combiner, group_eq);
-                let mut w = RunWriter::new(store.create("sort-run")?, buffer_records);
+                let mut w = RunWriter::new(store.create("sort-run")?, block_bytes);
                 for &r in &buf {
                     w.push(r)?;
                 }
@@ -173,7 +187,7 @@ impl<'s, R: Record + Ord> ExternalSorter<'s, R> {
     }
 
     /// Add a record, spilling a sorted run when the budget fills.
-    pub fn push(&mut self, record: R) -> std::io::Result<()> {
+    pub fn push(&mut self, record: LabelRecord) -> std::io::Result<()> {
         self.buffer.push(record);
         if self.buffer.len() >= self.config.memory_records.max(2) {
             self.spill()?;
@@ -206,8 +220,7 @@ impl<'s, R: Record + Ord> ExternalSorter<'s, R> {
             };
         }
         sort_and_combine(&mut self.buffer, self.combiner, self.group_eq);
-        let buffer_records = self.io_buffer_records();
-        let mut w = RunWriter::new(self.store.create("sort-run")?, buffer_records);
+        let mut w = RunWriter::new(self.store.create("sort-run")?, self.config.block_bytes);
         for &r in &self.buffer {
             w.push(r)?;
         }
@@ -217,15 +230,11 @@ impl<'s, R: Record + Ord> ExternalSorter<'s, R> {
         Ok(())
     }
 
-    fn io_buffer_records(&self) -> usize {
-        (self.config.block_bytes / R::SIZE).max(16)
-    }
-
     /// Finish sorting: returns one globally sorted (and combined) run —
     /// [`ExternalSorter::finish_stream`] drained into a file.
-    pub fn finish(self) -> std::io::Result<Run<R>> {
-        let (store, buffer_records) = (self.store, self.io_buffer_records());
-        self.finish_stream()?.into_run(store.create("sort-out")?, buffer_records)
+    pub fn finish(self) -> std::io::Result<Run> {
+        let (store, block_bytes) = (self.store, self.config.block_bytes);
+        self.finish_stream()?.into_run(store.create("sort-out")?, block_bytes)
     }
 
     /// Finish sorting without materialising the result: the globally
@@ -237,7 +246,7 @@ impl<'s, R: Record + Ord> ExternalSorter<'s, R> {
     /// needs one block of buffer) and the stream *is* the last k-way
     /// merge, so its output is read by the consumer instead of being
     /// written and read back.
-    pub fn finish_stream(mut self) -> std::io::Result<SortedStream<R>> {
+    pub fn finish_stream(mut self) -> std::io::Result<SortedStream> {
         if self.runs.is_empty() && self.spill_worker.is_none() {
             sort_and_combine(&mut self.buffer, self.combiner, self.group_eq);
             let nothing_to_merge = SortedStream::merge(Vec::new(), self.combiner, self.group_eq)?;
@@ -248,29 +257,24 @@ impl<'s, R: Record + Ord> ExternalSorter<'s, R> {
         if let Some(worker) = self.spill_worker.take() {
             self.runs.extend(worker.finish()?);
         }
-        let buffer_records = self.io_buffer_records();
-        let max_fanin = (self.config.memory_records / buffer_records).max(2);
+        let block_bytes = self.config.block_bytes;
+        let max_fanin = fan_in(&self.config);
         while self.runs.len() > max_fanin {
-            let batch: Vec<Run<R>> = self.runs.drain(..max_fanin).collect();
-            let merged =
-                merge_runs(self.store, batch, buffer_records, self.combiner, self.group_eq)?;
+            let batch: Vec<Run> = self.runs.drain(..max_fanin).collect();
+            let merged = merge_runs(self.store, batch, block_bytes, self.combiner, self.group_eq)?;
             self.runs.push(merged);
         }
         self.store.stats().record_merge_pass();
         let mut readers = Vec::with_capacity(self.runs.len());
         for run in self.runs.drain(..) {
-            readers.push(run.reader(buffer_records)?);
+            readers.push(run.reader(block_bytes)?);
         }
         SortedStream::merge(readers, self.combiner, self.group_eq)
     }
 }
 
 /// Sort `buf` and fold each group of `group_eq` records with `combiner`.
-fn sort_and_combine<R: Record + Ord>(
-    buf: &mut Vec<R>,
-    combiner: Option<fn(R, R) -> R>,
-    group_eq: fn(&R, &R) -> bool,
-) {
+fn sort_and_combine(buf: &mut Vec<LabelRecord>, combiner: Option<Combiner>, group_eq: GroupEq) {
     buf.sort_unstable();
     let Some(combine) = combiner else { return };
     let mut write = 0usize;
@@ -289,23 +293,23 @@ fn sort_and_combine<R: Record + Ord>(
 /// heap merge of sorted readers — the one merge loop, behind
 /// [`merge_readers`] and [`ExternalSorter::finish_stream`] alike — or a
 /// sorter's buffer that never spilled.
-pub struct SortedStream<R: Record + Ord> {
-    readers: Vec<RunReader<R>>,
-    heap: BinaryHeap<Reverse<(R, usize)>>,
+pub struct SortedStream {
+    readers: Vec<RunReader>,
+    heap: BinaryHeap<Reverse<(LabelRecord, usize)>>,
     /// The record the next equal-group arrivals are still folded into.
-    pending: Option<R>,
-    combiner: Option<fn(R, R) -> R>,
-    group_eq: fn(&R, &R) -> bool,
+    pending: Option<LabelRecord>,
+    combiner: Option<Combiner>,
+    group_eq: GroupEq,
     /// Already sorted and combined; served when there is nothing to merge.
-    memory: std::vec::IntoIter<R>,
+    memory: std::vec::IntoIter<LabelRecord>,
 }
 
-impl<R: Record + Ord> SortedStream<R> {
+impl SortedStream {
     fn merge(
-        mut readers: Vec<RunReader<R>>,
-        combiner: Option<fn(R, R) -> R>,
-        group_eq: fn(&R, &R) -> bool,
-    ) -> std::io::Result<SortedStream<R>> {
+        mut readers: Vec<RunReader>,
+        combiner: Option<Combiner>,
+        group_eq: GroupEq,
+    ) -> std::io::Result<SortedStream> {
         let mut heap = BinaryHeap::with_capacity(readers.len());
         for (i, r) in readers.iter_mut().enumerate() {
             if let Some(rec) = r.next_record()? {
@@ -317,8 +321,8 @@ impl<R: Record + Ord> SortedStream<R> {
     }
 
     /// Drain the stream into `file`.
-    fn into_run(mut self, file: CountedFile, buffer_records: usize) -> std::io::Result<Run<R>> {
-        let mut out = RunWriter::new(file, buffer_records);
+    fn into_run(mut self, file: CountedFile, block_bytes: usize) -> std::io::Result<Run> {
+        let mut out = RunWriter::new(file, block_bytes);
         while let Some(r) = self.next_record()? {
             out.push(r)?;
         }
@@ -326,12 +330,12 @@ impl<R: Record + Ord> SortedStream<R> {
     }
 }
 
-impl<R: Record + Ord> RecordSource<R> for SortedStream<R> {
+impl RecordSource for SortedStream {
     // Inlined into each consumer's loop: as an out-of-line call per record
     // `finish()` measured 4 % (spilled) to 10 % (in-memory) slower than
     // the merge loop it replaced.
     #[inline(always)]
-    fn next_record(&mut self) -> std::io::Result<Option<R>> {
+    fn next_record(&mut self) -> std::io::Result<Option<LabelRecord>> {
         while let Some(Reverse((rec, i))) = self.heap.pop() {
             if let Some(next) = self.readers[i].next_record()? {
                 self.heap.push(Reverse((next, i)));
@@ -352,38 +356,38 @@ impl<R: Record + Ord> RecordSource<R> for SortedStream<R> {
 }
 
 /// Merge already-sorted runs into one sorted run, consuming them.
-pub fn merge_runs<R: Record + Ord>(
+pub fn merge_runs(
     store: &TempStore,
-    runs: Vec<Run<R>>,
-    buffer_records: usize,
-    combiner: Option<fn(R, R) -> R>,
-    group_eq: fn(&R, &R) -> bool,
-) -> std::io::Result<Run<R>> {
+    runs: Vec<Run>,
+    block_bytes: usize,
+    combiner: Option<Combiner>,
+    group_eq: GroupEq,
+) -> std::io::Result<Run> {
     let mut readers = Vec::with_capacity(runs.len());
     for run in runs {
-        readers.push(run.reader(buffer_records)?);
+        readers.push(run.reader(block_bytes)?);
     }
-    merge_readers(store, readers, buffer_records, combiner, group_eq)
+    merge_readers(store, readers, block_bytes, combiner, group_eq)
 }
 
 /// Merge the sorted streams behind `readers` into one sorted run. A run
 /// that must outlive the merge is passed as [`Run::reader_shared`].
-pub fn merge_readers<R: Record + Ord>(
+pub fn merge_readers(
     store: &TempStore,
-    readers: Vec<RunReader<R>>,
-    buffer_records: usize,
-    combiner: Option<fn(R, R) -> R>,
-    group_eq: fn(&R, &R) -> bool,
-) -> std::io::Result<Run<R>> {
+    readers: Vec<RunReader>,
+    block_bytes: usize,
+    combiner: Option<Combiner>,
+    group_eq: GroupEq,
+) -> std::io::Result<Run> {
     store.stats().record_merge_pass();
     let merge = SortedStream::merge(readers, combiner, group_eq)?;
-    merge.into_run(store.create("merge-out")?, buffer_records)
+    merge.into_run(store.create("merge-out")?, block_bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::LabelRecord;
+    use crate::run::run_from_slice;
 
     fn sort_all(records: Vec<LabelRecord>, config: ExtMemConfig) -> Vec<LabelRecord> {
         let store = TempStore::new().unwrap();
@@ -460,7 +464,8 @@ mod tests {
     #[test]
     fn finish_stream_equals_finish_without_the_output_file() {
         let config = ExtMemConfig::tiny();
-        let fanin = config.memory_records / (config.block_bytes / LabelRecord::SIZE).max(16);
+        let fanin = fan_in(&config);
+        assert_eq!(fanin, 6, "256 records of 12 bytes over 512-byte reader buffers");
         for (count, passes) in [
             (config.memory_records / 2, 0),
             (3 * config.memory_records, 1),
@@ -484,7 +489,8 @@ mod tests {
                 s
             };
             let (filed, streamed) = (TempStore::new().unwrap(), TempStore::new().unwrap());
-            let expect = fill(&filed).finish().unwrap().read_all().unwrap();
+            let out = fill(&filed).finish().unwrap();
+            let expect = out.read_all().unwrap();
             let mut stream = fill(&streamed).finish_stream().unwrap();
             let mut got = Vec::new();
             while let Some(r) = stream.next_record().unwrap() {
@@ -495,8 +501,7 @@ mod tests {
             assert_eq!(s.merge_passes(), passes, "{count} records");
             assert_eq!((s.sort_runs(), s.merge_passes()), (f.sort_runs(), f.merge_passes()));
             // The stream saves exactly the output file `finish` writes.
-            let out_bytes = (expect.len() * LabelRecord::SIZE) as u64;
-            assert_eq!(s.write_bytes() + out_bytes, f.write_bytes(), "{count} records");
+            assert_eq!(s.write_bytes() + out.bytes(), f.write_bytes(), "{count} records");
             if passes == 0 {
                 assert_eq!((s.read_bytes(), s.write_bytes()), (0, 0), "in-memory: no I/O");
             }
@@ -556,8 +561,7 @@ mod tests {
     fn dropping_background_sorter_joins_the_worker() {
         let store = TempStore::new().unwrap();
         {
-            let mut s = ExternalSorter::<LabelRecord>::new(&store, ExtMemConfig::tiny())
-                .with_background_spill();
+            let mut s = ExternalSorter::new(&store, ExtMemConfig::tiny()).with_background_spill();
             for i in 0..5_000u32 {
                 s.push(LabelRecord::new(i, 0, 0)).unwrap();
             }
@@ -584,17 +588,30 @@ mod tests {
 
     #[test]
     fn io_traffic_is_recorded() {
+        let config = ExtMemConfig::tiny();
+        let records: Vec<LabelRecord> =
+            (0..5_000u32).map(|i| LabelRecord::new(5_000 - i, 0, 0)).collect();
         let store = TempStore::new().unwrap();
-        let mut s = ExternalSorter::new(&store, ExtMemConfig::tiny());
-        for i in 0..5_000u32 {
-            s.push(LabelRecord::new(5_000 - i, 0, 0)).unwrap();
+        let mut s = ExternalSorter::new(&store, config.clone());
+        for &r in &records {
+            s.push(r).unwrap();
         }
         let run = s.finish().unwrap();
         assert_eq!(run.len(), 5_000);
+        // The spilled runs: each budget's worth of input, sorted.
+        let scratch = TempStore::new().unwrap();
+        let spilled: u64 = records
+            .chunks(config.memory_records)
+            .map(|batch| {
+                let mut batch = batch.to_vec();
+                batch.sort_unstable();
+                run_from_slice(&scratch, "spill", &batch, config.block_bytes).unwrap().bytes()
+            })
+            .sum();
         let stats = store.stats();
         // At minimum every record is written once during spill and once
         // during merge output.
-        assert!(stats.write_bytes() >= 2 * 5_000 * LabelRecord::SIZE as u64);
+        assert!(stats.write_bytes() >= spilled + run.bytes());
         assert!(stats.read_bytes() > 0);
     }
 }

@@ -135,7 +135,13 @@ fn external_io_counters_equal_their_recorded_values() {
     // before the `across` pass: both graphs read fewer `across` groups
     // (undirected 2 541 300 → 2 439 000 B, 621 → 596 blocks, 13 → 10
     // seeks; directed 1 664 124 → 1 561 824 B, 407 → 382 blocks, 17 → 13
-    // seeks) and write the same bytes.
+    // seeks) and write the same bytes; and again when runs became
+    // delta-coded chunks of one block instead of 12-byte records: the
+    // same passes move 3.3–3.9× fewer bytes (undirected read 2 439 000 →
+    // 660 453 B, written 1 427 388 → 366 565 B; directed read 1 561 824 →
+    // 471 489 B, written 771 132 → 205 396 B), and a block holding more
+    // records leaves fewer probes beyond the one buffered (seeks 10 → 2
+    // and 13 → 1).
     //
     // ((bytes read, bytes written, blocks read, blocks written),
     //  sort runs, merge passes, seeks)
@@ -147,13 +153,13 @@ fn external_io_counters_equal_their_recorded_values() {
             "undirected glp-2k-d3 (seed 7)",
             und,
             RankBy::Degree,
-            ((2_439_000, 1_427_388, 596, 349), 8, 4, 10),
+            ((660_453, 366_565, 162, 90), 8, 4, 2),
         ),
         (
             "directed glp-1.5k-d2.5 (seed 13)",
             dir,
             RankBy::DegreeProduct,
-            ((1_561_824, 771_132, 382, 189), 0, 6, 13),
+            ((471_489, 205_396, 116, 51), 0, 6, 1),
         ),
     ];
     // M = 16 Ki records, B = 4 KiB: small enough that the sorters spill
