@@ -52,8 +52,13 @@
 //!   and builder, `hoplabels::index::merge_join`, bounded by the
 //!   candidate's distance so it stops at the first witness. A pivot
 //!   outranks its owner, so on both sides the inner pass looks for hubs —
-//!   at the head of the file. Survivors are written in the order the
-//!   candidates arrived, so they leave `(key, pivot)`-sorted.
+//!   at the head of the file, which every block's pass asks for again.
+//!   So one reader serves all of a prune's passes and keeps that head
+//!   resident: the leading bytes of `across` that its passes read, up to
+//!   the other half of `M` (`M/2` records' 12 bytes), read from the file
+//!   and counted once, and every later pass decodes them from memory and
+//!   goes to the file only past them. Survivors are written in the order
+//!   the candidates arrived, so they leave `(key, pivot)`-sorted.
 //! * **Merge** — a side's survivors are merged (min-distance) into its
 //!   `labels` through a borrowed reader, and then simply *are* its next
 //!   `prev`: one merge per side, and none in the round that finds the
@@ -84,15 +89,20 @@
 //! reader buffers (one block each, as many as fit in the `M` records'
 //! 12 bytes apiece) or, when it never spilled, its own buffer — is open
 //! beside the candidate sorter its join feeds; likewise, while the prune
-//! holds its `M/2` block, the candidate stream feeding it is open. A
-//! pipelined sorter can hold up to `(spill queue depth + 2) × M` records
-//! in flight (one buffer filling, two queued, one being sorted), and a
-//! threaded two-sided build runs both sides at once, so size
-//! `memory_records` with roughly an 8× margin when threading. Every open
-//! run reader and writer holds one block of bytes, never a decoded chunk,
-//! and every open run its directory: a 24-byte entry (first key, byte
-//! offset, first record index) per chunk, `N/B` of them (about 24 KB for
-//! a 4 MB label file at 4 KB blocks).
+//! holds its block, the candidate stream feeding it is open. The prune
+//! spends its `M` in two halves: a block of `M/2` candidate and owner
+//! label records, and the head of `across`, at most `M/2` records' worth
+//! of bytes (`6 × M`). Beside the block it keeps one scratch entry per
+//! candidate in `by_pivot` and `group_of` (a `u32` each) and `keep` (a
+//! `bool`), 9 bytes a candidate. A pipelined sorter can hold up to
+//! `(spill queue depth + 2) × M` records in flight (one buffer filling,
+//! two queued, one being sorted), and a threaded two-sided build runs
+//! both sides at once — two prunes, each with its own block and head —
+//! so size `memory_records` with roughly an 8× margin when threading.
+//! Every open run reader and writer holds one block of bytes, never a
+//! decoded chunk, and every open run its directory: a 24-byte entry
+//! (first key, byte offset, first record index) per chunk, `N/B` of them
+//! (about 24 KB for a 4 MB label file at 4 KB blocks).
 //!
 //! Determinism is structural, not locked: each parallel unit owns its
 //! files, the record flow per unit is exactly the sequential one, and
@@ -187,6 +197,20 @@ struct GroupReader<S> {
 impl GroupReader<RunReader> {
     fn open(run: &Run, block_bytes: usize) -> io::Result<Self> {
         GroupReader::new(run.reader_shared(block_bytes)?)
+    }
+
+    /// A reader of `run` for passes that each start with
+    /// [`GroupReader::rewind`], keeping up to `head_budget` of the run's
+    /// leading bytes resident between them (see [`extmem::run`]).
+    fn with_head(run: &Run, block_bytes: usize, head_budget: usize) -> io::Result<Self> {
+        Ok(GroupReader { source: run.reader_with_head(block_bytes, head_budget)?, pending: None })
+    }
+
+    /// Start a pass at the first group.
+    fn rewind(&mut self) -> io::Result<()> {
+        self.source.rewind();
+        self.pending = self.source.next_record()?;
+        Ok(())
     }
 }
 
@@ -342,6 +366,19 @@ fn emit(
     Ok(())
 }
 
+/// The bytes of `across` the prune keeps resident: the half of the
+/// operator's `M` its candidate block leaves, `M/2` records of 12 bytes.
+fn across_head_bytes(ext: &ExtMemConfig) -> usize {
+    ext.memory_records.saturating_mul(6)
+}
+
+/// Self-entries give every vertex a label group: a label file without
+/// `v`'s is damaged.
+fn missing_group(run: &Run, v: u32) -> io::Error {
+    let file = run.path().display();
+    io::Error::new(io::ErrorKind::InvalidData, format!("{file}: no label group for vertex {v}"))
+}
+
 /// Prune candidates with the 2-hop test `own(owner) ⋈ across(pivot) ≤ d`
 /// — the block nested-loop of §4.2.
 ///
@@ -351,10 +388,18 @@ fn emit(
 /// label of each candidate's `pivot`. Both label files are read through
 /// [`GroupReader::skip_to`], so a block reads only the chunks that hold a
 /// group it asks for — and a pivot outranks its owner, so what the inner
-/// scan asks for sits at the head of the file. A candidate its owner's
-/// label already has at no more than its distance is dropped before it
-/// is counted or joined. Returns `(survivors, pruned_count)`; the
-/// survivors keep the candidates' order.
+/// scan asks for sits at the head of the file. That head stays resident
+/// from block to block, up to [`across_head_bytes`]: one reader serves
+/// every pass, and a later pass reads from the file only what lies past
+/// the bytes the earlier ones read from its start. A candidate its
+/// owner's label already has at no more than its distance is dropped
+/// before it is counted or joined. Returns `(survivors, pruned_count)`;
+/// the survivors keep the candidates' order.
+///
+/// # Errors
+/// `InvalidData` naming the file when `own` lacks a candidate owner's
+/// group or `across` a candidate pivot's; otherwise what the files
+/// return.
 fn prune_candidates(
     store: &TempStore,
     ext: &ExtMemConfig,
@@ -365,6 +410,8 @@ fn prune_candidates(
     let block_budget = (ext.memory_records / 2).max(64);
     let mut cand_reader = GroupReader::new(cands)?;
     let mut own_reader = GroupReader::open(own, ext.block_bytes)?;
+    let mut across_reader =
+        GroupReader::with_head(across, ext.block_bytes, across_head_bytes(ext))?;
     let mut survivors = RunWriter::new(store.create("survivors")?, ext.block_bytes);
     let mut pruned = 0u64;
     // One block, reused across blocks: the candidates in arrival order,
@@ -392,9 +439,10 @@ fn prune_candidates(
             let Some(x) = cand_reader.next_group(&mut cg)? else { break };
             let start = own_pool.len();
             own_reader.skip_to(x)?;
-            if own_reader.peek_key() == Some(x) {
-                own_reader.append_group(&mut own_pool)?;
-            } // else unreachable: self-entries cover every vertex
+            if own_reader.peek_key() != Some(x) {
+                return Err(missing_group(own, x));
+            }
+            own_reader.append_group(&mut own_pool)?;
             let own = &own_pool[start..];
             let had = block.len();
             block.extend(cg.iter().filter(|c| {
@@ -420,16 +468,14 @@ fn prune_candidates(
         by_pivot.sort_unstable_by_key(|&c| (block[c as usize].pivot, block[c as usize].key));
         keep.clear();
         keep.resize(block.len(), false);
-        let mut across_reader = GroupReader::open(across, ext.block_bytes)?;
+        across_reader.rewind()?;
         let mut visit = by_pivot.iter().map(|&c| c as usize).peekable();
         while let Some(&first) = visit.peek() {
             let pivot = block[first].pivot;
             across_reader.skip_to(pivot)?;
-            debug_assert_eq!(
-                across_reader.peek_key(),
-                Some(pivot),
-                "self-entries guarantee every vertex has a label group"
-            );
+            if across_reader.peek_key() != Some(pivot) {
+                return Err(missing_group(across, pivot));
+            }
             across_reader.next_group(&mut ag)?;
             while let Some(c) = visit.next_if(|&c| block[c].pivot == pivot) {
                 let g = group_of[c] as usize;
@@ -1004,6 +1050,140 @@ mod tests {
         // Dominated candidates used to be counted as pruned (the join
         // found the owner's own entry); now they are no candidates.
         assert_eq!(pruned as usize, live - expect.len());
+    }
+
+    /// The resident head of `across`: on a hub-heavy input cut into
+    /// several blocks, the prune reads `across` at most once up to the
+    /// head's budget and, past it, what each block's pass reads there —
+    /// the bytes a reader whose head is already full reads — while
+    /// keeping and counting exactly what a per-candidate join does.
+    #[test]
+    fn the_across_head_is_read_once_per_prune() {
+        use extmem::run::run_from_slice;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(43);
+        let (n, ext) = (240u32, tiny_ext());
+        let (block, head) = (ext.block_bytes, across_head_bytes(&ext));
+        // `across` in a store of its own, whose counters are its reads.
+        let (store, far) = (TempStore::new().unwrap(), TempStore::new().unwrap());
+        let mut labels = |store: &TempStore, tag| {
+            let mut recs = Vec::new();
+            for v in 0..n {
+                for p in 0..v {
+                    if p < 10 || rng.gen_bool(0.1) {
+                        recs.push(LabelRecord::new(v, p, rng.gen_range(1..4)));
+                    }
+                }
+                recs.push(LabelRecord::new(v, v, 0));
+            }
+            (run_from_slice(store, tag, &recs, block).unwrap(), recs)
+        };
+        let (own_run, own) = labels(&store, "own");
+        let (across_run, across) = labels(&far, "across");
+        assert!(across_run.bytes() > 8 * head as u64, "the head must be a small prefix");
+        // Mostly hubs, now and then a lower-ranked pivot.
+        let mut cands = Vec::new();
+        for k in 1..n {
+            for p in 0..k {
+                if (p < 6 && rng.gen_bool(0.7)) || rng.gen_bool(0.05) {
+                    cands.push(LabelRecord::new(k, p, rng.gen_range(1..6)));
+                }
+            }
+        }
+        let group = |recs: &[LabelRecord], v: u32| -> Vec<LabelRecord> {
+            recs.iter().copied().filter(|r| r.key == v).collect()
+        };
+        let entries = |recs: Vec<LabelRecord>| -> Vec<LabelEntry> {
+            recs.into_iter().map(LabelEntry::from).collect()
+        };
+        let live = |k: u32| -> Vec<LabelRecord> {
+            let mine = group(&own, k);
+            let dominated =
+                |c: &LabelRecord| mine.iter().any(|e| e.pivot == c.pivot && e.dist <= c.dist);
+            group(&cands, k).into_iter().filter(|c| !dominated(c)).collect()
+        };
+        let expect: Vec<LabelRecord> = (0..n)
+            .flat_map(live)
+            .filter(|c| {
+                let (mine, theirs) = (group(&own, c.key), group(&across, c.pivot));
+                merge_join_reference(&entries(mine), &entries(theirs), VertexId::MAX) > c.dist
+            })
+            .collect();
+        let counted: usize = (0..n).map(|k| live(k).len()).sum();
+        assert!(!expect.is_empty() && expect.len() < counted, "both outcomes occur");
+        // Each block's probes into `across`: its live candidates' pivots.
+        let mut probes: Vec<Vec<u32>> = vec![Vec::new()];
+        let mut fill = 0;
+        for k in 0..n {
+            if fill >= ext.memory_records / 2 {
+                probes.push(Vec::new());
+                fill = 0;
+            }
+            let live = live(k);
+            if !live.is_empty() {
+                fill += live.len() + group(&own, k).len();
+                probes.last_mut().unwrap().extend(live.iter().map(|c| c.pivot));
+            }
+        }
+        assert!(probes.len() >= 3, "the budget must cut the candidates into ≥ 3 blocks");
+        for block_probes in &mut probes {
+            block_probes.sort_unstable();
+            block_probes.dedup();
+        }
+        // What each block's pass reads with no head, and past a full one.
+        let pass = |reader: &mut GroupReader<RunReader>, probes: &[u32]| -> u64 {
+            let (before, mut g) = (far.stats().read_bytes(), Vec::new());
+            reader.rewind().unwrap();
+            for &p in probes.iter() {
+                reader.skip_to(p).unwrap();
+                assert_eq!(reader.next_group(&mut g).unwrap(), Some(p));
+            }
+            far.stats().read_bytes() - before
+        };
+        let mut full = GroupReader::with_head(&across_run, block, head).unwrap();
+        pass(&mut full, &(0..n).collect::<Vec<_>>());
+        let (mut plain, mut beyond) = (0, 0);
+        for block_probes in &probes {
+            plain +=
+                pass(&mut GroupReader::with_head(&across_run, block, 0).unwrap(), block_probes);
+            beyond += pass(&mut full, block_probes);
+        }
+
+        let cand_run = run_from_slice(&store, "cands", &cands, block).unwrap();
+        let before = far.stats().read_bytes();
+        let (surv, pruned) =
+            prune_candidates(&store, &ext, cand_run.reader(block).unwrap(), &own_run, &across_run)
+                .unwrap();
+        let read = far.stats().read_bytes() - before;
+        assert!(read <= head as u64 + beyond, "{read} B > {head} B head + {beyond} B past it");
+        assert!(read < plain, "{read} B, {plain} B with no head");
+        assert_eq!(surv.read_all().unwrap(), expect);
+        assert_eq!(pruned as usize, counted - expect.len());
+    }
+
+    /// A label file that lacks a vertex's group — self-entries give every
+    /// vertex one — is `InvalidData` naming the file, whether the owner's
+    /// group is missing from `own` or the pivot's from `across`, not a
+    /// join against the next vertex's label.
+    #[test]
+    fn a_missing_label_group_is_invalid_data_naming_the_file() {
+        use extmem::run::run_from_slice;
+        let (ext, store) = (tiny_ext(), TempStore::new().unwrap());
+        let block = ext.block_bytes;
+        let whole: Vec<LabelRecord> = (0..6).map(|v| LabelRecord::new(v, v, 0)).collect();
+        let holed: Vec<LabelRecord> = whole.iter().copied().filter(|r| r.key != 3).collect();
+        let whole = run_from_slice(&store, "whole", &whole, block).unwrap();
+        let holed = run_from_slice(&store, "holed", &holed, block).unwrap();
+        for (cand, own, across) in [((3, 1), &holed, &whole), ((5, 3), &whole, &holed)] {
+            let cands = [LabelRecord::new(cand.0, cand.1, 2)];
+            let cands = run_from_slice(&store, "cands", &cands, block).unwrap();
+            let Err(e) = prune_candidates(&store, &ext, cands.reader(block).unwrap(), own, across)
+            else {
+                panic!("a missing group must be refused: {cand:?}")
+            };
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+            assert!(e.to_string().contains("holed") && e.to_string().contains("vertex 3"), "{e}");
+        }
     }
 
     /// Owners whose candidates are all dominated leave no block behind

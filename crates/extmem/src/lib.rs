@@ -22,7 +22,9 @@
 //!   from it; every run carries a sparse directory (first key, byte
 //!   offset and record index of each chunk) through which a reader of a
 //!   key-sorted run skips the blocks no join asks for, each jump counted
-//!   as a seek;
+//!   as a seek, and a reader that passes over a run again and again can
+//!   keep the leading bytes it read resident
+//!   ([`run::Run::reader_with_head`]);
 //! * [`sorter::ExternalSorter`] — budgeted run formation plus k-way merge
 //!   with an optional combiner for equal keys (used to keep the minimum
 //!   distance per `(vertex, pivot)` candidate), optionally pipelining the
@@ -55,7 +57,10 @@ pub use stats::IoStats;
 #[derive(Clone, Debug)]
 pub struct ExtMemConfig {
     /// Memory budget in *records* available to any one operator
-    /// (the paper's `M`).
+    /// (the paper's `M`). The §4.2 prune splits it: a block of `M/2`
+    /// records, and `M/2` records' worth of bytes (`6 × M`) for the
+    /// resident head of the label file its inner passes read again
+    /// ([`run::Run::reader_with_head`]).
     pub memory_records: usize,
     /// Block size in bytes (the paper's `B`): the most bytes of a run's
     /// chunk, and the buffer each run reader and writer holds.

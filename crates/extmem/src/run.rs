@@ -18,10 +18,22 @@
 //! hold a wanted key, every byte read is still counted by
 //! [`CountedFile`]'s `read`, and each jump is one
 //! [`IoStats::seeks`](crate::stats::IoStats::seeks).
+//!
+//! A caller that reads one run again and again — a block nested loop's
+//! inner pass — can give its reader a *head* ([`Run::reader_with_head`]):
+//! the run's leading bytes `[0, h)`, at most a budget of them, kept by
+//! the reader across its passes ([`RunReader::rewind`]). The head grows
+//! only from bytes a pass reads from the file at `h`, so it never holds
+//! a byte the pass did not read anyway, and every byte in it was read
+//! once and counted. A pass asks for the plain reader's reads, byte for
+//! byte; the head serves their part below `h` from memory — no I/O, and
+//! a jump that lands there is no seek — and the file the rest.
+//!
 //! Bytes that do not decode are [`std::io::ErrorKind::InvalidData`]
 //! naming the run's file.
 
 use std::io::{Read, Write};
+use std::path::Path;
 use std::sync::Arc;
 
 use crate::codec::{self, ChunkCursor, LabelRecord, Malformed, MAX_RECORD_BYTES};
@@ -88,12 +100,28 @@ impl Run {
     /// Open a sequential reader positioned at the first record, buffering
     /// one block of `block_bytes` bytes.
     pub fn reader(self, block_bytes: usize) -> std::io::Result<RunReader> {
-        RunReader::new(self.file, self.dir, block_bytes)
+        RunReader::new(self.file, self.dir, block_bytes, 0)
     }
 
     /// Open a reader over a second handle, leaving `self` reusable.
     pub fn reader_shared(&self, block_bytes: usize) -> std::io::Result<RunReader> {
-        RunReader::new(self.file.reopen()?, self.dir.clone(), block_bytes)
+        self.reader_with_head(block_bytes, 0)
+    }
+
+    /// Open a reader over a second handle that keeps up to `head_budget`
+    /// of the run's leading bytes in memory as its passes read them (see
+    /// the module docs), for a caller that [`RunReader::rewind`]s it.
+    pub fn reader_with_head(
+        &self,
+        block_bytes: usize,
+        head_budget: usize,
+    ) -> std::io::Result<RunReader> {
+        RunReader::new(self.file.reopen()?, self.dir.clone(), block_bytes, head_budget)
+    }
+
+    /// The run's file, for errors that name it.
+    pub fn path(&self) -> &Path {
+        self.file.path()
     }
 
     /// Read every record into memory (tests and small runs only).
@@ -205,7 +233,8 @@ impl RecordSource for RunReader {
     /// Position at the last chunk whose first key is `< key` — every
     /// record before it is below `key` too — when that chunk starts past
     /// everything already buffered. Otherwise stay put: what lies between
-    /// here and `key` is in the buffer or is the very next read.
+    /// here and `key` is in the buffer or is the very next read. A jump
+    /// into the head moves no file and counts no seek.
     fn skip_hint(&mut self, key: u32) -> std::io::Result<()> {
         let chunks = &self.dir.chunks;
         let below = self.chunk + chunks[self.chunk..].partition_point(|c| c.first_key < key);
@@ -214,8 +243,9 @@ impl RecordSource for RunReader {
         if start.offset <= self.read_to {
             return Ok(());
         }
-        self.file.seek_to(start.offset)?;
-        self.file.stats().record_seek();
+        if start.offset >= self.head.len() as u64 {
+            self.file.stats().record_seek();
+        }
         (self.at, self.filled, self.read_to) = (0, 0, start.offset);
         (self.chunk, self.cursor) = (target, self.dir.cursor(target));
         Ok(())
@@ -236,6 +266,12 @@ pub struct RunReader {
     /// The chunk `cursor` walks.
     chunk: usize,
     cursor: ChunkCursor,
+    /// The file's bytes `[0, head.len())`, at most `head_budget` of them.
+    head: Vec<u8>,
+    head_budget: usize,
+    /// Where the file's handle stands: a read the head serves leaves it
+    /// behind, and the next read from the file moves it.
+    file_at: u64,
 }
 
 impl RunReader {
@@ -243,6 +279,7 @@ impl RunReader {
         mut file: CountedFile,
         dir: Directory,
         block_bytes: usize,
+        head_budget: usize,
     ) -> std::io::Result<RunReader> {
         file.seek_to(0)?;
         Ok(RunReader {
@@ -254,7 +291,17 @@ impl RunReader {
             chunk: 0,
             cursor: dir.cursor(0),
             dir,
+            head: Vec::with_capacity(head_budget),
+            head_budget,
+            file_at: 0,
         })
+    }
+
+    /// Back to the first record for another pass, keeping the head: the
+    /// pass reads what it holds from memory.
+    pub fn rewind(&mut self) {
+        (self.at, self.filled, self.read_to) = (0, 0, 0);
+        (self.chunk, self.cursor) = (0, self.dir.cursor(0));
     }
 
     /// Read the next record, or `None` at end of run.
@@ -291,13 +338,39 @@ impl RunReader {
         }
         self.buf.copy_within(self.at..self.filled, 0);
         (self.filled, self.at) = (self.filled - self.at, 0);
-        let n = self.file.read(&mut self.buf[self.filled..])?;
+        let n = self.read_on()?;
         if n == 0 {
             return Err(Malformed::Truncated.in_run(self.file.path()));
         }
         self.filled += n;
         self.read_to += n as u64;
         Ok(true)
+    }
+
+    /// Read into `buf[filled..]` from `read_to` on, as one read of the
+    /// file would: the part below the head's end from the head, the rest
+    /// from the file. A file read that starts at the head's end extends
+    /// the head while the budget lasts.
+    fn read_on(&mut self) -> std::io::Result<usize> {
+        let out = &mut self.buf[self.filled..];
+        let resident = usize::try_from(self.read_to).ok().and_then(|at| self.head.get(at..));
+        let resident = resident.unwrap_or_default();
+        let from_head = resident.len().min(out.len());
+        out[..from_head].copy_from_slice(&resident[..from_head]);
+        if from_head == out.len() {
+            return Ok(from_head);
+        }
+        let at = self.read_to + from_head as u64;
+        if self.file_at != at {
+            self.file.seek_to(at)?;
+        }
+        let n = self.file.read(&mut out[from_head..])?;
+        self.file_at = at + n as u64;
+        if at == self.head.len() as u64 {
+            let grow = n.min(self.head_budget - self.head.len());
+            self.head.extend_from_slice(&out[from_head..from_head + grow]);
+        }
+        Ok(from_head + n)
     }
 
     /// Fill `out` with up to `max` records; returns how many were read.
@@ -374,8 +447,17 @@ mod tests {
         probes: &[u32],
         seek: bool,
     ) -> (Vec<Vec<LabelRecord>>, u64) {
+        pass(store, &mut run.reader_shared(buffer_records).unwrap(), probes, seek)
+    }
+
+    /// [`groups_at`] over a reader already open, from where it stands.
+    fn pass(
+        store: &TempStore,
+        reader: &mut RunReader,
+        probes: &[u32],
+        seek: bool,
+    ) -> (Vec<Vec<LabelRecord>>, u64) {
         let before = store.stats().read_bytes();
-        let mut reader = run.reader_shared(buffer_records).unwrap();
         let mut pending = reader.next_record().unwrap();
         let mut groups = Vec::new();
         for &k in probes {
@@ -485,6 +567,69 @@ mod tests {
             assert_eq!((sought_bytes, store.stats().seeks()), (walked_bytes, seeks_before));
         }
         assert!(seeks_seen > 1000, "the sparse sequences must actually jump: {seeks_seen}");
+    }
+
+    /// A reader with a head, rewound pass after pass, returns exactly the
+    /// groups a fresh plain reader returns for the same probes, and never
+    /// reads more bytes or counts more seeks than it — whatever the chunk
+    /// grid, the buffer, the probes and the budget. The head holds the
+    /// file's leading bytes, never more than its budget, none at budget 0.
+    #[test]
+    fn a_head_reads_no_more_than_the_plain_reader_pass_for_pass() {
+        let store = TempStore::new().unwrap();
+        let mut x = 0x4ead_u64;
+        let mut draw = |n: usize| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) as usize % n
+        };
+        let (mut saved, mut full_heads) = (0, 0);
+        for case in 0..60 {
+            let sizes: Vec<usize> = (0..1 + draw(40)).map(|_| 1 + draw(30)).collect();
+            let recs = grouped(&sizes);
+            let block = MAX_RECORD_BYTES + draw(50);
+            let run = run_from_slice(&store, "head", &recs, block).unwrap();
+            let bytes = run.bytes() as usize;
+            let mut file_bytes = vec![0; bytes];
+            run.file.reopen().unwrap().read_exact_at(0, &mut file_bytes).unwrap();
+            let mut keys: Vec<u32> = recs.iter().flat_map(|r| [r.key, r.key + 1]).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            let buffer = [block, 1, 2 * block, block + 3][case % 4];
+            for budget in [0, 1, block, draw(bytes + 1), bytes, 2 * bytes + 7] {
+                let mut reader = run.reader_with_head(buffer, budget).unwrap();
+                for round in 0..5 {
+                    // The first pass of a budget a full scan, the rest drawn.
+                    let density = 1 + draw(8);
+                    let probes: Vec<u32> =
+                        keys.iter().copied().filter(|_| round == 0 || draw(density) == 0).collect();
+                    let seek = draw(4) != 0;
+                    let seeks = store.stats().seeks();
+                    let (plain, plain_bytes) = groups_at(&store, &run, buffer, &probes, seek);
+                    let plain_seeks = store.stats().seeks() - seeks;
+                    reader.rewind();
+                    let seeks = store.stats().seeks();
+                    let (held, held_bytes) = pass(&store, &mut reader, &probes, seek);
+                    let held_seeks = store.stats().seeks() - seeks;
+                    let at = format!("case {case} budget {budget} round {round} {probes:?}");
+                    assert_eq!(held, plain, "{at}");
+                    assert!(held_bytes <= plain_bytes, "{at}: {held_bytes} > {plain_bytes}");
+                    assert!(held_seeks <= plain_seeks, "{at}: {held_seeks} > {plain_seeks}");
+                    let head = &reader.head;
+                    assert!(head.len() <= budget, "{at}: {} > {budget}", head.len());
+                    assert_eq!(head[..], file_bytes[..head.len()], "{at}");
+                    saved += plain_bytes - held_bytes;
+                    if budget >= bytes && round > 0 {
+                        // The full scan left the whole run resident.
+                        assert_eq!((held_bytes, held_seeks), (0, 0), "{at}");
+                    }
+                }
+                full_heads += usize::from(budget > 0 && reader.head.len() == budget);
+            }
+        }
+        assert!(
+            saved > 0 && full_heads > 0,
+            "the heads must fill and serve: {saved} B, {full_heads}"
+        );
     }
 
     /// One probe near the end of a long run reads the chunk that holds

@@ -27,16 +27,15 @@ fn spilling_ext() -> ExtMemConfig {
     ExtMemConfig { memory_records: 512, block_bytes: 1024 }
 }
 
-fn assert_external_thread_counts_agree(g: &Graph) {
+fn assert_external_thread_counts_agree(g: &Graph, ext: &ExtMemConfig) {
     let (mem, _) = build_prelabeled(g, &HopDbConfig::default());
-    let seq = build_external(g, &HopDbConfig::default().with_parallelism(1), &spilling_ext())
+    let seq = build_external(g, &HopDbConfig::default().with_parallelism(1), ext)
         .expect("sequential external build");
     assert_eq!(seq.index, mem, "external engine diverges from the in-memory engine");
     let seq_bytes = serialized(&seq.index);
     for threads in [2usize, 4] {
-        let par =
-            build_external(g, &HopDbConfig::default().with_parallelism(threads), &spilling_ext())
-                .expect("threaded external build");
+        let par = build_external(g, &HopDbConfig::default().with_parallelism(threads), ext)
+            .expect("threaded external build");
         assert_eq!(
             par.index, seq.index,
             "{threads}-thread external index differs from sequential entry-for-entry"
@@ -68,7 +67,7 @@ fn undirected_glp_external_builds_identically_across_thread_counts() {
     let raw = glp(&GlpParams::with_density(450, 3.0, 31));
     let ranking = rank_vertices(&raw, &RankBy::Degree);
     let g = relabel_by_rank(&raw, &ranking);
-    assert_external_thread_counts_agree(&g);
+    assert_external_thread_counts_agree(&g, &spilling_ext());
 
     // And the threaded external build answers exactly like BFS truth.
     let result = build_external(&g, &HopDbConfig::default().with_parallelism(4), &spilling_ext())
@@ -86,7 +85,7 @@ fn directed_glp_external_builds_identically_across_thread_counts() {
     let raw = orient_scale_free(&glp(&GlpParams::with_density(400, 2.5, 47)), 0.25, 47);
     let ranking = rank_vertices(&raw, &RankBy::DegreeProduct);
     let g = relabel_by_rank(&raw, &ranking);
-    assert_external_thread_counts_agree(&g);
+    assert_external_thread_counts_agree(&g, &spilling_ext());
 
     let result = build_external(&g, &HopDbConfig::default().with_parallelism(4), &spilling_ext())
         .expect("threaded external build");
@@ -96,6 +95,23 @@ fn directed_glp_external_builds_identically_across_thread_counts() {
             assert_eq!(result.index.query(s, t), truth[t as usize], "dist({s}, {t})");
         }
     }
+}
+
+/// A budget under which the prune's resident head of `across` fills:
+/// 256 records leave it 1 536 bytes, three 512-byte blocks, and the label
+/// files here are 4–10 KB, so a prune of several candidate blocks reads
+/// more than that from their start in most rounds. Every side's head is
+/// its own, so the threaded build must still move the sequential build's
+/// bytes and seeks.
+#[test]
+fn a_full_across_head_keeps_io_identical_across_thread_counts() {
+    let tight = ExtMemConfig { memory_records: 256, block_bytes: 512 };
+    let und = glp(&GlpParams::with_density(600, 3.0, 19));
+    let g = relabel_by_rank(&und, &rank_vertices(&und, &RankBy::Degree));
+    assert_external_thread_counts_agree(&g, &tight);
+    let dir = orient_scale_free(&glp(&GlpParams::with_density(600, 2.5, 23)), 0.25, 23);
+    let g = relabel_by_rank(&dir, &rank_vertices(&dir, &RankBy::DegreeProduct));
+    assert_external_thread_counts_agree(&g, &tight);
 }
 
 #[test]
@@ -141,7 +157,11 @@ fn external_io_counters_equal_their_recorded_values() {
     // 660 453 B, written 1 427 388 → 366 565 B; directed read 1 561 824 →
     // 471 489 B, written 771 132 → 205 396 B), and a block holding more
     // records leaves fewer probes beyond the one buffered (seeks 10 → 2
-    // and 13 → 1).
+    // and 13 → 1); and again when the prune started keeping the head of
+    // `across` resident between its candidate blocks: the undirected
+    // graph, whose prunes take several blocks, reads 660 453 → 594 924 B
+    // (162 → 146 blocks), the directed one, whose prunes take one block
+    // each, reads what it did, and both write the same bytes.
     //
     // ((bytes read, bytes written, blocks read, blocks written),
     //  sort runs, merge passes, seeks)
@@ -153,7 +173,7 @@ fn external_io_counters_equal_their_recorded_values() {
             "undirected glp-2k-d3 (seed 7)",
             und,
             RankBy::Degree,
-            ((660_453, 366_565, 162, 90), 8, 4, 2),
+            ((594_924, 366_565, 146, 90), 8, 4, 2),
         ),
         (
             "directed glp-1.5k-d2.5 (seed 13)",
