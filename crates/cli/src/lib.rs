@@ -103,7 +103,7 @@ const COMMANDS: [(&str, &str, &str, Command); 7] = [
     (
         "build",
         "-i -o --strategy --switch-at --threads --memory-records --block-bytes",
-        "--directed --weighted --post-prune --external",
+        "--directed --weighted --external",
         cmd_build,
     ),
     ("query", "-x --pairs --threads", "", cmd_query),
@@ -216,7 +216,7 @@ commands:
          [--directed [--reciprocal R]] [--weighted [--max-weight W]] -o FILE
   stats  -i EDGELIST [--directed] [--weighted]
   build  -i EDGELIST -o INDEX [--directed] [--weighted]
-         [--strategy hybrid|stepping|doubling] [--switch-at K] [--post-prune]
+         [--strategy hybrid|stepping|doubling] [--switch-at K]
          (--switch-at is read by hybrid, the default strategy, only)
          [--threads N]   (0 = all cores; any N builds the identical index)
          [--external [--memory-records M] [--block-bytes B]]
@@ -362,7 +362,6 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let g = load_graph(args)?;
     let cfg = HopDbConfig {
         strategy,
-        post_prune: args.has("--post-prune"),
         parallelism: args.parsed("--threads")?.unwrap_or(1),
         ..HopDbConfig::default()
     };
@@ -411,12 +410,19 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         stats.core_edges,
         stats.shortcut_arcs
     )?;
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    writeln!(
+        out,
+        "canonical filter: {} entries dropped in {:.3} ms",
+        stats.post_pruned,
+        ms(stats.post_prune_elapsed)
+    )?;
     // Per iteration, over the core (its `entries` still count the
-    // fringe's self-entries): the counters, the phase times summed over
-    // workers and the bytes moved, 0 from the in-memory engine.
+    // fringe's self-entries and the filtered entries): the counters, the
+    // phase times summed over workers and the bytes moved, 0 from the
+    // in-memory engine.
     let head = "iter     mode candidates     pruned   inserted    entries  gather ms   prune ms";
     writeln!(out, "{head}   apply ms       read B    written B")?;
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     for it in &stats.iterations {
         writeln!(
             out,
@@ -1037,8 +1043,15 @@ mod tests {
             .and_then(|rest| rest.split(' ').next()?.parse().ok())
             .expect("a fringe line");
         assert!(fringe > 0, "{out}");
+        let filtered: u64 = out
+            .split("canonical filter: ")
+            .nth(1)
+            .and_then(|rest| rest.split(' ').next()?.parse().ok())
+            .expect("a canonical filter line");
+        assert!(filtered > 0, "hybrid with doubling rounds leaves entries to filter: {out}");
         let core_entries: u64 = rows.last().expect("rows")[5].parse().unwrap();
-        assert_eq!(core_entries, summary[1].parse::<u64>().unwrap() + fringe, "{out}");
+        let built: u64 = summary[1].parse().unwrap();
+        assert_eq!(core_entries, built + fringe + filtered, "{out}");
         assert!(!out.contains("external I/O:"), "{out}");
         for f in [&graph, &index, &format!("{index}.rank")] {
             let _ = std::fs::remove_file(f);
@@ -1665,30 +1678,17 @@ mod tests {
     }
 
     #[test]
-    fn post_prune_flag_shrinks_index() {
-        let graph = tmp("pp.txt");
-        run_vec(&["gen", "--model", "glp", "--vertices", "300", "--seed", "8", "-o", &graph])
-            .unwrap();
-        let plain_idx = tmp("pp-plain.idx");
-        let pruned_idx = tmp("pp-pruned.idx");
-        run_vec(&["build", "-i", &graph, "-o", &plain_idx, "--strategy", "doubling"]).unwrap();
-        run_vec(&[
-            "build",
-            "-i",
-            &graph,
-            "-o",
-            &pruned_idx,
-            "--strategy",
-            "doubling",
-            "--post-prune",
-        ])
-        .unwrap();
-        let plain = std::fs::metadata(&plain_idx).unwrap().len();
-        let pruned = std::fs::metadata(&pruned_idx).unwrap().len();
-        assert!(pruned <= plain, "post-pruned {pruned} > plain {plain}");
-        for f in [&graph, &plain_idx, &pruned_idx] {
-            let _ = std::fs::remove_file(f);
-            let _ = std::fs::remove_file(format!("{f}.rank"));
-        }
+    fn post_prune_flag_is_unknown() {
+        // The canonical filter ends every pruned build; there is no
+        // switch, and the option is refused before the graph is read.
+        let index = tmp("pp.idx");
+        let args = ["build", "-i", &tmp("pp-missing.txt"), "-o", &index, "--post-prune"];
+        let msg = run_vec(&args).unwrap_err().0;
+        assert!(
+            msg.starts_with("unknown option --post-prune for build\nusage: hopdb-cli"),
+            "{msg}"
+        );
+        assert!(!USAGE.contains("--post-prune"), "{USAGE}");
+        assert!(!Path::new(&index).exists(), "build ran despite the unknown option");
     }
 }

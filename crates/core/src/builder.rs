@@ -1,5 +1,7 @@
 //! Top-level build API: rank, relabel, run the engine, wrap the result.
 
+use std::time::Instant;
+
 use hoplabels::flat::FlatIndex;
 use hoplabels::image::record_fits;
 use hoplabels::index::{LabelIndex, Record, VertexLabels};
@@ -17,8 +19,8 @@ use crate::postprune;
 ///
 /// Queries are served from a frozen [`FlatIndex`] snapshot of the
 /// built labels — the nested [`LabelIndex`] is kept alongside for
-/// statistics, serialization, and further processing (post-pruning,
-/// bit-parallel augmentation), but the hot read path never touches it.
+/// statistics, serialization, and further processing (bit-parallel
+/// augmentation), but the hot read path never touches it.
 pub struct HopDb {
     index: LabelIndex,
     flat: FlatIndex,
@@ -132,12 +134,18 @@ pub(crate) fn peel(g: &Graph) -> Reduced<'_> {
     })
 }
 
-/// Finish an index the engine built on the core of `g`: the optional
-/// §5.2 pass, then each derived vertex's slot — in the core an isolated
-/// vertex's self-entry — becomes the record of its arcs on every side it
-/// has one on, and the empty label on a side it has none (nothing is
-/// reached that way). The per-iteration rows stay the engine's, counting
-/// those self-entries; `final_entries` is the finished index's.
+/// Finish an index either engine built on the core of `g`. A pruned
+/// build first drops every entry the canonical labelling lacks
+/// ([`postprune`]: the order-free test of §5.2's exhaustive pruning,
+/// judged against the labels as the engine left them), so the labels are
+/// a function of the core and the order, whatever the strategy or the
+/// engine; an unpruned one (the paper's worked examples) keeps them.
+/// Then each derived vertex's slot — in the core an isolated vertex's
+/// self-entry — becomes the record of its arcs on every side it has one
+/// on, and the empty label on a side it has none (nothing is reached
+/// that way). The per-iteration rows stay the engine's, counting those
+/// self-entries and the filtered entries; `final_entries` is the
+/// finished index's.
 pub(crate) fn derive_fringe(
     index: &mut LabelIndex,
     stats: &mut BuildStats,
@@ -147,8 +155,11 @@ pub(crate) fn derive_fringe(
 ) {
     stats.core_edges = core.num_edges() as u64;
     drop(core);
-    if cfg.post_prune {
-        stats.post_pruned = postprune::post_prune(index);
+    if cfg.prune {
+        let started = Instant::now();
+        stats.post_pruned = postprune::post_prune(index, cfg.resolved_parallelism());
+        stats.post_prune_elapsed = started.elapsed();
+        stats.elapsed += stats.post_prune_elapsed;
     }
     // `[Lout, Lin]` holds the arcs out of and into the vertex, `[L]` all.
     for (side, dir) in index.sides_mut().into_iter().zip([Direction::Out, Direction::In]) {
@@ -197,25 +208,23 @@ mod tests {
 
     #[test]
     fn post_prune_config_is_applied() {
-        // A cycle keeps redundant entries under the unpruned engine
-        // (e.g. both neighbours of a low-ranked vertex label it even
-        // though the higher-ranked one suffices for coverage).
-        let mut b = GraphBuilder::new_undirected(8);
-        for i in 0..8u32 {
-            b.add_edge(i, (i + 1) % 8);
-        }
-        let g = b.build();
-        let plain = build(&g, &HopDbConfig::unpruned(Strategy::Doubling));
-        let pruned = build(
-            &g,
-            &HopDbConfig { post_prune: true, ..HopDbConfig::unpruned(Strategy::Doubling) },
-        );
-        assert!(pruned.stats().post_pruned > 0);
-        assert!(pruned.index().total_entries() < plain.index().total_entries());
+        // A pruned build is filtered: doubling leaves entries a later
+        // round made redundant, and they go, leaving stepping's labels.
+        // An unpruned build (the paper's worked examples) is not.
+        let g = graphgen::glp(&graphgen::GlpParams::with_density(300, 3.0, 8));
+        let doubling = build(&g, &HopDbConfig::with_strategy(Strategy::Doubling));
+        let stepping = build(&g, &HopDbConfig::with_strategy(Strategy::Stepping));
+        assert!(doubling.stats().post_pruned > 0);
+        assert_eq!(doubling.index(), stepping.index());
+        let unpruned = build(&g, &HopDbConfig::unpruned(Strategy::Doubling));
+        assert_eq!(unpruned.stats().post_pruned, 0);
+        assert_eq!(unpruned.stats().post_prune_elapsed, std::time::Duration::ZERO);
+        assert!(unpruned.index().total_entries() > doubling.index().total_entries());
         let ap = all_pairs(&g);
         for s in g.vertices() {
             for t in g.vertices() {
-                assert_eq!(pruned.query(s, t), ap[s as usize][t as usize]);
+                assert_eq!(doubling.query(s, t), ap[s as usize][t as usize]);
+                assert_eq!(unpruned.query(s, t), ap[s as usize][t as usize]);
             }
         }
     }

@@ -46,13 +46,12 @@ impl Strategy {
 pub struct HopDbConfig {
     /// Generation strategy; default [`Strategy::default_hybrid`].
     pub strategy: Strategy,
-    /// Apply the §3.3 pruning step each iteration. Disabling it is only
-    /// useful for the paper's worked examples and ablation benches —
-    /// label sets explode without it.
+    /// Apply the §3.3 pruning step each iteration, and end the build
+    /// with the canonical filter ([`crate::postprune`], §5.2's
+    /// exhaustive pruning), so the labels do not depend on the strategy.
+    /// Disabling it is only useful for the paper's worked examples and
+    /// ablation benches — label sets explode without it.
     pub prune: bool,
-    /// Run the exhaustive post-pruning pass (§5.2) after construction,
-    /// removing entries that higher-ranked pivots already cover.
-    pub post_prune: bool,
     /// Vertex ranking; `None` picks the paper's defaults (degree for
     /// undirected graphs, in×out-degree product for directed, §8).
     pub rank_by: Option<RankBy>,
@@ -75,7 +74,6 @@ impl Default for HopDbConfig {
         HopDbConfig {
             strategy: Strategy::default_hybrid(),
             prune: true,
-            post_prune: false,
             rank_by: None,
             parallelism: 1,
         }
@@ -132,7 +130,6 @@ mod tests {
     fn default_config() {
         let c = HopDbConfig::default();
         assert!(c.prune);
-        assert!(!c.post_prune);
         assert_eq!(c.strategy, Strategy::Hybrid { switch_at: 10 });
         assert_eq!(c.parallelism, 1);
     }

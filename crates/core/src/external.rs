@@ -112,9 +112,14 @@
 //!
 //! Deviation from the paper: the *graph topology* (for stepping's edge
 //! joins) is exported to edge files, but the final index is loaded
-//! back into memory at the end so callers can verify/serve it — at
-//! laptop scale that is always possible; for the paper's 9 GB graphs
-//! one would hand the final runs directly to `hoplabels::disk`.
+//! back into memory at the end so callers can verify/serve it, and the
+//! canonical filter that ends every pruned build ([`crate::postprune`],
+//! §5.2's exhaustive pruning) runs there, on the loaded labels, as in
+//! the in-memory engine: it adds no I/O. At laptop scale that is always
+//! possible; for the paper's 9 GB graphs one would run the filter as one
+//! more §4.2 block prune, the final labels their own candidates and
+//! their own `across` file, and hand the final runs directly to
+//! `hoplabels::disk`.
 
 use std::io;
 use std::time::{Duration, Instant};
@@ -178,8 +183,8 @@ pub fn build_external(
         ));
     }
     let store = TempStore::new()?;
-    // The same core and records as the in-memory build, and the §5.2
-    // pass on the loaded index exactly as there — same flag, same final
+    // The same core and records as the in-memory build, and the
+    // canonical filter on the loaded index exactly as there — same final
     // label sets.
     let reduced = peel(g);
     let mut result = run(&reduced.core, cfg, ext, &store)?;
@@ -320,14 +325,31 @@ fn edge_run(store: &TempStore, ext: &ExtMemConfig, g: &Graph, dir: Direction) ->
     w.finish()
 }
 
-/// Materialise a `(key, pivot)`-sorted label run as per-vertex labels.
+/// Materialise a `(key, pivot)`-sorted label run as per-vertex labels,
+/// each built as its group is read.
+///
+/// # Errors
+/// `InvalidData` naming the file when `(key, pivot)` does not strictly
+/// increase or a key is not one of the `n` vertices; otherwise what the
+/// file returns.
 fn load_labels(run: &Run, n: usize, ext: &ExtMemConfig) -> io::Result<Vec<VertexLabels>> {
-    let mut labels: Vec<Vec<LabelEntry>> = vec![Vec::new(); n];
-    let mut reader = run.reader_shared(ext.block_bytes)?;
-    while let Some(r) = reader.next_record()? {
-        labels[r.key as usize].push(LabelEntry::new(r.pivot, r.dist));
+    let mut labels = vec![VertexLabels::new(); n];
+    let mut reader = GroupReader::open(run, ext.block_bytes)?;
+    let (mut group, mut last) = (Vec::new(), None);
+    while let Some(v) = reader.next_group(&mut group)? {
+        let in_order = last < Some(v) && group.windows(2).all(|w| w[0].pivot < w[1].pivot);
+        let Some(label) = labels.get_mut(v as usize).filter(|_| in_order) else {
+            let why = format!("label group {v} out of (vertex, pivot) order or not below {n}");
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{}: {why}", run.path().display()),
+            ));
+        };
+        let entries = group.iter().map(|r| LabelEntry::new(r.pivot, r.dist));
+        *label = VertexLabels::from_entries(entries.collect());
+        last = Some(v);
     }
-    Ok(labels.into_iter().map(VertexLabels::from_entries).collect())
+    Ok(labels)
 }
 
 /// Co-group join of `prev` with a key-sorted arc source: every `prev`
@@ -898,24 +920,17 @@ mod tests {
     }
 
     #[test]
-    fn post_prune_flag_matches_memory_engine() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        let n = 30;
-        let mut b = GraphBuilder::new_undirected(n);
-        for _ in 0..4 * n {
-            b.add_edge(rng.gen_range(0..n) as VertexId, rng.gen_range(0..n) as VertexId);
-        }
-        let g = b.build();
-        // Doubling leaves §5.2-removable entries behind, so the pass has
-        // real work to mirror.
-        let cfg =
-            HopDbConfig { post_prune: true, ..HopDbConfig::with_strategy(Strategy::Doubling) };
+    fn filtered_doubling_build_matches_memory_engine() {
+        let g = graphgen::glp(&graphgen::GlpParams::with_density(300, 3.0, 8));
+        // Doubling leaves §5.2-removable entries behind, so the canonical
+        // filter has real work to mirror.
+        let cfg = HopDbConfig::with_strategy(Strategy::Doubling);
         let (mem, mem_stats) = build_prelabeled(&g, &cfg);
+        assert!(mem_stats.post_pruned > 0);
         for threads in [1usize, 4] {
             let cfg = cfg.clone().with_parallelism(threads);
             let result = build_external(&g, &cfg, &tiny_ext()).unwrap();
-            assert_eq!(result.index, mem, "post-pruned external != memory at {threads} threads");
+            assert_eq!(result.index, mem, "filtered external != memory at {threads} threads");
             assert_eq!(result.stats.post_pruned, mem_stats.post_pruned);
             assert_eq!(result.stats.final_entries, mem_stats.final_entries);
         }
@@ -1183,6 +1198,32 @@ mod tests {
             };
             assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
             assert!(e.to_string().contains("holed") && e.to_string().contains("vertex 3"), "{e}");
+        }
+    }
+
+    /// A label run whose `(key, pivot)` does not strictly increase, or
+    /// whose key is not a vertex, is `InvalidData` naming the file when
+    /// it is loaded, not silently re-sorted.
+    #[test]
+    fn an_unsorted_label_run_is_invalid_data_naming_the_file() {
+        use extmem::run::run_from_slice;
+        let (ext, store) = (tiny_ext(), TempStore::new().unwrap());
+        let r = |key, pivot| LabelRecord::new(key, pivot, 1);
+        let sorted = [r(0, 0), r(1, 0), r(1, 1), r(2, 0), r(2, 2)];
+        let run = run_from_slice(&store, "sorted", &sorted, ext.block_bytes).unwrap();
+        let labels = load_labels(&run, 3, &ext).unwrap();
+        assert_eq!(labels.iter().map(VertexLabels::len).collect::<Vec<_>>(), [1, 2, 2]);
+        let cases: [(&str, &[LabelRecord]); 4] = [
+            ("pivots", &[r(0, 0), r(1, 1), r(1, 0)]),
+            ("twice", &[r(0, 0), r(1, 0), r(1, 0), r(1, 1)]),
+            ("keys", &[r(0, 0), r(2, 0), r(1, 1)]),
+            ("past", &[r(0, 0), r(3, 0)]),
+        ];
+        for (tag, records) in cases {
+            let run = run_from_slice(&store, tag, records, ext.block_bytes).unwrap();
+            let Err(e) = load_labels(&run, 3, &ext) else { panic!("{tag} must be refused") };
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+            assert!(e.to_string().contains(tag), "{tag}: {e}");
         }
     }
 

@@ -91,8 +91,11 @@ pub struct BuildStats {
     pub iterations: Vec<IterationStats>,
     /// Entries in the final index (including trivial self-entries).
     pub final_entries: u64,
-    /// Entries removed by the optional post-pruning pass.
+    /// Entries the canonical filter ([`crate::postprune`]) removed
+    /// from a pruned build; 0 for an unpruned one.
     pub post_pruned: u64,
+    /// Time the filter took (included in [`BuildStats::elapsed`]).
+    pub post_prune_elapsed: Duration,
     /// Vertices the index derives from their neighbours instead of
     /// labelling: those with one or two neighbours eliminated before the
     /// engine ran, each stored as a record (`hoplabels::Record`) per

@@ -29,8 +29,10 @@
 //! * [`engine`] — the iterative engine on rank-relabeled graphs (one
 //!   round kernel over one or two label *sides*), with per-iteration
 //!   statistics (growing/pruning factors of Fig. 10);
-//! * [`postprune`] — the exhaustive pruning pass (§5.2) that shrinks a
-//!   Hop-Doubling index to Hop-Stepping size;
+//! * [`postprune`] — the canonical filter, §5.2's exhaustive pruning as
+//!   an order-free test: the last step of every pruned build, in both
+//!   engines, it leaves PLL's canonical labels, so every strategy ends
+//!   in one index;
 //! * [`external`] — the I/O-efficient construction of §4 on the
 //!   `extmem` substrate.
 //!

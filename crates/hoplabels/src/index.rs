@@ -256,15 +256,11 @@ impl VertexLabels {
         applied
     }
 
-    /// Remove the entry for `pivot`; returns whether one existed.
-    pub fn remove(&mut self, pivot: VertexId) -> bool {
-        let Slot::Entries(entries) = &mut self.slot else { return false };
-        match entries.binary_search_by_key(&pivot, |e| e.pivot) {
-            Ok(i) => {
-                entries.remove(i);
-                true
-            }
-            Err(_) => false,
+    /// Keep only the entries `keep` accepts, in place and in order; a
+    /// record has none to judge.
+    pub fn retain(&mut self, keep: impl FnMut(&LabelEntry) -> bool) {
+        if let Slot::Entries(entries) = &mut self.slot {
+            entries.retain(keep);
         }
     }
 
@@ -880,8 +876,12 @@ mod tests {
     fn remove_entry() {
         let mut l = VertexLabels::with_trivial(1);
         l.insert_min(LabelEntry::new(0, 2));
-        assert!(l.remove(0));
-        assert!(!l.remove(0));
+        l.retain(|e| e.pivot != 0);
+        assert_eq!(l.entries(), [LabelEntry::trivial(1)]);
+        l.retain(|e| e.pivot != 0);
         assert_eq!(l.len(), 1);
+        let mut record = VertexLabels::from_record(Record::new(&[(0, 1)]));
+        record.retain(|_| false);
+        assert_eq!(record.record(), Some(Record::new(&[(0, 1)])), "a record has no entries");
     }
 }

@@ -1,5 +1,6 @@
-//! Cross-validation between independent implementations: HopDb with
-//! exhaustive post-pruning (§5.2) and PLL both produce the *canonical*
+//! Cross-validation between independent implementations: a default
+//! HopDb build, which ends in the canonical filter (§5.2's exhaustive
+//! pruning, `hopdb::postprune`), and PLL both produce the *canonical*
 //! 2-hop cover for a given rank order (§2.1), so their label sets must
 //! coincide entry for entry — two algorithmically unrelated code paths
 //! arriving at the same canonical object is strong evidence both are
@@ -12,7 +13,7 @@
 //! of its arcs on that side, read off the graph.
 
 use hop_doubling::baselines::pll;
-use hop_doubling::hopdb::{build_prelabeled, postprune, HopDbConfig};
+use hop_doubling::hopdb::{build_prelabeled, HopDbConfig};
 use hop_doubling::hoplabels::{LabelIndex, Record, VertexLabels};
 use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
 use hop_doubling::sfgraph::reduce::eliminate;
@@ -41,8 +42,7 @@ fn ranked_random(rng: &mut rand::rngs::StdRng, directed: bool, weighted: bool) -
 /// Compare, and return how many vertices were derived and how many of
 /// them had two neighbours.
 fn check(g: &Graph, case: usize) -> (usize, usize) {
-    let (mut hop, _) = build_prelabeled(g, &HopDbConfig::default());
-    postprune::post_prune(&mut hop);
+    let (hop, _) = build_prelabeled(g, &HopDbConfig::default());
     // Every record fits an image on graphs this small.
     let reduced = eliminate(g, |_| true);
     let mut expect = pll::build_prelabeled(&reduced.core);
@@ -63,10 +63,7 @@ fn check(g: &Graph, case: usize) -> (usize, usize) {
             LabelIndex::Undirected(u) => u.labels[v as usize] = slot(Direction::Out),
         }
     }
-    assert_eq!(
-        hop, expect,
-        "post-pruned HopDb and PLL on the core, plus the records, disagree (case {case})"
-    );
+    assert_eq!(hop, expect, "HopDb and PLL on the core, plus the records, disagree (case {case})");
     (reduced.derived.len(), reduced.derived.len() - reduced.leaves)
 }
 

@@ -15,10 +15,15 @@
 //! re-measure and replace the constants.
 //!
 //! The kernel is pinned as `engine::build_index` on the rank-relabeled
-//! graph — the graph these constants always hashed. The builders run it
-//! on the graph's core since vertex elimination; [`REDUCED`] pins that build
-//! too: its derived-vertex count, and its finished index (records
-//! hashed in their slots) and rows.
+//! graph — the graph these constants always hashed — followed, on a
+//! pruned config, by the canonical filter every pruned build ends in
+//! (`hopdb::postprune`). The filter leaves PLL's canonical labels, so
+//! the three pruned strategies of a graph pin one label hash (asserted),
+//! while each keeps its own rows: the filter runs after the last round
+//! and moves none of them. The builders run the kernel on the graph's
+//! core since vertex elimination; [`REDUCED`] pins that build too: its
+//! derived-vertex count, and its finished index (records hashed in their
+//! slots) and rows.
 //!
 //! Both engines run one round with one candidate count, so the external
 //! engine, spilling, must build every pruned case's labels and rows
@@ -29,6 +34,7 @@ use hop_doubling::extmem::ExtMemConfig;
 use hop_doubling::graphgen::{glp, orient_scale_free, with_random_weights, GlpParams};
 use hop_doubling::hopdb::engine::build_index;
 use hop_doubling::hopdb::external::build_external;
+use hop_doubling::hopdb::postprune::post_prune;
 use hop_doubling::hopdb::{build, build_prelabeled, BuildStats, HopDbConfig, Strategy};
 use hop_doubling::hoplabels::LabelIndex;
 use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
@@ -68,9 +74,13 @@ fn rows(stats: &BuildStats) -> Vec<Row> {
         .collect()
 }
 
-/// The kernel on the whole rank-relabeled graph, as `build` ranks it.
+/// The kernel on the whole rank-relabeled graph, as `build` ranks it,
+/// and — on a pruned build, as the builders do — the canonical filter.
 fn measure(g: &Graph, cfg: &HopDbConfig) -> (u64, Vec<Row>) {
-    let (index, stats) = build_index(&ranked(g), cfg);
+    let (mut index, stats) = build_index(&ranked(g), cfg);
+    if cfg.prune {
+        post_prune(&mut index, cfg.parallelism);
+    }
     (label_hash(&index), rows(&stats))
 }
 
@@ -90,7 +100,9 @@ fn configs() -> [(&'static str, HopDbConfig); 6] {
 }
 
 /// Build `g` under every config at 1, 2 and 4 threads and compare with
-/// `golden`, one `(config name, label hash, rows)` per config.
+/// `golden`, one `(config name, label hash, rows)` per config. The
+/// pruned configs must share one label hash: the filter leaves the
+/// canonical labels, whatever the strategy.
 fn assert_golden(graph: &str, g: &Graph, golden: &[(&str, u64, &[Row])]) {
     let mut failures = String::new();
     for (name, cfg) in configs() {
@@ -108,6 +120,15 @@ fn assert_golden(graph: &str, g: &Graph, golden: &[(&str, u64, &[Row])]) {
         }
     }
     assert!(failures.is_empty(), "engine output moved off its golden values:\n{failures}");
+    let pruned: Vec<u64> = configs()
+        .iter()
+        .filter(|(_, cfg)| cfg.prune)
+        .filter_map(|(name, _)| golden.iter().find(|(n, ..)| n == name).map(|&(_, h, _)| h))
+        .collect();
+    assert!(
+        pruned.len() == 3 && pruned.windows(2).all(|w| w[0] == w[1]),
+        "{graph}: the pruned strategies' label hashes differ: {pruned:#018x?}"
+    );
 }
 
 /// Every pruned config of `g` built by the external engine at a budget
@@ -175,7 +196,7 @@ fn reduced_build() {
 /// of the 1 500 vertices are derived — 749 leaves, as when only leaves
 /// were, and 276 with two neighbours — and the core is weighted.
 #[rustfmt::skip]
-const REDUCED: (u64, u64, &[Row]) = (1025, 0xf9486e223c16e715, &[
+const REDUCED: (u64, u64, &[Row]) = (1025, 0xf58ccbc6b38d9557, &[
     (3152, 0, 3152, 6152), (10602, 4606, 5996, 12148), (4609, 3952, 657, 12805),
     (290, 253, 37, 12842), (4, 4, 0, 12842),
 ]);
@@ -186,7 +207,7 @@ const UNDIRECTED: &[(&str, u64, &[Row])] = &[
         (4635, 0, 4635, 6135), (23482, 9815, 13667, 19802), (8703, 7365, 1338, 21140),
         (163, 136, 27, 21167), (0, 0, 0, 21167),
     ]),
-    ("doubling", 0x374fb1856ed2b7ff, &[
+    ("doubling", 0x87b9385e04411ffd, &[
         (4635, 0, 4635, 6135), (23482, 9815, 13667, 19802), (12628, 11080, 1548, 21350),
         (3170, 3170, 0, 21350),
     ]),
@@ -222,7 +243,7 @@ const DIRECTED: &[(&str, u64, &[Row])] = &[
         (4600, 0, 4600, 7600), (17622, 4625, 12997, 20597), (8833, 4530, 4303, 24900),
         (804, 493, 311, 25211), (70, 47, 23, 25234), (0, 0, 0, 25234),
     ]),
-    ("doubling", 0x1ae697bafe277b58, &[
+    ("doubling", 0x3998ea23d870d41e, &[
         (4600, 0, 4600, 7600), (17622, 4625, 12997, 20597), (12240, 7395, 4845, 25442),
         (2079, 2018, 61, 25503), (35, 35, 0, 25503),
     ]),
@@ -253,16 +274,16 @@ const DIRECTED: &[(&str, u64, &[Row])] = &[
 
 #[rustfmt::skip]
 const WEIGHTED: &[(&str, u64, &[Row])] = &[
-    ("stepping", 0xed4873bedd3cfa8e, &[
+    ("stepping", 0x0492b86de4ac51bb, &[
         (4543, 0, 4543, 6043), (25251, 5608, 19643, 25192), (26848, 15598, 11250, 31289),
         (7488, 3947, 3541, 32399), (1555, 892, 663, 32579), (168, 107, 61, 32591),
         (3, 0, 3, 32591), (0, 0, 0, 32591),
     ]),
-    ("doubling", 0x89eb9202f6cd00f0, &[
+    ("doubling", 0x0492b86de4ac51bb, &[
         (4543, 0, 4543, 6043), (25251, 5608, 19643, 25192), (41036, 27504, 13532, 32890),
         (13646, 11913, 1733, 33397), (1176, 1176, 0, 33397),
     ]),
-    ("hybrid3", 0xa32b05ec8b20d813, &[
+    ("hybrid3", 0x0492b86de4ac51bb, &[
         (4543, 0, 4543, 6043), (25251, 5608, 19643, 25192), (26848, 15598, 11250, 31289),
         (14445, 10505, 3940, 32534), (2605, 2422, 183, 32596), (158, 158, 0, 32596),
     ]),

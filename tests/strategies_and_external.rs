@@ -1,7 +1,8 @@
 //! Strategy-equivalence and external-engine integration tests:
 //!
-//! * all strategies answer identically (they may keep different label
-//!   sets; §5.2 says sizes coincide after exhaustive pruning);
+//! * all strategies answer identically, and write one image: every
+//!   pruned build ends in the canonical filter (§5.2's exhaustive
+//!   pruning), so the labels do not depend on the strategy;
 //! * the external §4 build is bit-identical to the in-memory build;
 //! * disk-serialized indexes answer like in-memory ones;
 //! * iteration counts respect Theorems 4 and 6.
@@ -10,7 +11,7 @@ use hop_doubling::extmem::device::TempStore;
 use hop_doubling::extmem::ExtMemConfig;
 use hop_doubling::graphgen::{glp, GlpParams};
 use hop_doubling::hopdb::external::build_external;
-use hop_doubling::hopdb::{build_prelabeled, postprune, HopDbConfig, Strategy};
+use hop_doubling::hopdb::{build_prelabeled, HopDbConfig, Strategy};
 use hop_doubling::hoplabels::disk::DiskIndex;
 use hop_doubling::sfgraph::analysis::hop_diameter;
 use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
@@ -57,17 +58,22 @@ fn strategies_answer_identically() {
 #[test]
 fn post_pruned_sizes_coincide_across_strategies() {
     // §5.2: Hop-Doubling with exhaustive pruning reaches Hop-Stepping's
-    // label size; the hybrid must land on the same canonical size too.
+    // label size. Every default build is exhaustively pruned, so the
+    // three strategies write one canonical image, byte for byte.
     let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-    for _ in 0..8 {
-        let g = ranked_random(&mut rng, false);
-        let mut sizes = Vec::new();
-        for s in [Strategy::Doubling, Strategy::Stepping, Strategy::Hybrid { switch_at: 4 }] {
-            let (mut idx, _) = build_prelabeled(&g, &HopDbConfig::with_strategy(s));
-            postprune::post_prune(&mut idx);
-            sizes.push(idx.total_entries());
-        }
-        assert!(sizes.windows(2).all(|w| w[0] == w[1]), "sizes differ: {sizes:?}");
+    for case in 0..8 {
+        let g = ranked_random(&mut rng, case % 2 == 1);
+        let images: Vec<Vec<u8>> =
+            [Strategy::Doubling, Strategy::Stepping, Strategy::Hybrid { switch_at: 4 }]
+                .into_iter()
+                .map(|s| {
+                    let (idx, _) = build_prelabeled(&g, &HopDbConfig::with_strategy(s));
+                    let mut bytes = Vec::new();
+                    idx.write_hopidx(&mut bytes).expect("serialize");
+                    bytes
+                })
+                .collect();
+        assert!(images.windows(2).all(|w| w[0] == w[1]), "case {case}: the images differ");
     }
 }
 
