@@ -374,8 +374,13 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         let (read_bytes, write_bytes, read_blocks, write_blocks) = result.io;
         io_summary = Some(format!(
             "external I/O: {read_bytes} B read / {write_bytes} B written \
-             ({read_blocks}+{write_blocks} blocks), {} sort runs, {} merge passes, {} seeks",
-            result.sort_runs, result.merge_passes, result.seeks
+             ({read_blocks}+{write_blocks} blocks), {} sort runs, {} merge passes, {} seeks, \
+             {} records encoded / {} decoded",
+            result.sort_runs,
+            result.merge_passes,
+            result.seeks,
+            result.records_encoded,
+            result.records_decoded
         ));
         (result.index, result.stats)
     } else {
@@ -1082,6 +1087,10 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("external I/O:") && out.contains(" seeks"), "{out}");
+        assert!(out.contains(" records encoded / ") && out.contains(" decoded\n"), "{out}");
+        let io_line =
+            |out: &str| out.lines().find(|l| l.starts_with("external I/O:")).map(str::to_owned);
+        let sequential_io = io_line(&out);
         // The per-iteration table is the in-memory build's, phase times
         // included, and accounts for every written byte.
         let total: u64 = out
@@ -1117,6 +1126,7 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("(4 threads)"), "{out}");
+        assert_eq!(io_line(&out), sequential_io, "the I/O line must not depend on --threads");
         let mem = std::fs::read(&mem_idx).unwrap();
         let ext1 = std::fs::read(&ext1_idx).unwrap();
         let ext4 = std::fs::read(&ext4_idx).unwrap();

@@ -154,6 +154,12 @@ pub struct ExternalBuildResult {
     /// Reader repositionings: directory jumps over blocks no join asked
     /// for — how much of `io`'s read traffic is not one sequential scan.
     pub seeks: u64,
+    /// Records coded into runs: the per-record work behind `io`'s bytes
+    /// written.
+    pub records_encoded: u64,
+    /// Records decoded from runs, resident heads included: the
+    /// per-record work behind `io`'s bytes read.
+    pub records_decoded: u64,
 }
 
 /// Build a label index for a rank-relabeled graph with bounded memory.
@@ -686,6 +692,8 @@ fn run(
         sort_runs: io.sort_runs(),
         merge_passes: io.merge_passes(),
         seeks: io.seeks(),
+        records_encoded: io.records_encoded(),
+        records_decoded: io.records_decoded(),
     })
 }
 

@@ -191,6 +191,8 @@ impl RunWriter {
 
     fn write_chunk(&mut self) -> std::io::Result<()> {
         self.file.write_all(&self.chunk)?;
+        let first = self.chunks.last().map_or(0, |c| c.first_record);
+        self.file.stats().record_encoded(self.len - first);
         self.written += self.chunk.len() as u64;
         self.chunk.clear();
         self.prev = None;
@@ -272,6 +274,14 @@ pub struct RunReader {
     /// Where the file's handle stands: a read the head serves leaves it
     /// behind, and the next read from the file moves it.
     file_at: u64,
+    /// Records decoded so far, counted into the file's stats on drop.
+    decoded: u64,
+}
+
+impl Drop for RunReader {
+    fn drop(&mut self) {
+        self.file.stats().record_decoded(self.decoded);
+    }
 }
 
 impl RunReader {
@@ -294,6 +304,7 @@ impl RunReader {
             head: Vec::with_capacity(head_budget),
             head_budget,
             file_at: 0,
+            decoded: 0,
         })
     }
 
@@ -311,6 +322,7 @@ impl RunReader {
             match self.cursor.next(&self.buf[self.at..self.filled]) {
                 Ok(Some((record, used))) => {
                     self.at += used;
+                    self.decoded += 1;
                     return Ok(Some(record));
                 }
                 Ok(None) => {

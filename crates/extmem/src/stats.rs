@@ -18,6 +18,8 @@ pub struct IoStats {
     sort_runs: AtomicU64,
     merge_passes: AtomicU64,
     seeks: AtomicU64,
+    records_encoded: AtomicU64,
+    records_decoded: AtomicU64,
 }
 
 impl IoStats {
@@ -59,6 +61,20 @@ impl IoStats {
         self.seeks.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Record `records` records coded into a run: a writer counts each
+    /// chunk once, as it writes it out.
+    #[inline]
+    pub fn record_encoded(&self, records: u64) {
+        self.records_encoded.fetch_add(records, Ordering::Relaxed);
+    }
+
+    /// Record `records` records decoded from a run: a reader counts them
+    /// once, when it is dropped.
+    #[inline]
+    pub fn record_decoded(&self, records: u64) {
+        self.records_decoded.fetch_add(records, Ordering::Relaxed);
+    }
+
     /// Total bytes read.
     pub fn read_bytes(&self) -> u64 {
         self.read_bytes.load(Ordering::Relaxed)
@@ -97,6 +113,18 @@ impl IoStats {
         self.seeks.load(Ordering::Relaxed)
     }
 
+    /// Records coded into runs: the per-record cost of every write,
+    /// which the byte counts hide.
+    pub fn records_encoded(&self) -> u64 {
+        self.records_encoded.load(Ordering::Relaxed)
+    }
+
+    /// Records decoded from runs, a resident head's included: the
+    /// per-record cost of every read.
+    pub fn records_decoded(&self) -> u64 {
+        self.records_decoded.load(Ordering::Relaxed)
+    }
+
     /// Read traffic in block I/Os of size `block_bytes` (ceiling; a
     /// block size of 0 counts bytes, like 1).
     pub fn read_blocks(&self, block_bytes: usize) -> u64 {
@@ -128,6 +156,8 @@ impl IoStats {
         self.sort_runs.store(0, Ordering::Relaxed);
         self.merge_passes.store(0, Ordering::Relaxed);
         self.seeks.store(0, Ordering::Relaxed);
+        self.records_encoded.store(0, Ordering::Relaxed);
+        self.records_decoded.store(0, Ordering::Relaxed);
     }
 }
 
@@ -156,10 +186,14 @@ mod tests {
         s.record_sort_run();
         s.record_merge_pass();
         s.record_seek();
+        s.record_encoded(5);
+        s.record_decoded(7);
         assert_eq!((s.sort_runs(), s.merge_passes(), s.seeks()), (1, 1, 1));
+        assert_eq!((s.records_encoded(), s.records_decoded()), (5, 7));
         s.reset();
         assert_eq!(s.snapshot(), (0, 0, 0, 0));
         assert_eq!((s.sort_runs(), s.merge_passes(), s.seeks()), (0, 0, 0));
+        assert_eq!((s.records_encoded(), s.records_decoded()), (0, 0));
     }
 
     /// `--block-bytes 0` used to reach these with a zero divisor, after

@@ -50,6 +50,11 @@ fn assert_external_thread_counts_agree(g: &Graph, ext: &ExtMemConfig) {
             (seq.io, seq.sort_runs, seq.merge_passes, seq.seeks),
             "I/O accounting must not depend on the thread count ({threads} threads)"
         );
+        assert_eq!(
+            (par.records_encoded, par.records_decoded),
+            (seq.records_encoded, seq.records_decoded),
+            "record counts must not depend on the thread count ({threads} threads)"
+        );
         assert_eq!(par.stats.num_iterations(), seq.stats.num_iterations());
         for (p, s) in par.stats.iterations.iter().zip(&seq.stats.iterations) {
             assert_eq!(
@@ -163,9 +168,15 @@ fn external_io_counters_equal_their_recorded_values() {
     // (162 → 146 blocks), the directed one, whose prunes take one block
     // each, reads what it did, and both write the same bytes.
     //
+    //
+    // The records encoded and decoded were pinned beside them when the
+    // build started counting them: the work per record that the byte
+    // counts hide, which a change to the cost of a record must leave
+    // exactly where it is.
+    //
     // ((bytes read, bytes written, blocks read, blocks written),
-    //  sort runs, merge passes, seeks)
-    type Counters = ((u64, u64, u64, u64), u64, u64, u64);
+    //  sort runs, merge passes, seeks, (records encoded, records decoded))
+    type Counters = ((u64, u64, u64, u64), u64, u64, u64, (u64, u64));
     let und = glp(&GlpParams::with_density(2_000, 3.0, 7));
     let dir = orient_scale_free(&glp(&GlpParams::with_density(1_500, 2.5, 13)), 0.25, 13);
     let cases: [(&str, Graph, RankBy, Counters); 2] = [
@@ -173,13 +184,13 @@ fn external_io_counters_equal_their_recorded_values() {
             "undirected glp-2k-d3 (seed 7)",
             und,
             RankBy::Degree,
-            ((594_924, 366_565, 146, 90), 8, 4, 2),
+            ((594_924, 366_565, 146, 90), 8, 4, 2, (118_949, 206_069)),
         ),
         (
             "directed glp-1.5k-d2.5 (seed 13)",
             dir,
             RankBy::DegreeProduct,
-            ((471_489, 205_396, 116, 51), 0, 6, 1),
+            ((471_489, 205_396, 116, 51), 0, 6, 1, (64_261, 136_827)),
         ),
     ];
     // M = 16 Ki records, B = 4 KiB: small enough that the sorters spill
@@ -187,11 +198,12 @@ fn external_io_counters_equal_their_recorded_values() {
     let ext = ExtMemConfig { memory_records: 1 << 14, block_bytes: 4 << 10 };
     for (name, raw, rank_by, recorded) in cases {
         let g = relabel_by_rank(&raw, &rank_vertices(&raw, &rank_by));
-        for threads in [1usize, 4] {
+        for threads in [1usize, 2, 4] {
             let cfg = HopDbConfig::default().with_parallelism(threads);
             let built = build_external(&g, &cfg, &ext).expect("external build");
+            let records = (built.records_encoded, built.records_decoded);
             assert_eq!(
-                (built.io, built.sort_runs, built.merge_passes, built.seeks),
+                (built.io, built.sort_runs, built.merge_passes, built.seeks, records),
                 recorded,
                 "{name}, {threads} thread(s)"
             );
