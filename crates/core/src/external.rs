@@ -93,8 +93,14 @@
 //! spends its `M` in two halves: a block of `M/2` candidate and owner
 //! label records, and the head of `across`, at most `M/2` records' worth
 //! of bytes (`6 × M`). Beside the block it keeps one scratch entry per
-//! candidate in `by_pivot` and `group_of` (a `u32` each) and `keep` (a
-//! `bool`), 9 bytes a candidate. A pipelined sorter can hold up to
+//! candidate in `group_of` (a `u32`), `keep` (a `bool`) and `by_pivot`
+//! (a `u64`, the pivot and the candidate's index, radix-sorted through
+//! as many again of scratch), 21 bytes a candidate. Every sorter's spill
+//! packs its `M` records into sort words and radix-sorts them through a
+//! scratch buffer of the same length: 16 bytes per record of `M` when
+//! the record fits a `u64`, 32 when it takes a `u128`, allocated for
+//! that spill and freed when its run is written (a sorter that never
+//! spills pays it once, at its end). A pipelined sorter can hold up to
 //! `(spill queue depth + 2) × M` records in flight (one buffer filling,
 //! two queued, one being sorted), and a threaded two-sided build runs
 //! both sides at once — two prunes, each with its own block and head —
@@ -118,13 +124,14 @@
 //! the in-memory engine: it adds no I/O. At laptop scale that is always
 //! possible; for the paper's 9 GB graphs one would run the filter as one
 //! more §4.2 block prune, the final labels their own candidates and
-//! their own `across` file, and hand the final runs directly to
-//! `hoplabels::disk`.
+//! their own `across` file, and hand the final runs directly to the
+//! `HOPIDX` writer (`LabelIndex::write_hopidx`).
 
 use std::io;
 use std::time::{Duration, Instant};
 
 use extmem::device::TempStore;
+use extmem::radix;
 use extmem::run::{RecordSource, Run, RunReader, RunWriter};
 use extmem::sorter::{merge_readers, ExternalSorter};
 use extmem::{ExtMemConfig, LabelRecord};
@@ -407,6 +414,17 @@ fn missing_group(run: &Run, v: u32) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("{file}: no label group for vertex {v}"))
 }
 
+/// The order the prune's inner pass visits a `(key, pivot)`-sorted
+/// block in, `(pivot, key)`: each candidate's index under its pivot,
+/// packed `pivot << 32 | index` into `order` and radix-sorted on the
+/// pivot alone — stable, and the indices already ascend with the key.
+fn pivot_order(block: &[LabelRecord], order: &mut Vec<u64>, scratch: &mut Vec<u64>) {
+    order.clear();
+    order.extend(block.iter().enumerate().map(|(c, r)| u64::from(r.pivot) << 32 | c as u64));
+    let pivots = block.iter().fold(0, |or, r| or | r.pivot);
+    radix::sort_from(order, scratch, 32, 32 + radix::bit_width(pivots));
+}
+
 /// Prune candidates with the 2-hop test `own(owner) ⋈ across(pivot) ≤ d`
 /// — the block nested-loop of §4.2.
 ///
@@ -450,7 +468,7 @@ fn prune_candidates(
     let mut own_pool: Vec<LabelRecord> = Vec::new();
     let mut own_bounds: Vec<usize> = Vec::new();
     let mut group_of: Vec<u32> = Vec::new();
-    let mut by_pivot: Vec<u32> = Vec::new();
+    let (mut by_pivot, mut radix_scratch) = (Vec::new(), Vec::new());
     let mut keep: Vec<bool> = Vec::new();
     let (mut cg, mut ag) = (Vec::new(), Vec::new());
 
@@ -491,13 +509,11 @@ fn prune_candidates(
         // candidates by pivot. The block itself stays in `(key, pivot)`
         // order and blocks are consecutive key ranges, so the survivors
         // leave globally sorted.
-        by_pivot.clear();
-        by_pivot.extend(0..block.len() as u32);
-        by_pivot.sort_unstable_by_key(|&c| (block[c as usize].pivot, block[c as usize].key));
+        pivot_order(&block, &mut by_pivot, &mut radix_scratch);
         keep.clear();
         keep.resize(block.len(), false);
         across_reader.rewind()?;
-        let mut visit = by_pivot.iter().map(|&c| c as usize).peekable();
+        let mut visit = by_pivot.iter().map(|&w| w as u32 as usize).peekable();
         while let Some(&first) = visit.peek() {
             let pivot = block[first].pivot;
             across_reader.skip_to(pivot)?;
@@ -1073,6 +1089,36 @@ mod tests {
         // Dominated candidates used to be counted as pruned (the join
         // found the owner's own entry); now they are no candidates.
         assert_eq!(pruned as usize, live - expect.len());
+    }
+
+    /// The radix `pivot_order` visits a `(key, pivot)`-sorted block in
+    /// the order the comparison sort on `(pivot, key)` did, on blocks
+    /// whose pivots repeat, run long and reach `u32::MAX`.
+    #[test]
+    fn pivot_order_is_the_comparison_order() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(47);
+        let (mut order, mut scratch) = (Vec::new(), Vec::new());
+        for case in 0..40 {
+            let pivots = [1, 2, 5, 40, 3_000][case % 5];
+            let mut block: Vec<LabelRecord> = (0..rng.gen_range(0..300))
+                .map(|_| {
+                    let pivot = if case % 7 == 6 && rng.gen_bool(0.3) {
+                        u32::MAX - rng.gen_range(0..2u32)
+                    } else {
+                        rng.gen_range(0..pivots)
+                    };
+                    LabelRecord::new(rng.gen_range(0..60), pivot, rng.gen_range(1..9))
+                })
+                .collect();
+            block.sort_unstable();
+            block.dedup_by_key(|r| (r.key, r.pivot));
+            let mut expect: Vec<u32> = (0..block.len() as u32).collect();
+            expect.sort_unstable_by_key(|&c| (block[c as usize].pivot, block[c as usize].key));
+            pivot_order(&block, &mut order, &mut scratch);
+            let got: Vec<u32> = order.iter().map(|&w| w as u32).collect();
+            assert_eq!(got, expect, "case {case}: {} candidates", block.len());
+        }
     }
 
     /// The resident head of `across`: on a hub-heavy input cut into

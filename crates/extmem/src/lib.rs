@@ -25,6 +25,8 @@
 //!   as a seek, and a reader that passes over a run again and again can
 //!   keep the leading bytes it read resident
 //!   ([`run::Run::reader_with_head`]);
+//! * [`radix`] — the stable LSD radix sort of packed words that forms
+//!   the sorter's runs and orders the §4.2 prune's blocks by pivot;
 //! * [`sorter::ExternalSorter`] — budgeted run formation plus k-way merge
 //!   with an optional combiner for equal keys (used to keep the minimum
 //!   distance per `(vertex, pivot)` candidate), optionally pipelining the
@@ -42,6 +44,7 @@
 
 pub mod codec;
 pub mod device;
+pub mod radix;
 pub mod run;
 pub mod sorter;
 pub mod stats;

@@ -384,16 +384,6 @@ impl RunReader {
         }
         Ok(from_head + n)
     }
-
-    /// Fill `out` with up to `max` records; returns how many were read.
-    pub fn next_batch(&mut self, out: &mut Vec<LabelRecord>, max: usize) -> std::io::Result<usize> {
-        let before = out.len();
-        while out.len() - before < max {
-            let Some(record) = self.next_record()? else { break };
-            out.push(record);
-        }
-        Ok(out.len() - before)
-    }
 }
 
 /// Write all `records` into a fresh run in one call.
@@ -424,19 +414,6 @@ mod tests {
         let run = run_from_slice(&store, "rt", &records, 64).unwrap();
         assert_eq!(run.len(), 1000);
         assert_eq!(run.read_all().unwrap(), records);
-    }
-
-    #[test]
-    fn batched_reads() {
-        let store = TempStore::new().unwrap();
-        let records: Vec<LabelRecord> = (0..10).map(|i| LabelRecord::new(i, 0, 0)).collect();
-        let run = run_from_slice(&store, "b", &records, 4).unwrap();
-        let mut reader = run.reader(4).unwrap();
-        let mut batch = Vec::new();
-        assert_eq!(reader.next_batch(&mut batch, 6).unwrap(), 6);
-        assert_eq!(reader.next_batch(&mut batch, 6).unwrap(), 4);
-        assert_eq!(reader.next_batch(&mut batch, 6).unwrap(), 0);
-        assert_eq!(batch.len(), 10);
     }
 
     #[test]

@@ -1,11 +1,22 @@
 //! External merge sort with an optional combiner.
 //!
-//! Classic two-phase sort in the Aggarwal–Vitter model: quicksorted runs
-//! of at most `M` records are spilled to counted files, then merged with
-//! a k-way heap. An optional *combiner* merges consecutive records with
-//! equal keys during both phases — the label engines use it to keep one
-//! minimum-distance candidate per `(vertex, pivot)` pair, which is the
-//! "avoid duplicates" step of Algorithm 2.
+//! Classic two-phase sort in the Aggarwal–Vitter model: runs of at most
+//! `M` records are sorted in memory and spilled to counted files, then
+//! merged with a k-way heap. An optional *combiner* merges consecutive
+//! records with equal keys during both phases — the label engines use it
+//! to keep one minimum-distance candidate per `(vertex, pivot)` pair,
+//! which is the "avoid duplicates" step of Algorithm 2.
+//!
+//! A run is formed without comparing records: one OR pass over the
+//! buffer finds the bits its keys, pivots and distances use, each record
+//! is packed into one word in those widths, key highest (a `u64` when
+//! they fit, a `u128` when they do not), and the words are radix-sorted
+//! ([`crate::radix`]) — the order of `LabelRecord`'s `Ord`, since equal
+//! words are equal records. The combiner and the run writer take the
+//! records straight from the sorted words. The merge orders one word a
+//! run too: the record's fields, then the run's index, so records equal
+//! across runs leave in run order, and a reader's next record replaces
+//! its word at the top of the heap with a single sift.
 //!
 //! The last merge is a stream ([`ExternalSorter::finish_stream`]): a
 //! consumer that reads the sorted records once takes them straight from
@@ -18,19 +29,21 @@
 //! default "read on".
 //!
 //! [`ExternalSorter::with_background_spill`] moves the spill work
-//! (quicksort + run write) onto a dedicated worker thread fed through a
+//! (radix sort + run write) onto a dedicated worker thread fed through a
 //! bounded channel, so the producer keeps streaming records while
 //! previous batches sort and hit the disk. The spilled runs — and
 //! therefore the final merged output, the spill counters, and the byte
 //! traffic — are identical to the inline path.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
 use crate::codec::LabelRecord;
 use crate::device::{CountedFile, TempStore};
+use crate::radix::{self, Word};
 use crate::run::{chunk_bytes, RecordSource, Run, RunReader, RunWriter};
 use crate::ExtMemConfig;
 
@@ -146,7 +159,7 @@ impl<'s> ExternalSorter<'s> {
     /// Move run formation onto a background worker thread.
     ///
     /// Full buffers travel through a channel bounded at
-    /// `SPILL_QUEUE_DEPTH` (2); the worker quicksorts, combines, and writes
+    /// `SPILL_QUEUE_DEPTH` (2); the worker radix-sorts, combines, and writes
     /// each one while the producer keeps pushing. Call before the first
     /// [`ExternalSorter::push`] (after combiner setup) — the worker
     /// snapshots the combiner configuration when it starts. The thread is
@@ -169,14 +182,9 @@ impl<'s> ExternalSorter<'s> {
         let handle = std::thread::spawn(move || -> std::io::Result<Vec<Run>> {
             let mut runs = Vec::new();
             while let Ok(mut buf) = rx.recv() {
-                sort_and_combine(&mut buf, combiner, group_eq);
-                let mut w = RunWriter::new(store.create("sort-run")?, block_bytes);
-                for &r in &buf {
-                    w.push(r)?;
-                }
-                runs.push(w.finish()?);
+                let file = store.create("sort-run")?;
+                runs.push(spill_run(&mut buf, file, block_bytes, combiner, group_eq)?);
                 store.stats().record_sort_run();
-                buf.clear();
                 // Hand the emptied buffer back; a gone producer is fine.
                 let _ = recycle_tx.send(buf);
             }
@@ -219,13 +227,9 @@ impl<'s> ExternalSorter<'s> {
                 Ok(_) => Err(std::io::Error::other("spill worker exited unexpectedly")),
             };
         }
-        sort_and_combine(&mut self.buffer, self.combiner, self.group_eq);
-        let mut w = RunWriter::new(self.store.create("sort-run")?, self.config.block_bytes);
-        for &r in &self.buffer {
-            w.push(r)?;
-        }
-        self.runs.push(w.finish()?);
-        self.buffer.clear();
+        let file = self.store.create("sort-run")?;
+        let (block_bytes, combiner) = (self.config.block_bytes, self.combiner);
+        self.runs.push(spill_run(&mut self.buffer, file, block_bytes, combiner, self.group_eq)?);
         self.store.stats().record_sort_run();
         Ok(())
     }
@@ -248,9 +252,13 @@ impl<'s> ExternalSorter<'s> {
     /// written and read back.
     pub fn finish_stream(mut self) -> std::io::Result<SortedStream> {
         if self.runs.is_empty() && self.spill_worker.is_none() {
-            sort_and_combine(&mut self.buffer, self.combiner, self.group_eq);
+            let mut sorted = Vec::with_capacity(self.buffer.len());
+            sort_and_combine(&self.buffer, self.combiner, self.group_eq, |r| {
+                sorted.push(r);
+                Ok(())
+            })?;
             let nothing_to_merge = SortedStream::merge(Vec::new(), self.combiner, self.group_eq)?;
-            let memory = std::mem::take(&mut self.buffer).into_iter();
+            let memory = sorted.into_iter();
             return Ok(SortedStream { memory, ..nothing_to_merge });
         }
         self.spill()?;
@@ -273,29 +281,123 @@ impl<'s> ExternalSorter<'s> {
     }
 }
 
-/// Sort `buf` and fold each group of `group_eq` records with `combiner`.
-fn sort_and_combine(buf: &mut Vec<LabelRecord>, combiner: Option<Combiner>, group_eq: GroupEq) {
-    buf.sort_unstable();
-    let Some(combine) = combiner else { return };
-    let mut write = 0usize;
-    for read in 0..buf.len() {
-        if write > 0 && group_eq(&buf[write - 1], &buf[read]) {
-            buf[write - 1] = combine(buf[write - 1], buf[read]);
-        } else {
-            buf[write] = buf[read];
-            write += 1;
+/// Where each field of a record sits in its packed sort word: the
+/// fields in the bit widths a buffer's records use, key highest, so the
+/// words order as the records do.
+#[derive(Clone, Copy)]
+struct Packing {
+    pivot_shift: u32,
+    key_shift: u32,
+    pivot_mask: u32,
+    dist_mask: u32,
+    bits: u32,
+}
+
+impl Packing {
+    /// The packing of `records`, found in one OR pass over them.
+    fn of(records: &[LabelRecord]) -> Packing {
+        let (mut key, mut pivot, mut dist) = (0u32, 0u32, 0u32);
+        for r in records {
+            (key, pivot, dist) = (key | r.key, pivot | r.pivot, dist | r.dist);
+        }
+        let [key, pivot, dist] = [key, pivot, dist].map(radix::bit_width);
+        let mask = |bits: u32| ((1u64 << bits) - 1) as u32;
+        Packing {
+            pivot_shift: dist,
+            key_shift: dist + pivot,
+            pivot_mask: mask(pivot),
+            dist_mask: mask(dist),
+            bits: dist + pivot + key,
         }
     }
-    buf.truncate(write);
+
+    #[inline(always)]
+    fn pack<W: Word>(self, r: LabelRecord) -> W {
+        W::from(r.key) << self.key_shift | W::from(r.pivot) << self.pivot_shift | W::from(r.dist)
+    }
+
+    #[inline(always)]
+    fn unpack<W: Word>(self, w: W) -> LabelRecord {
+        let field = |shift: u32| (w >> shift).low64() as u32;
+        LabelRecord::new(
+            field(self.key_shift),
+            field(self.pivot_shift) & self.pivot_mask,
+            field(0) & self.dist_mask,
+        )
+    }
+
+    /// Whether the packed words fit a `u64` with the key's shift below
+    /// its width.
+    fn fits_u64(self) -> bool {
+        self.key_shift < 64 && self.bits <= 64
+    }
+}
+
+/// Radix-sort `records` and hand them to `emit` in order, each group of
+/// `group_eq` records folded with `combiner` first when there is one.
+fn sort_and_combine(
+    records: &[LabelRecord],
+    combiner: Option<Combiner>,
+    group_eq: GroupEq,
+    emit: impl FnMut(LabelRecord) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let packing = Packing::of(records);
+    if packing.fits_u64() {
+        sort_words::<u64>(records, packing, combiner, group_eq, emit)
+    } else {
+        sort_words::<u128>(records, packing, combiner, group_eq, emit)
+    }
+}
+
+/// [`sort_and_combine`] on words of type `W`; the radix scratch lives
+/// only for the sort.
+fn sort_words<W: Word>(
+    records: &[LabelRecord],
+    packing: Packing,
+    combiner: Option<Combiner>,
+    group_eq: GroupEq,
+    mut emit: impl FnMut(LabelRecord) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let mut words: Vec<W> = records.iter().map(|&r| packing.pack(r)).collect();
+    radix::sort_from(&mut words, &mut Vec::new(), 0, packing.bits);
+    let mut sorted = words.iter().map(|&w| packing.unpack(w));
+    let Some(combine) = combiner else { return sorted.try_for_each(emit) };
+    let Some(mut pending) = sorted.next() else { return Ok(()) };
+    for r in sorted {
+        if group_eq(&pending, &r) {
+            pending = combine(pending, r);
+        } else {
+            emit(std::mem::replace(&mut pending, r))?;
+        }
+    }
+    emit(pending)
+}
+
+/// Sort `buf` (left empty) into a run in `file`, each group of
+/// `group_eq` records folded with `combiner` when there is one.
+fn spill_run(
+    buf: &mut Vec<LabelRecord>,
+    file: CountedFile,
+    block_bytes: usize,
+    combiner: Option<Combiner>,
+    group_eq: GroupEq,
+) -> std::io::Result<Run> {
+    let mut w = RunWriter::new(file, block_bytes);
+    sort_and_combine(buf, combiner, group_eq, |r| w.push(r))?;
+    buf.clear();
+    w.finish()
 }
 
 /// A sorted (and combined) record stream that is not a file: the k-way
 /// heap merge of sorted readers — the one merge loop, behind
 /// [`merge_readers`] and [`ExternalSorter::finish_stream`] alike — or a
-/// sorter's buffer that never spilled.
-pub struct SortedStream {
-    readers: Vec<RunReader>,
-    heap: BinaryHeap<Reverse<(LabelRecord, usize)>>,
+/// sorter's buffer that never spilled. The readers are run readers
+/// everywhere but in the tests of its order.
+pub struct SortedStream<R = RunReader> {
+    readers: Vec<R>,
+    /// Each open reader's next record and the reader's index, packed by
+    /// [`merge_word`]: a min-heap of one word a reader.
+    heap: BinaryHeap<Reverse<u128>>,
     /// The record the next equal-group arrivals are still folded into.
     pending: Option<LabelRecord>,
     combiner: Option<Combiner>,
@@ -304,16 +406,16 @@ pub struct SortedStream {
     memory: std::vec::IntoIter<LabelRecord>,
 }
 
-impl SortedStream {
+impl<R: RecordSource> SortedStream<R> {
     fn merge(
-        mut readers: Vec<RunReader>,
+        mut readers: Vec<R>,
         combiner: Option<Combiner>,
         group_eq: GroupEq,
-    ) -> std::io::Result<SortedStream> {
+    ) -> std::io::Result<SortedStream<R>> {
         let mut heap = BinaryHeap::with_capacity(readers.len());
         for (i, r) in readers.iter_mut().enumerate() {
             if let Some(rec) = r.next_record()? {
-                heap.push(Reverse((rec, i)));
+                heap.push(Reverse(merge_word(rec, i)));
             }
         }
         let memory = Vec::new().into_iter();
@@ -330,15 +432,20 @@ impl SortedStream {
     }
 }
 
-impl RecordSource for SortedStream {
+impl<R: RecordSource> RecordSource for SortedStream<R> {
     // Inlined into each consumer's loop: as an out-of-line call per record
     // `finish()` measured 4 % (spilled) to 10 % (in-memory) slower than
     // the merge loop it replaced.
     #[inline(always)]
     fn next_record(&mut self) -> std::io::Result<Option<LabelRecord>> {
-        while let Some(Reverse((rec, i))) = self.heap.pop() {
-            if let Some(next) = self.readers[i].next_record()? {
-                self.heap.push(Reverse((next, i)));
+        while let Some(mut top) = self.heap.peek_mut() {
+            let Reverse(word) = *top;
+            let (rec, i) = (merge_record(word), word as u32 as usize);
+            // The reader's next record takes its word's place: one sift
+            // down, where a pop and a push took two.
+            match self.readers[i].next_record()? {
+                Some(next) => *top = Reverse(merge_word(next, i)),
+                None => drop(PeekMut::pop(top)),
             }
             match (self.pending.take(), self.combiner) {
                 (None, _) => self.pending = Some(rec),
@@ -353,6 +460,20 @@ impl RecordSource for SortedStream {
         }
         Ok(self.pending.take().or_else(|| self.memory.next()))
     }
+}
+
+/// The merge's word of reader `i`'s record `r`: the fields, then the
+/// reader, so words order as the `(record, reader)` pairs do.
+#[inline(always)]
+fn merge_word(r: LabelRecord, i: usize) -> u128 {
+    let fields = u128::from(r.key) << 96 | u128::from(r.pivot) << 64 | u128::from(r.dist) << 32;
+    fields | i as u128
+}
+
+/// The record of a [`merge_word`].
+#[inline(always)]
+fn merge_record(w: u128) -> LabelRecord {
+    LabelRecord::new((w >> 96) as u32, (w >> 64) as u32, (w >> 32) as u32)
 }
 
 /// Merge already-sorted runs into one sorted run, consuming them.
@@ -396,6 +517,190 @@ mod tests {
             s.push(r).unwrap();
         }
         s.finish().unwrap().read_all().unwrap()
+    }
+
+    /// Run formation and the merge against the comparison sort and the
+    /// tuple heap they replaced: pure in-memory functions, no files, so
+    /// they run under Miri too.
+    mod order {
+        use super::*;
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        fn group_eq(a: &LabelRecord, b: &LabelRecord) -> bool {
+            (a.key, a.pivot) == (b.key, b.pivot)
+        }
+
+        fn keep_min(a: LabelRecord, b: LabelRecord) -> LabelRecord {
+            if a.dist <= b.dist {
+                a
+            } else {
+                b
+            }
+        }
+
+        /// What run formation did before the radix: `sort_unstable` on
+        /// the records, then the combiner over each group.
+        fn compared(records: &[LabelRecord], combiner: Option<Combiner>) -> Vec<LabelRecord> {
+            let mut buf = records.to_vec();
+            buf.sort_unstable();
+            let Some(combine) = combiner else { return buf };
+            let mut write = 0usize;
+            for read in 0..buf.len() {
+                if write > 0 && group_eq(&buf[write - 1], &buf[read]) {
+                    buf[write - 1] = combine(buf[write - 1], buf[read]);
+                } else {
+                    buf[write] = buf[read];
+                    write += 1;
+                }
+            }
+            buf.truncate(write);
+            buf
+        }
+
+        fn radixed(records: &[LabelRecord], combiner: Option<Combiner>) -> Vec<LabelRecord> {
+            let mut out = Vec::new();
+            let emit = |r| {
+                out.push(r);
+                Ok(())
+            };
+            sort_and_combine(records, combiner, group_eq, emit).unwrap();
+            out
+        }
+
+        fn draws(seed: u64) -> impl FnMut(u32) -> u32 {
+            let mut x = seed;
+            move |n| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((x >> 33) % u64::from(n)) as u32
+            }
+        }
+
+        /// Every buffer shape whose order a radix could get wrong, each
+        /// with whether its key takes the `u128` word.
+        fn buffers() -> Vec<(String, Vec<LabelRecord>, bool)> {
+            let (r, max) = (LabelRecord::new, u32::MAX);
+            let mut draw = draws(0x5047);
+            let mut shapes = vec![
+                ("empty".into(), vec![], false),
+                ("one".into(), vec![r(3, 1, 4)], false),
+                ("two".into(), vec![r(9, 2, 6), r(5, 3, 5)], false),
+                ("two equal".into(), vec![r(7, 7, 7), r(7, 7, 7)], false),
+                ("one at the top".into(), vec![r(max, max, max)], true),
+                ("top and bottom".into(), vec![r(max, max, max), r(0, 0, 0), r(max, 0, max)], true),
+                ("top dist".into(), vec![r(4, 1, max), r(4, 1, 2), r(0, 9, max - 1)], false),
+            ];
+            for round in 0..6 {
+                let n = 50 + 40 * round;
+                let random = (0..n).map(|_| r(draw(997), draw(991), draw(7))).collect();
+                shapes.push(("random".into(), random, false));
+                // Long runs of one (key, pivot), the distances shuffled.
+                let runs = (0..n).map(|i| r(i / 40, (i / 40) % 3, draw(1_000))).collect();
+                shapes.push(("equal pairs".into(), runs, false));
+                let dups = (0..n).map(|_| r(draw(4), draw(3), draw(2))).collect();
+                shapes.push(("duplicates".into(), dups, false));
+                let wide = (0..n)
+                    .map(|_| match draw(4) {
+                        0 => r(max, draw(max), draw(9)),
+                        1 => r(draw(max), max, max),
+                        2 => r(max - draw(3), max - draw(3), max - draw(3)),
+                        _ => r(draw(50), draw(50), draw(9)),
+                    })
+                    .collect();
+                shapes.push(("u32::MAX fields".into(), wide, true));
+            }
+            shapes
+        }
+
+        #[test]
+        fn radix_run_formation_equals_the_comparison_sort() {
+            for (shape, records, wide) in buffers() {
+                assert_eq!(Packing::of(&records).fits_u64(), !wide, "{shape}");
+                for combiner in [None, Some(keep_min as Combiner)] {
+                    let expect = compared(&records, combiner);
+                    let at = format!(
+                        "{shape}, {} records, combiner {}",
+                        records.len(),
+                        combiner.is_some()
+                    );
+                    assert_eq!(radixed(&records, combiner), expect, "{at}");
+                }
+            }
+        }
+
+        /// An in-memory sorted source that logs, in `reads`, its `id`
+        /// each time it is read.
+        struct Logged {
+            records: std::vec::IntoIter<LabelRecord>,
+            id: usize,
+            reads: Rc<RefCell<Vec<usize>>>,
+        }
+
+        impl RecordSource for Logged {
+            fn next_record(&mut self) -> std::io::Result<Option<LabelRecord>> {
+                self.reads.borrow_mut().push(self.id);
+                Ok(self.records.next())
+            }
+        }
+
+        /// The merge the packed word replaced: a heap of `(record,
+        /// reader)` tuples, popped, then refilled from the popped reader.
+        fn tuple_heap(mut sources: Vec<Logged>) -> Vec<LabelRecord> {
+            let mut heap = BinaryHeap::new();
+            for (i, s) in sources.iter_mut().enumerate() {
+                if let Some(r) = s.next_record().unwrap() {
+                    heap.push(Reverse((r, i)));
+                }
+            }
+            let mut out = Vec::new();
+            while let Some(Reverse((r, i))) = heap.pop() {
+                if let Some(next) = sources[i].next_record().unwrap() {
+                    heap.push(Reverse((next, i)));
+                }
+                out.push(r);
+            }
+            out
+        }
+
+        /// With no combiner, equal records arriving from different runs
+        /// come out of the merge as the tuple heap let them out, and the
+        /// runs are read in the same order: ties go to the lower run.
+        #[test]
+        fn merge_order_equals_the_tuple_heap_ties_included() {
+            let mut draw = draws(0x7ee);
+            for runs in [1usize, 2, 3, 7, 12] {
+                let contents: Vec<Vec<LabelRecord>> = (0..runs)
+                    .map(|_| {
+                        let len = draw(60);
+                        let mut run: Vec<LabelRecord> =
+                            (0..len).map(|_| LabelRecord::new(draw(6), draw(3), draw(2))).collect();
+                        run.sort_unstable();
+                        run
+                    })
+                    .collect();
+                let sources = |reads: &Rc<RefCell<Vec<usize>>>| -> Vec<Logged> {
+                    let each = contents.iter().enumerate();
+                    each.map(|(id, run)| Logged {
+                        records: run.clone().into_iter(),
+                        id,
+                        reads: Rc::clone(reads),
+                    })
+                    .collect()
+                };
+                let (old_reads, new_reads) = (Rc::default(), Rc::default());
+                let expect = tuple_heap(sources(&old_reads));
+                let mut merged =
+                    SortedStream::merge(sources(&new_reads), None, |a, b| a == b).unwrap();
+                let mut got = Vec::new();
+                while let Some(r) = merged.next_record().unwrap() {
+                    got.push(r);
+                }
+                assert_eq!(got, expect, "{runs} runs");
+                assert_eq!(new_reads, old_reads, "{runs} runs: the runs read in another order");
+                let ties = expect.windows(2).filter(|w| w[0] == w[1]).count();
+                assert!(runs < 3 || ties > 0, "{runs} runs: equal records must meet");
+            }
+        }
     }
 
     #[test]
