@@ -99,8 +99,9 @@
 //! packs its `M` records into sort words and radix-sorts them through a
 //! scratch buffer of the same length: 16 bytes per record of `M` when
 //! the record fits a `u64`, 32 when it takes a `u128`, allocated for
-//! that spill and freed when its run is written (a sorter that never
-//! spills pays it once, at its end). A pipelined sorter can hold up to
+//! that spill and freed when its run is written; a sorter that never
+//! spills pays it once, at its end, beside a 12-byte sorted copy of its
+//! buffer, which its stream serves. A pipelined sorter can hold up to
 //! `(spill queue depth + 2) × M` records in flight (one buffer filling,
 //! two queued, one being sorted), and a threaded two-sided build runs
 //! both sides at once — two prunes, each with its own block and head —

@@ -21,7 +21,6 @@ const MAX_DIGIT_BITS: u32 = 11;
 pub trait Word:
     Copy
     + Default
-    + Ord
     + From<u32>
     + Shl<u32, Output = Self>
     + Shr<u32, Output = Self>

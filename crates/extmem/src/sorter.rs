@@ -441,8 +441,8 @@ impl<R: RecordSource> RecordSource for SortedStream<R> {
         while let Some(mut top) = self.heap.peek_mut() {
             let Reverse(word) = *top;
             let (rec, i) = (merge_record(word), word as u32 as usize);
-            // The reader's next record takes its word's place: one sift
-            // down, where a pop and a push took two.
+            // The reader's next record takes its word's place at the top:
+            // one sift down per record.
             match self.readers[i].next_record()? {
                 Some(next) => *top = Reverse(merge_word(next, i)),
                 None => drop(PeekMut::pop(top)),
