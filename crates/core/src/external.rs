@@ -8,7 +8,7 @@
 //!
 //! | file     | records, sort order                                    | read by                                       |
 //! |----------|--------------------------------------------------------|-----------------------------------------------|
-//! | `labels` | `own`, by `(owner, pivot)`                             | the prune; the doubling arcs (own and across) |
+//! | `labels` | `own`, by `(owner, pivot)`: a base and up to 4 deltas  | the prune; the doubling arcs (own and across) |
 //! | `edges`  | edges in the side's step direction, by tail            | this side's stepping arcs                     |
 //! | `prev`   | last iteration's new entries, by owner: the survivors  | the arc joins, as the driving input           |
 //!
@@ -55,14 +55,25 @@
 //!   at the head of the file, which every block's pass asks for again.
 //!   So one reader serves all of a prune's passes and keeps that head
 //!   resident: the leading bytes of `across` that its passes read, up to
-//!   the other half of `M` (`M/2` records' 12 bytes), read from the file
+//!   the other half of `M` (`M/2` records' 12 bytes), read from the files
 //!   and counted once, and every later pass decodes them from memory and
-//!   goes to the file only past them. Survivors are written in the order
-//!   the candidates arrived, so they leave `(key, pivot)`-sorted.
-//! * **Merge** — a side's survivors are merged (min-distance) into its
-//!   `labels` through a borrowed reader, and then simply *are* its next
-//!   `prev`: one merge per side, and none in the round that finds the
-//!   fixpoint, which has no survivor.
+//!   goes to the files only past them. Survivors are written in the order
+//!   the candidates arrived, so they leave `(key, pivot)`-sorted; the
+//!   prune counts those that lower an entry `own(x)` already holds, so a
+//!   row's `total_entries` stays exact without reading the labels again.
+//! * **Delta stack** — `labels` is log-structured: a base run and a
+//!   stack of delta runs, every reader of it — the prune's own and
+//!   `across` passes, the doubling arcs and view, the final load — reads
+//!   their merge, min-combined on `(owner, pivot)`, through one
+//!   `extmem` [`SortedStream`] that hands skip hints and rewinds to each
+//!   run. A side's survivors *are* its next `prev`, and that same run
+//!   goes on the stack; it is folded — one min-combining merge of base
+//!   and deltas into a new base — only when the stack's bytes would pass
+//!   a quarter of the base's or its depth four runs. A side without
+//!   survivors touches nothing, so the round that finds the fixpoint, and
+//!   a directed side that found nothing while the other side did, write
+//!   no label byte; a late round adding a few dozen entries writes them
+//!   once, not the whole label file again.
 //!
 //! Every byte flows through counted files, so the
 //! [`ExternalBuildResult::io`] report gives honest `scan(N) = N/B`
@@ -79,7 +90,7 @@
 //! file handle, so a seek moves nobody else's position); every sorter —
 //! candidates and view — uses the `extmem` **background spill worker**,
 //! so the joins keep streaming while full buffers sort and write behind
-//! a bounded channel; and the sides' **label merges**, which write
+//! a bounded channel; and the sides' **label folds**, which write
 //! disjoint runs, run together. The knob is a concurrency *budget* over
 //! this fixed structure, not a worker count: every value from 2 up
 //! behaves alike.
@@ -109,7 +120,13 @@
 //! Every open run reader and writer holds one block of bytes, never a
 //! decoded chunk, and every open run its directory: a 24-byte entry
 //! (first key, byte offset, first record index) per chunk, `N/B` of them
-//! (about 24 KB for a 4 MB label file at 4 KB blocks).
+//! (about 24 KB for a 4 MB label file at 4 KB blocks). A reader of
+//! `labels` opens one reader per run, so each delta on the stack adds a
+//! block buffer, its directory (a delta holds at most a quarter of the
+//! base's bytes, so the directories sum to about 1.25× the base's) and
+//! a merge slot to every pass over the labels; the prune's `across`
+//! reader splits its head budget over the runs by their bytes, so the
+//! heads together never pass `6 × M` bytes.
 //!
 //! Determinism is structural, not locked: each parallel unit owns its
 //! files, the record flow per unit is exactly the sequential one, and
@@ -129,12 +146,13 @@
 //! `HOPIDX` writer (`LabelIndex::write_hopidx`).
 
 use std::io;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use extmem::device::TempStore;
 use extmem::radix;
-use extmem::run::{RecordSource, Run, RunReader, RunWriter};
-use extmem::sorter::{merge_readers, ExternalSorter};
+use extmem::run::{RecordSource, Rewind, Run, RunReader, RunWriter};
+use extmem::sorter::{merge_readers, Combiner, ExternalSorter, SortedStream};
 use extmem::{ExtMemConfig, LabelRecord};
 use hoplabels::index::{merge_join, LabelIndex, VertexLabels};
 use hoplabels::LabelEntry;
@@ -217,17 +235,21 @@ impl GroupReader<RunReader> {
     fn open(run: &Run, block_bytes: usize) -> io::Result<Self> {
         GroupReader::new(run.reader_shared(block_bytes)?)
     }
+}
 
-    /// A reader of `run` for passes that each start with
-    /// [`GroupReader::rewind`], keeping up to `head_budget` of the run's
-    /// leading bytes resident between them (see [`extmem::run`]).
-    fn with_head(run: &Run, block_bytes: usize, head_budget: usize) -> io::Result<Self> {
-        Ok(GroupReader { source: run.reader_with_head(block_bytes, head_budget)?, pending: None })
+impl GroupReader<SortedStream> {
+    /// A reader of `labels` for passes that each start with
+    /// [`GroupReader::rewind`], keeping up to `head_budget` of the files'
+    /// leading bytes resident between them (see [`Labels::reader`]).
+    fn with_head(labels: &Labels, block_bytes: usize, head_budget: usize) -> io::Result<Self> {
+        Ok(GroupReader { source: labels.reader(block_bytes, head_budget)?, pending: None })
     }
+}
 
+impl<S: Rewind> GroupReader<S> {
     /// Start a pass at the first group.
     fn rewind(&mut self) -> io::Result<()> {
-        self.source.rewind();
+        self.source.rewind()?;
         self.pending = self.source.next_record()?;
         Ok(())
     }
@@ -307,12 +329,95 @@ fn sorter<'s>(store: &'s TempStore, ext: &ExtMemConfig, overlap: bool) -> Extern
     }
 }
 
-/// Merge the `(key, pivot)`-sorted run `add` into `base`, min-combining
-/// duplicates. `base` is replaced by the result; `add` is only read.
-fn merge_sorted(store: &TempStore, ext: &ExtMemConfig, base: Run, add: &Run) -> io::Result<Run> {
-    let block = ext.block_bytes;
-    let readers = vec![base.reader(block)?, add.reader_shared(block)?];
-    merge_readers(store, readers, block, Some(keep_min), group_eq)
+/// Deltas are folded into the base when their bytes would pass
+/// `1 / FOLD_FRACTION` of the base's. A fold rewrites the whole base;
+/// holding it off spares that write while the deltas are small beside
+/// it, and a quarter bounds what they cost every pass over the labels —
+/// the prune's, the views', the final load — at a quarter more bytes
+/// than the folded file's.
+const FOLD_FRACTION: u64 = 4;
+
+/// … or when the stack would pass `MAX_DELTAS` runs: every open reader
+/// of the labels holds a block buffer, a chunk directory and a heap slot
+/// per delta, and the prune's `across` reader gives each a share of its
+/// head.
+const MAX_DELTAS: usize = 4;
+
+/// A side's `own` labels, log-structured: a base run and a stack of delta
+/// runs, each sorted by `(owner, pivot)`, read as one through
+/// [`Labels::reader`]: their merge, min-combined on `(owner, pivot)`.
+struct Labels {
+    base: Run,
+    /// The survivor runs of the rounds since the last fold, oldest first;
+    /// the newest is also the side's `prev`.
+    deltas: Vec<Arc<Run>>,
+    /// The entries of the merge: exact, not the runs' records summed.
+    entries: u64,
+}
+
+impl Labels {
+    fn new(base: Run) -> Labels {
+        Labels { entries: base.len(), base, deltas: Vec::new() }
+    }
+
+    fn runs(&self) -> impl Iterator<Item = &Run> {
+        std::iter::once(&self.base).chain(self.deltas.iter().map(|d| &**d))
+    }
+
+    /// The bytes a full pass reads.
+    fn bytes(&self) -> u64 {
+        self.runs().map(Run::bytes).sum()
+    }
+
+    /// The file errors name: the base, which holds every vertex's group.
+    fn path(&self) -> &std::path::Path {
+        self.base.path()
+    }
+
+    /// The labels as one `(owner, pivot)`-sorted stream, min-combined,
+    /// keeping up to `head_budget` of leading bytes resident for a caller
+    /// that rewinds it: each run gets the share of the budget its bytes
+    /// are of the labels', so the budget never grows. With no deltas this
+    /// is the base's reader, its whole budget and no combining.
+    fn reader(&self, block_bytes: usize, head_budget: usize) -> io::Result<SortedStream> {
+        let total = u128::from(self.bytes().max(1));
+        let share = |run: &Run| (head_budget as u128 * u128::from(run.bytes()) / total) as usize;
+        let readers = self.runs().map(|run| run.reader_with_head(block_bytes, share(run)));
+        let combiner = (!self.deltas.is_empty()).then_some(keep_min as Combiner);
+        SortedStream::merge(readers.collect::<io::Result<_>>()?, combiner, group_eq)
+    }
+
+    /// Add a round's survivors, of which `replaced` lower the distance of
+    /// an entry the labels hold: nothing for an empty run; otherwise the
+    /// run goes on the stack, unless the stack would outgrow
+    /// [`FOLD_FRACTION`] or [`MAX_DELTAS`], in which case the base, the
+    /// deltas and the run are merged into a new base.
+    fn add(
+        self,
+        store: &TempStore,
+        ext: &ExtMemConfig,
+        surv: &Arc<Run>,
+        replaced: u64,
+    ) -> io::Result<Labels> {
+        if surv.is_empty() {
+            return Ok(self);
+        }
+        let Labels { base, mut deltas, entries } = self;
+        let entries = entries + surv.len() - replaced;
+        deltas.push(Arc::clone(surv));
+        let stacked: u64 = deltas.iter().map(|d| d.bytes()).sum();
+        if stacked * FOLD_FRACTION <= base.bytes() && deltas.len() <= MAX_DELTAS {
+            return Ok(Labels { base, deltas, entries });
+        }
+        let block = ext.block_bytes;
+        let mut readers = vec![base.reader(block)?];
+        for d in &deltas {
+            readers.push(d.reader_shared(block)?);
+        }
+        let base = merge_readers(store, readers, block, Some(keep_min), group_eq)?;
+        debug_assert_eq!(base.len(), entries, "the fold keeps one record per entry");
+        Ok(Labels { base, deltas: Vec::new(), entries })
+    }
 }
 
 /// Sort records into a fresh run (min-combining duplicates).
@@ -346,9 +451,9 @@ fn edge_run(store: &TempStore, ext: &ExtMemConfig, g: &Graph, dir: Direction) ->
 /// `InvalidData` naming the file when `(key, pivot)` does not strictly
 /// increase or a key is not one of the `n` vertices; otherwise what the
 /// file returns.
-fn load_labels(run: &Run, n: usize, ext: &ExtMemConfig) -> io::Result<Vec<VertexLabels>> {
+fn load_labels(run: &Labels, n: usize, ext: &ExtMemConfig) -> io::Result<Vec<VertexLabels>> {
     let mut labels = vec![VertexLabels::new(); n];
-    let mut reader = GroupReader::open(run, ext.block_bytes)?;
+    let mut reader = GroupReader::new(run.reader(ext.block_bytes, 0)?)?;
     let (mut group, mut last) = (Vec::new(), None);
     while let Some(v) = reader.next_group(&mut group)? {
         let in_order = last < Some(v) && group.windows(2).all(|w| w[0].pivot < w[1].pivot);
@@ -408,10 +513,10 @@ fn across_head_bytes(ext: &ExtMemConfig) -> usize {
     ext.memory_records.saturating_mul(6)
 }
 
-/// Self-entries give every vertex a label group: a label file without
-/// `v`'s is damaged.
-fn missing_group(run: &Run, v: u32) -> io::Error {
-    let file = run.path().display();
+/// Self-entries give every vertex a label group: label files without
+/// `v`'s are damaged.
+fn missing_group(labels: &Labels, v: u32) -> io::Error {
+    let file = labels.path().display();
     io::Error::new(io::ErrorKind::InvalidData, format!("{file}: no label group for vertex {v}"))
 }
 
@@ -440,8 +545,9 @@ fn pivot_order(block: &[LabelRecord], order: &mut Vec<u64>, scratch: &mut Vec<u6
 /// every pass, and a later pass reads from the file only what lies past
 /// the bytes the earlier ones read from its start. A candidate its
 /// owner's label already has at no more than its distance is dropped
-/// before it is counted or joined. Returns `(survivors, pruned_count)`;
-/// the survivors keep the candidates' order.
+/// before it is counted or joined. Returns the survivors, which keep the
+/// candidates' order, the count pruned, and the count of survivors that
+/// replace an entry of their owner's label at a larger distance.
 ///
 /// # Errors
 /// `InvalidData` naming the file when `own` lacks a candidate owner's
@@ -451,16 +557,16 @@ fn prune_candidates(
     store: &TempStore,
     ext: &ExtMemConfig,
     cands: impl RecordSource,
-    own: &Run,
-    across: &Run,
-) -> io::Result<(Run, u64)> {
+    own: &Labels,
+    across: &Labels,
+) -> io::Result<(Run, u64, u64)> {
     let block_budget = (ext.memory_records / 2).max(64);
     let mut cand_reader = GroupReader::new(cands)?;
-    let mut own_reader = GroupReader::open(own, ext.block_bytes)?;
+    let mut own_reader = GroupReader::new(own.reader(ext.block_bytes, 0)?)?;
     let mut across_reader =
         GroupReader::with_head(across, ext.block_bytes, across_head_bytes(ext))?;
     let mut survivors = RunWriter::new(store.create("survivors")?, ext.block_bytes);
-    let mut pruned = 0u64;
+    let (mut pruned, mut replaced) = (0u64, 0u64);
     // One block, reused across blocks: the candidates in arrival order,
     // their owners' label groups back to back (group `g` is
     // `own_pool[own_bounds[g]..own_bounds[g + 1]]`), each candidate's
@@ -530,31 +636,35 @@ fn prune_candidates(
                 keep[c] = merge_join(own, &ag, VertexId::MAX, block[c].dist) > block[c].dist;
             }
         }
-        for (&c, &kept) in block.iter().zip(&keep) {
-            if kept {
-                survivors.push(c)?;
-            } else {
+        for (c, (&cand, &kept)) in block.iter().zip(&keep).enumerate() {
+            if !kept {
                 pruned += 1;
+                continue;
             }
+            survivors.push(cand)?;
+            let g = group_of[c] as usize;
+            let own = &own_pool[own_bounds[g]..own_bounds[g + 1]];
+            replaced += u64::from(own.binary_search_by_key(&cand.pivot, |e| e.pivot).is_ok());
         }
     }
-    Ok((survivors.finish()?, pruned))
+    Ok((survivors.finish()?, pruned, replaced))
 }
 
 /// The files of one label side (see [`crate::engine`] for the side
 /// formulation): `own`, the new entries of the previous iteration, and
 /// the edge file stepping joins against.
 struct Side {
-    /// Index of the side whose label file this side is joined against
+    /// Index of the side whose label files this side is joined against
     /// (the other side of a directed build, itself when undirected).
     across: usize,
     /// Edges of each vertex in this side's step direction.
     edges: Run,
     /// `own`, sorted by `(owner, pivot)`.
-    labels: Run,
+    labels: Labels,
     /// Entries the previous iteration added to `own` (no self-entries):
-    /// that iteration's survivor run itself.
-    prev: Run,
+    /// that iteration's survivor run itself, the newest delta of
+    /// `labels` until a fold.
+    prev: Arc<Run>,
 }
 
 /// What one side's generate → prune chain produced in one iteration.
@@ -562,6 +672,8 @@ struct SideOutcome {
     pruned: u64,
     /// The survivors, `(owner, pivot)`-sorted.
     surv: Run,
+    /// Survivors that lower the distance of an entry `own` holds.
+    replaced: u64,
     gather: Duration,
     prune: Duration,
 }
@@ -575,7 +687,7 @@ fn side_round(
     overlap: bool,
     stepping: bool,
     side: &Side,
-    across: &Run,
+    across: &Labels,
 ) -> io::Result<SideOutcome> {
     let (mut clock, block) = (Instant::now(), ext.block_bytes);
     let mut s = sorter(store, ext, overlap);
@@ -583,10 +695,10 @@ fn side_round(
     if stepping {
         cogroup_join(&side.prev, side.edges.reader_shared(block)?, ext, &mut offer)?;
     } else {
-        cogroup_join(&side.prev, across.reader_shared(block)?, ext, &mut offer)?;
+        cogroup_join(&side.prev, across.reader(block, 0)?, ext, &mut offer)?;
         // The view: this side's labels by pivot, self-entries left out.
         let mut view = sorter(store, ext, overlap);
-        let mut labels = side.labels.reader_shared(block)?;
+        let mut labels = side.labels.reader(block, 0)?;
         while let Some(r) = labels.next_record()? {
             if r.key != r.pivot {
                 view.push(r.inverted())?;
@@ -598,8 +710,9 @@ fn side_round(
     // The sorter's last merge is the prune's candidate scan. The 2-hop
     // test is symmetric, so on every side it is own(owner) ⋈ across(pivot)
     // and the candidates go in as generated.
-    let (surv, pruned) = prune_candidates(store, ext, s.finish_stream()?, &side.labels, across)?;
-    Ok(SideOutcome { pruned, surv, gather, prune: lap(&mut clock) })
+    let (surv, pruned, replaced) =
+        prune_candidates(store, ext, s.finish_stream()?, &side.labels, across)?;
+    Ok(SideOutcome { pruned, surv, replaced, gather, prune: lap(&mut clock) })
 }
 
 fn io_report(store: &TempStore, ext: &ExtMemConfig) -> (u64, u64, u64, u64) {
@@ -658,26 +771,23 @@ impl Rounds for External<'_> {
             ..IterationStats::default()
         };
         row.candidates = row.inserted + row.pruned;
-        // One label merge per side, none in the round that finds the
-        // fixpoint; the merges write disjoint runs, so they run together
-        // when threaded.
-        let inserted = row.inserted;
+        // Each side's survivors join its labels as a delta, or fold them
+        // into a new base (see [`Labels::add`]); a side without survivors
+        // touches nothing. The folds write disjoint runs, so they run
+        // together when threaded.
         let jobs = std::mem::take(&mut self.sides).into_iter().zip(outcomes).collect();
-        let merged = run_workers(threaded, jobs, |(side, o): (Side, SideOutcome)| {
+        let applied = run_workers(threaded, jobs, |(side, o): (Side, SideOutcome)| {
             let started = Instant::now();
-            let labels = if inserted == 0 {
-                side.labels
-            } else {
-                merge_sorted(store, ext, side.labels, &o.surv)?
-            };
-            io::Result::Ok((Side { labels, prev: o.surv, ..side }, started.elapsed()))
+            let prev = Arc::new(o.surv);
+            let labels = side.labels.add(store, ext, &prev, o.replaced)?;
+            io::Result::Ok((Side { labels, prev, ..side }, started.elapsed()))
         });
-        for side in merged {
+        for side in applied {
             let (side, apply) = side?;
             row.apply += apply;
             self.sides.push(side);
         }
-        row.total_entries = self.sides.iter().map(|s| s.labels.len()).sum();
+        row.total_entries = self.sides.iter().map(|s| s.labels.entries).sum();
         (row.io_read_bytes, row.io_write_bytes) = self.io_lap();
         Ok(row)
     }
@@ -734,9 +844,9 @@ fn seed<'s>(
         sides.push(Side {
             across: seed.across,
             edges: edge_run(store, ext, g, seed.step)?,
-            labels: sorted_run(store, ext, self_entries.chain(entries()))?,
+            labels: Labels::new(sorted_run(store, ext, self_entries.chain(entries()))?),
             // `prev` holds only new entries (no self-entries).
-            prev: sorted_run(store, ext, entries())?,
+            prev: Arc::new(sorted_run(store, ext, entries())?),
         });
     }
     let total_entries = seeds + (sides.len() * n) as u64;
@@ -776,11 +886,45 @@ mod tests {
         run(g, cfg, ext, &TempStore::new().unwrap()).unwrap()
     }
 
-    /// The encoded bytes of the sides' files, summed over the sides.
-    #[derive(Clone, Copy, Debug)]
-    struct Files {
-        labels: u64,
+    /// One side's files: its base (the file, and its encoded bytes), its
+    /// deltas' bytes, oldest first, and its `prev`'s.
+    #[derive(Clone, Debug, PartialEq)]
+    struct SideFiles {
+        base: std::path::PathBuf,
+        base_bytes: u64,
+        deltas: Vec<u64>,
         prev: u64,
+    }
+
+    impl SideFiles {
+        fn labels(&self) -> u64 {
+            self.base_bytes + self.deltas.iter().sum::<u64>()
+        }
+    }
+
+    /// Every side's files.
+    #[derive(Clone, Debug)]
+    struct Files(Vec<SideFiles>);
+
+    impl Files {
+        /// The labels' encoded bytes, summed over the sides.
+        fn labels(&self) -> u64 {
+            self.0.iter().map(SideFiles::labels).sum()
+        }
+
+        /// The `prev` runs' encoded bytes, summed over the sides.
+        fn prev(&self) -> u64 {
+            self.0.iter().map(|s| s.prev).sum()
+        }
+
+        /// The sides that folded into a new base since `before`, each
+        /// beside what it had then.
+        fn folded<'a>(
+            &'a self,
+            before: &'a Files,
+        ) -> impl Iterator<Item = (&'a SideFiles, &'a SideFiles)> {
+            self.0.iter().zip(&before.0).filter(|(now, then)| now.base != then.base)
+        }
     }
 
     /// An [`External`] that notes its [`Files`] after every round.
@@ -791,9 +935,13 @@ mod tests {
 
     impl Noted<'_> {
         fn note(&mut self) {
-            let sum = |bytes: fn(&Side) -> u64| self.e.sides.iter().map(bytes).sum();
-            let files = Files { labels: sum(|s| s.labels.bytes()), prev: sum(|s| s.prev.bytes()) };
-            self.files.push(files);
+            let side = |s: &Side| SideFiles {
+                base: s.labels.path().to_path_buf(),
+                base_bytes: s.labels.base.bytes(),
+                deltas: s.labels.deltas.iter().map(|d| d.bytes()).collect(),
+                prev: s.prev.bytes(),
+            };
+            self.files.push(Files(self.e.sides.iter().map(side).collect()));
         }
     }
 
@@ -1021,7 +1169,7 @@ mod tests {
                 }
                 recs.push(LabelRecord::new(v, v, 0));
             }
-            (run_from_slice(&store, tag, &recs, block).unwrap(), recs)
+            (Labels::new(run_from_slice(&store, tag, &recs, block).unwrap()), recs)
         };
         let (src_run, src) = labels("src");
         let (dst_run, dst) = labels("dst");
@@ -1075,7 +1223,7 @@ mod tests {
         let cand_run = run_from_slice(&store, "cands", &cands, block).unwrap();
         let whole_scans = cand_run.bytes() + src_run.bytes() + blocks * dst_run.bytes();
         let read_before = store.stats().read_bytes();
-        let (surv, pruned) =
+        let (surv, pruned, _) =
             prune_candidates(&store, &ext, cand_run.reader(block).unwrap(), &src_run, &dst_run)
                 .unwrap();
         // One pass over the candidates and the owners' labels, and per
@@ -1146,7 +1294,7 @@ mod tests {
                 }
                 recs.push(LabelRecord::new(v, v, 0));
             }
-            (run_from_slice(store, tag, &recs, block).unwrap(), recs)
+            (Labels::new(run_from_slice(store, tag, &recs, block).unwrap()), recs)
         };
         let (own_run, own) = labels(&store, "own");
         let (across_run, across) = labels(&far, "across");
@@ -1201,7 +1349,7 @@ mod tests {
             block_probes.dedup();
         }
         // What each block's pass reads with no head, and past a full one.
-        let pass = |reader: &mut GroupReader<RunReader>, probes: &[u32]| -> u64 {
+        let pass = |reader: &mut GroupReader<SortedStream>, probes: &[u32]| -> u64 {
             let (before, mut g) = (far.stats().read_bytes(), Vec::new());
             reader.rewind().unwrap();
             for &p in probes.iter() {
@@ -1221,7 +1369,7 @@ mod tests {
 
         let cand_run = run_from_slice(&store, "cands", &cands, block).unwrap();
         let before = far.stats().read_bytes();
-        let (surv, pruned) =
+        let (surv, pruned, _) =
             prune_candidates(&store, &ext, cand_run.reader(block).unwrap(), &own_run, &across_run)
                 .unwrap();
         let read = far.stats().read_bytes() - before;
@@ -1242,8 +1390,8 @@ mod tests {
         let block = ext.block_bytes;
         let whole: Vec<LabelRecord> = (0..6).map(|v| LabelRecord::new(v, v, 0)).collect();
         let holed: Vec<LabelRecord> = whole.iter().copied().filter(|r| r.key != 3).collect();
-        let whole = run_from_slice(&store, "whole", &whole, block).unwrap();
-        let holed = run_from_slice(&store, "holed", &holed, block).unwrap();
+        let whole = Labels::new(run_from_slice(&store, "whole", &whole, block).unwrap());
+        let holed = Labels::new(run_from_slice(&store, "holed", &holed, block).unwrap());
         for (cand, own, across) in [((3, 1), &holed, &whole), ((5, 3), &whole, &holed)] {
             let cands = [LabelRecord::new(cand.0, cand.1, 2)];
             let cands = run_from_slice(&store, "cands", &cands, block).unwrap();
@@ -1265,7 +1413,7 @@ mod tests {
         let (ext, store) = (tiny_ext(), TempStore::new().unwrap());
         let r = |key, pivot| LabelRecord::new(key, pivot, 1);
         let sorted = [r(0, 0), r(1, 0), r(1, 1), r(2, 0), r(2, 2)];
-        let run = run_from_slice(&store, "sorted", &sorted, ext.block_bytes).unwrap();
+        let run = Labels::new(run_from_slice(&store, "sorted", &sorted, ext.block_bytes).unwrap());
         let labels = load_labels(&run, 3, &ext).unwrap();
         assert_eq!(labels.iter().map(VertexLabels::len).collect::<Vec<_>>(), [1, 2, 2]);
         let cases: [(&str, &[LabelRecord]); 4] = [
@@ -1275,7 +1423,7 @@ mod tests {
             ("past", &[r(0, 0), r(3, 0)]),
         ];
         for (tag, records) in cases {
-            let run = run_from_slice(&store, tag, records, ext.block_bytes).unwrap();
+            let run = Labels::new(run_from_slice(&store, tag, records, ext.block_bytes).unwrap());
             let Err(e) = load_labels(&run, 3, &ext) else { panic!("{tag} must be refused") };
             assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
             assert!(e.to_string().contains(tag), "{tag}: {e}");
@@ -1297,7 +1445,7 @@ mod tests {
                 hub.into_iter().chain([LabelRecord::new(v, v, 0)])
             })
             .collect();
-        let run = run_from_slice(&store, "labels", &labels, block).unwrap();
+        let run = Labels::new(run_from_slice(&store, "labels", &labels, block).unwrap());
         // Owners below 190 offer the hub again at distance 3, dominated;
         // the last ten also offer their neighbour at distance 1, live.
         let mut cands = Vec::new();
@@ -1309,7 +1457,7 @@ mod tests {
         }
         assert!(190 > ext.memory_records, "the dominated owners alone overrun a block");
         let cand_run = run_from_slice(&store, "cands", &cands, block).unwrap();
-        let (surv, pruned) =
+        let (surv, pruned, _) =
             prune_candidates(&store, &ext, cand_run.reader(block).unwrap(), &run, &run).unwrap();
         let expect: Vec<LabelRecord> = (190..n).map(|v| LabelRecord::new(v, v - 1, 1)).collect();
         assert_eq!((surv.read_all().unwrap(), pruned), (expect, 0));
@@ -1372,6 +1520,45 @@ mod tests {
         }
     }
 
+    /// A directed side whose round has no survivors keeps its label files
+    /// as they were — the same base, the same deltas — and writes nothing,
+    /// while the other side inserts: the round writes that side's
+    /// survivors and its fold, if it folds, and not a byte more.
+    #[test]
+    fn a_side_without_survivors_leaves_its_labels_untouched() {
+        use rand::{Rng, SeedableRng};
+        let cfg = HopDbConfig::with_strategy(Strategy::Stepping);
+        let mut lopsided = 0;
+        for seed in 0..8 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = 30;
+            let mut b = GraphBuilder::new_directed(n);
+            for _ in 0..2 * n {
+                b.add_edge(rng.gen_range(0..n) as VertexId, rng.gen_range(0..n) as VertexId);
+            }
+            let g = b.build();
+            // No candidate sorter spills, so every byte a round writes is
+            // a survivor run or a fold.
+            assert_eq!(run_on(&g, &cfg, &tiny_ext()).sort_runs, 0, "seed {seed}");
+            let (rows, files) = rows_and_files(&g, &cfg, &tiny_ext());
+            for (i, it) in rows.iter().enumerate().skip(1) {
+                let (now, then) = (&files[i], &files[i - 1]);
+                let idle: Vec<bool> = now.0.iter().map(|s| s.prev == 0).collect();
+                if !idle.contains(&true) || !idle.contains(&false) {
+                    continue;
+                }
+                lopsided += 1;
+                let at = format!("seed {seed}, iteration {}", it.iteration);
+                for ((now, then), _) in now.0.iter().zip(&then.0).zip(&idle).filter(|s| *s.1) {
+                    assert_eq!(now, &SideFiles { prev: 0, ..then.clone() }, "{at}");
+                }
+                let bases: u64 = now.folded(then).map(|(s, _)| s.base_bytes).sum();
+                assert_eq!(it.io_write_bytes, now.prev() + bases, "{at}");
+            }
+        }
+        assert!(lopsided > 0, "some round must insert on one side only");
+    }
+
     /// (d) Weighted doubling: a later round finds a lighter path for an
     /// `(owner, pivot)` pair that already has an entry, and the label
     /// merge — which only borrows the survivor run — keeps the minimum.
@@ -1415,7 +1602,7 @@ mod tests {
             // The closing load reads the last round's label files whole.
             let (rows, files) = rows_and_files(&g, &cfg, &tiny_ext());
             assert_eq!(io_columns(&rows), io_columns(its));
-            let load_labels_read = files.last().expect("rows").labels;
+            let load_labels_read = files.last().expect("rows").labels();
             let read: u64 = its.iter().map(|it| it.io_read_bytes).sum();
             let written: u64 = its.iter().map(|it| it.io_write_bytes).sum();
             assert_eq!((read + load_labels_read, written), (result.io.0, result.io.1));
@@ -1430,7 +1617,8 @@ mod tests {
     /// Every side pushes its candidates as generated and prunes them
     /// owner-major, so no side sorts anything back: when no candidate
     /// sorter spills, an inserting stepping round writes one survivor run
-    /// and one merged label file per side, and not a byte more.
+    /// per side and the new base of each side that folds, and not a byte
+    /// more.
     #[test]
     fn directed_build_never_inverts_its_candidates() {
         let g = bisected_path(96, true);
@@ -1443,9 +1631,10 @@ mod tests {
             progress(&BuildStats { iterations: rows.clone(), ..BuildStats::default() })
         );
         assert!(rows[1..].iter().filter(|it| it.inserted > 0).count() >= 10);
-        for (it, files) in rows.iter().zip(&files).skip(1).filter(|(it, _)| it.inserted > 0) {
+        for (i, it) in rows.iter().enumerate().skip(1).filter(|(_, it)| it.inserted > 0) {
             // The round's survivor run is the next `prev`.
-            assert_eq!(it.io_write_bytes, files.prev + files.labels, "iteration {}", it.iteration);
+            let bases: u64 = files[i].folded(&files[i - 1]).map(|(now, _)| now.base_bytes).sum();
+            assert_eq!(it.io_write_bytes, files[i].prev() + bases, "iteration {}", it.iteration);
         }
         for strategy in [Strategy::Stepping, Strategy::Doubling, Strategy::Hybrid { switch_at: 3 }]
         {
@@ -1471,18 +1660,23 @@ mod tests {
             assert!(last.io_read_bytes > 0, "the round did run");
             assert_eq!(last.total_entries, before.total_entries);
             // Nothing spills under this budget, so the only merge passes
-            // are the label merges: one per side per inserting round.
+            // are the label folds: at most one per side per inserting
+            // round, and most of the late, small rounds stack a delta.
+            let (_, files) = rows_and_files(&peel(&g).core, &cfg, &ExtMemConfig::default());
+            let folds = files.windows(2).map(|w| w[1].folded(&w[0]).count() as u64).sum::<u64>();
+            assert_eq!(result.merge_passes, folds, "directed = {directed}");
             let sides = if directed { 2 } else { 1 };
             let inserting = its[1..].iter().filter(|it| it.inserted > 0).count() as u64;
-            assert_eq!(result.merge_passes, sides * inserting, "directed = {directed}");
+            assert!(2 * folds < sides * inserting, "directed = {directed}: {folds} folds");
             assert_eq!(result.index, build_prelabeled(&g, &cfg).0);
         }
     }
 
     /// A round reads the blocks its `prev` asks for, not its label files:
     /// late in a long stepping build, with a handful of new entries per
-    /// round, everything a round reads *besides* the merge's own pass over
-    /// the labels is a small fraction of them.
+    /// round, everything a round reads *besides* a fold's own pass over
+    /// the labels is a small fraction of them, and a fold comes once in
+    /// [`MAX_DELTAS`] + 1 inserting rounds.
     #[test]
     fn late_rounds_read_what_their_prev_costs() {
         let g = bisected_path(600, false);
@@ -1492,17 +1686,21 @@ mod tests {
         let result = run_on(&g, &cfg, &ext);
         let (its, files) = rows_and_files(&g, &cfg, &ext);
         assert_eq!(io_columns(&its), io_columns(&result.stats.iterations));
-        let label_bytes = files.last().expect("rows").labels;
+        let label_bytes = files.last().expect("rows").labels();
         let half = its.len() / 2;
         assert!(its.len() - half > 100 && its[half..].iter().all(|it| it.inserted < 16));
+        let mut folds = 0;
         for i in half + 1..its.len() {
-            // The merge reads the label file the round before left and the
+            // A fold reads the label files the round before left and the
             // survivors, which are the next `prev`.
-            let merge_read =
-                if its[i].inserted == 0 { 0 } else { files[i - 1].labels + files[i].prev };
-            let rest = its[i].io_read_bytes - merge_read;
+            let fold_read: u64 =
+                files[i].folded(&files[i - 1]).map(|(now, then)| then.labels() + now.prev).sum();
+            folds += usize::from(fold_read > 0);
+            let rest = its[i].io_read_bytes - fold_read;
             assert!(rest * 10 < label_bytes, "iteration {}: {rest} B", its[i].iteration);
         }
+        let inserting = its[half + 1..].iter().filter(|it| it.inserted > 0).count();
+        assert!(folds <= inserting / (MAX_DELTAS + 1) + 1, "{folds} folds in {inserting} rounds");
         assert!(result.seeks > 0);
     }
 

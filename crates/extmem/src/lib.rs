@@ -33,7 +33,9 @@
 //!   spill passes onto a background worker
 //!   ([`sorter::ExternalSorter::with_background_spill`]) and handing its
 //!   last merge to the consumer as a stream instead of a file
-//!   ([`sorter::ExternalSorter::finish_stream`]);
+//!   ([`sorter::ExternalSorter::finish_stream`]); the same stream reads
+//!   a base run and its sorted deltas as one
+//!   ([`sorter::SortedStream::merge`]);
 //! * [`wire`] — total (panic-free) little-endian reads shared by every
 //!   decoder in the workspace that consumes untrusted socket or disk
 //!   bytes.

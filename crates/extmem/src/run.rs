@@ -227,7 +227,22 @@ pub trait RecordSource {
     }
 }
 
+/// A [`RecordSource`] that can start another pass at its first record: a
+/// [`RunReader`], keeping its head, or a merge of them.
+pub trait Rewind: RecordSource {
+    /// Back to the first record.
+    fn rewind(&mut self) -> std::io::Result<()>;
+}
+
+impl Rewind for RunReader {
+    fn rewind(&mut self) -> std::io::Result<()> {
+        RunReader::rewind(self);
+        Ok(())
+    }
+}
+
 impl RecordSource for RunReader {
+    #[inline]
     fn next_record(&mut self) -> std::io::Result<Option<LabelRecord>> {
         RunReader::next_record(self)
     }
@@ -292,6 +307,9 @@ impl RunReader {
         head_budget: usize,
     ) -> std::io::Result<RunReader> {
         file.seek_to(0)?;
+        // The head never outgrows the run, so neither does its reservation:
+        // a run smaller than the budget reserves its own bytes.
+        let head_budget = head_budget.min(usize::try_from(dir.bytes).unwrap_or(usize::MAX));
         Ok(RunReader {
             file,
             buf: vec![0; chunk_bytes(block_bytes)].into_boxed_slice(),
@@ -619,6 +637,28 @@ mod tests {
             saved > 0 && full_heads > 0,
             "the heads must fill and serve: {saved} B, {full_heads}"
         );
+    }
+
+    /// A reader whose head budget exceeds its run reserves the run's
+    /// bytes, not the budget, and still keeps the whole run resident: a
+    /// second pass reads nothing from the file.
+    #[test]
+    fn a_head_over_a_run_smaller_than_its_budget_reserves_the_run() {
+        let store = TempStore::new().unwrap();
+        let recs = grouped(&[3, 5, 2, 7]);
+        let run = run_from_slice(&store, "small", &recs, 64).unwrap();
+        let budget = 1 << 20;
+        assert!(run.bytes() * 100 < budget as u64);
+        let mut reader = run.reader_with_head(64, budget).unwrap();
+        assert_eq!(reader.head.capacity() as u64, run.bytes());
+        let mut keys: Vec<u32> = recs.iter().map(|r| r.key).collect();
+        keys.dedup();
+        let (first, first_bytes) = pass(&store, &mut reader, &keys, true);
+        assert_eq!((reader.head.len() as u64, first_bytes), (run.bytes(), run.bytes()));
+        reader.rewind();
+        let (again, again_bytes) = pass(&store, &mut reader, &keys, true);
+        assert_eq!((again, again_bytes), (first, 0));
+        assert_eq!(reader.head.capacity() as u64, run.bytes(), "the head never reallocates");
     }
 
     /// One probe near the end of a long run reads the chunk that holds

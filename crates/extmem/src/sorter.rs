@@ -24,9 +24,17 @@
 //! [`ExternalSorter::finish`] pays for a file. Every run the sorter
 //! writes — spilled, merged or final — gets its chunk directory from
 //! [`RunWriter`] like any other; a merge consumes all of every input, so
-//! the sorter itself never seeks, and a [`SortedStream`] — not a file —
-//! has no directory: it answers [`RecordSource::skip_hint`] with the
-//! default "read on".
+//! the sorter itself never seeks. A [`SortedStream`] has no directory of
+//! its own: it hands [`RecordSource::skip_hint`] to each reader still
+//! below the key, which reads on to the key outside the merge, and a
+//! stream served from a buffer reads on.
+//!
+//! The same stream, built with [`SortedStream::merge`], reads several
+//! sorted files as one without writing it: a base file and the small
+//! sorted deltas written after it, combined as a merge into one file
+//! would combine them. Over readers that can start again
+//! ([`Rewind`]) it starts again too, so a reader with a head
+//! ([`crate::run::Run::reader_with_head`]) keeps its head under a merge.
 //!
 //! [`ExternalSorter::with_background_spill`] moves the spill work
 //! (radix sort + run write) onto a dedicated worker thread fed through a
@@ -44,7 +52,7 @@ use std::thread::JoinHandle;
 use crate::codec::LabelRecord;
 use crate::device::{CountedFile, TempStore};
 use crate::radix::{self, Word};
-use crate::run::{chunk_bytes, RecordSource, Run, RunReader, RunWriter};
+use crate::run::{chunk_bytes, RecordSource, Rewind, Run, RunReader, RunWriter};
 use crate::ExtMemConfig;
 
 /// How many full buffers may queue for the background spill worker
@@ -390,9 +398,10 @@ fn spill_run(
 
 /// A sorted (and combined) record stream that is not a file: the k-way
 /// heap merge of sorted readers — the one merge loop, behind
-/// [`merge_readers`] and [`ExternalSorter::finish_stream`] alike — or a
-/// sorter's buffer that never spilled. The readers are run readers
-/// everywhere but in the tests of its order.
+/// [`merge_readers`], [`ExternalSorter::finish_stream`] and a reader of
+/// several sorted files as one alike — or a sorter's buffer that never
+/// spilled. The readers are run readers everywhere but in the tests of
+/// its order.
 pub struct SortedStream<R = RunReader> {
     readers: Vec<R>,
     /// Each open reader's next record and the reader's index, packed by
@@ -404,22 +413,40 @@ pub struct SortedStream<R = RunReader> {
     group_eq: GroupEq,
     /// Already sorted and combined; served when there is nothing to merge.
     memory: std::vec::IntoIter<LabelRecord>,
+    /// One reader and no combiner: the merge is that reader, served
+    /// without the heap.
+    lone: bool,
 }
 
 impl<R: RecordSource> SortedStream<R> {
-    fn merge(
-        mut readers: Vec<R>,
+    /// The merge of the sorted `readers`: each group of `group_eq`
+    /// records folded with `combiner` when there is one, records equal
+    /// across readers taken in reader order.
+    pub fn merge(
+        readers: Vec<R>,
         combiner: Option<Combiner>,
         group_eq: GroupEq,
     ) -> std::io::Result<SortedStream<R>> {
-        let mut heap = BinaryHeap::with_capacity(readers.len());
-        for (i, r) in readers.iter_mut().enumerate() {
+        let heap = BinaryHeap::with_capacity(readers.len());
+        let (memory, lone) = (Vec::new().into_iter(), readers.len() == 1 && combiner.is_none());
+        let mut merge =
+            SortedStream { readers, heap, pending: None, combiner, group_eq, memory, lone };
+        merge.fill_heap()?;
+        Ok(merge)
+    }
+
+    /// One word on the heap for each reader's next record, unless the
+    /// stream is a lone reader's.
+    fn fill_heap(&mut self) -> std::io::Result<()> {
+        if self.lone {
+            return Ok(());
+        }
+        for (i, r) in self.readers.iter_mut().enumerate() {
             if let Some(rec) = r.next_record()? {
-                heap.push(Reverse(merge_word(rec, i)));
+                self.heap.push(Reverse(merge_word(rec, i)));
             }
         }
-        let memory = Vec::new().into_iter();
-        Ok(SortedStream { readers, heap, pending: None, combiner, group_eq, memory })
+        Ok(())
     }
 
     /// Drain the stream into `file`.
@@ -438,6 +465,9 @@ impl<R: RecordSource> RecordSource for SortedStream<R> {
     // the merge loop it replaced.
     #[inline(always)]
     fn next_record(&mut self) -> std::io::Result<Option<LabelRecord>> {
+        if self.lone {
+            return self.readers[0].next_record();
+        }
         while let Some(mut top) = self.heap.peek_mut() {
             let Reverse(word) = *top;
             let (rec, i) = (merge_record(word), word as u32 as usize);
@@ -459,6 +489,54 @@ impl<R: RecordSource> RecordSource for SortedStream<R> {
             }
         }
         Ok(self.pending.take().or_else(|| self.memory.next()))
+    }
+
+    /// Passed on to every reader whose next record is below `key`, which
+    /// then reads on to its first record at or past `key` outside the
+    /// merge: the records a caller discards cost their decoding, not a
+    /// sift and a fold each. Every reader reads what the caller's discard
+    /// loop would have had it read.
+    fn skip_hint(&mut self, key: u32) -> std::io::Result<()> {
+        if self.lone {
+            return self.readers[0].skip_hint(key);
+        }
+        if self.heap.peek().is_none_or(|w| merge_record(w.0).key >= key) {
+            return Ok(());
+        }
+        let (mut words, mut kept) = (std::mem::take(&mut self.heap).into_vec(), 0);
+        for at in 0..words.len() {
+            let Reverse(word) = words[at];
+            let (i, mut next) = (word as u32 as usize, Some(merge_record(word)));
+            if next.is_some_and(|r| r.key < key) {
+                self.readers[i].skip_hint(key)?;
+                next = self.readers[i].next_record()?;
+                while next.is_some_and(|r| r.key < key) {
+                    next = self.readers[i].next_record()?;
+                }
+            }
+            if let Some(r) = next {
+                words[kept] = Reverse(merge_word(r, i));
+                kept += 1;
+            }
+        }
+        words.truncate(kept);
+        self.heap = BinaryHeap::from(words);
+        self.pending = self.pending.filter(|r| r.key >= key);
+        Ok(())
+    }
+}
+
+impl<R: Rewind> Rewind for SortedStream<R> {
+    /// Every reader back to its first record, and the merge with them. A
+    /// stream served from a sorter's buffer has no readers to rewind.
+    fn rewind(&mut self) -> std::io::Result<()> {
+        debug_assert_eq!(self.memory.len(), 0, "a buffer's stream does not rewind");
+        for r in &mut self.readers {
+            r.rewind()?;
+        }
+        self.heap.clear();
+        self.pending = None;
+        self.fill_heap()
     }
 }
 
@@ -519,6 +597,94 @@ mod tests {
         s.finish().unwrap().read_all().unwrap()
     }
 
+    fn group_eq(a: &LabelRecord, b: &LabelRecord) -> bool {
+        (a.key, a.pivot) == (b.key, b.pivot)
+    }
+
+    fn keep_min(a: LabelRecord, b: LabelRecord) -> LabelRecord {
+        if a.dist <= b.dist {
+            a
+        } else {
+            b
+        }
+    }
+
+    fn draws(seed: u64) -> impl FnMut(u32) -> u32 {
+        let mut x = seed;
+        move |n| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((x >> 33) % u64::from(n)) as u32
+        }
+    }
+
+    /// Everything `source` has left.
+    fn drain(source: &mut impl RecordSource) -> Vec<LabelRecord> {
+        let mut out = Vec::new();
+        while let Some(r) = source.next_record().unwrap() {
+            out.push(r);
+        }
+        out
+    }
+
+    /// The groups at `probes` (ascending), read as a join's group reader
+    /// reads them: hint the source past what is below the probe, discard
+    /// what still is, take the records that carry it.
+    fn groups_at(source: &mut impl RecordSource, probes: &[u32]) -> Vec<Vec<LabelRecord>> {
+        let mut pending = source.next_record().unwrap();
+        let mut groups = Vec::new();
+        for &k in probes {
+            if pending.is_some_and(|r| r.key < k) {
+                source.skip_hint(k).unwrap();
+            }
+            while pending.is_some_and(|r| r.key < k) {
+                pending = source.next_record().unwrap();
+            }
+            let mut group = Vec::new();
+            while let Some(r) = pending.filter(|r| r.key == k) {
+                group.push(r);
+                pending = source.next_record().unwrap();
+            }
+            groups.push(group);
+        }
+        groups
+    }
+
+    /// The groups of the sorted `records` at `probes`.
+    fn groups_in(records: &[LabelRecord], probes: &[u32]) -> Vec<Vec<LabelRecord>> {
+        let group = |k| records.iter().copied().filter(|r| r.key == k).collect();
+        probes.iter().map(|&k| group(k)).collect()
+    }
+
+    /// A label base and the deltas written after it, each sorted and one
+    /// record per `(key, pivot)`: the deltas lower, raise and repeat base
+    /// entries, and add entries — among them a key only one delta holds.
+    fn base_and_deltas(draw: &mut impl FnMut(u32) -> u32) -> Vec<Vec<LabelRecord>> {
+        let unique = |mut run: Vec<LabelRecord>| {
+            run.sort_unstable();
+            run.dedup_by_key(|r| (r.key, r.pivot));
+            run
+        };
+        let base: Vec<LabelRecord> =
+            unique((0..200).map(|_| LabelRecord::new(draw(60), draw(40), 1 + draw(9))).collect());
+        let mut runs = vec![base.clone()];
+        for d in 0..1 + draw(4) {
+            let mut delta: Vec<LabelRecord> = (0..draw(30))
+                .map(|_| {
+                    let at = base[draw(base.len() as u32) as usize];
+                    match draw(4) {
+                        0 => LabelRecord::new(at.key, at.pivot, at.dist - 1),
+                        1 => LabelRecord::new(at.key, at.pivot, at.dist + 1),
+                        2 => at,
+                        _ => LabelRecord::new(draw(60), 40 + draw(20), draw(9)),
+                    }
+                })
+                .collect();
+            delta.push(LabelRecord::new(70 + d, 3, 2));
+            runs.push(unique(delta));
+        }
+        runs
+    }
+
     /// Run formation and the merge against the comparison sort and the
     /// tuple heap they replaced: pure in-memory functions, no files, so
     /// they run under Miri too.
@@ -526,18 +692,6 @@ mod tests {
         use super::*;
         use std::cell::RefCell;
         use std::rc::Rc;
-
-        fn group_eq(a: &LabelRecord, b: &LabelRecord) -> bool {
-            (a.key, a.pivot) == (b.key, b.pivot)
-        }
-
-        fn keep_min(a: LabelRecord, b: LabelRecord) -> LabelRecord {
-            if a.dist <= b.dist {
-                a
-            } else {
-                b
-            }
-        }
 
         /// What run formation did before the radix: `sort_unstable` on
         /// the records, then the combiner over each group.
@@ -566,14 +720,6 @@ mod tests {
             };
             sort_and_combine(records, combiner, group_eq, emit).unwrap();
             out
-        }
-
-        fn draws(seed: u64) -> impl FnMut(u32) -> u32 {
-            let mut x = seed;
-            move |n| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                ((x >> 33) % u64::from(n)) as u32
-            }
         }
 
         /// Every buffer shape whose order a radix could get wrong, each
@@ -701,6 +847,153 @@ mod tests {
                 assert!(runs < 3 || ties > 0, "{runs} runs: equal records must meet");
             }
         }
+    }
+
+    /// A base and its deltas read as one: the merge of in-memory sources
+    /// against the label merge it replaces, one delta at a time into the
+    /// base. Pure in-memory functions, no files, so they run under Miri
+    /// too.
+    mod merged {
+        use super::*;
+
+        /// Records in chunks of this many, as a run's directory sees them.
+        const CHUNK: usize = 8;
+
+        /// A sorted in-memory source with a chunk directory: a
+        /// `skip_hint` jumps, as a run reader does, to the last chunk
+        /// ahead whose first key is below the hint, and counts the jump.
+        struct Chunked {
+            records: Vec<LabelRecord>,
+            at: usize,
+            skips: usize,
+        }
+
+        impl Chunked {
+            fn new(records: &[LabelRecord]) -> Chunked {
+                Chunked { records: records.to_vec(), at: 0, skips: 0 }
+            }
+        }
+
+        impl RecordSource for Chunked {
+            fn next_record(&mut self) -> std::io::Result<Option<LabelRecord>> {
+                let next = self.records.get(self.at).copied();
+                self.at += usize::from(next.is_some());
+                Ok(next)
+            }
+
+            fn skip_hint(&mut self, key: u32) -> std::io::Result<()> {
+                let starts = (0..self.records.len()).step_by(CHUNK);
+                let below = starts.rev().find(|&s| self.records[s].key < key);
+                if let Some(start) = below.filter(|&s| s > self.at) {
+                    (self.at, self.skips) = (start, self.skips + 1);
+                }
+                Ok(())
+            }
+        }
+
+        impl Rewind for Chunked {
+            fn rewind(&mut self) -> std::io::Result<()> {
+                self.at = 0;
+                Ok(())
+            }
+        }
+
+        /// What a label merge of `add` into `base` writes.
+        fn merge_sorted(base: &[LabelRecord], add: &[LabelRecord]) -> Vec<LabelRecord> {
+            let two = vec![Chunked::new(base), Chunked::new(add)];
+            drain(&mut SortedStream::merge(two, Some(keep_min), group_eq).unwrap())
+        }
+
+        /// Base and deltas merged at once equal the deltas merged into the
+        /// base one by one, record for record — the minimum kept where
+        /// runs tie on `(key, pivot)`, a key only a delta holds included —
+        /// and so do the groups a sparse probe pass reads, whose hints
+        /// land inside the deltas too, before and after a rewind.
+        #[test]
+        fn base_and_deltas_read_as_their_label_merges() {
+            let mut draw = draws(0xde17a);
+            let mut skips_in_deltas = 0;
+            for case in 0..12 {
+                let runs = base_and_deltas(&mut draw);
+                let expect = runs[1..].iter().fold(runs[0].clone(), |b, d| merge_sorted(&b, d));
+                let mut nearest = std::collections::BTreeMap::new();
+                for r in runs.iter().flatten() {
+                    let d = nearest.entry((r.key, r.pivot)).or_insert(r.dist);
+                    *d = r.dist.min(*d);
+                }
+                let each = nearest.into_iter().map(|((k, p), d)| LabelRecord::new(k, p, d));
+                assert_eq!(expect, each.collect::<Vec<_>>(), "case {case}: the nearest per pair");
+                let sources = runs.iter().map(|r| Chunked::new(r)).collect();
+                let mut merged = SortedStream::merge(sources, Some(keep_min), group_eq).unwrap();
+                assert_eq!(drain(&mut merged), expect, "case {case}");
+                let only_in_a_delta = LabelRecord::new(70, 3, 2);
+                assert!(expect.contains(&only_in_a_delta), "case {case}");
+                let mut keys: Vec<u32> = expect.iter().flat_map(|r| [r.key, r.key + 1]).collect();
+                keys.sort_unstable();
+                keys.dedup();
+                for pass in 0..4 {
+                    merged.rewind().unwrap();
+                    let density = 1 + draw(5);
+                    let probes: Vec<u32> =
+                        keys.iter().copied().filter(|_| pass == 0 || draw(density) == 0).collect();
+                    let at = format!("case {case}, pass {pass}, {probes:?}");
+                    assert_eq!(
+                        groups_at(&mut merged, &probes),
+                        groups_in(&expect, &probes),
+                        "{at}"
+                    );
+                }
+                merged.rewind().unwrap();
+                assert_eq!(drain(&mut merged), expect, "case {case}, rewound");
+                skips_in_deltas += merged.readers[1..].iter().map(|d| d.skips).sum::<usize>();
+            }
+            assert!(skips_in_deltas > 0, "a hint must jump inside a delta");
+        }
+    }
+
+    /// A merge of run readers with heads, rewound pass after pass, reads
+    /// the groups a merge of fresh plain readers reads, and never more
+    /// bytes: each reader keeps its own head under the merge.
+    #[test]
+    fn a_merge_of_readers_with_heads_rewinds_pass_for_pass() {
+        let mut draw = draws(0x4eadde17a);
+        let (block, mut saved) = (64, 0);
+        for case in 0..10 {
+            let store = TempStore::new().unwrap();
+            let runs = base_and_deltas(&mut draw);
+            let files: Vec<Run> =
+                runs.iter().map(|r| run_from_slice(&store, "lsm", r, block).unwrap()).collect();
+            let merge = |heads: &[usize]| {
+                let readers = files.iter().zip(heads);
+                let readers = readers.map(|(f, &h)| f.reader_with_head(block, h).unwrap());
+                SortedStream::merge(readers.collect(), Some(keep_min), group_eq).unwrap()
+            };
+            let expect = drain(&mut merge(&vec![0; files.len()]));
+            let heads: Vec<usize> =
+                files.iter().map(|f| draw(f.bytes() as u32 + 1) as usize).collect();
+            let mut held = merge(&heads);
+            let mut keys: Vec<u32> = expect.iter().flat_map(|r| [r.key, r.key + 1]).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            for pass in 0..5 {
+                let density = 1 + draw(6);
+                let probes: Vec<u32> =
+                    keys.iter().copied().filter(|_| pass == 0 || draw(density) == 0).collect();
+                let before = store.stats().read_bytes();
+                let plain = groups_at(&mut merge(&vec![0; files.len()]), &probes);
+                let plain_bytes = store.stats().read_bytes() - before;
+                held.rewind().unwrap();
+                let before = store.stats().read_bytes();
+                let got = groups_at(&mut held, &probes);
+                let held_bytes = store.stats().read_bytes() - before;
+                let at = format!("case {case}, pass {pass}, heads {heads:?}");
+                assert_eq!(got, plain, "{at}");
+                assert_eq!(got, groups_in(&expect, &probes), "{at}");
+                assert!(held_bytes <= plain_bytes, "{at}: {held_bytes} > {plain_bytes}");
+                saved += plain_bytes - held_bytes;
+            }
+        }
+        assert!(saved > 0, "the heads must serve some reads");
     }
 
     #[test]

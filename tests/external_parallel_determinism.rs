@@ -168,11 +168,19 @@ fn external_io_counters_equal_their_recorded_values() {
     // (162 → 146 blocks), the directed one, whose prunes take one block
     // each, reads what it did, and both write the same bytes.
     //
-    //
     // The records encoded and decoded were pinned beside them when the
     // build started counting them: the work per record that the byte
     // counts hide, which a change to the cost of a record must leave
-    // exactly where it is.
+    // exactly where it is. All of it moved again when a round's
+    // survivors started joining the labels as a delta run instead of
+    // being merged into a rewritten label file, folded in only once the
+    // deltas pass a quarter of the base or four runs, and a side without
+    // survivors stopped rewriting its labels: the undirected graph reads
+    // 594 924 → 543 299 B and writes 366 565 → 318 387 B, with 4 → 3
+    // merge passes and 118 949 / 206 069 → 103 642 / 190 771 records
+    // encoded / decoded; the directed one reads 471 489 → 393 899 B and
+    // writes 205 396 → 116 352 B, with 6 → 2 merge passes and 64 261 /
+    // 136 827 → 36 499 / 109 103 records.
     //
     // ((bytes read, bytes written, blocks read, blocks written),
     //  sort runs, merge passes, seeks, (records encoded, records decoded))
@@ -184,13 +192,13 @@ fn external_io_counters_equal_their_recorded_values() {
             "undirected glp-2k-d3 (seed 7)",
             und,
             RankBy::Degree,
-            ((594_924, 366_565, 146, 90), 8, 4, 2, (118_949, 206_069)),
+            ((543_299, 318_387, 133, 78), 8, 3, 2, (103_642, 190_771)),
         ),
         (
             "directed glp-1.5k-d2.5 (seed 13)",
             dir,
             RankBy::DegreeProduct,
-            ((471_489, 205_396, 116, 51), 0, 6, 1, (64_261, 136_827)),
+            ((393_899, 116_352, 97, 29), 0, 2, 1, (36_499, 109_103)),
         ),
     ];
     // M = 16 Ki records, B = 4 KiB: small enough that the sorters spill
