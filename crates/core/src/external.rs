@@ -444,16 +444,16 @@ fn edge_run(store: &TempStore, ext: &ExtMemConfig, g: &Graph, dir: Direction) ->
     w.finish()
 }
 
-/// Materialise a `(key, pivot)`-sorted label run as per-vertex labels,
-/// each built as its group is read.
+/// Materialise a side's label files, read as one `(key, pivot)`-sorted
+/// stream, as per-vertex labels, each built as its group is read.
 ///
 /// # Errors
 /// `InvalidData` naming the file when `(key, pivot)` does not strictly
 /// increase or a key is not one of the `n` vertices; otherwise what the
 /// file returns.
-fn load_labels(run: &Labels, n: usize, ext: &ExtMemConfig) -> io::Result<Vec<VertexLabels>> {
+fn load_labels(files: &Labels, n: usize, ext: &ExtMemConfig) -> io::Result<Vec<VertexLabels>> {
     let mut labels = vec![VertexLabels::new(); n];
-    let mut reader = GroupReader::new(run.reader(ext.block_bytes, 0)?)?;
+    let mut reader = GroupReader::new(files.reader(ext.block_bytes, 0)?)?;
     let (mut group, mut last) = (Vec::new(), None);
     while let Some(v) = reader.next_group(&mut group)? {
         let in_order = last < Some(v) && group.windows(2).all(|w| w[0].pivot < w[1].pivot);
@@ -461,7 +461,7 @@ fn load_labels(run: &Labels, n: usize, ext: &ExtMemConfig) -> io::Result<Vec<Ver
             let why = format!("label group {v} out of (vertex, pivot) order or not below {n}");
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("{}: {why}", run.path().display()),
+                format!("{}: {why}", files.path().display()),
             ));
         };
         let entries = group.iter().map(|r| LabelEntry::new(r.pivot, r.dist));
