@@ -375,10 +375,11 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         io_summary = Some(format!(
             "external I/O: {read_bytes} B read / {write_bytes} B written \
              ({read_blocks}+{write_blocks} blocks), {} sort runs, {} merge passes, {} seeks, \
-             {} records encoded / {} decoded",
+             {} prune blocks, {} records encoded / {} decoded",
             result.sort_runs,
             result.merge_passes,
             result.seeks,
+            result.prune_blocks,
             result.records_encoded,
             result.records_decoded
         ));
@@ -1088,6 +1089,8 @@ mod tests {
         .unwrap();
         assert!(out.contains("external I/O:") && out.contains(" seeks"), "{out}");
         assert!(out.contains(" records encoded / ") && out.contains(" decoded\n"), "{out}");
+        assert!(out.contains(" seeks, ") && out.contains(" prune blocks, "), "{out}");
+        assert!(out.contains(" seeks, ") && out.contains(" prune blocks, "), "{out}");
         let io_line =
             |out: &str| out.lines().find(|l| l.starts_with("external I/O:")).map(str::to_owned);
         let sequential_io = io_line(&out);

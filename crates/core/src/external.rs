@@ -42,25 +42,30 @@
 //!   streams straight into the prune: the sorted candidate set is never
 //!   a file.
 //! * **Pruning** — the block nested-loop of §4.2, owner-major on every
-//!   side: the outer loop loads a memory-budget block of candidates as
-//!   generated, `(owner x, pivot v)`-sorted, together with `own(x)`, and
-//!   drops — uncounted, as the in-memory engine does — a candidate
-//!   `own(x)` already has at no more than its distance. The inner loop
-//!   makes one forward pass over the `across` label file per block,
-//!   visiting the block through a pivot-sorted permutation, and joins
-//!   each candidate's two labels with the one merge join of every reader
-//!   and builder, `hoplabels::index::merge_join`, bounded by the
-//!   candidate's distance so it stops at the first witness. A pivot
-//!   outranks its owner, so on both sides the inner pass looks for hubs —
-//!   at the head of the file, which every block's pass asks for again.
-//!   So one reader serves all of a prune's passes and keeps that head
-//!   resident: the leading bytes of `across` that its passes read, up to
-//!   the other half of `M` (`M/2` records' 12 bytes), read from the files
-//!   and counted once, and every later pass decodes them from memory and
-//!   goes to the files only past them. Survivors are written in the order
-//!   the candidates arrived, so they leave `(key, pivot)`-sorted; the
+//!   side: the outer loop loads a block of candidates as generated,
+//!   `(owner x, pivot v)`-sorted, together with `own(x)`, and drops —
+//!   uncounted, as the in-memory engine does — a candidate `own(x)`
+//!   already has at no more than its distance. A block holds each
+//!   candidate as one packed `(pivot, group, dist)` sort word
+//!   ([`extmem::radix::Packing`]: a `u64` when the fields fit, a `u128`
+//!   when not), each owner's label entries once and each owner's vertex
+//!   and entry bound once, and fills to `12 × M` bytes. The inner loop
+//!   radix-sorts the words by pivot and makes one forward pass over the
+//!   `across` label file per block, joining each candidate's two labels
+//!   with the one merge join of every reader and builder,
+//!   `hoplabels::index::merge_join`, bounded by the candidate's distance
+//!   so it stops at the first witness. A pivot outranks its owner, so on
+//!   both sides the inner pass looks for hubs — at the head of the file,
+//!   which every block's pass asks for again. So one reader serves all of
+//!   a prune's passes and keeps that head resident: the leading bytes of
+//!   `across` that its passes read, up to `M/2` records' 12 bytes, read
+//!   from the files and counted once, and every later pass decodes them
+//!   from memory and goes to the files only past them. The survivors'
+//!   words are compacted in place, repacked `(group, pivot, dist)` and
+//!   sorted on the group, so they leave `(owner, pivot)`-sorted; the
 //!   prune counts those that lower an entry `own(x)` already holds, so a
 //!   row's `total_entries` stays exact without reading the labels again.
+//!   [`ExternalBuildResult::prune_blocks`] counts the blocks.
 //! * **Delta stack** — `labels` is log-structured: a base run and a
 //!   stack of delta runs, every reader of it — the prune's own and
 //!   `across` passes, the doubling arcs and view, the final load — reads
@@ -101,12 +106,20 @@
 //! 12 bytes apiece) or, when it never spilled, its own buffer — is open
 //! beside the candidate sorter its join feeds; likewise, while the prune
 //! holds its block, the candidate stream feeding it is open. The prune
-//! spends its `M` in two halves: a block of `M/2` candidate and owner
-//! label records, and the head of `across`, at most `M/2` records' worth
-//! of bytes (`6 × M`). Beside the block it keeps one scratch entry per
-//! candidate in `group_of` (a `u32`), `keep` (a `bool`) and `by_pivot`
-//! (a `u64`, the pivot and the candidate's index, radix-sorted through
-//! as many again of scratch), 21 bytes a candidate. Every sorter's spill
+//! spends `18 × M` bytes: a block of at most `12 × M`, what one sorter
+//! buffer of `M` records takes, and the head of `across`, at most `M/2`
+//! records' worth of bytes (`6 × M`). The block counts everything it
+//! keeps: 16 bytes a candidate (its `u64` sort word and the radix sort's
+//! scratch slot; 32 when the pivot, group and distance fields take a
+//! `u128`), 8 an own entry (a `LabelEntry`) and 8 an owner (its vertex
+//! and where its entries end). It takes no owner once it holds `12 × M`
+//! bytes, so it passes that by at most one owner group, which alone may
+//! be larger; beside it is the label of the pivot being visited. The
+//! block it replaced counted `M/2` records of 12 bytes — 12 a candidate,
+//! 12 an own entry — and kept 21 uncounted bytes a candidate beside them
+//! (a group index, a keep flag, a pivot-order word and its radix
+//! scratch) and 8 an owner: 33 bytes a candidate, 12 an own entry and 8
+//! an owner, up to about `16.5 × M` in all. Every sorter's spill
 //! packs its `M` records into sort words and radix-sorts them through a
 //! scratch buffer of the same length: 16 bytes per record of `M` when
 //! the record fits a `u64`, 32 when it takes a `u128`, allocated for
@@ -150,7 +163,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use extmem::device::TempStore;
-use extmem::radix;
+use extmem::radix::{self, Packing, Word};
 use extmem::run::{RecordSource, Rewind, Run, RunReader, RunWriter};
 use extmem::sorter::{merge_readers, Combiner, ExternalSorter, SortedStream};
 use extmem::{ExtMemConfig, LabelRecord};
@@ -186,6 +199,9 @@ pub struct ExternalBuildResult {
     /// Records decoded from runs, resident heads included: the
     /// per-record work behind `io`'s bytes read.
     pub records_decoded: u64,
+    /// Blocks of the §4.2 prunes, over every side and round: each makes
+    /// one pass over its `across` label file.
+    pub prune_blocks: u64,
 }
 
 /// Build a label index for a rank-relabeled graph with bounded memory.
@@ -266,14 +282,15 @@ impl<S: RecordSource> GroupReader<S> {
         self.pending.map(|r| r.key)
     }
 
-    /// Append the next whole group to `out`; returns its key.
-    fn append_group(&mut self, out: &mut Vec<LabelRecord>) -> io::Result<Option<u32>> {
+    /// Append the next whole group to `out`, each record as a `T`;
+    /// returns its key.
+    fn append_group<T: From<LabelRecord>>(&mut self, out: &mut Vec<T>) -> io::Result<Option<u32>> {
         let Some(first) = self.pending.take() else { return Ok(None) };
         let key = first.key;
-        out.push(first);
+        out.push(first.into());
         loop {
             match self.source.next_record()? {
-                Some(r) if r.key == key => out.push(r),
+                Some(r) if r.key == key => out.push(r.into()),
                 other => {
                     self.pending = other;
                     break;
@@ -288,6 +305,18 @@ impl<S: RecordSource> GroupReader<S> {
     fn next_group(&mut self, out: &mut Vec<LabelRecord>) -> io::Result<Option<u32>> {
         out.clear();
         self.append_group(out)
+    }
+
+    /// The next record of the group keyed `key`, or `None` once the
+    /// group has ended.
+    fn next_in(&mut self, key: u32) -> io::Result<Option<LabelRecord>> {
+        match self.pending {
+            Some(r) if r.key == key => {
+                self.pending = self.source.next_record()?;
+                Ok(Some(r))
+            }
+            _ => Ok(None),
+        }
     }
 
     /// Advance until the next group's key is ≥ `key`. A source with a key
@@ -507,8 +536,8 @@ fn emit(
     Ok(())
 }
 
-/// The bytes of `across` the prune keeps resident: the half of the
-/// operator's `M` its candidate block leaves, `M/2` records of 12 bytes.
+/// The bytes of `across` the prune keeps resident beside its block:
+/// `M/2` records of 12 bytes.
 fn across_head_bytes(ext: &ExtMemConfig) -> usize {
     ext.memory_records.saturating_mul(6)
 }
@@ -520,34 +549,79 @@ fn missing_group(labels: &Labels, v: u32) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("{file}: no label group for vertex {v}"))
 }
 
-/// The order the prune's inner pass visits a `(key, pivot)`-sorted
-/// block in, `(pivot, key)`: each candidate's index under its pivot,
-/// packed `pivot << 32 | index` into `order` and radix-sorted on the
-/// pivot alone — stable, and the indices already ascend with the key.
-fn pivot_order(block: &[LabelRecord], order: &mut Vec<u64>, scratch: &mut Vec<u64>) {
-    order.clear();
-    order.extend(block.iter().enumerate().map(|(c, r)| u64::from(r.pivot) << 32 | c as u64));
-    let pivots = block.iter().fold(0, |or, r| or | r.pivot);
-    radix::sort_from(order, scratch, 32, 32 + radix::bit_width(pivots));
+/// A prune block holds `BLOCK_BYTES_PER_RECORD × M` bytes, short of the
+/// owner group that takes it past them: 12, a record's bytes, so that a
+/// block takes what one sorter buffer of `M` records takes, and every
+/// byte it keeps counts against that — each candidate's sort word and
+/// radix-scratch slot, each own entry, each group (see the module's
+/// memory notes).
+const BLOCK_BYTES_PER_RECORD: usize = 12;
+
+/// The bytes of one prune block (see [`BLOCK_BYTES_PER_RECORD`]), at most
+/// 4 GiB, so that a block's own entries count in a `u32`.
+fn prune_block_bytes(ext: &ExtMemConfig) -> usize {
+    ext.memory_records.saturating_mul(BLOCK_BYTES_PER_RECORD).min(u32::MAX as usize)
+}
+
+/// An owner in a prune block: its vertex, and where its own entries end
+/// in the block's pool; they start where the group before ends.
+#[derive(Clone, Copy)]
+struct Group {
+    owner: u32,
+    end: u32,
+}
+
+/// The least bytes a group takes in a block: a candidate's `u64` word
+/// and scratch slot, an own entry (every owner holds its self-entry) and
+/// the group — so a block holds at most `bytes / MIN_GROUP_BYTES + 1`
+/// groups.
+const MIN_GROUP_BYTES: usize = 2 * size_of::<u64>() + size_of::<LabelEntry>() + size_of::<Group>();
+
+/// The sort words of a prune's candidates: `(pivot, group, dist)` to
+/// visit a block by pivot, and `(group, pivot, dist)` to write its
+/// survivors by owner, fixed before the first block from `widest` (the
+/// OR of every candidate's fields) and the most groups a block holds.
+fn candidate_packings(ext: &ExtMemConfig, widest: LabelRecord) -> (Packing, Packing) {
+    let groups = u32::try_from(prune_block_bytes(ext) / MIN_GROUP_BYTES).unwrap_or(u32::MAX);
+    let by_pivot = Packing::covering([widest.pivot, groups, widest.dist]);
+    (by_pivot, Packing::covering([groups, widest.pivot, widest.dist]))
+}
+
+/// The own label of group `g`: its run of `pool`.
+fn own_label<'b>(pool: &'b [LabelEntry], groups: &[Group], g: u32) -> &'b [LabelEntry] {
+    let g = g as usize;
+    let start = g.checked_sub(1).map_or(0, |before| groups[before].end as usize);
+    &pool[start..groups[g].end as usize]
+}
+
+/// What a prune leaves: the survivors, `(owner, pivot)`-sorted; the
+/// candidates it pruned; the survivors that replace an entry of their
+/// owner's label at a larger distance; and its blocks, one `across`
+/// pass each.
+struct Pruned {
+    survivors: Run,
+    pruned: u64,
+    replaced: u64,
+    blocks: u64,
 }
 
 /// Prune candidates with the 2-hop test `own(owner) ⋈ across(pivot) ≤ d`
 /// — the block nested-loop of §4.2.
 ///
-/// `cands` must be sorted by `(key = owner, pivot)`, one record per pair;
-/// `own` (sorted by owner) provides the owners' labels for the outer
-/// blocks; `across` (sorted by owner) is visited once per block for the
-/// label of each candidate's `pivot`. Both label files are read through
-/// [`GroupReader::skip_to`], so a block reads only the chunks that hold a
-/// group it asks for — and a pivot outranks its owner, so what the inner
-/// scan asks for sits at the head of the file. That head stays resident
-/// from block to block, up to [`across_head_bytes`]: one reader serves
-/// every pass, and a later pass reads from the file only what lies past
-/// the bytes the earlier ones read from its start. A candidate its
-/// owner's label already has at no more than its distance is dropped
-/// before it is counted or joined. Returns the survivors, which keep the
-/// candidates' order, the count pruned, and the count of survivors that
-/// replace an entry of their owner's label at a larger distance.
+/// `cands` must be sorted by `(key = owner, pivot)`, one record per pair,
+/// and `widest` hold the OR of their fields; `own` (sorted by owner)
+/// provides the owners' labels for the outer blocks; `across` (sorted by
+/// owner) is visited once per block for the label of each candidate's
+/// `pivot`. A block fills to [`prune_block_bytes`]: each candidate one
+/// packed `(pivot, group, dist)` word, each owner's label entries once.
+/// Both label files are read through [`GroupReader::skip_to`], so a block
+/// reads only the chunks that hold a group it asks for — and a pivot
+/// outranks its owner, so what the inner scan asks for sits at the head
+/// of the file. That head stays resident from block to block, up to
+/// [`across_head_bytes`]: one reader serves every pass, and a later pass
+/// reads from the file only what lies past the bytes the earlier ones
+/// read from its start. A candidate its owner's label already has at no
+/// more than its distance is dropped before it is counted or joined.
 ///
 /// # Errors
 /// `InvalidData` naming the file when `own` lacks a candidate owner's
@@ -557,97 +631,118 @@ fn prune_candidates(
     store: &TempStore,
     ext: &ExtMemConfig,
     cands: impl RecordSource,
+    widest: LabelRecord,
     own: &Labels,
     across: &Labels,
-) -> io::Result<(Run, u64, u64)> {
-    let block_budget = (ext.memory_records / 2).max(64);
+) -> io::Result<Pruned> {
+    let packings = candidate_packings(ext, widest);
+    if packings.0.fits_u64() && packings.1.fits_u64() {
+        prune_blocks::<u64>(store, ext, cands, packings, own, across)
+    } else {
+        prune_blocks::<u128>(store, ext, cands, packings, own, across)
+    }
+}
+
+/// [`prune_candidates`] on sort words of type `W`.
+fn prune_blocks<W: Word>(
+    store: &TempStore,
+    ext: &ExtMemConfig,
+    cands: impl RecordSource,
+    (by_pivot, by_group): (Packing, Packing),
+    own: &Labels,
+    across: &Labels,
+) -> io::Result<Pruned> {
+    let (budget, word_bytes) = (prune_block_bytes(ext), 2 * size_of::<W>());
     let mut cand_reader = GroupReader::new(cands)?;
     let mut own_reader = GroupReader::new(own.reader(ext.block_bytes, 0)?)?;
     let mut across_reader =
         GroupReader::with_head(across, ext.block_bytes, across_head_bytes(ext))?;
     let mut survivors = RunWriter::new(store.create("survivors")?, ext.block_bytes);
-    let (mut pruned, mut replaced) = (0u64, 0u64);
-    // One block, reused across blocks: the candidates in arrival order,
-    // their owners' label groups back to back (group `g` is
-    // `own_pool[own_bounds[g]..own_bounds[g + 1]]`), each candidate's
-    // group, and the order the inner scan visits them in.
-    let mut block: Vec<LabelRecord> = Vec::new();
-    let mut own_pool: Vec<LabelRecord> = Vec::new();
-    let mut own_bounds: Vec<usize> = Vec::new();
-    let mut group_of: Vec<u32> = Vec::new();
-    let (mut by_pivot, mut radix_scratch) = (Vec::new(), Vec::new());
-    let mut keep: Vec<bool> = Vec::new();
-    let (mut cg, mut ag) = (Vec::new(), Vec::new());
+    let (mut pruned, mut replaced, mut blocks) = (0u64, 0u64, 0u64);
+    // One block, reused across blocks: a word per candidate and the radix
+    // sort's scratch, the owners' own entries back to back in `pool`, and
+    // a group per owner; and the label of the pivot being visited.
+    let (mut words, mut scratch) = (Vec::<W>::new(), Vec::<W>::new());
+    let mut pool: Vec<LabelEntry> = Vec::new();
+    let mut groups: Vec<Group> = Vec::new();
+    let mut ag: Vec<LabelRecord> = Vec::new();
+    let held = |words: &[W], pool: &[LabelEntry], groups: &[Group]| {
+        words.len() * word_bytes + size_of_val(pool) + size_of_val(groups)
+    };
 
     loop {
         // Outer: load candidate groups + their owners' labels up to the
-        // memory budget. An owner left without a candidate hands its
-        // label back, so an empty block means the stream is done.
-        block.clear();
-        own_pool.clear();
-        own_bounds.clear();
-        own_bounds.push(0);
-        group_of.clear();
-        while block.len() + own_pool.len() < block_budget {
-            let Some(x) = cand_reader.next_group(&mut cg)? else { break };
-            let start = own_pool.len();
+        // budget. An owner left without a candidate hands its label back,
+        // so a block without groups means the stream is done.
+        words.clear();
+        pool.clear();
+        groups.clear();
+        while groups.is_empty() || held(&words, &pool, &groups) < budget {
+            let Some(x) = cand_reader.peek_key() else { break };
             own_reader.skip_to(x)?;
             if own_reader.peek_key() != Some(x) {
                 return Err(missing_group(own, x));
             }
-            own_reader.append_group(&mut own_pool)?;
-            let own = &own_pool[start..];
-            let had = block.len();
-            block.extend(cg.iter().filter(|c| {
-                let at = own.binary_search_by_key(&c.pivot, |e| e.pivot);
-                at.map_or(true, |i| own[i].dist > c.dist)
-            }));
-            if block.len() == had {
-                own_pool.truncate(start);
+            let start = pool.len();
+            own_reader.append_group(&mut pool)?;
+            let (mine, g, had) = (&pool[start..], groups.len() as u32, words.len());
+            while let Some(c) = cand_reader.next_in(x)? {
+                let at = mine.binary_search_by_key(&c.pivot, |e| e.pivot);
+                if at.map_or(true, |i| mine[i].dist > c.dist) {
+                    words.push(by_pivot.pack([c.pivot, g, c.dist]));
+                }
+            }
+            if words.len() == had {
+                pool.truncate(start);
                 continue;
             }
-            group_of.resize(block.len(), own_bounds.len() as u32 - 1);
-            own_bounds.push(own_pool.len());
+            let end = u32::try_from(pool.len()).expect("a block's pool is at most 4 GiB");
+            groups.push(Group { owner: x, end });
         }
-        if block.is_empty() {
+        if groups.is_empty() {
             break;
         }
+        blocks += 1;
         // Inner: one forward pass over `across`, visiting the block's
-        // candidates by pivot. The block itself stays in `(key, pivot)`
-        // order and blocks are consecutive key ranges, so the survivors
-        // leave globally sorted.
-        pivot_order(&block, &mut by_pivot, &mut radix_scratch);
-        keep.clear();
-        keep.resize(block.len(), false);
+        // candidates by pivot. A survivor's word is repacked by group in
+        // place, behind the visit.
+        radix::sort_from(&mut words, &mut scratch, by_pivot.top_shift(), by_pivot.bits());
         across_reader.rewind()?;
-        let mut visit = by_pivot.iter().map(|&w| w as u32 as usize).peekable();
-        while let Some(&first) = visit.peek() {
-            let pivot = block[first].pivot;
+        let (mut at, mut kept) = (0, 0);
+        while let Some(&first) = words.get(at) {
+            let [pivot, ..] = by_pivot.unpack(first);
             across_reader.skip_to(pivot)?;
             if across_reader.peek_key() != Some(pivot) {
                 return Err(missing_group(across, pivot));
             }
             across_reader.next_group(&mut ag)?;
-            while let Some(c) = visit.next_if(|&c| block[c].pivot == pivot) {
-                let g = group_of[c] as usize;
-                let own = &own_pool[own_bounds[g]..own_bounds[g + 1]];
+            while let Some([_, g, dist]) =
+                words.get(at).map(|&w| by_pivot.unpack(w)).filter(|f| f[0] == pivot)
+            {
                 // Pivots are rank-sorted and the hubs that kill most
                 // candidates come first: the join stops at the first witness.
-                keep[c] = merge_join(own, &ag, VertexId::MAX, block[c].dist) > block[c].dist;
+                if merge_join(own_label(&pool, &groups, g), &ag, VertexId::MAX, dist) > dist {
+                    words[kept] = by_group.pack([g, pivot, dist]);
+                    kept += 1;
+                }
+                at += 1;
             }
         }
-        for (c, (&cand, &kept)) in block.iter().zip(&keep).enumerate() {
-            if !kept {
-                pruned += 1;
-                continue;
-            }
-            survivors.push(cand)?;
-            let g = group_of[c] as usize;
-            let own = &own_pool[own_bounds[g]..own_bounds[g + 1]];
-            replaced += u64::from(own.binary_search_by_key(&cand.pivot, |e| e.pivot).is_ok());
+        pruned += (words.len() - kept) as u64;
+        words.truncate(kept);
+        // Visited by pivot, each pivot's candidates by group: a stable
+        // sort on the group leaves them `(owner, pivot)`-sorted, and
+        // blocks are consecutive owner ranges, so the survivors leave
+        // globally sorted.
+        radix::sort_from(&mut words, &mut scratch, by_group.top_shift(), by_group.bits());
+        for &w in &words {
+            let [g, pivot, dist] = by_group.unpack(w);
+            survivors.push(LabelRecord::new(groups[g as usize].owner, pivot, dist))?;
+            let mine = own_label(&pool, &groups, g);
+            replaced += u64::from(mine.binary_search_by_key(&pivot, |e| e.pivot).is_ok());
         }
     }
-    Ok((survivors.finish()?, pruned, replaced))
+    Ok(Pruned { survivors: survivors.finish()?, pruned, replaced, blocks })
 }
 
 /// The files of one label side (see [`crate::engine`] for the side
@@ -669,11 +764,7 @@ struct Side {
 
 /// What one side's generate → prune chain produced in one iteration.
 struct SideOutcome {
-    pruned: u64,
-    /// The survivors, `(owner, pivot)`-sorted.
-    surv: Run,
-    /// Survivors that lower the distance of an entry `own` holds.
-    replaced: u64,
+    pruned: Pruned,
     gather: Duration,
     prune: Duration,
 }
@@ -691,7 +782,11 @@ fn side_round(
 ) -> io::Result<SideOutcome> {
     let (mut clock, block) = (Instant::now(), ext.block_bytes);
     let mut s = sorter(store, ext, overlap);
-    let mut offer = |r: LabelRecord| s.push(r);
+    let mut widest = LabelRecord::new(0, 0, 0);
+    let mut offer = |r: LabelRecord| {
+        widest = LabelRecord::new(widest.key | r.key, widest.pivot | r.pivot, widest.dist | r.dist);
+        s.push(r)
+    };
     if stepping {
         cogroup_join(&side.prev, side.edges.reader_shared(block)?, ext, &mut offer)?;
     } else {
@@ -710,9 +805,8 @@ fn side_round(
     // The sorter's last merge is the prune's candidate scan. The 2-hop
     // test is symmetric, so on every side it is own(owner) ⋈ across(pivot)
     // and the candidates go in as generated.
-    let (surv, pruned, replaced) =
-        prune_candidates(store, ext, s.finish_stream()?, &side.labels, across)?;
-    Ok(SideOutcome { pruned, surv, replaced, gather, prune: lap(&mut clock) })
+    let pruned = prune_candidates(store, ext, s.finish_stream()?, widest, &side.labels, across)?;
+    Ok(SideOutcome { pruned, gather, prune: lap(&mut clock) })
 }
 
 fn io_report(store: &TempStore, ext: &ExtMemConfig) -> (u64, u64, u64, u64) {
@@ -734,6 +828,8 @@ struct External<'s> {
     sides: Vec<Side>,
     /// Bytes read and written as of the last row.
     seen: (u64, u64),
+    /// The prunes' blocks so far, over every side and round.
+    prune_blocks: u64,
 }
 
 impl External<'_> {
@@ -763,9 +859,10 @@ impl Rounds for External<'_> {
             side_round(store, ext, threaded, stepping, s, &sides[s.across].labels)
         });
         let outcomes = outcomes.into_iter().collect::<io::Result<Vec<SideOutcome>>>()?;
+        self.prune_blocks += outcomes.iter().map(|o| o.pruned.blocks).sum::<u64>();
         let mut row = IterationStats {
-            pruned: outcomes.iter().map(|o| o.pruned).sum(),
-            inserted: outcomes.iter().map(|o| o.surv.len()).sum(),
+            pruned: outcomes.iter().map(|o| o.pruned.pruned).sum(),
+            inserted: outcomes.iter().map(|o| o.pruned.survivors.len()).sum(),
             gather: outcomes.iter().map(|o| o.gather).sum(),
             prune: outcomes.iter().map(|o| o.prune).sum(),
             ..IterationStats::default()
@@ -778,8 +875,8 @@ impl Rounds for External<'_> {
         let jobs = std::mem::take(&mut self.sides).into_iter().zip(outcomes).collect();
         let applied = run_workers(threaded, jobs, |(side, o): (Side, SideOutcome)| {
             let started = Instant::now();
-            let prev = Arc::new(o.surv);
-            let labels = side.labels.add(store, ext, &prev, o.replaced)?;
+            let prev = Arc::new(o.pruned.survivors);
+            let labels = side.labels.add(store, ext, &prev, o.pruned.replaced)?;
             io::Result::Ok((Side { labels, prev, ..side }, started.elapsed()))
         });
         for side in applied {
@@ -821,6 +918,7 @@ fn run(
         seeks: io.seeks(),
         records_encoded: io.records_encoded(),
         records_decoded: io.records_decoded(),
+        prune_blocks: e.prune_blocks,
     })
 }
 
@@ -850,7 +948,7 @@ fn seed<'s>(
         });
     }
     let total_entries = seeds + (sides.len() * n) as u64;
-    let mut e = External { store, ext, threaded, sides, seen: (0, 0) };
+    let mut e = External { store, ext, threaded, sides, seen: (0, 0), prune_blocks: 0 };
     let (io_read_bytes, io_write_bytes) = e.io_lap();
     let seeded = IterationStats {
         iteration: 1,
@@ -977,6 +1075,58 @@ mod tests {
     /// Every row's I/O columns.
     fn io_columns(rows: &[IterationStats]) -> Vec<(u64, u64)> {
         rows.iter().map(|it| (it.io_read_bytes, it.io_write_bytes)).collect()
+    }
+
+    /// The OR of the candidates' fields: the `widest` a round hands its
+    /// prune.
+    fn widest(cands: &[LabelRecord]) -> LabelRecord {
+        let or = |w: LabelRecord, r: &LabelRecord| {
+            LabelRecord::new(w.key | r.key, w.pivot | r.pivot, w.dist | r.dist)
+        };
+        cands.iter().fold(LabelRecord::new(0, 0, 0), or)
+    }
+
+    /// The bytes a candidate takes in a block: its word and scratch slot.
+    fn word_bytes(ext: &ExtMemConfig, cands: &[LabelRecord]) -> usize {
+        let (by_pivot, by_group) = candidate_packings(ext, widest(cands));
+        if by_pivot.fits_u64() && by_group.fits_u64() {
+            16
+        } else {
+            32
+        }
+    }
+
+    /// The prune of the sorted `cands`, written to a run in `store` first.
+    fn prune(
+        store: &TempStore,
+        ext: &ExtMemConfig,
+        cands: &[LabelRecord],
+        own: &Labels,
+        across: &Labels,
+    ) -> io::Result<Pruned> {
+        let run = extmem::run::run_from_slice(store, "cands", cands, ext.block_bytes)?;
+        prune_candidates(store, ext, run.reader(ext.block_bytes)?, widest(cands), own, across)
+    }
+
+    /// The block each owner goes to under the byte rule, given its live
+    /// candidates and its own entries (owners without a live candidate
+    /// left out): a block takes owners while it holds fewer than
+    /// [`prune_block_bytes`], `word_bytes` a candidate, 8 an own entry
+    /// and 8 an owner.
+    fn blocks_by_bytes(
+        ext: &ExtMemConfig,
+        word_bytes: usize,
+        owners: &[(usize, usize)],
+    ) -> Vec<usize> {
+        let (budget, mut block, mut fill) = (prune_block_bytes(ext), 0, 0);
+        let place = |&(live, own): &(usize, usize)| {
+            if fill > 0 && fill >= budget {
+                (block, fill) = (block + 1, 0);
+            }
+            fill += live * word_bytes + (own + 1) * 8;
+            block
+        };
+        owners.iter().map(place).collect()
     }
 
     /// What both engines must agree on, iteration by iteration: every
@@ -1157,7 +1307,7 @@ mod tests {
         use extmem::run::run_from_slice;
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-        let (n, ext, store) = (48u32, tiny_ext(), TempStore::new().unwrap());
+        let (n, ext, store) = (96u32, tiny_ext(), TempStore::new().unwrap());
         let block = ext.block_bytes;
         let mut labels = |tag| {
             let mut recs = Vec::new();
@@ -1208,24 +1358,21 @@ mod tests {
 
         // The outer loop closes a block at the first owner that takes it
         // to the budget; an owner without a live candidate takes nothing.
-        let (mut blocks, mut fill) = (0u64, 0usize);
-        for k in 0..n {
-            if fill >= ext.memory_records / 2 {
-                (blocks, fill) = (blocks + 1, 0);
-            }
-            if counted(k) > 0 {
-                fill += counted(k) + group(&src, k).len();
-            }
-        }
-        blocks += 1;
+        let owners: Vec<(usize, usize)> = (0..n)
+            .filter(|&k| counted(k) > 0)
+            .map(|k| (counted(k), group(&src, k).len()))
+            .collect();
+        let cuts = blocks_by_bytes(&ext, word_bytes(&ext, &cands), &owners);
+        let blocks = cuts.last().map_or(0, |b| b + 1) as u64;
         assert!(blocks >= 3, "the budget must cut the candidates into ≥ 3 blocks");
 
         let cand_run = run_from_slice(&store, "cands", &cands, block).unwrap();
         let whole_scans = cand_run.bytes() + src_run.bytes() + blocks * dst_run.bytes();
         let read_before = store.stats().read_bytes();
-        let (surv, pruned, _) =
-            prune_candidates(&store, &ext, cand_run.reader(block).unwrap(), &src_run, &dst_run)
-                .unwrap();
+        let cands_in = cand_run.reader(block).unwrap();
+        let Pruned { survivors: surv, pruned, blocks: cut, .. } =
+            prune_candidates(&store, &ext, cands_in, widest(&cands), &src_run, &dst_run).unwrap();
+        assert_eq!(cut, blocks, "the blocks the byte rule cuts");
         // One pass over the candidates and the owners' labels, and per
         // block only the chunks of `dst` that hold a wanted pivot — not
         // the file.
@@ -1240,34 +1387,99 @@ mod tests {
         assert_eq!(pruned as usize, live - expect.len());
     }
 
-    /// The radix `pivot_order` visits a `(key, pivot)`-sorted block in
-    /// the order the comparison sort on `(pivot, key)` did, on blocks
-    /// whose pivots repeat, run long and reach `u32::MAX`.
+    /// The block prune against a brute-force reference, seeded: the
+    /// survivors, `pruned` and `replaced` of every case equal what the
+    /// reference join and the owners' labels give, on `u64` words (small
+    /// ids and distances) and `u128` ones (pivots near `u32::MAX`,
+    /// weighted distances past 2²⁰), and the blocks the byte rule cuts, with one owner whose group alone
+    /// outgrows a block's whole budget and goes into a block of its own.
     #[test]
-    fn pivot_order_is_the_comparison_order() {
+    fn prune_matches_the_reference_on_either_word_width() {
+        use extmem::run::run_from_slice;
+        use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(47);
-        let (mut order, mut scratch) = (Vec::new(), Vec::new());
-        for case in 0..40 {
-            let pivots = [1, 2, 5, 40, 3_000][case % 5];
-            let mut block: Vec<LabelRecord> = (0..rng.gen_range(0..300))
-                .map(|_| {
-                    let pivot = if case % 7 == 6 && rng.gen_bool(0.3) {
-                        u32::MAX - rng.gen_range(0..2u32)
-                    } else {
-                        rng.gen_range(0..pivots)
-                    };
-                    LabelRecord::new(rng.gen_range(0..60), pivot, rng.gen_range(1..9))
+        let ext = ExtMemConfig { memory_records: 48, ..tiny_ext() };
+        let (mut replacing, mut oversize) = (0, 0);
+        for case in 0..8u64 {
+            let (wide, big) = (case % 2 == 1, case >= 4);
+            let mut rng = StdRng::seed_from_u64(61 + case);
+            let store = TempStore::new().unwrap();
+            // 60 small ids and, when wide, 8 just below `u32::MAX`.
+            let mut ids: Vec<u32> = (0..60).collect();
+            if wide {
+                ids.extend((1..=8).map(|i| u32::MAX - i).rev());
+            }
+            // Wide distances take 28 bits: with 32 for the pivot and the
+            // groups' 5, one past a `u64`.
+            let far = if wide { 1u32 << 27 } else { 9 };
+            // Every id's label: itself and about a third of the ids.
+            let label = |rng: &mut StdRng, v: u32| -> Vec<LabelRecord> {
+                let mut entry = |p: u32| match (p == v, rng.gen_bool(0.3)) {
+                    (true, _) => Some(LabelRecord::new(v, p, 0)),
+                    (false, true) => Some(LabelRecord::new(v, p, rng.gen_range(1..far))),
+                    (false, false) => None,
+                };
+                ids.iter().filter_map(|&p| entry(p)).collect()
+            };
+            let own: Vec<LabelRecord> = ids.iter().flat_map(|&v| label(&mut rng, v)).collect();
+            let across: Vec<LabelRecord> = ids.iter().flat_map(|&v| label(&mut rng, v)).collect();
+            // Candidates of about a tenth of the pairs — all of one
+            // owner's, when `big` — some at an own entry's pivot.
+            let mut cands = Vec::new();
+            for (&k, &p) in ids.iter().flat_map(|k| ids.iter().map(move |p| (k, p))) {
+                if (big && k == 17) || rng.gen_bool(0.1) {
+                    cands.push(LabelRecord::new(k, p, rng.gen_range(1..2 * far)));
+                }
+            }
+            let group = |recs: &[LabelRecord], v: u32| -> Vec<LabelEntry> {
+                recs.iter().filter(|r| r.key == v).map(|&r| LabelEntry::from(r)).collect()
+            };
+            let at =
+                |label: &[LabelEntry], pivot: u32| label.iter().find(|e| e.pivot == pivot).copied();
+            let live: Vec<LabelRecord> = cands
+                .iter()
+                .copied()
+                .filter(|c| at(&group(&own, c.key), c.pivot).is_none_or(|e| e.dist > c.dist))
+                .collect();
+            let expect: Vec<LabelRecord> = live
+                .iter()
+                .copied()
+                .filter(|c| {
+                    let (mine, theirs) = (group(&own, c.key), group(&across, c.pivot));
+                    merge_join_reference(&mine, &theirs, VertexId::MAX) > c.dist
                 })
                 .collect();
-            block.sort_unstable();
-            block.dedup_by_key(|r| (r.key, r.pivot));
-            let mut expect: Vec<u32> = (0..block.len() as u32).collect();
-            expect.sort_unstable_by_key(|&c| (block[c as usize].pivot, block[c as usize].key));
-            pivot_order(&block, &mut order, &mut scratch);
-            let got: Vec<u32> = order.iter().map(|&w| w as u32).collect();
-            assert_eq!(got, expect, "case {case}: {} candidates", block.len());
+            let replaced =
+                expect.iter().filter(|c| at(&group(&own, c.key), c.pivot).is_some()).count();
+            let at_case = format!("case {case}: wide {wide}, big {big}");
+            assert!(!expect.is_empty() && expect.len() < live.len(), "{at_case}: both outcomes");
+            let word = word_bytes(&ext, &cands);
+            assert_eq!(word, if wide { 32 } else { 16 }, "{at_case}: the word width");
+            let owners: Vec<(usize, usize)> = ids
+                .iter()
+                .map(|&k| (live.iter().filter(|c| c.key == k).count(), group(&own, k).len()))
+                .filter(|&(n, _)| n > 0)
+                .collect();
+            let budget = prune_block_bytes(&ext);
+            let outgrow = |&(n, own): &(usize, usize)| n * word + (own + 1) * 8 > budget;
+            oversize += owners.iter().filter(|o| outgrow(o)).count();
+            assert_eq!(big, owners.iter().any(outgrow), "{at_case}");
+            let blocks = blocks_by_bytes(&ext, word, &owners).last().map_or(0, |b| b + 1);
+
+            let labels = |tag, recs: &[LabelRecord]| {
+                Labels::new(run_from_slice(&store, tag, recs, ext.block_bytes).unwrap())
+            };
+            let (own_run, across_run) = (labels("own", &own), labels("across", &across));
+            let got = prune(&store, &ext, &cands, &own_run, &across_run).unwrap();
+            assert_eq!(got.survivors.read_all().unwrap(), expect, "{at_case}");
+            assert_eq!(
+                (got.pruned as usize, got.replaced as usize, got.blocks),
+                (live.len() - expect.len(), replaced, blocks as u64),
+                "{at_case}: pruned, replaced, blocks"
+            );
+            replacing += replaced;
         }
+        assert!(replacing > 0 && oversize > 0);
     }
 
     /// The resident head of `across`: on a hub-heavy input cut into
@@ -1330,18 +1542,13 @@ mod tests {
         let counted: usize = (0..n).map(|k| live(k).len()).sum();
         assert!(!expect.is_empty() && expect.len() < counted, "both outcomes occur");
         // Each block's probes into `across`: its live candidates' pivots.
-        let mut probes: Vec<Vec<u32>> = vec![Vec::new()];
-        let mut fill = 0;
-        for k in 0..n {
-            if fill >= ext.memory_records / 2 {
-                probes.push(Vec::new());
-                fill = 0;
-            }
-            let live = live(k);
-            if !live.is_empty() {
-                fill += live.len() + group(&own, k).len();
-                probes.last_mut().unwrap().extend(live.iter().map(|c| c.pivot));
-            }
+        let owners: Vec<u32> = (0..n).filter(|&k| !live(k).is_empty()).collect();
+        let sizes: Vec<(usize, usize)> =
+            owners.iter().map(|&k| (live(k).len(), group(&own, k).len())).collect();
+        let cuts = blocks_by_bytes(&ext, word_bytes(&ext, &cands), &sizes);
+        let mut probes: Vec<Vec<u32>> = vec![Vec::new(); cuts.last().map_or(0, |b| b + 1)];
+        for (&k, &b) in owners.iter().zip(&cuts) {
+            probes[b].extend(live(k).iter().map(|c| c.pivot));
         }
         assert!(probes.len() >= 3, "the budget must cut the candidates into ≥ 3 blocks");
         for block_probes in &mut probes {
@@ -1367,16 +1574,16 @@ mod tests {
             beyond += pass(&mut full, block_probes);
         }
 
-        let cand_run = run_from_slice(&store, "cands", &cands, block).unwrap();
         let before = far.stats().read_bytes();
-        let (surv, pruned, _) =
-            prune_candidates(&store, &ext, cand_run.reader(block).unwrap(), &own_run, &across_run)
-                .unwrap();
+        let got = prune(&store, &ext, &cands, &own_run, &across_run).unwrap();
         let read = far.stats().read_bytes() - before;
         assert!(read <= head as u64 + beyond, "{read} B > {head} B head + {beyond} B past it");
         assert!(read < plain, "{read} B, {plain} B with no head");
-        assert_eq!(surv.read_all().unwrap(), expect);
-        assert_eq!(pruned as usize, counted - expect.len());
+        assert_eq!(got.survivors.read_all().unwrap(), expect);
+        assert_eq!(
+            (got.pruned as usize, got.blocks),
+            (counted - expect.len(), probes.len() as u64)
+        );
     }
 
     /// A label file that lacks a vertex's group — self-entries give every
@@ -1394,9 +1601,7 @@ mod tests {
         let holed = Labels::new(run_from_slice(&store, "holed", &holed, block).unwrap());
         for (cand, own, across) in [((3, 1), &holed, &whole), ((5, 3), &whole, &holed)] {
             let cands = [LabelRecord::new(cand.0, cand.1, 2)];
-            let cands = run_from_slice(&store, "cands", &cands, block).unwrap();
-            let Err(e) = prune_candidates(&store, &ext, cands.reader(block).unwrap(), own, across)
-            else {
+            let Err(e) = prune(&store, &ext, &cands, own, across) else {
                 panic!("a missing group must be refused: {cand:?}")
             };
             assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
@@ -1455,12 +1660,13 @@ mod tests {
                 cands.push(LabelRecord::new(v, v - 1, 1));
             }
         }
-        assert!(190 > ext.memory_records, "the dominated owners alone overrun a block");
-        let cand_run = run_from_slice(&store, "cands", &cands, block).unwrap();
-        let (surv, pruned, _) =
-            prune_candidates(&store, &ext, cand_run.reader(block).unwrap(), &run, &run).unwrap();
+        // Each dominated owner would take a word, its two entries and a
+        // group were it counted.
+        let dominated = 189 * (16 + 2 * 8 + 8);
+        assert!(dominated > prune_block_bytes(&ext), "the dominated owners alone overrun a block");
+        let got = prune(&store, &ext, &cands, &run, &run).unwrap();
         let expect: Vec<LabelRecord> = (190..n).map(|v| LabelRecord::new(v, v - 1, 1)).collect();
-        assert_eq!((surv.read_all().unwrap(), pruned), (expect, 0));
+        assert_eq!((got.survivors.read_all().unwrap(), got.pruned, got.blocks), (expect, 0, 1));
     }
 
     /// (b) A hybrid that switches at 3 on graphs that need more rounds

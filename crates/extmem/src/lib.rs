@@ -25,8 +25,10 @@
 //!   as a seek, and a reader that passes over a run again and again can
 //!   keep the leading bytes it read resident
 //!   ([`run::Run::reader_with_head`]);
-//! * [`radix`] — the stable LSD radix sort of packed words that forms
-//!   the sorter's runs and orders the §4.2 prune's blocks by pivot;
+//! * [`radix`] — three `u32` fields packed into one sort word
+//!   ([`radix::Packing`]) and the stable LSD radix sort of those words,
+//!   which forms the sorter's runs and orders the §4.2 prune's blocks by
+//!   pivot;
 //! * [`sorter::ExternalSorter`] — budgeted run formation plus k-way merge
 //!   with an optional combiner for equal keys (used to keep the minimum
 //!   distance per `(vertex, pivot)` candidate), optionally pipelining the
@@ -62,9 +64,9 @@ pub use stats::IoStats;
 #[derive(Clone, Debug)]
 pub struct ExtMemConfig {
     /// Memory budget in *records* available to any one operator
-    /// (the paper's `M`). The §4.2 prune splits it: a block of `M/2`
-    /// records, and `M/2` records' worth of bytes (`6 × M`) for the
-    /// resident head of the label file its inner passes read again
+    /// (the paper's `M`). The §4.2 prune holds a block of at most `M`
+    /// records' bytes (`12 × M`), and `M/2` records' worth (`6 × M`) for
+    /// the resident head of the label file its inner passes read again
     /// ([`run::Run::reader_with_head`]).
     pub memory_records: usize,
     /// Block size in bytes (the paper's `B`): the most bytes of a run's

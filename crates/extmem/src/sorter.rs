@@ -51,7 +51,7 @@ use std::thread::JoinHandle;
 
 use crate::codec::LabelRecord;
 use crate::device::{CountedFile, TempStore};
-use crate::radix::{self, Word};
+use crate::radix::{self, Packing, Word};
 use crate::run::{chunk_bytes, RecordSource, Rewind, Run, RunReader, RunWriter};
 use crate::ExtMemConfig;
 
@@ -255,7 +255,8 @@ impl<'s> ExternalSorter<'s> {
     /// Input that never spilled is sorted in the buffer and served from
     /// it with no I/O at all. Otherwise the spilled runs are merged down
     /// to at most the fan-in the memory budget allows (each open reader
-    /// needs one block of buffer) and the stream *is* the last k-way
+    /// needs one block of buffer), each intermediate merge taking no more
+    /// runs than that needs, and the stream *is* the last k-way
     /// merge, so its output is read by the consumer instead of being
     /// written and read back.
     pub fn finish_stream(mut self) -> std::io::Result<SortedStream> {
@@ -276,7 +277,12 @@ impl<'s> ExternalSorter<'s> {
         let block_bytes = self.config.block_bytes;
         let max_fanin = fan_in(&self.config);
         while self.runs.len() > max_fanin {
-            let batch: Vec<Run> = self.runs.drain(..max_fanin).collect();
+            // Merging the first `R − F + 1` of `R` runs leaves the last
+            // merge its fan-in `F` exactly; more would reread runs for
+            // nothing. Past `2F − 1` runs that is more than one merge
+            // takes, so it takes `F`, and the loop comes back.
+            let take = (self.runs.len() - max_fanin + 1).min(max_fanin);
+            let batch: Vec<Run> = self.runs.drain(..take).collect();
             let merged = merge_runs(self.store, batch, block_bytes, self.combiner, self.group_eq)?;
             self.runs.push(merged);
         }
@@ -289,56 +295,12 @@ impl<'s> ExternalSorter<'s> {
     }
 }
 
-/// Where each field of a record sits in its packed sort word: the
-/// fields in the bit widths a buffer's records use, key highest, so the
-/// words order as the records do.
-#[derive(Clone, Copy)]
-struct Packing {
-    pivot_shift: u32,
-    key_shift: u32,
-    pivot_mask: u32,
-    dist_mask: u32,
-    bits: u32,
-}
-
-impl Packing {
-    /// The packing of `records`, found in one OR pass over them.
-    fn of(records: &[LabelRecord]) -> Packing {
-        let (mut key, mut pivot, mut dist) = (0u32, 0u32, 0u32);
-        for r in records {
-            (key, pivot, dist) = (key | r.key, pivot | r.pivot, dist | r.dist);
-        }
-        let [key, pivot, dist] = [key, pivot, dist].map(radix::bit_width);
-        let mask = |bits: u32| ((1u64 << bits) - 1) as u32;
-        Packing {
-            pivot_shift: dist,
-            key_shift: dist + pivot,
-            pivot_mask: mask(pivot),
-            dist_mask: mask(dist),
-            bits: dist + pivot + key,
-        }
-    }
-
-    #[inline(always)]
-    fn pack<W: Word>(self, r: LabelRecord) -> W {
-        W::from(r.key) << self.key_shift | W::from(r.pivot) << self.pivot_shift | W::from(r.dist)
-    }
-
-    #[inline(always)]
-    fn unpack<W: Word>(self, w: W) -> LabelRecord {
-        let field = |shift: u32| (w >> shift).low64() as u32;
-        LabelRecord::new(
-            field(self.key_shift),
-            field(self.pivot_shift) & self.pivot_mask,
-            field(0) & self.dist_mask,
-        )
-    }
-
-    /// Whether the packed words fit a `u64` with the key's shift below
-    /// its width.
-    fn fits_u64(self) -> bool {
-        self.key_shift < 64 && self.bits <= 64
-    }
+/// The packing of `records`, `(key, pivot, dist)` key highest, in the
+/// widths they use: found in one OR pass over them.
+fn packing_of(records: &[LabelRecord]) -> Packing {
+    let covers =
+        records.iter().fold([0u32; 3], |[k, p, d], r| [k | r.key, p | r.pivot, d | r.dist]);
+    Packing::covering(covers)
 }
 
 /// Radix-sort `records` and hand them to `emit` in order, each group of
@@ -349,7 +311,7 @@ fn sort_and_combine(
     group_eq: GroupEq,
     emit: impl FnMut(LabelRecord) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
-    let packing = Packing::of(records);
+    let packing = packing_of(records);
     if packing.fits_u64() {
         sort_words::<u64>(records, packing, combiner, group_eq, emit)
     } else {
@@ -366,9 +328,13 @@ fn sort_words<W: Word>(
     group_eq: GroupEq,
     mut emit: impl FnMut(LabelRecord) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
-    let mut words: Vec<W> = records.iter().map(|&r| packing.pack(r)).collect();
-    radix::sort_from(&mut words, &mut Vec::new(), 0, packing.bits);
-    let mut sorted = words.iter().map(|&w| packing.unpack(w));
+    let mut words: Vec<W> =
+        records.iter().map(|&r| packing.pack([r.key, r.pivot, r.dist])).collect();
+    radix::sort_from(&mut words, &mut Vec::new(), 0, packing.bits());
+    let mut sorted = words.iter().map(|&w| {
+        let [key, pivot, dist] = packing.unpack(w);
+        LabelRecord::new(key, pivot, dist)
+    });
     let Some(combine) = combiner else { return sorted.try_for_each(emit) };
     let Some(mut pending) = sorted.next() else { return Ok(()) };
     for r in sorted {
@@ -761,7 +727,7 @@ mod tests {
         #[test]
         fn radix_run_formation_equals_the_comparison_sort() {
             for (shape, records, wide) in buffers() {
-                assert_eq!(Packing::of(&records).fits_u64(), !wide, "{shape}");
+                assert_eq!(packing_of(&records).fits_u64(), !wide, "{shape}");
                 for combiner in [None, Some(keep_min as Combiner)] {
                     let expect = compared(&records, combiner);
                     let at = format!(
@@ -1103,6 +1069,58 @@ mod tests {
             if passes == 0 {
                 assert_eq!((s.read_bytes(), s.write_bytes()), (0, 0), "in-memory: no I/O");
             }
+        }
+    }
+
+    /// With `F + k` runs past a fan-in of `F`, the intermediate merge
+    /// takes the first `k + 1` runs, what brings the count down to `F`,
+    /// and reads and writes those runs' records and bytes and not one
+    /// run more.
+    #[test]
+    fn the_intermediate_merge_reads_only_the_runs_above_the_fan_in() {
+        let config = ExtMemConfig::tiny();
+        let (fanin, m) = (fan_in(&config), config.memory_records);
+        let scratch = TempStore::new().unwrap();
+        let bytes = |records: &[LabelRecord]| {
+            let mut sorted = records.to_vec();
+            sorted.sort_unstable();
+            run_from_slice(&scratch, "expect", &sorted, config.block_bytes).unwrap().bytes()
+        };
+        for k in 1..fanin {
+            let mut draw = draws(k as u64);
+            // Distinct records, so no merge combines any away: every
+            // spill is a run of exactly `m`.
+            let mut recs: Vec<LabelRecord> = (0..(fanin + k) * m)
+                .map(|i| LabelRecord::new(i as u32 / 7, i as u32 % 7, 1))
+                .collect();
+            for i in (1..recs.len()).rev() {
+                recs.swap(i, draw(i as u32 + 1) as usize);
+            }
+            let store = TempStore::new().unwrap();
+            let mut s = ExternalSorter::new(&store, config.clone());
+            for &r in &recs {
+                s.push(r).unwrap();
+            }
+            let got = drain(&mut s.finish_stream().unwrap());
+            let mut expect = recs.clone();
+            expect.sort_unstable();
+            assert_eq!(got, expect, "k = {k}");
+            let stats = store.stats();
+            assert_eq!(
+                (stats.sort_runs(), stats.merge_passes()),
+                ((fanin + k) as u64, 2),
+                "k = {k}"
+            );
+            let merged = (k + 1) * m;
+            let total = (recs.len() + merged) as u64;
+            assert_eq!(
+                (stats.records_encoded(), stats.records_decoded()),
+                (total, total),
+                "k = {k}"
+            );
+            let spilled: u64 = recs.chunks(m).map(bytes).sum();
+            let io = spilled + bytes(&recs[..merged]);
+            assert_eq!((stats.read_bytes(), stats.write_bytes()), (io, io), "k = {k}");
         }
     }
 

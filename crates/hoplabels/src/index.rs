@@ -283,11 +283,13 @@ impl VertexLabels {
 /// One linear merge, which also stops at the first pivot past the other
 /// label's last: on scale-free graphs a short label routinely ends far
 /// before a hub's. The entries are [`LabelEntry`]s or anything that holds
-/// one, as the external build's `extmem::LabelRecord` does.
+/// one, as the external build's `extmem::LabelRecord` does, and the two
+/// labels need not hold the same kind.
 #[inline]
-pub fn merge_join<E>(a: &[E], b: &[E], ceiling: VertexId, bound: Dist) -> Dist
+pub fn merge_join<A, B>(a: &[A], b: &[B], ceiling: VertexId, bound: Dist) -> Dist
 where
-    E: Copy + Into<LabelEntry>,
+    A: Copy + Into<LabelEntry>,
+    B: Copy + Into<LabelEntry>,
 {
     let (Some(&a_last), Some(&b_last)) = (a.last(), b.last()) else { return INF_DIST };
     // Every pivot both labels hold is below `end`.
@@ -595,7 +597,7 @@ mod tests {
         /// and disjoint labels, one past the other's last pivot, sums at
         /// `INF_DIST − 1` and past it, a ceiling of 0, of `n`, anywhere
         /// and of none, and a bound below, at and above the least sum —
-        /// over both entry types.
+        /// over both entry types, alike and mixed.
         #[test]
         fn merge_join_matches_the_brute_force_reference(
             (raw_a, raw_b, (n, shift, anywhere), (ceiling_pick, bound_pick)) in (
@@ -625,6 +627,8 @@ mod tests {
                 merge_join(&a, &b, ceiling, bound),
                 merge_join(&b, &a, ceiling, bound),
                 merge_join(&records(&a), &records(&b), ceiling, bound),
+                merge_join(&a, &records(&b), ceiling, bound),
+                merge_join(&records(&a), &b, ceiling, bound),
             ] {
                 if least <= bound {
                     // Stopped at a witness: some sum at or under the bound.

@@ -182,9 +182,19 @@ fn external_io_counters_equal_their_recorded_values() {
     // writes 205 396 → 116 352 B, with 6 → 2 merge passes and 64 261 /
     // 136 827 → 36 499 / 109 103 records.
     //
+    // The prune's blocks were pinned beside them when the prune started
+    // packing each candidate into one sort word and each owner's label
+    // into its block once, all counted against `12 × M` bytes where
+    // `M/2` twelve-byte records were: the undirected graph's three
+    // prunes take 8 → 5 blocks and decode 190 771 → 180 756 records,
+    // each later pass re-decoding the resident head one time fewer, with
+    // every byte where it was (the head already held all the passes
+    // read); the directed graph, one block a prune, moves nothing.
+    //
     // ((bytes read, bytes written, blocks read, blocks written),
-    //  sort runs, merge passes, seeks, (records encoded, records decoded))
-    type Counters = ((u64, u64, u64, u64), u64, u64, u64, (u64, u64));
+    //  sort runs, merge passes, seeks, (records encoded, records decoded),
+    //  prune blocks)
+    type Counters = ((u64, u64, u64, u64), u64, u64, u64, (u64, u64), u64);
     let und = glp(&GlpParams::with_density(2_000, 3.0, 7));
     let dir = orient_scale_free(&glp(&GlpParams::with_density(1_500, 2.5, 13)), 0.25, 13);
     let cases: [(&str, Graph, RankBy, Counters); 2] = [
@@ -192,13 +202,13 @@ fn external_io_counters_equal_their_recorded_values() {
             "undirected glp-2k-d3 (seed 7)",
             und,
             RankBy::Degree,
-            ((543_299, 318_387, 133, 78), 8, 3, 2, (103_642, 190_771)),
+            ((543_299, 318_387, 133, 78), 8, 3, 2, (103_642, 180_756), 5),
         ),
         (
             "directed glp-1.5k-d2.5 (seed 13)",
             dir,
             RankBy::DegreeProduct,
-            ((393_899, 116_352, 97, 29), 0, 2, 1, (36_499, 109_103)),
+            ((393_899, 116_352, 97, 29), 0, 2, 1, (36_499, 109_103), 8),
         ),
     ];
     // M = 16 Ki records, B = 4 KiB: small enough that the sorters spill
@@ -211,7 +221,14 @@ fn external_io_counters_equal_their_recorded_values() {
             let built = build_external(&g, &cfg, &ext).expect("external build");
             let records = (built.records_encoded, built.records_decoded);
             assert_eq!(
-                (built.io, built.sort_runs, built.merge_passes, built.seeks, records),
+                (
+                    built.io,
+                    built.sort_runs,
+                    built.merge_passes,
+                    built.seeks,
+                    records,
+                    built.prune_blocks
+                ),
                 recorded,
                 "{name}, {threads} thread(s)"
             );
