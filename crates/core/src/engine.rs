@@ -112,18 +112,28 @@ use crate::config::HopDbConfig;
 use crate::iteration::{fixpoint, BuildStats, IterationStats, Rounds, ShardStats};
 use crate::shard;
 
-/// A label entry with its owner: `(owner, pivot, dist)`.
-pub(crate) type Entry = (VertexId, VertexId, Dist);
-
-/// How one side of a build starts (§3.1): what it is joined against,
-/// how stepping extends it, and one entry per edge that seeds it.
+/// How one side of a build starts (§3.1): what it is joined against and
+/// how stepping extends it.
 pub(crate) struct SideSeed {
     /// Index of the side whose labels this side is joined against.
     pub(crate) across: usize,
     /// Edges of a `prev` entry's owner that stepping extends it over.
     pub(crate) step: Direction,
-    /// The initialization entries, in edge order.
-    pub(crate) entries: Vec<Entry>,
+}
+
+impl SideSeed {
+    /// The entries that seed `owner`'s label on this side, one per edge,
+    /// pivots ascending: the edges against `step` to higher-ranked
+    /// (smaller-id) vertices. The graph has no self-loops or parallel
+    /// edges and keeps its adjacency sorted, so walked owner by owner
+    /// these are a round's survivors like any other.
+    pub(crate) fn seeds<'g>(
+        &self,
+        g: &'g Graph,
+        owner: VertexId,
+    ) -> impl Iterator<Item = (VertexId, Dist)> + 'g {
+        g.edges(owner, self.step.reverse()).take_while(move |&(v, _)| v < owner)
+    }
 }
 
 /// The sides of a build over `g`, in the fixed order out → in: an edge
@@ -132,24 +142,9 @@ pub(crate) struct SideSeed {
 /// lower-ranked endpoint's single label (§7).
 pub(crate) fn seed_sides(g: &Graph) -> Vec<SideSeed> {
     if !g.is_directed() {
-        // `edge_list` is normalised u < v: r(u) > r(v), so (u, w) ∈ L(v).
-        let entries = g.edge_list().into_iter().map(|(u, v, w)| (v, u, w)).collect();
-        return vec![SideSeed { across: 0, step: Direction::Out, entries }];
+        return vec![SideSeed { across: 0, step: Direction::Out }];
     }
-    let (mut out, mut inn) = (Vec::new(), Vec::new());
-    for u in g.vertices() {
-        for (v, w) in g.edges(u, Direction::Out) {
-            if v < u {
-                out.push((u, v, w));
-            } else {
-                inn.push((v, u, w));
-            }
-        }
-    }
-    vec![
-        SideSeed { across: 1, step: Direction::In, entries: out },
-        SideSeed { across: 0, step: Direction::Out, entries: inn },
-    ]
+    vec![SideSeed { across: 1, step: Direction::In }, SideSeed { across: 0, step: Direction::Out }]
 }
 
 /// Label entries grouped by owner: owners ascending, each owner's
@@ -486,17 +481,13 @@ impl<'g> Engine<'g> {
         let n = g.num_vertices();
         let sides: Vec<Side> = seed_sides(g)
             .into_iter()
-            .map(|mut seed| {
-                // One entry per edge, parallel edges already merged: once
-                // sorted, the seeds are a round's survivors like any other.
-                seed.entries.sort_unstable();
+            .map(|seed| {
                 let mut labels: Vec<VertexLabels> =
                     (0..n).map(|v| VertexLabels::with_trivial(v as VertexId)).collect();
                 let mut seeds = Groups::default();
-                for group in seed.entries.chunk_by(|a, b| a.0 == b.0) {
-                    let owner = group[0].0;
+                for owner in g.vertices() {
                     let start = seeds.entries.len();
-                    seeds.entries.extend(group.iter().map(|&(_, v, w)| LabelEntry::new(v, w)));
+                    seeds.entries.extend(seed.seeds(g, owner).map(|(v, w)| LabelEntry::new(v, w)));
                     labels[owner as usize].merge_min_sorted(&seeds.entries[start..], |_, _| {});
                     seeds.close(owner);
                 }
@@ -984,7 +975,7 @@ mod tests {
         assert_eq!(sum(|o| o.pruned, &seq), sum(|o| o.pruned, &par));
         // Concatenated in range order, the survivors are the sequential
         // ones: the owner ranges are consecutive.
-        let flat = |outcomes: &[Pruned]| -> Vec<Entry> {
+        let flat = |outcomes: &[Pruned]| -> Vec<(VertexId, VertexId, Dist)> {
             let groups = outcomes.iter().flat_map(|o| o.survivors[0].iter());
             groups.flat_map(|(x, g)| g.iter().map(move |e| (x, e.pivot, e.dist))).collect()
         };

@@ -449,19 +449,6 @@ impl Labels {
     }
 }
 
-/// Sort records into a fresh run (min-combining duplicates).
-fn sorted_run(
-    store: &TempStore,
-    ext: &ExtMemConfig,
-    records: impl Iterator<Item = LabelRecord>,
-) -> io::Result<Run> {
-    let mut s = sorter(store, ext, false);
-    for r in records {
-        s.push(r)?;
-    }
-    s.finish()
-}
-
 /// Edge file: `key = group vertex`, `pivot = neighbour`, `dist = weight`.
 fn edge_run(store: &TempStore, ext: &ExtMemConfig, g: &Graph, dir: Direction) -> io::Result<Run> {
     let mut w = RunWriter::new(store.create("edges")?, ext.block_bytes);
@@ -923,7 +910,8 @@ fn run(
 }
 
 /// Initialization (iteration 1): every side's files — self-entries plus
-/// one entry per edge — and the row that reports them.
+/// one entry per edge, written owner by owner from the graph's sorted
+/// adjacency, so the row reads nothing — and the row that reports them.
 fn seed<'s>(
     g: &Graph,
     ext: &'s ExtMemConfig,
@@ -935,16 +923,24 @@ fn seed<'s>(
     let mut sides = Vec::new();
     let mut seeds = 0u64;
     for seed in seed_sides(g) {
-        let entries =
-            || seed.entries.iter().map(|&(owner, pivot, w)| LabelRecord::new(owner, pivot, w));
-        let self_entries = (0..n as u32).map(|v| LabelRecord::new(v, v, 0));
-        seeds += seed.entries.len() as u64;
+        // Each owner's seeds, then — in `labels` only, `prev` holds only
+        // new entries — its self-entry, the highest pivot of its label.
+        let mut labels = RunWriter::new(store.create("labels")?, ext.block_bytes);
+        let mut prev = RunWriter::new(store.create("prev")?, ext.block_bytes);
+        for owner in g.vertices() {
+            for (pivot, w) in seed.seeds(g, owner) {
+                let record = LabelRecord::new(owner, pivot, w);
+                labels.push(record)?;
+                prev.push(record)?;
+                seeds += 1;
+            }
+            labels.push(LabelRecord::new(owner, owner, 0))?;
+        }
         sides.push(Side {
             across: seed.across,
             edges: edge_run(store, ext, g, seed.step)?,
-            labels: Labels::new(sorted_run(store, ext, self_entries.chain(entries()))?),
-            // `prev` holds only new entries (no self-entries).
-            prev: Arc::new(sorted_run(store, ext, entries())?),
+            labels: Labels::new(labels.finish()?),
+            prev: Arc::new(prev.finish()?),
         });
     }
     let total_entries = seeds + (sides.len() * n) as u64;
@@ -985,9 +981,10 @@ mod tests {
     }
 
     /// One side's files: its base (the file, and its encoded bytes), its
-    /// deltas' bytes, oldest first, and its `prev`'s.
+    /// deltas' bytes, oldest first, its `prev`'s and its edges'.
     #[derive(Clone, Debug, PartialEq)]
     struct SideFiles {
+        edges: u64,
         base: std::path::PathBuf,
         base_bytes: u64,
         deltas: Vec<u64>,
@@ -1015,6 +1012,11 @@ mod tests {
             self.0.iter().map(|s| s.prev).sum()
         }
 
+        /// The edge runs' encoded bytes, summed over the sides.
+        fn edges(&self) -> u64 {
+            self.0.iter().map(|s| s.edges).sum()
+        }
+
         /// The sides that folded into a new base since `before`, each
         /// beside what it had then.
         fn folded<'a>(
@@ -1034,6 +1036,7 @@ mod tests {
     impl Noted<'_> {
         fn note(&mut self) {
             let side = |s: &Side| SideFiles {
+                edges: s.edges.bytes(),
                 base: s.labels.path().to_path_buf(),
                 base_bytes: s.labels.base.bytes(),
                 deltas: s.labels.deltas.iter().map(|d| d.bytes()).collect(),
@@ -1803,10 +1806,17 @@ mod tests {
             let cfg = HopDbConfig::with_strategy(Strategy::Hybrid { switch_at: 3 });
             let result = run_on(&g, &cfg, &tiny_ext());
             let its = &result.stats.iterations;
-            assert!(its.iter().all(|it| it.io_read_bytes > 0));
+            let (rows, files) = rows_and_files(&g, &cfg, &tiny_ext());
+            // Seeding walks the graph: it reads nothing and writes each
+            // side's edge, label and `prev` runs, once.
+            let seeded = &files[0];
+            assert_eq!(
+                io_columns(&its[..1]),
+                [(0, seeded.edges() + seeded.labels() + seeded.prev())]
+            );
+            assert!(its[1..].iter().all(|it| it.io_read_bytes > 0));
             assert!(its.iter().all(|it| it.io_write_bytes > 0 || it.inserted == 0));
             // The closing load reads the last round's label files whole.
-            let (rows, files) = rows_and_files(&g, &cfg, &tiny_ext());
             assert_eq!(io_columns(&rows), io_columns(its));
             let load_labels_read = files.last().expect("rows").labels();
             let read: u64 = its.iter().map(|it| it.io_read_bytes).sum();

@@ -3,12 +3,16 @@
 //! A run (see [`crate::run`]) is a sequence of *chunks* of whole
 //! records, each at most one block. A chunk's first record is three
 //! varints — key, pivot, distance — so a reader can start at any chunk.
-//! Each later record codes its key as a zigzag delta from the record
-//! before, its pivot as a zigzag delta when the key repeats and plainly
-//! when it changes, and its distance plainly. A key-sorted label run
-//! takes three or four bytes a record where a fixed layout would take
-//! twelve (the paper stores a 32-bit id and an 8-bit distance; 32-bit
-//! distances stay for weighted graphs, at no cost to unweighted ones).
+//! Each later record opens with one varint whose low bit says whether
+//! the key changed from the record before. Clear, the key repeats: the
+//! rest of that varint is the pivot's zigzag delta, and the distance
+//! follows plainly. Set, the rest is the key's zigzag delta, and the
+//! pivot and the distance follow plainly. A key-sorted label run holds
+//! a dozen or more records a key, so most records take two bytes where
+//! a fixed layout would take twelve (the paper stores a 32-bit id and
+//! an 8-bit distance; 32-bit distances stay for weighted graphs, at no
+//! cost to unweighted ones). Zigzag keeps any record sequence, sorted
+//! or not, codable.
 //!
 //! Decoding is total: bytes that do not decode are a `Malformed`,
 //! never a panic or a wrong record.
@@ -99,18 +103,22 @@ fn put_varint(mut value: u64, out: &mut Vec<u8>) {
 /// chunk, otherwise. Appends at most [`MAX_RECORD_BYTES`].
 pub(crate) fn encode(record: LabelRecord, prev: Option<LabelRecord>, out: &mut Vec<u8>) {
     let delta = |to: u32, from: u32| zigzag(i64::from(to) - i64::from(from));
-    let (key, pivot) = match prev {
-        None => (u64::from(record.key), u64::from(record.pivot)),
-        Some(p) if p.key == record.key => (0, delta(record.pivot, p.pivot)),
-        Some(p) => (delta(record.key, p.key), u64::from(record.pivot)),
-    };
     let dist = u64::from(record.dist);
-    if (key | pivot | dist) < 0x80 {
-        out.extend_from_slice(&[key as u8, pivot as u8, dist as u8]);
-        return;
+    match prev {
+        Some(p) if p.key == record.key => {
+            let a = delta(record.pivot, p.pivot) << 1;
+            if (a | dist) < 0x80 {
+                out.extend_from_slice(&[a as u8, dist as u8]);
+                return;
+            }
+            put_varint(a, out);
+        }
+        _ => {
+            let key = prev.map_or(u64::from(record.key), |p| delta(record.key, p.key) << 1 | 1);
+            put_varint(key, out);
+            put_varint(u64::from(record.pivot), out);
+        }
     }
-    put_varint(key, out);
-    put_varint(pivot, out);
     put_varint(dist, out);
 }
 
@@ -150,26 +158,30 @@ fn decode(
     bytes: &[u8],
     prev: Option<LabelRecord>,
 ) -> Result<Option<(LabelRecord, usize)>, Malformed> {
-    let (a, b, c, at) = match *bytes {
-        // Most records of a sorted run: three one-byte varints.
-        [a, b, c, ..] if (a | b | c) < 0x80 => (u64::from(a), u64::from(b), u64::from(c), 3),
-        _ => {
-            let mut at = 0;
-            let Some(a) = varint(bytes, &mut at)? else { return Ok(None) };
-            let Some(b) = varint(bytes, &mut at)? else { return Ok(None) };
-            let Some(c) = varint(bytes, &mut at)? else { return Ok(None) };
-            (a, b, c, at)
+    if let (Some(p), &[a, c, ..]) = (prev, bytes) {
+        // Most records of a sorted run: the key repeats, and the pivot
+        // delta and the distance take a byte each.
+        if (a | c) < 0x80 && a & 1 == 0 {
+            let pivot = shift(p.pivot, u64::from(a >> 1))?;
+            return Ok(Some((LabelRecord::new(p.key, pivot, u32::from(c)), 2)));
         }
+    }
+    let mut at = 0;
+    let Some(a) = varint(bytes, &mut at)? else { return Ok(None) };
+    let same_key = prev.is_some() && a & 1 == 0;
+    let b = if same_key {
+        0
+    } else {
+        let Some(pivot) = varint(bytes, &mut at)? else { return Ok(None) };
+        pivot
     };
-    let record = match prev {
-        None => LabelRecord::new(word(a)?, word(b)?, word(c)?),
-        Some(p) => {
-            let key = shift(p.key, a)?;
-            let pivot = if key == p.key { shift(p.pivot, b)? } else { word(b)? };
-            LabelRecord::new(key, pivot, word(c)?)
-        }
+    let Some(c) = varint(bytes, &mut at)? else { return Ok(None) };
+    let (key, pivot) = match prev {
+        None => (word(a)?, word(b)?),
+        Some(p) if same_key => (p.key, shift(p.pivot, a >> 1)?),
+        Some(p) => (shift(p.key, a >> 1)?, word(b)?),
     };
-    Ok(Some((record, at)))
+    Ok(Some((LabelRecord::new(key, pivot, word(c)?), at)))
 }
 
 /// Where a decoder stands in a chunk: the record before, and the records
@@ -279,14 +291,20 @@ mod tests {
         assert_eq!(r, LabelRecord::new(8, 3, 2));
     }
 
-    /// A sorted label run's records take three bytes each after the
-    /// first.
+    /// In a sorted label run, a record whose key repeats takes two bytes
+    /// (flag and pivot delta, distance) and one that opens a key three
+    /// (flag and key delta, pivot, distance).
     #[test]
     fn a_sorted_label_group_codes_small() {
-        let group: Vec<LabelRecord> = (0..10).map(|p| LabelRecord::new(500, 2 * p, 3)).collect();
-        let bytes = encode_chunk(&group);
-        assert_eq!(bytes.len(), 4 + 9 * 3);
-        assert_eq!(decode_chunk(&bytes, 10).unwrap(), group);
+        let mut run: Vec<LabelRecord> = (0..10).map(|p| LabelRecord::new(500, 2 * p, 3)).collect();
+        let bytes = encode_chunk(&run);
+        assert_eq!(bytes.len(), 4 + 9 * 2);
+        assert_eq!(bytes[4..6], [8, 3], "pivot delta +2 zigzags to 4, shifted past the flag");
+        run.push(LabelRecord::new(501, 7, 3));
+        let bytes = encode_chunk(&run);
+        assert_eq!(bytes.len(), 4 + 9 * 2 + 3);
+        assert_eq!(bytes[22..], [5, 7, 3], "key delta +1 zigzags to 2, shifted, flag set");
+        assert_eq!(decode_chunk(&bytes, 11).unwrap(), run);
     }
 
     /// Small deterministic draws, so the round trips below need no crate.
@@ -393,12 +411,22 @@ mod tests {
         );
         // 2^32 in five bytes: one bit too wide for a key.
         assert_eq!(malformed(&[0x80, 0x80, 0x80, 0x80, 0x10, 0, 0], 1), Malformed::WideVarint);
-        // Key 0, then a key delta of −1.
-        assert_eq!(malformed(&[0, 0, 0, 1, 0, 0], 2), Malformed::DeltaOutOfRange);
-        // Key MAX, then a key delta of +1.
-        let mut top = encode_chunk(&[LabelRecord::new(MAX, 0, 0)]);
-        top.extend([2, 0, 0]);
+        // Pivot 0, then the same key with a pivot delta of −1.
+        assert_eq!(malformed(&[5, 0, 0, 2, 0], 2), Malformed::DeltaOutOfRange);
+        // Pivot MAX, then the same key with a pivot delta of +1, in the
+        // long form the fast path leaves to the varints.
+        let mut top = encode_chunk(&[LabelRecord::new(5, MAX, 0)]);
+        top.extend([4, 0x80, 1]);
         assert_eq!(malformed(&top, 2), Malformed::DeltaOutOfRange);
+        // Key 0, then a new key at a key delta of −1.
+        assert_eq!(malformed(&[0, 0, 0, 3, 0, 0], 2), Malformed::DeltaOutOfRange);
+        // Key MAX, then a new key at a key delta of +1.
+        let mut top = encode_chunk(&[LabelRecord::new(MAX, 0, 0)]);
+        top.extend([5, 0, 0]);
+        assert_eq!(malformed(&top, 2), Malformed::DeltaOutOfRange);
+        // A new key's record cut after its flagged delta.
+        assert_eq!(chunk[3] & 1, 1, "the second record opens a key");
+        assert_eq!(malformed(&chunk[..4], 2), Malformed::Truncated);
         assert_eq!(malformed(&chunk[..chunk.len() - 1], 2), Malformed::Truncated);
         assert_eq!(malformed(&chunk, 1), Malformed::CountMismatch);
         assert_eq!(malformed(&chunk, 3), Malformed::CountMismatch);

@@ -15,8 +15,10 @@
 //!   random accesses all flow through the counters;
 //! * [`codec`] — the label record and its on-disk coding: chunks of at
 //!   most one block, each opened by a record coded absolutely and
-//!   delta-coding the rest as varints (about 3.5 bytes per label record
-//!   where a fixed layout takes 12), with a total decoder;
+//!   delta-coding the rest as varints, one flag bit telling a record
+//!   whose key repeats (two bytes, most of a sorted run) from one that
+//!   opens a key (about 2.3 bytes per label record where a fixed layout
+//!   takes 12), with a total decoder;
 //! * [`run::RunWriter`] / [`run::RunReader`] — sequential record streams
 //!   over counted files, each buffering one block and decoding in place
 //!   from it; every run carries a sparse directory (first key, byte
