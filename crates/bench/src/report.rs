@@ -364,20 +364,20 @@ pub fn report(out: &mut impl Write, inputs: &Inputs, sections: &[&str]) -> io::R
         let header = "iter      mode |  growing  pruning |  cand/fin  old/fin prev/fin |   time%";
         let of_final = |x: u64| 100.0 * x as f64 / hybrid.entries as f64;
         let total: f64 = stats.iterations.iter().map(|it| it.elapsed.as_secs_f64()).sum();
-        let (mut lines, mut prev) = (String::new(), 0u64);
+        let (mut lines, growing) = (String::new(), stats.growing_factors());
         for it in &stats.iterations {
+            let factor = growing.iter().find(|&&(i, _)| i == it.iteration);
             lines += &format!(
                 "{:>4} {:>9} | {:>8.2} {:>7.1}% | {:>8.1}% {:>7.1}% {:>7.1}% | {:>6.1}%\n",
                 it.iteration,
                 if it.stepping { "stepping" } else { "doubling" },
-                if prev == 0 { f64::NAN } else { it.candidates as f64 / prev as f64 },
+                factor.map_or(f64::NAN, |&(_, f)| f),
                 100.0 * it.pruning_factor(),
                 of_final(it.candidates),
                 of_final(it.total_entries),
                 of_final(it.inserted),
                 100.0 * it.elapsed.as_secs_f64() / total.max(1e-12),
             );
-            prev = it.inserted;
         }
         let title = format!(
             "Figure 10 — anatomy of the hybrid build of {} (|V| = {}, arcs = {})",

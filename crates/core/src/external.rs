@@ -37,8 +37,9 @@
 //! * **Candidate generation** — both inputs of every join are sorted by
 //!   the tail `u`, so each is a streaming *sort-merge co-group* join,
 //!   driven by `prev` and skipping through the arcs. Candidates go
-//!   through the external sorter with a min-distance combiner — the
-//!   "avoid duplicates" step of Algorithm 2 — and the sorter's last merge
+//!   through the external sorter under its one rule, the nearest per
+//!   `(owner, pivot)` — the "avoid duplicates" step of Algorithm 2,
+//!   written once, in `extmem` — and the sorter's last merge
 //!   streams straight into the prune: the sorted candidate set is never
 //!   a file.
 //! * **Pruning** — the block nested-loop of §4.2, owner-major on every
@@ -69,12 +70,12 @@
 //! * **Delta stack** — `labels` is log-structured: a base run and a
 //!   stack of delta runs, every reader of it — the prune's own and
 //!   `across` passes, the doubling arcs and view, the final load — reads
-//!   their merge, min-combined on `(owner, pivot)`, through one
+//!   their merge, the nearest per `(owner, pivot)`, through one
 //!   `extmem` [`SortedStream`] that hands skip hints and rewinds to each
 //!   run. A side's survivors *are* its next `prev`, and that same run
-//!   goes on the stack; it is folded — one min-combining merge of base
-//!   and deltas into a new base — only when the stack's bytes would pass
-//!   a quarter of the base's or its depth four runs. A side without
+//!   goes on the stack; it is folded — that same merge, written by
+//!   `merge_readers` as a new base — only when the stack's bytes would
+//!   pass a quarter of the base's or its depth four runs. A side without
 //!   survivors touches nothing, so the round that finds the fixpoint, and
 //!   a directed side that found nothing while the other side did, write
 //!   no label byte; a late round adding a few dozen entries writes them
@@ -165,7 +166,7 @@ use std::time::{Duration, Instant};
 use extmem::device::TempStore;
 use extmem::radix::{self, Packing, Word};
 use extmem::run::{RecordSource, Rewind, Run, RunReader, RunWriter};
-use extmem::sorter::{merge_readers, Combiner, ExternalSorter, SortedStream};
+use extmem::sorter::{merge_readers, ExternalSorter, SortedStream};
 use extmem::{ExtMemConfig, LabelRecord};
 use hoplabels::index::{merge_join, LabelIndex, VertexLabels};
 use hoplabels::LabelEntry;
@@ -249,7 +250,7 @@ struct GroupReader<S> {
 
 impl GroupReader<RunReader> {
     fn open(run: &Run, block_bytes: usize) -> io::Result<Self> {
-        GroupReader::new(run.reader_shared(block_bytes)?)
+        GroupReader::new(run.reader(block_bytes, 0)?)
     }
 }
 
@@ -334,23 +335,11 @@ impl<S: RecordSource> GroupReader<S> {
     }
 }
 
-fn group_eq(a: &LabelRecord, b: &LabelRecord) -> bool {
-    (a.key, a.pivot) == (b.key, b.pivot)
-}
-
-fn keep_min(a: LabelRecord, b: LabelRecord) -> LabelRecord {
-    if a.dist <= b.dist {
-        a
-    } else {
-        b
-    }
-}
-
 /// A sorter keeping one record per `(key, pivot)`, the nearest; `overlap`
 /// moves its spill passes onto a background worker (bit-identical output
 /// and I/O counts, see `extmem::sorter`).
 fn sorter<'s>(store: &'s TempStore, ext: &ExtMemConfig, overlap: bool) -> ExternalSorter<'s> {
-    let s = ExternalSorter::new(store, ext.clone()).with_combiner(group_eq, keep_min);
+    let s = ExternalSorter::new(store, ext.clone()).min_per_pair();
     if overlap {
         s.with_background_spill()
     } else {
@@ -374,7 +363,7 @@ const MAX_DELTAS: usize = 4;
 
 /// A side's `own` labels, log-structured: a base run and a stack of delta
 /// runs, each sorted by `(owner, pivot)`, read as one through
-/// [`Labels::reader`]: their merge, min-combined on `(owner, pivot)`.
+/// [`Labels::reader`]: their merge, the nearest per `(owner, pivot)`.
 struct Labels {
     base: Run,
     /// The survivor runs of the rounds since the last fold, oldest first;
@@ -403,17 +392,21 @@ impl Labels {
         self.base.path()
     }
 
-    /// The labels as one `(owner, pivot)`-sorted stream, min-combined,
-    /// keeping up to `head_budget` of leading bytes resident for a caller
-    /// that rewinds it: each run gets the share of the budget its bytes
-    /// are of the labels', so the budget never grows. With no deltas this
-    /// is the base's reader, its whole budget and no combining.
+    /// The labels as one `(owner, pivot)`-sorted stream, the nearest per
+    /// pair, keeping up to `head_budget` of leading bytes resident for a
+    /// caller that rewinds it. With no deltas this is the base's reader,
+    /// its whole budget and every record.
     fn reader(&self, block_bytes: usize, head_budget: usize) -> io::Result<SortedStream> {
+        SortedStream::merge(self.readers(block_bytes, head_budget)?, !self.deltas.is_empty())
+    }
+
+    /// A reader of each run, base first, each with the share of
+    /// `head_budget` its bytes are of the labels', so the budget never
+    /// grows.
+    fn readers(&self, block_bytes: usize, head_budget: usize) -> io::Result<Vec<RunReader>> {
         let total = u128::from(self.bytes().max(1));
         let share = |run: &Run| (head_budget as u128 * u128::from(run.bytes()) / total) as usize;
-        let readers = self.runs().map(|run| run.reader_with_head(block_bytes, share(run)));
-        let combiner = (!self.deltas.is_empty()).then_some(keep_min as Combiner);
-        SortedStream::merge(readers.collect::<io::Result<_>>()?, combiner, group_eq)
+        self.runs().map(|run| run.reader(block_bytes, share(run))).collect()
     }
 
     /// Add a round's survivors, of which `replaced` lower the distance of
@@ -422,7 +415,7 @@ impl Labels {
     /// [`FOLD_FRACTION`] or [`MAX_DELTAS`], in which case the base, the
     /// deltas and the run are merged into a new base.
     fn add(
-        self,
+        mut self,
         store: &TempStore,
         ext: &ExtMemConfig,
         surv: &Arc<Run>,
@@ -431,21 +424,16 @@ impl Labels {
         if surv.is_empty() {
             return Ok(self);
         }
-        let Labels { base, mut deltas, entries } = self;
-        let entries = entries + surv.len() - replaced;
-        deltas.push(Arc::clone(surv));
-        let stacked: u64 = deltas.iter().map(|d| d.bytes()).sum();
-        if stacked * FOLD_FRACTION <= base.bytes() && deltas.len() <= MAX_DELTAS {
-            return Ok(Labels { base, deltas, entries });
+        self.entries = self.entries + surv.len() - replaced;
+        self.deltas.push(Arc::clone(surv));
+        let stacked: u64 = self.deltas.iter().map(|d| d.bytes()).sum();
+        if stacked * FOLD_FRACTION <= self.base.bytes() && self.deltas.len() <= MAX_DELTAS {
+            return Ok(self);
         }
         let block = ext.block_bytes;
-        let mut readers = vec![base.reader(block)?];
-        for d in &deltas {
-            readers.push(d.reader_shared(block)?);
-        }
-        let base = merge_readers(store, readers, block, Some(keep_min), group_eq)?;
-        debug_assert_eq!(base.len(), entries, "the fold keeps one record per entry");
-        Ok(Labels { base, deltas: Vec::new(), entries })
+        let base = merge_readers(store, self.readers(block, 0)?, block, true)?;
+        debug_assert_eq!(base.len(), self.entries, "the fold keeps one record per entry");
+        Ok(Labels { base, deltas: Vec::new(), entries: self.entries })
     }
 }
 
@@ -775,7 +763,7 @@ fn side_round(
         s.push(r)
     };
     if stepping {
-        cogroup_join(&side.prev, side.edges.reader_shared(block)?, ext, &mut offer)?;
+        cogroup_join(&side.prev, side.edges.reader(block, 0)?, ext, &mut offer)?;
     } else {
         cogroup_join(&side.prev, across.reader(block, 0)?, ext, &mut offer)?;
         // The view: this side's labels by pivot, self-entries left out.
@@ -1108,7 +1096,7 @@ mod tests {
         across: &Labels,
     ) -> io::Result<Pruned> {
         let run = extmem::run::run_from_slice(store, "cands", cands, ext.block_bytes)?;
-        prune_candidates(store, ext, run.reader(ext.block_bytes)?, widest(cands), own, across)
+        prune_candidates(store, ext, run.into_reader(ext.block_bytes)?, widest(cands), own, across)
     }
 
     /// The block each owner goes to under the byte rule, given its live
@@ -1372,7 +1360,7 @@ mod tests {
         let cand_run = run_from_slice(&store, "cands", &cands, block).unwrap();
         let whole_scans = cand_run.bytes() + src_run.bytes() + blocks * dst_run.bytes();
         let read_before = store.stats().read_bytes();
-        let cands_in = cand_run.reader(block).unwrap();
+        let cands_in = cand_run.into_reader(block).unwrap();
         let Pruned { survivors: surv, pruned, blocks: cut, .. } =
             prune_candidates(&store, &ext, cands_in, widest(&cands), &src_run, &dst_run).unwrap();
         assert_eq!(cut, blocks, "the blocks the byte rule cuts");
@@ -1635,6 +1623,81 @@ mod tests {
             let Err(e) = load_labels(&run, 3, &ext) else { panic!("{tag} must be refused") };
             assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
             assert!(e.to_string().contains(tag), "{tag}: {e}");
+        }
+    }
+
+    /// A fold of the base and 1 to `MAX_DELTAS` deltas writes, as its new
+    /// base, exactly the records `Labels::reader` streamed before it —
+    /// the nearest per `(owner, pivot)`, pass after pass, with a head and
+    /// without — in one merge pass that reads each run once and writes
+    /// the new base once.
+    #[test]
+    fn a_fold_writes_what_the_labels_read_before_it() {
+        use extmem::run::run_from_slice;
+        use rand::{Rng, SeedableRng};
+        let (ext, mut rng) = (tiny_ext(), rand::rngs::StdRng::seed_from_u64(0xf01d));
+        let block = ext.block_bytes;
+        let nearest = |runs: &[Vec<LabelRecord>]| {
+            let mut nearest = std::collections::BTreeMap::new();
+            for r in runs.iter().flatten() {
+                let d = nearest.entry((r.key, r.pivot)).or_insert(r.dist);
+                *d = r.dist.min(*d);
+            }
+            let each = nearest.into_iter().map(|((k, p), d)| LabelRecord::new(k, p, d));
+            each.collect::<Vec<_>>()
+        };
+        for (deltas, head) in (1..=MAX_DELTAS).flat_map(|d| [(d, 0), (d, 600)]) {
+            let store = TempStore::new().unwrap();
+            // A base and deltas, each one record per pair, whose pivots
+            // overlap: the deltas lower, raise and repeat base entries,
+            // and add their own.
+            let mut runs: Vec<Vec<LabelRecord>> = [(300, 0..60)]
+                .into_iter()
+                .chain(std::iter::repeat_n((150, 30..90), deltas))
+                .map(|(n, pivots)| {
+                    let mut run: Vec<LabelRecord> = (0..n)
+                        .map(|_| {
+                            let (key, dist) = (rng.gen_range(0..40), rng.gen_range(1..9));
+                            LabelRecord::new(key, rng.gen_range(pivots.clone()), dist)
+                        })
+                        .collect();
+                    run.sort_unstable();
+                    run.dedup_by_key(|r| (r.key, r.pivot));
+                    run
+                })
+                .collect();
+            let file = |recs: &Vec<LabelRecord>| run_from_slice(&store, "l", recs, block).unwrap();
+            let mut labels = Labels::new(file(&runs[0]));
+            labels.deltas = runs[1..].iter().map(|r| Arc::new(file(r))).collect();
+            let at = format!("{deltas} deltas, head {head}");
+            let mut reader = labels.reader(block, head).unwrap();
+            let mut streamed = Vec::new();
+            for pass in 0..3 {
+                reader.rewind().unwrap();
+                let mut this_pass = Vec::new();
+                while let Some(r) = reader.next_record().unwrap() {
+                    this_pass.push(r);
+                }
+                assert!(pass == 0 || this_pass == streamed, "{at}, pass {pass}");
+                streamed = this_pass;
+            }
+            drop(reader);
+            assert_eq!(streamed, nearest(&runs), "{at}");
+            // The same labels one round earlier, then that round's delta.
+            let surv = labels.deltas.pop().unwrap();
+            let last = runs.pop().unwrap();
+            labels.entries = nearest(&runs).len() as u64;
+            let replaced = labels.entries + last.len() as u64 - streamed.len() as u64;
+            let stats = store.stats();
+            let before = (stats.read_bytes(), stats.write_bytes(), stats.merge_passes());
+            let read = labels.bytes() + surv.bytes();
+            let folded = labels.add(&store, &ext, &surv, replaced).unwrap();
+            assert!(folded.deltas.is_empty(), "{at}: the stack must fold");
+            let after = (stats.read_bytes(), stats.write_bytes(), stats.merge_passes());
+            let expect = (before.0 + read, before.1 + folded.base.bytes(), before.2 + 1);
+            assert_eq!(after, expect, "{at}");
+            assert_eq!(folded.entries, streamed.len() as u64, "{at}");
+            assert_eq!(folded.base.read_all().unwrap(), streamed, "{at}");
         }
     }
 

@@ -19,6 +19,8 @@
 
 use std::fmt;
 
+use crate::wire::put_varint;
+
 /// The most bytes one record takes: three five-byte varints.
 pub(crate) const MAX_RECORD_BYTES: usize = 15;
 
@@ -88,14 +90,6 @@ impl Malformed {
 
 fn zigzag(delta: i64) -> u64 {
     ((delta << 1) ^ (delta >> 63)) as u64
-}
-
-fn put_varint(mut value: u64, out: &mut Vec<u8>) {
-    while value >= 0x80 {
-        out.push(value as u8 | 0x80);
-        value >>= 7;
-    }
-    out.push(value as u8);
 }
 
 /// Append `record` to `out`: coded absolutely when it opens a chunk

@@ -25,21 +25,21 @@
 //!   offset and record index of each chunk) through which a reader of a
 //!   key-sorted run skips the blocks no join asks for, each jump counted
 //!   as a seek, and a reader that passes over a run again and again can
-//!   keep the leading bytes it read resident
-//!   ([`run::Run::reader_with_head`]);
+//!   keep the leading bytes it read resident ([`run::Run::reader`]);
 //! * [`radix`] — three `u32` fields packed into one sort word
 //!   ([`radix::Packing`]) and the stable LSD radix sort of those words,
 //!   which forms the sorter's runs and orders the §4.2 prune's blocks by
 //!   pivot;
 //! * [`sorter::ExternalSorter`] — budgeted run formation plus k-way merge
-//!   with an optional combiner for equal keys (used to keep the minimum
-//!   distance per `(vertex, pivot)` candidate), optionally pipelining the
+//!   under one rule, every record or the nearest per `(vertex, pivot)`
+//!   ([`sorter::ExternalSorter::min_per_pair`]), optionally pipelining the
 //!   spill passes onto a background worker
 //!   ([`sorter::ExternalSorter::with_background_spill`]) and handing its
 //!   last merge to the consumer as a stream instead of a file
 //!   ([`sorter::ExternalSorter::finish_stream`]); the same stream reads
 //!   a base run and its sorted deltas as one
-//!   ([`sorter::SortedStream::merge`]);
+//!   ([`sorter::SortedStream::merge`]), and [`sorter::merge_readers`]
+//!   writes either merge into a file;
 //! * [`wire`] — total (panic-free) little-endian reads shared by every
 //!   decoder in the workspace that consumes untrusted socket or disk
 //!   bytes.
@@ -69,7 +69,7 @@ pub struct ExtMemConfig {
     /// (the paper's `M`). The §4.2 prune holds a block of at most `M`
     /// records' bytes (`12 × M`), and `M/2` records' worth (`6 × M`) for
     /// the resident head of the label file its inner passes read again
-    /// ([`run::Run::reader_with_head`]).
+    /// ([`run::Run::reader`]).
     pub memory_records: usize,
     /// Block size in bytes (the paper's `B`): the most bytes of a run's
     /// chunk, and the buffer each run reader and writer holds.

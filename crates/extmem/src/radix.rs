@@ -7,7 +7,7 @@
 //! group, dist)`. Both sort those words here: one counting pass builds every digit's
 //! histogram, then each digit scatters the words stably into a scratch
 //! buffer of the same length, least significant first, skipping a digit
-//! that every word shares. A digit is at most [`MAX_DIGIT_BITS`] wide,
+//! that every word shares. A digit is at most `MAX_DIGIT_BITS` wide,
 //! and a key of `b` bits takes `⌈b / 11⌉` passes of equal width — three
 //! for the 32-bit record keys of a 12 000-vertex graph, where a
 //! comparison sort of 16 Ki records makes about fourteen.

@@ -20,7 +20,7 @@
 //! [`IoStats::seeks`](crate::stats::IoStats::seeks).
 //!
 //! A caller that reads one run again and again — a block nested loop's
-//! inner pass — can give its reader a *head* ([`Run::reader_with_head`]):
+//! inner pass — can give its reader a *head* ([`Run::reader`]):
 //! the run's leading bytes `[0, h)`, at most a budget of them, kept by
 //! the reader across its passes ([`RunReader::rewind`]). The head grows
 //! only from bytes a pass reads from the file at `h`, so it never holds
@@ -97,26 +97,19 @@ impl Run {
         self.dir.bytes
     }
 
-    /// Open a sequential reader positioned at the first record, buffering
-    /// one block of `block_bytes` bytes.
-    pub fn reader(self, block_bytes: usize) -> std::io::Result<RunReader> {
-        RunReader::new(self.file, self.dir, block_bytes, 0)
-    }
-
-    /// Open a reader over a second handle, leaving `self` reusable.
-    pub fn reader_shared(&self, block_bytes: usize) -> std::io::Result<RunReader> {
-        self.reader_with_head(block_bytes, 0)
-    }
-
-    /// Open a reader over a second handle that keeps up to `head_budget`
-    /// of the run's leading bytes in memory as its passes read them (see
-    /// the module docs), for a caller that [`RunReader::rewind`]s it.
-    pub fn reader_with_head(
-        &self,
-        block_bytes: usize,
-        head_budget: usize,
-    ) -> std::io::Result<RunReader> {
+    /// Open a reader positioned at the first record, buffering one block
+    /// of `block_bytes` bytes, over a second handle that leaves `self`
+    /// reusable; it keeps up to `head_budget` of the run's leading bytes
+    /// in memory as its passes read them (see the module docs), for a
+    /// caller that [`RunReader::rewind`]s it.
+    pub fn reader(&self, block_bytes: usize, head_budget: usize) -> std::io::Result<RunReader> {
         RunReader::new(self.file.reopen()?, self.dir.clone(), block_bytes, head_budget)
+    }
+
+    /// [`Run::reader`] with no head over the run's own file, which goes
+    /// with the reader: a spent run's file is deleted when it is dropped.
+    pub fn into_reader(self, block_bytes: usize) -> std::io::Result<RunReader> {
+        RunReader::new(self.file, self.dir, block_bytes, 0)
     }
 
     /// The run's file, for errors that name it.
@@ -126,7 +119,7 @@ impl Run {
 
     /// Read every record into memory (tests and small runs only).
     pub fn read_all(&self) -> std::io::Result<Vec<LabelRecord>> {
-        let mut reader = self.reader_shared(64 << 10)?;
+        let mut reader = self.reader(64 << 10, 0)?;
         let mut out = Vec::with_capacity(self.dir.len as usize);
         while let Some(r) = reader.next_record()? {
             out.push(r);
@@ -439,7 +432,7 @@ mod tests {
         let store = TempStore::new().unwrap();
         let run = run_from_slice(&store, "e", &[], 4).unwrap();
         assert!(run.is_empty());
-        let mut r = run.reader(4).unwrap();
+        let mut r = run.into_reader(4).unwrap();
         assert!(r.next_record().unwrap().is_none());
     }
 
@@ -454,7 +447,7 @@ mod tests {
         probes: &[u32],
         seek: bool,
     ) -> (Vec<Vec<LabelRecord>>, u64) {
-        pass(store, &mut run.reader_shared(buffer_records).unwrap(), probes, seek)
+        pass(store, &mut run.reader(buffer_records, 0).unwrap(), probes, seek)
     }
 
     /// [`groups_at`] over a reader already open, from where it stands.
@@ -603,7 +596,7 @@ mod tests {
             keys.dedup();
             let buffer = [block, 1, 2 * block, block + 3][case % 4];
             for budget in [0, 1, block, draw(bytes + 1), bytes, 2 * bytes + 7] {
-                let mut reader = run.reader_with_head(buffer, budget).unwrap();
+                let mut reader = run.reader(buffer, budget).unwrap();
                 for round in 0..5 {
                     // The first pass of a budget a full scan, the rest drawn.
                     let density = 1 + draw(8);
@@ -649,7 +642,7 @@ mod tests {
         let run = run_from_slice(&store, "small", &recs, 64).unwrap();
         let budget = 1 << 20;
         assert!(run.bytes() * 100 < budget as u64);
-        let mut reader = run.reader_with_head(64, budget).unwrap();
+        let mut reader = run.reader(64, budget).unwrap();
         assert_eq!(reader.head.capacity() as u64, run.bytes());
         let mut keys: Vec<u32> = recs.iter().map(|r| r.key).collect();
         keys.dedup();
@@ -704,7 +697,7 @@ mod tests {
                 assert_eq!(start.first_key, records[start.first_record as usize].key);
             }
             for buffer in [block, 1] {
-                let mut reader = run.reader_shared(buffer).unwrap();
+                let mut reader = run.reader(buffer, 0).unwrap();
                 let mut got = Vec::new();
                 while let Some(r) = reader.next_record().unwrap() {
                     got.push(r);
@@ -721,7 +714,7 @@ mod tests {
         let store = TempStore::new().unwrap();
         let recs: Vec<LabelRecord> = (0..500).map(|i| LabelRecord::new(i / 4, i % 4, 1)).collect();
         let read_to_end = |run: &Run| -> std::io::Result<Vec<LabelRecord>> {
-            let mut reader = run.reader_shared(64)?;
+            let mut reader = run.reader(64, 0)?;
             let mut got = Vec::new();
             while let Some(r) = reader.next_record()? {
                 got.push(r);
@@ -749,5 +742,17 @@ mod tests {
         let run = run_from_slice(&store, "s", &records, 4).unwrap();
         assert_eq!(run.read_all().unwrap().len(), 5);
         assert_eq!(run.read_all().unwrap().len(), 5); // twice
+                                                      // The consuming reader reads the same records and takes the file
+                                                      // with it.
+        let path = run.path().to_path_buf();
+        let mut reader = run.into_reader(4).unwrap();
+        let mut read = Vec::new();
+        while let Some(r) = reader.next_record().unwrap() {
+            read.push(r);
+        }
+        assert_eq!(read, records);
+        assert!(path.exists(), "the reader still reads the file");
+        drop(reader);
+        assert!(!path.exists(), "a spent run's file goes with its reader");
     }
 }

@@ -1,40 +1,40 @@
-//! External merge sort with an optional combiner.
+//! External merge sort with one merge rule.
 //!
 //! Classic two-phase sort in the Aggarwal–Vitter model: runs of at most
 //! `M` records are sorted in memory and spilled to counted files, then
-//! merged with a k-way heap. An optional *combiner* merges consecutive
-//! records with equal keys during both phases — the label engines use it
-//! to keep one minimum-distance candidate per `(vertex, pivot)` pair,
-//! which is the "avoid duplicates" step of Algorithm 2.
+//! merged with a k-way heap. Both phases keep every record or, under
+//! [`ExternalSorter::min_per_pair`], the nearest record per `(key,
+//! pivot)` — the "avoid duplicates" step of Algorithm 2. Records leave
+//! a sort or a merge in `(key, pivot, dist)` order, so the nearest of a
+//! pair is its first, and the others are dropped.
 //!
 //! A run is formed without comparing records: one OR pass over the
 //! buffer finds the bits its keys, pivots and distances use, each record
 //! is packed into one word in those widths, key highest (a `u64` when
 //! they fit, a `u128` when they do not), and the words are radix-sorted
 //! ([`crate::radix`]) — the order of `LabelRecord`'s `Ord`, since equal
-//! words are equal records. The combiner and the run writer take the
-//! records straight from the sorted words. The merge orders one word a
-//! run too: the record's fields, then the run's index, so records equal
-//! across runs leave in run order, and a reader's next record replaces
-//! its word at the top of the heap with a single sift.
+//! words are equal records. The run writer takes the records straight
+//! from the sorted words. The merge orders one word a run too: the
+//! record's fields, then the run's index, so records equal across runs
+//! leave in run order, and a reader's next record replaces its word at
+//! the top of the heap with a single sift.
 //!
 //! The last merge is a stream ([`ExternalSorter::finish_stream`]): a
 //! consumer that reads the sorted records once takes them straight from
 //! the heap (or from the buffer, when nothing spilled), and only
-//! [`ExternalSorter::finish`] pays for a file. Every run the sorter
-//! writes — spilled, merged or final — gets its chunk directory from
-//! [`RunWriter`] like any other; a merge consumes all of every input, so
-//! the sorter itself never seeks. A [`SortedStream`] has no directory of
-//! its own: it hands [`RecordSource::skip_hint`] to each reader still
-//! below the key, which reads on to the key outside the merge, and a
-//! stream served from a buffer reads on.
+//! [`ExternalSorter::finish`] pays for a file. Every merge into a file
+//! is [`merge_readers`], and every run gets its chunk directory from
+//! [`RunWriter`]; a merge consumes all of every input, so the sorter
+//! itself never seeks. A [`SortedStream`] has no directory of its own:
+//! it hands [`RecordSource::skip_hint`] to each reader still below the
+//! key, which reads on to the key outside the merge, and a stream served
+//! from a buffer reads on.
 //!
 //! The same stream, built with [`SortedStream::merge`], reads several
-//! sorted files as one without writing it: a base file and the small
-//! sorted deltas written after it, combined as a merge into one file
-//! would combine them. Over readers that can start again
-//! ([`Rewind`]) it starts again too, so a reader with a head
-//! ([`crate::run::Run::reader_with_head`]) keeps its head under a merge.
+//! sorted files as one without writing it: a base file and the sorted
+//! deltas written after it, as a merge into one file would write them.
+//! Over readers that can start again ([`Rewind`]) it starts again too,
+//! so a reader with a head ([`Run::reader`]) keeps its head.
 //!
 //! [`ExternalSorter::with_background_spill`] moves the spill work
 //! (radix sort + run write) onto a dedicated worker thread fed through a
@@ -60,12 +60,6 @@ use crate::ExtMemConfig;
 /// pipelined path at `(SPILL_QUEUE_DEPTH + 2) × M` records: one buffer
 /// filling, `SPILL_QUEUE_DEPTH` queued, one being sorted/written.
 const SPILL_QUEUE_DEPTH: usize = 2;
-
-/// Folds two records of one group into its survivor.
-pub type Combiner = fn(LabelRecord, LabelRecord) -> LabelRecord;
-
-/// Whether two records belong to one group.
-pub type GroupEq = fn(&LabelRecord, &LabelRecord) -> bool;
 
 /// How many runs one merge reads at once: each open reader buffers one
 /// block of bytes, and together they fit in the `M` records' worth of
@@ -96,12 +90,8 @@ pub struct ExternalSorter<'s> {
     config: ExtMemConfig,
     buffer: Vec<LabelRecord>,
     runs: Vec<Run>,
-    /// Merge two records that compare equal under the grouping key;
-    /// `None` keeps duplicates.
-    combiner: Option<Combiner>,
-    /// Grouping: records are considered duplicates when `group_eq` says
-    /// so. Defaults to full equality of the `Ord` key.
-    group_eq: GroupEq,
+    /// Keep the nearest record per `(key, pivot)` instead of every one.
+    min_per_pair: bool,
     /// Spill on a background worker (started lazily at the first spill,
     /// so sorters whose input fits in memory never spawn a thread).
     background_spill: bool,
@@ -149,28 +139,26 @@ impl<'s> ExternalSorter<'s> {
             config,
             buffer: Vec::with_capacity(cap.min(1 << 22)),
             runs: Vec::new(),
-            combiner: None,
-            group_eq: |a, b| a.cmp(b).is_eq(),
+            min_per_pair: false,
             background_spill: false,
             spill_worker: None,
         }
     }
 
-    /// Install a combiner: consecutive records for which `group_eq` holds
-    /// are folded with `combine`, keeping one survivor.
-    pub fn with_combiner(mut self, group_eq: GroupEq, combine: Combiner) -> Self {
-        self.group_eq = group_eq;
-        self.combiner = Some(combine);
+    /// Keep one record per `(key, pivot)`, the nearest, in every run
+    /// and merge, instead of every record.
+    pub fn min_per_pair(mut self) -> Self {
+        self.min_per_pair = true;
         self
     }
 
     /// Move run formation onto a background worker thread.
     ///
     /// Full buffers travel through a channel bounded at
-    /// `SPILL_QUEUE_DEPTH` (2); the worker radix-sorts, combines, and writes
-    /// each one while the producer keeps pushing. Call before the first
-    /// [`ExternalSorter::push`] (after combiner setup) — the worker
-    /// snapshots the combiner configuration when it starts. The thread is
+    /// `SPILL_QUEUE_DEPTH` (2); the worker radix-sorts and writes each
+    /// one while the producer keeps pushing. Call before the first
+    /// [`ExternalSorter::push`] (after [`ExternalSorter::min_per_pair`]) —
+    /// the worker copies the merge rule when it starts. The thread is
     /// spawned lazily at the first spill, so inputs that fit in memory
     /// never pay for one. The sorted output, the run boundaries, and
     /// every I/O counter are identical to the inline path; only
@@ -184,14 +172,12 @@ impl<'s> ExternalSorter<'s> {
         let (tx, rx) = sync_channel::<Vec<LabelRecord>>(SPILL_QUEUE_DEPTH);
         let (recycle_tx, recycle_rx) = std::sync::mpsc::channel::<Vec<LabelRecord>>();
         let store = self.store.handle();
-        let combiner = self.combiner;
-        let group_eq = self.group_eq;
-        let block_bytes = self.config.block_bytes;
+        let (block_bytes, min_per_pair) = (self.config.block_bytes, self.min_per_pair);
         let handle = std::thread::spawn(move || -> std::io::Result<Vec<Run>> {
             let mut runs = Vec::new();
             while let Ok(mut buf) = rx.recv() {
                 let file = store.create("sort-run")?;
-                runs.push(spill_run(&mut buf, file, block_bytes, combiner, group_eq)?);
+                runs.push(spill_run(&mut buf, file, block_bytes, min_per_pair)?);
                 store.stats().record_sort_run();
                 // Hand the emptied buffer back; a gone producer is fine.
                 let _ = recycle_tx.send(buf);
@@ -236,13 +222,13 @@ impl<'s> ExternalSorter<'s> {
             };
         }
         let file = self.store.create("sort-run")?;
-        let (block_bytes, combiner) = (self.config.block_bytes, self.combiner);
-        self.runs.push(spill_run(&mut self.buffer, file, block_bytes, combiner, self.group_eq)?);
+        let (block_bytes, min_per_pair) = (self.config.block_bytes, self.min_per_pair);
+        self.runs.push(spill_run(&mut self.buffer, file, block_bytes, min_per_pair)?);
         self.store.stats().record_sort_run();
         Ok(())
     }
 
-    /// Finish sorting: returns one globally sorted (and combined) run —
+    /// Finish sorting: returns one globally sorted run —
     /// [`ExternalSorter::finish_stream`] drained into a file.
     pub fn finish(self) -> std::io::Result<Run> {
         let (store, block_bytes) = (self.store, self.config.block_bytes);
@@ -250,7 +236,7 @@ impl<'s> ExternalSorter<'s> {
     }
 
     /// Finish sorting without materialising the result: the globally
-    /// sorted (and combined) records, handed out one at a time.
+    /// sorted records, handed out one at a time.
     ///
     /// Input that never spilled is sorted in the buffer and served from
     /// it with no I/O at all. Otherwise the spilled runs are merged down
@@ -262,11 +248,11 @@ impl<'s> ExternalSorter<'s> {
     pub fn finish_stream(mut self) -> std::io::Result<SortedStream> {
         if self.runs.is_empty() && self.spill_worker.is_none() {
             let mut sorted = Vec::with_capacity(self.buffer.len());
-            sort_and_combine(&self.buffer, self.combiner, self.group_eq, |r| {
+            sort_into(&self.buffer, self.min_per_pair, |r| {
                 sorted.push(r);
                 Ok(())
             })?;
-            let nothing_to_merge = SortedStream::merge(Vec::new(), self.combiner, self.group_eq)?;
+            let nothing_to_merge = SortedStream::merge(Vec::new(), self.min_per_pair)?;
             let memory = sorted.into_iter();
             return Ok(SortedStream { memory, ..nothing_to_merge });
         }
@@ -282,16 +268,14 @@ impl<'s> ExternalSorter<'s> {
             // nothing. Past `2F − 1` runs that is more than one merge
             // takes, so it takes `F`, and the loop comes back.
             let take = (self.runs.len() - max_fanin + 1).min(max_fanin);
-            let batch: Vec<Run> = self.runs.drain(..take).collect();
-            let merged = merge_runs(self.store, batch, block_bytes, self.combiner, self.group_eq)?;
+            let batch = self.runs.drain(..take).map(|run| run.into_reader(block_bytes));
+            let batch = batch.collect::<std::io::Result<_>>()?;
+            let merged = merge_readers(self.store, batch, block_bytes, self.min_per_pair)?;
             self.runs.push(merged);
         }
         self.store.stats().record_merge_pass();
-        let mut readers = Vec::with_capacity(self.runs.len());
-        for run in self.runs.drain(..) {
-            readers.push(run.reader(block_bytes)?);
-        }
-        SortedStream::merge(readers, self.combiner, self.group_eq)
+        let readers = self.runs.drain(..).map(|run| run.into_reader(block_bytes));
+        SortedStream::merge(readers.collect::<std::io::Result<_>>()?, self.min_per_pair)
     }
 }
 
@@ -303,100 +287,94 @@ fn packing_of(records: &[LabelRecord]) -> Packing {
     Packing::covering(covers)
 }
 
-/// Radix-sort `records` and hand them to `emit` in order, each group of
-/// `group_eq` records folded with `combiner` first when there is one.
-fn sort_and_combine(
+/// Whether `b` repeats the `(key, pivot)` of `a`, the record before it
+/// in `(key, pivot, dist)` order: the record `min_per_pair` drops.
+#[inline(always)]
+fn same_pair(a: LabelRecord, b: LabelRecord) -> bool {
+    (a.key, a.pivot) == (b.key, b.pivot)
+}
+
+/// Radix-sort `records` and hand them to `emit` in order, the first of
+/// each `(key, pivot)` only under `min_per_pair`.
+fn sort_into(
     records: &[LabelRecord],
-    combiner: Option<Combiner>,
-    group_eq: GroupEq,
+    min_per_pair: bool,
     emit: impl FnMut(LabelRecord) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
     let packing = packing_of(records);
     if packing.fits_u64() {
-        sort_words::<u64>(records, packing, combiner, group_eq, emit)
+        sort_words::<u64>(records, packing, min_per_pair, emit)
     } else {
-        sort_words::<u128>(records, packing, combiner, group_eq, emit)
+        sort_words::<u128>(records, packing, min_per_pair, emit)
     }
 }
 
-/// [`sort_and_combine`] on words of type `W`; the radix scratch lives
-/// only for the sort.
+/// [`sort_into`] on words of type `W`; the radix scratch lives only for
+/// the sort.
 fn sort_words<W: Word>(
     records: &[LabelRecord],
     packing: Packing,
-    combiner: Option<Combiner>,
-    group_eq: GroupEq,
+    min_per_pair: bool,
     mut emit: impl FnMut(LabelRecord) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
     let mut words: Vec<W> =
         records.iter().map(|&r| packing.pack([r.key, r.pivot, r.dist])).collect();
     radix::sort_from(&mut words, &mut Vec::new(), 0, packing.bits());
-    let mut sorted = words.iter().map(|&w| {
+    let mut last = None;
+    for &w in &words {
         let [key, pivot, dist] = packing.unpack(w);
-        LabelRecord::new(key, pivot, dist)
-    });
-    let Some(combine) = combiner else { return sorted.try_for_each(emit) };
-    let Some(mut pending) = sorted.next() else { return Ok(()) };
-    for r in sorted {
-        if group_eq(&pending, &r) {
-            pending = combine(pending, r);
-        } else {
-            emit(std::mem::replace(&mut pending, r))?;
+        let r = LabelRecord::new(key, pivot, dist);
+        if !(min_per_pair && last.is_some_and(|l| same_pair(l, r))) {
+            emit(r)?;
         }
+        last = Some(r);
     }
-    emit(pending)
+    Ok(())
 }
 
-/// Sort `buf` (left empty) into a run in `file`, each group of
-/// `group_eq` records folded with `combiner` when there is one.
+/// Sort `buf` (left empty) into a run in `file`, the first of each
+/// `(key, pivot)` only under `min_per_pair`.
 fn spill_run(
     buf: &mut Vec<LabelRecord>,
     file: CountedFile,
     block_bytes: usize,
-    combiner: Option<Combiner>,
-    group_eq: GroupEq,
+    min_per_pair: bool,
 ) -> std::io::Result<Run> {
     let mut w = RunWriter::new(file, block_bytes);
-    sort_and_combine(buf, combiner, group_eq, |r| w.push(r))?;
+    sort_into(buf, min_per_pair, |r| w.push(r))?;
     buf.clear();
     w.finish()
 }
 
-/// A sorted (and combined) record stream that is not a file: the k-way
-/// heap merge of sorted readers — the one merge loop, behind
-/// [`merge_readers`], [`ExternalSorter::finish_stream`] and a reader of
-/// several sorted files as one alike — or a sorter's buffer that never
-/// spilled. The readers are run readers everywhere but in the tests of
-/// its order.
+/// A sorted record stream that is not a file: the k-way heap merge of
+/// sorted readers — the one merge loop, behind [`merge_readers`],
+/// [`ExternalSorter::finish_stream`] and a reader of several sorted files
+/// as one alike — or a sorter's buffer that never spilled. The readers
+/// are run readers everywhere but in the tests of its order.
 pub struct SortedStream<R = RunReader> {
     readers: Vec<R>,
     /// Each open reader's next record and the reader's index, packed by
     /// [`merge_word`]: a min-heap of one word a reader.
     heap: BinaryHeap<Reverse<u128>>,
-    /// The record the next equal-group arrivals are still folded into.
+    /// The record the stream hands out next, held until the heap shows
+    /// the one after it, which `min_per_pair` drops if it repeats the pair.
     pending: Option<LabelRecord>,
-    combiner: Option<Combiner>,
-    group_eq: GroupEq,
-    /// Already sorted and combined; served when there is nothing to merge.
+    min_per_pair: bool,
+    /// Already sorted; served when there is nothing to merge.
     memory: std::vec::IntoIter<LabelRecord>,
-    /// One reader and no combiner: the merge is that reader, served
+    /// One reader, every record kept: the merge is that reader, served
     /// without the heap.
     lone: bool,
 }
 
 impl<R: RecordSource> SortedStream<R> {
-    /// The merge of the sorted `readers`: each group of `group_eq`
-    /// records folded with `combiner` when there is one, records equal
-    /// across readers taken in reader order.
-    pub fn merge(
-        readers: Vec<R>,
-        combiner: Option<Combiner>,
-        group_eq: GroupEq,
-    ) -> std::io::Result<SortedStream<R>> {
+    /// The merge of the sorted `readers`, records equal across readers
+    /// taken in reader order: every record, or the nearest per `(key,
+    /// pivot)` under `min_per_pair`.
+    pub fn merge(readers: Vec<R>, min_per_pair: bool) -> std::io::Result<SortedStream<R>> {
         let heap = BinaryHeap::with_capacity(readers.len());
-        let (memory, lone) = (Vec::new().into_iter(), readers.len() == 1 && combiner.is_none());
-        let mut merge =
-            SortedStream { readers, heap, pending: None, combiner, group_eq, memory, lone };
+        let (memory, lone) = (Vec::new().into_iter(), readers.len() == 1 && !min_per_pair);
+        let mut merge = SortedStream { readers, heap, pending: None, min_per_pair, memory, lone };
         merge.fill_heap()?;
         Ok(merge)
     }
@@ -443,15 +421,13 @@ impl<R: RecordSource> RecordSource for SortedStream<R> {
                 Some(next) => *top = Reverse(merge_word(next, i)),
                 None => drop(PeekMut::pop(top)),
             }
-            match (self.pending.take(), self.combiner) {
-                (None, _) => self.pending = Some(rec),
-                (Some(prev), Some(combine)) if (self.group_eq)(&prev, &rec) => {
-                    self.pending = Some(combine(prev, rec));
-                }
-                (Some(prev), _) => {
-                    self.pending = Some(rec);
-                    return Ok(Some(prev));
-                }
+            let Some(prev) = self.pending else {
+                self.pending = Some(rec);
+                continue;
+            };
+            if !(self.min_per_pair && same_pair(prev, rec)) {
+                self.pending = Some(rec);
+                return Ok(Some(prev));
             }
         }
         Ok(self.pending.take().or_else(|| self.memory.next()))
@@ -520,32 +496,18 @@ fn merge_record(w: u128) -> LabelRecord {
     LabelRecord::new((w >> 96) as u32, (w >> 64) as u32, (w >> 32) as u32)
 }
 
-/// Merge already-sorted runs into one sorted run, consuming them.
-pub fn merge_runs(
-    store: &TempStore,
-    runs: Vec<Run>,
-    block_bytes: usize,
-    combiner: Option<Combiner>,
-    group_eq: GroupEq,
-) -> std::io::Result<Run> {
-    let mut readers = Vec::with_capacity(runs.len());
-    for run in runs {
-        readers.push(run.reader(block_bytes)?);
-    }
-    merge_readers(store, readers, block_bytes, combiner, group_eq)
-}
-
-/// Merge the sorted streams behind `readers` into one sorted run. A run
-/// that must outlive the merge is passed as [`Run::reader_shared`].
+/// Merge the sorted streams behind `readers` into one sorted run, as
+/// [`SortedStream::merge`] merges them, counting one merge pass. A run
+/// the merge may delete is passed as [`Run::into_reader`], one that must
+/// outlive it as [`Run::reader`].
 pub fn merge_readers(
     store: &TempStore,
     readers: Vec<RunReader>,
     block_bytes: usize,
-    combiner: Option<Combiner>,
-    group_eq: GroupEq,
+    min_per_pair: bool,
 ) -> std::io::Result<Run> {
     store.stats().record_merge_pass();
-    let merge = SortedStream::merge(readers, combiner, group_eq)?;
+    let merge = SortedStream::merge(readers, min_per_pair)?;
     merge.into_run(store.create("merge-out")?, block_bytes)
 }
 
@@ -563,24 +525,23 @@ mod tests {
         s.finish().unwrap().read_all().unwrap()
     }
 
-    fn group_eq(a: &LabelRecord, b: &LabelRecord) -> bool {
-        (a.key, a.pivot) == (b.key, b.pivot)
-    }
-
-    fn keep_min(a: LabelRecord, b: LabelRecord) -> LabelRecord {
-        if a.dist <= b.dist {
-            a
-        } else {
-            b
-        }
-    }
-
     fn draws(seed: u64) -> impl FnMut(u32) -> u32 {
         let mut x = seed;
         move |n| {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             ((x >> 33) % u64::from(n)) as u32
         }
+    }
+
+    /// The least distance of each `(key, pivot)` of `records`, sorted: what
+    /// `min_per_pair` keeps, from a map instead of a merge.
+    fn nearest(records: impl IntoIterator<Item = LabelRecord>) -> Vec<LabelRecord> {
+        let mut nearest = std::collections::BTreeMap::new();
+        for r in records {
+            let d = nearest.entry((r.key, r.pivot)).or_insert(r.dist);
+            *d = r.dist.min(*d);
+        }
+        nearest.into_iter().map(|((k, p), d)| LabelRecord::new(k, p, d)).collect()
     }
 
     /// Everything `source` has left.
@@ -660,31 +621,23 @@ mod tests {
         use std::rc::Rc;
 
         /// What run formation did before the radix: `sort_unstable` on
-        /// the records, then the combiner over each group.
-        fn compared(records: &[LabelRecord], combiner: Option<Combiner>) -> Vec<LabelRecord> {
+        /// the records; under `min_per_pair`, the map of [`nearest`].
+        fn compared(records: &[LabelRecord], min_per_pair: bool) -> Vec<LabelRecord> {
+            if min_per_pair {
+                return nearest(records.iter().copied());
+            }
             let mut buf = records.to_vec();
             buf.sort_unstable();
-            let Some(combine) = combiner else { return buf };
-            let mut write = 0usize;
-            for read in 0..buf.len() {
-                if write > 0 && group_eq(&buf[write - 1], &buf[read]) {
-                    buf[write - 1] = combine(buf[write - 1], buf[read]);
-                } else {
-                    buf[write] = buf[read];
-                    write += 1;
-                }
-            }
-            buf.truncate(write);
             buf
         }
 
-        fn radixed(records: &[LabelRecord], combiner: Option<Combiner>) -> Vec<LabelRecord> {
+        fn radixed(records: &[LabelRecord], min_per_pair: bool) -> Vec<LabelRecord> {
             let mut out = Vec::new();
             let emit = |r| {
                 out.push(r);
                 Ok(())
             };
-            sort_and_combine(records, combiner, group_eq, emit).unwrap();
+            sort_into(records, min_per_pair, emit).unwrap();
             out
         }
 
@@ -728,14 +681,11 @@ mod tests {
         fn radix_run_formation_equals_the_comparison_sort() {
             for (shape, records, wide) in buffers() {
                 assert_eq!(packing_of(&records).fits_u64(), !wide, "{shape}");
-                for combiner in [None, Some(keep_min as Combiner)] {
-                    let expect = compared(&records, combiner);
-                    let at = format!(
-                        "{shape}, {} records, combiner {}",
-                        records.len(),
-                        combiner.is_some()
-                    );
-                    assert_eq!(radixed(&records, combiner), expect, "{at}");
+                for min_per_pair in [false, true] {
+                    let expect = compared(&records, min_per_pair);
+                    let at =
+                        format!("{shape}, {} records, min per pair {min_per_pair}", records.len());
+                    assert_eq!(radixed(&records, min_per_pair), expect, "{at}");
                 }
             }
         }
@@ -774,7 +724,7 @@ mod tests {
             out
         }
 
-        /// With no combiner, equal records arriving from different runs
+        /// Keeping every record, equal records arriving from different runs
         /// come out of the merge as the tuple heap let them out, and the
         /// runs are read in the same order: ties go to the lower run.
         #[test]
@@ -801,8 +751,7 @@ mod tests {
                 };
                 let (old_reads, new_reads) = (Rc::default(), Rc::default());
                 let expect = tuple_heap(sources(&old_reads));
-                let mut merged =
-                    SortedStream::merge(sources(&new_reads), None, |a, b| a == b).unwrap();
+                let mut merged = SortedStream::merge(sources(&new_reads), false).unwrap();
                 let mut got = Vec::new();
                 while let Some(r) = merged.next_record().unwrap() {
                     got.push(r);
@@ -867,14 +816,16 @@ mod tests {
         /// What a label merge of `add` into `base` writes.
         fn merge_sorted(base: &[LabelRecord], add: &[LabelRecord]) -> Vec<LabelRecord> {
             let two = vec![Chunked::new(base), Chunked::new(add)];
-            drain(&mut SortedStream::merge(two, Some(keep_min), group_eq).unwrap())
+            drain(&mut SortedStream::merge(two, true).unwrap())
         }
 
         /// Base and deltas merged at once equal the deltas merged into the
         /// base one by one, record for record — the minimum kept where
         /// runs tie on `(key, pivot)`, a key only a delta holds included —
         /// and so do the groups a sparse probe pass reads, whose hints
-        /// land inside the deltas too, before and after a rewind.
+        /// land inside the deltas too, before and after a rewind. Keeping
+        /// every record, the merge is all of them in order, and the base
+        /// alone reads as itself under either rule.
         #[test]
         fn base_and_deltas_read_as_their_label_merges() {
             let mut draw = draws(0xde17a);
@@ -882,15 +833,20 @@ mod tests {
             for case in 0..12 {
                 let runs = base_and_deltas(&mut draw);
                 let expect = runs[1..].iter().fold(runs[0].clone(), |b, d| merge_sorted(&b, d));
-                let mut nearest = std::collections::BTreeMap::new();
-                for r in runs.iter().flatten() {
-                    let d = nearest.entry((r.key, r.pivot)).or_insert(r.dist);
-                    *d = r.dist.min(*d);
+                let each = nearest(runs.iter().flatten().copied());
+                assert_eq!(expect, each, "case {case}: the nearest per pair");
+                let mut every = runs.concat();
+                every.sort_unstable();
+                let all = runs.iter().map(|r| Chunked::new(r)).collect();
+                assert_eq!(drain(&mut SortedStream::merge(all, false).unwrap()), every);
+                for min_per_pair in [false, true] {
+                    let base = vec![Chunked::new(&runs[0])];
+                    let mut base = SortedStream::merge(base, min_per_pair).unwrap();
+                    assert_eq!(base.lone, !min_per_pair, "case {case}");
+                    assert_eq!(drain(&mut base), runs[0], "case {case}, {min_per_pair}");
                 }
-                let each = nearest.into_iter().map(|((k, p), d)| LabelRecord::new(k, p, d));
-                assert_eq!(expect, each.collect::<Vec<_>>(), "case {case}: the nearest per pair");
                 let sources = runs.iter().map(|r| Chunked::new(r)).collect();
-                let mut merged = SortedStream::merge(sources, Some(keep_min), group_eq).unwrap();
+                let mut merged = SortedStream::merge(sources, true).unwrap();
                 assert_eq!(drain(&mut merged), expect, "case {case}");
                 let only_in_a_delta = LabelRecord::new(70, 3, 2);
                 assert!(expect.contains(&only_in_a_delta), "case {case}");
@@ -931,8 +887,8 @@ mod tests {
                 runs.iter().map(|r| run_from_slice(&store, "lsm", r, block).unwrap()).collect();
             let merge = |heads: &[usize]| {
                 let readers = files.iter().zip(heads);
-                let readers = readers.map(|(f, &h)| f.reader_with_head(block, h).unwrap());
-                SortedStream::merge(readers.collect(), Some(keep_min), group_eq).unwrap()
+                let readers = readers.map(|(f, &h)| f.reader(block, h).unwrap());
+                SortedStream::merge(readers.collect(), true).unwrap()
             };
             let expect = drain(&mut merge(&vec![0; files.len()]));
             let heads: Vec<usize> =
@@ -991,28 +947,34 @@ mod tests {
         assert_eq!(sorted, expect);
     }
 
+    /// Under `min_per_pair` each `(key, pivot)` keeps its least distance
+    /// alone, wherever its records fall: in one buffer, in runs the last
+    /// merge meets, on both sides of an intermediate merge.
     #[test]
     fn combiner_keeps_min_dist_per_pair() {
-        let store = TempStore::new().unwrap();
-        let mut s = ExternalSorter::new(&store, ExtMemConfig::tiny()).with_combiner(
-            |a: &LabelRecord, b: &LabelRecord| (a.key, a.pivot) == (b.key, b.pivot),
-            |a, b| if a.dist <= b.dist { a } else { b },
-        );
-        // Push each (key, pivot) pair three times with different dists,
-        // interleaved so duplicates land in different spill runs.
-        for round in [5u32, 1, 3] {
-            for k in 0..500u32 {
-                s.push(LabelRecord::new(k % 50, k / 50, round + k % 2)).unwrap();
+        let config = ExtMemConfig::tiny();
+        let (fanin, m) = (fan_in(&config), config.memory_records);
+        // Each pair three times, interleaved so its records land in
+        // different spill runs.
+        let rounds = [5u32, 1, 3].into_iter();
+        let interleaved = rounds.flat_map(|round| {
+            (0..500).map(move |k| LabelRecord::new(k % 50, k / 50, round + k % 2))
+        });
+        let mut draw = draws(0x313);
+        let mut random = |n: usize| -> Vec<LabelRecord> {
+            (0..n).map(|_| LabelRecord::new(draw(40), draw(30), 1 + draw(9))).collect()
+        };
+        let cases = [(interleaved.collect(), 1), (random(m / 2), 0), (random((fanin + 3) * m), 2)];
+        for (recs, passes) in cases {
+            let store = TempStore::new().unwrap();
+            let mut s = ExternalSorter::new(&store, config.clone()).min_per_pair();
+            for &r in &recs {
+                s.push(r).unwrap();
             }
-        }
-        let out = s.finish().unwrap().read_all().unwrap();
-        assert_eq!(out.len(), 500);
-        for r in &out {
-            assert!(r.dist <= 2, "kept non-minimal dist {r:?}");
-        }
-        // Sorted and unique by (key, pivot).
-        for w in out.windows(2) {
-            assert!((w[0].key, w[0].pivot) < (w[1].key, w[1].pivot));
+            let out = s.finish().unwrap().read_all().unwrap();
+            let at = format!("{} records", recs.len());
+            assert_eq!(store.stats().merge_passes(), passes, "{at}");
+            assert_eq!(out, nearest(recs), "{at}");
         }
     }
 
@@ -1043,10 +1005,7 @@ mod tests {
                 })
                 .collect();
             let fill = |store| {
-                let mut s = ExternalSorter::new(store, config.clone()).with_combiner(
-                    |a: &LabelRecord, b: &LabelRecord| (a.key, a.pivot) == (b.key, b.pivot),
-                    |a, b| if a.dist <= b.dist { a } else { b },
-                );
+                let mut s = ExternalSorter::new(store, config.clone()).min_per_pair();
                 for &r in &recs {
                     s.push(r).unwrap();
                 }
@@ -1075,52 +1034,59 @@ mod tests {
     /// With `F + k` runs past a fan-in of `F`, the intermediate merge
     /// takes the first `k + 1` runs, what brings the count down to `F`,
     /// and reads and writes those runs' records and bytes and not one
-    /// run more.
+    /// run more — keeping every record, and keeping the nearest of each
+    /// pair, whose other record the same or another run holds.
     #[test]
     fn the_intermediate_merge_reads_only_the_runs_above_the_fan_in() {
         let config = ExtMemConfig::tiny();
         let (fanin, m) = (fan_in(&config), config.memory_records);
         let scratch = TempStore::new().unwrap();
-        let bytes = |records: &[LabelRecord]| {
-            let mut sorted = records.to_vec();
-            sorted.sort_unstable();
-            run_from_slice(&scratch, "expect", &sorted, config.block_bytes).unwrap().bytes()
-        };
-        for k in 1..fanin {
+        for (k, min_per_pair) in (1..fanin).flat_map(|k| [(k, false), (k, true)]) {
+            // What a run of `records` holds under the rule.
+            let kept = |records: &[LabelRecord]| {
+                let mut sorted = records.to_vec();
+                sorted.sort_unstable();
+                if min_per_pair {
+                    sorted = nearest(sorted);
+                }
+                sorted
+            };
+            let run_of = |records: &[LabelRecord]| {
+                let kept = kept(records);
+                let run = run_from_slice(&scratch, "expect", &kept, config.block_bytes).unwrap();
+                (kept.len() as u64, run.bytes())
+            };
             let mut draw = draws(k as u64);
-            // Distinct records, so no merge combines any away: every
-            // spill is a run of exactly `m`.
-            let mut recs: Vec<LabelRecord> = (0..(fanin + k) * m)
-                .map(|i| LabelRecord::new(i as u32 / 7, i as u32 % 7, 1))
+            // Distinct records, two to a `(key, pivot)`: every spill takes
+            // `m` of them.
+            let mut recs: Vec<LabelRecord> = (0..((fanin + k) * m) as u32)
+                .map(|i| LabelRecord::new(i / 14, i % 7, 1 + i / 7 % 2))
                 .collect();
             for i in (1..recs.len()).rev() {
                 recs.swap(i, draw(i as u32 + 1) as usize);
             }
             let store = TempStore::new().unwrap();
             let mut s = ExternalSorter::new(&store, config.clone());
+            if min_per_pair {
+                s = s.min_per_pair();
+            }
             for &r in &recs {
                 s.push(r).unwrap();
             }
             let got = drain(&mut s.finish_stream().unwrap());
-            let mut expect = recs.clone();
-            expect.sort_unstable();
-            assert_eq!(got, expect, "k = {k}");
+            let at = format!("k = {k}, min per pair {min_per_pair}");
+            assert_eq!(got, kept(&recs), "{at}");
             let stats = store.stats();
-            assert_eq!(
-                (stats.sort_runs(), stats.merge_passes()),
-                ((fanin + k) as u64, 2),
-                "k = {k}"
-            );
-            let merged = (k + 1) * m;
-            let total = (recs.len() + merged) as u64;
-            assert_eq!(
-                (stats.records_encoded(), stats.records_decoded()),
-                (total, total),
-                "k = {k}"
-            );
-            let spilled: u64 = recs.chunks(m).map(bytes).sum();
-            let io = spilled + bytes(&recs[..merged]);
-            assert_eq!((stats.read_bytes(), stats.write_bytes()), (io, io), "k = {k}");
+            assert_eq!((stats.sort_runs(), stats.merge_passes()), ((fanin + k) as u64, 2), "{at}");
+            let sum = |runs: &[(u64, u64)]| runs.iter().fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+            let spilled: Vec<(u64, u64)> = recs.chunks(m).map(run_of).collect();
+            let merged = run_of(&recs[..(k + 1) * m]);
+            let (records, bytes) = sum(&[sum(&spilled), merged]);
+            let coded = (stats.records_encoded(), stats.records_decoded());
+            assert_eq!(coded, (records, records), "{at}");
+            assert_eq!((stats.read_bytes(), stats.write_bytes()), (bytes, bytes), "{at}");
+            let merged_in = sum(&spilled[..k + 1]).0;
+            assert!(!min_per_pair || merged.0 < merged_in, "{at}: the merge must drop a record");
         }
     }
 
@@ -1136,10 +1102,7 @@ mod tests {
         }
         let run_path = |background: bool| {
             let store = TempStore::new().unwrap();
-            let mut s = ExternalSorter::new(&store, ExtMemConfig::tiny()).with_combiner(
-                |a: &LabelRecord, b: &LabelRecord| (a.key, a.pivot) == (b.key, b.pivot),
-                |a, b| if a.dist <= b.dist { a } else { b },
-            );
+            let mut s = ExternalSorter::new(&store, ExtMemConfig::tiny()).min_per_pair();
             if background {
                 s = s.with_background_spill();
             }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 /// Atomic I/O counters shared by every file of one external computation.
 ///
-/// Counts both raw byte traffic and the number of I/O *operations*;
+/// Counts raw byte traffic and the number of read *operations*;
 /// [`IoStats::read_blocks`]/[`IoStats::write_blocks`] convert bytes to
 /// block I/Os for a given block size `B`, matching the paper's
 /// `scan(N) = Θ(N/B)` reporting.
@@ -14,7 +14,6 @@ pub struct IoStats {
     read_bytes: AtomicU64,
     write_bytes: AtomicU64,
     read_ops: AtomicU64,
-    write_ops: AtomicU64,
     sort_runs: AtomicU64,
     merge_passes: AtomicU64,
     seeks: AtomicU64,
@@ -39,7 +38,6 @@ impl IoStats {
     #[inline]
     pub fn record_write(&self, bytes: u64) {
         self.write_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.write_ops.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one sorted run spilled by an external sorter.
@@ -90,11 +88,6 @@ impl IoStats {
         self.read_ops.load(Ordering::Relaxed)
     }
 
-    /// Number of write operations issued.
-    pub fn write_ops(&self) -> u64 {
-        self.write_ops.load(Ordering::Relaxed)
-    }
-
     /// Sorted runs spilled by external sorters — with
     /// [`IoStats::merge_passes`], the `sort(N)` term of the §4 cost
     /// model (`O(N/B · log_{M/B}(N/B))` block I/Os per sort).
@@ -136,29 +129,6 @@ impl IoStats {
     pub fn write_blocks(&self, block_bytes: usize) -> u64 {
         self.write_bytes().div_ceil(block_bytes.max(1) as u64)
     }
-
-    /// Total block I/Os (reads + writes).
-    pub fn total_blocks(&self, block_bytes: usize) -> u64 {
-        self.read_blocks(block_bytes) + self.write_blocks(block_bytes)
-    }
-
-    /// Snapshot all counters as `(read_bytes, write_bytes, read_ops, write_ops)`.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (self.read_bytes(), self.write_bytes(), self.read_ops(), self.write_ops())
-    }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        self.read_bytes.store(0, Ordering::Relaxed);
-        self.write_bytes.store(0, Ordering::Relaxed);
-        self.read_ops.store(0, Ordering::Relaxed);
-        self.write_ops.store(0, Ordering::Relaxed);
-        self.sort_runs.store(0, Ordering::Relaxed);
-        self.merge_passes.store(0, Ordering::Relaxed);
-        self.seeks.store(0, Ordering::Relaxed);
-        self.records_encoded.store(0, Ordering::Relaxed);
-        self.records_decoded.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -176,13 +146,6 @@ mod tests {
         assert_eq!(s.write_bytes(), 512);
         assert_eq!(s.read_blocks(512), 3); // ceil(1100/512)
         assert_eq!(s.write_blocks(512), 1);
-        assert_eq!(s.total_blocks(512), 4);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let s = IoStats::default();
-        s.record_write(10);
         s.record_sort_run();
         s.record_merge_pass();
         s.record_seek();
@@ -190,10 +153,6 @@ mod tests {
         s.record_decoded(7);
         assert_eq!((s.sort_runs(), s.merge_passes(), s.seeks()), (1, 1, 1));
         assert_eq!((s.records_encoded(), s.records_decoded()), (5, 7));
-        s.reset();
-        assert_eq!(s.snapshot(), (0, 0, 0, 0));
-        assert_eq!((s.sort_runs(), s.merge_passes(), s.seeks()), (0, 0, 0));
-        assert_eq!((s.records_encoded(), s.records_decoded()), (0, 0));
     }
 
     /// `--block-bytes 0` used to reach these with a zero divisor, after
@@ -204,7 +163,7 @@ mod tests {
         s.record_read(1100);
         s.record_write(512);
         for b in [0, 1] {
-            assert_eq!((s.read_blocks(b), s.write_blocks(b), s.total_blocks(b)), (1100, 512, 1612));
+            assert_eq!((s.read_blocks(b), s.write_blocks(b)), (1100, 512));
         }
     }
 

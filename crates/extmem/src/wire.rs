@@ -12,7 +12,9 @@
 //!
 //! [`crc32`] lives here for the same reason: the WAL's record frames
 //! and the index image's trailer are both "bytes from disk that must
-//! prove themselves", and they share one table.
+//! prove themselves", and they share one table. So does [`put_varint`],
+//! the one LEB128 writer of the run codec and the index image; each
+//! reads varints back with its own decoder and its own cap.
 
 #![cfg_attr(
     not(test),
@@ -58,6 +60,17 @@ pub fn u64_at(bytes: &[u8], off: usize) -> Option<u64> {
 /// words — but nothing breaks if it is not).
 pub fn u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
     bytes.chunks_exact(4).filter_map(|c| c.first_chunk::<4>()).map(|c| u32::from_le_bytes(*c))
+}
+
+/// Append `value` as a LEB128 varint: seven bits a byte, low bits
+/// first, the top bit set on every byte but the last.
+#[inline]
+pub fn put_varint(mut value: u64, out: &mut Vec<u8>) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
 }
 
 /// CRC-32 (IEEE, reflected polynomial 0xEDB88320 — zlib's and

@@ -245,7 +245,7 @@
 use std::io::{self, Write};
 use std::ops::Range;
 
-use extmem::wire::{self, Crc32};
+use extmem::wire::{self, put_varint, Crc32};
 use sfgraph::{Dist, VertexId, INF_DIST};
 
 use crate::entry::LabelEntry;
@@ -529,14 +529,6 @@ fn varint32(label: &[u8], at: &mut usize) -> io::Result<u32> {
         .ok()
         .filter(|_| *at - start <= 5)
         .ok_or_else(|| bad("record varint exceeds 5 bytes or 32 bits"))
-}
-
-fn put_varint(mut v: u64, out: &mut Vec<u8>) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
 }
 
 /// A stored distance back as a distance, if it is one.
