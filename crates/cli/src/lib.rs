@@ -375,13 +375,15 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         io_summary = Some(format!(
             "external I/O: {read_bytes} B read / {write_bytes} B written \
              ({read_blocks}+{write_blocks} blocks), {} sort runs, {} merge passes, {} seeks, \
-             {} prune blocks, {} records encoded / {} decoded",
+             {} prune blocks, {} records encoded / {} decoded, {} raw candidates / {} hub-killed",
             result.sort_runs,
             result.merge_passes,
             result.seeks,
             result.prune_blocks,
             result.records_encoded,
-            result.records_decoded
+            result.records_decoded,
+            result.raw_candidates,
+            result.hub_killed
         ));
         (result.index, result.stats)
     } else {
@@ -1088,9 +1090,18 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("external I/O:") && out.contains(" seeks"), "{out}");
-        assert!(out.contains(" records encoded / ") && out.contains(" decoded\n"), "{out}");
+        assert!(out.contains(" records encoded / ") && out.contains(" decoded, "), "{out}");
         assert!(out.contains(" seeks, ") && out.contains(" prune blocks, "), "{out}");
-        assert!(out.contains(" seeks, ") && out.contains(" prune blocks, "), "{out}");
+        // The raw candidates the joins offered, and those the hub table
+        // killed: on an undirected graph, some but not all of them.
+        let counts = out
+            .split(" decoded, ")
+            .nth(1)
+            .and_then(|rest| rest.split(" hub-killed\n").next())
+            .and_then(|counts| counts.split_once(" raw candidates / "))
+            .and_then(|(raw, killed)| Some((raw.parse::<u64>().ok()?, killed.parse::<u64>().ok()?)))
+            .expect("`<raw> raw candidates / <killed> hub-killed` ending the summary line");
+        assert!(counts.1 > 0 && counts.1 < counts.0, "{out}");
         let io_line =
             |out: &str| out.lines().find(|l| l.starts_with("external I/O:")).map(str::to_owned);
         let sequential_io = io_line(&out);

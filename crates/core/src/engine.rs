@@ -52,7 +52,10 @@
 //!    only sort;
 //! 2. **prune** — `own(x)` is written once into a dense `mark[pivot]`
 //!    array. A candidate `(v, d)` with `mark[v] ≤ d` is dropped before it
-//!    is counted; otherwise it dies iff some `(w, d_w) ∈ across(v)` has
+//!    is counted, and so, in a pruned undirected build, is one the hub
+//!    table kills — some hub `h < v` with `D[x][h] + D[v][h] ≤ d`
+//!    ([`crate::hubs`]), two `K`-byte rows read instead of a scan of
+//!    `across(v)`; otherwise it dies iff some `(w, d_w) ∈ across(v)` has
 //!    `mark[w] + d_w ≤ d`, and the scan of `across(v)` returns at the
 //!    first such `w`: pivots are rank-sorted, so the hubs that kill most
 //!    candidates come first. That is the 2-hop query `own(x) ⋈
@@ -109,6 +112,7 @@ use hoplabels::LabelEntry;
 use sfgraph::{Direction, Dist, Graph, VertexId, INF_DIST};
 
 use crate::config::HopDbConfig;
+use crate::hubs::{HubTable, HUBS};
 use crate::iteration::{fixpoint, BuildStats, IterationStats, Rounds, ShardStats};
 use crate::shard;
 
@@ -440,6 +444,8 @@ struct Engine<'g> {
     g: &'g Graph,
     /// Whether rounds apply the §3.3 pruning test.
     prune: bool,
+    /// The hub table a pruned undirected build kills candidates with.
+    hubs: Option<HubTable>,
     /// One side (undirected) or two (directed, out then in).
     sides: Vec<Side>,
     total_entries: u64,
@@ -453,9 +459,20 @@ struct Engine<'g> {
 /// undirected, honouring `cfg`'s strategy, pruning, and parallelism
 /// switches.
 pub fn build_index(g: &Graph, cfg: &HopDbConfig) -> (LabelIndex, BuildStats) {
+    build_index_with_hubs(g, cfg, HUBS)
+}
+
+/// [`build_index`] with a hub table of `hubs` hubs, where `cfg` and `g`
+/// take one.
+pub(crate) fn build_index_with_hubs(
+    g: &Graph,
+    cfg: &HopDbConfig,
+    hubs: usize,
+) -> (LabelIndex, BuildStats) {
     let started = Instant::now();
     // Iteration 1: initialization — one entry per edge (§3.1).
     let mut e = Engine::seeded(g, cfg.prune);
+    e.hubs = HubTable::for_build(g, cfg, hubs);
     let threads = cfg.resolved_parallelism();
     e.threads = threads;
     let seeded = IterationStats {
@@ -497,7 +514,7 @@ impl<'g> Engine<'g> {
             })
             .collect();
         let total_entries = sides.iter().map(|s| (n + s.prev.groups.entries.len()) as u64).sum();
-        Engine { g, prune, sides, total_entries, threads: 1, ws: Workspace::default() }
+        Engine { g, prune, hubs: None, sides, total_entries, threads: 1, ws: Workspace::default() }
     }
 
     fn prev_len(&self) -> usize {
@@ -621,16 +638,16 @@ impl<'g> Engine<'g> {
         kept: &mut Vec<LabelEntry>,
     ) -> (u64, u64) {
         let own = &side.labels[x as usize];
-        let across = &self.sides[side.across].labels;
+        let (across, hubs) = (&self.sides[side.across].labels, self.hubs.as_ref());
         if marked {
             own.entries().iter().for_each(|e| mark[e.pivot as usize] = e.dist);
         }
         let (mut counted, mut pruned) = (0u64, 0u64);
         for &c in candidates {
-            // Same-pair dominance: not a candidate at all.
+            // Same-pair dominance, or a hub's: not a candidate at all.
             let current =
                 if marked { mark[c.pivot as usize] } else { own.get(c.pivot).unwrap_or(INF_DIST) };
-            if current <= c.dist {
+            if current <= c.dist || hubs.is_some_and(|h| h.kills(x, c.pivot, c.dist)) {
                 continue;
             }
             counted += 1;
@@ -1195,7 +1212,9 @@ mod tests {
                 (Strategy::Hybrid { switch_at: 3 }, 4),
                 (Strategy::Doubling, 2),
             ] {
+                let cfg = HopDbConfig::with_strategy(strategy.clone());
                 let mut e = Engine::seeded(&g, true);
+                e.hubs = HubTable::for_build(&g, &cfg, HUBS);
                 assert!(e.sides.iter().all(|s| s.inv.is_none()), "seeding built an inverted view");
                 let mut iter = 1u32;
                 while e.pending() {
@@ -1207,7 +1226,7 @@ mod tests {
                     );
                 }
                 assert!(first_doubling == u32::MAX || iter >= first_doubling, "{strategy:?}");
-                let (index, _) = build_index(&g, &HopDbConfig::with_strategy(strategy));
+                let (index, _) = build_index(&g, &cfg);
                 assert_eq!(
                     LabelIndex::from_sides(e.sides.into_iter().map(|s| s.labels).collect()),
                     index

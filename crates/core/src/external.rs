@@ -36,7 +36,13 @@
 //!
 //! * **Candidate generation** — both inputs of every join are sorted by
 //!   the tail `u`, so each is a streaming *sort-merge co-group* join,
-//!   driven by `prev` and skipping through the arcs. Candidates go
+//!   driven by `prev` and skipping through the arcs. In a pruned
+//!   undirected build every candidate the join offers first meets the
+//!   hub table ([`crate::hubs`]): one some hub `h < v` dominates —
+//!   `D[x][h] + D[v][h] ≤ d` — dies there, uncounted, and is never
+//!   sorted, spilled, merged or joined
+//!   ([`ExternalBuildResult::raw_candidates`] /
+//!   [`ExternalBuildResult::hub_killed`] count both). The rest go
 //!   through the external sorter under its one rule, the nearest per
 //!   `(owner, pivot)` — the "avoid duplicates" step of Algorithm 2,
 //!   written once, in `extmem` — and the sorter's last merge
@@ -142,6 +148,14 @@
 //! reader splits its head budget over the runs by their bytes, so the
 //! heads together never pass `6 × M` bytes.
 //!
+//! Beside the graph, which the build holds in memory to peel and seed
+//! it, a pruned undirected build holds the hub table: `n × K` bytes
+//! (`K` = [`crate::hubs::HUBS`]; 256 KB at 16 000 vertices), built on
+//! the core before the first round, read by every round — shared by the
+//! sides — and freed before the final load. Like the graph it grows
+//! with `n`, not `M`: the semi-external deviation from §4, whose state
+//! is all on disk.
+//!
 //! Determinism is structural, not locked: each parallel unit owns its
 //! files, the record flow per unit is exactly the sequential one, and
 //! the shared `extmem` counters are atomics — so the build is
@@ -175,6 +189,7 @@ use sfgraph::{Direction, Graph, VertexId};
 use crate::builder::{derive_fringe, peel};
 use crate::config::HopDbConfig;
 use crate::engine::{lap, run_workers, seed_sides};
+use crate::hubs::{HubTable, HUBS};
 use crate::iteration::{fixpoint, BuildStats, IterationStats, Rounds};
 
 /// Outcome of an external build.
@@ -203,6 +218,12 @@ pub struct ExternalBuildResult {
     /// Blocks of the §4.2 prunes, over every side and round: each makes
     /// one pass over its `across` label file.
     pub prune_blocks: u64,
+    /// Candidates the joins offered, over every side and round, before
+    /// the hub table and the sorter's nearest-per-pair.
+    pub raw_candidates: u64,
+    /// Of those, the ones the hub table killed ([`crate::hubs`]): never
+    /// sorted, spilled, merged or joined. Zero on a directed graph.
+    pub hub_killed: u64,
 }
 
 /// Build a label index for a rank-relabeled graph with bounded memory.
@@ -236,7 +257,7 @@ pub fn build_external(
     // canonical filter on the loaded index exactly as there — same final
     // label sets.
     let reduced = peel(g);
-    let mut result = run(&reduced.core, cfg, ext, &store)?;
+    let mut result = run(&reduced.core, cfg, ext, &store, HUBS)?;
     derive_fringe(&mut result.index, &mut result.stats, cfg, g, reduced);
     Ok(result)
 }
@@ -740,25 +761,34 @@ struct Side {
 /// What one side's generate → prune chain produced in one iteration.
 struct SideOutcome {
     pruned: Pruned,
+    /// Candidates the joins offered, and those the hub table killed.
+    raw: u64,
+    killed: u64,
     gather: Duration,
     prune: Duration,
 }
 
 /// One iteration of one side: push `prev` over the round's arcs into the
-/// candidate sorter, then prune the candidates against the frozen label
-/// files.
+/// candidate sorter — less what `hubs` kills — then prune the candidates
+/// against the frozen label files.
 fn side_round(
     store: &TempStore,
     ext: &ExtMemConfig,
     overlap: bool,
     stepping: bool,
+    hubs: Option<&HubTable>,
     side: &Side,
     across: &Labels,
 ) -> io::Result<SideOutcome> {
     let (mut clock, block) = (Instant::now(), ext.block_bytes);
     let mut s = sorter(store, ext, overlap);
-    let mut widest = LabelRecord::new(0, 0, 0);
+    let (mut widest, mut raw, mut killed) = (LabelRecord::new(0, 0, 0), 0u64, 0u64);
     let mut offer = |r: LabelRecord| {
+        raw += 1;
+        if hubs.is_some_and(|h| h.kills(r.key, r.pivot, r.dist)) {
+            killed += 1;
+            return Ok(());
+        }
         widest = LabelRecord::new(widest.key | r.key, widest.pivot | r.pivot, widest.dist | r.dist);
         s.push(r)
     };
@@ -781,7 +811,7 @@ fn side_round(
     // test is symmetric, so on every side it is own(owner) ⋈ across(pivot)
     // and the candidates go in as generated.
     let pruned = prune_candidates(store, ext, s.finish_stream()?, widest, &side.labels, across)?;
-    Ok(SideOutcome { pruned, gather, prune: lap(&mut clock) })
+    Ok(SideOutcome { pruned, raw, killed, gather, prune: lap(&mut clock) })
 }
 
 fn io_report(store: &TempStore, ext: &ExtMemConfig) -> (u64, u64, u64, u64) {
@@ -794,17 +824,21 @@ fn io_report(store: &TempStore, ext: &ExtMemConfig) -> (u64, u64, u64, u64) {
     )
 }
 
-/// The state of an external build: the store, the budget and the sides'
-/// files.
+/// The state of an external build: the store, the budget, the hub
+/// table and the sides' files.
 struct External<'s> {
     store: &'s TempStore,
     ext: &'s ExtMemConfig,
     threaded: bool,
+    hubs: Option<HubTable>,
     sides: Vec<Side>,
     /// Bytes read and written as of the last row.
     seen: (u64, u64),
-    /// The prunes' blocks so far, over every side and round.
+    /// The prunes' blocks, raw candidates and hub kills so far, over
+    /// every side and round.
     prune_blocks: u64,
+    raw_candidates: u64,
+    hub_killed: u64,
 }
 
 impl External<'_> {
@@ -825,16 +859,19 @@ impl Rounds for External<'_> {
     }
 
     fn round(&mut self, stepping: bool) -> io::Result<IterationStats> {
-        let (store, ext, threaded) = (self.store, self.ext, self.threaded);
-        // The sides share only read-only label files; each owns its
-        // sorters and temp runs, so scheduling cannot reorder any
-        // per-side record stream.
+        let (store, ext, threaded, hubs) =
+            (self.store, self.ext, self.threaded, self.hubs.as_ref());
+        // The sides share only read-only label files and the hub table;
+        // each owns its sorters and temp runs, so scheduling cannot
+        // reorder any per-side record stream.
         let sides = &self.sides;
         let outcomes = run_workers(threaded, sides.iter().collect(), |s: &Side| {
-            side_round(store, ext, threaded, stepping, s, &sides[s.across].labels)
+            side_round(store, ext, threaded, stepping, hubs, s, &sides[s.across].labels)
         });
         let outcomes = outcomes.into_iter().collect::<io::Result<Vec<SideOutcome>>>()?;
         self.prune_blocks += outcomes.iter().map(|o| o.pruned.blocks).sum::<u64>();
+        self.raw_candidates += outcomes.iter().map(|o| o.raw).sum::<u64>();
+        self.hub_killed += outcomes.iter().map(|o| o.killed).sum::<u64>();
         let mut row = IterationStats {
             pruned: outcomes.iter().map(|o| o.pruned.pruned).sum(),
             inserted: outcomes.iter().map(|o| o.pruned.survivors.len()).sum(),
@@ -865,16 +902,22 @@ impl Rounds for External<'_> {
     }
 }
 
+/// The engine on `g` (the core, from [`build_external`]) with a hub
+/// table of `hubs` hubs where `cfg` and `g` take one; the table is
+/// freed before the labels are loaded.
 fn run(
     g: &Graph,
     cfg: &HopDbConfig,
     ext: &ExtMemConfig,
     store: &TempStore,
+    hubs: usize,
 ) -> io::Result<ExternalBuildResult> {
     let started = Instant::now();
     let threads = cfg.resolved_parallelism();
     let (mut e, seeded) = seed(g, ext, store, threads >= 2)?;
+    e.hubs = HubTable::for_build(g, cfg, hubs);
     let mut stats = fixpoint(&mut e, &cfg.strategy, threads, seeded)?;
+    e.hubs = None;
 
     let mut labels = Vec::with_capacity(e.sides.len());
     for side in &e.sides {
@@ -894,6 +937,8 @@ fn run(
         records_encoded: io.records_encoded(),
         records_decoded: io.records_decoded(),
         prune_blocks: e.prune_blocks,
+        raw_candidates: e.raw_candidates,
+        hub_killed: e.hub_killed,
     })
 }
 
@@ -932,7 +977,17 @@ fn seed<'s>(
         });
     }
     let total_entries = seeds + (sides.len() * n) as u64;
-    let mut e = External { store, ext, threaded, sides, seen: (0, 0), prune_blocks: 0 };
+    let mut e = External {
+        store,
+        ext,
+        threaded,
+        hubs: None,
+        sides,
+        seen: (0, 0),
+        prune_blocks: 0,
+        raw_candidates: 0,
+        hub_killed: 0,
+    };
     let (io_read_bytes, io_write_bytes) = e.io_lap();
     let seeded = IterationStats {
         iteration: 1,
@@ -965,7 +1020,7 @@ mod tests {
     /// `g`'s core: for the tests about the rounds a path or a chain takes,
     /// which the builders would mostly eliminate.
     fn run_on(g: &Graph, cfg: &HopDbConfig, ext: &ExtMemConfig) -> ExternalBuildResult {
-        run(g, cfg, ext, &TempStore::new().unwrap()).unwrap()
+        run(g, cfg, ext, &TempStore::new().unwrap(), HUBS).unwrap()
     }
 
     /// One side's files: its base (the file, and its encoded bytes), its
@@ -1056,7 +1111,8 @@ mod tests {
         ext: &ExtMemConfig,
     ) -> (Vec<IterationStats>, Vec<Files>) {
         let store = TempStore::new().unwrap();
-        let (e, seeded) = seed(g, ext, &store, false).unwrap();
+        let (mut e, seeded) = seed(g, ext, &store, false).unwrap();
+        e.hubs = HubTable::for_build(g, cfg, HUBS);
         let mut noted = Noted { e, files: Vec::new() };
         noted.note();
         let stats = fixpoint(&mut noted, &cfg.strategy, 1, seeded).unwrap();
@@ -1922,6 +1978,68 @@ mod tests {
             let result = build_external(&g, &cfg, &tiny_ext()).unwrap();
             assert_eq!(result.index, mem, "{:?}", cfg.strategy);
             assert_eq!(progress(&result.stats), progress(&mem_stats), "{:?}", cfg.strategy);
+        }
+    }
+
+    /// Both engines on `g`'s core with a table of `hubs` hubs, each
+    /// finished as the builders finish it: the in-memory index and rows,
+    /// and the external result.
+    fn both_with_hubs(
+        g: &Graph,
+        cfg: &HopDbConfig,
+        hubs: usize,
+    ) -> ((LabelIndex, BuildStats), ExternalBuildResult) {
+        let reduced = peel(g);
+        let (mut index, mut stats) = crate::engine::build_index_with_hubs(&reduced.core, cfg, hubs);
+        derive_fringe(&mut index, &mut stats, cfg, g, reduced);
+        let (reduced, store) = (peel(g), TempStore::new().unwrap());
+        let mut ext = run(&reduced.core, cfg, &tiny_ext(), &store, hubs).unwrap();
+        derive_fringe(&mut ext.index, &mut ext.stats, cfg, g, reduced);
+        ((index, stats), ext)
+    }
+
+    /// The hub table moves no label: at every hub count, from none to
+    /// every vertex, both engines build the labels of the build without
+    /// one, with rows equal to each other, on random GLPs, weighted ones
+    /// (weights past 255 among them, so entries saturate and distances
+    /// pass them) and a bisected path, stepping and doubling from
+    /// iteration 3, at 1, 2 and 4 threads.
+    #[test]
+    fn every_hub_count_builds_the_same_labels_in_both_engines() {
+        use graphgen::{glp, with_random_weights, GlpParams};
+        let ranked = |g: &Graph| crate::builder::rank(g, &HopDbConfig::default()).1;
+        let mut graphs: Vec<(String, Graph)> = (0..3)
+            .map(|seed| {
+                (format!("glp seed {seed}"), ranked(&glp(&GlpParams::with_density(250, 3.0, seed))))
+            })
+            .collect();
+        let base = glp(&GlpParams::with_density(250, 3.0, 9));
+        graphs.push(("weighted glp".into(), ranked(&with_random_weights(&base, 1, 9, 9))));
+        graphs.push(("heavy glp".into(), ranked(&with_random_weights(&base, 60, 400, 9))));
+        graphs.push(("bisected path".into(), bisected_path(96, false)));
+        let mut killed = 0;
+        for (name, g) in &graphs {
+            let n = g.num_vertices();
+            for strategy in [Strategy::default_hybrid(), Strategy::Hybrid { switch_at: 2 }] {
+                let cfg = HopDbConfig::with_strategy(strategy);
+                let ((plain, _), _) = both_with_hubs(g, &cfg, 0);
+                assert_exact(g, &plain);
+                for (hubs, threads) in [0, 1, HUBS, 64, n].into_iter().zip([1, 2, 4, 1, 2]) {
+                    let cfg = cfg.clone().with_parallelism(threads);
+                    let at = format!("{name}, {:?}, {hubs} hubs, {threads} threads", cfg.strategy);
+                    let ((mem, mem_stats), ext) = both_with_hubs(g, &cfg, hubs);
+                    assert_eq!(mem, plain, "{at}: the in-memory labels moved");
+                    assert_eq!(ext.index, plain, "{at}: the external labels moved");
+                    assert_eq!(progress(&ext.stats), progress(&mem_stats), "{at}: rows");
+                    assert!(hubs > 0 || ext.hub_killed == 0, "{at}: {} killed", ext.hub_killed);
+                    killed += ext.hub_killed;
+                }
+            }
+            // A candidate on a tree walks the one path from its pivot,
+            // which no higher-ranked vertex lies on: the path's tables
+            // kill nothing, the others' something.
+            assert_eq!(killed > 0, name != "bisected path", "{name}: {killed} killed");
+            killed = 0;
         }
     }
 

@@ -29,8 +29,9 @@ pub struct IterationStats {
     /// Whether this iteration used stepping (true) or doubling (false).
     pub stepping: bool,
     /// Candidates generated after same-pair deduplication, less those an
-    /// entry of the same `(owner, pivot)` already dominates: both engines
-    /// drop those before counting them.
+    /// entry of the same `(owner, pivot)` already dominates and, in a
+    /// pruned undirected build, those the hub table kills
+    /// ([`crate::hubs`]): both engines drop those before counting them.
     pub candidates: u64,
     /// Candidates rejected by the pruning test.
     pub pruned: u64,

@@ -34,7 +34,10 @@
 //!   engines, it leaves PLL's canonical labels, so every strategy ends
 //!   in one index;
 //! * [`external`] — the I/O-efficient construction of §4 on the
-//!   `extmem` substrate.
+//!   `extmem` substrate;
+//! * [`hubs`] — the distances from the top-ranked vertices that both
+//!   engines kill a pruned undirected build's candidates with, before
+//!   the label prune.
 //!
 //! The unminimized 6-rule generator (`sixrules.rs`) is compiled into
 //! the tests only, as an executable witness for Lemmas 3–4.
@@ -49,6 +52,7 @@ pub mod builder;
 pub mod config;
 pub mod engine;
 pub mod external;
+pub mod hubs;
 pub mod iteration;
 pub mod postprune;
 pub mod shard;

@@ -29,16 +29,33 @@
 //! engine, spilling, must build every pruned case's labels and rows
 //! exactly as `build_prelabeled` does on the same graph
 //! ([`assert_external_matches`]).
+//!
+//! The pruned undirected and weighted rows moved, and no label hash,
+//! when both engines started killing a candidate that the hub table
+//! (`hopdb::hubs`) dominates before counting it: `candidates` and
+//! `pruned` fall by the kills on every such row. On the unweighted
+//! graph's stepping rounds the table kills only what the label prune
+//! would, so `inserted` and `total_entries` stay; where the labels of
+//! a round hold upper bounds the table's exact distances beat — the
+//! weighted graph, and doubling rounds — the table also kills entries
+//! the label prune let in and the canonical filter dropped at the end,
+//! so those rows insert fewer entries, and the doubling build of the
+//! unweighted graph needs one round fewer. The directed rows and
+//! [`REDUCED`] (a directed graph) build no table and did not move.
+//! Every undirected build here is also held to the table: the index
+//! answers each vertex's distance to each hub the table holds
+//! ([`assert_hub_rows`]).
 
 use hop_doubling::extmem::ExtMemConfig;
 use hop_doubling::graphgen::{glp, orient_scale_free, with_random_weights, GlpParams};
 use hop_doubling::hopdb::engine::build_index;
 use hop_doubling::hopdb::external::build_external;
+use hop_doubling::hopdb::hubs::{HubTable, HUBS};
 use hop_doubling::hopdb::postprune::post_prune;
 use hop_doubling::hopdb::{build, build_prelabeled, BuildStats, HopDbConfig, Strategy};
 use hop_doubling::hoplabels::LabelIndex;
 use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
-use hop_doubling::sfgraph::Graph;
+use hop_doubling::sfgraph::{Graph, VertexId};
 
 /// `(candidates, pruned, inserted, total_entries)` of one iteration.
 type Row = (u64, u64, u64, u64);
@@ -77,11 +94,31 @@ fn rows(stats: &BuildStats) -> Vec<Row> {
 /// The kernel on the whole rank-relabeled graph, as `build` ranks it,
 /// and — on a pruned build, as the builders do — the canonical filter.
 fn measure(g: &Graph, cfg: &HopDbConfig) -> (u64, Vec<Row>) {
-    let (mut index, stats) = build_index(&ranked(g), cfg);
+    let g = ranked(g);
+    let (mut index, stats) = build_index(&g, cfg);
     if cfg.prune {
         post_prune(&mut index, cfg.parallelism);
     }
+    assert_hub_rows(&g, &index);
     (label_hash(&index), rows(&stats))
+}
+
+/// The hub table as an oracle: on an undirected rank-relabeled `g`,
+/// `index` answers `D[x][h]` for every vertex `x` and hub `h` whose
+/// entry is not saturated — an exact audit of `n × K` joins.
+fn assert_hub_rows(g: &Graph, index: &LabelIndex) {
+    if g.is_directed() {
+        return;
+    }
+    let table = HubTable::new(g, HUBS);
+    assert_eq!(table.hubs(), HUBS);
+    for x in g.vertices() {
+        for h in 0..table.hubs() {
+            if let Some(d) = table.distance(x, h) {
+                assert_eq!(index.query(x, h as VertexId), d, "dist({x}, hub {h})");
+            }
+        }
+    }
 }
 
 fn ranked(g: &Graph) -> Graph {
@@ -141,6 +178,7 @@ fn assert_external_matches(graph: &str, g: &Graph) {
     for (name, cfg) in configs().into_iter().filter(|(_, cfg)| cfg.prune) {
         let (mem, mem_stats) = build_prelabeled(&g, &cfg);
         let built = build_external(&g, &cfg, &ext).expect("external build");
+        assert_hub_rows(&g, &built.index);
         assert_eq!(
             (label_hash(&built.index), rows(&built.stats)),
             (label_hash(&mem), rows(&mem_stats)),
@@ -204,16 +242,16 @@ const REDUCED: (u64, u64, &[Row]) = (1025, 0xf58ccbc6b38d9557, &[
 #[rustfmt::skip]
 const UNDIRECTED: &[(&str, u64, &[Row])] = &[
     ("stepping", 0x87b9385e04411ffd, &[
-        (4635, 0, 4635, 6135), (23482, 9815, 13667, 19802), (8703, 7365, 1338, 21140),
-        (163, 136, 27, 21167), (0, 0, 0, 21167),
+        (4635, 0, 4635, 6135), (14095, 428, 13667, 19802), (1389, 51, 1338, 21140),
+        (27, 0, 27, 21167), (0, 0, 0, 21167),
     ]),
     ("doubling", 0x87b9385e04411ffd, &[
-        (4635, 0, 4635, 6135), (23482, 9815, 13667, 19802), (12628, 11080, 1548, 21350),
-        (3170, 3170, 0, 21350),
+        (4635, 0, 4635, 6135), (14095, 428, 13667, 19802), (1422, 51, 1371, 21173),
+        (0, 0, 0, 21173),
     ]),
     ("hybrid3", 0x87b9385e04411ffd, &[
-        (4635, 0, 4635, 6135), (23482, 9815, 13667, 19802), (8703, 7365, 1338, 21140),
-        (2159, 2132, 27, 21167), (65, 65, 0, 21167),
+        (4635, 0, 4635, 6135), (14095, 428, 13667, 19802), (1389, 51, 1338, 21140),
+        (27, 0, 27, 21167), (0, 0, 0, 21167),
     ]),
     ("stepping-unpruned", 0xe89ddd8611fe6f3d, &[
         (4635, 0, 4635, 6135), (23482, 0, 23482, 29617), (26105, 0, 26105, 55722),
@@ -275,17 +313,17 @@ const DIRECTED: &[(&str, u64, &[Row])] = &[
 #[rustfmt::skip]
 const WEIGHTED: &[(&str, u64, &[Row])] = &[
     ("stepping", 0x0492b86de4ac51bb, &[
-        (4543, 0, 4543, 6043), (25251, 5608, 19643, 25192), (26848, 15598, 11250, 31289),
-        (7488, 3947, 3541, 32399), (1555, 892, 663, 32579), (168, 107, 61, 32591),
-        (3, 0, 3, 32591), (0, 0, 0, 32591),
+        (4543, 0, 4543, 6043), (7078, 17, 7061, 12768), (7561, 45, 7516, 18896),
+        (3227, 19, 3208, 21261), (635, 2, 633, 21720), (60, 0, 60, 21762), (3, 0, 3, 21764),
+        (0, 0, 0, 21764),
     ]),
     ("doubling", 0x0492b86de4ac51bb, &[
-        (4543, 0, 4543, 6043), (25251, 5608, 19643, 25192), (41036, 27504, 13532, 32890),
-        (13646, 11913, 1733, 33397), (1176, 1176, 0, 33397),
+        (4543, 0, 4543, 6043), (7078, 17, 7061, 12768), (9366, 55, 9311, 20568),
+        (1655, 27, 1628, 21789), (0, 0, 0, 21789),
     ]),
     ("hybrid3", 0x0492b86de4ac51bb, &[
-        (4543, 0, 4543, 6043), (25251, 5608, 19643, 25192), (26848, 15598, 11250, 31289),
-        (14445, 10505, 3940, 32534), (2605, 2422, 183, 32596), (158, 158, 0, 32596),
+        (4543, 0, 4543, 6043), (7078, 17, 7061, 12768), (7561, 45, 7516, 18896),
+        (3662, 28, 3634, 21626), (179, 3, 176, 21764), (0, 0, 0, 21764),
     ]),
     ("stepping-unpruned", 0x9727a5a4d353f64b, &[
         (4543, 0, 4543, 6043), (25251, 0, 25251, 30650), (40853, 0, 40853, 59958),

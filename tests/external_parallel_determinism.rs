@@ -205,10 +205,22 @@ fn external_io_counters_equal_their_recorded_values() {
     // The records encoded stay: both graphs' seeding sorts fit in memory,
     // so they wrote each record once, as the walk does.
     //
+    // The raw candidates the joins offered and those the hub table
+    // killed were pinned beside them when both engines started killing
+    // a candidate that the table of the 16 top-ranked vertices'
+    // distances dominates before it reaches the sorter: on the
+    // undirected graph the table kills 77 % of what the joins offer, so
+    // the candidate sorters spill 8 → 2 runs, the prunes take 5 → 2
+    // blocks, and the build reads 405 606 → 278 829 B and writes
+    // 228 513 → 123 779 B (100 + 56 → 69 + 31 blocks, 3 → 2 merge
+    // passes), with 103 642 / 184 387 → 53 159 / 114 065 records
+    // encoded / decoded. The directed graph builds no table: its
+    // numbers stay, and it kills nothing.
+    //
     // ((bytes read, bytes written, blocks read, blocks written),
     //  sort runs, merge passes, seeks, (records encoded, records decoded),
-    //  prune blocks)
-    type Counters = ((u64, u64, u64, u64), u64, u64, u64, (u64, u64), u64);
+    //  prune blocks, (raw candidates, hub-killed))
+    type Counters = ((u64, u64, u64, u64), u64, u64, u64, (u64, u64), u64, (u64, u64));
     let und = glp(&GlpParams::with_density(2_000, 3.0, 7));
     let dir = orient_scale_free(&glp(&GlpParams::with_density(1_500, 2.5, 13)), 0.25, 13);
     let cases: [(&str, Graph, RankBy, Counters); 2] = [
@@ -216,13 +228,13 @@ fn external_io_counters_equal_their_recorded_values() {
             "undirected glp-2k-d3 (seed 7)",
             und,
             RankBy::Degree,
-            ((405_606, 228_513, 100, 56), 8, 3, 1, (103_642, 184_387), 5),
+            ((278_829, 123_779, 69, 31), 2, 2, 1, (53_159, 114_065), 2, (102_883, 78_782)),
         ),
         (
             "directed glp-1.5k-d2.5 (seed 13)",
             dir,
             RankBy::DegreeProduct,
-            ((298_973, 90_117, 73, 23), 0, 2, 0, (36_499, 111_756), 8),
+            ((298_973, 90_117, 73, 23), 0, 2, 0, (36_499, 111_756), 8, (50_631, 0)),
         ),
     ];
     // M = 16 Ki records, B = 4 KiB: small enough that the sorters spill
@@ -241,7 +253,8 @@ fn external_io_counters_equal_their_recorded_values() {
                     built.merge_passes,
                     built.seeks,
                     records,
-                    built.prune_blocks
+                    built.prune_blocks,
+                    (built.raw_candidates, built.hub_killed)
                 ),
                 recorded,
                 "{name}, {threads} thread(s)"
