@@ -97,10 +97,7 @@ impl BitParallelIndex {
         let root_index_of =
             |v: VertexId| -> Option<u32> { roots.iter().position(|&r| r == v).map(|i| i as u32) };
 
-        let labels = match index {
-            LabelIndex::Undirected(u) => &u.labels,
-            LabelIndex::Directed(_) => unreachable!(),
-        };
+        let labels = &index.sides()[0];
 
         let mut tuples: Vec<Vec<BpTuple>> = vec![Vec::new(); n];
         let mut markers = vec![0u64; n];
@@ -237,7 +234,7 @@ enum Role {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hoplabels::{LabelEntry, UndirectedLabels};
+    use hoplabels::LabelEntry;
     use sfgraph::traversal::all_pairs;
     use sfgraph::{Graph, GraphBuilder};
 
@@ -269,7 +266,7 @@ mod tests {
                 labels[t].insert_min(LabelEntry::new(w, ap[w as usize][t]));
             }
         }
-        LabelIndex::Undirected(UndirectedLabels { labels })
+        LabelIndex::from_sides(vec![labels])
     }
 
     fn check_graph(g: &Graph, num_roots: usize) {

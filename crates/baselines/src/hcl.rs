@@ -22,10 +22,8 @@
 //! (then `d(s,h) + d(h,t)` equals the true distance for that `h`) or
 //! avoids `H`, in which case the restricted search finds it.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-
 use sfgraph::ranking::{rank_vertices, RankBy};
+use sfgraph::traversal::bidirectional_bounded;
 use sfgraph::{Direction, Dist, Graph, VertexId, INF_DIST};
 
 use crate::oracle::DistanceOracle;
@@ -90,123 +88,15 @@ impl HighwayCover {
         }
         best
     }
-
-    /// Bidirectional search that never expands *through* a highway
-    /// vertex, bounded above by `cap` (the best highway answer).
-    fn avoid_highway_search(&self, s: VertexId, t: VertexId, cap: Dist) -> Dist {
-        if self.graph.is_weighted() {
-            self.avoid_dijkstra(s, t, cap)
-        } else {
-            self.avoid_bfs(s, t, cap)
-        }
-    }
-
-    fn avoid_bfs(&self, s: VertexId, t: VertexId, cap: Dist) -> Dist {
-        let n = self.graph.num_vertices();
-        let mut dist = [vec![INF_DIST; n], vec![INF_DIST; n]];
-        let mut queues = [VecDeque::new(), VecDeque::new()];
-        dist[0][s as usize] = 0;
-        dist[1][t as usize] = 0;
-        queues[0].push_back(s);
-        queues[1].push_back(t);
-        let dirs = [Direction::Out, Direction::In];
-        let mut radius = [0u32, 0u32];
-        let mut best = cap;
-        while !queues[0].is_empty() || !queues[1].is_empty() {
-            if radius[0] + radius[1] >= best {
-                break;
-            }
-            let side = if queues[1].is_empty()
-                || (!queues[0].is_empty() && queues[0].len() <= queues[1].len())
-            {
-                0
-            } else {
-                1
-            };
-            let mut next = VecDeque::new();
-            while let Some(v) = queues[side].pop_front() {
-                let d = dist[side][v as usize];
-                // Expand v unless it is a highway vertex (paths through
-                // the highway are covered by the label part). The
-                // endpoints themselves are always expanded.
-                if self.is_highway[v as usize] && v != s && v != t {
-                    continue;
-                }
-                for &u in self.graph.neighbors(v, dirs[side]) {
-                    if dist[side][u as usize] == INF_DIST {
-                        dist[side][u as usize] = d + 1;
-                        if dist[1 - side][u as usize] != INF_DIST {
-                            best = best.min(d + 1 + dist[1 - side][u as usize]);
-                        }
-                        next.push_back(u);
-                    }
-                }
-            }
-            queues[side] = next;
-            radius[side] += 1;
-        }
-        best
-    }
-
-    fn avoid_dijkstra(&self, s: VertexId, t: VertexId, cap: Dist) -> Dist {
-        let n = self.graph.num_vertices();
-        let mut dist = [vec![INF_DIST; n], vec![INF_DIST; n]];
-        let mut heaps: [BinaryHeap<Reverse<(Dist, VertexId)>>; 2] =
-            [BinaryHeap::new(), BinaryHeap::new()];
-        dist[0][s as usize] = 0;
-        dist[1][t as usize] = 0;
-        heaps[0].push(Reverse((0, s)));
-        heaps[1].push(Reverse((0, t)));
-        let dirs = [Direction::Out, Direction::In];
-        let mut best = cap;
-        loop {
-            let top_f = heaps[0].peek().map(|r| r.0 .0);
-            let top_b = heaps[1].peek().map(|r| r.0 .0);
-            let (side, top) = match (top_f, top_b) {
-                (None, None) => break,
-                (Some(f), None) => (0, f),
-                (None, Some(b)) => (1, b),
-                (Some(f), Some(b)) => {
-                    if f <= b {
-                        (0, f)
-                    } else {
-                        (1, b)
-                    }
-                }
-            };
-            let other = heaps[1 - side].peek().map_or(INF_DIST, |r| r.0 .0);
-            if best != INF_DIST && top.saturating_add(other) >= best {
-                break;
-            }
-            let Reverse((d, v)) = heaps[side].pop().unwrap();
-            if d > dist[side][v as usize] {
-                continue;
-            }
-            if dist[1 - side][v as usize] != INF_DIST {
-                best = best.min(d.saturating_add(dist[1 - side][v as usize]));
-            }
-            if self.is_highway[v as usize] && v != s && v != t {
-                continue; // meet allowed, expansion through is not
-            }
-            for (u, w) in self.graph.edges(v, dirs[side]) {
-                let nd = d.saturating_add(w);
-                if nd < dist[side][u as usize] {
-                    dist[side][u as usize] = nd;
-                    heaps[side].push(Reverse((nd, u)));
-                }
-            }
-        }
-        best
-    }
 }
 
 impl DistanceOracle for HighwayCover {
     fn distance(&self, s: VertexId, t: VertexId) -> Dist {
-        if s == t {
-            return 0;
-        }
-        let via = self.via_highway(s, t);
-        self.avoid_highway_search(s, t, via)
+        // Bounded by the highway answer, a bidirectional search that
+        // meets at a highway vertex but never expands through one other
+        // than `s` and `t`: paths through the highway are covered above.
+        let expand = |v: VertexId| !self.is_highway[v as usize] || v == s || v == t;
+        bidirectional_bounded(&self.graph, s, t, self.via_highway(s, t), expand)
     }
 
     fn name(&self) -> &'static str {

@@ -18,10 +18,10 @@
 //! which the bench harness reports as DNF, mirroring the paper's
 //! 24-hour timeouts.
 
-use hoplabels::index::{LabelIndex, VertexLabels};
+use hoplabels::index::{side_table, LabelIndex, VertexLabels};
 use hoplabels::LabelEntry;
 use sfgraph::hash::FxHashMap;
-use sfgraph::{Dist, Graph, VertexId};
+use sfgraph::{Direction, Dist, Graph, VertexId};
 
 use crate::oracle::DistanceOracle;
 
@@ -67,6 +67,16 @@ struct Removal {
     level: u32,
 }
 
+impl Removal {
+    /// The neighbours at removal in direction `dir`.
+    fn neighbours(&self, dir: Direction) -> &[(VertexId, Dist)] {
+        match dir {
+            Direction::Out => &self.out,
+            Direction::In => &self.inn,
+        }
+    }
+}
+
 impl IsLabel {
     /// Build the complete hierarchy and labels.
     ///
@@ -99,7 +109,7 @@ impl IsLabel {
             }
         };
         for u in g.vertices() {
-            for (v, w) in g.edges(u, sfgraph::Direction::Out) {
+            for (v, w) in g.edges(u, Direction::Out) {
                 add_arc(&mut fwd, &mut bwd, &mut arcs, u, v, w);
             }
         }
@@ -167,36 +177,15 @@ impl IsLabel {
         by_level.sort_unstable_by_key(|&v| {
             std::cmp::Reverse(removals[v as usize].as_ref().expect("all removed").level)
         });
-        let directed = g.is_directed();
-        let mut out_labels: Vec<VertexLabels> =
-            (0..n).map(|v| VertexLabels::with_trivial(v as VertexId)).collect();
-        let mut in_labels: Vec<VertexLabels> = if directed {
-            (0..n).map(|v| VertexLabels::with_trivial(v as VertexId)).collect()
-        } else {
-            Vec::new()
-        };
+        // Each side's label of `v` inherits through the neighbours its
+        // seeds come from: paths `v ⇝ pivot` via out-neighbours on
+        // `Lout`, `pivot ⇝ v` via in-neighbours on `Lin`, either on `L`.
+        let mut index = LabelIndex::new(n, g.is_directed());
         for &v in &by_level {
             let removal = removals[v as usize].as_ref().expect("all removed");
-            // Out-label: paths v ⇝ pivot via out-neighbour u.
-            let mut acc: Vec<LabelEntry> = Vec::new();
-            for &(u, w) in &removal.out {
-                acc.push(LabelEntry::new(u, w));
-                for e in out_labels[u as usize].entries() {
-                    acc.push(LabelEntry::new(e.pivot, e.dist.saturating_add(w)));
-                }
-            }
-            for e in acc {
-                out_labels[v as usize].insert_min(e);
-            }
-            // In-label: paths pivot ⇝ v via in-neighbour u.
-            let (labels, neighbours) = if directed {
-                (&mut in_labels, &removal.inn)
-            } else {
-                (&mut out_labels, &removal.inn)
-            };
-            if directed {
+            for (labels, rule) in index.sides_mut().iter_mut().zip(side_table(g.is_directed())) {
                 let mut acc: Vec<LabelEntry> = Vec::new();
-                for &(u, w) in neighbours {
+                for &(u, w) in removal.neighbours(rule.step.reverse()) {
                     acc.push(LabelEntry::new(u, w));
                     for e in labels[u as usize].entries() {
                         acc.push(LabelEntry::new(e.pivot, e.dist.saturating_add(w)));
@@ -207,9 +196,6 @@ impl IsLabel {
                 }
             }
         }
-
-        let sides = if directed { vec![out_labels, in_labels] } else { vec![out_labels] };
-        let index = LabelIndex::from_sides(sides);
         Ok(IsLabel { index, levels: level, order: by_level })
     }
 
@@ -242,7 +228,7 @@ impl IsLabel {
                 .map(|&v| VertexLabels::from_entries(renumbered(v).collect()))
                 .collect()
         };
-        let sides = self.index.sides().into_iter().map(renumber).collect();
+        let sides = self.index.sides().iter().map(|side| renumber(side)).collect();
         (LabelIndex::from_sides(sides), new_id)
     }
 }
@@ -267,10 +253,26 @@ mod tests {
     use sfgraph::traversal::all_pairs;
     use sfgraph::GraphBuilder;
 
+    /// FNV-1a over every side's labels, entry by entry.
+    fn label_hash(index: &LabelIndex) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for label in index.sides().iter().flat_map(|side| side.iter()) {
+            let bytes = label
+                .entries()
+                .iter()
+                .flat_map(|e| e.pivot.to_le_bytes().into_iter().chain(e.dist.to_le_bytes()));
+            for b in bytes.chain(u32::MAX.to_le_bytes()) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
     #[test]
     fn exact_on_random_graphs() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        let mut pins = Vec::new();
         for _ in 0..15 {
             let n = rng.gen_range(3..25);
             let directed = rng.gen_bool(0.5);
@@ -293,6 +295,7 @@ mod tests {
             let g = b.build();
             let truth = all_pairs(&g);
             let isl = IsLabel::build(&g, usize::MAX).unwrap();
+            pins.push((directed, isl.index().total_entries(), label_hash(isl.index())));
             // Renumbered, the index has an image, which answers the same.
             let (leveled, id) = isl.leveled();
             let flat = hoplabels::FlatIndex::from_index(&leveled);
@@ -305,6 +308,26 @@ mod tests {
                 }
             }
         }
+        // `(directed, total_entries, label hash)` per graph: the labels
+        // themselves, not only their answers.
+        let recorded = [
+            (false, 78, 12809812317806371869),
+            (false, 128, 12990013338524206892),
+            (false, 89, 10671792096619439002),
+            (false, 99, 11414680928635224952),
+            (false, 68, 7325464554123919645),
+            (true, 29, 4715308279970182306),
+            (false, 8, 4030729339319120900),
+            (false, 85, 5294155753924830744),
+            (false, 81, 8873541473720840183),
+            (false, 5, 16456979710638901780),
+            (true, 109, 5478391775173433625),
+            (false, 5, 8201735569852089114),
+            (false, 6, 3089650720019437866),
+            (true, 66, 7296436719996364285),
+            (true, 187, 13531424313951821985),
+        ];
+        assert_eq!(pins, recorded);
     }
 
     #[test]

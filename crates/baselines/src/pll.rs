@@ -7,7 +7,8 @@
 //! built so far already answer `dist(vk, u) ≤ δ`, in which case the
 //! search is pruned at `u` (the entry is skipped and `u`'s edges are
 //! not relaxed). For directed graphs a forward search fills `Lin` and a
-//! backward search fills `Lout`.
+//! backward search fills `Lout`: each side's search walks its `step` of
+//! `hoplabels::index::side_table`.
 //!
 //! The result is the canonical minimal 2-hop cover for the given order,
 //! which makes PLL the reference point for HopDb's label sizes
@@ -18,7 +19,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use hoplabels::index::{merge_join, DirectedLabels, LabelIndex, UndirectedLabels, VertexLabels};
+use hoplabels::index::{merge_join, side_table, LabelIndex, VertexLabels};
 use hoplabels::LabelEntry;
 use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy, Ranking};
 use sfgraph::{Direction, Dist, Graph, VertexId};
@@ -84,49 +85,25 @@ impl DistanceOracle for Pll {
 }
 
 /// Build a PLL index on a rank-relabeled graph (id 0 = highest rank).
+///
+/// From each root `vk`, one pruned search per side of
+/// [`side_table`], along the side's `step`: forward for `Lin`, backward
+/// for `Lout`, either way for `L`. It adds `(vk, δ)` to that side's
+/// label of every vertex it reaches, pruning with `vk`'s label on the
+/// `across` side. A search from `vk` never writes `vk`'s own labels, so
+/// the order of the sides does not change the labels.
 pub fn build_prelabeled(g: &Graph) -> LabelIndex {
-    let n = g.num_vertices();
-    if g.is_directed() {
-        let mut d = DirectedLabels {
-            in_labels: (0..n).map(|v| VertexLabels::with_trivial(v as VertexId)).collect(),
-            out_labels: (0..n).map(|v| VertexLabels::with_trivial(v as VertexId)).collect(),
-        };
-        for vk in 0..n as VertexId {
-            // Forward search from vk covers paths vk ⇝ u: entries for
-            // Lin(u); the pruning query joins Lout(vk) with Lin(u).
-            pruned_search(
-                g,
-                vk,
-                Direction::Out,
-                &d.out_labels[vk as usize].clone(),
-                |u, dist, pivot_labels| {
-                    prune_or_insert(&mut d.in_labels, u, vk, dist, pivot_labels)
-                },
-            );
-            // Backward search covers paths u ⇝ vk: entries for Lout(u);
-            // pruning joins Lout(u) with Lin(vk).
-            pruned_search(
-                g,
-                vk,
-                Direction::In,
-                &d.in_labels[vk as usize].clone(),
-                |u, dist, pivot_labels| {
-                    prune_or_insert(&mut d.out_labels, u, vk, dist, pivot_labels)
-                },
-            );
-        }
-        LabelIndex::Directed(d)
-    } else {
-        let mut labels: Vec<VertexLabels> =
-            (0..n).map(|v| VertexLabels::with_trivial(v as VertexId)).collect();
-        for vk in 0..n as VertexId {
-            let pivot_labels = labels[vk as usize].clone();
-            pruned_search(g, vk, Direction::Out, &pivot_labels, |u, dist, pl| {
-                prune_or_insert(&mut labels, u, vk, dist, pl)
+    let mut index = LabelIndex::new(g.num_vertices(), g.is_directed());
+    for vk in g.vertices() {
+        for (own, rule) in side_table(g.is_directed()).iter().enumerate() {
+            let pivot_labels = index.sides()[rule.across][vk as usize].clone();
+            let labels = &mut index.sides_mut()[own];
+            pruned_search(g, vk, rule.step, &pivot_labels, |u, dist, pivot_labels| {
+                prune_or_insert(labels, u, vk, dist, pivot_labels)
             });
         }
-        LabelIndex::Undirected(UndirectedLabels { labels })
     }
+    index
 }
 
 /// Returns `true` if the entry was inserted (search continues through
@@ -267,8 +244,7 @@ mod tests {
         // Degree ranking on G_R gives exactly Table 3's small cover.
         let g = graphgen::road_graph_gr();
         let index = build_prelabeled(&g);
-        let LabelIndex::Undirected(u) = &index else { panic!() };
-        let sizes: Vec<usize> = u.labels.iter().map(|l| l.len()).collect();
+        let sizes: Vec<usize> = index.sides()[0].iter().map(|l| l.len()).collect();
         assert_eq!(sizes, vec![1, 2, 3, 2, 2]);
     }
 

@@ -4,7 +4,7 @@ use std::time::Instant;
 
 use hoplabels::flat::FlatIndex;
 use hoplabels::image::record_fits;
-use hoplabels::index::{LabelIndex, Record, VertexLabels};
+use hoplabels::index::{side_table, LabelIndex, Record, VertexLabels};
 use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy, Ranking};
 use sfgraph::reduce::{eliminate, Reduced};
 use sfgraph::{Direction, Dist, Graph, VertexId};
@@ -127,10 +127,11 @@ fn record_of(g: &Graph, v: VertexId, dir: Direction) -> Option<Record> {
 /// The vertices of `g` with one or two neighbours whose records fit an
 /// image, eliminated from its core.
 pub(crate) fn peel(g: &Graph) -> Reduced<'_> {
+    let table = side_table(g.is_directed());
     eliminate(g, |v| {
-        [Direction::Out, Direction::In]
-            .into_iter()
-            .all(|dir| record_of(g, v, dir).is_none_or(|r| record_fits(&r)))
+        table
+            .iter()
+            .all(|rule| record_of(g, v, rule.step.reverse()).is_none_or(|r| record_fits(&r)))
     })
 }
 
@@ -161,10 +162,12 @@ pub(crate) fn derive_fringe(
         stats.post_prune_elapsed = started.elapsed();
         stats.elapsed += stats.post_prune_elapsed;
     }
-    // `[Lout, Lin]` holds the arcs out of and into the vertex, `[L]` all.
-    for (side, dir) in index.sides_mut().into_iter().zip([Direction::Out, Direction::In]) {
+    // A side's record holds the arcs its seeds come from: `[Lout, Lin]`
+    // the arcs out of and into the vertex, `[L]` all.
+    let table = side_table(index.is_directed());
+    for (side, rule) in index.sides_mut().iter_mut().zip(table) {
         for &v in &derived {
-            let record = record_of(g, v, dir);
+            let record = record_of(g, v, rule.step.reverse());
             side[v as usize] = record.map_or_else(VertexLabels::new, VertexLabels::from_record);
         }
     }

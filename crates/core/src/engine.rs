@@ -10,12 +10,14 @@
 //!
 //! ## Sides
 //!
-//! A side σ is one label array under construction (`own`), the array it
-//! is joined against (`across`), the entries `prev` that the previous
-//! iteration added to `own` — grouped by owner, so `prev(u)` is a
-//! pivot-sorted slice — and the edge direction stepping walks. A
-//! directed build is two sides whose `across` is each other; an
-//! undirected build (§7) is one side whose `across` is itself.
+//! A side σ is one label array under construction (`own`), the entries
+//! `prev` that the previous iteration added to `own` — grouped by owner,
+//! so `prev(u)` is a pivot-sorted slice — and its row of the side table,
+//! `hoplabels::index::side_table`: the array it is joined against
+//! (`across`) and the edge direction stepping walks (`step`). A directed
+//! build is two sides whose `across` is each other; an undirected build
+//! (§7) is one side whose `across` is itself. Both engines, the
+//! canonical filter and the finished `LabelIndex` read the one table.
 //!
 //! ## One arc rule
 //!
@@ -107,48 +109,29 @@
 use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
-use hoplabels::index::{merge_join, LabelIndex, VertexLabels};
+use hoplabels::index::{merge_join, side_table, LabelIndex, SideRule, VertexLabels};
 use hoplabels::LabelEntry;
 use sfgraph::{Direction, Dist, Graph, VertexId, INF_DIST};
 
 use crate::config::HopDbConfig;
 use crate::hubs::{HubTable, HUBS};
-use crate::iteration::{fixpoint, BuildStats, IterationStats, Rounds, ShardStats};
+use crate::iteration::{fixpoint, BuildStats, IterationStats, Rounds};
 use crate::shard;
 
-/// How one side of a build starts (§3.1): what it is joined against and
-/// how stepping extends it.
-pub(crate) struct SideSeed {
-    /// Index of the side whose labels this side is joined against.
-    pub(crate) across: usize,
-    /// Edges of a `prev` entry's owner that stepping extends it over.
-    pub(crate) step: Direction,
-}
-
-impl SideSeed {
-    /// The entries that seed `owner`'s label on this side, one per edge,
-    /// pivots ascending: the edges against `step` to higher-ranked
-    /// (smaller-id) vertices. The graph has no self-loops or parallel
-    /// edges and keeps its adjacency sorted, so walked owner by owner
-    /// these are a round's survivors like any other.
-    pub(crate) fn seeds<'g>(
-        &self,
-        g: &'g Graph,
-        owner: VertexId,
-    ) -> impl Iterator<Item = (VertexId, Dist)> + 'g {
-        g.edges(owner, self.step.reverse()).take_while(move |&(v, _)| v < owner)
-    }
-}
-
-/// The sides of a build over `g`, in the fixed order out → in: an edge
-/// `u → v` seeds `(v, w) ∈ Lout(u)` when `r(v) > r(u)` and
-/// `(u, w) ∈ Lin(v)` otherwise; an undirected edge seeds the
-/// lower-ranked endpoint's single label (§7).
-pub(crate) fn seed_sides(g: &Graph) -> Vec<SideSeed> {
-    if !g.is_directed() {
-        return vec![SideSeed { across: 0, step: Direction::Out }];
-    }
-    vec![SideSeed { across: 1, step: Direction::In }, SideSeed { across: 0, step: Direction::Out }]
+/// The entries that seed `owner`'s label on a side whose entries extend
+/// along `step` (`hoplabels::index::side_table`), one per edge, pivots
+/// ascending: its arcs against `step` to higher-ranked (smaller-id)
+/// vertices — an edge `u → v` seeds `(v, w) ∈ Lout(u)` when `r(v) >
+/// r(u)` and `(u, w) ∈ Lin(v)` otherwise, an undirected edge the
+/// lower-ranked endpoint's single label (§3.1, §7). The graph has no
+/// self-loops or parallel edges and keeps its adjacency sorted, so
+/// walked owner by owner these are a round's survivors like any other.
+pub(crate) fn seeds(
+    g: &Graph,
+    step: Direction,
+    owner: VertexId,
+) -> impl Iterator<Item = (VertexId, Dist)> + '_ {
+    g.edges(owner, step.reverse()).take_while(move |&(v, _)| v < owner)
 }
 
 /// Label entries grouped by owner: owners ascending, each owner's
@@ -271,12 +254,10 @@ impl InvView {
 
 /// One label array under construction; see the module docs.
 struct Side {
-    /// Index in [`Engine::sides`] of the side this one is joined against
-    /// (the other side of a directed build, itself when undirected).
-    across: usize,
-    /// Edges of a `prev` entry's owner that stepping extends it over; an
-    /// owner pulls over the reverse.
-    step: Direction,
+    /// Its row of the side table: the side in [`Engine::sides`] it is
+    /// joined against, and the edges of a `prev` entry's owner that
+    /// stepping extends it over (an owner pulls over the reverse).
+    rule: SideRule,
     /// `own`: the labels this side grows.
     labels: Vec<VertexLabels>,
     /// Inverted view of `labels`; `None` until the first doubling round.
@@ -496,21 +477,22 @@ impl<'g> Engine<'g> {
     /// are also the first `prev`.
     fn seeded(g: &'g Graph, prune: bool) -> Engine<'g> {
         let n = g.num_vertices();
-        let sides: Vec<Side> = seed_sides(g)
-            .into_iter()
-            .map(|seed| {
+        let sides: Vec<Side> = side_table(g.is_directed())
+            .iter()
+            .map(|&rule| {
                 let mut labels: Vec<VertexLabels> =
                     (0..n).map(|v| VertexLabels::with_trivial(v as VertexId)).collect();
-                let mut seeds = Groups::default();
+                let mut first = Groups::default();
                 for owner in g.vertices() {
-                    let start = seeds.entries.len();
-                    seeds.entries.extend(seed.seeds(g, owner).map(|(v, w)| LabelEntry::new(v, w)));
-                    labels[owner as usize].merge_min_sorted(&seeds.entries[start..], |_, _| {});
-                    seeds.close(owner);
+                    let start = first.entries.len();
+                    let arcs = seeds(g, rule.step, owner);
+                    first.entries.extend(arcs.map(|(v, w)| LabelEntry::new(v, w)));
+                    labels[owner as usize].merge_min_sorted(&first.entries[start..], |_, _| {});
+                    first.close(owner);
                 }
                 let mut prev = Prev::new(n);
-                prev.replace(std::iter::once(&seeds));
-                Side { across: seed.across, step: seed.step, labels, inv: None, prev }
+                prev.replace(std::iter::once(&first));
+                Side { rule, labels, inv: None, prev }
             })
             .collect();
         let total_entries = sides.iter().map(|s| (n + s.prev.groups.entries.len()) as u64).sum();
@@ -539,9 +521,9 @@ impl<'g> Engine<'g> {
                     *w = w.saturating_add(group.len() as u32);
                 };
                 if stepping {
-                    self.g.neighbors(u, side.step).iter().copied().for_each(pulls);
+                    self.g.neighbors(u, side.rule.step).iter().copied().for_each(pulls);
                 } else {
-                    let label = self.sides[side.across].labels[u as usize].entries();
+                    let label = self.sides[side.rule.across].labels[u as usize].entries();
                     label.iter().map(|e| e.pivot).filter(|&x| x != u).for_each(&mut pulls);
                     side.inv().owners_of(u).iter().map(|&(x, _)| x).for_each(pulls);
                 }
@@ -602,9 +584,9 @@ impl<'g> Engine<'g> {
             }
         };
         if stepping {
-            self.g.edges(x, side.step.reverse()).for_each(|(u, w)| over(u, w));
+            self.g.edges(x, side.rule.step.reverse()).for_each(|(u, w)| over(u, w));
         } else {
-            self.sides[side.across].inv().owners_of(x).iter().for_each(|&(u, w)| over(u, w));
+            self.sides[side.rule.across].inv().owners_of(x).iter().for_each(|&(u, w)| over(u, w));
             let own = side.labels[x as usize].entries().iter().filter(|e| e.pivot != x);
             own.for_each(|e| over(e.pivot, e.dist));
         }
@@ -638,7 +620,7 @@ impl<'g> Engine<'g> {
         kept: &mut Vec<LabelEntry>,
     ) -> (u64, u64) {
         let own = &side.labels[x as usize];
-        let (across, hubs) = (&self.sides[side.across].labels, self.hubs.as_ref());
+        let (across, hubs) = (&self.sides[side.rule.across].labels, self.hubs.as_ref());
         if marked {
             own.entries().iter().for_each(|e| mark[e.pivot as usize] = e.dist);
         }
@@ -733,16 +715,6 @@ impl Rounds for Engine<'_> {
             side.prev.replace(outcomes.iter().map(|o| &o.survivors[s]));
         }
         self.total_entries += applied.iter().map(|a| a.added).sum::<u64>();
-        let mut shards = Vec::new();
-        if threads > 1 {
-            shards.extend((0..threads).map(|shard| ShardStats { shard, ..ShardStats::default() }));
-            for (r, o) in outcomes.iter().enumerate() {
-                let worker = &mut shards[r % threads];
-                worker.candidates += o.candidates;
-                worker.pruned += o.pruned;
-                worker.elapsed += o.gather + o.prune;
-            }
-        }
         Ok(IterationStats {
             candidates: outcomes.iter().map(|o| o.candidates).sum(),
             pruned: outcomes.iter().map(|o| o.pruned).sum(),
@@ -751,7 +723,6 @@ impl Rounds for Engine<'_> {
             gather: planning + outcomes.iter().map(|o| o.gather).sum::<Duration>(),
             prune: outcomes.iter().map(|o| o.prune).sum(),
             apply: applied.iter().map(|a| a.elapsed).sum(),
-            shards,
             ..IterationStats::default()
         })
     }
@@ -965,10 +936,10 @@ mod tests {
     }
 
     /// Force several workers (small graphs normally fall back to one
-    /// thread) and check the per-worker counters and survivors add up to
-    /// the sequential ones.
+    /// thread) and check that their ranges' `Pruned` outcomes — counters
+    /// and survivors — add up to the sequential ones.
     #[test]
-    fn forced_sharding_reports_shard_stats() {
+    fn forced_sharding_splits_the_outcomes_without_changing_them() {
         let mut b = GraphBuilder::new_undirected(64);
         for i in 0..64u32 {
             b.add_edge(i, (i + 1) % 64);
@@ -1054,14 +1025,15 @@ mod tests {
                         HopDbConfig::with_strategy(strategy.clone()).with_parallelism(threads);
                     let (und_index, und_stats) = build_prelabeled(&und, &cfg);
                     let (twin_index, twin_stats) = build_prelabeled(&twin, &cfg);
-                    let (LabelIndex::Undirected(u), LabelIndex::Directed(d)) =
-                        (&und_index, &twin_index)
-                    else {
-                        panic!("index kinds must follow the graph kinds");
-                    };
+                    let (u, d) = (und_index.sides(), twin_index.sides());
+                    assert_eq!(
+                        (u.len(), d.len()),
+                        (1, 2),
+                        "index kinds must follow the graph kinds"
+                    );
                     let what = format!("case {case}, {strategy:?}, {threads} threads");
-                    assert_eq!(d.out_labels, u.labels, "{what}: Lout != L");
-                    assert_eq!(d.in_labels, u.labels, "{what}: Lin != L");
+                    assert_eq!(d[0], u[0], "{what}: Lout != L");
+                    assert_eq!(d[1], u[0], "{what}: Lin != L");
                     assert_eq!(twin_stats.num_iterations(), und_stats.num_iterations(), "{what}");
                 }
             }
@@ -1129,11 +1101,11 @@ mod tests {
             for &LabelEntry { pivot: v, dist: d } in group {
                 match rule {
                     Rule::Stepping => {
-                        e.g.edges(u, side.step)
+                        e.g.edges(u, side.rule.step)
                             .filter(|&(x, _)| x > v)
                             .for_each(|(x, w)| emit(x, v, d + w))
                     }
-                    Rule::Label => e.sides[side.across].labels[u as usize]
+                    Rule::Label => e.sides[side.rule.across].labels[u as usize]
                         .entries()
                         .iter()
                         .filter(|l| l.pivot > v && l.pivot < u)
@@ -1324,8 +1296,8 @@ mod tests {
             let (index, stats) = build_index(&g, &cfg);
             assert_exact(&g, &index);
             assert!(stats.num_iterations() > 2);
-            let LabelIndex::Directed(d) = &index else { panic!("directed graph") };
-            assert!(d.in_labels.iter().all(|l| l.len() == 1), "in-labels grew: {:?}", d.in_labels);
+            let lin = &index.sides()[1];
+            assert!(lin.iter().all(|l| l.len() == 1), "in-labels grew: {lin:?}");
         }
     }
 }

@@ -62,10 +62,10 @@ fn to_sorted(entries: &[(u32, u32)]) -> Vec<LabelEntry> {
 }
 
 fn assert_labels_match(index: &LabelIndex, lin: &[Vec<(u32, u32)>], lout: &[Vec<(u32, u32)>]) {
-    let LabelIndex::Directed(d) = index else { panic!("expected directed index") };
+    let [out, inn] = index.sides() else { panic!("expected directed index") };
     for v in 0..8 {
-        assert_eq!(d.in_labels[v].entries(), to_sorted(&lin[v]).as_slice(), "Lin({v}) mismatch");
-        assert_eq!(d.out_labels[v].entries(), to_sorted(&lout[v]).as_slice(), "Lout({v}) mismatch");
+        assert_eq!(inn[v].entries(), to_sorted(&lin[v]).as_slice(), "Lin({v}) mismatch");
+        assert_eq!(out[v].entries(), to_sorted(&lout[v]).as_slice(), "Lout({v}) mismatch");
     }
 }
 
@@ -124,7 +124,7 @@ fn table_3_road_graph_small_cover() {
     // G_R with ids = rank order (a=0 … e=4). Expected: Table 3.
     let g = road_graph_gr();
     let (index, _) = build_index(&g, &HopDbConfig::with_strategy(Strategy::Stepping));
-    let LabelIndex::Undirected(u) = &index else { panic!("undirected expected") };
+    let [l] = index.sides() else { panic!("undirected expected") };
     let expect: Vec<Vec<(u32, u32)>> = vec![
         vec![(0, 0)],
         vec![(1, 0), (0, 1)],
@@ -133,7 +133,7 @@ fn table_3_road_graph_small_cover() {
         vec![(4, 0), (0, 1)],
     ];
     for v in 0..5 {
-        assert_eq!(u.labels[v].entries(), to_sorted(&expect[v]).as_slice(), "L({v})");
+        assert_eq!(l[v].entries(), to_sorted(&expect[v]).as_slice(), "L({v})");
     }
     assert_exact(&g, &index);
     assert!(is_minimal(&g, &index), "Table 3's cover is minimal");
@@ -144,11 +144,11 @@ fn table_4_star_graph_small_cover() {
     // G_S with centre a = 0: every leaf label is {(leaf,0), (0,1)}.
     let g = star_graph_gs();
     let (index, _) = build_index(&g, &HopDbConfig::default());
-    let LabelIndex::Undirected(u) = &index else { panic!("undirected expected") };
-    assert_eq!(u.labels[0].entries(), &[LabelEntry::new(0, 0)]);
+    let [l] = index.sides() else { panic!("undirected expected") };
+    assert_eq!(l[0].entries(), &[LabelEntry::new(0, 0)]);
     for leaf in 1..6 {
         assert_eq!(
-            u.labels[leaf].entries(),
+            l[leaf].entries(),
             &[LabelEntry::new(0, 1), LabelEntry::new(leaf as u32, 0)],
             "L({leaf})"
         );

@@ -121,32 +121,27 @@
 //! `u128`), 8 an own entry (a `LabelEntry`) and 8 an owner (its vertex
 //! and where its entries end). It takes no owner once it holds `12 × M`
 //! bytes, so it passes that by at most one owner group, which alone may
-//! be larger; beside it is the label of the pivot being visited. The
-//! block it replaced counted `M/2` records of 12 bytes — 12 a candidate,
-//! 12 an own entry — and kept 21 uncounted bytes a candidate beside them
-//! (a group index, a keep flag, a pivot-order word and its radix
-//! scratch) and 8 an owner: 33 bytes a candidate, 12 an own entry and 8
-//! an owner, up to about `16.5 × M` in all. Every sorter's spill
-//! packs its `M` records into sort words and radix-sorts them through a
-//! scratch buffer of the same length: 16 bytes per record of `M` when
-//! the record fits a `u64`, 32 when it takes a `u128`, allocated for
-//! that spill and freed when its run is written; a sorter that never
-//! spills pays it once, at its end, beside a 12-byte sorted copy of its
-//! buffer, which its stream serves. A pipelined sorter can hold up to
-//! `(spill queue depth + 2) × M` records in flight (one buffer filling,
-//! two queued, one being sorted), and a threaded two-sided build runs
-//! both sides at once — two prunes, each with its own block and head —
-//! so size `memory_records` with roughly an 8× margin when threading.
+//! be larger; beside it is the label of the pivot being visited. Every
+//! sorter's spill packs its `M` records into sort words and radix-sorts
+//! them through a scratch buffer of the same length: 16 bytes per record
+//! of `M` when the record fits a `u64`, 32 when it takes a `u128`,
+//! allocated for that spill and freed when its run is written; a sorter
+//! that never spills pays it once, at its end, beside a 12-byte sorted
+//! copy of its buffer, which its stream serves. A pipelined sorter can
+//! hold up to `(spill queue depth + 2) × M` records in flight (one buffer
+//! filling, two queued, one being sorted), and a threaded two-sided build
+//! runs both sides at once — two prunes, each with its own block and head
+//! — so size `memory_records` with roughly an 8× margin when threading.
 //! Every open run reader and writer holds one block of bytes, never a
 //! decoded chunk, and every open run its directory: a 24-byte entry
 //! (first key, byte offset, first record index) per chunk, `N/B` of them
 //! (about 24 KB for a 4 MB label file at 4 KB blocks). A reader of
 //! `labels` opens one reader per run, so each delta on the stack adds a
 //! block buffer, its directory (a delta holds at most a quarter of the
-//! base's bytes, so the directories sum to about 1.25× the base's) and
-//! a merge slot to every pass over the labels; the prune's `across`
-//! reader splits its head budget over the runs by their bytes, so the
-//! heads together never pass `6 × M` bytes.
+//! base's bytes, so the directories sum to about 1.25× the base's) and a
+//! merge slot to every pass over the labels; the prune's `across` reader
+//! splits its head budget over the runs by their bytes, so the heads
+//! together never pass `6 × M` bytes.
 //!
 //! Beside the graph, which the build holds in memory to peel and seed
 //! it, a pruned undirected build holds the hub table: `n × K` bytes
@@ -182,13 +177,13 @@ use extmem::radix::{self, Packing, Word};
 use extmem::run::{RecordSource, Rewind, Run, RunReader, RunWriter};
 use extmem::sorter::{merge_readers, ExternalSorter, SortedStream};
 use extmem::{ExtMemConfig, LabelRecord};
-use hoplabels::index::{merge_join, LabelIndex, VertexLabels};
+use hoplabels::index::{merge_join, side_table, LabelIndex, VertexLabels};
 use hoplabels::LabelEntry;
 use sfgraph::{Direction, Graph, VertexId};
 
 use crate::builder::{derive_fringe, peel};
 use crate::config::HopDbConfig;
-use crate::engine::{lap, run_workers, seed_sides};
+use crate::engine::{lap, run_workers};
 use crate::hubs::{HubTable, HUBS};
 use crate::iteration::{fixpoint, BuildStats, IterationStats, Rounds};
 
@@ -745,10 +740,10 @@ fn prune_blocks<W: Word>(
 /// formulation): `own`, the new entries of the previous iteration, and
 /// the edge file stepping joins against.
 struct Side {
-    /// Index of the side whose label files this side is joined against
-    /// (the other side of a directed build, itself when undirected).
+    /// The side whose label files this side is joined against, from the
+    /// side table (`hoplabels::index::side_table`).
     across: usize,
-    /// Edges of each vertex in this side's step direction.
+    /// Edges of each vertex in this side's `step` direction.
     edges: Run,
     /// `own`, sorted by `(owner, pivot)`.
     labels: Labels,
@@ -955,13 +950,13 @@ fn seed<'s>(
     let n = g.num_vertices();
     let mut sides = Vec::new();
     let mut seeds = 0u64;
-    for seed in seed_sides(g) {
+    for rule in side_table(g.is_directed()) {
         // Each owner's seeds, then — in `labels` only, `prev` holds only
         // new entries — its self-entry, the highest pivot of its label.
         let mut labels = RunWriter::new(store.create("labels")?, ext.block_bytes);
         let mut prev = RunWriter::new(store.create("prev")?, ext.block_bytes);
         for owner in g.vertices() {
-            for (pivot, w) in seed.seeds(g, owner) {
+            for (pivot, w) in crate::engine::seeds(g, rule.step, owner) {
                 let record = LabelRecord::new(owner, pivot, w);
                 labels.push(record)?;
                 prev.push(record)?;
@@ -970,8 +965,8 @@ fn seed<'s>(
             labels.push(LabelRecord::new(owner, owner, 0))?;
         }
         sides.push(Side {
-            across: seed.across,
-            edges: edge_run(store, ext, g, seed.step)?,
+            across: rule.across,
+            edges: edge_run(store, ext, g, rule.step)?,
             labels: Labels::new(labels.finish()?),
             prev: Arc::new(prev.finish()?),
         });

@@ -5,21 +5,6 @@ use std::time::{Duration, Instant};
 
 use crate::config::Strategy;
 
-/// What one worker contributed to an iteration of the parallel engine:
-/// the round's owners are cut into contiguous ranges, and each worker
-/// gathers and prunes the candidates of its ranges independently.
-#[derive(Clone, Debug, Default)]
-pub struct ShardStats {
-    /// Worker number.
-    pub shard: usize,
-    /// Deduplicated candidates of this worker's owners.
-    pub candidates: u64,
-    /// Candidates this worker rejected with the pruning test.
-    pub pruned: u64,
-    /// Time the worker spent in its gather + prune phase.
-    pub elapsed: Duration,
-}
-
 /// What one iteration of the generate-and-prune loop did.
 #[derive(Clone, Debug, Default)]
 pub struct IterationStats {
@@ -55,9 +40,6 @@ pub struct IterationStats {
     pub io_read_bytes: u64,
     /// Bytes the iteration wrote to the external-memory store.
     pub io_write_bytes: u64,
-    /// Per-worker breakdown when the in-memory engine ran the iteration
-    /// on several workers (empty otherwise).
-    pub shards: Vec<ShardStats>,
 }
 
 impl IterationStats {
@@ -68,18 +50,6 @@ impl IterationStats {
         } else {
             self.pruned as f64 / self.candidates as f64
         }
-    }
-
-    /// Load imbalance of a multi-worker round: the largest worker's
-    /// candidate count divided by the mean (1.0 = perfectly balanced;
-    /// 0.0 when the round ran on one worker or saw no candidates).
-    pub fn shard_imbalance(&self) -> f64 {
-        let total: u64 = self.shards.iter().map(|s| s.candidates).sum();
-        if self.shards.is_empty() || total == 0 {
-            return 0.0;
-        }
-        let max = self.shards.iter().map(|s| s.candidates).max().unwrap_or(0);
-        max as f64 * self.shards.len() as f64 / total as f64
     }
 }
 
@@ -203,17 +173,6 @@ mod tests {
     fn pruning_factor() {
         assert_eq!(iter(2, 100, 25, 75).pruning_factor(), 0.25);
         assert_eq!(iter(2, 0, 0, 0).pruning_factor(), 0.0);
-    }
-
-    #[test]
-    fn shard_imbalance() {
-        let mut it = iter(2, 100, 0, 100);
-        assert_eq!(it.shard_imbalance(), 0.0, "unsharded rounds report 0");
-        it.shards = vec![
-            ShardStats { shard: 0, candidates: 75, ..Default::default() },
-            ShardStats { shard: 1, candidates: 25, ..Default::default() },
-        ];
-        assert_eq!(it.shard_imbalance(), 1.5);
     }
 
     #[test]

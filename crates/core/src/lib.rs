@@ -64,4 +64,4 @@ mod sixrules;
 
 pub use builder::{build, build_prelabeled, rank, HopDb};
 pub use config::{HopDbConfig, Strategy};
-pub use iteration::{BuildStats, IterationStats, ShardStats};
+pub use iteration::{BuildStats, IterationStats};

@@ -31,7 +31,7 @@
 //! entry for a verdict; then each label is compacted in place. No copy
 //! of the labels is made.
 
-use hoplabels::index::{merge_join, LabelIndex, VertexLabels};
+use hoplabels::index::{merge_join, side_table, LabelIndex, VertexLabels};
 use hoplabels::LabelEntry;
 use sfgraph::{Dist, INF_DIST};
 
@@ -44,8 +44,8 @@ use crate::shard;
 pub fn post_prune(index: &mut LabelIndex, threads: usize) -> u64 {
     let (n, before) = (index.num_vertices(), index.total_entries());
     let threads = shard::effective_threads(threads, before);
-    let sides = index.sides();
-    let across = |own: usize| sides[sides.len() - 1 - own];
+    let (sides, table) = (index.sides(), side_table(index.is_directed()));
+    let across = |own: usize| &sides[table[own].across][..];
     // Per side, owner ranges of about equal work: an entry scans the
     // `across` label of its pivot.
     let cuts: Vec<Vec<usize>> = (0..sides.len())
@@ -64,7 +64,7 @@ pub fn post_prune(index: &mut LabelIndex, threads: usize) -> u64 {
             .map(|own| judge(&sides[own][cuts[own][w]..cuts[own][w + 1]], across(own), &mut mark));
         judged.collect::<Vec<_>>()
     });
-    for (own, labels) in index.sides_mut().into_iter().enumerate() {
+    for (own, labels) in index.sides_mut().iter_mut().enumerate() {
         for (w, verdicts) in verdicts.iter().enumerate() {
             let (mut at, dropped) = (0, &verdicts[own]);
             for label in &mut labels[cuts[own][w]..cuts[own][w + 1]] {
@@ -140,7 +140,8 @@ mod tests {
     /// and the distance as the bound.
     fn rank_ordered(index: &mut LabelIndex) -> u64 {
         let n = index.num_vertices();
-        let mut sides = index.sides_mut();
+        let table = side_table(index.is_directed());
+        let sides = index.sides_mut();
         let mut by_pivot: Vec<Vec<(VertexId, usize)>> = vec![Vec::new(); n];
         for (side, labels) in sides.iter().enumerate() {
             for (owner, l) in labels.iter().enumerate() {
@@ -152,7 +153,7 @@ mod tests {
         let mut removed = 0;
         for pivot in 0..n as VertexId {
             for &(owner, own) in &by_pivot[pivot as usize] {
-                let across = sides.len() - 1 - own;
+                let across = table[own].across;
                 let Some(dist) = sides[own][owner as usize].get(pivot) else { continue };
                 let covered = merge_join(
                     sides[own][owner as usize].entries(),
@@ -270,14 +271,10 @@ mod tests {
         // Lout(2); Example 2 prunes it. The filter must remove it too.
         let g = graphgen::example_graph_fig3();
         let (mut index, _) = build_index(&g, &HopDbConfig::unpruned(Strategy::Doubling));
-        if let LabelIndex::Directed(d) = &index {
-            assert_eq!(d.out_labels[2].get(1), Some(2), "unpruned keeps (2→1,2)");
-        }
+        assert_eq!(index.source_labels(2).get(1), Some(2), "unpruned keeps (2→1,2)");
         let removed = post_prune(&mut index, 1);
         assert!(removed >= 1);
-        if let LabelIndex::Directed(d) = &index {
-            assert_eq!(d.out_labels[2].get(1), None, "post-prune removes (2→1,2)");
-        }
+        assert_eq!(index.source_labels(2).get(1), None, "post-prune removes (2→1,2)");
         assert_exact(&g, &index);
     }
 

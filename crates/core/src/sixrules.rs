@@ -16,7 +16,7 @@
 //! Intended for small test graphs only — the closure is quadratic in the
 //! number of covered pairs.
 
-use hoplabels::index::{DirectedLabels, LabelIndex, VertexLabels};
+use hoplabels::index::{LabelIndex, VertexLabels};
 use hoplabels::LabelEntry;
 use sfgraph::hash::FxHashMap;
 use sfgraph::{Direction, Dist, Graph, VertexId};
@@ -81,7 +81,7 @@ pub fn six_rule_closure(g: &Graph) -> LabelIndex {
             inn[b as usize].insert_min(LabelEntry::new(a, d));
         }
     }
-    LabelIndex::Directed(DirectedLabels { in_labels: inn, out_labels: out })
+    LabelIndex::from_sides(vec![out, inn])
 }
 
 fn offer(

@@ -219,18 +219,14 @@ mod tests {
     use super::*;
     use crate::entry::LabelEntry;
     use crate::flat::FlatIndex;
-    use crate::index::{DirectedLabels, VertexLabels};
     use sfgraph::INF_DIST;
 
     fn small_directed_index() -> LabelIndex {
         // Path 1 -> 0 -> 2 plus 3 isolated.
-        let mut d = DirectedLabels {
-            in_labels: (0..4).map(|v| VertexLabels::with_trivial(v as VertexId)).collect(),
-            out_labels: (0..4).map(|v| VertexLabels::with_trivial(v as VertexId)).collect(),
-        };
-        d.out_labels[1].insert_min(LabelEntry::new(0, 1));
-        d.in_labels[2].insert_min(LabelEntry::new(0, 1));
-        LabelIndex::Directed(d)
+        let mut d = LabelIndex::new(4, true);
+        d.sides_mut()[0][1].insert_min(LabelEntry::new(0, 1));
+        d.sides_mut()[1][2].insert_min(LabelEntry::new(0, 1));
+        d
     }
 
     /// There is one image: `write_hopidx` into a `Vec` is byte for byte
@@ -277,11 +273,9 @@ mod tests {
 
     #[test]
     fn undirected_roundtrip() {
-        let mut idx = LabelIndex::new_undirected(3);
-        if let LabelIndex::Undirected(u) = &mut idx {
-            u.labels[1].insert_min(LabelEntry::new(0, 2));
-            u.labels[2].insert_min(LabelEntry::new(0, 5));
-        }
+        let mut idx = LabelIndex::new(3, false);
+        idx.sides_mut()[0][1].insert_min(LabelEntry::new(0, 2));
+        idx.sides_mut()[0][2].insert_min(LabelEntry::new(0, 5));
         let store = TempStore::new().unwrap();
         let mut disk = DiskIndex::create(&idx, &store, "u").unwrap();
         assert_eq!(disk.query(1, 2).unwrap(), 7);
@@ -290,8 +284,8 @@ mod tests {
         assert_one_image(&idx);
         // No vertices at all: the image is the 20-byte prefix and the
         // one-slot directory.
-        assert_one_image(&LabelIndex::new_undirected(0));
-        assert_one_image(&LabelIndex::new_directed(0));
+        assert_one_image(&LabelIndex::new(0, false));
+        assert_one_image(&LabelIndex::new(0, true));
     }
 
     #[test]

@@ -54,11 +54,10 @@ use crate::index::{resolve, LabelIndex, Record, NO_PARENT, RECORD_PAIRS};
 /// use hoplabels::flat::FlatIndex;
 /// use hoplabels::{LabelEntry, LabelIndex};
 ///
-/// let mut idx = LabelIndex::new_undirected(3);
-/// if let LabelIndex::Undirected(u) = &mut idx {
-///     u.labels[1].insert_min(LabelEntry::new(0, 2));
-///     u.labels[2].insert_min(LabelEntry::new(0, 5));
-/// }
+/// let mut idx = LabelIndex::new(3, false);
+/// let l = &mut idx.sides_mut()[0]; // an undirected index's one side, `L`
+/// l[1].insert_min(LabelEntry::new(0, 2));
+/// l[2].insert_min(LabelEntry::new(0, 5));
 /// let flat = FlatIndex::from_index(&idx);
 /// assert_eq!(flat.query(1, 2), 7); // 1 –2– 0 –5– 2
 /// assert_eq!(flat.query(2, 2), 0);
@@ -655,17 +654,14 @@ pub(crate) unsafe fn decode_in_place(
 mod tests {
     use super::*;
     use crate::entry::LabelEntry;
-    use crate::index::{DirectedLabels, VertexLabels};
+    use crate::index::VertexLabels;
 
     fn directed_example() -> LabelIndex {
         // Path 1 -> 0 -> 2 plus 3 isolated.
-        let mut d = DirectedLabels {
-            in_labels: (0..4).map(|v| VertexLabels::with_trivial(v as VertexId)).collect(),
-            out_labels: (0..4).map(|v| VertexLabels::with_trivial(v as VertexId)).collect(),
-        };
-        d.out_labels[1].insert_min(LabelEntry::new(0, 1));
-        d.in_labels[2].insert_min(LabelEntry::new(0, 1));
-        LabelIndex::Directed(d)
+        let mut d = LabelIndex::new(4, true);
+        d.sides_mut()[0][1].insert_min(LabelEntry::new(0, 1));
+        d.sides_mut()[1][2].insert_min(LabelEntry::new(0, 1));
+        d
     }
 
     #[test]
@@ -683,11 +679,9 @@ mod tests {
 
     #[test]
     fn flat_matches_nested_undirected() {
-        let mut idx = LabelIndex::new_undirected(3);
-        if let LabelIndex::Undirected(u) = &mut idx {
-            u.labels[1].insert_min(LabelEntry::new(0, 2));
-            u.labels[2].insert_min(LabelEntry::new(0, 5));
-        }
+        let mut idx = LabelIndex::new(3, false);
+        idx.sides_mut()[0][1].insert_min(LabelEntry::new(0, 2));
+        idx.sides_mut()[0][2].insert_min(LabelEntry::new(0, 5));
         let flat = FlatIndex::from_index(&idx);
         for s in 0..3u32 {
             for t in 0..3u32 {
@@ -715,15 +709,13 @@ mod tests {
             let short: Vec<LabelEntry> =
                 (0..short_len as u32).map(|p| LabelEntry::new(6 * p, 2 * p + 3)).collect();
             for (l, s) in [(1_200, 1_201), (1_201, 1_200), (1_200, 150)] {
-                let mut idx = LabelIndex::new_undirected(1_202);
-                if let LabelIndex::Undirected(u) = &mut idx {
-                    let cut = |entries: &[LabelEntry], v: u32| {
-                        let below = entries.iter().filter(|e| e.pivot < v).copied();
-                        VertexLabels::from_entries(below.chain([LabelEntry::trivial(v)]).collect())
-                    };
-                    u.labels[l as usize] = cut(&long, l);
-                    u.labels[s as usize] = cut(&short, s);
-                }
+                let mut idx = LabelIndex::new(1_202, false);
+                let cut = |entries: &[LabelEntry], v: u32| {
+                    let below = entries.iter().filter(|e| e.pivot < v).copied();
+                    VertexLabels::from_entries(below.chain([LabelEntry::trivial(v)]).collect())
+                };
+                idx.sides_mut()[0][l as usize] = cut(&long, l);
+                idx.sides_mut()[0][s as usize] = cut(&short, s);
                 let flat = FlatIndex::from_index(&idx);
                 assert_eq!(flat.query(l, s), idx.query(l, s), "short_len {short_len}");
                 assert_eq!(flat.query(s, l), idx.query(s, l), "short_len {short_len}");
@@ -733,17 +725,15 @@ mod tests {
 
     #[test]
     fn disjoint_and_past_the_end_pivots_are_unreachable() {
-        let mut idx = LabelIndex::new_undirected(2_002);
-        if let LabelIndex::Undirected(u) = &mut idx {
-            u.labels[2_000] =
-                VertexLabels::from_entries((0..200).map(|p| LabelEntry::new(2 * p, 1)).collect());
-            // Odd pivots only, one far past the long side's last pivot.
-            u.labels[2_001] = VertexLabels::from_entries(vec![
-                LabelEntry::new(1, 1),
-                LabelEntry::new(7, 1),
-                LabelEntry::new(1_999, 1),
-            ]);
-        }
+        let mut idx = LabelIndex::new(2_002, false);
+        idx.sides_mut()[0][2_000] =
+            VertexLabels::from_entries((0..200).map(|p| LabelEntry::new(2 * p, 1)).collect());
+        // Odd pivots only, one far past the long side's last pivot.
+        idx.sides_mut()[0][2_001] = VertexLabels::from_entries(vec![
+            LabelEntry::new(1, 1),
+            LabelEntry::new(7, 1),
+            LabelEntry::new(1_999, 1),
+        ]);
         let flat = FlatIndex::from_index(&idx);
         assert_eq!(flat.query(2_000, 2_001), INF_DIST);
     }
@@ -752,11 +742,9 @@ mod tests {
     fn large_distances_and_saturating_sums_stay_exact() {
         // Distances near u32 bounds: sums clamp to unreachable exactly
         // like the nested join's saturating add.
-        let mut idx = LabelIndex::new_undirected(3);
-        if let LabelIndex::Undirected(u) = &mut idx {
-            u.labels[1].insert_min(LabelEntry::new(0, 123_456_789));
-            u.labels[2].insert_min(LabelEntry::new(0, INF_DIST - 1));
-        }
+        let mut idx = LabelIndex::new(3, false);
+        idx.sides_mut()[0][1].insert_min(LabelEntry::new(0, 123_456_789));
+        idx.sides_mut()[0][2].insert_min(LabelEntry::new(0, INF_DIST - 1));
         let flat = FlatIndex::from_index(&idx);
         for s in 0..3u32 {
             for t in 0..3u32 {
@@ -767,7 +755,7 @@ mod tests {
 
     #[test]
     fn self_query_short_circuits_even_for_empty_labels() {
-        let idx = LabelIndex::new_undirected(2);
+        let idx = LabelIndex::new(2, false);
         let flat = FlatIndex::from_index(&idx);
         assert_eq!(flat.query(1, 1), 0);
     }
@@ -775,7 +763,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "vertex out of range")]
     fn an_out_of_range_self_query_panics_like_any_other() {
-        let flat = FlatIndex::from_index(&LabelIndex::new_undirected(2));
+        let flat = FlatIndex::from_index(&LabelIndex::new(2, false));
         flat.query(2 + 5, 2 + 5);
     }
 
@@ -798,10 +786,8 @@ mod tests {
         use extmem::device::TempStore;
         let store = TempStore::new().unwrap();
         for idx in [directed_example(), {
-            let mut u = LabelIndex::new_undirected(3);
-            if let LabelIndex::Undirected(l) = &mut u {
-                l.labels[1].insert_min(LabelEntry::new(0, 2));
-            }
+            let mut u = LabelIndex::new(3, false);
+            u.sides_mut()[0][1].insert_min(LabelEntry::new(0, 2));
             u
         }] {
             let disk = crate::disk::DiskIndex::create(&idx, &store, "flat-rt").unwrap();

@@ -809,7 +809,7 @@ impl LabelIndex {
     /// `InvalidInput`, found before the first byte is written.
     pub fn write_hopidx(&self, w: &mut impl Write) -> io::Result<u64> {
         let sides = self.sides();
-        for side in &sides {
+        for side in sides {
             side.iter().enumerate().try_for_each(|(v, l)| check_slot(side, v, l))?;
         }
         let widths = Widths::of(sides.iter().flat_map(|side| side.iter().enumerate()));
@@ -857,7 +857,7 @@ impl LabelIndex {
             }
             image.drain(WRITE_BUFFER_BYTES)?;
         }
-        for side in &sides {
+        for side in sides {
             for (v, l) in side.iter().enumerate() {
                 encode_label(l, v, widths, &mut image.buf);
                 image.drain(WRITE_BUFFER_BYTES)?;
@@ -947,7 +947,6 @@ pub(crate) fn read_index(bytes: &[u8]) -> io::Result<LabelIndex> {
 mod tests {
     use super::*;
     use crate::flat::{decode_in_place, FlatIndex};
-    use crate::index::{DirectedLabels, UndirectedLabels};
     use proptest::prelude::*;
     use sfgraph::INF_DIST;
 
@@ -1159,9 +1158,9 @@ mod tests {
             let n = v + 1;
             let mut labels: Vec<_> = (0..n as VertexId).map(VertexLabels::with_trivial).collect();
             labels[v] = with_self(&label, v);
-            whole_image(&LabelIndex::Undirected(UndirectedLabels { labels: labels.clone() }));
+            whole_image(&LabelIndex::from_sides(vec![labels.clone()]));
             let out_labels = (0..n as VertexId).map(VertexLabels::with_trivial).collect();
-            whole_image(&LabelIndex::Directed(DirectedLabels { out_labels, in_labels: labels }));
+            whole_image(&LabelIndex::from_sides(vec![out_labels, labels]));
         }
     }
 
@@ -1182,7 +1181,7 @@ mod tests {
                     let dist = if p + 1 == hubs { top } else { (1 + p % 3).min(top) };
                     labels[n - 1].insert_min(LabelEntry::new(p, dist));
                 }
-                let index = LabelIndex::Undirected(UndirectedLabels { labels });
+                let index = LabelIndex::from_sides(vec![labels]);
                 let image = whole_image(&index);
                 let flat = FlatIndex::from_hopidx_bytes(&image).unwrap();
                 let layout = Layout::parse(&image, image.len() as u64).unwrap();
@@ -1207,7 +1206,7 @@ mod tests {
     #[cfg_attr(miri, ignore = "a 70 000-entry label is minutes under Miri")]
     fn the_writer_picks_the_largest_block_whose_offsets_fit() {
         // Small labels: one 64-vertex block spans a few hundred bytes.
-        let small = LabelIndex::new_undirected(200);
+        let small = LabelIndex::new(200, false);
         let image = whole_image(&small);
         assert_eq!(image[12], parity_byte(6), "blocks of 64");
         let header = Header::parse(&image).unwrap();
@@ -1220,9 +1219,8 @@ mod tests {
         for p in 64..v as VertexId {
             labels[v].insert_min(LabelEntry::new(p, 1));
         }
-        let undirected = LabelIndex::Undirected(UndirectedLabels { labels: labels.clone() });
-        let directed =
-            LabelIndex::Directed(DirectedLabels { out_labels: labels.clone(), in_labels: labels });
+        let undirected = LabelIndex::from_sides(vec![labels.clone()]);
+        let directed = LabelIndex::from_sides(vec![labels.clone(), labels]);
         for index in [undirected, directed] {
             let image = whole_image(&index);
             assert_eq!(image[12], parity_byte(0), "blocks of 1");
@@ -1240,10 +1238,8 @@ mod tests {
         // Labels of vertex 1: a pivot that is not a vertex, one above 1,
         // 1 itself at a distance other than 0, and distance 0 at 0.
         for entry in [(2, 1), (5, 1), (1, 3), (0, 0)] {
-            let mut idx = LabelIndex::new_undirected(3);
-            if let LabelIndex::Undirected(u) = &mut idx {
-                u.labels[1] = label_of(&[entry]);
-            }
+            let mut idx = LabelIndex::new(3, false);
+            idx.sides_mut()[0][1] = label_of(&[entry]);
             let err = idx.write_hopidx(&mut Vec::new()).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{entry:?}: {err}");
         }
@@ -1265,7 +1261,7 @@ mod tests {
             (record(&[(0, 1), (1, INF_DIST)]), label(1)),
         ] {
             let labels = vec![label(0), slot_1, slot];
-            let idx = LabelIndex::Undirected(UndirectedLabels { labels });
+            let idx = LabelIndex::from_sides(vec![labels]);
             let err = idx.write_hopidx(&mut Vec::new()).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{idx:?}: {err}");
         }
@@ -1279,7 +1275,7 @@ mod tests {
         let n = 16_387;
         let mut labels: Vec<_> = (0..n).map(label).collect();
         labels[n as usize - 1] = record(&[(16_384, 1), (16_385, 1)]);
-        let idx = LabelIndex::Undirected(UndirectedLabels { labels });
+        let idx = LabelIndex::from_sides(vec![labels]);
         let err = idx.write_hopidx(&mut Vec::new()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
     }
@@ -1292,17 +1288,17 @@ mod tests {
         // in, from 1.
         let mut labels: Vec<_> = (0..5).map(VertexLabels::with_trivial).collect();
         labels[1].insert_min(LabelEntry::new(0, 1));
-        let without = LabelIndex::Undirected(UndirectedLabels { labels: labels.clone() });
+        let without = LabelIndex::from_sides(vec![labels.clone()]);
         labels[2] = VertexLabels::from_record(Record::new(&[(0, 5)]));
         labels[3] = VertexLabels::from_record(Record::new(&[(1, 70_000)]));
         labels[4] = VertexLabels::from_record(Record::new(&[(0, 3), (1, 200)]));
-        let with = LabelIndex::Undirected(UndirectedLabels { labels: labels.clone() });
+        let with = LabelIndex::from_sides(vec![labels.clone()]);
         let mut out_labels = labels;
         let mut in_labels = out_labels.clone();
         in_labels[3] = VertexLabels::new();
         in_labels[4] = VertexLabels::from_record(Record::new(&[(1, 2)]));
         out_labels[2] = VertexLabels::new();
-        let directed = LabelIndex::Directed(DirectedLabels { out_labels, in_labels });
+        let directed = LabelIndex::from_sides(vec![out_labels, in_labels]);
         for (idx, records) in [(&without, 0), (&with, 1), (&directed, 1)] {
             assert_eq!(whole_image(idx)[10], records, "the flags word's records bit");
         }

@@ -8,7 +8,7 @@
 use std::cmp::Ordering;
 use std::io;
 
-use sfgraph::{Dist, VertexId, INF_DIST};
+use sfgraph::{Direction, Dist, VertexId, INF_DIST};
 
 use crate::entry::LabelEntry;
 
@@ -420,76 +420,79 @@ fn parents<L>(
     Ok(Some(parents))
 }
 
-/// Labels of a directed graph: `Lin(v)` and `Lout(v)` per vertex.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DirectedLabels {
-    /// `Lin(v)`: pivots `u` with a path `u ⇝ v`, `r(u) > r(v)`.
-    pub in_labels: Vec<VertexLabels>,
-    /// `Lout(v)`: pivots `u` with a path `v ⇝ u`, `r(u) > r(v)`.
-    pub out_labels: Vec<VertexLabels>,
+/// One row of the side table ([`side_table`]): how the labels of one
+/// side are joined and how they grow.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SideRule {
+    /// The side this one is joined against: a query joins side 0 of `s`
+    /// with side `across(0)` of `t`, and a prune or the canonical filter
+    /// judges an entry `(x, v, d)` of this side by `own(x) ⋈ across(v)`.
+    pub across: usize,
+    /// The arcs this side's entries extend along: an entry of owner `u`
+    /// passes to each of `u`'s `step` neighbours — on `Lout` (`In`),
+    /// each `x` with an arc `x → u`. A side's seeds are its owners' arcs
+    /// the other way (§3.1), and a pruned search that fills this side
+    /// from a pivot walks along `step`.
+    pub step: Direction,
 }
 
-/// Labels of an undirected graph: a single `L(v)` per vertex.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct UndirectedLabels {
-    /// `L(v)`: pivots `u` with a path between `u` and `v`, `r(u) > r(v)`.
-    pub labels: Vec<VertexLabels>,
+/// The side table, keyed by `directed`: `[Lout, Lin]`, each joined
+/// against the other, or `[L]`, joined against itself (§7). `Lout(x)`
+/// holds pivots `x` reaches, so its entries pass back along in-arcs;
+/// `Lin(x)` holds pivots that reach `x`, so they pass on along out-arcs.
+/// Every builder loops over it, and [`LabelIndex::target_labels`]
+/// reads its side from it.
+pub fn side_table(directed: bool) -> &'static [SideRule] {
+    const DIRECTED: [SideRule; 2] =
+        [SideRule { across: 1, step: Direction::In }, SideRule { across: 0, step: Direction::Out }];
+    const UNDIRECTED: [SideRule; 1] = [SideRule { across: 0, step: Direction::Out }];
+    if directed {
+        &DIRECTED
+    } else {
+        &UNDIRECTED
+    }
 }
 
-/// A complete 2-hop label index for one graph.
+/// A complete 2-hop label index for one graph: its sides, one label per
+/// vertex each, in [`side_table`] order — `[Lout, Lin]` for a directed
+/// graph, `[L]` for an undirected one. `Lout(v)` holds pivots `u` with a
+/// path `v ⇝ u`, `Lin(v)` pivots `u` with a path `u ⇝ v`, `L(v)` pivots
+/// with a path either way; every pivot outranks its owner, `r(u) >
+/// r(v)`, save the self entry.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LabelIndex {
-    /// Directed: queries join `Lout(s)` with `Lin(t)`.
-    Directed(DirectedLabels),
-    /// Undirected: queries join `L(s)` with `L(t)`.
-    Undirected(UndirectedLabels),
+pub struct LabelIndex {
+    sides: Vec<Box<[VertexLabels]>>,
 }
 
 impl LabelIndex {
-    /// Fresh directed index on `n` vertices, trivial self-entries only.
-    pub fn new_directed(n: usize) -> LabelIndex {
-        LabelIndex::Directed(DirectedLabels {
-            in_labels: (0..n).map(|v| VertexLabels::with_trivial(v as VertexId)).collect(),
-            out_labels: (0..n).map(|v| VertexLabels::with_trivial(v as VertexId)).collect(),
-        })
-    }
-
-    /// Fresh undirected index on `n` vertices, trivial self-entries only.
-    pub fn new_undirected(n: usize) -> LabelIndex {
-        LabelIndex::Undirected(UndirectedLabels {
-            labels: (0..n).map(|v| VertexLabels::with_trivial(v as VertexId)).collect(),
-        })
+    /// Fresh index on `n` vertices, trivial self-entries only.
+    pub fn new(n: usize, directed: bool) -> LabelIndex {
+        let side = || (0..n).map(|v| VertexLabels::with_trivial(v as VertexId)).collect();
+        LabelIndex { sides: side_table(directed).iter().map(|_| side()).collect() }
     }
 
     /// Number of vertices covered.
     pub fn num_vertices(&self) -> usize {
-        match self {
-            LabelIndex::Directed(d) => d.out_labels.len(),
-            LabelIndex::Undirected(u) => u.labels.len(),
-        }
+        self.sides[0].len()
     }
 
-    /// Whether this is a directed index.
+    /// Whether this is a directed index: two sides.
     pub fn is_directed(&self) -> bool {
-        matches!(self, LabelIndex::Directed(_))
+        self.sides.len() == 2
     }
 
-    /// The label joined on the source side of a query (`Lout(s)` / `L(s)`).
+    /// The label joined on the source side of a query: side 0, `Lout(s)`
+    /// or `L(s)`.
     #[inline]
     pub fn source_labels(&self, s: VertexId) -> &VertexLabels {
-        match self {
-            LabelIndex::Directed(d) => &d.out_labels[s as usize],
-            LabelIndex::Undirected(u) => &u.labels[s as usize],
-        }
+        &self.sides[0][s as usize]
     }
 
-    /// The label joined on the target side of a query (`Lin(t)` / `L(t)`).
+    /// The label joined on the target side of a query: side `across(0)`,
+    /// `Lin(t)` or `L(t)`.
     #[inline]
     pub fn target_labels(&self, t: VertexId) -> &VertexLabels {
-        match self {
-            LabelIndex::Directed(d) => &d.in_labels[t as usize],
-            LabelIndex::Undirected(u) => &u.labels[t as usize],
-        }
+        &self.sides[side_table(self.is_directed())[0].across][t as usize]
     }
 
     /// Exact distance query `dist(s, t)`; [`INF_DIST`] when unreachable.
@@ -513,21 +516,14 @@ impl LabelIndex {
             .expect("a record's parent holds a label")
     }
 
-    /// The label arrays in image order: `[Lout, Lin]` for a directed
-    /// index, `[L]` for an undirected one.
-    pub fn sides(&self) -> Vec<&[VertexLabels]> {
-        match self {
-            LabelIndex::Directed(d) => vec![d.out_labels.as_slice(), d.in_labels.as_slice()],
-            LabelIndex::Undirected(u) => vec![u.labels.as_slice()],
-        }
+    /// The sides, in [`side_table`] order, which is also image order.
+    pub fn sides(&self) -> &[Box<[VertexLabels]>] {
+        &self.sides
     }
 
     /// [`LabelIndex::sides`], to change.
-    pub fn sides_mut(&mut self) -> Vec<&mut [VertexLabels]> {
-        match self {
-            LabelIndex::Directed(d) => vec![&mut d.out_labels[..], &mut d.in_labels[..]],
-            LabelIndex::Undirected(u) => vec![&mut u.labels[..]],
-        }
+    pub fn sides_mut(&mut self) -> &mut [Box<[VertexLabels]>] {
+        &mut self.sides
     }
 
     /// The index whose [`LabelIndex::sides`] are `sides`: `[L]` is an
@@ -536,14 +532,8 @@ impl LabelIndex {
     /// # Panics
     /// Unless there are one or two sides.
     pub fn from_sides(sides: Vec<Vec<VertexLabels>>) -> LabelIndex {
-        let mut sides = sides.into_iter();
-        match (sides.next(), sides.next(), sides.next()) {
-            (Some(labels), None, None) => LabelIndex::Undirected(UndirectedLabels { labels }),
-            (Some(out_labels), Some(in_labels), None) => {
-                LabelIndex::Directed(DirectedLabels { out_labels, in_labels })
-            }
-            _ => panic!("an index has one or two sides"),
-        }
+        assert!((1..=2).contains(&sides.len()), "an index has one or two sides");
+        LabelIndex { sides: sides.into_iter().map(Vec::into_boxed_slice).collect() }
     }
 
     /// Total number of stored entries (both directions for directed).
@@ -569,9 +559,8 @@ impl LabelIndex {
     /// yardstick for comparing labellings, which is what the
     /// baselines' `index_bytes` use it for.
     pub fn resident_bytes(&self) -> usize {
-        let directions = if self.is_directed() { 2 } else { 1 };
         self.total_entries() * std::mem::size_of::<LabelEntry>()
-            + directions * (self.num_vertices() + 1) * std::mem::size_of::<u64>()
+            + self.sides.len() * (self.num_vertices() + 1) * std::mem::size_of::<u64>()
     }
 }
 
@@ -773,7 +762,7 @@ mod tests {
 
     #[test]
     fn query_self_distance_zero() {
-        let idx = LabelIndex::new_undirected(4);
+        let idx = LabelIndex::new(4, false);
         assert_eq!(idx.query(2, 2), 0);
         assert_eq!(idx.query(1, 2), INF_DIST);
     }
@@ -781,7 +770,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "vertex out of range")]
     fn an_out_of_range_self_query_panics_like_any_other() {
-        LabelIndex::new_directed(3).query(3 + 5, 3 + 5);
+        LabelIndex::new(3, true).query(3 + 5, 3 + 5);
     }
 
     #[test]
@@ -796,7 +785,7 @@ mod tests {
         labels[4] = VertexLabels::from_record(Record::new(&[(0, 7)]));
         labels[5] = VertexLabels::from_record(Record::new(&[(0, 1), (2, 5)]));
         labels[6] = VertexLabels::from_record(Record::new(&[(0, 2), (2, 1)]));
-        let idx = LabelIndex::Undirected(UndirectedLabels { labels });
+        let idx = LabelIndex::from_sides(vec![labels]);
         let want = [
             [0, 1, 2, 5, 7, 1, 2],
             [1, 0, 1, 4, 8, 2, 2],
@@ -821,15 +810,46 @@ mod tests {
     #[test]
     fn directed_query_uses_out_then_in() {
         // Path 1 -> 0 -> 2 with pivot 0 (highest rank).
-        let mut d = DirectedLabels {
-            in_labels: (0..3).map(|v| VertexLabels::with_trivial(v as VertexId)).collect(),
-            out_labels: (0..3).map(|v| VertexLabels::with_trivial(v as VertexId)).collect(),
-        };
-        d.out_labels[1].insert_min(LabelEntry::new(0, 1));
-        d.in_labels[2].insert_min(LabelEntry::new(0, 1));
-        let idx = LabelIndex::Directed(d);
+        let mut idx = LabelIndex::new(3, true);
+        idx.sides_mut()[0][1].insert_min(LabelEntry::new(0, 1));
+        idx.sides_mut()[1][2].insert_min(LabelEntry::new(0, 1));
         assert_eq!(idx.query(1, 2), 2);
         assert_eq!(idx.query(2, 1), INF_DIST); // not symmetric
+    }
+
+    /// One side and two: the index reads its sides as [`side_table`]
+    /// says, and has no other shape.
+    #[test]
+    fn an_index_is_its_sides_read_by_the_side_table() {
+        // Vertex `v`'s label on side `s` holds the one entry `(0, 10s + v + 1)`.
+        let side = |s: u32| -> Vec<VertexLabels> {
+            let label =
+                |v: u32| VertexLabels::from_entries(vec![LabelEntry::new(0, 10 * s + v + 1)]);
+            (0..3).map(label).collect()
+        };
+        let steps = [Direction::In, Direction::Out];
+        for (sides, directed, across) in
+            [(vec![side(0)], false, vec![0]), (vec![side(0), side(1)], true, vec![1, 0])]
+        {
+            let idx = LabelIndex::from_sides(sides.clone());
+            assert_eq!(idx.is_directed(), directed);
+            assert_eq!(idx.sides().len(), sides.len());
+            let table = side_table(directed);
+            assert_eq!(table.iter().map(|r| r.across).collect::<Vec<_>>(), across);
+            let step: Vec<_> = table.iter().map(|r| r.step).collect();
+            assert_eq!(step, if directed { &steps[..] } else { &steps[1..] });
+            for v in 0..3 {
+                assert_eq!(idx.source_labels(v), &sides[0][v as usize]);
+                assert_eq!(idx.target_labels(v), &sides[table[0].across][v as usize]);
+                assert_eq!(idx.target_labels(v).get(0), Some(10 * across[0] as u32 + v + 1));
+            }
+            assert_eq!(LabelIndex::new(3, directed).sides().len(), sides.len());
+        }
+        for count in [0, 3] {
+            let sides = vec![side(0); count];
+            let built = std::panic::catch_unwind(|| LabelIndex::from_sides(sides));
+            assert!(built.is_err(), "{count} sides");
+        }
     }
 
     #[test]
@@ -845,19 +865,15 @@ mod tests {
 
     #[test]
     fn counts_and_sizes() {
-        let mut idx = LabelIndex::new_undirected(2);
-        if let LabelIndex::Undirected(u) = &mut idx {
-            u.labels[1].insert_min(LabelEntry::new(0, 1));
-        }
+        let mut idx = LabelIndex::new(2, false);
+        idx.sides_mut()[0][1].insert_min(LabelEntry::new(0, 1));
         assert_eq!(idx.total_entries(), 3);
         assert_eq!(idx.avg_label_size(), 1.5);
         // 3 entries × 8 plus the (n + 1) × 8-byte offset directory.
         assert_eq!(idx.resident_bytes(), 24 + 3 * 8);
 
-        let mut didx = LabelIndex::new_directed(2);
-        if let LabelIndex::Directed(d) = &mut didx {
-            d.out_labels[1].insert_min(LabelEntry::new(0, 1));
-        }
+        let mut didx = LabelIndex::new(2, true);
+        didx.sides_mut()[0][1].insert_min(LabelEntry::new(0, 1));
         // Two directories for a directed index.
         assert_eq!(didx.resident_bytes(), 5 * 8 + 2 * 3 * 8);
     }

@@ -10,9 +10,12 @@
 //! * [`index::VertexLabels`] — one vertex's label, sorted by pivot id,
 //!   or for a vertex derived from its one or two neighbours an
 //!   [`index::Record`] of those neighbours and the arcs' weights;
-//! * [`index::LabelIndex`] — the full index, `[Lout, Lin]` or `[L]`;
-//!   [`index::merge_join`] and [`index::resolve`], the 2-hop join and the
-//!   record rule that every reader, builder and baseline shares;
+//! * [`index::LabelIndex`] — the full index, a list of its sides,
+//!   `[Lout, Lin]` or `[L]`, read by [`index::side_table`], the one
+//!   table of which side each is joined against (`across`) and which
+//!   arcs its entries extend along (`step`) that every builder loops
+//!   over; [`index::merge_join`] and [`index::resolve`], the 2-hop join
+//!   and the record rule that every reader, builder and baseline shares;
 //! * [`image`] — `HOPIDX04`, the one serialized form: per label a
 //!   64-bit hub word, hub distances packed as `d − 1` at the image's
 //!   width (2–3 bits on the benchmark graphs) and a tail of one varint
@@ -57,7 +60,7 @@ pub mod verify;
 
 pub use entry::LabelEntry;
 pub use flat::{FlatIndex, QueryWork};
-pub use index::{DirectedLabels, LabelIndex, Record, UndirectedLabels, VertexLabels};
+pub use index::{LabelIndex, Record, VertexLabels};
 pub use overlay::{LiveIndex, OverlaySnapshot};
 pub use query::QueryBackend;
 pub use shard::{min_merge, shard_image, ShardSpec};

@@ -353,32 +353,14 @@ mod tests {
     fn full_index(g: &Graph) -> LabelIndex {
         let n = g.num_vertices();
         let ap = all_pairs(g);
-        let ap_rev: Option<Vec<Vec<Dist>>> = g.is_directed().then(|| {
-            (0..n)
-                .map(|t| (0..n).map(|s| ap[s][t]).collect::<Vec<Dist>>())
-                .collect::<Vec<Vec<Dist>>>()
-        });
-        let mut idx = if g.is_directed() {
-            LabelIndex::new_directed(n)
-        } else {
-            LabelIndex::new_undirected(n)
-        };
-        for v in 0..n {
-            for p in 0..=v {
-                match &mut idx {
-                    LabelIndex::Undirected(u) => {
-                        if ap[v][p] != INF_DIST {
-                            u.labels[v].insert_min(LabelEntry::new(p as VertexId, ap[v][p]));
-                        }
-                    }
-                    LabelIndex::Directed(d) => {
-                        if ap[v][p] != INF_DIST {
-                            d.out_labels[v].insert_min(LabelEntry::new(p as VertexId, ap[v][p]));
-                        }
-                        let to_v = ap_rev.as_ref().unwrap()[v][p];
-                        if to_v != INF_DIST {
-                            d.in_labels[v].insert_min(LabelEntry::new(p as VertexId, to_v));
-                        }
+        let mut idx = LabelIndex::new(n, g.is_directed());
+        for (side, labels) in idx.sides_mut().iter_mut().enumerate() {
+            for v in 0..n {
+                for p in 0..=v {
+                    // Side 0 holds distances from `v`, side 1 those to it.
+                    let d = if side == 0 { ap[v][p] } else { ap[p][v] };
+                    if d != INF_DIST {
+                        labels[v].insert_min(LabelEntry::new(p as VertexId, d));
                     }
                 }
             }

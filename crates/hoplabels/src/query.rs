@@ -16,11 +16,10 @@
 //! use hoplabels::{LabelEntry, LabelIndex, QueryBackend};
 //! use hoplabels::flat::FlatIndex;
 //!
-//! let mut idx = LabelIndex::new_undirected(3);
-//! if let LabelIndex::Undirected(u) = &mut idx {
-//!     u.labels[1].insert_min(LabelEntry::new(0, 2));
-//!     u.labels[2].insert_min(LabelEntry::new(0, 5));
-//! }
+//! let mut idx = LabelIndex::new(3, false);
+//! let l = &mut idx.sides_mut()[0]; // an undirected index's one side, `L`
+//! l[1].insert_min(LabelEntry::new(0, 2));
+//! l[2].insert_min(LabelEntry::new(0, 5));
 //! let backend: Box<dyn QueryBackend> = Box::new(FlatIndex::from_index(&idx));
 //! assert_eq!(backend.query(1, 2).unwrap(), 7);
 //! let mut out = Vec::new();

@@ -228,7 +228,7 @@ pub fn shard_image(bytes: &[u8], k: usize) -> io::Result<Vec<(Vec<u8>, ShardSpec
 mod tests {
     use super::*;
     use crate::flat::FlatIndex;
-    use crate::index::{DirectedLabels, LabelIndex, VertexLabels};
+    use crate::index::{LabelIndex, VertexLabels};
     use crate::LabelEntry;
     use sfgraph::INF_DIST;
 
@@ -240,17 +240,14 @@ mod tests {
 
     fn small_directed() -> LabelIndex {
         // Path 3 -> 2 -> 1 -> 0 under rank ids (0 highest-ranked).
-        let mut d = DirectedLabels {
-            in_labels: (0..4).map(|v| VertexLabels::with_trivial(v as VertexId)).collect(),
-            out_labels: (0..4).map(|v| VertexLabels::with_trivial(v as VertexId)).collect(),
-        };
-        d.out_labels[1].insert_min(LabelEntry::new(0, 1));
-        d.out_labels[2].insert_min(LabelEntry::new(0, 2));
-        d.out_labels[2].insert_min(LabelEntry::new(1, 1));
-        d.out_labels[3].insert_min(LabelEntry::new(0, 3));
-        d.out_labels[3].insert_min(LabelEntry::new(2, 1));
-        d.in_labels[0].insert_min(LabelEntry::new(0, 0));
-        LabelIndex::Directed(d)
+        let mut d = LabelIndex::new(4, true);
+        d.sides_mut()[0][1].insert_min(LabelEntry::new(0, 1));
+        d.sides_mut()[0][2].insert_min(LabelEntry::new(0, 2));
+        d.sides_mut()[0][2].insert_min(LabelEntry::new(1, 1));
+        d.sides_mut()[0][3].insert_min(LabelEntry::new(0, 3));
+        d.sides_mut()[0][3].insert_min(LabelEntry::new(2, 1));
+        d.sides_mut()[1][0].insert_min(LabelEntry::new(0, 0));
+        d
     }
 
     #[test]
@@ -342,13 +339,13 @@ mod tests {
         labels[2] = record(&[(1, 3)]);
         labels[3] = record(&[(1, 3)]);
         labels[4] = record(&[(0, 2), (1, 2)]);
-        let below = LabelIndex::Undirected(crate::UndirectedLabels { labels: labels.clone() });
+        let below = LabelIndex::from_sides(vec![labels.clone()]);
         let mut above = labels.clone();
         above[4] = record(&[(1, 2), (5, 2)]);
-        let above = LabelIndex::Undirected(crate::UndirectedLabels { labels: above });
+        let above = LabelIndex::from_sides(vec![above]);
         labels[0] = record(&[(1, 3)]);
         labels[4] = record(&[(1, 2)]);
-        let leaf_above = LabelIndex::Undirected(crate::UndirectedLabels { labels });
+        let leaf_above = LabelIndex::from_sides(vec![labels]);
         let pairs: Vec<(u32, u32)> = (0..6).flat_map(|s| (0..6).map(move |t| (s, t))).collect();
         for index in [below, leaf_above, above] {
             let bytes = image_of(&index);

@@ -108,7 +108,7 @@ impl CoverageStats {
 mod tests {
     use super::*;
     use crate::entry::LabelEntry;
-    use crate::index::{LabelIndex, UndirectedLabels, VertexLabels};
+    use crate::index::{LabelIndex, VertexLabels};
 
     /// Index where pivot 0 covers 8 entries, pivot 1 covers 2.
     fn skewed_index() -> LabelIndex {
@@ -120,7 +120,7 @@ mod tests {
         for v in 2..4 {
             labels[v].insert_min(LabelEntry::new(1, 2));
         }
-        LabelIndex::Undirected(UndirectedLabels { labels })
+        LabelIndex::from_sides(vec![labels])
     }
 
     #[test]
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn empty_index_is_fully_covered() {
-        let s = CoverageStats::from_index(&LabelIndex::new_undirected(3));
+        let s = CoverageStats::from_index(&LabelIndex::new(3, false));
         assert_eq!(s.total_entries(), 0);
         assert_eq!(s.vertices_for_coverage(0.9), 0);
         assert!((s.coverage_of_top(1) - 1.0).abs() < 1e-9);

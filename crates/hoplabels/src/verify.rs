@@ -61,7 +61,7 @@ pub fn is_minimal(g: &Graph, index: &LabelIndex) -> bool {
 mod tests {
     use super::*;
     use crate::entry::LabelEntry;
-    use crate::index::{UndirectedLabels, VertexLabels};
+    use crate::index::VertexLabels;
     use sfgraph::GraphBuilder;
 
     /// Hand-built exact cover for the path 0–1–2 (ids already ranked).
@@ -75,7 +75,7 @@ mod tests {
         labels[1].insert_min(LabelEntry::new(0, 1));
         labels[2].insert_min(LabelEntry::new(0, 2)); // wrong rank choice but exact
         labels[2].insert_min(LabelEntry::new(1, 1));
-        (g, LabelIndex::Undirected(UndirectedLabels { labels }))
+        (g, LabelIndex::from_sides(vec![labels]))
     }
 
     #[test]
@@ -87,9 +87,7 @@ mod tests {
     #[test]
     fn broken_cover_is_detected() {
         let (g, mut idx) = path3_cover();
-        if let LabelIndex::Undirected(u) = &mut idx {
-            u.labels[2].retain(|e| e.pivot == 2);
-        }
+        idx.sides_mut()[0][2].retain(|e| e.pivot == 2);
         let (s, t, got, want) = check_exact(&g, &idx).unwrap();
         assert_eq!((s, t), (0, 2));
         assert_eq!(want, 2);
@@ -109,9 +107,7 @@ mod tests {
         let (g, mut idx) = path3_cover();
         // (1, 1) in L(0) is true but useless: every query involving 0 is
         // already answered via pivot 0 itself.
-        if let LabelIndex::Undirected(u) = &mut idx {
-            u.labels[0].insert_min(LabelEntry::new(1, 1));
-        }
+        idx.sides_mut()[0][0].insert_min(LabelEntry::new(1, 1));
         assert!(check_exact(&g, &idx).is_none());
         assert!(!is_minimal(&g, &idx));
     }
@@ -120,7 +116,7 @@ mod tests {
     #[should_panic(expected = "index wrong")]
     fn assert_exact_panics_on_bad_index() {
         let (g, _) = path3_cover();
-        let empty = LabelIndex::new_undirected(3);
+        let empty = LabelIndex::new(3, false);
         assert_exact(&g, &empty);
     }
 }

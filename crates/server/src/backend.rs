@@ -301,11 +301,9 @@ mod tests {
     use hoplabels::{LabelEntry, LabelIndex};
 
     fn tiny_index() -> LabelIndex {
-        let mut idx = LabelIndex::new_undirected(3);
-        if let LabelIndex::Undirected(u) = &mut idx {
-            u.labels[1].insert_min(LabelEntry::new(0, 2));
-            u.labels[2].insert_min(LabelEntry::new(0, 5));
-        }
+        let mut idx = LabelIndex::new(3, false);
+        idx.sides_mut()[0][1].insert_min(LabelEntry::new(0, 2));
+        idx.sides_mut()[0][2].insert_min(LabelEntry::new(0, 5));
         idx
     }
 

@@ -39,11 +39,10 @@
 //! // A 3-vertex path 1 –2– 0 –5– 2 in rank ids, serialized to disk
 //! // with the ranking that maps original ids onto them: original
 //! // vertex 2 ranks first.
-//! let mut idx = LabelIndex::new_undirected(3);
-//! if let LabelIndex::Undirected(u) = &mut idx {
-//!     u.labels[1].insert_min(LabelEntry::new(0, 2));
-//!     u.labels[2].insert_min(LabelEntry::new(0, 5));
-//! }
+//! let mut idx = LabelIndex::new(3, false);
+//! let l = &mut idx.sides_mut()[0]; // an undirected index's one side, `L`
+//! l[1].insert_min(LabelEntry::new(0, 2));
+//! l[2].insert_min(LabelEntry::new(0, 5));
 //! let path = std::env::temp_dir().join(format!("hopdb-doc-{}.idx", std::process::id()));
 //! idx.write_hopidx(&mut std::fs::File::create(&path).unwrap()).unwrap();
 //! let rank = path.with_extension("idx.rank");

@@ -34,11 +34,9 @@ fn image_of(index: &LabelIndex) -> Vec<u8> {
 fn undirected_index_strategy() -> impl Strategy<Value = LabelIndex> {
     (2usize..24).prop_flat_map(|n| {
         vec((1..n, 0..n, 1u32..50), 0..96).prop_map(move |entries| {
-            let mut index = LabelIndex::new_undirected(n);
-            if let LabelIndex::Undirected(u) = &mut index {
-                for (v, pivot, d) in entries {
-                    u.labels[v].insert_min(LabelEntry::new((pivot % v) as VertexId, d));
-                }
+            let mut index = LabelIndex::new(n, false);
+            for (v, pivot, d) in entries {
+                index.sides_mut()[0][v].insert_min(LabelEntry::new((pivot % v) as VertexId, d));
             }
             index
         })
@@ -51,14 +49,11 @@ fn directed_index_strategy() -> impl Strategy<Value = LabelIndex> {
     (2usize..24).prop_flat_map(|n| {
         (vec((1..n, 0..n, 1u32..50), 0..64), vec((1..n, 0..n, 1u32..50), 0..64)).prop_map(
             move |(outs, ins)| {
-                let mut index = LabelIndex::new_directed(n);
+                let mut index = LabelIndex::new(n, true);
                 let entry = |v, pivot, dist| LabelEntry::new((pivot % v) as VertexId, dist);
-                if let LabelIndex::Directed(d) = &mut index {
-                    for (v, pivot, dist) in outs {
-                        d.out_labels[v].insert_min(entry(v, pivot, dist));
-                    }
-                    for (v, pivot, dist) in ins {
-                        d.in_labels[v].insert_min(entry(v, pivot, dist));
+                for (side, entries) in [outs, ins].into_iter().enumerate() {
+                    for (v, pivot, dist) in entries {
+                        index.sides_mut()[side][v].insert_min(entry(v, pivot, dist));
                     }
                 }
                 index

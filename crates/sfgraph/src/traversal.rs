@@ -62,13 +62,22 @@ pub fn sssp(g: &Graph, src: VertexId, dir: Direction) -> Vec<Dist> {
     }
 }
 
-/// Bidirectional BFS for unweighted graphs.
+/// Bidirectional BFS for unweighted graphs: the least of `bound` and
+/// the length of the shortest `s ⇝ t` path whose inner vertices all
+/// pass `expand`.
 ///
 /// Alternates expanding whole frontiers from `s` (forward) and `t`
 /// (backward), always growing the smaller frontier, and stops once the
 /// sum of the two search radii can no longer improve the best meeting
-/// distance found so far.
-pub fn bidirectional_bfs(g: &Graph, s: VertexId, t: VertexId) -> Dist {
+/// distance found so far. A vertex `expand` refuses is still reached,
+/// and a meeting there counts, but its edges are not followed.
+pub fn bidirectional_bfs(
+    g: &Graph,
+    s: VertexId,
+    t: VertexId,
+    bound: Dist,
+    expand: impl Fn(VertexId) -> bool,
+) -> Dist {
     if s == t {
         return 0;
     }
@@ -81,7 +90,7 @@ pub fn bidirectional_bfs(g: &Graph, s: VertexId, t: VertexId) -> Dist {
     let mut frontier_b = vec![t];
     let mut radius_f = 0;
     let mut radius_b = 0;
-    let mut best = INF_DIST;
+    let mut best = bound;
 
     while !frontier_f.is_empty() && !frontier_b.is_empty() {
         if best <= radius_f + radius_b {
@@ -95,7 +104,7 @@ pub fn bidirectional_bfs(g: &Graph, s: VertexId, t: VertexId) -> Dist {
             (&mut frontier_b, &mut dist_b, &dist_f, Direction::In, &mut radius_b)
         };
         let mut next = Vec::new();
-        for &v in frontier.iter() {
+        for &v in frontier.iter().filter(|&&v| expand(v)) {
             let d = dist_mine[v as usize];
             for &u in g.neighbors(v, dir) {
                 if dist_mine[u as usize] == INF_DIST {
@@ -113,11 +122,18 @@ pub fn bidirectional_bfs(g: &Graph, s: VertexId, t: VertexId) -> Dist {
     best
 }
 
-/// Bidirectional Dijkstra for weighted graphs.
+/// Bidirectional Dijkstra for weighted graphs, with
+/// [`bidirectional_bfs`]'s `bound` and `expand`.
 ///
 /// Expands the side with the smaller tentative minimum; terminates when
 /// `top_f + top_b ≥ best`, the classic stopping criterion.
-pub fn bidirectional_dijkstra(g: &Graph, s: VertexId, t: VertexId) -> Dist {
+pub fn bidirectional_dijkstra(
+    g: &Graph,
+    s: VertexId,
+    t: VertexId,
+    bound: Dist,
+    expand: impl Fn(VertexId) -> bool,
+) -> Dist {
     if s == t {
         return 0;
     }
@@ -130,7 +146,7 @@ pub fn bidirectional_dijkstra(g: &Graph, s: VertexId, t: VertexId) -> Dist {
     heaps[0].push(std::cmp::Reverse((0, s)));
     heaps[1].push(std::cmp::Reverse((0, t)));
     let dirs = [Direction::Out, Direction::In];
-    let mut best = INF_DIST;
+    let mut best = bound;
 
     loop {
         let top_f = heaps[0].peek().map(|r| r.0 .0);
@@ -158,6 +174,9 @@ pub fn bidirectional_dijkstra(g: &Graph, s: VertexId, t: VertexId) -> Dist {
         if dist[1 - side][v as usize] != INF_DIST {
             best = best.min(d.saturating_add(dist[1 - side][v as usize]));
         }
+        if !expand(v) {
+            continue;
+        }
         for (u, w) in g.edges(v, dirs[side]) {
             let nd = d.saturating_add(w);
             if nd < dist[side][u as usize] {
@@ -169,14 +188,27 @@ pub fn bidirectional_dijkstra(g: &Graph, s: VertexId, t: VertexId) -> Dist {
     best
 }
 
-/// Point-to-point distance by bidirectional search: BFS on unweighted
-/// graphs, Dijkstra otherwise. This is the paper's `BIDIJ` baseline.
-pub fn bidirectional_distance(g: &Graph, s: VertexId, t: VertexId) -> Dist {
+/// [`bidirectional_bfs`] on an unweighted graph, [`bidirectional_dijkstra`]
+/// otherwise.
+pub fn bidirectional_bounded(
+    g: &Graph,
+    s: VertexId,
+    t: VertexId,
+    bound: Dist,
+    expand: impl Fn(VertexId) -> bool,
+) -> Dist {
     if g.is_weighted() {
-        bidirectional_dijkstra(g, s, t)
+        bidirectional_dijkstra(g, s, t, bound, expand)
     } else {
-        bidirectional_bfs(g, s, t)
+        bidirectional_bfs(g, s, t, bound, expand)
     }
+}
+
+/// Point-to-point distance by bidirectional search: BFS on unweighted
+/// graphs, Dijkstra otherwise, unbounded and through every vertex. This
+/// is the paper's `BIDIJ` baseline.
+pub fn bidirectional_distance(g: &Graph, s: VertexId, t: VertexId) -> Dist {
+    bidirectional_bounded(g, s, t, INF_DIST, |_| true)
 }
 
 /// Full pairwise distance matrix via repeated SSSP; `n × n` memory —
@@ -232,7 +264,11 @@ mod tests {
         let g = path_graph(9);
         for s in 0..9u32 {
             for t in 0..9u32 {
-                assert_eq!(bidirectional_bfs(&g, s, t), s.abs_diff(t), "{s}->{t}");
+                assert_eq!(
+                    bidirectional_bfs(&g, s, t, INF_DIST, |_| true),
+                    s.abs_diff(t),
+                    "{s}->{t}"
+                );
             }
         }
     }
@@ -243,8 +279,8 @@ mod tests {
         b.add_edge(0, 1);
         b.add_edge(1, 2);
         let g = b.build();
-        assert_eq!(bidirectional_bfs(&g, 0, 2), 2);
-        assert_eq!(bidirectional_bfs(&g, 2, 0), INF_DIST);
+        assert_eq!(bidirectional_bfs(&g, 0, 2, INF_DIST, |_| true), 2);
+        assert_eq!(bidirectional_bfs(&g, 2, 0, INF_DIST, |_| true), INF_DIST);
     }
 
     #[test]
@@ -263,7 +299,11 @@ mod tests {
             let s = rng.gen_range(0..n) as VertexId;
             let truth = dijkstra(&g, s, Direction::Out);
             for t in 0..n as VertexId {
-                assert_eq!(bidirectional_dijkstra(&g, s, t), truth[t as usize], "{s}->{t}");
+                assert_eq!(
+                    bidirectional_dijkstra(&g, s, t, INF_DIST, |_| true),
+                    truth[t as usize],
+                    "{s}->{t}"
+                );
             }
         }
     }
@@ -284,7 +324,11 @@ mod tests {
             let s = rng.gen_range(0..n) as VertexId;
             let truth = bfs(&g, s, Direction::Out);
             for t in 0..n as VertexId {
-                assert_eq!(bidirectional_bfs(&g, s, t), truth[t as usize], "{s}->{t}");
+                assert_eq!(
+                    bidirectional_bfs(&g, s, t, INF_DIST, |_| true),
+                    truth[t as usize],
+                    "{s}->{t}"
+                );
             }
         }
     }

@@ -14,7 +14,7 @@
 
 use hop_doubling::baselines::pll;
 use hop_doubling::hopdb::{build_prelabeled, HopDbConfig};
-use hop_doubling::hoplabels::{LabelIndex, Record, VertexLabels};
+use hop_doubling::hoplabels::{Record, VertexLabels};
 use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
 use hop_doubling::sfgraph::reduce::eliminate;
 use hop_doubling::sfgraph::{Direction, Graph, GraphBuilder, VertexId};
@@ -55,12 +55,9 @@ fn check(g: &Graph, case: usize) -> (usize, usize) {
                 VertexLabels::from_record(Record::new(&arcs))
             }
         };
-        match &mut expect {
-            LabelIndex::Directed(d) => {
-                d.out_labels[v as usize] = slot(Direction::Out);
-                d.in_labels[v as usize] = slot(Direction::In);
-            }
-            LabelIndex::Undirected(u) => u.labels[v as usize] = slot(Direction::Out),
+        // `[Lout, Lin]` take the arcs out of and into `v`, `[L]` all.
+        for (side, dir) in expect.sides_mut().iter_mut().zip([Direction::Out, Direction::In]) {
+            side[v as usize] = slot(dir);
         }
     }
     assert_eq!(hop, expect, "HopDb and PLL on the core, plus the records, disagree (case {case})");

@@ -8,7 +8,6 @@
 //! * pruning never loses exactness and never enlarges the index.
 
 use hop_doubling::hopdb::{build, build_prelabeled, HopDbConfig, Strategy as HopStrategy};
-use hop_doubling::hoplabels::index::LabelIndex;
 use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
 use hop_doubling::sfgraph::traversal::all_pairs;
 use hop_doubling::sfgraph::{Graph, GraphBuilder, VertexId, INF_DIST};
@@ -91,13 +90,13 @@ proptest! {
         let ranking = rank_vertices(&g, &RankBy::DegreeProduct);
         let h = relabel_by_rank(&g, &ranking);
         let (index, _) = build_prelabeled(&h, &HopDbConfig::default());
-        let LabelIndex::Directed(d) = &index else { panic!("directed expected") };
-        for (v, l) in d.out_labels.iter().enumerate() {
+        let [lout, lin] = index.sides() else { panic!("directed expected") };
+        for (v, l) in lout.iter().enumerate() {
             for e in l.entries() {
                 prop_assert!(e.pivot as usize <= v, "Lout({v}) pivot {} under-ranked", e.pivot);
             }
         }
-        for (v, l) in d.in_labels.iter().enumerate() {
+        for (v, l) in lin.iter().enumerate() {
             for e in l.entries() {
                 prop_assert!(e.pivot as usize <= v, "Lin({v}) pivot {} under-ranked", e.pivot);
             }

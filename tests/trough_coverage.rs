@@ -12,7 +12,6 @@
 
 use hop_doubling::hopdb::engine::build_index;
 use hop_doubling::hopdb::{HopDbConfig, Strategy};
-use hop_doubling::hoplabels::index::LabelIndex;
 use hop_doubling::sfgraph::traversal::all_pairs;
 use hop_doubling::sfgraph::{Direction, Graph, GraphBuilder, VertexId, INF_DIST};
 use rand::{Rng, SeedableRng};
@@ -49,7 +48,7 @@ fn trough_distance(g: &Graph, s: VertexId, t: VertexId, limit: VertexId) -> u32 
 fn check_objectives(g: &Graph) {
     let ap = all_pairs(g);
     let (index, _) = build_index(g, &HopDbConfig::unpruned(Strategy::Doubling));
-    let LabelIndex::Directed(d) = &index else { panic!("directed expected") };
+    let [lout, lin] = index.sides() else { panic!("directed expected") };
     let n = g.num_vertices() as VertexId;
     for a in 0..n {
         for b in 0..n {
@@ -64,18 +63,10 @@ fn check_objectives(g: &Graph) {
             }
             if b < a {
                 // r(b) > r(a): [O1] requires (b, dist) ∈ Lout(a).
-                assert_eq!(
-                    d.out_labels[a as usize].get(b),
-                    Some(td),
-                    "[O1] violated for ({a} ⇝ {b})"
-                );
+                assert_eq!(lout[a as usize].get(b), Some(td), "[O1] violated for ({a} ⇝ {b})");
             } else {
                 // r(a) > r(b): [O2] requires (a, dist) ∈ Lin(b).
-                assert_eq!(
-                    d.in_labels[b as usize].get(a),
-                    Some(td),
-                    "[O2] violated for ({a} ⇝ {b})"
-                );
+                assert_eq!(lin[b as usize].get(a), Some(td), "[O2] violated for ({a} ⇝ {b})");
             }
         }
     }
