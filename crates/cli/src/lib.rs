@@ -1092,16 +1092,21 @@ mod tests {
         assert!(out.contains("external I/O:") && out.contains(" seeks"), "{out}");
         assert!(out.contains(" records encoded / ") && out.contains(" decoded, "), "{out}");
         assert!(out.contains(" seeks, ") && out.contains(" prune blocks, "), "{out}");
-        // The raw candidates the joins offered, and those the hub table
-        // killed: on an undirected graph, some but not all of them.
-        let counts = out
-            .split(" decoded, ")
-            .nth(1)
-            .and_then(|rest| rest.split(" hub-killed\n").next())
-            .and_then(|counts| counts.split_once(" raw candidates / "))
-            .and_then(|(raw, killed)| Some((raw.parse::<u64>().ok()?, killed.parse::<u64>().ok()?)))
-            .expect("`<raw> raw candidates / <killed> hub-killed` ending the summary line");
-        assert!(counts.1 > 0 && counts.1 < counts.0, "{out}");
+        // The raw candidates the joins offered, and those the hub tables
+        // killed: some but not all of them, here and on a directed graph.
+        let assert_some_killed = |out: &str| {
+            let counts = out
+                .split(" decoded, ")
+                .nth(1)
+                .and_then(|rest| rest.split(" hub-killed\n").next())
+                .and_then(|counts| counts.split_once(" raw candidates / "))
+                .and_then(|(raw, killed)| {
+                    Some((raw.parse::<u64>().ok()?, killed.parse::<u64>().ok()?))
+                })
+                .expect("`<raw> raw candidates / <killed> hub-killed` ending the summary line");
+            assert!(counts.1 > 0 && counts.1 < counts.0, "{out}");
+        };
+        assert_some_killed(&out);
         let io_line =
             |out: &str| out.lines().find(|l| l.starts_with("external I/O:")).map(str::to_owned);
         let sequential_io = io_line(&out);
@@ -1146,7 +1151,28 @@ mod tests {
         let ext4 = std::fs::read(&ext4_idx).unwrap();
         assert_eq!(ext1, mem, "external build diverges from the in-memory engine");
         assert_eq!(ext4, ext1, "threaded external build diverges from sequential");
-        for f in [&graph, &mem_idx, &ext1_idx, &ext4_idx] {
+        let directed = tmp("ext-dir.txt");
+        let (dir_mem, dir_ext) = (tmp("ext-dir-mem.idx"), tmp("ext-dir-ext.idx"));
+        let gen = ["gen", "--model", "glp", "--vertices", "300", "--seed", "19", "--directed"];
+        run_vec(&[&gen[..], &["-o", &directed]].concat()).unwrap();
+        run_vec(&["build", "-i", &directed, "--directed", "-o", &dir_mem]).unwrap();
+        let out = run_vec(&[
+            "build",
+            "-i",
+            &directed,
+            "--directed",
+            "-o",
+            &dir_ext,
+            "--external",
+            "--memory-records",
+            "1024",
+            "--block-bytes",
+            "4096",
+        ])
+        .unwrap();
+        assert_some_killed(&out);
+        assert_eq!(std::fs::read(&dir_ext).unwrap(), std::fs::read(&dir_mem).unwrap());
+        for f in [&graph, &mem_idx, &ext1_idx, &ext4_idx, &directed, &dir_mem, &dir_ext] {
             let _ = std::fs::remove_file(f);
             let _ = std::fs::remove_file(format!("{f}.rank"));
         }

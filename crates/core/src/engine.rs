@@ -54,8 +54,8 @@
 //!    only sort;
 //! 2. **prune** — `own(x)` is written once into a dense `mark[pivot]`
 //!    array. A candidate `(v, d)` with `mark[v] ≤ d` is dropped before it
-//!    is counted, and so, in a pruned undirected build, is one the hub
-//!    table kills — some hub `h < v` with `D[x][h] + D[v][h] ≤ d`
+//!    is counted, and so, in a pruned build, is one the hub tables kill
+//!    — some hub `h < v` with `T[σ][x][h] + T[across(σ)][v][h] ≤ d`
 //!    ([`crate::hubs`]), two `K`-byte rows read instead of a scan of
 //!    `across(v)`; otherwise it dies iff some `(w, d_w) ∈ across(v)` has
 //!    `mark[w] + d_w ≤ d`, and the scan of `across(v)` returns at the
@@ -254,6 +254,9 @@ impl InvView {
 
 /// One label array under construction; see the module docs.
 struct Side {
+    /// Its place in the side table and in [`Engine::sides`]: the hub
+    /// table it reads.
+    index: usize,
     /// Its row of the side table: the side in [`Engine::sides`] it is
     /// joined against, and the edges of a `prev` entry's owner that
     /// stepping extends it over (an owner pulls over the reverse).
@@ -425,7 +428,7 @@ struct Engine<'g> {
     g: &'g Graph,
     /// Whether rounds apply the §3.3 pruning test.
     prune: bool,
-    /// The hub table a pruned undirected build kills candidates with.
+    /// The hub tables a pruned build kills candidates with.
     hubs: Option<HubTable>,
     /// One side (undirected) or two (directed, out then in).
     sides: Vec<Side>,
@@ -479,7 +482,8 @@ impl<'g> Engine<'g> {
         let n = g.num_vertices();
         let sides: Vec<Side> = side_table(g.is_directed())
             .iter()
-            .map(|&rule| {
+            .enumerate()
+            .map(|(index, &rule)| {
                 let mut labels: Vec<VertexLabels> =
                     (0..n).map(|v| VertexLabels::with_trivial(v as VertexId)).collect();
                 let mut first = Groups::default();
@@ -492,7 +496,7 @@ impl<'g> Engine<'g> {
                 }
                 let mut prev = Prev::new(n);
                 prev.replace(std::iter::once(&first));
-                Side { rule, labels, inv: None, prev }
+                Side { index, rule, labels, inv: None, prev }
             })
             .collect();
         let total_entries = sides.iter().map(|s| (n + s.prev.groups.entries.len()) as u64).sum();
@@ -629,7 +633,7 @@ impl<'g> Engine<'g> {
             // Same-pair dominance, or a hub's: not a candidate at all.
             let current =
                 if marked { mark[c.pivot as usize] } else { own.get(c.pivot).unwrap_or(INF_DIST) };
-            if current <= c.dist || hubs.is_some_and(|h| h.kills(x, c.pivot, c.dist)) {
+            if current <= c.dist || hubs.is_some_and(|h| h.kills(side.index, x, c.pivot, c.dist)) {
                 continue;
             }
             counted += 1;

@@ -15,8 +15,8 @@ pub struct IterationStats {
     pub stepping: bool,
     /// Candidates generated after same-pair deduplication, less those an
     /// entry of the same `(owner, pivot)` already dominates and, in a
-    /// pruned undirected build, those the hub table kills
-    /// ([`crate::hubs`]): both engines drop those before counting them.
+    /// pruned build, those the hub tables kill ([`crate::hubs`]): both
+    /// engines drop those before counting them.
     pub candidates: u64,
     /// Candidates rejected by the pruning test.
     pub pruned: u64,

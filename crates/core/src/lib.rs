@@ -35,9 +35,9 @@
 //!   in one index;
 //! * [`external`] — the I/O-efficient construction of §4 on the
 //!   `extmem` substrate;
-//! * [`hubs`] — the distances from the top-ranked vertices that both
-//!   engines kill a pruned undirected build's candidates with, before
-//!   the label prune.
+//! * [`hubs`] — the distances to and from the top-ranked vertices, one
+//!   table per side, that both engines kill a pruned build's candidates
+//!   with, before the label prune.
 //!
 //! The unminimized 6-rule generator (`sixrules.rs`) is compiled into
 //! the tests only, as an executable witness for Lemmas 3–4.
