@@ -425,6 +425,7 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         stats.post_pruned,
         ms(stats.post_prune_elapsed)
     )?;
+    writeln!(out, "hub tables: built in {:.3} ms", ms(stats.hub_tables_elapsed))?;
     // Per iteration, over the core (its `entries` still count the
     // fringe's self-entries and the filtered entries): the counters, the
     // phase times summed over workers and the bytes moved, 0 from the
@@ -1057,6 +1058,7 @@ mod tests {
             .and_then(|rest| rest.split(' ').next()?.parse().ok())
             .expect("a canonical filter line");
         assert!(filtered > 0, "hybrid with doubling rounds leaves entries to filter: {out}");
+        assert_hub_tables_timed(&out);
         let core_entries: u64 = rows.last().expect("rows")[5].parse().unwrap();
         let built: u64 = summary[1].parse().unwrap();
         assert_eq!(core_entries, built + fringe + filtered, "{out}");
@@ -1064,6 +1066,15 @@ mod tests {
         for f in [&graph, &index, &format!("{index}.rank")] {
             let _ = std::fs::remove_file(f);
         }
+    }
+
+    /// Both engines time the hub tables apart from the seeding row, on a
+    /// line of their own under the canonical filter's.
+    fn assert_hub_tables_timed(out: &str) {
+        let mut lines = out.lines().skip_while(|l| !l.starts_with("canonical filter: "));
+        let line = lines.nth(1).expect("a line after the canonical filter's");
+        let ms = line.strip_prefix("hub tables: built in ").and_then(|l| l.strip_suffix(" ms"));
+        assert!(ms.and_then(|ms| ms.parse::<f64>().ok()).is_some_and(|ms| ms >= 0.0), "{out}");
     }
 
     #[test]
@@ -1107,6 +1118,7 @@ mod tests {
             assert!(counts.1 > 0 && counts.1 < counts.0, "{out}");
         };
         assert_some_killed(&out);
+        assert_hub_tables_timed(&out);
         let io_line =
             |out: &str| out.lines().find(|l| l.starts_with("external I/O:")).map(str::to_owned);
         let sequential_io = io_line(&out);

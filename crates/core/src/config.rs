@@ -41,17 +41,16 @@ impl Strategy {
 /// Configuration for [`crate::build`].
 ///
 /// There is no iteration limit: every build runs to the fixpoint, which
-/// stepping reaches after up to `D_H` rounds (§5.1).
+/// stepping reaches after up to `D_H` rounds (§5.1). There is no pruning
+/// switch either: every build applies §3.3's prune each iteration and
+/// ends in the canonical filter ([`crate::postprune`], §5.2's exhaustive
+/// pruning), so the labels do not depend on the strategy. The unpruned
+/// fixpoint of the paper's worked examples is its own kernel entry,
+/// [`crate::engine::build_unpruned`].
 #[derive(Clone, Debug)]
 pub struct HopDbConfig {
     /// Generation strategy; default [`Strategy::default_hybrid`].
     pub strategy: Strategy,
-    /// Apply the §3.3 pruning step each iteration, and end the build
-    /// with the canonical filter ([`crate::postprune`], §5.2's
-    /// exhaustive pruning), so the labels do not depend on the strategy.
-    /// Disabling it is only useful for the paper's worked examples and
-    /// ablation benches — label sets explode without it.
-    pub prune: bool,
     /// Vertex ranking; `None` picks the paper's defaults (degree for
     /// undirected graphs, in×out-degree product for directed, §8).
     pub rank_by: Option<RankBy>,
@@ -71,12 +70,7 @@ pub struct HopDbConfig {
 
 impl Default for HopDbConfig {
     fn default() -> Self {
-        HopDbConfig {
-            strategy: Strategy::default_hybrid(),
-            prune: true,
-            rank_by: None,
-            parallelism: 1,
-        }
+        HopDbConfig { strategy: Strategy::default_hybrid(), rank_by: None, parallelism: 1 }
     }
 }
 
@@ -84,11 +78,6 @@ impl HopDbConfig {
     /// Default configuration with a specific strategy.
     pub fn with_strategy(strategy: Strategy) -> HopDbConfig {
         HopDbConfig { strategy, ..Default::default() }
-    }
-
-    /// Configuration matching the unpruned worked example of Fig. 5.
-    pub fn unpruned(strategy: Strategy) -> HopDbConfig {
-        HopDbConfig { strategy, prune: false, ..Default::default() }
     }
 
     /// Builder-style parallelism override (see [`HopDbConfig::parallelism`]).
@@ -129,7 +118,6 @@ mod tests {
     #[test]
     fn default_config() {
         let c = HopDbConfig::default();
-        assert!(c.prune);
         assert_eq!(c.strategy, Strategy::Hybrid { switch_at: 10 });
         assert_eq!(c.parallelism, 1);
     }

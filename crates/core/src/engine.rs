@@ -426,9 +426,9 @@ pub(crate) fn lap(clock: &mut Instant) -> Duration {
 /// The state of an in-memory build: the graph and the sides grown over it.
 struct Engine<'g> {
     g: &'g Graph,
-    /// Whether rounds apply the §3.3 pruning test.
-    prune: bool,
-    /// The hub tables a pruned build kills candidates with.
+    /// The hub tables a pruned build kills candidates with before its
+    /// §3.3 prune; `None` for the unpruned fixpoint, which prunes
+    /// nothing.
     hubs: Option<HubTable>,
     /// One side (undirected) or two (directed, out then in).
     sides: Vec<Side>,
@@ -440,23 +440,33 @@ struct Engine<'g> {
 }
 
 /// Build a label index for a rank-relabeled graph, directed or
-/// undirected, honouring `cfg`'s strategy, pruning, and parallelism
-/// switches.
+/// undirected, with `cfg`'s strategy and parallelism: §3.3's prune every
+/// round, behind the hub tables of [`HUBS`] hubs. The canonical filter
+/// that ends every build is the builders' ([`crate::build_prelabeled`]).
 pub fn build_index(g: &Graph, cfg: &HopDbConfig) -> (LabelIndex, BuildStats) {
-    build_index_with_hubs(g, cfg, HUBS)
+    build_index_with_hubs(g, cfg, Some(HUBS))
 }
 
-/// [`build_index`] with a hub table of `hubs` hubs, where `cfg` and `g`
-/// take one.
+/// The unpruned fixpoint of Algorithm 1 (§3.1–3.2, no §3.3) on a
+/// rank-relabeled graph, with `cfg`'s strategy and parallelism: every
+/// candidate an entry of its own pair does not dominate is kept. That is
+/// the complete labeling of the paper's Example 1 / Figure 5 and what
+/// Lemmas 3–4 speak of; no builder runs it.
+pub fn build_unpruned(g: &Graph, cfg: &HopDbConfig) -> (LabelIndex, BuildStats) {
+    build_index_with_hubs(g, cfg, None)
+}
+
+/// The engine to its fixpoint: pruned behind a table of `hubs` hubs, or
+/// unpruned for `None`. The tables are built after the seeding (built
+/// first, they raise the build's peak RSS) and timed apart from its row.
 pub(crate) fn build_index_with_hubs(
     g: &Graph,
     cfg: &HopDbConfig,
-    hubs: usize,
+    hubs: Option<usize>,
 ) -> (LabelIndex, BuildStats) {
     let started = Instant::now();
     // Iteration 1: initialization — one entry per edge (§3.1).
-    let mut e = Engine::seeded(g, cfg.prune);
-    e.hubs = HubTable::for_build(g, cfg, hubs);
+    let mut e = Engine::seeded(g);
     let threads = cfg.resolved_parallelism();
     e.threads = threads;
     let seeded = IterationStats {
@@ -468,17 +478,21 @@ pub(crate) fn build_index_with_hubs(
         elapsed: started.elapsed(),
         ..IterationStats::default()
     };
+    let clock = Instant::now();
+    e.hubs = hubs.map(|k| HubTable::new(g, k));
+    let hub_tables_elapsed = clock.elapsed();
     let Ok(mut stats) = fixpoint(&mut e, &cfg.strategy, threads, seeded);
     let index = LabelIndex::from_sides(e.sides.into_iter().map(|s| s.labels).collect());
     stats.final_entries = index.total_entries() as u64;
+    stats.hub_tables_elapsed = hub_tables_elapsed;
     stats.elapsed = started.elapsed();
     (index, stats)
 }
 
 impl<'g> Engine<'g> {
     /// Trivial self-entries plus the initialization entries of `g`, which
-    /// are also the first `prev`.
-    fn seeded(g: &'g Graph, prune: bool) -> Engine<'g> {
+    /// are also the first `prev`; unpruned until its hub tables are set.
+    fn seeded(g: &'g Graph) -> Engine<'g> {
         let n = g.num_vertices();
         let sides: Vec<Side> = side_table(g.is_directed())
             .iter()
@@ -500,7 +514,7 @@ impl<'g> Engine<'g> {
             })
             .collect();
         let total_entries = sides.iter().map(|s| (n + s.prev.groups.entries.len()) as u64).sum();
-        Engine { g, prune, hubs: None, sides, total_entries, threads: 1, ws: Workspace::default() }
+        Engine { g, hubs: None, sides, total_entries, threads: 1, ws: Workspace::default() }
     }
 
     fn prev_len(&self) -> usize {
@@ -639,9 +653,9 @@ impl<'g> Engine<'g> {
             counted += 1;
             // The entry covers a path between x and c.pivot: prune iff
             // the 2-hop query own(x) ⋈ across(c.pivot) already answers
-            // ≤ c.dist (§3.3).
+            // ≤ c.dist (§3.3); the unpruned fixpoint keeps it.
             let witnesses = across[c.pivot as usize].entries();
-            let covered = self.prune
+            let covered = hubs.is_some()
                 && if marked {
                     witnesses
                         .iter()
@@ -756,14 +770,27 @@ mod tests {
     use hoplabels::verify::assert_exact;
     use sfgraph::GraphBuilder;
 
-    fn configs() -> Vec<HopDbConfig> {
+    type Build = fn(&Graph, &HopDbConfig) -> (LabelIndex, BuildStats);
+
+    /// Every strategy pruned, and the unpruned fixpoint stepping and
+    /// doubling.
+    fn configs() -> Vec<(Build, HopDbConfig)> {
+        let pruned = |s| (build_index as Build, HopDbConfig::with_strategy(s));
+        let unpruned = |s| (build_unpruned as Build, HopDbConfig::with_strategy(s));
         vec![
-            HopDbConfig::with_strategy(Strategy::Stepping),
-            HopDbConfig::with_strategy(Strategy::Doubling),
-            HopDbConfig::with_strategy(Strategy::Hybrid { switch_at: 3 }),
-            HopDbConfig::unpruned(Strategy::Stepping),
-            HopDbConfig::unpruned(Strategy::Doubling),
+            pruned(Strategy::Stepping),
+            pruned(Strategy::Doubling),
+            pruned(Strategy::Hybrid { switch_at: 3 }),
+            unpruned(Strategy::Stepping),
+            unpruned(Strategy::Doubling),
         ]
+    }
+
+    /// An engine seeded for a pruned build behind `hubs` hubs.
+    fn pruned(g: &Graph, hubs: usize) -> Engine<'_> {
+        let mut e = Engine::seeded(g);
+        e.hubs = Some(HubTable::new(g, hubs));
+        e
     }
 
     #[test]
@@ -773,8 +800,8 @@ mod tests {
             b.add_edge(i, i + 1);
         }
         let g = b.build();
-        for cfg in configs() {
-            let (index, _) = build_index(&g, &cfg);
+        for (build, cfg) in configs() {
+            let (index, _) = build(&g, &cfg);
             assert_exact(&g, &index);
         }
     }
@@ -786,8 +813,8 @@ mod tests {
             b.add_edge(i, (i + 1) % 5);
         }
         let g = b.build();
-        for cfg in configs() {
-            let (index, _) = build_index(&g, &cfg);
+        for (build, cfg) in configs() {
+            let (index, _) = build(&g, &cfg);
             assert_exact(&g, &index);
         }
     }
@@ -802,8 +829,8 @@ mod tests {
         b.add_weighted_edge(3, 0, 2);
         b.add_weighted_edge(4, 0, 5);
         let g = b.build();
-        for cfg in configs() {
-            let (index, _) = build_index(&g, &cfg);
+        for (build, cfg) in configs() {
+            let (index, _) = build(&g, &cfg);
             assert_exact(&g, &index);
         }
     }
@@ -858,7 +885,7 @@ mod tests {
         }
         let g = b.build();
         let (with, _) = build_index(&g, &HopDbConfig::with_strategy(Strategy::Stepping));
-        let (without, _) = build_index(&g, &HopDbConfig::unpruned(Strategy::Stepping));
+        let (without, _) = build_unpruned(&g, &HopDbConfig::with_strategy(Strategy::Stepping));
         assert_exact(&g, &with);
         assert_exact(&g, &without);
         assert!(
@@ -915,11 +942,11 @@ mod tests {
                 );
             }
             let g = b.build();
-            for cfg in configs() {
-                let (seq_index, seq_stats) = build_index(&g, &cfg);
+            for (build, cfg) in configs() {
+                let (seq_index, seq_stats) = build(&g, &cfg);
                 for threads in [2usize, 3, 8] {
                     let par_cfg = cfg.clone().with_parallelism(threads);
-                    let (par_index, par_stats) = build_index(&g, &par_cfg);
+                    let (par_index, par_stats) = build(&g, &par_cfg);
                     assert_eq!(
                         par_index, seq_index,
                         "case {case}, {threads} threads, {:?}",
@@ -950,7 +977,7 @@ mod tests {
             b.add_edge(i, (i + 7) % 64);
         }
         let g = b.build();
-        let e = Engine::seeded(&g, true);
+        let e = pruned(&g, 0);
         let mut ws = Workspace::default();
         let mut run = |threads: usize| {
             let (weight, scratch) = ws.sized(64, threads);
@@ -1074,7 +1101,7 @@ mod tests {
     /// An engine `rounds` stepping rounds into a pruned build of `g`,
     /// inverted views built: every rule has something to compose.
     fn mid_build(g: &Graph, rounds: u32) -> Engine<'_> {
-        let mut e = Engine::seeded(g, true);
+        let mut e = pruned(g, 0);
         for _ in 0..rounds {
             let Ok(_) = e.round(true);
         }
@@ -1189,8 +1216,7 @@ mod tests {
                 (Strategy::Doubling, 2),
             ] {
                 let cfg = HopDbConfig::with_strategy(strategy.clone());
-                let mut e = Engine::seeded(&g, true);
-                e.hubs = HubTable::for_build(&g, &cfg, HUBS);
+                let mut e = pruned(&g, HUBS);
                 assert!(e.sides.iter().all(|s| s.inv.is_none()), "seeding built an inverted view");
                 let mut iter = 1u32;
                 while e.pending() {
@@ -1262,7 +1288,7 @@ mod tests {
         b.add_weighted_edge(2, 1, 1);
         b.add_weighted_edge(2, 0, 1); // 1 – 2 – 0 costs 2, through lower-ranked 2
         let g = b.build();
-        let mut e = Engine::seeded(&g, true);
+        let mut e = pruned(&g, 0);
         assert_eq!(e.sides[0].labels[1].get(0), Some(10));
         let seeded = e.total_entries;
         let Ok(round) = e.round(true);
@@ -1270,9 +1296,9 @@ mod tests {
         assert_eq!(round.total_entries, seeded, "an improvement is not a new entry");
         assert_eq!(e.sides[0].labels[1].get(0), Some(2));
         assert_eq!(e.sides[0].prev.of(1), &[LabelEntry::new(0, 2)]);
-        for cfg in configs() {
+        for (build, cfg) in configs() {
             for threads in [1usize, 4] {
-                let (index, _) = build_index(&g, &cfg.clone().with_parallelism(threads));
+                let (index, _) = build(&g, &cfg.clone().with_parallelism(threads));
                 assert_exact(&g, &index);
                 assert_eq!(index.query(1, 0), 2);
             }
@@ -1289,15 +1315,15 @@ mod tests {
             b.add_edge(u, v);
         }
         let g = b.build();
-        let e = Engine::seeded(&g, true);
+        let e = pruned(&g, 0);
         assert_eq!(e.sides[1].prev.groups.entries.len(), 0);
         for stepping in [true, false] {
             let plans = mid_build(&g, 0).plan(stepping, 2, &mut [0; 6]);
             assert!(!plans[0].owners.is_empty());
             assert!(plans[1].owners.is_empty() && plans[1].cuts == [0; 2 * RANGES_PER_WORKER + 1]);
         }
-        for cfg in configs() {
-            let (index, stats) = build_index(&g, &cfg);
+        for (build, cfg) in configs() {
+            let (index, stats) = build(&g, &cfg);
             assert_exact(&g, &index);
             assert!(stats.num_iterations() > 2);
             let lin = &index.sides()[1];

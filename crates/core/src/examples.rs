@@ -13,7 +13,7 @@ use hoplabels::verify::{assert_exact, is_minimal};
 use hoplabels::LabelEntry;
 
 use crate::config::{HopDbConfig, Strategy};
-use crate::engine::build_index;
+use crate::engine::{build_index, build_unpruned};
 
 /// Per-vertex `(pivot, dist)` entry lists, indexed by vertex id.
 type ExpectedLabels = Vec<Vec<(u32, u32)>>;
@@ -72,7 +72,7 @@ fn assert_labels_match(index: &LabelIndex, lin: &[Vec<(u32, u32)>], lout: &[Vec<
 #[test]
 fn figure_5_unpruned_doubling_matches_exactly() {
     let g = example_graph_fig3();
-    let (index, stats) = build_index(&g, &HopDbConfig::unpruned(Strategy::Doubling));
+    let (index, stats) = build_unpruned(&g, &HopDbConfig::with_strategy(Strategy::Doubling));
     let (lin, lout) = fig5_expected();
     assert_labels_match(&index, &lin, &lout);
     // Example 1: generation finishes after the third generation round
@@ -84,7 +84,7 @@ fn figure_5_unpruned_doubling_matches_exactly() {
 #[test]
 fn figure_5_unpruned_stepping_reaches_same_labels() {
     let g = example_graph_fig3();
-    let (index, _) = build_index(&g, &HopDbConfig::unpruned(Strategy::Stepping));
+    let (index, _) = build_unpruned(&g, &HopDbConfig::with_strategy(Strategy::Stepping));
     let (lin, lout) = fig5_expected();
     assert_labels_match(&index, &lin, &lout);
 }

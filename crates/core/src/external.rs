@@ -36,8 +36,8 @@
 //!
 //! * **Candidate generation** — both inputs of every join are sorted by
 //!   the tail `u`, so each is a streaming *sort-merge co-group* join,
-//!   driven by `prev` and skipping through the arcs. In a pruned build
-//!   every candidate the join offers first meets the hub tables
+//!   driven by `prev` and skipping through the arcs. Every candidate
+//!   the join offers first meets the hub tables
 //!   ([`crate::hubs`]): one some hub `h < v` dominates on its side σ —
 //!   `T[σ][x][h] + T[across(σ)][v][h] ≤ d` — dies there, uncounted, and
 //!   is never sorted, spilled, merged or joined
@@ -144,7 +144,7 @@
 //! together never pass `6 × M` bytes.
 //!
 //! Beside the graph, which the build holds in memory to peel and seed
-//! it, a pruned build holds the hub tables: `sides × n × K` bytes
+//! it, the build holds the hub tables: `sides × n × K` bytes
 //! (`K` = [`crate::hubs::HUBS`]; 256 KB a side at 16 000 vertices),
 //! built on the core before the first round, read by every round — both
 //! of a directed build's tables by each side — and freed before the
@@ -160,7 +160,7 @@
 //! Deviation from the paper: the *graph topology* (for stepping's edge
 //! joins) is exported to edge files, but the final index is loaded
 //! back into memory at the end so callers can verify/serve it, and the
-//! canonical filter that ends every pruned build ([`crate::postprune`],
+//! canonical filter that ends every build ([`crate::postprune`],
 //! §5.2's exhaustive pruning) runs there, on the loaded labels, as in
 //! the in-memory engine: it adds no I/O. At laptop scale that is always
 //! possible; for the paper's 9 GB graphs one would run the filter as one
@@ -231,16 +231,11 @@ pub struct ExternalBuildResult {
 /// `InvalidInput` for `ext.block_bytes == 0` (no block size to report
 /// block I/Os in), before anything touches the disk; otherwise whatever
 /// the temp files return.
-///
-/// # Panics
-/// Panics if `cfg.prune` is false — the external path implements the
-/// paper's (always-pruned) §4 algorithm only.
 pub fn build_external(
     g: &Graph,
     cfg: &HopDbConfig,
     ext: &ExtMemConfig,
 ) -> io::Result<ExternalBuildResult> {
-    assert!(cfg.prune, "the external engine implements the pruned algorithm of §4");
     if ext.block_bytes == 0 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -355,7 +350,7 @@ impl<S: RecordSource> GroupReader<S> {
 /// moves its spill passes onto a background worker (bit-identical output
 /// and I/O counts, see `extmem::sorter`).
 fn sorter<'s>(store: &'s TempStore, ext: &ExtMemConfig, overlap: bool) -> ExternalSorter<'s> {
-    let s = ExternalSorter::new(store, ext.clone()).min_per_pair();
+    let s = ExternalSorter::new(store, ext.clone());
     if overlap {
         s.with_background_spill()
     } else {
@@ -413,7 +408,7 @@ impl Labels {
     /// caller that rewinds it. With no deltas this is the base's reader,
     /// its whole budget and every record.
     fn reader(&self, block_bytes: usize, head_budget: usize) -> io::Result<SortedStream> {
-        SortedStream::merge(self.readers(block_bytes, head_budget)?, !self.deltas.is_empty())
+        SortedStream::merge(self.readers(block_bytes, head_budget)?)
     }
 
     /// A reader of each run, base first, each with the share of
@@ -447,7 +442,7 @@ impl Labels {
             return Ok(self);
         }
         let block = ext.block_bytes;
-        let base = merge_readers(store, self.readers(block, 0)?, block, true)?;
+        let base = merge_readers(store, self.readers(block, 0)?, block)?;
         debug_assert_eq!(base.len(), self.entries, "the fold keeps one record per entry");
         Ok(Labels { base, deltas: Vec::new(), entries: self.entries })
     }
@@ -774,7 +769,7 @@ fn side_round(
     ext: &ExtMemConfig,
     overlap: bool,
     stepping: bool,
-    hubs: Option<&HubTable>,
+    hubs: &HubTable,
     side: &Side,
     across: &Labels,
 ) -> io::Result<SideOutcome> {
@@ -783,7 +778,7 @@ fn side_round(
     let (mut widest, mut raw, mut killed) = (LabelRecord::new(0, 0, 0), 0u64, 0u64);
     let mut offer = |r: LabelRecord| {
         raw += 1;
-        if hubs.is_some_and(|h| h.kills(side.index, r.key, r.pivot, r.dist)) {
+        if hubs.kills(side.index, r.key, r.pivot, r.dist) {
             killed += 1;
             return Ok(());
         }
@@ -828,6 +823,7 @@ struct External<'s> {
     store: &'s TempStore,
     ext: &'s ExtMemConfig,
     threaded: bool,
+    /// Built after the seeding, freed before the final load.
     hubs: Option<HubTable>,
     sides: Vec<Side>,
     /// Bytes read and written as of the last row.
@@ -857,8 +853,8 @@ impl Rounds for External<'_> {
     }
 
     fn round(&mut self, stepping: bool) -> io::Result<IterationStats> {
-        let (store, ext, threaded, hubs) =
-            (self.store, self.ext, self.threaded, self.hubs.as_ref());
+        let (store, ext, threaded) = (self.store, self.ext, self.threaded);
+        let hubs = self.hubs.as_ref().expect("the hub tables are built before the first round");
         // The sides share only read-only label files and the hub tables;
         // each owns its sorters and temp runs, so scheduling cannot
         // reorder any per-side record stream.
@@ -901,8 +897,8 @@ impl Rounds for External<'_> {
 }
 
 /// The engine on `g` (the core, from [`build_external`]) with a hub
-/// table of `hubs` hubs where `cfg` and `g` take one; the table is
-/// freed before the labels are loaded.
+/// table of `hubs` hubs, built after the seeding, as in memory, and freed
+/// before the labels are loaded.
 fn run(
     g: &Graph,
     cfg: &HopDbConfig,
@@ -913,8 +909,11 @@ fn run(
     let started = Instant::now();
     let threads = cfg.resolved_parallelism();
     let (mut e, seeded) = seed(g, ext, store, threads >= 2)?;
-    e.hubs = HubTable::for_build(g, cfg, hubs);
+    let clock = Instant::now();
+    e.hubs = Some(HubTable::new(g, hubs));
+    let hub_tables_elapsed = clock.elapsed();
     let mut stats = fixpoint(&mut e, &cfg.strategy, threads, seeded)?;
+    stats.hub_tables_elapsed = hub_tables_elapsed;
     e.hubs = None;
 
     let mut labels = Vec::with_capacity(e.sides.len());
@@ -1111,7 +1110,7 @@ mod tests {
     ) -> (Vec<IterationStats>, Vec<Files>) {
         let store = TempStore::new().unwrap();
         let (mut e, seeded) = seed(g, ext, &store, false).unwrap();
-        e.hubs = HubTable::for_build(g, cfg, HUBS);
+        e.hubs = Some(HubTable::new(g, HUBS));
         let mut noted = Noted { e, files: Vec::new() };
         noted.note();
         let stats = fixpoint(&mut noted, &cfg.strategy, 1, seeded).unwrap();
@@ -1989,7 +1988,8 @@ mod tests {
         hubs: usize,
     ) -> ((LabelIndex, BuildStats), ExternalBuildResult) {
         let reduced = peel(g);
-        let (mut index, mut stats) = crate::engine::build_index_with_hubs(&reduced.core, cfg, hubs);
+        let (mut index, mut stats) =
+            crate::engine::build_index_with_hubs(&reduced.core, cfg, Some(hubs));
         derive_fringe(&mut index, &mut stats, cfg, g, reduced);
         let (reduced, store) = (peel(g), TempStore::new().unwrap());
         let mut ext = run(&reduced.core, cfg, &tiny_ext(), &store, hubs).unwrap();
@@ -2111,13 +2111,6 @@ mod tests {
         let result = build_external(&g, &HopDbConfig::default(), &tiny_ext()).unwrap();
         let (rb, wb, rblk, wblk) = result.io;
         assert!(rb > 0 && wb > 0 && rblk > 0 && wblk > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "pruned algorithm")]
-    fn rejects_unpruned_config() {
-        let g = graphgen::example_graph_fig3();
-        let _ = build_external(&g, &HopDbConfig::unpruned(Strategy::Doubling), &tiny_ext());
     }
 
     /// A zero block size is refused up front (it used to run the whole

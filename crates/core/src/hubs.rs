@@ -1,5 +1,5 @@
 //! The hub-distance tables: every vertex's distances to and from the
-//! `K` top-ranked vertices, which a pruned build tests each candidate
+//! `K` top-ranked vertices, which every build tests each candidate
 //! against where it is born — before the external engine sorts, spills,
 //! merges or joins it, and before the in-memory engine scans `across`
 //! for it.
@@ -55,8 +55,6 @@
 
 use hoplabels::index::{side_table, SideRule};
 use sfgraph::{Dist, Graph, VertexId};
-
-use crate::config::HopDbConfig;
 
 /// Hubs a build's table holds. On a 16 000-vertex GLP's external build,
 /// 16 hubs kill 79 % of the raw candidates; a prototype with exact `u32`
@@ -117,13 +115,6 @@ impl HubTable {
         HubTable { hubs: k, rules, dist: rules.iter().map(&mut search).collect() }
     }
 
-    /// The tables a build of `g` under `cfg` tests its candidates
-    /// against, of `hubs` hubs: none for an unpruned build, whose
-    /// fixpoint keeps every entry.
-    pub(crate) fn for_build(g: &Graph, cfg: &HopDbConfig, hubs: usize) -> Option<HubTable> {
-        (cfg.prune && hubs > 0).then(|| HubTable::new(g, hubs))
-    }
-
     /// How many hubs the table holds.
     pub fn hubs(&self) -> usize {
         self.hubs
@@ -164,6 +155,7 @@ impl HubTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HopDbConfig;
     use sfgraph::traversal::sssp;
     use sfgraph::GraphBuilder;
 
@@ -302,8 +294,8 @@ mod tests {
         assert_eq!((to_x, from_v), (Some(1), Some(1)));
         // `Lin(2) ∋ (1, 2)` is the walk 1 → 0 → 2 through the hub: it dies.
         assert!(table.kills(lin, 2, 1, 2) && !table.kills(lin, 2, 1, 1));
-        // A pruned build, which tests every candidate against the
-        // tables, keeps the canonical entry.
+        // A build, which tests every candidate against the tables, keeps
+        // the canonical entry.
         let (index, _) = crate::engine::build_index(&g, &HopDbConfig::default());
         assert_eq!(index.sides()[lout][2].get(1), Some(2));
         assert_eq!((index.query(2, 1), index.query(1, 2)), (2, 2));

@@ -14,9 +14,9 @@ pub struct IterationStats {
     /// Whether this iteration used stepping (true) or doubling (false).
     pub stepping: bool,
     /// Candidates generated after same-pair deduplication, less those an
-    /// entry of the same `(owner, pivot)` already dominates and, in a
-    /// pruned build, those the hub tables kill ([`crate::hubs`]): both
-    /// engines drop those before counting them.
+    /// entry of the same `(owner, pivot)` already dominates and those the
+    /// hub tables kill ([`crate::hubs`]): both engines drop those before
+    /// counting them.
     pub candidates: u64,
     /// Candidates rejected by the pruning test.
     pub pruned: u64,
@@ -62,11 +62,13 @@ pub struct BuildStats {
     pub iterations: Vec<IterationStats>,
     /// Entries in the final index (including trivial self-entries).
     pub final_entries: u64,
-    /// Entries the canonical filter ([`crate::postprune`]) removed
-    /// from a pruned build; 0 for an unpruned one.
+    /// Entries the canonical filter ([`crate::postprune`]) removed.
     pub post_pruned: u64,
     /// Time the filter took (included in [`BuildStats::elapsed`]).
     pub post_prune_elapsed: Duration,
+    /// Time the hub tables ([`crate::hubs`]) took to build, before the
+    /// seeding and outside its row (included in [`BuildStats::elapsed`]).
+    pub hub_tables_elapsed: Duration,
     /// Vertices the index derives from their neighbours instead of
     /// labelling: those with one or two neighbours eliminated before the
     /// engine ran, each stored as a record (`hoplabels::Record`) per

@@ -20,7 +20,8 @@
 //!   10, as in §8), doubling afterwards — the paper's default `HopDb`.
 //! * **Pruning** (§3.3): a candidate `(u → v, d)` is discarded when the
 //!   2-hop query over the current index already answers `dist(u, v) ≤ d`
-//!   (Theorem 3 shows this keeps queries exact).
+//!   (Theorem 3 shows this keeps queries exact). Every build prunes:
+//!   there is no switch, as PLL has no unpruned mode.
 //!
 //! Entry points:
 //! * [`build`] / [`HopDb`] — rank, relabel, build, query (original ids);
@@ -28,19 +29,22 @@
 //!   one or two neighbours (`sfgraph::reduce`) from those neighbours;
 //! * [`engine`] — the iterative engine on rank-relabeled graphs (one
 //!   round kernel over one or two label *sides*), with per-iteration
-//!   statistics (growing/pruning factors of Fig. 10);
+//!   statistics (growing/pruning factors of Fig. 10), and its unpruned
+//!   fixpoint, [`engine::build_unpruned`]: Example 1's complete labeling,
+//!   for the tests of the paper's worked examples and lemmas;
 //! * [`postprune`] — the canonical filter, §5.2's exhaustive pruning as
-//!   an order-free test: the last step of every pruned build, in both
-//!   engines, it leaves PLL's canonical labels, so every strategy ends
-//!   in one index;
+//!   an order-free test: the last step of every build, in both engines,
+//!   it leaves PLL's canonical labels, so every strategy ends in one
+//!   index;
 //! * [`external`] — the I/O-efficient construction of §4 on the
 //!   `extmem` substrate;
 //! * [`hubs`] — the distances to and from the top-ranked vertices, one
-//!   table per side, that both engines kill a pruned build's candidates
-//!   with, before the label prune.
+//!   table per side, that both engines kill candidates with, before the
+//!   label prune.
 //!
 //! The unminimized 6-rule generator (`sixrules.rs`) is compiled into
-//! the tests only, as an executable witness for Lemmas 3–4.
+//! the tests only, as an executable witness for Lemmas 3–4: its closure
+//! equals [`engine::build_unpruned`]'s.
 //!
 //! Construction parallelises within each iteration: set
 //! [`HopDbConfig::parallelism`] (or `hopdb-cli build --threads`) to

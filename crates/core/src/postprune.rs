@@ -126,7 +126,7 @@ mod tests {
     use super::*;
     use crate::builder::build_prelabeled;
     use crate::config::{HopDbConfig, Strategy};
-    use crate::engine::build_index;
+    use crate::engine::{build_index, build_unpruned};
     use graphgen::{glp, orient_scale_free, with_random_weights, GlpParams};
     use hoplabels::verify::{assert_exact, is_minimal};
     use rand::{Rng, SeedableRng};
@@ -204,16 +204,16 @@ mod tests {
         let strategies =
             [Strategy::Stepping, Strategy::Doubling, Strategy::Hybrid { switch_at: 3 }];
         for strategy in strategies {
-            for cfg in
-                [HopDbConfig::with_strategy(strategy.clone()), HopDbConfig::unpruned(strategy)]
+            let cfg = HopDbConfig::with_strategy(strategy);
+            for (built, kind) in
+                [(build_index(g, &cfg).0, "pruned"), (build_unpruned(g, &cfg).0, "unpruned")]
             {
-                let (built, _) = build_index(g, &cfg);
                 let mut reference = built.clone();
                 let removed = rank_ordered(&mut reference);
                 for threads in [1, 2, 4] {
                     let mut filtered = built.clone();
                     let got = post_prune(&mut filtered, threads);
-                    let case = format!("{what}, {cfg:?}, {threads} threads");
+                    let case = format!("{what}, {kind} {:?}, {threads} threads", cfg.strategy);
                     assert_eq!((got, &filtered), (removed, &reference), "{case}");
                     assert_eq!(post_prune(&mut filtered, threads), 0, "second pass, {case}");
                 }
@@ -270,7 +270,7 @@ mod tests {
         // On the Fig. 3 graph, unpruned doubling keeps (2 → 1, 2) in
         // Lout(2); Example 2 prunes it. The filter must remove it too.
         let g = graphgen::example_graph_fig3();
-        let (mut index, _) = build_index(&g, &HopDbConfig::unpruned(Strategy::Doubling));
+        let (mut index, _) = build_unpruned(&g, &HopDbConfig::with_strategy(Strategy::Doubling));
         assert_eq!(index.source_labels(2).get(1), Some(2), "unpruned keeps (2→1,2)");
         let removed = post_prune(&mut index, 1);
         assert!(removed >= 1);
@@ -281,7 +281,7 @@ mod tests {
     #[test]
     fn idempotent() {
         let g = graphgen::example_graph_fig3();
-        let (mut index, _) = build_index(&g, &HopDbConfig::unpruned(Strategy::Doubling));
+        let (mut index, _) = build_unpruned(&g, &HopDbConfig::with_strategy(Strategy::Doubling));
         post_prune(&mut index, 1);
         let again = post_prune(&mut index, 1);
         assert_eq!(again, 0, "second pass must find nothing");

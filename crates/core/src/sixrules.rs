@@ -109,7 +109,7 @@ fn offer(
 mod tests {
     use super::*;
     use crate::config::{HopDbConfig, Strategy};
-    use crate::engine::build_index;
+    use crate::engine::build_unpruned;
     use hoplabels::verify::assert_exact;
     use sfgraph::GraphBuilder;
 
@@ -138,7 +138,7 @@ mod tests {
             }
             let g = b.build();
             let six = six_rule_closure(&g);
-            let (four, _) = build_index(&g, &HopDbConfig::unpruned(Strategy::Doubling));
+            let (four, _) = build_unpruned(&g, &HopDbConfig::with_strategy(Strategy::Doubling));
             assert_eq!(six, four, "closures differ on case {case} (n={n})");
         }
     }
@@ -155,7 +155,7 @@ mod tests {
             }
             let g = b.build();
             let six = six_rule_closure(&g);
-            let (step, _) = build_index(&g, &HopDbConfig::unpruned(Strategy::Stepping));
+            let (step, _) = build_unpruned(&g, &HopDbConfig::with_strategy(Strategy::Stepping));
             assert_eq!(six, step);
         }
     }

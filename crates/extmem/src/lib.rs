@@ -31,9 +31,8 @@
 //!   which forms the sorter's runs and orders the §4.2 prune's blocks by
 //!   pivot;
 //! * [`sorter::ExternalSorter`] — budgeted run formation plus k-way merge
-//!   under one rule, every record or the nearest per `(vertex, pivot)`
-//!   ([`sorter::ExternalSorter::min_per_pair`]), optionally pipelining the
-//!   spill passes onto a background worker
+//!   under one rule, the nearest record per `(vertex, pivot)` (Algorithm
+//!   2's "avoid duplicates"), optionally pipelining the spill passes onto a background worker
 //!   ([`sorter::ExternalSorter::with_background_spill`]) and handing its
 //!   last merge to the consumer as a stream instead of a file
 //!   ([`sorter::ExternalSorter::finish_stream`]); the same stream reads

@@ -2,11 +2,13 @@
 //!
 //! Classic two-phase sort in the Aggarwal–Vitter model: runs of at most
 //! `M` records are sorted in memory and spilled to counted files, then
-//! merged with a k-way heap. Both phases keep every record or, under
-//! [`ExternalSorter::min_per_pair`], the nearest record per `(key,
-//! pivot)` — the "avoid duplicates" step of Algorithm 2. Records leave
-//! a sort or a merge in `(key, pivot, dist)` order, so the nearest of a
-//! pair is its first, and the others are dropped.
+//! merged with a k-way heap. Both phases keep the nearest record per
+//! `(key, pivot)` — the "avoid duplicates" step of Algorithm 2, and the
+//! only rule there is. Records leave a sort or a merge in `(key, pivot,
+//! dist)` order, so the nearest of a pair is its first, and the others
+//! are dropped. A merge of one reader is that reader, passed through
+//! without the heap: every run the sorter or its callers write holds
+//! each pair once, so there is nothing to drop.
 //!
 //! A run is formed without comparing records: one OR pass over the
 //! buffer finds the bits its keys, pivots and distances use, each record
@@ -69,7 +71,8 @@ fn fan_in(config: &ExtMemConfig) -> usize {
     (memory / chunk_bytes(config.block_bytes)).max(2)
 }
 
-/// Budgeted external sorter for ordered records.
+/// Budgeted external sorter: the records in `(key, pivot, dist)` order,
+/// the nearest per `(key, pivot)` only.
 ///
 /// ```
 /// use extmem::{ExtMemConfig, ExternalSorter, LabelRecord};
@@ -90,8 +93,6 @@ pub struct ExternalSorter<'s> {
     config: ExtMemConfig,
     buffer: Vec<LabelRecord>,
     runs: Vec<Run>,
-    /// Keep the nearest record per `(key, pivot)` instead of every one.
-    min_per_pair: bool,
     /// Spill on a background worker (started lazily at the first spill,
     /// so sorters whose input fits in memory never spawn a thread).
     background_spill: bool,
@@ -139,17 +140,9 @@ impl<'s> ExternalSorter<'s> {
             config,
             buffer: Vec::with_capacity(cap.min(1 << 22)),
             runs: Vec::new(),
-            min_per_pair: false,
             background_spill: false,
             spill_worker: None,
         }
-    }
-
-    /// Keep one record per `(key, pivot)`, the nearest, in every run
-    /// and merge, instead of every record.
-    pub fn min_per_pair(mut self) -> Self {
-        self.min_per_pair = true;
-        self
     }
 
     /// Move run formation onto a background worker thread.
@@ -157,12 +150,10 @@ impl<'s> ExternalSorter<'s> {
     /// Full buffers travel through a channel bounded at
     /// `SPILL_QUEUE_DEPTH` (2); the worker radix-sorts and writes each
     /// one while the producer keeps pushing. Call before the first
-    /// [`ExternalSorter::push`] (after [`ExternalSorter::min_per_pair`]) —
-    /// the worker copies the merge rule when it starts. The thread is
-    /// spawned lazily at the first spill, so inputs that fit in memory
-    /// never pay for one. The sorted output, the run boundaries, and
-    /// every I/O counter are identical to the inline path; only
-    /// wall-clock overlap changes.
+    /// [`ExternalSorter::push`]. The thread is spawned lazily at the
+    /// first spill, so inputs that fit in memory never pay for one. The
+    /// sorted output, the run boundaries, and every I/O counter are
+    /// identical to the inline path; only wall-clock overlap changes.
     pub fn with_background_spill(mut self) -> Self {
         self.background_spill = true;
         self
@@ -172,12 +163,12 @@ impl<'s> ExternalSorter<'s> {
         let (tx, rx) = sync_channel::<Vec<LabelRecord>>(SPILL_QUEUE_DEPTH);
         let (recycle_tx, recycle_rx) = std::sync::mpsc::channel::<Vec<LabelRecord>>();
         let store = self.store.handle();
-        let (block_bytes, min_per_pair) = (self.config.block_bytes, self.min_per_pair);
+        let block_bytes = self.config.block_bytes;
         let handle = std::thread::spawn(move || -> std::io::Result<Vec<Run>> {
             let mut runs = Vec::new();
             while let Ok(mut buf) = rx.recv() {
                 let file = store.create("sort-run")?;
-                runs.push(spill_run(&mut buf, file, block_bytes, min_per_pair)?);
+                runs.push(spill_run(&mut buf, file, block_bytes)?);
                 store.stats().record_sort_run();
                 // Hand the emptied buffer back; a gone producer is fine.
                 let _ = recycle_tx.send(buf);
@@ -222,8 +213,7 @@ impl<'s> ExternalSorter<'s> {
             };
         }
         let file = self.store.create("sort-run")?;
-        let (block_bytes, min_per_pair) = (self.config.block_bytes, self.min_per_pair);
-        self.runs.push(spill_run(&mut self.buffer, file, block_bytes, min_per_pair)?);
+        self.runs.push(spill_run(&mut self.buffer, file, self.config.block_bytes)?);
         self.store.stats().record_sort_run();
         Ok(())
     }
@@ -248,11 +238,11 @@ impl<'s> ExternalSorter<'s> {
     pub fn finish_stream(mut self) -> std::io::Result<SortedStream> {
         if self.runs.is_empty() && self.spill_worker.is_none() {
             let mut sorted = Vec::with_capacity(self.buffer.len());
-            sort_into(&self.buffer, self.min_per_pair, |r| {
+            sort_into(&self.buffer, |r| {
                 sorted.push(r);
                 Ok(())
             })?;
-            let nothing_to_merge = SortedStream::merge(Vec::new(), self.min_per_pair)?;
+            let nothing_to_merge = SortedStream::merge(Vec::new())?;
             let memory = sorted.into_iter();
             return Ok(SortedStream { memory, ..nothing_to_merge });
         }
@@ -270,12 +260,12 @@ impl<'s> ExternalSorter<'s> {
             let take = (self.runs.len() - max_fanin + 1).min(max_fanin);
             let batch = self.runs.drain(..take).map(|run| run.into_reader(block_bytes));
             let batch = batch.collect::<std::io::Result<_>>()?;
-            let merged = merge_readers(self.store, batch, block_bytes, self.min_per_pair)?;
+            let merged = merge_readers(self.store, batch, block_bytes)?;
             self.runs.push(merged);
         }
         self.store.stats().record_merge_pass();
         let readers = self.runs.drain(..).map(|run| run.into_reader(block_bytes));
-        SortedStream::merge(readers.collect::<std::io::Result<_>>()?, self.min_per_pair)
+        SortedStream::merge(readers.collect::<std::io::Result<_>>()?)
     }
 }
 
@@ -288,24 +278,23 @@ fn packing_of(records: &[LabelRecord]) -> Packing {
 }
 
 /// Whether `b` repeats the `(key, pivot)` of `a`, the record before it
-/// in `(key, pivot, dist)` order: the record `min_per_pair` drops.
+/// in `(key, pivot, dist)` order: the record a sort or a merge drops.
 #[inline(always)]
 fn same_pair(a: LabelRecord, b: LabelRecord) -> bool {
     (a.key, a.pivot) == (b.key, b.pivot)
 }
 
 /// Radix-sort `records` and hand them to `emit` in order, the first of
-/// each `(key, pivot)` only under `min_per_pair`.
+/// each `(key, pivot)` only.
 fn sort_into(
     records: &[LabelRecord],
-    min_per_pair: bool,
     emit: impl FnMut(LabelRecord) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
     let packing = packing_of(records);
     if packing.fits_u64() {
-        sort_words::<u64>(records, packing, min_per_pair, emit)
+        sort_words::<u64>(records, packing, emit)
     } else {
-        sort_words::<u128>(records, packing, min_per_pair, emit)
+        sort_words::<u128>(records, packing, emit)
     }
 }
 
@@ -314,7 +303,6 @@ fn sort_into(
 fn sort_words<W: Word>(
     records: &[LabelRecord],
     packing: Packing,
-    min_per_pair: bool,
     mut emit: impl FnMut(LabelRecord) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
     let mut words: Vec<W> =
@@ -324,7 +312,7 @@ fn sort_words<W: Word>(
     for &w in &words {
         let [key, pivot, dist] = packing.unpack(w);
         let r = LabelRecord::new(key, pivot, dist);
-        if !(min_per_pair && last.is_some_and(|l| same_pair(l, r))) {
+        if !last.is_some_and(|l| same_pair(l, r)) {
             emit(r)?;
         }
         last = Some(r);
@@ -333,15 +321,14 @@ fn sort_words<W: Word>(
 }
 
 /// Sort `buf` (left empty) into a run in `file`, the first of each
-/// `(key, pivot)` only under `min_per_pair`.
+/// `(key, pivot)` only.
 fn spill_run(
     buf: &mut Vec<LabelRecord>,
     file: CountedFile,
     block_bytes: usize,
-    min_per_pair: bool,
 ) -> std::io::Result<Run> {
     let mut w = RunWriter::new(file, block_bytes);
-    sort_into(buf, min_per_pair, |r| w.push(r))?;
+    sort_into(buf, |r| w.push(r))?;
     buf.clear();
     w.finish()
 }
@@ -357,24 +344,25 @@ pub struct SortedStream<R = RunReader> {
     /// [`merge_word`]: a min-heap of one word a reader.
     heap: BinaryHeap<Reverse<u128>>,
     /// The record the stream hands out next, held until the heap shows
-    /// the one after it, which `min_per_pair` drops if it repeats the pair.
+    /// the one after it, which is dropped if it repeats the pair.
     pending: Option<LabelRecord>,
-    min_per_pair: bool,
     /// Already sorted; served when there is nothing to merge.
     memory: std::vec::IntoIter<LabelRecord>,
-    /// One reader, every record kept: the merge is that reader, served
-    /// without the heap.
+    /// One reader: the merge is that reader, served without the heap. It
+    /// holds each pair once, as every run written here or by the builds
+    /// does, so the rule has nothing to drop.
     lone: bool,
 }
 
 impl<R: RecordSource> SortedStream<R> {
-    /// The merge of the sorted `readers`, records equal across readers
-    /// taken in reader order: every record, or the nearest per `(key,
-    /// pivot)` under `min_per_pair`.
-    pub fn merge(readers: Vec<R>, min_per_pair: bool) -> std::io::Result<SortedStream<R>> {
+    /// The merge of the sorted `readers`, the nearest record per `(key,
+    /// pivot)`, ties across readers taken in reader order. Each reader
+    /// must hold each pair once: a lone reader is passed through as it
+    /// stands.
+    pub fn merge(readers: Vec<R>) -> std::io::Result<SortedStream<R>> {
         let heap = BinaryHeap::with_capacity(readers.len());
-        let (memory, lone) = (Vec::new().into_iter(), readers.len() == 1 && !min_per_pair);
-        let mut merge = SortedStream { readers, heap, pending: None, min_per_pair, memory, lone };
+        let (memory, lone) = (Vec::new().into_iter(), readers.len() == 1);
+        let mut merge = SortedStream { readers, heap, pending: None, memory, lone };
         merge.fill_heap()?;
         Ok(merge)
     }
@@ -425,7 +413,7 @@ impl<R: RecordSource> RecordSource for SortedStream<R> {
                 self.pending = Some(rec);
                 continue;
             };
-            if !(self.min_per_pair && same_pair(prev, rec)) {
+            if !same_pair(prev, rec) {
                 self.pending = Some(rec);
                 return Ok(Some(prev));
             }
@@ -504,10 +492,9 @@ pub fn merge_readers(
     store: &TempStore,
     readers: Vec<RunReader>,
     block_bytes: usize,
-    min_per_pair: bool,
 ) -> std::io::Result<Run> {
     store.stats().record_merge_pass();
-    let merge = SortedStream::merge(readers, min_per_pair)?;
+    let merge = SortedStream::merge(readers)?;
     merge.into_run(store.create("merge-out")?, block_bytes)
 }
 
@@ -534,7 +521,7 @@ mod tests {
     }
 
     /// The least distance of each `(key, pivot)` of `records`, sorted: what
-    /// `min_per_pair` keeps, from a map instead of a merge.
+    /// a sort or a merge keeps, from a map instead of a merge.
     fn nearest(records: impl IntoIterator<Item = LabelRecord>) -> Vec<LabelRecord> {
         let mut nearest = std::collections::BTreeMap::new();
         for r in records {
@@ -621,23 +608,21 @@ mod tests {
         use std::rc::Rc;
 
         /// What run formation did before the radix: `sort_unstable` on
-        /// the records; under `min_per_pair`, the map of [`nearest`].
-        fn compared(records: &[LabelRecord], min_per_pair: bool) -> Vec<LabelRecord> {
-            if min_per_pair {
-                return nearest(records.iter().copied());
-            }
+        /// the records, then the first of each `(key, pivot)`.
+        fn compared(records: &[LabelRecord]) -> Vec<LabelRecord> {
             let mut buf = records.to_vec();
             buf.sort_unstable();
+            buf.dedup_by_key(|r| (r.key, r.pivot));
             buf
         }
 
-        fn radixed(records: &[LabelRecord], min_per_pair: bool) -> Vec<LabelRecord> {
+        fn radixed(records: &[LabelRecord]) -> Vec<LabelRecord> {
             let mut out = Vec::new();
             let emit = |r| {
                 out.push(r);
                 Ok(())
             };
-            sort_into(records, min_per_pair, emit).unwrap();
+            sort_into(records, emit).unwrap();
             out
         }
 
@@ -681,12 +666,10 @@ mod tests {
         fn radix_run_formation_equals_the_comparison_sort() {
             for (shape, records, wide) in buffers() {
                 assert_eq!(packing_of(&records).fits_u64(), !wide, "{shape}");
-                for min_per_pair in [false, true] {
-                    let expect = compared(&records, min_per_pair);
-                    let at =
-                        format!("{shape}, {} records, min per pair {min_per_pair}", records.len());
-                    assert_eq!(radixed(&records, min_per_pair), expect, "{at}");
-                }
+                let expect = compared(&records);
+                let at = format!("{shape}, {} records", records.len());
+                assert_eq!(expect, nearest(records.iter().copied()), "{at}");
+                assert_eq!(radixed(&records), expect, "{at}");
             }
         }
 
@@ -724,9 +707,11 @@ mod tests {
             out
         }
 
-        /// Keeping every record, equal records arriving from different runs
-        /// come out of the merge as the tuple heap let them out, and the
-        /// runs are read in the same order: ties go to the lower run.
+        /// Runs that hold each `(key, pivot)` once, as every run does,
+        /// merged: the records come out as the tuple heap let them out,
+        /// the first of each pair only — equal records arriving from
+        /// different runs included, ties going to the lower run — and the
+        /// runs are read in the same order.
         #[test]
         fn merge_order_equals_the_tuple_heap_ties_included() {
             let mut draw = draws(0x7ee);
@@ -737,6 +722,7 @@ mod tests {
                         let mut run: Vec<LabelRecord> =
                             (0..len).map(|_| LabelRecord::new(draw(6), draw(3), draw(2))).collect();
                         run.sort_unstable();
+                        run.dedup_by_key(|r| (r.key, r.pivot));
                         run
                     })
                     .collect();
@@ -750,16 +736,20 @@ mod tests {
                     .collect()
                 };
                 let (old_reads, new_reads) = (Rc::default(), Rc::default());
-                let expect = tuple_heap(sources(&old_reads));
-                let mut merged = SortedStream::merge(sources(&new_reads), false).unwrap();
+                let every = tuple_heap(sources(&old_reads));
+                let mut expect = every.clone();
+                expect.dedup_by_key(|r| (r.key, r.pivot));
+                assert_eq!(expect, nearest(every.iter().copied()), "{runs} runs");
+                let mut merged = SortedStream::merge(sources(&new_reads)).unwrap();
                 let mut got = Vec::new();
                 while let Some(r) = merged.next_record().unwrap() {
                     got.push(r);
                 }
                 assert_eq!(got, expect, "{runs} runs");
                 assert_eq!(new_reads, old_reads, "{runs} runs: the runs read in another order");
-                let ties = expect.windows(2).filter(|w| w[0] == w[1]).count();
+                let ties = every.windows(2).filter(|w| w[0] == w[1]).count();
                 assert!(runs < 3 || ties > 0, "{runs} runs: equal records must meet");
+                assert!(runs < 2 || got.len() < every.len(), "{runs} runs: the merge must drop");
             }
         }
     }
@@ -816,16 +806,15 @@ mod tests {
         /// What a label merge of `add` into `base` writes.
         fn merge_sorted(base: &[LabelRecord], add: &[LabelRecord]) -> Vec<LabelRecord> {
             let two = vec![Chunked::new(base), Chunked::new(add)];
-            drain(&mut SortedStream::merge(two, true).unwrap())
+            drain(&mut SortedStream::merge(two).unwrap())
         }
 
         /// Base and deltas merged at once equal the deltas merged into the
         /// base one by one, record for record — the minimum kept where
         /// runs tie on `(key, pivot)`, a key only a delta holds included —
         /// and so do the groups a sparse probe pass reads, whose hints
-        /// land inside the deltas too, before and after a rewind. Keeping
-        /// every record, the merge is all of them in order, and the base
-        /// alone reads as itself under either rule.
+        /// land inside the deltas too, before and after a rewind. The base
+        /// alone reads as itself, passed through.
         #[test]
         fn base_and_deltas_read_as_their_label_merges() {
             let mut draw = draws(0xde17a);
@@ -835,18 +824,12 @@ mod tests {
                 let expect = runs[1..].iter().fold(runs[0].clone(), |b, d| merge_sorted(&b, d));
                 let each = nearest(runs.iter().flatten().copied());
                 assert_eq!(expect, each, "case {case}: the nearest per pair");
-                let mut every = runs.concat();
-                every.sort_unstable();
-                let all = runs.iter().map(|r| Chunked::new(r)).collect();
-                assert_eq!(drain(&mut SortedStream::merge(all, false).unwrap()), every);
-                for min_per_pair in [false, true] {
-                    let base = vec![Chunked::new(&runs[0])];
-                    let mut base = SortedStream::merge(base, min_per_pair).unwrap();
-                    assert_eq!(base.lone, !min_per_pair, "case {case}");
-                    assert_eq!(drain(&mut base), runs[0], "case {case}, {min_per_pair}");
-                }
+                let mut base = SortedStream::merge(vec![Chunked::new(&runs[0])]).unwrap();
+                assert!(base.lone, "case {case}");
+                assert_eq!(drain(&mut base), runs[0], "case {case}");
                 let sources = runs.iter().map(|r| Chunked::new(r)).collect();
-                let mut merged = SortedStream::merge(sources, true).unwrap();
+                let mut merged = SortedStream::merge(sources).unwrap();
+                assert!(!merged.lone, "case {case}");
                 assert_eq!(drain(&mut merged), expect, "case {case}");
                 let only_in_a_delta = LabelRecord::new(70, 3, 2);
                 assert!(expect.contains(&only_in_a_delta), "case {case}");
@@ -888,7 +871,7 @@ mod tests {
             let merge = |heads: &[usize]| {
                 let readers = files.iter().zip(heads);
                 let readers = readers.map(|(f, &h)| f.reader(block, h).unwrap());
-                SortedStream::merge(readers.collect(), true).unwrap()
+                SortedStream::merge(readers.collect()).unwrap()
             };
             let expect = drain(&mut merge(&vec![0; files.len()]));
             let heads: Vec<usize> =
@@ -934,7 +917,8 @@ mod tests {
 
     #[test]
     fn sorts_with_spills() {
-        // Pseudo-random order, tiny budget => many runs + multi-pass merge.
+        // Pseudo-random order, tiny budget => many runs + multi-pass merge;
+        // the pairs that repeat come out once.
         let mut recs = Vec::new();
         let mut x = 12345u64;
         for _ in 0..10_000 {
@@ -942,13 +926,16 @@ mod tests {
             recs.push(LabelRecord::new((x >> 33) as u32 % 997, (x >> 17) as u32 % 991, 1));
         }
         let sorted = sort_all(recs.clone(), ExtMemConfig::tiny());
-        let mut expect = recs;
+        let mut expect = recs.clone();
         expect.sort();
+        expect.dedup_by_key(|r| (r.key, r.pivot));
         assert_eq!(sorted, expect);
+        assert_eq!(sorted, nearest(recs.iter().copied()));
+        assert!(sorted.len() < recs.len(), "some pair must repeat");
     }
 
-    /// Under `min_per_pair` each `(key, pivot)` keeps its least distance
-    /// alone, wherever its records fall: in one buffer, in runs the last
+    /// Each `(key, pivot)` keeps its least distance alone, wherever its
+    /// records fall: in one buffer, in runs the last
     /// merge meets, on both sides of an intermediate merge.
     #[test]
     fn combiner_keeps_min_dist_per_pair() {
@@ -967,7 +954,7 @@ mod tests {
         let cases = [(interleaved.collect(), 1), (random(m / 2), 0), (random((fanin + 3) * m), 2)];
         for (recs, passes) in cases {
             let store = TempStore::new().unwrap();
-            let mut s = ExternalSorter::new(&store, config.clone()).min_per_pair();
+            let mut s = ExternalSorter::new(&store, config.clone());
             for &r in &recs {
                 s.push(r).unwrap();
             }
@@ -1005,7 +992,7 @@ mod tests {
                 })
                 .collect();
             let fill = |store| {
-                let mut s = ExternalSorter::new(store, config.clone()).min_per_pair();
+                let mut s = ExternalSorter::new(store, config.clone());
                 for &r in &recs {
                     s.push(r).unwrap();
                 }
@@ -1034,23 +1021,16 @@ mod tests {
     /// With `F + k` runs past a fan-in of `F`, the intermediate merge
     /// takes the first `k + 1` runs, what brings the count down to `F`,
     /// and reads and writes those runs' records and bytes and not one
-    /// run more — keeping every record, and keeping the nearest of each
-    /// pair, whose other record the same or another run holds.
+    /// run more — keeping the nearest of each pair, whose other record the
+    /// same or another run holds.
     #[test]
     fn the_intermediate_merge_reads_only_the_runs_above_the_fan_in() {
         let config = ExtMemConfig::tiny();
         let (fanin, m) = (fan_in(&config), config.memory_records);
         let scratch = TempStore::new().unwrap();
-        for (k, min_per_pair) in (1..fanin).flat_map(|k| [(k, false), (k, true)]) {
+        for k in 1..fanin {
             // What a run of `records` holds under the rule.
-            let kept = |records: &[LabelRecord]| {
-                let mut sorted = records.to_vec();
-                sorted.sort_unstable();
-                if min_per_pair {
-                    sorted = nearest(sorted);
-                }
-                sorted
-            };
+            let kept = |records: &[LabelRecord]| nearest(records.iter().copied());
             let run_of = |records: &[LabelRecord]| {
                 let kept = kept(records);
                 let run = run_from_slice(&scratch, "expect", &kept, config.block_bytes).unwrap();
@@ -1067,14 +1047,11 @@ mod tests {
             }
             let store = TempStore::new().unwrap();
             let mut s = ExternalSorter::new(&store, config.clone());
-            if min_per_pair {
-                s = s.min_per_pair();
-            }
             for &r in &recs {
                 s.push(r).unwrap();
             }
             let got = drain(&mut s.finish_stream().unwrap());
-            let at = format!("k = {k}, min per pair {min_per_pair}");
+            let at = format!("k = {k}");
             assert_eq!(got, kept(&recs), "{at}");
             let stats = store.stats();
             assert_eq!((stats.sort_runs(), stats.merge_passes()), ((fanin + k) as u64, 2), "{at}");
@@ -1086,7 +1063,7 @@ mod tests {
             assert_eq!(coded, (records, records), "{at}");
             assert_eq!((stats.read_bytes(), stats.write_bytes()), (bytes, bytes), "{at}");
             let merged_in = sum(&spilled[..k + 1]).0;
-            assert!(!min_per_pair || merged.0 < merged_in, "{at}: the merge must drop a record");
+            assert!(merged.0 < merged_in, "{at}: the merge must drop a record");
         }
     }
 
@@ -1102,7 +1079,7 @@ mod tests {
         }
         let run_path = |background: bool| {
             let store = TempStore::new().unwrap();
-            let mut s = ExternalSorter::new(&store, ExtMemConfig::tiny()).min_per_pair();
+            let mut s = ExternalSorter::new(&store, ExtMemConfig::tiny());
             if background {
                 s = s.with_background_spill();
             }

@@ -15,9 +15,9 @@
 //! re-measure and replace the constants.
 //!
 //! The kernel is pinned as `engine::build_index` on the rank-relabeled
-//! graph — the graph these constants always hashed — followed, on a
-//! pruned config, by the canonical filter every pruned build ends in
-//! (`hopdb::postprune`). The filter leaves PLL's canonical labels, so
+//! graph — the graph these constants always hashed — followed by the
+//! canonical filter every build ends in (`hopdb::postprune`), and as
+//! `engine::build_unpruned`, the unpruned fixpoint, on the same graph. The filter leaves PLL's canonical labels, so
 //! the three pruned strategies of a graph pin one label hash (asserted),
 //! while each keeps its own rows: the filter runs after the last round
 //! and moves none of them. The builders run the kernel on the graph's
@@ -54,7 +54,7 @@
 
 use hop_doubling::extmem::ExtMemConfig;
 use hop_doubling::graphgen::{glp, orient_scale_free, with_random_weights, GlpParams};
-use hop_doubling::hopdb::engine::build_index;
+use hop_doubling::hopdb::engine::{build_index, build_unpruned};
 use hop_doubling::hopdb::external::build_external;
 use hop_doubling::hopdb::hubs::{HubTable, HUBS};
 use hop_doubling::hopdb::postprune::post_prune;
@@ -97,14 +97,17 @@ fn rows(stats: &BuildStats) -> Vec<Row> {
         .collect()
 }
 
-/// The kernel on the whole rank-relabeled graph, as `build` ranks it,
-/// and — on a pruned build, as the builders do — the canonical filter.
-fn measure(g: &Graph, cfg: &HopDbConfig) -> (u64, Vec<Row>) {
+/// The kernel on the whole rank-relabeled graph, as `build` ranks it:
+/// pruned and, as the builders do, filtered, or the unpruned fixpoint.
+fn measure(g: &Graph, cfg: &HopDbConfig, pruned: bool) -> (u64, Vec<Row>) {
     let g = ranked(g);
-    let (mut index, stats) = build_index(&g, cfg);
-    if cfg.prune {
+    let (index, stats) = if pruned {
+        let (mut index, stats) = build_index(&g, cfg);
         post_prune(&mut index, cfg.parallelism);
-    }
+        (index, stats)
+    } else {
+        build_unpruned(&g, cfg)
+    };
     assert_hub_rows(&g, &index);
     (label_hash(&index), rows(&stats))
 }
@@ -134,14 +137,17 @@ fn ranked(g: &Graph) -> Graph {
     relabel_by_rank(g, &rank_vertices(g, &RankBy::paper_default(g)))
 }
 
-fn configs() -> [(&'static str, HopDbConfig); 6] {
+/// `(name, config, pruned)`: each strategy pruned, then through the
+/// unpruned fixpoint.
+fn configs() -> [(&'static str, HopDbConfig, bool); 6] {
+    let cfg = HopDbConfig::with_strategy;
     [
-        ("stepping", HopDbConfig::with_strategy(Strategy::Stepping)),
-        ("doubling", HopDbConfig::with_strategy(Strategy::Doubling)),
-        ("hybrid3", HopDbConfig::with_strategy(Strategy::Hybrid { switch_at: 3 })),
-        ("stepping-unpruned", HopDbConfig::unpruned(Strategy::Stepping)),
-        ("doubling-unpruned", HopDbConfig::unpruned(Strategy::Doubling)),
-        ("hybrid3-unpruned", HopDbConfig::unpruned(Strategy::Hybrid { switch_at: 3 })),
+        ("stepping", cfg(Strategy::Stepping), true),
+        ("doubling", cfg(Strategy::Doubling), true),
+        ("hybrid3", cfg(Strategy::Hybrid { switch_at: 3 }), true),
+        ("stepping-unpruned", cfg(Strategy::Stepping), false),
+        ("doubling-unpruned", cfg(Strategy::Doubling), false),
+        ("hybrid3-unpruned", cfg(Strategy::Hybrid { switch_at: 3 }), false),
     ]
 }
 
@@ -151,11 +157,11 @@ fn configs() -> [(&'static str, HopDbConfig); 6] {
 /// canonical labels, whatever the strategy.
 fn assert_golden(graph: &str, g: &Graph, golden: &[(&str, u64, &[Row])]) {
     let mut failures = String::new();
-    for (name, cfg) in configs() {
+    for (name, cfg, pruned) in configs() {
         let expect =
             golden.iter().find(|(n, ..)| *n == name).map(|&(_, h, rows)| (h, rows.to_vec()));
         for threads in [1usize, 2, 4] {
-            let got = measure(g, &cfg.clone().with_parallelism(threads));
+            let got = measure(g, &cfg.clone().with_parallelism(threads), pruned);
             if expect.as_ref() != Some(&got) {
                 failures.push_str(&format!(
                     "{graph} / {name} at {threads} threads:\n    (\"{name}\", {:#018x}, &{:?}),\n",
@@ -168,8 +174,8 @@ fn assert_golden(graph: &str, g: &Graph, golden: &[(&str, u64, &[Row])]) {
     assert!(failures.is_empty(), "engine output moved off its golden values:\n{failures}");
     let pruned: Vec<u64> = configs()
         .iter()
-        .filter(|(_, cfg)| cfg.prune)
-        .filter_map(|(name, _)| golden.iter().find(|(n, ..)| n == name).map(|&(_, h, _)| h))
+        .filter(|&&(.., pruned)| pruned)
+        .filter_map(|(name, ..)| golden.iter().find(|(n, ..)| n == name).map(|&(_, h, _)| h))
         .collect();
     assert!(
         pruned.len() == 3 && pruned.windows(2).all(|w| w[0] == w[1]),
@@ -184,7 +190,7 @@ fn assert_golden(graph: &str, g: &Graph, golden: &[(&str, u64, &[Row])]) {
 fn assert_external_matches(graph: &str, g: &Graph) {
     let g = ranked(g);
     let ext = ExtMemConfig { memory_records: 1 << 10, block_bytes: 512 };
-    for (name, cfg) in configs().into_iter().filter(|(_, cfg)| cfg.prune) {
+    for (name, cfg, _) in configs().into_iter().filter(|&(.., pruned)| pruned) {
         let (mem, mem_stats) = build_prelabeled(&g, &cfg);
         let built = build_external(&g, &cfg, &ext).expect("external build");
         assert_hub_rows(&g, &built.index);

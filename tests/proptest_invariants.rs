@@ -7,7 +7,8 @@
 //!   invariant every engine relies on);
 //! * pruning never loses exactness and never enlarges the index.
 
-use hop_doubling::hopdb::{build, build_prelabeled, HopDbConfig, Strategy as HopStrategy};
+use hop_doubling::hopdb::engine::{build_index, build_unpruned};
+use hop_doubling::hopdb::{build, build_prelabeled, rank, HopDbConfig, Strategy as HopStrategy};
 use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
 use hop_doubling::sfgraph::traversal::all_pairs;
 use hop_doubling::sfgraph::{Graph, GraphBuilder, VertexId, INF_DIST};
@@ -105,15 +106,19 @@ proptest! {
 
     #[test]
     fn pruning_shrinks_or_keeps_index(g in graph_strategy(false, false)) {
-        let pruned = build(&g, &HopDbConfig::with_strategy(HopStrategy::Stepping));
-        let unpruned = build(&g, &HopDbConfig::unpruned(HopStrategy::Stepping));
-        prop_assert!(pruned.index().total_entries() <= unpruned.index().total_entries());
+        let cfg = HopDbConfig::with_strategy(HopStrategy::Stepping);
+        let pruned = build(&g, &cfg);
+        let (ranking, ranked) = rank(&g, &cfg);
+        let (unpruned, _) = build_unpruned(&ranked, &cfg);
+        let kernel = build_index(&ranked, &cfg).0;
+        prop_assert!(kernel.total_entries() <= unpruned.total_entries());
         // Both stay exact.
         let truth = all_pairs(&g);
         for s in 0..g.num_vertices() as VertexId {
             for t in 0..g.num_vertices() as VertexId {
+                let at = (ranking.rank_of(s), ranking.rank_of(t));
                 prop_assert_eq!(pruned.query(s, t), truth[s as usize][t as usize]);
-                prop_assert_eq!(unpruned.query(s, t), truth[s as usize][t as usize]);
+                prop_assert_eq!(unpruned.query(at.0, at.1), truth[s as usize][t as usize]);
             }
         }
     }

@@ -10,7 +10,7 @@
 //! the kernel's labels, so the kernel runs on the whole graph: the
 //! builders' elimination would replace some labels by records.
 
-use hop_doubling::hopdb::engine::build_index;
+use hop_doubling::hopdb::engine::build_unpruned;
 use hop_doubling::hopdb::{HopDbConfig, Strategy};
 use hop_doubling::sfgraph::traversal::all_pairs;
 use hop_doubling::sfgraph::{Direction, Graph, GraphBuilder, VertexId, INF_DIST};
@@ -47,7 +47,7 @@ fn trough_distance(g: &Graph, s: VertexId, t: VertexId, limit: VertexId) -> u32 
 
 fn check_objectives(g: &Graph) {
     let ap = all_pairs(g);
-    let (index, _) = build_index(g, &HopDbConfig::unpruned(Strategy::Doubling));
+    let (index, _) = build_unpruned(g, &HopDbConfig::with_strategy(Strategy::Doubling));
     let [lout, lin] = index.sides() else { panic!("directed expected") };
     let n = g.num_vertices() as VertexId;
     for a in 0..n {
