@@ -39,7 +39,8 @@
 //!
 //! Both engines run this table: this one pulls `prev(u)` by random
 //! access per owner, and [`crate::external`] pushes each `prev` group
-//! over the same arcs read as files. `prev(u)` is pivot-sorted, so the
+//! over the same arcs — the graph's from memory, the labels' read as
+//! files. `prev(u)` is pivot-sorted, so the
 //! `v < x` scans stop at the first `v ≥ x` (for an `own(x)` arc `v < u <
 //! x` always holds).
 //!

@@ -3,20 +3,23 @@
 //!
 //! All label state lives in sorted record files on the `extmem`
 //! substrate. A *side* (one for an undirected build, out then in for a
-//! directed one) owns three files, and every iteration runs the same
+//! directed one) owns two files, and every iteration runs the same
 //! joins over them on every side:
 //!
 //! | file     | records, sort order                                    | read by                                       |
 //! |----------|--------------------------------------------------------|-----------------------------------------------|
 //! | `labels` | `own`, by `(owner, pivot)`: a base and up to 4 deltas  | the prune; the doubling arcs (own and across) |
-//! | `edges`  | edges in the side's step direction, by tail            | this side's stepping arcs                     |
 //! | `prev`   | last iteration's new entries, by owner: the survivors  | the arc joins, as the driving input           |
+//!
+//! The seeds are no `prev` file: the first round reads them off the
+//! core, owner by owner, as the seeding wrote them into `labels`.
 //!
 //! A round runs the arc table of [`crate::engine`] pushed instead of
 //! pulled. An arc is a record `(u, x, w)` — key the tail `u`, pivot the
 //! head `x` — and for a `prev` entry `(u, v, d)` the one rule `emit`
 //! offers `(x, v, d + w)` when `x ≠ u` and `v < x`. The arcs are the
-//! edge file when stepping; when doubling, the `across` label file
+//! core's edges along the side's `step`, read from memory (see "Memory
+//! honesty"), when stepping; when doubling, the `across` label file
 //! (R1 / R4) and the side's own labels by pivot (R2 / R5), a *view*
 //! rebuilt from `labels` every doubling round as a sorter stream, which
 //! the join reads once and no file holds. Generation stays a push
@@ -34,9 +37,10 @@
 //! always was; a round whose `prev` is 60 entries reads the blocks those
 //! 60 entries ask for. [`ExternalBuildResult::seeks`] counts the jumps.
 //!
-//! * **Candidate generation** — both inputs of every join are sorted by
-//!   the tail `u`, so each is a streaming *sort-merge co-group* join,
-//!   driven by `prev` and skipping through the arcs. Every candidate
+//! * **Candidate generation** — both inputs of every doubling join are
+//!   sorted by the tail `u`, so each is a streaming *sort-merge co-group*
+//!   join, driven by `prev` and skipping through the arcs; a stepping
+//!   round looks each `prev` owner's arcs up in the core. Every candidate
 //!   the join offers first meets the hub tables
 //!   ([`crate::hubs`]): one some hub `h < v` dominates on its side σ —
 //!   `T[σ][x][h] + T[across(σ)][v][h] ≤ d` — dies there, uncounted, and
@@ -144,12 +148,14 @@
 //! together never pass `6 × M` bytes.
 //!
 //! Beside the graph, which the build holds in memory to peel and seed
-//! it, the build holds the hub tables: `sides × n × K` bytes
-//! (`K` = [`crate::hubs::HUBS`]; 256 KB a side at 16 000 vertices),
-//! built on the core before the first round, read by every round — both
-//! of a directed build's tables by each side — and freed before the
-//! final load. Like the graph they grow with `n`, not `M`: the
-//! semi-external deviation from §4, whose state is all on disk.
+//! it, and which every stepping round reads for its arcs and the first
+//! round for its `prev`, the build holds the hub tables: `sides × n × K`
+//! bytes (`K` = [`crate::hubs::HUBS`]; 256 KB a side at 16 000
+//! vertices), built on the core before the first round, read by every
+//! round — both of a directed build's tables by each side — and freed
+//! before the final load. Like the graph they grow with `n`, not `M`:
+//! the semi-external deviation from §4, whose state is all on disk, and
+//! the trade PLL's pruned BFS makes (Akiba et al.).
 //!
 //! Determinism is structural, not locked: each parallel unit owns its
 //! files, the record flow per unit is exactly the sequential one, and
@@ -157,10 +163,11 @@
 //! bit-identical at any thread count and the I/O totals, seeks included,
 //! do not move.
 //!
-//! Deviation from the paper: the *graph topology* (for stepping's edge
-//! joins) is exported to edge files, but the final index is loaded
-//! back into memory at the end so callers can verify/serve it, and the
-//! canonical filter that ends every build ([`crate::postprune`],
+//! Deviation from the paper: the *graph topology* is not exported to
+//! edge files — stepping reads the in-memory core instead of joining
+//! with them, the semi-external trade above — and the final index is
+//! loaded back into memory at the end so callers can verify/serve it,
+//! and the canonical filter that ends every build ([`crate::postprune`],
 //! §5.2's exhaustive pruning) runs there, on the loaded labels, as in
 //! the in-memory engine: it adds no I/O. At laptop scale that is always
 //! possible; for the paper's 9 GB graphs one would run the filter as one
@@ -177,9 +184,9 @@ use extmem::radix::{self, Packing, Word};
 use extmem::run::{RecordSource, Rewind, Run, RunReader, RunWriter};
 use extmem::sorter::{merge_readers, ExternalSorter, SortedStream};
 use extmem::{ExtMemConfig, LabelRecord};
-use hoplabels::index::{merge_join, side_table, LabelIndex, VertexLabels};
+use hoplabels::index::{merge_join, side_table, LabelIndex, SideRule, VertexLabels};
 use hoplabels::LabelEntry;
-use sfgraph::{Direction, Graph, VertexId};
+use sfgraph::{Graph, VertexId};
 
 use crate::builder::{derive_fringe, peel};
 use crate::config::HopDbConfig;
@@ -257,12 +264,6 @@ pub fn build_external(
 struct GroupReader<S> {
     source: S,
     pending: Option<LabelRecord>,
-}
-
-impl GroupReader<RunReader> {
-    fn open(run: &Run, block_bytes: usize) -> io::Result<Self> {
-        GroupReader::new(run.reader(block_bytes, 0)?)
-    }
 }
 
 impl GroupReader<SortedStream> {
@@ -448,17 +449,6 @@ impl Labels {
     }
 }
 
-/// Edge file: `key = group vertex`, `pivot = neighbour`, `dist = weight`.
-fn edge_run(store: &TempStore, ext: &ExtMemConfig, g: &Graph, dir: Direction) -> io::Result<Run> {
-    let mut w = RunWriter::new(store.create("edges")?, ext.block_bytes);
-    for v in g.vertices() {
-        for (t, wgt) in g.edges(v, dir) {
-            w.push(LabelRecord::new(v, t, wgt))?;
-        }
-    }
-    w.finish()
-}
-
 /// Materialise a side's label files, read as one `(key, pivot)`-sorted
 /// stream, as per-vertex labels, each built as its group is read.
 ///
@@ -486,25 +476,30 @@ fn load_labels(files: &Labels, n: usize, ext: &ExtMemConfig) -> io::Result<Vec<V
     Ok(labels)
 }
 
-/// Co-group join of `prev` with a key-sorted arc source: every `prev`
-/// group meets the arcs out of its owner in [`emit`].
-fn cogroup_join(
-    prev: &Run,
+/// The entries the previous iteration added to a side's `own`, no
+/// self-entries, which drive every join of the next round.
+enum Prev {
+    /// After the seeding: this many seeds, read off the graph.
+    Seeds(u64),
+    /// After a round: its survivor run, the newest delta of `labels`
+    /// until a fold.
+    Survivors(Arc<Run>),
+}
+
+/// The arcs of a key-sorted source, handed to [`External::push_prev`]
+/// owner by owner: the co-group join, skipping through the arcs to each
+/// `prev` owner.
+fn cogroup(
     arcs: impl RecordSource,
-    ext: &ExtMemConfig,
-    offer: &mut impl FnMut(LabelRecord) -> io::Result<()>,
-) -> io::Result<()> {
-    let mut pr = GroupReader::open(prev, ext.block_bytes)?;
+) -> io::Result<impl FnMut(u32, &mut Vec<LabelRecord>) -> io::Result<()>> {
     let mut ar = GroupReader::new(arcs)?;
-    let (mut pg, mut ag) = (Vec::new(), Vec::new());
-    while let Some(u) = pr.next_group(&mut pg)? {
+    Ok(move |u, ag: &mut Vec<LabelRecord>| {
         ar.skip_to(u)?;
         if ar.peek_key() == Some(u) {
-            ar.next_group(&mut ag)?;
-            emit(&pg, &ag, offer)?;
+            ar.append_group(ag)?;
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// The arc rule of [`crate::engine`]: `prev` entry `(u, v, d)` × arc
@@ -732,23 +727,18 @@ fn prune_blocks<W: Word>(
 }
 
 /// The files of one label side (see [`crate::engine`] for the side
-/// formulation): `own`, the new entries of the previous iteration, and
-/// the edge file stepping joins against.
+/// formulation): `own` and the new entries of the previous iteration.
 struct Side {
     /// Its place in the side table (`hoplabels::index::side_table`) and
     /// in [`External::sides`]: the hub table it reads.
     index: usize,
-    /// The side whose label files this side is joined against, from the
-    /// side table.
-    across: usize,
-    /// Edges of each vertex in this side's `step` direction.
-    edges: Run,
+    /// Its row of the side table: the side whose label files it is
+    /// joined against, and the arcs it steps along.
+    rule: SideRule,
     /// `own`, sorted by `(owner, pivot)`.
     labels: Labels,
-    /// Entries the previous iteration added to `own` (no self-entries):
-    /// that iteration's survivor run itself, the newest delta of
-    /// `labels` until a fold.
-    prev: Arc<Run>,
+    /// Entries the previous iteration added to `own`.
+    prev: Prev,
 }
 
 /// What one side's generate → prune chain produced in one iteration.
@@ -761,52 +751,6 @@ struct SideOutcome {
     prune: Duration,
 }
 
-/// One iteration of one side: push `prev` over the round's arcs into the
-/// candidate sorter — less what `hubs` kills — then prune the candidates
-/// against the frozen label files.
-fn side_round(
-    store: &TempStore,
-    ext: &ExtMemConfig,
-    overlap: bool,
-    stepping: bool,
-    hubs: &HubTable,
-    side: &Side,
-    across: &Labels,
-) -> io::Result<SideOutcome> {
-    let (mut clock, block) = (Instant::now(), ext.block_bytes);
-    let mut s = sorter(store, ext, overlap);
-    let (mut widest, mut raw, mut killed) = (LabelRecord::new(0, 0, 0), 0u64, 0u64);
-    let mut offer = |r: LabelRecord| {
-        raw += 1;
-        if hubs.kills(side.index, r.key, r.pivot, r.dist) {
-            killed += 1;
-            return Ok(());
-        }
-        widest = LabelRecord::new(widest.key | r.key, widest.pivot | r.pivot, widest.dist | r.dist);
-        s.push(r)
-    };
-    if stepping {
-        cogroup_join(&side.prev, side.edges.reader(block, 0)?, ext, &mut offer)?;
-    } else {
-        cogroup_join(&side.prev, across.reader(block, 0)?, ext, &mut offer)?;
-        // The view: this side's labels by pivot, self-entries left out.
-        let mut view = sorter(store, ext, overlap);
-        let mut labels = side.labels.reader(block, 0)?;
-        while let Some(r) = labels.next_record()? {
-            if r.key != r.pivot {
-                view.push(r.inverted())?;
-            }
-        }
-        cogroup_join(&side.prev, view.finish_stream()?, ext, &mut offer)?;
-    }
-    let gather = lap(&mut clock);
-    // The sorter's last merge is the prune's candidate scan. The 2-hop
-    // test is symmetric, so on every side it is own(owner) ⋈ across(pivot)
-    // and the candidates go in as generated.
-    let pruned = prune_candidates(store, ext, s.finish_stream()?, widest, &side.labels, across)?;
-    Ok(SideOutcome { pruned, raw, killed, gather, prune: lap(&mut clock) })
-}
-
 fn io_report(store: &TempStore, ext: &ExtMemConfig) -> (u64, u64, u64, u64) {
     let io = store.stats();
     (
@@ -817,9 +761,10 @@ fn io_report(store: &TempStore, ext: &ExtMemConfig) -> (u64, u64, u64, u64) {
     )
 }
 
-/// The state of an external build: the store, the budget, the hub
-/// tables and the sides' files.
+/// The state of an external build: the core, the store, the budget, the
+/// hub tables and the sides' files.
 struct External<'s> {
+    g: &'s Graph,
     store: &'s TempStore,
     ext: &'s ExtMemConfig,
     threaded: bool,
@@ -836,6 +781,91 @@ struct External<'s> {
 }
 
 impl External<'_> {
+    /// Push `side`'s `prev` over a round's arcs: each group of owner `u`
+    /// meets, in [`emit`], the arcs out of `u` that `arcs_of` appends.
+    /// The seeds are walked off the graph, a survivor run is read.
+    fn push_prev(
+        &self,
+        side: &Side,
+        mut arcs_of: impl FnMut(u32, &mut Vec<LabelRecord>) -> io::Result<()>,
+        offer: &mut impl FnMut(LabelRecord) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let (mut pg, mut ag) = (Vec::new(), Vec::new());
+        let mut push = |u, pg: &[LabelRecord]| {
+            ag.clear();
+            arcs_of(u, &mut ag)?;
+            emit(pg, &ag, offer)
+        };
+        match &side.prev {
+            Prev::Seeds(_) => {
+                for u in self.g.vertices() {
+                    let seeds = crate::engine::seeds(self.g, side.rule.step, u);
+                    pg.clear();
+                    pg.extend(seeds.map(|(v, w)| LabelRecord::new(u, v, w)));
+                    if !pg.is_empty() {
+                        push(u, &pg)?;
+                    }
+                }
+            }
+            Prev::Survivors(run) => {
+                let mut prev = GroupReader::new(run.reader(self.ext.block_bytes, 0)?)?;
+                while let Some(u) = prev.next_group(&mut pg)? {
+                    push(u, &pg)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// One iteration of one side: push `prev` over the round's arcs into
+    /// the candidate sorter — less what the hub tables kill — then prune
+    /// the candidates against the frozen label files. A stepping round's
+    /// arcs are the core's, read from memory; a doubling round's are the
+    /// `across` labels and the view.
+    fn side_round(&self, stepping: bool, side: &Side) -> io::Result<SideOutcome> {
+        let (store, ext, overlap, g) = (self.store, self.ext, self.threaded, self.g);
+        let hubs = self.hubs.as_ref().expect("the hub tables are built before the first round");
+        let across = &self.sides[side.rule.across].labels;
+        let (mut clock, block) = (Instant::now(), ext.block_bytes);
+        let mut s = sorter(store, ext, overlap);
+        let (mut widest, mut raw, mut killed) = (LabelRecord::new(0, 0, 0), 0u64, 0u64);
+        let mut offer = |r: LabelRecord| {
+            raw += 1;
+            if hubs.kills(side.index, r.key, r.pivot, r.dist) {
+                killed += 1;
+                return Ok(());
+            }
+            widest =
+                LabelRecord::new(widest.key | r.key, widest.pivot | r.pivot, widest.dist | r.dist);
+            s.push(r)
+        };
+        if stepping {
+            let arcs_of = |u, ag: &mut Vec<LabelRecord>| {
+                ag.extend(g.edges(u, side.rule.step).map(|(x, w)| LabelRecord::new(u, x, w)));
+                Ok(())
+            };
+            self.push_prev(side, arcs_of, &mut offer)?;
+        } else {
+            self.push_prev(side, cogroup(across.reader(block, 0)?)?, &mut offer)?;
+            // The view: this side's labels by pivot, self-entries left out.
+            let mut view = sorter(store, ext, overlap);
+            let mut labels = side.labels.reader(block, 0)?;
+            while let Some(r) = labels.next_record()? {
+                if r.key != r.pivot {
+                    view.push(r.inverted())?;
+                }
+            }
+            self.push_prev(side, cogroup(view.finish_stream()?)?, &mut offer)?;
+        }
+        let gather = lap(&mut clock);
+        // The sorter's last merge is the prune's candidate scan. The 2-hop
+        // test is symmetric, so on every side it is own(owner) ⋈
+        // across(pivot) and the candidates go in as generated.
+        let cands = s.finish_stream()?;
+        let pruned = prune_candidates(store, ext, cands, widest, &side.labels, across)?;
+        Ok(SideOutcome { pruned, raw, killed, gather, prune: lap(&mut clock) })
+    }
+
     /// Bytes moved since the last call: the per-iteration I/O columns.
     fn io_lap(&mut self) -> (u64, u64) {
         let now = (self.store.stats().read_bytes(), self.store.stats().write_bytes());
@@ -849,19 +879,19 @@ impl Rounds for External<'_> {
     type Error = io::Error;
 
     fn pending(&self) -> bool {
-        self.sides.iter().any(|s| !s.prev.is_empty())
+        self.sides.iter().any(|s| match &s.prev {
+            Prev::Seeds(seeds) => *seeds > 0,
+            Prev::Survivors(run) => !run.is_empty(),
+        })
     }
 
     fn round(&mut self, stepping: bool) -> io::Result<IterationStats> {
         let (store, ext, threaded) = (self.store, self.ext, self.threaded);
-        let hubs = self.hubs.as_ref().expect("the hub tables are built before the first round");
-        // The sides share only read-only label files and the hub tables;
-        // each owns its sorters and temp runs, so scheduling cannot
-        // reorder any per-side record stream.
-        let sides = &self.sides;
-        let outcomes = run_workers(threaded, sides.iter().collect(), |s: &Side| {
-            side_round(store, ext, threaded, stepping, hubs, s, &sides[s.across].labels)
-        });
+        // The sides share only the core, read-only label files and the
+        // hub tables; each owns its sorters and temp runs, so scheduling
+        // cannot reorder any per-side record stream.
+        let outcomes =
+            run_workers(threaded, self.sides.iter().collect(), |s| self.side_round(stepping, s));
         let outcomes = outcomes.into_iter().collect::<io::Result<Vec<SideOutcome>>>()?;
         self.prune_blocks += outcomes.iter().map(|o| o.pruned.blocks).sum::<u64>();
         self.raw_candidates += outcomes.iter().map(|o| o.raw).sum::<u64>();
@@ -883,6 +913,7 @@ impl Rounds for External<'_> {
             let started = Instant::now();
             let prev = Arc::new(o.pruned.survivors);
             let labels = side.labels.add(store, ext, &prev, o.pruned.replaced)?;
+            let prev = Prev::Survivors(prev);
             io::Result::Ok((Side { labels, prev, ..side }, started.elapsed()))
         });
         for side in applied {
@@ -939,11 +970,13 @@ fn run(
     })
 }
 
-/// Initialization (iteration 1): every side's files — self-entries plus
-/// one entry per edge, written owner by owner from the graph's sorted
-/// adjacency, so the row reads nothing — and the row that reports them.
+/// Initialization (iteration 1): every side's label base — self-entries
+/// plus one entry per edge, written owner by owner from the graph's
+/// sorted adjacency, so the row reads nothing — and the row that reports
+/// it. The seeds are also the first round's `prev`, which that round
+/// reads off the graph again ([`Prev::Seeds`]).
 fn seed<'s>(
-    g: &Graph,
+    g: &'s Graph,
     ext: &'s ExtMemConfig,
     store: &'s TempStore,
     threaded: bool,
@@ -952,30 +985,25 @@ fn seed<'s>(
     let n = g.num_vertices();
     let mut sides = Vec::new();
     let mut seeds = 0u64;
-    for (index, rule) in side_table(g.is_directed()).iter().enumerate() {
-        // Each owner's seeds, then — in `labels` only, `prev` holds only
-        // new entries — its self-entry, the highest pivot of its label.
+    for (index, &rule) in side_table(g.is_directed()).iter().enumerate() {
+        // Each owner's seeds, then its self-entry, the highest pivot of
+        // its label.
         let mut labels = RunWriter::new(store.create("labels")?, ext.block_bytes);
-        let mut prev = RunWriter::new(store.create("prev")?, ext.block_bytes);
+        let mut side_seeds = 0u64;
         for owner in g.vertices() {
             for (pivot, w) in crate::engine::seeds(g, rule.step, owner) {
-                let record = LabelRecord::new(owner, pivot, w);
-                labels.push(record)?;
-                prev.push(record)?;
-                seeds += 1;
+                labels.push(LabelRecord::new(owner, pivot, w))?;
+                side_seeds += 1;
             }
             labels.push(LabelRecord::new(owner, owner, 0))?;
         }
-        sides.push(Side {
-            index,
-            across: rule.across,
-            edges: edge_run(store, ext, g, rule.step)?,
-            labels: Labels::new(labels.finish()?),
-            prev: Arc::new(prev.finish()?),
-        });
+        seeds += side_seeds;
+        let labels = Labels::new(labels.finish()?);
+        sides.push(Side { index, rule, labels, prev: Prev::Seeds(side_seeds) });
     }
     let total_entries = seeds + (sides.len() * n) as u64;
     let mut e = External {
+        g,
         store,
         ext,
         threaded,
@@ -1022,10 +1050,10 @@ mod tests {
     }
 
     /// One side's files: its base (the file, and its encoded bytes), its
-    /// deltas' bytes, oldest first, its `prev`'s and its edges'.
+    /// deltas' bytes, oldest first, and its `prev`'s (0 for the seeds,
+    /// which no file holds).
     #[derive(Clone, Debug, PartialEq)]
     struct SideFiles {
-        edges: u64,
         base: std::path::PathBuf,
         base_bytes: u64,
         deltas: Vec<u64>,
@@ -1053,11 +1081,6 @@ mod tests {
             self.0.iter().map(|s| s.prev).sum()
         }
 
-        /// The edge runs' encoded bytes, summed over the sides.
-        fn edges(&self) -> u64 {
-            self.0.iter().map(|s| s.edges).sum()
-        }
-
         /// The sides that folded into a new base since `before`, each
         /// beside what it had then.
         fn folded<'a>(
@@ -1077,11 +1100,13 @@ mod tests {
     impl Noted<'_> {
         fn note(&mut self) {
             let side = |s: &Side| SideFiles {
-                edges: s.edges.bytes(),
                 base: s.labels.path().to_path_buf(),
                 base_bytes: s.labels.base.bytes(),
                 deltas: s.labels.deltas.iter().map(|d| d.bytes()).collect(),
-                prev: s.prev.bytes(),
+                prev: match &s.prev {
+                    Prev::Seeds(_) => 0,
+                    Prev::Survivors(run) => run.bytes(),
+                },
             };
             self.files.push(Files(self.e.sides.iter().map(side).collect()));
         }
@@ -1925,12 +1950,12 @@ mod tests {
             let its = &result.stats.iterations;
             let (rows, files) = rows_and_files(&g, &cfg, &tiny_ext());
             // Seeding walks the graph: it reads nothing and writes each
-            // side's edge, label and `prev` runs, once.
+            // side's label base, once, and no `prev` run: the first round
+            // reads its seeds off the graph.
             let seeded = &files[0];
-            assert_eq!(
-                io_columns(&its[..1]),
-                [(0, seeded.edges() + seeded.labels() + seeded.prev())]
-            );
+            assert_eq!(seeded.prev(), 0);
+            assert!(seeded.0.iter().all(|s| s.deltas.is_empty()));
+            assert_eq!(io_columns(&its[..1]), [(0, seeded.labels())]);
             assert!(its[1..].iter().all(|it| it.io_read_bytes > 0));
             assert!(its.iter().all(|it| it.io_write_bytes > 0 || it.inserted == 0));
             // The closing load reads the last round's label files whole.
@@ -1944,6 +1969,35 @@ mod tests {
                 .iterations
                 .iter()
                 .all(|it| it.io_read_bytes + it.io_write_bytes == 0));
+        }
+    }
+
+    /// The seeds are the first round's `prev`, read off the graph on
+    /// either strategy: a stepping build, whose rounds take their arcs
+    /// from the graph too, and a doubling build, whose first round joins
+    /// them with the `across` labels and the view, each build the
+    /// in-memory engine's labels and rows, directed and undirected, with
+    /// the same I/O columns at 1 and 2 threads — and the seeding row
+    /// writes each side's label base and nothing else.
+    #[test]
+    fn the_first_round_reads_its_seeds_off_the_graph() {
+        for directed in [false, true] {
+            let g = bisected_path(96, directed);
+            for strategy in [Strategy::Doubling, Strategy::Stepping] {
+                let cfg = HopDbConfig::with_strategy(strategy);
+                let at = format!("directed = {directed}, {:?}", cfg.strategy);
+                let (mem, mem_stats) = crate::engine::build_index(&g, &cfg);
+                let (rows, files) = rows_and_files(&g, &cfg, &tiny_ext());
+                let seeded = &files[0];
+                assert!(seeded.0.iter().all(|s| s.deltas.is_empty() && s.prev == 0), "{at}");
+                assert_eq!(io_columns(&rows[..1]), [(0, seeded.labels())], "{at}");
+                for threads in [1, 2] {
+                    let result = run_on(&g, &cfg.clone().with_parallelism(threads), &tiny_ext());
+                    assert_eq!(result.index, mem, "{at}, {threads} threads");
+                    assert_eq!(progress(&result.stats), progress(&mem_stats), "{at}, {threads}");
+                    assert_eq!(io_columns(&result.stats.iterations), io_columns(&rows), "{at}");
+                }
+            }
         }
     }
 

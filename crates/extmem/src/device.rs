@@ -107,6 +107,13 @@ pub mod faults {
         ENABLED.store(true, Ordering::SeqCst);
     }
 
+    /// Whether an armed fsync failure has not fired yet: a test that
+    /// waits for a sync it cannot trigger itself polls this rather than
+    /// sleeping for a guess.
+    pub fn fsync_failure_pending() -> bool {
+        ENABLED.load(Ordering::SeqCst) && FSYNC_FAIL_AFTER.load(Ordering::SeqCst) >= 0
+    }
+
     /// Abort the process immediately after `n + 1` more writes land.
     pub fn crash_after_writes(n: u64) {
         CRASH_AFTER_WRITES.store(n as i64, Ordering::SeqCst);

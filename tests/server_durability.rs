@@ -415,9 +415,13 @@ fn batch_durability_syncs_the_tail_of_a_burst_when_ingest_goes_idle() {
     }
 
     // No further update arrives. The only fsync left to fail is the
-    // executor's own, of the tail; with the hooks disarmed afterwards
-    // nothing else can fail the next update.
-    std::thread::sleep(idle);
+    // executor's own, of the tail: wait until it has failed — on a loaded
+    // host it can come well after the interval — so that the hooks,
+    // disarmed afterwards, cannot fail anything else or spare it.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while faults::fsync_failure_pending() && std::time::Instant::now() < deadline {
+        std::thread::sleep(wal::BATCH_SYNC_INTERVAL);
+    }
     faults::reset();
     drop(_serial);
     let err = client.update(&[(3, 46, 1)]).expect_err("the failed tail sync must be reported");
