@@ -1397,6 +1397,68 @@ mod tests {
         assert_eq!(spelled.len(), COMMANDS.len(), "{:?}", spelled.keys());
     }
 
+    /// The README's command lines that disagree with [`COMMANDS`]: every
+    /// `hopdb-cli <cmd> …` (or `-p hopdb-cli -- <cmd> …`), continued over
+    /// a trailing `\` and ended by a backtick, must name a command (or
+    /// `help`), use only options that command reads, and not mix the
+    /// node-only and router-only `serve` options.
+    fn readme_drift(readme: &str) -> Vec<String> {
+        let joined = readme.replace("\\\n", " ");
+        let mut drift = Vec::new();
+        for line in joined.lines() {
+            for (at, found) in line.match_indices("hopdb-cli ") {
+                let rest = &line[at + found.len()..];
+                let rest = rest.strip_prefix("-- ").unwrap_or(rest);
+                let rest = rest.split('`').next().unwrap_or_default();
+                let mut tokens = rest.split_whitespace();
+                let name = tokens.next().unwrap_or_default();
+                if name == "help" {
+                    continue;
+                }
+                let Some((_, valued, switches, _)) = COMMANDS.iter().find(|row| row.0 == name)
+                else {
+                    drift.push(format!("`hopdb-cli {name}` names no command: {line}"));
+                    continue;
+                };
+                let accepted = |flag: &str| {
+                    valued.split(' ').chain(switches.split(' ')).any(|known| known == flag)
+                };
+                let options: Vec<&str> = tokens
+                    .map(|token| token.trim_matches(|c: char| "[](),.;:".contains(c)))
+                    .filter(|token| {
+                        token.strip_prefix('-').is_some_and(|rest| {
+                            rest.trim_start_matches('-')
+                                .starts_with(|c: char| c.is_ascii_lowercase())
+                        })
+                    })
+                    .collect();
+                for option in options.iter().filter(|option| !accepted(option)) {
+                    drift.push(format!("`{name}` reads no {option}: {line}"));
+                }
+                let mixes = |list: &str| list.split(' ').any(|flag| options.contains(&flag));
+                if name == "serve" && mixes(SERVE_NODE_ONLY) && mixes(SERVE_ROUTER_ONLY) {
+                    drift.push(format!("`serve` mixes node and router options: {line}"));
+                }
+            }
+        }
+        drift
+    }
+
+    /// The README and the parser cannot drift: every command line the
+    /// README shows is one `run` would accept, option for option.
+    #[test]
+    fn readme_command_lines_use_only_the_options_each_command_reads() {
+        let readme = include_str!("../../../README.md");
+        assert!(readme.matches("hopdb-cli ").count() > 10, "the README shows its commands");
+        assert_eq!(readme_drift(readme), Vec::<String>::new());
+
+        let misspelled = "```text\nhopdb-cli build -i g.txt -o g.idx \\\n    --thread 4\n```";
+        assert_eq!(readme_drift(misspelled).len(), 1, "{misspelled}");
+        let mixed = "`hopdb-cli serve --route shard --backends a,b --wal-dir d`";
+        assert_eq!(readme_drift(mixed).len(), 1, "{mixed}");
+        assert_eq!(readme_drift("`hopdb-cli bulid -i g.txt`").len(), 1);
+    }
+
     #[test]
     fn help_prints_usage() {
         let out = run_vec(&["help"]).unwrap();

@@ -1,34 +1,5 @@
 #![warn(missing_docs)]
-
-//! # hop-doubling — facade crate
-//!
-//! Reproduction of *Hop Doubling Label Indexing for Point-to-Point
-//! Distance Querying on Scale-Free Networks* (Jiang, Fu, Wong, Xu;
-//! VLDB 2014). This crate re-exports the workspace members so examples
-//! and downstream users need a single dependency:
-//!
-//! * [`sfgraph`] — graphs, rankings, traversals, analysis;
-//! * [`graphgen`] — GLP/BA/ER generators and the paper's example graphs;
-//! * [`extmem`] — counted block I/O, runs, external sorting;
-//! * [`hoplabels`] — 2-hop label indexes, statistics, disk layout,
-//!   bit-parallel labels;
-//! * [`hopdb`] — the paper's contribution: Hop-Doubling / Hop-Stepping
-//!   / Hybrid construction, in memory and external;
-//! * [`baselines`] — BIDIJ, PLL, IS-Label, highway-cover comparators;
-//! * [`hopdb_server`] — the long-running TCP query daemon serving a
-//!   `FlatIndex` over the `HOPQ` wire protocol, with hot index swap.
-//!
-//! ## Quickstart
-//!
-//! ```
-//! use hop_doubling::hopdb::{build, HopDbConfig};
-//! use hop_doubling::graphgen::{glp, GlpParams};
-//!
-//! let graph = glp(&GlpParams::with_vertices(1_000, 42));
-//! let db = build(&graph, &HopDbConfig::default());
-//! let d = db.query(3, 77);
-//! assert_eq!(d, sfgraph::traversal::bidirectional_distance(&graph, 3, 77));
-//! ```
+#![doc = include_str!("../README.md")]
 
 pub use baselines;
 pub use extmem;

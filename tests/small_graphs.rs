@@ -6,12 +6,15 @@
 //! not one per isomorphism class, because the rank's id tie-break is
 //! part of what is tested.
 //!
-//! A graph is its edge mask: bit `i` stands for the `i`-th vertex pair
-//! of [`slots`], so the masks count up through the graphs of a size and
-//! the first failure printed is the smallest. For each graph, ranked as
-//! every build ranks it:
+//! A graph is its code over a weight alphabet of `k` letters: digit `i`
+//! in base `k + 1` stands for the `i`-th vertex pair of [`slots`], 0 for
+//! no edge and `j` for an edge of the alphabet's `j`-th weight. Over the
+//! alphabet `{1}` the code is the edge mask. The codes count up through
+//! the graphs of a size and the first failure printed is the smallest.
+//! For each graph, ranked as every build ranks it:
 //!
-//! * the default build answers every pair as BFS does, and its cover is
+//! * the default build answers every pair as BFS (Dijkstra, when
+//!   weighted) does, and its cover is
 //!   minimal (`hoplabels::verify::is_minimal`);
 //! * stepping, doubling, the default and — where the sweep takes it —
 //!   the external build at a budget that spills write one `HOPIDX`
@@ -20,9 +23,10 @@
 //!
 //! `cargo test` sweeps every undirected graph on up to 5 vertices and
 //! every directed graph on up to 3 with both engines, and every directed
-//! graph on 4 in memory. The larger sweeps are `#[ignore]`d here and run
-//! in release by CI: `cargo test --release --test small_graphs --
-//! --ignored`.
+//! graph on 4 in memory, and every undirected graph on 4 with weights in
+//! `{1, 2, 3}` with both engines. The larger sweeps are `#[ignore]`d here
+//! and run in release by CI: `cargo test --release --test small_graphs
+//! -- --ignored`.
 
 use hop_doubling::extmem::ExtMemConfig;
 use hop_doubling::hopdb::engine::build_unpruned;
@@ -30,9 +34,9 @@ use hop_doubling::hopdb::external::build_external;
 use hop_doubling::hopdb::{build_prelabeled, rank, HopDbConfig, Strategy};
 use hop_doubling::hoplabels::verify::{check_exact, is_minimal};
 use hop_doubling::hoplabels::LabelIndex;
-use hop_doubling::sfgraph::{Graph, GraphBuilder, VertexId};
+use hop_doubling::sfgraph::{Dist, Graph, GraphBuilder, VertexId};
 
-/// The vertex pairs of `n` vertices an edge mask's bits stand for, bit 0
+/// The vertex pairs of `n` vertices a code's digits stand for, digit 0
 /// first: each `u < v` once on an undirected graph, each `u ≠ v` in
 /// either order on a directed one.
 fn slots(n: u32, directed: bool) -> Vec<(VertexId, VertexId)> {
@@ -40,17 +44,30 @@ fn slots(n: u32, directed: bool) -> Vec<(VertexId, VertexId)> {
     pairs.filter(|&(u, v)| if directed { u != v } else { u < v }).collect()
 }
 
-/// The graph of `mask` over `slots`.
-fn graph(n: u32, directed: bool, slots: &[(VertexId, VertexId)], mask: u32) -> Graph {
+/// The graph of `code` over `slots` and the alphabet `weights`; weighted
+/// unless the alphabet is `{1}`.
+fn graph(
+    n: u32,
+    directed: bool,
+    slots: &[(VertexId, VertexId)],
+    weights: &[Dist],
+    code: u32,
+) -> Graph {
     let mut b = if directed {
         GraphBuilder::new_directed(n as usize)
     } else {
         GraphBuilder::new_undirected(n as usize)
     };
-    for (i, &(u, v)) in slots.iter().enumerate() {
-        if mask >> i & 1 == 1 {
-            b.add_edge(u, v);
+    if weights != [1] {
+        b = b.weighted();
+    }
+    let letters = weights.len() as u32 + 1;
+    let mut rest = code;
+    for &(u, v) in slots {
+        if let Some(&w) = (rest % letters).checked_sub(1).and_then(|j| weights.get(j as usize)) {
+            b.add_weighted_edge(u, v, w);
         }
+        rest /= letters;
     }
     b.build()
 }
@@ -61,15 +78,17 @@ fn image(index: &LabelIndex) -> Vec<u8> {
     bytes
 }
 
-/// Every check of the module docs on every graph of `n` vertices, the
-/// external build among the images if `external`.
-fn sweep(n: u32, directed: bool, external: bool) {
+/// Every check of the module docs on every graph of `n` vertices with
+/// edge weights from `weights`, the external build among the images if
+/// `external`.
+fn sweep(n: u32, directed: bool, weights: &[Dist], external: bool) {
     let slots = slots(n, directed);
     let default = HopDbConfig::default();
     let ext = ExtMemConfig::tiny();
-    for mask in 0..1u32 << slots.len() {
-        let at = format!("n = {n}, directed = {directed}, edge mask {mask:#b}");
-        let (_, g) = rank(&graph(n, directed, &slots, mask), &default);
+    let graphs = (weights.len() as u32 + 1).pow(slots.len() as u32);
+    for code in 0..graphs {
+        let at = format!("n = {n}, directed = {directed}, weights {weights:?}, code {code}");
+        let (_, g) = rank(&graph(n, directed, &slots, weights, code), &default);
         let (index, _) = build_prelabeled(&g, &default);
         let wrong = check_exact(&g, &index);
         assert!(wrong.is_none(), "{at}: the default build answers (s, t, got, want) {wrong:?}");
@@ -91,30 +110,35 @@ fn sweep(n: u32, directed: bool, external: bool) {
 #[test]
 fn every_undirected_graph_on_up_to_5_vertices() {
     for n in 1..=5 {
-        sweep(n, false, true);
+        sweep(n, false, &[1], true);
     }
 }
 
 #[test]
 fn every_directed_graph_on_up_to_3_vertices() {
     for n in 1..=3 {
-        sweep(n, true, true);
+        sweep(n, true, &[1], true);
     }
 }
 
 #[test]
 fn every_directed_graph_on_4_vertices_in_memory() {
-    sweep(4, true, false);
+    sweep(4, true, &[1], false);
+}
+
+#[test]
+fn every_undirected_graph_on_4_vertices_with_weights_1_to_3() {
+    sweep(4, false, &[1, 2, 3], true);
 }
 
 #[test]
 #[ignore = "32 768 graphs: CI runs it in release"]
 fn every_undirected_graph_on_6_vertices() {
-    sweep(6, false, true);
+    sweep(6, false, &[1], true);
 }
 
 #[test]
 #[ignore = "4 096 external builds: CI runs it in release"]
 fn every_directed_graph_on_4_vertices() {
-    sweep(4, true, true);
+    sweep(4, true, &[1], true);
 }
