@@ -349,21 +349,23 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         refuse(args, "--switch-at", "build without --strategy hybrid")?;
     }
     let ext = if args.has("--external") {
-        let block_bytes = args.parsed("--block-bytes")?.unwrap_or(64 << 10);
+        let defaults = extmem::ExtMemConfig::default();
+        let block_bytes = args.parsed("--block-bytes")?.unwrap_or(defaults.block_bytes);
         if block_bytes == 0 {
             return Err(err("bad value for --block-bytes: 0 (a block holds at least 1 byte)"));
         }
-        let memory_records = args.parsed("--memory-records")?.unwrap_or(1 << 20);
+        let memory_records = args.parsed("--memory-records")?.unwrap_or(defaults.memory_records);
         Some(extmem::ExtMemConfig { memory_records, block_bytes })
     } else {
         refuse(args, "--memory-records --block-bytes", "build without --external")?;
         None
     };
     let g = load_graph(args)?;
+    let defaults = HopDbConfig::default();
     let cfg = HopDbConfig {
         strategy,
-        parallelism: args.parsed("--threads")?.unwrap_or(1),
-        ..HopDbConfig::default()
+        parallelism: args.parsed("--threads")?.unwrap_or(defaults.parallelism),
+        ..defaults
     };
     let started = std::time::Instant::now();
     let (ranking, relabeled) = hopdb::rank(&g, &cfg);
@@ -640,7 +642,7 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let addr = args.opt("--addr").unwrap_or("127.0.0.1:7654");
     let defaults = hopdb_server::ServerConfig::default();
     let config = hopdb_server::ServerConfig {
-        batch_threads: args.parsed("--batch-threads")?.unwrap_or(1),
+        batch_threads: args.parsed("--batch-threads")?.unwrap_or(defaults.batch_threads),
         front: front_config(args)?,
         swap_path: args.opt("--swap-path").map(std::path::PathBuf::from),
         source_graph: args.opt("--graph").map(std::path::PathBuf::from),

@@ -20,64 +20,31 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use hopdb_server::proto::{Request, RequestBody, UNREACHABLE};
+use hopdb_server::proto::{Request, RequestBody};
 use hopdb_server::Client;
-use sfgraph::builder::GraphBuilder;
-use sfgraph::traversal::all_pairs;
-use sfgraph::{Dist, Graph, VertexId};
+use sfgraph::VertexId;
+
+#[path = "../../../tests/testkit/mod.rs"]
+mod testkit;
+use testkit::{spread, Deployment, Edge, Lcg};
 
 const N: usize = 60;
 
-/// Deterministic-per-run LCG; the seed is printed so a failing kill
-/// schedule can be replayed by hand.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        self.0 >> 16
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
-struct Fixture {
-    dir: PathBuf,
-    graph_path: PathBuf,
-    index_path: PathBuf,
-    graph: Graph,
-}
-
-impl Drop for Fixture {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.dir).ok();
-    }
-}
-
 /// Generate a graph and build its index through the real CLI, exactly
 /// as a deployment would.
-fn fixture(tag: &str) -> Fixture {
-    let dir = std::env::temp_dir().join(format!("hopdb-crash-{}-{tag}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("create fixture dir");
-    let graph_path = dir.join("graph.txt");
-    let index_path = dir.join("graph.idx");
-
-    let graph = graphgen::glp(&graphgen::GlpParams::with_density(N, 3.0, 4242));
-    let file = std::fs::File::create(&graph_path).expect("create edge list");
-    sfgraph::io::write_edge_list(&graph, std::io::BufWriter::new(file)).expect("write edge list");
-
+fn built_by_the_cli() -> Deployment {
+    let dep =
+        Deployment::edge_list(&graphgen::glp(&graphgen::GlpParams::with_density(N, 3.0, 4242)));
     let status = Command::new(env!("CARGO_BIN_EXE_hopdb-cli"))
         .args(["build", "-i"])
-        .arg(&graph_path)
+        .arg(dep.graph_path())
         .arg("-o")
-        .arg(&index_path)
+        .arg(dep.index_path())
         .stdout(Stdio::null())
         .status()
         .expect("run build");
     assert!(status.success(), "cli build failed");
-    Fixture { dir, graph_path, index_path, graph }
+    dep
 }
 
 /// Spawn the daemon and wait for its announce file; extra_env plants
@@ -86,17 +53,17 @@ fn fixture(tag: &str) -> Fixture {
 // every exit path (including assert_recovered) kills and reaps it.
 #[allow(clippy::zombie_processes)]
 fn spawn_daemon(
-    fx: &Fixture,
+    dep: &Deployment,
     wal_dir: &PathBuf,
     extra_env: &[(&str, String)],
 ) -> (Child, SocketAddr) {
-    let announce = fx.dir.join("announce");
+    let announce = dep.path("announce");
     std::fs::remove_file(&announce).ok();
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_hopdb-cli"));
     cmd.args(["serve", "-x"])
-        .arg(&fx.index_path)
+        .arg(dep.index_path())
         .arg("--graph")
-        .arg(&fx.graph_path)
+        .arg(dep.graph_path())
         .arg("--wal-dir")
         .arg(wal_dir)
         .args(["--durability", "always", "--addr", "127.0.0.1:0"])
@@ -125,39 +92,7 @@ fn connect(addr: SocketAddr) -> Client {
     Client::connect_retry(&addr, Some(Duration::from_secs(10)), 5).expect("connect")
 }
 
-/// Expected probe answers for the base graph plus `edges`, from
-/// scratch (BFS truth, the strongest oracle available).
-fn oracle(
-    fx: &Fixture,
-    edges: &[(VertexId, VertexId, Dist)],
-    pairs: &[(VertexId, VertexId)],
-) -> Vec<Dist> {
-    let mut b = GraphBuilder::new_undirected(fx.graph.num_vertices()).weighted();
-    for (u, v, w) in fx.graph.edge_list() {
-        b.add_weighted_edge(u, v, w);
-    }
-    for &(u, v, w) in edges {
-        b.add_weighted_edge(u, v, w);
-    }
-    let truth = all_pairs(&b.build());
-    pairs
-        .iter()
-        .map(|&(s, t)| {
-            let d = truth[s as usize][t as usize];
-            if d == sfgraph::INF_DIST {
-                UNREACHABLE
-            } else {
-                d
-            }
-        })
-        .collect()
-}
-
-fn probes() -> Vec<(VertexId, VertexId)> {
-    (0..N as VertexId).map(|i| (i, (i * 37 + 11) % N as VertexId)).collect()
-}
-
-fn random_batch(rng: &mut Lcg) -> Vec<(VertexId, VertexId, Dist)> {
+fn random_batch(rng: &mut Lcg) -> Vec<Edge> {
     let len = 1 + rng.below(3) as usize;
     (0..len)
         .map(|_| {
@@ -173,28 +108,24 @@ fn random_batch(rng: &mut Lcg) -> Vec<(VertexId, VertexId, Dist)> {
 /// in-flight batch (WAL records are batch-atomic under CRC, so no
 /// other state can legally surface).
 fn assert_recovered(
-    fx: &Fixture,
+    dep: &Deployment,
     wal_dir: &PathBuf,
-    acked: &[Vec<(VertexId, VertexId, Dist)>],
-    inflight: Option<&Vec<(VertexId, VertexId, Dist)>>,
+    acked: &[Vec<Edge>],
+    inflight: Option<&Vec<Edge>>,
     context: &str,
 ) {
-    let (mut child, addr) = spawn_daemon(fx, wal_dir, &[]);
+    let (mut child, addr) = spawn_daemon(dep, wal_dir, &[]);
     let mut client = connect(addr);
-    let pairs = probes();
+    let pairs = spread(N);
     let got = client.query(&pairs).expect("query after recovery");
 
-    let acked_edges: Vec<_> = acked.concat();
-    let want_acked = oracle(fx, &acked_edges, &pairs);
-    let accepted = if got == want_acked {
-        true
-    } else if let Some(inflight) = inflight {
-        let mut with_inflight = acked_edges.clone();
-        with_inflight.extend_from_slice(inflight);
-        got == oracle(fx, &with_inflight, &pairs)
-    } else {
-        false
-    };
+    let mut model = dep.model();
+    acked.iter().for_each(|batch| model.ack(batch));
+    let mut accepted = got == model.answers(&pairs);
+    if let (false, Some(inflight)) = (accepted, inflight) {
+        model.ack(inflight);
+        accepted = got == model.answers(&pairs);
+    }
     assert!(
         accepted,
         "{context}: recovered answers match neither the acked prefix nor acked+in-flight\n\
@@ -212,17 +143,12 @@ fn assert_recovered(
 
 #[test]
 fn sigkill_during_ingest_recovers_the_acked_prefix() {
-    let fx = fixture("ingest");
-    let seed = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64 | 1)
-        .unwrap_or(1);
-    println!("kill schedule seed: {seed:#x}");
-    let mut rng = Lcg(seed);
+    let dep = built_by_the_cli();
+    let mut rng = Lcg::from_clock();
 
     for trial in 0..3 {
-        let wal_dir = fx.dir.join(format!("wal-ingest-{trial}"));
-        let (mut child, addr) = spawn_daemon(&fx, &wal_dir, &[]);
+        let wal_dir = dep.path(&format!("wal-ingest-{trial}"));
+        let (mut child, addr) = spawn_daemon(&dep, &wal_dir, &[]);
         let mut client = connect(addr);
 
         // Ack a random number of batches synchronously...
@@ -241,29 +167,24 @@ fn sigkill_during_ingest_recovers_the_acked_prefix() {
         child.wait().expect("reap");
         drop(raw);
 
-        assert_recovered(&fx, &wal_dir, &acked, Some(&inflight), &format!("ingest trial {trial}"));
+        assert_recovered(&dep, &wal_dir, &acked, Some(&inflight), &format!("ingest trial {trial}"));
     }
 }
 
 #[test]
 fn sigkill_during_compaction_loses_nothing() {
-    let fx = fixture("compact");
-    let seed = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64 | 1)
-        .unwrap_or(1);
-    println!("kill schedule seed: {seed:#x}");
-    let mut rng = Lcg(seed);
+    let dep = built_by_the_cli();
+    let mut rng = Lcg::from_clock();
 
     for trial in 0..4 {
-        let wal_dir = fx.dir.join(format!("wal-compact-{trial}"));
-        let (mut child, addr) = spawn_daemon(&fx, &wal_dir, &[]);
+        let wal_dir = dep.path(&format!("wal-compact-{trial}"));
+        let (mut child, addr) = spawn_daemon(&dep, &wal_dir, &[]);
         let mut client = connect(addr);
 
         // Odd trials kill the *second* checkpoint of the lineage: the
         // first one completes, and what it folded in must survive a
         // kill on either side of the second manifest flip too.
-        let mut acked: Vec<Vec<(VertexId, VertexId, Dist)>> = Vec::new();
+        let mut acked: Vec<Vec<Edge>> = Vec::new();
         for round in 0..1 + trial % 2 {
             if round == 1 {
                 client.compact().expect("first checkpoint");
@@ -286,7 +207,7 @@ fn sigkill_during_compaction_loses_nothing() {
         child.wait().expect("reap");
         drop(raw);
 
-        assert_recovered(&fx, &wal_dir, &acked, None, &format!("compact trial {trial}"));
+        assert_recovered(&dep, &wal_dir, &acked, None, &format!("compact trial {trial}"));
     }
 }
 
@@ -297,21 +218,21 @@ fn planted_crash_inside_a_wal_write_recovers_cleanly() {
     // WAL files, which can land mid-record. Recovery must truncate the
     // torn tail and serve the longest acked prefix; the in-flight
     // batch at the crash point may or may not have made it.
-    let fx = fixture("planted");
+    let dep = built_by_the_cli();
     // Keep "wal-" out of the directory name: the fault path filter
     // must match only the log files themselves.
-    let wal_dir = fx.dir.join("planted");
+    let wal_dir = dep.path("planted");
     let env = [
         ("EXTMEM_FAULT_PATH_FILTER", "wal-".to_string()),
         // Headers + a few records land, then the process aborts mid-write.
         ("EXTMEM_FAULT_CRASH_AFTER_WRITES", "3".to_string()),
     ];
-    let (mut child, addr) = spawn_daemon(&fx, &wal_dir, &env);
+    let (mut child, addr) = spawn_daemon(&dep, &wal_dir, &env);
     let mut client = connect(addr);
 
-    let batches: Vec<Vec<(VertexId, VertexId, Dist)>> =
+    let batches: Vec<Vec<Edge>> =
         vec![vec![(0, 30, 1)], vec![(5, 55, 1)], vec![(10, 40, 1)], vec![(2, 33, 1)]];
-    let mut acked: Vec<Vec<(VertexId, VertexId, Dist)>> = Vec::new();
+    let mut acked: Vec<Vec<Edge>> = Vec::new();
     let mut inflight = None;
     for batch in &batches {
         match client.update(batch) {
@@ -327,5 +248,5 @@ fn planted_crash_inside_a_wal_write_recovers_cleanly() {
     assert!(inflight.is_some(), "the planted crash never fired");
     child.wait().expect("reap");
 
-    assert_recovered(&fx, &wal_dir, &acked, inflight.as_ref(), "planted crash");
+    assert_recovered(&dep, &wal_dir, &acked, inflight.as_ref(), "planted crash");
 }

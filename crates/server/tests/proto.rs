@@ -465,6 +465,19 @@ fn readme_and_module_docs_state_the_constants() {
             "{what} must state the header length"
         );
     }
+    // `GET /stats` shows the version it answers with, in the README and
+    // in the HTTP front's endpoint table.
+    let stats = format!("\"protocol\":{VERSION},");
+    let readme_stats = readme.lines().find(|line| line.starts_with("GET  /stats"));
+    let readme_stats = readme_stats.expect("README has a `GET  /stats` line");
+    let http_stats = include_str!("../src/http.rs")
+        .lines()
+        .map_while(|line| line.strip_prefix("//!"))
+        .find(|line| line.contains("`GET /stats`"))
+        .expect("http.rs module docs list `GET /stats`");
+    for (what, line) in [("README.md", readme_stats), ("http.rs module docs", http_stats)] {
+        assert!(line.contains(&stats), "{what}'s GET /stats line must show {stats}: {line}");
+    }
 
     let numbers: Vec<u8> = KINDS.iter().map(|row| row.0).collect();
     assert!(numbers.windows(2).all(|w| w[0] < w[1]), "kinds ascend: {numbers:?}");

@@ -8,43 +8,30 @@
 //! id spaces.
 //!
 //! Backends serve images behind an identity `.rank` sidecar, so the
-//! wire's ids are the rank ids and the oracle is `FlatIndex::query_many`
-//! on the source image directly.
+//! wire's ids are the rank ids and the oracle is the testkit's model of
+//! the rank-relabeled graph.
 
 use std::io::ErrorKind;
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use hopdb::{build_prelabeled, HopDbConfig};
 use hopdb_server::{
     serve, serve_router, Client, RouteMode, RouterConfig, ServerConfig, ServerHandle,
 };
-use hoplabels::flat::FlatIndex;
-use hoplabels::shard_image;
 use sfgraph::builder::GraphBuilder;
-use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy, Ranking};
 use sfgraph::{Dist, VertexId};
+
+#[path = "../../../tests/testkit/mod.rs"]
+mod testkit;
+use testkit::{sidecar, triples, Deployment, Ids, Lcg};
 
 const N: usize = 120;
 
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        self.0 >> 16
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
-/// A connected scale-free-ish graph: a ring for connectivity plus
-/// random weighted chords, deterministic in `seed`.
-fn test_graph(directed: bool, seed: u64) -> sfgraph::Graph {
-    let mut rng = Lcg(seed | 1);
+/// The routed image, served in rank ids: a connected scale-free-ish
+/// graph, a ring for connectivity plus random weighted chords.
+fn deployment(directed: bool) -> Deployment {
+    let mut rng = Lcg(0xD15C0 | 1);
     let mut b =
         if directed { GraphBuilder::new_directed(N) } else { GraphBuilder::new_undirected(N) }
             .weighted();
@@ -57,89 +44,13 @@ fn test_graph(directed: bool, seed: u64) -> sfgraph::Graph {
             b.add_weighted_edge(s, t, 1 + rng.below(4) as Dist);
         }
     }
-    b.build()
+    Deployment::new(&b.build(), Ids::Rank)
 }
 
-struct Fixture {
-    dir: PathBuf,
-    image: Vec<u8>,
-    flat: FlatIndex,
-}
-
-impl Drop for Fixture {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.dir).ok();
-    }
-}
-
-fn fixture(tag: &str, directed: bool) -> Fixture {
-    let dir = std::env::temp_dir().join(format!("hopdb-router-{}-{tag}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("fixture dir");
-
-    let g = test_graph(directed, 0xD15C0);
-    let ranking = rank_vertices(&g, &RankBy::paper_default(&g));
-    let relabeled = relabel_by_rank(&g, &ranking);
-    let (index, _) = build_prelabeled(&relabeled, &HopDbConfig::default());
-    let mut image = Vec::new();
-    index.write_hopidx(&mut image).expect("serialize");
-    let flat = FlatIndex::from_hopidx_bytes(&image).expect("flat");
-    Fixture { dir, image, flat }
-}
-
-/// `path` with `ext` appended to its file name: where a sidecar sits.
-fn sidecar(path: &Path, ext: &str) -> PathBuf {
-    PathBuf::from(format!("{}.{ext}", path.display()))
-}
-
-impl Fixture {
-    /// Stage `image` at `name`, behind the identity ranking's `.rank`.
-    fn stage(&self, name: &str, image: &[u8]) -> PathBuf {
-        let path = self.dir.join(name);
-        std::fs::write(&path, image).expect("stage image");
-        std::fs::write(sidecar(&path, "rank"), Ranking::identity(N).to_sidecar_bytes())
-            .expect("stage .rank");
-        path
-    }
-
-    /// Stage the whole image at `name` and boot a backend over it.
-    fn backend(&self, name: &str) -> ServerHandle {
-        let path = self.stage(name, &self.image);
-        serve("127.0.0.1:0", &path, ServerConfig::default()).expect("backend")
-    }
-
-    /// Split into `k` shard images (with `.shard` sidecars) and boot a
-    /// stock daemon over each.
-    fn shard_backends(&self, k: usize) -> Vec<ServerHandle> {
-        self.shard_backends_with(k, &ServerConfig::default())
-    }
-
-    fn shard_backends_with(&self, k: usize, config: &ServerConfig) -> Vec<ServerHandle> {
-        shard_image(&self.image, k)
-            .expect("shard")
-            .into_iter()
-            .map(|(image, spec)| {
-                let path = self.stage(&format!("shard{}.idx", spec.index), &image);
-                std::fs::write(sidecar(&path, "shard"), spec.encode()).expect("stage sidecar");
-                serve("127.0.0.1:0", &path, config.clone()).expect("shard backend")
-            })
-            .collect()
-    }
-
-    /// Deterministic probe pairs: self pairs, neighbours, far pairs.
-    fn probes(&self) -> Vec<(VertexId, VertexId)> {
-        let mut pairs = Vec::with_capacity(3 * N);
-        for i in 0..N as VertexId {
-            pairs.push((i, i));
-            pairs.push((i, (i * 37 + 11) % N as VertexId));
-            pairs.push(((i * 53 + 7) % N as VertexId, i));
-        }
-        pairs
-    }
-
-    fn oracle(&self, pairs: &[(VertexId, VertexId)]) -> Vec<Dist> {
-        self.flat.query_many(pairs, 1)
-    }
+/// One stock daemon over each of `k` shard images.
+fn shard_backends(dep: &Deployment, k: usize, config: &ServerConfig) -> Vec<ServerHandle> {
+    let shards = dep.stage_shards(k).into_iter();
+    shards.map(|path| serve("127.0.0.1:0", &path, config.clone()).expect("shard backend")).collect()
 }
 
 fn router(mode: RouteMode, backends: Vec<SocketAddr>) -> ServerHandle {
@@ -156,16 +67,16 @@ fn router(mode: RouteMode, backends: Vec<SocketAddr>) -> ServerHandle {
 /// with a router, and assert routed answers equal the single-node
 /// oracle while each backend is rolling-swapped under fire.
 fn assert_routed_identical(mode: RouteMode, directed: bool, tag: &str) {
-    let fx = fixture(tag, directed);
+    let dep = deployment(directed);
     let backends: Vec<ServerHandle> = match mode {
-        RouteMode::Replica => vec![fx.backend("a.idx"), fx.backend("b.idx")],
-        RouteMode::Shard => fx.shard_backends(2),
+        RouteMode::Replica => (0..2).map(|_| dep.serve(ServerConfig::default())).collect(),
+        RouteMode::Shard => shard_backends(&dep, 2, &ServerConfig::default()),
     };
     let backend_addrs: Vec<SocketAddr> = backends.iter().map(|b| b.local_addr()).collect();
     let rt = router(mode, backend_addrs.clone());
 
-    let pairs = fx.probes();
-    let expect = fx.oracle(&pairs);
+    let pairs = triples(N);
+    let expect = dep.model().answers(&pairs);
 
     // Plain identity first, whole batch and split batches.
     let mut client = Client::connect(rt.local_addr()).expect("client");
@@ -256,13 +167,12 @@ fn shard_router_is_byte_identical_directed() {
 
 #[test]
 fn killing_one_replica_loses_no_accepted_queries() {
-    let fx = fixture("kill", false);
-    let a = fx.backend("a.idx");
-    let b = fx.backend("b.idx");
+    let dep = deployment(false);
+    let (a, b) = (dep.serve(ServerConfig::default()), dep.serve(ServerConfig::default()));
     let rt = router(RouteMode::Replica, vec![a.local_addr(), b.local_addr()]);
 
-    let pairs = fx.probes();
-    let expect = fx.oracle(&pairs);
+    let pairs = triples(N);
+    let expect = dep.model().answers(&pairs);
     let mut client = Client::connect(rt.local_addr()).expect("client");
 
     // Warm both backend connections, then kill one mid-fire. Every
@@ -301,14 +211,15 @@ fn killing_one_replica_loses_no_accepted_queries() {
 #[test]
 fn frames_coalesced_past_the_backend_limit_are_cut_on_job_boundaries() {
     const FRAME: usize = 40_000; // two of them exceed DEFAULT_MAX_BATCH = 65 536
-    let fx = fixture("cut", false);
+    let dep = deployment(false);
+    let model = dep.model();
     let pairs: Vec<(VertexId, VertexId)> =
         (0..FRAME as u32).map(|i| (i % N as u32, (i * 13 + i / 7) % N as u32)).collect();
     let (first, second) = (&pairs[..], &pairs[1..]);
     for mode in [RouteMode::Replica, RouteMode::Shard] {
         let backends: Vec<ServerHandle> = match mode {
-            RouteMode::Replica => vec![fx.backend("a.idx"), fx.backend("b.idx")],
-            RouteMode::Shard => fx.shard_backends(2),
+            RouteMode::Replica => (0..2).map(|_| dep.serve(ServerConfig::default())).collect(),
+            RouteMode::Shard => shard_backends(&dep, 2, &ServerConfig::default()),
         };
         let rt = router(mode, backends.iter().map(|b| b.local_addr()).collect());
         let mut client = Client::connect(rt.local_addr()).expect("client");
@@ -316,7 +227,7 @@ fn frames_coalesced_past_the_backend_limit_are_cut_on_job_boundaries() {
         let tickets = [first, second].map(|frame| session.submit(frame).expect("submit"));
         for (ticket, frame) in tickets.into_iter().zip([first, second]) {
             let got = session.wait(ticket).unwrap_or_else(|e| panic!("{mode:?}: {e}"));
-            assert_eq!(got, fx.oracle(frame), "{mode:?}");
+            assert_eq!(got, model.answers(frame), "{mode:?}");
         }
         drop(client);
         rt.shutdown();
@@ -328,10 +239,10 @@ fn frames_coalesced_past_the_backend_limit_are_cut_on_job_boundaries() {
 
 #[test]
 fn replica_router_fans_updates_and_nacks_bad_weights() {
-    let fx = fixture("upd", false);
-    let a = fx.backend("a.idx");
-    let b = fx.backend("b.idx");
+    let dep = deployment(false);
+    let (a, b) = (dep.serve(ServerConfig::default()), dep.serve(ServerConfig::default()));
     let rt = router(RouteMode::Replica, vec![a.local_addr(), b.local_addr()]);
+    let mut model = dep.model();
     let mut client = Client::connect(rt.local_addr()).expect("client");
 
     // Pick a pair that is far apart, then insert a direct edge through
@@ -340,7 +251,9 @@ fn replica_router_fans_updates_and_nacks_bad_weights() {
     let (s, t) = (3, 71);
     let before = client.query_one(s, t).expect("before");
     assert!(before > 1, "probe pair is already adjacent; pick another");
+    assert_eq!(before, model.dist(s, t));
     client.update(&[(s, t, 1)]).expect("routed update");
+    model.ack(&[(s, t, 1)]);
     for round in 0..24 {
         assert_eq!(client.query_one(s, t).expect("after"), 1, "round {round}");
     }
@@ -353,7 +266,7 @@ fn replica_router_fans_updates_and_nacks_bad_weights() {
     let after = client.query_one(1, 2).expect("connection survives the nack");
     // The batch was atomic: the valid half must not have applied on
     // either replica (the pre-update distance still serves everywhere).
-    let unrouted = fx.oracle(&[(1, 2)])[0];
+    let unrouted = model.dist(1, 2);
     for _ in 0..24 {
         assert_eq!(client.query_one(1, 2).expect("atomic nack"), unrouted);
     }
@@ -371,8 +284,8 @@ fn replica_router_fans_updates_and_nacks_bad_weights() {
 
 #[test]
 fn shard_router_refuses_updates_and_swaps() {
-    let fx = fixture("shard-adm", false);
-    let backends = fx.shard_backends(2);
+    let dep = deployment(false);
+    let backends = shard_backends(&dep, 2, &ServerConfig::default());
     let rt = router(RouteMode::Shard, backends.iter().map(|b| b.local_addr()).collect());
     let mut client = Client::connect(rt.local_addr()).expect("client");
 
@@ -383,8 +296,8 @@ fn shard_router_refuses_updates_and_swaps() {
     assert_eq!(err.kind(), ErrorKind::InvalidData);
 
     // The refusals are recoverable: queries still flow afterwards.
-    let pairs = fx.probes();
-    assert_eq!(client.query(&pairs[..32]).expect("query after nacks"), fx.oracle(&pairs[..32]));
+    let pairs = &triples(N)[..32];
+    assert_eq!(client.query(pairs).expect("query after nacks"), dep.model().answers(pairs));
 
     rt.shutdown();
     for b in backends {
@@ -401,18 +314,9 @@ fn shard_router_refuses_updates_and_swaps() {
 fn shard_backends_refuse_updates_and_compactions() {
     use std::io::{Read as _, Write as _};
 
-    let fx = fixture("shard-mut", false);
-    let source = fx.dir.join("source.txt");
-    let file = std::fs::File::create(&source).expect("source graph");
-    sfgraph::io::write_edge_list(&test_graph(false, 0xD15C0), std::io::BufWriter::new(file))
-        .expect("write source graph");
-    let config = ServerConfig {
-        source_graph: Some(source),
-        compact_threshold: 0,
-        ..ServerConfig::default()
-    };
-    let backends = fx.shard_backends_with(2, &config);
-    let pairs = fx.probes();
+    let dep = deployment(false);
+    let backends = shard_backends(&dep, 2, &dep.compacting());
+    let pairs = triples(N);
     for backend in &backends {
         let mut client = Client::connect(backend.local_addr()).expect("client");
         let before = client.query(&pairs).expect("shard answers");
@@ -444,7 +348,7 @@ fn shard_backends_refuse_updates_and_compactions() {
     }
     let rt = router(RouteMode::Shard, backends.iter().map(|b| b.local_addr()).collect());
     let mut client = Client::connect(rt.local_addr()).expect("client");
-    assert_eq!(client.query(&pairs).expect("routed batch"), fx.oracle(&pairs));
+    assert_eq!(client.query(&pairs).expect("routed batch"), dep.model().answers(&pairs));
 
     drop(client);
     rt.shutdown();
@@ -458,13 +362,13 @@ fn shard_backends_refuse_updates_and_compactions() {
 /// the client's connection to the router lives on.
 #[test]
 fn a_dead_shard_fails_only_its_batch() {
-    let fx = fixture("shard-kill", false);
-    let mut backends = fx.shard_backends(2);
+    let dep = deployment(false);
+    let mut backends = shard_backends(&dep, 2, &ServerConfig::default());
     let addrs: Vec<SocketAddr> = backends.iter().map(|b| b.local_addr()).collect();
     let rt = router(RouteMode::Shard, addrs.clone());
     let mut client = Client::connect(rt.local_addr()).expect("client");
-    let pairs = fx.probes();
-    assert_eq!(client.query(&pairs).expect("both shards up"), fx.oracle(&pairs));
+    let pairs = triples(N);
+    assert_eq!(client.query(&pairs).expect("both shards up"), dep.model().answers(&pairs));
     assert_eq!(client.info().expect("info").failovers, 0);
 
     backends.pop().expect("shard 1").shutdown();
@@ -485,16 +389,11 @@ fn a_dead_shard_fails_only_its_batch() {
 /// while its peers translate original ids; it refuses to boot instead,
 /// naming the missing file, so no router ever sees a fleet of two id
 /// spaces.
-fn assert_backend_without_its_rank_does_not_boot(mode: RouteMode, tag: &str) {
-    let fx = fixture(tag, false);
+fn assert_backend_without_its_rank_does_not_boot(mode: RouteMode) {
+    let dep = deployment(false);
     let path = match mode {
-        RouteMode::Replica => fx.stage("b.idx", &fx.image),
-        RouteMode::Shard => {
-            let (image, spec) = shard_image(&fx.image, 2).expect("shard").remove(1);
-            let path = fx.stage("b.idx", &image);
-            std::fs::write(sidecar(&path, "shard"), spec.encode()).expect("stage .shard");
-            path
-        }
+        RouteMode::Replica => dep.index_path(),
+        RouteMode::Shard => dep.stage_shards(2).remove(1),
     };
     let rank = sidecar(&path, "rank");
     std::fs::remove_file(&rank).expect("drop .rank");
@@ -505,21 +404,20 @@ fn assert_backend_without_its_rank_does_not_boot(mode: RouteMode, tag: &str) {
 
 #[test]
 fn replica_backend_without_its_rank_does_not_boot() {
-    assert_backend_without_its_rank_does_not_boot(RouteMode::Replica, "ids-rep");
+    assert_backend_without_its_rank_does_not_boot(RouteMode::Replica);
 }
 
 #[test]
 fn shard_backend_without_its_rank_does_not_boot() {
-    assert_backend_without_its_rank_does_not_boot(RouteMode::Shard, "ids-shard");
+    assert_backend_without_its_rank_does_not_boot(RouteMode::Shard);
 }
 
 #[test]
 fn router_serves_the_http_front() {
     use std::io::{Read as _, Write as _};
 
-    let fx = fixture("http", false);
-    let a = fx.backend("a.idx");
-    let b = fx.backend("b.idx");
+    let dep = deployment(false);
+    let (a, b) = (dep.serve(ServerConfig::default()), dep.serve(ServerConfig::default()));
     let rt = router(RouteMode::Replica, vec![a.local_addr(), b.local_addr()]);
 
     let http = |request: String| -> String {
@@ -530,7 +428,7 @@ fn router_serves_the_http_front() {
         reply
     };
 
-    let expect = fx.oracle(&[(0, 9)])[0];
+    let expect = dep.model().dist(0, 9);
     let reply = http("GET /query?s=0&t=9 HTTP/1.1\r\nConnection: close\r\n\r\n".to_string());
     assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
     assert!(reply.contains(&format!("\"dist\":{expect}")), "{reply}");

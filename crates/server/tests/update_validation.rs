@@ -8,67 +8,38 @@
 //! keeps serving afterwards.
 
 use std::io::ErrorKind;
-use std::path::PathBuf;
 
-use hopdb::{build_prelabeled, HopDbConfig};
-use hopdb_server::{serve, Client, ServerConfig, ServerHandle};
+use hopdb_server::{Client, ServerConfig};
 use sfgraph::builder::GraphBuilder;
-use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy, Ranking};
 use sfgraph::VertexId;
+
+#[path = "../../../tests/testkit/mod.rs"]
+mod testkit;
+use testkit::{Deployment, Ids};
 
 const N: usize = 40;
 
-struct Fixture {
-    dir: PathBuf,
-    index_path: PathBuf,
-}
-
-impl Drop for Fixture {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.dir).ok();
-    }
-}
-
-fn fixture(tag: &str) -> Fixture {
-    let dir = std::env::temp_dir().join(format!("hopdb-valid-{}-{tag}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("fixture dir");
-
-    // A weighted ring: every vertex reachable, no shortcuts, so an
-    // accepted update visibly changes a distance and a nacked one
-    // visibly does not.
+/// A weighted ring, served in rank ids: every vertex reachable, no
+/// shortcuts, so an accepted update visibly changes a distance and a
+/// nacked one visibly does not.
+fn ring() -> Deployment {
     let mut b = GraphBuilder::new_undirected(N).weighted();
     for v in 0..N as VertexId {
         b.add_weighted_edge(v, (v + 1) % N as VertexId, 2);
     }
-    let g = b.build();
-    let ranking = rank_vertices(&g, &RankBy::Degree);
-    let relabeled = relabel_by_rank(&g, &ranking);
-    let (index, _) = build_prelabeled(&relabeled, &HopDbConfig::default());
-    let index_path = dir.join("ring.idx");
-    index
-        .write_hopidx(&mut std::fs::File::create(&index_path).expect("create index"))
-        .expect("serialize");
-    // Served behind the identity ranking, so the wire's ids are the rank
-    // ids the oracle below reasons in.
-    let rank = dir.join("ring.idx.rank");
-    std::fs::write(rank, Ranking::identity(N).to_sidecar_bytes()).expect("write .rank");
-    Fixture { dir, index_path }
-}
-
-fn daemon(fx: &Fixture) -> ServerHandle {
-    serve("127.0.0.1:0", &fx.index_path, ServerConfig::default()).expect("serve")
+    Deployment::new(&b.build(), Ids::Rank)
 }
 
 // Named for the poller Linux runs; the loop above it is the same on
 // every unix.
 #[test]
 fn hopq_zero_weight_is_nacked_epoll_backend() {
-    let fx = fixture("hopq");
-    let handle = daemon(&fx);
+    let dep = ring();
+    let handle = dep.serve(ServerConfig::default());
     let mut client = Client::connect(handle.local_addr()).expect("connect");
 
     let before = client.query_one(0, 3).expect("baseline");
+    assert_eq!(before, dep.model().dist(0, 3), "served answers diverge from the model");
 
     // Pure zero-weight batch, and a mixed batch hiding the zero in the
     // middle: both must nack without applying anything.
@@ -97,8 +68,8 @@ fn hopq_zero_weight_is_nacked_epoll_backend() {
 fn http_zero_weight_is_nacked() {
     use std::io::{Read as _, Write as _};
 
-    let fx = fixture("http");
-    let handle = daemon(&fx);
+    let dep = ring();
+    let handle = dep.serve(ServerConfig::default());
     let addr = handle.local_addr();
 
     let http = |request: String| -> String {

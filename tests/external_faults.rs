@@ -5,7 +5,8 @@
 //!
 //! `extmem::device::faults` is process-global, so this is its own test
 //! binary with one test: no other build in the process can meet an
-//! armed fault.
+//! armed fault, and no other reader meets the changed `TMPDIR` at its
+//! end, where the store directory cannot be created.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -83,4 +84,23 @@ fn a_torn_write_anywhere_in_an_external_build_is_its_error() {
         assert!(fails(n), "write {n} of {writes} torn: the build succeeded");
     }
     assert!(fails(writes - 1), "the last write torn: the build succeeded");
+
+    // A store directory that cannot be created is the build's error too:
+    // the temp directory is pointed under a regular file. This binary's
+    // one test is the only reader of `TMPDIR` while it is changed.
+    let blocker = std::env::temp_dir().join(format!("hopdb-no-store-{}", std::process::id()));
+    std::fs::write(&blocker, b"a file, not a directory").expect("the blocker writes");
+    let saved = std::env::var_os("TMPDIR");
+    std::env::set_var("TMPDIR", blocker.join("under-a-file"));
+    let built = catch_unwind(AssertUnwindSafe(|| build_external(&g, &cfg, &ExtMemConfig::tiny())));
+    match saved {
+        Some(dir) => std::env::set_var("TMPDIR", dir),
+        None => std::env::remove_var("TMPDIR"),
+    }
+    std::fs::remove_file(&blocker).ok();
+    match built {
+        Ok(Err(_)) => {}
+        Ok(Ok(_)) => panic!("a store under a regular file: the build returned an index"),
+        Err(_) => panic!("a store under a regular file: the build panicked"),
+    }
 }

@@ -11,103 +11,33 @@
 //! failure of that sync nacks the next update), and an aborted
 //! compaction re-arms and is counted.
 
-use std::path::{Path, PathBuf};
-
 use hop_doubling::graphgen::{glp, GlpParams};
-use hop_doubling::hopdb::{build_prelabeled, HopDbConfig};
 use hop_doubling::hopdb_server::wal::{self, Durability};
 use hop_doubling::hopdb_server::{serve, Client, ServerConfig};
-use hop_doubling::sfgraph::builder::GraphBuilder;
-use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
-use hop_doubling::sfgraph::traversal::all_pairs;
-use hop_doubling::sfgraph::{Dist, Graph, VertexId};
 
-/// Stage `g` the way `hopdb-cli build` would: edge-list file, index
-/// image, and `.rank` sidecar (see `server_live_updates.rs`).
-fn stage(g: &Graph, tag: &str) -> (PathBuf, PathBuf, PathBuf) {
-    let dir = std::env::temp_dir();
-    let graph_path = dir.join(format!("hopdb-dur-{}-{tag}.txt", std::process::id()));
-    let file = std::fs::File::create(&graph_path).expect("create edge list");
-    hop_doubling::sfgraph::io::write_edge_list(g, std::io::BufWriter::new(file))
-        .expect("write edge list");
-
-    let ranking = rank_vertices(g, &RankBy::Degree);
-    let relabeled = relabel_by_rank(g, &ranking);
-    let (index, _) = build_prelabeled(&relabeled, &HopDbConfig::default());
-    let index_path = dir.join(format!("hopdb-dur-{}-{tag}.idx", std::process::id()));
-    index
-        .write_hopidx(&mut std::fs::File::create(&index_path).expect("create index"))
-        .expect("serialize");
-    std::fs::write(format!("{}.rank", index_path.to_string_lossy()), ranking.to_sidecar_bytes())
-        .expect("write sidecar");
-
-    let wal_dir = dir.join(format!("hopdb-dur-{}-{tag}-wal", std::process::id()));
-    std::fs::remove_dir_all(&wal_dir).ok();
-    (graph_path, index_path, wal_dir)
-}
-
-fn cleanup(graph_path: &PathBuf, index_path: &PathBuf, wal_dir: &PathBuf) {
-    std::fs::remove_file(graph_path).ok();
-    std::fs::remove_file(index_path).ok();
-    std::fs::remove_file(format!("{}.rank", index_path.to_string_lossy())).ok();
-    std::fs::remove_dir_all(wal_dir).ok();
-}
-
-fn durable_config(graph: &Path, wal_dir: &Path, durability: Durability) -> ServerConfig {
-    ServerConfig {
-        source_graph: Some(graph.to_path_buf()),
-        compact_threshold: 0,
-        wal_dir: Some(wal_dir.to_path_buf()),
-        durability,
-        ..ServerConfig::default()
-    }
-}
-
-/// Probe answers of `g` plus `edges`, by BFS/Dijkstra from scratch.
-fn oracle(
-    g: &Graph,
-    edges: &[(VertexId, VertexId, Dist)],
-    pairs: &[(VertexId, VertexId)],
-) -> Vec<Dist> {
-    let mut b = GraphBuilder::new_undirected(g.num_vertices()).weighted();
-    for (u, v, w) in g.edge_list().into_iter().chain(edges.iter().copied()) {
-        b.add_weighted_edge(u, v, w);
-    }
-    let truth = all_pairs(&b.build());
-    pairs
-        .iter()
-        .map(|&(s, t)| match truth[s as usize][t as usize] {
-            hop_doubling::sfgraph::INF_DIST => hop_doubling::hopdb_server::proto::UNREACHABLE,
-            d => d,
-        })
-        .collect()
-}
+mod testkit;
+use testkit::{spread, Deployment, Edge, Ids};
 
 /// The fault hooks are process-wide: tests that arm them take turns.
 static FAULTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// A probe set that visits every vertex.
-fn probes(n: usize) -> Vec<(VertexId, VertexId)> {
-    (0..n as VertexId).map(|i| (i, (i * 37 + 11) % n as VertexId)).collect()
-}
-
 #[test]
 fn replay_restores_acked_updates_across_restart() {
     let n = 90;
-    let g = glp(&GlpParams::with_density(n, 3.0, 901));
-    let (graph_path, index_path, wal_dir) = stage(&g, "replay");
-    let pairs = probes(n);
-    let batches: [Vec<(VertexId, VertexId, Dist)>; 2] =
-        [vec![(0, 89, 1), (3, 71, 1)], vec![(12, 44, 2)]];
+    let dep = Deployment::new(&glp(&GlpParams::with_density(n, 3.0, 901)), Ids::Original);
+    let pairs = spread(n);
+    let batches: [Vec<Edge>; 2] = [vec![(0, 89, 1), (3, 71, 1)], vec![(12, 44, 2)]];
+    let mut model = dep.model();
 
     let (answers, overlay_edges) = {
-        let config = durable_config(&graph_path, &wal_dir, Durability::Always);
-        let handle = serve("127.0.0.1:0", &index_path, config).expect("serve");
+        let handle = dep.serve(dep.durable(Durability::Always));
         let mut client = Client::connect(handle.local_addr()).expect("connect");
         for batch in &batches {
             client.update(batch).expect("update");
+            model.ack(batch);
         }
         let answers = client.query(&pairs).expect("query");
+        assert_eq!(answers, model.answers(&pairs), "served answers diverge from the model");
         let info = client.info().expect("info");
         assert_eq!(info.durability, 2, "always = 2 on the wire");
         assert_eq!(info.wal_epoch, 0);
@@ -119,32 +49,28 @@ fn replay_restores_acked_updates_across_restart() {
 
     // Restart against the SAME wal dir: the overlay must come back
     // from the log alone (the index file never saw the updates).
-    let config = durable_config(&graph_path, &wal_dir, Durability::Always);
-    let handle = serve("127.0.0.1:0", &index_path, config).expect("re-serve");
+    let handle = dep.serve(dep.durable(Durability::Always));
     let mut client = Client::connect(handle.local_addr()).expect("reconnect");
-    assert_eq!(
-        client.query(&pairs).expect("query after recovery"),
-        answers,
-        "recovered answers diverge from the pre-restart state"
-    );
+    let recovered = client.query(&pairs).expect("query after recovery");
+    assert_eq!(recovered, answers, "recovered answers diverge from the pre-restart state");
+    assert_eq!(recovered, model.answers(&pairs), "recovered answers diverge from the model");
     let info = client.info().expect("info");
     assert_eq!(info.recovered_records, 2, "both batches replayed");
     assert_eq!(info.recovered_dropped_bytes, 0);
     assert_eq!(info.overlay_edges, overlay_edges, "replayed overlay size");
     handle.shutdown();
-    cleanup(&graph_path, &index_path, &wal_dir);
 }
 
 #[test]
 fn torn_tail_is_truncated_and_surfaced() {
     let n = 60;
-    let g = glp(&GlpParams::with_density(n, 3.0, 902));
-    let (graph_path, index_path, wal_dir) = stage(&g, "torn");
-    let pairs = probes(n);
+    let dep = Deployment::new(&glp(&GlpParams::with_density(n, 3.0, 902)), Ids::Original);
+    let pairs = spread(n);
+    let mut model = dep.model();
+    model.ack(&[(0, 59, 1)]);
 
     let answers = {
-        let config = durable_config(&graph_path, &wal_dir, Durability::Always);
-        let handle = serve("127.0.0.1:0", &index_path, config).expect("serve");
+        let handle = dep.serve(dep.durable(Durability::Always));
         let mut client = Client::connect(handle.local_addr()).expect("connect");
         client.update(&[(0, 59, 1)]).expect("update");
         let answers = client.query(&pairs).expect("query");
@@ -153,30 +79,29 @@ fn torn_tail_is_truncated_and_surfaced() {
     };
 
     // Simulate a crash mid-append: a half-written record at the tail.
-    let wal_path = wal_dir.join(wal::wal_file_name(0));
+    let wal_path = dep.wal_dir().join(wal::wal_file_name(0));
     let mut bytes = std::fs::read(&wal_path).expect("read wal");
     let torn = [17u8, 0, 0, 0, 0xDE, 0xAD];
     bytes.extend_from_slice(&torn);
     std::fs::write(&wal_path, &bytes).expect("tear wal");
 
-    let config = durable_config(&graph_path, &wal_dir, Durability::Always);
-    let handle = serve("127.0.0.1:0", &index_path, config).expect("re-serve");
+    let handle = dep.serve(dep.durable(Durability::Always));
     let mut client = Client::connect(handle.local_addr()).expect("reconnect");
-    assert_eq!(client.query(&pairs).expect("query"), answers, "acked prefix must survive");
+    let recovered = client.query(&pairs).expect("query");
+    assert_eq!(recovered, answers, "acked prefix must survive");
+    assert_eq!(recovered, model.answers(&pairs), "recovered answers diverge from the model");
     let info = client.info().expect("info");
     assert_eq!(info.recovered_records, 1);
     assert_eq!(info.recovered_dropped_bytes, torn.len() as u64);
     // The torn bytes are gone from disk, not just skipped.
     assert_eq!(std::fs::read(&wal_path).expect("reread").len() as u64, info.wal_bytes);
     handle.shutdown();
-    cleanup(&graph_path, &index_path, &wal_dir);
 }
 
 #[test]
 fn mixed_lineage_directory_is_refused() {
-    let n = 40;
-    let g = glp(&GlpParams::with_density(n, 3.0, 903));
-    let (graph_path, index_path, wal_dir) = stage(&g, "mixed");
+    let dep = Deployment::new(&glp(&GlpParams::with_density(40, 3.0, 903)), Ids::Original);
+    let wal_dir = dep.wal_dir();
     std::fs::create_dir_all(&wal_dir).unwrap();
 
     // CURRENT says epoch 7, but the epoch-7 log header says epoch 8:
@@ -184,7 +109,7 @@ fn mixed_lineage_directory_is_refused() {
     // from either would silently serve wrong answers — refuse instead.
     wal::write_manifest(
         &wal_dir,
-        &wal::Manifest { epoch: 7, index_path: index_path.clone() },
+        &wal::Manifest { epoch: 7, index_path: dep.index_path() },
         hop_doubling::extmem::IoStats::shared(),
     )
     .expect("write manifest");
@@ -193,31 +118,30 @@ fn mixed_lineage_directory_is_refused() {
     header.extend_from_slice(&8u64.to_le_bytes());
     std::fs::write(wal_dir.join(wal::wal_file_name(7)), &header).expect("write stray wal");
 
-    let config = durable_config(&graph_path, &wal_dir, Durability::Batch);
-    match serve("127.0.0.1:0", &index_path, config) {
+    match serve("127.0.0.1:0", &dep.index_path(), dep.durable(Durability::Batch)) {
         Err(err) => assert!(err.to_string().contains("lineages"), "{err}"),
         Ok(handle) => {
             handle.shutdown();
             panic!("mixed lineage must not boot");
         }
     }
-    cleanup(&graph_path, &index_path, &wal_dir);
 }
 
 #[test]
 fn checkpoint_truncates_the_wal_and_survives_restart() {
     let n = 80;
-    let g = glp(&GlpParams::with_density(n, 3.0, 904));
-    let (graph_path, index_path, wal_dir) = stage(&g, "ckpt");
-    let pairs = probes(n);
+    let dep = Deployment::new(&glp(&GlpParams::with_density(n, 3.0, 904)), Ids::Original);
+    let (pairs, wal_dir) = (spread(n), dep.wal_dir());
+    let mut model = dep.model();
+    model.ack(&[(0, 79, 1), (5, 50, 1)]);
 
     let answers = {
-        let config = durable_config(&graph_path, &wal_dir, Durability::Always);
-        let handle = serve("127.0.0.1:0", &index_path, config).expect("serve");
+        let handle = dep.serve(dep.durable(Durability::Always));
         let mut client = Client::connect(handle.local_addr()).expect("connect");
         client.update(&[(0, 79, 1), (5, 50, 1)]).expect("update");
         client.compact().expect("compact");
         let answers = client.query(&pairs).expect("query");
+        assert_eq!(answers, model.answers(&pairs), "the checkpoint diverges from the model");
         let info = client.info().expect("info");
         assert_eq!(info.checkpoints, 1);
         assert_eq!(info.wal_epoch, 1, "checkpoint advances the epoch");
@@ -233,8 +157,7 @@ fn checkpoint_truncates_the_wal_and_survives_restart() {
     assert!(wal_dir.join(wal::wal_file_name(1)).exists());
     assert!(!wal_dir.join(wal::wal_file_name(0)).exists(), "old epoch must be collected");
 
-    let config = durable_config(&graph_path, &wal_dir, Durability::Always);
-    let handle = serve("127.0.0.1:0", &index_path, config).expect("re-serve");
+    let handle = dep.serve(dep.durable(Durability::Always));
     let mut client = Client::connect(handle.local_addr()).expect("reconnect");
     assert_eq!(
         client.query(&pairs).expect("query after recovery"),
@@ -251,8 +174,8 @@ fn checkpoint_truncates_the_wal_and_survives_restart() {
     // checkpoint folded (read back from its `.edges`) and the new one.
     client.update(&[(7, 60, 1)]).expect("update after restart");
     client.compact().expect("compact after restart");
-    let acked = [(0, 79, 1), (5, 50, 1), (7, 60, 1)];
-    let want = oracle(&g, &acked, &pairs);
+    model.ack(&[(7, 60, 1)]);
+    let want = model.answers(&pairs);
     assert_eq!(client.query(&pairs).expect("query"), want, "second checkpoint forgot edges");
     let info = client.info().expect("info");
     assert_eq!(info.wal_epoch, 2);
@@ -264,8 +187,7 @@ fn checkpoint_truncates_the_wal_and_survives_restart() {
     assert!(!wal_dir.join(format!("{}.edges", wal::checkpoint_image_name(1))).exists());
 
     // ...and across one more restart, from the second checkpoint alone.
-    let config = durable_config(&graph_path, &wal_dir, Durability::Always);
-    let handle = serve("127.0.0.1:0", &index_path, config).expect("third serve");
+    let handle = dep.serve(dep.durable(Durability::Always));
     let mut client = Client::connect(handle.local_addr()).expect("reconnect");
     assert_eq!(client.query(&pairs).expect("query"), want, "restart from the second checkpoint");
     handle.shutdown();
@@ -274,8 +196,7 @@ fn checkpoint_truncates_the_wal_and_survives_restart() {
     // boot: one byte short would silently forget an acked edge.
     let bytes = std::fs::read(&folded).expect("read folded edges");
     std::fs::write(&folded, &bytes[..bytes.len() - 1]).expect("truncate folded edges");
-    let config = durable_config(&graph_path, &wal_dir, Durability::Always);
-    match serve("127.0.0.1:0", &index_path, config) {
+    match serve("127.0.0.1:0", &dep.index_path(), dep.durable(Durability::Always)) {
         Err(err) => {
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
             assert!(err.to_string().contains(".edges"), "{err}");
@@ -285,7 +206,6 @@ fn checkpoint_truncates_the_wal_and_survives_restart() {
             panic!("a torn folded-edge file must not boot");
         }
     }
-    cleanup(&graph_path, &index_path, &wal_dir);
 }
 
 /// A `CURRENT` that does not parse is damage, not a fresh directory:
@@ -293,12 +213,10 @@ fn checkpoint_truncates_the_wal_and_survives_restart() {
 /// checkpoint and log, the only copies of the acknowledged updates.
 #[test]
 fn a_garbage_manifest_is_refused_and_the_lineage_kept() {
-    let n = 50;
-    let g = glp(&GlpParams::with_density(n, 3.0, 908));
-    let (graph_path, index_path, wal_dir) = stage(&g, "badcur");
+    let dep = Deployment::new(&glp(&GlpParams::with_density(50, 3.0, 908)), Ids::Original);
+    let wal_dir = dep.wal_dir();
     {
-        let config = durable_config(&graph_path, &wal_dir, Durability::Always);
-        let handle = serve("127.0.0.1:0", &index_path, config).expect("serve");
+        let handle = dep.serve(dep.durable(Durability::Always));
         let mut client = Client::connect(handle.local_addr()).expect("connect");
         client.update(&[(0, 49, 1)]).expect("update");
         client.compact().expect("compact");
@@ -313,8 +231,7 @@ fn a_garbage_manifest_is_refused_and_the_lineage_kept() {
     assert!(lineage.iter().all(|name| wal_dir.join(name).exists()), "a checkpointed lineage");
 
     std::fs::write(wal_dir.join(wal::MANIFEST_FILE), b"not a manifest\n").expect("clobber");
-    let config = durable_config(&graph_path, &wal_dir, Durability::Always);
-    match serve("127.0.0.1:0", &index_path, config) {
+    match serve("127.0.0.1:0", &dep.index_path(), dep.durable(Durability::Always)) {
         Err(err) => assert!(err.to_string().contains(wal::MANIFEST_FILE), "{err}"),
         Ok(handle) => {
             handle.shutdown();
@@ -324,7 +241,6 @@ fn a_garbage_manifest_is_refused_and_the_lineage_kept() {
     for name in &lineage {
         assert!(wal_dir.join(name).exists(), "{name} was deleted by a refused boot");
     }
-    cleanup(&graph_path, &index_path, &wal_dir);
 }
 
 #[test]
@@ -332,14 +248,14 @@ fn injected_fsync_failure_rejects_the_update_but_not_the_server() {
     use hop_doubling::extmem::device::faults;
 
     let n = 50;
-    let g = glp(&GlpParams::with_density(n, 3.0, 905));
-    let (graph_path, index_path, wal_dir) = stage(&g, "fsync");
-    let pairs = probes(n);
+    let dep = Deployment::new(&glp(&GlpParams::with_density(n, 3.0, 905)), Ids::Original);
+    let pairs = spread(n);
+    let mut model = dep.model();
 
-    let config = durable_config(&graph_path, &wal_dir, Durability::Always);
-    let handle = serve("127.0.0.1:0", &index_path, config).expect("serve");
+    let handle = dep.serve(dep.durable(Durability::Always));
     let mut client = Client::connect(handle.local_addr()).expect("connect");
     let base = client.query(&pairs).expect("base query");
+    assert_eq!(base, model.answers(&pairs), "served answers diverge from the model");
     // An edge that shortcuts a probed pair, so (non-)acknowledgement
     // is observable through the probe answers.
     let (s, t) = pairs
@@ -354,7 +270,7 @@ fn injected_fsync_failure_rejects_the_update_but_not_the_server() {
     // Scope the fault to this test's WAL file so parallel tests in
     // this binary (and the server's own index I/O) are untouched.
     let _serial = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
-    faults::set_path_filter(Some("-fsync-wal"));
+    faults::set_path_filter(dep.wal_dir().to_str());
     faults::fail_fsync_after(0);
     let err = client.update(&[(s, t, 1)]).expect_err("fsync failure must fail the update");
     assert!(err.to_string().contains("wal append"), "{err}");
@@ -364,11 +280,13 @@ fn injected_fsync_failure_rejects_the_update_but_not_the_server() {
     // the server must keep serving and accepting new updates.
     assert_eq!(client.query(&pairs).expect("query"), base, "rejected batch leaked");
     client.update(&[(s, t, 1)]).expect("update after fault clears");
-    assert_ne!(client.query(&pairs).expect("query"), base, "edge must now land");
+    model.ack(&[(s, t, 1)]);
+    let landed = client.query(&pairs).expect("query");
+    assert_ne!(landed, base, "edge must now land");
+    assert_eq!(landed, model.answers(&pairs), "served answers diverge from the model");
     let info = client.info().expect("info");
     assert_eq!(info.wal_records, 1, "only the acked batch is in the log");
     handle.shutdown();
-    cleanup(&graph_path, &index_path, &wal_dir);
 }
 
 /// `--durability batch` promises that an acked batch is on stable
@@ -383,11 +301,8 @@ fn batch_durability_syncs_the_tail_of_a_burst_when_ingest_goes_idle() {
     use hop_doubling::hopdb_server::proto::{read_response, Request, RequestBody, ResponseBody};
     use std::io::Write;
 
-    let n = 50;
-    let g = glp(&GlpParams::with_density(n, 3.0, 907));
-    let (graph_path, index_path, wal_dir) = stage(&g, "idle");
-    let config = durable_config(&graph_path, &wal_dir, Durability::Batch);
-    let handle = serve("127.0.0.1:0", &index_path, config).expect("serve");
+    let dep = Deployment::new(&glp(&GlpParams::with_density(50, 3.0, 907)), Ids::Original);
+    let handle = dep.serve(dep.durable(Durability::Batch));
     let mut client = Client::connect(handle.local_addr()).expect("connect");
     let idle = 25 * wal::BATCH_SYNC_INTERVAL;
 
@@ -400,7 +315,7 @@ fn batch_durability_syncs_the_tail_of_a_burst_when_ingest_goes_idle() {
     // syncs (fsync #1 from here); the second follows it within
     // microseconds and does not. Fail fsync #2.
     let _serial = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
-    faults::set_path_filter(Some("-idle-wal"));
+    faults::set_path_filter(dep.wal_dir().to_str());
     faults::fail_fsync_after(1);
     let mut raw = std::net::TcpStream::connect(handle.local_addr()).expect("raw connect");
     let burst: Vec<u8> = [(1, vec![(1, 48, 1)]), (2, vec![(2, 47, 1)])]
@@ -433,21 +348,18 @@ fn batch_durability_syncs_the_tail_of_a_burst_when_ingest_goes_idle() {
     assert_eq!(info.wal_records, 4, "three acked before the failure, one after");
     assert_eq!(info.overlay_edges, 4);
     handle.shutdown();
-    cleanup(&graph_path, &index_path, &wal_dir);
 }
 
 #[test]
 fn failed_compaction_is_counted_and_compaction_re_arms() {
-    let n = 40;
-    let g = glp(&GlpParams::with_density(n, 3.0, 906));
-    let (graph_path, index_path, wal_dir) = stage(&g, "abort");
+    let dep = Deployment::new(&glp(&GlpParams::with_density(40, 3.0, 906)), Ids::Original);
     // No --graph: every compaction attempt fails cleanly.
     let config = ServerConfig {
-        wal_dir: Some(wal_dir.clone()),
+        wal_dir: Some(dep.wal_dir()),
         durability: Durability::Batch,
         ..ServerConfig::default()
     };
-    let handle = serve("127.0.0.1:0", &index_path, config).expect("serve");
+    let handle = dep.serve(config);
     let mut client = Client::connect(handle.local_addr()).expect("connect");
     for _ in 0..2 {
         let err = client.compact().expect_err("compaction without --graph must fail");
@@ -457,5 +369,4 @@ fn failed_compaction_is_counted_and_compaction_re_arms() {
     assert_eq!(info.aborted_compactions, 2, "failed compactions must be counted");
     assert_eq!(info.compactions, 0);
     handle.shutdown();
-    cleanup(&graph_path, &index_path, &wal_dir);
 }

@@ -4,39 +4,15 @@
 //! bit-identical agreement with in-process `FlatIndex::query` and BFS
 //! ground truth — directed and undirected, and across a live hot swap.
 
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use hop_doubling::graphgen::{glp, orient_scale_free, GlpParams};
-use hop_doubling::hopdb::{build_prelabeled, HopDbConfig};
 use hop_doubling::hopdb_server::{serve, Client, ServerConfig};
-use hop_doubling::hoplabels::flat::FlatIndex;
-use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy, Ranking};
-use hop_doubling::sfgraph::traversal::all_pairs;
-use hop_doubling::sfgraph::{Dist, Graph, VertexId};
+use hop_doubling::sfgraph::{Dist, VertexId};
 
-/// Build an index for `g` and serialize it to a standalone temp file
-/// behind the identity ranking's `.rank`, so the wire's ids are rank
-/// ids; returns the file and the frozen flat index.
-fn build_index_file(g: &Graph, tag: &str) -> (PathBuf, FlatIndex, Graph) {
-    let ranking = rank_vertices(g, &RankBy::paper_default(g));
-    let relabeled = relabel_by_rank(g, &ranking);
-    let (index, _) = build_prelabeled(&relabeled, &HopDbConfig::default());
-    let path = std::env::temp_dir().join(format!("hopdb-e2e-{}-{tag}.idx", std::process::id()));
-    index
-        .write_hopidx(&mut std::fs::File::create(&path).expect("create index"))
-        .expect("serialize");
-    let rank = Ranking::identity(g.num_vertices()).to_sidecar_bytes();
-    std::fs::write(format!("{}.rank", path.display()), rank).expect("write .rank");
-    (path, FlatIndex::from_index(&index), relabeled)
-}
-
-/// Remove an image [`build_index_file`] wrote, and its `.rank`.
-fn remove_image(path: &Path) {
-    std::fs::remove_file(path).ok();
-    std::fs::remove_file(format!("{}.rank", path.display())).ok();
-}
+mod testkit;
+use testkit::{grid, sidecar, spread, Deployment, Ids};
 
 #[test]
 fn served_answers_match_flat_and_bfs_truth() {
@@ -44,20 +20,14 @@ fn served_answers_match_flat_and_bfs_truth() {
         let und = glp(&GlpParams::with_density(120, 3.0, if directed { 77 } else { 76 }));
         let g = if directed { orient_scale_free(&und, 0.25, 77) } else { und };
         let tag = if directed { "e2e-d" } else { "e2e-u" };
-        let (path, flat, relabeled) = build_index_file(&g, tag);
-        let truth = all_pairs(&relabeled);
-
-        let config = ServerConfig { batch_threads: 2, ..ServerConfig::default() };
-        let handle = serve("127.0.0.1:0", &path, config).expect("serve");
+        // The wire speaks rank ids: the model is of the relabeled graph.
+        let dep = Deployment::new(&g, Ids::Rank);
+        let handle = dep.serve(ServerConfig { batch_threads: 2, ..ServerConfig::default() });
         let addr = handle.local_addr();
 
-        let n = relabeled.num_vertices() as VertexId;
-        let pairs: Vec<(VertexId, VertexId)> =
-            (0..n).flat_map(|s| (0..n).map(move |t| (s, t))).collect();
-        let expect: Vec<Dist> = pairs.iter().map(|&(s, t)| flat.query(s, t)).collect();
-        for (&(s, t), &want) in pairs.iter().zip(&expect) {
-            assert_eq!(want, truth[s as usize][t as usize], "flat vs BFS {s}->{t}");
-        }
+        let pairs = grid(g.num_vertices());
+        let expect: Vec<Dist> = dep.model().answers(&pairs);
+        assert_eq!(dep.flat().query_many(&pairs, 1), expect, "flat vs BFS ({tag})");
 
         // Four concurrent clients: each answers its slice batched and
         // a subsample as single-pair requests.
@@ -80,7 +50,6 @@ fn served_answers_match_flat_and_bfs_truth() {
         });
 
         handle.shutdown();
-        remove_image(&path);
     }
 }
 
@@ -90,16 +59,17 @@ fn hot_swap_promotes_without_mixing_generations() {
     // valid against both indexes but most distances differ.
     let ga = glp(&GlpParams::with_density(150, 3.0, 1001));
     let gb = glp(&GlpParams::with_density(150, 5.0, 2002));
-    let (path_a, flat_a, _) = build_index_file(&ga, "swap-a");
-    let (path_b, flat_b, _) = build_index_file(&gb, "swap-b");
+    let (a, b) = (Deployment::new(&ga, Ids::Rank), Deployment::new(&gb, Ids::Rank));
 
-    let pairs: Vec<(VertexId, VertexId)> = (0..150u32).map(|i| (i, (i * 37 + 11) % 150)).collect();
-    let expect_a = flat_a.query_many(&pairs, 1);
-    let expect_b = flat_b.query_many(&pairs, 1);
+    let pairs = spread(150);
+    let mut model = a.model();
+    let expect_a = model.answers(&pairs);
+    model.swap(&b);
+    let expect_b = model.answers(&pairs);
     assert_ne!(expect_a, expect_b, "test graphs must disagree for the swap to be observable");
 
-    let config = ServerConfig { swap_path: Some(path_b.clone()), ..ServerConfig::default() };
-    let handle = serve("127.0.0.1:0", &path_a, config).expect("serve");
+    let handle =
+        a.serve(ServerConfig { swap_path: Some(b.index_path()), ..ServerConfig::default() });
     let addr = handle.local_addr();
     let generation = || Client::connect(addr).expect("connect").info().expect("info").generation;
     assert_eq!(generation(), 1);
@@ -152,9 +122,6 @@ fn hot_swap_promotes_without_mixing_generations() {
 
     assert_eq!(generation(), 2);
     handle.shutdown();
-    for p in [path_a, path_b] {
-        remove_image(&p);
-    }
 }
 
 /// An image without its `.rank` would answer in rank ids, which no
@@ -162,40 +129,35 @@ fn hot_swap_promotes_without_mixing_generations() {
 /// fails naming the file while the serving generation answers on.
 #[test]
 fn an_image_without_its_rank_neither_boots_nor_swaps_in() {
-    let g = glp(&GlpParams::with_density(80, 3.0, 4242));
-    let (path, flat, _) = build_index_file(&g, "no-rank");
-    let bare = path.with_extension("bare.idx");
-    std::fs::copy(&path, &bare).expect("copy image without its .rank");
-    let rank = format!("{}.rank", bare.display());
+    let dep = Deployment::new(&glp(&GlpParams::with_density(80, 3.0, 4242)), Ids::Rank);
+    let bare = dep.path("bare.idx");
+    std::fs::copy(dep.index_path(), &bare).expect("copy image without its .rank");
+    let rank = sidecar(&bare, "rank").display().to_string();
 
     let err = serve("127.0.0.1:0", &bare, ServerConfig::default()).err().expect("no boot");
     assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
     assert!(err.to_string().starts_with(&format!("{rank}: ")), "{err}");
 
-    let config = ServerConfig { swap_path: Some(bare.clone()), ..ServerConfig::default() };
-    let handle = serve("127.0.0.1:0", &path, config).expect("serve");
+    let handle = dep.serve(ServerConfig { swap_path: Some(bare), ..ServerConfig::default() });
     let mut client = Client::connect(handle.local_addr()).expect("connect");
     let err = client.swap().expect_err("a swap to an image without its .rank must fail");
     assert!(err.to_string().contains(&format!("swap failed: {rank}: ")), "{err}");
     let pairs: Vec<(VertexId, VertexId)> = (0..80u32).map(|i| (i, (i * 7 + 3) % 80)).collect();
     assert_eq!(
         client.query(&pairs).expect("query after the failed swap"),
-        flat.query_many(&pairs, 1)
+        dep.model().answers(&pairs)
     );
     assert_eq!(client.info().expect("info").generation, 1);
 
     handle.shutdown();
-    remove_image(&path);
-    std::fs::remove_file(&bare).ok();
 }
 
 #[test]
 fn malformed_frames_error_cleanly_and_never_hang() {
     use std::io::{Read, Write};
 
-    let g = glp(&GlpParams::with_density(60, 3.0, 5));
-    let (path, flat, _) = build_index_file(&g, "malformed");
-    let handle = serve("127.0.0.1:0", &path, ServerConfig::default()).expect("serve");
+    let dep = Deployment::new(&glp(&GlpParams::with_density(60, 3.0, 5)), Ids::Rank);
+    let handle = dep.serve(ServerConfig::default());
     let addr = handle.local_addr();
     let timeout = Some(std::time::Duration::from_secs(10));
 
@@ -215,7 +177,7 @@ fn malformed_frames_error_cleanly_and_never_hang() {
     let err = client.query(&[]).expect_err("zero-pair batch must be rejected");
     assert!(err.to_string().contains("zero pairs"), "{err}");
     assert_eq!(client.query_one(1, 1).expect("connection survives"), 0);
-    assert_eq!(client.query_one(0, 1).unwrap(), flat.query(0, 1));
+    assert_eq!(client.query_one(0, 1).unwrap(), dep.model().dist(0, 1));
 
     // Out-of-range vertices: an error response, not a dropped frame.
     let err = client.query(&[(0, 60)]).expect_err("out of range must be rejected");
@@ -273,5 +235,4 @@ fn malformed_frames_error_cleanly_and_never_hang() {
     assert!(String::from_utf8_lossy(&reply[18..]).contains("unsupported protocol version 5"));
 
     handle.shutdown();
-    remove_image(&path);
 }

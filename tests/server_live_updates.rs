@@ -8,86 +8,16 @@
 //! snapshot, never a mix.
 
 use std::io::Write as _;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use hop_doubling::graphgen::{glp, orient_scale_free, GlpParams};
-use hop_doubling::hopdb::{build_prelabeled, HopDbConfig};
-use hop_doubling::hopdb_server::{serve, Client, ServerConfig};
-use hop_doubling::sfgraph::builder::GraphBuilder;
-use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
-use hop_doubling::sfgraph::traversal::all_pairs;
-use hop_doubling::sfgraph::{Dist, Graph, VertexId};
+use hop_doubling::hopdb_server::proto::UNREACHABLE;
+use hop_doubling::hopdb_server::{Client, ServerConfig};
+use hop_doubling::sfgraph::Dist;
 
-/// Stage `g` the way `hopdb-cli build` would: edge-list file, index
-/// image, and `.rank` sidecar, so the server answers in *original*
-/// vertex ids and compaction can rebuild from the edge list.
-fn stage_cli_artifacts(g: &Graph, tag: &str) -> (PathBuf, PathBuf) {
-    let dir = std::env::temp_dir();
-    let graph_path = dir.join(format!("hopdb-live-{}-{tag}.txt", std::process::id()));
-    let file = std::fs::File::create(&graph_path).expect("create edge list");
-    hop_doubling::sfgraph::io::write_edge_list(g, std::io::BufWriter::new(file))
-        .expect("write edge list");
-
-    let ranking = rank_vertices(g, &RankBy::paper_default(g));
-    let relabeled = relabel_by_rank(g, &ranking);
-    let (index, _) = build_prelabeled(&relabeled, &HopDbConfig::default());
-    let index_path = dir.join(format!("hopdb-live-{}-{tag}.idx", std::process::id()));
-    index
-        .write_hopidx(&mut std::fs::File::create(&index_path).expect("create index"))
-        .expect("serialize");
-    std::fs::write(format!("{}.rank", index_path.to_string_lossy()), ranking.to_sidecar_bytes())
-        .expect("write sidecar");
-    (graph_path, index_path)
-}
-
-fn cleanup(graph_path: &PathBuf, index_path: &PathBuf) {
-    std::fs::remove_file(graph_path).ok();
-    std::fs::remove_file(index_path).ok();
-    std::fs::remove_file(format!("{}.rank", index_path.to_string_lossy())).ok();
-}
-
-/// `g` plus `edges` (original id space), as a weighted graph — the
-/// from-scratch oracle the server's overlay must agree with.
-fn mutate(g: &Graph, edges: &[(VertexId, VertexId, Dist)]) -> Graph {
-    let mut b = if g.is_directed() {
-        GraphBuilder::new_directed(g.num_vertices())
-    } else {
-        GraphBuilder::new_undirected(g.num_vertices())
-    }
-    .weighted();
-    for (u, v, w) in g.edge_list() {
-        b.add_weighted_edge(u, v, w);
-    }
-    for &(u, v, w) in edges {
-        b.add_weighted_edge(u, v, w);
-    }
-    b.build()
-}
-
-/// Every (s, t) pair over `n` vertices.
-fn full_grid(n: usize) -> Vec<(VertexId, VertexId)> {
-    let n = n as VertexId;
-    (0..n).flat_map(|s| (0..n).map(move |t| (s, t))).collect()
-}
-
-/// `truth[s][t]` flattened in `pairs` order, with the wire encoding of
-/// unreachability.
-fn expect_of(truth: &[Vec<Dist>], pairs: &[(VertexId, VertexId)]) -> Vec<Dist> {
-    use hop_doubling::hopdb_server::proto::UNREACHABLE;
-    pairs
-        .iter()
-        .map(|&(s, t)| {
-            let d = truth[s as usize][t as usize];
-            if d == hop_doubling::sfgraph::INF_DIST {
-                UNREACHABLE
-            } else {
-                d
-            }
-        })
-        .collect()
-}
+mod testkit;
+use testkit::{grid, spread, Deployment, Edge, Ids};
 
 #[test]
 fn overlay_matches_full_rebuild_oracle() {
@@ -96,35 +26,28 @@ fn overlay_matches_full_rebuild_oracle() {
         let und = glp(&GlpParams::with_density(n, 3.0, if directed { 501 } else { 502 }));
         let g = if directed { orient_scale_free(&und, 0.25, 7) } else { und };
         let tag = if directed { "oracle-d" } else { "oracle-u" };
-        let (graph_path, index_path) = stage_cli_artifacts(&g, tag);
+        let dep = Deployment::new(&g, Ids::Original);
 
         // Two batches: the second arrives with the first already in the
         // log, and one weight-2 edge exercises the weighted merge path.
-        let batch1: Vec<(VertexId, VertexId, Dist)> = vec![(0, 99, 1), (3, 71, 1)];
-        let batch2: Vec<(VertexId, VertexId, Dist)> = vec![(12, 44, 2), (99, 50, 1)];
-        let all: Vec<(VertexId, VertexId, Dist)> = batch1.iter().chain(&batch2).copied().collect();
+        let batch1: Vec<Edge> = vec![(0, 99, 1), (3, 71, 1)];
+        let batch2: Vec<Edge> = vec![(12, 44, 2), (99, 50, 1)];
         // A third batch lands after the first compaction; the second
         // compaction must rebuild from the source ∪ all three.
-        let batch3: Vec<(VertexId, VertexId, Dist)> = vec![(7, 93, 1), (60, 2, 2)];
-        let all3: Vec<(VertexId, VertexId, Dist)> = all.iter().chain(&batch3).copied().collect();
-        let base_truth = all_pairs(&g);
-        let mutated_truth = all_pairs(&mutate(&g, &all));
-
-        let pairs = full_grid(n);
-        let expect_base = expect_of(&base_truth, &pairs);
-        let expect_mutated = expect_of(&mutated_truth, &pairs);
-        let expect_all3 = expect_of(&all_pairs(&mutate(&g, &all3)), &pairs);
+        let batch3: Vec<Edge> = vec![(7, 93, 1), (60, 2, 2)];
+        let pairs = grid(n);
+        let mut model = dep.model();
+        let expect_base = model.answers(&pairs);
+        model.ack(&batch1);
+        model.ack(&batch2);
+        let expect_mutated = model.answers(&pairs);
+        model.ack(&batch3);
+        let expect_all3 = model.answers(&pairs);
         assert_ne!(expect_base, expect_mutated, "updates must be observable ({tag})");
         assert_ne!(expect_mutated, expect_all3, "batch 3 must be observable ({tag})");
 
         for batch_threads in [1usize, 4] {
-            let config = ServerConfig {
-                batch_threads,
-                source_graph: Some(graph_path.clone()),
-                compact_threshold: 0, // manual compaction only
-                ..ServerConfig::default()
-            };
-            let handle = serve("127.0.0.1:0", &index_path, config).expect("serve");
+            let handle = dep.serve(ServerConfig { batch_threads, ..dep.compacting() });
             let mut client = Client::connect(handle.local_addr()).expect("connect");
 
             assert_eq!(client.query(&pairs).expect("base query"), expect_base);
@@ -175,7 +98,6 @@ fn overlay_matches_full_rebuild_oracle() {
 
             handle.shutdown();
         }
-        cleanup(&graph_path, &index_path);
     }
 }
 
@@ -184,28 +106,12 @@ fn update_frames_interleave_with_pipelined_queries() {
     use hop_doubling::hopdb_server::proto::{read_response, Request, RequestBody, ResponseBody};
     use std::collections::HashMap;
 
-    let n = 80;
-    let g = glp(&GlpParams::with_density(n, 3.0, 601));
-    let truth = all_pairs(&g);
+    let dep = Deployment::new(&glp(&GlpParams::with_density(80, 3.0, 601)), Ids::Original);
     // A far-apart reachable pair, so the inserted weight-1 edge is
     // observable the instant the update lands.
-    let (s, t, base) = full_grid(n)
-        .into_iter()
-        .filter(|&(s, t)| {
-            s != t && truth[s as usize][t as usize] != hop_doubling::sfgraph::INF_DIST
-        })
-        .map(|(s, t)| (s, t, truth[s as usize][t as usize]))
-        .max_by_key(|&(_, _, d)| d)
-        .expect("a reachable pair");
+    let (s, t, base) = dep.model().farthest();
     assert!(base > 1, "need a non-adjacent pair");
-    let (graph_path, index_path) = stage_cli_artifacts(&g, "pipeline");
-
-    let config = ServerConfig {
-        source_graph: Some(graph_path.clone()),
-        compact_threshold: 0,
-        ..ServerConfig::default()
-    };
-    let handle = serve("127.0.0.1:0", &index_path, config).expect("serve");
+    let handle = dep.serve(dep.compacting());
 
     // One connection, three frames in a single write: query, update
     // inserting (s, t, 1), query again. Queries pipelined before
@@ -237,7 +143,6 @@ fn update_frames_interleave_with_pipelined_queries() {
         "post-update query answered pre-update"
     );
     handle.shutdown();
-    cleanup(&graph_path, &index_path);
 }
 
 /// `compact` is a barrier on the one job queue, like `swap`: pipelined
@@ -250,18 +155,15 @@ fn pipelined_compact_folds_the_update_queued_before_it() {
     use hop_doubling::hopdb_server::proto::{read_response, Request, RequestBody, ResponseBody};
 
     let n = 80;
-    let g = glp(&GlpParams::with_density(n, 3.0, 611));
-    let update: Vec<(VertexId, VertexId, Dist)> = vec![(0, 79, 1), (5, 61, 2)];
-    let pairs = full_grid(n);
-    let expect = expect_of(&all_pairs(&mutate(&g, &update)), &pairs);
-    assert_ne!(expect, expect_of(&all_pairs(&g), &pairs), "the update must be observable");
-    let (graph_path, index_path) = stage_cli_artifacts(&g, "barrier");
-    let config = ServerConfig {
-        source_graph: Some(graph_path.clone()),
-        compact_threshold: 0,
-        ..ServerConfig::default()
-    };
-    let handle = serve("127.0.0.1:0", &index_path, config).expect("serve");
+    let dep = Deployment::new(&glp(&GlpParams::with_density(n, 3.0, 611)), Ids::Original);
+    let update: Vec<Edge> = vec![(0, 79, 1), (5, 61, 2)];
+    let pairs = grid(n);
+    let mut model = dep.model();
+    let base = model.answers(&pairs);
+    model.ack(&update);
+    let expect = model.answers(&pairs);
+    assert_ne!(expect, base, "the update must be observable");
+    let handle = dep.serve(dep.compacting());
 
     let mut stream = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
     stream.set_read_timeout(Some(std::time::Duration::from_secs(60))).unwrap();
@@ -289,27 +191,20 @@ fn pipelined_compact_folds_the_update_queued_before_it() {
     );
     assert_eq!(client.query(&pairs).expect("compacted query"), expect);
     handle.shutdown();
-    cleanup(&graph_path, &index_path);
 }
 
 #[test]
 fn concurrent_queries_during_ingest_and_compaction_promotion() {
     let n = 120;
-    let g = glp(&GlpParams::with_density(n, 3.0, 701));
-    let (graph_path, index_path) = stage_cli_artifacts(&g, "concurrent");
-    let pairs: Vec<(VertexId, VertexId)> =
-        (0..n as VertexId).map(|i| (i, (i * 37 + 11) % n as VertexId)).collect();
+    let dep = Deployment::new(&glp(&GlpParams::with_density(n, 3.0, 701)), Ids::Original);
+    let pairs = spread(n);
 
     // Three update batches, each shortcutting a pair the probe set
     // actually queries, so every snapshot has a distinct answer vector.
-    let base_truth = all_pairs(&g);
-    let mut shortcuts: Vec<(VertexId, VertexId, Dist)> = pairs
+    let mut model = dep.model();
+    let mut shortcuts: Vec<Edge> = pairs
         .iter()
-        .filter(|&&(s, t)| {
-            s != t
-                && base_truth[s as usize][t as usize] > 2
-                && base_truth[s as usize][t as usize] != hop_doubling::sfgraph::INF_DIST
-        })
+        .filter(|&&(s, t)| s != t && model.dist(s, t) > 2 && model.dist(s, t) != UNREACHABLE)
         .map(|&(s, t)| (s, t, 1))
         .collect();
     shortcuts.truncate(3);
@@ -317,21 +212,16 @@ fn concurrent_queries_during_ingest_and_compaction_promotion() {
 
     // expects[i] = answers after the first i batches; the final vector
     // also covers post-compaction (compaction preserves answers).
-    let mut expects: Vec<Vec<Dist>> = vec![expect_of(&base_truth, &pairs)];
-    for i in 1..=shortcuts.len() {
-        expects.push(expect_of(&all_pairs(&mutate(&g, &shortcuts[..i])), &pairs));
+    let mut expects: Vec<Vec<Dist>> = vec![model.answers(&pairs)];
+    for batch in shortcuts.chunks(1) {
+        model.ack(batch);
+        expects.push(model.answers(&pairs));
     }
     for w in expects.windows(2) {
         assert_ne!(w[0], w[1], "snapshots must be distinguishable");
     }
 
-    let config = ServerConfig {
-        batch_threads: 2,
-        source_graph: Some(graph_path.clone()),
-        compact_threshold: 0,
-        ..ServerConfig::default()
-    };
-    let handle = serve("127.0.0.1:0", &index_path, config).expect("serve");
+    let handle = dep.serve(ServerConfig { batch_threads: 2, ..dep.compacting() });
     let addr = handle.local_addr();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -390,33 +280,16 @@ fn concurrent_queries_during_ingest_and_compaction_promotion() {
     });
 
     handle.shutdown();
-    cleanup(&graph_path, &index_path);
 }
 
 #[test]
 fn http_update_roundtrip_on_the_epoll_front() {
     use std::io::Read as _;
 
-    let n = 60;
-    let g = glp(&GlpParams::with_density(n, 3.0, 801));
-    let truth = all_pairs(&g);
-    let (s, t, base) = full_grid(n)
-        .into_iter()
-        .filter(|&(s, t)| {
-            s != t && truth[s as usize][t as usize] != hop_doubling::sfgraph::INF_DIST
-        })
-        .map(|(s, t)| (s, t, truth[s as usize][t as usize]))
-        .max_by_key(|&(_, _, d)| d)
-        .expect("a reachable pair");
+    let dep = Deployment::new(&glp(&GlpParams::with_density(60, 3.0, 801)), Ids::Original);
+    let (s, t, base) = dep.model().farthest();
     assert!(base > 1);
-    let (graph_path, index_path) = stage_cli_artifacts(&g, "http");
-
-    let config = ServerConfig {
-        source_graph: Some(graph_path.clone()),
-        compact_threshold: 0,
-        ..ServerConfig::default()
-    };
-    let handle = serve("127.0.0.1:0", &index_path, config).expect("serve");
+    let handle = dep.serve(dep.compacting());
 
     let roundtrip = |request: String| -> (u16, String) {
         let mut stream = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
@@ -452,26 +325,17 @@ fn http_update_roundtrip_on_the_epoll_front() {
     assert!(body.contains("\"compactions\":0"), "{body}");
 
     handle.shutdown();
-    cleanup(&graph_path, &index_path);
 }
 
-/// Serve `index_path` over `graph_path`, apply `batch`, compact: the
-/// overlay and the compacted image must both answer like `oracle`.
-fn compacts_to(
-    graph_path: &std::path::Path,
-    index_path: &std::path::Path,
-    oracle: &Graph,
-    tag: &str,
-) {
-    let batch: Vec<(VertexId, VertexId, Dist)> = vec![(0, 59, 1), (7, 33, 1)];
-    let pairs = full_grid(oracle.num_vertices());
-    let expect = expect_of(&all_pairs(&mutate(oracle, &batch)), &pairs);
-    let config = ServerConfig {
-        source_graph: Some(graph_path.to_path_buf()),
-        compact_threshold: 0,
-        ..ServerConfig::default()
-    };
-    let handle = serve("127.0.0.1:0", index_path, config).expect("serve");
+/// Serve `dep` over its edge list, apply `batch`, compact: the overlay
+/// and the compacted image must both answer like its model plus `batch`.
+fn compacts_to(dep: &Deployment, tag: &str) {
+    let batch: Vec<Edge> = vec![(0, 59, 1), (7, 33, 1)];
+    let pairs = grid(60);
+    let mut model = dep.model();
+    model.ack(&batch);
+    let expect = model.answers(&pairs);
+    let handle = dep.serve(dep.compacting());
     let mut client = Client::connect(handle.local_addr()).expect("connect");
     client.update(&batch).expect("update");
     assert_eq!(client.query(&pairs).expect("overlay query"), expect, "overlay ({tag})");
@@ -492,19 +356,16 @@ fn compaction_reads_the_source_the_way_the_index_was_built() {
     let g = glp(&GlpParams::with_density(60, 3.0, 801));
     let stamps: [fn(usize) -> usize; 2] = [|i| 1 + (i * 7) % 5, |i| (i * 7) % 5];
     for (round, stamp) in stamps.into_iter().enumerate() {
-        let tag = format!("stamped-{round}");
-        let (graph_path, index_path) = stage_cli_artifacts(&g, &tag);
-        let mut file = std::fs::File::create(&graph_path).expect("rewrite edge list");
+        let dep = Deployment::new(&g, Ids::Original);
+        let mut file = std::fs::File::create(dep.graph_path()).expect("rewrite edge list");
         for (i, (u, v, _)) in g.edge_list().into_iter().enumerate() {
             writeln!(file, "{u} {v} {}", stamp(i)).expect("write edge");
         }
         drop(file);
-        compacts_to(&graph_path, &index_path, &g, &tag);
-        cleanup(&graph_path, &index_path);
+        compacts_to(&dep, &format!("stamped-{round}"));
     }
 
-    let weighted = hop_doubling::graphgen::with_random_weights(&g, 1, 5, 801);
-    let (graph_path, index_path) = stage_cli_artifacts(&weighted, "weighted");
-    compacts_to(&graph_path, &index_path, &weighted, "weighted");
-    cleanup(&graph_path, &index_path);
+    let weighted =
+        Deployment::new(&hop_doubling::graphgen::with_random_weights(&g, 1, 5, 801), Ids::Original);
+    compacts_to(&weighted, "weighted");
 }

@@ -9,11 +9,9 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use hop_doubling::graphgen::{glp, orient_scale_free, GlpParams};
-use hop_doubling::hopdb::{build_prelabeled, HopDbConfig};
 use hop_doubling::hopdb_server::client::Session;
 use hop_doubling::hopdb_server::proto::{
     Request, RequestBody, Response, ResponseBody, HEADER_LEN, UNREACHABLE,
@@ -21,32 +19,10 @@ use hop_doubling::hopdb_server::proto::{
 use hop_doubling::hopdb_server::{
     serve, serve_router, Client, FrontConfig, RouteMode, RouterConfig, ServerConfig, ServerHandle,
 };
-use hop_doubling::hoplabels::flat::FlatIndex;
-use hop_doubling::hoplabels::shard_image;
-use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy, Ranking};
 use hop_doubling::sfgraph::{Graph, VertexId};
 
-/// Build an index for `g` and serialize it to a standalone temp file
-/// behind the identity ranking's `.rank`, so the wire's ids are rank
-/// ids; returns the file and the frozen flat index.
-fn build_index_file(g: &Graph, tag: &str) -> (PathBuf, FlatIndex) {
-    let ranking = rank_vertices(g, &RankBy::paper_default(g));
-    let relabeled = relabel_by_rank(g, &ranking);
-    let (index, _) = build_prelabeled(&relabeled, &HopDbConfig::default());
-    let path = std::env::temp_dir().join(format!("hopdb-rx-{}-{tag}.idx", std::process::id()));
-    index
-        .write_hopidx(&mut std::fs::File::create(&path).expect("create index"))
-        .expect("serialize");
-    let rank = Ranking::identity(g.num_vertices()).to_sidecar_bytes();
-    std::fs::write(format!("{}.rank", path.display()), rank).expect("write .rank");
-    (path, FlatIndex::from_index(&index))
-}
-
-/// Remove an image [`build_index_file`] wrote, and its `.rank`.
-fn remove_image(path: &Path) {
-    std::fs::remove_file(path).ok();
-    std::fs::remove_file(format!("{}.rank", path.display())).ok();
-}
+mod testkit;
+use testkit::{spread, Deployment, Ids};
 
 /// What the client under test connects to.
 #[derive(Clone, Copy, Debug)]
@@ -69,15 +45,14 @@ impl Endpoint {
     /// Boot with `front` — the loop limits a test tightens — on the
     /// loop the client talks to: the daemon's own, or the router's in
     /// front of a stock daemon.
-    fn boot(via: Via, index: &Path, front: FrontConfig) -> Endpoint {
+    fn boot(via: Via, dep: &Deployment, front: FrontConfig) -> Endpoint {
         match via {
             Via::Daemon => {
-                let config = ServerConfig { front, ..ServerConfig::default() };
-                let daemon = serve("127.0.0.1:0", index, config).expect("serve");
+                let daemon = dep.serve(ServerConfig { front, ..ServerConfig::default() });
                 Endpoint { addr: daemon.local_addr(), router: None, daemon }
             }
             Via::ReplicaRouter => {
-                let daemon = serve("127.0.0.1:0", index, ServerConfig::default()).expect("serve");
+                let daemon = dep.serve(ServerConfig::default());
                 let config = RouterConfig {
                     mode: RouteMode::Replica,
                     backends: vec![daemon.local_addr()],
@@ -136,13 +111,14 @@ fn pipelined_script_matches_the_golden_transcript() {
         let und = glp(&GlpParams::with_density(70, 3.0, if directed { 41 } else { 40 }));
         let g = if directed { orient_scale_free(&und, 0.25, 41) } else { und };
         let tag = if directed { "eq-d" } else { "eq-u" };
-        let (path, flat) = build_index_file(&g, tag);
+        let dep = Deployment::new(&g, Ids::Rank);
+        let model = dep.model();
         let n = 70u32;
 
         // One pipelined request script: batches, single pairs, an
         // out-of-range error, and a recoverable zero-pair error, all
         // written before any response is read. The golden transcript is
-        // what the codec and the in-process index say each answer is.
+        // what the codec and the model say each answer is.
         let mut script = Vec::new();
         let mut golden = Vec::new();
         for id in 1..=6u64 {
@@ -150,7 +126,7 @@ fn pipelined_script_matches_the_golden_transcript() {
             let pairs: Vec<(u32, u32)> =
                 (0..17u32).map(|i| ((i * k) % n, (i * 7 + k) % n)).collect();
             script.extend_from_slice(&query_frame(id, &pairs));
-            let body = ResponseBody::Distances(flat.query_many(&pairs, 1));
+            let body = ResponseBody::Distances(model.answers(&pairs));
             golden.push(Response { id, body }.encode());
         }
         script.extend_from_slice(&query_frame(7, &[(0, n)]));
@@ -160,10 +136,10 @@ fn pipelined_script_matches_the_golden_transcript() {
         let zero_pairs = "query batch declares zero pairs".to_string();
         golden.push(Response { id: 8, body: ResponseBody::Error(zero_pairs) }.encode());
         script.extend_from_slice(&query_frame(9, &[(1, 2)]));
-        let body = ResponseBody::Distances(vec![flat.query(1, 2)]);
+        let body = ResponseBody::Distances(vec![model.dist(1, 2)]);
         golden.push(Response { id: 9, body }.encode());
 
-        let handle = serve("127.0.0.1:0", &path, ServerConfig::default()).expect("serve");
+        let handle = dep.serve(ServerConfig::default());
         let mut raw = TcpStream::connect(handle.local_addr()).expect("connect");
         raw.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
         raw.write_all(&script).expect("write script");
@@ -175,22 +151,19 @@ fn pipelined_script_matches_the_golden_transcript() {
         assert_eq!(replies, golden, "served frames diverge from the golden transcript ({tag})");
         drop(raw);
         handle.shutdown();
-        remove_image(&path);
     }
 }
 
 #[test]
 fn partial_frames_at_arbitrary_byte_boundaries() {
-    let g = glp(&GlpParams::with_density(60, 3.0, 5));
-    let (path, flat) = build_index_file(&g, "drip");
+    let dep = Deployment::new(&glp(&GlpParams::with_density(60, 3.0, 5)), Ids::Rank);
     for via in BOTH {
-        partial_frames(via, &path, &flat);
+        partial_frames(via, &dep);
     }
-    remove_image(&path);
 }
 
-fn partial_frames(via: Via, path: &Path, flat: &FlatIndex) {
-    let endpoint = Endpoint::boot(via, path, FrontConfig::default());
+fn partial_frames(via: Via, dep: &Deployment) {
+    let (endpoint, model) = (Endpoint::boot(via, dep, FrontConfig::default()), dep.model());
     let mut raw = TcpStream::connect(endpoint.addr).expect("connect");
     raw.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
     raw.set_nodelay(true).unwrap();
@@ -203,7 +176,7 @@ fn partial_frames(via: Via, path: &Path, flat: &FlatIndex) {
         std::thread::sleep(Duration::from_micros(300));
     }
     let reply = read_frames(&mut raw, 1);
-    assert_eq!(frame_dists(&reply[0]), vec![flat.query(1, 4), flat.query(0, 2)]);
+    assert_eq!(frame_dists(&reply[0]), model.answers(&[(1, 4), (0, 2)]));
 
     // Two frames whose concatenation is split inside the *second*
     // header: the leftover after frame one must be kept and completed.
@@ -216,8 +189,8 @@ fn partial_frames(via: Via, path: &Path, flat: &FlatIndex) {
     let reply = read_frames(&mut raw, 2);
     assert_eq!(frame_id(&reply[0]), 10);
     assert_eq!(frame_id(&reply[1]), 11, "second dripped frame answered with its own id");
-    assert_eq!(frame_dists(&reply[0]), vec![flat.query(2, 3)]);
-    assert_eq!(frame_dists(&reply[1]), vec![flat.query(3, 2)], "{via:?}");
+    assert_eq!(frame_dists(&reply[0]), vec![model.dist(2, 3)]);
+    assert_eq!(frame_dists(&reply[1]), vec![model.dist(3, 2)], "{via:?}");
 
     drop(raw);
     endpoint.shutdown();
@@ -225,9 +198,8 @@ fn partial_frames(via: Via, path: &Path, flat: &FlatIndex) {
 
 #[test]
 fn pipelined_session_correlates_out_of_order_waits() {
-    let g = glp(&GlpParams::with_density(80, 3.0, 6));
-    let (path, flat) = build_index_file(&g, "pipeline");
-    let handle = serve("127.0.0.1:0", &path, ServerConfig::default()).expect("serve");
+    let dep = Deployment::new(&glp(&GlpParams::with_density(80, 3.0, 6)), Ids::Rank);
+    let (handle, model) = (dep.serve(ServerConfig::default()), dep.model());
 
     let mut session = Session::connect(handle.local_addr()).expect("connect");
     session.set_io_timeout(Some(Duration::from_secs(20))).unwrap();
@@ -235,7 +207,7 @@ fn pipelined_session_correlates_out_of_order_waits() {
     let mut expected = Vec::new();
     for k in 0..10u32 {
         let pairs: Vec<(u32, u32)> = (0..=k).map(|i| ((i * 3 + k) % 80, (i * 11) % 80)).collect();
-        expected.push(flat.query_many(&pairs, 1));
+        expected.push(model.answers(&pairs));
         tickets.push(session.submit(&pairs).expect("submit"));
     }
     assert_eq!(session.in_flight(), 10);
@@ -247,22 +219,20 @@ fn pipelined_session_correlates_out_of_order_waits() {
     assert_eq!(session.in_flight(), 0);
 
     handle.shutdown();
-    remove_image(&path);
 }
 
 #[test]
 fn inflight_cap_pauses_reads_but_answers_everything() {
-    let g = glp(&GlpParams::with_density(60, 3.0, 7));
-    let (path, flat) = build_index_file(&g, "cap");
+    let dep = Deployment::new(&glp(&GlpParams::with_density(60, 3.0, 7)), Ids::Rank);
     for via in BOTH {
-        inflight_cap(via, &path, &flat);
+        inflight_cap(via, &dep);
     }
-    remove_image(&path);
 }
 
-fn inflight_cap(via: Via, path: &Path, flat: &FlatIndex) {
+fn inflight_cap(via: Via, dep: &Deployment) {
     let endpoint =
-        Endpoint::boot(via, path, FrontConfig { max_inflight: 2, ..FrontConfig::default() });
+        Endpoint::boot(via, dep, FrontConfig { max_inflight: 2, ..FrontConfig::default() });
+    let model = dep.model();
 
     // 16 pipelined frames against a cap of 2: the loop must pause
     // reading at the cap and resume as completions drain, answering
@@ -278,7 +248,7 @@ fn inflight_cap(via: Via, path: &Path, flat: &FlatIndex) {
     for (i, frame) in reply.iter().enumerate() {
         let id = frame_id(frame);
         assert_eq!(id, i as u64 + 1, "responses echo ids in submission order ({via:?})");
-        assert_eq!(frame_dists(frame), vec![flat.query(id as u32 % 60, 3)]);
+        assert_eq!(frame_dists(frame), vec![model.dist(id as u32 % 60, 3)]);
     }
 
     drop(raw);
@@ -287,16 +257,14 @@ fn inflight_cap(via: Via, path: &Path, flat: &FlatIndex) {
 
 #[test]
 fn never_reading_client_backpressures_without_stalling_the_reactor() {
-    let g = glp(&GlpParams::with_density(60, 3.0, 8));
-    let (path, flat) = build_index_file(&g, "bp");
+    let dep = Deployment::new(&glp(&GlpParams::with_density(60, 3.0, 8)), Ids::Rank);
     for via in BOTH {
-        never_reading_client(via, &path, &flat);
+        never_reading_client(via, &dep);
     }
-    remove_image(&path);
 }
 
-fn never_reading_client(via: Via, path: &Path, flat: &FlatIndex) {
-    let endpoint = Endpoint::boot(via, path, FrontConfig::default());
+fn never_reading_client(via: Via, dep: &Deployment) {
+    let endpoint = Endpoint::boot(via, dep, FrontConfig::default());
     let addr = endpoint.addr;
 
     // Each response is ~195 KiB; eight of them (~1.6 MiB) exceed the
@@ -304,7 +272,7 @@ fn never_reading_client(via: Via, path: &Path, flat: &FlatIndex) {
     // reading, the loop must park the connection instead of buffering
     // without bound — and keep serving *other* connections meanwhile.
     let pairs: Vec<(u32, u32)> = (0..50_000u32).map(|i| (i % 60, (i * 13 + 1) % 60)).collect();
-    let expect = flat.query_many(&pairs, 1);
+    let expect = dep.model().answers(&pairs);
     let mut stalled = TcpStream::connect(addr).expect("connect");
     stalled.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let script: Vec<u8> = (1..=8u64).flat_map(|id| query_frame(id, &pairs)).collect();
@@ -339,10 +307,9 @@ fn never_reading_client(via: Via, path: &Path, flat: &FlatIndex) {
 /// connection goes on to answer a query.
 #[test]
 fn retired_kinds_are_recoverable_errors() {
-    let g = glp(&GlpParams::with_density(60, 3.0, 11));
-    let (path, flat) = build_index_file(&g, "retired");
+    let dep = Deployment::new(&glp(&GlpParams::with_density(60, 3.0, 11)), Ids::Rank);
     for via in BOTH {
-        let endpoint = Endpoint::boot(via, &path, FrontConfig::default());
+        let endpoint = Endpoint::boot(via, &dep, FrontConfig::default());
         let mut raw = TcpStream::connect(endpoint.addr).expect("connect");
         raw.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
         for kind in [3u8, 8] {
@@ -355,27 +322,24 @@ fn retired_kinds_are_recoverable_errors() {
             let msg = format!("unknown request kind {kind}");
             let refused = Response { id: kind.into(), body: ResponseBody::Error(msg) }.encode();
             assert_eq!(reply[0], refused, "{via:?}");
-            assert_eq!(frame_dists(&reply[1]), vec![flat.query(1, 4)], "{via:?}");
+            assert_eq!(frame_dists(&reply[1]), vec![dep.model().dist(1, 4)], "{via:?}");
         }
         drop(raw);
         endpoint.shutdown();
     }
-    remove_image(&path);
 }
 
 #[test]
 fn idle_timeout_evicts_quiet_connections_only() {
-    let g = glp(&GlpParams::with_density(60, 3.0, 9));
-    let (path, _) = build_index_file(&g, "idle");
+    let dep = Deployment::new(&glp(&GlpParams::with_density(60, 3.0, 9)), Ids::Rank);
     for via in BOTH {
-        idle_eviction(via, &path);
+        idle_eviction(via, &dep);
     }
-    remove_image(&path);
 }
 
-fn idle_eviction(via: Via, path: &Path) {
+fn idle_eviction(via: Via, dep: &Deployment) {
     let endpoint =
-        Endpoint::boot(via, path, FrontConfig { idle_timeout_ms: 150, ..FrontConfig::default() });
+        Endpoint::boot(via, dep, FrontConfig { idle_timeout_ms: 150, ..FrontConfig::default() });
     let addr = endpoint.addr;
 
     let mut quiet = Client::connect(addr).expect("connect");
@@ -402,16 +366,17 @@ fn idle_eviction(via: Via, path: &Path) {
 fn hot_swap_during_pipelined_batches_never_mixes_generations() {
     let ga = glp(&GlpParams::with_density(120, 3.0, 1001));
     let gb = glp(&GlpParams::with_density(120, 5.0, 2002));
-    let (path_a, flat_a) = build_index_file(&ga, "rxswap-a");
-    let (path_b, flat_b) = build_index_file(&gb, "rxswap-b");
+    let (a, b) = (Deployment::new(&ga, Ids::Rank), Deployment::new(&gb, Ids::Rank));
 
-    let pairs: Vec<(u32, u32)> = (0..120u32).map(|i| (i, (i * 37 + 11) % 120)).collect();
-    let expect_a = flat_a.query_many(&pairs, 1);
-    let expect_b = flat_b.query_many(&pairs, 1);
+    let pairs = spread(120);
+    let mut model = a.model();
+    let expect_a = model.answers(&pairs);
+    model.swap(&b);
+    let expect_b = model.answers(&pairs);
     assert_ne!(expect_a, expect_b, "test graphs must disagree");
 
-    let config = ServerConfig { swap_path: Some(path_b.clone()), ..ServerConfig::default() };
-    let handle = serve("127.0.0.1:0", &path_a, config).expect("serve");
+    let handle =
+        a.serve(ServerConfig { swap_path: Some(b.index_path()), ..ServerConfig::default() });
     let addr = handle.local_addr();
 
     let stop = std::sync::atomic::AtomicBool::new(false);
@@ -453,9 +418,6 @@ fn hot_swap_during_pipelined_batches_never_mixes_generations() {
     });
 
     handle.shutdown();
-    for p in [path_a, path_b] {
-        remove_image(&p);
-    }
 }
 
 /// Send one HTTP request on a keep-alive connection: its status code
@@ -469,16 +431,15 @@ fn http_roundtrip(stream: &mut TcpStream, request: &str) -> (u16, String) {
 
 #[test]
 fn http_front_serves_json_on_the_same_port() {
-    let g = glp(&GlpParams::with_density(60, 3.0, 10));
-    let (path, flat) = build_index_file(&g, "http");
-    let handle = serve("127.0.0.1:0", &path, ServerConfig::default()).expect("serve");
+    let dep = Deployment::new(&glp(&GlpParams::with_density(60, 3.0, 10)), Ids::Rank);
+    let (handle, model) = (dep.serve(ServerConfig::default()), dep.model());
     let addr = handle.local_addr();
 
     let mut http = TcpStream::connect(addr).expect("connect");
     http.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
 
     // GET /query, keep-alive: two requests on one connection.
-    let d01 = flat.query(0, 1);
+    let d01 = model.dist(0, 1);
     let (code, body) = http_roundtrip(&mut http, "GET /query?s=0&t=1 HTTP/1.1\r\nHost: x\r\n\r\n");
     assert_eq!(code, 200);
     assert_eq!(body, format!("{{\"s\":0,\"t\":1,\"dist\":{d01}}}"));
@@ -489,7 +450,7 @@ fn http_front_serves_json_on_the_same_port() {
     let want: Vec<String> = [(0u32, 1u32), (1, 2), (2, 0)]
         .iter()
         .map(|&(s, t)| {
-            let d = flat.query(s, t);
+            let d = model.dist(s, t);
             if d == UNREACHABLE {
                 "null".into()
             } else {
@@ -533,7 +494,6 @@ fn http_front_serves_json_on_the_same_port() {
 
     drop(hopq);
     handle.shutdown();
-    remove_image(&path);
 }
 
 /// Write `request` and read one whole response — status line, headers
@@ -625,24 +585,18 @@ fn http_script(addr: SocketAddr) -> Vec<(String, String)> {
     script
 }
 
-/// A shard router over the one shard of the image at `path`, and the
-/// daemon serving that shard.
-fn one_shard_router(path: &Path) -> (ServerHandle, ServerHandle, PathBuf) {
-    let image = std::fs::read(path).expect("read image");
-    let (shard, spec) = shard_image(&image, 1).expect("shard").remove(0);
-    let shard_path = PathBuf::from(format!("{}.shard0", path.display()));
-    std::fs::write(&shard_path, shard).expect("stage shard");
-    std::fs::copy(format!("{}.rank", path.display()), format!("{}.rank", shard_path.display()))
-        .expect("stage .rank");
-    std::fs::write(format!("{}.shard", shard_path.display()), spec.encode()).expect("sidecar");
-    let daemon = serve("127.0.0.1:0", &shard_path, ServerConfig::default()).expect("serve shard");
+/// A shard router over the one shard of `dep`'s image, and the daemon
+/// serving that shard.
+fn one_shard_router(dep: &Deployment) -> (ServerHandle, ServerHandle) {
+    let shard = dep.stage_shards(1).remove(0);
+    let daemon = serve("127.0.0.1:0", &shard, ServerConfig::default()).expect("serve shard");
     let config = RouterConfig {
         mode: RouteMode::Shard,
         backends: vec![daemon.local_addr()],
         ..RouterConfig::default()
     };
     let router = serve_router("127.0.0.1:0", config).expect("shard router");
-    (router, daemon, shard_path)
+    (router, daemon)
 }
 
 /// What [`http_script`] must read, byte for byte: pinned literals, not
@@ -722,9 +676,9 @@ const SHARD_UPDATE_REFUSED: &str = "\
 
 #[test]
 fn http_script_matches_the_golden_transcript() {
-    let (path, _) = build_index_file(&two_component_graph(), "http-golden");
+    let dep = Deployment::new(&two_component_graph(), Ids::Rank);
     for (via, stats) in [(Via::Daemon, STATS_NODE), (Via::ReplicaRouter, STATS_REPLICA)] {
-        let endpoint = Endpoint::boot(via, &path, FrontConfig::default());
+        let endpoint = Endpoint::boot(via, &dep, FrontConfig::default());
         let script = http_script(endpoint.addr);
         assert_eq!(script.len(), HTTP_GOLDEN.len() + 1);
         for ((request, got), want) in script.iter().zip(HTTP_GOLDEN.iter().chain([&stats])) {
@@ -732,15 +686,11 @@ fn http_script_matches_the_golden_transcript() {
         }
         endpoint.shutdown();
     }
-    let (router, daemon, shard_path) = one_shard_router(&path);
+    let (router, daemon) = one_shard_router(&dep);
     let update = post("/update", "{\"edges\":[[1,9,2]]}");
     assert_eq!(http_closing(router.local_addr(), update.as_bytes()), SHARD_UPDATE_REFUSED);
     router.shutdown();
     daemon.shutdown();
-    std::fs::remove_file(format!("{}.shard", shard_path.display())).ok();
-    for image in [shard_path, path] {
-        remove_image(&image);
-    }
 }
 
 /// `--max-batch` binds HTTP as it binds `HOPQ`: at 4, a 5-pair query
@@ -748,8 +698,8 @@ fn http_script_matches_the_golden_transcript() {
 /// and a 4-pair query is answered.
 #[test]
 fn max_batch_binds_both_framings() {
-    let g = glp(&GlpParams::with_density(60, 3.0, 12));
-    let (path, flat) = build_index_file(&g, "max-batch");
+    let dep = Deployment::new(&glp(&GlpParams::with_density(60, 3.0, 12)), Ids::Rank);
+    let model = dep.model();
     let four: Vec<(u32, u32)> = (0..4).map(|i| (i, i + 10)).collect();
     let five: Vec<(u32, u32)> = (0..5).map(|i| (i, i + 10)).collect();
     let json = |pairs: &[(u32, u32)]| {
@@ -758,10 +708,10 @@ fn max_batch_binds_both_framings() {
     };
     for via in BOTH {
         let endpoint =
-            Endpoint::boot(via, &path, FrontConfig { max_batch: 4, ..FrontConfig::default() });
+            Endpoint::boot(via, &dep, FrontConfig { max_batch: 4, ..FrontConfig::default() });
         let mut client = Client::connect(endpoint.addr).expect("connect");
         client.set_io_timeout(Some(Duration::from_secs(20))).unwrap();
-        assert_eq!(client.query(&four).expect("4 pairs"), flat.query_many(&four, 1), "{via:?}");
+        assert_eq!(client.query(&four).expect("4 pairs"), model.answers(&four), "{via:?}");
         let refused = client.query(&five).expect_err("5 pairs").to_string();
         assert!(refused.ends_with("query batch of 5 pairs exceeds limit 4"), "{via:?}: {refused}");
         let refused = client.update(&[(0, 1, 1); 5]).expect_err("5 edges").to_string();
@@ -770,7 +720,7 @@ fn max_batch_binds_both_framings() {
         let mut http = TcpStream::connect(endpoint.addr).expect("connect");
         http.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
         let answer = http_exchange(&mut http, &post("/query_many", &json(&four)));
-        let dists: Vec<String> = flat.query_many(&four, 1).iter().map(u32::to_string).collect();
+        let dists: Vec<String> = model.answers(&four).iter().map(u32::to_string).collect();
         assert!(answer.ends_with(&format!("{{\"dists\":[{}]}}", dists.join(","))), "{answer}");
         let refusal = |request: String| http_closing(endpoint.addr, request.as_bytes());
         let refused = refusal(post("/query_many", &json(&five)));
@@ -781,17 +731,15 @@ fn max_batch_binds_both_framings() {
         drop((client, http));
         endpoint.shutdown();
     }
-    remove_image(&path);
 }
 
 /// A peer that half-closes with part of an HTTP request buffered is
 /// answered in HTTP, a 400, and the connection closes.
 #[test]
 fn truncated_http_request_is_answered_in_http() {
-    let g = glp(&GlpParams::with_density(60, 3.0, 13));
-    let (path, _) = build_index_file(&g, "truncated");
+    let dep = Deployment::new(&glp(&GlpParams::with_density(60, 3.0, 13)), Ids::Rank);
     for via in BOTH {
-        let endpoint = Endpoint::boot(via, &path, FrontConfig::default());
+        let endpoint = Endpoint::boot(via, &dep, FrontConfig::default());
         let mut raw = TcpStream::connect(endpoint.addr).expect("connect");
         raw.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
         raw.write_all(b"GET /query?s=1").unwrap();
@@ -802,5 +750,4 @@ fn truncated_http_request_is_answered_in_http() {
         assert!(reply.ends_with("{\"error\":\"truncated frame\"}"), "{via:?}: {reply:?}");
         endpoint.shutdown();
     }
-    remove_image(&path);
 }
