@@ -1331,4 +1331,44 @@ mod tests {
             assert!(lin.iter().all(|l| l.len() == 1), "in-labels grew: {lin:?}");
         }
     }
+
+    /// A hub kills only entries that are never canonical, and the
+    /// canonical filter leaves a function of the graph and the order
+    /// (`crate::hubs`), so the hub count cannot move the image. On every
+    /// undirected graph of up to 4 vertices and every directed one of up
+    /// to 3, the engine runs on the whole graph, with no elimination (on
+    /// graphs this small it leaves almost no core), at every hub count
+    /// from 0 to n, then the filter: each writes `build_index`'s image.
+    #[test]
+    fn every_hub_count_writes_one_image_on_every_small_graph() {
+        let image = |(mut index, _): (LabelIndex, BuildStats)| {
+            crate::postprune::post_prune(&mut index, 1);
+            let mut bytes = Vec::new();
+            index.write_hopidx(&mut bytes).unwrap();
+            bytes
+        };
+        let cfg = HopDbConfig::default();
+        for (directed, largest) in [(false, 4), (true, 3)] {
+            for n in 1..=largest {
+                let pairs = (0..n).flat_map(|u| (0..n).map(move |v| (u, v)));
+                let slots: Vec<_> = pairs.filter(|&(u, v)| u < v || directed && u != v).collect();
+                for code in 0u32..1 << slots.len() {
+                    let mut b = if directed {
+                        GraphBuilder::new_directed(n as usize)
+                    } else {
+                        GraphBuilder::new_undirected(n as usize)
+                    };
+                    let arcs = slots.iter().enumerate().filter(|&(i, _)| code >> i & 1 == 1);
+                    arcs.for_each(|(_, &(u, v))| b.add_edge(u, v));
+                    let (_, g) = crate::rank(&b.build(), &cfg);
+                    let expect = image(build_index(&g, &cfg));
+                    for hubs in 0..=n as usize {
+                        let got = image(build_index_with_hubs(&g, &cfg, Some(hubs)));
+                        let at = format!("n = {n}, directed = {directed}, code {code}");
+                        assert!(got == expect, "{at}: {hubs} hubs wrote another image");
+                    }
+                }
+            }
+        }
+    }
 }

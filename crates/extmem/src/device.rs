@@ -219,6 +219,11 @@ impl TempStore {
         })
     }
 
+    /// The directory the store's files are created in.
+    pub fn dir(&self) -> &Path {
+        &self.inner.dir
+    }
+
     /// The shared I/O counters for this store.
     pub fn stats(&self) -> Arc<IoStats> {
         Arc::clone(&self.inner.stats)

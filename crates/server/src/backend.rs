@@ -311,14 +311,13 @@ mod tests {
         FlatIndex::from_index(&tiny_index())
     }
 
-    /// A fresh scratch directory holding the tiny image as `t.idx`.
-    fn staged(tag: &str) -> (PathBuf, PathBuf) {
-        let dir = std::env::temp_dir().join(format!("hopdb-backend-{tag}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.idx");
+    /// A fresh scratch directory, removed when it drops, holding the tiny
+    /// image as `t.idx`.
+    fn staged() -> (extmem::device::TempStore, PathBuf) {
+        let store = extmem::device::TempStore::new().unwrap();
+        let path = store.dir().join("t.idx");
         tiny_index().write_hopidx(&mut std::fs::File::create(&path).unwrap()).unwrap();
-        (dir, path)
+        (store, path)
     }
 
     #[test]
@@ -365,7 +364,7 @@ mod tests {
 
     #[test]
     fn missing_sidecar_is_none_invalid_is_error() {
-        let (dir, path) = staged("sidecars");
+        let (_store, path) = staged();
         let sidecar = format!("{}.rank", path.to_string_lossy());
         // A missing `.shard` is an unsplit image; a missing `.rank` is
         // refused, naming the file.
@@ -393,7 +392,6 @@ mod tests {
         std::fs::create_dir(&sidecar).unwrap();
         let err = load_ranking(&path, 3).unwrap_err().to_string();
         assert!(err.starts_with(&format!("cannot read {sidecar}: ")), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A lone node would report, and take updates for, a range it does
@@ -401,7 +399,7 @@ mod tests {
     /// refused at load, naming the file.
     #[test]
     fn load_refuses_a_shard_range_that_does_not_fit_the_image() {
-        let (dir, path) = staged("shard-fit");
+        let (_store, path) = staged();
         std::fs::write(sibling(&path, ".rank"), Ranking::identity(3).to_sidecar_bytes()).unwrap();
         let sidecar = sibling(&path, ".shard");
         let whole = ShardSpec { lo: 0, hi: 3, index: 0, count: 1 };
@@ -423,6 +421,5 @@ mod tests {
             );
             assert!(err.to_string().starts_with(&want), "{err}");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -778,9 +778,8 @@ mod tests {
     /// and the compaction's answer has reached its connection on the way.
     #[test]
     fn shutdown_mid_compaction_joins_every_thread() {
-        let dir = std::env::temp_dir().join(format!("hopdb-stop-chain-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let (graph_path, index_path) = (dir.join("g.txt"), dir.join("g.idx"));
+        let store = extmem::device::TempStore::new().unwrap();
+        let (graph_path, index_path) = (store.dir().join("g.txt"), store.dir().join("g.idx"));
         let n = 200;
         let mut builder = sfgraph::GraphBuilder::new_undirected(n as usize);
         for v in 0..n {
@@ -817,6 +816,5 @@ mod tests {
         }
         let compacted = answers.into_iter().find(|r| r.id == 1).unwrap();
         assert_eq!(compacted.body, ResponseBody::Compacted { generation: 2, vertices: 200 });
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,45 +1,31 @@
 //! Bit-parallel labels (§6) on HopDb-built indexes, plus the coverage
 //! statistics that back Table 7 and Figure 8.
 
+mod labelkit;
+
 use hop_doubling::baselines::bitparallel::BitParallelIndex;
 use hop_doubling::graphgen::{glp, GlpParams};
 use hop_doubling::hopdb::{build_prelabeled, HopDbConfig};
 use hop_doubling::hoplabels::stats::CoverageStats;
-use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
-use hop_doubling::sfgraph::traversal::bidirectional_distance;
-use hop_doubling::sfgraph::{Graph, GraphBuilder, VertexId};
+use hop_doubling::sfgraph::ranking::RankBy;
+use hop_doubling::sfgraph::VertexId;
+use labelkit::{assert_readers, assert_readers_on, random_graph, ranked};
 use rand::{Rng, SeedableRng};
-
-fn ranked(g: &Graph) -> Graph {
-    let ranking = rank_vertices(g, &RankBy::Degree);
-    relabel_by_rank(g, &ranking)
-}
 
 #[test]
 fn bit_parallel_exact_on_hopdb_indexes() {
+    // `assert_readers` holds the §6 index at 1, 4 and 50 roots to BFS.
     let mut rng = rand::rngs::StdRng::seed_from_u64(55);
-    for _ in 0..8 {
-        let n = rng.gen_range(5..40);
-        let mut b = GraphBuilder::new_undirected(n);
-        for _ in 0..rng.gen_range(n..4 * n) {
-            b.add_edge(rng.gen_range(0..n) as VertexId, rng.gen_range(0..n) as VertexId);
-        }
-        let g = ranked(&b.build());
+    for case in 0..8 {
+        let g = ranked(&random_graph(&mut rng, 5..40, false, None), &RankBy::Degree);
         let (index, _) = build_prelabeled(&g, &HopDbConfig::default());
-        for roots in [1, 4, 50] {
-            let bp = BitParallelIndex::build(&g, &index, roots);
-            for s in 0..n as VertexId {
-                for t in 0..n as VertexId {
-                    assert_eq!(bp.query(s, t), index.query(s, t), "{s}->{t} roots={roots}");
-                }
-            }
-        }
+        assert_readers(&g, &index, &format!("case {case}"));
     }
 }
 
 #[test]
 fn bit_parallel_shrinks_normal_labels_on_scale_free() {
-    let g = ranked(&glp(&GlpParams::with_vertices(800, 13)));
+    let g = ranked(&glp(&GlpParams::with_vertices(800, 13)), &RankBy::Degree);
     let (index, _) = build_prelabeled(&g, &HopDbConfig::default());
     let bp = BitParallelIndex::build(&g, &index, 50);
     assert!(
@@ -48,20 +34,18 @@ fn bit_parallel_shrinks_normal_labels_on_scale_free() {
         bp.total_normal_entries(),
         index.total_entries()
     );
-    // Sampled equality against bidirectional BFS on the same graph.
+    // Sampled equality against BFS on the same graph, at 1, 4 and 50 roots.
     let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-    for _ in 0..800 {
-        let s = rng.gen_range(0..g.num_vertices()) as VertexId;
-        let t = rng.gen_range(0..g.num_vertices()) as VertexId;
-        assert_eq!(bp.query(s, t), bidirectional_distance(&g, s, t));
-    }
+    let mut vertex = || rng.gen_range(0..g.num_vertices()) as VertexId;
+    let pairs: Vec<_> = (0..800).map(|_| (vertex(), vertex())).collect();
+    assert_readers_on(&g, &index, &pairs, "glp 800");
 }
 
 #[test]
 fn coverage_stats_show_small_hitting_sets_on_glp() {
     // Table 7's phenomenon: a tiny fraction of top vertices covers 90%
     // of all label entries on scale-free graphs.
-    let g = ranked(&glp(&GlpParams::with_vertices(2_000, 77)));
+    let g = ranked(&glp(&GlpParams::with_vertices(2_000, 77)), &RankBy::Degree);
     let (index, _) = build_prelabeled(&g, &HopDbConfig::default());
     let cov = CoverageStats::from_index(&index);
     let pct90 = cov.percent_vertices_for_coverage(0.9);
@@ -76,7 +60,7 @@ fn avg_label_size_stays_small_on_glp() {
     // Fig. 9's flat avg-label curve, in miniature: label size per
     // vertex must stay orders of magnitude below |V|.
     for (n, seed) in [(500usize, 1u64), (1_000, 2), (2_000, 3)] {
-        let g = ranked(&glp(&GlpParams::with_vertices(n, seed)));
+        let g = ranked(&glp(&GlpParams::with_vertices(n, seed)), &RankBy::Degree);
         let (index, _) = build_prelabeled(&g, &HopDbConfig::default());
         let avg = index.avg_label_size();
         assert!(avg < 60.0, "avg label {avg} too large for |V| = {n}");

@@ -12,56 +12,21 @@
 //! for slot, with a derived vertex's slot on each side being the record
 //! of its arcs on that side, read off the graph.
 
-use hop_doubling::baselines::pll;
-use hop_doubling::hopdb::{build_prelabeled, HopDbConfig};
-use hop_doubling::hoplabels::{Record, VertexLabels};
-use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
-use hop_doubling::sfgraph::reduce::eliminate;
-use hop_doubling::sfgraph::{Direction, Graph, GraphBuilder, VertexId};
-use rand::{Rng, SeedableRng};
+mod labelkit;
 
-fn ranked_random(rng: &mut rand::rngs::StdRng, directed: bool, weighted: bool) -> Graph {
-    let n = rng.gen_range(3..28);
-    let mut b =
-        if directed { GraphBuilder::new_directed(n) } else { GraphBuilder::new_undirected(n) };
-    if weighted {
-        b = b.weighted();
-    }
-    for _ in 0..rng.gen_range(n..4 * n) {
-        b.add_weighted_edge(
-            rng.gen_range(0..n) as VertexId,
-            rng.gen_range(0..n) as VertexId,
-            if weighted { rng.gen_range(1..7) } else { 1 },
-        );
-    }
-    let g = b.build();
-    let ranking = rank_vertices(&g, &RankBy::Degree);
-    relabel_by_rank(&g, &ranking)
-}
+use hop_doubling::hopdb::{build_prelabeled, HopDbConfig};
+use hop_doubling::sfgraph::ranking::RankBy;
+use hop_doubling::sfgraph::Graph;
+use labelkit::{assert_canonical, random_graph, ranked};
+use rand::{Rng, SeedableRng};
 
 /// Compare, and return how many vertices were derived and how many of
 /// them had two neighbours.
 fn check(g: &Graph, case: usize) -> (usize, usize) {
-    let (hop, _) = build_prelabeled(g, &HopDbConfig::default());
-    // Every record fits an image on graphs this small.
-    let reduced = eliminate(g, |_| true);
-    let mut expect = pll::build_prelabeled(&reduced.core);
-    for &v in &reduced.derived {
-        let slot = |dir| {
-            let arcs: Vec<(VertexId, u32)> = g.edges(v, dir).collect();
-            if arcs.is_empty() {
-                VertexLabels::new()
-            } else {
-                VertexLabels::from_record(Record::new(&arcs))
-            }
-        };
-        // `[Lout, Lin]` take the arcs out of and into `v`, `[L]` all.
-        for (side, dir) in expect.sides_mut().iter_mut().zip([Direction::Out, Direction::In]) {
-            side[v as usize] = slot(dir);
-        }
-    }
-    assert_eq!(hop, expect, "HopDb and PLL on the core, plus the records, disagree (case {case})");
-    (reduced.derived.len(), reduced.derived.len() - reduced.leaves)
+    let (hop, stats) = build_prelabeled(g, &HopDbConfig::default());
+    assert_canonical(g, &hop, &format!("case {case}"));
+    let derived = stats.derived_vertices as usize;
+    (derived, derived - stats.derived_leaves as usize)
 }
 
 /// Sum of [`check`]'s counts over many cases.
@@ -72,16 +37,16 @@ fn sum(counts: impl Iterator<Item = (usize, usize)>) -> (usize, usize) {
 #[test]
 fn canonical_cover_matches_pll_undirected() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(501);
-    let (derived, two) =
-        sum((0..20).map(|case| check(&ranked_random(&mut rng, false, false), case)));
+    let mut g = || ranked(&random_graph(&mut rng, 3..28, false, None), &RankBy::Degree);
+    let (derived, two) = sum((0..20).map(|case| check(&g(), case)));
     assert!(derived > two && two > 0, "some case must derive each kind: {derived}, {two}");
 }
 
 #[test]
 fn canonical_cover_matches_pll_directed() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(502);
-    let (derived, two) =
-        sum((0..20).map(|case| check(&ranked_random(&mut rng, true, false), case)));
+    let mut g = || ranked(&random_graph(&mut rng, 3..28, true, None), &RankBy::Degree);
+    let (derived, two) = sum((0..20).map(|case| check(&g(), case)));
     assert!(derived > two && two > 0, "some case must derive each kind: {derived}, {two}");
 }
 
@@ -96,8 +61,7 @@ fn canonical_cover_matches_pll_on_paper_examples() {
 fn canonical_cover_matches_pll_on_glp() {
     let raw =
         hop_doubling::graphgen::glp(&hop_doubling::graphgen::GlpParams::with_vertices(400, 33));
-    let ranking = rank_vertices(&raw, &RankBy::Degree);
-    let g = relabel_by_rank(&raw, &ranking);
+    let g = ranked(&raw, &RankBy::Degree);
     let (derived, two) = check(&g, 9004);
     assert!(derived > two && two > 0, "a GLP graph has both kinds: {derived}, {two}");
 }
@@ -107,7 +71,8 @@ fn canonical_cover_matches_pll_weighted() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(503);
     let (derived, two) = sum((0..20).map(|case| {
         let directed = rng.gen_bool(0.5);
-        check(&ranked_random(&mut rng, directed, true), case + 100)
+        let g = random_graph(&mut rng, 3..28, directed, Some(1..7));
+        check(&ranked(&g, &RankBy::Degree), case + 100)
     }));
     assert!(derived > two && two > 0, "some case must derive each kind: {derived}, {two}");
 }

@@ -8,6 +8,8 @@
 //! armed fault, and no other reader meets the changed `TMPDIR` at its
 //! end, where the store directory cannot be created.
 
+mod labelkit;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hop_doubling::extmem::device::faults;
@@ -16,6 +18,7 @@ use hop_doubling::graphgen::{glp, GlpParams};
 use hop_doubling::hopdb::external::{build_external, ExternalBuildResult};
 use hop_doubling::hopdb::{rank, HopDbConfig};
 use hop_doubling::sfgraph::Graph;
+use labelkit::image;
 
 /// The `extmem-<pid>-…` store directories of this process left in the
 /// system temp directory.
@@ -49,8 +52,7 @@ fn a_torn_write_anywhere_in_an_external_build_is_its_error() {
     let cfg = HopDbConfig { parallelism: 1, ..HopDbConfig::default() };
     let (_, g) = rank(&glp(&GlpParams::with_vertices(2_000, 7)), &cfg);
     let clean = build_torn_after(&g, &cfg, None).expect("the unfaulted build");
-    let mut image = Vec::new();
-    clean.index.write_hopidx(&mut image).expect("an image writes into memory");
+    let clean = image(&clean.index);
 
     // `writes`: the build's write count, the least `n` whose fault never
     // fires. Every probe below it must fail, so probing is itself part
@@ -58,9 +60,10 @@ fn a_torn_write_anywhere_in_an_external_build_is_its_error() {
     let fails = |n: u64| match build_torn_after(&g, &cfg, Some(n)) {
         Err(_) => true,
         Ok(built) => {
-            let mut again = Vec::new();
-            built.index.write_hopidx(&mut again).expect("an image writes into memory");
-            assert!(again == image, "write {n} torn: the build returned another index");
+            assert!(
+                image(&built.index) == clean,
+                "write {n} torn: the build returned another index"
+            );
             false
         }
     };

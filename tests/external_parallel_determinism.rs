@@ -6,20 +6,15 @@
 //! as a test) — and answers every query exactly like the BFS ground
 //! truth.
 
+mod labelkit;
+
 use hop_doubling::extmem::ExtMemConfig;
 use hop_doubling::graphgen::{glp, orient_scale_free, GlpParams};
 use hop_doubling::hopdb::external::build_external;
-use hop_doubling::hopdb::{build_prelabeled, HopDbConfig};
-use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
-use hop_doubling::sfgraph::traversal::bfs;
-use hop_doubling::sfgraph::{Direction, Graph, VertexId};
-
-/// The index's `HOPIDX04` image, from the one serializer.
-fn serialized(index: &hop_doubling::hoplabels::LabelIndex) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    index.write_hopidx(&mut bytes).unwrap();
-    bytes
-}
+use hop_doubling::hopdb::HopDbConfig;
+use hop_doubling::sfgraph::ranking::RankBy;
+use hop_doubling::sfgraph::Graph;
+use labelkit::{assert_readers_on, assert_thread_counts_agree, image, pairs_from, ranked};
 
 /// Budget small enough that the sorters spill and the background spill
 /// worker actually runs on these test-sized graphs.
@@ -27,79 +22,19 @@ fn spilling_ext() -> ExtMemConfig {
     ExtMemConfig { memory_records: 512, block_bytes: 1024 }
 }
 
-fn assert_external_thread_counts_agree(g: &Graph, ext: &ExtMemConfig) {
-    let (mem, _) = build_prelabeled(g, &HopDbConfig::default());
-    let seq = build_external(g, &HopDbConfig::default().with_parallelism(1), ext)
-        .expect("sequential external build");
-    assert_eq!(seq.index, mem, "external engine diverges from the in-memory engine");
-    let seq_bytes = serialized(&seq.index);
-    for threads in [2usize, 4] {
-        let par = build_external(g, &HopDbConfig::default().with_parallelism(threads), ext)
-            .expect("threaded external build");
-        assert_eq!(
-            par.index, seq.index,
-            "{threads}-thread external index differs from sequential entry-for-entry"
-        );
-        assert_eq!(
-            serialized(&par.index),
-            seq_bytes,
-            "{threads}-thread serialized external index is not byte-identical"
-        );
-        assert_eq!(
-            (par.io, par.sort_runs, par.merge_passes, par.seeks),
-            (seq.io, seq.sort_runs, seq.merge_passes, seq.seeks),
-            "I/O accounting must not depend on the thread count ({threads} threads)"
-        );
-        assert_eq!(
-            (par.records_encoded, par.records_decoded),
-            (seq.records_encoded, seq.records_decoded),
-            "record counts must not depend on the thread count ({threads} threads)"
-        );
-        assert_eq!(par.stats.num_iterations(), seq.stats.num_iterations());
-        for (p, s) in par.stats.iterations.iter().zip(&seq.stats.iterations) {
-            assert_eq!(
-                (p.candidates, p.pruned, p.inserted, p.total_entries),
-                (s.candidates, s.pruned, s.inserted, s.total_entries),
-                "iteration {} counters diverged at {threads} threads",
-                p.iteration
-            );
-        }
-    }
-}
-
 #[test]
 fn undirected_glp_external_builds_identically_across_thread_counts() {
-    let raw = glp(&GlpParams::with_density(450, 3.0, 31));
-    let ranking = rank_vertices(&raw, &RankBy::Degree);
-    let g = relabel_by_rank(&raw, &ranking);
-    assert_external_thread_counts_agree(&g, &spilling_ext());
-
-    // And the threaded external build answers exactly like BFS truth.
-    let result = build_external(&g, &HopDbConfig::default().with_parallelism(4), &spilling_ext())
-        .expect("threaded external build");
-    for s in (0..g.num_vertices() as VertexId).step_by(41) {
-        let truth = bfs(&g, s, Direction::Out);
-        for t in 0..g.num_vertices() as VertexId {
-            assert_eq!(result.index.query(s, t), truth[t as usize], "dist({s}, {t})");
-        }
-    }
+    let g = ranked(&glp(&GlpParams::with_density(450, 3.0, 31)), &RankBy::Degree);
+    let index = assert_thread_counts_agree(&g, Some(&spilling_ext()));
+    assert_readers_on(&g, &index, &pairs_from(&g, 41), "undirected");
 }
 
 #[test]
 fn directed_glp_external_builds_identically_across_thread_counts() {
     let raw = orient_scale_free(&glp(&GlpParams::with_density(400, 2.5, 47)), 0.25, 47);
-    let ranking = rank_vertices(&raw, &RankBy::DegreeProduct);
-    let g = relabel_by_rank(&raw, &ranking);
-    assert_external_thread_counts_agree(&g, &spilling_ext());
-
-    let result = build_external(&g, &HopDbConfig::default().with_parallelism(4), &spilling_ext())
-        .expect("threaded external build");
-    for s in (0..g.num_vertices() as VertexId).step_by(37) {
-        let truth = bfs(&g, s, Direction::Out);
-        for t in 0..g.num_vertices() as VertexId {
-            assert_eq!(result.index.query(s, t), truth[t as usize], "dist({s}, {t})");
-        }
-    }
+    let g = ranked(&raw, &RankBy::DegreeProduct);
+    let index = assert_thread_counts_agree(&g, Some(&spilling_ext()));
+    assert_readers_on(&g, &index, &pairs_from(&g, 37), "directed");
 }
 
 /// A budget under which the prune's resident head of `across` fills:
@@ -112,25 +47,21 @@ fn directed_glp_external_builds_identically_across_thread_counts() {
 fn a_full_across_head_keeps_io_identical_across_thread_counts() {
     let tight = ExtMemConfig { memory_records: 256, block_bytes: 512 };
     let und = glp(&GlpParams::with_density(600, 3.0, 19));
-    let g = relabel_by_rank(&und, &rank_vertices(&und, &RankBy::Degree));
-    assert_external_thread_counts_agree(&g, &tight);
+    assert_thread_counts_agree(&ranked(&und, &RankBy::Degree), Some(&tight));
     let dir = orient_scale_free(&glp(&GlpParams::with_density(600, 2.5, 23)), 0.25, 23);
-    let g = relabel_by_rank(&dir, &rank_vertices(&dir, &RankBy::DegreeProduct));
-    assert_external_thread_counts_agree(&g, &tight);
+    assert_thread_counts_agree(&ranked(&dir, &RankBy::DegreeProduct), Some(&tight));
 }
 
 #[test]
 fn zero_parallelism_resolves_to_all_cores_externally() {
     // `--threads 0` means "all cores"; whatever that resolves to, the
     // index must still be the sequential one.
-    let raw = glp(&GlpParams::with_density(250, 3.0, 5));
-    let ranking = rank_vertices(&raw, &RankBy::Degree);
-    let g = relabel_by_rank(&raw, &ranking);
+    let g = ranked(&glp(&GlpParams::with_density(250, 3.0, 5)), &RankBy::Degree);
     let seq = build_external(&g, &HopDbConfig::default(), &spilling_ext()).unwrap();
     let auto =
         build_external(&g, &HopDbConfig::default().with_parallelism(0), &spilling_ext()).unwrap();
     assert_eq!(auto.index, seq.index);
-    assert_eq!(serialized(&auto.index), serialized(&seq.index));
+    assert_eq!(image(&auto.index), image(&seq.index));
 }
 
 #[test]
@@ -263,7 +194,7 @@ fn external_io_counters_equal_their_recorded_values() {
     // on ~100 Ki records of traffic.
     let ext = ExtMemConfig { memory_records: 1 << 14, block_bytes: 4 << 10 };
     for (name, raw, rank_by, recorded) in cases {
-        let g = relabel_by_rank(&raw, &rank_vertices(&raw, &rank_by));
+        let g = ranked(&raw, &rank_by);
         for threads in [1usize, 2, 4] {
             let cfg = HopDbConfig::default().with_parallelism(threads);
             let built = build_external(&g, &cfg, &ext).expect("external build");

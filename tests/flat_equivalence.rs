@@ -15,18 +15,19 @@
 //! at every thread count, and the flat index must be the image's bytes
 //! and nothing else.
 
+mod labelkit;
+
 use std::sync::Arc;
 
-use hop_doubling::baselines::bitparallel::BitParallelIndex;
 use hop_doubling::extmem::device::TempStore;
 use hop_doubling::graphgen::{glp, orient_scale_free, with_random_weights, GlpParams};
-use hop_doubling::hopdb::{build_prelabeled, BuildStats, HopDbConfig};
+use hop_doubling::hopdb::{build_prelabeled, rank, BuildStats, HopDbConfig};
 use hop_doubling::hoplabels::disk::{CachedDiskIndex, DiskIndex};
 use hop_doubling::hoplabels::flat::FlatIndex;
-use hop_doubling::hoplabels::{min_merge, shard_image, LabelIndex, LiveIndex, QueryBackend};
-use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
-use hop_doubling::sfgraph::traversal::sssp;
-use hop_doubling::sfgraph::{Direction, Dist, Graph, GraphBuilder, VertexId, INF_DIST};
+use hop_doubling::hoplabels::{LabelIndex, LiveIndex, QueryBackend};
+use hop_doubling::sfgraph::ranking::{rank_vertices, RankBy};
+use hop_doubling::sfgraph::{Dist, Graph, VertexId};
+use labelkit::{assert_readers_on, image, merged_shards, truth, Pair};
 use proptest::prelude::*;
 
 /// Strategy: a small random GLP graph, optionally oriented (directed).
@@ -41,37 +42,20 @@ fn glp_strategy(directed: bool) -> impl Strategy<Value = Graph> {
     })
 }
 
-/// `g` plus the edges `extra`.
-fn with_edges(g: &Graph, extra: &[(VertexId, VertexId, Dist)]) -> Graph {
-    let n = g.num_vertices();
-    let mut b = if g.is_directed() {
-        GraphBuilder::new_directed(n)
-    } else {
-        GraphBuilder::new_undirected(n)
-    };
-    b = b.weighted();
-    for (s, t, d) in g.edge_list().into_iter().chain(extra.iter().copied()) {
-        b.add_weighted_edge(s, t, d);
-    }
-    b.build()
-}
-
 /// Check every surface against BFS truth on all pairs of `g`; returns
 /// the nested index it built and the build's statistics.
 fn check_equivalence(g: &Graph) -> (LabelIndex, BuildStats) {
     check_among(g, &g.vertices().collect::<Vec<_>>())
 }
 
-/// [`check_equivalence`] on the pairs of `among` (ids of `g`) only.
+/// [`check_equivalence`] on the pairs of `among` (ids of `g`) only: the
+/// kit's in-memory readers, then the file-backed and concurrent ones.
 fn check_among(g: &Graph, among: &[VertexId]) -> (LabelIndex, BuildStats) {
-    let ranking = rank_vertices(g, &RankBy::paper_default(g));
-    let relabeled = relabel_by_rank(g, &ranking);
+    let (ranking, relabeled) = rank(g, &HopDbConfig::default());
     let among: Vec<VertexId> = among.iter().map(|&v| ranking.rank_of(v)).collect();
-    // `truth(g)[i][t]`: the distance from the `i`-th of `among` to `t`.
-    let truth = |g: &Graph| -> Vec<Vec<Dist>> {
-        among.iter().map(|&s| sssp(g, s, Direction::Out)).collect()
-    };
+    let pairs: Vec<Pair> = among.iter().flat_map(|&s| among.iter().map(move |&t| (s, t))).collect();
     let (index, stats) = build_prelabeled(&relabeled, &HopDbConfig::default());
+    let expect = assert_readers_on(&relabeled, &index, &pairs, "flat_equivalence");
     let flat = FlatIndex::from_index(&index);
     let store = TempStore::new().expect("temp store");
     let mut disk = DiskIndex::create(&index, &store, "flat-eq").expect("disk index");
@@ -81,14 +65,6 @@ fn check_among(g: &Graph, among: &[VertexId]) -> (LabelIndex, BuildStats) {
         4,
     );
 
-    // Served in place: what is resident is the image the one writer
-    // produces, and the per-label counts read off its bytes are the
-    // nested index's.
-    let mut image = Vec::new();
-    index.write_hopidx(&mut image).expect("serialize");
-    prop_assert_eq!(flat.resident_bytes(), image.len());
-    prop_assert_eq!(flat.total_entries(), index.total_entries());
-
     // A derived vertex has an arc, so a record, on at least one side.
     let n = g.num_vertices() as VertexId;
     let (out_record, in_record) = (
@@ -97,28 +73,9 @@ fn check_among(g: &Graph, among: &[VertexId]) -> (LabelIndex, BuildStats) {
     );
     let derived = (0..n).filter(|&v| out_record(v) || in_record(v)).count();
     prop_assert_eq!(derived, stats.derived_vertices as usize);
-    // §6 applies to unweighted undirected graphs; its roots and neighbour
-    // sets come from the whole graph, its labels from the index.
-    let bp = (!g.is_directed() && !g.is_weighted())
-        .then(|| BitParallelIndex::build(&relabeled, &index, 50));
-    let want = truth(&relabeled);
-    let mut pairs = Vec::with_capacity(among.len() * among.len());
-    let mut expect = Vec::with_capacity(among.len() * among.len());
-    for (i, &s) in among.iter().enumerate() {
-        prop_assert_eq!(flat.out_label_len(s), index.source_labels(s).len(), "out len {s}");
-        prop_assert_eq!(flat.in_label_len(s), index.target_labels(s).len(), "in len {s}");
-        for &t in &among {
-            let want = want[i][t as usize];
-            prop_assert_eq!(index.query(s, t), want, "nested {s}->{t}");
-            prop_assert_eq!(flat.query(s, t), want, "flat {s}->{t}");
-            prop_assert_eq!(disk.query(s, t).expect("disk query"), want, "disk {s}->{t}");
-            prop_assert_eq!(cached.query(s, t).expect("cached query"), want, "cached {s}->{t}");
-            if let Some(bp) = &bp {
-                prop_assert_eq!(bp.query(s, t), want, "bit-parallel {s}->{t}");
-            }
-            pairs.push((s, t));
-            expect.push(want);
-        }
+    for (&(s, t), &want) in pairs.iter().zip(&expect) {
+        prop_assert_eq!(disk.query(s, t).expect("disk query"), want, "disk {s}->{t}");
+        prop_assert_eq!(cached.query(s, t).expect("cached query"), want, "cached {s}->{t}");
     }
 
     // The batched path must agree pair-for-pair, in input order, at
@@ -128,16 +85,8 @@ fn check_among(g: &Graph, among: &[VertexId]) -> (LabelIndex, BuildStats) {
         prop_assert_eq!(&got, &expect, "query_many at {threads} threads");
     }
 
-    // Pivot-range shards min-merge back to the truth: every shard
-    // carries every record.
-    for k in [2usize, 3] {
-        let mut merged = vec![INF_DIST; pairs.len()];
-        for (shard, _) in shard_image(&image, k).expect("shard") {
-            let shard = FlatIndex::from_hopidx_bytes(&shard).expect("load shard");
-            min_merge(&mut merged, &shard.query_many(&pairs, 1));
-        }
-        prop_assert_eq!(&merged, &expect, "{k}-shard min-merge");
-    }
+    // Three pivot-range shards min-merge back to the truth too.
+    prop_assert_eq!(merged_shards(&image(&index), 3, &pairs), expect, "3-shard min-merge");
 
     // Overlay edges from a vertex whose source side is a record and to
     // one whose target side is (the last vertex of `among` when there
@@ -153,13 +102,11 @@ fn check_among(g: &Graph, among: &[VertexId]) -> (LabelIndex, BuildStats) {
             .filter(|&(u, v, _)| u != v)
             .collect();
     let live = LiveIndex::new(Arc::new(flat.clone()), 1).rebuild_overlay(&edges).expect("overlay");
-    let want = truth(&with_edges(&relabeled, &edges));
-    for (i, &s) in among.iter().enumerate() {
-        for &t in &among {
-            let got = live.query(s, t).expect("live query");
-            prop_assert_eq!(got, want[i][t as usize], "live {s}->{t} after {edges:?}");
-        }
-    }
+    let arcs = relabeled.edge_list().into_iter().chain(edges.iter().copied());
+    let want = truth(&labelkit::graph(g.is_directed(), g.num_vertices(), true, arcs), &pairs);
+    let got: Vec<Dist> =
+        pairs.iter().map(|&(s, t)| live.query(s, t).expect("live query")).collect();
+    prop_assert_eq!(got, want, "live after {edges:?}");
 
     // And the flat index reloaded from the serialized on-disk image
     // must be the same structure queries are already served from.
@@ -171,12 +118,7 @@ fn check_among(g: &Graph, among: &[VertexId]) -> (LabelIndex, BuildStats) {
 }
 
 fn graph(directed: bool, n: usize, edges: &[(VertexId, VertexId, u32)]) -> Graph {
-    let b = if directed { GraphBuilder::new_directed(n) } else { GraphBuilder::new_undirected(n) };
-    let mut b = b.weighted();
-    for &(u, v, w) in edges {
-        b.add_weighted_edge(u, v, w);
-    }
-    b.build()
+    labelkit::graph(directed, n, true, edges.iter().copied())
 }
 
 /// `(name, graph, derived vertices, of which with two neighbours)`.

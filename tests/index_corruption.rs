@@ -7,14 +7,15 @@
 //! reads only the prefix and directories — no checksum — so its half of
 //! the contract is "never a panic": what it opens answers or errors.
 
+mod labelkit;
+
 use hop_doubling::extmem::device::TempStore;
 use hop_doubling::extmem::wire::crc32;
 use hop_doubling::graphgen::{glp, orient_scale_free, GlpParams};
-use hop_doubling::hopdb::{build_prelabeled, HopDbConfig};
+use hop_doubling::hopdb::{build_prelabeled, rank, HopDbConfig};
 use hop_doubling::hoplabels::disk::DiskIndex;
 use hop_doubling::hoplabels::flat::FlatIndex;
 use hop_doubling::hoplabels::shard_image;
-use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
 use hop_doubling::sfgraph::VertexId;
 
 /// Serialized image of a small GLP-built index (70 vertices, so labels
@@ -24,7 +25,7 @@ use hop_doubling::sfgraph::VertexId;
 fn serialized_image(directed: bool) -> Vec<u8> {
     let und = glp(&GlpParams::with_density(70, 3.0, if directed { 31 } else { 30 }));
     let g = if directed { orient_scale_free(&und, 0.25, 31) } else { und };
-    let relabeled = relabel_by_rank(&g, &rank_vertices(&g, &RankBy::paper_default(&g)));
+    let (_, relabeled) = rank(&g, &HopDbConfig::default());
     let (index, stats) = build_prelabeled(&relabeled, &HopDbConfig::default());
     let pairs = |len| {
         let sides = index.sides();
@@ -33,8 +34,7 @@ fn serialized_image(directed: bool) -> Vec<u8> {
     };
     assert!(stats.derived_leaves > 0, "the corpus graphs must have leaves");
     assert!(pairs(1) > 0 && pairs(2) > 0, "and records of one and of two pairs");
-    let mut image = Vec::new();
-    index.write_hopidx(&mut image).expect("serialize");
+    let image = labelkit::image(&index);
     assert_eq!(image[10], 1, "the records bit of the flags word");
     image
 }

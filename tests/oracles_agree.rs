@@ -2,51 +2,36 @@
 //! on every pair of many randomized graphs (directed/undirected,
 //! weighted/unweighted) — the executable form of Theorems 1, 3, 5.
 
+mod labelkit;
+
 use hop_doubling::baselines::{Bidij, DistanceOracle, HighwayCover, IsLabel, Pll};
 use hop_doubling::hopdb::{build, HopDbConfig, Strategy};
 use hop_doubling::sfgraph::traversal::all_pairs;
-use hop_doubling::sfgraph::{Graph, GraphBuilder, VertexId};
+use hop_doubling::sfgraph::{Graph, VertexId};
+use labelkit::{pairs_from, random_graph};
 use rand::{Rng, SeedableRng};
-
-fn random_graph(rng: &mut rand::rngs::StdRng, directed: bool, weighted: bool) -> Graph {
-    let n = rng.gen_range(3..35);
-    let mut b =
-        if directed { GraphBuilder::new_directed(n) } else { GraphBuilder::new_undirected(n) };
-    if weighted {
-        b = b.weighted();
-    }
-    for _ in 0..rng.gen_range(n..4 * n) {
-        b.add_weighted_edge(
-            rng.gen_range(0..n) as VertexId,
-            rng.gen_range(0..n) as VertexId,
-            if weighted { rng.gen_range(1..9) } else { 1 },
-        );
-    }
-    b.build()
-}
 
 fn check_all(g: &Graph, case: usize) {
     let truth = all_pairs(g);
-    let n = g.num_vertices() as VertexId;
-
-    let hopdb_default = build(g, &HopDbConfig::default());
-    let hopdb_step = build(g, &HopDbConfig::with_strategy(Strategy::Stepping));
-    let hopdb_dbl = build(g, &HopDbConfig::with_strategy(Strategy::Doubling));
-    let pll = Pll::build(g);
-    let isl = IsLabel::build(g, usize::MAX).expect("no budget");
-    let hc = HighwayCover::build(g.clone(), 4);
-    let bidij = Bidij::new(g.clone());
-
-    for s in 0..n {
-        for t in 0..n {
-            let want = truth[s as usize][t as usize];
-            assert_eq!(hopdb_default.query(s, t), want, "hopdb hybrid {s}->{t} case {case}");
-            assert_eq!(hopdb_step.query(s, t), want, "hopdb stepping {s}->{t} case {case}");
-            assert_eq!(hopdb_dbl.query(s, t), want, "hopdb doubling {s}->{t} case {case}");
-            assert_eq!(pll.distance(s, t), want, "pll {s}->{t} case {case}");
-            assert_eq!(isl.distance(s, t), want, "islabel {s}->{t} case {case}");
-            assert_eq!(hc.distance(s, t), want, "highway {s}->{t} case {case}");
-            assert_eq!(bidij.distance(s, t), want, "bidij {s}->{t} case {case}");
+    let hopdb = |s| build(g, &HopDbConfig::with_strategy(s));
+    let hopdb = [
+        ("hybrid", build(g, &HopDbConfig::default())),
+        ("stepping", hopdb(Strategy::Stepping)),
+        ("doubling", hopdb(Strategy::Doubling)),
+    ];
+    let oracles: [Box<dyn DistanceOracle>; 4] = [
+        Box::new(Pll::build(g)),
+        Box::new(IsLabel::build(g, usize::MAX).expect("no budget")),
+        Box::new(HighwayCover::build(g.clone(), 4)),
+        Box::new(Bidij::new(g.clone())),
+    ];
+    for (s, t) in pairs_from(g, 1) {
+        let want = truth[s as usize][t as usize];
+        for (strategy, db) in &hopdb {
+            assert_eq!(db.query(s, t), want, "hopdb {strategy} {s}->{t} case {case}");
+        }
+        for oracle in &oracles {
+            assert_eq!(oracle.distance(s, t), want, "{} {s}->{t} case {case}", oracle.name());
         }
     }
 }
@@ -55,7 +40,7 @@ fn check_all(g: &Graph, case: usize) {
 fn all_oracles_exact_undirected_unweighted() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1001);
     for case in 0..12 {
-        let g = random_graph(&mut rng, false, false);
+        let g = random_graph(&mut rng, 3..35, false, None);
         check_all(&g, case);
     }
 }
@@ -64,7 +49,7 @@ fn all_oracles_exact_undirected_unweighted() {
 fn all_oracles_exact_directed_unweighted() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1002);
     for case in 0..12 {
-        let g = random_graph(&mut rng, true, false);
+        let g = random_graph(&mut rng, 3..35, true, None);
         check_all(&g, case);
     }
 }
@@ -73,7 +58,7 @@ fn all_oracles_exact_directed_unweighted() {
 fn all_oracles_exact_undirected_weighted() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1003);
     for case in 0..12 {
-        let g = random_graph(&mut rng, false, true);
+        let g = random_graph(&mut rng, 3..35, false, Some(1..9));
         check_all(&g, case);
     }
 }
@@ -82,7 +67,7 @@ fn all_oracles_exact_undirected_weighted() {
 fn all_oracles_exact_directed_weighted() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1004);
     for case in 0..12 {
-        let g = random_graph(&mut rng, true, true);
+        let g = random_graph(&mut rng, 3..35, true, Some(1..9));
         check_all(&g, case);
     }
 }

@@ -12,13 +12,15 @@
 //! a failing case prints its row in the table's own syntax: re-pin it in
 //! the same change and say why.
 
+mod labelkit;
+
 use hop_doubling::extmem::ExtMemConfig;
 use hop_doubling::graphgen::{glp, orient_scale_free, GlpParams};
 use hop_doubling::hopdb::external::build_external;
-use hop_doubling::hopdb::{build_prelabeled, HopDbConfig};
-use hop_doubling::hoplabels::{FlatIndex, LabelIndex, QueryWork};
-use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
+use hop_doubling::hopdb::{build_prelabeled, rank, HopDbConfig};
+use hop_doubling::hoplabels::{FlatIndex, QueryWork};
 use hop_doubling::sfgraph::{Graph, VertexId};
+use labelkit::image;
 
 /// Pairs in each set.
 const PAIRS: usize = 4_000;
@@ -42,17 +44,11 @@ fn pairs(n: usize, seed: u64, hub: bool) -> Vec<(VertexId, VertexId)> {
     (0..PAIRS).map(|_| (next(if hub { HUBS } else { n }), next(n))).collect()
 }
 
-fn image(index: &LabelIndex) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    index.write_hopidx(&mut bytes).expect("serialize");
-    bytes
-}
-
 /// Both engines' images of `g` (rank-relabeled here), which must be one
 /// image, and the work of each pair set on it at 1, 2 and 3 threads,
 /// against `golden`.
 fn assert_golden(graph: &str, g: &Graph, golden: &[Row]) {
-    let g = relabel_by_rank(g, &rank_vertices(g, &RankBy::paper_default(g)));
+    let (_, g) = rank(g, &HopDbConfig::default());
     let (mem, _) = build_prelabeled(&g, &HopDbConfig::default());
     let ext = ExtMemConfig { memory_records: 512, block_bytes: 1024 };
     let external = build_external(&g, &HopDbConfig::default(), &ext).expect("external build");

@@ -13,9 +13,13 @@
 //! the graphs of a size and the first failure printed is the smallest.
 //! For each graph, ranked as every build ranks it:
 //!
-//! * the default build answers every pair as BFS (Dijkstra, when
-//!   weighted) does, and its cover is
-//!   minimal (`hoplabels::verify::is_minimal`);
+//! * every in-memory reader of the default build — the nested and flat
+//!   indexes, a 2-shard cut min-merged and, unweighted and undirected,
+//!   the bit-parallel one — answers every pair as BFS (Dijkstra, when
+//!   weighted) does, and its cover is minimal
+//!   (`hoplabels::verify::is_minimal`);
+//! * the default build is PLL's canonical labelling under the same order,
+//!   slot for slot, on the core, each derived vertex a record;
 //! * stepping, doubling, the default and — where the sweep takes it —
 //!   the external build at a budget that spills write one `HOPIDX`
 //!   image;
@@ -28,54 +32,32 @@
 //! and run in release by CI: `cargo test --release --test small_graphs
 //! -- --ignored`.
 
+mod labelkit;
+
 use hop_doubling::extmem::ExtMemConfig;
 use hop_doubling::hopdb::engine::build_unpruned;
 use hop_doubling::hopdb::external::build_external;
 use hop_doubling::hopdb::{build_prelabeled, rank, HopDbConfig, Strategy};
 use hop_doubling::hoplabels::verify::{check_exact, is_minimal};
-use hop_doubling::hoplabels::LabelIndex;
-use hop_doubling::sfgraph::{Dist, Graph, GraphBuilder, VertexId};
+use hop_doubling::sfgraph::{Dist, Graph};
+use labelkit::{assert_canonical, assert_readers, image, Pair};
 
 /// The vertex pairs of `n` vertices a code's digits stand for, digit 0
 /// first: each `u < v` once on an undirected graph, each `u ≠ v` in
 /// either order on a directed one.
-fn slots(n: u32, directed: bool) -> Vec<(VertexId, VertexId)> {
+fn slots(n: u32, directed: bool) -> Vec<Pair> {
     let pairs = (0..n).flat_map(|u| (0..n).map(move |v| (u, v)));
     pairs.filter(|&(u, v)| if directed { u != v } else { u < v }).collect()
 }
 
 /// The graph of `code` over `slots` and the alphabet `weights`; weighted
 /// unless the alphabet is `{1}`.
-fn graph(
-    n: u32,
-    directed: bool,
-    slots: &[(VertexId, VertexId)],
-    weights: &[Dist],
-    code: u32,
-) -> Graph {
-    let mut b = if directed {
-        GraphBuilder::new_directed(n as usize)
-    } else {
-        GraphBuilder::new_undirected(n as usize)
-    };
-    if weights != [1] {
-        b = b.weighted();
-    }
+fn graph(n: u32, directed: bool, slots: &[Pair], weights: &[Dist], code: u32) -> Graph {
     let letters = weights.len() as u32 + 1;
-    let mut rest = code;
-    for &(u, v) in slots {
-        if let Some(&w) = (rest % letters).checked_sub(1).and_then(|j| weights.get(j as usize)) {
-            b.add_weighted_edge(u, v, w);
-        }
-        rest /= letters;
-    }
-    b.build()
-}
-
-fn image(index: &LabelIndex) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    index.write_hopidx(&mut bytes).expect("an image writes into memory");
-    bytes
+    let letter = |i: usize| (code / letters.pow(i as u32) % letters) as usize;
+    let weight = |i: usize| weights.get(letter(i).checked_sub(1)?).copied();
+    let arcs = slots.iter().enumerate().filter_map(|(i, &(u, v))| Some((u, v, weight(i)?)));
+    labelkit::graph(directed, n as usize, weights != [1], arcs)
 }
 
 /// Every check of the module docs on every graph of `n` vertices with
@@ -90,9 +72,9 @@ fn sweep(n: u32, directed: bool, weights: &[Dist], external: bool) {
         let at = format!("n = {n}, directed = {directed}, weights {weights:?}, code {code}");
         let (_, g) = rank(&graph(n, directed, &slots, weights, code), &default);
         let (index, _) = build_prelabeled(&g, &default);
-        let wrong = check_exact(&g, &index);
-        assert!(wrong.is_none(), "{at}: the default build answers (s, t, got, want) {wrong:?}");
+        assert_readers(&g, &index, &at);
         assert!(is_minimal(&g, &index), "{at}: the default build's cover is not minimal");
+        assert_canonical(&g, &index, &at);
         let expect = image(&index);
         for strategy in [Strategy::Stepping, Strategy::Doubling] {
             let (other, _) = build_prelabeled(&g, &HopDbConfig::with_strategy(strategy.clone()));

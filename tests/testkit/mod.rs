@@ -14,8 +14,8 @@
 #![allow(dead_code)]
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use extmem::device::TempStore;
 use hopdb::{build_prelabeled, HopDbConfig};
 use hopdb_server::proto::UNREACHABLE;
 use hopdb_server::wal::Durability;
@@ -44,15 +44,9 @@ pub enum Ids {
 /// One staged deployment: `graph.txt`, `graph.idx` and its `.rank`, and
 /// room for a WAL directory, all in one temp directory of its own.
 pub struct Deployment {
-    dir: PathBuf,
+    store: TempStore,
     /// The served graph in wire ids; `graph.txt` holds it too.
     served: Graph,
-}
-
-impl Drop for Deployment {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.dir).ok();
-    }
 }
 
 impl Deployment {
@@ -76,13 +70,8 @@ impl Deployment {
     /// `g`'s edge list alone, for a test that builds
     /// [`Deployment::index_path`] itself, through the real CLI.
     pub fn edge_list(g: &Graph) -> Deployment {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-        let name = format!("hopdb-testkit-{}-{seq}", std::process::id());
-        let dir = std::env::temp_dir().join(name);
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).expect("create deployment dir");
-        let dep = Deployment { dir, served: g.clone() };
+        let store = TempStore::new().expect("create deployment dir");
+        let dep = Deployment { store, served: g.clone() };
         let file = std::fs::File::create(dep.graph_path()).expect("create edge list");
         sfgraph::io::write_edge_list(g, std::io::BufWriter::new(file)).expect("write edge list");
         dep
@@ -90,7 +79,7 @@ impl Deployment {
 
     /// `name` inside the deployment's directory.
     pub fn path(&self, name: &str) -> PathBuf {
-        self.dir.join(name)
+        self.store.dir().join(name)
     }
 
     pub fn graph_path(&self) -> PathBuf {

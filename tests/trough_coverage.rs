@@ -10,39 +10,22 @@
 //! the kernel's labels, so the kernel runs on the whole graph: the
 //! builders' elimination would replace some labels by records.
 
+mod labelkit;
+
 use hop_doubling::hopdb::engine::build_unpruned;
 use hop_doubling::hopdb::{HopDbConfig, Strategy};
-use hop_doubling::sfgraph::traversal::all_pairs;
-use hop_doubling::sfgraph::{Direction, Graph, GraphBuilder, VertexId, INF_DIST};
-use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
+use hop_doubling::sfgraph::traversal::{all_pairs, sssp};
+use hop_doubling::sfgraph::{Direction, Graph, VertexId, INF_DIST};
+use labelkit::{graph, random_graph};
+use rand::SeedableRng;
 
 /// BFS from `s` to `t` where every intermediate vertex `x` must satisfy
-/// `x > limit` (i.e. rank strictly below the higher-ranked endpoint).
+/// `x > limit` (i.e. rank strictly below the higher-ranked endpoint): on
+/// `g` without the arcs of any other vertex.
 fn trough_distance(g: &Graph, s: VertexId, t: VertexId, limit: VertexId) -> u32 {
-    if s == t {
-        return 0;
-    }
-    let n = g.num_vertices();
-    let mut dist = vec![INF_DIST; n];
-    let mut q = VecDeque::new();
-    dist[s as usize] = 0;
-    q.push_back(s);
-    while let Some(v) = q.pop_front() {
-        for &u in g.neighbors(v, Direction::Out) {
-            if dist[u as usize] != INF_DIST {
-                continue;
-            }
-            if u == t {
-                return dist[v as usize] + 1;
-            }
-            if u > limit {
-                dist[u as usize] = dist[v as usize] + 1;
-                q.push_back(u);
-            }
-        }
-    }
-    INF_DIST
+    let allowed = |x| x == s || x == t || x > limit;
+    let arcs = g.edge_list().into_iter().filter(|&(u, v, _)| allowed(u) && allowed(v));
+    sssp(&graph(g.is_directed(), g.num_vertices(), false, arcs), s, Direction::Out)[t as usize]
 }
 
 fn check_objectives(g: &Graph) {
@@ -76,12 +59,7 @@ fn check_objectives(g: &Graph) {
 fn lemma_2_objectives_hold_on_random_graphs() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(71);
     for _ in 0..20 {
-        let n = rng.gen_range(3..16);
-        let mut b = GraphBuilder::new_directed(n);
-        for _ in 0..rng.gen_range(n..4 * n) {
-            b.add_edge(rng.gen_range(0..n) as VertexId, rng.gen_range(0..n) as VertexId);
-        }
-        check_objectives(&b.build());
+        check_objectives(&random_graph(&mut rng, 3..16, true, None));
     }
 }
 

@@ -7,16 +7,13 @@
 //! the same reader but is held to more: any truncation or bit flip is
 //! an error, never a shorter list.
 
+use hop_doubling::extmem::device::TempStore;
 use hop_doubling::extmem::IoStats;
 use hop_doubling::hopdb_server::wal::{
     encode_folded, read_folded, read_wal, Durability, Wal, WalEdge, FOLDED_EXT, RECORD_HEADER_LEN,
     WAL_HEADER_LEN,
 };
 use std::path::PathBuf;
-
-fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("hopdb-walcorpus-{}-{name}", std::process::id()))
-}
 
 /// The reference batches every test writes: four records of varying
 /// sizes, including a single-edge and a larger one.
@@ -29,16 +26,19 @@ fn corpus_batches() -> Vec<Vec<WalEdge>> {
     ]
 }
 
-/// Write the corpus to a fresh WAL file and return its raw bytes.
-fn corpus_bytes(name: &str, epoch: u64) -> (PathBuf, Vec<u8>) {
-    let path = tmp(name);
+/// Write the corpus to a fresh WAL file in a scratch directory of the
+/// test's own and return the directory, the file and its raw bytes. The
+/// directory goes when it drops: a panicking test leaves nothing behind.
+fn corpus_bytes(epoch: u64) -> (TempStore, PathBuf, Vec<u8>) {
+    let store = TempStore::new().expect("scratch directory");
+    let path = store.dir().join("wal");
     let mut wal = Wal::create(&path, epoch, Durability::Off, IoStats::shared()).expect("create");
     for batch in corpus_batches() {
         wal.append(&batch).expect("append");
     }
     wal.sync().expect("sync");
     let bytes = std::fs::read(&path).expect("read back");
-    (path, bytes)
+    (store, path, bytes)
 }
 
 /// Byte offsets where each record starts, and the total record count.
@@ -55,7 +55,7 @@ fn record_boundaries(bytes: &[u8]) -> Vec<usize> {
 
 #[test]
 fn every_single_byte_truncation_recovers_the_longest_valid_prefix() {
-    let (path, bytes) = corpus_bytes("truncate", 3);
+    let (_store, path, bytes) = corpus_bytes(3);
     let bounds = record_boundaries(&bytes);
     let batches = corpus_batches();
     for cut in 0..=bytes.len() {
@@ -75,12 +75,11 @@ fn every_single_byte_truncation_recovers_the_longest_valid_prefix() {
             assert_eq!(replay.dropped_bytes, (cut - bounds[want]) as u64, "cut={cut}");
         }
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn every_single_bit_flip_is_caught_or_isolated() {
-    let (path, bytes) = corpus_bytes("bitflip", 9);
+    let (_store, path, bytes) = corpus_bytes(9);
     let batches = corpus_batches();
     // Sweep every byte of the file; every bit of the smaller records'
     // region would be slow × 8, one rotating bit per byte is plenty.
@@ -108,12 +107,11 @@ fn every_single_bit_flip_is_caught_or_isolated() {
             assert!(replay.valid_len + replay.dropped_bytes == bytes.len() as u64, "at={at}");
         }
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn flipped_length_fields_never_over_read() {
-    let (path, bytes) = corpus_bytes("length", 1);
+    let (_store, path, bytes) = corpus_bytes(1);
     let first_len_off = WAL_HEADER_LEN as usize;
     // Overwrite the first record's length with hostile values: huge,
     // zero, structurally implausible, and "plausible but beyond EOF".
@@ -129,12 +127,12 @@ fn flipped_length_fields_never_over_read() {
         assert!(replay.batches.is_empty(), "len={hostile}");
         assert_eq!(replay.valid_len, WAL_HEADER_LEN, "len={hostile}");
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn random_garbage_files_never_panic() {
-    let path = tmp("garbage");
+    let store = TempStore::new().expect("scratch directory");
+    let path = store.dir().join("garbage");
     // Deterministic xorshift noise at several sizes, plus a valid
     // header followed by noise.
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -160,17 +158,16 @@ fn random_garbage_files_never_panic() {
         assert!(replay.batches.is_empty(), "size={size}");
         assert_eq!(replay.valid_len, WAL_HEADER_LEN, "size={size}");
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn a_damaged_folded_edge_file_is_an_error_never_a_shorter_list() {
-    let image = tmp("folded.idx");
-    let path = tmp(&format!("folded.idx{FOLDED_EXT}"));
+    let store = TempStore::new().expect("scratch directory");
+    let image = store.dir().join("folded.idx");
+    let path = store.dir().join(format!("folded.idx{FOLDED_EXT}"));
     let read = |epoch| read_folded(&image, epoch);
     let edges: Vec<WalEdge> = corpus_batches().concat();
 
-    std::fs::remove_file(&path).ok();
     assert!(read(5).expect("no sibling").is_empty(), "no sibling = nothing folded");
     let bytes = encode_folded(5, &edges);
     std::fs::write(&path, &bytes).unwrap();
@@ -198,5 +195,4 @@ fn a_damaged_folded_edge_file_is_an_error_never_a_shorter_list() {
     // Another epoch's file under this image's name.
     std::fs::write(&path, encode_folded(6, &edges)).unwrap();
     refused("epoch 6 under epoch 5".to_string());
-    std::fs::remove_file(&path).ok();
 }
