@@ -1,6 +1,6 @@
 //! Strategy-equivalence tests and the iteration bounds:
 //!
-//! * all strategies write one image, so they answer identically: every
+//! * all strategies answer identically, and write one image: every
 //!   pruned build ends in the canonical filter (§5.2's exhaustive
 //!   pruning), so the labels do not depend on the strategy;
 //! * iteration counts respect Theorems 4 and 6.
@@ -15,29 +15,46 @@ use hop_doubling::graphgen::{glp, GlpParams};
 use hop_doubling::hopdb::{build_prelabeled, HopDbConfig, Strategy};
 use hop_doubling::sfgraph::analysis::hop_diameter;
 use hop_doubling::sfgraph::ranking::RankBy;
+use hop_doubling::sfgraph::VertexId;
 use labelkit::{image, random_graph, ranked};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+fn strategies() -> [Strategy; 5] {
+    let hybrid = |switch_at| Strategy::Hybrid { switch_at };
+    [Strategy::Doubling, Strategy::Stepping, hybrid(3), hybrid(4), hybrid(10)]
+}
+
+#[test]
+fn strategies_answer_identically() {
+    // Every strategy answers every pair alike on 10 graphs from seed 42,
+    // directed at random.
+    let mut rng = StdRng::seed_from_u64(42);
+    for case in 0..10 {
+        let directed = rng.gen_bool(0.5);
+        let g = ranked(&random_graph(&mut rng, 4..30, directed, None), &RankBy::Degree);
+        let indexes = strategies().map(|s| build_prelabeled(&g, &HopDbConfig::with_strategy(s)).0);
+        let n = g.num_vertices() as VertexId;
+        for (s, t) in (0..n).flat_map(|s| (0..n).map(move |t| (s, t))) {
+            let d0 = indexes[0].query(s, t);
+            for idx in &indexes[1..] {
+                assert_eq!(idx.query(s, t), d0, "case {case}: {s}->{t}");
+            }
+        }
+    }
+}
 
 #[test]
 fn post_pruned_sizes_coincide_across_strategies() {
     // §5.2: Hop-Doubling with exhaustive pruning reaches Hop-Stepping's
     // label size. Every default build is exhaustively pruned, so the
-    // strategies write one canonical image, byte for byte, and one image
-    // answers every pair one way. The corpus: 8 graphs from seed 77,
-    // directed every other one, and 10 from seed 42, directed at random.
-    let hybrid = |switch_at| Strategy::Hybrid { switch_at };
-    let strategies = [Strategy::Doubling, Strategy::Stepping, hybrid(3), hybrid(4), hybrid(10)];
-    let (mut a, mut b) = (StdRng::seed_from_u64(77), StdRng::seed_from_u64(42));
-    let corpus = (0..8).map(|case| random_graph(&mut a, 4..30, case % 2 == 1, None));
-    let corpus = corpus.chain((0..10).map(|_| {
-        let directed = b.gen_bool(0.5);
-        random_graph(&mut b, 4..30, directed, None)
-    }));
-    for (case, g) in corpus.enumerate() {
-        let g = ranked(&g, &RankBy::Degree);
+    // strategies write one canonical image, byte for byte, on 8 graphs
+    // from seed 77, directed every other one.
+    let mut rng = StdRng::seed_from_u64(77);
+    for case in 0..8 {
+        let g = ranked(&random_graph(&mut rng, 4..30, case % 2 == 1, None), &RankBy::Degree);
         let build = |s| image(&build_prelabeled(&g, &HopDbConfig::with_strategy(s)).0);
-        let images = strategies.clone().map(build);
+        let images = strategies().map(build);
         assert!(images.windows(2).all(|w| w[0] == w[1]), "case {case}: the images differ");
     }
 }
