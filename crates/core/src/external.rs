@@ -1,18 +1,21 @@
 //! I/O-efficient index construction (Section 4) — the round of
 //! [`crate::engine`] over sorted record files.
 //!
-//! All label state lives in sorted record files on the `extmem`
-//! substrate. A *side* (one for an undirected build, out then in for a
-//! directed one) owns two files, and every iteration runs the same
-//! joins over them on every side:
+//! All label state past the seeds lives in sorted record files on the
+//! `extmem` substrate. A *side* (one for an undirected build, out then
+//! in for a directed one) owns two files, and every iteration runs the
+//! same joins over them on every side:
 //!
-//! | file     | records, sort order                                    | read by                                       |
-//! |----------|--------------------------------------------------------|-----------------------------------------------|
-//! | `labels` | `own`, by `(owner, pivot)`: a base and up to 4 deltas  | the prune; the doubling arcs (own and across) |
-//! | `prev`   | last iteration's new entries, by owner: the survivors  | the arc joins, as the driving input           |
+//! | file     | records, sort order                                           | read by                                       |
+//! |----------|---------------------------------------------------------------|-----------------------------------------------|
+//! | `labels` | `own` past the seeds, by `(owner, pivot)`: a base, ≤ 4 deltas | the prune; the doubling arcs (own and across) |
+//! | `prev`   | last iteration's new entries, by owner: the survivors         | the arc joins, as the driving input           |
 //!
-//! The seeds are no `prev` file: the first round reads them off the
-//! core, owner by owner, as the seeding wrote them into `labels`.
+//! The seeds are in neither file. They are a copy of the core, which the
+//! build holds in memory: every pass over a side's labels reads each
+//! owner's seeds and self-entry off the core, merged with the `labels`
+//! runs, and the first round reads the seeds as its `prev`. Seeding
+//! writes nothing.
 //!
 //! A round runs the arc table of [`crate::engine`] pushed instead of
 //! pulled. An arc is a record `(u, x, w)` — key the tail `u`, pivot the
@@ -80,16 +83,18 @@
 //! * **Delta stack** — `labels` is log-structured: a base run and a
 //!   stack of delta runs, every reader of it — the prune's own and
 //!   `across` passes, the doubling arcs and view, the final load — reads
-//!   their merge, the nearest per `(owner, pivot)`, through one
-//!   `extmem` [`SortedStream`] that hands skip hints and rewinds to each
-//!   run. A side's survivors *are* its next `prev`, and that same run
-//!   goes on the stack; it is folded — that same merge, written by
-//!   `merge_readers` as a new base — only when the stack's bytes would
-//!   pass a quarter of the base's or its depth four runs. A side without
-//!   survivors touches nothing, so the round that finds the fixpoint, and
-//!   a directed side that found nothing while the other side did, write
-//!   no label byte; a late round adding a few dozen entries writes them
-//!   once, not the whole label file again.
+//!   their merge with the seeds, the nearest per `(owner, pivot)`,
+//!   through one `extmem` [`SortedStream`] that hands skip hints and
+//!   rewinds to each input, the seeds' included. A side's survivors
+//!   *are* its next `prev`, and that same run joins the files: the
+//!   side's first non-empty one becomes its base, and each later one
+//!   goes on the stack. The stack is folded — the merge of the file runs
+//!   alone, written by `merge_readers` as a new base — only when its
+//!   bytes would pass a quarter of the base's or its depth four runs. A
+//!   side without survivors touches nothing, so the round that finds the
+//!   fixpoint, and a directed side that found nothing while the other
+//!   side did, write no label byte; a late round adding a few dozen
+//!   entries writes them once, not the whole label file again.
 //!
 //! Every byte flows through counted files, so the
 //! [`ExternalBuildResult::io`] report gives honest `scan(N) = N/B`
@@ -143,13 +148,16 @@
 //! `labels` opens one reader per run, so each delta on the stack adds a
 //! block buffer, its directory (a delta holds at most a quarter of the
 //! base's bytes, so the directories sum to about 1.25× the base's) and a
-//! merge slot to every pass over the labels; the prune's `across` reader
-//! splits its head budget over the runs by their bytes, so the heads
-//! together never pass `6 × M` bytes.
+//! merge slot to every pass over the labels; beside them it buffers one
+//! owner's seeds and self-entry off the core, 12 bytes each. The prune's
+//! `across` reader splits its head budget over the file runs by their
+//! bytes — the seeds need none — so the heads together never pass
+//! `6 × M` bytes.
 //!
 //! Beside the graph, which the build holds in memory to peel and seed
-//! it, and which every stepping round reads for its arcs and the first
-//! round for its `prev`, the build holds the hub tables: `sides × n × K`
+//! it, and which every stepping round reads for its arcs, the first
+//! round for its `prev` and every pass over the labels for their seeds,
+//! the build holds the hub tables: `sides × n × K`
 //! bytes (`K` = [`crate::hubs::HUBS`]; 256 KB a side at 16 000
 //! vertices), built on the core before the first round, read by every
 //! round — both of a directed build's tables by each side — and freed
@@ -165,7 +173,9 @@
 //!
 //! Deviation from the paper: the *graph topology* is not exported to
 //! edge files — stepping reads the in-memory core instead of joining
-//! with them, the semi-external trade above — and the final index is
+//! with them, the semi-external trade above — and the seeds, the
+//! paper's initial labels, are not written to the label files: every
+//! pass over the labels reads them off the core. The final index is
 //! loaded back into memory at the end so callers can verify/serve it,
 //! and the canonical filter that ends every build ([`crate::postprune`],
 //! §5.2's exhaustive pruning) runs there, on the loaded labels, as in
@@ -186,11 +196,11 @@ use extmem::sorter::{merge_readers, ExternalSorter, SortedStream};
 use extmem::{ExtMemConfig, LabelRecord};
 use hoplabels::index::{merge_join, side_table, LabelIndex, SideRule, VertexLabels};
 use hoplabels::LabelEntry;
-use sfgraph::{Graph, VertexId};
+use sfgraph::{Direction, Graph, VertexId};
 
 use crate::builder::{derive_fringe, peel};
 use crate::config::HopDbConfig;
-use crate::engine::{lap, run_workers};
+use crate::engine::{lap, run_workers, seeds};
 use crate::hubs::{HubTable, HUBS};
 use crate::iteration::{fixpoint, BuildStats, IterationStats, Rounds};
 
@@ -266,11 +276,11 @@ struct GroupReader<S> {
     pending: Option<LabelRecord>,
 }
 
-impl GroupReader<SortedStream> {
+impl<'g> GroupReader<LabelStream<'g>> {
     /// A reader of `labels` for passes that each start with
     /// [`GroupReader::rewind`], keeping up to `head_budget` of the files'
     /// leading bytes resident between them (see [`Labels::reader`]).
-    fn with_head(labels: &Labels, block_bytes: usize, head_budget: usize) -> io::Result<Self> {
+    fn with_head(labels: &Labels<'g>, block_bytes: usize, head_budget: usize) -> io::Result<Self> {
         Ok(GroupReader { source: labels.reader(block_bytes, head_budget)?, pending: None })
     }
 }
@@ -359,12 +369,13 @@ fn sorter<'s>(store: &'s TempStore, ext: &ExtMemConfig, overlap: bool) -> Extern
     }
 }
 
-/// Deltas are folded into the base when their bytes would pass
-/// `1 / FOLD_FRACTION` of the base's. A fold rewrites the whole base;
-/// holding it off spares that write while the deltas are small beside
-/// it, and a quarter bounds what they cost every pass over the labels —
-/// the prune's, the views', the final load — at a quarter more bytes
-/// than the folded file's.
+/// Deltas are folded into the file base when their bytes would pass
+/// `1 / FOLD_FRACTION` of the base's. A fold rewrites the whole file
+/// base; holding it off spares that write while the deltas are small
+/// beside it, and a quarter bounds what they cost every pass over the
+/// labels — the prune's, the views', the final load — at a quarter more
+/// file bytes than the folded base's. The seeds are no file, so neither
+/// side of the ratio counts them.
 const FOLD_FRACTION: u64 = 4;
 
 /// … or when the stack would pass `MAX_DELTAS` runs: every open reader
@@ -373,105 +384,216 @@ const FOLD_FRACTION: u64 = 4;
 /// head.
 const MAX_DELTAS: usize = 4;
 
-/// A side's `own` labels, log-structured: a base run and a stack of delta
-/// runs, each sorted by `(owner, pivot)`, read as one through
-/// [`Labels::reader`]: their merge, the nearest per `(owner, pivot)`.
-struct Labels {
-    base: Run,
-    /// The survivor runs of the rounds since the last fold, oldest first;
-    /// the newest is also the side's `prev`.
+/// The seeded part of a side's labels, read off the core: owner by owner,
+/// its seeds ([`crate::engine::seeds`]) and then its self-entry, the
+/// highest pivot of its label — the records, in their order, that a file
+/// of them would hold. It buffers one owner's records at a time.
+struct SeedReader<'g> {
+    g: &'g Graph,
+    step: Direction,
+    /// The owner buffered next.
+    next: VertexId,
+    /// The buffered owner's records not yet handed out, last first.
+    buf: Vec<LabelRecord>,
+}
+
+impl<'g> SeedReader<'g> {
+    fn new(g: &'g Graph, step: Direction) -> SeedReader<'g> {
+        SeedReader { g, step, next: 0, buf: Vec::new() }
+    }
+}
+
+impl RecordSource for SeedReader<'_> {
+    fn next_record(&mut self) -> io::Result<Option<LabelRecord>> {
+        if self.buf.is_empty() && (self.next as usize) < self.g.num_vertices() {
+            let owner = self.next;
+            let mine = seeds(self.g, self.step, owner).map(|(v, w)| LabelRecord::new(owner, v, w));
+            self.buf.extend(mine);
+            self.buf.push(LabelRecord::new(owner, owner, 0));
+            self.buf.reverse();
+            self.next += 1;
+        }
+        Ok(self.buf.pop())
+    }
+
+    /// Drop the buffered owner's records and go on at owner `key` when the
+    /// buffered owner is below it: the owners in between are never walked.
+    fn skip_hint(&mut self, key: u32) -> io::Result<()> {
+        if self.next <= key {
+            self.buf.clear();
+            self.next = key;
+        }
+        Ok(())
+    }
+}
+
+impl Rewind for SeedReader<'_> {
+    fn rewind(&mut self) -> io::Result<()> {
+        self.buf.clear();
+        self.next = 0;
+        Ok(())
+    }
+}
+
+/// One input of the labels' merge: the seeds, off the core, or a file run.
+enum LabelRun<'g> {
+    Seeds(SeedReader<'g>),
+    File(RunReader),
+}
+
+impl RecordSource for LabelRun<'_> {
+    #[inline]
+    fn next_record(&mut self) -> io::Result<Option<LabelRecord>> {
+        match self {
+            LabelRun::Seeds(r) => r.next_record(),
+            LabelRun::File(r) => r.next_record(),
+        }
+    }
+
+    fn skip_hint(&mut self, key: u32) -> io::Result<()> {
+        match self {
+            LabelRun::Seeds(r) => r.skip_hint(key),
+            LabelRun::File(r) => r.skip_hint(key),
+        }
+    }
+}
+
+impl Rewind for LabelRun<'_> {
+    fn rewind(&mut self) -> io::Result<()> {
+        match self {
+            LabelRun::Seeds(r) => r.rewind(),
+            LabelRun::File(r) => Rewind::rewind(r),
+        }
+    }
+}
+
+/// A side's labels read as one stream: see [`Labels::reader`].
+type LabelStream<'g> = SortedStream<LabelRun<'g>>;
+
+/// A side's `own` labels: the seeds, read off the core, and the file
+/// runs, log-structured — a base run and a stack of delta runs — each
+/// sorted by `(owner, pivot)`, read as one through [`Labels::reader`]:
+/// their merge, the nearest per `(owner, pivot)`.
+struct Labels<'g> {
+    /// The core and the side's step: every owner's seeds and self-entry.
+    g: &'g Graph,
+    step: Direction,
+    /// The side's first survivor run, or the last fold; `None` until the
+    /// side has survivors.
+    base: Option<Arc<Run>>,
+    /// The survivor runs of the rounds since, oldest first; the newest is
+    /// also the side's `prev`.
     deltas: Vec<Arc<Run>>,
-    /// The entries of the merge: exact, not the runs' records summed.
+    /// The entries of the merge: exact, not the inputs' records summed.
     entries: u64,
 }
 
-impl Labels {
-    fn new(base: Run) -> Labels {
-        Labels { entries: base.len(), base, deltas: Vec::new() }
+impl<'g> Labels<'g> {
+    /// The labels the seeding gives: every owner's seeds and self-entry,
+    /// no file.
+    fn seeded(g: &'g Graph, step: Direction) -> Labels<'g> {
+        let seeded: usize = g.vertices().map(|u| seeds(g, step, u).count() + 1).sum();
+        Labels { g, step, base: None, deltas: Vec::new(), entries: seeded as u64 }
     }
 
     fn runs(&self) -> impl Iterator<Item = &Run> {
-        std::iter::once(&self.base).chain(self.deltas.iter().map(|d| &**d))
+        self.base.iter().chain(&self.deltas).map(|r| &**r)
     }
 
-    /// The bytes a full pass reads.
+    /// The file bytes a full pass reads.
     fn bytes(&self) -> u64 {
         self.runs().map(Run::bytes).sum()
     }
 
-    /// The file errors name: the base, which holds every vertex's group.
-    fn path(&self) -> &std::path::Path {
-        self.base.path()
+    /// What errors name: the base file, whose groups the deltas only
+    /// amend, or the core, before the side has a file.
+    fn origin(&self) -> String {
+        self.base.as_ref().map_or("the core's seeds".into(), |b| b.path().display().to_string())
     }
 
     /// The labels as one `(owner, pivot)`-sorted stream, the nearest per
-    /// pair, keeping up to `head_budget` of leading bytes resident for a
-    /// caller that rewinds it. With no deltas this is the base's reader,
-    /// its whole budget and every record.
-    fn reader(&self, block_bytes: usize, head_budget: usize) -> io::Result<SortedStream> {
-        SortedStream::merge(self.readers(block_bytes, head_budget)?)
+    /// pair: the seeds merged with the file runs, keeping up to
+    /// `head_budget` of the files' leading bytes resident for a caller
+    /// that rewinds it. Before the side has a file this is the seeds
+    /// alone, every record.
+    fn reader(&self, block_bytes: usize, head_budget: usize) -> io::Result<LabelStream<'g>> {
+        let files = self.file_readers(block_bytes, head_budget)?.into_iter().map(LabelRun::File);
+        let seeds = LabelRun::Seeds(SeedReader::new(self.g, self.step));
+        SortedStream::merge(std::iter::once(seeds).chain(files).collect())
     }
 
-    /// A reader of each run, base first, each with the share of
-    /// `head_budget` its bytes are of the labels', so the budget never
+    /// A reader of each file run, base first, each with the share of
+    /// `head_budget` its bytes are of the files', so the budget never
     /// grows.
-    fn readers(&self, block_bytes: usize, head_budget: usize) -> io::Result<Vec<RunReader>> {
+    fn file_readers(&self, block_bytes: usize, head_budget: usize) -> io::Result<Vec<RunReader>> {
         let total = u128::from(self.bytes().max(1));
         let share = |run: &Run| (head_budget as u128 * u128::from(run.bytes()) / total) as usize;
         self.runs().map(|run| run.reader(block_bytes, share(run))).collect()
     }
 
     /// Add a round's survivors, of which `replaced` lower the distance of
-    /// an entry the labels hold: nothing for an empty run; otherwise the
-    /// run goes on the stack, unless the stack would outgrow
-    /// [`FOLD_FRACTION`] or [`MAX_DELTAS`], in which case the base, the
-    /// deltas and the run are merged into a new base.
+    /// an entry the labels hold: nothing for an empty run; the side's
+    /// first becomes its base; a later one goes on the stack, unless the
+    /// stack would outgrow [`FOLD_FRACTION`] or [`MAX_DELTAS`], in which
+    /// case the base, the deltas and the run are merged into a new base.
+    /// A fold merges the files only: the seeds stay on the core.
     fn add(
         mut self,
         store: &TempStore,
         ext: &ExtMemConfig,
         surv: &Arc<Run>,
         replaced: u64,
-    ) -> io::Result<Labels> {
+    ) -> io::Result<Labels<'g>> {
         if surv.is_empty() {
             return Ok(self);
         }
         self.entries = self.entries + surv.len() - replaced;
+        let Some(base) = &self.base else {
+            self.base = Some(Arc::clone(surv));
+            return Ok(self);
+        };
         self.deltas.push(Arc::clone(surv));
         let stacked: u64 = self.deltas.iter().map(|d| d.bytes()).sum();
-        if stacked * FOLD_FRACTION <= self.base.bytes() && self.deltas.len() <= MAX_DELTAS {
+        if stacked * FOLD_FRACTION <= base.bytes() && self.deltas.len() <= MAX_DELTAS {
             return Ok(self);
         }
         let block = ext.block_bytes;
-        let base = merge_readers(store, self.readers(block, 0)?, block)?;
-        debug_assert_eq!(base.len(), self.entries, "the fold keeps one record per entry");
-        Ok(Labels { base, deltas: Vec::new(), entries: self.entries })
+        let base = merge_readers(store, self.file_readers(block, 0)?, block)?;
+        Ok(Labels { base: Some(Arc::new(base)), deltas: Vec::new(), ..self })
     }
 }
 
-/// Materialise a side's label files, read as one `(key, pivot)`-sorted
+/// Materialise a side's labels, read as one `(key, pivot)`-sorted
 /// stream, as per-vertex labels, each built as its group is read.
 ///
 /// # Errors
-/// `InvalidData` naming the file when `(key, pivot)` does not strictly
-/// increase or a key is not one of the `n` vertices; otherwise what the
-/// file returns.
+/// `InvalidData` naming the base file when `(key, pivot)` does not
+/// strictly increase, a key is not one of the `n` vertices, or the merge
+/// holds other than the [`Labels::entries`] the rounds counted;
+/// otherwise what the files return.
 fn load_labels(files: &Labels, n: usize, ext: &ExtMemConfig) -> io::Result<Vec<VertexLabels>> {
+    let invalid = |why: String| {
+        io::Error::new(io::ErrorKind::InvalidData, format!("{}: {why}", files.origin()))
+    };
     let mut labels = vec![VertexLabels::new(); n];
     let mut reader = GroupReader::new(files.reader(ext.block_bytes, 0)?)?;
-    let (mut group, mut last) = (Vec::new(), None);
+    let (mut group, mut last, mut entries) = (Vec::new(), None, 0u64);
     while let Some(v) = reader.next_group(&mut group)? {
         let in_order = last < Some(v) && group.windows(2).all(|w| w[0].pivot < w[1].pivot);
         let Some(label) = labels.get_mut(v as usize).filter(|_| in_order) else {
-            let why = format!("label group {v} out of (vertex, pivot) order or not below {n}");
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: {why}", files.path().display()),
-            ));
+            return Err(invalid(format!(
+                "label group {v} out of (vertex, pivot) order or not below {n}"
+            )));
         };
-        let entries = group.iter().map(|r| LabelEntry::new(r.pivot, r.dist));
-        *label = VertexLabels::from_entries(entries.collect());
-        last = Some(v);
+        let group_entries = group.iter().map(|r| LabelEntry::new(r.pivot, r.dist));
+        *label = VertexLabels::from_entries(group_entries.collect());
+        (last, entries) = (Some(v), entries + group.len() as u64);
+    }
+    if entries != files.entries {
+        return Err(invalid(format!(
+            "{entries} label entries, where the rounds counted {}",
+            files.entries
+        )));
     }
     Ok(labels)
 }
@@ -481,8 +603,8 @@ fn load_labels(files: &Labels, n: usize, ext: &ExtMemConfig) -> io::Result<Vec<V
 enum Prev {
     /// After the seeding: this many seeds, read off the graph.
     Seeds(u64),
-    /// After a round: its survivor run, the newest delta of `labels`
-    /// until a fold.
+    /// After a round: its survivor run, the newest run of `labels` —
+    /// the base, when it is the side's first — until a fold.
     Survivors(Arc<Run>),
 }
 
@@ -523,11 +645,11 @@ fn across_head_bytes(ext: &ExtMemConfig) -> usize {
     ext.memory_records.saturating_mul(6)
 }
 
-/// Self-entries give every vertex a label group: label files without
-/// `v`'s are damaged.
+/// Self-entries give every vertex a label group: labels without `v`'s
+/// are damaged.
 fn missing_group(labels: &Labels, v: u32) -> io::Error {
-    let file = labels.path().display();
-    io::Error::new(io::ErrorKind::InvalidData, format!("{file}: no label group for vertex {v}"))
+    let origin = labels.origin();
+    io::Error::new(io::ErrorKind::InvalidData, format!("{origin}: no label group for vertex {v}"))
 }
 
 /// A prune block holds `BLOCK_BYTES_PER_RECORD × M` bytes, short of the
@@ -726,9 +848,9 @@ fn prune_blocks<W: Word>(
     Ok(Pruned { survivors: survivors.finish()?, pruned, replaced, blocks })
 }
 
-/// The files of one label side (see [`crate::engine`] for the side
-/// formulation): `own` and the new entries of the previous iteration.
-struct Side {
+/// One label side (see [`crate::engine`] for the side formulation):
+/// `own` and the new entries of the previous iteration.
+struct Side<'g> {
     /// Its place in the side table (`hoplabels::index::side_table`) and
     /// in [`External::sides`]: the hub table it reads.
     index: usize,
@@ -736,7 +858,7 @@ struct Side {
     /// joined against, and the arcs it steps along.
     rule: SideRule,
     /// `own`, sorted by `(owner, pivot)`.
-    labels: Labels,
+    labels: Labels<'g>,
     /// Entries the previous iteration added to `own`.
     prev: Prev,
 }
@@ -770,7 +892,7 @@ struct External<'s> {
     threaded: bool,
     /// Built after the seeding, freed before the final load.
     hubs: Option<HubTable>,
-    sides: Vec<Side>,
+    sides: Vec<Side<'s>>,
     /// Bytes read and written as of the last row.
     seen: (u64, u64),
     /// The prunes' blocks, raw candidates and hub kills so far, over
@@ -783,35 +905,26 @@ struct External<'s> {
 impl External<'_> {
     /// Push `side`'s `prev` over a round's arcs: each group of owner `u`
     /// meets, in [`emit`], the arcs out of `u` that `arcs_of` appends.
-    /// The seeds are walked off the graph, a survivor run is read.
+    /// The seeds are read off the graph, less their self-entries, a
+    /// survivor run from its file.
     fn push_prev(
         &self,
         side: &Side,
         mut arcs_of: impl FnMut(u32, &mut Vec<LabelRecord>) -> io::Result<()>,
         offer: &mut impl FnMut(LabelRecord) -> io::Result<()>,
     ) -> io::Result<()> {
-        let (mut pg, mut ag) = (Vec::new(), Vec::new());
-        let mut push = |u, pg: &[LabelRecord]| {
-            ag.clear();
-            arcs_of(u, &mut ag)?;
-            emit(pg, &ag, offer)
+        let source = match &side.prev {
+            Prev::Seeds(_) => LabelRun::Seeds(SeedReader::new(self.g, side.rule.step)),
+            Prev::Survivors(run) => LabelRun::File(run.reader(self.ext.block_bytes, 0)?),
         };
-        match &side.prev {
-            Prev::Seeds(_) => {
-                for u in self.g.vertices() {
-                    let seeds = crate::engine::seeds(self.g, side.rule.step, u);
-                    pg.clear();
-                    pg.extend(seeds.map(|(v, w)| LabelRecord::new(u, v, w)));
-                    if !pg.is_empty() {
-                        push(u, &pg)?;
-                    }
-                }
-            }
-            Prev::Survivors(run) => {
-                let mut prev = GroupReader::new(run.reader(self.ext.block_bytes, 0)?)?;
-                while let Some(u) = prev.next_group(&mut pg)? {
-                    push(u, &pg)?;
-                }
+        let mut prev = GroupReader::new(source)?;
+        let (mut pg, mut ag) = (Vec::new(), Vec::new());
+        while let Some(u) = prev.next_group(&mut pg)? {
+            pg.retain(|r| r.pivot != u);
+            if !pg.is_empty() {
+                ag.clear();
+                arcs_of(u, &mut ag)?;
+                emit(&pg, &ag, offer)?;
             }
         }
         Ok(())
@@ -909,7 +1022,7 @@ impl Rounds for External<'_> {
         // touches nothing. The folds write disjoint runs, so they run
         // together when threaded.
         let jobs = std::mem::take(&mut self.sides).into_iter().zip(outcomes).collect();
-        let applied = run_workers(threaded, jobs, |(side, o): (Side, SideOutcome)| {
+        let applied = run_workers(threaded, jobs, |(side, o): (Side<'_>, SideOutcome)| {
             let started = Instant::now();
             let prev = Arc::new(o.pruned.survivors);
             let labels = side.labels.add(store, ext, &prev, o.pruned.replaced)?;
@@ -939,7 +1052,7 @@ fn run(
 ) -> io::Result<ExternalBuildResult> {
     let started = Instant::now();
     let threads = cfg.resolved_parallelism();
-    let (mut e, seeded) = seed(g, ext, store, threads >= 2)?;
+    let (mut e, seeded) = seed(g, ext, store, threads >= 2);
     let clock = Instant::now();
     e.hubs = Some(HubTable::new(g, hubs));
     let hub_tables_elapsed = clock.elapsed();
@@ -970,38 +1083,27 @@ fn run(
     })
 }
 
-/// Initialization (iteration 1): every side's label base — self-entries
-/// plus one entry per edge, written owner by owner from the graph's
-/// sorted adjacency, so the row reads nothing — and the row that reports
-/// it. The seeds are also the first round's `prev`, which that round
-/// reads off the graph again ([`Prev::Seeds`]).
+/// Initialization (iteration 1): every side's labels, its seeds and
+/// self-entries, which are read off the graph whenever a pass reads the
+/// labels ([`Labels::reader`]), and the row that reports them: it reads
+/// and writes nothing. The seeds are also the first round's `prev`
+/// ([`Prev::Seeds`]).
 fn seed<'s>(
     g: &'s Graph,
     ext: &'s ExtMemConfig,
     store: &'s TempStore,
     threaded: bool,
-) -> io::Result<(External<'s>, IterationStats)> {
+) -> (External<'s>, IterationStats) {
     let started = Instant::now();
-    let n = g.num_vertices();
+    let n = g.num_vertices() as u64;
     let mut sides = Vec::new();
-    let mut seeds = 0u64;
     for (index, &rule) in side_table(g.is_directed()).iter().enumerate() {
-        // Each owner's seeds, then its self-entry, the highest pivot of
-        // its label.
-        let mut labels = RunWriter::new(store.create("labels")?, ext.block_bytes);
-        let mut side_seeds = 0u64;
-        for owner in g.vertices() {
-            for (pivot, w) in crate::engine::seeds(g, rule.step, owner) {
-                labels.push(LabelRecord::new(owner, pivot, w))?;
-                side_seeds += 1;
-            }
-            labels.push(LabelRecord::new(owner, owner, 0))?;
-        }
-        seeds += side_seeds;
-        let labels = Labels::new(labels.finish()?);
-        sides.push(Side { index, rule, labels, prev: Prev::Seeds(side_seeds) });
+        let labels = Labels::seeded(g, rule.step);
+        let prev = Prev::Seeds(labels.entries - n);
+        sides.push(Side { index, rule, labels, prev });
     }
-    let total_entries = seeds + (sides.len() * n) as u64;
+    let total_entries: u64 = sides.iter().map(|s| s.labels.entries).sum();
+    let seeds = total_entries - sides.len() as u64 * n;
     let mut e = External {
         g,
         store,
@@ -1026,7 +1128,7 @@ fn seed<'s>(
         io_write_bytes,
         ..IterationStats::default()
     };
-    Ok((e, seeded))
+    (e, seeded)
 }
 
 #[cfg(test)]
@@ -1049,12 +1151,22 @@ mod tests {
         run(g, cfg, ext, &TempStore::new().unwrap(), HUBS).unwrap()
     }
 
-    /// One side's files: its base (the file, and its encoded bytes), its
-    /// deltas' bytes, oldest first, and its `prev`'s (0 for the seeds,
-    /// which no file holds).
+    /// Labels read from `run` alone: their seeds are those of a graph
+    /// without vertices.
+    fn file_labels(run: Run) -> Labels<'static> {
+        static NO_SEEDS: std::sync::LazyLock<Graph> =
+            std::sync::LazyLock::new(|| GraphBuilder::new_undirected(0).build());
+        let entries = run.len();
+        let base = Some(Arc::new(run));
+        Labels { g: &NO_SEEDS, step: Direction::Out, base, deltas: Vec::new(), entries }
+    }
+
+    /// One side's files: its base (the file, if any, and its encoded
+    /// bytes), its deltas' bytes, oldest first, and its `prev`'s (0 for
+    /// the seeds, which no file holds).
     #[derive(Clone, Debug, PartialEq)]
     struct SideFiles {
-        base: std::path::PathBuf,
+        base: Option<std::path::PathBuf>,
         base_bytes: u64,
         deltas: Vec<u64>,
         prev: u64,
@@ -1082,12 +1194,16 @@ mod tests {
         }
 
         /// The sides that folded into a new base since `before`, each
-        /// beside what it had then.
+        /// beside what it had then: a side's first survivor run becomes
+        /// its base without a fold.
         fn folded<'a>(
             &'a self,
             before: &'a Files,
         ) -> impl Iterator<Item = (&'a SideFiles, &'a SideFiles)> {
-            self.0.iter().zip(&before.0).filter(|(now, then)| now.base != then.base)
+            let fold = |(now, then): &(&SideFiles, &SideFiles)| {
+                then.base.is_some() && now.base != then.base
+            };
+            self.0.iter().zip(&before.0).filter(fold)
         }
     }
 
@@ -1100,8 +1216,8 @@ mod tests {
     impl Noted<'_> {
         fn note(&mut self) {
             let side = |s: &Side| SideFiles {
-                base: s.labels.path().to_path_buf(),
-                base_bytes: s.labels.base.bytes(),
+                base: s.labels.base.as_ref().map(|b| b.path().to_path_buf()),
+                base_bytes: s.labels.base.as_ref().map_or(0, |b| b.bytes()),
                 deltas: s.labels.deltas.iter().map(|d| d.bytes()).collect(),
                 prev: match &s.prev {
                     Prev::Seeds(_) => 0,
@@ -1134,7 +1250,7 @@ mod tests {
         ext: &ExtMemConfig,
     ) -> (Vec<IterationStats>, Vec<Files>) {
         let store = TempStore::new().unwrap();
-        let (mut e, seeded) = seed(g, ext, &store, false).unwrap();
+        let (mut e, seeded) = seed(g, ext, &store, false);
         e.hubs = Some(HubTable::new(g, HUBS));
         let mut noted = Noted { e, files: Vec::new() };
         noted.note();
@@ -1389,7 +1505,7 @@ mod tests {
                 }
                 recs.push(LabelRecord::new(v, v, 0));
             }
-            (Labels::new(run_from_slice(&store, tag, &recs, block).unwrap()), recs)
+            (file_labels(run_from_slice(&store, tag, &recs, block).unwrap()), recs)
         };
         let (src_run, src) = labels("src");
         let (dst_run, dst) = labels("dst");
@@ -1537,7 +1653,7 @@ mod tests {
             let blocks = blocks_by_bytes(&ext, word, &owners).last().map_or(0, |b| b + 1);
 
             let labels = |tag, recs: &[LabelRecord]| {
-                Labels::new(run_from_slice(&store, tag, recs, ext.block_bytes).unwrap())
+                file_labels(run_from_slice(&store, tag, recs, ext.block_bytes).unwrap())
             };
             let (own_run, across_run) = (labels("own", &own), labels("across", &across));
             let got = prune(&store, &ext, &cands, &own_run, &across_run).unwrap();
@@ -1576,7 +1692,7 @@ mod tests {
                 }
                 recs.push(LabelRecord::new(v, v, 0));
             }
-            (Labels::new(run_from_slice(store, tag, &recs, block).unwrap()), recs)
+            (file_labels(run_from_slice(store, tag, &recs, block).unwrap()), recs)
         };
         let (own_run, own) = labels(&store, "own");
         let (across_run, across) = labels(&far, "across");
@@ -1626,7 +1742,7 @@ mod tests {
             block_probes.dedup();
         }
         // What each block's pass reads with no head, and past a full one.
-        let pass = |reader: &mut GroupReader<SortedStream>, probes: &[u32]| -> u64 {
+        let pass = |reader: &mut GroupReader<LabelStream>, probes: &[u32]| -> u64 {
             let (before, mut g) = (far.stats().read_bytes(), Vec::new());
             reader.rewind().unwrap();
             for &p in probes.iter() {
@@ -1667,8 +1783,8 @@ mod tests {
         let block = ext.block_bytes;
         let whole: Vec<LabelRecord> = (0..6).map(|v| LabelRecord::new(v, v, 0)).collect();
         let holed: Vec<LabelRecord> = whole.iter().copied().filter(|r| r.key != 3).collect();
-        let whole = Labels::new(run_from_slice(&store, "whole", &whole, block).unwrap());
-        let holed = Labels::new(run_from_slice(&store, "holed", &holed, block).unwrap());
+        let whole = file_labels(run_from_slice(&store, "whole", &whole, block).unwrap());
+        let holed = file_labels(run_from_slice(&store, "holed", &holed, block).unwrap());
         for (cand, own, across) in [((3, 1), &holed, &whole), ((5, 3), &whole, &holed)] {
             let cands = [LabelRecord::new(cand.0, cand.1, 2)];
             let Err(e) = prune(&store, &ext, &cands, own, across) else {
@@ -1681,14 +1797,16 @@ mod tests {
 
     /// A label run whose `(key, pivot)` does not strictly increase, or
     /// whose key is not a vertex, is `InvalidData` naming the file when
-    /// it is loaded, not silently re-sorted.
+    /// it is loaded, not silently re-sorted. A repeated pair, which the
+    /// merge with the seeds keeps once, is refused by the count: the
+    /// merge holds fewer entries than the labels counted.
     #[test]
     fn an_unsorted_label_run_is_invalid_data_naming_the_file() {
         use extmem::run::run_from_slice;
         let (ext, store) = (tiny_ext(), TempStore::new().unwrap());
         let r = |key, pivot| LabelRecord::new(key, pivot, 1);
         let sorted = [r(0, 0), r(1, 0), r(1, 1), r(2, 0), r(2, 2)];
-        let run = Labels::new(run_from_slice(&store, "sorted", &sorted, ext.block_bytes).unwrap());
+        let run = file_labels(run_from_slice(&store, "sorted", &sorted, ext.block_bytes).unwrap());
         let labels = load_labels(&run, 3, &ext).unwrap();
         assert_eq!(labels.iter().map(VertexLabels::len).collect::<Vec<_>>(), [1, 2, 2]);
         let cases: [(&str, &[LabelRecord]); 4] = [
@@ -1698,11 +1816,119 @@ mod tests {
             ("past", &[r(0, 0), r(3, 0)]),
         ];
         for (tag, records) in cases {
-            let run = Labels::new(run_from_slice(&store, tag, records, ext.block_bytes).unwrap());
+            let run = file_labels(run_from_slice(&store, tag, records, ext.block_bytes).unwrap());
             let Err(e) = load_labels(&run, 3, &ext) else { panic!("{tag} must be refused") };
             assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
             assert!(e.to_string().contains(tag), "{tag}: {e}");
         }
+    }
+
+    /// The seeds read off the core are the records a file of them would
+    /// hold — each owner's seeds, then its self-entry, owner by owner —
+    /// and read as a run is read: on directed and undirected graphs, alone
+    /// and merged with a file run whose pairs overlap them, a labels
+    /// reader with a head hands out, pass after pass and under skips to
+    /// random keys, what a [`RunReader`] over the merged records does.
+    #[test]
+    fn the_seeds_read_as_a_run_of_them_would() {
+        use extmem::run::run_from_slice;
+        use graphgen::{glp, orient_scale_free, with_random_weights, GlpParams};
+        use rand::{Rng, SeedableRng};
+        let (ext, mut rng) = (tiny_ext(), rand::rngs::StdRng::seed_from_u64(0x5eed));
+        let und = with_random_weights(&glp(&GlpParams::with_density(150, 3.0, 3)), 1, 9, 3);
+        let dir = orient_scale_free(&und, 0.25, 3);
+        for (g, step) in [(&und, Direction::Out), (&dir, Direction::In), (&dir, Direction::Out)] {
+            let n = g.num_vertices() as u32;
+            let at = format!("directed = {}, step {step:?}", g.is_directed());
+            // The seeds from the arc list: an arc `a → b` seeds `(b, a)`
+            // on a side that steps out of `a`, `(a, b)` on one that steps
+            // into it, when the pivot outranks the owner.
+            let mut expect: Vec<LabelRecord> =
+                g.vertices().map(|v| LabelRecord::new(v, v, 0)).collect();
+            for a in g.vertices() {
+                for (b, w) in g.edges(a, Direction::Out) {
+                    let (owner, pivot) = if step == Direction::Out { (b, a) } else { (a, b) };
+                    if pivot < owner {
+                        expect.push(LabelRecord::new(owner, pivot, w));
+                    }
+                }
+            }
+            expect.sort_unstable();
+            let mut seeds = SeedReader::new(g, step);
+            let mut streamed = Vec::new();
+            while let Some(r) = seeds.next_record().unwrap() {
+                streamed.push(r);
+            }
+            assert_eq!(streamed, expect, "{at}");
+            // A file run over the same owners, one record per pair: some
+            // of the seeds' pairs, nearer and farther, and pairs of its
+            // own.
+            let mut file = Vec::new();
+            for r in expect.iter().filter(|r| r.key != r.pivot) {
+                if rng.gen_bool(0.3) {
+                    let dist = rng.gen_range(1..2 * r.dist + 2);
+                    file.push(LabelRecord::new(r.key, r.pivot, dist));
+                }
+            }
+            for _ in 0..3 * n {
+                let key = rng.gen_range(1..n);
+                file.push(LabelRecord::new(key, rng.gen_range(0..key), rng.gen_range(1..20)));
+            }
+            file.sort_unstable();
+            file.dedup_by_key(|r| (r.key, r.pivot));
+            let mut nearest = std::collections::BTreeMap::new();
+            for r in expect.iter().chain(&file) {
+                let d = nearest.entry((r.key, r.pivot)).or_insert(r.dist);
+                *d = r.dist.min(*d);
+            }
+            let merged: Vec<LabelRecord> =
+                nearest.into_iter().map(|((k, p), d)| LabelRecord::new(k, p, d)).collect();
+            let mut labels = Labels::seeded(g, step);
+            assert_eq!(labels.entries, expect.len() as u64, "{at}");
+            assert_reads_as(&labels, &expect, &mut rng, &format!("{at}, seeds alone"));
+            let store = TempStore::new().unwrap();
+            let run = Arc::new(run_from_slice(&store, "file", &file, ext.block_bytes).unwrap());
+            let replaced = (expect.len() + file.len() - merged.len()) as u64;
+            labels = labels.add(&store, &ext, &run, replaced).unwrap();
+            assert_eq!(labels.entries, merged.len() as u64, "{at}");
+            assert_reads_as(&labels, &merged, &mut rng, &format!("{at}, seeds and a file"));
+        }
+    }
+
+    /// `labels`, read through a reader with a head, hands out what a
+    /// [`RunReader`] with one over `records` does: every group on a first
+    /// pass, then on each later pass the group at or after each of half
+    /// as many random keys as on the one before — some past the last
+    /// owner; and it loads as `records`.
+    fn assert_reads_as(
+        labels: &Labels,
+        records: &[LabelRecord],
+        rng: &mut rand::rngs::StdRng,
+        at: &str,
+    ) {
+        use rand::Rng;
+        let (ext, store, head) = (tiny_ext(), TempStore::new().unwrap(), 600);
+        let whole = extmem::run::run_from_slice(&store, "whole", records, ext.block_bytes).unwrap();
+        let mut got = GroupReader::with_head(labels, ext.block_bytes, head).unwrap();
+        let mut want = GroupReader::new(whole.reader(ext.block_bytes, head).unwrap()).unwrap();
+        let n = labels.g.num_vertices() as u32;
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for pass in 0..5 {
+            got.rewind().unwrap();
+            want.rewind().unwrap();
+            for k in (0..n + 2).filter(|_| rng.gen_bool(0.5f64.powi(pass))) {
+                got.skip_to(k).unwrap();
+                want.skip_to(k).unwrap();
+                let (x, y) = (got.next_group(&mut a).unwrap(), want.next_group(&mut b).unwrap());
+                assert_eq!((x, &a), (y, &b), "{at}, pass {pass}, key {k}");
+            }
+        }
+        let label = |v: u32| {
+            let mine = records.iter().filter(|r| r.key == v);
+            VertexLabels::from_entries(mine.map(|&r| LabelEntry::from(r)).collect())
+        };
+        let expect: Vec<VertexLabels> = (0..n).map(label).collect();
+        assert_eq!(load_labels(labels, n as usize, &ext).unwrap(), expect, "{at}: loaded");
     }
 
     /// A fold of the base and 1 to `MAX_DELTAS` deltas writes, as its new
@@ -1746,7 +1972,7 @@ mod tests {
                 })
                 .collect();
             let file = |recs: &Vec<LabelRecord>| run_from_slice(&store, "l", recs, block).unwrap();
-            let mut labels = Labels::new(file(&runs[0]));
+            let mut labels = file_labels(file(&runs[0]));
             labels.deltas = runs[1..].iter().map(|r| Arc::new(file(r))).collect();
             let at = format!("{deltas} deltas, head {head}");
             let mut reader = labels.reader(block, head).unwrap();
@@ -1773,10 +1999,11 @@ mod tests {
             let folded = labels.add(&store, &ext, &surv, replaced).unwrap();
             assert!(folded.deltas.is_empty(), "{at}: the stack must fold");
             let after = (stats.read_bytes(), stats.write_bytes(), stats.merge_passes());
-            let expect = (before.0 + read, before.1 + folded.base.bytes(), before.2 + 1);
+            let base = folded.base.expect("a fold writes a base");
+            let expect = (before.0 + read, before.1 + base.bytes(), before.2 + 1);
             assert_eq!(after, expect, "{at}");
             assert_eq!(folded.entries, streamed.len() as u64, "{at}");
-            assert_eq!(folded.base.read_all().unwrap(), streamed, "{at}");
+            assert_eq!(base.read_all().unwrap(), streamed, "{at}");
         }
     }
 
@@ -1795,7 +2022,7 @@ mod tests {
                 hub.into_iter().chain([LabelRecord::new(v, v, 0)])
             })
             .collect();
-        let run = Labels::new(run_from_slice(&store, "labels", &labels, block).unwrap());
+        let run = file_labels(run_from_slice(&store, "labels", &labels, block).unwrap());
         // Owners below 190 offer the hub again at distance 3, dominated;
         // the last ten also offer their neighbour at distance 1, live.
         let mut cands = Vec::new();
@@ -1949,15 +2176,19 @@ mod tests {
             let result = run_on(&g, &cfg, &tiny_ext());
             let its = &result.stats.iterations;
             let (rows, files) = rows_and_files(&g, &cfg, &tiny_ext());
-            // Seeding walks the graph: it reads nothing and writes each
-            // side's label base, once, and no `prev` run: the first round
-            // reads its seeds off the graph.
+            // Seeding walks the graph: it reads and writes nothing, and
+            // leaves no file: every pass reads the seeds off the graph.
             let seeded = &files[0];
-            assert_eq!(seeded.prev(), 0);
-            assert!(seeded.0.iter().all(|s| s.deltas.is_empty()));
-            assert_eq!(io_columns(&its[..1]), [(0, seeded.labels())]);
-            assert!(its[1..].iter().all(|it| it.io_read_bytes > 0));
-            assert!(its.iter().all(|it| it.io_write_bytes > 0 || it.inserted == 0));
+            assert!(seeded.0.iter().all(|s| s.base.is_none() && s.deltas.is_empty()));
+            assert_eq!((seeded.labels(), seeded.prev()), (0, 0));
+            assert_eq!(io_columns(&its[..1]), [(0, 0)]);
+            // The first round reads nothing either: its `prev`, its arcs
+            // and both label inputs of its prune are the graph's, and its
+            // candidates fit in memory. Every later round reads a `prev`.
+            assert_eq!(its[1].io_read_bytes, 0);
+            assert!(its[1].io_write_bytes > 0);
+            assert!(its[2..].iter().all(|it| it.io_read_bytes > 0));
+            assert!(its[1..].iter().all(|it| it.io_write_bytes > 0 || it.inserted == 0));
             // The closing load reads the last round's label files whole.
             assert_eq!(io_columns(&rows), io_columns(its));
             let load_labels_read = files.last().expect("rows").labels();
@@ -1978,7 +2209,7 @@ mod tests {
     /// them with the `across` labels and the view, each build the
     /// in-memory engine's labels and rows, directed and undirected, with
     /// the same I/O columns at 1 and 2 threads — and the seeding row
-    /// writes each side's label base and nothing else.
+    /// reads and writes nothing and leaves no file.
     #[test]
     fn the_first_round_reads_its_seeds_off_the_graph() {
         for directed in [false, true] {
@@ -1989,8 +2220,9 @@ mod tests {
                 let (mem, mem_stats) = crate::engine::build_index(&g, &cfg);
                 let (rows, files) = rows_and_files(&g, &cfg, &tiny_ext());
                 let seeded = &files[0];
-                assert!(seeded.0.iter().all(|s| s.deltas.is_empty() && s.prev == 0), "{at}");
-                assert_eq!(io_columns(&rows[..1]), [(0, seeded.labels())], "{at}");
+                let no_file = SideFiles { base: None, base_bytes: 0, deltas: Vec::new(), prev: 0 };
+                assert!(seeded.0.iter().all(|s| *s == no_file), "{at}");
+                assert_eq!(io_columns(&rows[..1]), [(0, 0)], "{at}");
                 for threads in [1, 2] {
                     let result = run_on(&g, &cfg.clone().with_parallelism(threads), &tiny_ext());
                     assert_eq!(result.index, mem, "{at}, {threads} threads");
