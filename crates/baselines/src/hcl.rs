@@ -62,11 +62,6 @@ impl HighwayCover {
         HighwayCover { graph, highway, is_highway, from, to }
     }
 
-    /// Number of highway vertices.
-    pub fn highway_len(&self) -> usize {
-        self.highway.len()
-    }
-
     #[inline]
     fn d_to_highway(&self, h: usize, v: VertexId) -> Dist {
         if self.graph.is_directed() {
@@ -165,7 +160,7 @@ mod tests {
     fn star_queries_resolve_via_hub() {
         let g = graphgen::star(50);
         let hc = HighwayCover::build(g, 1);
-        assert_eq!(hc.highway_len(), 1);
+        assert_eq!(hc.highway.len(), 1);
         assert_eq!(hc.distance(5, 9), 2);
         assert_eq!(hc.distance(0, 9), 1);
     }

@@ -22,11 +22,13 @@ use std::time::Duration;
 
 use hopdb_server::proto::{Request, RequestBody};
 use hopdb_server::Client;
+use rand::rngs::StdRng;
+use rand::Rng;
 use sfgraph::VertexId;
 
 #[path = "../../../tests/testkit/mod.rs"]
 mod testkit;
-use testkit::{spread, Deployment, Edge, Lcg};
+use testkit::{clock_rng, spread, Deployment, Edge};
 
 const N: usize = 60;
 
@@ -92,12 +94,12 @@ fn connect(addr: SocketAddr) -> Client {
     Client::connect_retry(&addr, Some(Duration::from_secs(10)), 5).expect("connect")
 }
 
-fn random_batch(rng: &mut Lcg) -> Vec<Edge> {
-    let len = 1 + rng.below(3) as usize;
+fn random_batch(rng: &mut StdRng) -> Vec<Edge> {
+    let len = rng.gen_range(1..4);
     (0..len)
         .map(|_| {
-            let s = rng.below(N as u64) as VertexId;
-            let t = (s + 1 + rng.below(N as u64 - 1) as VertexId) % N as VertexId;
+            let s = rng.gen_range(0..N as VertexId);
+            let t = (s + rng.gen_range(1..N as VertexId)) % N as VertexId;
             (s, t, 1)
         })
         .collect()
@@ -144,7 +146,7 @@ fn assert_recovered(
 #[test]
 fn sigkill_during_ingest_recovers_the_acked_prefix() {
     let dep = built_by_the_cli();
-    let mut rng = Lcg::from_clock();
+    let mut rng = clock_rng();
 
     for trial in 0..3 {
         let wal_dir = dep.path(&format!("wal-ingest-{trial}"));
@@ -152,7 +154,7 @@ fn sigkill_during_ingest_recovers_the_acked_prefix() {
         let mut client = connect(addr);
 
         // Ack a random number of batches synchronously...
-        let acked: Vec<_> = (0..rng.below(5)).map(|_| random_batch(&mut rng)).collect();
+        let acked: Vec<_> = (0..rng.gen_range(0..5)).map(|_| random_batch(&mut rng)).collect();
         for batch in &acked {
             client.update(batch).expect("acked update");
         }
@@ -162,7 +164,7 @@ fn sigkill_during_ingest_recovers_the_acked_prefix() {
         let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
         raw.write_all(&Request { id: 1, body: RequestBody::Update(inflight.clone()) }.encode())
             .expect("fire in-flight update");
-        std::thread::sleep(Duration::from_millis(rng.below(8)));
+        std::thread::sleep(Duration::from_millis(rng.gen_range(0..8)));
         child.kill().expect("SIGKILL");
         child.wait().expect("reap");
         drop(raw);
@@ -174,7 +176,7 @@ fn sigkill_during_ingest_recovers_the_acked_prefix() {
 #[test]
 fn sigkill_during_compaction_loses_nothing() {
     let dep = built_by_the_cli();
-    let mut rng = Lcg::from_clock();
+    let mut rng = clock_rng();
 
     for trial in 0..4 {
         let wal_dir = dep.path(&format!("wal-compact-{trial}"));
@@ -189,7 +191,7 @@ fn sigkill_during_compaction_loses_nothing() {
             if round == 1 {
                 client.compact().expect("first checkpoint");
             }
-            for _ in 0..1 + rng.below(3) {
+            for _ in 0..rng.gen_range(1..4) {
                 let batch = random_batch(&mut rng);
                 client.update(&batch).expect("acked update");
                 acked.push(batch);
@@ -202,7 +204,7 @@ fn sigkill_during_compaction_loses_nothing() {
         let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
         raw.write_all(&Request { id: 1, body: RequestBody::Compact }.encode())
             .expect("fire compact");
-        std::thread::sleep(Duration::from_millis(rng.below(60)));
+        std::thread::sleep(Duration::from_millis(rng.gen_range(0..60)));
         child.kill().expect("SIGKILL");
         child.wait().expect("reap");
         drop(raw);

@@ -113,15 +113,28 @@ mod tests {
     use hoplabels::verify::assert_exact;
     use sfgraph::GraphBuilder;
 
+    /// Lemmas 3–4 on every labelled directed graph of up to 4 vertices,
+    /// by arc mask over the `u ≠ v` pairs (the 4-cycle among them): the
+    /// closure is both engines' unpruned fixpoint, and exact.
     #[test]
-    fn closure_is_exact_on_small_cycle() {
-        let mut b = GraphBuilder::new_directed(4);
-        for i in 0..4u32 {
-            b.add_edge(i, (i + 1) % 4);
+    fn six_rules_equal_four_rules_on_every_digraph_up_to_4_vertices() {
+        for n in 1..=4u32 {
+            let arcs: Vec<_> =
+                (0..n).flat_map(|u| (0..n).map(move |v| (u, v))).filter(|(u, v)| u != v).collect();
+            for mask in 0u32..1 << arcs.len() {
+                let mut b = GraphBuilder::new_directed(n as usize);
+                let chosen = arcs.iter().enumerate().filter(|&(i, _)| mask >> i & 1 == 1);
+                chosen.for_each(|(_, &(u, v))| b.add_edge(u, v));
+                let g = b.build();
+                let six = six_rule_closure(&g);
+                for strategy in [Strategy::Stepping, Strategy::Doubling] {
+                    let cfg = HopDbConfig::with_strategy(strategy.clone());
+                    let (four, _) = build_unpruned(&g, &cfg);
+                    assert_eq!(six, four, "n = {n}, arc mask {mask:#x}: {strategy:?}");
+                }
+                assert_exact(&g, &six);
+            }
         }
-        let g = b.build();
-        let idx = six_rule_closure(&g);
-        assert_exact(&g, &idx);
     }
 
     #[test]

@@ -567,7 +567,8 @@ impl LabelIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// A pivot-sorted label from `raw` picks: pivots in `shift..shift +
     /// n`, and distances whose sums reach `INF_DIST − 1` or saturate.
@@ -579,28 +580,34 @@ mod tests {
         VertexLabels::from_entries(entries.collect()).entries().to_vec()
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 64 } else { 512 }))]
+    /// A pivot-sorted label of up to 11 picks from `rng` (see
+    /// [`picked_label`]).
+    fn random_label(rng: &mut StdRng, shift: u32, n: u32) -> Vec<LabelEntry> {
+        let len = rng.gen_range(0usize..12);
+        let raw: Vec<_> =
+            (0..len).map(|_| (rng.gen_range(0u32..1_000), rng.gen_range(0u32..100))).collect();
+        picked_label(&raw, shift, n)
+    }
 
-        /// The one merge join against the brute-force reference: empty
-        /// and disjoint labels, one past the other's last pivot, sums at
-        /// `INF_DIST − 1` and past it, a ceiling of 0, of `n`, anywhere
-        /// and of none, and a bound below, at and above the least sum —
-        /// over both entry types, alike and mixed.
-        #[test]
-        fn merge_join_matches_the_brute_force_reference(
-            (raw_a, raw_b, (n, shift, anywhere), (ceiling_pick, bound_pick)) in (
-                proptest::collection::vec((0u32..1_000, 0u32..100), 0..12),
-                proptest::collection::vec((0u32..1_000, 0u32..100), 0..12),
-                (1u32..40, 0u32..80, 0u32..130),
-                (0usize..4, 0usize..5),
-            )
-        ) {
-            let (a, b) = (picked_label(&raw_a, 0, n), picked_label(&raw_b, shift, n));
+    /// The one merge join against the brute-force reference: empty and
+    /// disjoint labels, one past the other's last pivot, sums at
+    /// `INF_DIST − 1` and past it, a ceiling of 0, of `n`, anywhere and
+    /// of none, and a bound below, at and above the least sum — over
+    /// both entry types, alike and mixed.
+    #[test]
+    fn merge_join_matches_the_brute_force_reference() {
+        const SEED: u64 = 0x301e;
+        let mut rng = StdRng::seed_from_u64(SEED);
+        for case in 0..if cfg!(miri) { 64 } else { 512 } {
+            let (n, shift, anywhere) =
+                (rng.gen_range(1u32..40), rng.gen_range(0u32..80), rng.gen_range(0u32..130));
+            let (a, b) = (random_label(&mut rng, 0, n), random_label(&mut rng, shift, n));
+            let (ceiling_pick, bound_pick) = (rng.gen_range(0usize..4), rng.gen_range(0usize..5));
             let ceiling = [0, n, anywhere, VertexId::MAX][ceiling_pick];
             let least = merge_join_reference(&a, &b, ceiling);
-            let bound = [0, least.saturating_sub(1), least, least.saturating_add(1), INF_DIST]
-                [bound_pick];
+            let bound =
+                [0, least.saturating_sub(1), least, least.saturating_add(1), INF_DIST][bound_pick];
+            let at = format!("seed {SEED:#x} case {case}");
             // Every sum a shared pivot below the ceiling gives.
             let partner = |x: &LabelEntry| b.iter().find(|y| y.pivot == x.pivot);
             let sums: Vec<Dist> = a
@@ -608,7 +615,7 @@ mod tests {
                 .filter(|x| x.pivot < ceiling)
                 .filter_map(|x| partner(x).map(|y| x.dist.saturating_add(y.dist)))
                 .collect();
-            prop_assert_eq!(sums.iter().copied().min().unwrap_or(INF_DIST), least);
+            assert_eq!(sums.iter().copied().min().unwrap_or(INF_DIST), least, "{at}");
             let records = |label: &[LabelEntry]| -> Vec<extmem::LabelRecord> {
                 label.iter().map(|e| extmem::LabelRecord::new(7, e.pivot, e.dist)).collect()
             };
@@ -621,9 +628,10 @@ mod tests {
             ] {
                 if least <= bound {
                     // Stopped at a witness: some sum at or under the bound.
-                    prop_assert!(got <= bound && (sums.contains(&got) || got == least), "{got}");
+                    let witness = got <= bound && (sums.contains(&got) || got == least);
+                    assert!(witness, "{at}: {got}");
                 } else {
-                    prop_assert_eq!(got, least);
+                    assert_eq!(got, least, "{at}");
                 }
             }
         }

@@ -5,8 +5,6 @@
 //! `0 .. x·n`, so coverage curves reduce to a prefix-sum over a
 //! per-pivot entry count.
 
-use sfgraph::VertexId;
-
 use crate::index::LabelIndex;
 
 /// Per-pivot entry counts plus the derived coverage measurements.
@@ -46,11 +44,6 @@ impl CoverageStats {
     /// Total non-trivial entries in the index.
     pub fn total_entries(&self) -> u64 {
         self.total
-    }
-
-    /// Entries covered by pivot `p`.
-    pub fn count_for(&self, p: VertexId) -> u64 {
-        self.counts[p as usize]
     }
 
     /// Fraction of entries covered by the `k` highest-ranked vertices.
@@ -109,6 +102,7 @@ mod tests {
     use super::*;
     use crate::entry::LabelEntry;
     use crate::index::{LabelIndex, VertexLabels};
+    use sfgraph::VertexId;
 
     /// Index where pivot 0 covers 8 entries, pivot 1 covers 2.
     fn skewed_index() -> LabelIndex {
@@ -127,9 +121,7 @@ mod tests {
     fn counts_exclude_self_entries() {
         let s = CoverageStats::from_index(&skewed_index());
         assert_eq!(s.total_entries(), 10);
-        assert_eq!(s.count_for(0), 8);
-        assert_eq!(s.count_for(1), 2);
-        assert_eq!(s.count_for(5), 0);
+        assert_eq!(s.counts, [8, 2, 0, 0, 0, 0, 0, 0, 0, 0]);
     }
 
     #[test]

@@ -11,8 +11,8 @@ use hopdb_server::proto::{
     decode_request, read_response, AckReply, Decoded, FieldValue, InfoReply, Request, RequestBody,
     Response, ResponseBody, HEADER, HEADER_LEN, KINDS, MAX_PAYLOAD, REQ_MAGIC, RESP_MAGIC, VERSION,
 };
-use proptest::collection::vec;
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Decode `bytes` as everything a peer sent before closing its write
 /// side — the serving loop's view of a finished stream. A partial frame
@@ -32,119 +32,132 @@ fn is_fatal(e: &std::io::Error) -> bool {
     e.kind() == std::io::ErrorKind::InvalidData && e.to_string().contains("protocol violation")
 }
 
-/// Strategy: an arbitrary request of any kind.
-fn request_strategy() -> impl Strategy<Value = Request> {
-    (
-        0u64..u64::MAX,
-        0u8..6,
-        vec((0u32..u32::MAX, 0u32..u32::MAX), 1..300),
-        vec((0u32..u32::MAX, 0u32..u32::MAX, 0u32..u32::MAX), 1..300),
-    )
-        .prop_map(|(id, kind, pairs, edges)| {
-            let body = match kind {
-                0 => RequestBody::Query(pairs),
-                1 => RequestBody::Swap,
-                2 => RequestBody::Shutdown,
-                3 => RequestBody::Update(edges),
-                4 => RequestBody::Info,
-                _ => RequestBody::Compact,
-            };
-            Request { id, body }
-        })
+/// Cases per property.
+const CASES: u32 = 256;
+
+/// An arbitrary request of any kind.
+fn random_request(rng: &mut StdRng) -> Request {
+    let (id, kind) = (rng.gen_range(0..u64::MAX), rng.gen_range(0u8..6));
+    let word = |rng: &mut StdRng| rng.gen_range(0..u32::MAX);
+    let len = rng.gen_range(1usize..300);
+    let pairs = (0..len).map(|_| (word(rng), word(rng))).collect();
+    let len = rng.gen_range(1usize..300);
+    let edges = (0..len).map(|_| (word(rng), word(rng), word(rng))).collect();
+    let body = match kind {
+        0 => RequestBody::Query(pairs),
+        1 => RequestBody::Swap,
+        2 => RequestBody::Shutdown,
+        3 => RequestBody::Update(edges),
+        4 => RequestBody::Info,
+        _ => RequestBody::Compact,
+    };
+    Request { id, body }
 }
 
-/// Strategy: an arbitrary response of any kind. `InfoReply` names every
+/// An arbitrary response of any kind. `InfoReply` names every
 /// field it has today and defaults the rest, so a field added to the
 /// declaration round-trips (as zero) without an edit here.
 #[allow(clippy::needless_update)]
-fn response_strategy() -> impl Strategy<Value = Response> {
-    (0u64..u64::MAX, 0u8..7, vec(0u32..=u32::MAX, 0..300), 0u64..1 << 40, 0u64..1 << 32).prop_map(
-        |(id, kind, dists, a, b)| {
-            let body = match kind {
-                0 => ResponseBody::Distances(dists),
-                1 => ResponseBody::Swapped { generation: a, vertices: b },
-                2 => ResponseBody::Bye,
-                3 => ResponseBody::Updated { generation: a, overlay_edges: b },
-                4 => ResponseBody::Info(InfoReply {
-                    protocol: (a % 250) as u8,
-                    mode: (b % 3) as u8,
-                    generation: a,
-                    vertices: b,
-                    directed: a % 2 == 1,
-                    resident_bytes: a ^ b,
-                    overlay_edges: b >> 1,
-                    overlay_affected: a >> 3,
-                    compactions: a % 17,
-                    requests: b % 1009,
-                    protocol_errors: a % 13,
-                    durability: (b % 4) as u8,
-                    wal_epoch: a % 97,
-                    wal_records: b % 4093,
-                    wal_bytes: a % (1 << 30),
-                    recovered_records: b % 211,
-                    recovered_dropped_bytes: a % 4096,
-                    checkpoints: b % 31,
-                    aborted_compactions: a % 7,
-                    shard_lo: (a % (1 << 32)) as u32,
-                    shard_hi: (b % (1 << 32)) as u32,
-                    shard_index: (a % 7) as u32,
-                    shard_count: (b % 11) as u32,
-                    backends: (a % 5) as u32,
-                    failovers: a ^ b,
-                    ..Default::default()
-                }),
-                5 => ResponseBody::Compacted { generation: a, vertices: b },
-                _ => ResponseBody::Error(format!("error {a}")),
-            };
-            Response { id, body }
-        },
-    )
+fn random_response(rng: &mut StdRng) -> Response {
+    let (id, kind) = (rng.gen_range(0..u64::MAX), rng.gen_range(0u8..7));
+    let len = rng.gen_range(0usize..300);
+    let dists = (0..len).map(|_| rng.gen_range(0..=u32::MAX)).collect();
+    let (a, b) = (rng.gen_range(0..1u64 << 40), rng.gen_range(0..1u64 << 32));
+    let body = match kind {
+        0 => ResponseBody::Distances(dists),
+        1 => ResponseBody::Swapped { generation: a, vertices: b },
+        2 => ResponseBody::Bye,
+        3 => ResponseBody::Updated { generation: a, overlay_edges: b },
+        4 => ResponseBody::Info(InfoReply {
+            protocol: (a % 250) as u8,
+            mode: (b % 3) as u8,
+            generation: a,
+            vertices: b,
+            directed: a % 2 == 1,
+            resident_bytes: a ^ b,
+            overlay_edges: b >> 1,
+            overlay_affected: a >> 3,
+            compactions: a % 17,
+            requests: b % 1009,
+            protocol_errors: a % 13,
+            durability: (b % 4) as u8,
+            wal_epoch: a % 97,
+            wal_records: b % 4093,
+            wal_bytes: a % (1 << 30),
+            recovered_records: b % 211,
+            recovered_dropped_bytes: a % 4096,
+            checkpoints: b % 31,
+            aborted_compactions: a % 7,
+            shard_lo: (a % (1 << 32)) as u32,
+            shard_hi: (b % (1 << 32)) as u32,
+            shard_index: (a % 7) as u32,
+            shard_count: (b % 11) as u32,
+            backends: (a % 5) as u32,
+            failovers: a ^ b,
+            ..Default::default()
+        }),
+        5 => ResponseBody::Compacted { generation: a, vertices: b },
+        _ => ResponseBody::Error(format!("error {a}")),
+    };
+    Response { id, body }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn request_roundtrip(req in request_strategy()) {
+#[test]
+fn request_roundtrip() {
+    const SEED: u64 = 0x9e01;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for case in 0..CASES {
+        let req = random_request(&mut rng);
         let bytes = req.encode();
         match decode_at_eof(&bytes, usize::MAX) {
             Decoded::Request { request, used } => {
-                prop_assert_eq!(request, req);
-                prop_assert_eq!(used, bytes.len());
+                assert_eq!((request, used), (req, bytes.len()), "seed {SEED:#x} case {case}");
             }
-            other => panic!("roundtrip: {other:?}"),
+            other => panic!("seed {SEED:#x} case {case}: roundtrip: {other:?}"),
         }
     }
+}
 
-    #[test]
-    fn response_roundtrip(resp in response_strategy()) {
+#[test]
+fn response_roundtrip() {
+    const SEED: u64 = 0x9e02;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for case in 0..CASES {
+        let resp = random_response(&mut rng);
         let bytes = resp.encode();
-        let got = read_response(&mut Cursor::new(&bytes)).expect("roundtrip");
-        prop_assert_eq!(got, resp);
+        let at = format!("seed {SEED:#x} case {case}");
+        let got = read_response(&mut Cursor::new(&bytes)).unwrap_or_else(|e| panic!("{at}: {e}"));
+        assert_eq!(got, resp, "{at}");
     }
+}
 
-    #[test]
-    fn truncated_request_frames_never_panic(
-        (req, keep_millionths) in (request_strategy(), 0u32..1_000_000)
-    ) {
+#[test]
+fn truncated_request_frames_never_panic() {
+    const SEED: u64 = 0x9e03;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for case in 0..CASES {
+        let (req, keep_millionths) = (random_request(&mut rng), rng.gen_range(0u64..1_000_000));
         let bytes = req.encode();
-        let keep = (bytes.len() as u64 * keep_millionths as u64 / 1_000_000) as usize;
+        let keep = (bytes.len() as u64 * keep_millionths / 1_000_000) as usize;
+        let at = format!("seed {SEED:#x} case {case}: {keep} of {} bytes", bytes.len());
         match decode_at_eof(&bytes[..keep], usize::MAX) {
-            Decoded::Request { .. } => {
-                prop_assert_eq!(keep, bytes.len(), "decoded from a strict prefix");
-            }
-            Decoded::Incomplete => prop_assert_eq!(keep, 0),
+            Decoded::Request { .. } => assert_eq!(keep, bytes.len(), "{at}: decoded a prefix"),
+            Decoded::Incomplete => assert_eq!(keep, 0, "{at}"),
             Decoded::Fatal(_) => {}
-            other @ Decoded::Bad { .. } => panic!("unexpected error class: {other:?}"),
+            other @ Decoded::Bad { .. } => panic!("{at}: unexpected error class: {other:?}"),
         }
     }
+}
 
-    #[test]
-    fn single_byte_corruption_never_panics_or_misparses_silently(
-        (req, at_millionths, xor) in (request_strategy(), 0u32..1_000_000, 1u8..=255)
-    ) {
+#[test]
+fn single_byte_corruption_never_panics_or_misparses_silently() {
+    const SEED: u64 = 0x9e04;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for case in 0..CASES {
+        let (req, at_millionths) = (random_request(&mut rng), rng.gen_range(0u64..1_000_000));
+        let xor = rng.gen_range(1u8..=255);
         let mut bytes = req.encode();
-        let at = (bytes.len() as u64 * at_millionths as u64 / 1_000_000) as usize % bytes.len();
+        let at = (bytes.len() as u64 * at_millionths / 1_000_000) as usize % bytes.len();
         bytes[at] ^= xor;
         // Any outcome is acceptable except a panic — a flipped byte in
         // the id or pair region still decodes, by design — but a
@@ -152,8 +165,8 @@ proptest! {
         // a corrupted kind or length must never decode as a frame that
         // re-encodes like the original.
         if let Decoded::Request { request: got, .. } = decode_at_eof(&bytes, usize::MAX) {
-            prop_assert!(at > 4, "corrupt magic/version byte {} still decoded", at);
-            prop_assert_ne!(got.encode(), req.encode());
+            assert!(at > 4, "seed {SEED:#x} case {case}: corrupt magic/version byte {at} decoded");
+            assert_ne!(got.encode(), req.encode(), "seed {SEED:#x} case {case}: byte {at}");
         }
     }
 }

@@ -19,29 +19,31 @@ use std::time::Duration;
 use hopdb_server::{
     serve, serve_router, Client, RouteMode, RouterConfig, ServerConfig, ServerHandle,
 };
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sfgraph::builder::GraphBuilder;
-use sfgraph::{Dist, VertexId};
+use sfgraph::VertexId;
 
 #[path = "../../../tests/testkit/mod.rs"]
 mod testkit;
-use testkit::{sidecar, triples, Deployment, Ids, Lcg};
+use testkit::{sidecar, triples, Deployment, Ids};
 
 const N: usize = 120;
 
 /// The routed image, served in rank ids: a connected scale-free-ish
 /// graph, a ring for connectivity plus random weighted chords.
 fn deployment(directed: bool) -> Deployment {
-    let mut rng = Lcg(0xD15C0 | 1);
+    let mut rng = StdRng::seed_from_u64(0xD15C0);
     let mut b =
         if directed { GraphBuilder::new_directed(N) } else { GraphBuilder::new_undirected(N) }
             .weighted();
     for v in 0..N as VertexId {
-        b.add_weighted_edge(v, (v + 1) % N as VertexId, 1 + rng.below(3) as Dist);
+        b.add_weighted_edge(v, (v + 1) % N as VertexId, rng.gen_range(1..4));
     }
     for _ in 0..3 * N {
-        let (s, t) = (rng.below(N as u64) as VertexId, rng.below(N as u64) as VertexId);
+        let (s, t) = (rng.gen_range(0..N as VertexId), rng.gen_range(0..N as VertexId));
         if s != t {
-            b.add_weighted_edge(s, t, 1 + rng.below(4) as Dist);
+            b.add_weighted_edge(s, t, rng.gen_range(1..5));
         }
     }
     Deployment::new(&b.build(), Ids::Rank)

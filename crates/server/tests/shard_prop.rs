@@ -16,8 +16,8 @@
 
 use hoplabels::flat::FlatIndex;
 use hoplabels::{min_merge, shard_image, LabelEntry, LabelIndex, VertexLabels};
-use proptest::collection::vec;
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
 use sfgraph::{GraphBuilder, VertexId, INF_DIST};
 
@@ -28,38 +28,24 @@ fn image_of(index: &LabelIndex) -> Vec<u8> {
     bytes
 }
 
-/// Strategy: an arbitrary small undirected label index. Entries are
-/// raw `(vertex, pivot, dist)` triples, the pivot taken below the vertex:
-/// an image holds no other.
-fn undirected_index_strategy() -> impl Strategy<Value = LabelIndex> {
-    (2usize..24).prop_flat_map(|n| {
-        vec((1..n, 0..n, 1u32..50), 0..96).prop_map(move |entries| {
-            let mut index = LabelIndex::new(n, false);
-            for (v, pivot, d) in entries {
-                index.sides_mut()[0][v].insert_min(LabelEntry::new((pivot % v) as VertexId, d));
-            }
-            index
-        })
-    })
-}
+/// Cases per property.
+const CASES: u32 = 64;
 
-/// Strategy: an arbitrary small directed label index (independent
-/// in/out label sets).
-fn directed_index_strategy() -> impl Strategy<Value = LabelIndex> {
-    (2usize..24).prop_flat_map(|n| {
-        (vec((1..n, 0..n, 1u32..50), 0..64), vec((1..n, 0..n, 1u32..50), 0..64)).prop_map(
-            move |(outs, ins)| {
-                let mut index = LabelIndex::new(n, true);
-                let entry = |v, pivot, dist| LabelEntry::new((pivot % v) as VertexId, dist);
-                for (side, entries) in [outs, ins].into_iter().enumerate() {
-                    for (v, pivot, dist) in entries {
-                        index.sides_mut()[side][v].insert_min(entry(v, pivot, dist));
-                    }
-                }
-                index
-            },
-        )
-    })
+/// An arbitrary small label index of 2..24 vertices, undirected (one
+/// side of up to 95 raw `(vertex, pivot, dist)` entries) or directed
+/// (two of up to 63 each). Each entry's pivot is taken below its
+/// vertex: an image holds no other.
+fn random_index(rng: &mut StdRng, directed: bool) -> LabelIndex {
+    let n = rng.gen_range(2usize..24);
+    let mut index = LabelIndex::new(n, directed);
+    let most = if directed { 64 } else { 96 };
+    for side in index.sides_mut() {
+        for _ in 0..rng.gen_range(0..most) {
+            let (v, pivot, d) = (rng.gen_range(1..n), rng.gen_range(0..n), rng.gen_range(1..50));
+            side[v].insert_min(LabelEntry::new((pivot % v) as VertexId, d));
+        }
+    }
+    index
 }
 
 /// A random draw: a vertex pick, a weight, and a way to orient an edge.
@@ -91,51 +77,51 @@ fn built_index(
     hopdb::build_prelabeled(&g, &hopdb::HopDbConfig::default()).0
 }
 
-/// Strategy: the index built for a random recursive tree (vertex `v`
-/// hangs off a random earlier vertex) plus a few extra edges — a graph
-/// of leaves, as scale-free fringes are.
-fn leafy_index_strategy(directed: bool) -> impl Strategy<Value = LabelIndex> {
-    (4usize..40, vec((0u32..1 << 20, 1u32..9, 0u32..3), 44..45), 0usize..5).prop_map(
-        move |(n, draws, extra)| {
-            let edges = (1..n)
-                .map(|v| (v as u32, draws[v].0 % v as u32))
-                .chain(draws[..extra].iter().map(|&(x, ..)| (x % n as u32, (x >> 10) % n as u32)));
-            built_index(directed, n, edges, &draws)
-        },
-    )
+/// The 44 draws a built graph takes its edges, weights and orientations
+/// from.
+fn draws(rng: &mut StdRng) -> Vec<Draw> {
+    (0..44).map(|_| (rng.gen_range(0..1 << 20), rng.gen_range(1..9), rng.gen_range(0..3))).collect()
 }
 
-/// Strategy: the index built for a random recursive tree whose edges are
-/// each subdivided by a new vertex half of the time, plus up to two
-/// cycles of 3 to 6 vertices hung off one vertex — a graph of chains,
-/// whose vertices with two neighbours the builders derive.
-fn chainy_index_strategy(directed: bool) -> impl Strategy<Value = LabelIndex> {
-    (4usize..24, vec((0u32..1 << 20, 1u32..9, 0u32..3), 44..45), 0usize..3).prop_map(
-        move |(tree, draws, cycles)| {
-            let mut edges = Vec::new();
-            let mut n = tree as u32;
-            for v in 1..tree as u32 {
-                let (x, ..) = draws[v as usize];
-                let u = x % v;
-                if x & 1 << 19 == 0 {
-                    edges.push((u, v));
-                } else {
-                    edges.extend([(u, n), (n, v)]);
-                    n += 1;
-                }
-            }
-            for &(x, ..) in &draws[40..40 + cycles] {
-                let anchor = (x >> 4) % n;
-                let mut prev = anchor;
-                for _ in 0..2 + x % 4 {
-                    edges.push((prev, n));
-                    (prev, n) = (n, n + 1);
-                }
-                edges.push((prev, anchor));
-            }
-            built_index(directed, n as usize, edges.into_iter(), &draws)
-        },
-    )
+/// The index built for a random recursive tree of 4..40 vertices (vertex
+/// `v` hangs off a random earlier vertex) plus up to four extra edges —
+/// a graph of leaves, as scale-free fringes are.
+fn leafy_index(rng: &mut StdRng, directed: bool) -> LabelIndex {
+    let (n, draws, extra) = (rng.gen_range(4usize..40), draws(rng), rng.gen_range(0usize..5));
+    let edges = (1..n)
+        .map(|v| (v as u32, draws[v].0 % v as u32))
+        .chain(draws[..extra].iter().map(|&(x, ..)| (x % n as u32, (x >> 10) % n as u32)));
+    built_index(directed, n, edges, &draws)
+}
+
+/// The index built for a random recursive tree of 4..24 vertices whose
+/// edges are each subdivided by a new vertex half of the time, plus up
+/// to two cycles of 3 to 6 vertices hung off one vertex — a graph of
+/// chains, whose vertices with two neighbours the builders derive.
+fn chainy_index(rng: &mut StdRng, directed: bool) -> LabelIndex {
+    let (tree, draws, cycles) = (rng.gen_range(4usize..24), draws(rng), rng.gen_range(0usize..3));
+    let mut edges = Vec::new();
+    let mut n = tree as u32;
+    for v in 1..tree as u32 {
+        let (x, ..) = draws[v as usize];
+        let u = x % v;
+        if x & 1 << 19 == 0 {
+            edges.push((u, v));
+        } else {
+            edges.extend([(u, n), (n, v)]);
+            n += 1;
+        }
+    }
+    for &(x, ..) in &draws[40..40 + cycles] {
+        let anchor = (x >> 4) % n;
+        let mut prev = anchor;
+        for _ in 0..2 + x % 4 {
+            edges.push((prev, n));
+            (prev, n) = (n, n + 1);
+        }
+        edges.push((prev, anchor));
+    }
+    built_index(directed, n as usize, edges.into_iter(), &draws)
 }
 
 /// Each shard's image is the one the writer makes of the source with
@@ -192,42 +178,49 @@ fn check_partition_and_merge(index: &LabelIndex, k: usize) {
     assert_eq!(merged, expect, "min-merged shard answers diverge (k = {k})");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn undirected_shards_partition_and_merge_exactly(
-        (index, k) in (undirected_index_strategy(), 1usize..6)
-    ) {
-        check_partition_and_merge(&index, k);
+/// Check `check` on [`CASES`] draws of `draw` from `seed`, naming the
+/// seed and case of a failure.
+fn for_cases<T>(seed: u64, draw: impl Fn(&mut StdRng) -> T, check: impl Fn(&T)) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for case in 0..CASES {
+        let drawn = draw(&mut rng);
+        let checked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check(&drawn)));
+        assert!(checked.is_ok(), "seed {seed:#x} case {case} failed");
     }
+}
 
-    #[test]
-    fn directed_shards_partition_and_merge_exactly(
-        (index, k) in (directed_index_strategy(), 1usize..6)
-    ) {
-        check_partition_and_merge(&index, k);
-    }
+#[test]
+fn undirected_shards_partition_and_merge_exactly() {
+    let draw = |rng: &mut StdRng| (random_index(rng, false), rng.gen_range(1usize..6));
+    for_cases(0x5a01, draw, |(index, k)| check_partition_and_merge(index, *k));
+}
 
-    #[test]
-    fn leaf_rich_shards_partition_merge_and_prune_exactly(
-        (undirected, directed, k) in
-            (leafy_index_strategy(false), leafy_index_strategy(true), 1usize..5)
-    ) {
-        for index in [undirected, directed] {
-            check_partition_and_merge(&index, k);
-            check_pruned_to_range(&index, k);
-        }
-    }
+#[test]
+fn directed_shards_partition_and_merge_exactly() {
+    let draw = |rng: &mut StdRng| (random_index(rng, true), rng.gen_range(1usize..6));
+    for_cases(0x5a02, draw, |(index, k)| check_partition_and_merge(index, *k));
+}
 
-    #[test]
-    fn chain_rich_shards_partition_merge_and_prune_exactly(
-        (undirected, directed, k) in
-            (chainy_index_strategy(false), chainy_index_strategy(true), 1usize..5)
-    ) {
-        for index in [undirected, directed] {
-            check_partition_and_merge(&index, k);
-            check_pruned_to_range(&index, k);
-        }
+/// Partition, merge and prune on both orientations of a drawn graph.
+fn check_built((undirected, directed, k): &(LabelIndex, LabelIndex, usize)) {
+    for index in [undirected, directed] {
+        check_partition_and_merge(index, *k);
+        check_pruned_to_range(index, *k);
     }
+}
+
+#[test]
+fn leaf_rich_shards_partition_merge_and_prune_exactly() {
+    let draw = |rng: &mut StdRng| {
+        (leafy_index(rng, false), leafy_index(rng, true), rng.gen_range(1usize..5))
+    };
+    for_cases(0x5a03, draw, check_built);
+}
+
+#[test]
+fn chain_rich_shards_partition_merge_and_prune_exactly() {
+    let draw = |rng: &mut StdRng| {
+        (chainy_index(rng, false), chainy_index(rng, true), rng.gen_range(1usize..5))
+    };
+    for_cases(0x5a04, draw, check_built);
 }

@@ -58,14 +58,6 @@ impl GraphBuilder {
         self.edges.push((u, v, w.max(1)));
     }
 
-    /// Whether the (normalised) edge has already been added. O(m) scan —
-    /// intended for generators that check membership rarely; generators
-    /// needing fast membership keep their own hash set.
-    pub fn contains_edge(&self, u: VertexId, v: VertexId) -> bool {
-        let key = if self.directed || u <= v { (u, v) } else { (v, u) };
-        self.edges.iter().any(|&(a, b, _)| (a, b) == key)
-    }
-
     /// Build without consuming the builder (clones the edge list) —
     /// convenient when deriving several graphs from one edge set.
     pub fn build_clone(&self) -> Graph {
@@ -177,11 +169,12 @@ mod tests {
     fn contains_edge_respects_orientation() {
         let mut d = GraphBuilder::new_directed(3);
         d.add_edge(0, 1);
-        assert!(d.contains_edge(0, 1));
-        assert!(!d.contains_edge(1, 0));
+        let d = d.build();
+        assert!(d.has_edge(0, 1));
+        assert!(!d.has_edge(1, 0));
 
         let mut u = GraphBuilder::new_undirected(3);
         u.add_edge(0, 1);
-        assert!(u.contains_edge(1, 0));
+        assert!(u.build().has_edge(1, 0));
     }
 }

@@ -28,34 +28,40 @@ use hop_doubling::hoplabels::{LabelIndex, LiveIndex, QueryBackend};
 use hop_doubling::sfgraph::ranking::{rank_vertices, RankBy};
 use hop_doubling::sfgraph::{Dist, Graph, VertexId};
 use labelkit::{assert_readers_on, image, merged_shards, truth, Pair};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-/// Strategy: a small random GLP graph, optionally oriented (directed).
-fn glp_strategy(directed: bool) -> impl Strategy<Value = Graph> {
-    (30usize..90, 1u64..5000, 20u64..45).prop_map(move |(n, seed, density_tenths)| {
-        let und = glp(&GlpParams::with_density(n, density_tenths as f64 / 10.0, seed));
-        if directed {
-            orient_scale_free(&und, 0.25, seed)
-        } else {
-            und
-        }
-    })
+/// Cases per property.
+const CASES: u32 = 12;
+
+/// A small random GLP graph of 30..90 vertices at density 2.0..4.4,
+/// optionally oriented (directed).
+fn random_glp(rng: &mut StdRng, directed: bool) -> Graph {
+    let (n, seed, density_tenths) =
+        (rng.gen_range(30usize..90), rng.gen_range(1u64..5000), rng.gen_range(20u64..45));
+    let und = glp(&GlpParams::with_density(n, density_tenths as f64 / 10.0, seed));
+    if directed {
+        orient_scale_free(&und, 0.25, seed)
+    } else {
+        und
+    }
 }
 
 /// Check every surface against BFS truth on all pairs of `g`; returns
-/// the nested index it built and the build's statistics.
-fn check_equivalence(g: &Graph) -> (LabelIndex, BuildStats) {
-    check_among(g, &g.vertices().collect::<Vec<_>>())
+/// the nested index it built and the build's statistics. `at` names the
+/// case in a failure.
+fn check_equivalence(g: &Graph, at: &str) -> (LabelIndex, BuildStats) {
+    check_among(g, &g.vertices().collect::<Vec<_>>(), at)
 }
 
 /// [`check_equivalence`] on the pairs of `among` (ids of `g`) only: the
 /// kit's in-memory readers, then the file-backed and concurrent ones.
-fn check_among(g: &Graph, among: &[VertexId]) -> (LabelIndex, BuildStats) {
+fn check_among(g: &Graph, among: &[VertexId], at: &str) -> (LabelIndex, BuildStats) {
     let (ranking, relabeled) = rank(g, &HopDbConfig::default());
     let among: Vec<VertexId> = among.iter().map(|&v| ranking.rank_of(v)).collect();
     let pairs: Vec<Pair> = among.iter().flat_map(|&s| among.iter().map(move |&t| (s, t))).collect();
     let (index, stats) = build_prelabeled(&relabeled, &HopDbConfig::default());
-    let expect = assert_readers_on(&relabeled, &index, &pairs, "flat_equivalence");
+    let expect = assert_readers_on(&relabeled, &index, &pairs, at);
     let flat = FlatIndex::from_index(&index);
     let store = TempStore::new().expect("temp store");
     let mut disk = DiskIndex::create(&index, &store, "flat-eq").expect("disk index");
@@ -72,32 +78,32 @@ fn check_among(g: &Graph, among: &[VertexId]) -> (LabelIndex, BuildStats) {
         |v| index.target_labels(v).record().is_some(),
     );
     let derived = (0..n).filter(|&v| out_record(v) || in_record(v)).count();
-    prop_assert_eq!(derived, stats.derived_vertices as usize);
+    assert_eq!(derived, stats.derived_vertices as usize, "{at}");
     for (&(s, t), &want) in pairs.iter().zip(&expect) {
-        prop_assert_eq!(disk.query(s, t).expect("disk query"), want, "disk {s}->{t}");
-        prop_assert_eq!(cached.query(s, t).expect("cached query"), want, "cached {s}->{t}");
+        assert_eq!(disk.query(s, t).expect("disk query"), want, "{at}: disk {s}->{t}");
+        assert_eq!(cached.query(s, t).expect("cached query"), want, "{at}: cached {s}->{t}");
     }
 
     // The batched path must agree pair-for-pair, in input order, at
     // every thread count.
     for threads in [1usize, 2, 4, 8] {
         let got = flat.query_many(&pairs, threads);
-        prop_assert_eq!(&got, &expect, "query_many at {threads} threads");
+        assert_eq!(&got, &expect, "{at}: query_many at {threads} threads");
     }
 
     // Three pivot-range shards min-merge back to the truth too.
-    prop_assert_eq!(merged_shards(&image(&index), 3, &pairs), expect, "3-shard min-merge");
+    assert_eq!(merged_shards(&image(&index), 3, &pairs), expect, "{at}: 3-shard min-merge");
 
     // Overlay edges from a vertex whose source side is a record and to
     // one whose target side is (the last vertex of `among` when there
     // is none), each to or from a vertex a way round `among`.
-    let at = |i: usize| among[i % among.len()];
+    let nth = |i: usize| among[i % among.len()];
     let find = |record: &dyn Fn(VertexId) -> bool| {
         among.iter().position(|&v| record(v)).unwrap_or(among.len() - 1)
     };
     let (from, to) = (find(&out_record), find(&in_record));
     let edges: Vec<_> =
-        [(at(from), at(from + among.len() / 2), 2), (at(to + among.len() / 3), at(to), 3)]
+        [(nth(from), nth(from + among.len() / 2), 2), (nth(to + among.len() / 3), nth(to), 3)]
             .into_iter()
             .filter(|&(u, v, _)| u != v)
             .collect();
@@ -106,14 +112,14 @@ fn check_among(g: &Graph, among: &[VertexId]) -> (LabelIndex, BuildStats) {
     let want = truth(&labelkit::graph(g.is_directed(), g.num_vertices(), true, arcs), &pairs);
     let got: Vec<Dist> =
         pairs.iter().map(|&(s, t)| live.query(s, t).expect("live query")).collect();
-    prop_assert_eq!(got, want, "live after {edges:?}");
+    assert_eq!(got, want, "{at}: live after {edges:?}");
 
     // And the flat index reloaded from the serialized on-disk image
     // must be the same structure queries are already served from.
     let path = disk.persist();
     let reloaded = FlatIndex::load(&path).expect("flat load");
     std::fs::remove_file(path).ok();
-    prop_assert_eq!(reloaded, flat);
+    assert_eq!(reloaded, flat, "{at}");
     (index, stats)
 }
 
@@ -126,7 +132,7 @@ type Case = (&'static str, Graph, u64, u64);
 
 fn assert_corpus(corpus: Vec<Case>) {
     for (name, g, derived, two) in corpus {
-        let (_, stats) = check_equivalence(&g);
+        let (_, stats) = check_equivalence(&g, name);
         let got = (stats.derived_vertices, stats.derived_vertices - stats.derived_leaves);
         assert_eq!(got, (derived, two), "{name}");
     }
@@ -233,7 +239,7 @@ fn a_two_parent_record_needing_8_bytes_stays_in_the_core() {
     edges.extend([(v, a, 1), (v, a + 1, 1), (w, 0, 1), (w, 1, 1)]);
     let g = graph(false, w as usize + 1, &edges);
     let among: Vec<VertexId> = (0..10).chain(a..=w).collect();
-    let (index, stats) = check_among(&g, &among);
+    let (index, stats) = check_among(&g, &among, "an 8-byte record");
     assert_eq!((stats.derived_vertices, stats.derived_leaves), (1, 0));
     let ranking = rank_vertices(&g, &RankBy::paper_default(&g));
     let (a, v, w) = (ranking.rank_of(a), ranking.rank_of(v), ranking.rank_of(w));
@@ -242,54 +248,76 @@ fn a_two_parent_record_needing_8_bytes_stays_in_the_core() {
     assert_eq!(index.source_labels(w).record().expect("w is derived").pairs(), [(0, 1), (1, 1)]);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn all_query_surfaces_agree_undirected(g in glp_strategy(false)) {
-        check_equivalence(&g);
+#[test]
+fn all_query_surfaces_agree_undirected() {
+    const SEED: u64 = 0xf1a1;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for case in 0..CASES {
+        check_equivalence(&random_glp(&mut rng, false), &format!("seed {SEED:#x} case {case}"));
     }
+}
 
-    #[test]
-    fn all_query_surfaces_agree_directed(g in glp_strategy(true)) {
-        check_equivalence(&g);
+#[test]
+fn all_query_surfaces_agree_directed() {
+    const SEED: u64 = 0xf1a2;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for case in 0..CASES {
+        check_equivalence(&random_glp(&mut rng, true), &format!("seed {SEED:#x} case {case}"));
     }
+}
 
-    #[test]
-    fn all_query_surfaces_agree_at_density_2_5(seed in 1u64..5000) {
-        // The shape of hopbench's dir-ext-read, where about half the
-        // vertices are derived: directed, weighted, and as it is.
+#[test]
+fn all_query_surfaces_agree_at_density_2_5() {
+    // The shape of hopbench's dir-ext-read, where about half the
+    // vertices are derived: directed, weighted, and as it is.
+    const SEED: u64 = 0xf1a3;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for case in 0..CASES {
+        let seed = rng.gen_range(1u64..5000);
         let und = glp(&GlpParams::with_density(80, 2.5, seed));
         let (directed, weighted) =
             (orient_scale_free(&und, 0.25, seed), with_random_weights(&und, 1, 300, seed));
         for g in [directed, weighted, und] {
-            let (_, stats) = check_equivalence(&g);
-            prop_assert!(stats.derived_vertices > 0, "nothing derived");
+            let at = format!("seed {SEED:#x} case {case}");
+            let (_, stats) = check_equivalence(&g, &at);
+            assert!(stats.derived_vertices > 0, "{at}: nothing derived");
         }
     }
+}
 
-    #[test]
-    fn all_query_surfaces_agree_at_density_4(seed in 1u64..5000) {
-        // The shape of hopbench's und-mem-read and und-mem-writes: no
-        // leaf to speak of, and many vertices with two neighbours.
+#[test]
+fn all_query_surfaces_agree_at_density_4() {
+    // The shape of hopbench's und-mem-read and und-mem-writes: no leaf
+    // to speak of, and many vertices with two neighbours.
+    const SEED: u64 = 0xf1a4;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for case in 0..CASES {
+        let seed = rng.gen_range(1u64..5000);
         let und = glp(&GlpParams::with_density(80, 4.0, seed));
         for g in [orient_scale_free(&und, 0.25, seed), und] {
-            let (_, stats) = check_equivalence(&g);
-            prop_assert!(stats.derived_vertices > stats.derived_leaves, "no chain derived");
+            let at = format!("seed {SEED:#x} case {case}");
+            let (_, stats) = check_equivalence(&g, &at);
+            assert!(stats.derived_vertices > stats.derived_leaves, "{at}: no chain derived");
         }
     }
+}
 
-    #[test]
-    fn all_query_surfaces_agree_weighted((g, seed) in (glp_strategy(false), 1u64..5000)) {
-        // Weights of 200–400 put every hub distance but the self entry
-        // past one byte, and a few past two hops past 255 × 2.
-        let (index, _) = check_equivalence(&with_random_weights(&g, 200, 400, seed));
+#[test]
+fn all_query_surfaces_agree_weighted() {
+    // Weights of 200–400 put every hub distance but the self entry past
+    // one byte, and a few past two hops past 255 × 2.
+    const SEED: u64 = 0xf1a5;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for case in 0..CASES {
+        let (g, seed) = (random_glp(&mut rng, false), rng.gen_range(1u64..5000));
+        let at = format!("seed {SEED:#x} case {case}");
+        let (index, _) = check_equivalence(&with_random_weights(&g, 200, 400, seed), &at);
         let hub_max = index.sides()[0]
             .iter()
             .flat_map(|l| l.entries())
             .filter(|e| e.pivot < 64)
             .map(|e| e.dist)
             .max();
-        prop_assert!(hub_max > Some(255), "the weighted case must leave the 1-byte width");
+        assert!(hub_max > Some(255), "{at}: the weighted case must leave the 1-byte width");
     }
 }

@@ -23,7 +23,12 @@
 //! * stepping, doubling, the default and — where the sweep takes it —
 //!   the external build at a budget that spills write one `HOPIDX`
 //!   image;
-//! * the unpruned fixpoint (`engine::build_unpruned`) answers exactly.
+//! * the unpruned fixpoint (`engine::build_unpruned`) answers exactly;
+//! * on undirected graphs of up to 4 vertices and directed ones of up to
+//!   3, a [`LiveIndex`] over the default build's flat index, with any one
+//!   missing edge in its overlay at weight 1 (and at 2 over a weighted
+//!   alphabet), answers every pair as BFS/Dijkstra on the graph plus that
+//!   edge does.
 //!
 //! `cargo test` sweeps every undirected graph on up to 5 vertices and
 //! every directed graph on up to 3 with both engines, and every directed
@@ -34,13 +39,17 @@
 
 mod labelkit;
 
+use std::sync::Arc;
+
 use hop_doubling::extmem::ExtMemConfig;
 use hop_doubling::hopdb::engine::build_unpruned;
 use hop_doubling::hopdb::external::build_external;
 use hop_doubling::hopdb::{build_prelabeled, rank, HopDbConfig, Strategy};
+use hop_doubling::hoplabels::flat::FlatIndex;
 use hop_doubling::hoplabels::verify::{check_exact, is_minimal};
+use hop_doubling::hoplabels::{LabelIndex, LiveIndex, QueryBackend};
 use hop_doubling::sfgraph::{Dist, Graph};
-use labelkit::{assert_canonical, assert_readers, image, Pair};
+use labelkit::{assert_canonical, assert_readers, image, pairs_from, truth, Pair};
 
 /// The vertex pairs of `n` vertices a code's digits stand for, digit 0
 /// first: each `u < v` once on an undirected graph, each `u ≠ v` in
@@ -60,6 +69,24 @@ fn graph(n: u32, directed: bool, slots: &[Pair], weights: &[Dist], code: u32) ->
     labelkit::graph(directed, n as usize, weights != [1], arcs)
 }
 
+/// A [`LiveIndex`] over `index`, the default build of `g`, with one
+/// overlay edge at a time: each slot where `g` has no edge, at each of
+/// `weights`. Every pair must answer as on `g` plus that edge.
+fn assert_overlay(g: &Graph, index: &LabelIndex, slots: &[Pair], weights: &[Dist], at: &str) {
+    let frozen: Arc<dyn QueryBackend> = Arc::new(FlatIndex::from_index(index));
+    let pairs = pairs_from(g, 1);
+    let missing = slots.iter().filter(|&&(u, v)| !g.has_edge(u, v));
+    for (u, v, w) in missing.flat_map(|&(u, v)| weights.iter().map(move |&w| (u, v, w))) {
+        let live =
+            LiveIndex::new(frozen.clone(), 1).rebuild_overlay(&[(u, v, w)]).expect("overlay");
+        let got: Vec<Dist> =
+            pairs.iter().map(|&(s, t)| live.query(s, t).expect("live query")).collect();
+        let arcs = g.edge_list().into_iter().chain([(u, v, w)]);
+        let want = truth(&labelkit::graph(g.is_directed(), g.num_vertices(), true, arcs), &pairs);
+        assert_eq!(got, want, "{at}: overlay edge {:?}", (u, v, w));
+    }
+}
+
 /// Every check of the module docs on every graph of `n` vertices with
 /// edge weights from `weights`, the external build among the images if
 /// `external`.
@@ -68,6 +95,7 @@ fn sweep(n: u32, directed: bool, weights: &[Dist], external: bool) {
     let default = HopDbConfig::default();
     let ext = ExtMemConfig::tiny();
     let graphs = (weights.len() as u32 + 1).pow(slots.len() as u32);
+    let overlay = n <= if directed { 3 } else { 4 };
     for code in 0..graphs {
         let at = format!("n = {n}, directed = {directed}, weights {weights:?}, code {code}");
         let (_, g) = rank(&graph(n, directed, &slots, weights, code), &default);
@@ -86,6 +114,9 @@ fn sweep(n: u32, directed: bool, weights: &[Dist], external: bool) {
         }
         let wrong = check_exact(&g, &build_unpruned(&g, &default).0);
         assert!(wrong.is_none(), "{at}: the unpruned fixpoint answers {wrong:?}");
+        if overlay {
+            assert_overlay(&g, &index, &slots, &weights[..weights.len().min(2)], &at);
+        }
     }
 }
 

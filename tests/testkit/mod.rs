@@ -21,6 +21,8 @@ use hopdb_server::proto::UNREACHABLE;
 use hopdb_server::wal::Durability;
 use hopdb_server::{serve, ServerConfig, ServerHandle};
 use hoplabels::flat::FlatIndex;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use sfgraph::builder::GraphBuilder;
 use sfgraph::ranking::Ranking;
 use sfgraph::traversal::all_pairs;
@@ -224,25 +226,10 @@ pub fn triples(n: usize) -> Vec<Pair> {
     (0..n).flat_map(|i| [(i, i), (i, (i * 37 + 11) % n), ((i * 53 + 7) % n, i)]).collect()
 }
 
-/// The kit's one seeded generator.
-pub struct Lcg(pub u64);
-
-impl Lcg {
-    /// Seeded from the clock, the seed printed so that a failing run can
-    /// be replayed by hand.
-    pub fn from_clock() -> Lcg {
-        let clock = std::time::UNIX_EPOCH.elapsed().map_or(1, |d| d.as_nanos() as u64 | 1);
-        println!("seed: {clock:#x}");
-        Lcg(clock)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        self.0 >> 16
-    }
-
-    /// Uniform-ish in `0..n`.
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
+/// A generator seeded from the clock, the seed printed so that a
+/// failing run can be replayed by hand.
+pub fn clock_rng() -> StdRng {
+    let seed = std::time::UNIX_EPOCH.elapsed().map_or(1, |d| d.as_nanos() as u64);
+    println!("seed: {seed:#x}");
+    StdRng::seed_from_u64(seed)
 }
