@@ -156,11 +156,6 @@ impl BitParallelIndex {
         BitParallelIndex { roots, tuples, markers, normal }
     }
 
-    /// Number of roots actually used.
-    pub fn num_roots(&self) -> usize {
-        self.roots.len()
-    }
-
     /// The root vertices, in rank order.
     pub fn roots(&self) -> &[VertexId] {
         &self.roots
@@ -325,7 +320,6 @@ mod tests {
         let before = index.total_entries();
         let bp = BitParallelIndex::build(&g, &index, 2);
         assert!(bp.total_normal_entries() < before, "some entries must transform");
-        assert!(bp.num_roots() >= 1);
         assert_eq!(bp.roots()[0], 0, "rank order: vertex 0 is the first root");
     }
 

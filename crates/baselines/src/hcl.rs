@@ -97,10 +97,6 @@ impl DistanceOracle for HighwayCover {
     fn name(&self) -> &'static str {
         "HCL*"
     }
-
-    fn index_bytes(&self) -> usize {
-        (self.from.len() + self.to.len()) * self.graph.num_vertices() * 4
-    }
 }
 
 #[cfg(test)]

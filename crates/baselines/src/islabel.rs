@@ -241,10 +241,6 @@ impl DistanceOracle for IsLabel {
     fn name(&self) -> &'static str {
         "IS-Label"
     }
-
-    fn index_bytes(&self) -> usize {
-        self.index.resident_bytes()
-    }
 }
 
 #[cfg(test)]

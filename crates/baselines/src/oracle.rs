@@ -12,31 +12,4 @@ pub trait DistanceOracle {
 
     /// Short human-readable method name for result tables.
     fn name(&self) -> &'static str;
-
-    /// Approximate resident bytes of the oracle's data structures
-    /// (index size column of Table 6); 0 for index-free methods.
-    fn index_bytes(&self) -> usize {
-        0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    struct Zero;
-    impl DistanceOracle for Zero {
-        fn distance(&self, _s: VertexId, _t: VertexId) -> Dist {
-            0
-        }
-        fn name(&self) -> &'static str {
-            "zero"
-        }
-    }
-
-    #[test]
-    fn default_index_bytes_is_zero() {
-        assert_eq!(Zero.index_bytes(), 0);
-        assert_eq!(Zero.name(), "zero");
-    }
 }

@@ -78,10 +78,6 @@ impl DistanceOracle for Pll {
     fn name(&self) -> &'static str {
         "PLL"
     }
-
-    fn index_bytes(&self) -> usize {
-        self.index.resident_bytes()
-    }
 }
 
 /// Build a PLL index on a rank-relabeled graph (id 0 = highest rank).

@@ -51,11 +51,6 @@ impl HopDb {
         &self.index
     }
 
-    /// The frozen flat index queries are served from (rank ids).
-    pub fn flat_index(&self) -> &FlatIndex {
-        &self.flat
-    }
-
     /// The vertex ranking used for relabeling.
     pub fn ranking(&self) -> &Ranking {
         &self.ranking
@@ -237,8 +232,6 @@ mod tests {
         for threads in [0usize, 1, 2, 8] {
             assert_eq!(db.query_many(&pairs, threads), expect, "threads {threads}");
         }
-        // The flat snapshot matches the nested index entry-for-entry.
-        assert_eq!(db.flat_index().total_entries(), db.index().total_entries());
     }
 
     #[test]

@@ -86,14 +86,10 @@ impl HopDbConfig {
         self
     }
 
-    /// The worker-thread count [`HopDbConfig::parallelism`] resolves to:
-    /// itself when non-zero, otherwise the machine's available
-    /// parallelism (1 if that cannot be determined).
+    /// The worker-thread count [`HopDbConfig::parallelism`] resolves to
+    /// ([`hoplabels::parallel::resolve_threads`]: `0` is every core).
     pub fn resolved_parallelism(&self) -> usize {
-        match self.parallelism {
-            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            t => t,
-        }
+        hoplabels::parallel::resolve_threads(self.parallelism)
     }
 }
 

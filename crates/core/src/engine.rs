@@ -95,9 +95,9 @@
 //!
 //! 1. **gather + prune** — the round's owners are cut into contiguous
 //!    ranges of about equal gather weight (Σ|`prev(u)`| over an owner's
-//!    arcs, [`crate::shard::split_by_weight`]), several per worker and
-//!    dealt out in turn (`RANGES_PER_WORKER` says why); each worker runs
-//!    its ranges against the frozen labels with its own O(n) scratch;
+//!    arcs, [`split_by_weight`]), several per worker and dealt out in
+//!    turn (`RANGES_PER_WORKER` says why); each worker runs its ranges
+//!    against the frozen labels with its own O(n) scratch;
 //! 2. **apply** — once every worker is done, each merges the survivors
 //!    of its ranges into those ranges' own `split_at_mut` slices of the
 //!    label arrays ([`VertexLabels::merge_min_sorted`]).
@@ -111,13 +111,13 @@ use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
 use hoplabels::index::{merge_join, side_table, LabelIndex, SideRule, VertexLabels};
+use hoplabels::parallel::{run_workers, split_by_weight};
 use hoplabels::LabelEntry;
 use sfgraph::{Direction, Dist, Graph, VertexId, INF_DIST};
 
 use crate::config::HopDbConfig;
 use crate::hubs::{HubTable, HUBS};
 use crate::iteration::{fixpoint, BuildStats, IterationStats, Rounds};
-use crate::shard;
 
 /// The entries that seed `owner`'s label on a side whose entries extend
 /// along `step` (`hoplabels::index::side_table`), one per edge, pivots
@@ -398,24 +398,17 @@ struct Pruned {
     prune: Duration,
 }
 
-/// Run `work` on every input and return the results in input order: all
-/// inline unless `parallel`, else the first inline and every other on a
-/// scoped thread of its own.
-pub(crate) fn run_workers<I: Send, O: Send>(
-    parallel: bool,
-    inputs: Vec<I>,
-    work: impl Fn(I) -> O + Sync,
-) -> Vec<O> {
-    if !parallel {
-        return inputs.into_iter().map(work).collect();
+/// Worker-thread count for a round with `work` driving entries:
+/// parallelism below this many entries costs more in spawning and
+/// joining the workers than it saves, so small rounds run on one
+/// thread. The decision only affects scheduling, never results.
+pub(crate) fn effective_threads(threads: usize, work: usize) -> usize {
+    const MIN_WORK_PER_THREAD: usize = 512;
+    if work < 2 * MIN_WORK_PER_THREAD {
+        1
+    } else {
+        threads.clamp(1, work / MIN_WORK_PER_THREAD)
     }
-    let (work, mut inputs) = (&work, inputs.into_iter());
-    let first = inputs.next();
-    std::thread::scope(|sc| {
-        let handles: Vec<_> = inputs.map(|input| sc.spawn(move || work(input))).collect();
-        let rest = handles.into_iter().map(|h| h.join().expect("build worker panicked"));
-        first.map(work).into_iter().chain(rest).collect()
-    })
 }
 
 /// Time since `*clock`, which restarts.
@@ -550,7 +543,7 @@ impl<'g> Engine<'g> {
             owners.sort_unstable();
             let weights: Vec<u32> =
                 owners.iter().map(|&x| std::mem::take(&mut weight[x as usize])).collect();
-            Plan { cuts: shard::split_by_weight(&weights, ranges), owners }
+            Plan { cuts: split_by_weight(&weights, ranges), owners }
         };
         self.sides.iter().map(plan).collect()
     }
@@ -717,7 +710,7 @@ impl Rounds for Engine<'_> {
     /// first phase — apply; the survivors become `prev`.
     fn round(&mut self, stepping: bool) -> Result<IterationStats, Infallible> {
         let round_start = Instant::now();
-        let threads = shard::effective_threads(self.threads, self.prev_len());
+        let threads = effective_threads(self.threads, self.prev_len());
         let mut ws = std::mem::take(&mut self.ws);
         let (weight, scratch) = ws.sized(self.g.num_vertices(), threads);
         if !stepping {
@@ -792,6 +785,15 @@ mod tests {
         let mut e = Engine::seeded(g);
         e.hubs = Some(HubTable::new(g, hubs));
         e
+    }
+
+    #[test]
+    fn effective_threads_scales_with_work() {
+        assert_eq!(effective_threads(8, 0), 1);
+        assert_eq!(effective_threads(8, 1000), 1);
+        assert_eq!(effective_threads(8, 2048), 4);
+        assert_eq!(effective_threads(8, 1 << 20), 8);
+        assert_eq!(effective_threads(1, 1 << 20), 1);
     }
 
     #[test]

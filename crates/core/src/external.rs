@@ -195,12 +195,13 @@ use extmem::run::{RecordSource, Rewind, Run, RunReader, RunWriter};
 use extmem::sorter::{merge_readers, ExternalSorter, SortedStream};
 use extmem::{ExtMemConfig, LabelRecord};
 use hoplabels::index::{merge_join, side_table, LabelIndex, SideRule, VertexLabels};
+use hoplabels::parallel::run_workers;
 use hoplabels::LabelEntry;
 use sfgraph::{Direction, Graph, VertexId};
 
 use crate::builder::{derive_fringe, peel};
 use crate::config::HopDbConfig;
-use crate::engine::{lap, run_workers, seeds};
+use crate::engine::{lap, seeds};
 use crate::hubs::{HubTable, HUBS};
 use crate::iteration::{fixpoint, BuildStats, IterationStats, Rounds};
 

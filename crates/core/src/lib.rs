@@ -49,8 +49,9 @@
 //! Construction parallelises within each iteration: set
 //! [`HopDbConfig::parallelism`] (or `hopdb-cli build --threads`) to
 //! give each of several scoped worker threads its own range of label
-//! owners to gather, prune and apply ([`shard`]); the result is
-//! bit-identical to the sequential build for every thread count.
+//! owners to gather, prune and apply, cut by weight and run through
+//! [`hoplabels::parallel`]; the result is bit-identical to the
+//! sequential build for every thread count.
 
 pub mod builder;
 pub mod config;
@@ -59,7 +60,6 @@ pub mod external;
 pub mod hubs;
 pub mod iteration;
 pub mod postprune;
-pub mod shard;
 
 #[cfg(test)]
 mod examples;

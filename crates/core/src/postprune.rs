@@ -27,23 +27,23 @@
 //!
 //! Being order-free, the judging splits across owners: up to
 //! `parallelism` workers each judge a contiguous range of owners per
-//! side ([`crate::shard::split_by_weight`]), read-only, with one bit per
-//! entry for a verdict; then each label is compacted in place. No copy
-//! of the labels is made.
+//! side ([`split_by_weight`]), read-only, with one bit per entry for a
+//! verdict; then each label is compacted in place. No copy of the
+//! labels is made.
 
 use hoplabels::index::{merge_join, side_table, LabelIndex, VertexLabels};
+use hoplabels::parallel::{run_workers, split_by_weight};
 use hoplabels::LabelEntry;
 use sfgraph::{Dist, INF_DIST};
 
-use crate::engine::run_workers;
-use crate::shard;
+use crate::engine::effective_threads;
 
 /// Drop every entry the canonical labelling lacks, on up to `threads`
 /// workers (the index is the same for every count); returns how many
 /// went.
 pub fn post_prune(index: &mut LabelIndex, threads: usize) -> u64 {
     let (n, before) = (index.num_vertices(), index.total_entries());
-    let threads = shard::effective_threads(threads, before);
+    let threads = effective_threads(threads, before);
     let (sides, table) = (index.sides(), side_table(index.is_directed()));
     let across = |own: usize| &sides[table[own].across][..];
     // Per side, owner ranges of about equal work: an entry scans the
@@ -55,7 +55,7 @@ pub fn post_prune(index: &mut LabelIndex, threads: usize) -> u64 {
             }
             let scan = |e: &LabelEntry| across(own)[e.pivot as usize].len() as u32;
             let work = |l: &VertexLabels| l.entries().iter().map(scan).fold(0, u32::saturating_add);
-            shard::split_by_weight(&sides[own].iter().map(work).collect::<Vec<_>>(), threads)
+            split_by_weight(&sides[own].iter().map(work).collect::<Vec<_>>(), threads)
         })
         .collect();
     let verdicts = run_workers(threads > 1, (0..threads).collect(), |w| {
@@ -245,7 +245,7 @@ mod tests {
         for (what, g) in graphs {
             let g = relabel_by_rank(&g, &rank_vertices(&g, &RankBy::paper_default(&g)));
             let entries = build_index(&g, &HopDbConfig::default()).0.total_entries();
-            assert_eq!(shard::effective_threads(4, entries), 4, "{what}: {entries} entries");
+            assert_eq!(effective_threads(4, entries), 4, "{what}: {entries} entries");
             assert_filter_is_the_reference(&g, what);
         }
     }

@@ -78,16 +78,6 @@ pub fn path(n: usize) -> Graph {
     b.build()
 }
 
-/// Cycle on `n ≥ 3` vertices.
-pub fn cycle(n: usize) -> Graph {
-    assert!(n >= 3);
-    let mut b = GraphBuilder::new_undirected(n);
-    for i in 0..n {
-        b.add_edge(i as VertexId, ((i + 1) % n) as VertexId);
-    }
-    b.build()
-}
-
 /// `rows × cols` grid — a road-network-like topology with no hubs and a
 /// large diameter, the adversarial case for degree ranking (§7).
 pub fn grid(rows: usize, cols: usize) -> Graph {
@@ -188,14 +178,6 @@ mod tests {
         assert_eq!(g.num_edges(), 3 * 3 + 2 * 4);
         let d = all_pairs(&g);
         assert_eq!(d[0][11], 5); // (0,0) -> (2,3): 2 + 3
-    }
-
-    #[test]
-    fn cycle_wraps() {
-        let g = cycle(6);
-        let d = all_pairs(&g);
-        assert_eq!(d[0][3], 3);
-        assert_eq!(d[0][5], 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * [`er`] — Erdős–Rényi `G(n, m)` graphs (non-scale-free contrast);
 //! * [`classic`] — the paper's worked-example topologies (the road graph
 //!   `G_R` of Fig. 1, the star `G_S` of Fig. 2, the 8-vertex example of
-//!   Fig. 3) plus paths, cycles, grids, and complete graphs;
+//!   Fig. 3) plus paths, grids, and complete graphs;
 //! * [`weights`] — random positive weights for the weighted experiments;
 //! * [`directed`] — orientation helpers to derive directed workloads from
 //!   undirected scale-free topologies.
@@ -30,9 +30,7 @@ pub mod glp;
 pub mod weights;
 
 pub use ba::barabasi_albert;
-pub use classic::{
-    complete, cycle, example_graph_fig3, grid, path, road_graph_gr, star, star_graph_gs,
-};
+pub use classic::{complete, example_graph_fig3, grid, path, road_graph_gr, star, star_graph_gs};
 pub use directed::orient_scale_free;
 pub use er::erdos_renyi;
 pub use glp::{glp, GlpParams};

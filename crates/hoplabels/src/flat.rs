@@ -29,9 +29,9 @@
 //! its [`QueryWork`] counters on, and `()` in their place elsewhere
 //! compiles to nothing.
 //!
-//! [`FlatIndex::query_many`] shards a pair slice across scoped threads;
-//! the index is immutable, so serving parallelises embarrassingly and
-//! results come back in input order.
+//! [`FlatIndex::query_many`] cuts a pair slice into one chunk per
+//! worker ([`crate::parallel`]); the index is immutable, so serving
+//! parallelises embarrassingly and results come back in input order.
 #![allow(unsafe_code)]
 
 use std::cell::Cell;
@@ -41,6 +41,7 @@ use sfgraph::{Dist, VertexId, INF_DIST};
 
 use crate::image::{self, Layout, Widths};
 use crate::index::{resolve, LabelIndex, Record, NO_PARENT, RECORD_PAIRS};
+use crate::parallel::{resolve_threads, run_workers};
 
 /// A frozen, query-only 2-hop label index: the bytes of a `HOPIDX04`
 /// image, validated once, then served in place.
@@ -229,10 +230,11 @@ impl FlatIndex {
         resolve(s, t, slot, record, join).expect("a validated image's records name labels")
     }
 
-    /// Answer a batch of `(s, t)` pairs, sharding the slice across up
-    /// to `threads` scoped workers (`0` = all cores). Results are
-    /// returned in input order; each pair's answer is bit-identical to
-    /// [`FlatIndex::query`] on the same pair.
+    /// Answer a batch of `(s, t)` pairs, cut into one contiguous chunk
+    /// for each of up to `threads` workers (`0` = all cores; see
+    /// [`crate::parallel`]). Results are returned in input order; each
+    /// pair's answer is bit-identical to [`FlatIndex::query`] on the
+    /// same pair.
     pub fn query_many(&self, pairs: &[(VertexId, VertexId)], threads: usize) -> Vec<Dist> {
         let mut results = Vec::with_capacity(pairs.len());
         self.query_many_into(pairs, threads, &mut results);
@@ -275,34 +277,17 @@ impl FlatIndex {
         threads: usize,
         out: &mut Vec<Dist>,
     ) -> Vec<T> {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            threads
-        };
+        let threads = resolve_threads(threads);
         let base = out.len();
         out.resize(base + pairs.len(), INF_DIST);
-        let results = &mut out[base..];
-        let run = |pair_chunk: &[(VertexId, VertexId)], result_chunk: &mut [Dist]| {
+        let chunk = pairs.len().div_ceil(threads).max(1);
+        let jobs = pairs.chunks(chunk).zip(out[base..].chunks_mut(chunk)).collect();
+        run_workers(threads > 1, jobs, |(pairs, results): (&[_], &mut [Dist])| {
             let tally = T::default();
-            for (r, &(s, t)) in result_chunk.iter_mut().zip(pair_chunk) {
+            for (r, &(s, t)) in results.iter_mut().zip(pairs) {
                 *r = self.answer(s, t, &tally);
             }
             tally
-        };
-        if threads <= 1 || pairs.len() < 2 {
-            return vec![run(pairs, results)];
-        }
-        let chunk = pairs.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = pairs
-                .chunks(chunk)
-                .zip(results.chunks_mut(chunk))
-                .map(|(pair_chunk, result_chunk)| {
-                    scope.spawn(move || run(pair_chunk, result_chunk))
-                })
-                .collect();
-            workers.into_iter().map(|w| w.join().expect("a query worker panicked")).collect()
         })
     }
 }

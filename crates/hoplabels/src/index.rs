@@ -550,18 +550,6 @@ impl LabelIndex {
             self.total_entries() as f64 / n as f64
         }
     }
-
-    /// Size under plain CSR accounting: 8 bytes per `(pivot, dist)`
-    /// entry plus an 8-byte offset per vertex per direction (`n + 1`
-    /// slots each). Not what anything holds — the serialized image
-    /// ([`LabelIndex::write_hopidx`]), which is also the resident
-    /// serving form, is several times smaller — but a format-free
-    /// yardstick for comparing labellings, which is what the
-    /// baselines' `index_bytes` use it for.
-    pub fn resident_bytes(&self) -> usize {
-        self.total_entries() * std::mem::size_of::<LabelEntry>()
-            + self.sides.len() * (self.num_vertices() + 1) * std::mem::size_of::<u64>()
-    }
 }
 
 #[cfg(test)]
@@ -877,13 +865,6 @@ mod tests {
         idx.sides_mut()[0][1].insert_min(LabelEntry::new(0, 1));
         assert_eq!(idx.total_entries(), 3);
         assert_eq!(idx.avg_label_size(), 1.5);
-        // 3 entries × 8 plus the (n + 1) × 8-byte offset directory.
-        assert_eq!(idx.resident_bytes(), 24 + 3 * 8);
-
-        let mut didx = LabelIndex::new(2, true);
-        didx.sides_mut()[0][1].insert_min(LabelEntry::new(0, 1));
-        // Two directories for a directed index.
-        assert_eq!(didx.resident_bytes(), 5 * 8 + 2 * 3 * 8);
     }
 
     #[test]

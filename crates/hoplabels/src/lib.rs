@@ -35,6 +35,9 @@
 //! * [`overlay`] — the delta overlay for live edge insertions:
 //!   [`overlay::LiveIndex`] answers `min(frozen, overlay)` behind
 //!   `QueryBackend` so the serving tier takes writes without a rebuild;
+//! * [`parallel`] — the one weighted contiguous cut, the `0 = all
+//!   cores` thread rule and the scoped worker fan-out that every parallel
+//!   loop and every range cut in the workspace goes through;
 //! * [`shard`] — pivot-range sharding: split one index image into `k`
 //!   smaller images whose per-shard answers min-merge back to the
 //!   unsharded answer, for scale-out serving;
@@ -53,6 +56,7 @@ pub mod flat;
 pub mod image;
 pub mod index;
 pub mod overlay;
+pub mod parallel;
 pub mod query;
 pub mod shard;
 pub mod stats;

@@ -24,8 +24,9 @@
 //! Range boundaries are chosen by entry count, not vertex count: the
 //! rank convention front-loads label mass onto the few top-ranked
 //! pivots (Table 7's coverage skew), so an even vertex split would put
-//! nearly all entries in shard 0. [`shard_image`] walks the pivot
-//! histogram and cuts at the entry-count quantiles instead.
+//! nearly all entries in shard 0. [`shard_image`] counts the entries
+//! per pivot and cuts that histogram at its quantiles with the
+//! workspace's one weighted cut, [`crate::parallel::split_by_weight`].
 //!
 //! Each shard image is paired with a [`ShardSpec`] describing its slot
 //! in the partition; [`ShardSpec::encode`] serializes it as a 24-byte
@@ -69,6 +70,7 @@ use extmem::wire;
 use sfgraph::{Dist, VertexId};
 
 use crate::index::{LabelIndex, VertexLabels};
+use crate::parallel::split_by_weight;
 
 /// Magic tag opening a serialized [`ShardSpec`] sidecar.
 pub const SHARD_MAGIC: &[u8; 8] = b"HOPSHRD2";
@@ -183,26 +185,7 @@ pub fn shard_image(bytes: &[u8], k: usize) -> io::Result<Vec<(Vec<u8>, ShardSpec
         }
     }
 
-    // Cut at entry-count quantiles: boundary i is the smallest vertex
-    // whose prefix mass reaches total*i/k. Quantile targets are
-    // monotone, so the boundaries are too, and they tile [0, n).
-    let total: u64 = hist.iter().sum();
-    let mut bounds = Vec::with_capacity(k + 1);
-    bounds.push(0usize);
-    let mut prefix = 0u64;
-    let mut at = 0usize;
-    for i in 1..k {
-        // u128: `total * i` can exceed u64 for enormous images.
-        let target = (total as u128 * i as u128 / k as u128) as u64;
-        while prefix < target {
-            let Some(&mass) = hist.get(at) else { break };
-            prefix += mass;
-            at += 1;
-        }
-        bounds.push(at);
-    }
-    bounds.push(n);
-
+    let bounds = split_by_weight(&hist, k);
     let mut shards = Vec::with_capacity(k);
     for (i, (&lo, &hi)) in bounds.iter().zip(bounds.iter().skip(1)).enumerate() {
         let (lo, hi) = (lo as u32, hi as u32);

@@ -90,12 +90,6 @@ impl Ranking {
         self.vertex_at.is_empty()
     }
 
-    /// `true` iff `u` outranks `v` (is more likely to hit shortest paths).
-    #[inline]
-    pub fn outranks(&self, u: VertexId, v: VertexId) -> bool {
-        self.rank_of[u as usize] < self.rank_of[v as usize]
-    }
-
     /// Serialize as a `HOPRANK1` sidecar image: the magic followed by
     /// the `vertex_at` permutation as little-endian `u32`s. This is the
     /// `.rank` file `hopdb-cli build` writes next to every index.
@@ -247,7 +241,7 @@ mod tests {
         let g = b.build();
         let r = rank_vertices(&g, &RankBy::DegreeProduct);
         assert_eq!(r.vertex_at(0), 1);
-        assert!(r.outranks(1, 0));
+        assert!(r.rank_of(1) < r.rank_of(0));
     }
 
     #[test]

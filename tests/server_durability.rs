@@ -4,7 +4,9 @@
 //! durability directory is refused at boot, a checkpoint truncates the
 //! WAL and survives a restart booting from its image — as does the next
 //! checkpoint of the same lineage, which must hold what the first one
-//! folded — a torn folded-edge file is refused at boot, as is a garbage
+//! folded — two nodes that take one edge set in different orders write
+//! byte-identical checkpoints, a torn folded-edge file is refused at
+//! boot, as is a garbage
 //! `CURRENT`, without deleting the lineage it stands for, an injected
 //! fsync failure rejects the update without killing the server, under
 //! `batch` the tail of a burst is synced once ingest goes idle (and a
@@ -205,6 +207,50 @@ fn checkpoint_truncates_the_wal_and_survives_restart() {
             handle.shutdown();
             panic!("a torn folded-edge file must not boot");
         }
+    }
+}
+
+/// The acked edge *set* decides a checkpoint, not the order it came in:
+/// two nodes of one graph that take the same edges in different batch
+/// orders, one pair twice at two weights, compact to the same bytes —
+/// image, ranking and folded edges alike.
+#[test]
+fn checkpoints_of_one_edge_set_are_byte_identical_whatever_the_order() {
+    let n = 80;
+    let g = glp(&GlpParams::with_density(n, 3.0, 905));
+    let orders: [&[&[Edge]]; 2] = [
+        &[&[(0, 79, 1), (3, 40, 5)], &[(12, 44, 2)], &[(3, 40, 2), (7, 60, 1)]],
+        &[&[(7, 60, 1), (3, 40, 2)], &[(3, 40, 5), (12, 44, 2), (0, 79, 1)]],
+    ];
+    let pairs = spread(n);
+    let checkpoints: Vec<Vec<Vec<u8>>> = orders
+        .iter()
+        .map(|batches| {
+            let dep = Deployment::new(&g, Ids::Original);
+            let mut model = dep.model();
+            let handle = dep.serve(dep.durable(Durability::Always));
+            let mut client = Client::connect(handle.local_addr()).expect("connect");
+            for batch in batches.iter() {
+                client.update(batch).expect("update");
+                model.ack(batch);
+            }
+            client.compact().expect("compact");
+            let answers = client.query(&pairs).expect("query");
+            assert_eq!(answers, model.answers(&pairs), "the checkpoint diverges from the model");
+            handle.shutdown();
+            let image = dep.wal_dir().join(wal::checkpoint_image_name(1));
+            let read = |ext: &str| {
+                let path = format!("{}{ext}", image.display());
+                std::fs::read(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+            };
+            vec![read(""), read(".rank"), read(".edges")]
+        })
+        .collect();
+    for (file, (a, b)) in ["ckpt-1.idx", "ckpt-1.idx.rank", "ckpt-1.idx.edges"]
+        .iter()
+        .zip(checkpoints[0].iter().zip(&checkpoints[1]))
+    {
+        assert!(a == b, "{file} depends on the order the edges were acked in");
     }
 }
 
