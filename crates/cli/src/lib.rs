@@ -428,6 +428,9 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         ms(stats.post_prune_elapsed)
     )?;
     writeln!(out, "hub tables: built in {:.3} ms", ms(stats.hub_tables_elapsed))?;
+    if let Some(mb) = peak_memory_mb() {
+        writeln!(out, "peak memory: {mb:.1} MB")?;
+    }
     // Per iteration, over the core (its `entries` still count the
     // fringe's self-entries and the filtered entries): the counters, the
     // phase times summed over workers and the bytes moved, 0 from the
@@ -455,6 +458,15 @@ fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(out, "image: {image_bytes} B ({per_vertex:.2} B/vertex)")?;
     writeln!(out, "index: {target}  ranking: {target}.rank")?;
     Ok(())
+}
+
+/// `VmHWM` from `/proc/self/status` in MB: the most this process has
+/// held resident so far. `None` where that file does not say.
+fn peak_memory_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 fn write_ranking_sidecar(target: &str, ranking: &Ranking) -> Result<(), CliError> {
@@ -1077,6 +1089,23 @@ mod tests {
         let line = lines.nth(1).expect("a line after the canonical filter's");
         let ms = line.strip_prefix("hub tables: built in ").and_then(|l| l.strip_suffix(" ms"));
         assert!(ms.and_then(|ms| ms.parse::<f64>().ok()).is_some_and(|ms| ms >= 0.0), "{out}");
+        assert_peak_memory(out);
+    }
+
+    /// Under the hub tables' line, both engines print the process's
+    /// `VmHWM` wherever `/proc/self/status` has it, and nothing where
+    /// it does not.
+    fn assert_peak_memory(out: &str) {
+        let mut lines = out.lines().skip_while(|l| !l.starts_with("hub tables: "));
+        let line = lines.nth(1).expect("a line after the hub tables'");
+        let mb = line.strip_prefix("peak memory: ").and_then(|l| l.strip_suffix(" MB"));
+        let mb = mb.and_then(|mb| mb.parse::<f64>().ok());
+        match std::fs::read_to_string("/proc/self/status") {
+            Ok(status) if status.contains("VmHWM:") => {
+                assert!(mb.is_some_and(|mb| mb > 0.0), "{out}")
+            }
+            _ => assert!(mb.is_none() && !out.contains("peak memory"), "{out}"),
+        }
     }
 
     #[test]

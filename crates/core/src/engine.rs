@@ -47,8 +47,9 @@
 //! A round deals with `x` in two steps (`Engine::gather`,
 //! `Engine::prune_owner`) that are at most a block of owners apart:
 //! gathered candidates wait in a buffer of `BLOCK_CANDIDATES`, so the
-//! phase timers are read per block rather than per owner and a worker
-//! holds O(n) scratch, never a round's candidates.
+//! phase timers are read per block rather than per owner, and a worker
+//! holds O(n) scratch and one block of candidates: of a round's
+//! candidates only the survivors are kept.
 //!
 //! 1. **gather** — the pulled candidates are min-combined in a dense
 //!    `best[pivot]` array with a `touched` list; sorting `touched` is the
@@ -69,7 +70,7 @@
 //!    `hoplabels::index::merge_join`, instead (`marking_pays`);
 //! 3. survivors leave `(owner, pivot)`-sorted, because owners are visited
 //!    in order and `touched` was sorted — they are the next `prev` as
-//!    they stand.
+//!    they stand, moved in, never copied.
 //!
 //! A round visits only the owners that can receive a candidate — the
 //! heads of the arcs out of `prev`'s owners, found in one pass over them
@@ -81,8 +82,9 @@
 //! label-files-sorted-by-pivot of §4.1. Both engines rebuild that view
 //! from the labels at the start of every doubling round (here
 //! `InvView::of`, one counting sort), which is cheaper than keeping
-//! per-pivot lists current entry by entry, and a `Strategy::Stepping`
-//! build never builds one.
+//! per-pivot lists current entry by entry; this one frees it when the
+//! round's gather + prune is done, and a `Strategy::Stepping` build
+//! never builds one.
 //!
 //! ## Parallel construction
 //!
@@ -98,14 +100,39 @@
 //!    arcs, [`split_by_weight`]), several per worker and dealt out in
 //!    turn (`RANGES_PER_WORKER` says why); each worker runs its ranges
 //!    against the frozen labels with its own O(n) scratch;
-//! 2. **apply** — once every worker is done, each merges the survivors
-//!    of its ranges into those ranges' own `split_at_mut` slices of the
-//!    label arrays ([`VertexLabels::merge_min_sorted`]).
+//! 2. **apply** — once every worker is done, each range's survivors
+//!    become that range's part of the next `prev`, and each worker merges
+//!    the parts of its ranges into those ranges' own `split_at_mut`
+//!    slices of the label arrays ([`VertexLabels::merge_min_sorted`]).
 //!
 //! Every `(owner, pivot)` is reduced by exactly one worker and every
 //! reduction is a minimum, so the result is *bit-identical* to the
 //! sequential build for every thread count — the single-threaded path is
 //! the same two phases with one range, run inline.
+//!
+//! ## Memory
+//!
+//! At any moment of a round a build holds:
+//!
+//! - the labels, which apply grows;
+//! - one round's survivors, once: the range buffers gather + prune
+//!   filled become the next `prev` by move (`Prev` keeps one part per
+//!   owner range and a per-vertex `(part, start, end)`);
+//! - the previous `prev`, during gather + prune only: apply frees it
+//!   before it grows the labels;
+//! - one inverted view per side, during a doubling round's gather +
+//!   prune only;
+//! - the graph (the core) and the hub tables;
+//! - O(n) scratch per worker and one block of candidates.
+//!
+//! So the peak falls in the gather + prune after the largest round,
+//! whose survivors are then in the labels and, as `prev`, once more.
+//! `hopdb-cli build` prints the process's peak (`peak memory:`, which
+//! also counts reading and ranking the edge list). On an undirected GLP
+//! of density 4, at one thread, it is 11.8 MB at 16 000 vertices,
+//! 187.5 MB at 200 000 and 1 393 MB at 1 000 000; two threads add
+//! ≈ 3 MB at 200 000. There the largest round, the second, keeps
+//! 7.64 M survivors: 61 MB.
 
 use std::convert::Infallible;
 use std::time::{Duration, Instant};
@@ -170,44 +197,55 @@ impl Groups {
     }
 }
 
-/// The entries the previous iteration added to one side, with the
-/// per-vertex directory that makes `prev(u)` a slice.
+/// The entries the previous iteration added to one side: the survivor
+/// groups of its owner ranges as the workers left them, moved in, never
+/// copied, with the per-vertex directory that makes `prev(u)` a slice.
 struct Prev {
-    groups: Groups,
-    /// Per vertex, its group's range in `groups.entries`; `(0, 0)` for a
-    /// vertex without one. Only the owners in `groups` are ever reset.
-    range: Vec<(u32, u32)>,
+    /// Consecutive owner ranges, in order; never empty, so a vertex
+    /// without a group reads part 0's empty range.
+    parts: Vec<Groups>,
+    /// Per vertex, its group's `(part, start, end)` in that part's
+    /// entries; `(0, 0, 0)` for a vertex without one. Only the owners in
+    /// `parts` are ever reset.
+    range: Vec<(u32, u32, u32)>,
 }
 
 impl Prev {
-    fn new(n: usize) -> Prev {
-        Prev { groups: Groups::default(), range: vec![(0, 0); n] }
+    fn new(n: usize, parts: Vec<Groups>) -> Prev {
+        let mut prev = Prev { parts: Vec::new(), range: vec![(0, 0, 0); n] };
+        prev.replace(parts);
+        prev
     }
 
     /// `prev(u)`: pivot-sorted, empty when `u` gained nothing.
     #[inline]
     fn of(&self, u: VertexId) -> &[LabelEntry] {
-        let (start, end) = self.range[u as usize];
-        &self.groups.entries[start as usize..end as usize]
+        let (part, start, end) = self.range[u as usize];
+        &self.parts[part as usize].entries[start as usize..end as usize]
     }
 
-    /// Replace the contents with `parts` concatenated — consecutive owner
-    /// ranges, in order.
-    fn replace<'a>(&mut self, parts: impl Iterator<Item = &'a Groups>) {
-        for &(owner, _) in &self.groups.owners {
-            self.range[owner as usize] = (0, 0);
+    fn len(&self) -> usize {
+        self.parts.iter().map(|part| part.entries.len()).sum()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (VertexId, &[LabelEntry])> {
+        self.parts.iter().flat_map(Groups::iter)
+    }
+
+    /// Take `parts` — consecutive owner ranges, in order — as the
+    /// contents, freeing the old ones.
+    fn replace(&mut self, parts: Vec<Groups>) {
+        debug_assert!(!parts.is_empty(), "a round has at least one owner range");
+        for part in &self.parts {
+            part.owners.iter().for_each(|&(owner, _)| self.range[owner as usize] = (0, 0, 0));
         }
-        self.groups.clear();
-        for part in parts {
-            for (owner, group) in part.iter() {
-                self.groups.entries.extend_from_slice(group);
-                self.groups.close(owner);
+        self.parts = parts;
+        for (p, part) in self.parts.iter().enumerate() {
+            let mut start = 0u32;
+            for &(owner, end) in &part.owners {
+                self.range[owner as usize] = (p as u32, start, end);
+                start = end;
             }
-        }
-        let mut start = 0u32;
-        for &(owner, end) in &self.groups.owners {
-            self.range[owner as usize] = (start, end);
-            start = end;
         }
     }
 }
@@ -264,7 +302,8 @@ struct Side {
     rule: SideRule,
     /// `own`: the labels this side grows.
     labels: Vec<VertexLabels>,
-    /// Inverted view of `labels`; `None` until the first doubling round.
+    /// Inverted view of `labels`, built at the start of a doubling round
+    /// and freed when its gather + prune is done; `None` otherwise.
     inv: Option<InvView>,
     /// Entries the previous iteration added to `own`.
     prev: Prev,
@@ -431,6 +470,9 @@ struct Engine<'g> {
     threads: usize,
     /// Scratch kept from round to round.
     ws: Workspace,
+    /// Inverted views built so far, one per side and doubling round.
+    #[cfg(test)]
+    views_built: usize,
 }
 
 /// Build a label index for a rank-relabeled graph, directed or
@@ -502,17 +544,24 @@ impl<'g> Engine<'g> {
                     labels[owner as usize].merge_min_sorted(&first.entries[start..], |_, _| {});
                     first.close(owner);
                 }
-                let mut prev = Prev::new(n);
-                prev.replace(std::iter::once(&first));
-                Side { index, rule, labels, inv: None, prev }
+                Side { index, rule, labels, inv: None, prev: Prev::new(n, vec![first]) }
             })
             .collect();
-        let total_entries = sides.iter().map(|s| (n + s.prev.groups.entries.len()) as u64).sum();
-        Engine { g, hubs: None, sides, total_entries, threads: 1, ws: Workspace::default() }
+        let total_entries = sides.iter().map(|s| (n + s.prev.len()) as u64).sum();
+        Engine {
+            g,
+            hubs: None,
+            sides,
+            total_entries,
+            threads: 1,
+            ws: Workspace::default(),
+            #[cfg(test)]
+            views_built: 0,
+        }
     }
 
     fn prev_len(&self) -> usize {
-        self.sides.iter().map(|s| s.prev.groups.entries.len()).sum()
+        self.sides.iter().map(|s| s.prev.len()).sum()
     }
 
     /// Per side, the owners that can receive a candidate this round —
@@ -524,7 +573,7 @@ impl<'g> Engine<'g> {
         let ranges = if threads > 1 { threads * RANGES_PER_WORKER } else { 1 };
         let plan = |side: &Side| {
             let mut owners = Vec::new();
-            for (u, group) in side.prev.groups.iter() {
+            for (u, group) in side.prev.iter() {
                 let mut pulls = |x: VertexId| {
                     let w = &mut weight[x as usize];
                     if *w == 0 {
@@ -669,18 +718,25 @@ impl<'g> Engine<'g> {
         (counted, pruned)
     }
 
-    /// Phase two: every worker merges the survivors of its ranges into
-    /// those ranges' own slices of every side's label array.
-    fn apply(&mut self, plans: &[Plan], outcomes: &[Pruned], threads: usize) -> Vec<Applied> {
+    /// Phase two: each side's survivors become its `prev` by move, which
+    /// frees the old `prev` and the inverted views — gather + prune was
+    /// their last reader — and then every worker merges its ranges' parts
+    /// of `prev` into those ranges' own slices of every side's label
+    /// array.
+    fn apply(&mut self, plans: &[Plan], outcomes: &mut [Pruned], threads: usize) -> Vec<Applied> {
         let n = self.g.num_vertices();
         let mut jobs: Vec<Vec<ApplyJob>> = (0..threads).map(|_| Vec::new()).collect();
         for (s, (side, plan)) in self.sides.iter_mut().zip(plans).enumerate() {
+            side.inv = None;
+            side.prev.replace(
+                outcomes.iter_mut().map(|o| std::mem::take(&mut o.survivors[s])).collect(),
+            );
             let mut rest = &mut side.labels[..];
-            for (r, outcome) in outcomes.iter().enumerate() {
+            for (r, survivors) in side.prev.parts.iter().enumerate() {
                 let (base, end) = (plan.bound(r, n), plan.bound(r + 1, n));
                 let (labels, tail) = std::mem::take(&mut rest).split_at_mut(end - base);
                 rest = tail;
-                jobs[r % threads].push(ApplyJob { base, labels, survivors: &outcome.survivors[s] });
+                jobs[r % threads].push(ApplyJob { base, labels, survivors });
             }
         }
         run_workers(threads > 1, jobs, |ranges| {
@@ -707,7 +763,7 @@ impl Rounds for Engine<'_> {
 
     /// One iteration over up to `self.threads` workers: plan, gather + prune
     /// against the frozen labels, then — the barrier is the join of the
-    /// first phase — apply; the survivors become `prev`.
+    /// first phase — the survivors become `prev` and are applied.
     fn round(&mut self, stepping: bool) -> Result<IterationStats, Infallible> {
         let round_start = Instant::now();
         let threads = effective_threads(self.threads, self.prev_len());
@@ -716,16 +772,17 @@ impl Rounds for Engine<'_> {
         if !stepping {
             for side in &mut self.sides {
                 side.inv = Some(InvView::of(&side.labels));
+                #[cfg(test)]
+                {
+                    self.views_built += 1;
+                }
             }
         }
         let plans = self.plan(stepping, threads, weight);
         let planning = round_start.elapsed();
-        let outcomes = self.gather_prune(&plans, stepping, scratch);
+        let mut outcomes = self.gather_prune(&plans, stepping, scratch);
         self.ws = ws;
-        let applied = self.apply(&plans, &outcomes, threads);
-        for (s, side) in self.sides.iter_mut().enumerate() {
-            side.prev.replace(outcomes.iter().map(|o| &o.survivors[s]));
-        }
+        let applied = self.apply(&plans, &mut outcomes, threads);
         self.total_entries += applied.iter().map(|a| a.added).sum::<u64>();
         Ok(IterationStats {
             candidates: outcomes.iter().map(|o| o.candidates).sum(),
@@ -969,17 +1026,23 @@ mod tests {
         }
     }
 
-    /// Force several workers (small graphs normally fall back to one
-    /// thread) and check that their ranges' `Pruned` outcomes — counters
-    /// and survivors — add up to the sequential ones.
-    #[test]
-    fn forced_sharding_splits_the_outcomes_without_changing_them() {
+    /// A 64-vertex ring with chords of 7: enough work per round that
+    /// every one of 4 workers' ranges gets some.
+    fn chorded_ring() -> Graph {
         let mut b = GraphBuilder::new_undirected(64);
         for i in 0..64u32 {
             b.add_edge(i, (i + 1) % 64);
             b.add_edge(i, (i + 7) % 64);
         }
-        let g = b.build();
+        b.build()
+    }
+
+    /// Force several workers (small graphs normally fall back to one
+    /// thread) and check that their ranges' `Pruned` outcomes — counters
+    /// and survivors — add up to the sequential ones.
+    #[test]
+    fn forced_sharding_splits_the_outcomes_without_changing_them() {
+        let g = chorded_ring();
         let e = pruned(&g, 0);
         let mut ws = Workspace::default();
         let mut run = |threads: usize| {
@@ -1003,6 +1066,48 @@ mod tests {
         };
         assert_eq!(flat(&seq), flat(&par));
         assert!(flat(&seq).is_sorted());
+    }
+
+    /// A round holds each survivor once. At one range and at 4 workers'
+    /// forced ranges, stepping and doubling, the survivor buffers that
+    /// gather + prune returned become each side's `prev` by move — the
+    /// very buffers, one part per range and nothing else — `prev(u)`
+    /// reads their concatenation for every `u`, and the round's inverted
+    /// views are gone.
+    #[test]
+    fn survivors_become_prev_by_move() {
+        let g = chorded_ring();
+        let n = g.num_vertices();
+        for threads in [1usize, 4] {
+            for stepping in [true, false] {
+                let what = format!("{threads} threads, stepping = {stepping}");
+                let mut e = pruned(&g, 0);
+                let Ok(_) = e.round(true);
+                if !stepping {
+                    e.sides.iter_mut().for_each(|side| side.inv = Some(InvView::of(&side.labels)));
+                }
+                let mut ws = Workspace::default();
+                let (weight, scratch) = ws.sized(n, threads);
+                let plans = e.plan(stepping, threads, weight);
+                let mut outcomes = e.gather_prune(&plans, stepping, scratch);
+                let buffers = |parts: &mut dyn Iterator<Item = &Groups>| {
+                    parts.map(|p| (p.entries.as_ptr(), p.owners.as_ptr())).collect::<Vec<_>>()
+                };
+                let returned = buffers(&mut outcomes.iter().map(|o| &o.survivors[0]));
+                let mut reference = vec![Vec::new(); n];
+                for (x, group) in outcomes.iter().flat_map(|o| o.survivors[0].iter()) {
+                    reference[x as usize].extend_from_slice(group);
+                }
+                assert!(reference.iter().any(|r| !r.is_empty()), "{what}: nothing survived");
+                let _ = e.apply(&plans, &mut outcomes, threads);
+                let side = &e.sides[0];
+                assert_eq!(buffers(&mut side.prev.parts.iter()), returned, "{what}");
+                for u in g.vertices() {
+                    assert_eq!(side.prev.of(u), reference[u as usize], "{what}: prev({u})");
+                }
+                assert!(side.inv.is_none(), "{what}: an inverted view outlived gather + prune");
+            }
+        }
     }
 
     /// Stepping needs up to `D_H` rounds (§5.1): a build must run to the
@@ -1131,7 +1236,7 @@ mod tests {
             let best = cands.entry((x, v)).or_insert(INF_DIST);
             *best = d.min(*best);
         };
-        for (u, group) in side.prev.groups.iter() {
+        for (u, group) in side.prev.iter() {
             for &LabelEntry { pivot: v, dist: d } in group {
                 match rule {
                     Rule::Stepping => {
@@ -1207,30 +1312,28 @@ mod tests {
         assert_eq!(exercised.len(), 9, "{exercised:?}");
     }
 
-    /// `inv` feeds only doubling rounds: seeding builds none, a stepping
-    /// build never has one, and a hybrid gets its first when the first
-    /// doubling iteration starts.
+    /// `inv` feeds only a doubling round's gather + prune: seeding and
+    /// stepping rounds build none, every doubling round builds one per
+    /// side, and no round ends with one — it is freed before apply.
     #[test]
-    fn inverted_view_exists_from_the_first_doubling_round_on() {
+    fn each_doubling_round_builds_inverted_views_and_frees_them() {
         for g in [small_glp(200, 3), small_directed_glp(200, 4)] {
-            for (strategy, first_doubling) in [
-                (Strategy::Stepping, u32::MAX),
-                (Strategy::Hybrid { switch_at: 3 }, 4),
-                (Strategy::Doubling, 2),
-            ] {
+            for strategy in
+                [Strategy::Stepping, Strategy::Hybrid { switch_at: 3 }, Strategy::Doubling]
+            {
                 let cfg = HopDbConfig::with_strategy(strategy.clone());
                 let mut e = pruned(&g, HUBS);
                 assert!(e.sides.iter().all(|s| s.inv.is_none()), "seeding built an inverted view");
-                let mut iter = 1u32;
+                let (mut iter, mut doubling) = (1u32, 0usize);
                 while e.pending() {
                     iter += 1;
+                    doubling += usize::from(!strategy.steps_at(iter));
                     let Ok(_) = e.round(strategy.steps_at(iter));
-                    assert!(
-                        e.sides.iter().all(|s| s.inv.is_some() == (iter >= first_doubling)),
-                        "{strategy:?}: inverted view after iteration {iter}"
-                    );
+                    let at = format!("{strategy:?}, iteration {iter}");
+                    assert_eq!(e.views_built, doubling * e.sides.len(), "{at}: views built");
+                    assert!(e.sides.iter().all(|s| s.inv.is_none()), "{at}: a view outlived it");
                 }
-                assert!(first_doubling == u32::MAX || iter >= first_doubling, "{strategy:?}");
+                assert_eq!(doubling == 0, strategy == Strategy::Stepping, "{strategy:?}");
                 let (index, _) = build_index(&g, &cfg);
                 assert_eq!(
                     LabelIndex::from_sides(e.sides.into_iter().map(|s| s.labels).collect()),
@@ -1319,7 +1422,7 @@ mod tests {
         }
         let g = b.build();
         let e = pruned(&g, 0);
-        assert_eq!(e.sides[1].prev.groups.entries.len(), 0);
+        assert_eq!(e.sides[1].prev.len(), 0);
         for stepping in [true, false] {
             let plans = mid_build(&g, 0).plan(stepping, 2, &mut [0; 6]);
             assert!(!plans[0].owners.is_empty());

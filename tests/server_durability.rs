@@ -352,7 +352,12 @@ fn batch_durability_syncs_the_tail_of_a_burst_when_ingest_goes_idle() {
     let mut client = Client::connect(handle.local_addr()).expect("connect");
     let idle = 25 * wal::BATCH_SYNC_INTERVAL;
 
-    // Whatever the first update left unsynced is synced by now.
+    // The log has been idle for longer than the interval, so the first
+    // update syncs in its own append and leaves no tail. A sleep bounds
+    // only how long ago the last sync was, never when a tail sync runs:
+    // on a loaded host a tail left here could be synced just before the
+    // burst, and the burst's first append would then skip its sync.
+    std::thread::sleep(idle);
     client.update(&[(0, 49, 1)]).expect("update");
     std::thread::sleep(idle);
 
